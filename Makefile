@@ -88,8 +88,8 @@ bench-e13:
 bench-e14:
 	$(GO) run ./cmd/plbench -experiment e14
 
-# Machine-readable E15 result: wire protocol v1 gob vs v2 pipelined
-# binary framing (throughput and allocs/op per blob size, loopback).
+# Machine-readable E15 result: pipelined binary wire framing
+# (throughput and allocs/op per blob size, loopback).
 bench-e15:
 	$(GO) run ./cmd/plbench -experiment e15
 
@@ -99,7 +99,7 @@ bench-e16:
 	$(GO) run ./cmd/plbench -experiment e16
 
 # Machine-readable E17 result: longest-shared-prefix chain caching —
-# miss-path cost vs fan-out under no memo / single-cut / multi-cut.
+# miss-path cost vs fan-out with memoization off and on.
 bench-e17:
 	$(GO) run ./cmd/plbench -experiment e17
 

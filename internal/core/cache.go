@@ -116,12 +116,12 @@ type Options struct {
 	// DisableVerifiers skips verifier execution on hits (notifier-
 	// only consistency), for experiment E1.
 	DisableVerifiers bool
-	// Memoize enables content-addressed memoization of the read
-	// path's universal stage: on a miss, the output of the universal
-	// property chain is cached keyed by (source signature, chain
-	// fingerprint) and reused across users, with only the personal
-	// suffix re-executed per user (see intermediate.go). Off by
-	// default — intermediates consume capacity and skip the universal
+	// Memoize enables content-addressed memoization of read-path
+	// prefixes: on a miss, the output at every memoizable property
+	// boundary is cached keyed by (source signature, chain-prefix
+	// fingerprint) and reused across users, with only the suffix past
+	// the deepest cached cut re-executed (see intermediate.go). Off by
+	// default — intermediates consume capacity and skip the covered
 	// transforms' simulated execution time, which would perturb
 	// experiments calibrated against full-chain misses.
 	Memoize bool
@@ -153,11 +153,6 @@ type Options struct {
 	// bytes; this is the in-memory analogue of DurableMinCost. Zero
 	// (the default) stores every memoizable cut.
 	PrefixMinCostPerKB time.Duration
-	// SingleCutMemo restricts memoization to the single universal/
-	// personal boundary cut of the original two-segment split instead
-	// of the N-cut prefix pipeline — the ablation baseline for
-	// experiment E17.
-	SingleCutMemo bool
 }
 
 // CostSource selects the replacement-cost signal handed to the policy.
@@ -853,11 +848,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		tChain = time.Now()
 	}
 	if c.opts.Memoize {
-		var memo docspace.Intermediates = c
-		if c.opts.SingleCutMemo {
-			memo = singleCutView{c}
-		}
-		data, res, trace, err = c.space.ReadDocumentStaged(doc, user, memo)
+		data, res, trace, err = c.space.ReadDocumentStaged(doc, user, c)
 		if trace.MemoErr {
 			c.stats.prefixFallbackErrors.Inc()
 		}

@@ -80,26 +80,7 @@ type iflight struct {
 	err  error
 }
 
-var (
-	_ docspace.Intermediates       = (*Cache)(nil)
-	_ docspace.PrefixIntermediates = (*Cache)(nil)
-)
-
-// singleCutView exposes only the legacy single-cut Intermediates
-// protocol of a cache, hiding its PrefixIntermediates methods so the
-// document space offers exactly one cut point (the universal/personal
-// boundary). It is the ablation baseline for Options.SingleCutMemo.
-type singleCutView struct{ c *Cache }
-
-func (v singleCutView) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return v.c.Intermediate(doc, src, fp, cost, compute)
-}
-
-// Intermediate implements docspace.Intermediates: the legacy
-// single-cut protocol, keyed at the universal/personal boundary.
-func (c *Cache) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return c.intermediate(doc, "", src, fp, cost, true, false, compute)
-}
+var _ docspace.PrefixIntermediates = (*Cache)(nil)
 
 // PrefixIntermediate implements docspace.PrefixIntermediates for one
 // cut of the prefix pipeline.
@@ -108,7 +89,7 @@ func (c *Cache) PrefixIntermediate(doc, user string, src sig.Signature, cut docs
 	if cut.Personal {
 		owner = user
 	}
-	return c.intermediate(doc, owner, src, cut.FP, cut.Cost, cut.Universal, true, compute)
+	return c.intermediate(doc, owner, src, cut.FP, cut.Cost, cut.Universal, compute)
 }
 
 // LongestPrefix implements docspace.PrefixIntermediates: it scans fps
@@ -150,11 +131,10 @@ func (c *Cache) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature
 // it via compute — exactly once per key under concurrent misses. cost
 // is the accumulated simulated recompute cost through the cut, the
 // policy's cost input. universal marks the cut that completes the
-// universal chain (the accounting boundary for UniversalStageRuns);
-// prefix marks calls from the N-cut pipeline (the legacy single-cut
-// entry point leaves it false). The returned slice is the caller's to
-// keep; hit reports whether compute was skipped.
-func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal, prefix bool, compute func() ([]byte, error)) ([]byte, bool, error) {
+// universal chain (the accounting boundary for UniversalStageRuns).
+// The returned slice is the caller's to keep; hit reports whether
+// compute was skipped.
+func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, compute func() ([]byte, error)) ([]byte, bool, error) {
 	k := interKey(src, fp)
 	for {
 		c.interMu.Lock()
@@ -173,9 +153,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			c.interMu.Unlock()
 			c.stats.intermediateHits.Inc()
 			c.stats.bytesRecomputedSaved.Add(int64(len(data)))
-			if prefix {
-				c.stats.prefixSavedBytes.Add(int64(len(data)))
-			}
+			c.stats.prefixSavedBytes.Add(int64(len(data)))
 			out := make([]byte, len(data))
 			copy(out, data)
 			return out, true, nil
@@ -191,9 +169,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			}
 			c.stats.intermediateHits.Inc()
 			c.stats.bytesRecomputedSaved.Add(int64(len(f.data)))
-			if prefix {
-				c.stats.prefixSavedBytes.Add(int64(len(f.data)))
-			}
+			c.stats.prefixSavedBytes.Add(int64(len(f.data)))
 			out := make([]byte, len(f.data))
 			copy(out, f.data)
 			return out, true, nil
@@ -223,9 +199,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			if universal {
 				c.stats.universalStageRuns.Inc()
 			}
-			if prefix {
-				c.stats.prefixSegmentRuns.Inc()
-			}
+			c.stats.prefixSegmentRuns.Inc()
 			data, err = compute()
 		}
 		f.data, f.err = data, err
@@ -234,9 +208,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 		if err == nil && !c.closed.Load() {
 			if c.prefixWorthStoring(cost, int64(len(data))) {
 				c.storeIntermediateLocked(k, doc, user, data, cost)
-				if prefix {
-					c.stats.prefixInstalls.Inc()
-				}
+				c.stats.prefixInstalls.Inc()
 			} else {
 				c.stats.prefixInstallSkips.Inc()
 			}

@@ -107,41 +107,6 @@ func TestPrefixCostGateSkipsCheapCuts(t *testing.T) {
 	}
 }
 
-// TestSingleCutMemoBaseline: the ablation flag must reproduce the
-// original two-segment protocol exactly — one intermediate at the
-// universal/personal boundary, no prefix-pipeline activity.
-func TestSingleCutMemoBaseline(t *testing.T) {
-	users := memoUsers(4)
-	w := newWorld(t, Options{Memoize: true, SingleCutMemo: true})
-	setupMemoDoc(t, w, users)
-
-	for i, u := range users {
-		data, info, err := w.cache.ReadWithInfo("d", u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(data, []byte(u)) {
-			t.Fatalf("user %s: personalization missing", u)
-		}
-		if wantMemo := i > 0; info.IntermediateHit != wantMemo {
-			t.Fatalf("user %s: IntermediateHit = %v, want %v", u, info.IntermediateHit, wantMemo)
-		}
-	}
-	st := w.cache.Stats()
-	if st.IntermediateEntries != 1 {
-		t.Fatalf("IntermediateEntries = %d, want 1 (boundary only)", st.IntermediateEntries)
-	}
-	if st.UniversalStageRuns != 1 {
-		t.Fatalf("UniversalStageRuns = %d, want 1", st.UniversalStageRuns)
-	}
-	if st.IntermediateHits != int64(len(users)-1) {
-		t.Fatalf("IntermediateHits = %d, want %d", st.IntermediateHits, len(users)-1)
-	}
-	if st.PrefixHits != 0 || st.PrefixSegmentRuns != 0 {
-		t.Fatalf("single-cut baseline drove the prefix pipeline: %+v", st)
-	}
-}
-
 // TestInvalidateUserSweepsOnlyTheirPersonalCuts: a per-user
 // invalidation drops that user's personal cuts and nothing else; the
 // re-read resumes from the surviving shared prefix.

@@ -13,15 +13,16 @@ import (
 	"placeless/internal/sig"
 )
 
-// fakePrefixMemo is a minimal PrefixIntermediates store: the multi-cut
-// analogue of fakeMemo, with optional fault injection for the
-// degraded-read tests.
+// fakePrefixMemo is a minimal PrefixIntermediates store for exercising
+// the staged read path without a cache, with optional fault injection
+// for the degraded-read tests.
 type fakePrefixMemo struct {
-	store    map[string][]byte
-	keys     []string // install order, one per computed cut
-	computes int
-	calls    int
-	failOn   int // fail the nth PrefixIntermediate call (1-based)
+	store             map[string][]byte
+	keys              []string // install order, one per computed cut
+	computes          int
+	universalComputes int // computes of the universal/personal boundary cut
+	calls             int
+	failOn            int // fail the nth PrefixIntermediate call (1-based)
 }
 
 func newFakePrefixMemo() *fakePrefixMemo {
@@ -33,10 +34,6 @@ func memoKey(src, fp sig.Signature) string {
 }
 
 var errStoreSick = errors.New("intermediate store unavailable")
-
-func (m *fakePrefixMemo) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return m.PrefixIntermediate(doc, "", src, Cut{FP: fp, Cost: cost, Universal: true}, compute)
-}
 
 func (m *fakePrefixMemo) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
 	for i := len(fps) - 1; i >= 0; i-- {
@@ -61,6 +58,9 @@ func (m *fakePrefixMemo) PrefixIntermediate(doc, user string, src sig.Signature,
 		return nil, false, err
 	}
 	m.computes++
+	if cut.Universal {
+		m.universalComputes++
+	}
 	m.store[k] = append([]byte{}, d...)
 	m.keys = append(m.keys, k)
 	return d, false, nil
@@ -275,8 +275,8 @@ func TestPrefixStagedMatchesPlainEverySubset(t *testing.T) {
 }
 
 // TestPrefixSharesPersonalPrefix: two users whose personal chains share
-// a leading translate property share its cut — the personal-prefix
-// sharing the single-cut split could not express.
+// a leading translate property share its cut — sharing past the
+// universal/personal boundary.
 func TestPrefixSharesPersonalPrefix(t *testing.T) {
 	f := newFixture(t)
 	f.addDoc(t, "d", "eyal", "/d", []byte("the quick brown fox\nand the lazy dog\n"))
@@ -356,32 +356,12 @@ func TestStoreErrorFallsBackToDirectExecution(t *testing.T) {
 			t.Fatalf("failOn=%d: degraded read diverged:\nplain:  %q\nstaged: %q", fail, plain, staged)
 		}
 	}
-
-	// Same degradation through the legacy single-cut protocol.
-	legacy := &failingMemo{}
-	staged, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", legacy)
-	if err != nil {
-		t.Fatalf("legacy store failure not degraded: %v", err)
-	}
-	if !trace.MemoErr || !trace.Attempted || trace.Hit {
-		t.Fatalf("legacy degraded trace = %+v", trace)
-	}
-	if !bytes.Equal(staged, plain) {
-		t.Fatal("legacy degraded read diverged")
-	}
-}
-
-// failingMemo is an Intermediates store whose every call fails.
-type failingMemo struct{}
-
-func (failingMemo) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return nil, false, errStoreSick
 }
 
 // TestBoundaryCutMatchesUniversalFingerprint: the boundary cut's prefix
 // fingerprint must be bit-identical to the cached universal-chain
-// fingerprint — the compatibility bridge that keeps single-cut stores
-// and the durable tier's ContentKey on the same keys.
+// fingerprint — what keeps the memo store and the durable tier's
+// ContentKey on the same keys.
 func TestBoundaryCutMatchesUniversalFingerprint(t *testing.T) {
 	f := stageFixture(t)
 	m := newFakePrefixMemo()

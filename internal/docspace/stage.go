@@ -12,13 +12,11 @@ import (
 )
 
 // This file splits the read path into memoizable segments. The
-// original split had exactly one cut point — the universal/personal
-// boundary — so caches could memoize the universal stage's output
-// across users. The generalized pipeline computes an incremental
-// prefix fingerprint at every memoizable property boundary (universal
-// chain first, extending into the personal chain), asks the store for
-// the longest cached prefix of (source signature, prefix fingerprint),
-// and executes only the remaining suffix. Two users whose personal
+// pipeline computes an incremental prefix fingerprint at every
+// memoizable property boundary (universal chain first, extending into
+// the personal chain), asks the store for the longest cached prefix of
+// (source signature, prefix fingerprint), and executes only the
+// remaining suffix. Two users whose personal
 // chains are [translate, audit] and [translate, summarize] therefore
 // share the translate intermediate, not just the universal stage.
 //
@@ -29,18 +27,6 @@ import (
 // add/remove/modify, reorder) change the fingerprint, and cause 4
 // (external information) is excluded by marking such properties
 // non-memoizable, which poisons every cut at or after them.
-
-// Intermediates is the cache-side store for memoized stage outputs.
-// Intermediate returns the memoized output for (src, fp) or computes
-// it via compute — exactly once per key under concurrent misses. The
-// returned slice is owned by the caller. hit reports whether compute
-// was skipped (served from the store or coalesced onto another
-// caller's computation). A store implementing only this interface is
-// offered exactly one cut point per read: the universal/personal
-// boundary.
-type Intermediates interface {
-	Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) (data []byte, hit bool, err error)
-}
 
 // Cut describes one memoizable boundary of a read's combined
 // (universal + personal) transform chain, as handed to a
@@ -54,8 +40,7 @@ type Cut struct {
 	// transform up to the cut) — the store's cost-model input for
 	// deciding whether the cut is worth keeping.
 	Cost time.Duration
-	// Universal marks the cut at the end of the universal chain — the
-	// single cut point of the original two-segment split.
+	// Universal marks the cut at the end of the universal chain.
 	Universal bool
 	// Personal marks cuts strictly inside the personal chain. They are
 	// keyed by content like every other cut (users with identical
@@ -64,24 +49,26 @@ type Cut struct {
 	Personal bool
 }
 
-// PrefixIntermediates is the N-segment extension of Intermediates.
-// Stores implementing it receive every memoizable cut point of a read
-// instead of only the universal/personal boundary: the read path first
-// probes LongestPrefix with the full ordered cut-fingerprint list,
-// resumes from the deepest cached prefix, and then walks the remaining
-// cuts through PrefixIntermediate, handing each a compute closure for
-// just that segment.
+// PrefixIntermediates is the cache-side store for memoized segment
+// outputs. It receives every memoizable cut point of a read: the read
+// path first probes LongestPrefix with the full ordered
+// cut-fingerprint list, resumes from the deepest cached prefix, and
+// then walks the remaining cuts through PrefixIntermediate, handing
+// each a compute closure for just that segment.
 type PrefixIntermediates interface {
-	Intermediates
 	// LongestPrefix returns the deepest cached prefix of (src, fps):
 	// the data and index of the largest i such that (src, fps[i]) is
 	// resident, or ok=false when none is. fps is ordered shallowest to
 	// deepest. The probe is memory-only; slower tiers are consulted
 	// per cut by PrefixIntermediate.
 	LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) (data []byte, idx int, ok bool)
-	// PrefixIntermediate is Intermediate for one cut of the prefix
-	// pipeline, carrying the cut's position metadata so the store can
-	// account and cost-gate installs per cut point.
+	// PrefixIntermediate returns the memoized output for (src, cut.FP)
+	// or computes it via compute — exactly once per key under
+	// concurrent misses. The returned slice is owned by the caller. hit
+	// reports whether compute was skipped (served from the store or
+	// coalesced onto another caller's computation). cut carries the
+	// position metadata so the store can account and cost-gate installs
+	// per cut point.
 	PrefixIntermediate(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) (data []byte, hit bool, err error)
 }
 
@@ -89,7 +76,7 @@ type PrefixIntermediates interface {
 // accounting and tests.
 type StageTrace struct {
 	// Attempted reports whether at least one memoizable cut point
-	// existed and an Intermediates store was consulted.
+	// existed and a store was consulted.
 	Attempted bool
 	// Hit reports whether the universal stage was served memoized
 	// rather than executed by this read (the boundary cut's data came
@@ -107,8 +94,7 @@ type StageTrace struct {
 	SavedBytes int64
 	// Cuts is the number of memoizable cut points offered to the
 	// store; DeepestHit is the index of the cut served by the
-	// longest-prefix probe, -1 when the probe missed (always -1 for
-	// single-cut stores, which are never probed).
+	// longest-prefix probe, -1 when the probe missed.
 	Cuts       int
 	DeepestHit int
 	// MemoErr reports that the intermediate store failed mid-read and
@@ -309,16 +295,14 @@ func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 //     transforms (and their simulated Sleep costs) are skipped and the
 //     remaining suffix runs over the memoized bytes.
 //
-// A store implementing PrefixIntermediates is offered a cut at every
-// boundary whose prefix is fully memoizable; a plain Intermediates
-// store sees only the universal/personal boundary cut (the original
-// two-segment protocol). A non-memoizable byte-touching property
+// The store is offered a cut at every boundary whose prefix is fully
+// memoizable. A non-memoizable byte-touching property
 // poisons every cut at or after its position; if no cut survives — or
 // memo is nil — the read falls back to ordinary single-chain execution
 // and the trace reports Attempted=false. A store error mid-walk
 // degrades to direct execution of the remaining transforms (slow, not
 // broken) and sets trace.MemoErr.
-func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte, property.ReadResult, StageTrace, error) {
+func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) ([]byte, property.ReadResult, StageTrace, error) {
 	var trace StageTrace
 
 	s.mu.Lock()
@@ -346,13 +330,12 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 
 	uProps, pProps, fps := s.snapshotChains(b, r)
 	nU := len(uProps)
-	pm, multiCut := memo.(PrefixIntermediates)
 
 	// Wrap every property in chain order, recording a candidate cut at
 	// each boundary where the prefix so far is fully memoizable and
 	// the boundary is observable: after every byte-touching property,
 	// plus the end of the universal chain (whose fingerprint moves on
-	// event-only attachments too, matching the legacy boundary key).
+	// event-only attachments too).
 	var wrappers []stream.InputWrapper
 	var cuts []Cut
 	var cutWrapEnd []int
@@ -412,17 +395,6 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 			boundaryIdx = i
 		}
 	}
-	if !multiCut && memo != nil {
-		// A plain Intermediates store understands exactly one cut: the
-		// universal/personal boundary.
-		if boundaryIdx >= 0 {
-			cuts = cuts[boundaryIdx : boundaryIdx+1]
-			cutWrapEnd = cutWrapEnd[boundaryIdx : boundaryIdx+1]
-			boundaryIdx = 0
-		} else {
-			cuts, cutWrapEnd = nil, nil
-		}
-	}
 
 	// Events fire on every read, memoized or not — side-effecting
 	// properties like audit trails must observe each access.
@@ -455,18 +427,16 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 	}
 
 	next := 0
-	if multiCut {
-		probe := make([]sig.Signature, len(cuts))
-		for i, c := range cuts {
-			probe[i] = c.FP
-		}
-		if data, idx, ok := pm.LongestPrefix(doc, srcSig, probe); ok {
-			sr.cur, sr.wrapAt, next = data, cutWrapEnd[idx], idx+1
-			trace.DeepestHit = idx
-			trace.SavedBytes += int64(len(data))
-			if boundaryIdx >= 0 && idx >= boundaryIdx {
-				sr.cross(true)
-			}
+	probe := make([]sig.Signature, len(cuts))
+	for i, c := range cuts {
+		probe[i] = c.FP
+	}
+	if data, idx, ok := memo.LongestPrefix(doc, srcSig, probe); ok {
+		sr.cur, sr.wrapAt, next = data, cutWrapEnd[idx], idx+1
+		trace.DeepestHit = idx
+		trace.SavedBytes += int64(len(data))
+		if boundaryIdx >= 0 && idx >= boundaryIdx {
+			sr.cross(true)
 		}
 	}
 
@@ -481,13 +451,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 			}
 			return d, err
 		}
-		var data []byte
-		var hit bool
-		if multiCut {
-			data, hit, err = pm.PrefixIntermediate(doc, user, srcSig, cuts[next], compute)
-		} else {
-			data, hit, err = memo.Intermediate(doc, srcSig, cuts[next].FP, cuts[next].Cost, compute)
-		}
+		data, hit, err := memo.PrefixIntermediate(doc, user, srcSig, cuts[next], compute)
 		if err != nil {
 			if computeErr != nil {
 				// The transform chain itself failed; the store merely

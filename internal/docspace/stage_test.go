@@ -9,29 +9,6 @@ import (
 	"placeless/internal/sig"
 )
 
-// fakeMemo is a minimal Intermediates store for exercising the staged
-// read path without a cache.
-type fakeMemo struct {
-	store    map[string][]byte
-	computes int
-}
-
-func newFakeMemo() *fakeMemo { return &fakeMemo{store: make(map[string][]byte)} }
-
-func (m *fakeMemo) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	k := string(src[:]) + string(fp[:])
-	if d, ok := m.store[k]; ok {
-		return append([]byte{}, d...), true, nil
-	}
-	d, err := compute()
-	if err != nil {
-		return nil, false, err
-	}
-	m.computes++
-	m.store[k] = append([]byte{}, d...)
-	return d, false, nil
-}
-
 // stageFixture builds a document with a memoizable universal chain
 // (spell correct, then summarize) and a personal watermark for each of
 // two users.
@@ -170,7 +147,7 @@ func (testMachinery) CacheMachinery() {}
 
 func TestStagedReadMatchesPlainRead(t *testing.T) {
 	f := stageFixture(t)
-	memo := newFakeMemo()
+	memo := newFakePrefixMemo()
 	for _, user := range []string{"eyal", "paul", "eyal"} {
 		plain, plainRes, err := f.space.ReadDocument("d", user)
 		if err != nil {
@@ -192,8 +169,8 @@ func TestStagedReadMatchesPlainRead(t *testing.T) {
 			t.Fatalf("user %s: read results diverged: %+v vs %+v", user, plainRes, stagedRes)
 		}
 	}
-	if memo.computes != 1 {
-		t.Fatalf("universal stage computed %d times for 3 reads of one (content, chain), want 1", memo.computes)
+	if memo.universalComputes != 1 {
+		t.Fatalf("universal stage computed %d times for 3 reads of one (content, chain), want 1", memo.universalComputes)
 	}
 }
 
@@ -201,7 +178,7 @@ func TestStagedReadSavesUniversalTime(t *testing.T) {
 	// On an intermediate hit the universal transforms' simulated
 	// execution time is not charged; the personal suffix's is.
 	f := stageFixture(t)
-	memo := newFakeMemo()
+	memo := newFakePrefixMemo()
 	if _, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", memo); err != nil || trace.Hit {
 		t.Fatalf("warm-up: trace=%+v err=%v", trace, err)
 	}
@@ -221,53 +198,77 @@ func TestStagedReadSavesUniversalTime(t *testing.T) {
 	}
 }
 
-func TestNonMemoizablePropertyDisablesStaging(t *testing.T) {
+// poisonedReads attaches p to stageFixture's universal chain at the
+// head or the tail and reads twice as each user. At the head no cut
+// survives, so the store is never consulted; at the tail the two cuts
+// before p are still shared, but nothing at or after p is ever stored
+// or served. Either way the universal stage is never reported
+// memoized and every read equals the plain one.
+func poisonedReads(t *testing.T, p property.Active, head bool, between func()) {
+	t.Helper()
 	f := stageFixture(t)
-	// A byte-touching universal property without a memo contract: a
-	// hand-built transformer (no MemoID), the cautious default.
-	opaque := &property.Transformer{
-		Base:          property.Base{PropName: "opaque"},
-		ReadTransform: bytes.ToUpper,
-		Version:       1,
-	}
-	if err := f.space.Attach("d", "", Universal, opaque); err != nil {
+	if err := f.space.Attach("d", "", Universal, p); err != nil {
 		t.Fatal(err)
 	}
-	memo := newFakeMemo()
-	plain, _, err := f.space.ReadDocument("d", "eyal")
-	if err != nil {
-		t.Fatal(err)
+	wantCuts := 2
+	if head {
+		if err := f.space.Reorder("d", "", Universal, []string{p.Name(), "spell-correct", "summarize-3"}); err != nil {
+			t.Fatal(err)
+		}
+		wantCuts = 0
 	}
-	staged, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", memo)
-	if err != nil {
-		t.Fatal(err)
+	memo := newFakePrefixMemo()
+	for round := 0; round < 2; round++ {
+		for _, user := range []string{"eyal", "paul"} {
+			plain, _, err := f.space.ReadDocument("d", user)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged, _, trace, err := f.space.ReadDocumentStaged("d", user, memo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(plain, staged) {
+				t.Fatalf("round %d user %s: poisoned chain diverged: %q vs %q", round, user, plain, staged)
+			}
+			if trace.Hit || trace.Cuts != wantCuts || trace.Attempted != (wantCuts > 0) {
+				t.Fatalf("round %d user %s: trace = %+v, want %d cuts and no universal hit", round, user, trace, wantCuts)
+			}
+		}
+		if between != nil {
+			between()
+		}
 	}
-	if trace.Attempted || trace.Hit {
-		t.Fatalf("non-memoizable chain was staged: %+v", trace)
+	if memo.universalComputes != 0 || len(memo.store) != wantCuts {
+		t.Fatalf("store holds %d cuts (%d universal), want %d before the poison and none after",
+			len(memo.store), memo.universalComputes, wantCuts)
 	}
-	if memo.computes != 0 || len(memo.store) != 0 {
-		t.Fatal("memo store consulted for a non-memoizable chain")
+	if head && memo.calls != 0 {
+		t.Fatal("memo store consulted for a chain with no surviving cut")
 	}
-	if !bytes.Equal(plain, staged) {
-		t.Fatalf("fallback path diverged: %q vs %q", plain, staged)
+}
+
+func TestNonMemoizablePropertyDisablesStaging(t *testing.T) {
+	for _, head := range []bool{true, false} {
+		// A byte-touching universal property without a memo contract: a
+		// hand-built transformer (no MemoID), the cautious default.
+		opaque := &property.Transformer{
+			Base:          property.Base{PropName: "opaque"},
+			ReadTransform: bytes.ToUpper,
+			Version:       1,
+		}
+		poisonedReads(t, opaque, head, nil)
 	}
 }
 
 func TestExternalInfoDisablesStaging(t *testing.T) {
 	// Paper invalidation cause 4: a property embedding external
-	// information must force full re-execution on every read.
-	f := stageFixture(t)
-	quote := property.NewExternalVar("stock", 42)
-	if err := f.space.Attach("d", "", Universal, property.NewExternalInfo(quote, property.ByVerifier, 0)); err != nil {
-		t.Fatal(err)
-	}
-	memo := newFakeMemo()
-	_, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace.Attempted {
-		t.Fatal("external-information chain was staged")
+	// information must force re-execution from its position on every
+	// read, so a changed value shows up even with a warm store.
+	for _, head := range []bool{true, false} {
+		quote := property.NewExternalVar("stock", 42)
+		poisonedReads(t, property.NewExternalInfo(quote, property.ByVerifier, 0), head,
+			func() { quote.Set(quote.Value() + 1) })
 	}
 }
 

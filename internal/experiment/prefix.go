@@ -15,11 +15,10 @@ import (
 // PrefixConfig parameterizes the longest-shared-prefix pipeline
 // experiment (E17): N users share one document whose personal chains
 // overlap — every user runs the same expensive translate property
-// before their own cheap watermark. The single-cut split (E12's
-// protocol) can only memoize the universal stage, so every user's miss
-// re-executes the shared translate; the N-cut pipeline shares its
-// output across users, making miss-path compute scale with the number
-// of distinct chain prefixes instead of the number of users.
+// before their own cheap watermark. The N-cut pipeline shares the
+// translate output across users as well as the universal stage, making
+// miss-path compute scale with the number of distinct chain prefixes
+// instead of the number of users.
 type PrefixConfig struct {
 	// Users lists the fan-out levels to measure.
 	Users []int
@@ -62,23 +61,18 @@ type PrefixRow struct {
 	// FullMiss is the mean per-read simulated miss time with
 	// memoization off.
 	FullMiss time.Duration
-	// SingleMiss is the mean miss time under the single-cut baseline
-	// (universal/personal boundary only, E12's protocol).
-	SingleMiss time.Duration
 	// MultiMiss is the mean miss time under the N-cut prefix pipeline.
 	MultiMiss time.Duration
-	// SpeedupVsSingle is SingleMiss / MultiMiss: what the generalized
-	// pipeline buys over boundary-only memoization.
-	SpeedupVsSingle float64
-	// SharedRunsSingle and SharedRunsMulti count executions of the
-	// shared translate property in each mode. Single-cut cannot share
-	// it (one run per user); multi-cut runs it once per distinct
-	// prefix — one, here.
-	SharedRunsSingle int64
-	SharedRunsMulti  int64
-	// UniversalRuns is the universal-stage executions in multi-cut mode.
+	// SpeedupVsFull is FullMiss / MultiMiss.
+	SpeedupVsFull float64
+	// SharedRunsMulti counts executions of the shared translate
+	// property under the pipeline: once per distinct prefix — one,
+	// here — where the unmemoized storm runs it once per user.
+	SharedRunsMulti int64
+	// UniversalRuns is the universal-stage executions under the
+	// pipeline.
 	UniversalRuns int64
-	// PrefixHits counts multi-cut misses resumed from a cached prefix.
+	// PrefixHits counts pipeline misses resumed from a cached prefix.
 	PrefixHits int64
 }
 
@@ -96,16 +90,14 @@ func (r PrefixResult) TableData() ([]string, [][]string) {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", row.Users),
 			fmtMS(row.FullMiss),
-			fmtMS(row.SingleMiss),
 			fmtMS(row.MultiMiss),
-			fmt.Sprintf("%.2fx", row.SpeedupVsSingle),
-			fmt.Sprintf("%d", row.SharedRunsSingle),
+			fmt.Sprintf("%.2fx", row.SpeedupVsFull),
 			fmt.Sprintf("%d", row.SharedRunsMulti),
 			fmt.Sprintf("%d", row.UniversalRuns),
 			fmt.Sprintf("%d", row.PrefixHits),
 		})
 	}
-	return []string{"users", "full ms", "single-cut ms", "multi-cut ms", "vs single", "shared runs (single)", "shared runs (multi)", "universal runs", "prefix hits"}, rows
+	return []string{"users", "full ms", "multi-cut ms", "vs full", "shared runs (multi)", "universal runs", "prefix hits"}, rows
 }
 
 // Table renders the result as an aligned text table.
@@ -120,29 +112,17 @@ func (r PrefixResult) CSV() string {
 	return csvTable(header, rows)
 }
 
-// prefixMode selects the memoization protocol under measurement.
-type prefixMode int
-
-const (
-	prefixOff    prefixMode = iota // no memoization
-	prefixSingle                   // boundary-only (E12 protocol)
-	prefixMulti                    // N-cut longest-prefix pipeline
-)
-
 // runPrefixMode builds one world — a two-transform universal chain and
 // a personal chain of [shared translate, per-user watermark] — and
-// drives the cold miss storm: every user reads once, nothing warm. It
-// returns the mean simulated read time, the number of times the shared
-// translate executed, and the cache's final counters.
-func runPrefixMode(cfg PrefixConfig, users int, mode prefixMode) (time.Duration, int64, core.Stats, error) {
+// drives the cold miss storm with memoization on or off: every user
+// reads once, nothing warm. It returns the mean simulated read time,
+// the number of times the shared translate executed, and the cache's
+// final counters.
+func runPrefixMode(cfg PrefixConfig, users int, memoize bool) (time.Duration, int64, core.Stats, error) {
 	clk := clock.NewVirtual(epoch)
 	src := repo.NewMem("localfs", clk, simnet.Local(cfg.Seed))
 	space := docspace.New(clk, nil)
-	cache := core.New(space, core.Options{
-		Name:          "prefix",
-		Memoize:       mode != prefixOff,
-		SingleCutMemo: mode == prefixSingle,
-	})
+	cache := core.New(space, core.Options{Name: "prefix", Memoize: memoize})
 
 	const id = "shared"
 	if err := src.Store("/"+id, Content(id, cfg.DocSize)); err != nil {
@@ -199,39 +179,31 @@ func runPrefixMode(cfg PrefixConfig, users int, mode prefixMode) (time.Duration,
 }
 
 // RunPrefix measures E17: the cold fan-out miss storm under no
-// memoization, the single-cut baseline, and the N-cut prefix pipeline.
-// The claim under test: with overlapping personal chains, multi-cut
-// executes the shared segment once per distinct prefix — not once per
-// user — so the miss path's compute is sublinear in fan-out and the
-// mean miss time beats the single-cut baseline by the shared segment's
-// cost.
+// memoization and under the N-cut prefix pipeline. The claim under
+// test: with overlapping personal chains, the pipeline executes the
+// shared segment once per distinct prefix — not once per user — so the
+// miss path's compute is sublinear in fan-out.
 func RunPrefix(cfg PrefixConfig) (PrefixResult, error) {
 	res := PrefixResult{Config: cfg}
 	for _, users := range cfg.Users {
-		fullMiss, _, _, err := runPrefixMode(cfg, users, prefixOff)
+		fullMiss, _, _, err := runPrefixMode(cfg, users, false)
 		if err != nil {
 			return res, err
 		}
-		singleMiss, singleRuns, _, err := runPrefixMode(cfg, users, prefixSingle)
-		if err != nil {
-			return res, err
-		}
-		multiMiss, multiRuns, st, err := runPrefixMode(cfg, users, prefixMulti)
+		multiMiss, multiRuns, st, err := runPrefixMode(cfg, users, true)
 		if err != nil {
 			return res, err
 		}
 		row := PrefixRow{
-			Users:            users,
-			FullMiss:         fullMiss,
-			SingleMiss:       singleMiss,
-			MultiMiss:        multiMiss,
-			SharedRunsSingle: singleRuns,
-			SharedRunsMulti:  multiRuns,
-			UniversalRuns:    st.UniversalStageRuns,
-			PrefixHits:       st.PrefixHits,
+			Users:           users,
+			FullMiss:        fullMiss,
+			MultiMiss:       multiMiss,
+			SharedRunsMulti: multiRuns,
+			UniversalRuns:   st.UniversalStageRuns,
+			PrefixHits:      st.PrefixHits,
 		}
 		if multiMiss > 0 {
-			row.SpeedupVsSingle = float64(singleMiss) / float64(multiMiss)
+			row.SpeedupVsFull = float64(fullMiss) / float64(multiMiss)
 		}
 		res.Rows = append(res.Rows, row)
 	}

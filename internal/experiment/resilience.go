@@ -9,6 +9,7 @@ import (
 
 	"placeless/internal/clock"
 	"placeless/internal/docspace"
+	"placeless/internal/property"
 	"placeless/internal/remote"
 	"placeless/internal/repo"
 	"placeless/internal/server"
@@ -279,40 +280,36 @@ func runResiliencePhase(cfg ResilienceConfig, policy remote.DegradedPolicy) (Res
 	return phase, nil
 }
 
-// measureWedgedCalls aims one-shot calls at a listener that accepts
-// connections and never answers, and returns the observed latency
-// distribution. Without a call deadline these would hang forever; with
-// one they cluster just above the deadline.
+// measureWedgedCalls aims one-shot calls at a server that completes
+// the handshake and accepts every request but never answers (a
+// universal property blocks inside the read path), and returns the
+// observed latency distribution. Without a call deadline these would
+// hang forever; with one they cluster just above the deadline.
 func measureWedgedCalls(cfg ResilienceConfig) (p50, p99 time.Duration, err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	rs, err := startResilienceServer(cfg.Seed)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer ln.Close()
-	conns := make(chan net.Conn, cfg.WedgedCalls+1)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conns <- c // hold: never read, never answer
-		}
-	}()
-	defer func() {
-		for {
-			select {
-			case c := <-conns:
-				c.Close()
-			default:
-				return
-			}
-		}
-	}()
+	defer rs.kill()
+	release := make(chan struct{})
+	defer close(release) // runs before kill, so no blocked handler outlives the run
+	if err := rs.backing.Store("/d", []byte("wedged")); err != nil {
+		return 0, 0, err
+	}
+	if _, err := rs.space.CreateDocument("d", "u", &property.RepoBitProvider{Repo: rs.backing, Path: "/d"}); err != nil {
+		return 0, 0, err
+	}
+	wedge := &property.Transformer{
+		Base:          property.Base{PropName: "wedge"},
+		ReadTransform: func(b []byte) []byte { <-release; return b },
+	}
+	if err := rs.space.Attach("d", "", docspace.Universal, wedge); err != nil {
+		return 0, 0, err
+	}
 
 	lat := make([]time.Duration, 0, cfg.WedgedCalls)
 	for i := 0; i < cfg.WedgedCalls; i++ {
-		client, err := server.Dial(ln.Addr().String(), server.WithCallTimeout(cfg.WedgedTimeout))
+		client, err := server.Dial(rs.addr, server.WithCallTimeout(cfg.WedgedTimeout))
 		if err != nil {
 			return 0, 0, err
 		}

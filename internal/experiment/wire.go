@@ -19,18 +19,16 @@ import (
 	"placeless/internal/store"
 )
 
-// WireConfig parameterizes the wire-protocol experiment (E15): the
-// same warm-hit read workload is driven over loopback TCP through the
-// v1 gob framing and the v2 binary framing, across blob sizes, with
-// concurrent callers sharing one connection. Like E11/E14 this runs
-// real TCP on the real clock, so absolute rates are machine-dependent;
-// the object of interest is the v2/v1 ratio per size (throughput up,
-// allocations down).
+// WireConfig parameterizes the wire-protocol experiment (E15): a
+// warm-hit read workload driven over loopback TCP through the binary
+// framing, across blob sizes, with concurrent callers sharing one
+// connection. Like E11/E14 this runs real TCP on the real clock, so
+// absolute rates are machine-dependent; allocations and bytes per op
+// are the stable cells.
 type WireConfig struct {
 	// BlobSizes are the document body sizes measured, bytes.
 	BlobSizes []int
-	// Ops is the minimum number of reads timed per (protocol, size)
-	// cell; the cell also keeps issuing reads until MinSeconds of wall
+	// Ops is the minimum number of reads timed per size cell; the cell also keeps issuing reads until MinSeconds of wall
 	// time have elapsed, so fast cells are not measured over a
 	// milliseconds-long burst.
 	Ops int
@@ -54,10 +52,8 @@ func DefaultWireConfig() WireConfig {
 	}
 }
 
-// WirePhase is one (protocol, blob size) measurement.
+// WirePhase is one blob size's measurement.
 type WirePhase struct {
-	// Proto names the framing ("v1-gob" or "v2-binary").
-	Proto string
 	// BlobSize is the document body size, bytes.
 	BlobSize int
 	// Ops is the number of reads actually measured (the configured
@@ -75,33 +71,27 @@ type WirePhase struct {
 	// BytesPerOp is the whole-process allocated bytes per read.
 	BytesPerOp float64
 	// FramesBatched is the client's multi-frame writev counter after
-	// the run (0 on v1, which writes frame-at-a-time).
+	// the run.
 	FramesBatched int64
 	// StreamedReads is how many responses the server streamed
-	// zero-copy from the disk tier (0 on v1 and below the threshold).
+	// zero-copy from the disk tier (0 below the threshold).
 	StreamedReads int64
 }
 
 // WireResult is experiment E15's output.
 type WireResult struct {
 	Config WireConfig
-	// Phases holds one row per (protocol, size), v1 and v2 pairwise.
+	// Phases holds one row per blob size.
 	Phases []WirePhase
-	// SpeedupBySize maps "<size>" to v2 ops/s over v1 ops/s.
-	SpeedupBySize map[string]float64
-	// AllocRatioBySize maps "<size>" to v2 allocs/op over v1 allocs/op
-	// (< 1 means v2 allocates less).
-	AllocRatioBySize map[string]float64
 }
 
 // TableData returns the result's header and rows, the shared source
 // for the text-table and CSV renderings.
 func (r WireResult) TableData() ([]string, [][]string) {
-	header := []string{"protocol", "blob", "ops/s", "MB/s", "allocs/op", "KB/op", "batched", "streamed"}
+	header := []string{"blob", "ops/s", "MB/s", "allocs/op", "KB/op", "batched", "streamed"}
 	var rows [][]string
 	for _, p := range r.Phases {
 		rows = append(rows, []string{
-			p.Proto,
 			fmt.Sprintf("%dKiB", p.BlobSize>>10),
 			fmt.Sprintf("%.0f", p.OpsPerSec),
 			fmt.Sprintf("%.1f", p.MBPerSec),
@@ -109,17 +99,6 @@ func (r WireResult) TableData() ([]string, [][]string) {
 			fmt.Sprintf("%.1f", p.BytesPerOp/1024),
 			fmt.Sprintf("%d", p.FramesBatched),
 			fmt.Sprintf("%d", p.StreamedReads),
-		})
-	}
-	for _, size := range r.Config.BlobSizes {
-		k := fmt.Sprintf("%d", size)
-		rows = append(rows, []string{
-			"v2/v1",
-			fmt.Sprintf("%dKiB", size>>10),
-			fmt.Sprintf("%.2fx", r.SpeedupBySize[k]),
-			"",
-			fmt.Sprintf("%.2fx", r.AllocRatioBySize[k]),
-			"", "", "",
 		})
 	}
 	return header, rows
@@ -137,15 +116,11 @@ func (r WireResult) CSV() string {
 	return csvTable(header, rows)
 }
 
-// runWirePhase measures one (protocol, size) cell: a cached server
-// over loopback TCP, one client pinned to proto, cfg.Concurrency
-// goroutines splitting cfg.Ops warm-hit reads of one document.
-func runWirePhase(cfg WireConfig, proto int, size int, st *store.Store) (WirePhase, error) {
-	name := "v1-gob"
-	if proto != server.ProtoV1 {
-		name = "v2-binary"
-	}
-	phase := WirePhase{Proto: name, BlobSize: size, Ops: cfg.Ops, Concurrency: cfg.Concurrency}
+// runWirePhase measures one size cell: a cached server over loopback
+// TCP, one client, cfg.Concurrency goroutines splitting cfg.Ops
+// warm-hit reads of one document.
+func runWirePhase(cfg WireConfig, size int, st *store.Store) (WirePhase, error) {
+	phase := WirePhase{BlobSize: size, Ops: cfg.Ops, Concurrency: cfg.Concurrency}
 
 	clk := clock.Real{}
 	backing := repo.NewMem("srv", clk, simnet.NewPath("free", cfg.Seed))
@@ -170,7 +145,7 @@ func runWirePhase(cfg WireConfig, proto int, size int, st *store.Store) (WirePha
 	if addr == "" {
 		return phase, errors.New("wire: server did not start")
 	}
-	client, err := server.Dial(addr, server.WithProtocolVersion(proto))
+	client, err := server.Dial(addr)
 	if err != nil {
 		return phase, err
 	}
@@ -182,7 +157,7 @@ func runWirePhase(cfg WireConfig, proto int, size int, st *store.Store) (WirePha
 		return phase, err
 	}
 	if st != nil {
-		// Seed the disk tier with the exact bytes so v2 responses at or
+		// Seed the disk tier with the exact bytes so responses at or
 		// above the stream threshold go zero-copy from the segment file.
 		if _, err := st.PutBlob(body); err != nil {
 			return phase, err
@@ -194,7 +169,7 @@ func runWirePhase(cfg WireConfig, proto int, size int, st *store.Store) (WirePha
 		return phase, err
 	}
 	if !bytes.Equal(got, body) {
-		return phase, fmt.Errorf("wire: %s served %d bytes, want %d", name, len(got), len(body))
+		return phase, fmt.Errorf("wire: served %d bytes, want %d", len(got), len(body))
 	}
 
 	errc := make(chan error, 2*cfg.Concurrency)
@@ -225,7 +200,7 @@ func runWirePhase(cfg WireConfig, proto int, size int, st *store.Store) (WirePha
 	// Measured phase: every goroutine keeps issuing reads until both
 	// the ops floor and the minimum duration are met, so per-cell
 	// wall time is long enough to dominate timer and scheduler noise
-	// regardless of how fast the framing under test is.
+	// regardless of how fast the cell is.
 	minOps := int64(cfg.Ops)
 	minDur := time.Duration(cfg.MinSeconds * float64(time.Second))
 	var total atomic.Int64
@@ -239,10 +214,9 @@ func runWirePhase(cfg WireConfig, proto int, size int, st *store.Store) (WirePha
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-goroutine reusable body buffer: on v2 the read loop
-			// decodes bodies straight into it (ReadInto), so steady
-			// state allocates nothing per read; v1 ignores it and
-			// allocates inside gob, which is part of what E15 measures.
+			// Per-goroutine reusable body buffer: the read loop decodes
+			// bodies straight into it (ReadInto), so steady state
+			// allocates nothing per read.
 			buf := make([]byte, size)
 			for {
 				if total.Load() >= minOps && time.Since(start) >= minDur {
@@ -282,14 +256,10 @@ func runWirePhase(cfg WireConfig, proto int, size int, st *store.Store) (WirePha
 	return phase, nil
 }
 
-// RunWire runs experiment E15: v1 gob vs v2 pipelined binary framing
-// over loopback, per blob size.
+// RunWire runs experiment E15: pipelined binary framing over loopback,
+// per blob size.
 func RunWire(cfg WireConfig) (WireResult, error) {
-	res := WireResult{
-		Config:           cfg,
-		SpeedupBySize:    map[string]float64{},
-		AllocRatioBySize: map[string]float64{},
-	}
+	res := WireResult{Config: cfg}
 	dir, err := os.MkdirTemp("", "placeless-e15-store-")
 	if err != nil {
 		return res, err
@@ -302,22 +272,11 @@ func RunWire(cfg WireConfig) (WireResult, error) {
 	defer st.Close()
 
 	for _, size := range cfg.BlobSizes {
-		v1, err := runWirePhase(cfg, server.ProtoV1, size, st)
+		phase, err := runWirePhase(cfg, size, st)
 		if err != nil {
 			return res, err
 		}
-		v2, err := runWirePhase(cfg, server.ProtoV2, size, st)
-		if err != nil {
-			return res, err
-		}
-		res.Phases = append(res.Phases, v1, v2)
-		k := fmt.Sprintf("%d", size)
-		if v1.OpsPerSec > 0 {
-			res.SpeedupBySize[k] = v2.OpsPerSec / v1.OpsPerSec
-		}
-		if v1.AllocsPerOp > 0 {
-			res.AllocRatioBySize[k] = v2.AllocsPerOp / v1.AllocsPerOp
-		}
+		res.Phases = append(res.Phases, phase)
 	}
 	return res, nil
 }

@@ -46,7 +46,7 @@ func benchServer(b *testing.B) *Client {
 }
 
 // BenchmarkRemoteRead measures a full request/response round trip over
-// loopback TCP including gob framing and the middleware read path.
+// loopback TCP including the wire framing and the middleware read path.
 func BenchmarkRemoteRead(b *testing.B) {
 	c := benchServer(b)
 	b.ResetTimer()
@@ -70,9 +70,9 @@ func BenchmarkRemoteWrite(b *testing.B) {
 }
 
 // benchCachedServer boots a cached loopback server holding one warm
-// document of the given size and dials it pinned to proto. This is the
-// E15 workload shape: the interesting quantity is the v1/v2 delta.
-func benchCachedServer(b *testing.B, size, proto int) *Client {
+// document of the given size and dials it. This is the E15 workload
+// shape.
+func benchCachedServer(b *testing.B, size int) *Client {
 	b.Helper()
 	clk := clock.NewVirtual(time.Date(1999, 3, 28, 0, 0, 0, 0, time.UTC))
 	space := docspace.New(clk, nil)
@@ -92,7 +92,7 @@ func benchCachedServer(b *testing.B, size, proto int) *Client {
 	if addr == "" {
 		b.Fatal("server did not start")
 	}
-	c, err := Dial(addr, WithProtocolVersion(proto))
+	c, err := Dial(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,49 +110,26 @@ func benchCachedServer(b *testing.B, size, proto int) *Client {
 	return c
 }
 
-// BenchmarkWireRead64K measures warm-hit reads of a 64 KiB document
-// over each protocol version, with 8 callers pipelining on one
-// connection (the acceptance workload for the v2 framing).
-func BenchmarkWireRead64K(b *testing.B) {
-	for _, pv := range []struct {
-		name  string
-		proto int
-	}{{"v1", ProtoV1}, {"v2", ProtoV2}} {
-		b.Run(pv.name, func(b *testing.B) {
-			c := benchCachedServer(b, 64<<10, pv.proto)
-			b.SetParallelism(8)
-			b.SetBytes(64 << 10)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, _, err := c.Read("d", "u"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+// benchWireRead measures warm-hit reads of one size-byte document with
+// 8 callers pipelining on one connection.
+func benchWireRead(b *testing.B, size int) {
+	c := benchCachedServer(b, size)
+	b.SetParallelism(8)
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, _, err := c.Read("d", "u"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
-// BenchmarkWireRead4K is BenchmarkWireRead64K at the small-frame size,
-// where fixed per-op costs dominate payload handling.
-func BenchmarkWireRead4K(b *testing.B) {
-	for _, pv := range []struct {
-		name  string
-		proto int
-	}{{"v1", ProtoV1}, {"v2", ProtoV2}} {
-		b.Run(pv.name, func(b *testing.B) {
-			c := benchCachedServer(b, 4<<10, pv.proto)
-			b.SetParallelism(8)
-			b.SetBytes(4 << 10)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, _, err := c.Read("d", "u"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
+// BenchmarkWireRead64K is the acceptance workload for the binary
+// framing: payload handling dominates.
+func BenchmarkWireRead64K(b *testing.B) { benchWireRead(b, 64<<10) }
+
+// BenchmarkWireRead4K is the small-frame size, where fixed per-op
+// costs dominate payload handling.
+func BenchmarkWireRead4K(b *testing.B) { benchWireRead(b, 4<<10) }

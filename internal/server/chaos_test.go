@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -125,8 +126,13 @@ func TestChaosWedgedServerCallTimeout(t *testing.T) {
 				return
 			}
 			mu.Lock()
-			held = append(held, c) // accept, never read, never answer
+			held = append(held, c)
 			mu.Unlock()
+			// Complete the handshake, then never read, never answer.
+			var magic [len(helloMagic)]byte
+			if _, err := io.ReadFull(c, magic[:]); err == nil {
+				_, _ = c.Write(helloAck[:])
+			}
 		}
 	}()
 

@@ -32,6 +32,13 @@ var ErrTimeout = errors.New("server: call deadline exceeded")
 // (the remote cache's degraded-mode policy).
 var ErrDisconnected = errors.New("server: connection down")
 
+// ErrHandshake is returned by Dial when the peer accepted the
+// connection but did not complete the wire handshake within the dial
+// timeout — it is not a Placeless server of this protocol generation.
+// The background reconnector treats it like any failed dial and keeps
+// backing off.
+var ErrHandshake = errors.New("server: wire handshake failed")
+
 // ConnState is the client's connection lifecycle state.
 type ConnState int32
 
@@ -79,7 +86,6 @@ type dialConfig struct {
 	dialer          Dialer
 	jitterSeed      int64
 	jitterSeeded    bool
-	protocol        int // ProtoAuto, ProtoV1, or ProtoV2
 }
 
 func defaultDialConfig() dialConfig {
@@ -163,16 +169,6 @@ func WithDialer(d Dialer) DialOption {
 	}
 }
 
-// WithProtocolVersion pins the wire protocol generation: ProtoV1
-// forces the legacy gob framing, ProtoV2 requires the binary protocol
-// (dialing a server without v2 support fails instead of downgrading),
-// and ProtoAuto — the default — negotiates v2 with automatic fallback
-// to v1. Negotiation runs on every connection, including each
-// background reconnect.
-func WithProtocolVersion(v int) DialOption {
-	return func(c *dialConfig) { c.protocol = v }
-}
-
 // WithJitterSeed fixes the PRNG behind reconnect backoff jitter so a
 // simulation run is reproducible from a single seed. Without it the
 // jitter is seeded from the wall clock, which is what a production
@@ -204,7 +200,7 @@ type pendingCall struct {
 	err error
 
 	// dst, when non-nil, is a caller-supplied buffer for the read body
-	// (ReadInto). The v2 read loop claims it under the client lock
+	// (ReadInto). The read loop claims it under the client lock
 	// before decoding the body off the socket, recording the claiming
 	// connection in claimed. Once claimed, only that connection's read
 	// loop may complete or fail the call (deliver the response, or
@@ -214,41 +210,16 @@ type pendingCall struct {
 	// delivery instead of abandoning a claimed call, and the generic
 	// pending flushes skip claimed calls.
 	dst     []byte
-	claimed wireConn
+	claimed *wireConn
 }
 
 // inval is one queued invalidation push.
 type inval struct{ doc, user string }
 
-// wireConn abstracts the two protocol generations on the client side:
-// the read loop, call path, and reconnect machinery are version-blind.
-type wireConn interface {
-	sendRequest(req *Request, writeTimeout time.Duration) error
-	readResponse() (*Response, error)
-	setReadDeadline(t time.Time) error
-	close() error
-}
-
-// wireV1 speaks the legacy gob framing.
-type wireV1 struct{ fc *frameConn }
-
-func (w wireV1) sendRequest(req *Request, d time.Duration) error { return w.fc.send(req, d) }
-
-func (w wireV1) readResponse() (*Response, error) {
-	var resp Response
-	if err := w.fc.dec.Decode(&resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (w wireV1) setReadDeadline(t time.Time) error { return w.fc.c.SetReadDeadline(t) }
-func (w wireV1) close() error                      { return w.fc.close() }
-
-// wireV2 speaks the binary protocol: encoded frames go through the
-// connection's single writer goroutine (which batches concurrent small
-// frames into one writev), responses decode off a buffered reader.
-type wireV2 struct {
+// wireConn is one established connection: encoded frames go through
+// its single writer goroutine (which batches concurrent small frames
+// into one writev), responses decode off a buffered reader.
+type wireConn struct {
 	c  net.Conn
 	br *bufio.Reader
 	fw *frameWriter
@@ -261,8 +232,9 @@ type wireV2 struct {
 	closeErr  error
 }
 
-func (w *wireV2) sendRequest(req *Request, _ time.Duration) error {
-	// The write deadline is armed by the writer goroutine per batch.
+// sendRequest queues one request frame; the write deadline is armed
+// by the writer goroutine per batch.
+func (w *wireConn) sendRequest(req *Request) error {
 	f, err := encodeRequestFrame(req)
 	if err != nil {
 		return err
@@ -270,10 +242,10 @@ func (w *wireV2) sendRequest(req *Request, _ time.Duration) error {
 	return w.fw.enqueue(f)
 }
 
-func (w *wireV2) readResponse() (*Response, error) { return readResponseFrameInto(w.br, w.claim) }
-func (w *wireV2) setReadDeadline(t time.Time) error { return w.c.SetReadDeadline(t) }
+func (w *wireConn) readResponse() (*Response, error)  { return readResponseFrameInto(w.br, w.claim) }
+func (w *wireConn) setReadDeadline(t time.Time) error { return w.c.SetReadDeadline(t) }
 
-func (w *wireV2) close() error {
+func (w *wireConn) close() error {
 	w.closeOnce.Do(func() {
 		w.fw.close()
 		w.closeErr = w.c.Close()
@@ -298,8 +270,7 @@ type Client struct {
 	framesBatched atomic.Int64 // frames coalesced into multi-frame writevs
 
 	mu           sync.Mutex
-	wc           wireConn // nil while disconnected
-	proto        int      // negotiated version of the current connection
+	wc           *wireConn // nil while disconnected
 	state        ConnState
 	epoch        uint64
 	nextID       uint64
@@ -344,51 +315,35 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 		pending: make(map[uint64]*pendingCall),
 		rng:     rand.New(rand.NewSource(jitterSeed)),
 	}
-	wc, proto, err := c.connect()
+	wc, err := c.connect()
 	if err != nil {
 		return nil, err
 	}
 	c.wc = wc
-	c.proto = proto
 	c.invalCond = sync.NewCond(&c.invalMu)
 	go c.dispatchInvals()
 	go c.readLoop(wc)
 	return c, nil
 }
 
-// connect dials and negotiates the protocol version, returning the
-// established wire and the version it speaks.
-func (c *Client) connect() (wireConn, int, error) {
+// connect dials and runs the wire handshake. A peer that accepts the
+// connection but does not ack yields ErrHandshake.
+func (c *Client) connect() (*wireConn, error) {
 	conn, err := c.cfg.dialer(c.addr, c.cfg.dialTimeout)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if c.cfg.protocol == ProtoV1 {
-		return wireV1{fc: newFrameConn(conn)}, ProtoV1, nil
-	}
-	wc, herr := c.handshakeV2(conn)
-	if herr == nil {
-		return wc, ProtoV2, nil
-	}
-	conn.Close()
-	if c.cfg.protocol == ProtoV2 {
-		return nil, 0, fmt.Errorf("server: v2 handshake failed: %w", herr)
-	}
-	// Downgrade path. The magic preamble has already poisoned a legacy
-	// server's gob stream (that is how the refusal manifests), so v1
-	// needs a fresh connection rather than reusing this one.
-	conn, err = c.cfg.dialer(c.addr, c.cfg.dialTimeout)
+	wc, err := c.handshake(conn)
 	if err != nil {
-		return nil, 0, err
+		conn.Close()
+		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
-	return wireV1{fc: newFrameConn(conn)}, ProtoV1, nil
+	return wc, nil
 }
 
-// handshakeV2 sends the v2 magic and waits (bounded by the dial
-// timeout) for the server's ack. Any failure — a legacy server closing
-// the connection after a gob decode error, or silence until the
-// deadline — means "the server does not speak v2".
-func (c *Client) handshakeV2(conn net.Conn) (*wireV2, error) {
+// handshake sends the magic preamble and waits (bounded by the dial
+// timeout) for the server's ack.
+func (c *Client) handshake(conn net.Conn) (*wireConn, error) {
 	if c.cfg.dialTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(c.cfg.dialTimeout))
 	}
@@ -406,25 +361,16 @@ func (c *Client) handshakeV2(conn net.Conn) (*wireV2, error) {
 	// 8 KiB: headers and small frames decode from the buffered window,
 	// while blob bodies larger than the buffer take bufio's large-read
 	// bypass straight into the response allocation — no staging copy.
-	w := &wireV2{c: conn, br: bufio.NewReaderSize(conn, 8<<10)}
+	w := &wireConn{c: conn, br: bufio.NewReaderSize(conn, 8<<10)}
 	w.claim = func(id uint64, n int) []byte { return c.claimReadDst(w, id, n) }
 	w.fw = newFrameWriter(conn, c.cfg.writeTimeout, &c.framesBatched, nil,
 		func(err error) { c.connFailed(w, err) })
 	return w, nil
 }
 
-// ProtocolVersion reports the negotiated protocol generation of the
-// current connection (ProtoV1 or ProtoV2); after a reconnect it
-// reflects the fresh negotiation.
-func (c *Client) ProtocolVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.proto
-}
-
 // FramesBatched returns how many outbound frames were coalesced into
-// multi-frame writev batches by the v2 writer (0 on v1 connections) —
-// the pipelining win made visible for metrics and benchmarks.
+// multi-frame writev batches by the connection writer — the pipelining
+// win made visible for metrics and benchmarks.
 func (c *Client) FramesBatched() int64 { return c.framesBatched.Load() }
 
 // OnInvalidate registers the handler for server-pushed invalidations.
@@ -553,7 +499,7 @@ func (c *Client) dispatchInvals() {
 
 // readLoop demultiplexes responses and notifications for one
 // connection; it exits (via connFailed) when the connection dies.
-func (c *Client) readLoop(wc wireConn) {
+func (c *Client) readLoop(wc *wireConn) {
 	for {
 		if c.cfg.readIdleTimeout > 0 {
 			_ = wc.setReadDeadline(time.Now().Add(c.cfg.readIdleTimeout))
@@ -587,7 +533,7 @@ func (c *Client) readLoop(wc wireConn) {
 // background reconnector starts. Safe to call from multiple goroutines
 // and multiple times; only the first caller for a given connection
 // does the work.
-func (c *Client) connFailed(wc wireConn, err error) {
+func (c *Client) connFailed(wc *wireConn, err error) {
 	c.mu.Lock()
 	if c.wc != wc {
 		c.mu.Unlock()
@@ -646,7 +592,7 @@ func (c *Client) reconnectLoop() {
 		}
 		c.mu.Unlock()
 
-		wc, proto, err := c.connect()
+		wc, err := c.connect()
 		if err == nil {
 			c.mu.Lock()
 			if c.closed {
@@ -656,7 +602,6 @@ func (c *Client) reconnectLoop() {
 				return
 			}
 			c.wc = wc
-			c.proto = proto
 			c.epoch++
 			epoch := c.epoch
 			c.state = StateConnected
@@ -692,13 +637,13 @@ func (c *Client) reconnectLoop() {
 	}
 }
 
-// claimReadDst is the v2 read loop's destination hook: if the call id
+// claimReadDst is the read loop's destination hook: if the call id
 // has a registered ReadInto buffer with capacity for an n-byte body,
 // mark it claimed and hand it over sized to n. Claiming and the
 // timeout path are serialized on c.mu, so the buffer is never handed
 // to the decoder after its owner has abandoned the call and taken the
 // buffer back.
-func (c *Client) claimReadDst(wc wireConn, id uint64, n int) []byte {
+func (c *Client) claimReadDst(wc *wireConn, id uint64, n int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pc := c.pending[id]
@@ -713,7 +658,7 @@ func (c *Client) claimReadDst(wc wireConn, id uint64, n int) []byte {
 // wc's read loop goroutine after the loop has exited, which is the
 // only point where a claimed destination buffer is provably no longer
 // being written by the decoder.
-func (c *Client) flushClaimed(wc wireConn) {
+func (c *Client) flushClaimed(wc *wireConn) {
 	c.mu.Lock()
 	failErr := error(ErrDisconnected)
 	if c.closed {
@@ -755,7 +700,7 @@ func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 	c.pending[req.ID] = pc
 	c.mu.Unlock()
 
-	if err := wc.sendRequest(req, c.cfg.writeTimeout); err != nil {
+	if err := wc.sendRequest(req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		closed := c.closed
@@ -874,13 +819,11 @@ func (c *Client) Read(doc, user string) ([]byte, ReadMeta, error) {
 }
 
 // ReadInto is Read with a caller-supplied body buffer, the client
-// half of the zero-copy blob path. On a v2 connection, when buf has
-// capacity for the body, the read loop decodes the body from the
-// socket directly into buf — no per-read body allocation — and the
-// returned slice aliases buf. When buf is too small, or the
-// connection speaks v1 (gob decides its own allocations), the body
-// lands in a fresh allocation and buf is unused; callers must
-// therefore use the returned slice, not buf. buf must not be read,
+// half of the zero-copy blob path. When buf has capacity for the body,
+// the read loop decodes the body from the socket directly into buf —
+// no per-read body allocation — and the returned slice aliases buf.
+// When buf is too small the body lands in a fresh allocation and buf
+// is unused; callers must therefore use the returned slice, not buf. buf must not be read,
 // written, or handed to another ReadInto until the call returns; on
 // error its contents are undefined.
 func (c *Client) ReadInto(doc, user string, buf []byte) ([]byte, ReadMeta, error) {

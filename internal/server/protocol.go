@@ -6,23 +6,18 @@
 // which mirrors the local Space API; notifier invalidations are pushed
 // to connected clients over the same connection.
 //
-// Two wire protocols share one port. Protocol v1 (this file) is
-// length-prefixed gob frames: every request carries a client-chosen
-// ID, every response echoes it, and server-initiated notification
-// frames use ID 0. Protocol v2 (protocol2.go) is a negotiated binary
-// framing that carries blob payloads as raw byte ranges; the server
-// sniffs the v2 magic preamble on each accepted connection and falls
-// back to gob for everything else, so v1 clients keep working
-// unchanged.
+// One wire protocol: a negotiated binary framing (protocol2.go). A
+// client opens with an 8-byte magic preamble and the server answers
+// with an ack before either side sends a frame; a peer that opens with
+// anything else is closed. Every request carries a client-chosen call
+// ID, every response echoes it, and server-initiated invalidation
+// pushes use ID 0. Hot ops are hand-encoded; the cold ops carry the
+// Request/Response structs below as a gob payload inside a frame.
 package server
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
-	"net"
-	"sync"
-	"time"
 )
 
 // Op identifies a request type.
@@ -136,17 +131,15 @@ type Response struct {
 	Matches []Match
 
 	// bodyStream, when non-nil, carries the read body as a stream of
-	// bodyLen bytes straight from the durable content-addressed tier.
-	// Protocol v2 connections write it to the socket without staging;
-	// v1's gob framing ignores unexported fields and marshals Body,
-	// which stays populated either way so both framings serve
-	// identical bytes.
+	// bodyLen bytes straight from the durable content-addressed tier,
+	// written to the socket without staging. Body stays populated
+	// either way, for the error paths.
 	bodyStream io.Reader
 	bodyLen    int64
 
 	// bodyCRC, valid when bodyCRCOK (CRC zero is a legal checksum), is
 	// the CRC-32C of the body content as stamped by the cache's blob
-	// tier at intern time. The v2 frame writer combines it into the
+	// tier at intern time. The frame writer combines it into the
 	// payload trailer instead of re-scanning the body per response.
 	bodyCRC   uint32
 	bodyCRCOK bool
@@ -161,58 +154,4 @@ type Match struct {
 	// Level reports where the property is attached
 	// ("universal"/"personal").
 	Level string
-}
-
-// frame writes/reads gob values over a connection with a lock for
-// concurrent writers.
-type frameConn struct {
-	c    net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	wmu  sync.Mutex
-	once sync.Once
-}
-
-func newFrameConn(c net.Conn) *frameConn {
-	return &frameConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
-}
-
-// newFrameConnRW is newFrameConn with the gob streams routed through r
-// and w instead of the raw connection. The server uses it to feed the
-// decoder from the protocol-sniffing buffered reader and to thread
-// byte counters into both directions; c remains the handle for
-// deadlines and close.
-func newFrameConnRW(c net.Conn, r io.Reader, w io.Writer) *frameConn {
-	return &frameConn{c: c, enc: gob.NewEncoder(w), dec: gob.NewDecoder(r)}
-}
-
-// send encodes one frame. writeTimeout > 0 arms a write deadline on
-// the connection first, so a peer that stops draining its socket
-// fails the writer instead of wedging it; zero leaves the connection
-// deadline-free.
-func (f *frameConn) send(v interface{}, writeTimeout time.Duration) error {
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	if writeTimeout > 0 {
-		_ = f.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-	}
-	return f.enc.Encode(v)
-}
-
-func (f *frameConn) close() error {
-	var err error
-	f.once.Do(func() { err = f.c.Close() })
-	return err
-}
-
-// isClosedErr reports whether err is the normal end of a connection.
-func isClosedErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if err == io.EOF {
-		return true
-	}
-	ne, ok := err.(net.Error)
-	return ok && !ne.Timeout()
 }

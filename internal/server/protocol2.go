@@ -1,13 +1,9 @@
-// Binary wire protocol v2.
+// The binary wire protocol (version 2).
 //
-// The v1 protocol carries every frame through encoding/gob: correct,
-// but each Read response re-encodes the full blob through a reflection
-// encoder and copies it through staging buffers between the signature
-// store and the socket, and concurrent calls serialize on the per-frame
-// encode mutex. Protocol v2 replaces that framing for the hot ops with
-// hand-written codecs over a fixed header, so blob payloads travel as
-// raw byte ranges — never re-encoded — and a single writer goroutine
-// batches small frames into one writev (net.Buffers) per wakeup.
+// Hot ops are hand-written codecs over a fixed header, so blob payloads
+// travel as raw byte ranges — never re-encoded — and a single writer
+// goroutine batches small frames into one writev (net.Buffers) per
+// wakeup.
 //
 // Frame layout (16-byte header, big-endian multi-byte fields):
 //
@@ -26,16 +22,15 @@
 // skip it entirely. Error responses carry flagError with the error
 // string as payload.
 //
-// Version negotiation: a v2 client opens with an 8-byte magic preamble;
-// the server sniffs the first bytes of every accepted connection and
-// answers the magic with an ack before switching to v2 framing. Bytes
-// that are not the magic flow unread into the v1 gob decoder, so legacy
-// clients work untouched. Against a legacy server the preamble poisons
-// the gob stream — the old decoder errors and drops the connection —
-// which the client treats as "no ack": it redials and speaks v1. The
+// Version negotiation: a client opens with an 8-byte magic preamble;
+// the server reads the first bytes of every accepted connection and
+// answers the magic with an ack before switching to framing. A peer
+// that opens with anything else is closed without a reply, and a
+// client that gets no ack fails with ErrHandshake; the preamble names
+// the version, so a future v3 can negotiate on the same port. The
 // decoder validates every header field strictly, so a corrupted or
 // reordered byte stream (the simulator's fault model) fails the
-// connection exactly like a gob desync does on v1.
+// connection instead of desyncing silently.
 package server
 
 import (
@@ -53,17 +48,8 @@ import (
 	"time"
 )
 
-// Protocol versions a client can pin with WithProtocolVersion.
-const (
-	// ProtoAuto negotiates v2 and falls back to v1 when the server does
-	// not answer the handshake (a legacy binary).
-	ProtoAuto = 0
-	// ProtoV1 pins the legacy gob framing.
-	ProtoV1 = 1
-	// ProtoV2 requires the binary protocol; dialing a v1-only server
-	// fails instead of downgrading.
-	ProtoV2 = 2
-)
+// wireVersion is the first byte of every frame header.
+const wireVersion = 2
 
 const (
 	frameHeaderSize = 16
@@ -72,8 +58,7 @@ const (
 	// catches corruption inside a raw payload, where the bytes are
 	// arbitrary and validation has nothing to check. Without it a
 	// partially-lost frame could silently splice later frames into a
-	// blob body — gob's self-describing stream desyncs loudly there,
-	// and a raw binary framing must fail just as loudly.
+	// blob body; a raw binary framing must fail loudly there.
 	frameTrailerSize = 4
 	// maxFramePayload bounds a single frame; anything larger is treated
 	// as a corrupt header, not an allocation request.
@@ -84,8 +69,7 @@ const (
 )
 
 // castagnoli is the CRC32-C table for frame trailers (hardware
-// accelerated on amd64/arm64, so checksumming costs far less than the
-// gob round trip it replaces).
+// accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // readTrailer consumes a frame's CRC trailer and verifies it against
@@ -117,14 +101,11 @@ const (
 	flagError uint16 = 1 << 1
 )
 
-// opInvalidate is the v2 wire op for server→client invalidation pushes
-// (v1 signals them with ID 0 on an ordinary Response). Never valid in
-// a request.
+// opInvalidate is the wire op for server→client invalidation pushes
+// (decoded into a Response with ID 0). Never valid in a request.
 const opInvalidate Op = 0x7f
 
-// helloMagic opens every v2 connection. The leading zero byte makes a
-// legacy gob server fail fast: gob reads it as an empty message and
-// errors, closing the connection, which the dialer reads as "speak v1".
+// helloMagic opens every connection; its last byte names the version.
 var helloMagic = [8]byte{0x00, 'P', 'L', 'W', 'R', 'E', 'v', '2'}
 
 // helloAck is the server's answer to helloMagic.
@@ -167,7 +148,7 @@ func putSmallBuf(p *[]byte, b []byte) {
 
 // putFrameHeader writes the fixed header into b[:frameHeaderSize].
 func putFrameHeader(b []byte, op Op, flags uint16, id uint64, plen int) {
-	b[0] = ProtoV2
+	b[0] = wireVersion
 	b[1] = byte(op)
 	binary.BigEndian.PutUint16(b[2:4], flags)
 	binary.BigEndian.PutUint64(b[4:12], id)
@@ -176,8 +157,8 @@ func putFrameHeader(b []byte, op Op, flags uint16, id uint64, plen int) {
 
 // readFrameHeader reads and strictly validates one header. Any
 // malformation — wrong version byte, unknown op or flag, oversized
-// payload — is a connection-fatal error, mirroring a gob desync: the
-// byte stream behind it cannot be trusted.
+// payload — is a connection-fatal error: the byte stream behind it
+// cannot be trusted.
 func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int, err error) {
 	// Parsed in place from the buffered window; see readTrailer for why.
 	h, err := br.Peek(frameHeaderSize)
@@ -187,7 +168,7 @@ func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int
 		}
 		return 0, 0, 0, 0, err
 	}
-	if h[0] != ProtoV2 {
+	if h[0] != wireVersion {
 		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: version byte 0x%02x", h[0])
 	}
 	op = Op(h[1])
@@ -418,7 +399,7 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 }
 
 // readResponseFrame decodes one server→client frame. Read bodies are
-// read straight into an exact-size caller-owned allocation — no gob
+// read straight into an exact-size caller-owned allocation — no
 // staging, no oversized scratch.
 func readResponseFrame(br *bufio.Reader) (*Response, error) {
 	return readResponseFrameInto(br, nil)

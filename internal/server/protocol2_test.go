@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"hash/crc32"
 	"io"
 	"net"
@@ -340,25 +342,10 @@ func TestFrameWriterWriteErrorFiresOnFailOnce(t *testing.T) {
 	}
 }
 
-// TestV1ClientFullSuiteAgainstV2Server runs every wire op through a v1
-// (gob) client against the v2-capable server — the compatibility bar
-// the handshake must clear.
-func TestV1ClientFullSuiteAgainstV2Server(t *testing.T) {
-	srv, c, space := testServer(t, WithProtocolVersion(ProtoV1))
-	if got := c.ProtocolVersion(); got != 1 {
-		t.Fatalf("ProtocolVersion = %d, want 1", got)
-	}
-	exerciseAllOps(t, srv, c, space)
-}
-
-// TestV2ClientFullSuite runs the same sweep over the negotiated v2
-// framing, so both protocols prove behavioral equivalence against the
-// same server code.
+// TestV2ClientFullSuite runs every wire op, hot codecs and gob-in-frame
+// alike, through one client against a live server.
 func TestV2ClientFullSuite(t *testing.T) {
 	srv, c, space := testServer(t)
-	if got := c.ProtocolVersion(); got != 2 {
-		t.Fatalf("ProtocolVersion = %d, want 2 (negotiation failed?)", got)
-	}
 	exerciseAllOps(t, srv, c, space)
 }
 
@@ -434,7 +421,7 @@ func exerciseAllOps(t *testing.T, srv *Server, c *Client, space *docspace.Space)
 	case <-time.After(5 * time.Second):
 		t.Fatal("invalidation push never arrived")
 	}
-	// Errors cross both framings as strings.
+	// Errors cross the wire as strings.
 	if _, _, err := c.Read("ghost", "eyal"); err == nil ||
 		!strings.Contains(err.Error(), "no such document") {
 		t.Fatalf("error propagation: %v", err)
@@ -445,70 +432,90 @@ func exerciseAllOps(t *testing.T, srv *Server, c *Client, space *docspace.Space)
 	}
 }
 
-// legacyServer starts a server pinned to the v1 protocol (emulating a
-// pre-v2 binary) and returns its address.
-func legacyServer(t *testing.T) string {
-	t.Helper()
-	clk := clock.NewVirtual(epoch)
-	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
-	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
-	srv := New(space, backing)
-	srv.SetLegacyProtocolOnly(true)
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; i < 200; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatal("server did not start")
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve returned %v", err)
-		}
-	})
-	return addr
-}
+// TestHandshakeRefusal pins both sides of the typed refusal. A peer
+// that does not open with the magic preamble — here a gob-encoded
+// Request, what a pre-v2 client would send — is closed unanswered. A
+// listener that accepts but never acks yields ErrHandshake within the
+// dial timeout, on Dial and on every background redial, and the
+// reconnect loop backs off between attempts instead of spinning.
+func TestHandshakeRefusal(t *testing.T) {
+	// redirect, once set, sends every (re)dial to the mute peer below.
+	var redirect atomic.Pointer[string]
+	srv, c, _ := testServer(t,
+		WithDialer(func(addr string, timeout time.Duration) (net.Conn, error) {
+			if p := redirect.Load(); p != nil {
+				addr = *p
+			}
+			return net.DialTimeout("tcp", addr, timeout)
+		}),
+		WithDialTimeout(50*time.Millisecond),
+		WithReconnect(20*time.Millisecond, 40*time.Millisecond))
 
-// TestHandshakeDowngradeAgainstLegacyServer: an auto-negotiating client
-// dialing a v1-only server must land on v1 and work, transparently.
-func TestHandshakeDowngradeAgainstLegacyServer(t *testing.T) {
-	addr := legacyServer(t)
-	c, err := Dial(addr)
+	raw, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if got := c.ProtocolVersion(); got != 1 {
-		t.Fatalf("ProtocolVersion = %d, want 1 after downgrade", got)
-	}
-	if err := c.CreateDocument("d", "u", []byte("legacy ok")); err != nil {
+	defer raw.Close()
+	if err := gob.NewEncoder(raw).Encode(&Request{ID: 1, Op: OpStats}); err != nil {
 		t.Fatal(err)
 	}
-	if data, _, err := c.Read("d", "u"); err != nil || string(data) != "legacy ok" {
-		t.Fatalf("read = %q, %v", data, err)
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// EOF, or a reset when the server closed with the rest of the gob
+	// message still unread — either way not one byte of reply.
+	var ne net.Error
+	if n, err := raw.Read(make([]byte, 1)); n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("gob peer read = %d bytes, %v; want the connection closed with no reply", n, err)
 	}
-}
+	if requests, _, _ := srv.Counters(); requests != 0 {
+		t.Fatalf("gob peer reached a handler: %d requests", requests)
+	}
 
-// TestPinnedV2AgainstLegacyServerFails: pinning ProtoV2 refuses the
-// downgrade instead of silently speaking gob.
-func TestPinnedV2AgainstLegacyServerFails(t *testing.T) {
-	addr := legacyServer(t)
-	c, err := Dial(addr, WithProtocolVersion(ProtoV2))
-	if err == nil {
-		c.Close()
-		t.Fatal("Dial succeeded against a v1-only server with ProtoV2 pinned")
+	// A listener that accepts and holds the socket without acking.
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	var accepted atomic.Int64
+	go func() {
+		for {
+			conn, err := mute.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			defer conn.Close() // held open until the listener closes
+		}
+	}()
+	start := time.Now()
+	if _, err := Dial(mute.Addr().String(), WithDialTimeout(50*time.Millisecond)); !errors.Is(err, ErrHandshake) {
+		t.Fatalf("Dial against a mute peer = %v, want ErrHandshake", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("handshake failure took %v, want it bounded by the 50ms dial timeout", d)
+	}
+
+	// Repoint the connected client at the mute peer and cut its wire:
+	// every redial now fails the handshake.
+	muteAddr := mute.Addr().String()
+	redirect.Store(&muteAddr)
+	accepted.Store(0)
+	srv.Close()
+	time.Sleep(400 * time.Millisecond)
+	if st := c.State(); st != StateDisconnected {
+		t.Fatalf("state = %v, want disconnected while the peer refuses the handshake", st)
+	}
+	// Each attempt costs the 50ms handshake wait plus 20–80ms of backoff.
+	if n := accepted.Load(); n < 2 || n > 10 {
+		t.Fatalf("%d redials in 400ms, want a backed-off handful", n)
+	}
+	if c.Reconnects() != 0 {
+		t.Fatalf("Reconnects = %d against a peer that never acks", c.Reconnects())
 	}
 }
 
 // TestZeroCopyStreamedRead: when the durable tier holds the served
-// bytes, a v2 read is streamed from the segment file instead of the
+// bytes, a read is streamed from the segment file instead of the
 // heap copy, byte-identically.
 func TestZeroCopyStreamedRead(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
@@ -548,10 +555,6 @@ func TestZeroCopyStreamedRead(t *testing.T) {
 		cache.Close()
 		st.Close()
 	})
-	if got := c.ProtocolVersion(); got != 2 {
-		t.Fatalf("ProtocolVersion = %d, want 2", got)
-	}
-
 	body := bytes.Repeat([]byte("zero-copy segment bytes "), 4096) // ~96 KiB
 	if err := c.CreateDocument("big", "eyal", body); err != nil {
 		t.Fatal(err)

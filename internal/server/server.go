@@ -32,22 +32,21 @@ type Server struct {
 	backing repo.Repository
 	cache   *core.Cache // optional server-side cache for reads
 
-	mu         sync.Mutex
-	ln         net.Listener   // first listener (Addr); see lns for the full set
-	lns        []net.Listener // every listener Serve was handed (cluster nodes share one server)
-	conns      map[*serverConn]bool
-	closed     bool
-	requests   int64
-	notifies   int64
-	linkCost   time.Duration
-	journal    *Journal
-	blobStore  *store.Store // optional zero-copy blob source for v2 reads
-	streamMin  int64        // minimum body size streamed from blobStore
-	legacyWire bool         // pin to v1 gob (downgrade testing)
+	mu        sync.Mutex
+	ln        net.Listener   // first listener (Addr); see lns for the full set
+	lns       []net.Listener // every listener Serve was handed (cluster nodes share one server)
+	conns     map[*serverConn]bool
+	closed    bool
+	requests  int64
+	notifies  int64
+	linkCost  time.Duration
+	journal   *Journal
+	blobStore *store.Store // optional zero-copy blob source for reads
+	streamMin int64        // minimum body size streamed from blobStore
 
 	bytesSent     atomic.Int64 // bytes written to client sockets
 	bytesRecv     atomic.Int64 // bytes read from client sockets
-	streamedReads atomic.Int64 // v2 read responses streamed from the store
+	streamedReads atomic.Int64 // read responses streamed from the store
 }
 
 // defaultStreamMin is the smallest read body the server streams from
@@ -73,8 +72,7 @@ func NewCached(space *docspace.Space, backing repo.Repository, cache *core.Cache
 	return s
 }
 
-// serverConn is one accepted client connection; serve decides per
-// connection whether it speaks v1 gob (fc) or binary v2 (fw).
+// serverConn is one accepted client connection.
 type serverConn struct {
 	srv *Server
 	raw net.Conn
@@ -82,8 +80,7 @@ type serverConn struct {
 	closeOnce sync.Once
 
 	mu        sync.Mutex
-	fc        *frameConn      // v1 gob framing (nil on v2 connections)
-	fw        *frameWriter    // v2 frame writer (nil on v1 connections)
+	fw        *frameWriter    // nil until the handshake completes
 	notifiers []spot          // notifiers installed for this connection
 	baseSubs  map[string]bool // docs with a base notifier installed
 	refSubs   map[string]bool // doc\x00user refs with a notifier installed
@@ -204,82 +201,44 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// countingWriter counts bytes written to a client socket (the v1 gob
-// path; v2 counts at the frame layer so net.Buffers still reaches the
-// raw connection's writev).
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
-	return n, err
-}
-
-// serve sniffs the protocol version and runs the request loop for one
-// connection. A v2 client leads with helloMagic; anything else is fed,
-// unread, to the v1 gob decoder.
+// serve runs the handshake and the request loop for one connection. A
+// peer must lead with helloMagic; anything else is closed unanswered,
+// before any decoder sees its bytes.
 func (c *serverConn) serve() {
 	defer c.teardown()
 	s := c.srv
 	br := bufio.NewReaderSize(&countingReader{r: c.raw, n: &s.bytesRecv}, 32<<10)
-	if !s.legacyOnly() {
-		// A short or failed peek flows through to the gob decoder,
-		// which reports the same bytes (or error) on its first read.
-		peek, err := br.Peek(len(helloMagic))
-		if err == nil && bytes.Equal(peek, helloMagic[:]) {
-			if _, err := br.Discard(len(helloMagic)); err != nil {
-				return
-			}
-			_ = c.raw.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-			if _, err := c.raw.Write(helloAck[:]); err != nil {
-				return
-			}
-			_ = c.raw.SetWriteDeadline(time.Time{})
-			s.bytesSent.Add(int64(len(helloAck)))
-			fw := newFrameWriter(c.raw, serverWriteTimeout, nil, &s.bytesSent, func(error) { c.closeRaw() })
-			c.mu.Lock()
-			c.fw = fw
-			c.mu.Unlock()
-			c.serveV2(br)
-			return
-		}
+	peek, err := br.Peek(len(helloMagic))
+	if err != nil || !bytes.Equal(peek, helloMagic[:]) {
+		return
 	}
-	fc := newFrameConnRW(c.raw, br, &countingWriter{w: c.raw, n: &s.bytesSent})
+	if _, err := br.Discard(len(helloMagic)); err != nil {
+		return
+	}
+	_ = c.raw.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
+	if _, err := c.raw.Write(helloAck[:]); err != nil {
+		return
+	}
+	_ = c.raw.SetWriteDeadline(time.Time{})
+	s.bytesSent.Add(int64(len(helloAck)))
+	fw := newFrameWriter(c.raw, serverWriteTimeout, nil, &s.bytesSent, func(error) { c.closeRaw() })
 	c.mu.Lock()
-	c.fc = fc
+	c.fw = fw
 	c.mu.Unlock()
-	c.serveV1(fc)
+	c.serveFrames(br)
 }
 
-// serveV1 is the legacy loop: strictly sequential decode→handle→send.
-func (c *serverConn) serveV1(fc *frameConn) {
-	for {
-		var req Request
-		if err := fc.dec.Decode(&req); err != nil {
-			return // disconnect
-		}
-		resp := c.handle(&req)
-		resp.ID = req.ID
-		if err := fc.send(resp, serverWriteTimeout); err != nil {
-			return
-		}
-	}
-}
-
-// maxConcurrentHandlers bounds in-flight pipelined requests per v2
+// maxConcurrentHandlers bounds in-flight pipelined requests per
 // connection; excess decode stalls, which backpressures the client
 // through TCP.
 const maxConcurrentHandlers = 32
 
-// serveV2 is the pipelined loop: requests decode on this goroutine and
-// execute concurrently, each response enqueued to the connection's
+// serveFrames is the pipelined loop: requests decode on this goroutine
+// and execute concurrently, each response enqueued to the connection's
 // single frame writer as it finishes. Responses may therefore complete
 // out of order — call IDs, not arrival order, correlate them, exactly
 // what the client's pending-call table expects.
-func (c *serverConn) serveV2(br *bufio.Reader) {
+func (c *serverConn) serveFrames(br *bufio.Reader) {
 	var wg sync.WaitGroup
 	// In-flight handlers must finish before teardown detaches this
 	// connection's notifiers: a subscribe still executing after the
@@ -369,23 +328,15 @@ func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 	return resp, true
 }
 
-// sendPush delivers one invalidation push over whichever framing the
-// connection speaks.
+// sendPush delivers one invalidation push. Pushes come from notifiers
+// a subscribe handler installed, so the handshake (and with it c.fw)
+// is long done.
 func (c *serverConn) sendPush(doc, user string) error {
-	c.mu.Lock()
-	fw, fc := c.fw, c.fc
-	c.mu.Unlock()
-	if fw != nil {
-		f, err := encodeResponseFrame(opInvalidate, &Response{NotifyDoc: doc, NotifyUser: user})
-		if err != nil {
-			return err
-		}
-		return fw.send(f)
+	f, err := encodeResponseFrame(opInvalidate, &Response{NotifyDoc: doc, NotifyUser: user})
+	if err != nil {
+		return err
 	}
-	if fc != nil {
-		return fc.send(&Response{ID: 0, NotifyDoc: doc, NotifyUser: user}, serverWriteTimeout)
-	}
-	return errors.New("server: connection not established")
+	return c.fw.send(f)
 }
 
 // closeRaw closes the underlying socket once.
@@ -424,7 +375,7 @@ func (s *Server) SetLinkCost(d time.Duration) {
 }
 
 // SetStore gives the server a durable content-addressed tier to stream
-// large v2 read bodies from: a cached read whose bytes also live in st
+// large read bodies from: a cached read whose bytes also live in st
 // is written to the socket straight from the segment file (pooled
 // chunks, no re-encode) instead of from the heap copy. Safe to call
 // before Serve; typically the same store the cache was built with.
@@ -442,37 +393,23 @@ func (s *Server) SetStreamThreshold(n int64) {
 	s.streamMin = n
 }
 
-// SetLegacyProtocolOnly pins the server to the v1 gob protocol,
-// emulating a pre-v2 binary so downgrade negotiation can be exercised.
-func (s *Server) SetLegacyProtocolOnly(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.legacyWire = v
-}
-
-func (s *Server) legacyOnly() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.legacyWire
-}
-
 // WireBytes returns total bytes written to and read from client
-// sockets across both protocol versions.
+// sockets.
 func (s *Server) WireBytes() (sent, received int64) {
 	return s.bytesSent.Load(), s.bytesRecv.Load()
 }
 
-// StreamedReads returns how many v2 read responses were streamed from
+// StreamedReads returns how many read responses were streamed from
 // the disk tier instead of the heap copy (testing/observability hook).
 func (s *Server) StreamedReads() int64 { return s.streamedReads.Load() }
 
 // maybeAttachStream arms the zero-copy path on a read response: when
 // the disk tier holds the exact bytes just served and the body is
-// large enough to be worth a pread, v2 connections stream it from the
-// segment file. The in-memory Body stays set — v1 gob framing and any
-// error path still use it. Streaming trusts the store's open-time
-// CRC+signature scan rather than re-verifying per read; GetBlob's
-// per-read verification still guards the cache-promotion path.
+// large enough to be worth a pread, the connection streams it from the
+// segment file. The in-memory Body stays set for any error path.
+// Streaming trusts the store's open-time CRC+signature scan rather
+// than re-verifying per read; GetBlob's per-read verification still
+// guards the cache-promotion path.
 func (s *Server) maybeAttachStream(resp *Response, sg sig.Signature, n int) {
 	s.mu.Lock()
 	st := s.blobStore

@@ -17,8 +17,7 @@ import (
 var epoch = time.Date(1999, time.March, 28, 0, 0, 0, 0, time.UTC)
 
 // testServer starts a server on a loopback listener and returns a
-// connected client. Dial options (e.g. WithProtocolVersion) apply to
-// the returned client.
+// connected client. Dial options apply to the returned client.
 func testServer(t *testing.T, opts ...DialOption) (*Server, *Client, *docspace.Space) {
 	t.Helper()
 	clk := clock.NewVirtual(epoch)
@@ -362,50 +361,47 @@ func TestServeAfterCloseRejected(t *testing.T) {
 }
 
 // TestReadInto covers the caller-supplied-buffer read path: body
-// decoded in place on v2 (returned slice aliases the buffer), graceful
-// fallback to a fresh allocation when the buffer is too small, and
-// plain correctness on v1 where gob owns its allocations.
+// decoded in place (returned slice aliases the buffer) and graceful
+// fallback to a fresh allocation when the buffer is too small.
 func TestReadInto(t *testing.T) {
 	body := make([]byte, 24<<10)
 	for i := range body {
 		body[i] = byte(i * 31)
 	}
-	for _, proto := range []int{ProtoV1, ProtoV2} {
-		_, c, _ := testServer(t, WithProtocolVersion(proto))
-		if err := c.CreateDocument("blob", "u", body); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, len(body))
-		got, _, err := c.ReadInto("blob", "u", buf)
-		if err != nil {
-			t.Fatalf("proto %d: %v", proto, err)
-		}
-		if !bytes.Equal(got, body) {
-			t.Fatalf("proto %d: body mismatch (%d bytes)", proto, len(got))
-		}
-		if proto == ProtoV2 && &got[0] != &buf[0] {
-			t.Fatalf("proto %d: ReadInto did not decode into the caller's buffer", proto)
-		}
-		// A too-small buffer must not be used (and must not corrupt the
-		// result); the body arrives in a fresh allocation instead.
-		small := make([]byte, 16)
-		got, _, err = c.ReadInto("blob", "u", small)
-		if err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("proto %d small buf: %d bytes, %v", proto, len(got), err)
-		}
-		if len(small) >= 1 && len(got) >= 1 && &got[0] == &small[0] {
-			t.Fatalf("proto %d: body aliased an undersized buffer", proto)
-		}
-		// nil buffer behaves exactly like Read.
-		got, _, err = c.ReadInto("blob", "u", nil)
-		if err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("proto %d nil buf: %d bytes, %v", proto, len(got), err)
-		}
+	_, c, _ := testServer(t)
+	if err := c.CreateDocument("blob", "u", body); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(body))
+	got, _, err := c.ReadInto("blob", "u", buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatalf("body mismatch (%d bytes)", len(got))
+	}
+	if &got[0] != &buf[0] {
+		t.Fatal("ReadInto did not decode into the caller's buffer")
+	}
+	// A too-small buffer must not be used (and must not corrupt the
+	// result); the body arrives in a fresh allocation instead.
+	small := make([]byte, 16)
+	got, _, err = c.ReadInto("blob", "u", small)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("small buf: %d bytes, %v", len(got), err)
+	}
+	if &got[0] == &small[0] {
+		t.Fatal("body aliased an undersized buffer")
+	}
+	// nil buffer behaves exactly like Read.
+	got, _, err = c.ReadInto("blob", "u", nil)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("nil buf: %d bytes, %v", len(got), err)
 	}
 }
 
 // TestReadIntoConcurrent hammers ReadInto from many goroutines with
-// per-goroutine buffers over one pipelined v2 connection — the E15
+// per-goroutine buffers over one pipelined connection — the E15
 // workload shape — so the claim/deliver handoff runs under the race
 // detector.
 func TestReadIntoConcurrent(t *testing.T) {
@@ -413,7 +409,7 @@ func TestReadIntoConcurrent(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i ^ (i >> 7))
 	}
-	_, c, _ := testServer(t, WithProtocolVersion(ProtoV2))
+	_, c, _ := testServer(t)
 	if err := c.CreateDocument("blob", "u", body); err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +446,7 @@ func TestReadIntoConcurrent(t *testing.T) {
 // race the decoder on their buffers (the claimed-call teardown path).
 func TestReadIntoCloseDuringFlight(t *testing.T) {
 	body := make([]byte, 64<<10)
-	_, c, _ := testServer(t, WithProtocolVersion(ProtoV2))
+	_, c, _ := testServer(t)
 	if err := c.CreateDocument("blob", "u", body); err != nil {
 		t.Fatal(err)
 	}

@@ -401,51 +401,6 @@ func TestScheduleKillRestartDiskTier(t *testing.T) {
 	}
 }
 
-// TestScheduleHandshakeDowngrade pins the version-negotiation
-// downgrade: an auto-negotiating client dialing a v1-only server (a
-// pre-v2 binary) must land on the gob framing and then survive the
-// full random schedule — lossy wire, broken connections, partitions —
-// without a single oracle violation, renegotiating (and re-downgrading)
-// on every reconnect.
-func TestScheduleHandshakeDowngrade(t *testing.T) {
-	remoteOn, legacy := true, true
-	auto := server.ProtoAuto
-	w := scheduleWorld(t, 77, func(c *Config) {
-		c.Remote = &remoteOn
-		c.LegacyServer = &legacy
-		c.Proto = &auto
-		c.Ops = 250
-	})
-	if got := w.client.ProtocolVersion(); got != 1 {
-		t.Fatalf("ProtocolVersion = %d, want 1 (downgrade against legacy server)", got)
-	}
-
-	// A connection break forces a fresh dial — and with it a fresh
-	// handshake against the still-legacy server — before the random
-	// schedule takes over.
-	if err := w.doBreakConns(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.doSettle(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i < w.cfg.Ops; i++ {
-		if err := w.step(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.opIdx = w.cfg.Ops
-	if err := w.finalCheck(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.client.ProtocolVersion(); got != 1 {
-		t.Fatalf("ProtocolVersion = %d after reconnects, want 1", got)
-	}
-	if got := w.client.Reconnects(); got < 1 {
-		t.Fatalf("Reconnects = %d, want >= 1 (BreakConns never forced a re-handshake)", got)
-	}
-}
-
 // TestScheduleKillDuringRebalance pins the cluster's hardest window:
 // a node dies, a new node joins while it is down (ownership moves mid-
 // death), and a write lands mid-rebalance. Every read through the
@@ -707,25 +662,5 @@ seeds:
 	w.opIdx = w.cfg.Ops
 	if err := w.finalCheck(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestScheduleMixedProtocolSweep runs a fixed batch of seeds with the
-// protocol pinned to each codec in turn: every fault schedule passes
-// its oracle over both the gob framing and the v2 binary framing.
-func TestScheduleMixedProtocolSweep(t *testing.T) {
-	remoteOn := true
-	for _, proto := range []int{server.ProtoV1, server.ProtoAuto} {
-		proto := proto
-		for seed := int64(101); seed <= 104; seed++ {
-			seed := seed
-			t.Run(fmt.Sprintf("proto%d-seed%d", proto, seed), func(t *testing.T) {
-				t.Parallel()
-				p := proto
-				if err := RunSeed(Config{Seed: seed, Ops: 250, Remote: &remoteOn, Proto: &p}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
 	}
 }

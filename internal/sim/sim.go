@@ -52,15 +52,6 @@ type Config struct {
 	// restart op (kill or graceful close, then recovery over the same
 	// store directory) joins the schedule.
 	Durable *bool
-	// Proto pins the wire protocol the remote client requests
-	// (server.ProtoAuto / ProtoV1 / ProtoV2). Unpinned, about half the
-	// remote worlds force the legacy v1 framing and the rest negotiate
-	// v2, so every fault schedule runs against both codecs.
-	Proto *int
-	// LegacyServer pins the server to the v1-only wire (emulating a
-	// pre-v2 binary), exercising the handshake downgrade when the
-	// client is left on ProtoAuto. Derived false.
-	LegacyServer *bool
 	// Cluster pins the consistent-hash cluster dimension: n > 0 starts
 	// the world with n cache nodes behind a cluster router (requires
 	// the remote stack), 0 disables it. Derived, roughly a third of
@@ -83,12 +74,10 @@ type World struct {
 	space *docspace.Space
 	cache *core.Cache
 
-	remoteOn  bool
-	proto     int
-	legacySrv bool
-	srv       *server.Server
-	client    *server.Client
-	rc        *remote.Cache
+	remoteOn bool
+	srv      *server.Server
+	client   *server.Client
+	rc       *remote.Cache
 
 	// Cluster dimension: extra cache nodes behind a consistent-hash
 	// router, all served by the same origin server over separate
@@ -203,21 +192,6 @@ func NewWorld(cfg Config) (*World, error) {
 		w.durable = *cfg.Durable
 	}
 
-	// The wire protocol dimension draws from its own generator for the
-	// same reason: pre-v2 seeds keep denoting the same worlds. Half the
-	// remote worlds pin the legacy v1 framing, half negotiate v2.
-	if rand.New(rand.NewSource(cfg.Seed^0x77697265)).Intn(2) == 1 {
-		w.proto = server.ProtoV1
-	} else {
-		w.proto = server.ProtoAuto
-	}
-	if cfg.Proto != nil {
-		w.proto = *cfg.Proto
-	}
-	if cfg.LegacyServer != nil {
-		w.legacySrv = *cfg.LegacyServer
-	}
-
 	w.coreOpts = core.Options{
 		Name:       "sim",
 		Capacity:   capacity,
@@ -253,12 +227,10 @@ func NewWorld(cfg Config) (*World, error) {
 		if w.st != nil {
 			w.srv.SetStore(w.st)
 		}
-		w.srv.SetLegacyProtocolOnly(w.legacySrv)
 		ln := w.net.Listen("srv")
 		go func() { _ = w.srv.Serve(ln) }()
 		client, err := server.Dial("srv",
 			server.WithDialer(w.net.Dial),
-			server.WithProtocolVersion(w.proto),
 			server.WithJitterSeed(cfg.Seed),
 			server.WithCallTimeout(300*time.Millisecond),
 			server.WithDialTimeout(100*time.Millisecond),
@@ -281,9 +253,9 @@ func NewWorld(cfg Config) (*World, error) {
 			StaleTTL:       staleTTL,
 		})
 		// The cluster dimension draws from its own generator (like the
-		// disk tier and the wire protocol) so pre-cluster seeds keep
-		// denoting the same base worlds; the extra nodes, router, and
-		// cluster ops only exist where this stream turns them on.
+		// disk tier) so pre-cluster seeds keep denoting the same base
+		// worlds; the extra nodes, router, and cluster ops only exist
+		// where this stream turns them on.
 		w.clRng = rand.New(rand.NewSource(cfg.Seed ^ 0x636c7573))
 		w.clusterOn = w.clRng.Float64() < 0.35
 		nodes := 2 + w.clRng.Intn(3)
@@ -329,13 +301,11 @@ func (w *World) addClusterNode() error {
 	w.clSeq++
 	ln := w.net.Listen("srv-" + name)
 	go func() { _ = w.srv.Serve(ln) }()
-	proto := w.proto
-	if w.clRng.Intn(2) == 1 {
-		proto = server.ProtoAuto
-	}
+	// This draw once picked the node's wire protocol; it stays so every
+	// cluster seed still denotes the same topology and op schedule.
+	_ = w.clRng.Intn(2)
 	client, err := server.Dial("srv-"+name,
 		server.WithDialer(w.net.Dial),
-		server.WithProtocolVersion(proto),
 		server.WithJitterSeed(w.cfg.Seed+1000+int64(w.clSeq)),
 		server.WithCallTimeout(300*time.Millisecond),
 		server.WithDialTimeout(100*time.Millisecond),

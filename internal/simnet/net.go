@@ -498,7 +498,7 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return nil }
 func (c *Conn) String() string { return fmt.Sprintf("simconn(%s)", c.addr) }
 
 // timeoutError satisfies net.Error with Timeout() == true, which is
-// what deadline-aware callers (the gob frame reader's idle timeout)
+// what deadline-aware callers (the frame reader's idle timeout)
 // check for.
 type timeoutError struct{}
 
