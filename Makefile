@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 cover check-metrics check-docs experiments examples clean
+.PHONY: all build vet fmt-check test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 cover check-metrics check-docs experiments examples clean
 
 all: build vet test
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail, naming the files, when any Go source is not gofmt-clean (what
+# CI runs).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 
 	"placeless/internal/clock"
 	"placeless/internal/core"
@@ -193,10 +194,11 @@ func main() {
 		fmt.Printf("placelessd: replayed %d configuration entries from %s\n", applied, *journalPath)
 	}
 
-	// Graceful shutdown on interrupt: close the listener and detach
-	// every remote notifier before exiting.
+	// Graceful shutdown on interrupt or SIGTERM (kill, systemd stop,
+	// container stop): close the listener and detach every remote
+	// notifier before exiting; main's deferred closers then run.
 	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
 		fmt.Fprintln(os.Stderr, "placelessd: shutting down")

@@ -54,6 +54,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"placeless/internal/cluster"
@@ -252,7 +253,7 @@ func main() {
 	})
 
 	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
 		fmt.Fprintln(os.Stderr, "plcached: shutting down")

@@ -196,7 +196,7 @@ func (r *Ring) Shares() map[string]float64 {
 	if len(r.points) == 0 {
 		return out
 	}
-	const space = float64(1 << 63) * 2 // 2^64 as float
+	const space = float64(1<<63) * 2 // 2^64 as float
 	for i, p := range r.points {
 		prev := r.points[(i-1+len(r.points))%len(r.points)].hash
 		// The arc (prev, p.hash] maps to p.node; the wrap-around arc

@@ -39,7 +39,7 @@ func sampleKeys(k int, seed int64) []string {
 // distinct, all members, primary first and stable across calls.
 func TestRingOwnersDistinct(t *testing.T) {
 	prop := func(nNodes uint8, nReplicas uint8, doc, user string) bool {
-		n := 1 + int(nNodes)%9      // 1..9 nodes
+		n := 1 + int(nNodes)%9       // 1..9 nodes
 		reps := 1 + int(nReplicas)%5 // 1..5 replicas
 		r := ringOf(nodeSet(n), reps, 16)
 		owners := r.Owners(Key(doc, user))

@@ -28,9 +28,9 @@ type SwarmConfig struct {
 	WriteFrac, ChurnFrac float64
 	// FlashDoc's popularity spikes FlashBoost-fold between
 	// FlashStart·day and FlashEnd·day.
-	FlashDoc              int
-	FlashBoost            float64
-	FlashStart, FlashEnd  float64
+	FlashDoc             int
+	FlashBoost           float64
+	FlashStart, FlashEnd float64
 	// Workers bounds the concurrent pool; Nodes and Replicas shape the
 	// cluster phase's ring.
 	Workers, Nodes, Replicas int

@@ -335,7 +335,7 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_remote_epoch_flushes_total",
 		"Entries flushed at reconnect because their epoch's invalidation stream was interrupted.", counter(func(s *Stats) int64 { return s.EpochFlushes }))
 	reg.Counter("placeless_remote_frames_batched_total",
-		"v2 wire frames that shared a multi-frame writev batch on this client's connection.",
+		"Wire frames that shared a multi-frame writev batch on this client's connection.",
 		func() int64 { return c.client.FramesBatched() })
 	reg.Counter("placeless_remote_stale_served_total",
 		"Hits served while disconnected under the serve-stale policy.", counter(func(s *Stats) int64 { return s.StaleServed }))
@@ -620,7 +620,11 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	if c.closed {
 		return data, nil
 	}
-	if meta.Cacheability == property.Uncacheable {
+	// The blob is keyed by the signature the origin computed and shipped
+	// under the frame checksum; this cache never hashes a body. A
+	// storable response that arrives without one cannot be shared
+	// safely, so it is served like an uncacheable one.
+	if meta.Cacheability == property.Uncacheable || meta.Signature.IsZero() {
 		c.stats.Uncacheable++
 		return data, nil
 	}
@@ -633,7 +637,7 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		return data, nil
 	}
 	c.dropLocked(k)
-	s := sig.Of(data)
+	s := meta.Signature
 	b := c.blobs[s]
 	if b == nil {
 		b = &blob{data: append([]byte{}, data...)}

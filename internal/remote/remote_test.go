@@ -31,6 +31,18 @@ func newRig(t *testing.T, opts Options) *rig {
 	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
 	space := docspace.New(clk, nil)
 	srv := server.New(space, backing)
+	client := serveAndDial(t, srv)
+	return &rig{
+		srv: srv, client: client, space: space,
+		feed:  repo.NewLiveFeed("cam", clk, simnet.NewPath("loop", 2), 64),
+		cache: New(client, opts),
+	}
+}
+
+// serveAndDial serves srv on a loopback listener and returns a client
+// connected to it; both are torn down with the test or benchmark.
+func serveAndDial(tb testing.TB, srv *server.Server) *server.Client {
+	tb.Helper()
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
 	var addr string
@@ -42,23 +54,18 @@ func newRig(t *testing.T, opts Options) *rig {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if addr == "" {
-		t.Fatal("server did not start")
+		tb.Fatal("server did not start")
 	}
 	client, err := server.Dial(addr)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	r := &rig{
-		srv: srv, client: client, space: space,
-		feed:  repo.NewLiveFeed("cam", clk, simnet.NewPath("loop", 2), 64),
-		cache: New(client, opts),
-	}
-	t.Cleanup(func() {
+	tb.Cleanup(func() {
 		client.Close()
 		srv.Close()
 		<-done
 	})
-	return r
+	return client
 }
 
 // waitFor polls cond until true or the deadline.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"placeless/internal/property"
+	"placeless/internal/sig"
 )
 
 // ErrClientClosed is returned by calls on a client that was closed
@@ -190,6 +191,22 @@ type ReadMeta struct {
 	// Expiry is the earliest TTL deadline of the content (zero when
 	// no TTL applies).
 	Expiry time.Time
+	// Signature is the origin-computed content signature of the body;
+	// non-zero whenever Cacheability is not Uncacheable.
+	Signature sig.Signature
+}
+
+// readMeta lifts a read response's wire metadata into ReadMeta.
+func readMeta(resp *Response) ReadMeta {
+	meta := ReadMeta{
+		Cacheability: property.Cacheability(resp.Cacheability),
+		Cost:         time.Duration(resp.CostNanos),
+		Signature:    resp.Signature,
+	}
+	if resp.ExpiryUnixNanos != 0 {
+		meta.Expiry = time.Unix(0, resp.ExpiryUnixNanos)
+	}
+	return meta
 }
 
 // pendingCall is one in-flight request. On success the response is
@@ -808,14 +825,7 @@ func (c *Client) Read(doc, user string) ([]byte, ReadMeta, error) {
 	if err != nil {
 		return nil, ReadMeta{}, err
 	}
-	meta := ReadMeta{
-		Cacheability: property.Cacheability(resp.Cacheability),
-		Cost:         time.Duration(resp.CostNanos),
-	}
-	if resp.ExpiryUnixNanos != 0 {
-		meta.Expiry = time.Unix(0, resp.ExpiryUnixNanos)
-	}
-	return resp.Body, meta, nil
+	return resp.Body, readMeta(resp), nil
 }
 
 // ReadInto is Read with a caller-supplied body buffer, the client
@@ -831,14 +841,7 @@ func (c *Client) ReadInto(doc, user string, buf []byte) ([]byte, ReadMeta, error
 	if err != nil {
 		return nil, ReadMeta{}, err
 	}
-	meta := ReadMeta{
-		Cacheability: property.Cacheability(resp.Cacheability),
-		Cost:         time.Duration(resp.CostNanos),
-	}
-	if resp.ExpiryUnixNanos != 0 {
-		meta.Expiry = time.Unix(0, resp.ExpiryUnixNanos)
-	}
-	return resp.Body, meta, nil
+	return resp.Body, readMeta(resp), nil
 }
 
 // Write executes the remote write path.

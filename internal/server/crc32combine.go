@@ -7,7 +7,8 @@ package server
 // matrix; crc(A||B) = zeros(len(B))·crc(A) ⊕ crc(B).
 //
 // The wire path uses it to stamp a frame's payload trailer from the
-// cache's stored per-blob CRC plus a 17-byte metadata CRC, so warm
+// cache's stored per-blob CRC plus the CRC of the 33-byte read
+// metadata prefix (cacheability, cost, expiry, signature), so warm
 // hits never re-scan the body. zlib's formulation squares matrices on
 // every call; since combine runs per response here, the power-of-two
 // operators are built once at init and a call is just one matrix·vector

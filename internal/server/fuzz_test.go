@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"placeless/internal/sig"
 )
 
 // FuzzParsePropertySpec checks the spec parser never panics and that
@@ -91,15 +93,20 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzProtocolV2RoundTrip drives the hand-written v2 codecs with
+// FuzzProtocolV2RoundTrip drives the hand-written codecs with
 // arbitrary field values: every encodable request and response must
 // decode back to the same fields, hot path and gob-in-frame alike.
 func FuzzProtocolV2RoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(0), "doc", "user", "value", []byte("body"), uint8(1), int64(5), int64(9))
-	f.Add(uint64(42), uint8(1), "d\tmid", "u\nnl", "значение", []byte{0x02, 0x00, 0xff}, uint8(0), int64(-1), int64(0))
-	f.Add(uint64(7), uint8(7), "", "", "", []byte{}, uint8(255), int64(1<<40), int64(-7))
-	f.Add(uint64(1<<63), uint8(12), "δοc", "ユーザー", "v", bytes.Repeat([]byte("x"), 3000), uint8(3), int64(0), int64(1))
-	f.Fuzz(func(t *testing.T, id uint64, op8 uint8, doc, user, value string, body []byte, cach uint8, cost, expiry int64) {
+	bodySig := sig.Of([]byte("body"))
+	f.Add(uint64(1), uint8(0), "doc", "user", "value", []byte("body"), uint8(1), int64(5), int64(9), bodySig[:])
+	f.Add(uint64(42), uint8(1), "d\tmid", "u\nnl", "значение", []byte{0x02, 0x00, 0xff}, uint8(0), int64(-1), int64(0), []byte{})
+	f.Add(uint64(7), uint8(7), "", "", "", []byte{}, uint8(255), int64(1<<40), int64(-7), bytes.Repeat([]byte{0xff}, sig.Size))
+	f.Add(uint64(1<<63), uint8(12), "δοc", "ユーザー", "v", bytes.Repeat([]byte("x"), 3000), uint8(3), int64(0), int64(1), []byte("short"))
+	// A signature that looks like frame structure: the version byte, a
+	// header's worth of zeros, then a plausible trailer.
+	f.Add(uint64(3), uint8(0), "d", "u", "", []byte("b"), uint8(1), int64(0), int64(0),
+		[]byte{wireVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef})
+	f.Fuzz(func(t *testing.T, id uint64, op8 uint8, doc, user, value string, body []byte, cach uint8, cost, expiry int64, sgBytes []byte) {
 		if id == 0 {
 			id = 1 // ID 0 is reserved for pushes; requests reject it
 		}
@@ -132,8 +139,10 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 
 		// Read response: raw metadata + body. Cacheability is a one-byte
 		// enum on the wire, hence the uint8 input.
+		var sg sig.Signature
+		copy(sg[:], sgBytes)
 		resp := &Response{ID: id, Body: body, Cacheability: int(cach),
-			CostNanos: cost, ExpiryUnixNanos: expiry}
+			CostNanos: cost, ExpiryUnixNanos: expiry, Signature: sg}
 		rf, err := encodeResponseFrame(OpRead, resp)
 		if err != nil {
 			t.Fatalf("encode read response: %v", err)
@@ -143,7 +152,7 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 			t.Fatalf("decode read response: %v", err)
 		}
 		if rgot.ID != id || !bytes.Equal(rgot.Body, body) || rgot.Cacheability != int(cach) ||
-			rgot.CostNanos != cost || rgot.ExpiryUnixNanos != expiry {
+			rgot.CostNanos != cost || rgot.ExpiryUnixNanos != expiry || rgot.Signature != sg {
 			t.Fatalf("read response corrupted: got %+v want %+v", rgot, resp)
 		}
 
@@ -178,7 +187,7 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzV2FrameDecode feeds arbitrary byte streams to the v2 frame
+// FuzzV2FrameDecode feeds arbitrary byte streams to the frame
 // decoders: they must reject garbage with an error — never panic, hang,
 // or allocate per an attacker-controlled length prefix.
 func FuzzV2FrameDecode(f *testing.F) {

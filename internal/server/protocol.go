@@ -18,6 +18,8 @@ package server
 import (
 	"fmt"
 	"io"
+
+	"placeless/internal/sig"
 )
 
 // Op identifies a request type.
@@ -115,6 +117,12 @@ type Response struct {
 	// UnixNano (0 = no TTL). Verifier code cannot cross the wire, but
 	// a deadline can, so remote caches honor web-style freshness.
 	ExpiryUnixNanos int64
+	// Signature is the content signature of Body, computed once at the
+	// origin (the server-side cache's intern-time hash) and shipped in
+	// the read metadata under the frame checksum, so a remote cache can
+	// key its shared storage by it without hashing the body again. Set
+	// on every read response whose Cacheability allows storing it.
+	Signature sig.Signature
 	// Notification payload (ID 0): the affected document and user
 	// ("" = all users of the document).
 	NotifyDoc, NotifyUser string

@@ -1,4 +1,5 @@
-// The binary wire protocol (version 2).
+// The binary wire protocol (version 3: version 2 plus the content
+// signature in the read response).
 //
 // Hot ops are hand-written codecs over a fixed header, so blob payloads
 // travel as raw byte ranges — never re-encoded — and a single writer
@@ -7,7 +8,7 @@
 //
 // Frame layout (16-byte header, big-endian multi-byte fields):
 //
-//	offset 0  version (1 byte, 0x02)
+//	offset 0  version (1 byte, 0x03)
 //	offset 1  op      (1 byte)
 //	offset 2  flags   (2 bytes)
 //	offset 4  call ID (8 bytes; 0 = server push)
@@ -17,20 +18,29 @@
 //
 // Hot ops (Read, Write, Subscribe, the invalidation push) encode their
 // payloads by hand: uvarint-length-prefixed strings followed by the raw
-// body bytes. Everything else rides inside a v2 frame as a gob-encoded
+// body bytes. Everything else rides inside a frame as a gob-encoded
 // Request/Response (flagGob) — cold ops keep gob's flexibility, hot ops
 // skip it entirely. Error responses carry flagError with the error
 // string as payload.
 //
-// Version negotiation: a client opens with an 8-byte magic preamble;
-// the server reads the first bytes of every accepted connection and
-// answers the magic with an ack before switching to framing. A peer
-// that opens with anything else is closed without a reply, and a
-// client that gets no ack fails with ErrHandshake; the preamble names
-// the version, so a future v3 can negotiate on the same port. The
-// decoder validates every header field strictly, so a corrupted or
-// reordered byte stream (the simulator's fault model) fails the
-// connection instead of desyncing silently.
+// A Read response payload is a fixed 33-byte metadata prefix —
+// cacheability (1), cost nanos (8), expiry nanos (8), content signature
+// (16) — followed by the raw body; the trailer covers all of it, so the
+// signature a remote cache keys its blob by is checked together with
+// the bytes it names.
+//
+// Handshake: a client opens with an 8-byte magic preamble; the server
+// reads the first bytes of every accepted connection and answers the
+// magic with an ack before switching to framing. A peer that opens
+// with anything else — the previous version's magic included — is
+// closed without a reply, and a client that gets no ack fails with
+// ErrHandshake. The preamble's last byte names the version and moves
+// with every layout change: the payload checksum cannot tell a shifted
+// layout from a valid one, so peers of different versions must never
+// get as far as exchanging frames. The decoder validates every header
+// field strictly, so a corrupted or reordered byte stream (the
+// simulator's fault model) fails the connection instead of desyncing
+// silently.
 package server
 
 import (
@@ -46,10 +56,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"placeless/internal/sig"
 )
 
 // wireVersion is the first byte of every frame header.
-const wireVersion = 2
+const wireVersion = 3
 
 const (
 	frameHeaderSize = 16
@@ -64,8 +76,9 @@ const (
 	// as a corrupt header, not an allocation request.
 	maxFramePayload = 64 << 20
 	// readMetaSize is the fixed metadata prefix of a Read response
-	// payload: cacheability (1) + cost nanos (8) + expiry nanos (8).
-	readMetaSize = 17
+	// payload: cacheability (1) + cost nanos (8) + expiry nanos (8) +
+	// content signature (16).
+	readMetaSize = 17 + sig.Size
 )
 
 // castagnoli is the CRC32-C table for frame trailers (hardware
@@ -86,7 +99,7 @@ func readTrailer(br *bufio.Reader, crc uint32) error {
 		return err
 	}
 	if binary.BigEndian.Uint32(t) != crc {
-		return errors.New("server: bad v2 frame: payload checksum mismatch")
+		return errors.New("server: bad frame: payload checksum mismatch")
 	}
 	_, _ = br.Discard(frameTrailerSize)
 	return nil
@@ -95,7 +108,7 @@ func readTrailer(br *bufio.Reader, crc uint32) error {
 // Frame flags.
 const (
 	// flagGob marks a payload that is a gob-encoded Request/Response
-	// (the cold-op fallback inside a v2 frame).
+	// (the cold-op fallback inside a frame).
 	flagGob uint16 = 1 << 0
 	// flagError marks a response whose payload is the error string.
 	flagError uint16 = 1 << 1
@@ -105,17 +118,18 @@ const (
 // (decoded into a Response with ID 0). Never valid in a request.
 const opInvalidate Op = 0x7f
 
-// helloMagic opens every connection; its last byte names the version.
-var helloMagic = [8]byte{0x00, 'P', 'L', 'W', 'R', 'E', 'v', '2'}
+// helloMagic opens every connection; its last byte names the version
+// ("…v3"), so it moves whenever wireVersion does.
+var helloMagic = [8]byte{0x00, 'P', 'L', 'W', 'R', 'E', 'v', '0' + wireVersion}
 
 // helloAck is the server's answer to helloMagic.
-var helloAck = [8]byte{0x00, 'P', 'L', 'A', 'C', 'K', 'v', '2'}
+var helloAck = [8]byte{0x00, 'P', 'L', 'A', 'C', 'K', 'v', '0' + wireVersion}
 
-// errWireClosed is returned by sends on a v2 connection whose writer
+// errWireClosed is returned by sends on a connection whose writer
 // has shut down.
-var errWireClosed = errors.New("server: v2 connection closed")
+var errWireClosed = errors.New("server: wire connection closed")
 
-// smallBufPool recycles header + inline-payload staging buffers for v2
+// smallBufPool recycles header + inline-payload staging buffers for
 // frames — the wire-level extension of the stream package's pooled
 // staging discipline. The pool traffics in *[]byte tokens: the token
 // acquired by getSmallBuf rides in the frame and is handed back to
@@ -169,20 +183,20 @@ func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int
 		return 0, 0, 0, 0, err
 	}
 	if h[0] != wireVersion {
-		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: version byte 0x%02x", h[0])
+		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: version byte 0x%02x", h[0])
 	}
 	op = Op(h[1])
 	if op > OpFind && op != opInvalidate {
-		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: unknown op 0x%02x", h[1])
+		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: unknown op 0x%02x", h[1])
 	}
 	flags = binary.BigEndian.Uint16(h[2:4])
 	if flags&^(flagGob|flagError) != 0 {
-		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: unknown flags 0x%04x", flags)
+		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: unknown flags 0x%04x", flags)
 	}
 	id = binary.BigEndian.Uint64(h[4:12])
 	n := binary.BigEndian.Uint32(h[12:16])
 	if n > maxFramePayload {
-		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: payload length %d exceeds limit", n)
+		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: payload length %d exceeds limit", n)
 	}
 	_, _ = br.Discard(frameHeaderSize)
 	return op, flags, id, int(n), nil
@@ -198,7 +212,7 @@ func appendWireString(b []byte, s string) []byte {
 func readWireString(p []byte) (string, []byte, error) {
 	n, sz := binary.Uvarint(p)
 	if sz <= 0 || n > uint64(len(p)-sz) {
-		return "", nil, errors.New("server: bad v2 frame: truncated string")
+		return "", nil, errors.New("server: bad frame: truncated string")
 	}
 	return string(p[sz : sz+int(n)]), p[sz+int(n):], nil
 }
@@ -215,7 +229,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-// wireFrame is one encoded v2 frame queued for write. hdr carries the
+// wireFrame is one encoded frame queued for write. hdr carries the
 // header plus any inline payload prefix (leased from smallBufPool when
 // hdrPool is non-nil); body carries a raw payload tail written as-is —
 // the blob bytes are never copied into a staging buffer. bodyReader,
@@ -268,7 +282,7 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 		return nil, err
 	}
 	if op == opInvalidate || flags&flagError != 0 || id == 0 {
-		return nil, fmt.Errorf("server: bad v2 request: op %v flags 0x%04x id %d", op, flags, id)
+		return nil, fmt.Errorf("server: bad request: op %v flags 0x%04x id %d", op, flags, id)
 	}
 	if flags&flagGob == 0 && (op == OpRead || op == OpSubscribe) && plen+frameTrailerSize <= br.Size() {
 		// Hot-op fast path: the tiny doc+user payload and its trailer
@@ -283,7 +297,7 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 		}
 		payload := win[:plen]
 		if binary.BigEndian.Uint32(win[plen:]) != crc32.Checksum(payload, castagnoli) {
-			return nil, errors.New("server: bad v2 frame: payload checksum mismatch")
+			return nil, errors.New("server: bad frame: payload checksum mismatch")
 		}
 		req := &Request{ID: id, Op: op}
 		rest := payload
@@ -294,7 +308,7 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 			return nil, err
 		}
 		if len(rest) != 0 {
-			return nil, errors.New("server: bad v2 frame: trailing bytes")
+			return nil, errors.New("server: bad frame: trailing bytes")
 		}
 		_, _ = br.Discard(plen + frameTrailerSize)
 		return req, nil
@@ -309,7 +323,7 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 	if flags&flagGob != 0 {
 		var req Request
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
-			return nil, fmt.Errorf("server: bad v2 gob request: %w", err)
+			return nil, fmt.Errorf("server: bad gob request: %w", err)
 		}
 		req.ID = id
 		return &req, nil
@@ -325,7 +339,7 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 			return nil, err
 		}
 		if len(rest) != 0 {
-			return nil, errors.New("server: bad v2 frame: trailing bytes")
+			return nil, errors.New("server: bad frame: trailing bytes")
 		}
 	case OpWrite:
 		if req.Doc, rest, err = readWireString(rest); err != nil {
@@ -336,7 +350,7 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 		}
 		req.Body = rest // the remainder of the payload, no copy
 	default:
-		return nil, fmt.Errorf("server: bad v2 frame: op %v requires the gob flag", op)
+		return nil, fmt.Errorf("server: bad frame: op %v requires the gob flag", op)
 	}
 	return req, nil
 }
@@ -357,9 +371,10 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		b = append(b, byte(resp.Cacheability))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.CostNanos))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.ExpiryUnixNanos))
+		b = append(b, resp.Signature[:]...)
 		f := wireFrame{hdr: b, hdrPool: p}
 		if resp.bodyCRCOK {
-			// Stitch the trailer from the 17-byte metadata CRC and the
+			// Stitch the trailer from the metadata prefix's CRC and the
 			// cache's intern-time body CRC, so neither the inline nor
 			// the streamed path ever re-scans the body bytes.
 			bodyLen := int64(len(resp.Body))
@@ -442,7 +457,7 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 		}
 		var resp Response
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-			return nil, fmt.Errorf("server: bad v2 gob response: %w", err)
+			return nil, fmt.Errorf("server: bad gob response: %w", err)
 		}
 		resp.ID = id
 		return &resp, nil
@@ -450,9 +465,9 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 	switch op {
 	case OpRead:
 		if plen < readMetaSize {
-			return nil, errors.New("server: bad v2 read response: short metadata")
+			return nil, errors.New("server: bad read response: short metadata")
 		}
-		// The 17-byte metadata prefix parses in place from the buffered
+		// The fixed metadata prefix parses in place from the buffered
 		// window; only the body lands in a fresh allocation — the one
 		// buffer the caller keeps.
 		meta, err := br.Peek(readMetaSize)
@@ -468,6 +483,7 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 			CostNanos:       int64(binary.BigEndian.Uint64(meta[1:9])),
 			ExpiryUnixNanos: int64(binary.BigEndian.Uint64(meta[9:17])),
 		}
+		copy(resp.Signature[:], meta[17:readMetaSize])
 		crc := crc32.Update(0, castagnoli, meta)
 		_, _ = br.Discard(readMetaSize)
 		var body []byte
@@ -502,19 +518,19 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 			return nil, err
 		}
 		if len(rest) != 0 {
-			return nil, errors.New("server: bad v2 frame: trailing bytes")
+			return nil, errors.New("server: bad frame: trailing bytes")
 		}
 		return &Response{ID: 0, NotifyDoc: doc, NotifyUser: user}, nil
 	case OpWrite, OpSubscribe:
 		if plen != 0 {
-			return nil, fmt.Errorf("server: bad v2 response: op %v with %d payload bytes", op, plen)
+			return nil, fmt.Errorf("server: bad response: op %v with %d payload bytes", op, plen)
 		}
 		if err := readTrailer(br, 0); err != nil {
 			return nil, err
 		}
 		return &Response{ID: id}, nil
 	default:
-		return nil, fmt.Errorf("server: bad v2 response: op %v without the gob flag", op)
+		return nil, fmt.Errorf("server: bad response: op %v without the gob flag", op)
 	}
 }
 
@@ -525,7 +541,7 @@ const (
 	maxBatchBytes  = 1 << 20
 )
 
-// frameWriter serializes all v2 frame writes for one connection.
+// frameWriter serializes all frame writes for one connection.
 // Senders hand frames to send: an uncontended sender takes the write
 // baton (wmu) and writes inline on its own goroutine — no channel hop,
 // no wakeup — after first draining anything already queued, so frame

@@ -19,6 +19,7 @@ import (
 	"placeless/internal/docspace"
 	"placeless/internal/event"
 	"placeless/internal/repo"
+	"placeless/internal/sig"
 	"placeless/internal/simnet"
 	"placeless/internal/store"
 )
@@ -99,11 +100,11 @@ func TestV2RequestRoundTrip(t *testing.T) {
 func TestV2ResponseRoundTrip(t *testing.T) {
 	// Hot path: read with metadata and raw body.
 	in := &Response{ID: 9, Body: []byte("blob\x00\x02payload"), Cacheability: 3,
-		CostNanos: 123456789, ExpiryUnixNanos: 42}
+		CostNanos: 123456789, ExpiryUnixNanos: 42, Signature: sig.Of([]byte("blob\x00\x02payload"))}
 	got := responseOverWire(t, OpRead, in)
 	if got.ID != in.ID || !bytes.Equal(got.Body, in.Body) ||
 		got.Cacheability != in.Cacheability || got.CostNanos != in.CostNanos ||
-		got.ExpiryUnixNanos != in.ExpiryUnixNanos {
+		got.ExpiryUnixNanos != in.ExpiryUnixNanos || got.Signature != in.Signature {
 		t.Errorf("read round trip = %+v, want %+v", got, in)
 	}
 
@@ -143,8 +144,8 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 // the body inline — the client cannot tell the difference.
 func TestV2StreamedResponseBytes(t *testing.T) {
 	body := bytes.Repeat([]byte("segment"), 100)
-	inline := &Response{ID: 5, Body: body, Cacheability: 1, CostNanos: 10}
-	streamed := &Response{ID: 5, Body: body, Cacheability: 1, CostNanos: 10,
+	inline := &Response{ID: 5, Body: body, Cacheability: 1, CostNanos: 10, Signature: sig.Of(body)}
+	streamed := &Response{ID: 5, Body: body, Cacheability: 1, CostNanos: 10, Signature: sig.Of(body),
 		bodyStream: bytes.NewReader(body), bodyLen: int64(len(body))}
 	fi, err := encodeResponseFrame(OpRead, inline)
 	if err != nil {
@@ -175,7 +176,7 @@ func TestV2HeaderValidation(t *testing.T) {
 		corrupt func([]byte) []byte
 		want    string
 	}{
-		{"bad version", func(b []byte) []byte { b[0] = 0x03; return b }, "version byte"},
+		{"previous version", func(b []byte) []byte { b[0] = wireVersion - 1; return b }, "version byte"},
 		{"unknown op", func(b []byte) []byte { b[1] = 0x40; return b }, "unknown op"},
 		{"unknown flags", func(b []byte) []byte { b[2] = 0x80; return b }, "unknown flags"},
 		{"oversized payload", func(b []byte) []byte {
@@ -212,23 +213,33 @@ func TestV2HeaderValidation(t *testing.T) {
 }
 
 func TestV2ResponseChecksumRejectsCorruption(t *testing.T) {
-	f, err := encodeResponseFrame(OpRead, &Response{ID: 3, Body: []byte("payload"), Cacheability: 1})
+	f, err := encodeResponseFrame(OpRead, &Response{ID: 3, Body: []byte("payload"), Cacheability: 1,
+		Signature: sig.Of([]byte("payload"))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := frameBytes(t, f)
-	// Flip one body byte (past the 17-byte metadata prefix).
-	b[frameHeaderSize+readMetaSize] ^= 0x01
-	if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
-		!strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("corrupted read body: err = %v", err)
+	valid := frameBytes(t, f)
+	// One flipped bit anywhere in the payload fails the frame: in the
+	// body (the first byte past the metadata prefix), and in the
+	// signature that ends the prefix — a remote cache keys shared
+	// storage by those 16 bytes without re-deriving them.
+	for name, off := range map[string]int{
+		"body":      frameHeaderSize + readMetaSize,
+		"signature": frameHeaderSize + readMetaSize - 1,
+	} {
+		b := append([]byte{}, valid...)
+		b[off] ^= 0x01
+		if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
+			!strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("corrupted read %s: err = %v", name, err)
+		}
 	}
 	// Empty-payload frames are covered too: their trailer is CRC(nil).
 	f, err = encodeResponseFrame(OpWrite, &Response{ID: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = frameBytes(t, f)
+	b := frameBytes(t, f)
 	b[len(b)-2] ^= 0x01
 	if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
 		!strings.Contains(err.Error(), "checksum mismatch") {
@@ -433,11 +444,15 @@ func exerciseAllOps(t *testing.T, srv *Server, c *Client, space *docspace.Space)
 }
 
 // TestHandshakeRefusal pins both sides of the typed refusal. A peer
-// that does not open with the magic preamble — here a gob-encoded
-// Request, what a pre-v2 client would send — is closed unanswered. A
-// listener that accepts but never acks yields ErrHandshake within the
-// dial timeout, on Dial and on every background redial, and the
-// reconnect loop backs off between attempts instead of spinning.
+// that does not open with this version's magic preamble — a gob-encoded
+// Request, what a pre-framing client would send, or the previous wire
+// version's magic — is closed unanswered, before any decoder sees its
+// bytes. A peer of the previous version on the other end of a dial
+// yields ErrHandshake, whether it closes on the unknown magic (what
+// that server does) or answers with its own ack. A listener that
+// accepts but never acks yields ErrHandshake within the dial timeout,
+// on Dial and on every background redial, and the reconnect loop backs
+// off between attempts instead of spinning.
 func TestHandshakeRefusal(t *testing.T) {
 	// redirect, once set, sends every (re)dial to the mute peer below.
 	var redirect atomic.Pointer[string]
@@ -451,23 +466,61 @@ func TestHandshakeRefusal(t *testing.T) {
 		WithDialTimeout(50*time.Millisecond),
 		WithReconnect(20*time.Millisecond, 40*time.Millisecond))
 
-	raw, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
+	prevMagic, prevAck := helloMagic, helloAck
+	prevMagic[7], prevAck[7] = '0'+wireVersion-1, '0'+wireVersion-1
+	var gobOpen bytes.Buffer
+	if err := gob.NewEncoder(&gobOpen).Encode(&Request{ID: 1, Op: OpStats}); err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	if err := gob.NewEncoder(raw).Encode(&Request{ID: 1, Op: OpStats}); err != nil {
-		t.Fatal(err)
+	// The previous version's client follows its magic with a read frame;
+	// nothing of it may be decoded.
+	prevOpen := append(prevMagic[:], wireVersion-1, byte(OpRead))
+	for name, opening := range map[string][]byte{"gob": gobOpen.Bytes(), "previous magic": prevOpen} {
+		raw, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		if _, err := raw.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// EOF, or a reset when the server closed with the rest of the
+		// opening still unread — either way not one byte of reply.
+		var ne net.Error
+		if n, err := raw.Read(make([]byte, 1)); n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("%s peer read = %d bytes, %v; want the connection closed with no reply", name, n, err)
+		}
+		if requests, _, _ := srv.Counters(); requests != 0 {
+			t.Fatalf("%s peer reached a handler: %d requests", name, requests)
+		}
 	}
-	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	// EOF, or a reset when the server closed with the rest of the gob
-	// message still unread — either way not one byte of reply.
-	var ne net.Error
-	if n, err := raw.Read(make([]byte, 1)); n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
-		t.Fatalf("gob peer read = %d bytes, %v; want the connection closed with no reply", n, err)
-	}
-	if requests, _, _ := srv.Counters(); requests != 0 {
-		t.Fatalf("gob peer reached a handler: %d requests", requests)
+
+	// The dial side of the same mismatch: a previous-version server
+	// closes on a magic it does not know; a peer that acks with the
+	// previous version's ack is refused just the same.
+	for name, acks := range map[string]bool{"closes": false, "acks": true} {
+		old, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer old.Close()
+		go func() {
+			for {
+				conn, err := old.Accept()
+				if err != nil {
+					return
+				}
+				var magic [len(helloMagic)]byte
+				if _, err := io.ReadFull(conn, magic[:]); err == nil && (acks || magic == prevMagic) {
+					_, _ = conn.Write(prevAck[:])
+				}
+				conn.Close()
+			}
+		}()
+		if _, err := Dial(old.Addr().String(), WithDialTimeout(5*time.Second)); !errors.Is(err, ErrHandshake) {
+			t.Fatalf("Dial against a previous-version peer that %s = %v, want ErrHandshake", name, err)
+		}
 	}
 
 	// A listener that accepts and holds the socket without acking.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"placeless/internal/sig"
 )
 
 // coldOps are the ops whose Request/Response structs cross the wire as
@@ -36,10 +38,10 @@ func TestRequestRoundTripProperty(t *testing.T) {
 // payload. Err stays empty: a non-empty Err selects the error-frame
 // codec, which carries only the string (TestV2ResponseRoundTrip).
 func TestResponseRoundTripProperty(t *testing.T) {
-	f := func(id uint64, op uint8, body []byte, cacheability uint8, cost int64, actives []string, text string) bool {
+	f := func(id uint64, op uint8, body []byte, cacheability uint8, cost int64, sg sig.Signature, actives []string, text string) bool {
 		in := Response{
 			ID: id, Body: body,
-			Cacheability: int(cacheability % 3), CostNanos: cost,
+			Cacheability: int(cacheability % 3), CostNanos: cost, Signature: sg,
 			Actives: actives, Text: text,
 		}
 		out := *responseOverWire(t, coldOps[int(op)%len(coldOps)], &in)

@@ -318,6 +318,7 @@ func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 		Cacheability:    int(info.Cacheability),
 		CostNanos:       int64(info.Cost),
 		ExpiryUnixNanos: expiryNanos(info.Expiry),
+		Signature:       info.Signature,
 		bodyCRC:         info.BodyCRC32C,
 		bodyCRCOK:       info.BodyCRCOK,
 	}
@@ -456,30 +457,41 @@ func (s *Server) apply(req *Request) *Response {
 
 	switch req.Op {
 	case OpRead:
+		var resp *Response
 		if s.cache != nil {
 			data, info, err := s.cache.ReadWithInfo(req.Doc, req.User)
 			if err != nil {
 				return fail(err)
 			}
-			resp := &Response{
+			resp = &Response{
 				Body:            data,
 				Cacheability:    int(info.Cacheability),
 				CostNanos:       int64(info.Cost),
 				ExpiryUnixNanos: expiryNanos(info.Expiry),
+				Signature:       info.Signature,
 			}
 			s.maybeAttachStream(resp, info.Signature, len(data))
-			return resp
+		} else {
+			data, res, err := s.space.ReadDocument(req.Doc, req.User)
+			if err != nil {
+				return fail(err)
+			}
+			resp = &Response{
+				Body:            data,
+				Cacheability:    int(res.Cacheability),
+				CostNanos:       int64(res.Cost),
+				ExpiryUnixNanos: expiryNanos(minTTLExpiry(res.Verifiers)),
+			}
 		}
-		data, res, err := s.space.ReadDocument(req.Doc, req.User)
-		if err != nil {
-			return fail(err)
+		// The one place the server hashes a read body itself: the cache
+		// hands back its intern-time signature whenever it holds the
+		// bytes, which leaves a storable body nobody interned — no cache
+		// behind this server, the cache closed, or the install aborted by
+		// a racing invalidation.
+		if resp.Signature.IsZero() && property.Cacheability(resp.Cacheability) != property.Uncacheable {
+			resp.Signature = sig.Of(resp.Body)
 		}
-		return &Response{
-			Body:            data,
-			Cacheability:    int(res.Cacheability),
-			CostNanos:       int64(res.Cost),
-			ExpiryUnixNanos: expiryNanos(minTTLExpiry(res.Verifiers)),
-		}
+		return resp
 
 	case OpWrite:
 		if err := s.space.WriteDocument(req.Doc, req.User, req.Body); err != nil {

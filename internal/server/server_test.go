@@ -24,9 +24,16 @@ func testServer(t *testing.T, opts ...DialOption) (*Server, *Client, *docspace.S
 	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
 	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
 	srv := New(space, backing)
+	client := serveAndDial(t, srv, opts...)
+	return srv, client, space
+}
+
+// serveAndDial serves srv on a loopback listener and returns a client
+// connected to it; both are torn down with the test.
+func serveAndDial(t *testing.T, srv *Server, opts ...DialOption) *Client {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
-	// Wait for the listener.
 	var addr string
 	for i := 0; i < 200; i++ {
 		if a := srv.Addr(); a != nil {
@@ -49,7 +56,7 @@ func testServer(t *testing.T, opts ...DialOption) (*Server, *Client, *docspace.S
 			t.Errorf("Serve returned %v", err)
 		}
 	})
-	return srv, client, space
+	return client
 }
 
 func TestCreateReadWriteRoundTrip(t *testing.T) {

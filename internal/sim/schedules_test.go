@@ -496,8 +496,8 @@ func TestScheduleFlashCrowdCluster(t *testing.T) {
 	// (cacheability is seed-derived): the spike needs node copies for
 	// the write to invalidate.
 	var (
-		w            *World
-		doc0, user0  string
+		w           *World
+		doc0, user0 string
 	)
 	liveStats := func() (hits, coalesced int64) {
 		for _, n := range w.clNodes {

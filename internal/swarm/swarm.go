@@ -586,4 +586,3 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
-

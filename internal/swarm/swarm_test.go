@@ -122,11 +122,11 @@ func TestRunOpsAccounting(t *testing.T) {
 // observes the old version, and the harness counts exactly those.
 func TestRunOpsWriteBackStaleness(t *testing.T) {
 	ops := []Op{
-		{Kind: trace.OpRead, Doc: 0, User: 0},  // v0, fresh
-		{Kind: trace.OpWrite, Doc: 0},          // v1 buffered
-		{Kind: trace.OpRead, Doc: 0, User: 0},  // sees v0: stale, lag 1
-		{Kind: trace.OpWrite, Doc: 0},          // v2 buffered
-		{Kind: trace.OpRead, Doc: 0, User: 1},  // sees v0: stale, lag 2
+		{Kind: trace.OpRead, Doc: 0, User: 0}, // v0, fresh
+		{Kind: trace.OpWrite, Doc: 0},         // v1 buffered
+		{Kind: trace.OpRead, Doc: 0, User: 0}, // sees v0: stale, lag 1
+		{Kind: trace.OpWrite, Doc: 0},         // v2 buffered
+		{Kind: trace.OpRead, Doc: 0, User: 1}, // sees v0: stale, lag 2
 	}
 	f, err := RunOps(RunConfig{
 		Gen:   Config{Users: 2, Docs: 1, Ops: len(ops), Seed: 9},
