@@ -143,6 +143,8 @@ func main() {
 		reg.Counter("placeless_server_bytes_received_total",
 			"Bytes read from client sockets across both wire protocol versions.",
 			func() int64 { _, r := srv.WireBytes(); return r })
+		srv.SetWriteHistogram(reg.Histogram("placeless_write_duration_seconds",
+			"Latency of a document write inside the origin: write-path properties, repository store and notifier dispatch."))
 		mux := http.NewServeMux()
 		observer.Mount(mux)
 		// /status: operator-facing JSON snapshot — boot-time store

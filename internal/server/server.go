@@ -14,6 +14,7 @@ import (
 	"placeless/internal/core"
 	"placeless/internal/docspace"
 	"placeless/internal/event"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/repo"
 	"placeless/internal/sig"
@@ -47,6 +48,8 @@ type Server struct {
 	bytesSent     atomic.Int64 // bytes written to client sockets
 	bytesRecv     atomic.Int64 // bytes read from client sockets
 	streamedReads atomic.Int64 // read responses streamed from the store
+
+	writeHist atomic.Pointer[obs.Histogram] // optional OpWrite latency sink
 }
 
 // defaultStreamMin is the smallest read body the server streams from
@@ -394,6 +397,12 @@ func (s *Server) SetStreamThreshold(n int64) {
 	s.streamMin = n
 }
 
+// SetWriteHistogram makes the server record how long each OpWrite
+// takes inside the origin — write-path properties, the repository
+// store and the notifier dispatch that invalidates every cached view —
+// which no client-side number separates from the wire.
+func (s *Server) SetWriteHistogram(h *obs.Histogram) { s.writeHist.Store(h) }
+
 // WireBytes returns total bytes written to and read from client
 // sockets.
 func (s *Server) WireBytes() (sent, received int64) {
@@ -494,7 +503,12 @@ func (s *Server) apply(req *Request) *Response {
 		return resp
 
 	case OpWrite:
-		if err := s.space.WriteDocument(req.Doc, req.User, req.Body); err != nil {
+		t0 := time.Now()
+		err := s.space.WriteDocument(req.Doc, req.User, req.Body)
+		if h := s.writeHist.Load(); h != nil {
+			h.ObserveSince(t0)
+		}
+		if err != nil {
 			return fail(err)
 		}
 		return &Response{}

@@ -10,6 +10,7 @@ import (
 
 	"placeless/internal/clock"
 	"placeless/internal/docspace"
+	"placeless/internal/obs"
 	"placeless/internal/repo"
 	"placeless/internal/simnet"
 )
@@ -60,7 +61,9 @@ func serveAndDial(t *testing.T, srv *Server, opts ...DialOption) *Client {
 }
 
 func TestCreateReadWriteRoundTrip(t *testing.T) {
-	_, c, _ := testServer(t)
+	srv, c, _ := testServer(t)
+	var writes obs.Histogram
+	srv.SetWriteHistogram(&writes)
 	if err := c.CreateDocument("d", "eyal", []byte("hello over tcp")); err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +80,9 @@ func TestCreateReadWriteRoundTrip(t *testing.T) {
 	data, _, _ = c.Read("d", "eyal")
 	if string(data) != "updated" {
 		t.Fatalf("after write: %q", data)
+	}
+	if writes.Count() != 1 {
+		t.Fatalf("write histogram holds %d observations after one OpWrite", writes.Count())
 	}
 }
 
