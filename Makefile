@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 cover check-metrics check-docs experiments examples clean
+.PHONY: all build vet fmt-check test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke cover check-metrics check-docs check-flags experiments examples clean
 
 all: build vet test
 
@@ -80,41 +80,13 @@ bench:
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
-# Machine-readable E12 result: writes BENCH_e12.json in the working
-# directory alongside the table.
-bench-e12:
-	$(GO) run ./cmd/plbench -experiment e12
-
-# Machine-readable E13 result: observability overhead + stage timings.
-bench-e13:
-	$(GO) run ./cmd/plbench -experiment e13
-
-# Machine-readable E14 result: connection resilience (crash/restart
-# per degraded-mode policy + wedged-server call deadlines).
-bench-e14:
-	$(GO) run ./cmd/plbench -experiment e14
-
-# Machine-readable E15 result: pipelined binary wire framing
-# (throughput and allocs/op per blob size, loopback).
-bench-e15:
-	$(GO) run ./cmd/plbench -experiment e15
-
-# Machine-readable E16 result: aggregate warm-hit throughput vs
-# cluster size under consistent-hash placement (ring-balance scaling).
-bench-e16:
-	$(GO) run ./cmd/plbench -experiment e16
-
-# Machine-readable E17 result: longest-shared-prefix chain caching —
-# miss-path cost vs fan-out with memoization off and on.
-bench-e17:
-	$(GO) run ./cmd/plbench -experiment e17
-
-# Machine-readable E18 result: trace-driven swarm frontier — one
-# generated op stream (Zipf docs, diurnal intensity, chain churn,
-# flash crowd) over single/cluster/write-back deployments, reported
-# as a latency/staleness/recompute-cost table (BENCH_swarm.json).
-bench-e18:
-	$(GO) run ./cmd/plbench -experiment e18
+# Machine-readable result of one experiment by index (make bench-e4,
+# make bench-e12 … bench-e18): prints the table and writes the
+# BENCH_<artifact>.json cmd/plbench names for it (BENCH_wire.json for
+# e15, BENCH_cluster.json for e16, BENCH_prefix.json for e17,
+# BENCH_swarm.json for e18) in the working directory.
+bench-e%:
+	$(GO) run ./cmd/plbench -experiment e$*
 
 # Per-package statement coverage summary (what CI uploads as an
 # artifact). Writes cover.out in the working directory.
@@ -132,6 +104,13 @@ check-metrics:
 # (what CI runs).
 check-docs:
 	sh scripts/check_docs.sh
+
+# Verify flags and documentation agree: every flag a command defines is
+# documented as `-name`, and every `-name` written beside a command
+# name in README.md / docs/*.md is defined by that command (what CI
+# runs).
+check-flags:
+	sh scripts/check_flags.sh
 
 # Human-readable experiment tables (what EXPERIMENTS.md records).
 experiments:

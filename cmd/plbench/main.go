@@ -234,9 +234,9 @@ func run(w io.Writer, which string, seed int64, iters int, format string, byInde
 		}
 		fmt.Fprintln(w, title)
 		if format == "csv" {
-			fmt.Fprintln(w, res.CSV())
+			fmt.Fprintln(w, experiment.CSV(res))
 		} else {
-			fmt.Fprintln(w, res.Table())
+			fmt.Fprintln(w, experiment.Table(res))
 		}
 		if !byIndex {
 			continue

@@ -82,7 +82,6 @@ func httpTrace(addr string, n int, stdout io.Writer) error {
 			{obs.StageBitFetch, t.BitFetch},
 			{obs.StageUniversal, t.Universal},
 			{obs.StagePersonal, t.Personal},
-			{obs.StageFullChain, t.FullChain},
 			{obs.StageRemoteRTT, t.Remote},
 		} {
 			if st.d > 0 {

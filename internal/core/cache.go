@@ -618,7 +618,6 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 		return nil, EntryInfo{}, false
 	}
 	k := key(doc, owner)
-	sh := c.idx.shardFor(k)
 
 	var tr *obs.ReadTrace
 	var t0 time.Time
@@ -627,43 +626,82 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 		tr = &obs.ReadTrace{Doc: doc, User: user, Verdict: obs.VerdictHit}
 		t0 = time.Now()
 	}
+	e, data, bodyCRC, outcome := c.probe(c.idx.shardFor(k), k, doc, owner, tr)
+	if outcome != probeHit {
+		return nil, EntryInfo{}, false
+	}
+	if tr != nil {
+		tr.Total = time.Since(t0)
+		tr.Time = time.Now()
+		o.ObserveRead(*tr)
+	}
+	info := e.hitInfo()
+	info.BodyCRC32C, info.BodyCRCOK = bodyCRC, true
+	return data, info, true
+}
+
+// probeOutcome is what probe found behind a key.
+type probeOutcome int
+
+const (
+	probeAbsent   probeOutcome = iota // no entry, or its blob is gone
+	probeRejected                     // a verifier refused it; counting and dropping are the caller's
+	probeRaced                        // replaced or invalidated while its verifiers ran
+	probeHit                          // verified and accounted
+)
+
+// probe is the hit path, shared by ReadSharedHit and readWithInfo: look
+// k up in its shard, charge HitCost, run the entry's verifiers, then
+// re-check the entry under the shard lock and account the hit (counter,
+// replacement policy, CacheWithEvents forward). data aliases the
+// immutable blob and crc is its intern-time CRC-32C; both are set only
+// on probeHit. e is set on every outcome but probeAbsent. tr, when
+// non-nil, receives the lookup and verify spans.
+func (c *Cache) probe(sh *shard, k, doc, owner string, tr *obs.ReadTrace) (e *entry, data []byte, crc uint32, outcome probeOutcome) {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
 	sh.mu.Lock()
-	e := sh.entries[k]
-	var data []byte
-	var bodyCRC uint32
-	var crcOK bool
+	e = sh.entries[k]
 	if e != nil {
-		data, bodyCRC, crcOK = c.blobDataCRC(e.signature)
+		data, crc, _ = c.blobDataCRC(e.signature)
 	}
 	sh.mu.Unlock()
 	if tr != nil {
 		tr.Lookup = time.Since(t0)
 	}
 	if e == nil || data == nil {
-		return nil, EntryInfo{}, false
+		return nil, nil, 0, probeAbsent
+	}
+	if c.opts.HitCost > 0 {
+		c.clk.Sleep(c.opts.HitCost)
 	}
 	if !c.opts.DisableVerifiers {
-		var tVerify time.Time
 		if tr != nil {
-			tVerify = time.Now()
+			t0 = time.Now()
 		}
 		now := c.clk.Now()
 		for _, v := range e.verifiers {
 			if ok, err := v.Check(now); err != nil || !ok {
-				return nil, EntryInfo{}, false
+				outcome = probeRejected
+				break
 			}
 		}
 		if tr != nil {
-			tr.Verify = time.Since(tVerify)
+			tr.Verify = time.Since(t0)
+		}
+		if outcome == probeRejected {
+			return e, nil, 0, probeRejected
 		}
 	}
 	sh.mu.Lock()
 	// The entry may have been invalidated while verifying.
 	if cur := sh.entries[k]; cur != e {
 		sh.mu.Unlock()
-		return nil, EntryInfo{}, false
+		return e, nil, 0, probeRaced
 	}
-	c.stats.hits.Inc()
+	c.stats.hits.Add(1)
 	c.policyMu.Lock()
 	c.policy.Access(k)
 	c.policyMu.Unlock()
@@ -671,12 +709,12 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 	if e.cacheability == property.CacheWithEvents {
 		c.forward(doc, owner, event.GetInputStream)
 	}
-	if tr != nil {
-		tr.Total = time.Since(t0)
-		tr.Time = time.Now()
-		o.ObserveRead(*tr)
-	}
-	return data, EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: minExpiry(e.verifiers), Hit: true, Signature: e.signature, BodyCRC32C: bodyCRC, BodyCRCOK: crcOK}, true
+	return e, data, crc, probeHit
+}
+
+// hitInfo is the metadata a hit on e reports.
+func (e *entry) hitInfo() EntryInfo {
+	return EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: minExpiry(e.verifiers), Hit: true, Signature: e.signature}
 }
 
 // readWithInfo is the read path proper. tr is the per-read trace
@@ -696,76 +734,25 @@ func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, Entry
 		return nil, EntryInfo{}, ErrClosed
 	}
 	k := key(doc, user)
-
-	var tLookup time.Time
-	if tr != nil {
-		tLookup = time.Now()
-	}
 	sh := c.idx.shardFor(k)
 
-	sh.mu.Lock()
-	e := sh.entries[k]
-	var data []byte
-	if e != nil {
-		data = c.blobData(e.signature)
-	}
-	sh.mu.Unlock()
-	if tr != nil {
-		tr.Lookup = time.Since(tLookup)
-	}
-
-	if e != nil && data != nil {
-		if c.opts.HitCost > 0 {
-			c.clk.Sleep(c.opts.HitCost)
+	switch e, data, _, outcome := c.probe(sh, k, doc, user, tr); outcome {
+	case probeHit:
+		out := make([]byte, len(data))
+		copy(out, data)
+		return out, e.hitInfo(), nil
+	case probeRejected:
+		sh.mu.Lock()
+		c.stats.verifierRejects.Add(1)
+		// Drop only if the rejected entry is still installed; a
+		// concurrent reinstall must not lose its fresh entry.
+		if cur := sh.entries[k]; cur == e {
+			c.dropShardLocked(sh, k)
 		}
-		valid := true
-		if !c.opts.DisableVerifiers {
-			var tVerify time.Time
-			if tr != nil {
-				tVerify = time.Now()
-			}
-			now := c.clk.Now()
-			for _, v := range e.verifiers {
-				ok, err := v.Check(now)
-				if err != nil || !ok {
-					valid = false
-					break
-				}
-			}
-			if tr != nil {
-				tr.Verify = time.Since(tVerify)
-			}
-		}
-		if valid {
-			sh.mu.Lock()
-			// The entry may have been invalidated while verifying.
-			if cur := sh.entries[k]; cur == e {
-				c.stats.hits.Inc()
-				c.policyMu.Lock()
-				c.policy.Access(k)
-				c.policyMu.Unlock()
-				sh.mu.Unlock()
-				if e.cacheability == property.CacheWithEvents {
-					c.forward(doc, user, event.GetInputStream)
-				}
-				out := make([]byte, len(data))
-				copy(out, data)
-				return out, EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: minExpiry(e.verifiers), Hit: true, Signature: e.signature}, nil
-			}
-			sh.mu.Unlock()
-		} else {
-			sh.mu.Lock()
-			c.stats.verifierRejects.Inc()
-			// Drop only if the rejected entry is still installed; a
-			// concurrent reinstall must not lose its fresh entry.
-			if cur := sh.entries[k]; cur == e {
-				c.dropShardLocked(sh, k)
-			}
-			sh.mu.Unlock()
-			// The pull-side of paper cause 4: the entry died because a
-			// verifier caught a change notifiers could not see.
-			c.recordCause(doc, obs.CauseVerifier)
-		}
+		sh.mu.Unlock()
+		// The pull-side of paper cause 4: the entry died because a
+		// verifier caught a change notifiers could not see.
+		c.recordCause(doc, obs.CauseVerifier)
 	}
 
 	return c.coalescedMiss(sh, k, doc, user, true, tr)
@@ -774,7 +761,7 @@ func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, Entry
 // forward redelivers an operation event for a CacheWithEvents entry.
 func (c *Cache) forward(doc, user string, kind event.Kind) {
 	if err := c.space.ForwardEvent(doc, user, kind); err == nil {
-		c.stats.eventsForwarded.Inc()
+		c.stats.eventsForwarded.Add(1)
 	}
 }
 
@@ -795,7 +782,7 @@ func (c *Cache) coalescedMiss(sh *shard, k, doc, user string, mayPrefetch bool, 
 			tr.FlightWait = time.Since(tWait)
 			tr.Coalesced = true
 		}
-		c.stats.coalesced.Inc()
+		c.stats.coalesced.Add(1)
 		if f.err != nil {
 			return nil, EntryInfo{}, f.err
 		}
@@ -841,30 +828,20 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		}
 	}
 
-	var res property.ReadResult
-	var trace docspace.StageTrace
-	var tChain time.Time
-	if tr != nil {
-		tChain = time.Now()
-	}
+	// Memoize decides only whether the read is offered a store for its
+	// cuts; the read itself has one shape either way.
+	var memo docspace.PrefixIntermediates
 	if c.opts.Memoize {
-		data, res, trace, err = c.space.ReadDocumentStaged(doc, user, c)
-		if trace.MemoErr {
-			c.stats.prefixFallbackErrors.Inc()
-		}
-	} else {
-		data, res, err = c.space.ReadDocument(doc, user)
+		memo = c
+	}
+	data, res, trace, err := c.space.ReadDocumentStaged(doc, user, memo)
+	if trace.MemoErr {
+		c.stats.prefixFallbackErrors.Add(1)
 	}
 	if tr != nil {
-		if trace.BitFetchDur > 0 {
-			// The staged path separated its spans; record them and not
-			// the enclosing chain time, which would double count.
-			tr.BitFetch = trace.BitFetchDur
-			tr.Universal = trace.UniversalDur
-			tr.Personal = trace.PersonalDur
-		} else {
-			tr.FullChain = time.Since(tChain)
-		}
+		tr.BitFetch = trace.BitFetchDur
+		tr.Universal = trace.UniversalDur
+		tr.Personal = trace.PersonalDur
 		if trace.Attempted {
 			tr.PrefixCuts = trace.Cuts
 			tr.PrefixDepth = trace.DeepestHit
@@ -874,12 +851,12 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		return nil, EntryInfo{}, nil, err
 	}
 	info = EntryInfo{Cacheability: res.Cacheability, Cost: res.Cost, Expiry: minExpiry(res.Verifiers), IntermediateHit: trace.Hit}
-	c.stats.misses.Inc()
+	c.stats.misses.Add(1)
 	if c.closed.Load() {
 		return data, info, nil, nil
 	}
 	if res.Cacheability == property.Uncacheable {
-		c.stats.uncacheable.Inc()
+		c.stats.uncacheable.Add(1)
 		return data, info, nil, nil
 	}
 	if g.Load() != gen {
@@ -970,7 +947,7 @@ func (c *Cache) prefetch(user string, related []string) {
 		if err != nil {
 			continue
 		}
-		c.stats.prefetches.Inc()
+		c.stats.prefetches.Add(1)
 	}
 }
 
@@ -1114,7 +1091,7 @@ func (c *Cache) evict(exempt string) {
 		// against full entries on equal terms.
 		if isInterKey(victim) {
 			if c.dropIntermediate(victim) {
-				c.stats.evictions.Inc()
+				c.stats.evictions.Add(1)
 			}
 			continue
 		}
@@ -1135,7 +1112,7 @@ func (c *Cache) evict(exempt string) {
 			continue
 		}
 		if c.dropShardLocked(sh, victim) {
-			c.stats.evictions.Inc()
+			c.stats.evictions.Add(1)
 		}
 		// else: a concurrent invalidation beat us to the victim (and
 		// already removed it from the policy); re-check the budget.

@@ -58,7 +58,7 @@ func (c *Cache) appendEpoch(doc string, gen uint64) {
 		return
 	}
 	if err := st.AppendEpoch(doc, gen); err != nil {
-		c.stats.storeErrors.Inc()
+		c.stats.storeErrors.Add(1)
 	}
 }
 
@@ -80,12 +80,12 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 		// The document or a chain changed since the entry was demoted
 		// (possibly while the process was down), or the chain now embeds
 		// external information the key cannot capture.
-		c.stats.storePromotionRejects.Inc()
+		c.stats.storePromotionRejects.Add(1)
 		return nil, EntryInfo{}, false
 	}
 	data, ok := st.GetBlob(e.Sig)
 	if !ok {
-		c.stats.storePromotionRejects.Inc()
+		c.stats.storePromotionRejects.Add(1)
 		return nil, EntryInfo{}, false
 	}
 
@@ -110,7 +110,7 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 		// Closed, or invalidated since the caller's snapshot: the probe
 		// above may predate the change, so the disk bytes are suspect.
 		sh.mu.Unlock()
-		c.stats.storePromotionRejects.Inc()
+		c.stats.storePromotionRejects.Add(1)
 		return nil, EntryInfo{}, false
 	}
 	c.dropShardLocked(sh, k)
@@ -135,8 +135,8 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 	c.policyMu.Unlock()
 	sh.mu.Unlock()
 
-	c.stats.storePromotions.Inc()
-	c.stats.misses.Inc()
+	c.stats.storePromotions.Add(1)
+	c.stats.misses.Add(1)
 	c.installNotifiers(doc, user)
 	c.evict(k)
 	out := make([]byte, len(data))
@@ -179,7 +179,7 @@ func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResu
 	}
 	bsig, err := st.PutBlob(data)
 	if err != nil {
-		c.stats.storeErrors.Inc()
+		c.stats.storeErrors.Add(1)
 		return
 	}
 	if err := st.PutEntry(store.EntryMeta{
@@ -191,10 +191,10 @@ func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResu
 		Gen:         gen,
 		Cost:        res.Cost,
 	}); err != nil {
-		c.stats.storeErrors.Inc()
+		c.stats.storeErrors.Add(1)
 		return
 	}
-	c.stats.storeDemotions.Inc()
+	c.stats.storeDemotions.Add(1)
 }
 
 // demoteIntermediate writes a computed universal-stage output behind
@@ -211,7 +211,7 @@ func (c *Cache) demoteIntermediate(src, fp sig.Signature, data []byte, cost time
 	}
 	bsig, err := st.PutBlob(data)
 	if err != nil {
-		c.stats.storeErrors.Inc()
+		c.stats.storeErrors.Add(1)
 		return
 	}
 	if err := st.PutIntermediate(store.IntermediateMeta{
@@ -220,8 +220,8 @@ func (c *Cache) demoteIntermediate(src, fp sig.Signature, data []byte, cost time
 		Sig:         bsig,
 		Cost:        cost,
 	}); err != nil {
-		c.stats.storeErrors.Inc()
+		c.stats.storeErrors.Add(1)
 		return
 	}
-	c.stats.storeInterDemotions.Inc()
+	c.stats.storeInterDemotions.Add(1)
 }

@@ -115,8 +115,8 @@ func (c *Cache) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature
 		c.policy.Access(k)
 		c.policyMu.Unlock()
 		c.interMu.Unlock()
-		c.stats.prefixHits.Inc()
-		c.stats.intermediateHits.Inc()
+		c.stats.prefixHits.Add(1)
+		c.stats.intermediateHits.Add(1)
 		c.stats.bytesRecomputedSaved.Add(int64(len(data)))
 		c.stats.prefixSavedBytes.Add(int64(len(data)))
 		out := make([]byte, len(data))
@@ -151,7 +151,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			c.policy.Access(k)
 			c.policyMu.Unlock()
 			c.interMu.Unlock()
-			c.stats.intermediateHits.Inc()
+			c.stats.intermediateHits.Add(1)
 			c.stats.bytesRecomputedSaved.Add(int64(len(data)))
 			c.stats.prefixSavedBytes.Add(int64(len(data)))
 			out := make([]byte, len(data))
@@ -167,7 +167,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 				// rather than fanning one error out to every waiter.
 				continue
 			}
-			c.stats.intermediateHits.Inc()
+			c.stats.intermediateHits.Add(1)
 			c.stats.bytesRecomputedSaved.Add(int64(len(f.data)))
 			c.stats.prefixSavedBytes.Add(int64(len(f.data)))
 			out := make([]byte, len(f.data))
@@ -189,17 +189,17 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			if im, ok := st.GetIntermediate(src, fp); ok {
 				if d, ok := st.GetBlob(im.Sig); ok {
 					data, fromDisk = d, true
-					c.stats.storeInterPromotions.Inc()
-					c.stats.intermediateHits.Inc()
+					c.stats.storeInterPromotions.Add(1)
+					c.stats.intermediateHits.Add(1)
 					c.stats.bytesRecomputedSaved.Add(int64(len(d)))
 				}
 			}
 		}
 		if !fromDisk {
 			if universal {
-				c.stats.universalStageRuns.Inc()
+				c.stats.universalStageRuns.Add(1)
 			}
-			c.stats.prefixSegmentRuns.Inc()
+			c.stats.prefixSegmentRuns.Add(1)
 			data, err = compute()
 		}
 		f.data, f.err = data, err
@@ -208,9 +208,9 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 		if err == nil && !c.closed.Load() {
 			if c.prefixWorthStoring(cost, int64(len(data))) {
 				c.storeIntermediateLocked(k, doc, user, data, cost)
-				c.stats.prefixInstalls.Inc()
+				c.stats.prefixInstalls.Add(1)
 			} else {
-				c.stats.prefixInstallSkips.Inc()
+				c.stats.prefixInstallSkips.Add(1)
 			}
 		}
 		c.interMu.Unlock()
@@ -250,7 +250,7 @@ func (c *Cache) prefixWorthStoring(cost time.Duration, size int64) bool {
 func (c *Cache) storeIntermediateLocked(k, doc, user string, data []byte, cost time.Duration) {
 	s := c.internBlob(data, false)
 	c.inter[k] = &interEntry{doc: doc, user: user, signature: s, size: int64(len(data))}
-	c.stats.intermediateEntries.Inc()
+	c.stats.intermediateEntries.Add(1)
 	c.stats.intermediateBytes.Add(int64(len(data)))
 	c.policyMu.Lock()
 	c.policy.Insert(k, int64(len(data)), cost)

@@ -94,7 +94,7 @@ func (c *Cache) invalidateDoc(doc string) {
 		for k, ent := range sh.entries {
 			if ent.doc == doc {
 				if c.dropShardLocked(sh, k) {
-					c.stats.invalidations.Inc()
+					c.stats.invalidations.Add(1)
 				}
 			}
 		}
@@ -109,7 +109,7 @@ func (c *Cache) invalidateDoc(doc string) {
 // anything that changes content for every user invalidates all of the
 // document's entries.
 func (c *Cache) onBaseEvent(e event.Event) {
-	c.stats.notifications.Inc()
+	c.stats.notifications.Add(1)
 	c.observeInvalidation(e)
 	c.invalidateDoc(e.Doc)
 }
@@ -117,7 +117,7 @@ func (c *Cache) onBaseEvent(e event.Event) {
 // onRefEvent handles notifications from a reference notifier: personal
 // property changes invalidate only that user's entry.
 func (c *Cache) onRefEvent(e event.Event) {
-	c.stats.notifications.Inc()
+	c.stats.notifications.Add(1)
 	c.observeInvalidation(e)
 	c.invalidateUser(e.Doc, e.User)
 }
@@ -145,7 +145,7 @@ func (c *Cache) invalidateUser(doc, user string) {
 	sh := c.idx.shardFor(k)
 	sh.mu.Lock()
 	if c.dropShardLocked(sh, k) {
-		c.stats.invalidations.Inc()
+		c.stats.invalidations.Add(1)
 	}
 	sh.mu.Unlock()
 	c.sweepUserIntermediates(doc, user)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
 
 	"placeless/internal/docspace"
 	"placeless/internal/obs"
+	"placeless/internal/property"
 )
 
 // TestObserverVerdictsAndCauses walks one document through the paper's
@@ -83,31 +85,61 @@ func TestObserverVerdictsAndCauses(t *testing.T) {
 		t.Errorf("staged miss spans = %v/%v/%v, want all > 0",
 			last.BitFetch, last.Universal, last.Personal)
 	}
-	if last.FullChain != 0 {
-		t.Errorf("staged miss recorded FullChain = %v, want 0", last.FullChain)
-	}
 }
 
-// TestObserverUnstagedFullChain checks that without Memoize the miss's
-// undivided read path lands under the full_chain stage.
-func TestObserverUnstagedFullChain(t *testing.T) {
-	o := obs.NewObserver()
-	w := newWorld(t, Options{Observer: o})
-	w.addDoc(t, "d", "eyal", "/d", []byte("content"))
-	w.read(t, "d", "eyal")
+// TestObserverEveryMissIsSplit checks that a miss records the
+// bit-fetch / universal / personal spans whatever its configuration:
+// memoization off, memoization on, and memoization on over a chain
+// whose first universal property has no memo contract (no cut
+// survives, so the store is never consulted). Only the number of cuts
+// offered tells the three apart.
+func TestObserverEveryMissIsSplit(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		memoize  bool
+		poisoned bool
+		wantCuts bool
+	}{
+		{"memoize off", false, false, false},
+		{"memoize on", true, false, true},
+		{"memoize on, head not memoizable", true, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.NewObserver()
+			users := memoUsers(1)
+			w := newWorld(t, Options{Memoize: tc.memoize, Observer: o})
+			setupMemoDoc(t, w, users)
+			if tc.poisoned {
+				opaque := &property.Transformer{
+					Base:          property.Base{PropName: "opaque"},
+					ReadTransform: bytes.ToUpper,
+					Version:       1,
+				}
+				if err := w.space.Attach("d", "", docspace.Universal, opaque); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.space.Reorder("d", "", docspace.Universal, []string{"opaque", "spell-correct", "line-number"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.read(t, "d", users[0])
 
-	tr := o.Ring().Snapshot(1)
-	if len(tr) != 1 || tr[0].Verdict != obs.VerdictMiss {
-		t.Fatalf("trace = %+v, want one miss", tr)
-	}
-	if tr[0].Cause != obs.CauseCold {
-		t.Errorf("cause = %s, want %s", tr[0].Cause, obs.CauseCold)
-	}
-	if tr[0].FullChain <= 0 {
-		t.Errorf("FullChain = %v, want > 0", tr[0].FullChain)
-	}
-	if got := o.StageHistogram(obs.StageFullChain).Count(); got != 1 {
-		t.Errorf("full_chain stage count = %d, want 1", got)
+			tr := o.Ring().Snapshot(1)
+			if len(tr) != 1 || tr[0].Verdict != obs.VerdictMiss || tr[0].Cause != obs.CauseCold {
+				t.Fatalf("trace = %+v, want one cold miss", tr)
+			}
+			if tr[0].BitFetch <= 0 || tr[0].Universal <= 0 || tr[0].Personal <= 0 {
+				t.Errorf("miss spans = %v/%v/%v, want all > 0", tr[0].BitFetch, tr[0].Universal, tr[0].Personal)
+			}
+			if (tr[0].PrefixCuts > 0) != tc.wantCuts {
+				t.Errorf("PrefixCuts = %d, want > 0: %v", tr[0].PrefixCuts, tc.wantCuts)
+			}
+			for _, stage := range []string{obs.StageBitFetch, obs.StageUniversal, obs.StagePersonal} {
+				if got := o.StageHistogram(stage).Count(); got != 1 {
+					t.Errorf("%s stage count = %d, want 1", stage, got)
+				}
+			}
+		})
 	}
 }
 

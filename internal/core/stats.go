@@ -1,51 +1,51 @@
 package core
 
-import "placeless/internal/metrics"
+import "sync/atomic"
 
 // statsCounters is the cache's live bookkeeping: every field is a
-// lock-free atomic counter (metrics.Counter), so the hot hit path
-// records activity without serializing behind any cache lock and
-// Stats() never blocks readers. Byte and shared-entry gauges are
+// lock-free atomic counter, so the hot hit path records activity
+// without serializing behind any cache lock and Stats() never blocks
+// readers. Byte and shared-entry gauges are
 // maintained incrementally by the blob store under blobMu; they use
 // the same atomic representation so snapshots need no lock either.
 type statsCounters struct {
-	hits            metrics.Counter
-	misses          metrics.Counter
-	coalesced       metrics.Counter
-	verifierRejects metrics.Counter
-	notifications   metrics.Counter
-	invalidations   metrics.Counter
-	evictions       metrics.Counter
-	uncacheable     metrics.Counter
-	eventsForwarded metrics.Counter
-	prefetches      metrics.Counter
-	bytesStored     metrics.Counter
-	bytesLogical    metrics.Counter
-	sharedEntries   metrics.Counter
-	flushes         metrics.Counter
+	hits            atomic.Int64
+	misses          atomic.Int64
+	coalesced       atomic.Int64
+	verifierRejects atomic.Int64
+	notifications   atomic.Int64
+	invalidations   atomic.Int64
+	evictions       atomic.Int64
+	uncacheable     atomic.Int64
+	eventsForwarded atomic.Int64
+	prefetches      atomic.Int64
+	bytesStored     atomic.Int64
+	bytesLogical    atomic.Int64
+	sharedEntries   atomic.Int64
+	flushes         atomic.Int64
 
 	// Intermediate-memoization gauges (Options.Memoize).
-	intermediateHits     metrics.Counter
-	universalStageRuns   metrics.Counter
-	bytesRecomputedSaved metrics.Counter
-	intermediateEntries  metrics.Counter
-	intermediateBytes    metrics.Counter
+	intermediateHits     atomic.Int64
+	universalStageRuns   atomic.Int64
+	bytesRecomputedSaved atomic.Int64
+	intermediateEntries  atomic.Int64
+	intermediateBytes    atomic.Int64
 
 	// Prefix-pipeline counters (the N-cut generalization).
-	prefixHits           metrics.Counter
-	prefixSegmentRuns    metrics.Counter
-	prefixInstalls       metrics.Counter
-	prefixInstallSkips   metrics.Counter
-	prefixSavedBytes     metrics.Counter
-	prefixFallbackErrors metrics.Counter
+	prefixHits           atomic.Int64
+	prefixSegmentRuns    atomic.Int64
+	prefixInstalls       atomic.Int64
+	prefixInstallSkips   atomic.Int64
+	prefixSavedBytes     atomic.Int64
+	prefixFallbackErrors atomic.Int64
 
 	// Durable disk-tier counters (Options.Store).
-	storeDemotions        metrics.Counter
-	storeInterDemotions   metrics.Counter
-	storePromotions       metrics.Counter
-	storeInterPromotions  metrics.Counter
-	storePromotionRejects metrics.Counter
-	storeErrors           metrics.Counter
+	storeDemotions        atomic.Int64
+	storeInterDemotions   atomic.Int64
+	storePromotions       atomic.Int64
+	storeInterPromotions  atomic.Int64
+	storePromotionRejects atomic.Int64
+	storeErrors           atomic.Int64
 }
 
 // snapshot assembles the exported Stats view. Counters are read one at

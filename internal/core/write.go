@@ -122,7 +122,7 @@ func (c *Cache) Flush() error {
 			delete(c.dirty, key(p.doc, p.user))
 		}
 		c.writeMu.Unlock()
-		c.stats.flushes.Inc()
+		c.stats.flushes.Add(1)
 	}
 	return nil
 }

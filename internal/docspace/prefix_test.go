@@ -227,12 +227,13 @@ func TestPrefixStagedMatchesPlainEverySubset(t *testing.T) {
 	f := stageFixture(t)
 	users := []string{"eyal", "paul"}
 	plain := make(map[string][]byte)
+	plainRes := make(map[string]property.ReadResult)
 	for _, u := range users {
-		d, _, err := f.space.ReadDocument("d", u)
+		d, res, err := f.space.ReadDocument("d", u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain[u] = d
+		plain[u], plainRes[u] = d, res
 	}
 
 	// One warm pass to learn every cut's key and bytes.
@@ -262,13 +263,18 @@ func TestPrefixStagedMatchesPlainEverySubset(t *testing.T) {
 			}
 		}
 		for _, u := range users {
-			staged, _, _, err := f.space.ReadDocumentStaged("d", u, m)
+			staged, res, _, err := f.space.ReadDocumentStaged("d", u, m)
 			if err != nil {
 				t.Fatalf("mask %b user %s: %v", mask, u, err)
 			}
 			if !bytes.Equal(staged, plain[u]) {
 				t.Fatalf("mask %b user %s: staged read diverged:\nplain:  %q\nstaged: %q",
 					mask, u, plain[u], staged)
+			}
+			// Served segments skip their transforms, never their votes,
+			// verifiers or replacement cost.
+			if want := plainRes[u]; res.Cacheability != want.Cacheability || res.Cost != want.Cost || len(res.Verifiers) != len(want.Verifiers) {
+				t.Fatalf("mask %b user %s: ReadResult diverged:\nplain:  %+v\nstaged: %+v", mask, u, want, res)
 			}
 		}
 	}

@@ -102,12 +102,10 @@ type StageTrace struct {
 	// transforms — slow, not broken.
 	MemoErr bool
 	// BitFetchDur, UniversalDur and PersonalDur are wall-clock stage
-	// timings of the staged read path — raw source retrieval, the
-	// universal stage (memo lookup on a hit, full execution
-	// otherwise), and the personal suffix — for the observability
-	// layer's per-stage histograms. All zero when the staged split
-	// was not attempted (the fallback path cannot separate its lazy
-	// chain into stages).
+	// timings of the read — raw source retrieval, the universal stage
+	// (memo lookup on a hit, full execution otherwise), and the
+	// personal suffix — for the observability layer's per-stage
+	// histograms. Every read that returns content sets all three.
 	BitFetchDur  time.Duration
 	UniversalDur time.Duration
 	PersonalDur  time.Duration
@@ -259,10 +257,10 @@ func (sr *stagedRun) cross(hit bool) {
 }
 
 // finish executes every wrapper not yet applied and returns the final
-// content. If the universal boundary has not been passed (a poisoned
-// boundary cut, or a store failure early in the walk), the remainder
-// runs in two chunks split at the boundary so the per-stage timings
-// stay attributable.
+// content. If the universal boundary has not been passed (no cuts
+// offered, a poisoned boundary cut, or a store failure early in the
+// walk), the remainder runs in two chunks split at the boundary so the
+// per-stage timings stay attributable.
 func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 	if !sr.crossed {
 		if sr.uWrapEnd > sr.wrapAt {
@@ -298,10 +296,11 @@ func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 // The store is offered a cut at every boundary whose prefix is fully
 // memoizable. A non-memoizable byte-touching property
 // poisons every cut at or after its position; if no cut survives — or
-// memo is nil — the read falls back to ordinary single-chain execution
-// and the trace reports Attempted=false. A store error mid-walk
-// degrades to direct execution of the remaining transforms (slow, not
-// broken) and sets trace.MemoErr.
+// memo is nil — the same walk runs with zero cuts (raw fetch, universal
+// chunk, personal chunk, each timed) and the trace reports
+// Attempted=false. A store error mid-walk degrades to direct execution
+// of the remaining transforms (slow, not broken) and sets
+// trace.MemoErr.
 func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) ([]byte, property.ReadResult, StageTrace, error) {
 	var trace StageTrace
 
@@ -402,29 +401,30 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	b.node.registry.Dispatch(e)
 	r.node.registry.Dispatch(e)
 
-	if memo == nil || len(cuts) == 0 {
-		data, err := stream.ReadAllAndClose(stream.ChainInput(raw, wrappers...))
-		return data, rc.Result(), trace, err
-	}
-
 	tRaw := time.Now()
 	rawBytes, err := stream.ReadAllAndClose(raw)
 	if err != nil {
 		return nil, property.ReadResult{}, trace, err
 	}
 	trace.BitFetchDur = openDur + time.Since(tRaw)
-	srcSig := sig.Of(rawBytes)
-	trace.Attempted = true
-	trace.SourceSig = srcSig
-	trace.Fingerprint = fps[nU]
-	trace.Cuts = len(cuts)
-	trace.DeepestHit = -1
 
 	sr := &stagedRun{
 		rc: rc, trace: &trace,
 		wrappers: wrappers, uWrapEnd: uWrapEnd,
 		cur: rawBytes, tUni: time.Now(),
 	}
+	if memo == nil || len(cuts) == 0 {
+		// No cut to offer a store, so no key to build: the source is
+		// not hashed and the walk is finish()'s two chunks.
+		return sr.finish()
+	}
+
+	srcSig := sig.Of(rawBytes)
+	trace.Attempted = true
+	trace.SourceSig = srcSig
+	trace.Fingerprint = fps[nU]
+	trace.Cuts = len(cuts)
+	trace.DeepestHit = -1
 
 	next := 0
 	probe := make([]sig.Signature, len(cuts))

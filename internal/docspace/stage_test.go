@@ -2,6 +2,7 @@ package docspace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -287,6 +288,97 @@ func TestStagedReadWithNilMemoFallsBack(t *testing.T) {
 	}
 	if !bytes.Equal(plain, staged) {
 		t.Fatalf("nil-store fallback diverged: %q vs %q", plain, staged)
+	}
+}
+
+// TestStagedWithoutCutsMatchesReference: with no store, or behind a
+// universal chain whose head has no memo contract, a staged read is
+// offered no cuts. It must still equal the lazy reference read — in
+// bytes, in everything the ReadResult tells the cache, in simulated
+// time charged, and in the getInputStream events both levels see — and
+// must report its three stage timings.
+func TestStagedWithoutCutsMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		poisonHead bool
+		memo       *fakePrefixMemo
+	}{
+		{name: "nil store"},
+		{name: "head not memoizable", poisonHead: true, memo: newFakePrefixMemo()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.space.SetAccessOverhead(2 * time.Millisecond)
+			f.addDoc(t, "d", "eyal", "/d", []byte("teh first line is recieve\nsecond line\nthird line\nfourth line\n"))
+			uTrail, pTrail := property.NewAuditTrail(), property.NewAuditTrail()
+			var universal []property.Active
+			if tc.poisonHead {
+				universal = append(universal, &property.Transformer{
+					Base:          property.Base{PropName: "opaque"},
+					ReadTransform: bytes.ToUpper,
+					ExecCost:      time.Millisecond,
+					Version:       1,
+				})
+			}
+			universal = append(universal,
+				property.NewSpellCorrector(time.Millisecond),
+				property.NewCollection("set", "d", "sibling"),
+				property.NewSummarizer(3, time.Millisecond),
+				uTrail)
+			for _, p := range universal {
+				if err := f.space.Attach("d", "", Universal, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range []property.Active{property.NewWatermarker("eyal", time.Millisecond), pTrail} {
+				if err := f.space.Attach("d", "eyal", Personal, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			t0 := f.clk.Now()
+			plain, want, err := f.space.ReadDocument("d", "eyal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			plainTook := f.clk.Now().Sub(t0)
+			if len(want.Related) == 0 || len(want.Verifiers) == 0 || want.Cost == 0 || want.Cacheability != property.CacheWithEvents {
+				t.Fatalf("reference result exercises too little: %+v", want)
+			}
+
+			t0 = f.clk.Now()
+			var memo PrefixIntermediates
+			if tc.memo != nil {
+				memo = tc.memo
+			}
+			staged, got, trace, err := f.space.ReadDocumentStaged("d", "eyal", memo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took := f.clk.Now().Sub(t0); took != plainTook {
+				t.Errorf("staged read charged %v of simulated time, reference %v", took, plainTook)
+			}
+			if !bytes.Equal(plain, staged) {
+				t.Errorf("bytes diverged:\nreference: %q\nstaged:    %q", plain, staged)
+			}
+			if got.Cacheability != want.Cacheability || got.Cost != want.Cost ||
+				len(got.Verifiers) != len(want.Verifiers) || !reflect.DeepEqual(got.Related, want.Related) {
+				t.Errorf("ReadResult diverged:\nreference: %+v\nstaged:    %+v", want, got)
+			}
+			if trace.Attempted || trace.Cuts != 0 || trace.Hit || trace.SourceSig != (sig.Signature{}) {
+				t.Errorf("trace = %+v, want no cuts offered and the source not hashed", trace)
+			}
+			if trace.BitFetchDur <= 0 || trace.UniversalDur <= 0 || trace.PersonalDur <= 0 {
+				t.Errorf("stage timings = %v/%v/%v, want all set", trace.BitFetchDur, trace.UniversalDur, trace.PersonalDur)
+			}
+			if tc.memo != nil && tc.memo.calls != 0 {
+				t.Errorf("store consulted %d times with no cut to offer", tc.memo.calls)
+			}
+			// One getInputStream per read at each level: two reads so far.
+			if u, p := len(uTrail.Records()), len(pTrail.Records()); u != 2 || p != 2 {
+				t.Errorf("audit records universal/personal = %d/%d, want 2/2", u, p)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"placeless/internal/docspace"
-	"placeless/internal/metrics"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/trace"
 )
@@ -64,18 +64,6 @@ func (r CacheabilityResult) TableData() ([]string, [][]string) {
 	return []string{"mix (unrestricted/with-events/uncacheable)", "hit ratio", "mean read (ms)", "events forwarded"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r CacheabilityResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r CacheabilityResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // RunCacheability sweeps the population mix across the paper's three
 // cacheability indicators: unrestricted documents, documents whose
 // properties need operation events forwarded (audit trails), and
@@ -129,7 +117,7 @@ func RunCacheability(cfg CacheabilityConfig) (CacheabilityResult, error) {
 				return res, err
 			}
 		}
-		readHist := metrics.NewHistogram()
+		var readHist obs.Histogram
 		for _, a := range accesses {
 			d := w.Timed(func() {
 				if _, err := w.Cache.Read(a.Doc, "reader"); err != nil {

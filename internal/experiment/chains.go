@@ -62,18 +62,6 @@ func (r ChainsResult) TableData() ([]string, [][]string) {
 	return []string{"chain length", "no cache (ms)", "cache hit (ms)", "replacement cost (ms)"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r ChainsResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r ChainsResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // RunChains measures read latency against the number of chained
 // active properties, cached and uncached. The headline claim of the
 // paper's §4 — "caching can effectively hide the latency of a

@@ -110,18 +110,6 @@ func (r ClusterResult) TableData() ([]string, [][]string) {
 	return header, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r ClusterResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r ClusterResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // runClusterPhase measures one cluster size: one origin, n nodes (each
 // a listener + client + remote cache), the keyset warmed through the
 // router, then cfg.Reads routed reads with per-node virtual service

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"placeless/internal/docspace"
-	"placeless/internal/metrics"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 )
 
@@ -64,18 +64,6 @@ func (r CollectionResult) TableData() ([]string, [][]string) {
 	return []string{"config", "first read (ms)", "later members (ms)", "whole walk (ms)", "prefetches"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r CollectionResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r CollectionResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // RunCollection measures the paper's §5 open question about caching
 // for related documents: a user walks through every member of a
 // collection of far-away (WAN) documents. With the collection property
@@ -105,7 +93,7 @@ func RunCollection(cfg CollectionConfig) (CollectionResult, error) {
 			}
 		}
 
-		walk := metrics.NewHistogram()
+		var walk obs.Histogram
 		walkStart := w.Clk.Now()
 		var first time.Duration
 		for i, id := range members {

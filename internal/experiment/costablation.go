@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"placeless/internal/core"
-	"placeless/internal/metrics"
+	"placeless/internal/obs"
 	"placeless/internal/replace"
 	"placeless/internal/trace"
 )
@@ -35,18 +35,6 @@ func (r CostAblationResult) TableData() ([]string, [][]string) {
 	return []string{"cost signal", "hit ratio", "mean read (ms)"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r CostAblationResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r CostAblationResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // RunCostAblation isolates the paper's design decision to feed
 // property-supplied costs into Greedy-Dual-Size: the same workload as
 // E2 runs under GDS with the full accumulated cost (retrieval +
@@ -63,7 +51,7 @@ func RunCostAblation(cfg ReplacementConfig) (CostAblationResult, error) {
 		if err != nil {
 			return res, err
 		}
-		readHist := metrics.NewHistogram()
+		var readHist obs.Histogram
 		for _, a := range accesses {
 			d := w.Timed(func() {
 				if _, err := w.Cache.Read(a.Doc, "reader"); err != nil {

@@ -9,13 +9,14 @@ package experiment
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"time"
 
 	"placeless/internal/clock"
 	"placeless/internal/core"
 	"placeless/internal/docspace"
-	"placeless/internal/metrics"
 	"placeless/internal/property"
 	"placeless/internal/repo"
 	"placeless/internal/simnet"
@@ -93,9 +94,9 @@ func (w *World) AddWebDoc(origin *repo.Web, id, owner string, content []byte) er
 
 // Timed runs fn and returns the simulated time it consumed.
 func (w *World) Timed(fn func()) time.Duration {
-	sw := metrics.NewStopwatch(w.Clk.Now)
+	start := w.Clk.Now()
 	fn()
-	return sw.Lap()
+	return w.Clk.Now().Sub(start)
 }
 
 // Content synthesizes deterministic document content of n bytes.
@@ -171,12 +172,33 @@ func csvTable(header []string, rows [][]string) string {
 	return b.String()
 }
 
-// Result is the interface every experiment result satisfies: a data
-// accessor plus the two renderings built from it.
+// Result is the interface every experiment result satisfies: the
+// header and rows that Table and CSV render.
 type Result interface {
 	TableData() ([]string, [][]string)
-	Table() string
-	CSV() string
+}
+
+// Table renders r as an aligned text table.
+func Table(r Result) string { return table(r.TableData()) }
+
+// CSV renders r as CSV for plotting.
+func CSV(r Result) string { return csvTable(r.TableData()) }
+
+// percentile returns the p-th percentile (0 < p <= 100) of samples by
+// exact nearest rank, or 0 with no samples. It sorts samples in place.
+func percentile(samples []time.Duration, p float64) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	rank := int(math.Ceil(p / 100 * float64(len(samples))))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(samples) {
+		rank = len(samples)
+	}
+	return samples[rank-1]
 }
 
 // fmtMS renders a duration as milliseconds with two decimals, the unit

@@ -52,7 +52,7 @@ func TestTable1Shape(t *testing.T) {
 		t.Fatalf("remote hit speedup too small: parc %v/%v gatech %v/%v",
 			parc.Hit, parc.NoCache, gatech.Hit, gatech.NoCache)
 	}
-	out := res.Table()
+	out := Table(res)
 	for _, want := range []string{"parcweb", "www.gatech.edu", "local file", "1,915", "10,883", "1,104"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
@@ -103,7 +103,7 @@ func TestNotifierVerifierTradeoff(t *testing.T) {
 	if vOnly.StaleReads != 0 || both.StaleReads != 0 {
 		t.Fatalf("stale reads in verified modes: v=%d both=%d", vOnly.StaleReads, both.StaleReads)
 	}
-	if !strings.Contains(res.Table(), "verifier-only") {
+	if !strings.Contains(Table(res), "verifier-only") {
 		t.Fatal("table rendering broken")
 	}
 }
@@ -141,7 +141,7 @@ func TestNotifierVerifierSweepShape(t *testing.T) {
 			t.Fatalf("stale reads in verified mode at 1/%d", rate.UpdateEvery)
 		}
 	}
-	if !strings.Contains(res.Table(), "1/5") {
+	if !strings.Contains(Table(res), "1/5") {
 		t.Fatal("sweep table rendering broken")
 	}
 }
@@ -532,8 +532,8 @@ func TestObsShape(t *testing.T) {
 	if len(header) != 2 || len(rows) < 8 {
 		t.Fatalf("table shape: header=%v rows=%d", header, len(rows))
 	}
-	if !strings.Contains(res.Table(), "instrumentation overhead") {
-		t.Fatalf("table missing overhead row:\n%s", res.Table())
+	if !strings.Contains(Table(res), "instrumentation overhead") {
+		t.Fatalf("table missing overhead row:\n%s", Table(res))
 	}
 }
 
@@ -586,8 +586,8 @@ func TestResilienceShape(t *testing.T) {
 	if res.WedgedP99 > 10*cfg.WedgedTimeout {
 		t.Fatalf("wedged p99 = %v: deadline not enforced tightly", res.WedgedP99)
 	}
-	if !strings.Contains(res.Table(), "stale after reconnect") {
-		t.Fatalf("table missing acceptance row:\n%s", res.Table())
+	if !strings.Contains(Table(res), "stale after reconnect") {
+		t.Fatalf("table missing acceptance row:\n%s", Table(res))
 	}
 }
 
@@ -631,8 +631,8 @@ func TestClusterScalingShape(t *testing.T) {
 	if res.Phases[0].Imbalance != 1 {
 		t.Fatalf("single node imbalance = %.2f, want exactly 1", res.Phases[0].Imbalance)
 	}
-	if !strings.Contains(res.Table(), "agg_ops/s") {
-		t.Fatalf("table missing throughput column:\n%s", res.Table())
+	if !strings.Contains(Table(res), "agg_ops/s") {
+		t.Fatalf("table missing throughput column:\n%s", Table(res))
 	}
 }
 

@@ -92,18 +92,6 @@ func (r MemoResult) TableData() ([]string, [][]string) {
 	return []string{"users", "full miss ms", "memo miss ms", "speedup", "universal runs", "inter hits", "saved bytes"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r MemoResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r MemoResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // memoUserID names the i-th reader.
 func memoUserID(i int) string { return fmt.Sprintf("u%02d", i) }
 

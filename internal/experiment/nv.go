@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"time"
 
-	"placeless/internal/metrics"
+	"placeless/internal/obs"
 	"placeless/internal/trace"
 )
 
@@ -104,18 +104,6 @@ func (r NVResult) TableData() ([]string, [][]string) {
 	return []string{"mode", "hit (ms)", "read (ms)", "hit ratio", "stale reads", "notifications", "verifier polls"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r NVResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r NVResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // RunNotifierVerifier measures the paper's stated tradeoff: "verifier
 // execution trades-off cache consistency with cache access time
 // latencies, while notifier execution adds load to the Placeless
@@ -168,18 +156,6 @@ func (r NVSweepResult) TableData() ([]string, [][]string) {
 	return []string{"update rate", "mode", "read (ms)", "hit ratio", "stale reads", "notifications"}, rows
 }
 
-// Table renders the sweep as an aligned text table.
-func (r NVSweepResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the sweep as comma-separated values.
-func (r NVSweepResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // RunNotifierVerifierSweep runs E1 across update rates, producing the
 // series a figure would plot: as documents change faster, the
 // notifier-only mode's staleness and the verifier modes' latency both
@@ -227,8 +203,7 @@ func runNVMode(cfg NVConfig, mode ConsistencyMode) (NVRow, error) {
 		Docs: cfg.Docs, Users: 1, Length: cfg.Reads, Alpha: 1.1, Seed: cfg.Seed,
 	})
 
-	hitHist := metrics.NewHistogram()
-	readHist := metrics.NewHistogram()
+	var hitHist, readHist obs.Histogram
 	stale := 0
 	version := 0
 	// The inside/outside coin uses its own deterministic stream so

@@ -119,18 +119,6 @@ func (r ObsResult) TableData() ([]string, [][]string) {
 	return []string{"measurement", "value"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r ObsResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r ObsResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // obsWorld builds a real-clock cache over cfg.Docs warm documents,
 // optionally instrumented.
 func obsWorld(cfg ObsConfig, hitCost time.Duration, o *obs.Observer) (*core.Cache, error) {

@@ -93,18 +93,6 @@ func (r ParallelResult) TableData() ([]string, [][]string) {
 	return []string{"goroutines", "seed-mutex hits/s", "sharded hits/s", "speedup", "cold fetches", "coalesced"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r ParallelResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r ParallelResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // parallelWorld builds a REAL-clock cache over a zero-latency source
 // with cfg.Docs warm documents. Real time is required because the
 // experiment measures whether per-hit costs overlap across goroutines;

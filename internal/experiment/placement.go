@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"placeless/internal/core"
-	"placeless/internal/metrics"
+	"placeless/internal/obs"
 	"placeless/internal/remote"
 	"placeless/internal/server"
 	"placeless/internal/trace"
@@ -64,18 +64,6 @@ func (r PlacementResult) TableData() ([]string, [][]string) {
 		rows = append(rows, []string{row.Placement, fmtMS(row.MeanRead), fmtMS(row.P99Read)})
 	}
 	return []string{"placement", "mean read (ms)", "p99 read (ms)"}, rows
-}
-
-// Table renders the result as an aligned text table.
-func (r PlacementResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r PlacementResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
 }
 
 // RunPlacement measures the two cache placements the paper's
@@ -162,7 +150,8 @@ func runPlacementMode(cfg PlacementConfig, mode string) (PlacementRow, error) {
 	accesses := trace.Generate(trace.Config{
 		Docs: cfg.Docs, Users: 1, Length: cfg.Reads, Alpha: 1.1, Seed: cfg.Seed,
 	})
-	hist := metrics.NewHistogram()
+	var hist obs.Histogram
+	var samples []time.Duration
 	for _, a := range accesses {
 		d := w.Timed(func() {
 			if err := read(a.Doc); err != nil {
@@ -170,10 +159,11 @@ func runPlacementMode(cfg PlacementConfig, mode string) (PlacementRow, error) {
 			}
 		})
 		hist.Observe(d)
+		samples = append(samples, d)
 	}
 	return PlacementRow{
 		Placement: mode,
 		MeanRead:  hist.Mean(),
-		P99Read:   hist.Percentile(99),
+		P99Read:   percentile(samples, 99),
 	}, nil
 }

@@ -100,18 +100,6 @@ func (r PrefixResult) TableData() ([]string, [][]string) {
 	return []string{"users", "full ms", "multi-cut ms", "vs full", "shared runs (multi)", "universal runs", "prefix hits"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r PrefixResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r PrefixResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // runPrefixMode builds one world — a two-transform universal chain and
 // a personal chain of [shared translate, per-user watermark] — and
 // drives the cold miss storm with memoization on or off: every user

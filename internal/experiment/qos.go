@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"placeless/internal/docspace"
-	"placeless/internal/metrics"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/repo"
 	"placeless/internal/simnet"
@@ -79,18 +79,6 @@ func (r QoSResult) TableData() ([]string, [][]string) {
 	return []string{"config", "qos-doc hit ratio", "qos-doc mean (ms)", "qos-doc worst (ms)", "met <250ms", "overall hit ratio"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r QoSResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r QoSResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // RunQoS evaluates the paper's §5 proposal that QoS properties ("access
 // time < .25 seconds") influence cache replacement by inflating
 // replacement costs. A slow WAN document carrying the QoS property
@@ -158,7 +146,8 @@ func runQoSMode(cfg QoSConfig, enabled bool) (QoSRow, error) {
 	accesses := trace.Generate(trace.Config{
 		Docs: cfg.BackgroundDocs, Users: 1, Length: cfg.Reads, Alpha: 1.05, Seed: cfg.Seed,
 	})
-	qosHist := metrics.NewHistogram()
+	var qosHist obs.Histogram
+	var samples []time.Duration
 	var qosHits, qosReads int64
 	met := true
 	for i, a := range accesses {
@@ -179,6 +168,7 @@ func runQoSMode(cfg QoSConfig, enabled bool) (QoSRow, error) {
 			}
 			if qosReads > 1 { // skip the compulsory first miss
 				qosHist.Observe(d)
+				samples = append(samples, d)
 				if d > 250*time.Millisecond {
 					met = false
 				}
@@ -189,7 +179,7 @@ func runQoSMode(cfg QoSConfig, enabled bool) (QoSRow, error) {
 	row := QoSRow{
 		Config:          map[bool]string{false: "qos-off", true: "qos-on"}[enabled],
 		QoSMeanRead:     qosHist.Mean(),
-		QoSWorstRead:    qosHist.Max(),
+		QoSWorstRead:    percentile(samples, 100),
 		MetTarget:       met,
 		OverallHitRatio: st.HitRatio(),
 	}

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"placeless/internal/obs"
+	"placeless/internal/swarm"
 )
 
 // sampleResults constructs one literal instance of every result type.
@@ -26,6 +29,19 @@ func sampleResults() []Result {
 		CostAblationResult{Rows: []CostAblationRow{{Config: "full", HitRatio: 0.5, MeanRead: ms(25)}}},
 		PlacementResult{Rows: []PlacementRow{{Placement: "app+server", MeanRead: ms(8), P99Read: ms(190)}}},
 		ParallelResult{Rows: []ParallelRow{{Goroutines: 8, SeedMutexRate: 870, ShardedRate: 7400, Speedup: 8.5, ColdFetches: 1, Coalesced: 7}}},
+		MemoResult{Rows: []MemoRow{{Users: 8, FullMiss: ms(9), MemoMiss: ms(3), Speedup: 3, UniversalRuns: 1, IntermediateHits: 39, SavedBytes: 638976}}},
+		ObsResult{BareRate: 19000, ObservedRate: 18900, OverheadPct: 0.5, RawBareRate: 2e6, RawObservedRate: 1e6, RawOverheadPct: 50,
+			Verdicts: map[string]int64{obs.VerdictHit: 56, obs.VerdictMemo: 7, obs.VerdictMiss: 1},
+			Stages:   []ObsStageRow{{Stage: obs.StageUniversal, Count: 8, P50: ms(1), P99: ms(2), Mean: ms(1)}}},
+		ResilienceResult{Phases: []ResiliencePhase{
+			{Policy: "fail-fast", Reconnects: 1, EpochFlushes: 1, DegradedErrors: 16, PostReconnectReads: 16},
+			{Policy: "serve-stale", Reconnects: 1, EpochFlushes: 1, StaleServed: 16, PostReconnectReads: 16},
+		}, WedgedP50: ms(251), WedgedP99: ms(253)},
+		WireResult{Phases: []WirePhase{{BlobSize: 64 << 10, Ops: 4000, Concurrency: 8, Seconds: 1, OpsPerSec: 4000, MBPerSec: 250, AllocsPerOp: 10, BytesPerOp: 921, FramesBatched: 12, StreamedReads: 0}}},
+		ClusterResult{Phases: []ClusterPhase{{Nodes: 8, Keys: 4096, Reads: 32768, Hits: 32768, MakespanMS: 1024, AggOpsPerSec: 32000, Imbalance: 1.25, Failovers: 0}},
+			SpeedupByNodes: map[string]float64{"8": 6.4}},
+		PrefixResult{Rows: []PrefixRow{{Users: 16, FullMiss: ms(12), MultiMiss: ms(3), SpeedupVsFull: 4, SharedRunsMulti: 1, UniversalRuns: 1, PrefixHits: 15}}},
+		SwarmResult{Phases: []swarm.Frontier{{Phase: "cluster", Users: 120000, Ops: 150000, Reads: 142000, Hits: 71000, SegmentRunsSaved: 900, UniversalStageRuns: 3400, StaleReads: 0, MaxVersionLag: 0, P50Micros: 12, P99Micros: 340, ElapsedMS: 2100}}},
 	}
 }
 
@@ -40,8 +56,8 @@ func TestAllResultsRenderConsistently(t *testing.T) {
 				t.Fatalf("%T: row %d has %d cells, header has %d", res, i, len(r), len(header))
 			}
 		}
-		tbl := res.Table()
-		csv := res.CSV()
+		tbl := Table(res)
+		csv := CSV(res)
 		// Same line counts: header + separator + rows vs header + rows.
 		tblLines := strings.Count(strings.TrimRight(tbl, "\n"), "\n") + 1
 		csvLines := strings.Count(strings.TrimRight(csv, "\n"), "\n") + 1
@@ -67,5 +83,29 @@ func TestCSVQuoting(t *testing.T) {
 	out := csvTable([]string{"a", "b"}, [][]string{{`x,y`, `he said "hi"`}})
 	if !strings.Contains(out, `"x,y"`) || !strings.Contains(out, `"he said ""hi"""`) {
 		t.Fatalf("csv quoting: %q", out)
+	}
+}
+
+// TestPercentileNearestRank pins the exact nearest-rank helper behind
+// E10's p99 and E6's worst read.
+func TestPercentileNearestRank(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	if got := percentile(nil, 99); got != 0 {
+		t.Fatalf("empty p99 = %v, want 0", got)
+	}
+	var samples []time.Duration
+	for i := 100; i >= 1; i-- { // unordered input
+		samples = append(samples, ms(i))
+	}
+	for _, tc := range []struct {
+		p    float64
+		want time.Duration
+	}{{50, ms(50)}, {99, ms(99)}, {100, ms(100)}, {0.5, ms(1)}} {
+		if got := percentile(samples, tc.p); got != tc.want {
+			t.Errorf("p%v = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	if got := percentile([]time.Duration{ms(5), ms(1), ms(9), ms(3), ms(7)}, 50); got != ms(5) {
+		t.Errorf("p50 of five = %v, want 5ms", got)
 	}
 }

@@ -6,7 +6,7 @@ import (
 
 	"placeless/internal/core"
 	"placeless/internal/docspace"
-	"placeless/internal/metrics"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/replace"
 	"placeless/internal/repo"
@@ -69,18 +69,6 @@ func (r ReplacementResult) TableData() ([]string, [][]string) {
 		})
 	}
 	return []string{"policy", "hit ratio", "byte hit ratio", "mean read (ms)", "evictions"}, rows
-}
-
-// Table renders the result as an aligned text table.
-func (r ReplacementResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r ReplacementResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
 }
 
 // buildReplacementWorld populates a world with cfg.Docs documents
@@ -154,7 +142,7 @@ func RunReplacement(cfg ReplacementConfig) (ReplacementResult, error) {
 		if err != nil {
 			return res, err
 		}
-		readHist := metrics.NewHistogram()
+		var readHist obs.Histogram
 		var hitBytes, totalBytes int64
 		for _, a := range accesses {
 			before := w.Cache.Stats()

@@ -119,18 +119,6 @@ func (r ResilienceResult) TableData() ([]string, [][]string) {
 	return header, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r ResilienceResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r ResilienceResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // resilienceServer is a killable, restartable server over a space that
 // survives the crash (durable state), mirroring the chaos test rigs.
 type resilienceServer struct {

@@ -64,18 +64,6 @@ func (r SharingResult) TableData() ([]string, [][]string) {
 	return []string{"personalized users", "entries", "logical bytes", "stored bytes", "storage saved"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r SharingResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r SharingResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // RunSharing measures how much storage the (doc,user)→signature→bytes
 // indirection saves as personalization rises: with no personal
 // transforms every user shares one blob per document; with full

@@ -86,18 +86,6 @@ func (r SwarmResult) TableData() ([]string, [][]string) {
 	return header, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r SwarmResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r SwarmResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // phases expands the configuration into the three frontier rows.
 func (cfg SwarmConfig) phases() []swarm.RunConfig {
 	gen := swarm.Config{

@@ -87,7 +87,7 @@ func TestSwarmRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, out := range []string{res.Table(), res.CSV()} {
+	for _, out := range []string{Table(res), CSV(res)} {
 		for _, col := range []string{"phase", "hit%", "memo_saved", "stale", "p99_us"} {
 			if !strings.Contains(out, col) {
 				t.Fatalf("rendering missing column %q:\n%s", col, out)

@@ -45,18 +45,6 @@ func (r Table1Result) TableData() ([]string, [][]string) {
 	return []string{"Original Source", "size (bytes)", "no cache (ms)", "cache miss (ms)", "cache hit (ms)"}, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r Table1Result) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r Table1Result) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 func fmtBytes(n int64) string { return fmtInt(n) }
 
 func fmtInt(n int64) string {

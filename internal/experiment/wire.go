@@ -104,18 +104,6 @@ func (r WireResult) TableData() ([]string, [][]string) {
 	return header, rows
 }
 
-// Table renders the result as an aligned text table.
-func (r WireResult) Table() string {
-	header, rows := r.TableData()
-	return table(header, rows)
-}
-
-// CSV renders the result as comma-separated values.
-func (r WireResult) CSV() string {
-	header, rows := r.TableData()
-	return csvTable(header, rows)
-}
-
 // runWirePhase measures one size cell: a cached server over loopback
 // TCP, one client, cfg.Concurrency goroutines splitting cfg.Ops
 // warm-hit reads of one document.

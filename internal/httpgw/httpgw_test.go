@@ -347,7 +347,7 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 		`placeless_reads_total{verdict="hit"} 2`,
 		`placeless_reads_total{verdict="miss"} 1`,
 		"placeless_read_duration_seconds_count 3",
-		`placeless_read_stage_duration_seconds_count{stage="full_chain"} 1`,
+		`placeless_read_stage_duration_seconds_count{stage="bit_fetch"} 1`,
 		"placeless_stream_pool_gets_total",
 	} {
 		if !strings.Contains(body, want) {

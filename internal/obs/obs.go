@@ -48,16 +48,13 @@ const (
 	// StageVerify is hit-time verifier execution.
 	StageVerify = "verify"
 	// StageBitFetch is raw source retrieval (bit-provider open plus
-	// drain) on a staged miss.
+	// drain) on a miss.
 	StageBitFetch = "bit_fetch"
-	// StageUniversal is the universal property stage on a staged miss
-	// (memo lookup on an intermediate hit, full execution otherwise).
+	// StageUniversal is the universal property stage on a miss (memo
+	// lookup on an intermediate hit, full execution otherwise).
 	StageUniversal = "universal"
-	// StagePersonal is the personal property suffix on a staged miss.
+	// StagePersonal is the personal property suffix on a miss.
 	StagePersonal = "personal"
-	// StageFullChain is the undivided read path on an unstaged miss,
-	// where the universal/personal boundary is not observable.
-	StageFullChain = "full_chain"
 	// StageRemoteRTT is the wire round trip of a remote-cache miss.
 	StageRemoteRTT = "remote_rtt"
 )
@@ -65,7 +62,7 @@ const (
 // StageNames returns every stage name, in read-path order.
 func StageNames() []string {
 	return []string{StageShardLookup, StageFlightWait, StageVerify,
-		StageBitFetch, StageUniversal, StagePersonal, StageFullChain, StageRemoteRTT}
+		StageBitFetch, StageUniversal, StagePersonal, StageRemoteRTT}
 }
 
 // Verdicts returns every read verdict.
@@ -191,9 +188,6 @@ func (o *Observer) ObserveRead(t ReadTrace) {
 	}
 	if t.Personal > 0 {
 		o.stages.Observe(StagePersonal, int64(t.Personal))
-	}
-	if t.FullChain > 0 {
-		o.stages.Observe(StageFullChain, int64(t.FullChain))
 	}
 	if t.Remote > 0 {
 		o.stages.Observe(StageRemoteRTT, int64(t.Remote))

@@ -7,8 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-
-	"placeless/internal/metrics"
+	"sync/atomic"
 )
 
 // Registry is an ordered set of metric families rendered in the
@@ -18,10 +17,10 @@ import (
 // check exists to catch — and scraped concurrently thereafter.
 //
 // Counters and gauges are registered as read functions rather than
-// owned values, so existing atomic counters (metrics.Counter, the
-// cache's statsCounters) export without migrating their storage: the
-// hot path keeps its lock-free increments and the registry reads the
-// same atomics at scrape time.
+// owned values, so existing atomic counters (the cache's
+// statsCounters) export without migrating their storage: the hot path
+// keeps its lock-free increments and the registry reads the same
+// atomics at scrape time.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -67,9 +66,9 @@ func (r *Registry) Gauge(name, help string, fn func() int64) {
 // shows the full label space before traffic arrives; unknown values
 // are added on first use.
 func (r *Registry) CounterVec(name, help, label string, values ...string) *CounterVec {
-	v := &CounterVec{label: label, vals: make(map[string]*metrics.Counter)}
+	v := &CounterVec{label: label, vals: make(map[string]*atomic.Int64)}
 	for _, val := range values {
-		v.vals[val] = &metrics.Counter{}
+		v.vals[val] = new(atomic.Int64)
 	}
 	r.add(&family{name: name, help: help, typ: "counter", render: func(w *bufio.Writer) {
 		for _, val := range v.labels() {
@@ -142,11 +141,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 type CounterVec struct {
 	label string
 	mu    sync.RWMutex
-	vals  map[string]*metrics.Counter
+	vals  map[string]*atomic.Int64
 }
 
 // Inc adds one to the counter for value, creating it on first use.
-func (v *CounterVec) Inc(value string) { v.counter(value).Inc() }
+func (v *CounterVec) Inc(value string) { v.counter(value).Add(1) }
 
 // Add adds delta to the counter for value, creating it on first use.
 func (v *CounterVec) Add(value string, delta int64) { v.counter(value).Add(delta) }
@@ -172,7 +171,7 @@ func (v *CounterVec) Values() map[string]int64 {
 }
 
 // counter returns the counter for value, creating it if needed.
-func (v *CounterVec) counter(value string) *metrics.Counter {
+func (v *CounterVec) counter(value string) *atomic.Int64 {
 	v.mu.RLock()
 	c := v.vals[value]
 	v.mu.RUnlock()
@@ -182,7 +181,7 @@ func (v *CounterVec) counter(value string) *metrics.Counter {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if c = v.vals[value]; c == nil {
-		c = &metrics.Counter{}
+		c = new(atomic.Int64)
 		v.vals[value] = c
 	}
 	return c

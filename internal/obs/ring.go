@@ -83,25 +83,22 @@ type ReadTrace struct {
 	FlightWait time.Duration `json:"flight_wait_ns,omitempty"`
 	// Verify is hit-time verifier execution (stage verify).
 	Verify time.Duration `json:"verify_ns,omitempty"`
-	// BitFetch is raw source retrieval on a staged miss (stage
-	// bit_fetch).
+	// BitFetch is raw source retrieval on a miss (stage bit_fetch).
 	BitFetch time.Duration `json:"bit_fetch_ns,omitempty"`
-	// Universal is the universal property stage on a staged miss —
-	// memo lookup on a memo verdict, full execution otherwise (stage
+	// Universal is the universal property stage on a miss — memo
+	// lookup on a memo verdict, full execution otherwise (stage
 	// universal).
 	Universal time.Duration `json:"universal_ns,omitempty"`
-	// Personal is the personal property suffix on a staged miss
-	// (stage personal).
+	// Personal is the personal property suffix on a miss (stage
+	// personal).
 	Personal time.Duration `json:"personal_ns,omitempty"`
-	// FullChain is the undivided read path on an unstaged miss
-	// (stage full_chain).
-	FullChain time.Duration `json:"full_chain_ns,omitempty"`
 	// Remote is the wire round trip for remote-cache misses (stage
 	// remote_rtt).
 	Remote time.Duration `json:"remote_ns,omitempty"`
-	// PrefixCuts is the number of memoizable cut points the staged
-	// read offered the intermediate store (the N-segment prefix
-	// pipeline); zero when the staged split was not attempted.
+	// PrefixCuts is the number of memoizable cut points the miss
+	// offered the intermediate store (the N-segment prefix pipeline);
+	// zero when no store was attached or the chain's head is not
+	// memoizable.
 	PrefixCuts int `json:"prefix_cuts,omitempty"`
 	// PrefixDepth is the index of the deepest cached prefix served by
 	// the longest-prefix probe, -1 when the probe found nothing.
