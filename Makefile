@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke cover check-metrics check-docs check-flags experiments examples clean
+.PHONY: all build vet fmt-check test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke cover check-metrics check-docs check-flags check-options experiments examples clean
 
 all: build vet test
 
@@ -111,6 +111,13 @@ check-docs:
 # runs).
 check-flags:
 	sh scripts/check_flags.sh
+
+# Verify no option ships without a caller: every exported Options
+# field under internal/, every With* dial option and every Set* method
+# on server.Server is referenced by non-test code outside its package
+# (what CI runs).
+check-options:
+	sh scripts/check_options.sh
 
 # Human-readable experiment tables (what EXPERIMENTS.md records).
 experiments:

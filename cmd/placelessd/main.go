@@ -5,19 +5,19 @@
 //
 // Usage:
 //
-//	placelessd [-addr :7999] [-root DIR] [-mem] [-cache BYTES] [-memoize] [-store DIR] [-http ADDR]
+//	placelessd [-addr :7999] [-root DIR] [-journal FILE] [-cache BYTES] [-memoize] [-store DIR] [-http ADDR]
 //
 // With -root, documents created through the server are stored as
 // files under DIR, and out-of-band edits to those files are caught by
 // mtime verifiers exactly as the paper describes for file-system
-// repositories. With -mem, an in-memory repository is used instead.
+// repositories. Without -root, an in-memory repository is used instead.
 //
 // With -cache, reads are served through a server-side content cache of
 // the given byte capacity (the paper's server-co-located placement);
-// -memoize additionally enables universal-stage memoization.
+// -memoize additionally memoizes read-path prefixes across users.
 //
 // With -store, the cache is backed by a durable content-addressed disk
-// tier under DIR: expensive results are written behind to append-only
+// tier under DIR: cached results are written behind to append-only
 // segment files and revalidated against the live property graph on the
 // first miss after a restart, so a warm working set survives process
 // death (requires -cache; see docs/OPERATIONS.md for the recovery
@@ -52,10 +52,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":7999", "TCP listen address")
 	root := flag.String("root", "", "directory backing document content (default: in-memory)")
-	mem := flag.Bool("mem", false, "force the in-memory repository even if -root is set")
 	journalPath := flag.String("journal", "", "configuration journal file; replayed at startup, appended while running")
 	cacheBytes := flag.Int64("cache", 0, "server-side content cache capacity in bytes (0 = no cache)")
-	memoize := flag.Bool("memoize", false, "memoize the universal transform stage (requires -cache)")
+	memoize := flag.Bool("memoize", false, "memoize read-path prefix cuts across users (requires -cache)")
 	storeDir := flag.String("store", "", "durable content-addressed disk tier directory (requires -cache)")
 	httpAddr := flag.String("http", "", "HTTP observability address serving /metrics, /debug/traces and /debug/pprof (empty = disabled)")
 	flag.Parse()
@@ -63,9 +62,8 @@ func main() {
 	clk := clock.Real{}
 	fast := simnet.NewPath("local", 1) // real deployments: no simulated latency
 
-	var backing repo.Repository
-	switch {
-	case *root != "" && !*mem:
+	var backing repo.Repository = repo.NewMem("mem", clk, fast)
+	if *root != "" {
 		if err := os.MkdirAll(*root, 0o755); err != nil {
 			log.Fatalf("placelessd: create root: %v", err)
 		}
@@ -74,8 +72,6 @@ func main() {
 			log.Fatalf("placelessd: open root: %v", err)
 		}
 		backing = fsRepo
-	default:
-		backing = repo.NewMem("mem", clk, fast)
 	}
 
 	archive := repo.NewDMS("dms", clk, simnet.NewPath("local", 2))
@@ -112,8 +108,8 @@ func main() {
 		defer cache.Close()
 		srv = server.NewCached(space, backing, cache)
 		if diskTier != nil {
-			// Same tier the cache demotes into: large v2 read bodies
-			// stream from the segment files instead of the heap copy.
+			// Same tier the cache demotes into: large read bodies stream
+			// from the segment files instead of the heap copy.
 			srv.SetStore(diskTier)
 		}
 	} else {
@@ -138,10 +134,10 @@ func main() {
 			"Currently open client connections.",
 			func() int64 { _, _, c := srv.Counters(); return c })
 		reg.Counter("placeless_server_bytes_sent_total",
-			"Bytes written to client sockets across both wire protocol versions.",
+			"Bytes written to client sockets.",
 			func() int64 { s, _ := srv.WireBytes(); return s })
 		reg.Counter("placeless_server_bytes_received_total",
-			"Bytes read from client sockets across both wire protocol versions.",
+			"Bytes read from client sockets.",
 			func() int64 { _, r := srv.WireBytes(); return r })
 		srv.SetWriteHistogram(reg.Histogram("placeless_write_duration_seconds",
 			"Latency of a document write inside the origin: write-path properties, repository store and notifier dispatch."))

@@ -95,7 +95,7 @@ func TestDaemonsExitCleanlyOnSIGTERM(t *testing.T) {
 	dir := t.TempDir()
 	wire, front := freeAddr(t), freeAddr(t)
 
-	origin := startDaemon(t, dir, "placelessd", "-mem", "-cache", "1048576",
+	origin := startDaemon(t, dir, "placelessd", "-cache", "1048576",
 		"-store", filepath.Join(dir, "store"), "-journal", filepath.Join(dir, "journal"), "-addr", wire)
 	eventually(t, "placelessd accepting", func() bool {
 		c, err := server.Dial(wire, server.WithDialTimeout(time.Second))

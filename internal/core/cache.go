@@ -132,8 +132,8 @@ type Options struct {
 	// zero cost to the read path.
 	Observer *obs.Observer
 	// Store, when non-nil, attaches the durable content-addressed disk
-	// tier (internal/store): expensive-to-rebuild results are demoted
-	// to disk at install time, misses consult the tier before
+	// tier (internal/store): eligible results are demoted to disk at
+	// install time, misses consult the tier before
 	// executing transforms, and invalidation epochs are persisted so a
 	// restart never serves a signature invalidated while the process
 	// was down (see durable.go). The tier is built on content
@@ -141,18 +141,6 @@ type Options struct {
 	// lifetime belongs to the caller: close it after Close (or Kill)
 	// returns. One Store serves one cache at a time.
 	Store *store.Store
-	// DurableMinCost is the minimum replacement cost for a result to
-	// be demoted to the disk tier — the durable analogue of the GDS
-	// cost input: cheap-to-rebuild content is not worth the disk
-	// write. Zero demotes every eligible result.
-	DurableMinCost time.Duration
-	// PrefixMinCostPerKB gates which prefix cut points are worth
-	// storing under Memoize: a cut is installed only when its
-	// accumulated recompute cost is at least this much per KiB of
-	// output. Storing every prefix of a long chain is quadratic in
-	// bytes; this is the in-memory analogue of DurableMinCost. Zero
-	// (the default) stores every memoizable cut.
-	PrefixMinCostPerKB time.Duration
 }
 
 // CostSource selects the replacement-cost signal handed to the policy.
@@ -275,10 +263,8 @@ type Stats struct {
 	// contributes k).
 	PrefixSegmentRuns int64
 	// PrefixInstalls counts prefix cuts admitted to the intermediate
-	// store; PrefixInstallSkips counts cuts rejected by the
-	// PrefixMinCostPerKB cost gate.
-	PrefixInstalls     int64
-	PrefixInstallSkips int64
+	// store.
+	PrefixInstalls int64
 	// PrefixSavedBytes accumulates intermediate bytes served by the
 	// prefix pipeline without recomputation (probe and per-cut hits).
 	PrefixSavedBytes int64
@@ -381,21 +367,11 @@ type Cache struct {
 	flushMu sync.Mutex
 	dirty   map[string]*dirtyWrite
 
-	// Notifier bookkeeping: which attachment points already carry the
-	// cache's notifiers, and where to detach them on Close.
-	notifMu   sync.Mutex
-	baseNotif map[string]bool           // docs with a base notifier installed
-	refNotif  map[string]bool           // doc/user refs with a notifier installed
-	notifiers map[string][]notifierSpot // notifier names per doc for Close
+	// notifiers is the cache's notifier pair on the space, attached
+	// per (document, user) at miss time and detached on Close.
+	notifiers *docspace.NotifierPair
 
 	stats statsCounters
-}
-
-// notifierSpot remembers where a notifier was attached.
-type notifierSpot struct {
-	doc, user string
-	level     docspace.Level
-	name      string
 }
 
 // key builds the (document, user) entry identifier. The paper: "Our
@@ -428,10 +404,8 @@ func New(space *docspace.Space, opts Options) *Cache {
 		inter:        make(map[string]*interEntry),
 		interFlights: make(map[string]*iflight),
 		dirty:        make(map[string]*dirtyWrite),
-		baseNotif:    make(map[string]bool),
-		refNotif:     make(map[string]bool),
-		notifiers:    make(map[string][]notifierSpot),
 	}
+	c.notifiers = docspace.NewNotifierPair(space, "notifier:"+opts.Name, c.onBaseEvent, c.onRefEvent)
 	c.capacity.Store(opts.Capacity)
 	if opts.Store != nil {
 		// Seed the invalidation-generation counters from the persisted
@@ -533,19 +507,6 @@ type EntryInfo struct {
 	// trailers instead of re-scanning the body per response.
 	BodyCRC32C uint32
 	BodyCRCOK  bool
-}
-
-// minExpiry extracts the earliest TTL deadline from a verifier set.
-func minExpiry(verifiers []property.Verifier) time.Time {
-	var min time.Time
-	for _, v := range verifiers {
-		if ttl, ok := v.(property.TTLVerifier); ok {
-			if min.IsZero() || ttl.Expiry.Before(min) {
-				min = ttl.Expiry
-			}
-		}
-	}
-	return min
 }
 
 // Read returns the document content as seen by user, serving from the
@@ -714,7 +675,7 @@ func (c *Cache) probe(sh *shard, k, doc, owner string, tr *obs.ReadTrace) (e *en
 
 // hitInfo is the metadata a hit on e reports.
 func (e *entry) hitInfo() EntryInfo {
-	return EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: minExpiry(e.verifiers), Hit: true, Signature: e.signature}
+	return EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: property.EarliestTTL(e.verifiers), Hit: true, Signature: e.signature}
 }
 
 // readWithInfo is the read path proper. tr is the per-read trace
@@ -850,7 +811,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	if err != nil {
 		return nil, EntryInfo{}, nil, err
 	}
-	info = EntryInfo{Cacheability: res.Cacheability, Cost: res.Cost, Expiry: minExpiry(res.Verifiers), IntermediateHit: trace.Hit}
+	info = EntryInfo{Cacheability: res.Cacheability, Cost: res.Cost, Expiry: property.EarliestTTL(res.Verifiers), IntermediateHit: trace.Hit}
 	c.stats.misses.Add(1)
 	if c.closed.Load() {
 		return data, info, nil, nil
@@ -951,20 +912,11 @@ func (c *Cache) prefetch(user string, related []string) {
 	}
 }
 
-// blobData returns the stored bytes for a signature, or nil. Blob data
-// is immutable after creation, so the slice may be read after blobMu
-// is released (callers copy before handing bytes to applications).
-func (c *Cache) blobData(s sig.Signature) []byte {
-	c.blobMu.Lock()
-	defer c.blobMu.Unlock()
-	if b := c.blobs[s]; b != nil {
-		return b.data
-	}
-	return nil
-}
-
-// blobDataCRC is blobData plus the blob's intern-time CRC-32C; ok
-// reports whether the blob was present.
+// blobDataCRC returns the stored bytes for a signature and their
+// intern-time CRC-32C; ok reports whether the blob was present. Blob
+// data is immutable after creation, so the slice may be read after
+// blobMu is released (callers copy before handing bytes to
+// applications).
 func (c *Cache) blobDataCRC(s sig.Signature) (data []byte, crc uint32, ok bool) {
 	c.blobMu.Lock()
 	defer c.blobMu.Unlock()

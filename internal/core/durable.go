@@ -13,7 +13,7 @@ import (
 // The durable disk tier (internal/store) under the in-memory cache.
 //
 // The tier is write-behind and content-addressed. At install time a
-// miss whose result is expensive enough (Options.DurableMinCost) is
+// miss whose result is eligible (unrestricted, fully memoizable) is
 // demoted: its bytes go into an append-only segment file and a meta
 // record binds them to the content key the staged read path computed —
 // (source signature, universal-chain fingerprint, personal-chain
@@ -150,8 +150,7 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 // result was actually computed from.
 func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResult, trace docspace.StageTrace, g *atomic.Uint64, gen uint64) {
 	st := c.opts.Store
-	if st == nil || res.Cacheability != property.Unrestricted ||
-		res.Cost < c.opts.DurableMinCost || !trace.Attempted {
+	if st == nil || res.Cacheability != property.Unrestricted || !trace.Attempted {
 		return
 	}
 	ck, err := c.space.ContentKey(doc, user)
@@ -200,10 +199,10 @@ func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResu
 // demoteIntermediate writes a computed universal-stage output behind
 // to the disk tier. Intermediates are pure content addressing — the
 // (src, fp) key can never serve wrong bytes — so no epoch or probe is
-// needed; only the cost gate applies.
+// needed.
 func (c *Cache) demoteIntermediate(src, fp sig.Signature, data []byte, cost time.Duration) {
 	st := c.opts.Store
-	if st == nil || cost < c.opts.DurableMinCost {
+	if st == nil {
 		return
 	}
 	if _, ok := st.GetIntermediate(src, fp); ok {

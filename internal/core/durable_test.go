@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"placeless/internal/docspace"
 	"placeless/internal/property"
@@ -231,20 +230,6 @@ func (d *durableWorld) crashRestartStoreOnly() {
 	d.st, d.rec = st, rec
 	d.opts.Store = st
 	d.cache = New(d.space, d.opts)
-}
-
-// TestDurableMinCostGate: results cheaper than DurableMinCost are not
-// worth a disk write and must not be demoted.
-func TestDurableMinCostGate(t *testing.T) {
-	d := newDurableWorld(t, Options{DurableMinCost: time.Hour})
-	setupMemoDoc(t, d.world, []string{"eyal"})
-	d.read(t, "d", "eyal")
-	if st := d.cache.Stats(); st.StoreDemotions != 0 || st.StoreIntermediateDemotions != 0 {
-		t.Fatalf("demotions under the cost gate: %+v", st)
-	}
-	if ss := d.st.Stats(); ss.Entries != 0 || ss.Intermediates != 0 {
-		t.Fatalf("store not empty under the cost gate: %+v", ss)
-	}
 }
 
 // TestStoreRecheckVerifierCatchesLaterChange: a promoted entry carries

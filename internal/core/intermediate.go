@@ -31,11 +31,9 @@ import (
 // strands the old keys, and invalidateDoc sweeps stranded intermediates
 // eagerly so they do not have to age out of the policy.
 //
-// Storing every prefix of a long chain is quadratic in bytes, so
-// installs are gated on recompute-cost-per-size
-// (Options.PrefixMinCostPerKB) — the in-memory analogue of the durable
-// tier's DurableMinCost gate — on top of the GDS policy, which already
-// prices resident cuts by rebuild cost when choosing eviction victims.
+// Storing every prefix of a long chain is quadratic in bytes; every
+// memoizable cut is installed, and the GDS policy prices resident cuts
+// by rebuild cost per byte when choosing eviction victims.
 //
 // Locking: interMu ranks with the shard locks — policyMu and blobMu
 // nest under it, it is never held together with a shard lock, and the
@@ -104,7 +102,7 @@ func (c *Cache) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature
 		if e == nil {
 			continue
 		}
-		data := c.blobData(e.signature)
+		data, _, _ := c.blobDataCRC(e.signature)
 		if data == nil {
 			// Blob store swept by a concurrent Close; drop the
 			// dangling entry and keep probing shallower cuts.
@@ -139,7 +137,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 	for {
 		c.interMu.Lock()
 		if e := c.inter[k]; e != nil {
-			data := c.blobData(e.signature)
+			data, _, _ := c.blobDataCRC(e.signature)
 			if data == nil {
 				// Blob store swept by a concurrent Close; drop the
 				// dangling entry and recompute.
@@ -206,12 +204,8 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 		c.interMu.Lock()
 		delete(c.interFlights, k)
 		if err == nil && !c.closed.Load() {
-			if c.prefixWorthStoring(cost, int64(len(data))) {
-				c.storeIntermediateLocked(k, doc, user, data, cost)
-				c.stats.prefixInstalls.Add(1)
-			} else {
-				c.stats.prefixInstallSkips.Add(1)
-			}
+			c.storeIntermediateLocked(k, doc, user, data, cost)
+			c.stats.prefixInstalls.Add(1)
 		}
 		c.interMu.Unlock()
 		close(f.done)
@@ -224,20 +218,6 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 		c.evict("")
 		return data, fromDisk, nil
 	}
-}
-
-// prefixWorthStoring is the cut-point cost model: a cut is installed
-// only when its accumulated recompute cost clears
-// Options.PrefixMinCostPerKB per KiB of output — cheap-to-rebuild
-// prefixes are not worth the quadratic byte overhead of storing every
-// cut. Zero (the default) admits every memoizable cut.
-func (c *Cache) prefixWorthStoring(cost time.Duration, size int64) bool {
-	min := c.opts.PrefixMinCostPerKB
-	if min <= 0 {
-		return true
-	}
-	// cost/size >= min/KiB, cross-multiplied to stay in integers.
-	return cost*1024 >= min*time.Duration(size)
 }
 
 // storeIntermediateLocked installs a computed prefix output. Caller

@@ -1,85 +1,20 @@
 package core
 
 import (
-	"fmt"
-
-	"placeless/internal/docspace"
 	"placeless/internal/event"
-	"placeless/internal/property"
 	"placeless/internal/sig"
 )
 
-// cacheNotifier wraps property.Notifier with the machinery marker so
-// document spaces classify its attachment events as cache machinery
-// (other caches must not invalidate when a cache installs plumbing).
-type cacheNotifier struct {
-	*property.Notifier
-}
-
-// CacheMachinery marks the property as cache-installed plumbing.
-func (cacheNotifier) CacheMachinery() {}
-
-// contentAffecting is the semantic predicate for cache notifiers: only
-// events that can change the content a user sees should invalidate.
-// Static labels and other caches' machinery cannot.
-func contentAffecting(e event.Event) bool {
-	switch e.Kind {
-	case event.ContentWritten, event.ReorderProperties, event.ExternalChange:
-		return true
-	case event.SetProperty, event.RemoveProperty, event.ModifyProperty:
-		return e.Detail == docspace.ClassActive
-	default:
-		return false
-	}
-}
-
-// installNotifiers attaches the cache's notifiers for (doc, user) if
-// not yet present — the paper's miss-time behaviour: "When Eyal first
-// opens the paper from MS-Word, a notifier property is attached to the
-// base document to invalidate the cache if the file is opened for
-// writing by another user. Another notifier at the base tracks any
-// additions or deletions of active properties... At Eyal's document
-// reference, a third notifier is attached to watch for active property
-// additions, deletions and for changes."
-//
-// The dedup bookkeeping runs under notifMu; the space attachments run
-// with no cache lock held, because attachment dispatches events and
-// user-installed properties may react to them by re-entering the
-// cache. Racing installs attaching the same notifier twice are benign
-// (the registry deduplicates by property name).
+// installNotifiers makes sure the cache's notifier pair is attached for
+// (doc, user) — the paper's miss-time behaviour.
 func (c *Cache) installNotifiers(doc, user string) {
 	if c.opts.DisableNotifiers {
 		return
 	}
-	var todo []func() error
-	c.notifMu.Lock()
-	if !c.baseNotif[doc] {
-		c.baseNotif[doc] = true
-		name := fmt.Sprintf("notifier:%s:%s:base", c.opts.Name, doc)
-		n := cacheNotifier{property.NewNotifier(name, c.onBaseEvent,
-			event.ContentWritten, event.SetProperty, event.RemoveProperty,
-			event.ModifyProperty, event.ReorderProperties, event.ExternalChange)}
-		n.Predicate = contentAffecting
-		c.notifiers[doc] = append(c.notifiers[doc], notifierSpot{doc: doc, level: docspace.Universal, name: name})
-		d := doc
-		todo = append(todo, func() error { return c.space.Attach(d, "", docspace.Universal, n) })
-	}
-	rk := key(doc, user)
-	if !c.refNotif[rk] {
-		c.refNotif[rk] = true
-		name := fmt.Sprintf("notifier:%s:%s:%s", c.opts.Name, doc, user)
-		n := cacheNotifier{property.NewNotifier(name, c.onRefEvent,
-			event.SetProperty, event.RemoveProperty,
-			event.ModifyProperty, event.ReorderProperties)}
-		n.Predicate = contentAffecting
-		c.notifiers[doc] = append(c.notifiers[doc], notifierSpot{doc: doc, user: user, level: docspace.Personal, name: name})
-		d, u := doc, user
-		todo = append(todo, func() error { return c.space.Attach(d, u, docspace.Personal, n) })
-	}
-	c.notifMu.Unlock()
-	for _, fn := range todo {
-		_ = fn() // duplicate attach (racing installs) is benign
-	}
+	// The read that brought us here found the document and the
+	// reference, so a failure means one was removed since; the next
+	// miss on the key retries.
+	_ = c.notifiers.Ensure(doc, user)
 }
 
 // invalidateDoc bumps the document's generation and drops every user's
@@ -191,13 +126,6 @@ func (c *Cache) shutdown() {
 	if c.closed.Swap(true) {
 		return
 	}
-	c.notifMu.Lock()
-	spots := make([]notifierSpot, 0)
-	for _, list := range c.notifiers {
-		spots = append(spots, list...)
-	}
-	c.notifiers = make(map[string][]notifierSpot)
-	c.notifMu.Unlock()
 	// Clear the stripes; in-flight misses observe the closed flag
 	// under their stripe lock before installing, so nothing leaks in
 	// after the sweep.
@@ -211,7 +139,5 @@ func (c *Cache) shutdown() {
 	c.stats.bytesStored.Store(0)
 	c.stats.bytesLogical.Store(0)
 	c.stats.sharedEntries.Store(0)
-	for _, sp := range spots {
-		_ = c.space.Detach(sp.doc, sp.user, sp.level, sp.name)
-	}
+	c.notifiers.Close()
 }

@@ -66,8 +66,6 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 		"Segment executions under the N-cut prefix pipeline.", c.stats.prefixSegmentRuns.Load)
 	reg.Counter("placeless_prefix_installs_total",
 		"Prefix cuts admitted to the intermediate store.", c.stats.prefixInstalls.Load)
-	reg.Counter("placeless_prefix_install_skips_total",
-		"Prefix cuts rejected by the recompute-cost-per-byte gate.", c.stats.prefixInstallSkips.Load)
 	reg.Counter("placeless_prefix_saved_bytes_total",
 		"Intermediate bytes served by the prefix pipeline without recomputation.", c.stats.prefixSavedBytes.Load)
 	reg.Counter("placeless_prefix_fallback_errors_total",

@@ -76,37 +76,6 @@ func TestPrefixSharesPersonalSegmentAcrossUsers(t *testing.T) {
 	}
 }
 
-// TestPrefixCostGateSkipsCheapCuts: with PrefixMinCostPerKB set above
-// any cut's recompute density, nothing is admitted to the intermediate
-// store — reads stay correct, every install is counted as skipped.
-func TestPrefixCostGateSkipsCheapCuts(t *testing.T) {
-	users := memoUsers(3)
-	gated := newWorld(t, Options{Memoize: true, PrefixMinCostPerKB: time.Hour})
-	open := newWorld(t, Options{Memoize: true})
-	setupMemoDoc(t, gated, users)
-	setupMemoDoc(t, open, users)
-
-	for _, u := range users {
-		a := gated.read(t, "d", u)
-		b := open.read(t, "d", u)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("user %s: cost-gated read diverged", u)
-		}
-	}
-	st := gated.cache.Stats()
-	if st.PrefixInstalls != 0 || st.IntermediateEntries != 0 {
-		t.Fatalf("gate admitted cuts: %+v", st)
-	}
-	if st.PrefixInstallSkips == 0 {
-		t.Fatal("no install skips counted under an unreachable gate")
-	}
-	// With nothing stored, every user's miss recomputes the universal
-	// stage.
-	if st.UniversalStageRuns != int64(len(users)) {
-		t.Fatalf("UniversalStageRuns = %d, want %d", st.UniversalStageRuns, len(users))
-	}
-}
-
 // TestInvalidateUserSweepsOnlyTheirPersonalCuts: a per-user
 // invalidation drops that user's personal cuts and nothing else; the
 // re-read resumes from the surviving shared prefix.

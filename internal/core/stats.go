@@ -35,7 +35,6 @@ type statsCounters struct {
 	prefixHits           atomic.Int64
 	prefixSegmentRuns    atomic.Int64
 	prefixInstalls       atomic.Int64
-	prefixInstallSkips   atomic.Int64
 	prefixSavedBytes     atomic.Int64
 	prefixFallbackErrors atomic.Int64
 
@@ -78,7 +77,6 @@ func (s *statsCounters) snapshot() Stats {
 		PrefixHits:           s.prefixHits.Load(),
 		PrefixSegmentRuns:    s.prefixSegmentRuns.Load(),
 		PrefixInstalls:       s.prefixInstalls.Load(),
-		PrefixInstallSkips:   s.prefixInstallSkips.Load(),
 		PrefixSavedBytes:     s.prefixSavedBytes.Load(),
 		PrefixFallbackErrors: s.prefixFallbackErrors.Load(),
 

@@ -31,6 +31,22 @@ func NewTTLVerifier(fetched time.Time, ttl time.Duration) TTLVerifier {
 	return TTLVerifier{Expiry: fetched.Add(ttl)}
 }
 
+// EarliestTTL returns the earliest TTLVerifier deadline in a verifier
+// set, or the zero time when none applies. Unlike verifier code, a
+// deadline can cross the wire, so it is what a read hands to caches
+// layered further out.
+func EarliestTTL(verifiers []Verifier) time.Time {
+	var min time.Time
+	for _, v := range verifiers {
+		if ttl, ok := v.(TTLVerifier); ok {
+			if min.IsZero() || ttl.Expiry.Before(min) {
+				min = ttl.Expiry
+			}
+		}
+	}
+	return min
+}
+
 // MTimeVerifier polls the original repository's modification time on
 // every cache hit and invalidates when the source changed — the
 // paper's example of the bit-provider returning "a verifier that polls

@@ -77,8 +77,6 @@ func (p DegradedPolicy) String() string {
 type Options struct {
 	// Capacity bounds unique stored bytes; zero = unlimited.
 	Capacity int64
-	// Policy supplies the replacement policy; nil = Greedy-Dual-Size.
-	Policy replace.Policy
 	// Clock supplies time for TTL-deadline checks; nil = wall clock.
 	// TTL deadlines originate on the server, so the clocks are
 	// assumed synchronized (true in simulation, NTP-close in
@@ -192,15 +190,11 @@ func key(doc, user string) string { return doc + "\x00" + user }
 // the resilience machinery to matter, dial the client with
 // server.WithReconnect (and ideally server.WithCallTimeout).
 func New(client *server.Client, opts Options) *Cache {
-	policy := opts.Policy
-	if policy == nil {
-		policy = replace.NewGDS()
-	}
 	c := &Cache{
 		client:     client,
 		entries:    make(map[string]*entry),
 		blobs:      make(map[sig.Signature]*blob),
-		policy:     policy,
+		policy:     replace.NewGDS(),
 		subscribed: make(map[string]bool),
 		gens:       make(map[string]uint64),
 		flights:    make(map[string]*flight),

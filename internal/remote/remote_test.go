@@ -122,6 +122,30 @@ func TestPushInvalidationOnRemoteWrite(t *testing.T) {
 	}
 }
 
+// TestReadBeforeCreateIsInvalidated: a read of a document that does not
+// exist yet fails its subscription; the read after the create must
+// subscribe for real, so a later out-of-band write still reaches the
+// cache.
+func TestReadBeforeCreateIsInvalidated(t *testing.T) {
+	r := newRig(t, Options{})
+	if _, err := r.cache.Read("d", "u"); err == nil {
+		t.Fatal("read of a missing document succeeded")
+	}
+	if err := r.client.CreateDocument("d", "u", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.cache.Read("d", "u"); err != nil || string(got) != "v1" {
+		t.Fatalf("read after create = %q, %v", got, err)
+	}
+	if err := r.space.WriteDocument("d", "u", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		got, err := r.cache.Read("d", "u")
+		return err == nil && string(got) == "v2"
+	})
+}
+
 func TestPushInvalidationOnPropertyChange(t *testing.T) {
 	r := newRig(t, Options{})
 	r.client.CreateDocument("d", "u", []byte("the paper"))

@@ -76,17 +76,15 @@ func tcpDialer(addr string, timeout time.Duration) (net.Conn, error) {
 
 // dialConfig collects the per-client resilience knobs.
 type dialConfig struct {
-	callTimeout     time.Duration
-	dialTimeout     time.Duration
-	writeTimeout    time.Duration
-	readIdleTimeout time.Duration
-	reconnect       bool
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	maxAttempts     int
-	dialer          Dialer
-	jitterSeed      int64
-	jitterSeeded    bool
+	callTimeout  time.Duration
+	dialTimeout  time.Duration
+	writeTimeout time.Duration
+	reconnect    bool
+	backoffBase  time.Duration
+	backoffMax   time.Duration
+	dialer       Dialer
+	jitterSeed   int64
+	jitterSeeded bool
 }
 
 func defaultDialConfig() dialConfig {
@@ -123,15 +121,6 @@ func WithWriteTimeout(d time.Duration) DialOption {
 	return func(c *dialConfig) { c.writeTimeout = d }
 }
 
-// WithReadIdleTimeout sets a read deadline on the connection: if no
-// frame (response or invalidation push) arrives for d, the connection
-// is treated as dead. Only enable this against servers that push
-// regularly — an idle but healthy subscription stream would otherwise
-// be torn down and redialed. Zero (the default) disables it.
-func WithReadIdleTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.readIdleTimeout = d }
-}
-
 // WithReconnect enables automatic reconnection with exponential
 // backoff plus jitter: after a connection failure the client redials
 // in the background, starting at base and doubling up to max per
@@ -148,13 +137,6 @@ func WithReconnect(base, max time.Duration) DialOption {
 			c.backoffMax = max
 		}
 	}
-}
-
-// WithMaxReconnectAttempts bounds how many consecutive failed dials
-// the background reconnector tries before giving up (the client then
-// stays disconnected until Close). Zero means retry forever.
-func WithMaxReconnectAttempts(n int) DialOption {
-	return func(c *dialConfig) { c.maxAttempts = n }
 }
 
 // WithDialer replaces the transport used for the initial connection
@@ -259,8 +241,7 @@ func (w *wireConn) sendRequest(req *Request) error {
 	return w.fw.enqueue(f)
 }
 
-func (w *wireConn) readResponse() (*Response, error)  { return readResponseFrameInto(w.br, w.claim) }
-func (w *wireConn) setReadDeadline(t time.Time) error { return w.c.SetReadDeadline(t) }
+func (w *wireConn) readResponse() (*Response, error) { return readResponseFrameInto(w.br, w.claim) }
 
 func (w *wireConn) close() error {
 	w.closeOnce.Do(func() {
@@ -518,9 +499,6 @@ func (c *Client) dispatchInvals() {
 // connection; it exits (via connFailed) when the connection dies.
 func (c *Client) readLoop(wc *wireConn) {
 	for {
-		if c.cfg.readIdleTimeout > 0 {
-			_ = wc.setReadDeadline(time.Now().Add(c.cfg.readIdleTimeout))
-		}
 		resp, err := wc.readResponse()
 		if err != nil {
 			c.connFailed(wc, err)
@@ -596,11 +574,10 @@ func (c *Client) connFailed(wc *wireConn, err error) {
 }
 
 // reconnectLoop redials with exponential backoff plus jitter until a
-// connection is established, the attempt budget is exhausted, or the
-// client is closed.
+// connection is established or the client is closed.
 func (c *Client) reconnectLoop() {
 	backoff := c.cfg.backoffBase
-	for attempt := 1; ; attempt++ {
+	for {
 		c.mu.Lock()
 		if c.closed {
 			c.reconnecting = false
@@ -637,12 +614,6 @@ func (c *Client) reconnectLoop() {
 			return
 		}
 
-		if c.cfg.maxAttempts > 0 && attempt >= c.cfg.maxAttempts {
-			c.mu.Lock()
-			c.reconnecting = false
-			c.mu.Unlock()
-			return
-		}
 		// Full jitter on top of the exponential base spreads a fleet
 		// of clients reconnecting to a restarted server over time.
 		sleep := backoff + time.Duration(c.rng.Int63n(int64(backoff)+1))

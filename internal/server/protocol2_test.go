@@ -581,7 +581,7 @@ func TestZeroCopyStreamedRead(t *testing.T) {
 	}
 	srv := NewCached(space, backing, cache)
 	srv.SetStore(st)
-	srv.SetStreamThreshold(1)
+	srv.streamMin = 1
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
 	var addr string

@@ -82,28 +82,13 @@ type serverConn struct {
 
 	closeOnce sync.Once
 
-	mu        sync.Mutex
-	fw        *frameWriter    // nil until the handshake completes
-	notifiers []spot          // notifiers installed for this connection
-	baseSubs  map[string]bool // docs with a base notifier installed
-	refSubs   map[string]bool // doc\x00user refs with a notifier installed
+	// notifiers is the pair attached on behalf of the client's
+	// subscriptions, pushing invalidations down this connection.
+	notifiers *docspace.NotifierPair
+
+	mu sync.Mutex
+	fw *frameWriter // nil until the handshake completes
 }
-
-// spot records where a connection's notifier lives so it can be
-// detached at disconnect.
-type spot struct {
-	doc, user string
-	level     docspace.Level
-	name      string
-}
-
-// remoteNotifier is the machinery-marked notifier attached on behalf
-// of subscribed clients.
-type remoteNotifier struct{ *property.Notifier }
-
-// CacheMachinery marks remote-subscription notifiers as cache
-// machinery.
-func (remoteNotifier) CacheMachinery() {}
 
 // ListenAndServe listens on addr and serves until Close.
 func (s *Server) ListenAndServe(addr string) error {
@@ -142,6 +127,9 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		sc := &serverConn{srv: s, raw: c}
+		sc.notifiers = docspace.NewNotifierPair(s.space, fmt.Sprintf("remote:%p", sc),
+			func(e event.Event) { sc.push(e.Doc, "") }, // base-level change: all users affected
+			func(e event.Event) { sc.push(e.Doc, e.User) })
 		s.mu.Lock()
 		s.conns[sc] = true
 		s.mu.Unlock()
@@ -332,15 +320,18 @@ func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 	return resp, true
 }
 
-// sendPush delivers one invalidation push. Pushes come from notifiers
-// a subscribe handler installed, so the handshake (and with it c.fw)
-// is long done.
-func (c *serverConn) sendPush(doc, user string) error {
-	f, err := encodeResponseFrame(opInvalidate, &Response{NotifyDoc: doc, NotifyUser: user})
-	if err != nil {
-		return err
+// push counts and delivers one invalidation push. Pushes come from
+// notifiers a subscribe handler installed, so the handshake (and with
+// it c.fw) is long done. A push that cannot be encoded or written is
+// dropped: the frame writer closes the socket on a write error, and the
+// client flushes its cache when it reconnects.
+func (c *serverConn) push(doc, user string) {
+	c.srv.mu.Lock()
+	c.srv.notifies++
+	c.srv.mu.Unlock()
+	if f, err := encodeResponseFrame(opInvalidate, &Response{NotifyDoc: doc, NotifyUser: user}); err == nil {
+		_ = c.fw.send(f)
 	}
-	return c.fw.send(f)
 }
 
 // closeRaw closes the underlying socket once.
@@ -350,16 +341,12 @@ func (c *serverConn) closeRaw() { c.closeOnce.Do(func() { c.raw.Close() }) }
 func (c *serverConn) teardown() {
 	c.mu.Lock()
 	fw := c.fw
-	spots := c.notifiers
-	c.notifiers = nil
 	c.mu.Unlock()
 	if fw != nil {
 		fw.close()
 	}
 	c.closeRaw()
-	for _, sp := range spots {
-		_ = c.srv.space.Detach(sp.doc, sp.user, sp.level, sp.name)
-	}
+	c.notifiers.Close()
 	c.srv.mu.Lock()
 	delete(c.srv.conns, c)
 	c.srv.mu.Unlock()
@@ -387,14 +374,6 @@ func (s *Server) SetStore(st *store.Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.blobStore = st
-}
-
-// SetStreamThreshold overrides the minimum body size streamed from the
-// store (testing hook; the default is defaultStreamMin).
-func (s *Server) SetStreamThreshold(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.streamMin = n
 }
 
 // SetWriteHistogram makes the server record how long each OpWrite
@@ -447,7 +426,10 @@ func (c *serverConn) handle(req *Request) *Response {
 		s.space.Clock().Sleep(link)
 	}
 	if req.Op == OpSubscribe {
-		return c.subscribe(req)
+		if err := c.notifiers.Ensure(req.Doc, req.User); err != nil {
+			return fail(err)
+		}
+		return &Response{}
 	}
 	resp := s.apply(req)
 	if resp.Err == "" {
@@ -489,7 +471,7 @@ func (s *Server) apply(req *Request) *Response {
 				Body:            data,
 				Cacheability:    int(res.Cacheability),
 				CostNanos:       int64(res.Cost),
-				ExpiryUnixNanos: expiryNanos(minTTLExpiry(res.Verifiers)),
+				ExpiryUnixNanos: expiryNanos(property.EarliestTTL(res.Verifiers)),
 			}
 		}
 		// The one place the server hashes a read body itself: the cache
@@ -599,96 +581,12 @@ func (s *Server) apply(req *Request) *Response {
 	}
 }
 
-// subscribe installs base and reference notifiers pushing
-// invalidations to this connection.
-func (c *serverConn) subscribe(req *Request) *Response {
-	s := c.srv
-	push := func(doc, user string) {
-		s.mu.Lock()
-		s.notifies++
-		s.mu.Unlock()
-		_ = c.sendPush(doc, user)
-	}
-	c.mu.Lock()
-	if c.baseSubs == nil {
-		c.baseSubs = make(map[string]bool)
-		c.refSubs = make(map[string]bool)
-	}
-	needBase := !c.baseSubs[req.Doc]
-	if needBase {
-		c.baseSubs[req.Doc] = true
-	}
-	refKey := req.Doc + "\x00" + req.User
-	needRef := req.User != "" && !c.refSubs[refKey]
-	if needRef {
-		c.refSubs[refKey] = true
-	}
-	c.mu.Unlock()
-
-	if needBase {
-		baseName := fmt.Sprintf("remote:%p:%s:base", c, req.Doc)
-		base := remoteNotifier{property.NewNotifier(baseName, func(e event.Event) {
-			push(e.Doc, "") // base-level change: all users affected
-		}, event.ContentWritten, event.SetProperty, event.RemoveProperty,
-			event.ModifyProperty, event.ReorderProperties, event.ExternalChange)}
-		base.Predicate = contentAffecting
-		if err := s.space.Attach(req.Doc, "", docspace.Universal, base); err != nil {
-			return fail(err)
-		}
-		c.mu.Lock()
-		c.notifiers = append(c.notifiers, spot{doc: req.Doc, level: docspace.Universal, name: baseName})
-		c.mu.Unlock()
-	}
-
-	if needRef {
-		refName := fmt.Sprintf("remote:%p:%s:%s", c, req.Doc, req.User)
-		ref := remoteNotifier{property.NewNotifier(refName, func(e event.Event) {
-			push(e.Doc, e.User)
-		}, event.SetProperty, event.RemoveProperty,
-			event.ModifyProperty, event.ReorderProperties)}
-		ref.Predicate = contentAffecting
-		if err := s.space.Attach(req.Doc, req.User, docspace.Personal, ref); err != nil {
-			return fail(err)
-		}
-		c.mu.Lock()
-		c.notifiers = append(c.notifiers, spot{doc: req.Doc, user: req.User, level: docspace.Personal, name: refName})
-		c.mu.Unlock()
-	}
-	return &Response{}
-}
-
-// contentAffecting mirrors the cache's semantic notifier predicate:
-// only content-capable changes invalidate.
-func contentAffecting(e event.Event) bool {
-	switch e.Kind {
-	case event.ContentWritten, event.ReorderProperties, event.ExternalChange:
-		return true
-	case event.SetProperty, event.RemoveProperty, event.ModifyProperty:
-		return e.Detail == docspace.ClassActive
-	default:
-		return false
-	}
-}
-
 // expiryNanos converts a TTL deadline to wire form (0 = none).
 func expiryNanos(t time.Time) int64 {
 	if t.IsZero() {
 		return 0
 	}
 	return t.UnixNano()
-}
-
-// minTTLExpiry extracts the earliest TTL deadline from a verifier set.
-func minTTLExpiry(verifiers []property.Verifier) time.Time {
-	var min time.Time
-	for _, v := range verifiers {
-		if ttl, ok := v.(property.TTLVerifier); ok {
-			if min.IsZero() || ttl.Expiry.Before(min) {
-				min = ttl.Expiry
-			}
-		}
-	}
-	return min
 }
 
 // parseEventKind maps wire names to event kinds for ForwardEvent.

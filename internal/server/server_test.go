@@ -198,6 +198,59 @@ func TestSubscriptionPersonalPropertyPush(t *testing.T) {
 	_ = space
 }
 
+// TestSubscribeBeforeCreateStillPushes: a Subscribe that failed because
+// the document (or the reference) did not exist yet must leave nothing
+// behind that makes the retry a no-op — the retry attaches, and the
+// connection gets its pushes.
+func TestSubscribeBeforeCreateStillPushes(t *testing.T) {
+	_, c, _ := testServer(t)
+	notified := make(chan [2]string, 8)
+	c.OnInvalidate(func(doc, user string) { notified <- [2]string{doc, user} })
+	wantPush := func(what, doc, user string) {
+		t.Helper()
+		select {
+		case p := <-notified:
+			if p != [2]string{doc, user} {
+				t.Fatalf("%s: push = %v, want [%s %s]", what, p, doc, user)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: no invalidation push received", what)
+		}
+	}
+
+	if err := c.Subscribe("d", "eyal"); err == nil {
+		t.Fatal("Subscribe to a missing document succeeded")
+	}
+	if err := c.CreateDocument("d", "eyal", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe("d", "eyal"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddReference("d", "paul"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write("d", "paul", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	wantPush("write after subscribe-before-create", "d", "")
+
+	// The reference half: doug holds no reference yet.
+	if err := c.Subscribe("d", "doug"); err == nil {
+		t.Fatal("Subscribe for a user without a reference succeeded")
+	}
+	if err := c.AddReference("d", "doug"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe("d", "doug"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Attach("d", "doug", true, "uppercase"); err != nil {
+		t.Fatal(err)
+	}
+	wantPush("personal attach after subscribe-before-reference", "d", "doug")
+}
+
 func TestForwardEventOverWire(t *testing.T) {
 	_, c, space := testServer(t)
 	c.CreateDocument("d", "eyal", []byte("x"))

@@ -109,7 +109,7 @@ func TestReadSignatureOnEveryPath(t *testing.T) {
 			cache := newCache(t, w, st)
 			srv := NewCached(w.space, w.backing, cache)
 			srv.SetStore(st)
-			srv.SetStreamThreshold(1)
+			srv.streamMin = 1
 			return srv, func(t *testing.T) {
 				if st := cache.Stats(); st.StorePromotions != 1 {
 					t.Fatalf("StorePromotions = %d, want 1", st.StorePromotions)

@@ -266,6 +266,63 @@ seeds:
 	}
 }
 
+// TestScheduleReadBeforeCreate pins the op order the generated
+// workload never produces (its documents all exist before the first
+// read): a remote read of a document that does not exist yet, then the
+// create, a read, a write and a settle. The failed first read's
+// subscription must not be remembered as live by the server, or the
+// post-settle read serves the pre-write bytes and the oracle flags it.
+func TestScheduleReadBeforeCreate(t *testing.T) {
+	on := true
+	wt := core.WriteThrough
+	rcap := int64(1 << 20)
+	single := 0
+	w := scheduleWorld(t, 23, func(c *Config) {
+		c.Remote = &on
+		c.Mode = &wt
+		c.RemoteCapacity = &rcap
+		c.Cluster = &single
+	})
+	// Half the seeds boot with a lossy wire; this schedule needs every
+	// call answered.
+	w.net.SetFaults(0, 0, 0, 0)
+	if err := w.doSettle(); err != nil {
+		t.Fatal(err)
+	}
+
+	const doc, owner = "epsilon", "amy"
+	err := w.guarded("read-before-create", func() error {
+		_, e := w.rc.Read(doc, owner)
+		return e
+	})
+	if err == nil || errors.Is(err, remote.ErrDegraded) {
+		t.Fatalf("read before create: err = %v, want a document-level error", err)
+	}
+	w.endOp()
+
+	content := []byte("doc:epsilon:v1")
+	w.src.Store("/"+doc, content)
+	if _, err := w.space.CreateDocument(doc, owner, &property.RepoBitProvider{Repo: w.src, Path: "/" + doc}); err != nil {
+		t.Fatal(err)
+	}
+	w.model.addDoc(doc, []string{owner}, content, w.clk.Now())
+	w.endOp()
+
+	for _, op := range []func() error{
+		func() error { return w.doRemoteRead(doc, owner) },
+		func() error { return w.doWrite(doc) },
+		w.doSettle,
+		func() error { return w.doRemoteRead(doc, owner) },
+	} {
+		if err := op(); err != nil {
+			t.Fatalf("%v\n%s", err, w.tr.String())
+		}
+	}
+	if w.rc.Stats().Invalidations == 0 {
+		t.Fatal("the write pushed no invalidation to the remote cache")
+	}
+}
+
 // TestScheduleKillRestartDiskTier pins the durable tier's warm-restart
 // contract under the stale-read oracle: a killed cache's successor must
 // recover the warm working set from disk (≥90% of untouched entries

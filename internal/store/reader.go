@@ -13,7 +13,7 @@ import (
 // io.SectionReader), so concurrent streams — and the store's own
 // appends to the active segment — never race on a file offset.
 //
-// BlobReader implements io.WriterTo, which io.Copy (and the v2 wire's
+// BlobReader implements io.WriterTo, which io.Copy (and the wire's
 // zero-copy serve path) prefers: WriteTo pumps the section through a
 // pooled fixed-size chunk instead of allocating a copy buffer per
 // stream. Unlike GetBlob, streaming does not re-verify the content

@@ -100,9 +100,10 @@ type Stats struct {
 
 // Options tunes a Store; the zero value is ready to use.
 type Options struct {
-	// SegmentMaxBytes rolls the active blob segment once it exceeds
-	// this size; 0 means DefaultSegmentMaxBytes.
-	SegmentMaxBytes int64
+	// segmentMaxBytes rolls the active blob segment once it exceeds
+	// this size; 0 means DefaultSegmentMaxBytes. Only this package's
+	// tests set it, to roll segments without writing 64 MiB.
+	segmentMaxBytes int64
 }
 
 // Store is a durable content-addressed tier. All methods are safe for
@@ -141,8 +142,8 @@ func entryKey(doc, user string) string { return doc + "\x00" + user }
 // state here, by design.
 func Open(dir string, opts Options) (*Store, Recovery, error) {
 	var rec Recovery
-	if opts.SegmentMaxBytes <= 0 {
-		opts.SegmentMaxBytes = DefaultSegmentMaxBytes
+	if opts.segmentMaxBytes <= 0 {
+		opts.segmentMaxBytes = DefaultSegmentMaxBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rec, err
@@ -297,7 +298,7 @@ func (s *Store) PutBlob(payload []byte) (sig.Signature, error) {
 	if _, ok := s.refs[sg]; ok {
 		return sg, nil // content-addressed: same bytes, already durable
 	}
-	if s.activeEnd > 0 && s.activeEnd+int64(len(buf)) > s.opts.SegmentMaxBytes {
+	if s.activeEnd > 0 && s.activeEnd+int64(len(buf)) > s.opts.segmentMaxBytes {
 		if err := s.rollLocked(); err != nil {
 			return sig.Zero, err
 		}
@@ -346,14 +347,6 @@ func (s *Store) GetBlob(sg sig.Signature) ([]byte, bool) {
 		return nil, false
 	}
 	return payload, true
-}
-
-// HasBlob reports whether sg is indexed, without reading it.
-func (s *Store) HasBlob(sg sig.Signature) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.refs[sg]
-	return ok
 }
 
 // PutEntry records (durably) that a cache entry's bytes live on disk.

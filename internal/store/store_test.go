@@ -236,7 +236,7 @@ func TestFlippedPayloadByte(t *testing.T) {
 // several files and all recover on reopen.
 func TestSegmentRoll(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := Open(dir, Options{SegmentMaxBytes: 256})
+	s, _, err := Open(dir, Options{segmentMaxBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

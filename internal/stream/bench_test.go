@@ -29,32 +29,6 @@ func BenchmarkWholeInputChain(b *testing.B) {
 	}
 }
 
-func BenchmarkChunkInput(b *testing.B) {
-	b.SetBytes(int64(len(benchContent)))
-	for i := 0; i < b.N; i++ {
-		r := ChainInput(BytesReader(benchContent), ChunkInput(bytes.ToUpper))
-		if _, err := io.Copy(io.Discard, r); err != nil {
-			b.Fatal(err)
-		}
-		r.Close()
-	}
-}
-
-func BenchmarkTapInput(b *testing.B) {
-	b.SetBytes(int64(len(benchContent)))
-	var total int64
-	for i := 0; i < b.N; i++ {
-		r := ChainInput(BytesReader(benchContent), TapInput(ObserverFuncs{
-			OnData: func(p []byte) { total += int64(len(p)) },
-		}))
-		if _, err := io.Copy(io.Discard, r); err != nil {
-			b.Fatal(err)
-		}
-		r.Close()
-	}
-	_ = total
-}
-
 func BenchmarkWholeOutputChain(b *testing.B) {
 	b.SetBytes(int64(len(benchContent)))
 	for i := 0; i < b.N; i++ {

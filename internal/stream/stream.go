@@ -8,10 +8,10 @@
 // stream to the next, so properties that modify content form a chain
 // of custom streams, each operating on the bytes that flow through.
 //
-// This package provides the chain plumbing plus the transform
-// primitives the standard property library is built from: whole-content
-// transforms (translation, summarization), streaming chunk transforms
-// (case mapping, watermarking), and observation taps (audit trails).
+// This package provides the chain plumbing plus the whole-content
+// transform wrappers the standard property library is built from. A
+// property that needs anything else — a streaming transform, an
+// observation tap — supplies its own InputWrapper or OutputWrapper.
 package stream
 
 import (
@@ -241,166 +241,6 @@ func (w *wholeWriter) Close() error {
 	}
 	putBuf(w.buf)
 	return w.dst.Close()
-}
-
-// chunkReader applies a transform to each chunk as it flows through.
-// Only safe for transforms that are byte-local (len-preserving not
-// required, but the transform must not depend on chunk boundaries).
-type chunkReader struct {
-	src     io.ReadCloser
-	f       Transform
-	pending []byte
-	// scratch is reused across Reads. The transform may return its
-	// input slice (identity), making pending alias scratch — safe
-	// because scratch is only refilled after pending fully drains,
-	// and per-reader ownership keeps it out of any shared pool.
-	scratch []byte
-}
-
-// ChunkInput returns an InputWrapper applying f independently to each
-// chunk read from the source. Use for stateless byte-local transforms
-// such as case mapping; use WholeInput when the transform needs the
-// entire document.
-func ChunkInput(f Transform) InputWrapper {
-	return func(src io.ReadCloser) io.ReadCloser {
-		return &chunkReader{src: src, f: f}
-	}
-}
-
-func (c *chunkReader) Read(p []byte) (int, error) {
-	for len(c.pending) == 0 {
-		if c.scratch == nil {
-			c.scratch = make([]byte, 4096)
-		}
-		n, err := c.src.Read(c.scratch)
-		if n > 0 {
-			c.pending = c.f(c.scratch[:n])
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	n := copy(p, c.pending)
-	c.pending = c.pending[n:]
-	return n, nil
-}
-
-func (c *chunkReader) Close() error { return c.src.Close() }
-
-// chunkWriter applies a transform to each chunk as it is written.
-type chunkWriter struct {
-	dst io.WriteCloser
-	f   Transform
-}
-
-// ChunkOutput returns an OutputWrapper applying f independently to
-// each chunk written; the write-path analogue of ChunkInput, for
-// stateless byte-local transforms.
-func ChunkOutput(f Transform) OutputWrapper {
-	return func(dst io.WriteCloser) io.WriteCloser {
-		return &chunkWriter{dst: dst, f: f}
-	}
-}
-
-func (c *chunkWriter) Write(p []byte) (int, error) {
-	out := c.f(p)
-	if _, err := c.dst.Write(out); err != nil {
-		return 0, err
-	}
-	// Report the consumed input length, per io.Writer contract.
-	return len(p), nil
-}
-
-func (c *chunkWriter) Close() error { return c.dst.Close() }
-
-// ObserverFuncs are callbacks for observation taps on a stream.
-type ObserverFuncs struct {
-	// OnData receives each chunk flowing through (may be nil). The
-	// slice is only valid for the duration of the call.
-	OnData func(p []byte)
-	// OnClose runs once when the stream is closed, with the total
-	// byte count that flowed through (may be nil).
-	OnClose func(total int64)
-}
-
-// tapReader forwards reads while invoking observer callbacks. It never
-// modifies the data — the mechanism for properties that "intercept
-// operations only to invoke a service but do nothing with the content
-// itself" (paper §3), such as read-audit trails.
-type tapReader struct {
-	src    io.ReadCloser
-	obs    ObserverFuncs
-	total  int64
-	closed bool
-}
-
-// TapInput returns an InputWrapper that observes but never modifies
-// data on the read path.
-func TapInput(obs ObserverFuncs) InputWrapper {
-	return func(src io.ReadCloser) io.ReadCloser {
-		return &tapReader{src: src, obs: obs}
-	}
-}
-
-func (t *tapReader) Read(p []byte) (int, error) {
-	n, err := t.src.Read(p)
-	if n > 0 {
-		t.total += int64(n)
-		if t.obs.OnData != nil {
-			t.obs.OnData(p[:n])
-		}
-	}
-	return n, err
-}
-
-func (t *tapReader) Close() error {
-	err := t.src.Close()
-	if !t.closed {
-		t.closed = true
-		if t.obs.OnClose != nil {
-			t.obs.OnClose(t.total)
-		}
-	}
-	return err
-}
-
-// tapWriter is the write-path analogue of tapReader.
-type tapWriter struct {
-	dst    io.WriteCloser
-	obs    ObserverFuncs
-	total  int64
-	closed bool
-}
-
-// TapOutput returns an OutputWrapper that observes but never modifies
-// data on the write path.
-func TapOutput(obs ObserverFuncs) OutputWrapper {
-	return func(dst io.WriteCloser) io.WriteCloser {
-		return &tapWriter{dst: dst, obs: obs}
-	}
-}
-
-func (t *tapWriter) Write(p []byte) (int, error) {
-	n, err := t.dst.Write(p)
-	if n > 0 {
-		t.total += int64(n)
-		if t.obs.OnData != nil {
-			t.obs.OnData(p[:n])
-		}
-	}
-	return n, err
-}
-
-func (t *tapWriter) Close() error {
-	err := t.dst.Close()
-	if !t.closed {
-		t.closed = true
-		if t.obs.OnClose != nil {
-			t.obs.OnClose(t.total)
-		}
-	}
-	return err
 }
 
 // BufferCloser is an in-memory WriteCloser that records whether Close

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -77,98 +76,6 @@ func TestWholeOutputWriteAfterClose(t *testing.T) {
 	}
 }
 
-func TestChunkInputStreaming(t *testing.T) {
-	src := strings.NewReader(strings.Repeat("ab", 5000))
-	r := ChainInput(NopReadCloser(src), ChunkInput(upper))
-	got, err := ReadAllAndClose(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != strings.Repeat("AB", 5000) {
-		t.Fatalf("chunk transform mangled data (len=%d)", len(got))
-	}
-}
-
-func TestChunkInputSmallReads(t *testing.T) {
-	r := ChainInput(BytesReader([]byte("hello world")), ChunkInput(upper))
-	var out []byte
-	buf := make([]byte, 3)
-	for {
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if string(out) != "HELLO WORLD" {
-		t.Fatalf("got %q", out)
-	}
-}
-
-func TestChunkOutputStreaming(t *testing.T) {
-	var sink BufferCloser
-	w := ChainOutput(&sink, ChunkOutput(upper))
-	for _, part := range []string{"ab", "cd", "ef"} {
-		n, err := io.WriteString(w, part)
-		if err != nil || n != 2 {
-			t.Fatalf("write: %d, %v", n, err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.String() != "ABCDEF" || !sink.Closed {
-		t.Fatalf("sink = %q closed=%v", sink.String(), sink.Closed)
-	}
-}
-
-func TestTapInputObservesWithoutModifying(t *testing.T) {
-	var seen bytes.Buffer
-	var closedTotal int64 = -1
-	r := ChainInput(BytesReader([]byte("audit me")), TapInput(ObserverFuncs{
-		OnData:  func(p []byte) { seen.Write(p) },
-		OnClose: func(n int64) { closedTotal = n },
-	}))
-	got, err := ReadAllAndClose(r)
-	if err != nil || string(got) != "audit me" {
-		t.Fatalf("data modified: %q, %v", got, err)
-	}
-	if seen.String() != "audit me" {
-		t.Fatalf("observer saw %q", seen.String())
-	}
-	if closedTotal != int64(len("audit me")) {
-		t.Fatalf("OnClose total = %d", closedTotal)
-	}
-}
-
-func TestTapOutputObserves(t *testing.T) {
-	var sink BufferCloser
-	var total int64
-	w := ChainOutput(&sink, TapOutput(ObserverFuncs{OnClose: func(n int64) { total = n }}))
-	io.WriteString(w, "12345")
-	w.Close()
-	w.Close() // OnClose must fire once
-	if total != 5 || sink.String() != "12345" {
-		t.Fatalf("total=%d sink=%q", total, sink.String())
-	}
-}
-
-func TestTapNilCallbacks(t *testing.T) {
-	r := ChainInput(BytesReader([]byte("x")), TapInput(ObserverFuncs{}))
-	if got, err := ReadAllAndClose(r); err != nil || string(got) != "x" {
-		t.Fatalf("got %q, %v", got, err)
-	}
-	var sink BufferCloser
-	w := ChainOutput(&sink, TapOutput(ObserverFuncs{}))
-	w.Write([]byte("y"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 type failReader struct{ closed bool }
 
 func (f *failReader) Read([]byte) (int, error) { return 0, errors.New("boom") }
@@ -233,18 +140,6 @@ func TestWriteReadSymmetryProperty(t *testing.T) {
 		r := ChainInput(BytesReader(content), WholeInput(upper))
 		got, err := ReadAllAndClose(r)
 		return err == nil && bytes.Equal(got, sink.Bytes())
-	}
-	if err := quick.Check(fn, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a tap never alters the bytes, for any content.
-func TestTapTransparencyProperty(t *testing.T) {
-	fn := func(content []byte) bool {
-		r := ChainInput(BytesReader(content), TapInput(ObserverFuncs{OnData: func([]byte) {}}))
-		got, err := ReadAllAndClose(r)
-		return err == nil && bytes.Equal(got, content)
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)

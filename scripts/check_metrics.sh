@@ -28,7 +28,7 @@ go build -o "$WORK/plcached" ./cmd/plcached
 
 # -store attaches the durable disk tier so the placeless_store_*
 # families register and appear in the exposition.
-"$WORK/placelessd" -mem -cache 1048576 -memoize -store "$WORK/store" \
+"$WORK/placelessd" -cache 1048576 -memoize -store "$WORK/store" \
 	-addr "127.0.0.1:$TCP_PORT" -http "127.0.0.1:$HTTP_PORT" \
 	>"$WORK/placelessd.log" 2>&1 &
 PID=$!
