@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke cover check-metrics check-docs check-flags check-options experiments examples clean
+.PHONY: all build vet fmt-check test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke bench-pairs cover check-metrics check-docs check-flags check-options experiments examples clean
 
 all: build vet test
 
@@ -79,6 +79,16 @@ bench:
 # rot (benchmarks that no longer compile or crash on first iteration).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
+
+# The pair table a performance claim is made with: the live-daemon
+# benchmark (bench/) on REV and on the working tree, PAIRS times each
+# on seeds SEED0, SEED0+1, …, alternating which side goes first, with
+# medians, quartiles, per-pair ratios and pairs won.
+#   make bench-pairs REV=HEAD~1 WORKLOAD=churn_mix [PAIRS=10] [SEED0=2]
+PAIRS ?= 10
+SEED0 ?= 2
+bench-pairs:
+	sh scripts/bench_pairs.sh $(REV) $(WORKLOAD) $(PAIRS) $(SEED0)
 
 # Machine-readable result of one experiment by index (make bench-e4,
 # make bench-e12 … bench-e18): prints the table and writes the

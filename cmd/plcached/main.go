@@ -53,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -235,6 +236,9 @@ func main() {
 				return
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
+			// Without a length net/http sends any body over 2 KiB chunked,
+			// in three write(2) calls instead of one.
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			_, _ = w.Write(data)
 		case http.MethodPut, http.MethodPost:
 			body, err := io.ReadAll(r.Body)

@@ -774,6 +774,16 @@ func (c *Cache) docGen(doc string) *atomic.Uint64 {
 // its cacheability indicator, returning the related-document hints for
 // the caller to prefetch (nil unless an entry was installed).
 func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info EntryInfo, related []string, err error) {
+	// Notifiers first, then the generation snapshot, then the read —
+	// the order remote.miss uses (subscribe, then fetch). Attached any
+	// later, a change landing before the attach on a key's first miss
+	// would bump no generation and be pushed to no one. A failure
+	// means the document or the reference does not exist; the read
+	// below reports that, and the key's next miss retries the attach.
+	if !c.opts.DisableNotifiers {
+		_ = c.notifiers.Ensure(doc, user)
+	}
+
 	// Snapshot the document's invalidation generation: if a
 	// notification arrives while the read path is executing, the
 	// result may already be stale and must not be cached (the
@@ -791,9 +801,11 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 
 	// Memoize decides only whether the read is offered a store for its
 	// cuts; the read itself has one shape either way.
+	var cuts *readCuts
 	var memo docspace.PrefixIntermediates
 	if c.opts.Memoize {
-		memo = c
+		cuts = &readCuts{c: c}
+		memo = cuts
 	}
 	data, res, trace, err := c.space.ReadDocumentStaged(doc, user, memo)
 	if trace.MemoErr {
@@ -833,6 +845,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		// callbacks re-enter the entry table.
 		c.clk.Sleep(c.opts.FillCost)
 	}
+	s := cuts.sign(data) // hashing stays outside the shard lock
 	k := key(doc, user)
 	sh := c.idx.shardFor(k)
 	sh.mu.Lock()
@@ -849,7 +862,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		return data, info, nil, nil
 	}
 	c.dropShardLocked(sh, k) // replace any stale entry
-	s := c.storeBlob(data)
+	c.internBlob(s, data, true)
 	info.Signature = s
 	e := &entry{
 		doc: doc, user: user,
@@ -871,12 +884,11 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	c.policyMu.Unlock()
 	sh.mu.Unlock()
 
-	c.installNotifiers(doc, user)
 	c.evict(k)
 	// Write-behind demotion at install time, not at eviction: a warm
 	// restart must recover the cache as it was, including entries that
-	// were never evicted. All store I/O runs outside cache locks.
-	c.demoteEntry(doc, user, data, res, trace, g, gen)
+	// were never evicted. All store calls run outside cache locks.
+	c.demoteEntry(doc, user, s, data, res, trace.Key, g, gen)
 	return data, info, res.Related, nil
 }
 
@@ -926,23 +938,19 @@ func (c *Cache) blobDataCRC(s sig.Signature) (data []byte, crc uint32, ok bool) 
 	return nil, 0, false
 }
 
-// storeBlob interns data under its signature for a (doc, user) entry.
-func (c *Cache) storeBlob(data []byte) sig.Signature {
-	return c.internBlob(data, true)
-}
-
 // releaseBlob drops a (doc, user) entry's reference.
 func (c *Cache) releaseBlob(s sig.Signature) {
 	c.unrefBlob(s, true)
 }
 
-// internBlob interns data under its signature and takes one reference,
-// maintaining the unique-byte and shared-entry gauges incrementally.
-// asEntry distinguishes (doc, user) entries from intermediates: both
-// share storage and lifetime, but only entry references drive the
-// SharedEntries gauge.
-func (c *Cache) internBlob(data []byte, asEntry bool) sig.Signature {
-	s := sig.Of(data)
+// internBlob interns data under s, its signature, and takes one
+// reference, maintaining the unique-byte and shared-entry gauges
+// incrementally. The caller signs — once, before it takes the shard
+// lock or interMu this runs under — or passes on the signature a lower
+// tier has just proved. asEntry distinguishes (doc, user) entries from
+// intermediates: both share storage and lifetime, but only entry
+// references drive the SharedEntries gauge.
+func (c *Cache) internBlob(s sig.Signature, data []byte, asEntry bool) {
 	c.blobMu.Lock()
 	b := c.blobs[s]
 	if b == nil {
@@ -964,7 +972,6 @@ func (c *Cache) internBlob(data []byte, asEntry bool) sig.Signature {
 	}
 	b.refs++
 	c.blobMu.Unlock()
-	return s
 }
 
 // unrefBlob drops one reference, freeing the blob when the last holder

@@ -114,10 +114,10 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 		return nil, EntryInfo{}, false
 	}
 	c.dropShardLocked(sh, k)
-	s := c.storeBlob(data)
+	c.internBlob(e.Sig, data, true) // GetBlob has just proved data hashes to e.Sig
 	ent := &entry{
 		doc: doc, user: user,
-		signature:    s,
+		signature:    e.Sig,
 		size:         int64(len(data)),
 		cost:         e.Cost,
 		cacheability: property.Unrestricted,
@@ -137,38 +137,29 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 
 	c.stats.storePromotions.Add(1)
 	c.stats.misses.Add(1)
-	c.installNotifiers(doc, user)
 	c.evict(k)
 	out := make([]byte, len(data))
 	copy(out, data)
-	return out, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: s}, true
+	return out, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
 }
 
-// demoteEntry writes an installed result behind to the disk tier. g/gen
-// are the install's generation counter and snapshot; trace is the
-// staged read's trace, whose SourceSig pins which source bytes the
-// result was actually computed from.
-func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResult, trace docspace.StageTrace, g *atomic.Uint64, gen uint64) {
+// demoteEntry writes an installed result behind to the disk tier, under
+// ck, the content key the staged read computed it under (its
+// StageTrace.Key): key and bytes come from one source fetch and one
+// chain snapshot, so the pair is consistent whatever has been
+// rewritten since, and a later promote's live probe decides whether it
+// is still current. s is data's signature; g/gen are the install's
+// generation counter and snapshot.
+func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data []byte, res property.ReadResult, ck docspace.ContentKey, g *atomic.Uint64, gen uint64) {
 	st := c.opts.Store
-	if st == nil || res.Cacheability != property.Unrestricted || !trace.Attempted {
-		return
-	}
-	ck, err := c.space.ContentKey(doc, user)
-	if err != nil || !ck.Memoizable {
-		return
-	}
-	if ck.SourceSig != trace.SourceSig {
-		// The source was rewritten between the read and this probe; the
-		// probed key would bind new-source identity to old-source bytes.
-		// Skip — a consistent pair requires key and bytes from the same
-		// source version.
+	if st == nil || res.Cacheability != property.Unrestricted || !ck.Memoizable {
 		return
 	}
 	if g.Load() != gen {
 		return
 	}
 	if prev, ok := st.GetEntry(doc, user); ok &&
-		prev.Sig == sig.Of(data) && prev.Gen == gen &&
+		prev.Sig == s && prev.Gen == gen &&
 		prev.SourceSig == ck.SourceSig &&
 		prev.UniversalFP == ck.UniversalFP &&
 		prev.PersonalFP == ck.PersonalFP {
@@ -176,14 +167,13 @@ func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResu
 		// bloat the meta log.
 		return
 	}
-	bsig, err := st.PutBlob(data)
-	if err != nil {
+	if err := st.PutSigned(s, data); err != nil {
 		c.stats.storeErrors.Add(1)
 		return
 	}
 	if err := st.PutEntry(store.EntryMeta{
 		Doc: doc, User: user,
-		Sig:         bsig,
+		Sig:         s,
 		SourceSig:   ck.SourceSig,
 		UniversalFP: ck.UniversalFP,
 		PersonalFP:  ck.PersonalFP,
@@ -196,11 +186,11 @@ func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResu
 	c.stats.storeDemotions.Add(1)
 }
 
-// demoteIntermediate writes a computed universal-stage output behind
-// to the disk tier. Intermediates are pure content addressing — the
-// (src, fp) key can never serve wrong bytes — so no epoch or probe is
-// needed.
-func (c *Cache) demoteIntermediate(src, fp sig.Signature, data []byte, cost time.Duration) {
+// demoteIntermediate writes a computed universal-stage output, signed
+// s, behind to the disk tier. Intermediates are pure content
+// addressing — the (src, fp) key can never serve wrong bytes — so no
+// epoch or probe is needed.
+func (c *Cache) demoteIntermediate(src, fp, s sig.Signature, data []byte, cost time.Duration) {
 	st := c.opts.Store
 	if st == nil {
 		return
@@ -208,15 +198,14 @@ func (c *Cache) demoteIntermediate(src, fp sig.Signature, data []byte, cost time
 	if _, ok := st.GetIntermediate(src, fp); ok {
 		return
 	}
-	bsig, err := st.PutBlob(data)
-	if err != nil {
+	if err := st.PutSigned(s, data); err != nil {
 		c.stats.storeErrors.Add(1)
 		return
 	}
 	if err := st.PutIntermediate(store.IntermediateMeta{
 		SourceSig:   src,
 		Fingerprint: fp,
-		Sig:         bsig,
+		Sig:         s,
 		Cost:        cost,
 	}); err != nil {
 		c.stats.storeErrors.Add(1)

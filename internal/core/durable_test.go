@@ -7,6 +7,7 @@ import (
 	"placeless/internal/docspace"
 	"placeless/internal/property"
 	"placeless/internal/store"
+	"placeless/internal/stream"
 )
 
 // durableWorld is a world with a durable disk tier attached, plus the
@@ -320,5 +321,64 @@ func TestDurableDemotionSkipsUncacheable(t *testing.T) {
 	}
 	if st := d.cache.Stats(); st.StoreDemotions != 0 {
 		t.Fatalf("StoreDemotions = %d, want 0", st.StoreDemotions)
+	}
+}
+
+// midReadRewriter is a personal property that touches no bytes and, the
+// first time a read wraps it, rewrites the document's source straight
+// in the repository — no Placeless write, so no event and no notifier.
+// The staged read has fetched the source by then and has not yet
+// returned, so the rewrite lands between the fetch and the demotion.
+type midReadRewriter struct {
+	property.Base
+	rewrite func()
+	fired   bool
+}
+
+func (m *midReadRewriter) WrapInput(*property.ReadContext) stream.InputWrapper {
+	if !m.fired {
+		m.fired = true
+		m.rewrite()
+	}
+	return nil
+}
+
+// TestDemoteRecordsTheKeyTheReadComputed: a result is demoted under the
+// source signature its bytes were computed from, whatever the source
+// has become since. The pair on disk is consistent, so the successor's
+// live probe sees the moved source, rejects it and recomputes — it can
+// never bind the old bytes to the new source.
+func TestDemoteRecordsTheKeyTheReadComputed(t *testing.T) {
+	d := newDurableWorld(t, Options{})
+	setupMemoDoc(t, d.world, []string{"eyal"})
+	hook := &midReadRewriter{
+		Base:    property.Base{PropName: "mid-read-rewriter"},
+		rewrite: func() { d.src.Store("/d", []byte("rewritten teh source mid-read\n")) },
+	}
+	if err := d.space.Attach("d", "eyal", docspace.Personal, hook); err != nil {
+		t.Fatal(err)
+	}
+
+	old := d.read(t, "d", "eyal")
+	if bytes.Contains(old, []byte("rewritten")) {
+		t.Fatalf("setup: the read was computed from the rewritten source: %q", old)
+	}
+	if st := d.cache.Stats(); st.StoreDemotions != 1 {
+		t.Fatalf("StoreDemotions = %d, want 1: the read's own key and bytes are a consistent pair", st.StoreDemotions)
+	}
+
+	d.crashAndRestart()
+	data, info, err := d.cache.ReadWithInfo("d", "eyal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.DiskPromoted || bytes.Equal(data, old) {
+		t.Fatalf("old bytes served under the new source (promoted=%v): %q", info.DiskPromoted, data)
+	}
+	if !bytes.Contains(data, []byte("rewritten")) {
+		t.Fatalf("read missed the rewrite: %q", data)
+	}
+	if st := d.cache.Stats(); st.StorePromotionRejects != 1 || st.StorePromotions != 0 {
+		t.Fatalf("rejects/promotions = %d/%d, want 1/0", st.StorePromotionRejects, st.StorePromotions)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"time"
 
@@ -75,26 +76,59 @@ type interEntry struct {
 type iflight struct {
 	done chan struct{}
 	data []byte
+	sig  sig.Signature // of data
 	err  error
 }
 
-var _ docspace.PrefixIntermediates = (*Cache)(nil)
+// readCuts is the docspace.PrefixIntermediates one miss hands its
+// staged read: the cache's intermediate store, plus a note of the
+// deepest cut the read was handed and the signature those bytes are
+// interned under. When no transform follows that cut — the benchmark's
+// chains all end in a memoizable property — the read's result is the
+// same bytes, and sign answers without hashing them a second time.
+type readCuts struct {
+	c       *Cache
+	last    []byte
+	lastSig sig.Signature
+}
 
 // PrefixIntermediate implements docspace.PrefixIntermediates for one
 // cut of the prefix pipeline.
-func (c *Cache) PrefixIntermediate(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
+func (rc *readCuts) PrefixIntermediate(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
 	owner := ""
 	if cut.Personal {
 		owner = user
 	}
-	return c.intermediate(doc, owner, src, cut.FP, cut.Cost, cut.Universal, compute)
+	data, s, hit, err := rc.c.intermediate(doc, owner, src, cut.FP, cut.Cost, cut.Universal, compute)
+	if err == nil {
+		rc.last, rc.lastSig = data, s
+	}
+	return data, hit, err
 }
 
-// LongestPrefix implements docspace.PrefixIntermediates: it scans fps
-// deepest-first and returns the first resident (src, fp) output. The
-// probe is memory-only — the durable tier is consulted per cut by
+// LongestPrefix implements docspace.PrefixIntermediates: the probe is
+// memory-only — the durable tier is consulted per cut by
 // PrefixIntermediate, which also handles in-flight coalescing.
-func (c *Cache) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
+func (rc *readCuts) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
+	data, s, idx, ok := rc.c.longestPrefix(src, fps)
+	if ok {
+		rc.last, rc.lastSig = data, s
+	}
+	return data, idx, ok
+}
+
+// sign returns data's signature, hashing only if data is not the last
+// cut's bytes over again. A nil receiver (memoization off) hashes.
+func (rc *readCuts) sign(data []byte) sig.Signature {
+	if rc != nil && !rc.lastSig.IsZero() && bytes.Equal(rc.last, data) {
+		return rc.lastSig
+	}
+	return sig.Of(data)
+}
+
+// longestPrefix scans fps deepest-first and returns the first resident
+// (src, fp) output with its signature.
+func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, sig.Signature, int, bool) {
 	c.interMu.Lock()
 	for i := len(fps) - 1; i >= 0; i-- {
 		k := interKey(src, fps[i])
@@ -119,10 +153,10 @@ func (c *Cache) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature
 		c.stats.prefixSavedBytes.Add(int64(len(data)))
 		out := make([]byte, len(data))
 		copy(out, data)
-		return out, i, true
+		return out, e.signature, i, true
 	}
 	c.interMu.Unlock()
-	return nil, -1, false
+	return nil, sig.Zero, -1, false
 }
 
 // intermediate returns the memoized output for (src, fp), or computes
@@ -130,9 +164,9 @@ func (c *Cache) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature
 // is the accumulated simulated recompute cost through the cut, the
 // policy's cost input. universal marks the cut that completes the
 // universal chain (the accounting boundary for UniversalStageRuns).
-// The returned slice is the caller's to keep; hit reports whether
-// compute was skipped.
-func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, compute func() ([]byte, error)) ([]byte, bool, error) {
+// The returned slice is the caller's to keep and the signature is its
+// own; hit reports whether compute was skipped.
+func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, compute func() ([]byte, error)) ([]byte, sig.Signature, bool, error) {
 	k := interKey(src, fp)
 	for {
 		c.interMu.Lock()
@@ -154,7 +188,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			c.stats.prefixSavedBytes.Add(int64(len(data)))
 			out := make([]byte, len(data))
 			copy(out, data)
-			return out, true, nil
+			return out, e.signature, true, nil
 		}
 		if f := c.interFlights[k]; f != nil {
 			c.interMu.Unlock()
@@ -170,7 +204,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			c.stats.prefixSavedBytes.Add(int64(len(f.data)))
 			out := make([]byte, len(f.data))
 			copy(out, f.data)
-			return out, true, nil
+			return out, f.sig, true, nil
 		}
 		f := &iflight{done: make(chan struct{})}
 		c.interFlights[k] = f
@@ -180,13 +214,16 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 		// compute closure: (src, fp) is content-addressed, so a disk
 		// record needs no validation beyond the store's own checksum
 		// and signature verification — equal keys imply equal bytes.
+		// Either way the bytes are signed here, once, before interMu
+		// is taken again: by GetBlob's proof, or by hashing them.
 		var data []byte
+		var s sig.Signature
 		var err error
 		fromDisk := false
 		if st := c.opts.Store; st != nil {
 			if im, ok := st.GetIntermediate(src, fp); ok {
 				if d, ok := st.GetBlob(im.Sig); ok {
-					data, fromDisk = d, true
+					data, s, fromDisk = d, im.Sig, true
 					c.stats.storeInterPromotions.Add(1)
 					c.stats.intermediateHits.Add(1)
 					c.stats.bytesRecomputedSaved.Add(int64(len(d)))
@@ -198,37 +235,39 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 				c.stats.universalStageRuns.Add(1)
 			}
 			c.stats.prefixSegmentRuns.Add(1)
-			data, err = compute()
+			if data, err = compute(); err == nil {
+				s = sig.Of(data)
+			}
 		}
-		f.data, f.err = data, err
+		f.data, f.sig, f.err = data, s, err
 		c.interMu.Lock()
 		delete(c.interFlights, k)
 		if err == nil && !c.closed.Load() {
-			c.storeIntermediateLocked(k, doc, user, data, cost)
+			c.storeIntermediateLocked(k, doc, user, s, data, cost)
 			c.stats.prefixInstalls.Add(1)
 		}
 		c.interMu.Unlock()
 		close(f.done)
 		if err != nil {
-			return nil, false, err
+			return nil, sig.Zero, false, err
 		}
 		if !fromDisk {
-			c.demoteIntermediate(src, fp, data, cost)
+			c.demoteIntermediate(src, fp, s, data, cost)
 		}
 		c.evict("")
-		return data, fromDisk, nil
+		return data, s, fromDisk, nil
 	}
 }
 
-// storeIntermediateLocked installs a computed prefix output. Caller
-// holds interMu; the key is flight-protected, so no entry can already
+// storeIntermediateLocked installs a computed prefix output, signed s.
+// Caller holds interMu; the key is flight-protected, so no entry can already
 // exist, but a racing invalidation sweep between our delete of the
 // flight and this install is impossible because both run under
 // interMu — the sweep either ran before (nothing to remove) or runs
 // after (removes this entry, which is merely a lost memo, not a
 // correctness problem: the key's bytes are right by construction).
-func (c *Cache) storeIntermediateLocked(k, doc, user string, data []byte, cost time.Duration) {
-	s := c.internBlob(data, false)
+func (c *Cache) storeIntermediateLocked(k, doc, user string, s sig.Signature, data []byte, cost time.Duration) {
+	c.internBlob(s, data, false)
 	c.inter[k] = &interEntry{doc: doc, user: user, signature: s, size: int64(len(data))}
 	c.stats.intermediateEntries.Add(1)
 	c.stats.intermediateBytes.Add(int64(len(data)))

@@ -5,18 +5,6 @@ import (
 	"placeless/internal/sig"
 )
 
-// installNotifiers makes sure the cache's notifier pair is attached for
-// (doc, user) — the paper's miss-time behaviour.
-func (c *Cache) installNotifiers(doc, user string) {
-	if c.opts.DisableNotifiers {
-		return
-	}
-	// The read that brought us here found the document and the
-	// reference, so a failure means one was removed since; the next
-	// miss on the key retries.
-	_ = c.notifiers.Ensure(doc, user)
-}
-
 // invalidateDoc bumps the document's generation and drops every user's
 // entry for it, visiting the stripes one lock at a time. The
 // generation bump strictly precedes the stripe scan: an install that

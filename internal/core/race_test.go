@@ -52,6 +52,53 @@ func (m *midReadWriter) WrapInput(*property.ReadContext) stream.InputWrapper {
 	})
 }
 
+// firstReadAttacher is an active property that touches no bytes and,
+// the first time a read wraps it, attaches another property to the
+// base document — a property change landing inside a miss, after the
+// read snapshotted the chain it will execute.
+type firstReadAttacher struct {
+	property.Base
+	space *docspace.Space
+	doc   string
+	add   property.Active
+	fired bool
+}
+
+func (a *firstReadAttacher) WrapInput(*property.ReadContext) stream.InputWrapper {
+	if !a.fired {
+		a.fired = true
+		if err := a.space.Attach(a.doc, "", docspace.Universal, a.add); err != nil {
+			panic(err)
+		}
+	}
+	return nil
+}
+
+// TestChangeDuringFirstMissIsNotCached: on a key's first miss the
+// notifiers must be attached before the read, not after the install.
+// Attached after, the universal attach below bumps no generation and
+// reaches no notifier, the pre-attach bytes are installed, and nothing
+// ever removes them: no verifier watches a property list.
+func TestChangeDuringFirstMissIsNotCached(t *testing.T) {
+	w := newWorld(t, Options{})
+	w.addDoc(t, "d", "eyal", "/d", []byte("quiet words"))
+	trigger := &firstReadAttacher{
+		Base:  property.Base{PropName: "first-read-attacher"},
+		space: w.space, doc: "d", add: property.NewUppercaser(0),
+	}
+	if err := w.space.Attach("d", "eyal", docspace.Personal, trigger); err != nil {
+		t.Fatal(err)
+	}
+
+	w.read(t, "d", "eyal") // either chain is legal here: the attach lands mid-read
+	if got := w.read(t, "d", "eyal"); string(got) != "QUIET WORDS" {
+		t.Fatalf("read after a mid-first-miss attach = %q, want the new chain's bytes", got)
+	}
+	if st := w.cache.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want the first miss not installed and the second read a miss", st)
+	}
+}
+
 func TestInvalidationDuringMissPreventsStaleInstall(t *testing.T) {
 	// Verifiers off: only the notification protects consistency, so
 	// a stale install would be served forever.

@@ -219,6 +219,45 @@ func TestCreateDocumentRejectsNULIds(t *testing.T) {
 	}
 }
 
+// everyCutSubset reads f's document "d" as each user through the staged
+// path once per subset of its cuts — that subset pre-seeded into a
+// fresh store, so the read resumes from the deepest seeded prefix,
+// is served the seeded segments and computes the rest — and hands
+// every read to check. minCuts guards the fixture: fewer distinct cuts
+// across the users and the walk would exercise too little.
+func everyCutSubset(t *testing.T, f *fixture, users []string, minCuts int, check func(mask int, user string, data []byte, res property.ReadResult, trace StageTrace)) {
+	t.Helper()
+	// One warm pass to learn every cut's key and bytes.
+	warm := newFakePrefixMemo()
+	for _, u := range users {
+		_, _, trace, err := f.space.ReadDocumentStaged("d", u, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !trace.Attempted || trace.Cuts == 0 {
+			t.Fatalf("user %s: multi-cut staging not attempted: %+v", u, trace)
+		}
+	}
+	if len(warm.keys) < minCuts {
+		t.Fatalf("expected at least %d distinct cuts, got %d", minCuts, len(warm.keys))
+	}
+	for mask := 0; mask < 1<<len(warm.keys); mask++ {
+		m := newFakePrefixMemo()
+		for i, k := range warm.keys {
+			if mask&(1<<i) != 0 {
+				m.store[k] = append([]byte{}, warm.store[k]...)
+			}
+		}
+		for _, u := range users {
+			staged, res, trace, err := f.space.ReadDocumentStaged("d", u, m)
+			if err != nil {
+				t.Fatalf("mask %b user %s: %v", mask, u, err)
+			}
+			check(mask, u, staged, res, trace)
+		}
+	}
+}
+
 // TestPrefixStagedMatchesPlainEverySubset is the pipeline's equivalence
 // guard: whatever subset of cuts is already cached, the staged read
 // must produce bytes identical to the unstaged path — resuming from the
@@ -235,48 +274,74 @@ func TestPrefixStagedMatchesPlainEverySubset(t *testing.T) {
 		}
 		plain[u], plainRes[u] = d, res
 	}
-
-	// One warm pass to learn every cut's key and bytes.
-	warm := newFakePrefixMemo()
-	for _, u := range users {
-		staged, _, trace, err := f.space.ReadDocumentStaged("d", u, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !trace.Attempted || trace.Cuts == 0 {
-			t.Fatalf("user %s: multi-cut staging not attempted: %+v", u, trace)
-		}
+	everyCutSubset(t, f, users, 4, func(mask int, u string, staged []byte, res property.ReadResult, _ StageTrace) {
 		if !bytes.Equal(staged, plain[u]) {
-			t.Fatalf("user %s: warm staged read diverged", u)
+			t.Fatalf("mask %b user %s: staged read diverged:\nplain:  %q\nstaged: %q",
+				mask, u, plain[u], staged)
 		}
-	}
-	if len(warm.keys) < 4 {
-		t.Fatalf("expected at least 4 distinct cuts across two users, got %d", len(warm.keys))
-	}
+		// Served segments skip their transforms, never their votes,
+		// verifiers or replacement cost.
+		if want := plainRes[u]; res.Cacheability != want.Cacheability || res.Cost != want.Cost || len(res.Verifiers) != len(want.Verifiers) {
+			t.Fatalf("mask %b user %s: ReadResult diverged:\nplain:  %+v\nstaged: %+v", mask, u, want, res)
+		}
+	})
+}
 
-	// Every subset of the cuts, pre-seeded into a fresh store.
-	for mask := 0; mask < 1<<len(warm.keys); mask++ {
-		m := newFakePrefixMemo()
-		for i, k := range warm.keys {
-			if mask&(1<<i) != 0 {
-				m.store[k] = append([]byte{}, warm.store[k]...)
+// TestStageTraceKeyMatchesContentKey: the key a staged read reports for
+// its own bytes is the key ContentKey answers when nothing changed in
+// between — whatever the read was served from the store, and with
+// chains that are not memoizable, that hold event-only properties, or
+// that hold a cache's machinery. The disk tier records the first and
+// probes with the second; they must agree on every component or no
+// demoted entry would ever promote.
+func TestStageTraceKeyMatchesContentKey(t *testing.T) {
+	opaque := func(name string) property.Active {
+		// Byte-touching with no memo contract: poisons every later cut.
+		return &property.Transformer{Base: property.Base{PropName: name}, ReadTransform: bytes.ToUpper, Version: 1}
+	}
+	type attachment struct {
+		user  string // "" for universal
+		props []property.Active
+	}
+	for _, tc := range []struct {
+		name  string
+		extra []attachment
+	}{
+		{name: "memoizable chains"},
+		{name: "non-memoizable personal tail", extra: []attachment{{"eyal", []property.Active{opaque("opaque")}}}},
+		{name: "non-memoizable universal tail", extra: []attachment{{"", []property.Active{opaque("opaque")}}}},
+		{name: "event-only", extra: []attachment{
+			{"", []property.Active{property.NewAuditTrail()}},
+			{"paul", []property.Active{property.NewAuditTrail()}},
+		}},
+		{name: "cache machinery", extra: []attachment{
+			{"", []property.Active{testMachinery{property.Base{PropName: "notifier:test:d:base"}}}},
+			{"eyal", []property.Active{testMachinery{property.Base{PropName: "notifier:test:d:eyal"}}}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := stageFixture(t)
+			for _, a := range tc.extra {
+				level := Universal
+				if a.user != "" {
+					level = Personal
+				}
+				for _, p := range a.props {
+					if err := f.space.Attach("d", a.user, level, p); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-		for _, u := range users {
-			staged, res, _, err := f.space.ReadDocumentStaged("d", u, m)
-			if err != nil {
-				t.Fatalf("mask %b user %s: %v", mask, u, err)
-			}
-			if !bytes.Equal(staged, plain[u]) {
-				t.Fatalf("mask %b user %s: staged read diverged:\nplain:  %q\nstaged: %q",
-					mask, u, plain[u], staged)
-			}
-			// Served segments skip their transforms, never their votes,
-			// verifiers or replacement cost.
-			if want := plainRes[u]; res.Cacheability != want.Cacheability || res.Cost != want.Cost || len(res.Verifiers) != len(want.Verifiers) {
-				t.Fatalf("mask %b user %s: ReadResult diverged:\nplain:  %+v\nstaged: %+v", mask, u, want, res)
-			}
-		}
+			everyCutSubset(t, f, []string{"eyal", "paul"}, 2, func(mask int, u string, _ []byte, _ property.ReadResult, trace StageTrace) {
+				want, err := f.space.ContentKey("d", u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if trace.Key != want {
+					t.Fatalf("mask %b user %s: trace key diverged from ContentKey:\ntrace:      %+v\nContentKey: %+v", mask, u, trace.Key, want)
+				}
+			})
+		})
 	}
 }
 
@@ -375,7 +440,7 @@ func TestBoundaryCutMatchesUniversalFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace.Fingerprint != f.fingerprint(t, "d") {
+	if trace.Key.UniversalFP != f.fingerprint(t, "d") {
 		t.Fatal("boundary prefix fingerprint diverged from UniversalFingerprint")
 	}
 }

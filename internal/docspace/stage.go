@@ -82,12 +82,15 @@ type StageTrace struct {
 	// rather than executed by this read (the boundary cut's data came
 	// from the store, a coalesced flight, or a deeper cached prefix).
 	Hit bool
-	// SourceSig is the signature of the raw source bytes; zero when
-	// the staged path was not attempted.
-	SourceSig sig.Signature
-	// Fingerprint is the universal-chain fingerprint (the boundary
-	// cut's prefix fingerprint); zero when not attempted.
-	Fingerprint sig.Signature
+	// Key is the content key the returned bytes were computed under:
+	// the signature of the source bytes this read fetched, and the
+	// fingerprints and memoizability of the chains it executed, all
+	// from one chain snapshot (UniversalFP is the boundary cut's prefix
+	// fingerprint). It is what ContentKey would have answered at that
+	// instant, at no second fetch — a consistent (key, bytes) pair by
+	// construction, which a ContentKey call made after the read is
+	// not. Zero when the staged path was not attempted.
+	Key ContentKey
 	// SavedBytes counts intermediate bytes served without
 	// recomputation, summed over the longest-prefix probe and every
 	// per-cut hit.
@@ -196,9 +199,12 @@ func (s *Space) UniversalFingerprint(doc string) (sig.Signature, error) {
 // fingerprint of the first k combined properties (fps[0] covers the
 // empty prefix); fps[len(uProps)] is bit-identical to the cached
 // universal fingerprint because both digest the same frame encoding.
-func (s *Space) snapshotChains(b *Base, r *Ref) (uProps, pProps []property.Active, fps []sig.Signature) {
+// personalFP is the personal chain's own fingerprint, the third
+// component of the read's ContentKey.
+func (s *Space) snapshotChains(b *Base, r *Ref) (uProps, pProps []property.Active, fps []sig.Signature, personalFP sig.Signature) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	personalFP = s.fingerprintNodeLocked(r.node)
 	uProps = make([]property.Active, len(b.node.actives))
 	for i, e := range b.node.actives {
 		uProps[i] = e.prop
@@ -218,7 +224,7 @@ func (s *Space) snapshotChains(b *Base, r *Ref) (uProps, pProps []property.Activ
 		enc = appendPropFrame(enc, p)
 		fps = append(fps, sig.Of(enc))
 	}
-	return uProps, pProps, fps
+	return uProps, pProps, fps, personalFP
 }
 
 // memoOK reports whether p's read-path wrapper may be memoized.
@@ -327,7 +333,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	}
 	openDur := time.Since(tOpen)
 
-	uProps, pProps, fps := s.snapshotChains(b, r)
+	uProps, pProps, fps, personalFP := s.snapshotChains(b, r)
 	nU := len(uProps)
 
 	// Wrap every property in chain order, recording a candidate cut at
@@ -421,8 +427,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 
 	srcSig := sig.Of(rawBytes)
 	trace.Attempted = true
-	trace.SourceSig = srcSig
-	trace.Fingerprint = fps[nU]
+	trace.Key = ContentKey{SourceSig: srcSig, UniversalFP: fps[nU], PersonalFP: personalFP, Memoizable: !poisoned}
 	trace.Cuts = len(cuts)
 	trace.DeepestHit = -1
 

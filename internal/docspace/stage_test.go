@@ -365,7 +365,7 @@ func TestStagedWithoutCutsMatchesReference(t *testing.T) {
 				len(got.Verifiers) != len(want.Verifiers) || !reflect.DeepEqual(got.Related, want.Related) {
 				t.Errorf("ReadResult diverged:\nreference: %+v\nstaged:    %+v", want, got)
 			}
-			if trace.Attempted || trace.Cuts != 0 || trace.Hit || trace.SourceSig != (sig.Signature{}) {
+			if trace.Attempted || trace.Cuts != 0 || trace.Hit || trace.Key != (ContentKey{}) {
 				t.Errorf("trace = %+v, want no cuts offered and the source not hashed", trace)
 			}
 			if trace.BitFetchDur <= 0 || trace.UniversalDur <= 0 || trace.PersonalDur <= 0 {

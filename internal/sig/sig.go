@@ -22,7 +22,17 @@ type Signature [md5.Size]byte
 const Size = md5.Size
 
 // Of returns the signature of data.
-func Of(data []byte) Signature { return md5.Sum(data) }
+func Of(data []byte) Signature {
+	if ofHook != nil {
+		ofHook(len(data))
+	}
+	return md5.Sum(data)
+}
+
+// ofHook, when set, is told the length of every input Of hashes. Only
+// this package's tests can set it (export_test.go): they pin how many
+// times the miss path signs one body, which no other package can see.
+var ofHook func(n int)
 
 // String renders the signature as lowercase hex.
 func (s Signature) String() string { return hex.EncodeToString(s[:]) }

@@ -19,6 +19,7 @@ import (
 	"placeless/internal/property"
 	"placeless/internal/remote"
 	"placeless/internal/server"
+	"placeless/internal/stream"
 )
 
 // scheduleWorld builds a pinned world for a scripted schedule: remote
@@ -320,6 +321,60 @@ func TestScheduleReadBeforeCreate(t *testing.T) {
 	}
 	if w.rc.Stats().Invalidations == 0 {
 		t.Fatal("the write pushed no invalidation to the remote cache")
+	}
+}
+
+// firstReadHook is a test property that touches no bytes and fires a
+// callback the first time a read wraps it: inside the miss, after the
+// read snapshotted the chain it will execute and before anything is
+// installed.
+type firstReadHook struct {
+	property.Base
+	fire func()
+}
+
+func (h *firstReadHook) WrapInput(*property.ReadContext) stream.InputWrapper {
+	if f := h.fire; f != nil {
+		h.fire = nil
+		f()
+	}
+	return nil
+}
+
+// TestScheduleChangeDuringFirstMiss pins an order the generated
+// workload cannot produce, because its ops run one after another: a
+// universal attach landing inside a key's first miss. The cache must
+// have its notifiers on the document before that read starts; attached
+// after the install, the attach invalidates nothing, the pre-attach
+// bytes stay cached, and the second read is stale for ever.
+func TestScheduleChangeDuringFirstMiss(t *testing.T) {
+	w := scheduleWorld(t, 29, nil)
+	const doc, owner = "epsilon", "amy"
+	content := []byte("doc:epsilon:v1")
+	w.src.Store("/"+doc, content)
+	if _, err := w.space.CreateDocument(doc, owner, &property.RepoBitProvider{Repo: w.src, Path: "/" + doc}); err != nil {
+		t.Fatal(err)
+	}
+	w.model.addDoc(doc, []string{owner}, content, w.clk.Now())
+	w.endOp()
+
+	var hookErr error
+	hook := &firstReadHook{Base: property.Base{PropName: "first-read-hook"}}
+	hook.fire = func() { hookErr = w.attachProp(doc, "", docspace.Universal) }
+	if err := w.space.Attach(doc, owner, docspace.Personal, hook); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := w.doLocalRead(doc, owner); err != nil {
+			t.Fatalf("read %d: %v\n%s", i+1, err, w.tr.String())
+		}
+		if hookErr != nil {
+			t.Fatal(hookErr)
+		}
+	}
+	if len(w.model.docs[doc].universal) != 1 {
+		t.Fatal("the first read never fired the attach")
 	}
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"io"
 
 	"placeless/internal/sig"
@@ -31,16 +30,9 @@ type BlobReader struct {
 func (s *Store) OpenBlob(sg sig.Signature) (*BlobReader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("store: closed")
-	}
-	ref, ok := s.refs[sg]
-	if !ok {
-		return nil, fmt.Errorf("store: no blob %s", sg)
-	}
-	f := s.files[ref.seg]
-	if f == nil {
-		return nil, fmt.Errorf("store: segment %d not open", ref.seg)
+	ref, f, err := s.locateLocked(sg)
+	if err != nil {
+		return nil, err
 	}
 	return &BlobReader{sr: io.NewSectionReader(f, ref.offset, ref.size)}, nil
 }

@@ -31,7 +31,10 @@ import (
 // physically truncated back to its last valid record so the next
 // append lands on a clean boundary — a torn final write (power cut
 // mid-append) therefore costs exactly the record being written, never
-// an earlier one.
+// an earlier one. The store appends records a batch at a time (see
+// store.go), so a power cut can tear a batch anywhere; the same scan
+// then keeps the batch's whole records and drops the torn one and
+// everything after it.
 
 // segMagic brands every record. Four literal bytes rather than an
 // integer so the on-disk format is byte-order-independent by
@@ -52,18 +55,16 @@ type blobRef struct {
 	size   int64
 }
 
-// encodeRecord renders one record (header + payload) into a fresh
-// buffer. The signature is computed here so a record can never be
-// written with a mismatched content address.
-func encodeRecord(payload []byte) ([]byte, sig.Signature) {
-	s := sig.Of(payload)
-	buf := make([]byte, recordHeaderSize+len(payload))
-	copy(buf[0:4], segMagic[:])
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	copy(buf[8:8+sig.Size], s[:])
-	binary.LittleEndian.PutUint32(buf[8+sig.Size:recordHeaderSize], recordCRC(s, payload))
-	copy(buf[recordHeaderSize:], payload)
-	return buf, s
+// appendRecord appends one record (header + payload) to dst. The
+// caller vouches that sg is the payload's content signature: Open ends
+// a segment's scan at the first record whose signature does not match
+// its bytes, so one wrong signature here would cost every later record.
+func appendRecord(dst []byte, sg sig.Signature, payload []byte) []byte {
+	dst = append(dst, segMagic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, sg[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, recordCRC(sg, payload))
+	return append(dst, payload...)
 }
 
 // segmentName returns the file name of segment n.

@@ -16,6 +16,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,6 +34,17 @@ const metaLogName = "meta.log"
 
 // DefaultSegmentMaxBytes is the roll threshold for blob segments.
 const DefaultSegmentMaxBytes = 64 << 20
+
+// Puts are written a batch at a time (see flushLocked): a batch goes
+// to the files once it has waited flushWindow or grown to flushBytes.
+// A kill -9 therefore loses at most the puts of one window; measured
+// on the live benchmark's churn_mix (EXPERIMENTS.md, third
+// ledger-picked change) a window holds about seven demotions, twenty
+// write(2) calls before batching and two after.
+const (
+	flushWindow = 5 * time.Millisecond
+	flushBytes  = 256 << 10
+)
 
 // EntryMeta describes one durable cache entry: enough to re-install
 // the entry in memory and to re-derive its validity without trusting
@@ -117,8 +129,21 @@ type Store struct {
 	refs      map[sig.Signature]blobRef
 	files     map[int]*os.File
 	active    int
-	activeEnd int64
+	activeEnd int64 // of the active segment, counting blobBuf
 	blobBytes int64
+
+	// The batch not yet written: encoded records that belong at the
+	// active segment's tail, and the meta lines that may name them.
+	// timer is armed while a batch waits out its window. failed is the
+	// first flush error; it is never cleared, because a failed write
+	// may have left a torn tail that nothing may be appended after
+	// until Open has truncated it.
+	blobBuf []byte
+	metaBuf bytes.Buffer
+	metaEnc *json.Encoder // onto metaBuf
+	timer   *time.Timer
+	armed   bool
+	failed  error
 
 	metaF   *os.File
 	entries map[string]EntryMeta          // doc \x00 user → latest meta
@@ -163,6 +188,7 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 		inters:    make(map[interKey]IntermediateMeta),
 		epochs:    make(map[string]uint64),
 	}
+	s.metaEnc = json.NewEncoder(&s.metaBuf)
 	for _, ref := range refs {
 		s.blobBytes += ref.size
 	}
@@ -273,48 +299,156 @@ func (s *Store) replayMeta(rec *Recovery) error {
 	return nil
 }
 
-// appendMeta writes one log line. Callers hold s.mu.
-func (s *Store) appendMeta(m metaRecord) error {
+// writableLocked is the error a put must return instead of queueing.
+func (s *Store) writableLocked() error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	b, err := json.Marshal(m)
-	if err != nil {
+	return s.failed
+}
+
+// appendMetaLocked queues one log line.
+func (s *Store) appendMetaLocked(m metaRecord) error {
+	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	_, err = s.metaF.Write(append(b, '\n'))
-	return err
+	return s.metaEnc.Encode(m)
+}
+
+// queuedLocked is called after the batch grew: it writes the batch out
+// if it is large, and otherwise makes sure the timer will.
+func (s *Store) queuedLocked() error {
+	if len(s.blobBuf)+s.metaBuf.Len() >= flushBytes {
+		return s.flushLocked()
+	}
+	if !s.armed {
+		s.armed = true
+		if s.timer == nil {
+			s.timer = time.AfterFunc(flushWindow, s.flushDue)
+		} else {
+			s.timer.Reset(flushWindow)
+		}
+	}
+	return nil
+}
+
+// flushDue is the timer's callback. A failure has no caller to go to;
+// it stays in s.failed and the next put returns it.
+func (s *Store) flushDue() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.armed = false
+	if !s.closed {
+		_ = s.flushLocked()
+	}
+}
+
+// flushLocked writes the batch: the records in one WriteAt, then the
+// lines in one Write, so no line reaches the log before the bytes it
+// names reached their segment. A failure un-indexes every blob that
+// was not written, with the entries and intermediates naming one, and
+// fails this and every later put.
+func (s *Store) flushLocked() error {
+	if s.failed != nil {
+		return s.failed
+	}
+	written := s.activeEnd - int64(len(s.blobBuf)) // the active segment's length on disk
+	var err error
+	if len(s.blobBuf) > 0 {
+		_, err = s.files[s.active].WriteAt(s.blobBuf, written)
+	}
+	if err == nil {
+		written = s.activeEnd
+		if s.metaBuf.Len() > 0 {
+			_, err = s.metaF.Write(s.metaBuf.Bytes())
+		}
+	}
+	if cap(s.blobBuf) > 2*flushBytes {
+		s.blobBuf = nil // one huge record must not pin its size forever
+	}
+	s.blobBuf = s.blobBuf[:0]
+	s.metaBuf.Reset()
+	if err == nil {
+		return nil
+	}
+	s.failed = fmt.Errorf("store: flush: %w", err)
+	for sg, ref := range s.refs {
+		if ref.seg == s.active && ref.offset >= written {
+			delete(s.refs, sg)
+			s.blobBytes -= ref.size
+		}
+	}
+	s.activeEnd = written
+	for k, e := range s.entries {
+		if _, ok := s.refs[e.Sig]; !ok {
+			delete(s.entries, k)
+		}
+	}
+	for k, im := range s.inters {
+		if _, ok := s.refs[im.Sig]; !ok {
+			delete(s.inters, k)
+		}
+	}
+	return s.failed
 }
 
 // PutBlob stores payload under its content signature, deduplicating
-// against blobs already on disk, and returns that signature.
+// against blobs already held, and returns that signature.
 func (s *Store) PutBlob(payload []byte) (sig.Signature, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return sig.Zero, fmt.Errorf("store: closed")
-	}
-	buf, sg := encodeRecord(payload)
-	if _, ok := s.refs[sg]; ok {
-		return sg, nil // content-addressed: same bytes, already durable
-	}
-	if s.activeEnd > 0 && s.activeEnd+int64(len(buf)) > s.opts.segmentMaxBytes {
-		if err := s.rollLocked(); err != nil {
-			return sig.Zero, err
-		}
-	}
-	f := s.files[s.active]
-	if _, err := f.WriteAt(buf, s.activeEnd); err != nil {
+	sg := sig.Of(payload)
+	if err := s.appendBlob(sg, payload); err != nil {
 		return sig.Zero, err
 	}
-	s.refs[sg] = blobRef{seg: s.active, offset: s.activeEnd + recordHeaderSize, size: int64(len(payload))}
-	s.activeEnd += int64(len(buf))
-	s.blobBytes += int64(len(payload))
 	return sg, nil
 }
 
-// rollLocked seals the active segment and starts the next one.
+// PutSigned is PutBlob for a caller that has already signed payload. A
+// blob the store holds is answered from the index alone. For a new one
+// the store still hashes what it writes — outside its lock — and
+// refuses a signature the bytes do not produce (see appendRecord).
+func (s *Store) PutSigned(sg sig.Signature, payload []byte) error {
+	s.mu.Lock()
+	_, held := s.refs[sg]
+	err := s.writableLocked()
+	s.mu.Unlock()
+	if err != nil || held {
+		return err
+	}
+	if sig.Of(payload) != sg {
+		return fmt.Errorf("store: payload does not hash to its signature %s", sg)
+	}
+	return s.appendBlob(sg, payload)
+}
+
+// appendBlob queues payload's record, trusting sg.
+func (s *Store) appendBlob(sg sig.Signature, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writableLocked(); err != nil {
+		return err
+	}
+	if _, ok := s.refs[sg]; ok {
+		return nil // content-addressed: same bytes, already held
+	}
+	n := int64(recordHeaderSize + len(payload))
+	if s.activeEnd > 0 && s.activeEnd+n > s.opts.segmentMaxBytes {
+		if err := s.rollLocked(); err != nil {
+			return err
+		}
+	}
+	s.blobBuf = appendRecord(s.blobBuf, sg, payload)
+	s.refs[sg] = blobRef{seg: s.active, offset: s.activeEnd + recordHeaderSize, size: int64(len(payload))}
+	s.activeEnd += n
+	s.blobBytes += int64(len(payload))
+	return s.queuedLocked()
+}
+
+// rollLocked seals the active segment, writing out what is queued for
+// it, and starts the next one.
 func (s *Store) rollLocked() error {
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
 	next := s.active + 1
 	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(next)), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -326,42 +460,66 @@ func (s *Store) rollLocked() error {
 	return nil
 }
 
+// locateLocked returns where sg's bytes are in the files, writing the
+// batch out first when they are still queued in it.
+func (s *Store) locateLocked(sg sig.Signature) (blobRef, *os.File, error) {
+	if s.closed {
+		return blobRef{}, nil, fmt.Errorf("store: closed")
+	}
+	ref, ok := s.refs[sg]
+	if !ok {
+		return blobRef{}, nil, fmt.Errorf("store: no blob %s", sg)
+	}
+	if ref.seg == s.active && ref.offset >= s.activeEnd-int64(len(s.blobBuf)) {
+		if err := s.flushLocked(); err != nil {
+			return blobRef{}, nil, err
+		}
+	}
+	f := s.files[ref.seg]
+	if f == nil {
+		return blobRef{}, nil, fmt.Errorf("store: segment %d not open", ref.seg)
+	}
+	return ref, f, nil
+}
+
 // GetBlob returns the payload stored under sg, verifying the content
 // signature end to end before serving it. A blob that fails
 // verification is dropped from the index and reported as absent —
 // the store never serves bytes it cannot prove are the ones asked for.
+// The read and the hash run outside the lock: segments are append-only,
+// so the bytes behind a ref never change.
 func (s *Store) GetBlob(sg sig.Signature) ([]byte, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	ref, ok := s.refs[sg]
-	if !ok || s.closed {
+	ref, f, err := s.locateLocked(sg)
+	s.mu.Unlock()
+	if err != nil {
 		return nil, false
 	}
 	payload := make([]byte, ref.size)
-	if _, err := s.files[ref.seg].ReadAt(payload, ref.offset); err != nil {
-		delete(s.refs, sg)
-		return nil, false
+	if _, err := f.ReadAt(payload, ref.offset); err == nil && sig.Of(payload) == sg {
+		return payload, true
 	}
-	if sig.Of(payload) != sg {
+	s.mu.Lock()
+	if !s.closed && s.refs[sg] == ref {
 		delete(s.refs, sg)
-		return nil, false
 	}
-	return payload, true
+	s.mu.Unlock()
+	return nil, false
 }
 
-// PutEntry records (durably) that a cache entry's bytes live on disk.
-// The blob must already have been stored with PutBlob.
+// PutEntry records that a cache entry's bytes live in the store. The
+// blob must already have been put.
 func (s *Store) PutEntry(e EntryMeta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.refs[e.Sig]; !ok {
 		return fmt.Errorf("store: entry %s/%s references unknown blob %s", e.Doc, e.User, e.Sig)
 	}
-	if err := s.appendMeta(metaRecord{T: "entry", Entry: &e}); err != nil {
+	if err := s.appendMetaLocked(metaRecord{T: "entry", Entry: &e}); err != nil {
 		return err
 	}
 	s.entries[entryKey(e.Doc, e.User)] = e
-	return nil
+	return s.queuedLocked()
 }
 
 // GetEntry returns the newest durable entry for (doc, user), if one
@@ -386,11 +544,11 @@ func (s *Store) PutIntermediate(im IntermediateMeta) error {
 	if _, ok := s.refs[im.Sig]; !ok {
 		return fmt.Errorf("store: intermediate %s references unknown blob %s", im.Fingerprint, im.Sig)
 	}
-	if err := s.appendMeta(metaRecord{T: "inter", Inter: &im}); err != nil {
+	if err := s.appendMetaLocked(metaRecord{T: "inter", Inter: &im}); err != nil {
 		return err
 	}
 	s.inters[interKey{im.SourceSig, im.Fingerprint}] = im
-	return nil
+	return s.queuedLocked()
 }
 
 // GetIntermediate returns the durable intermediate keyed by (source
@@ -411,11 +569,16 @@ func (s *Store) GetIntermediate(src, fp sig.Signature) (IntermediateMeta, bool) 
 // AppendEpoch durably records that doc reached invalidation generation
 // gen: after a restart, any durable entry for doc with an older
 // generation will be refused. Called on every invalidation so that
-// invalidations arriving while entries sit on disk survive a crash.
+// invalidations arriving while entries sit on disk survive a crash —
+// which is why, unlike a put, it returns only once its line and
+// everything queued before it are written.
 func (s *Store) AppendEpoch(doc string, gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendMeta(metaRecord{T: "epoch", Doc: doc, Gen: gen}); err != nil {
+	if err := s.appendMetaLocked(metaRecord{T: "epoch", Doc: doc, Gen: gen}); err != nil {
+		return err
+	}
+	if err := s.flushLocked(); err != nil {
 		return err
 	}
 	if gen > s.epochs[doc] {
@@ -471,16 +634,19 @@ func (s *Store) closeFiles() {
 	}
 }
 
-// Close syncs and releases the store's files. The store is unusable
-// afterwards; reopen with Open.
+// Close writes out what is queued, then syncs and releases the store's
+// files. The store is unusable afterwards; reopen with Open.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
+	first := s.flushLocked()
 	s.closed = true
-	var first error
+	if s.timer != nil {
+		s.timer.Stop()
+	}
 	for _, f := range s.files {
 		if err := f.Sync(); err != nil && first == nil {
 			first = err

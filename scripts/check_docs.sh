@@ -19,7 +19,7 @@ trap 'rm -f "$out"' EXIT INT TERM
 # and SNIPPETS.md are imported reference material (external paper and
 # exemplar dumps), not maintained documentation — their links point at
 # assets that were never part of this repository.
-for f in $(find . -name '*.md' -not -path './.git/*' \
+for f in $(find . -name '*.md' -not -path './.git/*' -not -path './.bench_build/*' \
 	-not -name PAPERS.md -not -name SNIPPETS.md | sort); do
 	dir=$(dirname "$f")
 	# One target per line: grep the inline-link closing `](target)`
