@@ -24,11 +24,13 @@ test-race:
 	$(GO) test -race ./...
 
 # Focused race sweep over the concurrent subsystems (what CI runs):
-# the sharded cache core, the TCP server/remote-cache pair and the
+# the sharded cache core (its panicking-transform wedge test included),
+# the document space (NotifierPair is driven by every server connection
+# and the cache at once), the TCP server/remote-cache pair and the
 # file-system repository (Store and Fetch order themselves per path),
 # twice, so scheduling-order-dependent races get two chances to surface.
 race:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/...
+	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/...
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded
 # modes, reconnect/resubscribe/flush. The short timeout is part of the

@@ -163,21 +163,29 @@ func (c CostSource) String() string {
 	return "full"
 }
 
-// entry is one cached (document, user) version.
+// entry is one record of the index: a cached (document, user) version,
+// or — cut set — a memoized prefix output (intermediate.go). A cut
+// keeps doc so a document-wide invalidation drops it in the same scan;
+// its user is set only for cuts inside the personal chain (empty for
+// universal-prefix cuts), so a per-user invalidation can drop that
+// user's personal cuts. A personal cut shared by users with identical
+// chain prefixes is tagged with whoever installed it — dropping it on
+// that user's invalidation merely costs the others a recompute. A cut
+// carries no cacheability or verifiers: its key implies its bytes.
 type entry struct {
 	doc, user    string
+	cut          bool
 	signature    sig.Signature
 	size         int64
 	cost         time.Duration
 	cacheability property.Cacheability
 	verifiers    []property.Verifier
-	storedAt     time.Time
 }
 
 // blob is signature-shared content storage. refs counts every holder
-// (entries and intermediates); entryRefs counts only (doc, user)
-// entries, because the SharedEntries gauge is defined over entries and
-// an intermediate aliasing an entry's bytes must not distort it.
+// (entries and cuts); entryRefs counts only (doc, user) entries,
+// because the SharedEntries gauge is defined over entries and a cut
+// aliasing an entry's bytes must not distort it.
 type blob struct {
 	data      []byte
 	crc32c    uint32 // CRC-32C of data, computed once at intern time
@@ -235,23 +243,23 @@ type Stats struct {
 	SharedEntries int64
 	// Flushes counts write-back flush operations.
 	Flushes int64
-	// IntermediateHits counts misses whose universal stage was served
-	// from the intermediate store (or coalesced onto a concurrent
-	// computation) instead of being re-executed.
+	// IntermediateHits counts prefix cuts served memoized (resident,
+	// coalesced onto a concurrent computation, or promoted from disk)
+	// instead of being re-executed.
 	IntermediateHits int64
 	// UniversalStageRuns counts actual executions of the universal
 	// property chain under memoization — one per (source signature,
 	// chain fingerprint) while the intermediate stays resident.
 	UniversalStageRuns int64
-	// BytesRecomputedSaved accumulates the sizes of intermediates
-	// served without recomputation: bytes the universal chain did not
-	// have to produce again.
+	// BytesRecomputedSaved accumulates the sizes of cuts served without
+	// recomputation: bytes the covered transforms did not have to
+	// produce again.
 	BytesRecomputedSaved int64
-	// IntermediateEntries is the current number of memoized
-	// universal-stage outputs.
+	// IntermediateEntries is the current number of memoized prefix
+	// cuts, universal and personal.
 	IntermediateEntries int64
 	// IntermediateBytes is the current logical footprint of memoized
-	// intermediates (before signature sharing).
+	// cuts (before signature sharing).
 	IntermediateBytes int64
 
 	// PrefixHits counts longest-prefix probes that found a cached cut:
@@ -262,28 +270,24 @@ type Stats struct {
 	// pipeline (one per computed cut, so a cold chain with k cuts
 	// contributes k).
 	PrefixSegmentRuns int64
-	// PrefixInstalls counts prefix cuts admitted to the intermediate
-	// store.
+	// PrefixInstalls counts prefix cuts admitted to the index.
 	PrefixInstalls int64
-	// PrefixSavedBytes accumulates intermediate bytes served by the
-	// prefix pipeline without recomputation (probe and per-cut hits).
-	PrefixSavedBytes int64
 	// PrefixFallbackErrors counts staged reads that degraded to direct
-	// transform execution because the intermediate store failed
+	// transform execution because the read's PrefixIntermediates failed
 	// mid-read (slow, not broken).
 	PrefixFallbackErrors int64
 
 	// StoreDemotions counts (doc, user) results written behind to the
 	// durable disk tier at install time.
 	StoreDemotions int64
-	// StoreIntermediateDemotions counts universal-stage outputs written
-	// to the disk tier.
+	// StoreIntermediateDemotions counts prefix cuts written to the disk
+	// tier.
 	StoreIntermediateDemotions int64
 	// StorePromotions counts misses served by revalidating and
 	// promoting a durable entry instead of executing transforms.
 	StorePromotions int64
-	// StoreIntermediatePromotions counts universal-stage executions
-	// avoided by promoting a durable intermediate.
+	// StoreIntermediatePromotions counts segment executions avoided by
+	// promoting a durable cut.
 	StoreIntermediatePromotions int64
 	// StorePromotionRejects counts durable entries found for a missing
 	// key but refused — content key mismatch, stale epoch, missing or
@@ -315,8 +319,9 @@ type Cache struct {
 	closed   atomic.Bool
 	capacity atomic.Int64
 
-	// idx stripes the (doc, user) → entry index and the single-flight
-	// table; each stripe has its own lock.
+	// idx stripes the one key → entry index — (doc, user) entries and
+	// memoized prefix cuts alike — and the single-flight table; each
+	// stripe has its own lock.
 	idx *shardedIndex
 
 	// policy decides eviction order. It stays global — Greedy-Dual-
@@ -343,16 +348,6 @@ type Cache struct {
 	// stripe mutex carries a happens-before edge from the bump and
 	// the installer's atomic load observes it.
 	gens sync.Map
-
-	// inter is the content-addressed intermediate store for memoized
-	// universal-stage outputs, with its own single-flight table so
-	// concurrent misses from different users coalesce the shared
-	// work. interMu ranks with the shard locks: leaf locks nest under
-	// it, it is never held together with a shard lock, and never held
-	// across docspace calls or clock sleeps (see intermediate.go).
-	interMu      sync.Mutex
-	inter        map[string]*interEntry
-	interFlights map[string]*iflight
 
 	// lastCause remembers, per document, the most recent invalidation
 	// cause (doc → string, obs.Cause* vocabulary) so the next miss can
@@ -395,15 +390,13 @@ func New(space *docspace.Space, opts Options) *Cache {
 		policy = replace.NewGDS()
 	}
 	c := &Cache{
-		space:        space,
-		clk:          space.Clock(),
-		opts:         opts,
-		idx:          newShardedIndex(opts.Shards),
-		policy:       policy,
-		blobs:        make(map[sig.Signature]*blob),
-		inter:        make(map[string]*interEntry),
-		interFlights: make(map[string]*iflight),
-		dirty:        make(map[string]*dirtyWrite),
+		space:  space,
+		clk:    space.Clock(),
+		opts:   opts,
+		idx:    newShardedIndex(opts.Shards),
+		policy: policy,
+		blobs:  make(map[sig.Signature]*blob),
+		dirty:  make(map[string]*dirtyWrite),
 	}
 	c.notifiers = docspace.NewNotifierPair(space, "notifier:"+opts.Name, c.onBaseEvent, c.onRefEvent)
 	c.capacity.Store(opts.Capacity)
@@ -727,12 +720,12 @@ func (c *Cache) forward(doc, user string, kind event.Kind) {
 }
 
 // coalescedMiss funnels a miss through the shard's single-flight
-// table: the leader executes the read path via miss and publishes the
-// result; followers block and share it. Prefetching happens after the
-// flight resolves so a collection that (transitively) references the
-// document being read can never re-enter its own flight.
+// table: the leader executes the read path via leadMiss and publishes
+// the result; followers block and share it. Prefetching happens after
+// the flight resolves so a collection that (transitively) references
+// the document being read can never re-enter its own flight.
 func (c *Cache) coalescedMiss(sh *shard, k, doc, user string, mayPrefetch bool, tr *obs.ReadTrace) ([]byte, EntryInfo, error) {
-	f, leader := c.joinOrLead(sh, k)
+	f, leader := joinOrLead(sh, k)
 	if !leader {
 		var tWait time.Time
 		if tr != nil {
@@ -751,12 +744,21 @@ func (c *Cache) coalescedMiss(sh *shard, k, doc, user string, mayPrefetch bool, 
 		copy(out, f.data)
 		return out, f.info, nil
 	}
-	data, info, related, err := c.miss(doc, user, tr)
-	c.finish(sh, k, f, data, info, err)
+	data, info, related, err := c.leadMiss(sh, k, f, doc, user, tr)
 	if err == nil && mayPrefetch && !c.opts.DisablePrefetch {
 		c.prefetch(user, related)
 	}
 	return data, info, err
+}
+
+// leadMiss runs miss as the leader of k's flight f and publishes the
+// result on it. finish is deferred: a transform that panics must still
+// release the followers (with ErrReadAborted) and free the key.
+func (c *Cache) leadMiss(sh *shard, k string, f *flight, doc, user string, tr *obs.ReadTrace) (data []byte, info EntryInfo, related []string, err error) {
+	defer finish(sh, k, f)
+	data, info, related, err = c.miss(doc, user, tr)
+	f.data, f.info, f.err = data, info, err
+	return data, info, related, err
 }
 
 // docGen returns the document's invalidation-generation counter,
@@ -861,27 +863,14 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		sh.mu.Unlock()
 		return data, info, nil, nil
 	}
-	c.dropShardLocked(sh, k) // replace any stale entry
-	c.internBlob(s, data, true)
-	info.Signature = s
-	e := &entry{
+	c.installLocked(sh, k, &entry{
 		doc: doc, user: user,
 		signature:    s,
-		size:         int64(len(data)),
 		cost:         res.Cost,
 		cacheability: res.Cacheability,
 		verifiers:    res.Verifiers,
-		storedAt:     c.clk.Now(),
-	}
-	sh.entries[k] = e
-	c.stats.bytesLogical.Add(e.size)
-	policyCost := e.cost
-	if c.opts.CostSource == CostConstant {
-		policyCost = time.Millisecond
-	}
-	c.policyMu.Lock()
-	c.policy.Insert(k, e.size, policyCost)
-	c.policyMu.Unlock()
+	}, data)
+	info.Signature = s
 	sh.mu.Unlock()
 
 	c.evict(k)
@@ -908,19 +897,16 @@ func (c *Cache) prefetch(user string, related []string) {
 		if cached {
 			continue
 		}
-		f, leader := c.joinOrLead(sh, k)
+		f, leader := joinOrLead(sh, k)
 		if !leader {
 			// Someone is already fetching this member; the prefetch
 			// goal (a warm entry) is being met without us.
 			<-f.done
 			continue
 		}
-		data, info, _, err := c.miss(doc, user, nil)
-		c.finish(sh, k, f, data, info, err)
-		if err != nil {
-			continue
+		if _, _, _, err := c.leadMiss(sh, k, f, doc, user, nil); err == nil {
+			c.stats.prefetches.Add(1)
 		}
-		c.stats.prefetches.Add(1)
 	}
 }
 
@@ -938,18 +924,13 @@ func (c *Cache) blobDataCRC(s sig.Signature) (data []byte, crc uint32, ok bool) 
 	return nil, 0, false
 }
 
-// releaseBlob drops a (doc, user) entry's reference.
-func (c *Cache) releaseBlob(s sig.Signature) {
-	c.unrefBlob(s, true)
-}
-
 // internBlob interns data under s, its signature, and takes one
 // reference, maintaining the unique-byte and shared-entry gauges
 // incrementally. The caller signs — once, before it takes the shard
-// lock or interMu this runs under — or passes on the signature a lower
-// tier has just proved. asEntry distinguishes (doc, user) entries from
-// intermediates: both share storage and lifetime, but only entry
-// references drive the SharedEntries gauge.
+// lock this runs under — or passes on the signature a lower tier has
+// just proved. asEntry distinguishes (doc, user) entries from cuts:
+// both share storage and lifetime, but only entry references drive the
+// SharedEntries gauge.
 func (c *Cache) internBlob(s sig.Signature, data []byte, asEntry bool) {
 	c.blobMu.Lock()
 	b := c.blobs[s]
@@ -999,9 +980,40 @@ func (c *Cache) unrefBlob(s sig.Signature, asEntry bool) {
 	}
 }
 
-// dropShardLocked removes an entry and releases its blob reference.
-// The caller holds sh.mu; policyMu and blobMu are taken as nested leaf
-// locks. Reports whether an entry was actually present.
+// installLocked puts e under k with data as its bytes (already signed:
+// e.signature), replacing whatever k held: intern the blob, index the
+// entry, account it, hand it to the policy. It is the one way a record
+// of either kind enters the index. The caller holds sh.mu and has made
+// its own closed and staleness checks under it.
+func (c *Cache) installLocked(sh *shard, k string, e *entry, data []byte) {
+	c.dropShardLocked(sh, k)
+	e.size = int64(len(data))
+	c.internBlob(e.signature, data, !e.cut)
+	sh.entries[k] = e
+	if e.cut {
+		sh.cuts++
+		c.stats.intermediateEntries.Add(1)
+		c.stats.intermediateBytes.Add(e.size)
+	} else {
+		c.stats.bytesLogical.Add(e.size)
+	}
+	c.policyInsert(k, e)
+}
+
+// policyInsert hands k to the replacement policy at e's size and cost.
+func (c *Cache) policyInsert(k string, e *entry) {
+	cost := e.cost
+	if c.opts.CostSource == CostConstant {
+		cost = time.Millisecond
+	}
+	c.policyMu.Lock()
+	c.policy.Insert(k, e.size, cost)
+	c.policyMu.Unlock()
+}
+
+// dropShardLocked removes the entry or cut under k and releases its
+// blob reference. The caller holds sh.mu; policyMu and blobMu are taken
+// as nested leaf locks. Reports whether anything was present.
 func (c *Cache) dropShardLocked(sh *shard, k string) bool {
 	e, ok := sh.entries[k]
 	if !ok {
@@ -1011,26 +1023,34 @@ func (c *Cache) dropShardLocked(sh *shard, k string) bool {
 	c.policyMu.Lock()
 	c.policy.Remove(k)
 	c.policyMu.Unlock()
-	c.stats.bytesLogical.Add(-e.size)
-	c.releaseBlob(e.signature)
+	if e.cut {
+		sh.cuts--
+		c.stats.intermediateEntries.Add(-1)
+		c.stats.intermediateBytes.Add(-e.size)
+	} else {
+		c.stats.bytesLogical.Add(-e.size)
+	}
+	c.unrefBlob(e.signature, !e.cut)
 	return true
 }
 
 // evict enforces the capacity budget using the replacement policy.
-// Capacity is measured in unique stored bytes, so evicting an entry
+// Entries and cuts live in the same policy, so cost-aware replacement
+// weighs a memoized prefix against full entries on equal terms.
+// Capacity is measured in unique stored bytes, so evicting a key
 // whose blob is shared may free nothing; the loop continues until
 // under budget or empty. Each round takes only the policy lock (to
 // pick the globally best victim) and then that victim's shard lock —
 // never a global lock and never two shard locks, so lookups on other
 // stripes proceed throughout.
 //
-// An entry whose key has an in-flight single-flight read is pinned: a
-// reader is mid-verify or mid-install on it, and evicting underneath
-// would throw away bytes about to be revalidated (thrash at best). A
-// pinned victim is taken out of the policy for this pass and put back
-// afterwards if it survived. exempt names the one key the caller's own
-// flight covers — the leader installing a fresh entry must still be
-// able to evict itself when a huge insert blows the budget.
+// A key with an in-flight single-flight read is pinned: a reader is
+// mid-verify or mid-install on it, and evicting underneath would throw
+// away bytes about to be revalidated (thrash at best). A pinned victim
+// is taken out of the policy for this pass and put back afterwards if
+// it survived. exempt names the one key the caller's own flight covers
+// — the leader installing a fresh entry must still be able to evict
+// itself when a huge insert blows the budget.
 func (c *Cache) evict(exempt string) {
 	capacity := c.capacity.Load()
 	if capacity <= 0 {
@@ -1044,15 +1064,6 @@ func (c *Cache) evict(exempt string) {
 		c.policyMu.Unlock()
 		if !ok {
 			return
-		}
-		// Intermediates live in the same policy under prefixed keys,
-		// so cost-aware replacement weighs a memoized universal stage
-		// against full entries on equal terms.
-		if isInterKey(victim) {
-			if c.dropIntermediate(victim) {
-				c.stats.evictions.Add(1)
-			}
-			continue
 		}
 		sh := c.idx.shardFor(victim)
 		sh.mu.Lock()
@@ -1089,13 +1100,7 @@ func (c *Cache) reinsertPinned(keys []string) {
 		sh := c.idx.shardFor(k)
 		sh.mu.Lock()
 		if e, ok := sh.entries[k]; ok {
-			policyCost := e.cost
-			if c.opts.CostSource == CostConstant {
-				policyCost = time.Millisecond
-			}
-			c.policyMu.Lock()
-			c.policy.Insert(k, e.size, policyCost)
-			c.policyMu.Unlock()
+			c.policyInsert(k, e)
 		}
 		sh.mu.Unlock()
 	}

@@ -113,26 +113,13 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 		c.stats.storePromotionRejects.Add(1)
 		return nil, EntryInfo{}, false
 	}
-	c.dropShardLocked(sh, k)
-	c.internBlob(e.Sig, data, true) // GetBlob has just proved data hashes to e.Sig
-	ent := &entry{
+	c.installLocked(sh, k, &entry{
 		doc: doc, user: user,
-		signature:    e.Sig,
-		size:         int64(len(data)),
+		signature:    e.Sig, // GetBlob has just proved data hashes to it
 		cost:         e.Cost,
 		cacheability: property.Unrestricted,
 		verifiers:    []property.Verifier{verifier},
-		storedAt:     c.clk.Now(),
-	}
-	sh.entries[k] = ent
-	c.stats.bytesLogical.Add(ent.size)
-	policyCost := ent.cost
-	if c.opts.CostSource == CostConstant {
-		policyCost = time.Millisecond
-	}
-	c.policyMu.Lock()
-	c.policy.Insert(k, ent.size, policyCost)
-	c.policyMu.Unlock()
+	}, data)
 	sh.mu.Unlock()
 
 	c.stats.storePromotions.Add(1)
@@ -186,8 +173,8 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data []byte, res 
 	c.stats.storeDemotions.Add(1)
 }
 
-// demoteIntermediate writes a computed universal-stage output, signed
-// s, behind to the disk tier. Intermediates are pure content
+// demoteIntermediate writes a computed prefix cut, signed s, behind to
+// the disk tier. Cuts are pure content
 // addressing — the (src, fp) key can never serve wrong bytes — so no
 // epoch or probe is needed.
 func (c *Cache) demoteIntermediate(src, fp, s sig.Signature, data []byte, cost time.Duration) {

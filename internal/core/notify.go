@@ -6,26 +6,29 @@ import (
 )
 
 // invalidateDoc bumps the document's generation and drops every user's
-// entry for it, visiting the stripes one lock at a time. The
-// generation bump strictly precedes the stripe scan: an install that
-// read the old generation either completes before the scan reaches its
-// stripe (and is dropped by it) or observes the bump under its stripe
-// lock and aborts — no stale entry can survive.
+// entry for it, and every cut computed from it, visiting the stripes
+// one lock at a time. The generation bump strictly precedes the stripe
+// scan: an install that read the old generation either completes before
+// the scan reaches its stripe (and is dropped by it) or observes the
+// bump under its stripe lock and aborts — no stale entry can survive.
+// The cuts are merely stranded (the invalidating change moved their
+// source signature or fingerprint); dropping them here reclaims their
+// bytes now instead of when the policy ages them out.
 func (c *Cache) invalidateDoc(doc string) {
 	c.appendEpoch(doc, c.docGen(doc).Add(1))
+	c.dropWhere(func(e *entry) bool { return e.doc == doc })
+}
+
+// dropWhere drops every entry and cut match accepts, one stripe at a
+// time. Invalidations counts the (doc, user) entries among them.
+func (c *Cache) dropWhere(match func(*entry) bool) {
 	c.idx.each(func(sh *shard) {
-		for k, ent := range sh.entries {
-			if ent.doc == doc {
-				if c.dropShardLocked(sh, k) {
-					c.stats.invalidations.Add(1)
-				}
+		for k, e := range sh.entries {
+			if match(e) && c.dropShardLocked(sh, k) && !e.cut {
+				c.stats.invalidations.Add(1)
 			}
 		}
 	})
-	// The invalidating change also stranded any memoized
-	// universal-stage outputs for this document (their source
-	// signature or fingerprint no longer matches); reclaim them now.
-	c.sweepIntermediates(doc)
 }
 
 // onBaseEvent handles notifications from a base-document notifier:
@@ -58,10 +61,10 @@ func (c *Cache) observeInvalidation(e event.Event) {
 }
 
 // invalidateUser bumps the generation and drops one (doc, user) entry,
-// plus the personal-cut intermediates that user installed (a personal
-// change moves the personal prefix fingerprints, stranding those
-// keys). Universal-prefix intermediates survive: a personal-property
-// change cannot affect universal-stage output.
+// plus the personal cuts that user installed (a personal change moves
+// the personal prefix fingerprints, stranding those keys). Universal-
+// prefix cuts (user == "") survive: a personal-property change cannot
+// affect universal-stage output.
 func (c *Cache) invalidateUser(doc, user string) {
 	c.appendEpoch(doc, c.docGen(doc).Add(1))
 	k := key(doc, user)
@@ -71,7 +74,11 @@ func (c *Cache) invalidateUser(doc, user string) {
 		c.stats.invalidations.Add(1)
 	}
 	sh.mu.Unlock()
-	c.sweepUserIntermediates(doc, user)
+	if c.opts.Memoize && user != "" {
+		// Cuts hash by (source, fingerprint), not by document, so
+		// finding this user's takes a scan.
+		c.dropWhere(func(e *entry) bool { return e.cut && e.doc == doc && e.user == user })
+	}
 }
 
 // Invalidate drops the entry for (doc, user), if any. It is the
@@ -119,13 +126,15 @@ func (c *Cache) shutdown() {
 	// after the sweep.
 	c.idx.each(func(sh *shard) {
 		sh.entries = make(map[string]*entry)
+		sh.cuts = 0
 	})
 	c.blobMu.Lock()
 	c.blobs = make(map[sig.Signature]*blob)
 	c.blobMu.Unlock()
-	c.clearIntermediates()
 	c.stats.bytesStored.Store(0)
 	c.stats.bytesLogical.Store(0)
 	c.stats.sharedEntries.Store(0)
+	c.stats.intermediateEntries.Store(0)
+	c.stats.intermediateBytes.Store(0)
 	c.notifiers.Close()
 }

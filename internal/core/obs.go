@@ -51,34 +51,32 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 		"Current number of (document, user) entries.",
 		func() int64 { return int64(c.idx.count()) })
 	reg.Counter("placeless_cache_intermediate_hits_total",
-		"Misses whose universal stage was served from the intermediate store.", c.stats.intermediateHits.Load)
+		"Prefix cuts served memoized instead of being re-executed.", c.stats.intermediateHits.Load)
 	reg.Counter("placeless_cache_universal_stage_runs_total",
 		"Actual executions of the universal property chain under memoization.", c.stats.universalStageRuns.Load)
 	reg.Counter("placeless_cache_bytes_recomputed_saved_total",
-		"Intermediate bytes served without recomputation.", c.stats.bytesRecomputedSaved.Load)
+		"Bytes of prefix cuts served without recomputation.", c.stats.bytesRecomputedSaved.Load)
 	reg.Gauge("placeless_cache_intermediate_entries",
-		"Current number of memoized universal-stage outputs.", c.stats.intermediateEntries.Load)
+		"Current number of memoized prefix cuts, universal and personal.", c.stats.intermediateEntries.Load)
 	reg.Gauge("placeless_cache_intermediate_bytes",
-		"Current logical footprint of memoized intermediates.", c.stats.intermediateBytes.Load)
+		"Current logical footprint of memoized prefix cuts.", c.stats.intermediateBytes.Load)
 	reg.Counter("placeless_prefix_hits_total",
 		"Longest-prefix probes that resumed a miss from a cached cut.", c.stats.prefixHits.Load)
 	reg.Counter("placeless_prefix_segment_runs_total",
 		"Segment executions under the N-cut prefix pipeline.", c.stats.prefixSegmentRuns.Load)
 	reg.Counter("placeless_prefix_installs_total",
-		"Prefix cuts admitted to the intermediate store.", c.stats.prefixInstalls.Load)
-	reg.Counter("placeless_prefix_saved_bytes_total",
-		"Intermediate bytes served by the prefix pipeline without recomputation.", c.stats.prefixSavedBytes.Load)
+		"Prefix cuts admitted to the index.", c.stats.prefixInstalls.Load)
 	reg.Counter("placeless_prefix_fallback_errors_total",
 		"Staged reads degraded to direct execution by an intermediate-store failure.", c.stats.prefixFallbackErrors.Load)
 	if st := c.opts.Store; st != nil {
 		reg.Counter("placeless_store_demotions_total",
 			"Entry results written behind to the durable disk tier.", c.stats.storeDemotions.Load)
 		reg.Counter("placeless_store_intermediate_demotions_total",
-			"Universal-stage outputs written to the durable disk tier.", c.stats.storeInterDemotions.Load)
+			"Prefix cuts written to the durable disk tier.", c.stats.storeInterDemotions.Load)
 		reg.Counter("placeless_store_promotions_total",
 			"Misses served by revalidating and promoting a durable entry.", c.stats.storePromotions.Load)
 		reg.Counter("placeless_store_intermediate_promotions_total",
-			"Universal-stage executions avoided via durable intermediates.", c.stats.storeInterPromotions.Load)
+			"Segment executions avoided by promoting a durable cut.", c.stats.storeInterPromotions.Load)
 		reg.Counter("placeless_store_promotion_rejects_total",
 			"Durable entries found but refused (key mismatch, stale epoch, bad blob).", c.stats.storePromotionRejects.Load)
 		reg.Counter("placeless_store_errors_total",

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"placeless/internal/docspace"
+	"placeless/internal/property"
 	"placeless/internal/replace"
 )
 
@@ -14,14 +16,23 @@ import (
 // budget once the flight clears. The property is checked over random
 // document counts and pin subsets by registering artificial flights
 // directly in the shard flight tables (exactly the state a concurrent
-// reader would leave) and forcing eviction via Resize.
+// reader would leave) and forcing eviction via Resize. With Memoize the
+// table eviction walks holds both kinds of record: each document adds
+// a universal cut with bytes of its own and a personal cut aliasing
+// its entry's.
 func TestQuickEvictNeverTakesPinnedEntry(t *testing.T) {
+	for _, memoize := range []bool{false, true} {
+		t.Run(fmt.Sprintf("memoize=%v", memoize), func(t *testing.T) { quickEvictNeverTakesPinnedEntry(t, memoize) })
+	}
+}
+
+func quickEvictNeverTakesPinnedEntry(t *testing.T, memoize bool) {
 	const docSize = 64
 	const capacity = docSize + docSize/2 // fewer than two entries fit
 
 	f := func(nDocs uint8, pinMask uint16) bool {
 		n := int(nDocs%12) + 2 // 2..13 documents
-		w := newWorld(t, Options{Policy: replace.NewGDS()})
+		w := newWorld(t, Options{Policy: replace.NewGDS(), Memoize: memoize})
 
 		docs := make([]string, n)
 		for i := range docs {
@@ -33,7 +44,19 @@ func TestQuickEvictNeverTakesPinnedEntry(t *testing.T) {
 				content[j] = byte(i*31 + j)
 			}
 			w.addDoc(t, docs[i], "u", "/"+docs[i], content)
+			if memoize {
+				if err := w.space.Attach(docs[i], "", docspace.Universal, property.NewRot13(0)); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.space.Attach(docs[i], "u", docspace.Personal, property.NewUppercaser(0)); err != nil {
+					t.Fatal(err)
+				}
+			}
 			w.read(t, docs[i], "u")
+		}
+		if cuts := w.cache.stats.intermediateEntries.Load(); memoize && cuts != int64(2*n) {
+			t.Logf("%d cuts resident beside %d entries, want %d", cuts, n, 2*n)
+			return false
 		}
 
 		// Pin a subset with artificial in-flight reads.
@@ -75,6 +98,16 @@ func TestQuickEvictNeverTakesPinnedEntry(t *testing.T) {
 		w.cache.Resize(capacity)
 		if stored := w.cache.stats.bytesStored.Load(); stored > capacity {
 			t.Logf("budget not enforced after unpin: stored=%d cap=%d", stored, capacity)
+			return false
+		}
+		live := 0
+		for _, d := range docs {
+			if w.cache.Contains(d, "u") {
+				live++
+			}
+		}
+		if got := w.cache.Len(); got != live {
+			t.Logf("Len() = %d with %d entries live: cuts leaked into the count", got, live)
 			return false
 		}
 		return true

@@ -9,10 +9,15 @@ package core
 //     (document, user) pairs, meant to run under -race,
 //   - single-flight correctness: K concurrent misses on one key
 //     execute the read path (and hence the bit-provider fetch)
-//     exactly once.
+//     exactly once,
+//   - a transform that panics inside a flight (entry or cut) releases
+//     its followers and frees the key,
+//   - a mixed stress over the one table holding entries and cuts:
+//     shared prefixes, invalidations and a capacity of a few entries.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -423,5 +428,267 @@ func TestSingleFlightPropagatesError(t *testing.T) {
 	provider.release = nil
 	if data := w.read(t, "d", "u"); string(data) != "x" {
 		t.Fatalf("retry after failed flight = %q", data)
+	}
+}
+
+// panicOnce is a memoizable transform that upper-cases, except that
+// its first execution waits for gate (when non-nil) and then panics —
+// property code is arbitrary by the paper's design.
+func panicOnce(gate chan struct{}) *property.Transformer {
+	var fired atomic.Bool
+	return &property.Transformer{
+		Base: property.Base{PropName: "panic-once"},
+		ReadTransform: func(b []byte) []byte {
+			if !fired.Swap(true) {
+				if gate != nil {
+					<-gate
+				}
+				panic("panic-once: transform blew up")
+			}
+			return bytes.ToUpper(b)
+		},
+		MemoID: "panic-once",
+	}
+}
+
+// readRecovering reads like a per-request recovering server would:
+// a panic in property code comes back as panicked, not as a crash.
+func readRecovering(c *Cache, doc, user string) (data []byte, err error, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	data, err = c.Read(doc, user)
+	return data, err, false
+}
+
+// errWedged is readWithin's verdict on a read that never came back.
+var errWedged = errors.New("still blocked after 5s: the panicked flight wedged its key")
+
+// readWithin is readRecovering under the test's own timeout: the bug
+// this guards against is a hang, which must fail the test, not the run.
+func readWithin(c *Cache, doc, user string) ([]byte, error) {
+	type result struct {
+		data []byte
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		data, err, _ := readRecovering(c, doc, user)
+		done <- result{data, err}
+	}()
+	select {
+	case r := <-done:
+		return r.data, r.err
+	case <-time.After(5 * time.Second):
+		return nil, errWedged
+	}
+}
+
+// TestPanickingTransformDoesNotWedgeKey: a transform that panics while
+// leading a flight must leave the key usable. Without the deferred
+// finish the flight stays registered and never closes, and under a
+// server that recovers panics per request every later read of that
+// (doc, user) — or, for a cut, of that prefix from any user — blocks
+// for the life of the process.
+func TestPanickingTransformDoesNotWedgeKey(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		memoize bool
+		level   docspace.Level
+		second  string // who reads after the panic
+	}{
+		// The panic unwinds amy's (doc, user) flight; amy reads again.
+		{"entry flight", false, docspace.Personal, "amy"},
+		// The panic unwinds the universal cut's flight, which bob —
+		// who never had a flight of his own — must not find wedged.
+		{"cut flight", true, docspace.Universal, "bob"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, Options{Memoize: tc.memoize})
+			w.addDoc(t, "d", "amy", "/d", []byte("quiet words"))
+			if _, err := w.space.AddReference("d", "bob"); err != nil {
+				t.Fatal(err)
+			}
+			owner := ""
+			if tc.level == docspace.Personal {
+				owner = "amy"
+			}
+			if err := w.space.Attach("d", owner, tc.level, panicOnce(nil)); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, _, panicked := readRecovering(w.cache, "d", "amy"); !panicked {
+				t.Fatal("the first read did not panic; the test exercises nothing")
+			}
+			for _, u := range []string{tc.second, "amy"} {
+				data, err := readWithin(w.cache, "d", u)
+				if err != nil || string(data) != "QUIET WORDS" {
+					t.Fatalf("read by %s after the panic = %q, %v", u, data, err)
+				}
+			}
+		})
+	}
+
+	// A follower already waiting when its leader panics is released
+	// with the typed error (or, if it arrived late, leads a read of its
+	// own) — it never waits on a flight nobody will finish.
+	t.Run("waiting follower", func(t *testing.T) {
+		w := newWorld(t, Options{})
+		w.addDoc(t, "d", "amy", "/d", []byte("quiet words"))
+		gate := make(chan struct{})
+		if err := w.space.Attach("d", "amy", docspace.Personal, panicOnce(gate)); err != nil {
+			t.Fatal(err)
+		}
+		leader := make(chan bool, 1)
+		go func() {
+			_, _, panicked := readRecovering(w.cache, "d", "amy")
+			leader <- panicked
+		}()
+		k := key("d", "amy")
+		sh := w.cache.idx.shardFor(k)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			sh.mu.Lock()
+			leading := sh.flights[k] != nil
+			sh.mu.Unlock()
+			if leading {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the leader never registered its flight")
+			}
+		}
+		follower := make(chan error, 1)
+		go func() {
+			_, err := readWithin(w.cache, "d", "amy")
+			follower <- err
+		}()
+		time.Sleep(20 * time.Millisecond) // let the follower join
+		close(gate)
+		if !<-leader {
+			t.Fatal("the panic did not continue in the leader")
+		}
+		if err := <-follower; err != nil && !errors.Is(err, ErrReadAborted) {
+			t.Fatalf("follower of a panicked leader got %v, want ErrReadAborted", err)
+		}
+		if data, err := readWithin(w.cache, "d", "amy"); err != nil || string(data) != "QUIET WORDS" {
+			t.Fatalf("read after the panic = %q, %v", data, err)
+		}
+	})
+}
+
+// TestConcurrentStressEntriesAndCuts drives the one index holding both
+// kinds of record: K users per document over a shared universal prefix
+// (so every miss leads or joins cut flights as well as its own), with
+// Invalidate, InvalidateDoc and a budget of a few entries churning the
+// table underneath. It asserts that a resident cut is never computed
+// twice, that Len() counts exactly the live (doc, user) entries, and
+// that every gauge returns to zero with the last drop.
+func TestConcurrentStressEntriesAndCuts(t *testing.T) {
+	const (
+		docs   = 3
+		rounds = 4
+	)
+	users := memoUsers(8)
+	w := newWorld(t, Options{Memoize: true})
+	docID := func(i int) string { return fmt.Sprintf("md%d", i) }
+	want := make(map[string][]byte) // key(doc, user) → the one legal body
+	for i := 0; i < docs; i++ {
+		id := docID(i)
+		w.addDoc(t, id, users[0], "/"+id, []byte(fmt.Sprintf("teh body of %s\nrecieve it\n", id)))
+		for _, p := range []property.Active{property.NewSpellCorrector(0), property.NewLineNumberer(0)} {
+			if err := w.space.Attach(id, "", docspace.Universal, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j, u := range users {
+			if j > 0 {
+				if _, err := w.space.AddReference(id, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.space.Attach(id, u, docspace.Personal, property.NewWatermarker(u, 0)); err != nil {
+				t.Fatal(err)
+			}
+			body, _, err := w.space.ReadDocument(id, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[key(id, u)] = body
+		}
+	}
+	readAll := func(extra func(rng *rand.Rand, doc, user string)) {
+		var wg sync.WaitGroup
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < docs; i++ {
+				for j, u := range users {
+					wg.Add(1)
+					go func(seed int64, doc, u string) {
+						defer wg.Done()
+						data, err := w.cache.Read(doc, u)
+						if err != nil {
+							t.Errorf("Read(%s,%s): %v", doc, u, err)
+						} else if !bytes.Equal(data, want[key(doc, u)]) {
+							t.Errorf("Read(%s,%s) = %q, want %q", doc, u, data, want[key(doc, u)])
+						}
+						if extra != nil {
+							extra(rand.New(rand.NewSource(seed)), doc, u)
+						}
+					}(int64(r*1000+i*100+j), docID(i), u)
+				}
+			}
+		}
+		wg.Wait()
+	}
+
+	// Nothing is dropped in this phase, so each (source, fingerprint)
+	// runs its segment exactly once however the misses interleave: two
+	// universal cuts per document, one personal cut per (doc, user).
+	readAll(nil)
+	cuts := int64(docs * (2 + len(users)))
+	st := w.cache.Stats()
+	if st.PrefixSegmentRuns != cuts || st.UniversalStageRuns != docs || st.IntermediateEntries != cuts {
+		t.Fatalf("segment runs = %d, universal runs = %d, cuts resident = %d; want %d, %d, %d (one run per resident cut)",
+			st.PrefixSegmentRuns, st.UniversalStageRuns, st.IntermediateEntries, cuts, docs, cuts)
+	}
+	if n := w.cache.Len(); n != docs*len(users) {
+		t.Fatalf("Len() = %d with %d cuts beside %d entries, want the entries only", n, cuts, docs*len(users))
+	}
+
+	// Churn: a budget of about three bodies, and a drop after most reads.
+	w.cache.Resize(int64(3 * len(want[key(docID(0), users[0])])))
+	readAll(func(rng *rand.Rand, doc, u string) {
+		switch rng.Intn(4) {
+		case 0:
+			w.cache.Invalidate(doc, u)
+		case 1:
+			w.cache.InvalidateDoc(doc)
+		case 2:
+			w.cache.Len()
+			w.cache.Stats()
+		}
+	})
+	live := 0
+	for k := range want {
+		doc, u := splitKey(k)
+		if w.cache.Contains(doc, u) {
+			live++
+		}
+	}
+	st = w.cache.Stats()
+	if n := w.cache.Len(); n != live {
+		t.Fatalf("Len() = %d, but %d (doc, user) entries are live (%d cuts resident)", n, live, st.IntermediateEntries)
+	}
+	if st.PrefixInstalls != st.PrefixSegmentRuns {
+		t.Fatalf("PrefixInstalls = %d, PrefixSegmentRuns = %d: a computed cut was not installed, or one was installed twice", st.PrefixInstalls, st.PrefixSegmentRuns)
+	}
+
+	for i := 0; i < docs; i++ {
+		w.cache.InvalidateDoc(docID(i))
+	}
+	st = w.cache.Stats()
+	if w.cache.Len() != 0 || st.IntermediateEntries != 0 || st.IntermediateBytes != 0 || st.BytesLogical != 0 || st.BytesStored != 0 || st.SharedEntries != 0 {
+		t.Fatalf("after the last drop: Len() = %d, stats = %+v; want every gauge at zero", w.cache.Len(), st)
 	}
 }

@@ -6,31 +6,34 @@ import (
 )
 
 // The entry index is partitioned into lock-striped shards so
-// concurrent readers of different (document, user) entries never
-// contend on one global mutex (the seed implementation's shape). A
-// shard owns a slice of the key space — both the cached entries and
-// the in-flight miss table for single-flight coalescing — selected by
-// an FNV-1a hash of the (doc, user) key masked to a power-of-two
-// shard count.
+// concurrent readers of different entries never contend on one global
+// mutex (the seed implementation's shape). A shard owns a slice of the
+// key space — the cached (doc, user) entries, the memoized prefix cuts
+// (intermediate.go; the same entry type under a disjoint key
+// namespace) and the in-flight table that single-flights both —
+// selected by an FNV-1a hash of the key masked to a power-of-two shard
+// count.
 //
 // Lock ordering (see also DESIGN.md §"Sharded cache core"):
 //
-//	shard.mu | interMu  >  policyMu | blobMu     (leaf locks)
+//	shard.mu  >  policyMu | blobMu     (leaf locks)
 //
-// A goroutine may take at most one of the upper-rank locks at a time
-// (one shard lock or interMu, never both), may take any single leaf
-// lock while holding an upper-rank lock, and must never acquire an
-// upper-rank lock while holding a leaf lock. Per-document invalidation
+// A goroutine may hold at most one shard lock at a time, may take any
+// single leaf lock while holding it, and must never acquire a shard
+// lock while holding a leaf lock. Per-document invalidation
 // generations are plain atomics (Cache.gens) and sit outside the
 // ordering entirely. No lock may be held across calls into the
-// document space (attachment, read/write paths, event forwarding) or
-// across clock sleeps — both can synchronously re-enter the cache
-// through notifier callbacks and timer-driven flushes.
+// document space (attachment, read/write paths, event forwarding),
+// across a cut's compute closure, or across clock sleeps — all can
+// synchronously re-enter the cache through notifier callbacks and
+// timer-driven flushes.
 
-// shard is one stripe of the (doc, user) index.
+// shard is one stripe of the index. cuts counts the entries that are
+// prefix cuts, so the (doc, user) entry count stays O(1) per stripe.
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
+	cuts    int
 	flights map[string]*flight
 }
 
@@ -87,7 +90,7 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// shardHash is FNV-1a over the (doc, user) key. It is the stable
+// shardHash is FNV-1a over the entry key. It is the stable
 // shard-assignment function: equal keys always land on the same
 // stripe, regardless of map iteration or insertion order.
 func shardHash(k string) uint32 {
@@ -116,9 +119,9 @@ func (x *shardedIndex) each(fn func(sh *shard)) {
 	}
 }
 
-// count sums entries across stripes.
+// count sums (doc, user) entries across stripes; cuts are not counted.
 func (x *shardedIndex) count() int {
 	n := 0
-	x.each(func(sh *shard) { n += len(sh.entries) })
+	x.each(func(sh *shard) { n += len(sh.entries) - sh.cuts })
 	return n
 }

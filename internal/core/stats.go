@@ -35,7 +35,6 @@ type statsCounters struct {
 	prefixHits           atomic.Int64
 	prefixSegmentRuns    atomic.Int64
 	prefixInstalls       atomic.Int64
-	prefixSavedBytes     atomic.Int64
 	prefixFallbackErrors atomic.Int64
 
 	// Durable disk-tier counters (Options.Store).
@@ -77,7 +76,6 @@ func (s *statsCounters) snapshot() Stats {
 		PrefixHits:           s.prefixHits.Load(),
 		PrefixSegmentRuns:    s.prefixSegmentRuns.Load(),
 		PrefixInstalls:       s.prefixInstalls.Load(),
-		PrefixSavedBytes:     s.prefixSavedBytes.Load(),
 		PrefixFallbackErrors: s.prefixFallbackErrors.Load(),
 
 		StoreDemotions:              s.storeDemotions.Load(),

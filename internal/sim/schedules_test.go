@@ -378,6 +378,80 @@ func TestScheduleChangeDuringFirstMiss(t *testing.T) {
 	}
 }
 
+// TestScheduleWriteDuringCutFlight pins a write landing while a prefix
+// cut is computing, i.e. inside both the reader's (doc, user) flight
+// and the cut's (source signature, fingerprint) flight, which share one
+// table. The cut may install — its key names the old source, so the
+// bytes are right for it and nothing will ask for it again — but the
+// (doc, user) entry must not: the write bumped the generation the miss
+// snapshotted. The racing write is injected from the memoizable
+// transform itself, so it always lands mid-compute.
+func TestScheduleWriteDuringCutFlight(t *testing.T) {
+	on := true
+	wt := core.WriteThrough
+	w := scheduleWorld(t, 31, func(c *Config) { c.Memoize = &on; c.Mode = &wt })
+	const doc, owner = "zeta", "amy"
+	content := []byte("doc:zeta:v1")
+	w.src.Store("/"+doc, content)
+	if _, err := w.space.CreateDocument(doc, owner, &property.RepoBitProvider{Repo: w.src, Path: "/" + doc}); err != nil {
+		t.Fatal(err)
+	}
+	w.model.addDoc(doc, []string{owner}, content, w.clk.Now())
+	w.endOp()
+
+	var fire func()
+	upper := &property.Transformer{
+		Base: property.Base{PropName: "cut-flight-hook"},
+		ReadTransform: func(b []byte) []byte {
+			if f := fire; f != nil {
+				fire = nil
+				f()
+			}
+			return bytes.ToUpper(b)
+		},
+		Version: 1,
+		MemoID:  "upper",
+	}
+	if err := w.space.Attach(doc, "", docspace.Universal, upper); err != nil {
+		t.Fatal(err)
+	}
+	d := w.model.docs[doc]
+	d.universal = append(d.universal, chainProp{name: upper.PropName, version: 1, fn: bytes.ToUpper, kind: 1, memo: upper.MemoID})
+	w.model.syncOpens(doc, d.users, w.clk.Now(), w.clk.Now())
+	w.endOp()
+
+	var hookErr error
+	fire = func() {
+		v2 := []byte("doc:zeta:v2")
+		t0 := w.clk.Now()
+		hookErr = w.cache.Write(doc, owner, v2)
+		w.model.applyWrite(doc, v2, t0, w.clk.Now())
+	}
+	read := func(what string) {
+		t.Helper()
+		if err := w.doLocalRead(doc, owner); err != nil {
+			t.Fatalf("%s: %v\n%s", what, err, w.tr.String())
+		}
+		if hookErr != nil {
+			t.Fatal(hookErr)
+		}
+	}
+
+	read("read racing the write")
+	if fire != nil {
+		t.Fatal("the first read never ran the transform")
+	}
+	if w.cache.Contains(doc, owner) {
+		t.Fatal("the miss installed its (doc, user) entry although a write landed inside it")
+	}
+	read("read after the write") // the oracle holds it to v2's bytes
+	read("warm read")
+	st := w.cache.Stats()
+	if st.Misses != 2 || st.Hits != 1 || st.PrefixSegmentRuns != 2 {
+		t.Fatalf("misses = %d, hits = %d, segment runs = %d; want 2, 1, 2 (v1's cut and v2's, one run each)", st.Misses, st.Hits, st.PrefixSegmentRuns)
+	}
+}
+
 // TestScheduleKillRestartDiskTier pins the durable tier's warm-restart
 // contract under the stale-read oracle: a killed cache's successor must
 // recover the warm working set from disk (≥90% of untouched entries
