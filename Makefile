@@ -40,6 +40,8 @@ chaos:
 
 # Run the fuzz seed corpora as regression tests (no open-ended
 # fuzzing; use `go test -fuzz=FuzzShardHash ./internal/core/` for that).
+# The wire fuzzers' seeds are built by the encoder, so they are always
+# of the current wire version; TestWireGolden (tier-1) pins its bytes.
 fuzz:
 	$(GO) test -run Fuzz ./...
 
@@ -73,7 +75,8 @@ cluster:
 	$(GO) test -race -run TestScheduleKillDuringRebalance ./internal/sim
 	$(GO) test -race -timeout 30m -run TestSimSweepCluster ./internal/sim -args -sim.cluster-seeds=256 -sim.ops=350
 
-# Full benchmark sweep (Table 1 + extension experiments + micro-benchmarks).
+# Full benchmark sweep (Table 1 + extension experiments + micro-benchmarks,
+# BenchmarkWireConfigOp and BenchmarkRemoteFirstMiss4K among them).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

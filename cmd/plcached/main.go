@@ -2,10 +2,12 @@
 // sidecar daemon: the paper's "cache on the machine where applications
 // are run", exposed to local applications over HTTP. It dials a
 // placelessd server with the full resilience configuration — call
-// deadlines, automatic reconnection with backoff, subscription replay
-// and epoch flush — and serves reads from its cache, falling into an
-// explicit degraded mode (fail-fast or bounded serve-stale) while the
-// server is unreachable.
+// deadlines, automatic reconnection with backoff, and on every
+// reconnect an epoch flush that also forgets the subscriptions (each
+// key's first read carries its subscription, so nothing is replayed) —
+// and serves reads from its cache, falling into an explicit degraded
+// mode (fail-fast or bounded serve-stale) while the server is
+// unreachable.
 //
 // Usage:
 //

@@ -146,10 +146,12 @@ func (c *Cache) Owners(doc, user string) []string {
 
 // ownersSnapshot resolves the key's owners and their peers under one
 // lock acquisition, so a routing decision is made against a single
-// consistent ring state.
-func (c *Cache) ownersSnapshot(doc, user string) ([]string, []Peer) {
+// consistent ring state, and counts the routed operation in *routed
+// (stats.Reads or stats.Writes) under the same acquisition.
+func (c *Cache) ownersSnapshot(doc, user string, routed *int64) ([]string, []Peer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	*routed++
 	names := c.ring.Owners(Key(doc, user))
 	peers := make([]Peer, len(names))
 	for i, n := range names {
@@ -181,10 +183,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 // accounting hook the simulation's per-node oracle and the scaling
 // experiment both need.
 func (c *Cache) ReadVia(doc, user string) ([]byte, string, error) {
-	names, peers := c.ownersSnapshot(doc, user)
-	c.mu.Lock()
-	c.stats.Reads++
-	c.mu.Unlock()
+	names, peers := c.ownersSnapshot(doc, user, &c.stats.Reads)
 	if len(names) == 0 {
 		c.countDegraded()
 		return nil, "", ErrNoNodes
@@ -211,10 +210,7 @@ func (c *Cache) ReadVia(doc, user string) ([]byte, string, error) {
 // across the replica set like Read: any owner's connection reaches
 // the origin, so a write only fails when the whole set is degraded.
 func (c *Cache) Write(doc, user string, data []byte) error {
-	names, peers := c.ownersSnapshot(doc, user)
-	c.mu.Lock()
-	c.stats.Writes++
-	c.mu.Unlock()
+	names, peers := c.ownersSnapshot(doc, user, &c.stats.Writes)
 	if len(names) == 0 {
 		c.countDegraded()
 		return ErrNoNodes

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"fmt"
 	"testing"
 
 	"placeless/internal/clock"
@@ -44,5 +45,46 @@ func BenchmarkRemoteMiss64K(b *testing.B) {
 	b.StopTimer()
 	if st := cache.Stats(); st.Hits != 0 {
 		b.Fatalf("%d hits: the benchmark must miss on every read", st.Hits)
+	}
+}
+
+// BenchmarkRemoteFirstMiss4K is the cold path of a key: every timed
+// read is the first one this cache makes of its (doc, user), so each
+// pays for the subscription as well as the bytes — one frame, where
+// the separate Subscribe call before wire version 4 made it two round
+// trips. One 4 KiB document behind an uncached loopback origin, a fresh
+// user (with a reference, so the notifiers attach) per iteration.
+func BenchmarkRemoteFirstMiss4K(b *testing.B) {
+	const size = 4 << 10
+	clk := clock.NewVirtual(epoch)
+	space := docspace.New(clk, nil)
+	srv := server.New(space, repo.NewMem("srv", clk, simnet.NewPath("loop", 1)))
+	client := serveAndDial(b, srv)
+	if err := client.CreateDocument("d", "owner", make([]byte, size)); err != nil {
+		b.Fatal(err)
+	}
+	users := make([]string, b.N)
+	for i := range users {
+		users[i] = fmt.Sprintf("u%d", i)
+		if _, err := space.AddReference("d", users[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cache := New(client, Options{})
+	before, _, _ := srv.Counters()
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, u := range users {
+		data, err := cache.Read("d", u)
+		if err != nil || len(data) != size {
+			b.Fatalf("read = %d bytes, %v", len(data), err)
+		}
+	}
+	b.StopTimer()
+	after, _, _ := srv.Counters()
+	b.ReportMetric(float64(after-before)/float64(b.N), "requests/op")
+	if st := cache.Stats(); st.Hits != 0 || cache.Len() != b.N {
+		b.Fatalf("%d hits, %d of %d keys cached: every read must be a first miss that installs", st.Hits, cache.Len(), b.N)
 	}
 }

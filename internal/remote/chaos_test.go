@@ -113,7 +113,7 @@ func (r *chaosRig) restart() {
 // new content while it is down (those invalidations are lost — the
 // notifiers died with the connection), restart it, and verify the
 // client reconnects with backoff, the cache flushes the old epoch and
-// replays its subscriptions, and no post-reconnect read ever returns
+// forgets its subscriptions, and no post-reconnect read ever returns
 // the content that was invalidated during the disconnect.
 func TestChaosKillServerMidLoadReconnectFlush(t *testing.T) {
 	r := newChaosRig(t, Options{})
@@ -168,16 +168,16 @@ func TestChaosKillServerMidLoadReconnectFlush(t *testing.T) {
 		t.Fatalf("client epoch = %d, want 2", r.client.Epoch())
 	}
 
-	// The subscription set was replayed on the new connection: a write
+	// The post-reconnect miss carried the key's subscription again (the
+	// reconnect forgot the old set and replayed nothing): a write
 	// through the restarted server must push an invalidation for the
-	// re-cached entry, even though the cache never re-Subscribed on the
-	// post-reconnect miss (its subscribed set already had the key).
+	// re-cached entry.
 	if err := r.cache.Write(docs[0], "u", []byte("v3")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return !r.cache.Contains(docs[0], "u") })
 	if got, _ := r.cache.Read(docs[0], "u"); string(got) != "v3" {
-		t.Fatalf("read after replayed-subscription invalidation = %q", got)
+		t.Fatalf("read after the re-subscribed key's invalidation = %q", got)
 	}
 }
 

@@ -3,8 +3,8 @@
 // cache runs "on the machine where applications are run" while the
 // Placeless servers (and the repositories behind them) are remote.
 //
-// Consistency is push-based: on the first access to a document the
-// cache subscribes, and the server-side notifiers stream invalidations
+// Consistency is push-based: a key's first read carries its
+// subscription, and the server-side notifiers stream invalidations
 // back over the connection (verifier code cannot cross the wire, so a
 // remote cache leans on the notifier half of the paper's mechanism
 // pair; the server still runs verifier-equivalent checks when it
@@ -16,17 +16,19 @@
 // connection is a correctness event, not just an availability one:
 // while disconnected the cache is in an explicit degraded mode
 // (DegradedPolicy: fail-fast, or serve-stale within a bounded
-// staleness TTL), and on reconnect it replays its subscription set
-// and flushes everything cached under the old connection epoch,
-// because invalidations may have been lost in between. See DESIGN.md
+// staleness TTL), and on reconnect it flushes everything cached under
+// the old connection epoch, because invalidations may have been lost in
+// between, and forgets every subscription, because they died with the
+// connection: each key subscribes again on its next read. See DESIGN.md
 // §9 for the failure model.
 package remote
 
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"placeless/internal/clock"
@@ -118,8 +120,8 @@ type Stats struct {
 	// BytesStored is the current unique content footprint.
 	BytesStored int64
 	// Reconnects counts connection epochs after the first: each is
-	// one successful reconnect the cache observed (resubscribe +
-	// epoch flush).
+	// one successful reconnect the cache observed (epoch flush,
+	// subscriptions forgotten).
 	Reconnects int64
 	// EpochFlushes counts entries flushed at reconnect because they
 	// were cached under a connection epoch whose invalidation stream
@@ -149,17 +151,25 @@ type blob struct {
 	refs int
 }
 
+// quietBeforeYield is how long a cache must have gone without a read
+// for the next one to yield the processor before it looks at the
+// connection state (see Read).
+const quietBeforeYield = time.Millisecond
+
 // Cache is a client-side cache over a server.Client. Safe for
 // concurrent use.
 type Cache struct {
 	client *server.Client
 
+	lastRead atomic.Int64 // wall clock of the latest Read, UnixNano
+
 	mu            sync.Mutex
 	closed        bool
 	entries       map[string]*entry
+	byDoc         map[string]map[string]struct{} // doc → keys of its entries
 	blobs         map[sig.Signature]*blob
 	policy        replace.Policy
-	subscribed    map[string]bool    // (doc,user) subscription dedup
+	subscribed    map[string]bool    // keys with notifiers on the live connection
 	gens          map[string]uint64  // per-doc invalidation generation
 	flights       map[string]*flight // in-progress misses (single-flight)
 	capacity      int64
@@ -193,6 +203,7 @@ func New(client *server.Client, opts Options) *Cache {
 	c := &Cache{
 		client:     client,
 		entries:    make(map[string]*entry),
+		byDoc:      make(map[string]map[string]struct{}),
 		blobs:      make(map[sig.Signature]*blob),
 		policy:     replace.NewGDS(),
 		subscribed: make(map[string]bool),
@@ -241,8 +252,10 @@ func (c *Cache) onConnState(s server.ConnState) {
 // all per-doc generations (so in-flight misses from before the drop
 // cannot install), flushes the whole entry set (re-verification by
 // re-read: the next access re-fetches and re-caches under the new
-// epoch), and replays its subscription set on the new connection —
-// the server-side notifiers died with the old one.
+// epoch) and forgets every subscription — the server-side notifiers
+// died with the old connection. Nothing is replayed: what those
+// subscriptions guarded has just been flushed, and the next miss on a
+// key carries its subscription again.
 func (c *Cache) onReconnect(epoch uint64) {
 	c.mu.Lock()
 	if c.closed {
@@ -250,7 +263,6 @@ func (c *Cache) onReconnect(epoch uint64) {
 		return
 	}
 	c.connEpoch++
-	myEpoch := c.connEpoch
 	c.stats.Reconnects++
 	flushed := int64(len(c.entries))
 	for k := range c.entries {
@@ -260,39 +272,20 @@ func (c *Cache) onReconnect(epoch uint64) {
 	for doc := range c.gens {
 		c.gens[doc]++
 	}
-	subs := make([]string, 0, len(c.subscribed))
-	for k := range c.subscribed {
-		subs = append(subs, k)
+	clear(c.subscribed)
+	// The flush ends the suspect window — but only the hook of the
+	// connection that is live now may say so: a drop since re-armed the
+	// flag for the next hook, and a hook that runs late must not lift
+	// it for a successor whose own flush is still to come. (State, then
+	// Epoch: a connected state read after this epoch's drop belongs to
+	// a later epoch.)
+	if c.client.State() == server.StateConnected && c.client.Epoch() == epoch {
+		c.suspect = false
 	}
 	o := c.obs
 	c.mu.Unlock()
-	// The subscription replay below races with new misses; the suspect
-	// flag stays up until it finishes, so reads keep going to the (now
-	// live) wire without installing entries that might lack a live
-	// server-side notifier.
-	defer func() {
-		c.mu.Lock()
-		// A drop during the replay re-arms the flag; only clear it if
-		// no newer epoch has superseded this one and the wire is
-		// still up.
-		if c.connEpoch == myEpoch && c.client.State() == server.StateConnected {
-			c.suspect = false
-		}
-		c.mu.Unlock()
-	}()
 	if o != nil {
 		o.Invalidations(obs.CauseDegraded, flushed)
-	}
-	for _, k := range subs {
-		doc, user, _ := strings.Cut(k, "\x00")
-		if err := c.client.Subscribe(doc, user); err != nil {
-			// Forget the failed subscription so the next miss on this
-			// key re-subscribes before caching; an entry cached
-			// without a live subscription would be unboundedly stale.
-			c.mu.Lock()
-			delete(c.subscribed, k)
-			c.mu.Unlock()
-		}
 	}
 }
 
@@ -325,7 +318,7 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_remote_ttl_expiries_total",
 		"Entries dropped because their server-issued TTL deadline passed.", counter(func(s *Stats) int64 { return s.TTLExpiries }))
 	reg.Counter("placeless_remote_reconnects_total",
-		"Successful reconnects observed (resubscribe + epoch flush each).", counter(func(s *Stats) int64 { return s.Reconnects }))
+		"Successful reconnects observed (one epoch flush each; subscriptions are forgotten, not replayed).", counter(func(s *Stats) int64 { return s.Reconnects }))
 	reg.Counter("placeless_remote_epoch_flushes_total",
 		"Entries flushed at reconnect because their epoch's invalidation stream was interrupted.", counter(func(s *Stats) int64 { return s.EpochFlushes }))
 	reg.Counter("placeless_remote_frames_batched_total",
@@ -367,11 +360,12 @@ func (c *Cache) onInvalidate(doc, user string) {
 		}
 		return
 	}
-	for k, e := range c.entries {
-		if e.doc == doc {
-			c.stats.Invalidations++
-			c.dropLocked(k)
-		}
+	// Only this document's keys: a write must not cost a walk of every
+	// entry the node holds. (Deleting from a map while ranging over it
+	// is defined.)
+	for k := range c.byDoc[doc] {
+		c.stats.Invalidations++
+		c.dropLocked(k)
 	}
 }
 
@@ -383,10 +377,10 @@ func (c *Cache) Stats() Stats {
 }
 
 // Suspect reports whether the cache is inside the post-reconnect
-// suspect window: the connection came back but the epoch flush and
-// subscription replay have not yet completed, so cached entries are
-// not trusted. Simulations wait for this to clear (together with a
-// drained push queue) before asserting freshness.
+// suspect window: the connection dropped and the epoch flush of its
+// successor has not yet run, so cached entries are not trusted.
+// Simulations wait for this to clear (together with a drained push
+// queue) before asserting freshness.
 func (c *Cache) Suspect() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -421,6 +415,21 @@ func (c *Cache) Contains(doc, user string) bool {
 // ServeStale cached hits are served within the StaleTTL bound and
 // everything else returns ErrDegraded.
 func (c *Cache) Read(doc, user string) ([]byte, error) {
+	// A read that follows a quiet spell lets connection events that are
+	// already queued run before it decides anything. A process that was
+	// parked wakes with a batch of poller events and the runtime runs
+	// the batch newest first: a dead server's EOF and the application's
+	// next request arrive together, and without the yield the request is
+	// answered as a hit while the connection's death notice sits one
+	// place behind it in the run queue — under FailFast the one answer
+	// the policy forbids. (It is also what made a restart probe read
+	// "origin is back" milliseconds after the kill; see EXPERIMENTS.md,
+	// "Fourth ledger-picked change".) Reads in close succession skip
+	// it: the yield costs about a microsecond of a six-microsecond hit,
+	// and a process that busy is draining its poller all the time.
+	if now := time.Now().UnixNano(); now-c.lastRead.Swap(now) > int64(quietBeforeYield) {
+		runtime.Gosched()
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -541,19 +550,20 @@ func (c *Cache) coalescedMiss(doc, user string) ([]byte, error) {
 	return data, err
 }
 
-// miss fetches through the wire, subscribes for invalidations, and
-// stores the entry per its cacheability.
+// miss fetches through the wire — subscribing in the same frame when
+// the key holds no subscription — and stores the entry per its
+// cacheability.
 func (c *Cache) miss(doc, user string) ([]byte, error) {
 	// Snapshot the invalidation generation, connection epoch, and
 	// suspect flag so a push — or a disconnect/reconnect cycle —
 	// while the remote read is in flight prevents installing a stale
 	// entry (the load/install race; see internal/core's equivalent
 	// guard and its regression test). The suspect flag must be
-	// sampled here, not only at install time: while the
-	// post-reconnect subscription replay runs, this read's request
-	// can reach the server BEFORE the replayed Subscribe for its own
-	// key, and a change in that gap is pushed to no one — by install
-	// time the replay has finished and suspect is down again, but
+	// sampled here, not only at install time: a read that leaves
+	// between the reconnect and the epoch flush can travel without its
+	// subscription (the key still counts as subscribed, on a connection
+	// that is gone), and a change in that gap is pushed to no one — by
+	// install time the flush has run and suspect is down again, but
 	// the fetched bytes predate a push that never came.
 	c.mu.Lock()
 	gen := c.gens[doc]
@@ -561,34 +571,30 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	sus := c.suspect
 	k := key(doc, user)
 	needSub := !c.subscribed[k]
-	if needSub {
-		c.subscribed[k] = true
-	}
 	c.mu.Unlock()
 
-	// Subscribe before fetching, not after: the connection is one
-	// FIFO stream, so once the Subscribe's response is in, the
-	// server-side notifier provably predates the Read below — every
-	// change after the fetched snapshot is pushed to us. Subscribing
-	// after the fetch leaves the classic callback-race window (a
-	// change between the server processing the Read and processing
-	// the Subscribe is pushed to no one) and the entry would be
-	// stale until the NEXT change, not just by one access.
-	subLive := true
-	if needSub {
-		if err := c.client.Subscribe(doc, user); err != nil {
-			c.mu.Lock()
-			delete(c.subscribed, k)
-			c.mu.Unlock()
-			subLive = false // fetch anyway, serve uncached
-		}
-	}
-
-	var tWire time.Time
+	// The subscription rides the read: the server installs the
+	// notifiers and then executes the read, in one handler, so they
+	// provably predate the snapshot it returns — every change after the
+	// fetched bytes is pushed to us. Subscribing after the fetch would
+	// leave the classic callback-race window (a change between the two
+	// is pushed to no one) and the entry would be stale until the NEXT
+	// change, not just by one access.
+	var (
+		data    []byte
+		meta    server.ReadMeta
+		err     error
+		subLive = true
+		tWire   time.Time
+	)
 	if c.obs != nil {
 		tWire = time.Now()
 	}
-	data, meta, err := c.client.Read(doc, user)
+	if needSub {
+		data, meta, subLive, err = c.client.ReadSubscribe(doc, user)
+	} else {
+		data, meta, err = c.client.Read(doc, user)
+	}
 	if c.obs != nil {
 		c.obs.ObserveStage(obs.StageRemoteRTT, time.Since(tWire))
 	}
@@ -614,6 +620,12 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	if c.closed {
 		return data, nil
 	}
+	if needSub && subLive && c.connEpoch == ep {
+		// Recorded only under the epoch the read was sent in: after a
+		// reconnect flush the notifiers this read installed may sit on
+		// a connection that is gone.
+		c.subscribed[k] = true
+	}
 	// The blob is keyed by the signature the origin computed and shipped
 	// under the frame checksum; this cache never hashes a body. A
 	// storable response that arrives without one cannot be shared
@@ -623,11 +635,11 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		return data, nil
 	}
 	if !subLive || sus || c.gens[doc] != gen || c.connEpoch != ep || c.suspect {
-		// No live subscription, the fetch started inside the suspect
-		// window, it was invalidated mid-read, the connection was
-		// lost and re-established underneath us (pushes may have
-		// been missed), or the subscription replay has not finished:
-		// serve uncached.
+		// The server could not install the notifiers (the key stays
+		// unsubscribed and the next miss asks again), the fetch started
+		// inside the suspect window, it was invalidated mid-read, or
+		// the connection was lost underneath us (pushes may have been
+		// missed): serve uncached.
 		return data, nil
 	}
 	c.dropLocked(k)
@@ -639,6 +651,12 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		c.stats.BytesStored += int64(len(data))
 	}
 	b.refs++
+	keys := c.byDoc[doc]
+	if keys == nil {
+		keys = make(map[string]struct{})
+		c.byDoc[doc] = keys
+	}
+	keys[k] = struct{}{}
 	c.entries[k] = &entry{
 		doc: doc, user: user, signature: s,
 		size: int64(len(data)), cost: meta.Cost,
@@ -678,6 +696,11 @@ func (c *Cache) dropLocked(k string) {
 		return
 	}
 	delete(c.entries, k)
+	keys := c.byDoc[e.doc]
+	delete(keys, k)
+	if len(keys) == 0 {
+		delete(c.byDoc, e.doc)
+	}
 	c.policy.Remove(k)
 	if b := c.blobs[e.signature]; b != nil {
 		b.refs--
@@ -710,6 +733,7 @@ func (c *Cache) Close() {
 	defer c.mu.Unlock()
 	c.closed = true
 	c.entries = make(map[string]*entry)
+	c.byDoc = make(map[string]map[string]struct{})
 	c.blobs = make(map[sig.Signature]*blob)
 	c.stats.BytesStored = 0
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"sync"
 	"testing"
 
 	"placeless/internal/property"
@@ -17,12 +18,18 @@ import (
 // fakeOrigin speaks the wire protocol by hand, from the layout in
 // DESIGN.md §12 and with none of package server's codecs, so the
 // signature a read response carries is whatever the test says — a real
-// server always sends sig.Of(body). It acks every Subscribe and answers
-// every Read with body, Unrestricted, and sg. The returned client is
-// connected to it.
-func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) *server.Client {
+// server always sends sig.Of(body). It answers every Read with body,
+// Unrestricted, and sg, and with flags 0: a read that carried its
+// subscription is told the notifiers went in. The returned client is
+// connected to it; seen returns the flags field of every request frame
+// so far, in arrival order.
+func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) (client *server.Client, seen func() []uint16) {
 	t.Helper()
-	const version = 3
+	var (
+		mu    sync.Mutex
+		flags []uint16
+	)
+	const version = 4
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,11 +44,11 @@ func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) *server.Client {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		magic := make([]byte, 8)
-		if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, []byte("\x00PLWREv3")) {
+		if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, []byte("\x00PLWREv4")) {
 			t.Errorf("fake origin: client opened with %q, %v", magic, err)
 			return
 		}
-		if _, err := conn.Write([]byte("\x00PLACKv3")); err != nil {
+		if _, err := conn.Write([]byte("\x00PLACKv4")); err != nil {
 			return
 		}
 		for {
@@ -54,9 +61,11 @@ func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) *server.Client {
 			if _, err := io.ReadFull(br, rest); err != nil {
 				return
 			}
+			mu.Lock()
+			flags = append(flags, binary.BigEndian.Uint16(hdr[2:4]))
+			mu.Unlock()
 			var payload []byte
 			switch op := server.Op(hdr[1]); op {
-			case server.OpSubscribe: // empty ack
 			case server.OpRead:
 				payload = append(payload, byte(property.Unrestricted))
 				payload = binary.BigEndian.AppendUint64(payload, 0) // cost
@@ -77,12 +86,16 @@ func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) *server.Client {
 			}
 		}
 	}()
-	client, err := server.Dial(ln.Addr().String())
+	client, err = server.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	return client
+	return client, func() []uint16 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]uint16(nil), flags...)
+	}
 }
 
 // TestBlobKeyedByWireSignature: the cache files a body under the
@@ -96,7 +109,8 @@ func TestBlobKeyedByWireSignature(t *testing.T) {
 	if wireSig == sig.Of(body) {
 		t.Fatal("test signature collides with the real one")
 	}
-	cache := New(fakeOrigin(t, body, wireSig), Options{})
+	client, _ := fakeOrigin(t, body, wireSig)
+	cache := New(client, Options{})
 	for _, user := range []string{"eyal", "paul", "eyal", "paul"} {
 		got, err := cache.Read("d", user)
 		if err != nil || !bytes.Equal(got, body) {
@@ -123,7 +137,8 @@ func TestBlobKeyedByWireSignature(t *testing.T) {
 // would alias every other such body — so it is served and dropped.
 func TestZeroSignatureServedNotInstalled(t *testing.T) {
 	body := []byte("unsigned")
-	cache := New(fakeOrigin(t, body, sig.Zero), Options{})
+	client, _ := fakeOrigin(t, body, sig.Zero)
+	cache := New(client, Options{})
 	for i := 0; i < 2; i++ {
 		got, err := cache.Read("d", "u")
 		if err != nil || !bytes.Equal(got, body) {

@@ -69,6 +69,25 @@ func BenchmarkRemoteWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkWireConfigOp is the wire cost of a property mutation (the
+// paper's invalidation cause 2): one personal Attach and the Detach
+// that undoes it, two round trips whose success responses say nothing.
+// allocs/op is the deterministic cell; before wire version 4 each of the
+// four frames built a gob encoder or decoder of its own.
+func BenchmarkWireConfigOp(b *testing.B) {
+	c := benchServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Attach("d", "u", true, "uppercase:2"); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Detach("d", "u", true, "uppercase"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchCachedServer boots a cached loopback server holding one warm
 // document of the given size and dials it. This is the E15 workload
 // shape.

@@ -126,7 +126,8 @@ func WithWriteTimeout(d time.Duration) DialOption {
 // in the background, starting at base and doubling up to max per
 // attempt. Each successful reconnect increments the connection epoch
 // (see Epoch) and fires the OnReconnect hooks, which is how the remote
-// cache resubscribes and flushes entries cached under the old epoch.
+// cache flushes entries cached under the old epoch and forgets the
+// subscriptions that died with it.
 func WithReconnect(base, max time.Duration) DialOption {
 	return func(c *dialConfig) {
 		c.reconnect = true
@@ -234,11 +235,7 @@ type wireConn struct {
 // sendRequest queues one request frame; the write deadline is armed
 // by the writer goroutine per batch.
 func (w *wireConn) sendRequest(req *Request) error {
-	f, err := encodeRequestFrame(req)
-	if err != nil {
-		return err
-	}
-	return w.fw.enqueue(f)
+	return w.fw.enqueue(encodeRequestFrame(req))
 }
 
 func (w *wireConn) readResponse() (*Response, error) { return readResponseFrameInto(w.br, w.claim) }
@@ -385,7 +382,7 @@ func (c *Client) OnInvalidate(fn func(doc, user string)) {
 // OnReconnect registers fn to run after every successful automatic
 // reconnection, with the new connection epoch. Hooks run on the
 // reconnect goroutine, after the new read loop is live, so they can
-// issue calls (e.g. re-Subscribe) on the fresh connection.
+// issue calls on the fresh connection.
 func (c *Client) OnReconnect(fn func(epoch uint64)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -799,6 +796,22 @@ func (c *Client) Read(doc, user string) ([]byte, ReadMeta, error) {
 	return resp.Body, readMeta(resp), nil
 }
 
+// ReadSubscribe is Read for a key the caller holds no subscription
+// for: the one frame also asks the server to install this connection's
+// notifiers for (doc, user) before it executes the read, so every
+// change after the returned bytes is pushed to OnInvalidate. subscribed
+// is false when the server could not install them — the document or
+// the user's reference does not exist yet — in which case the bytes are
+// good for this answer only and must not be cached. Like any
+// subscription it dies with the connection.
+func (c *Client) ReadSubscribe(doc, user string) (data []byte, meta ReadMeta, subscribed bool, err error) {
+	resp, err := c.call(&Request{Op: OpRead, Doc: doc, User: user, Subscribe: true})
+	if err != nil {
+		return nil, ReadMeta{}, false, err
+	}
+	return resp.Body, readMeta(resp), !resp.SubscribeFailed, nil
+}
+
 // ReadInto is Read with a caller-supplied body buffer, the client
 // half of the zero-copy blob path. When buf has capacity for the body,
 // the read loop decodes the body from the socket directly into buf —
@@ -853,9 +866,9 @@ func (c *Client) AttachStatic(doc, user string, personal bool, key, value string
 	return err
 }
 
-// Subscribe registers for invalidation pushes for (doc, user).
-// Subscriptions are per connection: after a reconnect they must be
-// replayed (the remote cache does this from its OnReconnect hook).
+// Subscribe registers for invalidation pushes for (doc, user) without
+// reading it. Subscriptions are per connection and die with it. A cache
+// subscribes with its key's first read instead (ReadSubscribe).
 func (c *Client) Subscribe(doc, user string) error {
 	_, err := c.call(&Request{Op: OpSubscribe, Doc: doc, User: user})
 	return err

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func FuzzParsePropertySpec(f *testing.F) {
 // FuzzProtocolRoundTrip checks the Match struct framing introduced for
 // OpFind: static property values are arbitrary user strings, so tabs,
 // newlines, empty values, and multi-byte UTF-8 must survive the
-// gob-in-frame payload an OpFind response rides in (the pre-struct
+// gob payload an OpFind response rides in (the pre-struct
 // format packed matches into a tab-separated string and corrupted
 // exactly these inputs).
 func FuzzProtocolRoundTrip(f *testing.F) {
@@ -94,14 +95,15 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 }
 
 // FuzzProtocolV2RoundTrip drives the hand-written codecs with
-// arbitrary field values: every encodable request and response must
-// decode back to the same fields, hot path and gob-in-frame alike.
+// arbitrary field values: every request, whatever its op, must decode
+// back to the same fields from the one request layout, and so must the
+// read response, the push and the error frame.
 func FuzzProtocolV2RoundTrip(f *testing.F) {
 	bodySig := sig.Of([]byte("body"))
 	f.Add(uint64(1), uint8(0), "doc", "user", "value", []byte("body"), uint8(1), int64(5), int64(9), bodySig[:])
 	f.Add(uint64(42), uint8(1), "d\tmid", "u\nnl", "значение", []byte{0x02, 0x00, 0xff}, uint8(0), int64(-1), int64(0), []byte{})
 	f.Add(uint64(7), uint8(7), "", "", "", []byte{}, uint8(255), int64(1<<40), int64(-7), bytes.Repeat([]byte{0xff}, sig.Size))
-	f.Add(uint64(1<<63), uint8(12), "δοc", "ユーザー", "v", bytes.Repeat([]byte("x"), 3000), uint8(3), int64(0), int64(1), []byte("short"))
+	f.Add(uint64(1<<63), uint8(12), "δοc", "ユーザー", "v", bytes.Repeat([]byte("x"), 5000), uint8(3), int64(0), int64(1), []byte("short"))
 	// A signature that looks like frame structure: the version byte, a
 	// header's worth of zeros, then a plausible trailer.
 	f.Add(uint64(3), uint8(0), "d", "u", "", []byte("b"), uint8(1), int64(0), int64(0),
@@ -111,30 +113,19 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 			id = 1 // ID 0 is reserved for pushes; requests reject it
 		}
 		op := Op(int(op8) % (int(OpFind) + 1))
+		flagged := cost&1 == 1 // the subscribe bit, in both directions
 		req := &Request{ID: id, Op: op, Doc: doc, User: user,
-			Personal: op8%2 == 0, Property: value, Value: value, Body: body}
-		ef, err := encodeRequestFrame(req)
-		if err != nil {
-			t.Fatalf("encode request %v: %v", op, err)
-		}
-		got, err := readRequestFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, ef))))
+			Personal: op8%2 == 0, Property: value + "p", Value: value, Body: body,
+			Subscribe: flagged && op == OpRead}
+		got, err := readRequestFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, encodeRequestFrame(req)))))
 		if err != nil {
 			t.Fatalf("decode request %v: %v", op, err)
 		}
-		if got.ID != req.ID || got.Op != req.Op || got.Doc != req.Doc || got.User != req.User {
+		if len(req.Body) == 0 {
+			req.Body = nil // an empty tail decodes as no body
+		}
+		if !reflect.DeepEqual(got, req) {
 			t.Fatalf("request corrupted: got %+v want %+v", got, req)
-		}
-		// Hot ops carry only the fields their codec defines: Read and
-		// Subscribe are doc+user, Write adds the body; gob ops carry all.
-		if op == OpWrite || (op != OpRead && op != OpSubscribe) {
-			if !bytes.Equal(got.Body, req.Body) {
-				t.Fatalf("request body corrupted: got %d bytes want %d", len(got.Body), len(req.Body))
-			}
-		}
-		if op != OpRead && op != OpWrite && op != OpSubscribe {
-			if got.Personal != req.Personal || got.Property != req.Property || got.Value != req.Value {
-				t.Fatalf("gob request corrupted: got %+v want %+v", got, req)
-			}
 		}
 
 		// Read response: raw metadata + body. Cacheability is a one-byte
@@ -142,7 +133,7 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 		var sg sig.Signature
 		copy(sg[:], sgBytes)
 		resp := &Response{ID: id, Body: body, Cacheability: int(cach),
-			CostNanos: cost, ExpiryUnixNanos: expiry, Signature: sg}
+			CostNanos: cost, ExpiryUnixNanos: expiry, Signature: sg, SubscribeFailed: flagged}
 		rf, err := encodeResponseFrame(OpRead, resp)
 		if err != nil {
 			t.Fatalf("encode read response: %v", err)
@@ -152,7 +143,8 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 			t.Fatalf("decode read response: %v", err)
 		}
 		if rgot.ID != id || !bytes.Equal(rgot.Body, body) || rgot.Cacheability != int(cach) ||
-			rgot.CostNanos != cost || rgot.ExpiryUnixNanos != expiry || rgot.Signature != sg {
+			rgot.CostNanos != cost || rgot.ExpiryUnixNanos != expiry || rgot.Signature != sg ||
+			rgot.SubscribeFailed != flagged {
 			t.Fatalf("read response corrupted: got %+v want %+v", rgot, resp)
 		}
 
@@ -191,17 +183,21 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 // decoders: they must reject garbage with an error — never panic, hang,
 // or allocate per an attacker-controlled length prefix.
 func FuzzV2FrameDecode(f *testing.F) {
-	valid, err := encodeRequestFrame(&Request{ID: 3, Op: OpRead, Doc: "d", User: "u"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	vb := frameBytes(f, valid)
+	vb := frameBytes(f, encodeRequestFrame(&Request{ID: 3, Op: OpRead, Doc: "d", User: "u"}))
 	f.Add(vb)
 	f.Add(vb[:len(vb)-1])
 	f.Add(append(append([]byte{}, vb...), 0xde, 0xad))
 	f.Add([]byte{wireVersion, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add([]byte{})
+	// The version-4 shapes: a read carrying its subscription, a request
+	// using every field of the layout, and one claiming a gob payload.
+	f.Add(frameBytes(f, encodeRequestFrame(&Request{ID: 4, Op: OpRead, Doc: "d", User: "u", Subscribe: true})))
+	f.Add(frameBytes(f, encodeRequestFrame(&Request{ID: 5, Op: OpAttachStatic, Doc: "d", User: "u",
+		Personal: true, Property: "k", Value: "v", Body: []byte("tail")})))
+	gobbed := frameBytes(f, encodeRequestFrame(&Request{ID: 6, Op: OpStats}))
+	gobbed[3] |= byte(flagGob)
+	f.Add(gobbed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = readRequestFrame(bufio.NewReader(bytes.NewReader(data)))
 		_, _ = readResponseFrame(bufio.NewReader(bytes.NewReader(data)))

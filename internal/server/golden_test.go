@@ -1,0 +1,109 @@
+package server
+
+import (
+	"bytes"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"placeless/internal/sig"
+)
+
+var updateGolden = flag.Bool("update", false, "write the wire golden file of a new wire version")
+
+// wireGoldenLines renders one request and one response per op, plus the
+// shapes no op owns (the flagged read both ways, the error frame, the
+// push), as "name hex" lines. A gob payload is not pinned byte for byte
+// — gob numbers types by the order a process first encodes them — so a
+// structured response contributes its header up to the call ID and the
+// word "gob"; its content is pinned by the round-trip tests.
+func wireGoldenLines(t *testing.T) string {
+	t.Helper()
+	const id = 0x0102030405060708
+	var out strings.Builder
+	line := func(name string, b []byte) { fmt.Fprintf(&out, "%s %s\n", name, hex.EncodeToString(b)) }
+
+	fmt.Fprintf(&out, "hello %s\nack %s\n", hex.EncodeToString(helloMagic[:]), hex.EncodeToString(helloAck[:]))
+	for op := OpRead; op <= OpFind; op++ {
+		line("request "+op.String(), frameBytes(t, encodeRequestFrame(&Request{ID: id, Op: op,
+			Doc: "doc", User: "user", Personal: true, Property: "prop", Value: "value", Body: []byte("body")})))
+	}
+	line("request read+subscribe", frameBytes(t, encodeRequestFrame(&Request{ID: id, Op: OpRead,
+		Doc: "doc", User: "user", Subscribe: true})))
+
+	body := []byte("body")
+	read := &Response{ID: id, Body: body, Cacheability: 1, CostNanos: 1 << 20, ExpiryUnixNanos: 1 << 40, Signature: sig.Of(body)}
+	for op := OpRead; op <= OpFind; op++ {
+		f, err := encodeResponseFrame(op, read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := frameBytes(t, f)
+		if structuredResponse(op) {
+			fmt.Fprintf(&out, "response %s %s gob\n", op, hex.EncodeToString(b[:12]))
+			continue
+		}
+		line("response "+op.String(), b)
+	}
+	flagged := *read
+	flagged.SubscribeFailed = true
+	for _, shape := range []struct {
+		name string
+		op   Op
+		r    *Response
+	}{
+		{"response read+unsubscribed", OpRead, &flagged},
+		{"response error", OpAttach, &Response{ID: id, Err: "no such document"}},
+		{"push", opInvalidate, &Response{NotifyDoc: "doc", NotifyUser: "user"}},
+	} {
+		f, err := encodeResponseFrame(shape.op, shape.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line(shape.name, frameBytes(t, f))
+	}
+	return out.String()
+}
+
+// TestWireGolden pins the bytes of the wire format to the version that
+// names them: peers of one version must agree on every layout, and the
+// payload checksum cannot tell a moved field from a valid frame. The
+// file is named after wireVersion, so a new version starts a new file
+// (go test -run TestWireGolden -update ./internal/server, then delete
+// the old one); under an unchanged version the bytes may not move, and
+// -update will not overwrite them.
+func TestWireGolden(t *testing.T) {
+	path := fmt.Sprintf("testdata/wire_v%d.golden", wireVersion)
+	got := []byte(wireGoldenLines(t))
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) && *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v (a new wire version needs its golden file: rerun with -update)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	wantLines := strings.Split(string(want), "\n")
+	for i, g := range strings.Split(string(got), "\n") {
+		if i >= len(wantLines) || g != wantLines[i] {
+			w := "(nothing)"
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			t.Errorf("line %d:\n got %s\nwant %s", i+1, g, w)
+			break
+		}
+	}
+	t.Fatalf("layout changed: bump wireVersion and regenerate (%s holds the bytes version %d peers already speak)", path, wireVersion)
+}

@@ -11,8 +11,9 @@
 // with an ack before either side sends a frame; a peer that opens with
 // anything else is closed. Every request carries a client-chosen call
 // ID, every response echoes it, and server-initiated invalidation
-// pushes use ID 0. Hot ops are hand-encoded; the cold ops carry the
-// Request/Response structs below as a gob payload inside a frame.
+// pushes use ID 0. Every request, the read response and the push are
+// hand-encoded; only the four responses that carry structure (Stats,
+// ListActives, Describe, Find) ride as a gob payload inside a frame.
 package server
 
 import (
@@ -46,7 +47,9 @@ const (
 	// server-side repository.
 	OpCreateDocument
 	// OpSubscribe registers the client for invalidation pushes for a
-	// document (the remote notifier channel).
+	// document (the remote notifier channel) without reading it. A
+	// cache subscribes on its key's first OpRead instead
+	// (Request.Subscribe); this op serves plctl subscribe.
 	OpSubscribe
 	// OpForwardEvent redelivers an operation event (CacheWithEvents
 	// support for remote caches).
@@ -94,6 +97,11 @@ type Request struct {
 	Value string
 	// Body carries write content.
 	Body []byte
+	// Subscribe, on an OpRead, asks the server to install this
+	// connection's notifiers for (Doc, User) before it executes the
+	// read, so that every change after the returned snapshot is pushed.
+	// Ignored on every other op.
+	Subscribe bool
 }
 
 // Response is a server→client frame. Frames with ID 0 are
@@ -117,6 +125,11 @@ type Response struct {
 	// UnixNano (0 = no TTL). Verifier code cannot cross the wire, but
 	// a deadline can, so remote caches honor web-style freshness.
 	ExpiryUnixNanos int64
+	// SubscribeFailed, on the response to an OpRead that carried
+	// Subscribe, reports that the notifiers could not be installed (no
+	// such document or reference yet). The body is still this read's
+	// answer; nothing will announce that it changed.
+	SubscribeFailed bool
 	// Signature is the content signature of Body, computed once at the
 	// origin (the server-side cache's intern-time hash) and shipped in
 	// the read metadata under the frame checksum, so a remote cache can

@@ -1,14 +1,14 @@
-// The binary wire protocol (version 3: version 2 plus the content
-// signature in the read response).
+// The binary wire protocol (version 4: one hand-written request layout
+// and a subscription that rides its key's first read).
 //
-// Hot ops are hand-written codecs over a fixed header, so blob payloads
-// travel as raw byte ranges — never re-encoded — and a single writer
-// goroutine batches small frames into one writev (net.Buffers) per
-// wakeup.
+// Requests, reads and pushes are hand-written codecs over a fixed
+// header, so blob payloads travel as raw byte ranges — never re-encoded
+// — and a single writer goroutine batches small frames into one writev
+// (net.Buffers) per wakeup.
 //
 // Frame layout (16-byte header, big-endian multi-byte fields):
 //
-//	offset 0  version (1 byte, 0x03)
+//	offset 0  version (1 byte, 0x04)
 //	offset 1  op      (1 byte)
 //	offset 2  flags   (2 bytes)
 //	offset 4  call ID (8 bytes; 0 = server push)
@@ -16,18 +16,34 @@
 //	offset 16 payload
 //	          payload CRC32-C (4 bytes)
 //
-// Hot ops (Read, Write, Subscribe, the invalidation push) encode their
-// payloads by hand: uvarint-length-prefixed strings followed by the raw
-// body bytes. Everything else rides inside a frame as a gob-encoded
-// Request/Response (flagGob) — cold ops keep gob's flexibility, hot ops
-// skip it entirely. Error responses carry flagError with the error
-// string as payload.
+// Every request payload has the same layout, whatever the op:
 //
-// A Read response payload is a fixed 33-byte metadata prefix —
+//	level    (1 byte: 0 universal, 1 personal)
+//	doc, user, property, value (each a uvarint length, then the bytes)
+//	body     (the rest of the payload, raw)
+//
+// An op leaves the fields it has no use for empty. No request carries
+// flagGob or flagError; the decoder refuses both.
+//
+// Responses come in five shapes. An error is flagError with the error
+// string as payload. A Read is a fixed 33-byte metadata prefix —
 // cacheability (1), cost nanos (8), expiry nanos (8), content signature
 // (16) — followed by the raw body; the trailer covers all of it, so the
 // signature a remote cache keys its blob by is checked together with
-// the bytes it names.
+// the bytes it names. An invalidation push (call ID 0) is doc and user
+// as two strings. Stats, ListActives, Describe and Find, the four ops
+// that answer with structure, carry a gob-encoded Response under
+// flagGob. Every other op answers success with a zero-payload frame.
+//
+// flagSubscribe is valid on OpRead frames only and means something
+// different in each direction. On the request it asks the server to
+// install this connection's notifiers for (doc, user) before it
+// executes the read, in the same handler, so the notifiers predate the
+// snapshot the read returns: every change after that snapshot is
+// pushed. On the response it reports that the installation failed (no
+// such document or reference yet): the bytes are good for this one
+// answer, and a cache must neither keep them nor consider the key
+// subscribed.
 //
 // Handshake: a client opens with an 8-byte magic preamble; the server
 // reads the first bytes of every accepted connection and answers the
@@ -37,7 +53,8 @@
 // ErrHandshake. The preamble's last byte names the version and moves
 // with every layout change: the payload checksum cannot tell a shifted
 // layout from a valid one, so peers of different versions must never
-// get as far as exchanging frames. The decoder validates every header
+// get as far as exchanging frames (TestWireGolden fails when the bytes
+// move under an unchanged version). The decoder validates every header
 // field strictly, so a corrupted or reordered byte stream (the
 // simulator's fault model) fails the connection instead of desyncing
 // silently.
@@ -61,7 +78,7 @@ import (
 )
 
 // wireVersion is the first byte of every frame header.
-const wireVersion = 3
+const wireVersion = 4
 
 const (
 	frameHeaderSize = 16
@@ -107,11 +124,15 @@ func readTrailer(br *bufio.Reader, crc uint32) error {
 
 // Frame flags.
 const (
-	// flagGob marks a payload that is a gob-encoded Request/Response
-	// (the cold-op fallback inside a frame).
+	// flagGob marks a response payload that is a gob-encoded Response:
+	// Stats, ListActives, Describe and Find, and nothing else.
 	flagGob uint16 = 1 << 0
 	// flagError marks a response whose payload is the error string.
 	flagError uint16 = 1 << 1
+	// flagSubscribe, on an OpRead request, asks for the connection's
+	// notifiers to be installed for the key before the read executes;
+	// on the OpRead response it says they could not be.
+	flagSubscribe uint16 = 1 << 2
 )
 
 // opInvalidate is the wire op for server→client invalidation pushes
@@ -119,7 +140,7 @@ const (
 const opInvalidate Op = 0x7f
 
 // helloMagic opens every connection; its last byte names the version
-// ("…v3"), so it moves whenever wireVersion does.
+// ("…v4"), so it moves whenever wireVersion does.
 var helloMagic = [8]byte{0x00, 'P', 'L', 'W', 'R', 'E', 'v', '0' + wireVersion}
 
 // helloAck is the server's answer to helloMagic.
@@ -190,8 +211,11 @@ func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int
 		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: unknown op 0x%02x", h[1])
 	}
 	flags = binary.BigEndian.Uint16(h[2:4])
-	if flags&^(flagGob|flagError) != 0 {
+	if flags&^(flagGob|flagError|flagSubscribe) != 0 {
 		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: unknown flags 0x%04x", flags)
+	}
+	if flags&flagSubscribe != 0 && (op != OpRead || flags != flagSubscribe) {
+		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: subscribe flag on op %v flags 0x%04x", op, flags)
 	}
 	id = binary.BigEndian.Uint64(h[4:12])
 	n := binary.BigEndian.Uint32(h[12:16])
@@ -248,31 +272,44 @@ type wireFrame struct {
 	hasTrailerCRC bool
 }
 
-// encodeRequestFrame renders one client→server frame. Hot ops are
-// hand-encoded; the rest travel as gob-in-frame.
-func encodeRequestFrame(req *Request) (wireFrame, error) {
-	switch req.Op {
-	case OpRead, OpSubscribe:
-		p, b := getSmallBuf()
-		b = appendWireString(b, req.Doc)
-		b = appendWireString(b, req.User)
-		putFrameHeader(b, req.Op, 0, req.ID, len(b)-frameHeaderSize)
-		return wireFrame{hdr: b, hdrPool: p}, nil
-	case OpWrite:
-		p, b := getSmallBuf()
-		b = appendWireString(b, req.Doc)
-		b = appendWireString(b, req.User)
-		putFrameHeader(b, OpWrite, 0, req.ID, len(b)-frameHeaderSize+len(req.Body))
-		return wireFrame{hdr: b, hdrPool: p, body: req.Body}, nil
-	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-			return wireFrame{}, err
-		}
-		p, b := getSmallBuf()
-		putFrameHeader(b, req.Op, flagGob, req.ID, buf.Len())
-		return wireFrame{hdr: b, hdrPool: p, body: buf.Bytes()}, nil
+// encodeRequestFrame renders one client→server frame in the one request
+// layout. The body is never copied: it rides as the frame's raw tail.
+func encodeRequestFrame(req *Request) wireFrame {
+	p, b := getSmallBuf()
+	level := byte(0)
+	if req.Personal {
+		level = 1
 	}
+	b = append(b, level)
+	b = appendWireString(b, req.Doc)
+	b = appendWireString(b, req.User)
+	b = appendWireString(b, req.Property)
+	b = appendWireString(b, req.Value)
+	var flags uint16
+	if req.Subscribe && req.Op == OpRead {
+		flags = flagSubscribe
+	}
+	putFrameHeader(b, req.Op, flags, req.ID, len(b)-frameHeaderSize+len(req.Body))
+	return wireFrame{hdr: b, hdrPool: p, body: req.Body}
+}
+
+// decodeRequestPayload fills req from a payload in the request layout.
+// The strings are copied out; Body aliases payload.
+func decodeRequestPayload(req *Request, payload []byte) (err error) {
+	if len(payload) == 0 || payload[0] > 1 {
+		return errors.New("server: bad frame: bad level byte")
+	}
+	req.Personal = payload[0] == 1
+	rest := payload[1:]
+	for _, s := range []*string{&req.Doc, &req.User, &req.Property, &req.Value} {
+		if *s, rest, err = readWireString(rest); err != nil {
+			return err
+		}
+	}
+	if len(rest) > 0 {
+		req.Body = rest
+	}
+	return nil
 }
 
 // readRequestFrame decodes one client→server frame.
@@ -281,13 +318,15 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op == opInvalidate || flags&flagError != 0 || id == 0 {
+	if op == opInvalidate || flags&(flagError|flagGob) != 0 || id == 0 {
 		return nil, fmt.Errorf("server: bad request: op %v flags 0x%04x id %d", op, flags, id)
 	}
-	if flags&flagGob == 0 && (op == OpRead || op == OpSubscribe) && plen+frameTrailerSize <= br.Size() {
-		// Hot-op fast path: the tiny doc+user payload and its trailer
-		// are decoded in place from the buffered window — the strings
-		// copy out, the payload itself is never allocated.
+	req := &Request{ID: id, Op: op, Subscribe: flags&flagSubscribe != 0}
+	if plen+frameTrailerSize <= br.Size() {
+		// A payload that fits the buffered window — every request but a
+		// large write — is checked and decoded in place: the strings
+		// copy out, a body is copied to its own exact-size slice, and
+		// the payload itself is never allocated.
 		win, err := br.Peek(plen + frameTrailerSize)
 		if len(win) < plen+frameTrailerSize {
 			if err == nil {
@@ -299,16 +338,11 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 		if binary.BigEndian.Uint32(win[plen:]) != crc32.Checksum(payload, castagnoli) {
 			return nil, errors.New("server: bad frame: payload checksum mismatch")
 		}
-		req := &Request{ID: id, Op: op}
-		rest := payload
-		if req.Doc, rest, err = readWireString(rest); err != nil {
+		if err := decodeRequestPayload(req, payload); err != nil {
 			return nil, err
 		}
-		if req.User, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, errors.New("server: bad frame: trailing bytes")
+		if req.Body != nil {
+			req.Body = append([]byte(nil), req.Body...)
 		}
 		_, _ = br.Discard(plen + frameTrailerSize)
 		return req, nil
@@ -320,39 +354,21 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 	if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
 		return nil, err
 	}
-	if flags&flagGob != 0 {
-		var req Request
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
-			return nil, fmt.Errorf("server: bad gob request: %w", err)
-		}
-		req.ID = id
-		return &req, nil
+	if err := decodeRequestPayload(req, payload); err != nil {
+		return nil, err
 	}
-	req := &Request{ID: id, Op: op}
-	rest := payload
+	return req, nil // Body is the remainder of the payload, no copy
+}
+
+// structuredResponse reports whether op answers success with a
+// gob-encoded Response; every other request op answers with either the
+// read layout or a zero-payload frame.
+func structuredResponse(op Op) bool {
 	switch op {
-	case OpRead, OpSubscribe:
-		if req.Doc, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		if req.User, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, errors.New("server: bad frame: trailing bytes")
-		}
-	case OpWrite:
-		if req.Doc, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		if req.User, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		req.Body = rest // the remainder of the payload, no copy
-	default:
-		return nil, fmt.Errorf("server: bad frame: op %v requires the gob flag", op)
+	case OpStats, OpListActives, OpDescribe, OpFind:
+		return true
 	}
-	return req, nil
+	return false
 }
 
 // encodeResponseFrame renders one server→client frame for op (the
@@ -373,6 +389,10 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.ExpiryUnixNanos))
 		b = append(b, resp.Signature[:]...)
 		f := wireFrame{hdr: b, hdrPool: p}
+		var flags uint16
+		if resp.SubscribeFailed {
+			flags = flagSubscribe
+		}
 		if resp.bodyCRCOK {
 			// Stitch the trailer from the metadata prefix's CRC and the
 			// cache's intern-time body CRC, so neither the inline nor
@@ -385,24 +405,21 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 			f.hasTrailerCRC = true
 		}
 		if resp.bodyStream != nil {
-			putFrameHeader(b, op, 0, resp.ID, readMetaSize+int(resp.bodyLen))
+			putFrameHeader(b, op, flags, resp.ID, readMetaSize+int(resp.bodyLen))
 			f.bodyReader, f.bodyLen = resp.bodyStream, resp.bodyLen
 			return f, nil
 		}
-		putFrameHeader(b, op, 0, resp.ID, readMetaSize+len(resp.Body))
+		putFrameHeader(b, op, flags, resp.ID, readMetaSize+len(resp.Body))
 		f.body = resp.Body
 		return f, nil
-	case OpWrite, OpSubscribe:
-		p, b := getSmallBuf()
-		putFrameHeader(b, op, 0, resp.ID, 0)
-		return wireFrame{hdr: b, hdrPool: p}, nil
 	case opInvalidate:
 		p, b := getSmallBuf()
 		b = appendWireString(b, resp.NotifyDoc)
 		b = appendWireString(b, resp.NotifyUser)
 		putFrameHeader(b, opInvalidate, 0, 0, len(b)-frameHeaderSize)
 		return wireFrame{hdr: b, hdrPool: p}, nil
-	default:
+	}
+	if structuredResponse(op) {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
 			return wireFrame{}, err
@@ -411,6 +428,10 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		putFrameHeader(b, op, flagGob, resp.ID, buf.Len())
 		return wireFrame{hdr: b, hdrPool: p, body: buf.Bytes()}, nil
 	}
+	// Every other op has nothing to say on success.
+	p, b := getSmallBuf()
+	putFrameHeader(b, op, 0, resp.ID, 0)
+	return wireFrame{hdr: b, hdrPool: p}, nil
 }
 
 // readResponseFrame decodes one server→client frame. Read bodies are
@@ -448,6 +469,9 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 		}
 		return &Response{ID: id, Err: e}, nil
 	case flags&flagGob != 0:
+		if !structuredResponse(op) {
+			return nil, fmt.Errorf("server: bad response: op %v with the gob flag", op)
+		}
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return nil, err
@@ -479,6 +503,7 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 		}
 		resp := &Response{
 			ID:              id,
+			SubscribeFailed: flags&flagSubscribe != 0,
 			Cacheability:    int(meta[0]),
 			CostNanos:       int64(binary.BigEndian.Uint64(meta[1:9])),
 			ExpiryUnixNanos: int64(binary.BigEndian.Uint64(meta[9:17])),
@@ -521,17 +546,17 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 			return nil, errors.New("server: bad frame: trailing bytes")
 		}
 		return &Response{ID: 0, NotifyDoc: doc, NotifyUser: user}, nil
-	case OpWrite, OpSubscribe:
-		if plen != 0 {
-			return nil, fmt.Errorf("server: bad response: op %v with %d payload bytes", op, plen)
-		}
-		if err := readTrailer(br, 0); err != nil {
-			return nil, err
-		}
-		return &Response{ID: id}, nil
-	default:
+	}
+	if structuredResponse(op) {
 		return nil, fmt.Errorf("server: bad response: op %v without the gob flag", op)
 	}
+	if plen != 0 {
+		return nil, fmt.Errorf("server: bad response: op %v with %d payload bytes", op, plen)
+	}
+	if err := readTrailer(br, 0); err != nil {
+		return nil, err
+	}
+	return &Response{ID: id}, nil
 }
 
 // Batching caps for the writer goroutine: one writev carries at most

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,11 +52,7 @@ func frameBytes(t testing.TB, f wireFrame) []byte {
 
 func requestOverWire(t *testing.T, req *Request) *Request {
 	t.Helper()
-	f, err := encodeRequestFrame(req)
-	if err != nil {
-		t.Fatalf("encode %v: %v", req.Op, err)
-	}
-	out, err := readRequestFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, f))))
+	out, err := readRequestFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, encodeRequestFrame(req)))))
 	if err != nil {
 		t.Fatalf("decode %v: %v", req.Op, err)
 	}
@@ -85,15 +82,19 @@ func TestV2RequestRoundTrip(t *testing.T) {
 		{ID: 6, Op: OpFind, User: "u", Property: "topic", Value: "tab\tand\nnewline"},
 		{ID: 7, Op: OpCreateDocument, Doc: "d", User: "owner", Body: []byte("seed")},
 		{ID: 8, Op: OpForwardEvent, Doc: "d", User: "u", Value: "getInputStream"},
+		{ID: 9, Op: OpRead, Doc: "report", User: "eyal", Subscribe: true},
+		// Larger than the decoder's buffered window: the payload is
+		// allocated and the body aliases it.
+		{ID: 10, Op: OpWrite, Doc: "d", User: "u", Body: bytes.Repeat([]byte("large "), 2000)},
 	}
 	for _, req := range cases {
-		got := requestOverWire(t, req)
-		if got.ID != req.ID || got.Op != req.Op || got.Doc != req.Doc ||
-			got.User != req.User || got.Personal != req.Personal ||
-			got.Property != req.Property || got.Value != req.Value ||
-			!bytes.Equal(got.Body, req.Body) {
+		if got := requestOverWire(t, req); !reflect.DeepEqual(got, req) {
 			t.Errorf("op %v: round trip = %+v, want %+v", req.Op, got, req)
 		}
+	}
+	// The subscribe bit belongs to reads; on any other op it is not sent.
+	if got := requestOverWire(t, &Request{ID: 11, Op: OpWrite, Doc: "d", Subscribe: true}); got.Subscribe {
+		t.Errorf("write carried the subscribe flag: %+v", got)
 	}
 }
 
@@ -114,10 +115,24 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 		t.Errorf("error round trip = %+v", got)
 	}
 
-	// Empty-payload acks.
-	for _, op := range []Op{OpWrite, OpSubscribe} {
-		got = responseOverWire(t, op, &Response{ID: 11})
-		if got.ID != 11 || got.Err != "" || len(got.Body) != 0 {
+	// A read whose subscription could not be installed says so beside
+	// the bytes.
+	in.SubscribeFailed = true
+	if got = responseOverWire(t, OpRead, in); !got.SubscribeFailed || !bytes.Equal(got.Body, in.Body) {
+		t.Errorf("flagged read round trip = %+v", got)
+	}
+
+	// Every op with nothing to say on success acks with a zero-payload
+	// frame, 20 bytes on the wire.
+	for _, op := range ackOps {
+		f, err := encodeResponseFrame(op, &Response{ID: 11, Text: "dropped"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(frameBytes(t, f)); n != frameHeaderSize+frameTrailerSize {
+			t.Errorf("%v ack is %d bytes on the wire", op, n)
+		}
+		if got = responseOverWire(t, op, &Response{ID: 11}); !reflect.DeepEqual(got, &Response{ID: 11}) {
 			t.Errorf("%v ack round trip = %+v", op, got)
 		}
 	}
@@ -128,14 +143,41 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 		t.Errorf("push round trip = %+v", got)
 	}
 
-	// Cold op riding gob-in-frame.
+	// The four structured responses ride as gob.
 	in = &Response{ID: 12, Stats: map[string]int64{"requests": 7},
 		Actives: []string{"a", "b"}, Text: "desc",
 		Matches: []Match{{Doc: "d", Value: "v\t1", Level: "personal"}}}
-	got = responseOverWire(t, OpStats, in)
-	if got.ID != 12 || got.Stats["requests"] != 7 || len(got.Actives) != 2 ||
-		got.Text != "desc" || len(got.Matches) != 1 || got.Matches[0].Value != "v\t1" {
-		t.Errorf("gob round trip = %+v", got)
+	for _, op := range structuredOps {
+		if got = responseOverWire(t, op, in); !reflect.DeepEqual(got, in) {
+			t.Errorf("%v gob round trip = %+v", op, got)
+		}
+	}
+}
+
+// TestGobConfinedToStructuredResponses: gob crosses the wire in exactly
+// four response shapes. A request that claims a gob payload is refused
+// whatever its op, and so is a gob response to an op that acks empty or
+// a bare one to an op that answers with structure.
+func TestGobConfinedToStructuredResponses(t *testing.T) {
+	for op := OpRead; op <= OpFind; op++ {
+		b := frameBytes(t, encodeRequestFrame(&Request{ID: 1, Op: op, Doc: "d", User: "u"}))
+		b[3] |= byte(flagGob)
+		if _, err := readRequestFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
+			!strings.Contains(err.Error(), "bad request") {
+			t.Errorf("%v request carrying flagGob: err = %v", op, err)
+		}
+		f, err := encodeResponseFrame(op, &Response{ID: 1, Text: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = frameBytes(t, f)
+		if gobbed := binary.BigEndian.Uint16(b[2:4])&flagGob != 0; gobbed != structuredResponse(op) {
+			t.Errorf("%v response: gob flag = %v", op, gobbed)
+		}
+		b[3] ^= byte(flagGob)
+		if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil {
+			t.Errorf("%v response with the gob flag flipped decoded", op)
+		}
 	}
 }
 
@@ -165,11 +207,7 @@ func TestV2StreamedResponseBytes(t *testing.T) {
 
 func TestV2HeaderValidation(t *testing.T) {
 	valid := func() []byte {
-		f, err := encodeRequestFrame(&Request{ID: 1, Op: OpRead, Doc: "d", User: "u"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frameBytes(t, f)
+		return frameBytes(t, encodeRequestFrame(&Request{ID: 1, Op: OpRead, Doc: "d", User: "u"}))
 	}
 	cases := []struct {
 		name    string
@@ -179,6 +217,14 @@ func TestV2HeaderValidation(t *testing.T) {
 		{"previous version", func(b []byte) []byte { b[0] = wireVersion - 1; return b }, "version byte"},
 		{"unknown op", func(b []byte) []byte { b[1] = 0x40; return b }, "unknown op"},
 		{"unknown flags", func(b []byte) []byte { b[2] = 0x80; return b }, "unknown flags"},
+		{"subscribe flag off a read", func(b []byte) []byte { b[1], b[3] = byte(OpWrite), byte(flagSubscribe); return b }, "subscribe flag"},
+		{"subscribe flag beside another", func(b []byte) []byte { b[3] = byte(flagSubscribe | flagError); return b }, "subscribe flag"},
+		{"gob request", func(b []byte) []byte { b[3] = byte(flagGob); return b }, "bad request"},
+		{"bad level byte", func(b []byte) []byte {
+			b[frameHeaderSize] = 2
+			binary.BigEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[frameHeaderSize:len(b)-4], castagnoli))
+			return b
+		}, "level byte"},
 		{"oversized payload", func(b []byte) []byte {
 			binary.BigEndian.PutUint32(b[12:16], maxFramePayload+1)
 			return b
@@ -353,8 +399,8 @@ func TestFrameWriterWriteErrorFiresOnFailOnce(t *testing.T) {
 	}
 }
 
-// TestV2ClientFullSuite runs every wire op, hot codecs and gob-in-frame
-// alike, through one client against a live server.
+// TestV2ClientFullSuite runs every wire op through one client against a
+// live server.
 func TestV2ClientFullSuite(t *testing.T) {
 	srv, c, space := testServer(t)
 	exerciseAllOps(t, srv, c, space)

@@ -8,22 +8,25 @@ import (
 	"placeless/internal/sig"
 )
 
-// coldOps are the ops whose Request/Response structs cross the wire as
-// a gob payload inside a frame (flagGob) rather than a hand-written
-// codec.
-var coldOps = []Op{OpAttach, OpDetach, OpAttachStatic, OpAddReference, OpCreateDocument,
-	OpForwardEvent, OpStats, OpListActives, OpDescribe, OpFind}
+// structuredOps are the ops whose success response carries structure
+// and crosses the wire as a gob-encoded Response (flagGob).
+var structuredOps = []Op{OpStats, OpListActives, OpDescribe, OpFind}
 
-// Property: every Request field survives the gob-in-frame payload the
-// cold ops ride in.
+// ackOps are the ops whose success response is the zero-payload frame.
+var ackOps = []Op{OpWrite, OpAttach, OpDetach, OpAttachStatic, OpAddReference,
+	OpCreateDocument, OpSubscribe, OpForwardEvent}
+
+// Property: every Request field survives the one request layout,
+// whatever the op.
 func TestRequestRoundTripProperty(t *testing.T) {
 	f := func(id uint64, op uint8, doc, user, prop, value string, personal bool, body []byte) bool {
 		in := Request{
-			ID: id | 1, Op: coldOps[int(op)%len(coldOps)], Doc: doc, User: user,
+			ID: id | 1, Op: Op(int(op) % (int(OpFind) + 1)), Doc: doc, User: user,
 			Personal: personal, Property: prop, Value: value, Body: body,
 		}
+		in.Subscribe = in.Op == OpRead && personal
 		out := *requestOverWire(t, &in)
-		// gob encodes empty slices and nil identically; normalize.
+		// An empty body tail and no body are the same bytes; normalize.
 		if len(in.Body) == 0 {
 			in.Body, out.Body = nil, nil
 		}
@@ -34,9 +37,12 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: every exported Response field survives the gob-in-frame
-// payload. Err stays empty: a non-empty Err selects the error-frame
-// codec, which carries only the string (TestV2ResponseRoundTrip).
+// Property: every exported Response field survives the gob payload of
+// the four structured responses, and nothing but the call ID survives
+// the ack of any other op. Err stays empty: a non-empty Err selects the
+// error-frame codec, which carries only the string
+// (TestV2ResponseRoundTrip); the read response and the push have their
+// own layouts (FuzzProtocolV2RoundTrip).
 func TestResponseRoundTripProperty(t *testing.T) {
 	f := func(id uint64, op uint8, body []byte, cacheability uint8, cost int64, sg sig.Signature, actives []string, text string) bool {
 		in := Response{
@@ -44,14 +50,16 @@ func TestResponseRoundTripProperty(t *testing.T) {
 			Cacheability: int(cacheability % 3), CostNanos: cost, Signature: sg,
 			Actives: actives, Text: text,
 		}
-		out := *responseOverWire(t, coldOps[int(op)%len(coldOps)], &in)
+		out := *responseOverWire(t, structuredOps[int(op)%len(structuredOps)], &in)
+		// gob encodes empty slices and nil identically; normalize.
 		if len(in.Body) == 0 {
 			in.Body, out.Body = nil, nil
 		}
 		if len(in.Actives) == 0 {
 			in.Actives, out.Actives = nil, nil
 		}
-		return reflect.DeepEqual(in, out)
+		ack := *responseOverWire(t, ackOps[int(op)%len(ackOps)], &in)
+		return reflect.DeepEqual(in, out) && reflect.DeepEqual(ack, Response{ID: id})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -241,12 +241,12 @@ func (c *serverConn) serveFrames(br *bufio.Reader) {
 		if err != nil {
 			return // disconnect (or corrupt stream — same remedy)
 		}
-		if req.Op == OpRead {
+		if req.Op == OpRead && !req.Subscribe {
 			// Warm-hit fast path: a clean cache hit is answered inline
 			// on the decode loop — no handler goroutine, no semaphore
 			// hand-off. Anything that might block (a miss, a rejected
-			// verifier, simulated hit cost) falls through to the
-			// concurrent path below. Burst detection picks the write
+			// verifier, simulated hit cost, a subscription to install
+			// first) falls through to the concurrent path below. Burst detection picks the write
 			// route: with more pipelined requests already buffered the
 			// response is queued so the writer coalesces the run into
 			// one writev; with the pipe drained (lockstep caller) it is
@@ -321,7 +321,7 @@ func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 }
 
 // push counts and delivers one invalidation push. Pushes come from
-// notifiers a subscribe handler installed, so the handshake (and with
+// notifiers a request handler installed, so the handshake (and with
 // it c.fw) is long done. A push that cannot be encoded or written is
 // dropped: the frame writer closes the socket on a write error, and the
 // client flushes its cache when it reconnects.
@@ -431,9 +431,19 @@ func (c *serverConn) handle(req *Request) *Response {
 		}
 		return &Response{}
 	}
+	// A read that carries its key's subscription installs the notifiers
+	// first, in this handler: they are attached before apply takes the
+	// snapshot it returns, so no change after that snapshot goes
+	// unpushed. A failure is not the read's failure; it is reported
+	// beside the bytes.
+	subscribeFailed := false
+	if req.Op == OpRead && req.Subscribe {
+		subscribeFailed = c.notifiers.Ensure(req.Doc, req.User) != nil
+	}
 	resp := s.apply(req)
 	if resp.Err == "" {
 		s.journalRequest(req)
+		resp.SubscribeFailed = subscribeFailed
 	}
 	return resp
 }

@@ -198,57 +198,100 @@ func TestSubscriptionPersonalPropertyPush(t *testing.T) {
 	_ = space
 }
 
-// TestSubscribeBeforeCreateStillPushes: a Subscribe that failed because
-// the document (or the reference) did not exist yet must leave nothing
-// behind that makes the retry a no-op — the retry attaches, and the
-// connection gets its pushes.
+// TestSubscribeBeforeCreateStillPushes: a subscription that failed
+// because the document (or the reference) did not exist yet must leave
+// nothing behind that makes the retry a no-op — the retry attaches, and
+// the connection gets its pushes. Both ways of subscribing go through
+// it: the bare op, and the flag a cache's first read of a key carries.
 func TestSubscribeBeforeCreateStillPushes(t *testing.T) {
-	_, c, _ := testServer(t)
-	notified := make(chan [2]string, 8)
-	c.OnInvalidate(func(doc, user string) { notified <- [2]string{doc, user} })
-	wantPush := func(what, doc, user string) {
-		t.Helper()
-		select {
-		case p := <-notified:
-			if p != [2]string{doc, user} {
-				t.Fatalf("%s: push = %v, want [%s %s]", what, p, doc, user)
+	for name, subscribe := range map[string]func(c *Client, doc, user string) error{
+		"subscribe op": (*Client).Subscribe,
+		"flagged read": func(c *Client, doc, user string) error {
+			_, _, subscribed, err := c.ReadSubscribe(doc, user)
+			if err == nil && !subscribed {
+				err = errors.New("read served, notifiers not installed")
 			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("%s: no invalidation push received", what)
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, c, _ := testServer(t)
+			notified := make(chan [2]string, 8)
+			c.OnInvalidate(func(doc, user string) { notified <- [2]string{doc, user} })
+			wantPush := func(what, doc, user string) {
+				t.Helper()
+				select {
+				case p := <-notified:
+					if p != [2]string{doc, user} {
+						t.Fatalf("%s: push = %v, want [%s %s]", what, p, doc, user)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s: no invalidation push received", what)
+				}
+			}
+
+			if err := subscribe(c, "d", "eyal"); err == nil {
+				t.Fatal("subscribing to a missing document succeeded")
+			}
+			if err := c.CreateDocument("d", "eyal", []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := subscribe(c, "d", "eyal"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddReference("d", "paul"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Write("d", "paul", []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			wantPush("write after subscribe-before-create", "d", "")
+
+			// The reference half: doug holds no reference yet.
+			if err := subscribe(c, "d", "doug"); err == nil {
+				t.Fatal("subscribing for a user without a reference succeeded")
+			}
+			if err := c.AddReference("d", "doug"); err != nil {
+				t.Fatal(err)
+			}
+			if err := subscribe(c, "d", "doug"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Attach("d", "doug", true, "uppercase"); err != nil {
+				t.Fatal(err)
+			}
+			wantPush("personal attach after subscribe-before-reference", "d", "doug")
+		})
+	}
+}
+
+// TestFlaggedReadServedWhenSubscriptionFails: a group member reads
+// through the group's reference and holds none of their own, so there
+// is nowhere to attach their reference notifier. The flagged read still
+// answers, says the subscription is not in place, and is not refused on
+// the retry; once the reference exists the same call installs it.
+func TestFlaggedReadServedWhenSubscriptionFails(t *testing.T) {
+	_, c, space := testServer(t)
+	if err := c.CreateDocument("d", "staff", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	space.DefineGroup("staff", "doug")
+	for i := 0; i < 2; i++ {
+		data, _, subscribed, err := c.ReadSubscribe("d", "doug")
+		if err != nil || string(data) != "v1" || subscribed {
+			t.Fatalf("flagged read %d through the group reference = %q, subscribed %v, %v", i, data, subscribed, err)
 		}
-	}
-
-	if err := c.Subscribe("d", "eyal"); err == nil {
-		t.Fatal("Subscribe to a missing document succeeded")
-	}
-	if err := c.CreateDocument("d", "eyal", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Subscribe("d", "eyal"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddReference("d", "paul"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Write("d", "paul", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	wantPush("write after subscribe-before-create", "d", "")
-
-	// The reference half: doug holds no reference yet.
-	if err := c.Subscribe("d", "doug"); err == nil {
-		t.Fatal("Subscribe for a user without a reference succeeded")
 	}
 	if err := c.AddReference("d", "doug"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Subscribe("d", "doug"); err != nil {
+	if data, _, subscribed, err := c.ReadSubscribe("d", "doug"); err != nil || string(data) != "v1" || !subscribed {
+		t.Fatalf("flagged read with a reference = %q, subscribed %v, %v", data, subscribed, err)
+	}
+	// An unflagged read never reports on a subscription it did not ask for.
+	if _, _, err := c.Read("d", "doug"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Attach("d", "doug", true, "uppercase"); err != nil {
-		t.Fatal(err)
-	}
-	wantPush("personal attach after subscribe-before-reference", "d", "doug")
 }
 
 func TestForwardEventOverWire(t *testing.T) {

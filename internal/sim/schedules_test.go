@@ -193,29 +193,23 @@ func TestScheduleReadYourWritesAfterDrop(t *testing.T) {
 	}
 }
 
-// TestKillRestartFreshness pins reconnect freshness: a remote cache
-// whose connection was killed while a write landed must, after
-// reconnect and settling, serve the new content — the resubscribe +
-// suspect-window logic may not let the pre-kill copy linger.
-func TestKillRestartFreshness(t *testing.T) {
+// warmRemoteKey builds a remote-cache world on a clean wire and returns
+// a key the remote cache holds after a read: it searches seeds for one
+// whose content the remote cache actually stores (cacheability is
+// seed-derived), which the reconnect schedules need — a cached
+// pre-kill entry is what could go stale.
+func warmRemoteKey(t *testing.T) (w *World, doc, owner string) {
+	t.Helper()
 	on := true
 	wt := core.WriteThrough
 	rcap := int64(1 << 20)
-	// Find a seed + key whose content the remote cache actually stores
-	// (cacheability is seed-derived): the regression needs a cached
-	// pre-kill entry to go stale.
-	var (
-		w          *World
-		doc, owner string
-	)
-seeds:
 	for seed := int64(1); ; seed++ {
 		w = scheduleWorld(t, seed, func(c *Config) {
 			c.Remote = &on
 			c.Mode = &wt
 			c.RemoteCapacity = &rcap
 		})
-		// Half the seeds boot with a lossy wire; this schedule needs a
+		// Half the seeds boot with a lossy wire; these schedules need a
 		// clean one until the scripted kill.
 		w.net.SetFaults(0, 0, 0, 0)
 		if err := w.settle(); err != nil {
@@ -235,11 +229,18 @@ seeds:
 				t.Fatal(err)
 			}
 			if w.rc.Stats().Hits > 0 {
-				doc, owner = id, u
-				break seeds
+				return w, id, u
 			}
 		}
 	}
+}
+
+// TestKillRestartFreshness pins reconnect freshness: a remote cache
+// whose connection was killed while a write landed must, after
+// reconnect and settling, serve the new content — the epoch flush and
+// the suspect window may not let the pre-kill copy linger.
+func TestKillRestartFreshness(t *testing.T) {
+	w, doc, owner := warmRemoteKey(t)
 	// Partition before killing the connections so reconnect attempts
 	// cannot complete: the write below must land while the remote side
 	// is provably down, guaranteeing its push invalidation is lost.
@@ -264,6 +265,41 @@ seeds:
 	}
 	if want := expect(w, doc, owner, next); !bytes.Equal(got, want) {
 		t.Fatalf("remote read after kill+write+settle: got %q, want %q", got, want)
+	}
+}
+
+// TestScheduleChangeAfterReconnectBeforeReread pins what took the place
+// of the subscription replay. A reconnect flushes the remote cache and
+// forgets its subscriptions; nothing is re-sent. A write that lands
+// after the reconnect and before the key's next read is therefore
+// pushed to no one, which is safe because nothing is cached — but the
+// re-read must carry the subscription again. If the key were still
+// counted as subscribed, that read would install an entry no notifier
+// guards, and the read after the second write below would be stale for
+// ever.
+func TestScheduleChangeAfterReconnectBeforeReread(t *testing.T) {
+	w, doc, owner := warmRemoteKey(t)
+	pushed := w.rc.Stats().Invalidations
+	for _, op := range []func() error{
+		w.doBreakConns,
+		w.doSettle, // reconnected, flushed, nothing replayed
+		func() error { return w.doWrite(doc) },
+		func() error { return w.doRemoteRead(doc, owner) },
+		func() error { return w.doRemoteRead(doc, owner) },
+		func() error { return w.doWrite(doc) },
+		w.doSettle,
+		func() error { return w.doRemoteRead(doc, owner) },
+	} {
+		if err := op(); err != nil {
+			t.Fatalf("%v\n%s", err, w.tr.String())
+		}
+	}
+	st := w.rc.Stats()
+	if st.Reconnects == 0 || st.EpochFlushes == 0 {
+		t.Fatalf("the schedule never reconnected: %+v", st)
+	}
+	if st.Invalidations == pushed {
+		t.Fatal("the write after the re-read pushed no invalidation: the re-read did not subscribe")
 	}
 }
 
