@@ -193,14 +193,18 @@ func main() {
 	}
 
 	// Graceful shutdown on interrupt or SIGTERM (kill, systemd stop,
-	// container stop): close the listener and detach every remote
-	// notifier before exiting; main's deferred closers then run.
+	// container stop): close the listener and the connections, wait
+	// for the requests in flight and the warms after acknowledged
+	// writes, and detach every remote notifier before exiting; main's
+	// deferred closers then run.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	closed := make(chan struct{})
 	go func() {
 		<-sigc
 		fmt.Fprintln(os.Stderr, "placelessd: shutting down")
 		srv.Close()
+		close(closed)
 	}()
 
 	fmt.Printf("placelessd: serving document space on %s (backing: %s)\n", *addr, backing.Name())
@@ -208,4 +212,7 @@ func main() {
 	if err := srv.ListenAndServe(*addr); err != nil {
 		log.Fatalf("placelessd: %v", err)
 	}
+	// Serve returns as soon as Close has shut the listener; Close itself
+	// returns only when the connections' handlers have.
+	<-closed
 }

@@ -230,8 +230,10 @@ type Stats struct {
 	// EventsForwarded counts operation events forwarded for
 	// CacheWithEvents entries.
 	EventsForwarded int64
-	// Prefetches counts documents loaded because a property declared
-	// them related to one being read (collection prefetching).
+	// Prefetches counts (document, user) views loaded ahead of any read
+	// of them: because a property declared the document related to one
+	// being read (collection prefetching), or by Warm after a write
+	// stranded the document's shared prefix.
 	Prefetches int64
 	// BytesStored is the current unique content footprint.
 	BytesStored int64
@@ -338,7 +340,7 @@ type Cache struct {
 
 	// gens carries per-document invalidation generations — the guard
 	// against installing a result that went stale mid-read — as
-	// lock-free atomics (doc → *atomic.Uint64). A mutex-protected map
+	// lock-free atomics (doc → *docState). A mutex-protected map
 	// here was locked three times per miss, the last global hot lock
 	// on the fill path. The install-race invariant survives the move
 	// to atomics: an invalidation bumps the generation before it
@@ -406,9 +408,9 @@ func New(space *docspace.Space, opts Options) *Cache {
 		// sequence the previous process left on disk — an entry demoted
 		// now can never be mistaken for one invalidated before boot.
 		for doc, gen := range opts.Store.Epochs() {
-			g := new(atomic.Uint64)
-			g.Store(gen)
-			c.gens.Store(doc, g)
+			d := new(docState)
+			d.gen.Store(gen)
+			c.gens.Store(doc, d)
 		}
 	}
 	if opts.Observer != nil {
@@ -761,16 +763,27 @@ func (c *Cache) leadMiss(sh *shard, k string, f *flight, doc, user string, tr *o
 	return data, info, related, err
 }
 
-// docGen returns the document's invalidation-generation counter,
-// creating it on first use. The fast path is a lock-free sync.Map
-// load; LoadOrStore only runs on a document's first miss.
-func (c *Cache) docGen(doc string) *atomic.Uint64 {
-	if g, ok := c.gens.Load(doc); ok {
-		return g.(*atomic.Uint64)
-	}
-	g, _ := c.gens.LoadOrStore(doc, new(atomic.Uint64))
-	return g.(*atomic.Uint64)
+// docState is what the cache remembers per document outside the index:
+// the invalidation generation, and whether the content write that last
+// bumped it dropped a resident universal cut, which Warm consumes.
+type docState struct {
+	gen      atomic.Uint64
+	stranded atomic.Bool
 }
+
+// docState returns the document's state, creating it on first use.
+// The fast path is a lock-free sync.Map load; LoadOrStore only runs on
+// a document's first miss or invalidation.
+func (c *Cache) docState(doc string) *docState {
+	if d, ok := c.gens.Load(doc); ok {
+		return d.(*docState)
+	}
+	d, _ := c.gens.LoadOrStore(doc, new(docState))
+	return d.(*docState)
+}
+
+// docGen returns the document's invalidation-generation counter.
+func (c *Cache) docGen(doc string) *atomic.Uint64 { return &c.docState(doc).gen }
 
 // miss executes the full read path and caches the result according to
 // its cacheability indicator, returning the related-document hints for
@@ -886,27 +899,57 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 // silently; prefetch misses never recurse.
 func (c *Cache) prefetch(user string, related []string) {
 	for _, doc := range related {
-		if c.closed.Load() {
-			continue
-		}
-		k := key(doc, user)
-		sh := c.idx.shardFor(k)
-		sh.mu.Lock()
-		_, cached := sh.entries[k]
+		c.prefetchKey(doc, user, true)
+	}
+}
+
+// Warm re-derives user's view of doc after a write through the wire
+// server has been acknowledged, so the document's shared prefix is
+// resident again before the next reader needs it (DESIGN.md §7, "A
+// write leaves its shared prefix warm"). It does nothing unless the
+// content write that last invalidated doc dropped a resident universal
+// cut under Options.Memoize; it consumes that mark. It is not a read:
+// no trace, no read metrics, no hit or verdict. It counts in
+// Stats.Prefetches and, running the miss path, in the miss path's own
+// counters (Misses, UniversalStageRuns, …). The usual generation guard
+// applies, so a write landing while it runs strands its bytes instead
+// of installing them.
+func (c *Cache) Warm(doc, user string) {
+	if c.closed.Load() || !c.docState(doc).stranded.Swap(false) {
+		return
+	}
+	owner, err := c.space.ResolveOwner(doc, user)
+	if err != nil {
+		return
+	}
+	c.prefetchKey(doc, owner, false)
+}
+
+// prefetchKey is the body of both prefetches: load (doc, user) by
+// leading its miss without a trace, unless the entry is resident or a
+// flight already covers it — which collection prefetch waits out (wait)
+// and a warm leaves to run.
+func (c *Cache) prefetchKey(doc, user string, wait bool) {
+	if c.closed.Load() {
+		return
+	}
+	k := key(doc, user)
+	sh := c.idx.shardFor(k)
+	sh.mu.Lock()
+	if _, cached := sh.entries[k]; cached {
 		sh.mu.Unlock()
-		if cached {
-			continue
-		}
-		f, leader := joinOrLead(sh, k)
-		if !leader {
-			// Someone is already fetching this member; the prefetch
-			// goal (a warm entry) is being met without us.
+		return
+	}
+	f, leader := joinOrLeadLocked(sh, k)
+	sh.mu.Unlock()
+	if !leader {
+		if wait {
 			<-f.done
-			continue
 		}
-		if _, _, _, err := c.leadMiss(sh, k, f, doc, user, nil); err == nil {
-			c.stats.prefetches.Add(1)
-		}
+		return
+	}
+	if _, _, _, err := c.leadMiss(sh, k, f, doc, user, nil); err == nil {
+		c.stats.prefetches.Add(1)
 	}
 }
 

@@ -13,10 +13,19 @@ import (
 // bump under its stripe lock and aborts — no stale entry can survive.
 // The cuts are merely stranded (the invalidating change moved their
 // source signature or fingerprint); dropping them here reclaims their
-// bytes now instead of when the policy ages them out.
-func (c *Cache) invalidateDoc(doc string) {
+// bytes now instead of when the policy ages them out. It reports
+// whether a universal cut (one every user's read starts from) was among
+// them.
+func (c *Cache) invalidateDoc(doc string) (sharedCut bool) {
 	c.appendEpoch(doc, c.docGen(doc).Add(1))
-	c.dropWhere(func(e *entry) bool { return e.doc == doc })
+	c.dropWhere(func(e *entry) bool {
+		if e.doc != doc {
+			return false
+		}
+		sharedCut = sharedCut || e.cut && e.user == ""
+		return true
+	})
+	return sharedCut
 }
 
 // dropWhere drops every entry and cut match accepts, one stripe at a
@@ -33,11 +42,16 @@ func (c *Cache) dropWhere(match func(*entry) bool) {
 
 // onBaseEvent handles notifications from a base-document notifier:
 // anything that changes content for every user invalidates all of the
-// document's entries.
+// document's entries. A content write that strands the document's
+// shared prefix marks the document for Warm: a write followed by reads
+// is the one relation a warm bets on, and property changes are not it.
+// (Without Options.Memoize there are no cuts, so no mark.)
 func (c *Cache) onBaseEvent(e event.Event) {
 	c.stats.notifications.Add(1)
 	c.observeInvalidation(e)
-	c.invalidateDoc(e.Doc)
+	if c.invalidateDoc(e.Doc) && e.Kind == event.ContentWritten {
+		c.docState(e.Doc).stranded.Store(true)
+	}
 }
 
 // onRefEvent handles notifications from a reference notifier: personal

@@ -38,7 +38,7 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_cache_events_forwarded_total",
 		"Operation events forwarded for cache-with-events entries.", c.stats.eventsForwarded.Load)
 	reg.Counter("placeless_cache_prefetches_total",
-		"Documents loaded via collection-property prefetch hints.", c.stats.prefetches.Load)
+		"Views loaded ahead of a read: collection-property prefetch hints and warms after a write.", c.stats.prefetches.Load)
 	reg.Counter("placeless_cache_flushes_total",
 		"Write-back flush operations.", c.stats.flushes.Load)
 	reg.Gauge("placeless_cache_bytes_stored",

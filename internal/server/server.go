@@ -37,6 +37,7 @@ type Server struct {
 	ln        net.Listener   // first listener (Addr); see lns for the full set
 	lns       []net.Listener // every listener Serve was handed (cluster nodes share one server)
 	conns     map[*serverConn]bool
+	served    sync.WaitGroup // one per accepted connection, until its handlers and teardown are done
 	closed    bool
 	requests  int64
 	notifies  int64
@@ -131,9 +132,18 @@ func (s *Server) Serve(ln net.Listener) error {
 			func(e event.Event) { sc.push(e.Doc, "") }, // base-level change: all users affected
 			func(e event.Event) { sc.push(e.Doc, e.User) })
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			c.Close()
+			return nil
+		}
 		s.conns[sc] = true
+		s.served.Add(1)
 		s.mu.Unlock()
-		go sc.serve()
+		go func() {
+			defer s.served.Done()
+			sc.serve()
+		}()
 	}
 }
 
@@ -157,7 +167,8 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops accepting and tears down all connections.
+// Close stops accepting, tears down all connections and waits for
+// their handlers to return, the warms that follow writes included.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -177,6 +188,7 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.teardown()
 	}
+	s.served.Wait()
 	return nil
 }
 
@@ -279,6 +291,13 @@ func (c *serverConn) serveFrames(br *bufio.Reader) {
 				f, _ = encodeResponseFrame(req.Op, &Response{ID: req.ID, Err: err.Error()})
 			}
 			_ = c.fw.send(f)
+			// Ack, then warm: with the writer answered, re-derive the
+			// shared prefix the write stranded before a reader needs it.
+			// Here and not in apply, so journal replay never warms; the
+			// semaphore slot and wg bound warms and make teardown wait.
+			if req.Op == OpWrite && resp.Err == "" && c.srv.cache != nil {
+				c.srv.cache.Warm(req.Doc, req.User)
+			}
 		}(req)
 	}
 }

@@ -488,6 +488,81 @@ func TestScheduleWriteDuringCutFlight(t *testing.T) {
 	}
 }
 
+// TestScheduleWriteDuringWarm pins a second write landing while the
+// warm that followed a first one is re-deriving the document's view:
+// read (the universal cut is resident), write v1 (which strands the cut
+// and marks the document), Warm — whose transform is held until v2 has
+// been written from inside it — then read. The warm snapshotted the
+// generation before v2, so its (doc, user) entry must not install; the
+// read after it is held to v2 by the oracle, and would be served the
+// warm's v1 bytes if the warm skipped the generation guard.
+func TestScheduleWriteDuringWarm(t *testing.T) {
+	on := true
+	wt := core.WriteThrough
+	w := scheduleWorld(t, 37, func(c *Config) { c.Memoize = &on; c.Mode = &wt })
+	const doc, owner = "eta", "amy"
+	content := []byte("doc:eta:v0")
+	w.src.Store("/"+doc, content)
+	if _, err := w.space.CreateDocument(doc, owner, &property.RepoBitProvider{Repo: w.src, Path: "/" + doc}); err != nil {
+		t.Fatal(err)
+	}
+	w.model.addDoc(doc, []string{owner}, content, w.clk.Now())
+	w.endOp()
+
+	var hold func()
+	upper := &property.Transformer{
+		Base: property.Base{PropName: "warm-hold"},
+		ReadTransform: func(b []byte) []byte {
+			if f := hold; f != nil {
+				hold = nil
+				f()
+			}
+			return bytes.ToUpper(b)
+		},
+		Version: 1,
+		MemoID:  "upper",
+	}
+	if err := w.space.Attach(doc, "", docspace.Universal, upper); err != nil {
+		t.Fatal(err)
+	}
+	d := w.model.docs[doc]
+	d.universal = append(d.universal, chainProp{name: upper.PropName, version: 1, fn: bytes.ToUpper, kind: 1, memo: upper.MemoID})
+	w.model.syncOpens(doc, d.users, w.clk.Now(), w.clk.Now())
+	w.endOp()
+
+	write := func(v string) {
+		t.Helper()
+		t0 := w.clk.Now()
+		if err := w.cache.Write(doc, owner, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		w.model.applyWrite(doc, []byte(v), t0, w.clk.Now())
+	}
+	read := func(what string) {
+		t.Helper()
+		if err := w.doLocalRead(doc, owner); err != nil {
+			t.Fatalf("%s: %v\n%s", what, err, w.tr.String())
+		}
+	}
+
+	read("read that makes the universal cut resident")
+	write("doc:eta:v1")
+	hold = func() { write("doc:eta:v2") }
+	w.cache.Warm(doc, owner)
+	if hold != nil {
+		t.Fatal("the warm never ran the transform: v1's write left no mark")
+	}
+	if w.cache.Contains(doc, owner) {
+		t.Fatal("the warm installed its (doc, user) entry although v2 landed inside it")
+	}
+	read("read after the warm") // the oracle holds it to v2's bytes
+	// The source's verifier would also refuse a v1 entry on that hit;
+	// a rejection here means the entry was installed.
+	if st := w.cache.Stats(); st.Prefetches != 1 || st.Hits != 0 || st.VerifierRejects != 0 {
+		t.Fatalf("prefetches = %d, hits = %d, verifier rejects = %d; want the one warm, and nothing installed by it", st.Prefetches, st.Hits, st.VerifierRejects)
+	}
+}
+
 // TestScheduleKillRestartDiskTier pins the durable tier's warm-restart
 // contract under the stale-read oracle: a killed cache's successor must
 // recover the warm working set from disk (≥90% of untouched entries
