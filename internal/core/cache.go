@@ -16,7 +16,8 @@
 // by default), driven by the replacement cost the read path
 // accumulates.
 //
-// Concurrency: the (document, user) index is partitioned into
+// Concurrency: the cache keeps its entries in a Table (table.go), the
+// one entry table of both placements — its index is partitioned into
 // lock-striped shards (shard.go) so readers of different entries never
 // contend; the signature → bytes store and the replacement policy sit
 // behind their own leaf locks; counters are atomic. Concurrent misses
@@ -31,9 +32,7 @@ package core
 
 import (
 	"errors"
-	"hash/crc32"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"placeless/internal/clock"
@@ -163,40 +162,13 @@ func (c CostSource) String() string {
 	return "full"
 }
 
-// entry is one record of the index: a cached (document, user) version,
-// or — cut set — a memoized prefix output (intermediate.go). A cut
-// keeps doc so a document-wide invalidation drops it in the same scan;
-// its user is set only for cuts inside the personal chain (empty for
-// universal-prefix cuts), so a per-user invalidation can drop that
-// user's personal cuts. A personal cut shared by users with identical
-// chain prefixes is tagged with whoever installed it — dropping it on
-// that user's invalidation merely costs the others a recompute. A cut
-// carries no cacheability or verifiers: its key implies its bytes.
-type entry struct {
-	doc, user    string
-	cut          bool
-	signature    sig.Signature
-	size         int64
-	cost         time.Duration
-	cacheability property.Cacheability
-	verifiers    []property.Verifier
-}
+// constantCost is the CostConstant ablation: the policy it wraps is
+// handed a fixed cost, whatever the read path accumulated.
+type constantCost struct{ replace.Policy }
 
-// blob is signature-shared content storage. refs counts every holder
-// (entries and cuts); entryRefs counts only (doc, user) entries,
-// because the SharedEntries gauge is defined over entries and a cut
-// aliasing an entry's bytes must not distort it.
-type blob struct {
-	data      []byte
-	crc32c    uint32 // CRC-32C of data, computed once at intern time
-	refs      int
-	entryRefs int
+func (p constantCost) Insert(k string, size int64, _ time.Duration) {
+	p.Policy.Insert(k, size, time.Millisecond)
 }
-
-// castagnoliTable is the CRC-32C table used to stamp blobs at intern
-// time. The wire server combines the stored value into frame trailers
-// so warm hits never re-scan the body.
-var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
 // dirtyWrite is a buffered write-back entry.
 type dirtyWrite struct {
@@ -316,40 +288,16 @@ func (s Stats) HitRatio() float64 {
 type Cache struct {
 	space *docspace.Space
 	clk   clock.Clock
-	opts  Options // immutable after New (Capacity lives in capacity)
+	opts  Options // immutable after New (Capacity lives in the table)
 
-	closed   atomic.Bool
-	capacity atomic.Int64
+	// tab is the entry table — (doc, user) entries and memoized prefix
+	// cuts alike — with its blobs, policy, flights and generations.
+	// Its closed flag is the cache's.
+	tab *Table
 
-	// idx stripes the one key → entry index — (doc, user) entries and
-	// memoized prefix cuts alike — and the single-flight table; each
-	// stripe has its own lock.
-	idx *shardedIndex
-
-	// policy decides eviction order. It stays global — Greedy-Dual-
-	// Size's aging value L must see every entry to keep eviction
-	// globally cost-aware — but behind its own leaf lock, so lookups
-	// on other keys never wait on it.
-	policyMu sync.Mutex
-	policy   replace.Policy
-
-	// blobs is the signature-shared content store, with incremental
-	// byte/shared accounting (sharedDelta).
-	blobMu sync.Mutex
-	blobs  map[sig.Signature]*blob
-
-	// gens carries per-document invalidation generations — the guard
-	// against installing a result that went stale mid-read — as
-	// lock-free atomics (doc → *docState). A mutex-protected map
-	// here was locked three times per miss, the last global hot lock
-	// on the fill path. The install-race invariant survives the move
-	// to atomics: an invalidation bumps the generation before it
-	// scans the stripes, so an installer holding its stripe lock
-	// either finished before the scan reached it (and is dropped) or
-	// acquired the stripe after the scan did, in which case the
-	// stripe mutex carries a happens-before edge from the bump and
-	// the installer's atomic load observes it.
-	gens sync.Map
+	// stranded marks the documents (doc → struct{}) whose last content
+	// write dropped a resident universal cut; Warm consumes the mark.
+	stranded sync.Map
 
 	// lastCause remembers, per document, the most recent invalidation
 	// cause (doc → string, obs.Cause* vocabulary) so the next miss can
@@ -371,11 +319,6 @@ type Cache struct {
 	stats statsCounters
 }
 
-// key builds the (document, user) entry identifier. The paper: "Our
-// current implementation tags content with both a document identifier
-// and the user to whom the version of the document belongs."
-func key(doc, user string) string { return doc + "\x00" + user }
-
 // New returns a cache in front of space.
 func New(space *docspace.Space, opts Options) *Cache {
 	if opts.Name == "" {
@@ -391,26 +334,25 @@ func New(space *docspace.Space, opts Options) *Cache {
 	if policy == nil {
 		policy = replace.NewGDS()
 	}
+	if opts.CostSource == CostConstant {
+		policy = constantCost{policy}
+	}
 	c := &Cache{
-		space:  space,
-		clk:    space.Clock(),
-		opts:   opts,
-		idx:    newShardedIndex(opts.Shards),
-		policy: policy,
-		blobs:  make(map[sig.Signature]*blob),
-		dirty:  make(map[string]*dirtyWrite),
+		space: space,
+		clk:   space.Clock(),
+		opts:  opts,
+		tab:   NewTable(opts.Shards, policy),
+		dirty: make(map[string]*dirtyWrite),
 	}
 	c.notifiers = docspace.NewNotifierPair(space, "notifier:"+opts.Name, c.onBaseEvent, c.onRefEvent)
-	c.capacity.Store(opts.Capacity)
+	c.tab.Resize(opts.Capacity)
 	if opts.Store != nil {
 		// Seed the invalidation-generation counters from the persisted
 		// epochs, so generations recorded by this process continue the
 		// sequence the previous process left on disk — an entry demoted
 		// now can never be mistaken for one invalidated before boot.
 		for doc, gen := range opts.Store.Epochs() {
-			d := new(docState)
-			d.gen.Store(gen)
-			c.gens.Store(doc, d)
+			c.tab.gen(doc).Store(gen)
 		}
 	}
 	if opts.Observer != nil {
@@ -425,7 +367,7 @@ func New(space *docspace.Space, opts Options) *Cache {
 // armFlushTimer schedules the next periodic write-back flush.
 func (c *Cache) armFlushTimer() {
 	c.space.Clock().AfterFunc(c.opts.FlushEvery, func(time.Time) {
-		if c.closed.Load() {
+		if c.tab.Closed() {
 			return
 		}
 		_ = c.Flush() // flush errors leave entries dirty for the next cycle
@@ -435,36 +377,26 @@ func (c *Cache) armFlushTimer() {
 
 // Resize changes the capacity budget at runtime and evicts immediately
 // if the cache is now over budget. capacity <= 0 means unlimited.
-func (c *Cache) Resize(capacity int64) {
-	c.capacity.Store(capacity)
-	c.evict("")
-}
+func (c *Cache) Resize(capacity int64) { c.tab.Resize(capacity) }
 
 // Capacity returns the current byte budget (0 = unlimited).
-func (c *Cache) Capacity() int64 { return c.capacity.Load() }
+func (c *Cache) Capacity() int64 { return c.tab.capacity.Load() }
 
 // Policy returns the replacement policy's name.
-func (c *Cache) Policy() string { return c.policy.Name() }
+func (c *Cache) Policy() string { return c.tab.policy.Name() }
 
 // Memoizing reports whether universal-stage memoization is enabled.
 func (c *Cache) Memoizing() bool { return c.opts.Memoize }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats { return c.stats.snapshot() }
+func (c *Cache) Stats() Stats { return c.stats.snapshot(&c.tab.stats) }
 
 // Len reports how many (document, user) entries are cached.
-func (c *Cache) Len() int { return c.idx.count() }
+func (c *Cache) Len() int { return c.tab.Len() }
 
 // Contains reports whether a valid entry exists for (doc, user)
 // without running verifiers or charging time.
-func (c *Cache) Contains(doc, user string) bool {
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[k]
-	return ok
-}
+func (c *Cache) Contains(doc, user string) bool { return c.tab.Contains(Key(doc, user)) }
 
 // EntryInfo is the cache-relevant metadata of a served read, for
 // consumers that layer further caches on top (e.g. the Placeless
@@ -498,8 +430,8 @@ type EntryInfo struct {
 	Signature sig.Signature
 	// BodyCRC32C is the CRC-32C of the returned bytes, valid only when
 	// BodyCRCOK is set (CRC zero is a legal checksum). It is the blob
-	// tier's intern-time checksum; the wire server folds it into frame
-	// trailers instead of re-scanning the body per response.
+	// tier's checksum, computed once per blob; the wire server folds it
+	// into frame trailers instead of re-scanning the body per response.
 	BodyCRC32C uint32
 	BodyCRCOK  bool
 }
@@ -566,14 +498,14 @@ func (c *Cache) ReadWithInfo(doc, user string) ([]byte, EntryInfo, error) {
 // probes this from its decode loop so warm hits skip the per-request
 // handler dispatch entirely.
 func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
-	if c.closed.Load() || c.opts.HitCost > 0 {
+	if c.tab.Closed() || c.opts.HitCost > 0 {
 		return nil, EntryInfo{}, false
 	}
 	owner, err := c.space.ResolveOwner(doc, user)
 	if err != nil {
 		return nil, EntryInfo{}, false
 	}
-	k := key(doc, owner)
+	k := Key(doc, owner)
 
 	var tr *obs.ReadTrace
 	var t0 time.Time
@@ -582,7 +514,7 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 		tr = &obs.ReadTrace{Doc: doc, User: user, Verdict: obs.VerdictHit}
 		t0 = time.Now()
 	}
-	e, data, bodyCRC, outcome := c.probe(c.idx.shardFor(k), k, doc, owner, tr)
+	e, data, outcome := c.probe(k, doc, owner, tr)
 	if outcome != probeHit {
 		return nil, EntryInfo{}, false
 	}
@@ -592,7 +524,7 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 		o.ObserveRead(*tr)
 	}
 	info := e.hitInfo()
-	info.BodyCRC32C, info.BodyCRCOK = bodyCRC, true
+	info.BodyCRC32C, info.BodyCRCOK = e.blob.checksum(), true
 	return data, info, true
 }
 
@@ -600,35 +532,30 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 type probeOutcome int
 
 const (
-	probeAbsent   probeOutcome = iota // no entry, or its blob is gone
+	probeAbsent   probeOutcome = iota // no entry
 	probeRejected                     // a verifier refused it; counting and dropping are the caller's
 	probeRaced                        // replaced or invalidated while its verifiers ran
 	probeHit                          // verified and accounted
 )
 
 // probe is the hit path, shared by ReadSharedHit and readWithInfo: look
-// k up in its shard, charge HitCost, run the entry's verifiers, then
-// re-check the entry under the shard lock and account the hit (counter,
+// k up in the table, charge HitCost, run the entry's verifiers, then
+// confirm the entry is still installed and account the hit (counter,
 // replacement policy, CacheWithEvents forward). data aliases the
-// immutable blob and crc is its intern-time CRC-32C; both are set only
-// on probeHit. e is set on every outcome but probeAbsent. tr, when
-// non-nil, receives the lookup and verify spans.
-func (c *Cache) probe(sh *shard, k, doc, owner string, tr *obs.ReadTrace) (e *entry, data []byte, crc uint32, outcome probeOutcome) {
+// immutable blob and is set only on probeHit; e is set on every outcome
+// but probeAbsent. tr, when non-nil, receives the lookup and verify
+// spans.
+func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data []byte, outcome probeOutcome) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	sh.mu.Lock()
-	e = sh.entries[k]
-	if e != nil {
-		data, crc, _ = c.blobDataCRC(e.signature)
-	}
-	sh.mu.Unlock()
+	e, data = c.tab.Lookup(k)
 	if tr != nil {
 		tr.Lookup = time.Since(t0)
 	}
-	if e == nil || data == nil {
-		return nil, nil, 0, probeAbsent
+	if e == nil {
+		return nil, nil, probeAbsent
 	}
 	if c.opts.HitCost > 0 {
 		c.clk.Sleep(c.opts.HitCost)
@@ -637,47 +564,35 @@ func (c *Cache) probe(sh *shard, k, doc, owner string, tr *obs.ReadTrace) (e *en
 		if tr != nil {
 			t0 = time.Now()
 		}
-		now := c.clk.Now()
-		for _, v := range e.verifiers {
-			if ok, err := v.Check(now); err != nil || !ok {
-				outcome = probeRejected
-				break
-			}
-		}
+		valid := e.Valid(c.clk.Now())
 		if tr != nil {
 			tr.Verify = time.Since(t0)
 		}
-		if outcome == probeRejected {
-			return e, nil, 0, probeRejected
+		if !valid {
+			return e, nil, probeRejected
 		}
 	}
-	sh.mu.Lock()
 	// The entry may have been invalidated while verifying.
-	if cur := sh.entries[k]; cur != e {
-		sh.mu.Unlock()
-		return e, nil, 0, probeRaced
+	if !c.tab.Confirm(k, e) {
+		return e, nil, probeRaced
 	}
 	c.stats.hits.Add(1)
-	c.policyMu.Lock()
-	c.policy.Access(k)
-	c.policyMu.Unlock()
-	sh.mu.Unlock()
-	if e.cacheability == property.CacheWithEvents {
+	if e.Cacheability == property.CacheWithEvents {
 		c.forward(doc, owner, event.GetInputStream)
 	}
-	return e, data, crc, probeHit
+	return e, data, probeHit
 }
 
 // hitInfo is the metadata a hit on e reports.
-func (e *entry) hitInfo() EntryInfo {
-	return EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: property.EarliestTTL(e.verifiers), Hit: true, Signature: e.signature}
+func (e *Entry) hitInfo() EntryInfo {
+	return EntryInfo{Cacheability: e.Cacheability, Cost: e.Cost, Expiry: property.EarliestTTL(e.Verifiers), Hit: true, Signature: e.Signature}
 }
 
 // readWithInfo is the read path proper. tr is the per-read trace
 // being assembled, or nil when no Observer is attached — every timing
 // site is gated on it so the uninstrumented path pays nothing.
 func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, EntryInfo, error) {
-	if c.closed.Load() {
+	if c.tab.Closed() {
 		return nil, EntryInfo{}, ErrClosed
 	}
 	owner, err := c.space.ResolveOwner(doc, user)
@@ -686,32 +601,25 @@ func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, Entry
 	}
 	user = owner
 
-	if c.closed.Load() {
+	if c.tab.Closed() {
 		return nil, EntryInfo{}, ErrClosed
 	}
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
+	k := Key(doc, user)
 
-	switch e, data, _, outcome := c.probe(sh, k, doc, user, tr); outcome {
+	switch e, data, outcome := c.probe(k, doc, user, tr); outcome {
 	case probeHit:
 		out := make([]byte, len(data))
 		copy(out, data)
 		return out, e.hitInfo(), nil
 	case probeRejected:
-		sh.mu.Lock()
 		c.stats.verifierRejects.Add(1)
-		// Drop only if the rejected entry is still installed; a
-		// concurrent reinstall must not lose its fresh entry.
-		if cur := sh.entries[k]; cur == e {
-			c.dropShardLocked(sh, k)
-		}
-		sh.mu.Unlock()
+		c.tab.DropIf(k, e)
 		// The pull-side of paper cause 4: the entry died because a
 		// verifier caught a change notifiers could not see.
 		c.recordCause(doc, obs.CauseVerifier)
 	}
 
-	return c.coalescedMiss(sh, k, doc, user, true, tr)
+	return c.coalescedMiss(k, doc, user, tr)
 }
 
 // forward redelivers an operation event for a CacheWithEvents entry.
@@ -721,69 +629,45 @@ func (c *Cache) forward(doc, user string, kind event.Kind) {
 	}
 }
 
-// coalescedMiss funnels a miss through the shard's single-flight
-// table: the leader executes the read path via leadMiss and publishes
-// the result; followers block and share it. Prefetching happens after
-// the flight resolves so a collection that (transitively) references
-// the document being read can never re-enter its own flight.
-func (c *Cache) coalescedMiss(sh *shard, k, doc, user string, mayPrefetch bool, tr *obs.ReadTrace) ([]byte, EntryInfo, error) {
-	f, leader := joinOrLead(sh, k)
-	if !leader {
-		var tWait time.Time
+// coalescedMiss funnels a miss through the table's single-flight
+// protocol: the leader executes the read path and publishes the result;
+// followers block and share it. Prefetching happens after the flight
+// resolves so a collection that (transitively) references the document
+// being read can never re-enter its own flight.
+func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) ([]byte, EntryInfo, error) {
+	var related []string
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	data, info, shared, err := c.tab.Do(k, c.missFunc(doc, user, tr, &related))
+	if shared {
 		if tr != nil {
-			tWait = time.Now()
-		}
-		<-f.done
-		if tr != nil {
-			tr.FlightWait = time.Since(tWait)
+			tr.FlightWait = time.Since(t0)
 			tr.Coalesced = true
 		}
 		c.stats.coalesced.Add(1)
-		if f.err != nil {
-			return nil, EntryInfo{}, f.err
+		if err != nil {
+			return nil, EntryInfo{}, err
 		}
-		out := make([]byte, len(f.data))
-		copy(out, f.data)
-		return out, f.info, nil
+		out := make([]byte, len(data))
+		copy(out, data)
+		return out, info, nil
 	}
-	data, info, related, err := c.leadMiss(sh, k, f, doc, user, tr)
-	if err == nil && mayPrefetch && !c.opts.DisablePrefetch {
+	if err == nil && !c.opts.DisablePrefetch {
 		c.prefetch(user, related)
 	}
 	return data, info, err
 }
 
-// leadMiss runs miss as the leader of k's flight f and publishes the
-// result on it. finish is deferred: a transform that panics must still
-// release the followers (with ErrReadAborted) and free the key.
-func (c *Cache) leadMiss(sh *shard, k string, f *flight, doc, user string, tr *obs.ReadTrace) (data []byte, info EntryInfo, related []string, err error) {
-	defer finish(sh, k, f)
-	data, info, related, err = c.miss(doc, user, tr)
-	f.data, f.info, f.err = data, info, err
-	return data, info, related, err
-}
-
-// docState is what the cache remembers per document outside the index:
-// the invalidation generation, and whether the content write that last
-// bumped it dropped a resident universal cut, which Warm consumes.
-type docState struct {
-	gen      atomic.Uint64
-	stranded atomic.Bool
-}
-
-// docState returns the document's state, creating it on first use.
-// The fast path is a lock-free sync.Map load; LoadOrStore only runs on
-// a document's first miss or invalidation.
-func (c *Cache) docState(doc string) *docState {
-	if d, ok := c.gens.Load(doc); ok {
-		return d.(*docState)
+// missFunc is miss in the shape a flight leads, with the
+// related-document hints delivered to *related.
+func (c *Cache) missFunc(doc, user string, tr *obs.ReadTrace, related *[]string) func() ([]byte, EntryInfo, error) {
+	return func() (data []byte, info EntryInfo, err error) {
+		data, info, *related, err = c.miss(doc, user, tr)
+		return data, info, err
 	}
-	d, _ := c.gens.LoadOrStore(doc, new(docState))
-	return d.(*docState)
 }
-
-// docGen returns the document's invalidation-generation counter.
-func (c *Cache) docGen(doc string) *atomic.Uint64 { return &c.docState(doc).gen }
 
 // miss executes the full read path and caches the result according to
 // its cacheability indicator, returning the related-document hints for
@@ -803,13 +687,12 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	// notification arrives while the read path is executing, the
 	// result may already be stale and must not be cached (the
 	// callback race between load and install).
-	g := c.docGen(doc)
-	gen := g.Load()
+	gen := c.tab.Gen(doc)
 
 	// Durable tier first: a revalidated disk entry costs one source
 	// fetch instead of the whole transform chain.
 	if c.opts.Store != nil {
-		if data, info, ok := c.promote(doc, user, g, gen); ok {
+		if data, info, ok := c.promote(doc, user, gen); ok {
 			return data, info, nil, nil
 		}
 	}
@@ -840,14 +723,14 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	}
 	info = EntryInfo{Cacheability: res.Cacheability, Cost: res.Cost, Expiry: property.EarliestTTL(res.Verifiers), IntermediateHit: trace.Hit}
 	c.stats.misses.Add(1)
-	if c.closed.Load() {
+	if c.tab.Closed() {
 		return data, info, nil, nil
 	}
 	if res.Cacheability == property.Uncacheable {
 		c.stats.uncacheable.Add(1)
 		return data, info, nil, nil
 	}
-	if g.Load() != gen {
+	if c.tab.Gen(doc) != gen {
 		// Invalidated mid-read: serve the data but do not install a
 		// potentially stale entry (and charge no fill cost, since
 		// nothing is filled).
@@ -861,36 +744,22 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		c.clk.Sleep(c.opts.FillCost)
 	}
 	s := cuts.sign(data) // hashing stays outside the shard lock
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
-	sh.mu.Lock()
-	if c.closed.Load() {
-		sh.mu.Unlock()
+	// The definitive staleness check is Install's, atomic with the
+	// install under the stripe lock.
+	if !c.tab.Install(Key(doc, user), &Entry{
+		Doc: doc, User: user,
+		Signature:    s,
+		Cost:         res.Cost,
+		Cacheability: res.Cacheability,
+		Verifiers:    res.Verifiers,
+	}, data, gen) {
 		return data, info, nil, nil
 	}
-	// Definitive staleness check, atomic with the install under the
-	// shard lock: an invalidation bumps the generation before it scans
-	// the shards, so either we see the bump here and abort, or the
-	// scan sees our entry and drops it.
-	if g.Load() != gen {
-		sh.mu.Unlock()
-		return data, info, nil, nil
-	}
-	c.installLocked(sh, k, &entry{
-		doc: doc, user: user,
-		signature:    s,
-		cost:         res.Cost,
-		cacheability: res.Cacheability,
-		verifiers:    res.Verifiers,
-	}, data)
 	info.Signature = s
-	sh.mu.Unlock()
-
-	c.evict(k)
 	// Write-behind demotion at install time, not at eviction: a warm
 	// restart must recover the cache as it was, including entries that
 	// were never evicted. All store calls run outside cache locks.
-	c.demoteEntry(doc, user, s, data, res, trace.Key, g, gen)
+	c.demoteEntry(doc, user, s, data, res, trace.Key, gen)
 	return data, info, res.Related, nil
 }
 
@@ -915,7 +784,10 @@ func (c *Cache) prefetch(user string, related []string) {
 // applies, so a write landing while it runs strands its bytes instead
 // of installing them.
 func (c *Cache) Warm(doc, user string) {
-	if c.closed.Load() || !c.docState(doc).stranded.Swap(false) {
+	if c.tab.Closed() {
+		return
+	}
+	if _, ok := c.stranded.LoadAndDelete(doc); !ok {
 		return
 	}
 	owner, err := c.space.ResolveOwner(doc, user)
@@ -930,221 +802,19 @@ func (c *Cache) Warm(doc, user string) {
 // flight already covers it — which collection prefetch waits out (wait)
 // and a warm leaves to run.
 func (c *Cache) prefetchKey(doc, user string, wait bool) {
-	if c.closed.Load() {
+	if c.tab.Closed() {
 		return
 	}
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
-	sh.mu.Lock()
-	if _, cached := sh.entries[k]; cached {
-		sh.mu.Unlock()
-		return
-	}
-	f, leader := joinOrLeadLocked(sh, k)
-	sh.mu.Unlock()
-	if !leader {
-		if wait {
+	k := Key(doc, user)
+	_, f, leader := c.tab.join(k, true)
+	if !leader { // resident (no flight), or another goroutine leads
+		if f != nil && wait {
 			<-f.done
 		}
 		return
 	}
-	if _, _, _, err := c.leadMiss(sh, k, f, doc, user, nil); err == nil {
+	var related []string // a prefetch does not prefetch in turn
+	if _, _, err := c.tab.lead(k, f, c.missFunc(doc, user, nil, &related)); err == nil {
 		c.stats.prefetches.Add(1)
-	}
-}
-
-// blobDataCRC returns the stored bytes for a signature and their
-// intern-time CRC-32C; ok reports whether the blob was present. Blob
-// data is immutable after creation, so the slice may be read after
-// blobMu is released (callers copy before handing bytes to
-// applications).
-func (c *Cache) blobDataCRC(s sig.Signature) (data []byte, crc uint32, ok bool) {
-	c.blobMu.Lock()
-	defer c.blobMu.Unlock()
-	if b := c.blobs[s]; b != nil {
-		return b.data, b.crc32c, true
-	}
-	return nil, 0, false
-}
-
-// internBlob interns data under s, its signature, and takes one
-// reference, maintaining the unique-byte and shared-entry gauges
-// incrementally. The caller signs — once, before it takes the shard
-// lock this runs under — or passes on the signature a lower tier has
-// just proved. asEntry distinguishes (doc, user) entries from cuts:
-// both share storage and lifetime, but only entry references drive the
-// SharedEntries gauge.
-func (c *Cache) internBlob(s sig.Signature, data []byte, asEntry bool) {
-	c.blobMu.Lock()
-	b := c.blobs[s]
-	if b == nil {
-		b = &blob{data: append([]byte{}, data...), crc32c: crc32.Checksum(data, castagnoliTable)}
-		c.blobs[s] = b
-		c.stats.bytesStored.Add(int64(len(data)))
-	}
-	if asEntry {
-		// SharedEntries counts entries whose blob has >1 entry
-		// reference; going 1→2 makes both sharers shared, each later
-		// reference adds one.
-		switch {
-		case b.entryRefs == 1:
-			c.stats.sharedEntries.Add(2)
-		case b.entryRefs >= 2:
-			c.stats.sharedEntries.Add(1)
-		}
-		b.entryRefs++
-	}
-	b.refs++
-	c.blobMu.Unlock()
-}
-
-// unrefBlob drops one reference, freeing the blob when the last holder
-// of either kind lets go.
-func (c *Cache) unrefBlob(s sig.Signature, asEntry bool) {
-	c.blobMu.Lock()
-	defer c.blobMu.Unlock()
-	b := c.blobs[s]
-	if b == nil {
-		return
-	}
-	if asEntry {
-		b.entryRefs--
-		switch {
-		case b.entryRefs == 1:
-			c.stats.sharedEntries.Add(-2)
-		case b.entryRefs >= 2:
-			c.stats.sharedEntries.Add(-1)
-		}
-	}
-	b.refs--
-	if b.refs <= 0 {
-		delete(c.blobs, s)
-		c.stats.bytesStored.Add(-int64(len(b.data)))
-	}
-}
-
-// installLocked puts e under k with data as its bytes (already signed:
-// e.signature), replacing whatever k held: intern the blob, index the
-// entry, account it, hand it to the policy. It is the one way a record
-// of either kind enters the index. The caller holds sh.mu and has made
-// its own closed and staleness checks under it.
-func (c *Cache) installLocked(sh *shard, k string, e *entry, data []byte) {
-	c.dropShardLocked(sh, k)
-	e.size = int64(len(data))
-	c.internBlob(e.signature, data, !e.cut)
-	sh.entries[k] = e
-	if e.cut {
-		sh.cuts++
-		c.stats.intermediateEntries.Add(1)
-		c.stats.intermediateBytes.Add(e.size)
-	} else {
-		c.stats.bytesLogical.Add(e.size)
-	}
-	c.policyInsert(k, e)
-}
-
-// policyInsert hands k to the replacement policy at e's size and cost.
-func (c *Cache) policyInsert(k string, e *entry) {
-	cost := e.cost
-	if c.opts.CostSource == CostConstant {
-		cost = time.Millisecond
-	}
-	c.policyMu.Lock()
-	c.policy.Insert(k, e.size, cost)
-	c.policyMu.Unlock()
-}
-
-// dropShardLocked removes the entry or cut under k and releases its
-// blob reference. The caller holds sh.mu; policyMu and blobMu are taken
-// as nested leaf locks. Reports whether anything was present.
-func (c *Cache) dropShardLocked(sh *shard, k string) bool {
-	e, ok := sh.entries[k]
-	if !ok {
-		return false
-	}
-	delete(sh.entries, k)
-	c.policyMu.Lock()
-	c.policy.Remove(k)
-	c.policyMu.Unlock()
-	if e.cut {
-		sh.cuts--
-		c.stats.intermediateEntries.Add(-1)
-		c.stats.intermediateBytes.Add(-e.size)
-	} else {
-		c.stats.bytesLogical.Add(-e.size)
-	}
-	c.unrefBlob(e.signature, !e.cut)
-	return true
-}
-
-// evict enforces the capacity budget using the replacement policy.
-// Entries and cuts live in the same policy, so cost-aware replacement
-// weighs a memoized prefix against full entries on equal terms.
-// Capacity is measured in unique stored bytes, so evicting a key
-// whose blob is shared may free nothing; the loop continues until
-// under budget or empty. Each round takes only the policy lock (to
-// pick the globally best victim) and then that victim's shard lock —
-// never a global lock and never two shard locks, so lookups on other
-// stripes proceed throughout.
-//
-// A key with an in-flight single-flight read is pinned: a reader is
-// mid-verify or mid-install on it, and evicting underneath would throw
-// away bytes about to be revalidated (thrash at best). A pinned victim
-// is taken out of the policy for this pass and put back afterwards if
-// it survived. exempt names the one key the caller's own flight covers
-// — the leader installing a fresh entry must still be able to evict
-// itself when a huge insert blows the budget.
-func (c *Cache) evict(exempt string) {
-	capacity := c.capacity.Load()
-	if capacity <= 0 {
-		return
-	}
-	var pinned []string
-	defer func() { c.reinsertPinned(pinned) }()
-	for c.stats.bytesStored.Load() > capacity {
-		c.policyMu.Lock()
-		victim, ok := c.policy.Victim()
-		c.policyMu.Unlock()
-		if !ok {
-			return
-		}
-		sh := c.idx.shardFor(victim)
-		sh.mu.Lock()
-		if victim != exempt && sh.flights[victim] != nil {
-			// Pinned. Victim only peeks, so take the key out of the
-			// policy ourselves — each pass over a pinned key shrinks
-			// the policy, which keeps the loop terminating when only
-			// pinned entries remain.
-			c.policyMu.Lock()
-			c.policy.Remove(victim)
-			c.policyMu.Unlock()
-			if _, present := sh.entries[victim]; present {
-				pinned = append(pinned, victim)
-			}
-			sh.mu.Unlock()
-			continue
-		}
-		if c.dropShardLocked(sh, victim) {
-			c.stats.evictions.Add(1)
-		}
-		// else: a concurrent invalidation beat us to the victim (and
-		// already removed it from the policy); re-check the budget.
-		sh.mu.Unlock()
-	}
-}
-
-// reinsertPinned puts keys skipped by evict back into the policy, but
-// only when the entry is still installed — the flight that pinned a
-// key may have finished and replaced (or an invalidation removed) the
-// entry, and a policy key with no entry behind it would make future
-// Victim calls spin on a ghost.
-func (c *Cache) reinsertPinned(keys []string) {
-	for _, k := range keys {
-		sh := c.idx.shardFor(k)
-		sh.mu.Lock()
-		if e, ok := sh.entries[k]; ok {
-			c.policyInsert(k, e)
-		}
-		sh.mu.Unlock()
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"placeless/internal/docspace"
@@ -44,9 +43,8 @@ import (
 // is exactly "the content key still matches".
 //
 // Locking: all store I/O and all content-key probes run with no cache
-// lock held. Promotion takes the shard lock only for the final
-// install, re-checking closed and the generation snapshot under it —
-// the same discipline as miss's install.
+// lock held. Promotion goes through the table's one install, which
+// re-checks closed and the generation snapshot under the stripe lock.
 
 // appendEpoch persists a document's new invalidation generation so a
 // restart refuses entries recorded before it. No-op without a store;
@@ -62,11 +60,11 @@ func (c *Cache) appendEpoch(doc string, gen uint64) {
 	}
 }
 
-// promote attempts to serve a miss from the durable tier. g/gen are
-// the caller's generation counter and its pre-read snapshot. Returns
+// promote attempts to serve a miss from the durable tier. gen is the
+// caller's pre-read generation snapshot. Returns
 // ok=false (and counts a reject when a candidate existed) if the tier
 // has no usable entry, in which case the caller runs the transforms.
-func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte, EntryInfo, bool) {
+func (c *Cache) promote(doc, user string, gen uint64) ([]byte, EntryInfo, bool) {
 	st := c.opts.Store
 	e, ok := st.GetEntry(doc, user)
 	if !ok {
@@ -103,28 +101,21 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 		},
 	}
 
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
-	sh.mu.Lock()
-	if c.closed.Load() || g.Load() != gen {
+	if !c.tab.Install(Key(doc, user), &Entry{
+		Doc: doc, User: user,
+		Signature:    e.Sig, // GetBlob has just proved data hashes to it
+		Cost:         e.Cost,
+		Cacheability: property.Unrestricted,
+		Verifiers:    []property.Verifier{verifier},
+	}, data, gen) {
 		// Closed, or invalidated since the caller's snapshot: the probe
 		// above may predate the change, so the disk bytes are suspect.
-		sh.mu.Unlock()
 		c.stats.storePromotionRejects.Add(1)
 		return nil, EntryInfo{}, false
 	}
-	c.installLocked(sh, k, &entry{
-		doc: doc, user: user,
-		signature:    e.Sig, // GetBlob has just proved data hashes to it
-		cost:         e.Cost,
-		cacheability: property.Unrestricted,
-		verifiers:    []property.Verifier{verifier},
-	}, data)
-	sh.mu.Unlock()
 
 	c.stats.storePromotions.Add(1)
 	c.stats.misses.Add(1)
-	c.evict(k)
 	out := make([]byte, len(data))
 	copy(out, data)
 	return out, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
@@ -135,14 +126,14 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 // StageTrace.Key): key and bytes come from one source fetch and one
 // chain snapshot, so the pair is consistent whatever has been
 // rewritten since, and a later promote's live probe decides whether it
-// is still current. s is data's signature; g/gen are the install's
-// generation counter and snapshot.
-func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data []byte, res property.ReadResult, ck docspace.ContentKey, g *atomic.Uint64, gen uint64) {
+// is still current. s is data's signature; gen is the install's
+// generation snapshot.
+func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data []byte, res property.ReadResult, ck docspace.ContentKey, gen uint64) {
 	st := c.opts.Store
 	if st == nil || res.Cacheability != property.Unrestricted || !ck.Memoizable {
 		return
 	}
-	if g.Load() != gen {
+	if c.tab.Gen(doc) != gen {
 		return
 	}
 	if prev, ok := st.GetEntry(doc, user); ok &&

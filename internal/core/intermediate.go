@@ -28,18 +28,19 @@ import (
 //     properties embedding external information are non-memoizable and
 //     poison every cut at or after them.
 // A key can therefore never serve wrong bytes; an invalidation merely
-// strands the old keys, and its stripe scan drops the stranded cuts
-// with the entries so they do not have to age out of the policy.
+// strands the old keys, and its visit of the document's keys drops the
+// stranded cuts with the entries so they do not have to age out of the
+// policy.
 //
 // Storing every prefix of a long chain is quadratic in bytes; every
 // memoizable cut is installed, and the GDS policy prices resident cuts
 // by rebuild cost per byte when choosing eviction victims.
 //
-// A cut is not a store beside the entry table: it is an entry of the
-// sharded index (shard.go) under a key of its own namespace, marked
-// cut, so it shares the entry table's install, drop, eviction,
-// invalidation scan and single-flight protocol, and the replacement
-// policy weighs a memoized prefix against full entries on equal terms.
+// A cut is not a store beside the entry table: it is an Entry of the
+// table (table.go) under a key of its own namespace, marked cut, so it
+// shares the table's install, drop, eviction, document index and
+// single-flight protocol, and the replacement policy weighs a memoized
+// prefix against full entries on equal terms.
 // The compute closure (property transforms, simulated sleeps, possible
 // notifier re-entry) always runs with no cache lock held.
 
@@ -100,24 +101,6 @@ func (rc *readCuts) sign(data []byte) sig.Signature {
 	return sig.Of(data)
 }
 
-// cutLocked returns the resident cut under k and its bytes (aliasing
-// the immutable blob), marking the access in the policy; nil when k
-// holds none. The caller holds sh.mu.
-func (c *Cache) cutLocked(sh *shard, k string) (*entry, []byte) {
-	e := sh.entries[k]
-	if e == nil {
-		return nil, nil
-	}
-	data, _, _ := c.blobDataCRC(e.signature)
-	if data == nil {
-		return nil, nil
-	}
-	c.policyMu.Lock()
-	c.policy.Access(k)
-	c.policyMu.Unlock()
-	return e, data
-}
-
 // cutServed accounts data as a cut handed out without recomputation
 // and returns the caller's own copy of it.
 func (c *Cache) cutServed(data []byte) []byte {
@@ -131,13 +114,10 @@ func (c *Cache) cutServed(data []byte) []byte {
 func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, sig.Signature, int, bool) {
 	for i := len(fps) - 1; i >= 0; i-- {
 		k := interKey(src, fps[i])
-		sh := c.idx.shardFor(k)
-		sh.mu.Lock()
-		e, data := c.cutLocked(sh, k)
-		sh.mu.Unlock()
-		if e != nil {
+		if e, data := c.tab.Lookup(k); e != nil {
+			c.tab.Confirm(k, e) // marks the access; the bytes are right either way
 			c.stats.prefixHits.Add(1)
-			return c.cutServed(data), e.signature, i, true
+			return c.cutServed(data), e.Signature, i, true
 		}
 	}
 	return nil, sig.Zero, -1, false
@@ -153,15 +133,12 @@ func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, s
 // the signature is its own; hit reports whether compute was skipped.
 func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, compute func() ([]byte, error)) ([]byte, sig.Signature, bool, error) {
 	k := interKey(src, fp)
-	sh := c.idx.shardFor(k)
 	for {
-		sh.mu.Lock()
-		if e, data := c.cutLocked(sh, k); e != nil {
-			sh.mu.Unlock()
-			return c.cutServed(data), e.signature, true, nil
+		e, f, leader := c.tab.join(k, true)
+		if e != nil {
+			c.tab.Confirm(k, e)
+			return c.cutServed(e.blob.data), e.Signature, true, nil
 		}
-		f, leader := joinOrLeadLocked(sh, k)
-		sh.mu.Unlock()
 		if !leader {
 			<-f.done
 			if f.err != nil {
@@ -172,21 +149,21 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			}
 			return c.cutServed(f.data), f.info.Signature, true, nil
 		}
-		data, s, fromDisk, err := c.leadCut(sh, k, f, &entry{doc: doc, user: user, cost: cost, cut: true}, src, fp, universal, compute)
-		if err == nil {
-			if !fromDisk {
-				c.demoteIntermediate(src, fp, s, data, cost)
-			}
-			c.evict("")
+		var fromDisk bool
+		data, info, err := c.tab.lead(k, f, func() (data []byte, info EntryInfo, err error) {
+			data, info.Signature, fromDisk, err = c.leadCut(k, &Entry{Doc: doc, User: user, Cost: cost, cut: true}, src, fp, universal, compute)
+			return data, info, err
+		})
+		if err == nil && !fromDisk {
+			c.demoteIntermediate(src, fp, info.Signature, data, cost)
 		}
-		return data, s, fromDisk, err
+		return data, info.Signature, fromDisk, err
 	}
 }
 
 // leadCut is the leader's half of intermediate: produce the bytes of
-// (src, fp), publish them on f and install them as e under k.
-func (c *Cache) leadCut(sh *shard, k string, f *flight, e *entry, src, fp sig.Signature, universal bool, compute func() ([]byte, error)) (data []byte, s sig.Signature, fromDisk bool, err error) {
-	defer finish(sh, k, f)
+// (src, fp) and install them as e under k.
+func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal bool, compute func() ([]byte, error)) (data []byte, s sig.Signature, fromDisk bool, err error) {
 	// The durable tier sits between the in-memory table and the
 	// compute closure: (src, fp) is content-addressed, so a disk
 	// record needs no validation beyond the store's own checksum
@@ -212,20 +189,12 @@ func (c *Cache) leadCut(sh *shard, k string, f *flight, e *entry, src, fp sig.Si
 			s = sig.Of(data)
 		}
 	}
-	f.data, f.info.Signature, f.err = data, s, err
 	if err != nil {
 		return nil, sig.Zero, false, err
 	}
-	// No generation guard: an invalidation scan that runs before this
-	// finds nothing, one that runs after drops the cut — a lost memo,
-	// never a wrong one, since the key's bytes are right by
-	// construction.
-	sh.mu.Lock()
-	if !c.closed.Load() {
-		e.signature = s
-		c.installLocked(sh, k, e, data)
+	e.Signature = s
+	if c.tab.Install(k, e, data, 0) { // a cut has no generation to check
 		c.stats.prefixInstalls.Add(1)
 	}
-	sh.mu.Unlock()
 	return data, s, fromDisk, nil
 }

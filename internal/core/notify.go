@@ -2,42 +2,23 @@ package core
 
 import (
 	"placeless/internal/event"
-	"placeless/internal/sig"
 )
 
-// invalidateDoc bumps the document's generation and drops every user's
-// entry for it, and every cut computed from it, visiting the stripes
-// one lock at a time. The generation bump strictly precedes the stripe
-// scan: an install that read the old generation either completes before
-// the scan reaches its stripe (and is dropped by it) or observes the
-// bump under its stripe lock and aborts — no stale entry can survive.
-// The cuts are merely stranded (the invalidating change moved their
-// source signature or fingerprint); dropping them here reclaims their
-// bytes now instead of when the policy ages them out. It reports
-// whether a universal cut (one every user's read starts from) was among
-// them.
+// invalidateDoc drops every user's entry for the document and every cut
+// computed from it — the table bumps the generation first, then visits
+// only the document's keys, one stripe at a time, so an install that
+// read the old generation either completes before the visit reaches its
+// stripe (and is dropped by it) or observes the bump under its stripe
+// lock and aborts. The cuts are merely stranded (the invalidating
+// change moved their source signature or fingerprint); dropping them
+// here reclaims their bytes now instead of when the policy ages them
+// out. It reports whether a universal cut (one every user's read starts
+// from) was among them.
 func (c *Cache) invalidateDoc(doc string) (sharedCut bool) {
-	c.appendEpoch(doc, c.docGen(doc).Add(1))
-	c.dropWhere(func(e *entry) bool {
-		if e.doc != doc {
-			return false
-		}
-		sharedCut = sharedCut || e.cut && e.user == ""
-		return true
-	})
+	entries, sharedCut, gen := c.tab.DropDoc(doc)
+	c.stats.invalidations.Add(int64(entries))
+	c.appendEpoch(doc, gen)
 	return sharedCut
-}
-
-// dropWhere drops every entry and cut match accepts, one stripe at a
-// time. Invalidations counts the (doc, user) entries among them.
-func (c *Cache) dropWhere(match func(*entry) bool) {
-	c.idx.each(func(sh *shard) {
-		for k, e := range sh.entries {
-			if match(e) && c.dropShardLocked(sh, k) && !e.cut {
-				c.stats.invalidations.Add(1)
-			}
-		}
-	})
 }
 
 // onBaseEvent handles notifications from a base-document notifier:
@@ -50,7 +31,7 @@ func (c *Cache) onBaseEvent(e event.Event) {
 	c.stats.notifications.Add(1)
 	c.observeInvalidation(e)
 	if c.invalidateDoc(e.Doc) && e.Kind == event.ContentWritten {
-		c.docState(e.Doc).stranded.Store(true)
+		c.stranded.Store(e.Doc, struct{}{})
 	}
 }
 
@@ -74,25 +55,12 @@ func (c *Cache) observeInvalidation(e event.Event) {
 	c.lastCause.Store(e.Doc, cause)
 }
 
-// invalidateUser bumps the generation and drops one (doc, user) entry,
-// plus the personal cuts that user installed (a personal change moves
-// the personal prefix fingerprints, stranding those keys). Universal-
-// prefix cuts (user == "") survive: a personal-property change cannot
-// affect universal-stage output.
+// invalidateUser drops one (doc, user) entry, plus the personal cuts
+// that user installed, generation bumped first (Table.DropUser).
 func (c *Cache) invalidateUser(doc, user string) {
-	c.appendEpoch(doc, c.docGen(doc).Add(1))
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
-	sh.mu.Lock()
-	if c.dropShardLocked(sh, k) {
-		c.stats.invalidations.Add(1)
-	}
-	sh.mu.Unlock()
-	if c.opts.Memoize && user != "" {
-		// Cuts hash by (source, fingerprint), not by document, so
-		// finding this user's takes a scan.
-		c.dropWhere(func(e *entry) bool { return e.cut && e.doc == doc && e.user == user })
-	}
+	entries, gen := c.tab.DropUser(doc, user)
+	c.stats.invalidations.Add(int64(entries))
+	c.appendEpoch(doc, gen)
 }
 
 // Invalidate drops the entry for (doc, user), if any. It is the
@@ -129,26 +97,10 @@ func (c *Cache) Kill() {
 	c.shutdown()
 }
 
-// shutdown is the common teardown: mark closed, clear all in-memory
-// state, detach notifiers.
+// shutdown is the common teardown: close the table (which rejects
+// in-flight installs and drops everything), detach notifiers.
 func (c *Cache) shutdown() {
-	if c.closed.Swap(true) {
-		return
+	if c.tab.Close() {
+		c.notifiers.Close()
 	}
-	// Clear the stripes; in-flight misses observe the closed flag
-	// under their stripe lock before installing, so nothing leaks in
-	// after the sweep.
-	c.idx.each(func(sh *shard) {
-		sh.entries = make(map[string]*entry)
-		sh.cuts = 0
-	})
-	c.blobMu.Lock()
-	c.blobs = make(map[sig.Signature]*blob)
-	c.blobMu.Unlock()
-	c.stats.bytesStored.Store(0)
-	c.stats.bytesLogical.Store(0)
-	c.stats.sharedEntries.Store(0)
-	c.stats.intermediateEntries.Store(0)
-	c.stats.intermediateBytes.Store(0)
-	c.notifiers.Close()
 }

@@ -32,7 +32,7 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_cache_invalidations_total",
 		"Entries dropped by notifications.", c.stats.invalidations.Load)
 	reg.Counter("placeless_cache_evictions_total",
-		"Entries dropped by the replacement policy.", c.stats.evictions.Load)
+		"Entries dropped by the replacement policy.", c.tab.stats.evictions.Load)
 	reg.Counter("placeless_cache_uncacheable_total",
 		"Reads whose result could not be cached.", c.stats.uncacheable.Load)
 	reg.Counter("placeless_cache_events_forwarded_total",
@@ -42,14 +42,14 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_cache_flushes_total",
 		"Write-back flush operations.", c.stats.flushes.Load)
 	reg.Gauge("placeless_cache_bytes_stored",
-		"Current unique content footprint after signature sharing.", c.stats.bytesStored.Load)
+		"Current unique content footprint after signature sharing.", c.tab.stats.bytesStored.Load)
 	reg.Gauge("placeless_cache_bytes_logical",
-		"Current sum of entry sizes before signature sharing.", c.stats.bytesLogical.Load)
+		"Current sum of entry sizes before signature sharing.", c.tab.stats.bytesLogical.Load)
 	reg.Gauge("placeless_cache_shared_entries",
-		"Current entries whose blob is shared with at least one other entry.", c.stats.sharedEntries.Load)
+		"Current entries whose blob is shared with at least one other entry.", c.tab.stats.sharedEntries.Load)
 	reg.Gauge("placeless_cache_entries",
 		"Current number of (document, user) entries.",
-		func() int64 { return int64(c.idx.count()) })
+		func() int64 { return int64(c.tab.Len()) })
 	reg.Counter("placeless_cache_intermediate_hits_total",
 		"Prefix cuts served memoized instead of being re-executed.", c.stats.intermediateHits.Load)
 	reg.Counter("placeless_cache_universal_stage_runs_total",
@@ -57,9 +57,9 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_cache_bytes_recomputed_saved_total",
 		"Bytes of prefix cuts served without recomputation.", c.stats.bytesRecomputedSaved.Load)
 	reg.Gauge("placeless_cache_intermediate_entries",
-		"Current number of memoized prefix cuts, universal and personal.", c.stats.intermediateEntries.Load)
+		"Current number of memoized prefix cuts, universal and personal.", c.tab.stats.cuts.Load)
 	reg.Gauge("placeless_cache_intermediate_bytes",
-		"Current logical footprint of memoized prefix cuts.", c.stats.intermediateBytes.Load)
+		"Current logical footprint of memoized prefix cuts.", c.tab.stats.cutBytes.Load)
 	reg.Counter("placeless_prefix_hits_total",
 		"Longest-prefix probes that resumed a miss from a cached cut.", c.stats.prefixHits.Load)
 	reg.Counter("placeless_prefix_segment_runs_total",

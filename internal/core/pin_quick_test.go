@@ -54,7 +54,7 @@ func quickEvictNeverTakesPinnedEntry(t *testing.T, memoize bool) {
 			}
 			w.read(t, docs[i], "u")
 		}
-		if cuts := w.cache.stats.intermediateEntries.Load(); memoize && cuts != int64(2*n) {
+		if cuts := w.cache.tab.stats.cuts.Load(); memoize && cuts != int64(2*n) {
 			t.Logf("%d cuts resident beside %d entries, want %d", cuts, n, 2*n)
 			return false
 		}
@@ -66,9 +66,9 @@ func quickEvictNeverTakesPinnedEntry(t *testing.T, memoize bool) {
 			if pinMask&(1<<uint(i)) == 0 {
 				continue
 			}
-			k := key(d, "u")
+			k := Key(d, "u")
 			fl := &flight{done: make(chan struct{})}
-			sh := w.cache.idx.shardFor(k)
+			sh := w.cache.tab.shardFor(k)
 			sh.mu.Lock()
 			sh.flights[k] = fl
 			sh.mu.Unlock()
@@ -89,14 +89,14 @@ func quickEvictNeverTakesPinnedEntry(t *testing.T, memoize bool) {
 
 		// Release the flights; the budget must then be enforceable.
 		for k, fl := range fakes {
-			sh := w.cache.idx.shardFor(k)
+			sh := w.cache.tab.shardFor(k)
 			sh.mu.Lock()
 			delete(sh.flights, k)
 			sh.mu.Unlock()
 			close(fl.done)
 		}
 		w.cache.Resize(capacity)
-		if stored := w.cache.stats.bytesStored.Load(); stored > capacity {
+		if stored := w.cache.tab.stats.bytesStored.Load(); stored > capacity {
 			t.Logf("budget not enforced after unpin: stored=%d cap=%d", stored, capacity)
 			return false
 		}
@@ -127,9 +127,9 @@ func TestEvictPinnedThenInvalidatedDoesNotGhost(t *testing.T) {
 	w.addDoc(t, "a", "u", "/a", make([]byte, 64))
 	w.read(t, "a", "u")
 
-	k := key("a", "u")
+	k := Key("a", "u")
 	fl := &flight{done: make(chan struct{})}
-	sh := w.cache.idx.shardFor(k)
+	sh := w.cache.tab.shardFor(k)
 	sh.mu.Lock()
 	sh.flights[k] = fl
 	sh.mu.Unlock()
@@ -137,10 +137,7 @@ func TestEvictPinnedThenInvalidatedDoesNotGhost(t *testing.T) {
 	w.cache.Resize(16) // pinned: survives, goes through remove+reinsert
 
 	// Invalidate underneath (simulates the racing replacement).
-	sh.mu.Lock()
-	c := w.cache
-	c.dropShardLocked(sh, k)
-	sh.mu.Unlock()
+	w.cache.tab.drop(k)
 
 	sh.mu.Lock()
 	delete(sh.flights, k)
@@ -150,7 +147,7 @@ func TestEvictPinnedThenInvalidatedDoesNotGhost(t *testing.T) {
 	// Must terminate (no ghost key keeps Victim returning a phantom)
 	// and end at zero bytes.
 	w.cache.Resize(16)
-	if stored := w.cache.stats.bytesStored.Load(); stored != 0 {
+	if stored := w.cache.tab.stats.bytesStored.Load(); stored != 0 {
 		t.Fatalf("stored = %d after dropping the only entry", stored)
 	}
 }

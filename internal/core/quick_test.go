@@ -102,7 +102,7 @@ func TestQuickShardAssignmentStable(t *testing.T) {
 	idx := newShardedIndex(16)
 	idx2 := newShardedIndex(16)
 	f := func(doc, user string) bool {
-		k := key(doc, user)
+		k := Key(doc, user)
 		a, b, c := idx.shardFor(k), idx.shardFor(k), idx2.shardFor(k)
 		return a == b && a == &idx.shards[shardHash(k)&idx.mask] &&
 			c == &idx2.shards[shardHash(k)&idx2.mask]
@@ -120,7 +120,7 @@ func TestQuickKeyRoundTrip(t *testing.T) {
 		if strings.ContainsRune(doc, 0) || strings.ContainsRune(user, 0) {
 			return true // composite keys require NUL-free components
 		}
-		d, u := splitKey(key(doc, user))
+		d, u := splitKey(Key(doc, user))
 		return d == doc && u == user
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -138,7 +138,7 @@ func TestShardDistribution(t *testing.T) {
 	counts := make(map[*shard]int)
 	for i := 0; i < keys; i++ {
 		doc := "doc-" + strings.Repeat("x", i%7) + string(rune('a'+i%26)) + itoa(i)
-		counts[idx.shardFor(key(doc, "user-"+itoa(i%40)))]++
+		counts[idx.shardFor(Key(doc, "user-"+itoa(i%40)))]++
 	}
 	if len(counts) != shards {
 		t.Fatalf("only %d of %d stripes used", len(counts), shards)
@@ -173,7 +173,7 @@ func FuzzShardHash(f *testing.F) {
 	f.Add(strings.Repeat("z", 1024), "u")
 	f.Add("d\x00embedded", "nul\x00user")
 	f.Fuzz(func(t *testing.T, doc, user string) {
-		k := key(doc, user)
+		k := Key(doc, user)
 		h1, h2 := shardHash(k), shardHash(k)
 		if h1 != h2 {
 			t.Fatalf("shardHash unstable: %d vs %d", h1, h2)
@@ -195,7 +195,7 @@ func FuzzShardHash(f *testing.F) {
 		if !strings.ContainsRune(doc, 0) && !strings.ContainsRune(user, 0) {
 			d, u := splitKey(k)
 			if d != doc || u != user {
-				t.Fatalf("splitKey(key(%q,%q)) = (%q,%q)", doc, user, d, u)
+				t.Fatalf("splitKey(Key(%q,%q)) = (%q,%q)", doc, user, d, u)
 			}
 		}
 	})

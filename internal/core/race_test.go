@@ -546,8 +546,8 @@ func TestPanickingTransformDoesNotWedgeKey(t *testing.T) {
 			_, _, panicked := readRecovering(w.cache, "d", "amy")
 			leader <- panicked
 		}()
-		k := key("d", "amy")
-		sh := w.cache.idx.shardFor(k)
+		k := Key("d", "amy")
+		sh := w.cache.tab.shardFor(k)
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 			sh.mu.Lock()
 			leading := sh.flights[k] != nil
@@ -593,7 +593,7 @@ func TestConcurrentStressEntriesAndCuts(t *testing.T) {
 	users := memoUsers(8)
 	w := newWorld(t, Options{Memoize: true})
 	docID := func(i int) string { return fmt.Sprintf("md%d", i) }
-	want := make(map[string][]byte) // key(doc, user) → the one legal body
+	want := make(map[string][]byte) // Key(doc, user) → the one legal body
 	for i := 0; i < docs; i++ {
 		id := docID(i)
 		w.addDoc(t, id, users[0], "/"+id, []byte(fmt.Sprintf("teh body of %s\nrecieve it\n", id)))
@@ -615,7 +615,7 @@ func TestConcurrentStressEntriesAndCuts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[key(id, u)] = body
+			want[Key(id, u)] = body
 		}
 	}
 	readAll := func(extra func(rng *rand.Rand, doc, user string)) {
@@ -629,8 +629,8 @@ func TestConcurrentStressEntriesAndCuts(t *testing.T) {
 						data, err := w.cache.Read(doc, u)
 						if err != nil {
 							t.Errorf("Read(%s,%s): %v", doc, u, err)
-						} else if !bytes.Equal(data, want[key(doc, u)]) {
-							t.Errorf("Read(%s,%s) = %q, want %q", doc, u, data, want[key(doc, u)])
+						} else if !bytes.Equal(data, want[Key(doc, u)]) {
+							t.Errorf("Read(%s,%s) = %q, want %q", doc, u, data, want[Key(doc, u)])
 						}
 						if extra != nil {
 							extra(rand.New(rand.NewSource(seed)), doc, u)
@@ -657,7 +657,7 @@ func TestConcurrentStressEntriesAndCuts(t *testing.T) {
 	}
 
 	// Churn: a budget of about three bodies, and a drop after most reads.
-	w.cache.Resize(int64(3 * len(want[key(docID(0), users[0])])))
+	w.cache.Resize(int64(3 * len(want[Key(docID(0), users[0])])))
 	readAll(func(rng *rand.Rand, doc, u string) {
 		switch rng.Intn(4) {
 		case 0:

@@ -5,39 +5,43 @@ import (
 	"sync"
 )
 
-// The entry index is partitioned into lock-striped shards so
-// concurrent readers of different entries never contend on one global
-// mutex (the seed implementation's shape). A shard owns a slice of the
-// key space — the cached (doc, user) entries, the memoized prefix cuts
-// (intermediate.go; the same entry type under a disjoint key
-// namespace) and the in-flight table that single-flights both —
-// selected by an FNV-1a hash of the key masked to a power-of-two shard
-// count.
+// The table's index (table.go) is partitioned into lock-striped shards
+// so concurrent readers of different entries never contend on one
+// global mutex (the seed implementation's shape). A shard owns a slice
+// of the key space — the cached (doc, user) entries, the memoized
+// prefix cuts (intermediate.go; the same Entry type under a disjoint
+// key namespace), the keys of each document among them and the
+// in-flight table that single-flights both — selected by an FNV-1a hash
+// of the key masked to a power-of-two shard count.
 //
-// Lock ordering (see also DESIGN.md §"Sharded cache core"):
+// Lock ordering (see also DESIGN.md §6):
 //
-//	shard.mu  >  policyMu | blobMu     (leaf locks)
+//	remote.Cache.mu  >  shard.mu  >  policyMu | blobMu     (leaf locks)
 //
 // A goroutine may hold at most one shard lock at a time, may take any
 // single leaf lock while holding it, and must never acquire a shard
-// lock while holding a leaf lock. Per-document invalidation
-// generations are plain atomics (Cache.gens) and sit outside the
-// ordering entirely. No lock may be held across calls into the
-// document space (attachment, read/write paths, event forwarding),
-// across a cut's compute closure, or across clock sleeps — all can
-// synchronously re-enter the cache through notifier callbacks and
-// timer-driven flushes.
+// lock while holding a leaf lock. The sidecar's own lock, when a
+// remote.Cache holds the table, ranks above every table lock and is
+// never taken under one. Per-document invalidation generations are
+// plain atomics (Table.gens) and sit outside the ordering entirely. No
+// lock may be held across calls into the document space (attachment,
+// read/write paths, event forwarding), across a cut's compute closure,
+// or across clock sleeps — all can synchronously re-enter the cache
+// through notifier callbacks and timer-driven flushes.
 
-// shard is one stripe of the index. cuts counts the entries that are
-// prefix cuts, so the (doc, user) entry count stays O(1) per stripe.
+// shard is one stripe of the index. docs maps each document to the keys
+// of its entries and cuts in this stripe, so a drop by document visits
+// nothing else; cuts counts the entries that are prefix cuts, so the
+// (doc, user) entry count stays O(1) per stripe.
 type shard struct {
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[string]*Entry
+	docs    map[string]map[string]struct{}
 	cuts    int
 	flights map[string]*flight
 }
 
-// shardedIndex is the striped entry table.
+// shardedIndex is the table's stripes.
 type shardedIndex struct {
 	shards []shard
 	mask   uint32
@@ -70,15 +74,16 @@ func nextPow2(n int) int {
 // newShardedIndex builds an index with n stripes; n <= 0 selects the
 // GOMAXPROCS-scaled default, other values are rounded up to a power of
 // two so masking works.
-func newShardedIndex(n int) *shardedIndex {
+func newShardedIndex(n int) shardedIndex {
 	if n <= 0 {
 		n = defaultShardCount()
 	} else {
 		n = nextPow2(n)
 	}
-	idx := &shardedIndex{shards: make([]shard, n), mask: uint32(n - 1)}
+	idx := shardedIndex{shards: make([]shard, n), mask: uint32(n - 1)}
 	for i := range idx.shards {
-		idx.shards[i].entries = make(map[string]*entry)
+		idx.shards[i].entries = make(map[string]*Entry)
+		idx.shards[i].docs = make(map[string]map[string]struct{})
 		idx.shards[i].flights = make(map[string]*flight)
 	}
 	return idx
@@ -108,7 +113,7 @@ func (x *shardedIndex) shardFor(k string) *shard {
 }
 
 // each visits every stripe in index order, locking one at a time —
-// the pattern used by document-wide invalidation and Close. fn runs
+// the pattern of the table's drops by document and of DropAll. fn runs
 // with sh.mu held and must follow the leaf-lock ordering rules.
 func (x *shardedIndex) each(fn func(sh *shard)) {
 	for i := range x.shards {
@@ -117,11 +122,4 @@ func (x *shardedIndex) each(fn func(sh *shard)) {
 		fn(sh)
 		sh.mu.Unlock()
 	}
-}
-
-// count sums (doc, user) entries across stripes; cuts are not counted.
-func (x *shardedIndex) count() int {
-	n := 0
-	x.each(func(sh *shard) { n += len(sh.entries) - sh.cuts })
-	return n
 }

@@ -5,9 +5,9 @@ import "sync/atomic"
 // statsCounters is the cache's live bookkeeping: every field is a
 // lock-free atomic counter, so the hot hit path records activity
 // without serializing behind any cache lock and Stats() never blocks
-// readers. Byte and shared-entry gauges are
-// maintained incrementally by the blob store under blobMu; they use
-// the same atomic representation so snapshots need no lock either.
+// readers. Byte, shared-entry, cut and eviction gauges are the table's
+// own (tableCounters), maintained incrementally under its locks in the
+// same atomic representation, so snapshots need no lock either.
 type statsCounters struct {
 	hits            atomic.Int64
 	misses          atomic.Int64
@@ -15,21 +15,15 @@ type statsCounters struct {
 	verifierRejects atomic.Int64
 	notifications   atomic.Int64
 	invalidations   atomic.Int64
-	evictions       atomic.Int64
 	uncacheable     atomic.Int64
 	eventsForwarded atomic.Int64
 	prefetches      atomic.Int64
-	bytesStored     atomic.Int64
-	bytesLogical    atomic.Int64
-	sharedEntries   atomic.Int64
 	flushes         atomic.Int64
 
 	// Intermediate-memoization gauges (Options.Memoize).
 	intermediateHits     atomic.Int64
 	universalStageRuns   atomic.Int64
 	bytesRecomputedSaved atomic.Int64
-	intermediateEntries  atomic.Int64
-	intermediateBytes    atomic.Int64
 
 	// Prefix-pipeline counters (the N-cut generalization).
 	prefixHits           atomic.Int64
@@ -50,7 +44,7 @@ type statsCounters struct {
 // a time, so a snapshot taken during concurrent activity is internally
 // consistent per counter but not across counters — same contract as
 // any monitoring scrape.
-func (s *statsCounters) snapshot() Stats {
+func (s *statsCounters) snapshot(t *tableCounters) Stats {
 	return Stats{
 		Hits:            s.hits.Load(),
 		Misses:          s.misses.Load(),
@@ -58,20 +52,20 @@ func (s *statsCounters) snapshot() Stats {
 		VerifierRejects: s.verifierRejects.Load(),
 		Notifications:   s.notifications.Load(),
 		Invalidations:   s.invalidations.Load(),
-		Evictions:       s.evictions.Load(),
+		Evictions:       t.evictions.Load(),
 		Uncacheable:     s.uncacheable.Load(),
 		EventsForwarded: s.eventsForwarded.Load(),
 		Prefetches:      s.prefetches.Load(),
-		BytesStored:     s.bytesStored.Load(),
-		BytesLogical:    s.bytesLogical.Load(),
-		SharedEntries:   s.sharedEntries.Load(),
+		BytesStored:     t.bytesStored.Load(),
+		BytesLogical:    t.bytesLogical.Load(),
+		SharedEntries:   t.sharedEntries.Load(),
 		Flushes:         s.flushes.Load(),
 
 		IntermediateHits:     s.intermediateHits.Load(),
 		UniversalStageRuns:   s.universalStageRuns.Load(),
 		BytesRecomputedSaved: s.bytesRecomputedSaved.Load(),
-		IntermediateEntries:  s.intermediateEntries.Load(),
-		IntermediateBytes:    s.intermediateBytes.Load(),
+		IntermediateEntries:  t.cuts.Load(),
+		IntermediateBytes:    t.cutBytes.Load(),
 
 		PrefixHits:           s.prefixHits.Load(),
 		PrefixSegmentRuns:    s.prefixSegmentRuns.Load(),

@@ -1,0 +1,540 @@
+package core
+
+import (
+	"fmt"
+	"hash/crc32"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"placeless/internal/property"
+	"placeless/internal/replace"
+	"placeless/internal/sig"
+)
+
+// Table is the one entry table under both cache placements: Cache,
+// beside the Placeless server, and remote.Cache, on the machine where
+// applications run. It holds the lock-striped index of entries with
+// its single-flight tables (shard.go, singleflight.go), the
+// signature-shared blob store, the replacement policy with pinned
+// eviction, the per-document invalidation generations and, per stripe,
+// the keys of each document, so a document-wide or per-user drop visits
+// only that document's keys.
+//
+// What is not here belongs to the placement: verification, simulated
+// hit cost and event forwarding on a hit (Lookup, then Confirm), the
+// read path a miss runs (Do), what an invalidation is counted as, and
+// everything about notifiers or the wire.
+type Table struct {
+	shardedIndex
+
+	closed   atomic.Bool
+	capacity atomic.Int64
+
+	// policy decides eviction order. It stays global — Greedy-Dual-
+	// Size's aging value L must see every entry to keep eviction
+	// globally cost-aware — but behind its own leaf lock, so lookups
+	// on other keys never wait on it.
+	policyMu sync.Mutex
+	policy   replace.Policy
+
+	// blobs is the signature-shared content store, with incremental
+	// byte/shared accounting (internBlob, unrefBlob).
+	blobMu sync.Mutex
+	blobs  map[sig.Signature]*blob
+
+	// gens carries per-document invalidation generations (doc →
+	// *atomic.Uint64) — the guard against installing a result that went
+	// stale mid-read — as lock-free atomics. The install-race invariant:
+	// a drop bumps the generation before it scans the stripes, so an
+	// installer holding its stripe lock either finished before the scan
+	// reached it (and is dropped) or acquired the stripe after the scan
+	// did, in which case the stripe mutex carries a happens-before edge
+	// from the bump and the installer's atomic load observes it.
+	gens sync.Map
+
+	stats tableCounters
+}
+
+// tableCounters is what the table counts itself; the placements read
+// it into their own Stats.
+type tableCounters struct {
+	bytesStored   atomic.Int64 // unique bytes after signature sharing
+	bytesLogical  atomic.Int64 // entry sizes before sharing (cuts excluded)
+	sharedEntries atomic.Int64 // entries whose blob another entry shares
+	cuts          atomic.Int64 // resident prefix cuts
+	cutBytes      atomic.Int64 // their logical size
+	evictions     atomic.Int64 // entries and cuts dropped for capacity
+}
+
+// Entry is one record of the table: a cached (document, user) version,
+// or — cut set — a memoized prefix output (intermediate.go). A cut
+// carries no cacheability or verifiers: its key implies its bytes.
+type Entry struct {
+	// Doc and User name the view. A cut keeps Doc so a document-wide
+	// drop takes it; its User is set only for cuts inside the personal
+	// chain (empty for universal-prefix cuts), so a per-user drop takes
+	// that user's personal cuts. A personal cut shared by users with
+	// identical chain prefixes is tagged with whoever installed it —
+	// dropping it on that user's invalidation merely costs the others a
+	// recompute.
+	Doc, User string
+	// Signature keys the entry's bytes in the blob store.
+	Signature sig.Signature
+	// Cost is the replacement cost the policy weighs.
+	Cost time.Duration
+	// Cacheability is the read path's aggregated vote.
+	Cacheability property.Cacheability
+	// Verifiers run on every hit (Valid).
+	Verifiers []property.Verifier
+
+	cut  bool
+	size int64
+	blob *blob // the interned bytes, shared by every holder of Signature
+}
+
+// Valid runs the entry's verifiers at now; an error or a refusal from
+// any of them invalidates the entry.
+func (e *Entry) Valid(now time.Time) bool {
+	for _, v := range e.Verifiers {
+		if ok, err := v.Check(now); err != nil || !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// blob is signature-shared content storage. refs counts every holder
+// (entries and cuts); entryRefs counts only (doc, user) entries,
+// because the SharedEntries gauge is defined over entries and a cut
+// aliasing an entry's bytes must not distort it.
+type blob struct {
+	data      []byte
+	refs      int
+	entryRefs int
+	// crc holds the CRC-32C of data with bit 32 set, once a hit has
+	// asked for it (checksum).
+	crc atomic.Uint64
+}
+
+// castagnoliTable is the CRC-32C table blob checksums use. The wire
+// server combines a blob's checksum into frame trailers so warm hits
+// never re-scan the body.
+var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum returns the CRC-32C of the blob's bytes, computing it the
+// first time it is asked for. The bytes are immutable, so concurrent
+// first callers compute the same value.
+func (b *blob) checksum() uint32 {
+	if v := b.crc.Load(); v != 0 {
+		return uint32(v)
+	}
+	c := crc32.Checksum(b.data, castagnoliTable)
+	b.crc.Store(1<<32 | uint64(c))
+	return c
+}
+
+// Key builds the (document, user) entry identifier. The paper: "Our
+// current implementation tags content with both a document identifier
+// and the user to whom the version of the document belongs."
+func Key(doc, user string) string { return doc + "\x00" + user }
+
+// NewTable returns an empty table with the given number of stripes (0
+// selects the GOMAXPROCS-scaled default; see newShardedIndex) and
+// replacement policy. Its capacity is unlimited until Resize.
+func NewTable(shards int, policy replace.Policy) *Table {
+	return &Table{
+		shardedIndex: newShardedIndex(shards),
+		policy:       policy,
+		blobs:        make(map[sig.Signature]*blob),
+	}
+}
+
+// Resize changes the byte budget (unique stored bytes; <= 0 means
+// unlimited) and evicts at once if the table is now over it.
+func (t *Table) Resize(capacity int64) {
+	t.capacity.Store(capacity)
+	t.evict("")
+}
+
+// Closed reports whether Close has run.
+func (t *Table) Closed() bool { return t.closed.Load() }
+
+// BytesStored is the current unique content footprint.
+func (t *Table) BytesStored() int64 { return t.stats.bytesStored.Load() }
+
+// Evictions counts entries and cuts dropped for capacity.
+func (t *Table) Evictions() int64 { return t.stats.evictions.Load() }
+
+// gen returns the document's invalidation-generation counter, creating
+// it on first use. The fast path is a lock-free sync.Map load.
+func (t *Table) gen(doc string) *atomic.Uint64 {
+	if g, ok := t.gens.Load(doc); ok {
+		return g.(*atomic.Uint64)
+	}
+	g, _ := t.gens.LoadOrStore(doc, new(atomic.Uint64))
+	return g.(*atomic.Uint64)
+}
+
+// Gen snapshots the document's invalidation generation. A reader takes
+// it before it fetches, and hands it to Install with the bytes.
+func (t *Table) Gen(doc string) uint64 { return t.gen(doc).Load() }
+
+// Len reports how many (document, user) entries the table holds; cuts
+// are not counted.
+func (t *Table) Len() (n int) {
+	t.each(func(sh *shard) { n += len(sh.entries) - sh.cuts })
+	return n
+}
+
+// Contains reports whether k holds an entry or cut, without verifying
+// it or touching the policy.
+func (t *Table) Contains(k string) bool {
+	e, _ := t.Lookup(k)
+	return e != nil
+}
+
+// Lookup returns the record under k and its bytes, which alias the
+// table's immutable blob and must not be modified; nil when k holds
+// none. It changes nothing: the caller verifies what it found, then
+// Confirm accounts the hit.
+func (t *Table) Lookup(k string) (*Entry, []byte) {
+	sh := t.shardFor(k)
+	sh.mu.Lock()
+	e := sh.entries[k]
+	sh.mu.Unlock()
+	if e == nil {
+		return nil, nil
+	}
+	return e, e.blob.data
+}
+
+// Confirm accounts a hit on e, which Lookup returned for k: it reports
+// whether k still holds e — an invalidation or a reinstall may have
+// replaced it while the caller verified — and if so marks the access in
+// the policy.
+func (t *Table) Confirm(k string, e *Entry) bool {
+	sh := t.shardFor(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.entries[k] != e {
+		return false
+	}
+	t.policyMu.Lock()
+	t.policy.Access(k)
+	t.policyMu.Unlock()
+	return true
+}
+
+// DropIf drops k if it still holds e: a verifier's refusal must not
+// take a concurrent reinstall's fresh entry with it. Reports whether it
+// dropped.
+func (t *Table) DropIf(k string, e *Entry) bool {
+	sh := t.shardFor(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.entries[k] == e && t.dropLocked(sh, k)
+}
+
+// drop drops whatever k holds.
+func (t *Table) drop(k string) {
+	sh := t.shardFor(k)
+	sh.mu.Lock()
+	t.dropLocked(sh, k)
+	sh.mu.Unlock()
+}
+
+// Install puts e under k with data as its bytes (already signed:
+// e.Signature), replacing whatever k held — unless the table is closed
+// or e.Doc's generation has moved past gen, the one the caller took
+// before it read the bytes. Both are checked under the stripe lock the
+// install holds, so a drop either sees the entry or the entry sees the
+// drop. A cut has no generation to check: its key implies its bytes,
+// so a drop that visits it before the install finds nothing and one
+// after drops it — a lost memo, never a wrong one. Install then evicts
+// down to capacity; the flight the caller leads for k does not pin k,
+// so a record larger than the budget evicts itself. Reports whether e
+// went in. It is the one way a record of either kind enters the table.
+func (t *Table) Install(k string, e *Entry, data []byte, gen uint64) bool {
+	sh := t.shardFor(k)
+	sh.mu.Lock()
+	if t.closed.Load() || !e.cut && t.gen(e.Doc).Load() != gen {
+		sh.mu.Unlock()
+		return false
+	}
+	t.dropLocked(sh, k)
+	e.size = int64(len(data))
+	e.blob = t.internBlob(e.Signature, data, !e.cut)
+	sh.entries[k] = e
+	keys := sh.docs[e.Doc]
+	if keys == nil {
+		keys = make(map[string]struct{})
+		sh.docs[e.Doc] = keys
+	}
+	keys[k] = struct{}{}
+	if e.cut {
+		sh.cuts++
+		t.stats.cuts.Add(1)
+		t.stats.cutBytes.Add(e.size)
+	} else {
+		t.stats.bytesLogical.Add(e.size)
+	}
+	t.policyInsert(k, e)
+	sh.mu.Unlock()
+	t.evict(k)
+	return true
+}
+
+// policyInsert hands k to the replacement policy at e's size and cost.
+func (t *Table) policyInsert(k string, e *Entry) {
+	t.policyMu.Lock()
+	t.policy.Insert(k, e.size, e.Cost)
+	t.policyMu.Unlock()
+}
+
+// dropLocked removes the entry or cut under k and releases its blob
+// reference: the one drop. The caller holds sh.mu; policyMu and blobMu
+// are taken as nested leaf locks. Reports whether anything was present.
+func (t *Table) dropLocked(sh *shard, k string) bool {
+	e, ok := sh.entries[k]
+	if !ok {
+		return false
+	}
+	delete(sh.entries, k)
+	keys := sh.docs[e.Doc]
+	delete(keys, k)
+	if len(keys) == 0 {
+		delete(sh.docs, e.Doc)
+	}
+	t.policyMu.Lock()
+	t.policy.Remove(k)
+	t.policyMu.Unlock()
+	if e.cut {
+		sh.cuts--
+		t.stats.cuts.Add(-1)
+		t.stats.cutBytes.Add(-e.size)
+	} else {
+		t.stats.bytesLogical.Add(-e.size)
+	}
+	t.unrefBlob(e)
+	return true
+}
+
+// DropDoc drops every entry and cut of doc. It reports the entries
+// (not cuts) it dropped, whether a universal cut — one with no owner,
+// which every user's read starts from — was among the cuts, and the
+// document's new generation.
+func (t *Table) DropDoc(doc string) (entries int, sharedCut bool, gen uint64) {
+	return t.dropDoc(doc, func(*Entry) bool { return true })
+}
+
+// DropUser drops user's entry of doc and the personal cuts user
+// installed (a personal change moves the personal prefix fingerprints,
+// stranding those keys). Universal cuts survive: a personal change
+// cannot affect universal-stage output. It reports the entries (0 or 1)
+// it dropped and the document's new generation.
+func (t *Table) DropUser(doc, user string) (entries int, gen uint64) {
+	entries, _, gen = t.dropDoc(doc, func(e *Entry) bool { return e.User == user && (user != "" || !e.cut) })
+	return entries, gen
+}
+
+// dropDoc bumps doc's generation, then drops the records of doc that
+// match accepts, one stripe at a time, visiting only doc's keys — cuts
+// hash by (source, fingerprint), not by document, so a document's
+// records sit in any stripe.
+func (t *Table) dropDoc(doc string, match func(*Entry) bool) (entries int, sharedCut bool, gen uint64) {
+	gen = t.gen(doc).Add(1)
+	t.each(func(sh *shard) {
+		// Deleting from the set while ranging over it is defined.
+		for k := range sh.docs[doc] {
+			if e := sh.entries[k]; match(e) && t.dropLocked(sh, k) {
+				sharedCut = sharedCut || e.cut && e.User == ""
+				if !e.cut {
+					entries++
+				}
+			}
+		}
+	})
+	return entries, sharedCut, gen
+}
+
+// DropAll bumps every document's generation, then drops everything,
+// one stripe at a time: reads in flight from before the call cannot
+// install what they fetched. It reports the entries (not cuts) dropped.
+func (t *Table) DropAll() (entries int) {
+	t.gens.Range(func(_, g any) bool {
+		g.(*atomic.Uint64).Add(1)
+		return true
+	})
+	t.each(func(sh *shard) {
+		for k, e := range sh.entries {
+			if t.dropLocked(sh, k) && !e.cut {
+				entries++
+			}
+		}
+	})
+	return entries
+}
+
+// Close rejects every later install and drops everything. It reports
+// whether this call closed the table (false if it already was).
+func (t *Table) Close() bool {
+	if t.closed.Swap(true) {
+		return false
+	}
+	// Installs in flight observe the flag under their stripe lock, so
+	// nothing lands behind the sweep.
+	t.DropAll()
+	return true
+}
+
+// internBlob interns data under s, its signature, takes one reference
+// and returns the blob, maintaining the unique-byte and shared-entry
+// gauges incrementally. The caller signs — once, before it takes the
+// stripe lock this runs under — or passes on the signature a lower tier
+// (the disk store, the origin across the wire) has proved. asEntry
+// distinguishes (doc, user) entries from cuts: both share storage and
+// lifetime, but only entry references drive the SharedEntries gauge.
+func (t *Table) internBlob(s sig.Signature, data []byte, asEntry bool) *blob {
+	t.blobMu.Lock()
+	defer t.blobMu.Unlock()
+	b := t.blobs[s]
+	if b == nil {
+		b = &blob{data: append([]byte{}, data...)}
+		t.blobs[s] = b
+		t.stats.bytesStored.Add(int64(len(data)))
+	}
+	if asEntry {
+		// SharedEntries counts entries whose blob has >1 entry
+		// reference; going 1→2 makes both sharers shared, each later
+		// reference adds one.
+		switch {
+		case b.entryRefs == 1:
+			t.stats.sharedEntries.Add(2)
+		case b.entryRefs >= 2:
+			t.stats.sharedEntries.Add(1)
+		}
+		b.entryRefs++
+	}
+	b.refs++
+	return b
+}
+
+// unrefBlob drops e's reference to its blob, freeing the blob when the
+// last holder of either kind lets go.
+func (t *Table) unrefBlob(e *Entry) {
+	t.blobMu.Lock()
+	defer t.blobMu.Unlock()
+	b := e.blob
+	if !e.cut {
+		b.entryRefs--
+		switch {
+		case b.entryRefs == 1:
+			t.stats.sharedEntries.Add(-2)
+		case b.entryRefs >= 2:
+			t.stats.sharedEntries.Add(-1)
+		}
+	}
+	b.refs--
+	if b.refs <= 0 {
+		delete(t.blobs, e.Signature)
+		t.stats.bytesStored.Add(-int64(len(b.data)))
+	}
+}
+
+// evict enforces the capacity budget using the replacement policy.
+// Entries and cuts live in the same policy, so cost-aware replacement
+// weighs a memoized prefix against full entries on equal terms.
+// Capacity is measured in unique stored bytes, so evicting a key
+// whose blob is shared may free nothing; the loop continues until
+// under budget or empty. Each round takes only the policy lock (to
+// pick the globally best victim) and then that victim's stripe lock —
+// never a global lock and never two stripe locks, so lookups on other
+// stripes proceed throughout.
+//
+// A key with an in-flight single-flight read is pinned: a reader is
+// mid-verify or mid-install on it, and evicting underneath would throw
+// away bytes about to be revalidated (thrash at best). A pinned victim
+// is taken out of the policy for this pass and put back afterwards if
+// it survived. exempt names the one key the caller's own flight covers
+// — the leader installing a fresh entry must still be able to evict
+// itself when a huge insert blows the budget.
+func (t *Table) evict(exempt string) {
+	capacity := t.capacity.Load()
+	if capacity <= 0 {
+		return
+	}
+	var pinned []string
+	defer func() { t.reinsertPinned(pinned) }()
+	for t.stats.bytesStored.Load() > capacity {
+		t.policyMu.Lock()
+		victim, ok := t.policy.Victim()
+		t.policyMu.Unlock()
+		if !ok {
+			return
+		}
+		sh := t.shardFor(victim)
+		sh.mu.Lock()
+		if victim != exempt && sh.flights[victim] != nil {
+			// Pinned. Victim only peeks, so take the key out of the
+			// policy ourselves — each pass over a pinned key shrinks
+			// the policy, which keeps the loop terminating when only
+			// pinned entries remain.
+			t.policyMu.Lock()
+			t.policy.Remove(victim)
+			t.policyMu.Unlock()
+			if _, present := sh.entries[victim]; present {
+				pinned = append(pinned, victim)
+			}
+			sh.mu.Unlock()
+			continue
+		}
+		if t.dropLocked(sh, victim) {
+			t.stats.evictions.Add(1)
+		}
+		// else: a concurrent drop beat us to the victim (and already
+		// removed it from the policy); re-check the budget.
+		sh.mu.Unlock()
+	}
+}
+
+// reinsertPinned puts keys skipped by evict back into the policy, but
+// only when the entry is still installed — the flight that pinned a
+// key may have finished and replaced (or a drop removed) the entry,
+// and a policy key with no entry behind it would make future Victim
+// calls spin on a ghost.
+func (t *Table) reinsertPinned(keys []string) {
+	for _, k := range keys {
+		sh := t.shardFor(k)
+		sh.mu.Lock()
+		if e, ok := sh.entries[k]; ok {
+			t.policyInsert(k, e)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// Audit checks the per-stripe document index against the entries: each
+// stripe's set for a document names exactly that stripe's records of
+// the document, and no set is kept empty. It returns a disagreement, or
+// nil.
+func (t *Table) Audit() (err error) {
+	t.each(func(sh *shard) {
+		n := 0
+		for doc, keys := range sh.docs {
+			for k := range keys {
+				if e := sh.entries[k]; e == nil || e.Doc != doc {
+					err = fmt.Errorf("core: key set of %q names %q, which holds %+v", doc, k, e)
+				}
+			}
+			if len(keys) == 0 {
+				err = fmt.Errorf("core: empty key set kept for %q", doc)
+			}
+			n += len(keys)
+		}
+		if n != len(sh.entries) {
+			err = fmt.Errorf("core: a stripe's key sets name %d records, the stripe holds %d", n, len(sh.entries))
+		}
+	})
+	return err
+}

@@ -17,7 +17,7 @@ import (
 // operations, so getOutputStream events are forwarded per write while
 // the content itself is deferred until Flush.
 func (c *Cache) Write(doc, user string, data []byte) error {
-	if c.closed.Load() {
+	if c.tab.Closed() {
 		return ErrClosed
 	}
 	if c.opts.Mode == WriteThrough {
@@ -29,7 +29,7 @@ func (c *Cache) Write(doc, user string, data []byte) error {
 	// requirement for it (paper §3) — "for most properties it is
 	// likely to be sufficient if they execute on the write-back
 	// operation", so the default is no per-write forwarding.
-	k := key(doc, user)
+	k := Key(doc, user)
 	c.writeMu.Lock()
 	c.dirty[k] = &dirtyWrite{data: append([]byte{}, data...)}
 	overflow := c.opts.MaxDirty > 0 && len(c.dirty) > c.opts.MaxDirty
@@ -38,10 +38,7 @@ func (c *Cache) Write(doc, user string, data []byte) error {
 	// document stale for this user only after flush; conservatively
 	// drop the user's read entry now so reads observe their own
 	// writes once flushed.
-	sh := c.idx.shardFor(k)
-	sh.mu.Lock()
-	c.dropShardLocked(sh, k)
-	sh.mu.Unlock()
+	c.tab.drop(k)
 	if c.writeVote(doc, user) >= property.CacheWithEvents {
 		c.forward(doc, user, event.GetOutputStream)
 	}
@@ -75,7 +72,7 @@ func (c *Cache) Dirty() int {
 func (c *Cache) DirtyFor(doc, user string) bool {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	_, ok := c.dirty[key(doc, user)]
+	_, ok := c.dirty[Key(doc, user)]
 	return ok
 }
 
@@ -118,8 +115,8 @@ func (c *Cache) Flush() error {
 			return err
 		}
 		c.writeMu.Lock()
-		if cur := c.dirty[key(p.doc, p.user)]; cur == p.w {
-			delete(c.dirty, key(p.doc, p.user))
+		if cur := c.dirty[Key(p.doc, p.user)]; cur == p.w {
+			delete(c.dirty, Key(p.doc, p.user))
 		}
 		c.writeMu.Unlock()
 		c.stats.flushes.Add(1)
@@ -127,7 +124,7 @@ func (c *Cache) Flush() error {
 	return nil
 }
 
-// splitKey is the inverse of key.
+// splitKey is the inverse of Key.
 func splitKey(k string) (doc, user string) {
 	for i := 0; i < len(k); i++ {
 		if k[i] == 0 {

@@ -2,8 +2,12 @@ package remote
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
+	"placeless/internal/core"
+	"placeless/internal/docspace"
+	"placeless/internal/property"
 	"placeless/internal/server"
 	"placeless/internal/sig"
 )
@@ -150,32 +154,19 @@ func TestChaosWriteBetweenReconnectAndReread(t *testing.T) {
 	}
 }
 
-// TestDocumentWriteVisitsOnlyItsKeys: the per-document key set is what
-// a document-wide push walks, so it must name exactly the document's
-// entries through every way an entry comes and goes — install, user
-// push, document push, eviction, reconnect flush — and a push for one
-// document must leave the other's entries (and their count) alone.
+// TestDocumentWriteVisitsOnlyItsKeys: the table's per-stripe document
+// index is what a document-wide push walks, so it must name exactly the
+// document's entries through every way an entry comes and goes —
+// install, user push, document push, eviction, reconnect flush, Close —
+// and a push for one document must leave the other's entries (and their
+// count) alone. internal/core has the same test for the origin's cache.
 func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 	const users = 6
 	r := newRig(t, Options{})
 	consistent := func(when string) {
 		t.Helper()
-		r.cache.mu.Lock()
-		defer r.cache.mu.Unlock()
-		n := 0
-		for doc, keys := range r.cache.byDoc {
-			if len(keys) == 0 {
-				t.Fatalf("%s: empty key set kept for %s", when, doc)
-			}
-			for k := range keys {
-				if e := r.cache.entries[k]; e == nil || e.doc != doc {
-					t.Fatalf("%s: key set of %s names %q, entry %+v", when, doc, k, e)
-				}
-				n++
-			}
-		}
-		if n != len(r.cache.entries) {
-			t.Fatalf("%s: key sets name %d entries, the cache holds %d", when, n, len(r.cache.entries))
+		if err := r.cache.tab.Audit(); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
 	}
 	name := func(i int) string { return fmt.Sprintf("u%d", i) }
@@ -207,18 +198,21 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 		}
 	}
 	warm()
+	bEntries := make(map[string]*core.Entry)
+	for i := 0; i < users; i++ {
+		k := core.Key("b", name(i))
+		bEntries[k], _ = r.cache.tab.Lookup(k)
+	}
 
 	r.cache.onInvalidate("a", "")
 	consistent("after a document push")
 	if st := r.cache.Stats(); st.Invalidations != users || r.cache.Len() != users {
 		t.Fatalf("push for a: %d invalidations, %d entries left, want %d and %d", st.Invalidations, r.cache.Len(), users, users)
 	}
-	r.cache.mu.Lock()
-	_, aLeft := r.cache.byDoc["a"]
-	bKeys := len(r.cache.byDoc["b"])
-	r.cache.mu.Unlock()
-	if aLeft || bKeys != users {
-		t.Fatalf("key sets after the push: a present = %v, b holds %d, want gone and %d", aLeft, bKeys, users)
+	for k, e := range bEntries {
+		if cur, _ := r.cache.tab.Lookup(k); cur != e {
+			t.Fatalf("push for a replaced %q: %+v, was %+v", k, cur, e)
+		}
 	}
 
 	r.cache.onInvalidate("b", name(2))
@@ -229,10 +223,7 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 	}
 
 	warm()
-	r.cache.mu.Lock()
-	r.cache.capacity = r.cache.stats.BytesStored / 2
-	r.cache.evictLocked()
-	r.cache.mu.Unlock()
+	r.cache.tab.Resize(r.cache.tab.BytesStored() / 2)
 	consistent("after eviction")
 	if r.cache.Stats().Evictions == 0 {
 		t.Fatal("halving the budget evicted nothing")
@@ -240,10 +231,52 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 
 	r.cache.onReconnect(r.client.Epoch())
 	consistent("after a reconnect flush")
-	r.cache.mu.Lock()
-	left := len(r.cache.byDoc)
-	r.cache.mu.Unlock()
-	if left != 0 || r.cache.Len() != 0 {
-		t.Fatalf("reconnect flush left %d key sets and %d entries", left, r.cache.Len())
+	if r.cache.Len() != 0 || r.cache.Stats().BytesStored != 0 {
+		t.Fatalf("reconnect flush left %d entries, %d bytes", r.cache.Len(), r.cache.Stats().BytesStored)
+	}
+
+	warm()
+	r.cache.Close()
+	consistent("after Close")
+	if r.cache.Len() != 0 {
+		t.Fatalf("Close left %d entries", r.cache.Len())
+	}
+}
+
+// TestPushDuringMissIsNotInstalled: a push that lands while a key's
+// wire read is in flight keeps the fetched bytes out of the table — the
+// install is checked against the generation the miss took before it
+// fetched. The origin's transform holds the read open, and the push is
+// handed to the cache inside that window.
+func TestPushDuringMissIsNotInstalled(t *testing.T) {
+	r := newRig(t, Options{})
+	if err := r.client.CreateDocument("d", "u", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	gate := &property.Transformer{Base: property.Base{PropName: "gate"}, ReadTransform: func(b []byte) []byte {
+		once.Do(func() { close(entered); <-release })
+		return b
+	}}
+	if err := r.space.Attach("d", "", docspace.Universal, gate); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.cache.Read("d", "u")
+		done <- err
+	}()
+	<-entered
+	r.cache.onInvalidate("d", "")
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if r.cache.Contains("d", "u") {
+		t.Fatal("bytes fetched across a push were installed")
+	}
+	if _, err := r.cache.Read("d", "u"); err != nil || !r.cache.Contains("d", "u") {
+		t.Fatalf("the read after the push did not install: %v", err)
 	}
 }

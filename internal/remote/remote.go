@@ -21,9 +21,15 @@
 // between, and forgets every subscription, because they died with the
 // connection: each key subscribes again on its next read. See DESIGN.md
 // §9 for the failure model.
+//
+// The entries themselves live in a core.Table, the same table the
+// origin's cache keeps (DESIGN.md §6): index, blob store, replacement
+// policy, eviction, per-document generations and single-flight are the
+// origin's. What this package adds is what belongs to a wire.
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -32,12 +38,12 @@ import (
 	"time"
 
 	"placeless/internal/clock"
+	"placeless/internal/core"
 	"placeless/internal/event"
 	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/replace"
 	"placeless/internal/server"
-	"placeless/internal/sig"
 )
 
 // ErrClosed is returned by operations on a closed cache.
@@ -135,64 +141,30 @@ type Stats struct {
 	DegradedErrors int64
 }
 
-// entry is one cached (doc, user) version.
-type entry struct {
-	doc, user    string
-	signature    sig.Signature
-	size         int64
-	cost         time.Duration
-	cacheability property.Cacheability
-	expires      time.Time // zero = no TTL
-}
-
-// blob is signature-shared storage.
-type blob struct {
-	data []byte
-	refs int
-}
-
 // quietBeforeYield is how long a cache must have gone without a read
 // for the next one to yield the processor before it looks at the
 // connection state (see Read).
 const quietBeforeYield = time.Millisecond
 
 // Cache is a client-side cache over a server.Client. Safe for
-// concurrent use.
+// concurrent use. mu ranks above every lock of the table.
 type Cache struct {
-	client *server.Client
+	client   *server.Client
+	tab      *core.Table // entries; its closed flag is the cache's
+	clk      clock.Clock
+	obs      *obs.Observer
+	degraded DegradedPolicy
+	staleTTL time.Duration
 
 	lastRead atomic.Int64 // wall clock of the latest Read, UnixNano
 
 	mu            sync.Mutex
-	closed        bool
-	entries       map[string]*entry
-	byDoc         map[string]map[string]struct{} // doc → keys of its entries
-	blobs         map[sig.Signature]*blob
-	policy        replace.Policy
-	subscribed    map[string]bool    // keys with notifiers on the live connection
-	gens          map[string]uint64  // per-doc invalidation generation
-	flights       map[string]*flight // in-progress misses (single-flight)
-	capacity      int64
-	clk           clock.Clock
-	obs           *obs.Observer
-	degraded      DegradedPolicy
-	staleTTL      time.Duration
-	degradedSince time.Time // when the current outage began (zero = up)
-	connEpoch     uint64    // cache-side epoch, bumped per observed reconnect
-	suspect       bool      // conn dropped; entries unservable until the epoch flush
-	stats         Stats
+	subscribed    map[string]bool // keys with notifiers on the live connection
+	degradedSince time.Time       // when the current outage began (zero = up)
+	connEpoch     uint64          // cache-side epoch, bumped per observed reconnect
+	suspect       bool            // conn dropped; entries unservable until the epoch flush
+	stats         Stats           // BytesStored and Evictions are the table's
 }
-
-// flight is one in-progress wire fetch; concurrent misses on the same
-// key block on done and share the leader's result instead of issuing
-// duplicate remote reads (single-flight, mirroring internal/core).
-type flight struct {
-	done chan struct{}
-	data []byte
-	err  error
-}
-
-func key(doc, user string) string { return doc + "\x00" + user }
 
 // New wraps client with a cache and registers the invalidation,
 // reconnect, and connection-state handlers. The caller must not
@@ -202,13 +174,8 @@ func key(doc, user string) string { return doc + "\x00" + user }
 func New(client *server.Client, opts Options) *Cache {
 	c := &Cache{
 		client:     client,
-		entries:    make(map[string]*entry),
-		byDoc:      make(map[string]map[string]struct{}),
-		blobs:      make(map[sig.Signature]*blob),
-		policy:     replace.NewGDS(),
+		tab:        core.NewTable(0, replace.NewGDS()),
 		subscribed: make(map[string]bool),
-		gens:       make(map[string]uint64),
-		flights:    make(map[string]*flight),
 		clk:        opts.Clock,
 		obs:        opts.Observer,
 		degraded:   opts.DegradedPolicy,
@@ -217,7 +184,7 @@ func New(client *server.Client, opts Options) *Cache {
 	if c.clk == nil {
 		c.clk = clock.Real{}
 	}
-	c.capacity = opts.Capacity
+	c.tab.Resize(opts.Capacity)
 	if c.obs != nil {
 		c.registerMetrics(c.obs)
 	}
@@ -249,29 +216,24 @@ func (c *Cache) onConnState(s server.ConnState) {
 // onReconnect runs after the client re-established its connection:
 // the invalidation stream was interrupted, so every entry cached
 // under the previous epoch is suspect. The cache bumps its epoch and
-// all per-doc generations (so in-flight misses from before the drop
-// cannot install), flushes the whole entry set (re-verification by
-// re-read: the next access re-fetches and re-caches under the new
-// epoch) and forgets every subscription — the server-side notifiers
-// died with the old connection. Nothing is replayed: what those
-// subscriptions guarded has just been flushed, and the next miss on a
-// key carries its subscription again.
+// flushes the table with its drop-everything, which bumps every
+// per-doc generation before it drops anything (so in-flight misses
+// from before the drop cannot install) — re-verification by re-read:
+// the next access re-fetches and re-caches under the new epoch. It
+// forgets every subscription: the server-side notifiers died with the
+// old connection. Nothing is replayed: what those subscriptions guarded
+// has just been flushed, and the next miss on a key carries its
+// subscription again.
 func (c *Cache) onReconnect(epoch uint64) {
 	c.mu.Lock()
-	if c.closed {
+	if c.tab.Closed() {
 		c.mu.Unlock()
 		return
 	}
 	c.connEpoch++
 	c.stats.Reconnects++
-	flushed := int64(len(c.entries))
-	for k := range c.entries {
-		c.dropLocked(k)
-	}
+	flushed := int64(c.tab.DropAll())
 	c.stats.EpochFlushes += flushed
-	for doc := range c.gens {
-		c.gens[doc]++
-	}
 	clear(c.subscribed)
 	// The flush ends the suspect window — but only the hook of the
 	// connection that is live now may say so: a drop since re-armed the
@@ -291,14 +253,13 @@ func (c *Cache) onReconnect(epoch uint64) {
 
 // registerMetrics publishes the remote cache's counters on o's
 // registry under stable placeless_remote_* names. The closures take
-// the cache mutex at scrape time; the read path is untouched.
+// a Stats snapshot at scrape time; the read path is untouched.
 func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg := o.Registry()
 	counter := func(read func(*Stats) int64) func() int64 {
 		return func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return read(&c.stats)
+			st := c.Stats()
+			return read(&st)
 		}
 	}
 	reg.Counter("placeless_remote_hits_total",
@@ -348,32 +309,28 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 }
 
 // onInvalidate handles a server push: user == "" invalidates every
-// user's entry for the document.
+// user's entry for the document. Either way the table bumps the
+// document's generation first and visits only the document's keys.
 func (c *Cache) onInvalidate(doc, user string) {
+	var n int
+	if user == "" {
+		n, _, _ = c.tab.DropDoc(doc)
+	} else {
+		n, _ = c.tab.DropUser(doc, user)
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[doc]++
-	if user != "" {
-		if _, ok := c.entries[key(doc, user)]; ok {
-			c.stats.Invalidations++
-			c.dropLocked(key(doc, user))
-		}
-		return
-	}
-	// Only this document's keys: a write must not cost a walk of every
-	// entry the node holds. (Deleting from a map while ranging over it
-	// is defined.)
-	for k := range c.byDoc[doc] {
-		c.stats.Invalidations++
-		c.dropLocked(k)
-	}
+	c.stats.Invalidations += int64(n)
+	c.mu.Unlock()
 }
 
 // Stats returns a counter snapshot.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	st.BytesStored = c.tab.BytesStored()
+	st.Evictions = c.tab.Evictions()
+	return st
 }
 
 // Suspect reports whether the cache is inside the post-reconnect
@@ -395,19 +352,10 @@ func (c *Cache) ConnState() server.ConnState {
 }
 
 // Len reports cached entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.tab.Len() }
 
 // Contains reports whether (doc, user) is cached.
-func (c *Cache) Contains(doc, user string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key(doc, user)]
-	return ok
-}
+func (c *Cache) Contains(doc, user string) bool { return c.tab.Contains(core.Key(doc, user)) }
 
 // Read returns the user's view of the document, served locally when a
 // valid entry exists. While the server is unreachable the cache is in
@@ -430,75 +378,88 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 	if now := time.Now().UnixNano(); now-c.lastRead.Swap(now) > int64(quietBeforeYield) {
 		runtime.Gosched()
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.tab.Closed() {
 		return nil, ErrClosed
 	}
+	c.mu.Lock()
 	degraded := c.client.State() != server.StateConnected
 	if degraded && c.degradedSince.IsZero() {
 		// The cache missed the transition (e.g. it was constructed
 		// over an already-down client); the outage starts now.
 		c.degradedSince = c.clk.Now()
 	}
-	k := key(doc, user)
-	if e := c.entries[k]; e != nil {
-		// Server-issued TTL deadlines are the one verifier that can
-		// cross the wire; honor them before serving — degraded or not.
-		if !e.expires.IsZero() && c.clk.Now().After(e.expires) {
-			c.stats.TTLExpiries++
-			c.dropLocked(k)
-		} else if degraded {
-			if c.degraded == ServeStale && c.withinStaleBoundLocked() {
-				if b := c.blobs[e.signature]; b != nil {
-					c.stats.Hits++
-					c.stats.StaleServed++
-					c.policy.Access(k)
-					data := b.data
-					c.mu.Unlock()
-					// No hit-time event forwarding while disconnected:
-					// the wire is down and the forward would only fail.
-					out := make([]byte, len(data))
-					copy(out, data)
-					return out, nil
-				}
+	stale := degraded && c.degraded == ServeStale && c.withinStaleBoundLocked()
+	suspect := c.suspect
+	c.mu.Unlock()
+
+	k := core.Key(doc, user)
+	if e, data := c.tab.Lookup(k); e != nil {
+		switch {
+		case !e.Valid(c.clk.Now()):
+			// A server-issued TTL deadline, the one verifier that can
+			// cross the wire, has passed; it is honored before serving —
+			// degraded or not.
+			if c.tab.DropIf(k, e) {
+				c.count(&c.stats.TTLExpiries)
 			}
-			return nil, c.degradedErrLocked()
-		} else if c.suspect {
+		case degraded:
+			if stale && c.tab.Confirm(k, e) {
+				c.mu.Lock()
+				c.stats.Hits++
+				c.stats.StaleServed++
+				c.mu.Unlock()
+				// No hit-time event forwarding while disconnected:
+				// the wire is down and the forward would only fail.
+				return bytes.Clone(data), nil
+			}
+		case suspect:
 			// The wire is back up but this entry predates the reconnect
 			// epoch flush (or the flush is still running): treat it as
 			// a miss and re-fetch rather than risk serving content
 			// invalidated during the outage.
-		} else if b := c.blobs[e.signature]; b != nil {
-			c.stats.Hits++
-			c.policy.Access(k)
-			data := b.data
-			forward := e.cacheability == property.CacheWithEvents
-			c.mu.Unlock()
-			if forward {
+		case c.tab.Confirm(k, e):
+			c.count(&c.stats.Hits)
+			if e.Cacheability == property.CacheWithEvents {
 				if err := c.client.ForwardEvent(doc, user, event.GetInputStream.String()); err == nil {
-					c.mu.Lock()
-					c.stats.EventsForwarded++
-					c.mu.Unlock()
+					c.count(&c.stats.EventsForwarded)
 				}
 			}
-			out := make([]byte, len(data))
-			copy(out, data)
-			return out, nil
+			return bytes.Clone(data), nil
 		}
 	}
 	if degraded {
-		// Miss with the wire down: nothing local to serve under
-		// either policy — fail fast instead of paying a doomed call.
-		return nil, c.degradedErrLocked()
+		// A miss with the wire down, or a hit the policy will not
+		// serve: fail fast instead of paying a doomed call.
+		return nil, c.degradedErr()
 	}
-	c.mu.Unlock()
-	return c.coalescedMiss(doc, user)
+	// One wire fetch per key at a time: a remote read is the most
+	// expensive operation in this deployment (a round trip to the
+	// Placeless servers), so K simultaneous first accesses to a popular
+	// document cost one round trip, not K.
+	data, _, shared, err := c.tab.Do(k, func() ([]byte, core.EntryInfo, error) {
+		data, err := c.miss(doc, user)
+		return data, core.EntryInfo{}, err
+	})
+	if !shared {
+		return data, err
+	}
+	c.count(&c.stats.CoalescedMisses)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(data), nil
 }
 
-// degradedErrLocked counts and builds the degraded-mode refusal; it
-// releases the cache lock.
-func (c *Cache) degradedErrLocked() error {
+// count adds one to a counter of c.stats.
+func (c *Cache) count(n *int64) {
+	c.mu.Lock()
+	*n++
+	c.mu.Unlock()
+}
+
+// degradedErr counts and builds the degraded-mode refusal.
+func (c *Cache) degradedErr() error {
+	c.mu.Lock()
 	c.stats.DegradedErrors++
 	since := c.degradedSince
 	c.mu.Unlock()
@@ -514,62 +475,26 @@ func (c *Cache) withinStaleBoundLocked() bool {
 	return !c.clk.Now().After(c.degradedSince.Add(c.staleTTL))
 }
 
-// coalescedMiss funnels concurrent misses on one key through a single
-// wire fetch: the first caller becomes the leader and runs the real
-// miss; later callers block on the flight and copy its result. A
-// remote read is the most expensive operation in this deployment (a
-// round trip to the Placeless servers), so K simultaneous first
-// accesses to a popular document cost one round trip, not K.
-func (c *Cache) coalescedMiss(doc, user string) ([]byte, error) {
-	k := key(doc, user)
-	c.mu.Lock()
-	if f := c.flights[k]; f != nil {
-		c.stats.CoalescedMisses++
-		c.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		out := make([]byte, len(f.data))
-		copy(out, f.data)
-		return out, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[k] = f
-	c.mu.Unlock()
-
-	data, err := c.miss(doc, user)
-
-	// Deregister before publishing so a post-failure retry starts a
-	// fresh flight rather than joining this dead one.
-	c.mu.Lock()
-	delete(c.flights, k)
-	c.mu.Unlock()
-	f.data, f.err = data, err
-	close(f.done)
-	return data, err
-}
-
 // miss fetches through the wire — subscribing in the same frame when
 // the key holds no subscription — and stores the entry per its
 // cacheability.
 func (c *Cache) miss(doc, user string) ([]byte, error) {
 	// Snapshot the invalidation generation, connection epoch, and
-	// suspect flag so a push — or a disconnect/reconnect cycle —
-	// while the remote read is in flight prevents installing a stale
-	// entry (the load/install race; see internal/core's equivalent
-	// guard and its regression test). The suspect flag must be
-	// sampled here, not only at install time: a read that leaves
-	// between the reconnect and the epoch flush can travel without its
-	// subscription (the key still counts as subscribed, on a connection
-	// that is gone), and a change in that gap is pushed to no one — by
-	// install time the flush has run and suspect is down again, but
-	// the fetched bytes predate a push that never came.
+	// suspect flag so a push — or a disconnect/reconnect cycle — while
+	// the remote read is in flight prevents installing a stale entry
+	// (the load/install race; the table's Install checks the
+	// generation). The suspect flag must be sampled here, not only at
+	// install time: a read that leaves between the reconnect and the
+	// epoch flush can travel without its subscription (the key still
+	// counts as subscribed, on a connection that is gone), and a change
+	// in that gap is pushed to no one — by install time the flush has
+	// run and suspect is down again, but the fetched bytes predate a
+	// push that never came.
+	k := core.Key(doc, user)
 	c.mu.Lock()
-	gen := c.gens[doc]
+	gen := c.tab.Gen(doc)
 	ep := c.connEpoch
 	sus := c.suspect
-	k := key(doc, user)
 	needSub := !c.subscribed[k]
 	c.mu.Unlock()
 
@@ -617,9 +542,6 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Misses++
-	if c.closed {
-		return data, nil
-	}
 	if needSub && subLive && c.connEpoch == ep {
 		// Recorded only under the epoch the read was sent in: after a
 		// reconnect flush the notifiers this read installed may sit on
@@ -634,37 +556,26 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		c.stats.Uncacheable++
 		return data, nil
 	}
-	if !subLive || sus || c.gens[doc] != gen || c.connEpoch != ep || c.suspect {
+	if !subLive || sus || c.connEpoch != ep || c.suspect {
 		// The server could not install the notifiers (the key stays
 		// unsubscribed and the next miss asks again), the fetch started
-		// inside the suspect window, it was invalidated mid-read, or
-		// the connection was lost underneath us (pushes may have been
-		// missed): serve uncached.
+		// inside the suspect window, or the connection was lost
+		// underneath us (pushes may have been missed): serve uncached.
+		// Invalidated mid-read is the table's to refuse.
 		return data, nil
 	}
-	c.dropLocked(k)
-	s := meta.Signature
-	b := c.blobs[s]
-	if b == nil {
-		b = &blob{data: append([]byte{}, data...)}
-		c.blobs[s] = b
-		c.stats.BytesStored += int64(len(data))
+	// A shipped TTL deadline becomes the verifier the origin held.
+	var verifiers []property.Verifier
+	if !meta.Expiry.IsZero() {
+		verifiers = []property.Verifier{property.TTLVerifier{Expiry: meta.Expiry}}
 	}
-	b.refs++
-	keys := c.byDoc[doc]
-	if keys == nil {
-		keys = make(map[string]struct{})
-		c.byDoc[doc] = keys
-	}
-	keys[k] = struct{}{}
-	c.entries[k] = &entry{
-		doc: doc, user: user, signature: s,
-		size: int64(len(data)), cost: meta.Cost,
-		cacheability: meta.Cacheability,
-		expires:      meta.Expiry,
-	}
-	c.policy.Insert(k, int64(len(data)), meta.Cost)
-	c.evictLocked()
+	c.tab.Install(k, &core.Entry{
+		Doc: doc, User: user,
+		Signature:    meta.Signature,
+		Cost:         meta.Cost,
+		Cacheability: meta.Cacheability,
+		Verifiers:    verifiers,
+	}, data, gen)
 	return data, nil
 }
 
@@ -673,12 +584,9 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 // is unreachable writes fail with ErrDegraded (there is no write-back
 // buffering).
 func (c *Cache) Write(doc, user string, data []byte) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.tab.Closed() {
 		return ErrClosed
 	}
-	c.mu.Unlock()
 	err := c.client.Write(doc, user, data)
 	if err != nil && (errors.Is(err, server.ErrDisconnected) || errors.Is(err, server.ErrTimeout)) {
 		c.mu.Lock()
@@ -689,51 +597,6 @@ func (c *Cache) Write(doc, user string, data []byte) error {
 	return err
 }
 
-// dropLocked removes an entry and its blob reference.
-func (c *Cache) dropLocked(k string) {
-	e, ok := c.entries[k]
-	if !ok {
-		return
-	}
-	delete(c.entries, k)
-	keys := c.byDoc[e.doc]
-	delete(keys, k)
-	if len(keys) == 0 {
-		delete(c.byDoc, e.doc)
-	}
-	c.policy.Remove(k)
-	if b := c.blobs[e.signature]; b != nil {
-		b.refs--
-		if b.refs <= 0 {
-			delete(c.blobs, e.signature)
-			c.stats.BytesStored -= int64(len(b.data))
-		}
-	}
-}
-
-// evictLocked enforces the byte budget.
-func (c *Cache) evictLocked() {
-	if c.capacity <= 0 {
-		return
-	}
-	for c.stats.BytesStored > c.capacity {
-		victim, ok := c.policy.Victim()
-		if !ok {
-			return
-		}
-		c.stats.Evictions++
-		c.dropLocked(victim)
-	}
-}
-
 // Close clears the cache; the underlying client remains usable and
 // must be closed separately.
-func (c *Cache) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	c.entries = make(map[string]*entry)
-	c.byDoc = make(map[string]map[string]struct{})
-	c.blobs = make(map[sig.Signature]*blob)
-	c.stats.BytesStored = 0
-}
+func (c *Cache) Close() { c.tab.Close() }

@@ -2,6 +2,8 @@ package remote
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -352,5 +354,83 @@ func TestRemoteSingleFlight(t *testing.T) {
 	results[0][0] = 'X'
 	if data, _ := r.cache.Read("d", "u"); string(data) != "shared fetch" {
 		t.Fatalf("caller mutation leaked into cache: %q", data)
+	}
+}
+
+// TestConcurrentReadsPushesAndFlushes drives the sidecar's table from
+// many goroutines at once — hits, coalesced misses, installs that
+// evict, document-wide and per-user pushes, reconnect flushes — and
+// then holds the table's document index to its entries and its bytes
+// to the budget. Run it under -race.
+func TestConcurrentReadsPushesAndFlushes(t *testing.T) {
+	const docs, users, rounds = 3, 4, 200
+	r := newRig(t, Options{Capacity: 3 * 64})
+	want := make(map[string]string)
+	for d := 0; d < docs; d++ {
+		doc := fmt.Sprintf("d%d", d)
+		if err := r.client.CreateDocument(doc, "u0", bytes.Repeat([]byte{byte('a' + d)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < users; u++ {
+			user := fmt.Sprintf("u%d", u)
+			if u > 0 {
+				if err := r.client.AddReference(doc, user); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.client.Attach(doc, user, true, "watermark:"+user); err != nil {
+				t.Fatal(err)
+			}
+			body, _, err := r.space.ReadDocument(doc, user)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[doc+"/"+user] = string(body)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				doc, user := fmt.Sprintf("d%d", (g+i)%docs), fmt.Sprintf("u%d", (g*7+i)%users)
+				got, err := r.cache.Read(doc, user)
+				if err != nil {
+					t.Errorf("read %s/%s: %v", doc, user, err)
+					return
+				}
+				if string(got) != want[doc+"/"+user] {
+					t.Errorf("read %s/%s = %q, want %q", doc, user, got, want[doc+"/"+user])
+					return
+				}
+				switch i % 17 {
+				case 3:
+					r.cache.onInvalidate(doc, "")
+				case 5:
+					r.cache.onInvalidate(doc, user)
+				case 11:
+					if g == 0 {
+						r.cache.onReconnect(r.client.Epoch())
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := r.cache.tab.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	// Every user's view is distinct (the watermark), so the stored bytes
+	// are the sum of the resident views.
+	var resident int64
+	for k, body := range want {
+		doc, user, _ := strings.Cut(k, "/")
+		if r.cache.Contains(doc, user) {
+			resident += int64(len(body))
+		}
+	}
+	if st := r.cache.Stats(); st.BytesStored != resident || st.Evictions == 0 {
+		t.Fatalf("after the churn: %d bytes stored, %d in resident views; %d evictions", st.BytesStored, resident, st.Evictions)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"placeless/internal/core"
 	"placeless/internal/property"
 	"placeless/internal/server"
 	"placeless/internal/sig"
@@ -124,11 +125,10 @@ func TestBlobKeyedByWireSignature(t *testing.T) {
 	if st.Misses != 2 || st.Hits != 2 {
 		t.Fatalf("stats = %+v, want 2 misses then 2 hits", st)
 	}
-	cache.mu.Lock()
-	_, keyed := cache.blobs[wireSig]
-	cache.mu.Unlock()
-	if !keyed {
-		t.Fatal("blob is not stored under the wire signature")
+	for _, user := range []string{"eyal", "paul"} {
+		if e, _ := cache.tab.Lookup(core.Key("d", user)); e == nil || e.Signature != wireSig {
+			t.Fatalf("entry of %s = %+v, not keyed by the wire signature", user, e)
+		}
 	}
 }
 

@@ -141,20 +141,14 @@ func (j *Journal) Close() error {
 }
 
 // SetJournal makes the server record configuration operations (create,
-// addref, attach, detach, static) to j. Pass nil to stop journaling.
-// Call before Serve; replay any existing journal first.
-func (s *Server) SetJournal(j *Journal) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = j
-}
+// addref, attach, detach, static) to j. Call before Serve (requests
+// read it without a lock); replay any existing journal first.
+func (s *Server) SetJournal(j *Journal) { s.journal = j }
 
 // journalRequest records a handled configuration request. Data-plane
 // ops (read/write/subscribe/forward/stats) are not journaled.
 func (s *Server) journalRequest(req *Request) {
-	s.mu.Lock()
 	j := s.journal
-	s.mu.Unlock()
 	if j == nil {
 		return
 	}

@@ -266,7 +266,7 @@ type wireFrame struct {
 	bodyReader io.Reader
 	bodyLen    int64
 	// trailerCRC, when hasTrailerCRC, is the precomputed payload CRC
-	// (metadata CRC combined with the cache's intern-time body CRC);
+	// (metadata CRC combined with the cache's once-per-blob body CRC);
 	// the writer stamps it into the trailer without scanning the body.
 	trailerCRC    uint32
 	hasTrailerCRC bool
@@ -395,7 +395,7 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		}
 		if resp.bodyCRCOK {
 			// Stitch the trailer from the metadata prefix's CRC and the
-			// cache's intern-time body CRC, so neither the inline nor
+			// cache's once-per-blob body CRC, so neither the inline nor
 			// the streamed path ever re-scans the body bytes.
 			bodyLen := int64(len(resp.Body))
 			if resp.bodyStream != nil {

@@ -31,21 +31,25 @@ const serverWriteTimeout = 10 * time.Second
 type Server struct {
 	space   *docspace.Space
 	backing repo.Repository
-	cache   *core.Cache // optional server-side cache for reads
+	cache   *core.Cache // optional server-side cache for reads; fixed by NewCached
 
-	mu        sync.Mutex
-	ln        net.Listener   // first listener (Addr); see lns for the full set
-	lns       []net.Listener // every listener Serve was handed (cluster nodes share one server)
-	conns     map[*serverConn]bool
-	served    sync.WaitGroup // one per accepted connection, until its handlers and teardown are done
-	closed    bool
-	requests  int64
-	notifies  int64
+	// Set once before Serve (SetLinkCost, SetJournal, SetStore) and
+	// read without a lock from then on: Serve's goroutines start after
+	// the setters return.
 	linkCost  time.Duration
 	journal   *Journal
 	blobStore *store.Store // optional zero-copy blob source for reads
 	streamMin int64        // minimum body size streamed from blobStore
 
+	mu     sync.Mutex
+	ln     net.Listener   // first listener (Addr); see lns for the full set
+	lns    []net.Listener // every listener Serve was handed (cluster nodes share one server)
+	conns  map[*serverConn]bool
+	served sync.WaitGroup // one per accepted connection, until its handlers and teardown are done
+	closed bool
+
+	requests      atomic.Int64 // requests handled
+	notifies      atomic.Int64 // invalidations pushed
 	bytesSent     atomic.Int64 // bytes written to client sockets
 	bytesRecv     atomic.Int64 // bytes read from client sockets
 	streamedReads atomic.Int64 // read responses streamed from the store
@@ -153,8 +157,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // the observability registry.
 func (s *Server) Counters() (requests, notifications, connections int64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests, s.notifies, int64(len(s.conns))
+	connections = int64(len(s.conns))
+	s.mu.Unlock()
+	return s.requests.Load(), s.notifies.Load(), connections
 }
 
 // Addr returns the listening address (nil before Serve).
@@ -309,19 +314,14 @@ func (c *serverConn) serveFrames(br *bufio.Reader) {
 // short-circuits.
 func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 	s := c.srv
-	s.mu.Lock()
-	cache, link := s.cache, s.linkCost
-	s.mu.Unlock()
-	if cache == nil || link > 0 {
+	if s.cache == nil || s.linkCost > 0 {
 		return nil, false
 	}
-	data, info, ok := cache.ReadSharedHit(req.Doc, req.User)
+	data, info, ok := s.cache.ReadSharedHit(req.Doc, req.User)
 	if !ok {
 		return nil, false
 	}
-	s.mu.Lock()
-	s.requests++
-	s.mu.Unlock()
+	s.requests.Add(1)
 	resp := &Response{
 		ID:              req.ID,
 		Body:            data,
@@ -345,9 +345,7 @@ func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 // dropped: the frame writer closes the socket on a write error, and the
 // client flushes its cache when it reconnects.
 func (c *serverConn) push(doc, user string) {
-	c.srv.mu.Lock()
-	c.srv.notifies++
-	c.srv.mu.Unlock()
+	c.srv.notifies.Add(1)
 	if f, err := encodeResponseFrame(opInvalidate, &Response{NotifyDoc: doc, NotifyUser: user}); err == nil {
 		_ = c.fw.send(f)
 	}
@@ -377,23 +375,16 @@ func fail(err error) *Response { return &Response{Err: err.Error()} }
 // SetLinkCost charges d of simulated time per handled request,
 // modeling the application→server network hop in placement
 // experiments (real deployments leave it zero and pay the actual
-// network).
-func (s *Server) SetLinkCost(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.linkCost = d
-}
+// network). Call before Serve: requests read it without a lock.
+func (s *Server) SetLinkCost(d time.Duration) { s.linkCost = d }
 
 // SetStore gives the server a durable content-addressed tier to stream
 // large read bodies from: a cached read whose bytes also live in st
 // is written to the socket straight from the segment file (pooled
-// chunks, no re-encode) instead of from the heap copy. Safe to call
-// before Serve; typically the same store the cache was built with.
-func (s *Server) SetStore(st *store.Store) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobStore = st
-}
+// chunks, no re-encode) instead of from the heap copy. Call before
+// Serve (requests read it without a lock); typically the same store
+// the cache was built with.
+func (s *Server) SetStore(st *store.Store) { s.blobStore = st }
 
 // SetWriteHistogram makes the server record how long each OpWrite
 // takes inside the origin — write-path properties, the repository
@@ -419,11 +410,8 @@ func (s *Server) StreamedReads() int64 { return s.streamedReads.Load() }
 // than re-verifying per read; GetBlob's per-read verification still
 // guards the cache-promotion path.
 func (s *Server) maybeAttachStream(resp *Response, sg sig.Signature, n int) {
-	s.mu.Lock()
 	st := s.blobStore
-	min := s.streamMin
-	s.mu.Unlock()
-	if st == nil || sg.IsZero() || int64(n) < min {
+	if st == nil || sg.IsZero() || int64(n) < s.streamMin {
 		return
 	}
 	br, err := st.OpenBlob(sg)
@@ -437,12 +425,9 @@ func (s *Server) maybeAttachStream(resp *Response, sg sig.Signature, n int) {
 // handle dispatches one request from a connection.
 func (c *serverConn) handle(req *Request) *Response {
 	s := c.srv
-	s.mu.Lock()
-	s.requests++
-	link := s.linkCost
-	s.mu.Unlock()
-	if link > 0 {
-		s.space.Clock().Sleep(link)
+	s.requests.Add(1)
+	if s.linkCost > 0 {
+		s.space.Clock().Sleep(s.linkCost)
 	}
 	if req.Op == OpSubscribe {
 		if err := c.notifiers.Ensure(req.Doc, req.User); err != nil {
@@ -575,14 +560,12 @@ func (s *Server) apply(req *Request) *Response {
 		return &Response{}
 
 	case OpStats:
-		s.mu.Lock()
-		stats := map[string]int64{
-			"requests":      s.requests,
-			"notifications": s.notifies,
-			"connections":   int64(len(s.conns)),
-		}
-		s.mu.Unlock()
-		return &Response{Stats: stats}
+		requests, notifications, connections := s.Counters()
+		return &Response{Stats: map[string]int64{
+			"requests":      requests,
+			"notifications": notifications,
+			"connections":   connections,
+		}}
 
 	case OpListActives:
 		names, err := s.space.Actives(req.Doc, req.User, level)

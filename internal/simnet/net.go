@@ -383,9 +383,14 @@ func (c *Conn) Write(b []byte) (int, error) {
 
 		case r < n.dropRate+n.reorderRate && !c.reorderSlotBusy():
 			c.mu.Lock()
-			c.held, c.hasHeld = data, true
+			// A Close that began after the check at the top has already
+			// looked for a held message: one held now would stay counted
+			// in flight for ever. It is discarded, as Close discards.
+			if !c.closed {
+				c.held, c.hasHeld = data, true
+				n.inflight++
+			}
 			c.mu.Unlock()
-			n.inflight++
 			n.stats.Reordered++
 			n.mu.Unlock()
 

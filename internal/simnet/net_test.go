@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -172,6 +173,38 @@ func TestNetFlushReleasesHeldMessage(t *testing.T) {
 	}
 	if got := readN(t, s, 4); string(got) != "solo" {
 		t.Fatalf("read %q, want solo", got)
+	}
+}
+
+// TestNetCloseRacingWriteLeavesNothingInFlight: a message held for
+// reorder on a conn that a concurrent Close is tearing down must not
+// stay counted in flight, or a settle phase waiting for Inflight() == 0
+// never converges.
+func TestNetCloseRacingWriteLeavesNothingInFlight(t *testing.T) {
+	n, _ := newTestNet(t)
+	n.SetFaults(0, 1, 0, 0)
+	for i := 0; i < 300; i++ {
+		c, s := dialPair(t, n, fmt.Sprintf("srv%d", i))
+		wrote, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for j := 0; ; j++ {
+				if _, err := c.Write([]byte("x")); err != nil {
+					return
+				}
+				if j == 0 {
+					close(wrote)
+				}
+			}
+		}()
+		<-wrote
+		c.Close()
+		<-done
+		s.Close()
+		n.Flush()
+		if got := n.Inflight(); got != 0 {
+			t.Fatalf("round %d: %d messages in flight after the conn closed and the network flushed", i, got)
+		}
 	}
 }
 
