@@ -195,7 +195,7 @@ func main() {
 	// Graceful shutdown on interrupt or SIGTERM (kill, systemd stop,
 	// container stop): close the listener and the connections, wait
 	// for the requests in flight and the warms after acknowledged
-	// writes, and detach every remote notifier before exiting; main's
+	// writes, and unsubscribe every remote notifier before exiting; main's
 	// deferred closers then run.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -6,11 +6,11 @@
 // application). Entries are identified by (document, user) because
 // active properties personalize content per user; identical content is
 // stored once via content signatures. Consistency is maintained by two
-// mechanisms: notifiers — active properties the cache installs on base
-// documents and references, which push invalidations for changes under
-// Placeless control — and verifiers — code returned with the content
-// and executed on every hit, which catch changes outside Placeless
-// control. Cacheability indicators aggregated along the read path
+// mechanisms: notifiers — listeners the cache registers on the event
+// registries of base documents and references, which push
+// invalidations for changes under Placeless control — and verifiers —
+// code returned with the content and executed on every hit, which
+// catch changes outside Placeless control. Cacheability indicators aggregated along the read path
 // decide whether content may be cached and whether operation events
 // must still be forwarded. Replacement is cost-aware (Greedy-Dual-Size
 // by default), driven by the replacement cost the read path
@@ -71,8 +71,8 @@ func (m WriteMode) String() string {
 
 // Options configures a Cache.
 type Options struct {
-	// Name identifies the cache in notifier property names; caches
-	// sharing a space must use distinct names.
+	// Name identifies the cache in its notifiers' names
+	// (docspace.NotifierPair.Installed).
 	Name string
 	// Capacity is the content budget in bytes (unique bytes stored,
 	// after signature sharing). Zero means unlimited.
@@ -312,8 +312,8 @@ type Cache struct {
 	flushMu sync.Mutex
 	dirty   map[string]*dirtyWrite
 
-	// notifiers is the cache's notifier pair on the space, attached
-	// per (document, user) at miss time and detached on Close.
+	// notifiers is the cache's notifier pair on the space, registered
+	// per (document, user) at miss time and unsubscribed on Close.
 	notifiers *docspace.NotifierPair
 
 	stats statsCounters
@@ -674,11 +674,11 @@ func (c *Cache) missFunc(doc, user string, tr *obs.ReadTrace, related *[]string)
 // the caller to prefetch (nil unless an entry was installed).
 func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info EntryInfo, related []string, err error) {
 	// Notifiers first, then the generation snapshot, then the read —
-	// the order remote.miss uses (subscribe, then fetch). Attached any
-	// later, a change landing before the attach on a key's first miss
-	// would bump no generation and be pushed to no one. A failure
-	// means the document or the reference does not exist; the read
-	// below reports that, and the key's next miss retries the attach.
+	// the order remote.miss uses (subscribe, then fetch). Registered
+	// any later, a change landing before the registration on a key's
+	// first miss would bump no generation and be pushed to no one. A
+	// failure means the document or the reference does not exist; the
+	// read below reports that, and the key's next miss retries.
 	if !c.opts.DisableNotifiers {
 		_ = c.notifiers.Ensure(doc, user)
 	}

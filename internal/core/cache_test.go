@@ -265,6 +265,29 @@ func TestSecondCacheMachineryDoesNotInvalidate(t *testing.T) {
 	}
 }
 
+// TestPropertyNamedLikeANotifierDoesNotBlindTheCache: a cache's
+// notifiers listen on the document's and the reference's event
+// registries and take no name in the property chain, so a user
+// property that happens to carry the name the cache gives its notifier
+// neither blocks the subscription nor stands in for it — the next
+// personal change still reaches the cache.
+func TestPropertyNamedLikeANotifierDoesNotBlindTheCache(t *testing.T) {
+	w := newWorld(t, Options{Name: "appcache"})
+	w.addDoc(t, "d", "eyal", "/d", []byte("hello"))
+	numberer := property.NewLineNumberer(0)
+	numberer.PropName = "notifier:appcache:d:eyal"
+	if err := w.space.Attach("d", "eyal", docspace.Personal, numberer); err != nil {
+		t.Fatal(err)
+	}
+	before := w.read(t, "d", "eyal")
+	if err := w.space.Attach("d", "eyal", docspace.Personal, property.NewUppercaser(0)); err != nil {
+		t.Fatal(err)
+	}
+	if after := w.read(t, "d", "eyal"); bytes.Equal(after, before) {
+		t.Fatalf("read after a personal attach still serves %q", after)
+	}
+}
+
 func TestPersonalChangeInvalidatesOnlyThatUser(t *testing.T) {
 	w := newWorld(t, Options{})
 	w.addDoc(t, "d", "eyal", "/d", []byte("shared"))
@@ -520,16 +543,21 @@ func TestCloseDetachesNotifiersAndRejectsUse(t *testing.T) {
 	w := newWorld(t, Options{})
 	w.addDoc(t, "d", "eyal", "/d", []byte("x"))
 	w.read(t, "d", "eyal")
-	before, _ := w.space.Actives("d", "", docspace.Universal)
-	if len(before) == 0 {
+	if len(w.cache.notifiers.Installed()) == 0 {
 		t.Fatal("expected installed notifier before Close")
 	}
 	if err := w.cache.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := w.space.Actives("d", "", docspace.Universal)
-	if len(after) != 0 {
-		t.Fatalf("notifiers left attached: %v", after)
+	if left := w.cache.notifiers.Installed(); len(left) != 0 {
+		t.Fatalf("notifiers left registered: %v", left)
+	}
+	notified := w.cache.Stats().Notifications
+	if err := w.space.WriteDocument("d", "eyal", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.cache.Stats().Notifications; got != notified {
+		t.Fatalf("a write after Close notified the cache: %d -> %d", notified, got)
 	}
 	if _, err := w.cache.Read("d", "eyal"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Read after Close: %v", err)
@@ -741,14 +769,8 @@ func TestNotifierNamesIncludeCacheName(t *testing.T) {
 	w := newWorld(t, Options{Name: "appcache"})
 	w.addDoc(t, "d", "eyal", "/d", []byte("x"))
 	w.read(t, "d", "eyal")
-	names, _ := w.space.Actives("d", "", docspace.Universal)
-	found := false
-	for _, n := range names {
-		if strings.Contains(n, "appcache") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("base notifier missing cache name: %v", names)
+	names := w.cache.notifiers.Installed()
+	if len(names) != 2 || !strings.Contains(names[0], "appcache") || !strings.Contains(names[1], "appcache") {
+		t.Fatalf("notifiers missing the cache name: %v", names)
 	}
 }

@@ -74,9 +74,10 @@ func (c *Cache) InvalidateDoc(doc string) {
 	c.invalidateDoc(doc)
 }
 
-// Close flushes write-back state, detaches every notifier the cache
-// installed, and rejects further use. It does not close an attached
-// durable store — the store's lifetime belongs to whoever opened it.
+// Close flushes write-back state, unsubscribes every notifier the
+// cache registered, and rejects further use. It does not close an
+// attached durable store — the store's lifetime belongs to whoever
+// opened it.
 func (c *Cache) Close() error {
 	if err := c.Flush(); err != nil {
 		return err
@@ -87,18 +88,17 @@ func (c *Cache) Close() error {
 
 // Kill simulates a process crash: it tears the cache down like Close
 // but without flushing, so buffered write-back content is lost exactly
-// as it would be when the process dies. Notifiers are still detached —
-// a dead process's notifier closures cannot keep firing into the
-// space — which models the attachment cleanup a restarting cache would
-// perform on its stale machinery. The attached durable store keeps
-// whatever reached it before the kill; the caller closes (or just
-// reopens) it to model the disk surviving the crash.
+// as it would be when the process dies. Notifiers are still
+// unsubscribed — a dead process's notifier closures cannot keep firing
+// into the space. The attached durable store keeps whatever reached it
+// before the kill; the caller closes (or just reopens) it to model the
+// disk surviving the crash.
 func (c *Cache) Kill() {
 	c.shutdown()
 }
 
 // shutdown is the common teardown: close the table (which rejects
-// in-flight installs and drops everything), detach notifiers.
+// in-flight installs and drops everything), unsubscribe notifiers.
 func (c *Cache) shutdown() {
 	if c.tab.Close() {
 		c.notifiers.Close()

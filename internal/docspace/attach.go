@@ -10,30 +10,15 @@ import (
 
 // PropertyClass distinguishes what kind of attachment an event
 // describes; it travels in event.Event.Detail so notifiers can filter
-// semantically (e.g. ignore static labels and cache machinery, which
-// cannot change content).
+// semantically (e.g. ignore static labels, which cannot change
+// content).
 const (
 	// ClassActive marks events about content-capable active
 	// properties.
 	ClassActive = "active"
 	// ClassStatic marks events about static labels.
 	ClassStatic = "static"
-	// ClassMachinery marks events about cache-installed machinery
-	// (notifiers); other caches must not invalidate on these.
-	ClassMachinery = "machinery"
 )
-
-// machineryMarker is implemented by properties that are cache
-// machinery rather than user-visible behaviour.
-type machineryMarker interface{ CacheMachinery() }
-
-// classOf returns the event class for an active property.
-func classOf(p property.Active) string {
-	if _, ok := p.(machineryMarker); ok {
-		return ClassMachinery
-	}
-	return ClassActive
-}
 
 // Level selects an attachment point: the base document (universal) or
 // a user's reference (personal).
@@ -157,7 +142,7 @@ func (s *Space) Attach(doc, user string, level Level, p property.Active) error {
 
 	n.registry.Dispatch(event.Event{
 		Kind: event.SetProperty, Doc: doc, User: user,
-		Property: p.Name(), Time: s.clk.Now(), Detail: classOf(p),
+		Property: p.Name(), Time: s.clk.Now(), Detail: ClassActive,
 	})
 	return nil
 }
@@ -178,14 +163,13 @@ func (s *Space) Detach(doc, user string, level Level, name string) error {
 	entry := n.actives[i]
 	n.actives = append(n.actives[:i:i], n.actives[i+1:]...)
 	n.fpValid = false
-	class := classOf(entry.prop)
 	s.mu.Unlock()
 
 	// Dispatch before unsubscribing so the departing property (and
 	// notifiers) can observe its own removal.
 	n.registry.Dispatch(event.Event{
 		Kind: event.RemoveProperty, Doc: doc, User: user,
-		Property: name, Time: s.clk.Now(), Detail: class,
+		Property: name, Time: s.clk.Now(), Detail: ClassActive,
 	})
 	for _, id := range entry.subIDs {
 		n.registry.Unsubscribe(id)
@@ -215,12 +199,11 @@ func (s *Space) Replace(doc, user string, level Level, name string, p property.A
 	ids := s.subscribe(n, p, ctx)
 	n.actives[i] = activeEntry{prop: p, subIDs: ids}
 	n.fpValid = false
-	class := classOf(p)
 	s.mu.Unlock()
 
 	n.registry.Dispatch(event.Event{
 		Kind: event.ModifyProperty, Doc: doc, User: user,
-		Property: name, Time: s.clk.Now(), Detail: class,
+		Property: name, Time: s.clk.Now(), Detail: ClassActive,
 	})
 	return nil
 }
@@ -235,20 +218,9 @@ func (s *Space) Reorder(doc, user string, level Level, names []string) error {
 		return err
 	}
 	s.mu.Lock()
-	// Cache machinery (notifiers) is invisible to users and keeps its
-	// position at the end; names must permute the user-visible
-	// properties only.
-	var regular, machinery []activeEntry
-	for _, e := range n.actives {
-		if classOf(e.prop) == ClassMachinery {
-			machinery = append(machinery, e)
-		} else {
-			regular = append(regular, e)
-		}
-	}
-	if len(names) != len(regular) {
+	if len(names) != len(n.actives) {
 		s.mu.Unlock()
-		return fmt.Errorf("docspace: reorder needs all %d property names, got %d", len(regular), len(names))
+		return fmt.Errorf("docspace: reorder needs all %d property names, got %d", len(n.actives), len(names))
 	}
 	// Reject duplicates in names (index lookup would alias entries).
 	seen := map[string]bool{}
@@ -261,20 +233,13 @@ func (s *Space) Reorder(doc, user string, level Level, names []string) error {
 	}
 	reordered := make([]activeEntry, 0, len(n.actives))
 	for _, name := range names {
-		found := false
-		for _, e := range regular {
-			if e.prop.Name() == name {
-				reordered = append(reordered, e)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := n.findActive(name)
+		if i < 0 {
 			s.mu.Unlock()
 			return fmt.Errorf("%w: %s", ErrNoProperty, name)
 		}
+		reordered = append(reordered, n.actives[i])
 	}
-	reordered = append(reordered, machinery...)
 	changed := false
 	for i := range reordered {
 		if reordered[i].prop.Name() != n.actives[i].prop.Name() {

@@ -1,11 +1,10 @@
 package docspace
 
 import (
-	"errors"
+	"sort"
 	"sync"
 
 	"placeless/internal/event"
-	"placeless/internal/property"
 )
 
 // The event kinds each half of a NotifierPair listens for. A write or
@@ -20,7 +19,7 @@ var (
 
 // contentAffecting is the semantic predicate of cache notifiers: only
 // events that can change the content a user sees should invalidate.
-// Static labels and other caches' machinery cannot.
+// Static labels cannot.
 func contentAffecting(e event.Event) bool {
 	switch e.Kind {
 	case event.ContentWritten, event.ReorderProperties, event.ExternalChange:
@@ -32,15 +31,7 @@ func contentAffecting(e event.Event) bool {
 	}
 }
 
-// pairNotifier carries the machinery marker, so the space classifies a
-// pair's own attachment events as cache machinery (other caches must
-// not invalidate when a cache installs plumbing).
-type pairNotifier struct{ *property.Notifier }
-
-// CacheMachinery marks the property as cache-installed plumbing.
-func (pairNotifier) CacheMachinery() {}
-
-// pairSpot is one attachment point of a pair: a base document
+// pairSpot is one registration point of a pair: a base document
 // (user == "") or user's reference to it.
 type pairSpot struct{ doc, user string }
 
@@ -51,6 +42,13 @@ func (sp pairSpot) level() Level {
 	return Personal
 }
 
+// pairSub is what a pair registered at one spot: the node's registry
+// and one subscription id per event kind.
+type pairSub struct {
+	registry *event.Registry
+	ids      []uint64
+}
+
 // NotifierPair is the paper's push half of cache consistency, for one
 // cache at either placement (the in-process cache, or a server
 // connection standing in for a remote one): "When Eyal first opens the
@@ -59,58 +57,87 @@ func (sp pairSpot) level() Level {
 // by another user. Another notifier at the base tracks any additions
 // or deletions of active properties... At Eyal's document reference, a
 // third notifier is attached to watch for active property additions,
-// deletions and for changes." Both base roles ride one notifier here.
+// deletions and for changes." Both base roles ride one registration
+// here.
 //
-// Callbacks run inside the space's event dispatch, on the goroutine
-// that made the change.
+// A notifier interposes no stream, so it is not a member of the
+// property chain: the pair subscribes its handlers on the event
+// registries of the base document and of the reference. It changes no
+// fingerprint, appears in no listing and dispatches no property event.
+// Handlers run inside the space's event dispatch, on the goroutine that
+// made the change, with no lock of the pair or the space held.
 type NotifierPair struct {
 	space        *Space
 	prefix       string
 	onDoc, onRef func(event.Event)
 
-	mu     sync.Mutex
-	closed bool
-	// installed holds the spots whose notifier is live on the space; it
-	// is both the dedup set and the list Close detaches.
-	installed map[pairSpot]struct{}
+	// mu orders before Space.mu and event.Registry.mu: Ensure resolves
+	// nodes and subscribes under it, Close unsubscribes under it.
+	mu sync.Mutex
+	// installed holds the spots whose handlers are registered; it is
+	// both the dedup set and the list Close unsubscribes, and nil once
+	// Close ran.
+	installed map[pairSpot]pairSub
 }
 
 // NewNotifierPair returns the notifiers of one cache on space. prefix
-// namespaces their property names and must be unique among the pairs
-// on a space. onDoc receives content-affecting events on a base
-// document (every user's view is suspect), onRef those on one user's
-// reference.
+// names them in Installed. onDoc receives content-affecting events on
+// a base document (every user's view is suspect), onRef those on one
+// user's reference.
 func NewNotifierPair(space *Space, prefix string, onDoc, onRef func(event.Event)) *NotifierPair {
 	return &NotifierPair{space: space, prefix: prefix, onDoc: onDoc, onRef: onRef,
-		installed: make(map[pairSpot]struct{})}
+		installed: make(map[pairSpot]pairSub)}
 }
 
-// Ensure attaches the base notifier for doc and, unless user is empty,
-// the reference notifier for (doc, user), whichever is not attached
-// yet. A spot counts as attached only once the space accepted it, so a
-// call that failed — the document or the reference does not exist yet
-// — is retried in full by the next one. The attachments run with no
-// lock held: attaching dispatches events, and properties reacting to
-// them may re-enter the cache. Racing calls offer the same property
-// name and the space keeps one.
+// Ensure registers the base notifier for doc and, unless user is
+// empty, the reference notifier for (doc, user), whichever is not
+// registered yet. A spot counts as registered only once its node was
+// found, so a call that failed — the document or the reference does
+// not exist yet — is retried in full by the next one. After Close it
+// registers nothing.
 func (p *NotifierPair) Ensure(doc, user string) error {
-	base, ref := pairSpot{doc: doc}, pairSpot{doc: doc, user: user}
 	p.mu.Lock()
-	_, haveBase := p.installed[base]
-	_, haveRef := p.installed[ref]
-	p.mu.Unlock()
-	if !haveBase {
-		if err := p.attach(base); err != nil {
-			return err
+	defer p.mu.Unlock()
+	if p.installed == nil {
+		return nil
+	}
+	if err := p.registerLocked(pairSpot{doc: doc}); err != nil {
+		return err
+	}
+	if user == "" {
+		return nil
+	}
+	return p.registerLocked(pairSpot{doc: doc, user: user})
+}
+
+// registerLocked subscribes the handler for sp on its node's registry,
+// unless it is there already. Caller holds p.mu.
+func (p *NotifierPair) registerLocked(sp pairSpot) error {
+	if _, ok := p.installed[sp]; ok {
+		return nil
+	}
+	n, _, err := p.space.nodeFor(sp.doc, sp.user, sp.level())
+	if err != nil {
+		return err
+	}
+	kinds, notify := baseNotifierKinds, p.onDoc
+	if sp.user != "" {
+		kinds, notify = refNotifierKinds, p.onRef
+	}
+	h := func(e event.Event) {
+		if contentAffecting(e) {
+			notify(e)
 		}
 	}
-	if user != "" && !haveRef {
-		return p.attach(ref)
+	sub := pairSub{registry: n.registry, ids: make([]uint64, len(kinds))}
+	for i, k := range kinds {
+		sub.ids[i] = n.registry.Subscribe(k, h)
 	}
+	p.installed[sp] = sub
 	return nil
 }
 
-// name is the property name of the notifier at sp.
+// name is the name of the notifier at sp.
 func (p *NotifierPair) name(sp pairSpot) string {
 	if sp.user == "" {
 		return p.prefix + ":" + sp.doc + ":base"
@@ -118,44 +145,29 @@ func (p *NotifierPair) name(sp pairSpot) string {
 	return p.prefix + ":" + sp.doc + ":" + sp.user
 }
 
-func (p *NotifierPair) attach(sp pairSpot) error {
-	kinds, notify := baseNotifierKinds, p.onDoc
-	if sp.user != "" {
-		kinds, notify = refNotifierKinds, p.onRef
-	}
-	n := pairNotifier{property.NewNotifier(p.name(sp), notify, kinds...)}
-	n.Predicate = contentAffecting
-	if err := p.space.Attach(sp.doc, sp.user, sp.level(), n); err != nil && !errors.Is(err, ErrDuplicate) {
-		return err
-	}
+// Installed returns the sorted names of the registered notifiers,
+// "<prefix>:<doc>:base" for a base document and "<prefix>:<doc>:<user>"
+// for a reference.
+func (p *NotifierPair) Installed() []string {
 	p.mu.Lock()
-	closed := p.closed
-	if !closed {
-		p.installed[sp] = struct{}{}
+	defer p.mu.Unlock()
+	names := make([]string, 0, len(p.installed))
+	for sp := range p.installed {
+		names = append(names, p.name(sp))
 	}
-	p.mu.Unlock()
-	if closed {
-		// Close ran between the lookup and the attach and will not see
-		// this spot.
-		p.detach(sp)
-	}
-	return nil
+	sort.Strings(names)
+	return names
 }
 
-func (p *NotifierPair) detach(sp pairSpot) {
-	// The document or reference may be gone, and its notifier with it.
-	_ = p.space.Detach(sp.doc, sp.user, sp.level(), p.name(sp))
-}
-
-// Close detaches every notifier the pair installed. A later Ensure
-// leaves nothing attached.
+// Close unsubscribes every notifier the pair registered. A later
+// Ensure registers nothing.
 func (p *NotifierPair) Close() {
 	p.mu.Lock()
-	p.closed = true
-	installed := p.installed
-	p.installed = nil
-	p.mu.Unlock()
-	for sp := range installed {
-		p.detach(sp)
+	defer p.mu.Unlock()
+	for _, sub := range p.installed {
+		for _, id := range sub.ids {
+			sub.registry.Unsubscribe(id)
+		}
 	}
+	p.installed = nil
 }

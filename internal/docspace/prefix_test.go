@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"placeless/internal/event"
 	"placeless/internal/property"
 	"placeless/internal/sig"
 )
@@ -291,7 +292,7 @@ func TestPrefixStagedMatchesPlainEverySubset(t *testing.T) {
 // its own bytes is the key ContentKey answers when nothing changed in
 // between — whatever the read was served from the store, and with
 // chains that are not memoizable, that hold event-only properties, or
-// that hold a cache's machinery. The disk tier records the first and
+// behind a cache's notifiers. The disk tier records the first and
 // probes with the second; they must agree on every component or no
 // demoted entry would ever promote.
 func TestStageTraceKeyMatchesContentKey(t *testing.T) {
@@ -304,8 +305,9 @@ func TestStageTraceKeyMatchesContentKey(t *testing.T) {
 		props []property.Active
 	}
 	for _, tc := range []struct {
-		name  string
-		extra []attachment
+		name      string
+		extra     []attachment
+		notifiers bool // a cache's notifier pair registered for both users
 	}{
 		{name: "memoizable chains"},
 		{name: "non-memoizable personal tail", extra: []attachment{{"eyal", []property.Active{opaque("opaque")}}}},
@@ -314,13 +316,19 @@ func TestStageTraceKeyMatchesContentKey(t *testing.T) {
 			{"", []property.Active{property.NewAuditTrail()}},
 			{"paul", []property.Active{property.NewAuditTrail()}},
 		}},
-		{name: "cache machinery", extra: []attachment{
-			{"", []property.Active{testMachinery{property.Base{PropName: "notifier:test:d:base"}}}},
-			{"eyal", []property.Active{testMachinery{property.Base{PropName: "notifier:test:d:eyal"}}}},
-		}},
+		{name: "cache machinery", notifiers: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := stageFixture(t)
+			if tc.notifiers {
+				pair := NewNotifierPair(f.space, "notifier:test", func(event.Event) {}, func(event.Event) {})
+				defer pair.Close()
+				for _, u := range []string{"eyal", "paul"} {
+					if err := pair.Ensure("d", u); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			for _, a := range tc.extra {
 				level := Universal
 				if a.user != "" {

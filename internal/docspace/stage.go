@@ -133,25 +133,19 @@ func appendChainFrame(enc []byte, name, class, key string) []byte {
 	return enc
 }
 
-// appendPropFrame appends p's chain frame to enc, or returns enc
-// unchanged for cache machinery: notifiers never touch content and
-// come and go with cache lifecycles, so including them would
-// invalidate intermediates for no content-visible reason. Properties
-// that are not memoizable contribute a marker instead of a key, which
-// is sufficient because their presence poisons every cut at or after
+// appendPropFrame appends p's chain frame to enc. Every property in
+// the chain contributes one, event-only ones included. Properties that
+// are not memoizable contribute a marker instead of a key, which is
+// sufficient because their presence poisons every cut at or after
 // them.
 func appendPropFrame(enc []byte, p property.Active) []byte {
-	class := classOf(p)
-	if class == ClassMachinery {
-		return enc
-	}
 	key := "!nonmemo"
 	if m, ok := p.(property.Memoizable); ok {
 		if k, memoOK := m.MemoKey(); memoOK {
 			key = k
 		}
 	}
-	return appendChainFrame(enc, p.Name(), class, key)
+	return appendChainFrame(enc, p.Name(), ClassActive, key)
 }
 
 // fingerprintLocked returns b's universal-chain fingerprint, computing
@@ -370,19 +364,6 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 			uWrapEnd = len(wrappers)
 		}
 		if poisoned || (w == nil && !atBoundary) {
-			continue
-		}
-		if n := len(cuts); n > 0 && cuts[n-1].FP == fps[i+1] && cutWrapEnd[n-1] == len(wrappers) {
-			// A machinery property (a cache's own notifier) contributes
-			// neither a fingerprint frame nor a wrapper, so a boundary
-			// right after one is the same cut as the previous boundary.
-			// Upgrade that cut in place instead of offering the store a
-			// duplicate key — a duplicate would make the boundary "hit"
-			// the segment installed moments earlier by the same read,
-			// misclassifying a full recompute as a memoized one.
-			if atBoundary {
-				cuts[n-1].Universal = true
-			}
 			continue
 		}
 		cuts = append(cuts, Cut{

@@ -2,10 +2,12 @@ package docspace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"placeless/internal/event"
 	"placeless/internal/property"
 	"placeless/internal/sig"
 )
@@ -132,19 +134,83 @@ func TestFingerprintIgnoresPersonalAndMachinery(t *testing.T) {
 		t.Fatal("personal attachment changed the universal fingerprint")
 	}
 
-	machinery := testMachinery{property.Base{PropName: "notifier:test"}}
-	if err := f.space.Attach("d", "", Universal, machinery); err != nil {
+	key, err := f.space.ContentKey("d", "eyal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := NewNotifierPair(f.space, "notifier:test", func(event.Event) {}, func(event.Event) {})
+	defer pair.Close()
+	if err := pair.Ensure("d", "eyal"); err != nil {
 		t.Fatal(err)
 	}
 	if f.fingerprint(t, "d") != fp {
-		t.Fatal("cache machinery changed the universal fingerprint")
+		t.Fatal("a cache's notifiers changed the universal fingerprint")
+	}
+	if got, err := f.space.ContentKey("d", "eyal"); err != nil || got != key {
+		t.Fatalf("a cache's notifiers moved the content key: %+v -> %+v (%v)", key, got, err)
 	}
 }
 
-// testMachinery is a stand-in for cache-installed plumbing.
-type testMachinery struct{ property.Base }
-
-func (testMachinery) CacheMachinery() {}
+// TestChainFingerprintGolden pins the fingerprint encoding to bytes:
+// the prefix fingerprints of one fixed chain — a universal memoizable
+// transform, an event-only property, a personal transform and a
+// non-memoizable one — and the ContentKeys of a user behind that chain
+// and of one behind a memoizable personal chain. Cut keys persisted by
+// the disk tier and promoted after a restart are these values, so a
+// change that moves one orphans every durable entry written before it.
+func TestChainFingerprintGolden(t *testing.T) {
+	f := newFixture(t)
+	f.addDoc(t, "d", "eyal", "/d", []byte("teh first line is recieve\nsecond line\n"))
+	if _, err := f.space.AddReference("d", "paul"); err != nil {
+		t.Fatal(err)
+	}
+	opaque := &property.Transformer{Base: property.Base{PropName: "opaque"}, ReadTransform: bytes.ToUpper, Version: 1}
+	for _, a := range []struct {
+		user string
+		p    property.Active
+	}{
+		{"", property.NewSpellCorrector(time.Millisecond)},
+		{"", property.NewAuditTrail()},
+		{"eyal", property.NewWatermarker("eyal", 0)},
+		{"eyal", opaque},
+		{"paul", property.NewWatermarker("paul", 0)},
+	} {
+		level := Universal
+		if a.user != "" {
+			level = Personal
+		}
+		if err := f.space.Attach("d", a.user, level, a.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := f.space.Reference("d", "eyal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	_, _, fps, _ := f.space.snapshotChains(r.base, r)
+	for i, fp := range fps {
+		fmt.Fprintf(&got, "prefix %d %x\n", i, fp[:])
+	}
+	for _, u := range []string{"eyal", "paul"} {
+		k, err := f.space.ContentKey("d", u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "key %s %x %x %x %v\n", u, k.SourceSig[:], k.UniversalFP[:], k.PersonalFP[:], k.Memoizable)
+	}
+	const want = `prefix 0 d41d8cd98f00b204e9800998ecf8427e
+prefix 1 9366ae1ec4b48f078204d171b1edb64b
+prefix 2 77ecddbf2f86b4cea08ef7e942fa6e42
+prefix 3 d955233452dcb68b17417b7cbccc8f5f
+prefix 4 2e36c47d552a77580b04faebd146e67f
+key eyal 37707dbdd0ccae50f2695aabf03bdc31 77ecddbf2f86b4cea08ef7e942fa6e42 65dc7a67d1dad5eea6532c323a8541c5 false
+key paul 37707dbdd0ccae50f2695aabf03bdc31 77ecddbf2f86b4cea08ef7e942fa6e42 b26a8860cd56ccb3a91af172aaae2fef true
+`
+	if got.String() != want {
+		t.Fatalf("chain fingerprints moved:\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}
 
 func TestStagedReadMatchesPlainRead(t *testing.T) {
 	f := stageFixture(t)

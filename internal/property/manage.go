@@ -249,12 +249,13 @@ func (q *QoS) WrapInput(ctx *ReadContext) stream.InputWrapper {
 	return nil
 }
 
-// Notifier is an active property used to invalidate cache entries for
-// changes through the Placeless system (paper §3). A cache attaches
-// notifiers to the base document (content writes and universal
-// property mutations) and to each reference it serves (personal
-// property mutations). Notifiers subsume semantic callbacks: an
-// optional predicate filters which events trigger notification.
+// Notifier is an active property that calls back on events through
+// the Placeless system (paper §3): attached to a base document it sees
+// content writes and universal property mutations, attached to a
+// reference personal ones. Notifiers subsume semantic callbacks: an
+// optional predicate filters which events trigger notification. (The
+// caches' own notifiers are docspace.NotifierPair registrations on the
+// event registries, not properties in the chain.)
 type Notifier struct {
 	Base
 	// Kinds are the event kinds that trigger notification.
@@ -281,7 +282,7 @@ func (n *Notifier) Events() []event.Kind { return n.Kinds }
 
 // OnEvent implements Active: applies the predicate and notifies.
 // Events about the notifier itself (its own attachment/removal) are
-// ignored so installing cache machinery does not invalidate the cache.
+// ignored, so attaching it does not notify.
 func (n *Notifier) OnEvent(ctx *EventContext, e event.Event) {
 	if e.Property == n.Name() {
 		return

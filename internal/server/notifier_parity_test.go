@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,8 +102,8 @@ func serverPlacement(t *testing.T) placement {
 }
 
 // actives lists what is attached at every node of "d", each name
-// prefixed by its node and passed through strip.
-func actives(t *testing.T, space *docspace.Space, strip func(string) string) []string {
+// prefixed by its node.
+func actives(t *testing.T, space *docspace.Space) []string {
 	t.Helper()
 	var out []string
 	add := func(node, user string, level docspace.Level) {
@@ -113,7 +112,7 @@ func actives(t *testing.T, space *docspace.Space, strip func(string) string) []s
 			t.Fatal(err)
 		}
 		for _, n := range names {
-			out = append(out, node+" "+strip(n))
+			out = append(out, node+" "+n)
 		}
 	}
 	add("base", "", docspace.Universal)
@@ -124,19 +123,13 @@ func actives(t *testing.T, space *docspace.Space, strip func(string) string) []s
 	return out
 }
 
-// stripPrefix drops a notifier name's "<kind>:<cache>" prefix, the only
-// part that may differ between placements.
-func stripPrefix(name string) string {
-	if parts := strings.SplitN(name, ":", 3); len(parts) == 3 {
-		return parts[2]
-	}
-	return name
-}
-
 // TestNotifierPairParity drives the shared notifier pair through both
 // cache placements on twin spaces: the in-process cache installs it on
 // a miss, the server installs it on a Subscribe, and everything the
-// space can observe of the two must agree.
+// space can observe of the two must agree — one registration per
+// document and per reference however many installs race, a
+// notification for exactly the events that change content, no trace in
+// the property chain, and nothing left registered after the close.
 func TestNotifierPairParity(t *testing.T) {
 	uni := func(spec string) property.Active {
 		p, err := ParsePropertySpec(spec)
@@ -192,33 +185,46 @@ func TestNotifierPairParity(t *testing.T) {
 			}(parityUser(i))
 		}
 		wg.Wait()
-		// The same names at both placements, modulo prefix.
-		want := []string{"base d:base"}
-		for i := 0; i < parityUsers; i++ {
-			want = append(want, parityUser(i)+" d:"+parityUser(i))
+		if got := actives(t, p.space); len(got) != 0 {
+			t.Fatalf("%s: the notifiers joined the property chain: %v", p.name, got)
 		}
-		sort.Strings(want)
-		got := actives(t, p.space, stripPrefix)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: attached after %d racing installs:\n got %v\nwant %v", p.name, parityUsers, got, want)
+		// One registration per reference: a personal change notifies
+		// once, whichever and however many installs reached that spot.
+		notifies := func(what string, want int64, do func() error) {
+			t.Helper()
+			before := p.fired()
+			if err := do(); err != nil {
+				t.Fatalf("%s: %s: %v", p.name, what, err)
+			}
+			if got := p.fired() - before; got != want {
+				t.Errorf("%s: %s: %d notifications, want %d", p.name, what, got, want)
+			}
+		}
+		for i := 0; i < parityUsers; i++ {
+			u := parityUser(i)
+			notifies("personal attach for "+u, 1, func() error {
+				return p.space.Attach("d", u, docspace.Personal, uni("rot13"))
+			})
+			notifies("personal detach for "+u, 1, func() error {
+				return p.space.Detach("d", u, docspace.Personal, "rot13")
+			})
 		}
 
 		for _, ev := range events {
-			before := p.fired()
-			if err := ev.do(p.space); err != nil {
-				t.Fatalf("%s: %s: %v", p.name, ev.name, err)
+			want := int64(0)
+			if ev.invalidates {
+				want = 1
 			}
-			if fired := p.fired() > before; fired != ev.invalidates {
-				t.Errorf("%s: %s: notified = %v, want %v", p.name, ev.name, fired, ev.invalidates)
-			}
+			notifies(ev.name, want, func() error { return ev.do(p.space) })
 		}
 
-		// What the events attached is user-visible and stays; the
-		// machinery goes.
+		// What the events attached is user-visible and stays; after the
+		// close a change notifies no one.
 		visible := []string{"base uppercase", u0 + " line-number"}
 		p.close(t)
-		if left := actives(t, p.space, func(n string) string { return n }); !reflect.DeepEqual(left, visible) {
+		if left := actives(t, p.space); !reflect.DeepEqual(left, visible) {
 			t.Errorf("%s: attached after close = %v, want %v", p.name, left, visible)
 		}
+		notifies("content write after close", 0, func() error { return p.space.WriteDocument("d", u1, []byte("v3")) })
 	}
 }

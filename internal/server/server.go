@@ -87,7 +87,7 @@ type serverConn struct {
 
 	closeOnce sync.Once
 
-	// notifiers is the pair attached on behalf of the client's
+	// notifiers is the pair registered on behalf of the client's
 	// subscriptions, pushing invalidations down this connection.
 	notifiers *docspace.NotifierPair
 
@@ -248,9 +248,9 @@ const maxConcurrentHandlers = 32
 // what the client's pending-call table expects.
 func (c *serverConn) serveFrames(br *bufio.Reader) {
 	var wg sync.WaitGroup
-	// In-flight handlers must finish before teardown detaches this
-	// connection's notifiers: a subscribe still executing after the
-	// teardown snapshot would leak its notifier attachment.
+	// In-flight handlers, and the warms after their writes, finish
+	// before teardown, so Server.Close (which waits for serve) returns
+	// with none of them running.
 	defer wg.Wait()
 	sem := make(chan struct{}, maxConcurrentHandlers)
 	for {
@@ -354,7 +354,7 @@ func (c *serverConn) push(doc, user string) {
 // closeRaw closes the underlying socket once.
 func (c *serverConn) closeRaw() { c.closeOnce.Do(func() { c.raw.Close() }) }
 
-// teardown detaches the connection's notifiers and unregisters it.
+// teardown unsubscribes the connection's notifiers and unregisters it.
 func (c *serverConn) teardown() {
 	c.mu.Lock()
 	fw := c.fw

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"placeless/internal/clock"
+	"placeless/internal/core"
 	"placeless/internal/docspace"
 	"placeless/internal/obs"
 	"placeless/internal/repo"
@@ -401,24 +402,81 @@ func TestDisconnectDetachesNotifiers(t *testing.T) {
 	if err := c.Subscribe("d", "eyal"); err != nil {
 		t.Fatal(err)
 	}
-	actives, _ := space.Actives("d", "", docspace.Universal)
-	if len(actives) == 0 {
-		t.Fatal("no notifier installed")
+	notified := func() int64 { _, n, _ := srv.Counters(); return n }
+	if err := space.WriteDocument("d", "eyal", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if got := notified(); got != 1 {
+		t.Fatalf("a write while subscribed pushed %d notifications, want 1", got)
 	}
 	c.Close()
-	// The server notices the disconnect asynchronously.
+	// The server notices the disconnect asynchronously; the connection
+	// unregisters after its notifiers are unsubscribed.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		actives, _ = space.Actives("d", "", docspace.Universal)
-		if len(actives) == 0 {
+		if _, _, conns := srv.Counters(); conns == 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if len(actives) != 0 {
-		t.Fatalf("notifiers leaked after disconnect: %v", actives)
+	if err := space.WriteDocument("d", "eyal", []byte("z")); err != nil {
+		t.Fatal(err)
 	}
-	_ = srv
+	if got := notified(); got != 1 {
+		t.Fatalf("a write after disconnect was pushed: %d notifications, want 1", got)
+	}
+}
+
+// TestListingsShowOnlyUserProperties: the notifiers of a cached origin
+// and of a subscribed connection listen on event registries and are not
+// properties, so ListActives and Describe over the wire list exactly
+// what users attached.
+func TestListingsShowOnlyUserProperties(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
+	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
+	cache := core.New(space, core.Options{Name: "placelessd"})
+	t.Cleanup(func() { cache.Close() })
+	c := serveAndDial(t, NewCached(space, backing, cache))
+	for _, step := range []error{
+		c.CreateDocument("d", "eyal", []byte("hello")),
+		c.AddReference("d", "paul"),
+		c.Attach("d", "", false, "line-number"),
+		c.Attach("d", "eyal", true, "uppercase"),
+	} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	for _, u := range []string{"eyal", "paul"} {
+		if _, _, subscribed, err := c.ReadSubscribe("d", u); err != nil || !subscribed {
+			t.Fatalf("ReadSubscribe(d, %s): subscribed %v, %v", u, subscribed, err)
+		}
+	}
+	for _, tc := range []struct {
+		user     string
+		personal bool
+		want     []string
+	}{
+		{"", false, []string{"line-number"}},
+		{"eyal", true, []string{"uppercase"}},
+		{"paul", true, nil},
+	} {
+		got, err := c.ListActives("d", tc.user, tc.personal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("ListActives(d, %q) = %q, want %q", tc.user, got, tc.want)
+		}
+	}
+	desc, err := c.Describe("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(desc, "active: "); got != 2 || strings.Contains(desc, "notifier:") || strings.Contains(desc, "remote:") {
+		t.Errorf("Describe lists %d actives, want the 2 users attached:\n%s", got, desc)
+	}
 }
 
 func TestParsePropertySpecs(t *testing.T) {
