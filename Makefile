@@ -28,12 +28,14 @@ test-race:
 # the document space (NotifierPair is driven by every server connection
 # and the cache at once), the TCP server/remote-cache pair and the
 # file-system repository (Store and Fetch order themselves per path),
-# twice, so scheduling-order-dependent races get two chances to surface;
+# and the stream package (a miss's transforms read the entry table's
+# own bytes), twice, so scheduling-order-dependent races get two
+# chances to surface;
 # then the notifier pair's racing installs, closes and disconnects
 # twenty times (Ensure and Close subscribe and unsubscribe under the
 # pair's lock).
 race:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/...
+	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/stream/...
 	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches' ./internal/docspace/ ./internal/server/ ./internal/core/
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded

@@ -31,6 +31,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"time"
@@ -746,13 +747,14 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	s := cuts.sign(data) // hashing stays outside the shard lock
 	// The definitive staleness check is Install's, atomic with the
 	// install under the stripe lock.
-	if !c.tab.Install(Key(doc, user), &Entry{
+	ok, kept := c.tab.Install(Key(doc, user), &Entry{
 		Doc: doc, User: user,
 		Signature:    s,
 		Cost:         res.Cost,
 		Cacheability: res.Cacheability,
 		Verifiers:    res.Verifiers,
-	}, data, gen) {
+	}, data, gen)
+	if !ok {
 		return data, info, nil, nil
 	}
 	info.Signature = s
@@ -760,6 +762,13 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	// restart must recover the cache as it was, including entries that
 	// were never evicted. All store calls run outside cache locks.
 	c.demoteEntry(doc, user, s, data, res, trace.Key, gen)
+	if kept {
+		// The table stores the staged read's bytes; the reader gets the
+		// copy. (A body that is the last cut's bytes over again shares
+		// that cut's blob, so it is not kept: the reader already has
+		// the staged read's own copy.)
+		data = bytes.Clone(data)
+	}
 	return data, info, res.Related, nil
 }
 

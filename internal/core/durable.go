@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"time"
 
 	"placeless/internal/docspace"
@@ -101,13 +102,14 @@ func (c *Cache) promote(doc, user string, gen uint64) ([]byte, EntryInfo, bool) 
 		},
 	}
 
-	if !c.tab.Install(Key(doc, user), &Entry{
+	ok, kept := c.tab.Install(Key(doc, user), &Entry{
 		Doc: doc, User: user,
 		Signature:    e.Sig, // GetBlob has just proved data hashes to it
 		Cost:         e.Cost,
 		Cacheability: property.Unrestricted,
 		Verifiers:    []property.Verifier{verifier},
-	}, data, gen) {
+	}, data, gen)
+	if !ok {
 		// Closed, or invalidated since the caller's snapshot: the probe
 		// above may predate the change, so the disk bytes are suspect.
 		c.stats.storePromotionRejects.Add(1)
@@ -116,9 +118,11 @@ func (c *Cache) promote(doc, user string, gen uint64) ([]byte, EntryInfo, bool) 
 
 	c.stats.storePromotions.Add(1)
 	c.stats.misses.Add(1)
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
+	if kept {
+		// The table stores GetBlob's bytes; the reader gets the copy.
+		data = bytes.Clone(data)
+	}
+	return data, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
 }
 
 // demoteEntry writes an installed result behind to the disk tier, under

@@ -2,10 +2,17 @@ package core
 
 import (
 	"bytes"
+	"crypto/md5"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"placeless/internal/docspace"
 	"placeless/internal/property"
+	"placeless/internal/sig"
 	"placeless/internal/store"
 	"placeless/internal/stream"
 )
@@ -380,5 +387,96 @@ func TestDemoteRecordsTheKeyTheReadComputed(t *testing.T) {
 	}
 	if st := d.cache.Stats(); st.StorePromotionRejects != 1 || st.StorePromotions != 0 {
 		t.Fatalf("rejects/promotions = %d/%d, want 1/0", st.StorePromotionRejects, st.StorePromotions)
+	}
+}
+
+// writeStoreByHand lays dir out as a store holding one segment record
+// of payload under signature s, and meta lines naming s for user's
+// entry and the universal intermediate under ck, plus an epoch for
+// ck's document at gen. It returns the segment's length.
+func writeStoreByHand(t *testing.T, dir string, s sig.Signature, payload []byte, user string, ck docspace.ContentKey, gen uint64) int {
+	t.Helper()
+	// Magic, length, signature, CRC-32 (IEEE) of signature and
+	// payload, payload.
+	seg := append([]byte("PLSG"), binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))...)
+	seg = append(seg, s[:]...)
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(append(s[:], payload...)))
+	seg = append(seg, payload...)
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.plseg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var meta bytes.Buffer
+	enc := json.NewEncoder(&meta)
+	for _, line := range []map[string]any{
+		{"t": "entry", "e": store.EntryMeta{Doc: "d", User: user, Sig: s, SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, Gen: gen}},
+		{"t": "inter", "i": store.IntermediateMeta{SourceSig: ck.SourceSig, Fingerprint: ck.UniversalFP, Sig: s}},
+		{"t": "epoch", "doc": "d", "gen": gen},
+	} {
+		if err := enc.Encode(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "meta.log"), meta.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return len(seg)
+}
+
+// TestDurableUpgradeFromMD5Store boots a cache over a store written
+// while content signatures were MD5. The store holds the user's entry
+// and the universal intermediate under the document's current content
+// key, so only the signature check stands between the old bytes and a
+// promotion — as the control shows, where the same store signed with
+// sig.Of serves them. The MD5 store must open without error and index
+// none of them, the document's epoch must survive into the cache's
+// generations, and the first read must recompute.
+func TestDurableUpgradeFromMD5Store(t *testing.T) {
+	w := newWorld(t, Options{})
+	setupMemoDoc(t, w, []string{"eyal"})
+	ck, err := w.space.ContentKey("d", "eyal")
+	if err != nil || !ck.Memoizable {
+		t.Fatalf("setup: content key %+v, %v", ck, err)
+	}
+	stale := []byte("bytes an MD5-era store held for eyal\n")
+
+	control := t.TempDir()
+	writeStoreByHand(t, control, sig.Of(stale), stale, "eyal", ck, 7)
+	cst, _, err := store.Open(control, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := New(w.space, Options{Name: "control", Store: cst})
+	if data, info, err := cc.ReadWithInfo("d", "eyal"); err != nil || !info.DiskPromoted || !bytes.Equal(data, stale) {
+		t.Fatalf("control: a store signed with sig.Of was not promoted: %q, %+v, %v", data, info, err)
+	}
+	cc.Close()
+	cst.Close()
+
+	dir := t.TempDir()
+	segLen := writeStoreByHand(t, dir, sig.Signature(md5.Sum(stale)), stale, "eyal", ck, 7)
+	st, rec, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("an MD5-era store failed to open: %v", err)
+	}
+	defer st.Close()
+	if rec.Blobs != 0 || rec.Entries != 0 || rec.Intermediates != 0 || rec.EpochDocs != 1 || rec.LostBlobBytes != int64(segLen) {
+		t.Fatalf("recovery = %+v, want no blobs, entries or intermediates, the whole record lost and one epoch", rec)
+	}
+	c := New(w.space, Options{Name: "upgraded", Store: st})
+	defer c.Close()
+	if g := c.tab.Gen("d"); g != 7 {
+		t.Fatalf("generation of d = %d, want the persisted epoch 7", g)
+	}
+
+	data, info, err := c.ReadWithInfo("d", "eyal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := w.read(t, "d", "eyal"); !bytes.Equal(data, want) {
+		t.Fatalf("first read after the upgrade = %q, want the recomputed %q", data, want)
+	}
+	s := c.Stats()
+	if info.DiskPromoted || info.IntermediateHit || s.StorePromotions != 0 || s.StoreIntermediatePromotions != 0 || s.UniversalStageRuns != 1 {
+		t.Fatalf("the first read was not a full recompute: info %+v, stats %+v", info, s)
 	}
 }

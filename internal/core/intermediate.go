@@ -102,15 +102,16 @@ func (rc *readCuts) sign(data []byte) sig.Signature {
 }
 
 // cutServed accounts data as a cut handed out without recomputation
-// and returns the caller's own copy of it.
+// and returns it. The staged read only reads a cut's bytes, so they
+// are handed on as they are, the table's own included.
 func (c *Cache) cutServed(data []byte) []byte {
 	c.stats.intermediateHits.Add(1)
 	c.stats.bytesRecomputedSaved.Add(int64(len(data)))
-	return append([]byte(nil), data...)
+	return data
 }
 
 // longestPrefix scans fps deepest-first and returns the first resident
-// (src, fp) output with its signature.
+// (src, fp) output, read-only, with its signature.
 func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, sig.Signature, int, bool) {
 	for i := len(fps) - 1; i >= 0; i-- {
 		k := interKey(src, fps[i])
@@ -129,8 +130,9 @@ func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, s
 // stripe lock. cost is the accumulated simulated recompute cost
 // through the cut, the policy's cost input. universal marks the cut
 // that completes the universal chain (the accounting boundary for
-// UniversalStageRuns). The returned slice is the caller's to keep and
-// the signature is its own; hit reports whether compute was skipped.
+// UniversalStageRuns). The returned slice is read-only — it may be the
+// table's own bytes — and the signature is its own; hit reports whether
+// compute was skipped.
 func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, compute func() ([]byte, error)) ([]byte, sig.Signature, bool, error) {
 	k := interKey(src, fp)
 	for {
@@ -193,7 +195,9 @@ func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal boo
 		return nil, sig.Zero, false, err
 	}
 	e.Signature = s
-	if c.tab.Install(k, e, data, 0) { // a cut has no generation to check
+	// The table may keep data itself; the staged read it goes back to
+	// only reads it.
+	if ok, _ := c.tab.Install(k, e, data, 0); ok { // a cut has no generation to check
 		c.stats.prefixInstalls.Add(1)
 	}
 	return data, s, fromDisk, nil

@@ -13,44 +13,40 @@ import (
 	"placeless/internal/store"
 )
 
-// BenchmarkMissMemoResume4K is the origin's commonest miss on the live
-// benchmark's churn_mix, alone: a 4 KiB document under repo.FS behind
-// that workload's chain (spell-correct, translate-fr | watermark:<user>),
-// memoization on, a real store attached. Every timed read is a user's
-// first since the document was rewritten, so it resumes from the
-// resident universal cut, runs the one watermark segment, installs and
-// demotes bytes nobody has seen. The rewrite and the full miss that
-// rebuilds the universal cuts run once per round of users with the
-// timer stopped. MD5 bytes per miss is not a metric here — only
-// internal/sig's own tests can count hashes — TestMissSignsEachBodyOnce
-// pins it there.
-func BenchmarkMissMemoResume4K(b *testing.B) {
-	const users = 64
+// churnUsers is how many users read the benchmarks' document.
+const churnUsers = 64
+
+// churnSpace builds the live benchmark's churn_mix document alone: a
+// 4 KiB document under repo.FS behind that workload's chain
+// (spell-correct, translate-fr | watermark:<user>) for churnUsers
+// users. body(round) is the document's content after round rewrites.
+// translate-fr's 2 ms of simulated execution time is left out: the
+// benchmarks' timed reads never run it, and an untimed full miss would
+// only sleep.
+func churnSpace(b *testing.B) (space *docspace.Space, names []string, body func(round int) []byte) {
+	b.Helper()
 	clk := clock.Real{}
 	fs, err := repo.NewFS("fs", clk, simnet.NewPath("local", 1), b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := func(round int) []byte {
+	body = func(round int) []byte {
 		head := fmt.Sprintf("v%08d|d|", round)
 		return append([]byte(head), bytes.Repeat([]byte("teh document is in a cache and recieve the paper\n"), 84)...)[:4096]
 	}
 	if err := fs.Store("/d", body(0)); err != nil {
 		b.Fatal(err)
 	}
-	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("local", 2)))
+	space = docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("local", 2)))
 	if _, err := space.CreateDocument("d", "owner", &property.RepoBitProvider{Repo: fs, Path: "/d"}); err != nil {
 		b.Fatal(err)
 	}
-	// translate-fr's 2 ms of simulated execution time is left out: a
-	// memo-resumed miss never runs it, and the untimed full miss would
-	// only sleep.
 	for _, p := range []property.Active{property.NewSpellCorrector(0), property.NewTranslator(0)} {
 		if err := space.Attach("d", "", docspace.Universal, p); err != nil {
 			b.Fatal(err)
 		}
 	}
-	names := make([]string, users)
+	names = make([]string, churnUsers)
 	for i := range names {
 		names[i] = fmt.Sprintf("user%02d", i)
 		if _, err := space.AddReference("d", names[i]); err != nil {
@@ -60,6 +56,20 @@ func BenchmarkMissMemoResume4K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return space, names, body
+}
+
+// BenchmarkMissMemoResume4K is the origin's commonest miss on the live
+// benchmark's churn_mix, alone, with memoization on and a real store
+// attached. Every timed read is a user's first since the document was
+// rewritten, so it resumes from the resident universal cut, runs the
+// one watermark segment, installs and demotes bytes nobody has seen.
+// The rewrite and the full miss that rebuilds the universal cuts run
+// once per round of users with the timer stopped. Hashes per miss are
+// not a metric here — only internal/sig's own tests can count them —
+// TestMissSignsEachBodyOnce pins them there.
+func BenchmarkMissMemoResume4K(b *testing.B) {
+	space, names, body := churnSpace(b)
 	st, _, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -73,9 +83,9 @@ func BenchmarkMissMemoResume4K(b *testing.B) {
 	before := c.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%users == 0 {
+		if i%churnUsers == 0 {
 			b.StopTimer()
-			if err := space.WriteDocument("d", "owner", body(i/users+1)); err != nil {
+			if err := space.WriteDocument("d", "owner", body(i/churnUsers+1)); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := c.Read("d", "owner"); err != nil {
@@ -83,13 +93,13 @@ func BenchmarkMissMemoResume4K(b *testing.B) {
 			}
 			b.StartTimer()
 		}
-		if _, err := c.Read("d", names[i%users]); err != nil {
+		if _, err := c.Read("d", names[i%churnUsers]); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	after := c.Stats()
-	rounds := int64((b.N + users - 1) / users)
+	rounds := int64((b.N + churnUsers - 1) / churnUsers)
 	if got := after.IntermediateHits - before.IntermediateHits; got != int64(b.N) {
 		b.Fatalf("%d of %d timed reads resumed from a memoized cut", got, b.N)
 	}
@@ -98,5 +108,64 @@ func BenchmarkMissMemoResume4K(b *testing.B) {
 	}
 	if after.StoreErrors != 0 {
 		b.Fatalf("%d store errors", after.StoreErrors)
+	}
+}
+
+// BenchmarkPromote4K is the origin's read on the live benchmark's
+// restart_recover, alone: every timed read is a key's first read after
+// a restart, served by promoting its durable entry — one live
+// content-key probe (a source fetch and its hash), one verified blob
+// read, one install. Every user's entry is demoted once before the
+// timer starts; the restart (kill the cache, reopen the store, boot a
+// new cache) runs once per round of users with the timer stopped.
+func BenchmarkPromote4K(b *testing.B) {
+	space, names, _ := churnSpace(b)
+	dir := b.TempDir()
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Name: "bench", Store: st}
+	c := New(space, opts)
+	for _, u := range names {
+		if _, err := c.Read("d", u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	restart := func() {
+		c.Kill()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if st, _, err = store.Open(dir, store.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		opts.Store = st
+		c = New(space, opts)
+	}
+	defer func() { c.Kill(); st.Close() }()
+
+	var promotions int64
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%churnUsers == 0 {
+			b.StopTimer()
+			promotions += c.Stats().StorePromotions
+			restart()
+			b.StartTimer()
+		}
+		if _, err := c.Read("d", names[i%churnUsers]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	s := c.Stats()
+	if promotions += s.StorePromotions; promotions != int64(b.N) {
+		b.Fatalf("%d of %d timed reads were promotions", promotions, b.N)
+	}
+	if s.StoreErrors != 0 {
+		b.Fatalf("%d store errors", s.StoreErrors)
 	}
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
 	"placeless/internal/docspace"
 	"placeless/internal/property"
+	"placeless/internal/replace"
+	"placeless/internal/sig"
 )
 
 // records returns every entry and cut of doc the table holds, by key,
@@ -119,4 +122,84 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 	if st := w.cache.Stats(); w.cache.Len() != 0 || st.IntermediateEntries != 0 || st.BytesStored != 0 {
 		t.Fatalf("Close left %d entries, %d cuts, %d bytes", w.cache.Len(), st.IntermediateEntries, st.BytesStored)
 	}
+}
+
+// TestInstallTakesExactBytes pins Install's ownership rule: the table
+// keeps an exact-size slice under a new signature as the blob itself,
+// copies a slice with spare capacity to an exact-size blob, and shares
+// the blob a held signature already has.
+func TestInstallTakesExactBytes(t *testing.T) {
+	tab := NewTable(1, replace.NewGDS())
+	install := func(k string, data []byte) (kept bool, stored []byte) {
+		t.Helper()
+		ok, kept := tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, data, 0)
+		if !ok {
+			t.Fatalf("%s: not installed", k)
+		}
+		_, stored = tab.Lookup(k)
+		return kept, stored
+	}
+
+	exact := []byte("exact-size body")
+	if kept, stored := install("a", exact); !kept || &stored[0] != &exact[0] {
+		t.Fatalf("an exact-size slice under a new signature: kept %v, stored its own bytes %v", kept, &stored[0] == &exact[0])
+	}
+	spare := append(make([]byte, 0, 64), "spare-capacity body"...)
+	if kept, stored := install("b", spare); kept || &stored[0] == &spare[0] || cap(stored) != len(stored) || !bytes.Equal(stored, spare) {
+		t.Fatalf("a slice with spare capacity: kept %v, stored %d of %d capacity", kept, len(stored), cap(stored))
+	}
+	again := []byte("exact-size body")
+	if kept, stored := install("c", again); kept || &stored[0] != &exact[0] {
+		t.Fatal("a held signature did not share the held blob")
+	}
+}
+
+// TestEveryMissHandsTheCallerItsOwnBytes: whichever path produced a
+// miss's bytes — a plain miss whose body the table kept, a miss resumed
+// from a memoized cut, a promotion from disk — the caller may scribble
+// on them and the next hit still serves the original.
+func TestEveryMissHandsTheCallerItsOwnBytes(t *testing.T) {
+	scribbleThenHit := func(t *testing.T, w *world, user string, miss []byte) {
+		t.Helper()
+		want := bytes.Clone(miss)
+		for i := range miss {
+			miss[i] = '#'
+		}
+		if hit := w.read(t, "d", user); !bytes.Equal(hit, want) {
+			t.Fatalf("the miss's caller wrote into the cache: %q", hit)
+		}
+		if st := w.cache.Stats(); st.Hits == 0 {
+			t.Fatal("the second read was not a hit")
+		}
+	}
+	t.Run("plain miss", func(t *testing.T) {
+		w := newWorld(t, Options{})
+		w.addDoc(t, "d", "eyal", "/d", []byte("body the table keeps"))
+		if err := w.space.Attach("d", "", docspace.Universal, property.NewUppercaser(0)); err != nil {
+			t.Fatal(err)
+		}
+		scribbleThenHit(t, w, "eyal", w.read(t, "d", "eyal"))
+	})
+	t.Run("memo-resumed miss", func(t *testing.T) {
+		users := memoUsers(2)
+		w := newWorld(t, Options{Memoize: true})
+		setupMemoDoc(t, w, users)
+		w.read(t, "d", users[0])
+		data, info, err := w.cache.ReadWithInfo("d", users[1])
+		if err != nil || !info.IntermediateHit {
+			t.Fatalf("setup: %+v, %v", info, err)
+		}
+		scribbleThenHit(t, w, users[1], data)
+	})
+	t.Run("disk promote", func(t *testing.T) {
+		d := newDurableWorld(t, Options{})
+		setupMemoDoc(t, d.world, []string{"eyal"})
+		d.read(t, "d", "eyal")
+		d.crashAndRestart()
+		data, info, err := d.cache.ReadWithInfo("d", "eyal")
+		if err != nil || !info.DiskPromoted {
+			t.Fatalf("setup: %+v, %v", info, err)
+		}
+		scribbleThenHit(t, d.world, "eyal", data)
+	})
 }

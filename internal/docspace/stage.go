@@ -60,11 +60,15 @@ type PrefixIntermediates interface {
 	// the data and index of the largest i such that (src, fps[i]) is
 	// resident, or ok=false when none is. fps is ordered shallowest to
 	// deepest. The probe is memory-only; slower tiers are consulted
-	// per cut by PrefixIntermediate.
+	// per cut by PrefixIntermediate. data is read-only: it may be the
+	// store's own bytes.
 	LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) (data []byte, idx int, ok bool)
 	// PrefixIntermediate returns the memoized output for (src, cut.FP)
 	// or computes it via compute — exactly once per key under
-	// concurrent misses. The returned slice is owned by the caller. hit
+	// concurrent misses. The returned slice is read-only, like
+	// LongestPrefix's, and compute's result may be kept by the store
+	// (the read never modifies either; it hands them only to transforms
+	// and to ReadAllAndClose, which copies what would alias them). hit
 	// reports whether compute was skipped (served from the store or
 	// coalesced onto another caller's computation). cut carries the
 	// position metadata so the store can account and cost-gate installs
@@ -389,7 +393,10 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	r.node.registry.Dispatch(e)
 
 	tRaw := time.Now()
-	rawBytes, err := stream.ReadAllAndClose(raw)
+	// The source is only read — hashed, handed to transforms, copied by
+	// ReadAllAndClose wherever a result would alias it — so a provider's
+	// bytes are used as they are.
+	rawBytes, err := stream.ReadOnlyAndClose(raw)
 	if err != nil {
 		return nil, property.ReadResult{}, trace, err
 	}

@@ -2,7 +2,6 @@ package property
 
 import (
 	"bytes"
-	"crypto/md5"
 	"fmt"
 	"sort"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"placeless/internal/event"
+	"placeless/internal/sig"
 	"placeless/internal/stream"
 )
 
@@ -64,11 +64,11 @@ func (t *Transformer) MemoKey() (string, bool) {
 // digests every (word, replacement) pair in sorted order, so two
 // properties share a key exactly when their dictionaries match.
 func tableDigest(table map[string]string) string {
-	h := md5.New()
+	var enc []byte
 	for _, w := range SortedWords(table) {
-		fmt.Fprintf(h, "%s\x00%s\x00", w, table[w])
+		enc = fmt.Appendf(enc, "%s\x00%s\x00", w, table[w])
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return sig.Of(enc).String()
 }
 
 // Events implements Active.
@@ -250,13 +250,16 @@ func NewUppercaser(cost time.Duration) *Transformer {
 
 // NewWatermarker returns a read-path property appending a per-user
 // banner, guaranteeing per-user distinct content (the worst case for
-// shared caching, exercised in experiment E3).
+// shared caching, exercised in experiment E3). Its output is sized
+// exactly, so a cache can keep it as the stored bytes without a copy.
 func NewWatermarker(user string, cost time.Duration) *Transformer {
 	banner := []byte("\n-- retrieved for " + user + " --\n")
 	return &Transformer{
 		Base: Base{PropName: "watermark:" + user},
 		ReadTransform: func(b []byte) []byte {
-			return append(append([]byte{}, b...), banner...)
+			out := make([]byte, len(b)+len(banner))
+			copy(out[copy(out, b):], banner)
+			return out
 		},
 		ExecCost: cost,
 		Version:  1,

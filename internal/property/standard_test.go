@@ -258,3 +258,36 @@ func TestRot13InvolutionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadTransformsLeaveInputUnchanged: a cache hands the bytes it
+// stores to read transforms as their input, so no standard read
+// transform may modify its input — not its bytes, and not the spare
+// capacity behind them that an append would write into.
+func TestReadTransformsLeaveInputUnchanged(t *testing.T) {
+	content := "Teh document is in a cache and I recieve the paper.\nhello world\nline three\n"
+	for _, p := range []*Transformer{
+		NewSpellCorrector(0),
+		NewTranslator(0),
+		NewUppercaser(0),
+		NewRot13(0),
+		NewLineNumberer(0),
+		NewSummarizer(1, 0),
+		NewSummarizer(10, 0),
+		NewWatermarker("eyal", 0),
+	} {
+		in := make([]byte, len(content), len(content)+64)
+		copy(in, content)
+		full := in[:cap(in)]
+		for i := len(content); i < len(full); i++ {
+			full[i] = '#'
+		}
+		want := bytes.Clone(full)
+		out, _ := runRead(t, p, in)
+		if !bytes.Equal(full, want) {
+			t.Errorf("%s modified its input: %q", p.Name(), full)
+		}
+		if len(out) == 0 {
+			t.Errorf("%s produced nothing", p.Name())
+		}
+	}
+}

@@ -569,13 +569,17 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	if !meta.Expiry.IsZero() {
 		verifiers = []property.Verifier{property.TTLVerifier{Expiry: meta.Expiry}}
 	}
-	c.tab.Install(k, &core.Entry{
+	if _, kept := c.tab.Install(k, &core.Entry{
 		Doc: doc, User: user,
 		Signature:    meta.Signature,
 		Cost:         meta.Cost,
 		Cacheability: meta.Cacheability,
 		Verifiers:    verifiers,
-	}, data, gen)
+	}, data, gen); kept {
+		// The table stores the body the wire decoded; the reader gets
+		// the copy.
+		return bytes.Clone(data), nil
+	}
 	return data, nil
 }
 

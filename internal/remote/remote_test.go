@@ -434,3 +434,24 @@ func TestConcurrentReadsPushesAndFlushes(t *testing.T) {
 		t.Fatalf("after the churn: %d bytes stored, %d in resident views; %d evictions", st.BytesStored, resident, st.Evictions)
 	}
 }
+
+// TestMissHandsTheCallerItsOwnBytes: the sidecar's table keeps the body
+// the wire decoded, so the miss that installed it must hand its caller
+// a copy — scribbling on a miss's result cannot reach the next hit.
+func TestMissHandsTheCallerItsOwnBytes(t *testing.T) {
+	r := newRig(t, Options{})
+	if err := r.client.CreateDocument("d", "u", []byte("wire body")); err != nil {
+		t.Fatal(err)
+	}
+	miss, err := r.cache.Read("d", "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss[0] = 'X'
+	if hit, _ := r.cache.Read("d", "u"); string(hit) != "wire body" {
+		t.Fatalf("the miss's caller wrote into the cache: %q", hit)
+	}
+	if st := r.cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("want one miss then one hit: %+v", st)
+	}
+}

@@ -15,7 +15,7 @@ import (
 	"placeless/internal/store"
 )
 
-// TestMissSignsEachBodyOnce counts the MD5 runs of the origin's three
+// TestMissSignsEachBodyOnce counts the sig.Of runs of the origin's three
 // miss shapes, on the live benchmark's chain (two universal
 // transforms, a personal watermark) over a 4 KiB source with the disk
 // tier attached. It lives here because only this package's tests can
@@ -95,7 +95,7 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 		if !check(info) {
 			t.Fatalf("%s: the read took another shape: %+v", shape, info)
 		}
-		t.Logf("%s: %d source + %d body hashes, %d bytes through MD5", shape, sources, bodies, hashed)
+		t.Logf("%s: %d source + %d body hashes, %d bytes hashed", shape, sources, bodies, hashed)
 		if sources != wantSources || bodies != wantBodies {
 			t.Errorf("%s: %d source + %d body hashes, want %d + %d", shape, sources, bodies, wantSources, wantBodies)
 		}

@@ -4,29 +4,36 @@
 // pairs to a content signature such as an MD5 hash, and mapping
 // signatures to the stored bytes, so that identical transformed
 // content cached on behalf of different users is stored once. This
-// package provides that signature type.
+// package provides that signature type. It is SHA-256 truncated to
+// 128 bits rather than MD5 (PAPER.md §2, substitutions): the cache and
+// its memo layer trust that equal signatures mean equal bytes, and MD5
+// chosen-prefix collisions are practical.
 package sig
 
 import (
-	"crypto/md5"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 )
 
-// Signature is an MD5 digest of document content. The paper names MD5
-// explicitly; it is used here for content equality, not security.
-type Signature [md5.Size]byte
-
 // Size is the byte length of a Signature, for fixed-width binary
-// encodings (the durable store's segment records).
-const Size = md5.Size
+// encodings (the wire's read response, the durable store's segment
+// records).
+const Size = 16
+
+// Signature is the first Size bytes of the SHA-256 digest of document
+// content. It is the one hash for content signatures, chain
+// fingerprints and the durable store, on every host: there is no
+// per-CPU choice, so two machines always agree on a signature.
+type Signature [Size]byte
 
 // Of returns the signature of data.
 func Of(data []byte) Signature {
 	if ofHook != nil {
 		ofHook(len(data))
 	}
-	return md5.Sum(data)
+	sum := sha256.Sum256(data)
+	return Signature(sum[:Size])
 }
 
 // ofHook, when set, is told the length of every input Of hashes. Only
@@ -68,7 +75,7 @@ func (s *Signature) UnmarshalText(text []byte) error {
 // for malformed input.
 func Parse(s string) (Signature, bool) {
 	var out Signature
-	if len(s) != hex.EncodedLen(md5.Size) {
+	if len(s) != hex.EncodedLen(Size) {
 		return out, false
 	}
 	b, err := hex.DecodeString(s)

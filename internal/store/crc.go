@@ -7,10 +7,11 @@ import (
 )
 
 // recordCRC covers signature ‖ payload with CRC-32 (IEEE). The CRC
-// catches casual bit rot cheaply at scan time; the MD5 signature check
-// behind it is the authoritative content-address verification. Having
-// both means a scan can reject a damaged record without recomputing
-// MD5 for the (common) case of a mangled header.
+// catches casual bit rot cheaply at scan time; the content-signature
+// check behind it (sig.Of) is the authoritative content-address
+// verification. Having both means a scan can reject a damaged record
+// without rehashing the payload for the (common) case of a mangled
+// header.
 func recordCRC(s sig.Signature, payload []byte) uint32 {
 	crc := crc32.NewIEEE()
 	crc.Write(s[:])

@@ -17,7 +17,7 @@ import (
 //
 //	magic  (4 bytes, "PLSG")
 //	length (4 bytes, little-endian payload size)
-//	sig    (16 bytes, MD5 content signature of the payload)
+//	sig    (16 bytes, content signature of the payload: sig.Of, SHA-256/128)
 //	crc    (4 bytes, little-endian CRC-32 (IEEE) of sig ‖ payload)
 //	payload
 //
@@ -170,6 +170,7 @@ func openSegments(dir string) (refs map[sig.Signature]blobRef, files map[int]*os
 			return nil, nil, 0, 0, 0, err
 		}
 	}
+	var activeTorn bool
 	for _, n := range nums {
 		path := filepath.Join(dir, segmentName(n))
 		res, err := scanSegment(path, n)
@@ -187,11 +188,14 @@ func openSegments(dir string) (refs map[sig.Signature]blobRef, files map[int]*os
 			return nil, nil, 0, 0, 0, err
 		}
 		files[n] = f
-		active, activeEnd = n, res.validEnd
+		active, activeEnd, activeTorn = n, res.validEnd, res.lostBytes > 0
 	}
 	// Only the active segment is repaired in place: sealed segments
-	// are never rewritten, their lost tails are simply not indexed.
-	if f := files[active]; f != nil {
+	// are never rewritten, their lost tails are simply not indexed. A
+	// clean tail is not touched at all: the truncate would change
+	// nothing but the file's times, and an origin restarting under the
+	// live benchmark was once caught blocked in it for a minute.
+	if f := files[active]; f != nil && activeTorn {
 		if err := f.Truncate(activeEnd); err != nil {
 			cleanup()
 			return nil, nil, 0, 0, 0, err

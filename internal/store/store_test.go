@@ -202,8 +202,8 @@ func TestFlippedChecksumByte(t *testing.T) {
 	}
 }
 
-// TestFlippedPayloadByte flips one payload byte: CRC and MD5 must both
-// be capable of catching it (the scan rejects it before indexing).
+// TestFlippedPayloadByte flips one payload byte: CRC and signature must
+// both be capable of catching it (the scan rejects it before indexing).
 func TestFlippedPayloadByte(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)

@@ -19,6 +19,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // bufPool recycles scratch buffers for whole-content staging on the
@@ -104,13 +105,19 @@ func drainToOwned(r io.Reader) ([]byte, error) {
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
+	return exactCopy(buf.Bytes()), nil
+}
+
+// exactCopy returns a copy of b whose capacity is its length.
+func exactCopy(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // Transform rewrites a complete document body. Implementations must
-// not retain or mutate the input slice.
+// not retain or mutate the input slice: the input may be bytes a cache
+// stores and serves to other readers.
 type Transform func([]byte) []byte
 
 // InputWrapper wraps a read stream; it is the unit of composition on
@@ -158,8 +165,22 @@ func (nopReadCloser) Close() error { return nil }
 // NopReadCloser wraps r with a no-op Close.
 func NopReadCloser(r io.Reader) io.ReadCloser { return nopReadCloser{r} }
 
-// BytesReader serves b as a read stream.
-func BytesReader(b []byte) io.ReadCloser { return NopReadCloser(bytes.NewReader(b)) }
+// BytesReader serves b as a read stream. It never modifies b, and
+// ReadAllAndClose recognizes it beneath a chain of WholeInput wrappers
+// (see there).
+func BytesReader(b []byte) io.ReadCloser {
+	r := &bytesReader{b: b}
+	r.Reset(b)
+	return r
+}
+
+// bytesReader is BytesReader's stream; b is the slice it serves.
+type bytesReader struct {
+	bytes.Reader
+	b []byte
+}
+
+func (*bytesReader) Close() error { return nil }
 
 // wholeReader lazily drains its source, applies a Transform once, and
 // serves the result.
@@ -265,14 +286,76 @@ func (b *BufferCloser) Close() error {
 	return nil
 }
 
-// ReadAllAndClose drains r, closes it, and returns the content. The
-// drain stages through a pooled buffer, so the returned slice is an
-// exact-size allocation owned by the caller.
+// ReadAllAndClose drains r, closes it, and returns the content, which
+// the caller owns: it never shares memory with a BytesReader's input.
+//
+// A chain of WholeInput wrappers over an unread BytesReader — what a
+// miss runs its transforms through — is not streamed at all: the
+// transforms are applied straight to the slices, innermost first, and
+// the last one's output is returned as it is, unless it shares memory
+// with the reader's input (an empty chain, an identity transform, a
+// sub-slice), in which case it is copied to an exact-size slice. Any
+// other stream is drained through a pooled buffer into an exact-size
+// copy.
 func ReadAllAndClose(r io.ReadCloser) ([]byte, error) {
-	data, err := drainToOwned(r)
+	var data []byte
+	var err error
+	if in, out, ok := applyWhole(r); ok {
+		if data = out; overlaps(out, in) {
+			data = exactCopy(out)
+		} else if data == nil {
+			data = []byte{} // what a drain returns for no content
+		}
+	} else {
+		data, err = drainToOwned(r)
+	}
 	cerr := r.Close()
 	if err == nil {
 		err = cerr
 	}
 	return data, err
+}
+
+// ReadOnlyAndClose is ReadAllAndClose for a caller that only reads the
+// content and keeps none of it past its own return: an unread
+// BytesReader's slice comes back as it is, uncopied.
+func ReadOnlyAndClose(r io.ReadCloser) ([]byte, error) {
+	if x, ok := r.(*bytesReader); ok && x.Len() == len(x.b) {
+		return x.b, r.Close()
+	}
+	return ReadAllAndClose(r)
+}
+
+// applyWhole applies the transforms of a chain of unread WholeInput
+// wrappers over an unread BytesReader to the reader's slice, returning
+// that input and the chain's output; ok is false, and nothing has run,
+// for any other stream.
+func applyWhole(r io.Reader) (in, out []byte, ok bool) {
+	switch x := r.(type) {
+	case *bytesReader:
+		if x.Len() != len(x.b) {
+			return nil, nil, false
+		}
+		return x.b, x.b, true
+	case *wholeReader:
+		if x.buf != nil || x.err != nil {
+			return nil, nil, false
+		}
+		if in, out, ok = applyWhole(x.src); ok {
+			out = x.f(out)
+		}
+		return in, out, ok
+	}
+	return nil, nil, false
+}
+
+// overlaps reports whether x and y share any memory up to their
+// capacities.
+func overlaps(x, y []byte) bool {
+	if cap(x) == 0 || cap(y) == 0 {
+		return false
+	}
+	x, y = x[:cap(x)], y[:cap(y)]
+	return uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
+		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -143,5 +144,111 @@ func TestWriteReadSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadAllNeverAliasesInput: whatever the chain over a BytesReader,
+// ReadAllAndClose returns an exact-size slice that shares no memory
+// with the reader's input, so the caller may modify it while the input
+// — which may be bytes a cache stores — stays as it was.
+func TestReadAllNeverAliasesInput(t *testing.T) {
+	identity := func(b []byte) []byte { return b }
+	head := func(b []byte) []byte { return b[:len(b)/2] }
+	tail := func(b []byte) []byte { return b[len(b)/2:] }
+	// tap is a wrapper that is not a WholeInput: the chain is drained.
+	tap := func(r io.ReadCloser) io.ReadCloser { return NopReadCloser(io.TeeReader(r, io.Discard)) }
+	for _, tc := range []struct {
+		name     string
+		wrappers []InputWrapper
+	}{
+		{"empty chain", nil},
+		{"identity", []InputWrapper{WholeInput(identity)}},
+		{"identity twice", []InputWrapper{WholeInput(identity), WholeInput(identity)}},
+		{"head", []InputWrapper{WholeInput(head)}},
+		{"tail", []InputWrapper{WholeInput(tail)}},
+		{"identity under a tap", []InputWrapper{WholeInput(identity), tap}},
+		{"tap under identity", []InputWrapper{tap, WholeInput(identity)}},
+		{"tap alone", []InputWrapper{tap}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := make([]byte, 0, 64)
+			in = append(in, "bytes a cache may be holding"...)
+			want := bytes.Clone(in)
+			got, err := ReadAllAndClose(ChainInput(BytesReader(in), tc.wrappers...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if overlaps(got, in) {
+				t.Fatal("the result shares memory with the input")
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("the result has %d bytes of spare capacity", cap(got)-len(got))
+			}
+			for i := range got {
+				got[i] = 'x'
+			}
+			if !bytes.Equal(in, want) {
+				t.Fatalf("modifying the result changed the input to %q", in)
+			}
+		})
+	}
+}
+
+// TestReadAllAppliesWholeTransformsToSlices: a chain of WholeInput
+// transforms over a BytesReader runs each transform once on the slices,
+// innermost first, and returns the last one's output itself — no drain,
+// no copy.
+func TestReadAllAppliesWholeTransformsToSlices(t *testing.T) {
+	var calls []string
+	var last []byte
+	step := func(name string) Transform {
+		return func(b []byte) []byte {
+			calls = append(calls, name)
+			last = append(append(make([]byte, 0, len(b)+len(name)), b...), name...)
+			return last
+		}
+	}
+	got, err := ReadAllAndClose(ChainInput(BytesReader([]byte("x")), WholeInput(step("-base")), WholeInput(step("-ref"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "x-base-ref" || fmt.Sprint(calls) != "[-base -ref]" {
+		t.Fatalf("got %q after %v", got, calls)
+	}
+	if &got[0] != &last[0] {
+		t.Fatal("the last transform's output was copied")
+	}
+}
+
+// TestReadAllAfterPartialRead: a stream something has already read from
+// is drained from where it stands, not restarted, by both readers.
+func TestReadAllAfterPartialRead(t *testing.T) {
+	for _, read := range []func(io.ReadCloser) ([]byte, error){ReadAllAndClose, ReadOnlyAndClose} {
+		for _, r := range []io.ReadCloser{
+			BytesReader([]byte("abc")),
+			ChainInput(BytesReader([]byte("abc")), WholeInput(upper)),
+		} {
+			if _, err := r.Read(make([]byte, 1)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := read(r)
+			if err != nil || !bytes.EqualFold(got, []byte("bc")) {
+				t.Fatalf("got %q, %v; want the two unread bytes", got, err)
+			}
+		}
+	}
+}
+
+// TestReadOnlyHandsBackTheSlice: an unread BytesReader's slice comes
+// back as it is; a chain over it is still read through ReadAllAndClose.
+func TestReadOnlyHandsBackTheSlice(t *testing.T) {
+	in := []byte("source bytes")
+	got, err := ReadOnlyAndClose(BytesReader(in))
+	if err != nil || &got[0] != &in[0] || len(got) != len(in) {
+		t.Fatalf("got %q, %v; want the reader's own slice", got, err)
+	}
+	got, err = ReadOnlyAndClose(ChainInput(BytesReader(in), WholeInput(upper)))
+	if err != nil || string(got) != "SOURCE BYTES" || overlaps(got, in) {
+		t.Fatalf("got %q, %v; want the transform's own output", got, err)
 	}
 }
