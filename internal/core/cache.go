@@ -429,12 +429,6 @@ type EntryInfo struct {
 	// server uses it to stream large bodies straight from the durable
 	// store instead of the heap copy.
 	Signature sig.Signature
-	// BodyCRC32C is the CRC-32C of the returned bytes, valid only when
-	// BodyCRCOK is set (CRC zero is a legal checksum). It is the blob
-	// tier's checksum, computed once per blob; the wire server folds it
-	// into frame trailers instead of re-scanning the body per response.
-	BodyCRC32C uint32
-	BodyCRCOK  bool
 }
 
 // Read returns the document content as seen by user, serving from the
@@ -524,9 +518,7 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 		tr.Time = time.Now()
 		o.ObserveRead(*tr)
 	}
-	info := e.hitInfo()
-	info.BodyCRC32C, info.BodyCRCOK = e.blob.checksum(), true
-	return data, info, true
+	return data, e.hitInfo(), true
 }
 
 // probeOutcome is what probe found behind a key.

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"hash/crc32"
 	"testing"
 	"time"
 
@@ -111,12 +110,7 @@ func TestHitProbeParity(t *testing.T) {
 					if served != tc.shared {
 						t.Fatalf("ReadSharedHit ok = %v, want %v", served, tc.shared)
 					}
-					if served {
-						if !o.info.BodyCRCOK || o.info.BodyCRC32C != crc32.Checksum(o.data, castagnoliTable) {
-							t.Errorf("shared hit CRC = %#x (ok=%v), want the body's CRC-32C", o.info.BodyCRC32C, o.info.BodyCRCOK)
-						}
-						o.info.BodyCRC32C, o.info.BodyCRCOK = 0, false
-					} else if after := w.cache.Stats(); after.Hits != before.Hits || after.VerifierRejects != before.VerifierRejects || after.EventsForwarded != before.EventsForwarded {
+					if after := w.cache.Stats(); !served && (after.Hits != before.Hits || after.VerifierRejects != before.VerifierRejects || after.EventsForwarded != before.EventsForwarded) {
 						t.Errorf("declined probe accounted for itself: %+v -> %+v", before, after)
 					}
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,26 +111,6 @@ type blob struct {
 	data      []byte
 	refs      int
 	entryRefs int
-	// crc holds the CRC-32C of data with bit 32 set, once a hit has
-	// asked for it (checksum).
-	crc atomic.Uint64
-}
-
-// castagnoliTable is the CRC-32C table blob checksums use. The wire
-// server combines a blob's checksum into frame trailers so warm hits
-// never re-scan the body.
-var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
-
-// checksum returns the CRC-32C of the blob's bytes, computing it the
-// first time it is asked for. The bytes are immutable, so concurrent
-// first callers compute the same value.
-func (b *blob) checksum() uint32 {
-	if v := b.crc.Load(); v != 0 {
-		return uint32(v)
-	}
-	c := crc32.Checksum(b.data, castagnoliTable)
-	b.crc.Store(1<<32 | uint64(c))
-	return c
 }
 
 // Key builds the (document, user) entry identifier. The paper: "Our

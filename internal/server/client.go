@@ -275,7 +275,6 @@ type Client struct {
 	reconnects   int64
 	timeouts     int64
 	downSince    time.Time
-	readErr      error
 	onInval      func(doc, user string)
 	onReconnect  []func(epoch uint64)
 	onState      []func(ConnState)
@@ -359,7 +358,7 @@ func (c *Client) handshake(conn net.Conn) (*wireConn, error) {
 	w := &wireConn{c: conn, br: bufio.NewReaderSize(conn, 8<<10)}
 	w.claim = func(id uint64, n int) []byte { return c.claimReadDst(w, id, n) }
 	w.fw = newFrameWriter(conn, c.cfg.writeTimeout, &c.framesBatched, nil,
-		func(err error) { c.connFailed(w, err) })
+		func(error) { c.connFailed(w) })
 	return w, nil
 }
 
@@ -498,7 +497,7 @@ func (c *Client) readLoop(wc *wireConn) {
 	for {
 		resp, err := wc.readResponse()
 		if err != nil {
-			c.connFailed(wc, err)
+			c.connFailed(wc)
 			// connFailed skips calls claimed by this connection's
 			// decoder (their buffers were being written until
 			// readResponse returned just above); fail them here, where
@@ -525,7 +524,7 @@ func (c *Client) readLoop(wc *wireConn) {
 // background reconnector starts. Safe to call from multiple goroutines
 // and multiple times; only the first caller for a given connection
 // does the work.
-func (c *Client) connFailed(wc *wireConn, err error) {
+func (c *Client) connFailed(wc *wireConn) {
 	c.mu.Lock()
 	if c.wc != wc {
 		c.mu.Unlock()
@@ -533,7 +532,6 @@ func (c *Client) connFailed(wc *wireConn, err error) {
 		return
 	}
 	c.wc = nil
-	c.readErr = err
 	failErr := error(ErrDisconnected)
 	newState := StateDisconnected
 	if c.closed {
@@ -690,7 +688,7 @@ func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 		delete(c.pending, req.ID)
 		closed := c.closed
 		c.mu.Unlock()
-		c.connFailed(wc, err)
+		c.connFailed(wc)
 		if closed {
 			return nil, ErrClientClosed
 		}
@@ -743,7 +741,7 @@ func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 		// be trusted (responses and invalidation pushes share it):
 		// reset it so the reconnect path takes over instead of
 		// leaving a zombie link up.
-		c.connFailed(wc, ErrTimeout)
+		c.connFailed(wc)
 		return nil, ErrTimeout
 	}
 }

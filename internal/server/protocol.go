@@ -157,13 +157,6 @@ type Response struct {
 	// either way, for the error paths.
 	bodyStream io.Reader
 	bodyLen    int64
-
-	// bodyCRC, valid when bodyCRCOK (CRC zero is a legal checksum), is
-	// the CRC-32C of the body content as stamped by the cache's blob
-	// tier at intern time. The frame writer combines it into the
-	// payload trailer instead of re-scanning the body per response.
-	bodyCRC   uint32
-	bodyCRCOK bool
 }
 
 // Match is one property-search hit (OpFind).

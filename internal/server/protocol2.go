@@ -122,6 +122,19 @@ func readTrailer(br *bufio.Reader, crc uint32) error {
 	return nil
 }
 
+// readPayload reads a plen-byte payload into its own allocation and
+// verifies the trailer behind it.
+func readPayload(br *bufio.Reader, plen int) ([]byte, error) {
+	payload := make([]byte, plen)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return nil, err
+	}
+	if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
 // Frame flags.
 const (
 	// flagGob marks a response payload that is a gob-encoded Response:
@@ -265,11 +278,6 @@ type wireFrame struct {
 	body       []byte
 	bodyReader io.Reader
 	bodyLen    int64
-	// trailerCRC, when hasTrailerCRC, is the precomputed payload CRC
-	// (metadata CRC combined with the cache's once-per-blob body CRC);
-	// the writer stamps it into the trailer without scanning the body.
-	trailerCRC    uint32
-	hasTrailerCRC bool
 }
 
 // encodeRequestFrame renders one client→server frame in the one request
@@ -347,11 +355,8 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 		_, _ = br.Discard(plen + frameTrailerSize)
 		return req, nil
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, err
-	}
-	if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
+	payload, err := readPayload(br, plen)
+	if err != nil {
 		return nil, err
 	}
 	if err := decodeRequestPayload(req, payload); err != nil {
@@ -392,17 +397,6 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		var flags uint16
 		if resp.SubscribeFailed {
 			flags = flagSubscribe
-		}
-		if resp.bodyCRCOK {
-			// Stitch the trailer from the metadata prefix's CRC and the
-			// cache's once-per-blob body CRC, so neither the inline nor
-			// the streamed path ever re-scans the body bytes.
-			bodyLen := int64(len(resp.Body))
-			if resp.bodyStream != nil {
-				bodyLen = resp.bodyLen
-			}
-			f.trailerCRC = crc32Combine(crc32.Update(0, castagnoli, b[frameHeaderSize:]), resp.bodyCRC, bodyLen)
-			f.hasTrailerCRC = true
 		}
 		if resp.bodyStream != nil {
 			putFrameHeader(b, op, flags, resp.ID, readMetaSize+int(resp.bodyLen))
@@ -456,11 +450,8 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 	}
 	switch {
 	case flags&flagError != 0:
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, err
-		}
-		if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
+		payload, err := readPayload(br, plen)
+		if err != nil {
 			return nil, err
 		}
 		e := string(payload)
@@ -472,11 +463,8 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 		if !structuredResponse(op) {
 			return nil, fmt.Errorf("server: bad response: op %v with the gob flag", op)
 		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, err
-		}
-		if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
+		payload, err := readPayload(br, plen)
+		if err != nil {
 			return nil, err
 		}
 		var resp Response
@@ -527,11 +515,8 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 		resp.Body = body
 		return resp, nil
 	case opInvalidate:
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, err
-		}
-		if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
+		payload, err := readPayload(br, plen)
+		if err != nil {
 			return nil, err
 		}
 		doc, rest, err := readWireString(payload)
@@ -605,7 +590,6 @@ type frameWriter struct {
 	stream        io.Reader
 	streamN       int64
 	streamCRC     uint32 // payload CRC so far for the streamed frame
-	streamCRCSet  bool   // streamCRC is already final (precombined)
 	frames        int
 }
 
@@ -698,30 +682,24 @@ func (w *frameWriter) fail(err error) {
 // close shuts the writer down without treating it as a wire failure.
 func (w *frameWriter) close() { w.fail(nil) }
 
-// add stages one frame into the current batch.
+// add stages one frame into the current batch and computes its trailer
+// by scanning the payload it queues.
 func (w *frameWriter) add(f wireFrame) {
 	w.bufs = append(w.bufs, f.hdr)
 	w.total += len(f.hdr)
 	if f.hdrPool != nil {
 		w.release = append(w.release, leasedBuf{p: f.hdrPool, b: f.hdr})
 	}
-	crc := f.trailerCRC
-	if !f.hasTrailerCRC {
-		crc = crc32.Update(0, castagnoli, f.hdr[frameHeaderSize:])
-	}
+	crc := crc32.Update(0, castagnoli, f.hdr[frameHeaderSize:])
 	if len(f.body) > 0 {
 		w.bufs = append(w.bufs, f.body)
 		w.total += len(f.body)
-		if !f.hasTrailerCRC {
-			crc = crc32.Update(crc, castagnoli, f.body)
-		}
+		crc = crc32.Update(crc, castagnoli, f.body)
 	}
 	if f.bodyReader != nil {
-		// Without a precombined trailer the stream's CRC accrues
-		// during the copy in loop; either way the trailer is written
-		// after the body bytes, not here.
+		// The stream's CRC accrues during the copy in flushLocked, and
+		// its trailer is written after the body bytes, not here.
 		w.stream, w.streamN, w.streamCRC = f.bodyReader, f.bodyLen, crc
-		w.streamCRCSet = f.hasTrailerCRC
 	} else {
 		t := &w.trailers[w.frames]
 		binary.BigEndian.PutUint32(t[:], crc)
@@ -741,7 +719,7 @@ func (w *frameWriter) drainLocked(extra *wireFrame) error {
 		w.bufs = w.bufs[:0]
 		w.release = w.release[:0]
 		w.total, w.frames = 0, 0
-		w.stream, w.streamN, w.streamCRC, w.streamCRCSet = nil, 0, 0, false
+		w.stream, w.streamN, w.streamCRC = nil, 0, 0
 		// A streamed frame ends the batch: its tail is written by
 		// io.Copy in flushLocked, so nothing may follow it in the
 		// writev.
@@ -785,16 +763,10 @@ func (w *frameWriter) flushLocked() error {
 	view := net.Buffers(w.bufs)
 	n, err := view.WriteTo(w.c)
 	if err == nil && w.stream != nil {
+		cw := &crcWriter{w: w.c, crc: w.streamCRC}
 		var m int64
-		if w.streamCRCSet {
-			// The trailer was precombined from the blob's stored
-			// checksum; the body streams with no CRC instrumentation.
-			m, err = io.Copy(w.c, w.stream)
-		} else {
-			cw := &crcWriter{w: w.c, crc: w.streamCRC}
-			m, err = io.Copy(cw, w.stream)
-			w.streamCRC = cw.crc
-		}
+		m, err = io.Copy(cw, w.stream)
+		w.streamCRC = cw.crc
 		n += m
 		if err == nil && m != w.streamN {
 			// A short stream would desync the peer's framing; kill

@@ -677,3 +677,145 @@ func TestZeroCopyStreamedRead(t *testing.T) {
 		t.Fatalf("StreamedReads = %d, want >= 1", got)
 	}
 }
+
+// TestEveryFrameTrailerIsItsPayloadCRC: whichever path produces a
+// frame — the decode loop's fast hit, a handler, a streamed body, a
+// push — its trailer is the CRC-32C of the payload bytes on the wire.
+// The frames are captured raw off a loopback socket and checked
+// against a checksum computed here, not by readTrailer.
+func TestEveryFrameTrailerIsItsPayloadCRC(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
+	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
+	cache := core.New(space, core.Options{Name: "trailer-test", Capacity: 1 << 20})
+	st, _, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cache.Close()
+		st.Close()
+	})
+	srv := NewCached(space, backing, cache)
+	srv.SetStore(st)
+	srv.streamMin = 1
+	serveAndDial(t, srv)
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(helloMagic[:]); err != nil {
+		t.Fatal(err)
+	}
+	var ack [len(helloAck)]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack != helloAck {
+		t.Fatalf("handshake: ack %q, err %v", ack, err)
+	}
+
+	type rawFrame struct {
+		op      Op
+		flags   uint16
+		id      uint64
+		payload []byte
+		trailer uint32
+	}
+	readRaw := func() rawFrame {
+		t.Helper()
+		var h [frameHeaderSize]byte
+		if _, err := io.ReadFull(conn, h[:]); err != nil {
+			t.Fatal(err)
+		}
+		f := rawFrame{op: Op(h[1]), flags: binary.BigEndian.Uint16(h[2:4]), id: binary.BigEndian.Uint64(h[4:12])}
+		rest := make([]byte, binary.BigEndian.Uint32(h[12:16])+frameTrailerSize)
+		if _, err := io.ReadFull(conn, rest); err != nil {
+			t.Fatal(err)
+		}
+		f.payload = rest[:len(rest)-frameTrailerSize]
+		f.trailer = binary.BigEndian.Uint32(rest[len(rest)-frameTrailerSize:])
+		return f
+	}
+	// call sends req and returns its answer, setting aside any push that
+	// arrives first.
+	var pushes []rawFrame
+	var nextID uint64
+	call := func(req *Request) rawFrame {
+		t.Helper()
+		nextID++
+		req.ID = nextID
+		if _, err := conn.Write(frameBytes(t, encodeRequestFrame(req))); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f := readRaw()
+			if f.id == req.ID {
+				return f
+			}
+			if f.id != 0 {
+				t.Fatalf("frame for call %d while awaiting %d", f.id, req.ID)
+			}
+			pushes = append(pushes, f)
+		}
+	}
+
+	small := bytes.Repeat([]byte("trailer over a handler read "), 64)
+	big := bytes.Repeat([]byte("trailer over a streamed read "), 2048)
+	frames := map[string]rawFrame{}
+	frames["zero-payload ack"] = call(&Request{Op: OpCreateDocument, Doc: "small", User: "eyal", Body: small})
+	if f := call(&Request{Op: OpCreateDocument, Doc: "big", User: "eyal", Body: big}); f.flags != 0 {
+		t.Fatalf("create big: flags %#x, payload %q", f.flags, f.payload)
+	}
+	// Only big's bytes are in the durable tier, so only its read streams.
+	if _, err := st.PutBlob(big); err != nil {
+		t.Fatal(err)
+	}
+	frames["handler read (subscribe flag)"] = call(&Request{Op: OpRead, Doc: "small", User: "eyal", Subscribe: true})
+	frames["decode-loop fast hit"] = call(&Request{Op: OpRead, Doc: "small", User: "eyal"})
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("cache stats = %+v, want one handler miss then one fast hit", st)
+	}
+	frames["streamed read"] = call(&Request{Op: OpRead, Doc: "big", User: "eyal"})
+	if n := srv.StreamedReads(); n != 1 {
+		t.Fatalf("StreamedReads = %d, want 1", n)
+	}
+	frames["error"] = call(&Request{Op: OpRead, Doc: "no-such-doc", User: "eyal"})
+	frames["gob Stats"] = call(&Request{Op: OpStats})
+	if f := call(&Request{Op: OpWrite, Doc: "small", User: "eyal", Body: []byte("rewritten")}); f.flags != 0 {
+		t.Fatalf("write: flags %#x, payload %q", f.flags, f.payload)
+	}
+	for len(pushes) == 0 {
+		pushes = append(pushes, readRaw())
+	}
+	frames["invalidation push"] = pushes[0]
+
+	shapes := map[string]struct {
+		op    Op
+		flags uint16
+		body  []byte // the read body behind the metadata, when a read
+	}{
+		"decode-loop fast hit":          {op: OpRead, body: small},
+		"handler read (subscribe flag)": {op: OpRead, body: small},
+		"streamed read":                 {op: OpRead, body: big},
+		"invalidation push":             {op: opInvalidate},
+		"error":                         {op: OpRead, flags: flagError},
+		"gob Stats":                     {op: OpStats, flags: flagGob},
+		"zero-payload ack":              {op: OpCreateDocument},
+	}
+	castagnoliTab := crc32.MakeTable(crc32.Castagnoli)
+	for name, want := range shapes {
+		f := frames[name]
+		if f.op != want.op || f.flags != want.flags {
+			t.Errorf("%s: op %v flags %#x, want op %v flags %#x", name, f.op, f.flags, want.op, want.flags)
+		}
+		if want.body != nil && (len(f.payload) < readMetaSize || !bytes.Equal(f.payload[readMetaSize:], want.body)) {
+			t.Errorf("%s: payload does not carry the document's body", name)
+		}
+		if want.op == OpCreateDocument && len(f.payload) != 0 {
+			t.Errorf("%s: %d payload bytes, want none", name, len(f.payload))
+		}
+		if crc := crc32.Checksum(f.payload, castagnoliTab); f.trailer != crc {
+			t.Errorf("%s: trailer %#x, want the payload's CRC-32C %#x", name, f.trailer, crc)
+		}
+	}
+}

@@ -322,16 +322,8 @@ func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 		return nil, false
 	}
 	s.requests.Add(1)
-	resp := &Response{
-		ID:              req.ID,
-		Body:            data,
-		Cacheability:    int(info.Cacheability),
-		CostNanos:       int64(info.Cost),
-		ExpiryUnixNanos: expiryNanos(info.Expiry),
-		Signature:       info.Signature,
-		bodyCRC:         info.BodyCRC32C,
-		bodyCRCOK:       info.BodyCRCOK,
-	}
+	resp := cachedReadResponse(data, info)
+	resp.ID = req.ID
 	// No disk-tier stream here: the bytes are memory-resident (they
 	// alias the cache's blob storage), so one writev straight from the
 	// blob beats re-reading the segment file per response. Streaming
@@ -468,13 +460,7 @@ func (s *Server) apply(req *Request) *Response {
 			if err != nil {
 				return fail(err)
 			}
-			resp = &Response{
-				Body:            data,
-				Cacheability:    int(info.Cacheability),
-				CostNanos:       int64(info.Cost),
-				ExpiryUnixNanos: expiryNanos(info.Expiry),
-				Signature:       info.Signature,
-			}
+			resp = cachedReadResponse(data, info)
 			s.maybeAttachStream(resp, info.Signature, len(data))
 		} else {
 			data, res, err := s.space.ReadDocument(req.Doc, req.User)
@@ -590,6 +576,18 @@ func (s *Server) apply(req *Request) *Response {
 
 	default:
 		return fail(fmt.Errorf("server: unknown op %v", req.Op))
+	}
+}
+
+// cachedReadResponse is the read response for bytes the cache served,
+// on the decode loop's fast hit and the handler's read alike.
+func cachedReadResponse(data []byte, info core.EntryInfo) *Response {
+	return &Response{
+		Body:            data,
+		Cacheability:    int(info.Cacheability),
+		CostNanos:       int64(info.Cost),
+		ExpiryUnixNanos: expiryNanos(info.Expiry),
+		Signature:       info.Signature,
 	}
 }
 
