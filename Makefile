@@ -26,11 +26,12 @@ test-race:
 # Focused race sweep over the concurrent subsystems (what CI runs):
 # the sharded cache core (its panicking-transform wedge test included),
 # the document space (NotifierPair is driven by every server connection
-# and the cache at once), the TCP server/remote-cache pair and the
-# file-system repository (Store and Fetch order themselves per path),
-# and the stream package (a miss's transforms read the entry table's
-# own bytes), twice, so scheduling-order-dependent races get two
-# chances to surface;
+# and the cache at once, and its apply helper runs a miss's transforms
+# on the entry table's own bytes), the TCP server/remote-cache pair,
+# the file-system repository (Store and Fetch order themselves per
+# path) and the stream package (every body streamed from the store
+# shares its copy-chunk pool), twice, so scheduling-order-dependent
+# races get two chances to surface;
 # then the notifier pair's racing installs, closes and disconnects
 # twenty times (Ensure and Close subscribe and unsubscribe under the
 # pair's lock).

@@ -342,7 +342,7 @@ type midReadRewriter struct {
 	fired   bool
 }
 
-func (m *midReadRewriter) WrapInput(*property.ReadContext) stream.InputWrapper {
+func (m *midReadRewriter) WrapInput(*property.ReadContext) stream.Transform {
 	if !m.fired {
 		m.fired = true
 		m.rewrite()

@@ -18,7 +18,7 @@ type probeHook struct {
 	check func() bool // nil means valid
 }
 
-func (p *probeHook) WrapInput(rc *property.ReadContext) stream.InputWrapper {
+func (p *probeHook) WrapInput(rc *property.ReadContext) stream.Transform {
 	rc.AddVerifier(p)
 	return nil
 }

@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -43,8 +42,8 @@ type midReadWriter struct {
 	fired bool
 }
 
-func (m *midReadWriter) WrapInput(*property.ReadContext) stream.InputWrapper {
-	return stream.WholeInput(func(b []byte) []byte {
+func (m *midReadWriter) WrapInput(*property.ReadContext) stream.Transform {
+	return func(b []byte) []byte {
 		if !m.fired {
 			m.fired = true
 			// The write runs the full write path: store + the
@@ -54,7 +53,7 @@ func (m *midReadWriter) WrapInput(*property.ReadContext) stream.InputWrapper {
 			}
 		}
 		return b
-	})
+	}
 }
 
 // firstReadAttacher is an active property that touches no bytes and,
@@ -69,7 +68,7 @@ type firstReadAttacher struct {
 	fired bool
 }
 
-func (a *firstReadAttacher) WrapInput(*property.ReadContext) stream.InputWrapper {
+func (a *firstReadAttacher) WrapInput(*property.ReadContext) stream.Transform {
 	if !a.fired {
 		a.fired = true
 		if err := a.space.Attach(a.doc, "", docspace.Universal, a.add); err != nil {
@@ -274,7 +273,7 @@ type countingProvider struct {
 
 func (p *countingProvider) Name() string { return "bits:counting" }
 
-func (p *countingProvider) Open(ctx *property.ReadContext) (io.ReadCloser, error) {
+func (p *countingProvider) Open(ctx *property.ReadContext) ([]byte, error) {
 	p.opens.Add(1)
 	if p.release != nil {
 		<-p.release
@@ -282,11 +281,11 @@ func (p *countingProvider) Open(ctx *property.ReadContext) (io.ReadCloser, error
 	if p.fail {
 		return nil, fmt.Errorf("counting provider: simulated source failure")
 	}
-	return stream.BytesReader(p.payload), nil
+	return p.payload, nil
 }
 
-func (p *countingProvider) Create(*property.WriteContext) (io.WriteCloser, error) {
-	return nil, fmt.Errorf("counting provider is read-only")
+func (p *countingProvider) Store(*property.WriteContext, []byte) error {
+	return fmt.Errorf("counting provider is read-only")
 }
 
 func (p *countingProvider) ReadCurrent() ([]byte, error) {

@@ -1,0 +1,192 @@
+package docspace
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"testing/quick"
+
+	"placeless/internal/property"
+	"placeless/internal/stream"
+)
+
+// TestApplyNeverAliasesInput: whatever the transforms, apply returns
+// an exact-size slice that shares no memory with its read-only input,
+// so the caller may modify it while the input — which may be bytes a
+// cache stores — stays as it was.
+func TestApplyNeverAliasesInput(t *testing.T) {
+	identity := func(b []byte) []byte { return b }
+	head := func(b []byte) []byte { return b[:len(b)/2] }
+	tail := func(b []byte) []byte { return b[len(b)/2:] }
+	for _, tc := range []struct {
+		name string
+		ts   []stream.Transform
+	}{
+		{"empty chain", nil},
+		{"identity", []stream.Transform{identity}},
+		{"identity twice", []stream.Transform{identity, identity}},
+		{"head", []stream.Transform{head}},
+		{"tail", []stream.Transform{tail}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := make([]byte, 0, 64)
+			in = append(in, "bytes a cache may be holding"...)
+			want := bytes.Clone(in)
+			got := apply(in, in, tc.ts)
+			if overlaps(got, in) {
+				t.Fatal("the result shares memory with the input")
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("the result has %d bytes of spare capacity", cap(got)-len(got))
+			}
+			for i := range got {
+				got[i] = 'x'
+			}
+			if !bytes.Equal(in, want) {
+				t.Fatalf("modifying the result changed the input to %q", in)
+			}
+		})
+	}
+}
+
+// TestApplyRunsTransformsInOrderUncopied: apply runs each transform
+// once, first to last, and returns the last one's output itself.
+func TestApplyRunsTransformsInOrderUncopied(t *testing.T) {
+	var calls []string
+	var last []byte
+	step := func(name string) stream.Transform {
+		return func(b []byte) []byte {
+			calls = append(calls, name)
+			last = append(append(make([]byte, 0, len(b)+len(name)), b...), name...)
+			return last
+		}
+	}
+	in := []byte("x")
+	got := apply(in, in, []stream.Transform{step("-base"), step("-ref")})
+	if string(got) != "x-base-ref" || fmt.Sprint(calls) != "[-base -ref]" {
+		t.Fatalf("got %q after %v", got, calls)
+	}
+	if &got[0] != &last[0] {
+		t.Fatal("the last transform's output was copied")
+	}
+}
+
+// suffix returns a transform that appends s to a copy of its input.
+func suffix(s string) stream.Transform {
+	return func(b []byte) []byte { return append(append([]byte{}, b...), s...) }
+}
+
+// TestApplyCompositionProperty: for any content and any pair of
+// transforms f, g, apply over [f, g] equals g(f(content)) and leaves
+// the content as it was.
+func TestApplyCompositionProperty(t *testing.T) {
+	fn := func(content []byte, s1, s2 string) bool {
+		if len(s1) > 20 {
+			s1 = s1[:20]
+		}
+		if len(s2) > 20 {
+			s2 = s2[:20]
+		}
+		f, g := suffix(s1), suffix(s2)
+		want := g(f(content))
+		orig := bytes.Clone(content)
+		got := apply(content, content, []stream.Transform{f, g})
+		return bytes.Equal(got, want) && bytes.Equal(content, orig)
+	}
+	if err := quick.Check(fn, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadsRunBaseTransformsBeforeReferenceTransforms: on both reads
+// the base document's transform sees the provider's bytes and the
+// reference's transform sees its output (paper Figure 2).
+func TestReadsRunBaseTransformsBeforeReferenceTransforms(t *testing.T) {
+	f := newFixture(t)
+	f.addDoc(t, "d", "eyal", "/d", []byte("x"))
+	base := &property.Transformer{Base: property.Base{PropName: "base-suffix"}, ReadTransform: suffix("-base"), MemoID: "base-suffix"}
+	ref := &property.Transformer{Base: property.Base{PropName: "ref-suffix"}, ReadTransform: suffix("-ref"), MemoID: "ref-suffix"}
+	if err := f.space.Attach("d", "", Universal, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.space.Attach("d", "eyal", Personal, ref); err != nil {
+		t.Fatal(err)
+	}
+	plain, _, err := f.space.ReadDocument("d", "eyal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, _, _, err := f.space.ReadDocumentStaged("d", "eyal", newFakePrefixMemo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(plain) != "x-base-ref" || string(staged) != "x-base-ref" {
+		t.Fatalf("plain read %q, staged read %q; want the base transform applied before the reference transform", plain, staged)
+	}
+}
+
+// TestApplyCopiesOnlyWhatAliasesTheReadOnlyInput: the guard is against
+// the read-only slice the input derives from, not the input itself —
+// an owned intermediate comes back uncopied even through no further
+// transform — and no content is an empty slice, not nil.
+func TestApplyCopiesOnlyWhatAliasesTheReadOnlyInput(t *testing.T) {
+	ro := []byte("read-only source")
+	owned := bytes.ToUpper(ro)
+	if got := apply(ro, owned, nil); &got[0] != &owned[0] {
+		t.Fatal("an owned input was copied")
+	}
+	drop := func([]byte) []byte { return nil }
+	if got := apply(ro, ro, []stream.Transform{drop}); got == nil || len(got) != 0 {
+		t.Fatalf("no content came back as %#v, want an empty slice", got)
+	}
+}
+
+// sliceProvider serves one slice as a document's content.
+type sliceProvider struct{ data []byte }
+
+func (p *sliceProvider) Name() string { return "bits:slice" }
+
+func (p *sliceProvider) Open(*property.ReadContext) ([]byte, error) { return p.data, nil }
+
+func (p *sliceProvider) Store(*property.WriteContext, []byte) error { return nil }
+
+func (p *sliceProvider) ReadCurrent() ([]byte, error) { return p.data, nil }
+
+// TestReadsHandTheProviderBytesToTheFirstTransform: the source is only
+// read, so both reads hand the provider's own slice to the first
+// transform, uncopied, and return a result that does not alias it.
+func TestReadsHandTheProviderBytesToTheFirstTransform(t *testing.T) {
+	f := newFixture(t)
+	src := &sliceProvider{data: []byte("provider bytes")}
+	if _, err := f.space.CreateDocument("d", "eyal", src); err != nil {
+		t.Fatal(err)
+	}
+	var seen []byte
+	spy := &property.Transformer{
+		Base:          property.Base{PropName: "spy"},
+		ReadTransform: func(b []byte) []byte { seen = b; return b },
+		MemoID:        "identity",
+	}
+	if err := f.space.Attach("d", "", Universal, spy); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []func() ([]byte, error){
+		func() ([]byte, error) { data, _, err := f.space.ReadDocument("d", "eyal"); return data, err },
+		func() ([]byte, error) {
+			data, _, _, err := f.space.ReadDocumentStaged("d", "eyal", newFakePrefixMemo())
+			return data, err
+		},
+	} {
+		seen = nil
+		got, err := read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) == 0 || &seen[0] != &src.data[0] {
+			t.Fatal("the first transform was handed a copy of the provider's bytes")
+		}
+		if string(got) != "provider bytes" || overlaps(got, src.data) {
+			t.Fatalf("read %q, aliasing the provider's bytes: %v", got, overlaps(got, src.data))
+		}
+	}
+}

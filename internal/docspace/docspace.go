@@ -6,8 +6,8 @@
 // and carries universal properties seen by every user; each user
 // interacts through a document reference carrying personal properties
 // seen only by that user (paper §2, Figure 1). Content flows through
-// chains of custom streams interposed by active properties: on the
-// read path base-document properties execute before reference
+// chains of whole-content transforms returned by active properties: on
+// the read path base-document properties execute before reference
 // properties, on the write path reference properties execute before
 // base-document properties (Figure 2).
 package docspace

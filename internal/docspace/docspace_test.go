@@ -88,11 +88,14 @@ func TestAddReference(t *testing.T) {
 func TestOpenWithoutReferenceFails(t *testing.T) {
 	f := newFixture(t)
 	f.addDoc(t, "d", "eyal", "/d", []byte("x"))
-	if _, _, err := f.space.Open("d", "stranger"); !errors.Is(err, ErrNoReference) {
+	if _, _, err := f.space.ReadDocument("d", "stranger"); !errors.Is(err, ErrNoReference) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := f.space.Open("ghost", "eyal"); !errors.Is(err, ErrNoDocument) {
+	if _, _, err := f.space.ReadDocument("ghost", "eyal"); !errors.Is(err, ErrNoDocument) {
 		t.Fatalf("err = %v", err)
+	}
+	if err := f.space.WriteDocument("d", "stranger", []byte("y")); !errors.Is(err, ErrNoReference) {
+		t.Fatalf("write err = %v", err)
 	}
 }
 
@@ -530,8 +533,8 @@ func TestRemoveReference(t *testing.T) {
 	if err := f.space.RemoveReference("d", "paul"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.space.Open("d", "paul"); !errors.Is(err, ErrNoReference) {
-		t.Fatalf("open after removal: %v", err)
+	if _, _, err := f.space.ReadDocument("d", "paul"); !errors.Is(err, ErrNoReference) {
+		t.Fatalf("read after removal: %v", err)
 	}
 	if err := f.space.RemoveReference("d", "paul"); !errors.Is(err, ErrNoReference) {
 		t.Fatalf("double removal: %v", err)

@@ -1,18 +1,17 @@
 package docspace
 
 import (
-	"io"
+	"unsafe"
 
 	"placeless/internal/event"
 	"placeless/internal/property"
+	"placeless/internal/repo"
 	"placeless/internal/stream"
 )
 
-// snapshotActives copies a node's active-property list under the space
-// lock so path execution runs without holding it.
-func (s *Space) snapshotActives(n *node) []property.Active {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// activesLocked copies n's active-property list so path execution can
+// run without holding the space lock. Caller holds s.mu.
+func activesLocked(n *node) []property.Active {
 	props := make([]property.Active, len(n.actives))
 	for i, e := range n.actives {
 		props[i] = e.prop
@@ -20,13 +19,44 @@ func (s *Space) snapshotActives(n *node) []property.Active {
 	return props
 }
 
-// Open executes the read path for user's reference to doc (paper §2,
-// Figure 2): the bit-provider produces the raw stream, base-document
-// properties interpose their custom input streams first, then
-// reference properties; getInputStream events are dispatched at both
-// levels. The returned ReadResult carries the aggregated cacheability
-// vote, the verifiers, and the replacement cost for the cache.
-func (s *Space) Open(doc, user string) (io.ReadCloser, property.ReadResult, error) {
+// apply runs ts over in, in order, and returns the last output, which
+// the caller owns. ro is the read-only slice in derives from — a
+// provider's bytes or a table's cut — so a result that shares memory
+// with ro (no transforms, an identity, a sub-slice) is copied to an
+// exact-size slice; any other result is returned as it is.
+func apply(ro, in []byte, ts []stream.Transform) []byte {
+	for _, t := range ts {
+		in = t(in)
+	}
+	if overlaps(in, ro) {
+		return append(make([]byte, 0, len(in)), in...)
+	}
+	if in == nil {
+		return []byte{}
+	}
+	return in
+}
+
+// overlaps reports whether x and y share any memory up to their
+// capacities.
+func overlaps(x, y []byte) bool {
+	if cap(x) == 0 || cap(y) == 0 {
+		return false
+	}
+	x, y = x[:cap(x)], y[:cap(y)]
+	return uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
+		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
+}
+
+// ReadDocument executes the read path for user's reference to doc
+// (paper §2, Figure 2) in one pass and returns the fully transformed
+// content: the bit-provider produces the raw content, base-document
+// properties' transforms run on it first, then reference properties';
+// getInputStream is dispatched at both levels. The returned ReadResult
+// carries the aggregated cacheability vote, the verifiers, and the
+// replacement cost for the cache. It is the cache-less read, and the
+// reference the staged read's parity tests compare against.
+func (s *Space) ReadDocument(doc, user string) ([]byte, property.ReadResult, error) {
 	s.mu.Lock()
 	r, err := s.resolveRefLocked(doc, user)
 	if err != nil {
@@ -50,16 +80,16 @@ func (s *Space) Open(doc, user string) (io.ReadCloser, property.ReadResult, erro
 	if err != nil {
 		return nil, property.ReadResult{}, err
 	}
-
-	var wrappers []stream.InputWrapper
-	for _, p := range s.snapshotActives(b.node) {
-		if w := p.WrapInput(rc); w != nil {
-			wrappers = append(wrappers, w)
-		}
-	}
-	for _, p := range s.snapshotActives(r.node) {
-		if w := p.WrapInput(rc); w != nil {
-			wrappers = append(wrappers, w)
+	// Both chains in one critical section, before any hook runs, as
+	// the staged read takes them: a hook that changes a chain mid-read
+	// changes the next read, not this one.
+	s.mu.Lock()
+	props := append(activesLocked(b.node), activesLocked(r.node)...)
+	s.mu.Unlock()
+	var ts []stream.Transform
+	for _, p := range props {
+		if t := p.WrapInput(rc); t != nil {
+			ts = append(ts, t)
 		}
 	}
 
@@ -67,60 +97,35 @@ func (s *Space) Open(doc, user string) (io.ReadCloser, property.ReadResult, erro
 	b.node.registry.Dispatch(e)
 	r.node.registry.Dispatch(e)
 
-	return stream.ChainInput(raw, wrappers...), rc.Result(), nil
+	return apply(raw, raw, ts), rc.Result(), nil
 }
 
-// ReadDocument is a convenience wrapper around Open that returns the
-// fully transformed content.
-func (s *Space) ReadDocument(doc, user string) ([]byte, property.ReadResult, error) {
-	r, res, err := s.Open(doc, user)
-	if err != nil {
-		return nil, res, err
-	}
-	data, err := stream.ReadAllAndClose(r)
-	return data, res, err
-}
-
-// notifyingCloser dispatches contentWritten when the composed write
-// stream closes.
-type notifyingCloser struct {
-	io.WriteCloser
-	closed bool
-	onDone func()
-}
-
-func (n *notifyingCloser) Close() error {
-	err := n.WriteCloser.Close()
-	if !n.closed {
-		n.closed = true
-		if n.onDone != nil {
-			n.onDone()
-		}
-	}
-	return err
-}
-
-// Create executes the write path for user's reference to doc: the
-// bit-provider supplies the raw sink, reference properties interpose
-// their custom output streams first (they see application bytes
-// first), then base-document properties; getOutputStream events are
-// dispatched at both levels — which is when a versioning property
-// snapshots the superseded content. Closing the returned stream stores
-// the content and dispatches a contentWritten event on the base, the
-// hook notifiers use for the paper's invalidation cause 1 (updates
-// through the Placeless system).
-func (s *Space) Create(doc, user string) (io.WriteCloser, error) {
+// WriteDocument executes the write path for user's reference to doc.
+// getOutputStream is dispatched at both levels first — which is when a
+// versioning property snapshots the superseded content — then the
+// reference properties' transforms run (they see the application's
+// bytes first), then the base-document properties', and the
+// bit-provider stores the result. contentWritten is dispatched on the
+// base after the store, whether or not it succeeded: it is the hook
+// notifiers use for the paper's invalidation cause 1 (updates through
+// the Placeless system). data is only read.
+func (s *Space) WriteDocument(doc, user string, data []byte) error {
 	s.mu.Lock()
 	r, err := s.resolveRefLocked(doc, user)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return err
 	}
 	b := r.base
 	s.mu.Unlock()
 
 	if d := s.AccessOverhead(); d > 0 {
 		s.clk.Sleep(d)
+	}
+	if _, ok := b.bits.(*property.ComposedBitProvider); ok {
+		// A composition has no one place to store to: the write is
+		// refused before any property sees it.
+		return repo.ErrReadOnly
 	}
 	now := s.clk.Now()
 	wc := &property.WriteContext{
@@ -132,50 +137,35 @@ func (s *Space) Create(doc, user string) (io.WriteCloser, error) {
 	wc.StoreAside = ectx.StoreAside
 	wc.AttachStatic = ectx.AttachStatic
 
-	sink, err := b.bits.Create(wc)
-	if err != nil {
-		return nil, err
-	}
-
-	var wrappers []stream.OutputWrapper
-	for _, p := range s.snapshotActives(r.node) {
-		if w := p.WrapOutput(wc); w != nil {
-			wrappers = append(wrappers, w)
-		}
-	}
-	for _, p := range s.snapshotActives(b.node) {
-		if w := p.WrapOutput(wc); w != nil {
-			wrappers = append(wrappers, w)
-		}
-	}
-
+	ts := s.writeTransforms(r, wc)
 	e := event.Event{Kind: event.GetOutputStream, Doc: doc, User: user, Time: now}
 	r.node.registry.Dispatch(e)
 	b.node.registry.Dispatch(e)
 
-	composed := stream.ChainOutput(sink, wrappers...)
-	return &notifyingCloser{
-		WriteCloser: composed,
-		onDone: func() {
-			b.node.registry.Dispatch(event.Event{
-				Kind: event.ContentWritten, Doc: doc, User: user, Time: s.clk.Now(),
-			})
-		},
-	}, nil
+	for _, t := range ts {
+		data = t(data)
+	}
+	err = b.bits.Store(wc, data)
+	b.node.registry.Dispatch(event.Event{
+		Kind: event.ContentWritten, Doc: doc, User: user, Time: s.clk.Now(),
+	})
+	return err
 }
 
-// WriteDocument is a convenience wrapper around Create that writes
-// data and closes the stream.
-func (s *Space) WriteDocument(doc, user string, data []byte) error {
-	w, err := s.Create(doc, user)
-	if err != nil {
-		return err
+// writeTransforms runs the write-path hooks of r's properties, then of
+// its base's, against wc and returns their transforms in that order.
+// Like the reads, it takes both chains in one critical section.
+func (s *Space) writeTransforms(r *Ref, wc *property.WriteContext) []stream.Transform {
+	s.mu.Lock()
+	props := append(activesLocked(r.node), activesLocked(r.base.node)...)
+	s.mu.Unlock()
+	var ts []stream.Transform
+	for _, p := range props {
+		if t := p.WrapOutput(wc); t != nil {
+			ts = append(ts, t)
+		}
 	}
-	if _, err := w.Write(data); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	return ts
 }
 
 // WritePathVote returns the aggregated cacheability vote of the
@@ -184,25 +174,17 @@ func (s *Space) WriteDocument(doc, user string, data []byte) error {
 // operations must be forwarded per buffered write (paper §3: "these
 // properties should set the cacheability indicator so that
 // getOutputStream operations get forwarded"). The properties'
-// WrapOutput hooks are invoked for their votes; the wrappers they
+// WrapOutput hooks are invoked for their votes; the transforms they
 // return are discarded unused.
 func (s *Space) WritePathVote(doc, user string) (property.Cacheability, error) {
 	s.mu.Lock()
 	r, err := s.resolveRefLocked(doc, user)
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return property.Unrestricted, err
 	}
-	b := r.base
-	s.mu.Unlock()
-
 	wc := &property.WriteContext{Doc: doc, User: user, Now: s.clk.Now()}
-	for _, p := range s.snapshotActives(r.node) {
-		p.WrapOutput(wc)
-	}
-	for _, p := range s.snapshotActives(b.node) {
-		p.WrapOutput(wc)
-	}
+	s.writeTransforms(r, wc)
 	return wc.Cacheability(), nil
 }
 
@@ -211,8 +193,7 @@ func (s *Space) WritePathVote(doc, user string) (property.Cacheability, error) {
 // indicator: "the cache will forward the operation, but the Placeless
 // system will not execute them fully, instead just use them to trigger
 // active properties that have registered for these events" (paper §3).
-// Only OnEvent handlers run; no streams are built and no content
-// moves.
+// Only OnEvent handlers run; no transforms run and no content moves.
 func (s *Space) ForwardEvent(doc, user string, kind event.Kind) error {
 	s.mu.Lock()
 	r, err := s.resolveRefLocked(doc, user)

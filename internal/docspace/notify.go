@@ -60,7 +60,7 @@ type pairSub struct {
 // deletions and for changes." Both base roles ride one registration
 // here.
 //
-// A notifier interposes no stream, so it is not a member of the
+// A notifier transforms no content, so it is not a member of the
 // property chain: the pair subscribes its handlers on the event
 // registries of the base document and of the reference. It changes no
 // fingerprint, appears in no listing and dispatches no property event.

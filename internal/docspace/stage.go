@@ -68,7 +68,7 @@ type PrefixIntermediates interface {
 	// concurrent misses. The returned slice is read-only, like
 	// LongestPrefix's, and compute's result may be kept by the store
 	// (the read never modifies either; it hands them only to transforms
-	// and to ReadAllAndClose, which copies what would alias them). hit
+	// and to apply, which copies a result that would alias them). hit
 	// reports whether compute was skipped (served from the store or
 	// coalesced onto another caller's computation). cut carries the
 	// position metadata so the store can account and cost-gate installs
@@ -203,14 +203,7 @@ func (s *Space) snapshotChains(b *Base, r *Ref) (uProps, pProps []property.Activ
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	personalFP = s.fingerprintNodeLocked(r.node)
-	uProps = make([]property.Active, len(b.node.actives))
-	for i, e := range b.node.actives {
-		uProps[i] = e.prop
-	}
-	pProps = make([]property.Active, len(r.node.actives))
-	for i, e := range r.node.actives {
-		pProps[i] = e.prop
-	}
+	uProps, pProps = activesLocked(b.node), activesLocked(r.node)
 	fps = make([]sig.Signature, 0, len(uProps)+len(pProps)+1)
 	var enc []byte
 	fps = append(fps, sig.Of(enc))
@@ -225,7 +218,7 @@ func (s *Space) snapshotChains(b *Base, r *Ref) (uProps, pProps []property.Activ
 	return uProps, pProps, fps, personalFP
 }
 
-// memoOK reports whether p's read-path wrapper may be memoized.
+// memoOK reports whether p's read-path transform may be memoized.
 func memoOK(p property.Active) bool {
 	m, ok := p.(property.Memoizable)
 	if !ok {
@@ -237,15 +230,15 @@ func memoOK(p property.Active) bool {
 
 // stagedRun is the mutable state of one staged read's execution walk.
 type stagedRun struct {
-	rc       *property.ReadContext
-	trace    *StageTrace
-	wrappers []stream.InputWrapper
-	uWrapEnd int // wrappers[:uWrapEnd] is the universal stage
-	cur      []byte
-	wrapAt   int // wrappers[:wrapAt] already applied to cur
-	crossed  bool
-	tUni     time.Time
-	tPers    time.Time
+	rc      *property.ReadContext
+	trace   *StageTrace
+	ts      []stream.Transform
+	uEnd    int // ts[:uEnd] is the universal stage
+	cur     []byte
+	at      int // ts[:at] already applied to cur
+	crossed bool
+	tUni    time.Time
+	tPers   time.Time
 }
 
 // cross marks the universal/personal boundary as passed: hit reports
@@ -260,36 +253,39 @@ func (sr *stagedRun) cross(hit bool) {
 	sr.tPers = time.Now()
 }
 
-// finish executes every wrapper not yet applied and returns the final
-// content. If the universal boundary has not been passed (no cuts
-// offered, a poisoned boundary cut, or a store failure early in the
-// walk), the remainder runs in two chunks split at the boundary so the
-// per-stage timings stay attributable.
+// finish executes every transform not yet applied and returns the
+// final content. If the universal boundary has not been passed (no
+// cuts offered, a poisoned boundary cut, or a store failure early in
+// the walk), the remainder runs in two chunks split at the boundary so
+// the per-stage timings stay attributable.
 func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
+	ro := sr.cur
 	if !sr.crossed {
-		if sr.uWrapEnd > sr.wrapAt {
-			data, err := stream.ReadAllAndClose(stream.ChainInput(stream.BytesReader(sr.cur), sr.wrappers[sr.wrapAt:sr.uWrapEnd]...))
-			if err != nil {
-				return nil, property.ReadResult{}, *sr.trace, err
-			}
-			sr.cur, sr.wrapAt = data, sr.uWrapEnd
+		for _, t := range sr.ts[sr.at:sr.uEnd] {
+			sr.cur = t(sr.cur)
 		}
+		sr.at = sr.uEnd
 		sr.cross(false)
 	}
-	data, err := stream.ReadAllAndClose(stream.ChainInput(stream.BytesReader(sr.cur), sr.wrappers[sr.wrapAt:]...))
+	data := apply(ro, sr.cur, sr.ts[sr.at:])
 	sr.trace.PersonalDur = time.Since(sr.tPers)
-	return data, sr.rc.Result(), *sr.trace, err
+	return data, sr.rc.Result(), *sr.trace, nil
 }
 
 // ReadDocumentStaged executes the read path for user's reference to
-// doc like ReadDocument, but splits it at every memoizable property
-// boundary and consults memo for cached prefixes.
+// doc (paper §2, Figure 2): the bit-provider produces the raw content,
+// base-document properties' transforms run on it first, then reference
+// properties'; getInputStream is dispatched at both levels. The
+// returned ReadResult carries the aggregated cacheability vote, the
+// verifiers, and the replacement cost for the cache. The walk is split
+// at every memoizable property boundary, and memo, when not nil, is
+// consulted for cached prefixes.
 //
 // The split preserves read-path semantics exactly:
 //
 //   - Every property's WrapInput still runs on every read, so
 //     cacheability votes, verifiers, and replacement cost accumulate
-//     identically to the unstaged path.
+//     identically whether or not any segment is served memoized.
 //   - getInputStream events are still dispatched at both levels on
 //     every read, so event-only properties (audit trails) fire whether
 //     or not any segment is served memoized.
@@ -320,41 +316,45 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	now := s.clk.Now()
 	rc := &property.ReadContext{Doc: doc, User: user, Now: now, Sleep: s.clk.Sleep}
 	if d := s.AccessOverhead(); d > 0 {
+		// Middleware cost, as in ReadDocument.
 		s.clk.Sleep(d)
 		rc.AddCost(d)
 	}
 
+	// The source is only read — hashed, handed to transforms, copied by
+	// apply wherever a result would alias it — so a provider's bytes
+	// are used as they are.
 	tOpen := time.Now()
 	raw, err := b.bits.Open(rc)
 	if err != nil {
 		return nil, property.ReadResult{}, trace, err
 	}
-	openDur := time.Since(tOpen)
+	trace.BitFetchDur = time.Since(tOpen)
 
 	uProps, pProps, fps, personalFP := s.snapshotChains(b, r)
 	nU := len(uProps)
 
-	// Wrap every property in chain order, recording a candidate cut at
-	// each boundary where the prefix so far is fully memoizable and
-	// the boundary is observable: after every byte-touching property,
-	// plus the end of the universal chain (whose fingerprint moves on
-	// event-only attachments too).
-	var wrappers []stream.InputWrapper
+	// Run every property's hook in chain order, recording a candidate
+	// cut at each boundary where the prefix so far is fully memoizable
+	// and the boundary is observable: after every byte-touching
+	// property, plus the end of the universal chain (whose fingerprint
+	// moves on event-only attachments too).
+	var ts []stream.Transform
 	var cuts []Cut
-	var cutWrapEnd []int
-	uWrapEnd := 0
+	var cutEnd []int // cuts[k] is the output of ts[:cutEnd[k]]
+	uEnd := 0
 	poisoned := false
 	if nU == 0 {
 		// Empty universal chain: the boundary precedes every property.
 		cuts = append(cuts, Cut{FP: fps[0], Cost: rc.CostSoFar(), Universal: true})
-		cutWrapEnd = append(cutWrapEnd, 0)
+		cutEnd = append(cutEnd, 0)
 	}
 	combined := make([]property.Active, 0, nU+len(pProps))
 	combined = append(append(combined, uProps...), pProps...)
 	for i, p := range combined {
-		w := p.WrapInput(rc)
-		if w != nil {
-			wrappers = append(wrappers, w)
+		t := p.WrapInput(rc)
+		if t != nil {
+			ts = append(ts, t)
 			if !memoOK(p) {
 				// A byte-touching property without a memo contract
 				// (e.g. one embedding external information, paper
@@ -365,9 +365,9 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 		}
 		atBoundary := i == nU-1
 		if atBoundary {
-			uWrapEnd = len(wrappers)
+			uEnd = len(ts)
 		}
-		if poisoned || (w == nil && !atBoundary) {
+		if poisoned || (t == nil && !atBoundary) {
 			continue
 		}
 		cuts = append(cuts, Cut{
@@ -376,7 +376,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 			Universal: atBoundary,
 			Personal:  i >= nU,
 		})
-		cutWrapEnd = append(cutWrapEnd, len(wrappers))
+		cutEnd = append(cutEnd, len(ts))
 	}
 
 	boundaryIdx := -1
@@ -392,28 +392,14 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	b.node.registry.Dispatch(e)
 	r.node.registry.Dispatch(e)
 
-	tRaw := time.Now()
-	// The source is only read — hashed, handed to transforms, copied by
-	// ReadAllAndClose wherever a result would alias it — so a provider's
-	// bytes are used as they are.
-	rawBytes, err := stream.ReadOnlyAndClose(raw)
-	if err != nil {
-		return nil, property.ReadResult{}, trace, err
-	}
-	trace.BitFetchDur = openDur + time.Since(tRaw)
-
-	sr := &stagedRun{
-		rc: rc, trace: &trace,
-		wrappers: wrappers, uWrapEnd: uWrapEnd,
-		cur: rawBytes, tUni: time.Now(),
-	}
+	sr := &stagedRun{rc: rc, trace: &trace, ts: ts, uEnd: uEnd, cur: raw, tUni: time.Now()}
 	if memo == nil || len(cuts) == 0 {
 		// No cut to offer a store, so no key to build: the source is
 		// not hashed and the walk is finish()'s two chunks.
 		return sr.finish()
 	}
 
-	srcSig := sig.Of(rawBytes)
+	srcSig := sig.Of(raw)
 	trace.Attempted = true
 	trace.Key = ContentKey{SourceSig: srcSig, UniversalFP: fps[nU], PersonalFP: personalFP, Memoizable: !poisoned}
 	trace.Cuts = len(cuts)
@@ -425,7 +411,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 		probe[i] = c.FP
 	}
 	if data, idx, ok := memo.LongestPrefix(doc, srcSig, probe); ok {
-		sr.cur, sr.wrapAt, next = data, cutWrapEnd[idx], idx+1
+		sr.cur, sr.at, next = data, cutEnd[idx], idx+1
 		trace.DeepestHit = idx
 		trace.SavedBytes += int64(len(data))
 		if boundaryIdx >= 0 && idx >= boundaryIdx {
@@ -434,32 +420,20 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	}
 
 	for ; next < len(cuts); next++ {
-		seg := sr.wrappers[sr.wrapAt:cutWrapEnd[next]]
-		prev := sr.cur
-		var computeErr error
-		compute := func() ([]byte, error) {
-			d, err := stream.ReadAllAndClose(stream.ChainInput(stream.BytesReader(prev), seg...))
-			if err != nil {
-				computeErr = err
-			}
-			return d, err
-		}
+		prev, seg := sr.cur, sr.ts[sr.at:cutEnd[next]]
+		compute := func() ([]byte, error) { return apply(prev, prev, seg), nil }
 		data, hit, err := memo.PrefixIntermediate(doc, user, srcSig, cuts[next], compute)
 		if err != nil {
-			if computeErr != nil {
-				// The transform chain itself failed; the store merely
-				// relayed it. This read cannot produce content.
-				return nil, property.ReadResult{}, trace, err
-			}
-			// The store is sick, not the chain: degrade to direct
-			// execution of the remaining transforms.
+			// Transforms cannot fail, so the store is sick, not the
+			// chain: degrade to direct execution of the remaining
+			// transforms.
 			trace.MemoErr = true
 			return sr.finish()
 		}
 		if hit {
 			trace.SavedBytes += int64(len(data))
 		}
-		sr.cur, sr.wrapAt = data, cutWrapEnd[next]
+		sr.cur, sr.at = data, cutEnd[next]
 		if next == boundaryIdx {
 			sr.cross(hit)
 		}
@@ -503,14 +477,7 @@ func (s *Space) ContentKey(doc, user string) (ContentKey, error) {
 		UniversalFP: s.fingerprintNodeLocked(b.node),
 		PersonalFP:  s.fingerprintNodeLocked(r.node),
 	}
-	uProps := make([]property.Active, len(b.node.actives))
-	for i, e := range b.node.actives {
-		uProps[i] = e.prop
-	}
-	pProps := make([]property.Active, len(r.node.actives))
-	for i, e := range r.node.actives {
-		pProps[i] = e.prop
-	}
+	uProps, pProps := activesLocked(b.node), activesLocked(r.node)
 	s.mu.Unlock()
 
 	key.Memoizable = s.chainMemoizable(doc, user, uProps) &&
@@ -525,13 +492,13 @@ func (s *Space) ContentKey(doc, user string) (ContentKey, error) {
 }
 
 // chainMemoizable reports whether every property in props that
-// interposes a read-path stream has a memo contract. WrapInput runs
+// returns a read-path transform has a memo contract. WrapInput runs
 // against a throwaway context: its only side effects are context
 // accumulation (votes, verifiers, cost), which the probe discards.
 func (s *Space) chainMemoizable(doc, user string, props []property.Active) bool {
 	rc := &property.ReadContext{Doc: doc, User: user, Now: s.clk.Now(), Sleep: func(time.Duration) {}}
 	for _, p := range props {
-		if w := p.WrapInput(rc); w != nil && !memoOK(p) {
+		if t := p.WrapInput(rc); t != nil && !memoOK(p) {
 			return false
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"placeless/internal/event"
 	"placeless/internal/property"
 	"placeless/internal/sig"
+	"placeless/internal/stream"
 )
 
 // stageFixture builds a document with a memoizable universal chain
@@ -244,6 +245,67 @@ func TestStagedReadMatchesPlainRead(t *testing.T) {
 	}
 	if memo.universalComputes != 1 {
 		t.Fatalf("universal stage computed %d times for 3 reads of one (content, chain), want 1", memo.universalComputes)
+	}
+}
+
+// personalAttacher is a base property that touches no bytes and, the
+// first time a read calls its hook, attaches add to user's reference:
+// a change to the reader's personal chain landing inside a read.
+type personalAttacher struct {
+	property.Base
+	space *Space
+	user  string
+	add   property.Active
+	fired bool
+}
+
+func (a *personalAttacher) WrapInput(*property.ReadContext) stream.Transform {
+	if !a.fired {
+		a.fired = true
+		if err := a.space.Attach("d", a.user, Personal, a.add); err != nil {
+			panic(err)
+		}
+	}
+	return nil
+}
+
+// TestReadsSnapshotBothChainsAtOnce: the plain read, like the staged
+// one every cache miss runs, takes both chains it executes in one
+// critical section before any hook runs, so a base hook that changes
+// the reader's personal chain mid-read leaves both reads' bytes alike,
+// and the next read of either kind sees the new chain.
+func TestReadsSnapshotBothChainsAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		read func(*fixture) ([]byte, error)
+	}{
+		{"plain", func(f *fixture) ([]byte, error) {
+			data, _, err := f.space.ReadDocument("d", "eyal")
+			return data, err
+		}},
+		{"staged", func(f *fixture) ([]byte, error) {
+			data, _, _, err := f.space.ReadDocumentStaged("d", "eyal", newFakePrefixMemo())
+			return data, err
+		}},
+	} {
+		f := newFixture(t)
+		f.addDoc(t, "d", "eyal", "/d", []byte("quiet words"))
+		hook := &personalAttacher{
+			Base:  property.Base{PropName: "personal-attacher"},
+			space: f.space, user: "eyal", add: property.NewUppercaser(0),
+		}
+		if err := f.space.Attach("d", "", Universal, hook); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []string{"quiet words", "QUIET WORDS"} {
+			got, err := tc.read(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != want {
+				t.Fatalf("%s read %d = %q, want %q", tc.name, i+1, got, want)
+			}
+		}
 	}
 }
 

@@ -116,14 +116,11 @@ func NewObserver() *Observer {
 		"Read traces recorded into the ring buffer.",
 		func() int64 { return int64(o.ring.Total()) })
 	reg.Counter("placeless_stream_pool_gets_total",
-		"Scratch staging buffers fetched from the stream pool.",
-		func() int64 { gets, _, _ := stream.PoolStats(); return gets })
+		"Disk-to-socket copy chunks fetched from the stream pool.",
+		func() int64 { gets, _ := stream.PoolStats(); return gets })
 	reg.Counter("placeless_stream_pool_news_total",
-		"Scratch staging buffers newly allocated (pool misses).",
-		func() int64 { _, news, _ := stream.PoolStats(); return news })
-	reg.Counter("placeless_stream_pool_drops_total",
-		"Oversized scratch buffers dropped instead of pooled.",
-		func() int64 { _, _, drops := stream.PoolStats(); return drops })
+		"Disk-to-socket copy chunks newly allocated (pool misses).",
+		func() int64 { _, news := stream.PoolStats(); return news })
 	return o
 }
 

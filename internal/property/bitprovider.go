@@ -1,11 +1,9 @@
 package property
 
 import (
-	"io"
 	"time"
 
 	"placeless/internal/repo"
-	"placeless/internal/stream"
 )
 
 // RepoBitProvider links a base document to content stored in a
@@ -34,7 +32,7 @@ func (p *RepoBitProvider) Name() string { return "bits:" + p.Repo.Name() + ":" +
 
 // Open implements BitProvider: it fetches the content, charges the
 // retrieval cost, and registers verifier/vote/cost on the context.
-func (p *RepoBitProvider) Open(ctx *ReadContext) (io.ReadCloser, error) {
+func (p *RepoBitProvider) Open(ctx *ReadContext) ([]byte, error) {
 	fr, err := p.Repo.Fetch(p.Path)
 	if err != nil {
 		return nil, err
@@ -55,31 +53,12 @@ func (p *RepoBitProvider) Open(ctx *ReadContext) (io.ReadCloser, error) {
 			}
 		}
 	}
-	return stream.BytesReader(fr.Data), nil
+	return fr.Data, nil
 }
 
-// Create implements BitProvider: writes buffered by the returned sink
-// are stored back to the repository when the sink closes.
-func (p *RepoBitProvider) Create(ctx *WriteContext) (io.WriteCloser, error) {
-	return &storeCloser{provider: p}, nil
-}
-
-// storeCloser buffers the composed write-path output and stores it on
-// Close.
-type storeCloser struct {
-	stream.BufferCloser
-	provider *RepoBitProvider
-	storeErr error
-}
-
-// Close stores the buffered content into the repository.
-func (s *storeCloser) Close() error {
-	if s.Closed {
-		return s.storeErr
-	}
-	s.BufferCloser.Close()
-	s.storeErr = s.provider.Repo.Store(s.provider.Path, s.Bytes())
-	return s.storeErr
+// Store implements BitProvider: data is stored back to the repository.
+func (p *RepoBitProvider) Store(_ *WriteContext, data []byte) error {
+	return p.Repo.Store(p.Path, data)
 }
 
 // ReadCurrent implements BitProvider.
@@ -111,18 +90,14 @@ func (c *ComposedBitProvider) Name() string { return "composed:" + c.ProviderNam
 // Open implements BitProvider by fetching every part. Each part
 // contributes its retrieval cost and verifier; the verifiers are
 // folded into one Composite so the cache sees a single unit.
-func (c *ComposedBitProvider) Open(ctx *ReadContext) (io.ReadCloser, error) {
+func (c *ComposedBitProvider) Open(ctx *ReadContext) ([]byte, error) {
 	sub := &ReadContext{Doc: ctx.Doc, User: ctx.User, Now: ctx.Now, Sleep: ctx.Sleep}
 	var out []byte
 	for i, part := range c.Parts {
 		if i > 0 {
 			out = append(out, c.Separator...)
 		}
-		r, err := part.Open(sub)
-		if err != nil {
-			return nil, err
-		}
-		data, err := stream.ReadAllAndClose(r)
+		data, err := part.Open(sub)
 		if err != nil {
 			return nil, err
 		}
@@ -134,20 +109,15 @@ func (c *ComposedBitProvider) Open(ctx *ReadContext) (io.ReadCloser, error) {
 	if len(res.Verifiers) > 0 {
 		ctx.AddVerifier(Composite{Parts: res.Verifiers})
 	}
-	return stream.BytesReader(out), nil
+	return out, nil
 }
 
-// Create implements BitProvider; composed documents are read-only.
-func (c *ComposedBitProvider) Create(*WriteContext) (io.WriteCloser, error) {
-	return nil, repo.ErrReadOnly
+// Store implements BitProvider; composed documents are read-only.
+func (c *ComposedBitProvider) Store(*WriteContext, []byte) error {
+	return repo.ErrReadOnly
 }
 
 // ReadCurrent implements BitProvider.
 func (c *ComposedBitProvider) ReadCurrent() ([]byte, error) {
-	noSleep := func(time.Duration) {}
-	r, err := c.Open(&ReadContext{Sleep: noSleep})
-	if err != nil {
-		return nil, err
-	}
-	return stream.ReadAllAndClose(r)
+	return c.Open(&ReadContext{Sleep: func(time.Duration) {}})
 }

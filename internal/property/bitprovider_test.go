@@ -2,7 +2,6 @@ package property
 
 import (
 	"errors"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"placeless/internal/clock"
 	"placeless/internal/repo"
 	"placeless/internal/simnet"
-	"placeless/internal/stream"
 )
 
 func TestRepoBitProviderOpenSeedsContext(t *testing.T) {
@@ -21,11 +19,10 @@ func TestRepoBitProviderOpenSeedsContext(t *testing.T) {
 
 	bp := &RepoBitProvider{Repo: m, Path: "/doc"}
 	rc := &ReadContext{Now: clk.Now()}
-	r, err := bp.Open(rc)
+	data, err := bp.Open(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := stream.ReadAllAndClose(r)
 	if string(data) != "bits" {
 		t.Fatalf("data = %q", data)
 	}
@@ -88,42 +85,29 @@ func TestRepoBitProviderOpenNotFound(t *testing.T) {
 	}
 }
 
-func TestRepoBitProviderCreateStoresOnClose(t *testing.T) {
+// TestRepoBitProviderStore: the stored content is the repository's
+// own copy, so the caller may reuse its buffer.
+func TestRepoBitProviderStore(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	m := repo.NewMem("mem", clk, simnet.NewPath("p", 1))
 	bp := &RepoBitProvider{Repo: m, Path: "/new"}
-	w, err := bp.Create(&WriteContext{})
-	if err != nil {
+	data := []byte("written whole")
+	if err := bp.Store(&WriteContext{}, data); err != nil {
 		t.Fatal(err)
 	}
-	io.WriteString(w, "written ")
-	io.WriteString(w, "in parts")
-	if _, err := m.Fetch("/new"); !errors.Is(err, repo.ErrNotFound) {
-		t.Fatal("content visible before Close")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	copy(data, "XXXXXXX")
 	fr, err := m.Fetch("/new")
-	if err != nil || string(fr.Data) != "written in parts" {
+	if err != nil || string(fr.Data) != "written whole" {
 		t.Fatalf("stored = %q, %v", fr.Data, err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
 	}
 }
 
-func TestRepoBitProviderCreateReadOnlyRepo(t *testing.T) {
+func TestRepoBitProviderStoreReadOnlyRepo(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	web := repo.NewWeb("web", clk, simnet.NewPath("p", 1), time.Minute, true)
 	bp := &RepoBitProvider{Repo: web, Path: "/p"}
-	w, err := bp.Create(&WriteContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Write([]byte("x"))
-	if err := w.Close(); !errors.Is(err, repo.ErrReadOnly) {
-		t.Fatalf("Close err = %v, want ErrReadOnly surfaced", err)
+	if err := bp.Store(&WriteContext{}, []byte("x")); !errors.Is(err, repo.ErrReadOnly) {
+		t.Fatalf("Store err = %v, want ErrReadOnly surfaced", err)
 	}
 }
 
@@ -155,11 +139,10 @@ func TestComposedBitProvider(t *testing.T) {
 		Separator: []byte("\n---\n"),
 	}
 	rc := &ReadContext{Now: clk.Now()}
-	r, err := c.Open(rc)
+	data, err := c.Open(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := stream.ReadAllAndClose(r)
 	if string(data) != "headline A\n---\nheadline B" {
 		t.Fatalf("composed = %q", data)
 	}
@@ -183,7 +166,7 @@ func TestComposedBitProvider(t *testing.T) {
 
 func TestComposedBitProviderReadOnly(t *testing.T) {
 	c := &ComposedBitProvider{ProviderName: "news"}
-	if _, err := c.Create(&WriteContext{}); !errors.Is(err, repo.ErrReadOnly) {
+	if err := c.Store(&WriteContext{}, []byte("x")); !errors.Is(err, repo.ErrReadOnly) {
 		t.Fatalf("err = %v", err)
 	}
 }

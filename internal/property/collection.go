@@ -67,7 +67,7 @@ func (*Collection) Events() []event.Kind { return []event.Kind{event.GetInputStr
 
 // WrapInput implements Active: declares the sibling members related
 // and leaves the content untouched.
-func (c *Collection) WrapInput(ctx *ReadContext) stream.InputWrapper {
+func (c *Collection) WrapInput(ctx *ReadContext) stream.Transform {
 	for _, m := range c.Members() {
 		ctx.AddRelated(m) // AddRelated drops the document itself
 	}

@@ -5,20 +5,18 @@ import (
 	"time"
 
 	"placeless/internal/property"
-	"placeless/internal/stream"
 )
 
-// Example shows an active property's read-path interposition: the
-// translator wraps the raw stream and rewrites content flowing to the
-// application, voting and costing through the ReadContext.
+// Example shows an active property's read-path interception: the
+// translator returns a transform that rewrites the content flowing to
+// the application, voting and costing through the ReadContext.
 func Example() {
 	translator := property.NewTranslator(3 * time.Millisecond)
 
 	rc := &property.ReadContext{Doc: "paper", User: "marie", Sleep: func(time.Duration) {}}
-	wrapper := translator.WrapInput(rc)
+	transform := translator.WrapInput(rc)
 
-	raw := stream.BytesReader([]byte("the active document system"))
-	out, _ := stream.ReadAllAndClose(stream.ChainInput(raw, wrapper))
+	out := transform([]byte("the active document system"))
 	res := rc.Result()
 
 	fmt.Printf("content: %s\n", out)

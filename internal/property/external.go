@@ -144,7 +144,7 @@ func (x *ExternalInfo) OnEvent(ctx *EventContext, e event.Event) {
 
 // WrapInput implements Active: appends the rendered value to the
 // content and registers the mode-appropriate verifier.
-func (x *ExternalInfo) WrapInput(ctx *ReadContext) stream.InputWrapper {
+func (x *ExternalInfo) WrapInput(ctx *ReadContext) stream.Transform {
 	value, version := x.Source.Get()
 	ctx.AddCost(x.ExecCost)
 	switch x.Mode {
@@ -170,10 +170,10 @@ func (x *ExternalInfo) WrapInput(ctx *ReadContext) stream.InputWrapper {
 	}
 	line := []byte(fmt.Sprintf("\n%s = %s (v%d)\n", x.Source.Name(), strconv.FormatFloat(value, 'f', 2, 64), version))
 	cost, sleep := x.ExecCost, ctx.Sleep
-	return stream.WholeInput(func(b []byte) []byte {
+	return func(b []byte) []byte {
 		if sleep != nil && cost > 0 {
 			sleep(cost)
 		}
 		return append(append([]byte{}, b...), line...)
-	})
+	}
 }

@@ -3,19 +3,12 @@ package property
 import (
 	"bytes"
 	"testing"
-
-	"placeless/internal/stream"
 )
 
-// applyRead pushes content through a property's read wrapper.
+// applyRead pushes content through a property's read transform.
 func applyRead(t *testing.T, p Active, content []byte) []byte {
 	t.Helper()
-	rc := &ReadContext{}
-	out, err := stream.ReadAllAndClose(stream.ChainInput(stream.BytesReader(content), p.WrapInput(rc)))
-	if err != nil {
-		t.Fatalf("read failed: %v", err)
-	}
-	return out
+	return run(p.WrapInput(&ReadContext{}), content)
 }
 
 // FuzzSpellCorrectorIdempotent checks the word-mapping transform never
@@ -43,13 +36,7 @@ func FuzzCompressorRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xAB}, 4096))
 	f.Fuzz(func(t *testing.T, content []byte) {
 		c := NewCompressor(6, 0)
-		var sink stream.BufferCloser
-		w := stream.ChainOutput(&sink, c.WrapOutput(&WriteContext{}))
-		w.Write(content)
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		back := applyRead(t, c, sink.Bytes())
+		back := applyRead(t, c, run(c.WrapOutput(&WriteContext{}), content))
 		if !bytes.Equal(back, content) {
 			t.Fatalf("round trip lost data: %d bytes -> %d bytes", len(content), len(back))
 		}

@@ -184,7 +184,7 @@ func (a *AuditTrail) OnEvent(ctx *EventContext, e event.Event) {
 
 // WrapInput implements Active: no interception, but the trail requires
 // operation events to keep flowing, hence the CacheWithEvents vote.
-func (a *AuditTrail) WrapInput(ctx *ReadContext) stream.InputWrapper {
+func (a *AuditTrail) WrapInput(ctx *ReadContext) stream.Transform {
 	ctx.Vote(CacheWithEvents)
 	return nil
 }
@@ -193,7 +193,7 @@ func (a *AuditTrail) WrapInput(ctx *ReadContext) stream.InputWrapper {
 // write-back cache must forward getOutputStream operations (paper §3:
 // write-path properties "should set the cacheability indicator so that
 // getOutputStream operations get forwarded").
-func (a *AuditTrail) WrapOutput(ctx *WriteContext) stream.OutputWrapper {
+func (a *AuditTrail) WrapOutput(ctx *WriteContext) stream.Transform {
 	ctx.Vote(CacheWithEvents)
 	return nil
 }
@@ -239,7 +239,7 @@ func (*QoS) Events() []event.Kind { return []event.Kind{event.GetInputStream} }
 
 // WrapInput implements Active: inflates replacement cost, intercepts
 // nothing.
-func (q *QoS) WrapInput(ctx *ReadContext) stream.InputWrapper {
+func (q *QoS) WrapInput(ctx *ReadContext) stream.Transform {
 	if q.CostFactor > 1 {
 		ctx.ScaleCost(q.CostFactor)
 	}

@@ -10,7 +10,6 @@ import (
 	"placeless/internal/event"
 	"placeless/internal/repo"
 	"placeless/internal/simnet"
-	"placeless/internal/stream"
 )
 
 func memRepo(clk clock.Clock) *repo.Mem {
@@ -250,8 +249,7 @@ func TestExternalInfoVerifierMode(t *testing.T) {
 	src := NewExternalVar("quote", 100)
 	x := NewExternalInfo(src, ByVerifier, 0)
 	rc := &ReadContext{Now: epoch}
-	w := x.WrapInput(rc)
-	out, _ := stream.ReadAllAndClose(stream.ChainInput(stream.BytesReader([]byte("portfolio")), w))
+	out := x.WrapInput(rc)([]byte("portfolio"))
 	if !strings.Contains(string(out), "quote = 100.00") {
 		t.Fatalf("out = %q", out)
 	}

@@ -4,15 +4,14 @@
 // Properties are "statements about the context of a document or the
 // intended behavior for the document" (paper §1). Static properties
 // are labels; active properties register for document events and run
-// when they fire, optionally interposing custom streams on the read
-// and write paths (see package stream). Active properties also drive
-// the caching architecture: they vote cacheability, accumulate
-// replacement cost, return verifiers with content, and — as notifiers
-// — push invalidations to caches.
+// when they fire, optionally returning a transform of the whole
+// content on the read and write paths (see package stream). Active
+// properties also drive the caching architecture: they vote
+// cacheability, accumulate replacement cost, return verifiers with
+// content, and — as notifiers — push invalidations to caches.
 package property
 
 import (
-	"io"
 	"time"
 
 	"placeless/internal/event"
@@ -64,7 +63,7 @@ func Restrict(a, b Cacheability) Cacheability {
 
 // Memoizable is the opt-in contract for intermediate memoization of
 // the read path's universal stage. An active property that implements
-// it — and reports ok — declares that its read-path stream wrapper is a
+// it — and reports ok — declares that its read-path transform is a
 // pure function of the input bytes: same input, same output, no
 // mutation or retention of the input slice, and no dependence on
 // information outside the property's own configuration. Caches may
@@ -271,13 +270,15 @@ type Active interface {
 	Events() []event.Kind
 	// OnEvent handles a non-stream event the property registered for.
 	OnEvent(ctx *EventContext, e event.Event)
-	// WrapInput returns this property's read-path stream wrapper, or
-	// nil if it does not intercept reads. Called during
-	// getInputStream dispatch.
-	WrapInput(ctx *ReadContext) stream.InputWrapper
-	// WrapOutput returns this property's write-path stream wrapper,
-	// or nil. Called during getOutputStream dispatch.
-	WrapOutput(ctx *WriteContext) stream.OutputWrapper
+	// WrapInput returns this property's read-path transform of the
+	// whole content, or nil if it does not intercept reads. Called
+	// during getInputStream dispatch, on every read, so votes,
+	// verifiers and cost accumulate on ctx even when the transform's
+	// output is served from a cache.
+	WrapInput(ctx *ReadContext) stream.Transform
+	// WrapOutput returns this property's write-path transform of the
+	// whole content, or nil. Called during getOutputStream dispatch.
+	WrapOutput(ctx *WriteContext) stream.Transform
 }
 
 // Base provides no-op defaults for Active; concrete properties embed
@@ -297,24 +298,25 @@ func (Base) Events() []event.Kind { return nil }
 func (Base) OnEvent(*EventContext, event.Event) {}
 
 // WrapInput implements Active with no read-path interception.
-func (Base) WrapInput(*ReadContext) stream.InputWrapper { return nil }
+func (Base) WrapInput(*ReadContext) stream.Transform { return nil }
 
 // WrapOutput implements Active with no write-path interception.
-func (Base) WrapOutput(*WriteContext) stream.OutputWrapper { return nil }
+func (Base) WrapOutput(*WriteContext) stream.Transform { return nil }
 
 // BitProvider is the special active property on a base document that
-// links it to actual content (paper §2). It terminates both stream
+// links it to actual content (paper §2). It terminates both content
 // paths and, on reads, seeds the ReadContext with retrieval cost, a
 // source-appropriate verifier, and a cacheability vote.
 type BitProvider interface {
 	// Name identifies the provider.
 	Name() string
-	// Open returns the raw content stream for the read path.
-	Open(ctx *ReadContext) (io.ReadCloser, error)
-	// Create returns the raw sink for the write path; content
-	// written and closed replaces the document content.
-	Create(ctx *WriteContext) (io.WriteCloser, error)
-	// ReadCurrent fetches the current content without stream
-	// plumbing; used by Snapshot/ReadCurrent context hooks.
+	// Open returns the raw content for the read path. The caller
+	// only reads it: it may be the source's own bytes.
+	Open(ctx *ReadContext) ([]byte, error)
+	// Store replaces the document content with data, the write
+	// path's transformed bytes. It must not retain data.
+	Store(ctx *WriteContext, data []byte) error
+	// ReadCurrent fetches the current content without touching a
+	// context; used by Snapshot/ReadCurrent context hooks.
 	ReadCurrent() ([]byte, error)
 }

@@ -85,35 +85,35 @@ func (t *Transformer) Events() []event.Kind {
 
 // WrapInput implements Active: charges execution cost and applies the
 // read transform.
-func (t *Transformer) WrapInput(ctx *ReadContext) stream.InputWrapper {
+func (t *Transformer) WrapInput(ctx *ReadContext) stream.Transform {
 	if t.ReadTransform == nil {
 		return nil
 	}
 	ctx.Vote(t.CacheVote)
 	ctx.AddCost(t.ExecCost)
 	f, cost, sleep := t.ReadTransform, t.ExecCost, ctx.Sleep
-	return stream.WholeInput(func(b []byte) []byte {
+	return func(b []byte) []byte {
 		if sleep != nil && cost > 0 {
 			sleep(cost)
 		}
 		return f(b)
-	})
+	}
 }
 
 // WrapOutput implements Active: charges execution cost and applies the
 // write transform.
-func (t *Transformer) WrapOutput(ctx *WriteContext) stream.OutputWrapper {
+func (t *Transformer) WrapOutput(ctx *WriteContext) stream.Transform {
 	if t.WriteTransform == nil {
 		return nil
 	}
 	ctx.Vote(t.CacheVote)
 	f, cost, sleep := t.WriteTransform, t.ExecCost, ctx.Sleep
-	return stream.WholeOutput(func(b []byte) []byte {
+	return func(b []byte) []byte {
 		if sleep != nil && cost > 0 {
 			sleep(cost)
 		}
 		return f(b)
-	})
+	}
 }
 
 // wordMap rewrites whole words according to a replacement table,

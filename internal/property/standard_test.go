@@ -11,33 +11,27 @@ import (
 	"placeless/internal/stream"
 )
 
-// runRead executes a transformer's read wrapper over content and
+// run applies t to content; a nil transform leaves content alone.
+func run(t stream.Transform, content []byte) []byte {
+	if t == nil {
+		return content
+	}
+	return t(content)
+}
+
+// runRead executes a property's read transform over content and
 // returns the output plus the context state.
 func runRead(t *testing.T, p Active, content []byte) ([]byte, *ReadContext) {
 	t.Helper()
 	rc := &ReadContext{Doc: "d", User: "u", Now: epoch, Sleep: func(time.Duration) {}}
-	w := p.WrapInput(rc)
-	r := stream.ChainInput(stream.BytesReader(content), w)
-	out, err := stream.ReadAllAndClose(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, rc
+	return run(p.WrapInput(rc), content), rc
 }
 
-// runWrite executes a transformer's write wrapper over content.
+// runWrite executes a property's write transform over content.
 func runWrite(t *testing.T, p Active, content []byte) []byte {
 	t.Helper()
 	wc := &WriteContext{Doc: "d", User: "u", Now: epoch, Sleep: func(time.Duration) {}}
-	var sink stream.BufferCloser
-	w := stream.ChainOutput(&sink, p.WrapOutput(wc))
-	if _, err := w.Write(content); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return sink.Bytes()
+	return run(p.WrapOutput(wc), content)
 }
 
 func TestSpellCorrectorFixesKnownTypos(t *testing.T) {
@@ -168,12 +162,10 @@ func TestOrderSensitivity(t *testing.T) {
 	sum, num := NewSummarizer(1, 0), NewLineNumberer(0)
 
 	rc1 := &ReadContext{Now: epoch}
-	r1 := stream.ChainInput(stream.BytesReader(content), sum.WrapInput(rc1), num.WrapInput(rc1))
-	a, _ := stream.ReadAllAndClose(r1)
+	a := run(num.WrapInput(rc1), run(sum.WrapInput(rc1), content))
 
 	rc2 := &ReadContext{Now: epoch}
-	r2 := stream.ChainInput(stream.BytesReader(content), num.WrapInput(rc2), sum.WrapInput(rc2))
-	b, _ := stream.ReadAllAndClose(r2)
+	b := run(sum.WrapInput(rc2), run(num.WrapInput(rc2), content))
 
 	if bytes.Equal(a, b) {
 		t.Fatalf("property order had no effect: %q", a)
@@ -184,11 +176,7 @@ func TestTransformerCostAccounting(t *testing.T) {
 	tr := NewTranslator(7 * time.Millisecond)
 	var slept time.Duration
 	rc := &ReadContext{Now: epoch, Sleep: func(d time.Duration) { slept += d }}
-	w := tr.WrapInput(rc)
-	out, err := stream.ReadAllAndClose(stream.ChainInput(stream.BytesReader([]byte("hello world")), w))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := tr.WrapInput(rc)([]byte("hello world"))
 	if string(out) != "bonjour monde" {
 		t.Fatalf("out = %q", out)
 	}
@@ -259,12 +247,36 @@ func TestRot13InvolutionProperty(t *testing.T) {
 	}
 }
 
+// checkLeavesInputAlone runs transform over content placed in a slice
+// with spare capacity and fails unless both the content and the spare
+// capacity behind it — which an append would write into — are as they
+// were, and the output is not empty.
+func checkLeavesInputAlone(t *testing.T, name string, transform func([]byte) []byte, content []byte) {
+	t.Helper()
+	in := make([]byte, len(content), len(content)+64)
+	copy(in, content)
+	full := in[:cap(in)]
+	for i := len(content); i < len(full); i++ {
+		full[i] = '#'
+	}
+	want := bytes.Clone(full)
+	out := transform(in)
+	if !bytes.Equal(full, want) {
+		t.Errorf("%s modified its input: %q", name, full)
+	}
+	if len(out) == 0 {
+		t.Errorf("%s produced nothing", name)
+	}
+}
+
+const leaveAloneContent = "Teh document is in a cache and I recieve the paper.\nhello world\nline three\n"
+
 // TestReadTransformsLeaveInputUnchanged: a cache hands the bytes it
 // stores to read transforms as their input, so no standard read
 // transform may modify its input — not its bytes, and not the spare
 // capacity behind them that an append would write into.
 func TestReadTransformsLeaveInputUnchanged(t *testing.T) {
-	content := "Teh document is in a cache and I recieve the paper.\nhello world\nline three\n"
+	content := []byte(leaveAloneContent)
 	for _, p := range []*Transformer{
 		NewSpellCorrector(0),
 		NewTranslator(0),
@@ -274,20 +286,24 @@ func TestReadTransformsLeaveInputUnchanged(t *testing.T) {
 		NewSummarizer(1, 0),
 		NewSummarizer(10, 0),
 		NewWatermarker("eyal", 0),
+		NewCompressor(6, 0), // content that is not deflate passes through
 	} {
-		in := make([]byte, len(content), len(content)+64)
-		copy(in, content)
-		full := in[:cap(in)]
-		for i := len(content); i < len(full); i++ {
-			full[i] = '#'
-		}
-		want := bytes.Clone(full)
-		out, _ := runRead(t, p, in)
-		if !bytes.Equal(full, want) {
-			t.Errorf("%s modified its input: %q", p.Name(), full)
-		}
-		if len(out) == 0 {
-			t.Errorf("%s produced nothing", p.Name())
-		}
+		checkLeavesInputAlone(t, p.Name(), func(b []byte) []byte { out, _ := runRead(t, p, b); return out }, content)
+	}
+	c := NewCompressor(6, 0)
+	checkLeavesInputAlone(t, "compress (deflate input)", func(b []byte) []byte { out, _ := runRead(t, c, b); return out }, runWrite(t, c, content))
+}
+
+// TestWriteTransformsLeaveInputUnchanged: the write path hands a
+// server's request body or a gateway's body to the first write
+// transform as it is, so no standard write transform may modify its
+// input either.
+func TestWriteTransformsLeaveInputUnchanged(t *testing.T) {
+	for _, p := range []*Transformer{
+		NewSpellCorrector(0),
+		NewRot13(0),
+		NewCompressor(6, 0),
+	} {
+		checkLeavesInputAlone(t, p.Name(), func(b []byte) []byte { return runWrite(t, p, b) }, []byte(leaveAloneContent))
 	}
 }

@@ -72,8 +72,8 @@ type Repository interface {
 	// simulated transfer cost to the repository clock.
 	Fetch(path string) (*FetchResult, error)
 	// Store replaces the content at path (creating it if absent),
-	// charging transfer cost. Read-only repositories return
-	// ErrReadOnly.
+	// charging transfer cost. It does not retain data. Read-only
+	// repositories return ErrReadOnly.
 	Store(path string, data []byte) error
 	// Stat returns metadata only, charging latency but not
 	// size-dependent transfer cost. This is what mtime-polling

@@ -26,15 +26,15 @@ type writeDuringRead struct {
 	fired atomic.Bool // set on a handler goroutine, checked by the test
 }
 
-func (w *writeDuringRead) WrapInput(*property.ReadContext) stream.InputWrapper {
-	return stream.WholeInput(func(b []byte) []byte {
+func (w *writeDuringRead) WrapInput(*property.ReadContext) stream.Transform {
+	return func(b []byte) []byte {
 		if w.fired.CompareAndSwap(false, true) {
 			if err := w.space.WriteDocument(w.doc, "owner", []byte("rewritten under the read")); err != nil {
 				panic(err)
 			}
 		}
 		return b
-	})
+	}
 }
 
 // TestReadSignatureOnEveryPath: whichever way the server produces a

@@ -369,7 +369,7 @@ type firstReadHook struct {
 	fire func()
 }
 
-func (h *firstReadHook) WrapInput(*property.ReadContext) stream.InputWrapper {
+func (h *firstReadHook) WrapInput(*property.ReadContext) stream.Transform {
 	if f := h.fire; f != nil {
 		h.fire = nil
 		f()
