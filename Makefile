@@ -34,10 +34,12 @@ test-race:
 # races get two chances to surface;
 # then the notifier pair's racing installs, closes and disconnects
 # twenty times (Ensure and Close subscribe and unsubscribe under the
-# pair's lock).
+# pair's lock), with the remote cache's reconnect and subscription
+# tests (its suspect window is the client's epoch against the one its
+# reconnect hook flushed, read across two locks).
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/stream/...
-	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches' ./internal/docspace/ ./internal/server/ ./internal/core/
+	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded
 # modes, reconnect/resubscribe/flush. The short timeout is part of the

@@ -3,8 +3,8 @@
 // are run", exposed to local applications over HTTP. It dials a
 // placelessd server with the full resilience configuration — call
 // deadlines, automatic reconnection with backoff, and on every
-// reconnect an epoch flush that also forgets the subscriptions (each
-// key's first read carries its subscription, so nothing is replayed) —
+// reconnect an epoch flush (every miss carries its key's subscription,
+// so nothing is replayed) —
 // and serves reads from its cache, falling into an explicit degraded
 // mode (fail-fast or bounded serve-stale) while the server is
 // unreachable.

@@ -706,7 +706,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		tr.BitFetch = trace.BitFetchDur
 		tr.Universal = trace.UniversalDur
 		tr.Personal = trace.PersonalDur
-		if trace.Attempted {
+		if trace.Cuts > 0 {
 			tr.PrefixCuts = trace.Cuts
 			tr.PrefixDepth = trace.DeepestHit
 		}

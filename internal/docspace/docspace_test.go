@@ -428,19 +428,38 @@ func TestTimerAddressingIsolatesProperties(t *testing.T) {
 	}
 }
 
+// watcher is an active property that records the events of the given
+// kinds dispatched to it, except those about itself.
+type watcher struct {
+	property.Base
+	kinds []event.Kind
+	got   []event.Event
+}
+
+func newWatcher(kinds ...event.Kind) *watcher {
+	return &watcher{Base: property.Base{PropName: "watcher"}, kinds: kinds}
+}
+
+func (w *watcher) Events() []event.Kind { return w.kinds }
+
+func (w *watcher) OnEvent(_ *property.EventContext, e event.Event) {
+	if e.Property != w.Name() {
+		w.got = append(w.got, e)
+	}
+}
+
 func TestPropertyMutationEventsCarryClass(t *testing.T) {
 	f := newFixture(t)
 	f.addDoc(t, "d", "eyal", "/d", []byte("x"))
-	var got []event.Event
-	n := property.NewNotifier("watcher", func(e event.Event) { got = append(got, e) },
-		event.SetProperty, event.RemoveProperty, event.ModifyProperty)
-	f.space.Attach("d", "", Universal, n)
+	w := newWatcher(event.SetProperty, event.RemoveProperty, event.ModifyProperty)
+	f.space.Attach("d", "", Universal, w)
 
 	f.space.Attach("d", "", Universal, property.NewUppercaser(0))
 	f.space.AttachStatic("d", "", Universal, property.Static{Key: "label"})
 	f.space.Replace("d", "", Universal, "uppercase", property.NewTranslator(0))
 	f.space.Detach("d", "", Universal, "translate-fr")
 
+	got := w.got
 	if len(got) != 4 {
 		t.Fatalf("events = %d, want 4: %+v", len(got), got)
 	}
@@ -456,13 +475,12 @@ func TestPropertyMutationEventsCarryClass(t *testing.T) {
 func TestSignalExternalChange(t *testing.T) {
 	f := newFixture(t)
 	f.addDoc(t, "d", "eyal", "/d", []byte("x"))
-	var got []event.Event
-	n := property.NewNotifier("watcher", func(e event.Event) { got = append(got, e) }, event.ExternalChange)
-	f.space.Attach("d", "", Universal, n)
+	w := newWatcher(event.ExternalChange)
+	f.space.Attach("d", "", Universal, w)
 	if err := f.space.SignalExternalChange("d", "quote:XRX"); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Detail != "quote:XRX" {
+	if got := w.got; len(got) != 1 || got[0].Detail != "quote:XRX" {
 		t.Fatalf("got = %+v", got)
 	}
 	if err := f.space.SignalExternalChange("ghost", ""); !errors.Is(err, ErrNoDocument) {

@@ -79,9 +79,6 @@ type PrefixIntermediates interface {
 // StageTrace reports what the staged read path did, for cache
 // accounting and tests.
 type StageTrace struct {
-	// Attempted reports whether at least one memoizable cut point
-	// existed and a store was consulted.
-	Attempted bool
 	// Hit reports whether the universal stage was served memoized
 	// rather than executed by this read (the boundary cut's data came
 	// from the store, a coalesced flight, or a deeper cached prefix).
@@ -93,15 +90,12 @@ type StageTrace struct {
 	// fingerprint). It is what ContentKey would have answered at that
 	// instant, at no second fetch — a consistent (key, bytes) pair by
 	// construction, which a ContentKey call made after the read is
-	// not. Zero when the staged path was not attempted.
+	// not. Zero when no cut was offered.
 	Key ContentKey
-	// SavedBytes counts intermediate bytes served without
-	// recomputation, summed over the longest-prefix probe and every
-	// per-cut hit.
-	SavedBytes int64
 	// Cuts is the number of memoizable cut points offered to the
-	// store; DeepestHit is the index of the cut served by the
-	// longest-prefix probe, -1 when the probe missed.
+	// store, zero when none existed or no store was given; DeepestHit
+	// is the index of the cut served by the longest-prefix probe, -1
+	// when the probe missed.
 	Cuts       int
 	DeepestHit int
 	// MemoErr reports that the intermediate store failed mid-read and
@@ -297,10 +291,9 @@ func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 // memoizable. A non-memoizable byte-touching property
 // poisons every cut at or after its position; if no cut survives — or
 // memo is nil — the same walk runs with zero cuts (raw fetch, universal
-// chunk, personal chunk, each timed) and the trace reports
-// Attempted=false. A store error mid-walk degrades to direct execution
-// of the remaining transforms (slow, not broken) and sets
-// trace.MemoErr.
+// chunk, personal chunk, each timed) and the trace reports no cuts. A
+// store error mid-walk degrades to direct execution of the remaining
+// transforms (slow, not broken) and sets trace.MemoErr.
 func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) ([]byte, property.ReadResult, StageTrace, error) {
 	var trace StageTrace
 
@@ -400,7 +393,6 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	}
 
 	srcSig := sig.Of(raw)
-	trace.Attempted = true
 	trace.Key = ContentKey{SourceSig: srcSig, UniversalFP: fps[nU], PersonalFP: personalFP, Memoizable: !poisoned}
 	trace.Cuts = len(cuts)
 	trace.DeepestHit = -1
@@ -413,7 +405,6 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	if data, idx, ok := memo.LongestPrefix(doc, srcSig, probe); ok {
 		sr.cur, sr.at, next = data, cutEnd[idx], idx+1
 		trace.DeepestHit = idx
-		trace.SavedBytes += int64(len(data))
 		if boundaryIdx >= 0 && idx >= boundaryIdx {
 			sr.cross(true)
 		}
@@ -429,9 +420,6 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 			// transforms.
 			trace.MemoErr = true
 			return sr.finish()
-		}
-		if hit {
-			trace.SavedBytes += int64(len(data))
 		}
 		sr.cur, sr.at = data, cutEnd[next]
 		if next == boundaryIdx {

@@ -234,8 +234,8 @@ func TestStagedReadMatchesPlainRead(t *testing.T) {
 		if !bytes.Equal(plain, staged) {
 			t.Fatalf("user %s: staged read diverged:\nplain:  %q\nstaged: %q", user, plain, staged)
 		}
-		if !trace.Attempted {
-			t.Fatalf("user %s: memoizable chain not attempted", user)
+		if trace.Cuts == 0 {
+			t.Fatalf("user %s: memoizable chain offered no cut", user)
 		}
 		// WrapInput runs on every read in both modes, so the
 		// cache-facing result must be identical.
@@ -328,8 +328,8 @@ func TestStagedReadSavesUniversalTime(t *testing.T) {
 	if elapsedHit >= 2*time.Millisecond {
 		t.Fatalf("intermediate hit still charged universal time: %v", elapsedHit)
 	}
-	if trace.SavedBytes <= 0 {
-		t.Fatalf("SavedBytes = %d on a hit", trace.SavedBytes)
+	if trace.DeepestHit < 0 {
+		t.Fatalf("no memoized prefix served on a hit: %+v", trace)
 	}
 }
 
@@ -366,7 +366,7 @@ func poisonedReads(t *testing.T, p property.Active, head bool, between func()) {
 			if !bytes.Equal(plain, staged) {
 				t.Fatalf("round %d user %s: poisoned chain diverged: %q vs %q", round, user, plain, staged)
 			}
-			if trace.Hit || trace.Cuts != wantCuts || trace.Attempted != (wantCuts > 0) {
+			if trace.Hit || trace.Cuts != wantCuts {
 				t.Fatalf("round %d user %s: trace = %+v, want %d cuts and no universal hit", round, user, trace, wantCuts)
 			}
 		}
@@ -417,7 +417,7 @@ func TestStagedReadWithNilMemoFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace.Attempted {
+	if trace.Cuts != 0 {
 		t.Fatal("nil store must disable staging")
 	}
 	if !bytes.Equal(plain, staged) {
@@ -499,7 +499,7 @@ func TestStagedWithoutCutsMatchesReference(t *testing.T) {
 				len(got.Verifiers) != len(want.Verifiers) || !reflect.DeepEqual(got.Related, want.Related) {
 				t.Errorf("ReadResult diverged:\nreference: %+v\nstaged:    %+v", want, got)
 			}
-			if trace.Attempted || trace.Cuts != 0 || trace.Hit || trace.Key != (ContentKey{}) {
+			if trace.Cuts != 0 || trace.Hit || trace.Key != (ContentKey{}) {
 				t.Errorf("trace = %+v, want no cuts offered and the source not hashed", trace)
 			}
 			if trace.BitFetchDur <= 0 || trace.UniversalDur <= 0 || trace.PersonalDur <= 0 {

@@ -114,6 +114,7 @@ func (g *Gateway) handleDoc(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) get(w http.ResponseWriter, r *http.Request, id, user string) {
 	var data []byte
 	var err error
+	var sg sig.Signature
 	outcome := "BYPASS"
 	universal := ""
 	if g.cache != nil {
@@ -123,6 +124,7 @@ func (g *Gateway) get(w http.ResponseWriter, r *http.Request, id, user string) {
 		// gateway serves concurrent requests against the sharded cache.
 		var info core.EntryInfo
 		data, info, err = g.cache.ReadWithInfo(id, user)
+		sg = info.Signature
 		if err == nil {
 			if info.Hit {
 				outcome = "HIT"
@@ -145,8 +147,12 @@ func (g *Gateway) get(w http.ResponseWriter, r *http.Request, id, user string) {
 	// The content signature doubles as a strong ETag, extending the
 	// Placeless signature-sharing idea to downstream HTTP caches:
 	// identical transformed content revalidates with 304 regardless
-	// of which user produced it.
-	etag := `"` + sig.Of(data).String() + `"`
+	// of which user produced it. The cache took it already; only a
+	// body it did not sign is hashed here.
+	if sg.IsZero() {
+		sg = sig.Of(data)
+	}
+	etag := `"` + sg.String() + `"`
 	w.Header().Set("ETag", etag)
 	if universal != "" {
 		w.Header().Set("X-Placeless-Universal", universal)

@@ -15,6 +15,7 @@ import (
 	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/repo"
+	"placeless/internal/sig"
 	"placeless/internal/simnet"
 )
 
@@ -290,6 +291,60 @@ func TestETagConditionalGet(t *testing.T) {
 	}
 	if resp.Header.Get("ETag") == etag {
 		t.Fatal("ETag did not change with content")
+	}
+}
+
+// TestETagIsTheContentSignature: the ETag is the body's signature
+// whichever way the body was produced — a cache miss, a hit, a read the
+// cache may not store, and the uncached gateway — and sending it back
+// answers 304.
+func TestETagIsTheContentSignature(t *testing.T) {
+	cached, uncached := newEnv(t, true), newEnv(t, false)
+	for _, e := range []*env{cached, uncached} {
+		e.addDoc(t, "d", "u", []byte("signed body"))
+		e.src.Store("/live", []byte("frame 1"))
+		live := &property.RepoBitProvider{Repo: e.src, Path: "/live", Vote: property.Uncacheable}
+		if _, err := e.space.CreateDocument("live", "u", live); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		e        *env
+		doc, hdr string
+	}{
+		{cached, "d", "MISS"},
+		{cached, "d", "HIT"},
+		{cached, "live", "MISS"},
+		{cached, "live", "MISS"},
+		{uncached, "d", "BYPASS"},
+	} {
+		url := tc.e.ts.URL + "/doc/" + tc.doc + "?user=u"
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		etag := resp.Header.Get("ETag")
+		if got := resp.Header.Get("X-Placeless-Cache"); got != tc.hdr {
+			t.Fatalf("%s: outcome %s, want %s", tc.doc, got, tc.hdr)
+		}
+		if want := `"` + sig.Of(body).String() + `"`; etag != want {
+			t.Fatalf("%s %s: ETag %s, want the signature of %q, %s", tc.doc, tc.hdr, etag, body, want)
+		}
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		req.Header.Set("If-None-Match", etag)
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("%s %s: revalidation status %d, want 304", tc.doc, tc.hdr, resp.StatusCode)
+		}
+	}
+	if st := cached.cache.Stats(); st.Uncacheable == 0 {
+		t.Fatalf("the live document was cached: %+v", st)
 	}
 }
 

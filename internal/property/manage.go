@@ -248,62 +248,3 @@ func (q *QoS) WrapInput(ctx *ReadContext) stream.Transform {
 	}
 	return nil
 }
-
-// Notifier is an active property that calls back on events through
-// the Placeless system (paper §3): attached to a base document it sees
-// content writes and universal property mutations, attached to a
-// reference personal ones. Notifiers subsume semantic callbacks: an
-// optional predicate filters which events trigger notification. (The
-// caches' own notifiers are docspace.NotifierPair registrations on the
-// event registries, not properties in the chain.)
-type Notifier struct {
-	Base
-	// Kinds are the event kinds that trigger notification.
-	Kinds []event.Kind
-	// Predicate, if non-nil, filters events (semantic callback);
-	// only events for which it returns true notify.
-	Predicate func(e event.Event) bool
-	// Notify delivers the invalidation to the cache.
-	Notify func(e event.Event)
-
-	mu   sync.Mutex
-	sent int
-	seen int
-}
-
-// NewNotifier builds a notifier named name that calls notify for every
-// event of the given kinds.
-func NewNotifier(name string, notify func(e event.Event), kinds ...event.Kind) *Notifier {
-	return &Notifier{Base: Base{PropName: name}, Kinds: kinds, Notify: notify}
-}
-
-// Events implements Active.
-func (n *Notifier) Events() []event.Kind { return n.Kinds }
-
-// OnEvent implements Active: applies the predicate and notifies.
-// Events about the notifier itself (its own attachment/removal) are
-// ignored, so attaching it does not notify.
-func (n *Notifier) OnEvent(ctx *EventContext, e event.Event) {
-	if e.Property == n.Name() {
-		return
-	}
-	n.mu.Lock()
-	n.seen++
-	n.mu.Unlock()
-	if n.Predicate != nil && !n.Predicate(e) {
-		return
-	}
-	n.mu.Lock()
-	n.sent++
-	n.mu.Unlock()
-	if n.Notify != nil {
-		n.Notify(e)
-	}
-}
-
-// Counts reports (events seen, notifications sent).
-func (n *Notifier) Counts() (seen, sent int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.seen, n.sent
-}

@@ -187,47 +187,6 @@ func TestQoSCostFloor(t *testing.T) {
 	}
 }
 
-func TestNotifierDeliversMatchingEvents(t *testing.T) {
-	var got []event.Event
-	n := NewNotifier("cache-notifier", func(e event.Event) { got = append(got, e) },
-		event.ContentWritten, event.SetProperty)
-	if len(n.Events()) != 2 {
-		t.Fatalf("Events = %v", n.Events())
-	}
-	n.OnEvent(&EventContext{}, event.Event{Kind: event.ContentWritten, Doc: "d"})
-	if len(got) != 1 || got[0].Doc != "d" {
-		t.Fatalf("got = %v", got)
-	}
-}
-
-func TestNotifierIgnoresItself(t *testing.T) {
-	fired := 0
-	n := NewNotifier("self", func(event.Event) { fired++ }, event.SetProperty)
-	n.OnEvent(&EventContext{}, event.Event{Kind: event.SetProperty, Property: "self"})
-	if fired != 0 {
-		t.Fatal("notifier invalidated on its own attachment")
-	}
-	n.OnEvent(&EventContext{}, event.Event{Kind: event.SetProperty, Property: "other"})
-	if fired != 1 {
-		t.Fatal("notifier missed a foreign property event")
-	}
-}
-
-func TestNotifierSemanticPredicate(t *testing.T) {
-	fired := 0
-	n := NewNotifier("sem", func(event.Event) { fired++ }, event.SetProperty)
-	n.Predicate = func(e event.Event) bool { return strings.HasPrefix(e.Property, "translate") }
-	n.OnEvent(&EventContext{}, event.Event{Kind: event.SetProperty, Property: "audit-trail"})
-	n.OnEvent(&EventContext{}, event.Event{Kind: event.SetProperty, Property: "translate-fr"})
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (predicate filters)", fired)
-	}
-	seen, sent := n.Counts()
-	if seen != 2 || sent != 1 {
-		t.Fatalf("Counts = %d,%d", seen, sent)
-	}
-}
-
 func TestExternalVarVersioningAndSubs(t *testing.T) {
 	v := NewExternalVar("XRX", 55)
 	if val, ver := v.Get(); val != 55 || ver != 1 {

@@ -112,9 +112,9 @@ func (r *chaosRig) restart() {
 // The acceptance scenario: kill the server under a loaded cache, write
 // new content while it is down (those invalidations are lost — the
 // notifiers died with the connection), restart it, and verify the
-// client reconnects with backoff, the cache flushes the old epoch and
-// forgets its subscriptions, and no post-reconnect read ever returns
-// the content that was invalidated during the disconnect.
+// client reconnects with backoff, the cache flushes the old epoch, and
+// no post-reconnect read ever returns the content that was invalidated
+// during the disconnect.
 func TestChaosKillServerMidLoadReconnectFlush(t *testing.T) {
 	r := newChaosRig(t, Options{})
 	docs := []string{"d0", "d1", "d2", "d3", "d4"}

@@ -21,7 +21,7 @@ func requests(srv *server.Server) int64 {
 // TestFirstMissIsOneRoundTrip: a key's first miss costs the origin one
 // request, and that request leaves the notifiers in place — a write at
 // the origin is pushed. Later misses on the key are one request too,
-// and carry no subscription.
+// and carry the subscription again (the origin's pair deduplicates it).
 func TestFirstMissIsOneRoundTrip(t *testing.T) {
 	r := newRig(t, Options{})
 	if err := r.client.CreateDocument("d", "u", []byte("v1")); err != nil {
@@ -47,7 +47,7 @@ func TestFirstMissIsOneRoundTrip(t *testing.T) {
 	}
 
 	// The same two misses against an origin that shows its frames: the
-	// subscribe bit (1<<2) on the first, nothing on the second.
+	// subscribe bit (1<<2) on both.
 	body := []byte("bytes")
 	client, seen := fakeOrigin(t, body, sig.Of(body))
 	cache := New(client, Options{})
@@ -57,8 +57,8 @@ func TestFirstMissIsOneRoundTrip(t *testing.T) {
 		}
 		cache.onInvalidate("d", "u")
 	}
-	if got := fmt.Sprint(seen()); got != "[4 0]" {
-		t.Fatalf("request flags of two misses on one key = %s, want [4 0]", got)
+	if got := fmt.Sprint(seen()); got != "[4 4]" {
+		t.Fatalf("request flags of two misses on one key = %s, want [4 4]", got)
 	}
 }
 

@@ -3,7 +3,7 @@
 // cache runs "on the machine where applications are run" while the
 // Placeless servers (and the repositories behind them) are remote.
 //
-// Consistency is push-based: a key's first read carries its
+// Consistency is push-based: every miss carries its key's
 // subscription, and the server-side notifiers stream invalidations
 // back over the connection (verifier code cannot cross the wire, so a
 // remote cache leans on the notifier half of the paper's mechanism
@@ -18,9 +18,9 @@
 // (DegradedPolicy: fail-fast, or serve-stale within a bounded
 // staleness TTL), and on reconnect it flushes everything cached under
 // the old connection epoch, because invalidations may have been lost in
-// between, and forgets every subscription, because they died with the
-// connection: each key subscribes again on its next read. See DESIGN.md
-// §9 for the failure model.
+// between. The subscriptions died with the connection; the cache keeps
+// no copy of them, so there is nothing to forget: each key subscribes
+// again with its next miss. See DESIGN.md §9 for the failure model.
 //
 // The entries themselves live in a core.Table, the same table the
 // origin's cache keeps (DESIGN.md §6): index, blob store, replacement
@@ -126,8 +126,7 @@ type Stats struct {
 	// BytesStored is the current unique content footprint.
 	BytesStored int64
 	// Reconnects counts connection epochs after the first: each is
-	// one successful reconnect the cache observed (epoch flush,
-	// subscriptions forgotten).
+	// one successful reconnect the cache observed (one epoch flush).
 	Reconnects int64
 	// EpochFlushes counts entries flushed at reconnect because they
 	// were cached under a connection epoch whose invalidation stream
@@ -159,11 +158,9 @@ type Cache struct {
 	lastRead atomic.Int64 // wall clock of the latest Read, UnixNano
 
 	mu            sync.Mutex
-	subscribed    map[string]bool // keys with notifiers on the live connection
-	degradedSince time.Time       // when the current outage began (zero = up)
-	connEpoch     uint64          // cache-side epoch, bumped per observed reconnect
-	suspect       bool            // conn dropped; entries unservable until the epoch flush
-	stats         Stats           // BytesStored and Evictions are the table's
+	degradedSince time.Time // when the current outage began (zero = up)
+	flushed       uint64    // the client epoch whose reconnect flush has run
+	stats         Stats     // BytesStored and Evictions are the table's
 }
 
 // New wraps client with a cache and registers the invalidation,
@@ -173,13 +170,13 @@ type Cache struct {
 // server.WithReconnect (and ideally server.WithCallTimeout).
 func New(client *server.Client, opts Options) *Cache {
 	c := &Cache{
-		client:     client,
-		tab:        core.NewTable(0, replace.NewGDS()),
-		subscribed: make(map[string]bool),
-		clk:        opts.Clock,
-		obs:        opts.Observer,
-		degraded:   opts.DegradedPolicy,
-		staleTTL:   opts.StaleTTL,
+		client:   client,
+		tab:      core.NewTable(0, replace.NewGDS()),
+		clk:      opts.Clock,
+		obs:      opts.Observer,
+		degraded: opts.DegradedPolicy,
+		staleTTL: opts.StaleTTL,
+		flushed:  client.Epoch(), // the table is empty: nothing to flush
 	}
 	if c.clk == nil {
 		c.clk = clock.Real{}
@@ -204,10 +201,6 @@ func (c *Cache) onConnState(s server.ConnState) {
 		if c.degradedSince.IsZero() {
 			c.degradedSince = c.clk.Now()
 		}
-		// Everything cached so far belongs to an epoch whose
-		// invalidation stream just broke; nothing may be served as a
-		// normal hit again until the reconnect flush has run.
-		c.suspect = true
 	case server.StateConnected:
 		c.degradedSince = time.Time{}
 	}
@@ -215,40 +208,40 @@ func (c *Cache) onConnState(s server.ConnState) {
 
 // onReconnect runs after the client re-established its connection:
 // the invalidation stream was interrupted, so every entry cached
-// under the previous epoch is suspect. The cache bumps its epoch and
-// flushes the table with its drop-everything, which bumps every
-// per-doc generation before it drops anything (so in-flight misses
-// from before the drop cannot install) — re-verification by re-read:
-// the next access re-fetches and re-caches under the new epoch. It
-// forgets every subscription: the server-side notifiers died with the
-// old connection. Nothing is replayed: what those subscriptions guarded
+// under the previous epoch is suspect. The cache flushes the table with
+// its drop-everything, which bumps every per-doc generation before it
+// drops anything (so in-flight misses from before the drop cannot
+// install) — re-verification by re-read: the next access re-fetches
+// and re-caches under the new epoch. Nothing is replayed: the
+// server-side notifiers died with the old connection, what they guarded
 // has just been flushed, and the next miss on a key carries its
-// subscription again.
+// subscription again. Hooks of successive reconnects may run out of
+// order; a late one never moves flushed back, so a successor whose own
+// flush is still to come stays suspect.
 func (c *Cache) onReconnect(epoch uint64) {
 	c.mu.Lock()
 	if c.tab.Closed() {
 		c.mu.Unlock()
 		return
 	}
-	c.connEpoch++
 	c.stats.Reconnects++
-	flushed := int64(c.tab.DropAll())
-	c.stats.EpochFlushes += flushed
-	clear(c.subscribed)
-	// The flush ends the suspect window — but only the hook of the
-	// connection that is live now may say so: a drop since re-armed the
-	// flag for the next hook, and a hook that runs late must not lift
-	// it for a successor whose own flush is still to come. (State, then
-	// Epoch: a connected state read after this epoch's drop belongs to
-	// a later epoch.)
-	if c.client.State() == server.StateConnected && c.client.Epoch() == epoch {
-		c.suspect = false
-	}
+	dropped := int64(c.tab.DropAll())
+	c.stats.EpochFlushes += dropped
+	c.flushed = max(c.flushed, epoch)
 	o := c.obs
 	c.mu.Unlock()
 	if o != nil {
-		o.Invalidations(obs.CauseDegraded, flushed)
+		o.Invalidations(obs.CauseDegraded, dropped)
 	}
+}
+
+// suspectLocked reports whether cached entries are untrusted: the wire
+// is down, or the connection that is up has not had its reconnect flush
+// yet. State before Epoch, with c.mu held so flushed cannot move: a
+// reconnect between the two reads shows up as an unflushed epoch, never
+// as a flushed connection.
+func (c *Cache) suspectLocked() bool {
+	return c.client.State() != server.StateConnected || c.client.Epoch() != c.flushed
 }
 
 // registerMetrics publishes the remote cache's counters on o's
@@ -279,7 +272,7 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_remote_ttl_expiries_total",
 		"Entries dropped because their server-issued TTL deadline passed.", counter(func(s *Stats) int64 { return s.TTLExpiries }))
 	reg.Counter("placeless_remote_reconnects_total",
-		"Successful reconnects observed (one epoch flush each; subscriptions are forgotten, not replayed).", counter(func(s *Stats) int64 { return s.Reconnects }))
+		"Successful reconnects observed (one epoch flush each; no subscription is replayed).", counter(func(s *Stats) int64 { return s.Reconnects }))
 	reg.Counter("placeless_remote_epoch_flushes_total",
 		"Entries flushed at reconnect because their epoch's invalidation stream was interrupted.", counter(func(s *Stats) int64 { return s.EpochFlushes }))
 	reg.Counter("placeless_remote_frames_batched_total",
@@ -341,7 +334,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Suspect() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.suspect
+	return c.suspectLocked()
 }
 
 // ConnState reports the state of the wire behind the cache's client.
@@ -389,7 +382,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 		c.degradedSince = c.clk.Now()
 	}
 	stale := degraded && c.degraded == ServeStale && c.withinStaleBoundLocked()
-	suspect := c.suspect
+	suspect := degraded || c.client.Epoch() != c.flushed // suspectLocked, reusing the State read
 	c.mu.Unlock()
 
 	k := core.Key(doc, user)
@@ -475,51 +468,34 @@ func (c *Cache) withinStaleBoundLocked() bool {
 	return !c.clk.Now().After(c.degradedSince.Add(c.staleTTL))
 }
 
-// miss fetches through the wire — subscribing in the same frame when
-// the key holds no subscription — and stores the entry per its
-// cacheability.
+// miss fetches through the wire, subscribing in the same frame, and
+// stores the entry per its cacheability.
 func (c *Cache) miss(doc, user string) ([]byte, error) {
-	// Snapshot the invalidation generation, connection epoch, and
-	// suspect flag so a push — or a disconnect/reconnect cycle — while
-	// the remote read is in flight prevents installing a stale entry
-	// (the load/install race; the table's Install checks the
-	// generation). The suspect flag must be sampled here, not only at
-	// install time: a read that leaves between the reconnect and the
-	// epoch flush can travel without its subscription (the key still
-	// counts as subscribed, on a connection that is gone), and a change
-	// in that gap is pushed to no one — by install time the flush has
-	// run and suspect is down again, but the fetched bytes predate a
-	// push that never came.
+	// Snapshot the invalidation generation, the client epoch and
+	// whether the cache is suspect, so a push — or a disconnect/
+	// reconnect cycle — while the remote read is in flight prevents
+	// installing a stale entry (the load/install race; the table's
+	// Install checks the generation).
 	k := core.Key(doc, user)
 	c.mu.Lock()
 	gen := c.tab.Gen(doc)
-	ep := c.connEpoch
-	sus := c.suspect
-	needSub := !c.subscribed[k]
+	ep := c.client.Epoch()
+	sus := c.suspectLocked()
 	c.mu.Unlock()
 
-	// The subscription rides the read: the server installs the
-	// notifiers and then executes the read, in one handler, so they
-	// provably predate the snapshot it returns — every change after the
-	// fetched bytes is pushed to us. Subscribing after the fetch would
-	// leave the classic callback-race window (a change between the two
-	// is pushed to no one) and the entry would be stale until the NEXT
-	// change, not just by one access.
-	var (
-		data    []byte
-		meta    server.ReadMeta
-		err     error
-		subLive = true
-		tWire   time.Time
-	)
+	// The subscription rides every miss: the server installs the
+	// notifiers (a map lookup when this connection has them already) and
+	// then executes the read, in one handler, so they provably predate
+	// the snapshot it returns — every change after the fetched bytes is
+	// pushed to us. Subscribing after the fetch would leave the classic
+	// callback-race window (a change between the two is pushed to no one)
+	// and the entry would be stale until the NEXT change, not just by one
+	// access.
+	var tWire time.Time
 	if c.obs != nil {
 		tWire = time.Now()
 	}
-	if needSub {
-		data, meta, subLive, err = c.client.ReadSubscribe(doc, user)
-	} else {
-		data, meta, err = c.client.Read(doc, user)
-	}
+	data, meta, subLive, err := c.client.ReadSubscribe(doc, user)
 	if c.obs != nil {
 		c.obs.ObserveStage(obs.StageRemoteRTT, time.Since(tWire))
 	}
@@ -542,12 +518,6 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Misses++
-	if needSub && subLive && c.connEpoch == ep {
-		// Recorded only under the epoch the read was sent in: after a
-		// reconnect flush the notifiers this read installed may sit on
-		// a connection that is gone.
-		c.subscribed[k] = true
-	}
 	// The blob is keyed by the signature the origin computed and shipped
 	// under the frame checksum; this cache never hashes a body. A
 	// storable response that arrives without one cannot be shared
@@ -556,12 +526,12 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		c.stats.Uncacheable++
 		return data, nil
 	}
-	if !subLive || sus || c.connEpoch != ep || c.suspect {
-		// The server could not install the notifiers (the key stays
-		// unsubscribed and the next miss asks again), the fetch started
-		// inside the suspect window, or the connection was lost
-		// underneath us (pushes may have been missed): serve uncached.
-		// Invalidated mid-read is the table's to refuse.
+	if !subLive || sus || c.suspectLocked() || c.client.Epoch() != ep {
+		// The server could not install the notifiers (the next miss
+		// asks again), the fetch started inside the suspect window, or
+		// the connection was lost underneath us (its notifiers and any
+		// pushes with them): serve uncached. Invalidated mid-read is the
+		// table's to refuse.
 		return data, nil
 	}
 	// A shipped TTL deadline becomes the verifier the origin held.

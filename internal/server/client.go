@@ -126,8 +126,8 @@ func WithWriteTimeout(d time.Duration) DialOption {
 // in the background, starting at base and doubling up to max per
 // attempt. Each successful reconnect increments the connection epoch
 // (see Epoch) and fires the OnReconnect hooks, which is how the remote
-// cache flushes entries cached under the old epoch and forgets the
-// subscriptions that died with it.
+// cache flushes entries cached under the old epoch, whose subscriptions
+// died with it.
 func WithReconnect(base, max time.Duration) DialOption {
 	return func(c *dialConfig) {
 		c.reconnect = true
@@ -794,14 +794,16 @@ func (c *Client) Read(doc, user string) ([]byte, ReadMeta, error) {
 	return resp.Body, readMeta(resp), nil
 }
 
-// ReadSubscribe is Read for a key the caller holds no subscription
-// for: the one frame also asks the server to install this connection's
-// notifiers for (doc, user) before it executes the read, so every
-// change after the returned bytes is pushed to OnInvalidate. subscribed
-// is false when the server could not install them — the document or
-// the user's reference does not exist yet — in which case the bytes are
-// good for this answer only and must not be cached. Like any
-// subscription it dies with the connection.
+// ReadSubscribe is Read for a caller that will cache the answer; the
+// remote cache sends every miss this way. The one frame also asks the
+// server to ensure this connection's notifiers for (doc, user) before
+// it executes the read, so every change after the returned bytes is
+// pushed to OnInvalidate; on a key the connection is subscribed to
+// already, that is a lookup at the server. subscribed is false when the
+// server could not install them — the document or the user's reference
+// does not exist yet — in which case the bytes are good for this answer
+// only and must not be cached. Like any subscription it dies with the
+// connection.
 func (c *Client) ReadSubscribe(doc, user string) (data []byte, meta ReadMeta, subscribed bool, err error) {
 	resp, err := c.call(&Request{Op: OpRead, Doc: doc, User: user, Subscribe: true})
 	if err != nil {
@@ -866,7 +868,7 @@ func (c *Client) AttachStatic(doc, user string, personal bool, key, value string
 
 // Subscribe registers for invalidation pushes for (doc, user) without
 // reading it. Subscriptions are per connection and die with it. A cache
-// subscribes with its key's first read instead (ReadSubscribe).
+// subscribes with every miss instead (ReadSubscribe).
 func (c *Client) Subscribe(doc, user string) error {
 	_, err := c.call(&Request{Op: OpSubscribe, Doc: doc, User: user})
 	return err

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"placeless/internal/docspace"
 	"placeless/internal/property"
 )
 
@@ -229,7 +230,7 @@ func (s *Server) ReplayJournal(path string) (int, error) {
 			// the existing content must not clobber it.
 			if _, err := s.backing.Stat("/" + e.Doc); err == nil {
 				resp := s.registerExisting(e.Doc, e.User)
-				if resp.Err != "" && !isDuplicateErr(resp.Err) {
+				if resp.Err != "" && !errors.Is(resp.err, docspace.ErrDuplicate) {
 					return applied, fmt.Errorf("server: journal %s line %d: %s", path, line, resp.Err)
 				}
 				if resp.Err == "" {
@@ -256,7 +257,7 @@ func (s *Server) ReplayJournal(path string) (int, error) {
 		if resp.Err != "" {
 			// Duplicate state is expected when the backing
 			// repository survived the restart.
-			if isDuplicateErr(resp.Err) {
+			if errors.Is(resp.err, docspace.ErrDuplicate) {
 				continue
 			}
 			return applied, fmt.Errorf("server: journal %s line %d: %s", path, line, resp.Err)
@@ -276,10 +277,4 @@ func (s *Server) registerExisting(doc, owner string) *Response {
 		return fail(err)
 	}
 	return &Response{}
-}
-
-// isDuplicateErr reports whether a handler error string describes
-// already-existing state.
-func isDuplicateErr(msg string) bool {
-	return strings.Contains(msg, "duplicate")
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,6 +142,34 @@ func TestReplayCorruptJournalFails(t *testing.T) {
 	os.WriteFile(path, []byte(`{"op":"martian","doc":"d"}`+"\n"), 0o644)
 	if _, err := srv.ReplayJournal(path); err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestReplaySkipsOnlyDuplicateState: replay passes over an entry whose
+// state already exists (docspace.ErrDuplicate) and over nothing else,
+// whatever words the failure's text happens to contain — here a
+// document and a property spec that are named "duplicate…".
+func TestReplaySkipsOnlyDuplicateState(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	clk := clock.NewVirtual(epoch)
+	for _, entry := range []string{
+		`{"op":"addref","doc":"duplicate-notes","user":"bob"}`,
+		`{"op":"detach","doc":"duplicate-notes","user":"bob","spec":"x"}`,
+		`{"op":"create","doc":"d","user":"amy","content":"eA=="}` + "\n" +
+			`{"op":"attach","doc":"d","spec":"duplicate-finder"}`,
+	} {
+		os.WriteFile(path, []byte(entry+"\n"), 0o644)
+		srv := New(docspace.New(clk, nil), repo.NewMem("m", clk, simnet.NewPath("p", 1)))
+		line := strings.Count(entry, "\n") + 1
+		if n, err := srv.ReplayJournal(path); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d", line)) {
+			t.Fatalf("replay of %s = %d, %v; want an error naming line %d", entry, n, err, line)
+		}
+	}
+	// The same create twice: the second is existing state, skipped.
+	os.WriteFile(path, []byte(strings.Repeat(`{"op":"create","doc":"d","user":"amy","content":"eA=="}`+"\n", 2)), 0o644)
+	srv := New(docspace.New(clk, nil), repo.NewMem("m", clk, simnet.NewPath("p", 1)))
+	if n, err := srv.ReplayJournal(path); err != nil || n != 1 {
+		t.Fatalf("replay of a repeated create = %d, %v; want 1 applied", n, err)
 	}
 }
 

@@ -48,7 +48,7 @@ const (
 	OpCreateDocument
 	// OpSubscribe registers the client for invalidation pushes for a
 	// document (the remote notifier channel) without reading it. A
-	// cache subscribes on its key's first OpRead instead
+	// cache subscribes with every OpRead it sends instead
 	// (Request.Subscribe); this op serves plctl subscribe.
 	OpSubscribe
 	// OpForwardEvent redelivers an operation event (CacheWithEvents
@@ -157,6 +157,9 @@ type Response struct {
 	// either way, for the error paths.
 	bodyStream io.Reader
 	bodyLen    int64
+	// err is the error Err was rendered from, for callers in this
+	// process; it never crosses the wire.
+	err error
 }
 
 // Match is one property-search hit (OpFind).

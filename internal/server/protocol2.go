@@ -1,5 +1,5 @@
 // The binary wire protocol (version 4: one hand-written request layout
-// and a subscription that rides its key's first read).
+// and a subscription that rides the read).
 //
 // Requests, reads and pushes are hand-written codecs over a fixed
 // header, so blob payloads travel as raw byte ranges — never re-encoded
@@ -42,8 +42,7 @@
 // snapshot the read returns: every change after that snapshot is
 // pushed. On the response it reports that the installation failed (no
 // such document or reference yet): the bytes are good for this one
-// answer, and a cache must neither keep them nor consider the key
-// subscribed.
+// answer, and a cache must not keep them.
 //
 // Handshake: a client opens with an 8-byte magic preamble; the server
 // reads the first bytes of every accepted connection and answers the

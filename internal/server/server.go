@@ -258,16 +258,17 @@ func (c *serverConn) serveFrames(br *bufio.Reader) {
 		if err != nil {
 			return // disconnect (or corrupt stream — same remedy)
 		}
-		if req.Op == OpRead && !req.Subscribe {
+		if req.Op == OpRead {
 			// Warm-hit fast path: a clean cache hit is answered inline
 			// on the decode loop — no handler goroutine, no semaphore
 			// hand-off. Anything that might block (a miss, a rejected
-			// verifier, simulated hit cost, a subscription to install
-			// first) falls through to the concurrent path below. Burst detection picks the write
-			// route: with more pipelined requests already buffered the
-			// response is queued so the writer coalesces the run into
-			// one writev; with the pipe drained (lockstep caller) it is
-			// written inline, skipping the writer hand-off.
+			// verifier, simulated hit cost, a subscription that cannot
+			// be installed) falls through to the concurrent path below.
+			// Burst detection picks the write route: with more
+			// pipelined requests already buffered the response is
+			// queued so the writer coalesces the run into one writev;
+			// with the pipe drained (lockstep caller) it is written
+			// inline, skipping the writer hand-off.
 			if resp, ok := c.tryFastRead(req); ok {
 				f, err := encodeResponseFrame(OpRead, resp)
 				if err != nil {
@@ -309,12 +310,17 @@ func (c *serverConn) serveFrames(br *bufio.Reader) {
 
 // tryFastRead probes the cache for a clean warm hit and builds the
 // read response inline. ok == false means "use the full handler path":
-// no cache, a configured link cost to charge, or any outcome other
-// than a verified hit. Bookkeeping mirrors handle() for the cases it
-// short-circuits.
+// no cache, a configured link cost to charge, a subscription the
+// notifiers could not take, or any outcome other than a verified hit.
+// Bookkeeping mirrors handle() for the cases it short-circuits.
 func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 	s := c.srv
 	if s.cache == nil || s.linkCost > 0 {
+		return nil, false
+	}
+	// As in handle: the notifiers go in before the snapshot is taken.
+	// On a key this connection subscribed before, a map lookup.
+	if req.Subscribe && c.notifiers.Ensure(req.Doc, req.User) != nil {
 		return nil, false
 	}
 	data, info, ok := s.cache.ReadSharedHit(req.Doc, req.User)
@@ -361,8 +367,9 @@ func (c *serverConn) teardown() {
 	c.srv.mu.Unlock()
 }
 
-// fail builds an error response.
-func fail(err error) *Response { return &Response{Err: err.Error()} }
+// fail builds an error response. The error value stays beside its
+// text for in-process callers (journal replay); the wire carries Err.
+func fail(err error) *Response { return &Response{Err: err.Error(), err: err} }
 
 // SetLinkCost charges d of simulated time per handled request,
 // modeling the application→server network hop in placement

@@ -269,14 +269,14 @@ func TestKillRestartFreshness(t *testing.T) {
 }
 
 // TestScheduleChangeAfterReconnectBeforeReread pins what took the place
-// of the subscription replay. A reconnect flushes the remote cache and
-// forgets its subscriptions; nothing is re-sent. A write that lands
-// after the reconnect and before the key's next read is therefore
-// pushed to no one, which is safe because nothing is cached — but the
-// re-read must carry the subscription again. If the key were still
-// counted as subscribed, that read would install an entry no notifier
-// guards, and the read after the second write below would be stale for
-// ever.
+// of the subscription replay. A reconnect flushes the remote cache; its
+// subscriptions died with the old connection and nothing is re-sent. A
+// write that lands after the reconnect and before the key's next read is
+// therefore pushed to no one, which is safe because nothing is cached —
+// but the re-read must carry the subscription again. Every miss does,
+// and an entry goes in only if its own response confirmed the notifiers
+// on the live connection; a read that installed without them would
+// leave the read after the second write below stale for ever.
 func TestScheduleChangeAfterReconnectBeforeReread(t *testing.T) {
 	w, doc, owner := warmRemoteKey(t)
 	pushed := w.rc.Stats().Invalidations
