@@ -36,10 +36,12 @@ test-race:
 # twenty times (Ensure and Close subscribe and unsubscribe under the
 # pair's lock), with the remote cache's reconnect and subscription
 # tests (its suspect window is the client's epoch against the one its
-# reconnect hook flushed, read across two locks).
+# reconnect hook flushed, read across two locks), and the push tests:
+# the client's read loop runs the invalidation handler itself, before
+# it decodes the next frame.
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/stream/...
-	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
+	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded
 # modes, reconnect/resubscribe/flush. The short timeout is part of the

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -41,12 +42,14 @@ type Histogram struct {
 	n      atomic.Int64
 }
 
-// bucketFor maps a nanosecond duration to its bucket index.
+// bucketFor maps a nanosecond duration to its bucket index: the first
+// bucket whose bound is at least ns, so an observation equal to a bound
+// counts under that bound's le.
 func bucketFor(ns int64) int {
 	if ns <= 0 {
 		return 0
 	}
-	i := bits.Len64(uint64(ns)) - histMinExp
+	i := bits.Len64(uint64(ns-1)) - histMinExp
 	if i < 0 {
 		return 0
 	}
@@ -88,15 +91,15 @@ func (h *Histogram) Mean() time.Duration {
 func boundNanos(i int) int64 { return int64(1) << (histMinExp + i) }
 
 // Quantile returns an upper-bound estimate of the q-quantile
-// (0 < q <= 1): the bound of the bucket containing the q-th ranked
-// observation. Observations in the overflow bucket report twice the
-// last finite bound. Returns 0 with no observations.
+// (0 < q <= 1): the bound of the bucket containing the observation of
+// nearest rank ceil(q·n). Observations in the overflow bucket report
+// twice the last finite bound. Returns 0 with no observations.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	total := h.n.Load()
 	if total == 0 {
 		return 0
 	}
-	rank := int64(q * float64(total))
+	rank := int64(math.Ceil(q * float64(total)))
 	if rank < 1 {
 		rank = 1
 	}

@@ -131,6 +131,34 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramBoundsAndNearestRank: an observation equal to a bucket
+// bound counts under that bound (the exposition's le is ≤), and a
+// quantile is the bucket of the nearest rank ceil(q·n).
+func TestHistogramBoundsAndNearestRank(t *testing.T) {
+	for _, c := range []struct{ ns, le int64 }{
+		{1, 1024}, {1024, 1024}, {1025, 2048}, {2048, 2048}, {1 << 34, 1 << 34},
+	} {
+		var h Histogram
+		h.ObserveNanos(c.ns)
+		if got := h.Quantile(1); got != time.Duration(c.le) {
+			t.Errorf("%d ns lands under le %d ns, want %d ns", c.ns, int64(got), c.le)
+		}
+	}
+	var over Histogram
+	over.ObserveNanos(1<<34 + 1)
+	if got := over.Quantile(1); got != 2*time.Duration(1<<34) {
+		t.Errorf("2^34+1 ns reports %v, want the overflow bucket", got)
+	}
+
+	var h Histogram
+	for _, d := range []time.Duration{time.Microsecond, time.Millisecond, time.Second} {
+		h.Observe(d)
+	}
+	if p50 := h.Quantile(0.5); p50 < time.Millisecond || p50 > 2*time.Millisecond {
+		t.Errorf("p50 of {1µs, 1ms, 1s} = %v, want the 1ms bucket", p50)
+	}
+}
+
 // TestHistogramConcurrency hammers one histogram from many goroutines
 // while scraping it; run under -race this is the data-race check for
 // the lock-free bucket scheme, and the final totals prove no lost

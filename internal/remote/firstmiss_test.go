@@ -229,7 +229,7 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 		t.Fatal("halving the budget evicted nothing")
 	}
 
-	r.cache.onReconnect(r.client.Epoch())
+	r.cache.onConnState(server.StateConnected, r.client.Epoch())
 	consistent("after a reconnect flush")
 	if r.cache.Len() != 0 || r.cache.Stats().BytesStored != 0 {
 		t.Fatalf("reconnect flush left %d entries, %d bytes", r.cache.Len(), r.cache.Stats().BytesStored)

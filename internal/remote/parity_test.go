@@ -201,7 +201,7 @@ func TestOneTableParity(t *testing.T) {
 		if p == o {
 			return origin.Close()
 		}
-		r.cache.onReconnect(r.client.Epoch())
+		r.cache.onConnState(server.StateConnected, r.client.Epoch())
 		return nil
 	})
 }

@@ -163,9 +163,9 @@ type Cache struct {
 	stats         Stats     // BytesStored and Evictions are the table's
 }
 
-// New wraps client with a cache and registers the invalidation,
-// reconnect, and connection-state handlers. The caller must not
-// install its own OnInvalidate handler on the client afterwards. For
+// New wraps client with a cache and registers the invalidation and
+// connection-state handlers. The caller must not install its own
+// OnInvalidate or OnStateChange handler on the client afterwards. For
 // the resilience machinery to matter, dial the client with
 // server.WithReconnect (and ideally server.WithCallTimeout).
 func New(client *server.Client, opts Options) *Cache {
@@ -187,15 +187,25 @@ func New(client *server.Client, opts Options) *Cache {
 	}
 	client.OnInvalidate(c.onInvalidate)
 	client.OnStateChange(c.onConnState)
-	client.OnReconnect(c.onReconnect)
 	return c
 }
 
-// onConnState tracks outage boundaries so serve-stale reads can bound
-// their staleness window from the moment of disconnect.
-func (c *Cache) onConnState(s server.ConnState) {
+// onConnState is the client's connection hook. A disconnect starts the
+// outage clock that bounds serve-stale reads. A transition to
+// StateConnected is a reconnect, and carries the new epoch: the
+// invalidation stream was interrupted, so every entry cached under the
+// previous epoch is suspect. The cache flushes the table with
+// its drop-everything, which bumps every per-doc generation before it
+// drops anything (so in-flight misses from before the drop cannot
+// install) — re-verification by re-read: the next access re-fetches
+// and re-caches under the new epoch. Nothing is replayed: the
+// server-side notifiers died with the old connection, what they guarded
+// has just been flushed, and the next miss on a key carries its
+// subscription again. The calls of successive reconnects may run out of
+// order; a late one never moves flushed back, so a successor whose own
+// flush is still to come stays suspect.
+func (c *Cache) onConnState(s server.ConnState, epoch uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch s {
 	case server.StateDisconnected:
 		if c.degradedSince.IsZero() {
@@ -204,23 +214,7 @@ func (c *Cache) onConnState(s server.ConnState) {
 	case server.StateConnected:
 		c.degradedSince = time.Time{}
 	}
-}
-
-// onReconnect runs after the client re-established its connection:
-// the invalidation stream was interrupted, so every entry cached
-// under the previous epoch is suspect. The cache flushes the table with
-// its drop-everything, which bumps every per-doc generation before it
-// drops anything (so in-flight misses from before the drop cannot
-// install) — re-verification by re-read: the next access re-fetches
-// and re-caches under the new epoch. Nothing is replayed: the
-// server-side notifiers died with the old connection, what they guarded
-// has just been flushed, and the next miss on a key carries its
-// subscription again. Hooks of successive reconnects may run out of
-// order; a late one never moves flushed back, so a successor whose own
-// flush is still to come stays suspect.
-func (c *Cache) onReconnect(epoch uint64) {
-	c.mu.Lock()
-	if c.tab.Closed() {
+	if s != server.StateConnected || c.tab.Closed() {
 		c.mu.Unlock()
 		return
 	}
@@ -329,8 +323,7 @@ func (c *Cache) Stats() Stats {
 // Suspect reports whether the cache is inside the post-reconnect
 // suspect window: the connection dropped and the epoch flush of its
 // successor has not yet run, so cached entries are not trusted.
-// Simulations wait for this to clear (together with a drained push
-// queue) before asserting freshness.
+// Simulations wait for this to clear before asserting freshness.
 func (c *Cache) Suspect() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

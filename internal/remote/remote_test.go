@@ -411,7 +411,7 @@ func TestConcurrentReadsPushesAndFlushes(t *testing.T) {
 					r.cache.onInvalidate(doc, user)
 				case 11:
 					if g == 0 {
-						r.cache.onReconnect(r.client.Epoch())
+						r.cache.onConnState(server.StateConnected, r.client.Epoch())
 					}
 				}
 			}

@@ -191,10 +191,7 @@ func TestChaosReconnectAcrossRestart(t *testing.T) {
 	cs.restart()
 	waitCond(t, 5*time.Second, func() bool { return c.State() == StateConnected })
 	if c.Epoch() != 2 {
-		t.Fatalf("epoch after restart = %d, want 2", c.Epoch())
-	}
-	if c.Reconnects() != 1 {
-		t.Fatalf("reconnects = %d, want 1", c.Reconnects())
+		t.Fatalf("epoch after restart = %d, want 2 (one reconnect)", c.Epoch())
 	}
 	data, _, err := c.Read("d", "u")
 	if err != nil || string(data) != "v1" {
@@ -202,69 +199,82 @@ func TestChaosReconnectAcrossRestart(t *testing.T) {
 	}
 }
 
-// A blocking OnInvalidate handler must not stall RPC responses (they
-// share the read loop with pushes), and queued pushes must still be
-// delivered in wire arrival order once the handler unblocks.
+// The OnInvalidate handler runs on the read loop, so a handler that
+// parks holds back every response behind its push. With a call deadline
+// that costs one connection, not the client: the call waiting behind the
+// parked push fails with ErrTimeout, the connection is reset, the client
+// reconnects, and nothing hangs. A handler that keeps the contract sees
+// pushes in wire arrival order.
 func TestChaosBlockingInvalHandler(t *testing.T) {
-	_, c, _ := testServer(t)
+	_, c, space := testServer(t,
+		WithCallTimeout(200*time.Millisecond),
+		WithReconnect(5*time.Millisecond, 50*time.Millisecond))
+	subscribe := func(ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if err := c.Subscribe(id, "u"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, id := range []string{"d1", "d2"} {
 		if err := c.CreateDocument(id, "u", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Subscribe(id, "u"); err != nil {
-			t.Fatal(err)
-		}
+	}
+	subscribe("d1")
+
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	returned := make(chan struct{})
+	c.OnInvalidate(func(doc, user string) {
+		close(parked)
+		<-release
+		close(returned)
+	})
+	if err := space.WriteDocument("d1", "u", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+
+	// The Stats response sits behind the parked push on the wire.
+	if _, err := c.Stats(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("call behind a parked push returned %v, want ErrTimeout", err)
+	}
+	waitCond(t, 5*time.Second, func() bool { return c.State() == StateConnected && c.Epoch() == 2 })
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("call on the reconnected wire: %v", err)
+	}
+	close(release)
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked handler never returned")
 	}
 
+	// Subscriptions died with the reset connection; the recording
+	// handler sees the pushes of the new one in wire arrival order.
 	var mu sync.Mutex
 	var got []string
-	release := make(chan struct{})
 	c.OnInvalidate(func(doc, user string) {
 		mu.Lock()
 		got = append(got, doc)
 		mu.Unlock()
-		<-release
 	})
-
-	if err := c.Write("d1", "u", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	waitCond(t, 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 1
-	})
-
-	// The handler is now parked on release. An RPC must still complete:
-	// invalidation dispatch is decoupled from the response path.
-	rpcDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.Read("d2", "u")
-		rpcDone <- err
-	}()
-	select {
-	case err := <-rpcDone:
-		if err != nil {
-			t.Fatalf("RPC under blocked handler: %v", err)
+	subscribe("d1", "d2")
+	for _, id := range []string{"d2", "d1", "d2"} {
+		if err := space.WriteDocument(id, "u", []byte(id+"!")); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RPC stalled behind a blocking invalidation handler")
 	}
-
-	// A second push queues behind the blocked delivery.
-	if err := c.Write("d2", "u", []byte("z")); err != nil {
+	// Every push the server sent ahead of this response is applied.
+	if _, err := c.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	close(release)
-	waitCond(t, 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) >= 2
-	})
 	mu.Lock()
 	defer mu.Unlock()
-	if !reflect.DeepEqual(got[:2], []string{"d1", "d2"}) {
-		t.Fatalf("delivery order = %v, want [d1 d2]", got)
+	if !reflect.DeepEqual(got, []string{"d2", "d1", "d2"}) {
+		t.Fatalf("delivery order = %v, want [d2 d1 d2]", got)
 	}
 }
 

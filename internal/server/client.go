@@ -125,9 +125,9 @@ func WithWriteTimeout(d time.Duration) DialOption {
 // backoff plus jitter: after a connection failure the client redials
 // in the background, starting at base and doubling up to max per
 // attempt. Each successful reconnect increments the connection epoch
-// (see Epoch) and fires the OnReconnect hooks, which is how the remote
-// cache flushes entries cached under the old epoch, whose subscriptions
-// died with it.
+// (see Epoch) and reports StateConnected with it to the OnStateChange
+// handler, which is how the remote cache flushes entries cached under
+// the old epoch, whose subscriptions died with it.
 func WithReconnect(base, max time.Duration) DialOption {
 	return func(c *dialConfig) {
 		c.reconnect = true
@@ -213,9 +213,6 @@ type pendingCall struct {
 	claimed *wireConn
 }
 
-// inval is one queued invalidation push.
-type inval struct{ doc, user string }
-
 // wireConn is one established connection: encoded frames go through
 // its single writer goroutine (which batches concurrent small frames
 // into one writev), responses decode off a buffered reader.
@@ -257,6 +254,11 @@ func (w *wireConn) close() error {
 // consumers that depend on the server-push invalidation stream (the
 // remote cache) must treat everything learned under an older epoch as
 // suspect, because pushes may have been lost while disconnected.
+//
+// Pushes share the connection with responses and are applied where they
+// are read: the read loop runs the OnInvalidate handler before it
+// decodes the next frame, so a response is delivered only after every
+// push the server sent ahead of it.
 type Client struct {
 	addr string
 	cfg  dialConfig
@@ -270,22 +272,11 @@ type Client struct {
 	epoch        uint64
 	nextID       uint64
 	pending      map[uint64]*pendingCall
-	closed       bool
 	reconnecting bool
-	reconnects   int64
 	timeouts     int64
 	downSince    time.Time
 	onInval      func(doc, user string)
-	onReconnect  []func(epoch uint64)
-	onState      []func(ConnState)
-
-	// Invalidation dispatch queue: pushes are decoupled from the read
-	// loop so a slow handler cannot stall RPC responses (see
-	// dispatchInvals for the ordering guarantee).
-	invalMu   sync.Mutex
-	invalCond *sync.Cond
-	invals    []inval
-	invalStop bool
+	onState      func(s ConnState, epoch uint64)
 }
 
 // Dial connects to a Placeless server at addr. With no options the
@@ -314,8 +305,6 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 		return nil, err
 	}
 	c.wc = wc
-	c.invalCond = sync.NewCond(&c.invalMu)
-	go c.dispatchInvals()
 	go c.readLoop(wc)
 	return c, nil
 }
@@ -367,35 +356,32 @@ func (c *Client) handshake(conn net.Conn) (*wireConn, error) {
 // win made visible for metrics and benchmarks.
 func (c *Client) FramesBatched() int64 { return c.framesBatched.Load() }
 
-// OnInvalidate registers the handler for server-pushed invalidations.
-// user == "" means every user's version of doc is affected. The
-// handler runs on a dedicated dispatch goroutine (never on the read
-// loop), so it may block or re-enter the client without stalling RPC
-// responses.
+// OnInvalidate sets the handler for server-pushed invalidations,
+// replacing any earlier one. user == "" means every user's version of
+// doc is affected. The handler runs on the connection's read loop, in
+// wire order, before the next frame is decoded: it must not block and
+// must not call the client. A handler that parks holds back every
+// response behind its push, and with WithCallTimeout those calls fail
+// with ErrTimeout and the connection is reset. A reset connection's
+// last push may still be in the handler when the next connection's
+// first arrives, so the handler must be safe for concurrent use.
 func (c *Client) OnInvalidate(fn func(doc, user string)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onInval = fn
 }
 
-// OnReconnect registers fn to run after every successful automatic
-// reconnection, with the new connection epoch. Hooks run on the
-// reconnect goroutine, after the new read loop is live, so they can
-// issue calls on the fresh connection.
-func (c *Client) OnReconnect(fn func(epoch uint64)) {
+// OnStateChange sets the handler for connection state transitions
+// (connected → disconnected → connected …, and finally closed),
+// replacing any earlier one. It gets the new state and the connection
+// epoch; a transition to StateConnected is a reconnect and carries the
+// new epoch. It runs outside the client lock — for a reconnect on the
+// reconnect goroutine, after the new read loop is live, so it may
+// issue calls on the fresh connection — and must not block for long.
+func (c *Client) OnStateChange(fn func(s ConnState, epoch uint64)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.onReconnect = append(c.onReconnect, fn)
-}
-
-// OnStateChange registers fn to run on every connection state
-// transition (connected → disconnected → connected …, and finally
-// closed). Hooks must not block for long; they run outside the client
-// lock.
-func (c *Client) OnStateChange(fn func(ConnState)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onState = append(c.onState, fn)
+	c.onState = fn
 }
 
 // State reports the current connection state.
@@ -406,19 +392,12 @@ func (c *Client) State() ConnState {
 }
 
 // Epoch returns the connection epoch: 1 for the initial connection,
-// incremented by every successful reconnect.
+// incremented by every successful reconnect, so Epoch()-1 is the
+// number of reconnections.
 func (c *Client) Epoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.epoch
-}
-
-// Reconnects returns how many times the client successfully
-// re-established the connection.
-func (c *Client) Reconnects() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reconnects
 }
 
 // Timeouts returns how many calls failed with ErrTimeout.
@@ -439,58 +418,6 @@ func (c *Client) DownSince() time.Time {
 	return time.Time{}
 }
 
-// PendingInvalidations reports how many server pushes are queued but
-// not yet delivered to the OnInvalidate handler. Simulations drain
-// this to zero (together with the network's in-flight count) before
-// trusting a consistency check; operators can poll it to see whether
-// a slow handler is falling behind the push stream.
-func (c *Client) PendingInvalidations() int {
-	c.invalMu.Lock()
-	defer c.invalMu.Unlock()
-	return len(c.invals)
-}
-
-// enqueueInval appends one push to the dispatch queue. The queue is
-// unbounded: invalidations must never be dropped (a lost push is
-// unbounded staleness), and per (doc, user) they are idempotent, so
-// memory is bounded by the working set even under a stuck handler.
-func (c *Client) enqueueInval(doc, user string) {
-	c.invalMu.Lock()
-	c.invals = append(c.invals, inval{doc: doc, user: user})
-	c.invalMu.Unlock()
-	c.invalCond.Signal()
-}
-
-// dispatchInvals delivers invalidation pushes to the OnInvalidate
-// handler on a dedicated goroutine. Ordering guarantee: pushes are
-// delivered one at a time, in wire arrival order; delivery is
-// asynchronous with respect to RPC responses, which are never blocked
-// by a slow or re-entrant handler.
-func (c *Client) dispatchInvals() {
-	c.invalMu.Lock()
-	for {
-		for len(c.invals) == 0 && !c.invalStop {
-			c.invalCond.Wait()
-		}
-		if len(c.invals) == 0 && c.invalStop {
-			c.invalMu.Unlock()
-			return
-		}
-		iv := c.invals[0]
-		c.invals = c.invals[1:]
-		c.invalMu.Unlock()
-
-		c.mu.Lock()
-		fn := c.onInval
-		c.mu.Unlock()
-		if fn != nil {
-			fn(iv.doc, iv.user)
-		}
-
-		c.invalMu.Lock()
-	}
-}
-
 // readLoop demultiplexes responses and notifications for one
 // connection; it exits (via connFailed) when the connection dies.
 func (c *Client) readLoop(wc *wireConn) {
@@ -506,7 +433,12 @@ func (c *Client) readLoop(wc *wireConn) {
 			return
 		}
 		if resp.ID == 0 {
-			c.enqueueInval(resp.NotifyDoc, resp.NotifyUser)
+			c.mu.Lock()
+			fn := c.onInval
+			c.mu.Unlock()
+			if fn != nil {
+				fn(resp.NotifyDoc, resp.NotifyUser)
+			}
 			continue
 		}
 		c.mu.Lock()
@@ -534,7 +466,7 @@ func (c *Client) connFailed(wc *wireConn) {
 	c.wc = nil
 	failErr := error(ErrDisconnected)
 	newState := StateDisconnected
-	if c.closed {
+	if c.state == StateClosed {
 		failErr = ErrClientClosed
 		newState = StateClosed
 	}
@@ -548,20 +480,21 @@ func (c *Client) connFailed(wc *wireConn) {
 		close(pc.ch)
 		delete(c.pending, id)
 	}
-	var stateFns []func(ConnState)
+	var stateFn func(ConnState, uint64)
 	if c.state != newState {
 		c.state = newState
 		c.downSince = time.Now()
-		stateFns = append(stateFns, c.onState...)
+		stateFn = c.onState
 	}
-	startReconnect := !c.closed && c.cfg.reconnect && !c.reconnecting
+	epoch := c.epoch
+	startReconnect := newState == StateDisconnected && c.cfg.reconnect && !c.reconnecting
 	if startReconnect {
 		c.reconnecting = true
 	}
 	c.mu.Unlock()
 	wc.close()
-	for _, fn := range stateFns {
-		fn(newState)
+	if stateFn != nil {
+		stateFn(newState, epoch)
 	}
 	if startReconnect {
 		go c.reconnectLoop()
@@ -574,7 +507,7 @@ func (c *Client) reconnectLoop() {
 	backoff := c.cfg.backoffBase
 	for {
 		c.mu.Lock()
-		if c.closed {
+		if c.state == StateClosed {
 			c.reconnecting = false
 			c.mu.Unlock()
 			return
@@ -584,7 +517,7 @@ func (c *Client) reconnectLoop() {
 		wc, err := c.connect()
 		if err == nil {
 			c.mu.Lock()
-			if c.closed {
+			if c.state == StateClosed {
 				c.reconnecting = false
 				c.mu.Unlock()
 				wc.close()
@@ -594,17 +527,12 @@ func (c *Client) reconnectLoop() {
 			c.epoch++
 			epoch := c.epoch
 			c.state = StateConnected
-			c.reconnects++
 			c.reconnecting = false
-			reconFns := append([]func(uint64){}, c.onReconnect...)
-			stateFns := append([]func(ConnState){}, c.onState...)
+			stateFn := c.onState
 			c.mu.Unlock()
 			go c.readLoop(wc)
-			for _, fn := range stateFns {
-				fn(StateConnected)
-			}
-			for _, fn := range reconFns {
-				fn(epoch)
+			if stateFn != nil {
+				stateFn(StateConnected, epoch)
 			}
 			return
 		}
@@ -644,7 +572,7 @@ func (c *Client) claimReadDst(wc *wireConn, id uint64, n int) []byte {
 func (c *Client) flushClaimed(wc *wireConn) {
 	c.mu.Lock()
 	failErr := error(ErrDisconnected)
-	if c.closed {
+	if c.state == StateClosed {
 		failErr = ErrClientClosed
 	}
 	for id, pc := range c.pending {
@@ -668,7 +596,7 @@ func (c *Client) call(req *Request) (*Response, error) {
 // for the read body (see ReadInto).
 func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 	c.mu.Lock()
-	if c.closed {
+	if c.state == StateClosed {
 		c.mu.Unlock()
 		return nil, ErrClientClosed
 	}
@@ -686,7 +614,7 @@ func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 	if err := wc.sendRequest(req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
-		closed := c.closed
+		closed := c.state == StateClosed
 		c.mu.Unlock()
 		c.connFailed(wc)
 		if closed {
@@ -749,11 +677,10 @@ func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 // Close tears down the connection and stops the background machinery.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	if c.closed {
+	if c.state == StateClosed {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
 	c.state = StateClosed
 	wc := c.wc
 	c.wc = nil
@@ -767,20 +694,15 @@ func (c *Client) Close() error {
 		close(pc.ch)
 		delete(c.pending, id)
 	}
-	stateFns := append([]func(ConnState){}, c.onState...)
+	stateFn, epoch := c.onState, c.epoch
 	c.mu.Unlock()
-
-	c.invalMu.Lock()
-	c.invalStop = true
-	c.invalMu.Unlock()
-	c.invalCond.Broadcast()
 
 	var err error
 	if wc != nil {
 		err = wc.close()
 	}
-	for _, fn := range stateFns {
-		fn(StateClosed)
+	if stateFn != nil {
+		stateFn(StateClosed, epoch)
 	}
 	return err
 }

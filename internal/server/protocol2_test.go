@@ -608,8 +608,8 @@ func TestHandshakeRefusal(t *testing.T) {
 	if n := accepted.Load(); n < 2 || n > 10 {
 		t.Fatalf("%d redials in 400ms, want a backed-off handful", n)
 	}
-	if c.Reconnects() != 0 {
-		t.Fatalf("Reconnects = %d against a peer that never acks", c.Reconnects())
+	if c.Epoch() != 1 {
+		t.Fatalf("Epoch = %d against a peer that never acks, want 1", c.Epoch())
 	}
 }
 

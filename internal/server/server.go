@@ -503,12 +503,19 @@ func (s *Server) apply(req *Request) *Response {
 		return &Response{}
 
 	case OpCreateDocument:
+		// Register first, so a refused create (a duplicate or bad id)
+		// never reaches the repository, then store the body. A read
+		// racing the create finds the document registered before its
+		// bytes are stored and reads what the repository holds at the
+		// path until then: for a new id nothing, so it fails not-found.
+		// A store that fails unregisters the document again.
 		path := "/" + req.Doc
-		if err := s.backing.Store(path, req.Body); err != nil {
-			return fail(err)
-		}
 		bits := &property.RepoBitProvider{Repo: s.backing, Path: path}
 		if _, err := s.space.CreateDocument(req.Doc, req.User, bits); err != nil {
+			return fail(err)
+		}
+		if err := s.backing.Store(path, req.Body); err != nil {
+			_ = s.space.RemoveDocument(req.Doc)
 			return fail(err)
 		}
 		return &Response{}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,6 +85,56 @@ func TestCreateReadWriteRoundTrip(t *testing.T) {
 	}
 	if writes.Count() != 1 {
 		t.Fatalf("write histogram holds %d observations after one OpWrite", writes.Count())
+	}
+}
+
+// TestRefusedCreateLeavesContent: a create for an id that exists is
+// refused before it reaches the repository, so it cannot replace the
+// document's bytes behind its properties, versions and notifiers.
+func TestRefusedCreateLeavesContent(t *testing.T) {
+	_, c, _ := testServer(t)
+	if err := c.CreateDocument("d", "u", []byte("original")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateDocument("d", "mallory", []byte("clobbered")); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("second create = %v, want a duplicate error", err)
+	}
+	data, _, err := c.Read("d", "u")
+	if err != nil || string(data) != "original" {
+		t.Fatalf("read after a refused create = %q, %v; want \"original\"", data, err)
+	}
+}
+
+// failingStore is a repository whose Store fails, counting the calls.
+type failingStore struct {
+	repo.Repository
+	stores atomic.Int64
+}
+
+func (f *failingStore) Store(path string, data []byte) error {
+	f.stores.Add(1)
+	return errors.New("disk full")
+}
+
+// TestCreateStoreFailureUnregisters: a create whose body cannot be
+// stored leaves no document registered, so the id can be created again;
+// an id the space refuses never reaches the repository.
+func TestCreateStoreFailureUnregisters(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	backing := &failingStore{Repository: repo.NewMem("srv", clk, simnet.NewPath("loop", 1))}
+	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
+	c := serveAndDial(t, New(space, backing))
+	if err := c.CreateDocument("d", "u", []byte("v1")); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("create over a failing store = %v", err)
+	}
+	if _, err := space.Document("d"); !errors.Is(err, docspace.ErrNoDocument) {
+		t.Fatalf("document after a failed store: %v, want ErrNoDocument", err)
+	}
+	if err := c.CreateDocument("bad\x00id", "u", []byte("v1")); err == nil {
+		t.Fatal("create with a NUL id succeeded")
+	}
+	if n := backing.stores.Load(); n != 1 {
+		t.Fatalf("repository saw %d stores, want 1 (the NUL id must not reach it)", n)
 	}
 }
 
@@ -173,6 +224,36 @@ func TestSubscriptionPushesInvalidation(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) == 0 || got[0][0] != "d" || got[0][1] != "" {
 		t.Fatalf("pushes = %v", got)
+	}
+}
+
+// TestPushAppliedBeforeLaterResponse: a push shares the connection
+// with responses, and the client applies it where it reads it, so a
+// response the server wrote after the push is delivered only once the
+// handler has returned — even a slow handler.
+func TestPushAppliedBeforeLaterResponse(t *testing.T) {
+	_, c, space := testServer(t)
+	if err := c.CreateDocument("d", "u", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe("d", "u"); err != nil {
+		t.Fatal(err)
+	}
+	var applied atomic.Bool
+	c.OnInvalidate(func(doc, user string) {
+		time.Sleep(50 * time.Millisecond)
+		applied.Store(true)
+	})
+	// The server-side write pushes before it returns, so the push is on
+	// the wire ahead of the Stats response.
+	if err := space.WriteDocument("d", "u", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if !applied.Load() {
+		t.Fatal("a response was delivered before the push was applied")
 	}
 }
 

@@ -548,7 +548,7 @@ func (w *World) settlePeers() []settlePeer {
 // settle drives the deployment to a quiescent, provably-consistent
 // point: faults off, partition healed, every in-flight message
 // delivered, and — for the base remote cache and every cluster node
-// still in the ring — the invalidation queue drained, the connection
+// still in the ring — every push the server sent applied, the connection
 // up, and the post-reconnect suspect window closed. After settling,
 // the model tightens every key's staleness bound on every node.
 func (w *World) settle() error {
@@ -566,12 +566,13 @@ func (w *World) settle() error {
 			quiet := true
 			for _, p := range w.settlePeers() {
 				// Round-trip barrier: responses share the connection (and
-				// its FIFO framing) with invalidation pushes, so once a
-				// Stats call answers, every push the server sent before
-				// that answer has been decoded — it is either applied or
-				// counted by PendingInvalidations. Without the barrier a
-				// push sitting undecoded in the receive buffer is invisible
-				// to every counter and the loop declares quiescence early.
+				// its FIFO framing) with invalidation pushes, and the read
+				// loop applies a push before it decodes the next frame, so
+				// once a Stats call answers, every push the server sent
+				// before that answer has been applied. Without the barrier
+				// a push sitting undecoded in the receive buffer is
+				// invisible to every counter and the loop declares
+				// quiescence early.
 				client, rc := p.client, p.rc
 				barrier := client.State() == server.StateConnected &&
 					w.guarded("settle-barrier", func() error {
@@ -579,7 +580,6 @@ func (w *World) settle() error {
 						return err
 					}) == nil
 				if !(barrier &&
-					client.PendingInvalidations() == 0 &&
 					client.State() == server.StateConnected &&
 					!rc.Suspect()) {
 					quiet = false
@@ -592,8 +592,8 @@ func (w *World) settle() error {
 				stable = 0
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("settle did not converge: state=%v suspect=%v inflight=%d pendingInvals=%d",
-					w.client.State(), w.rc.Suspect(), w.net.Inflight(), w.client.PendingInvalidations())
+				return fmt.Errorf("settle did not converge: state=%v suspect=%v inflight=%d",
+					w.client.State(), w.rc.Suspect(), w.net.Inflight())
 			}
 			time.Sleep(time.Millisecond)
 		}
