@@ -94,9 +94,9 @@ func main() {
 				log.Fatalf("placelessd: open store: %v", err)
 			}
 			defer diskTier.Close()
-			fmt.Printf("placelessd: disk tier %s: recovered %d blobs, %d entries, %d intermediates (%d stale, %d orphaned dropped; %d blob bytes, %d meta bytes lost to torn tails)\n",
+			fmt.Printf("placelessd: disk tier %s: recovered %d blobs, %d entries, %d intermediates (%d stale, %d orphaned dropped; %d bytes lost to torn tails)\n",
 				*storeDir, recovery.Blobs, recovery.Entries, recovery.Intermediates,
-				recovery.DroppedStale, recovery.DroppedNoBlob, recovery.LostBlobBytes, recovery.LostMetaBytes)
+				recovery.DroppedStale, recovery.DroppedNoBlob, recovery.LostBytes)
 		}
 		cache = core.New(space, core.Options{
 			Name:     "placelessd",

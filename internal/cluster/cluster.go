@@ -183,54 +183,53 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 // accounting hook the simulation's per-node oracle and the scaling
 // experiment both need.
 func (c *Cache) ReadVia(doc, user string) ([]byte, string, error) {
-	names, peers := c.ownersSnapshot(doc, user, &c.stats.Reads)
-	if len(names) == 0 {
-		c.countDegraded()
-		return nil, "", ErrNoNodes
+	var data []byte
+	via, err := c.route(doc, user, &c.stats.Reads, func(p Peer) (err error) {
+		data, err = p.Read(doc, user)
+		return err
+	})
+	if err != nil {
+		return nil, via, err
 	}
-	var lastErr error
-	for i, p := range peers {
-		data, err := p.Read(doc, user)
-		if err == nil {
-			if i > 0 {
-				c.countFailover()
-			}
-			return data, names[i], nil
-		}
-		if !failoverable(err) {
-			return nil, names[i], err
-		}
-		lastErr = err
-	}
-	c.countDegraded()
-	return nil, "", fmt.Errorf("cluster: all %d owners of %s/%s degraded: %w", len(names), doc, user, lastErr)
+	return data, via, nil
 }
 
 // Write routes the write to the key's primary owner, failing over
 // across the replica set like Read: any owner's connection reaches
 // the origin, so a write only fails when the whole set is degraded.
 func (c *Cache) Write(doc, user string, data []byte) error {
-	names, peers := c.ownersSnapshot(doc, user, &c.stats.Writes)
+	_, err := c.route(doc, user, &c.stats.Writes, func(p Peer) error {
+		return p.Write(doc, user, data)
+	})
+	return err
+}
+
+// route runs op against the key's owners in ring order, counting the
+// operation in *routed, and fails over past every owner that cannot
+// serve right now. It returns the name of the owner whose answer it
+// returns; with every owner degraded, none, and the last peer error.
+func (c *Cache) route(doc, user string, routed *int64, op func(Peer) error) (string, error) {
+	names, peers := c.ownersSnapshot(doc, user, routed)
 	if len(names) == 0 {
 		c.countDegraded()
-		return ErrNoNodes
+		return "", ErrNoNodes
 	}
 	var lastErr error
 	for i, p := range peers {
-		err := p.Write(doc, user, data)
+		err := op(p)
 		if err == nil {
 			if i > 0 {
 				c.countFailover()
 			}
-			return nil
+			return names[i], nil
 		}
 		if !failoverable(err) {
-			return err
+			return names[i], err
 		}
 		lastErr = err
 	}
 	c.countDegraded()
-	return fmt.Errorf("cluster: all %d owners of %s/%s degraded: %w", len(names), doc, user, lastErr)
+	return "", fmt.Errorf("cluster: all %d owners of %s/%s degraded: %w", len(names), doc, user, lastErr)
 }
 
 func (c *Cache) countFailover() {

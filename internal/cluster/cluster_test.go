@@ -127,8 +127,8 @@ func TestClusterRoutesToOwners(t *testing.T) {
 	}
 }
 
-// TestClusterFailover kills the primary's connection and expects the
-// read to fail over to the replica, then recover after reconnect.
+// TestClusterFailover closes the primary and expects a read, then a
+// write, of the same key to fail over to the replica.
 func TestClusterFailover(t *testing.T) {
 	tc := newTestCluster(t, 3, 2, nil)
 	owners := tc.cl.Owners("alpha", "bob")
@@ -149,10 +149,17 @@ func TestClusterFailover(t *testing.T) {
 	if st := tc.cl.Stats(); st.Failovers != 1 {
 		t.Fatalf("Failovers = %d, want 1", st.Failovers)
 	}
+	// A write to the same key fails over past the same closed primary.
+	if err := tc.cl.Write("alpha", "bob", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if st := tc.cl.Stats(); st.Failovers != 2 || st.Writes != 1 || st.DegradedErrors != 0 {
+		t.Fatalf("after the write: %+v, want 2 failovers, 1 write, no degraded error", st)
+	}
 }
 
 // TestClusterAllOwnersDegraded closes every owner: the read must
-// return a typed degraded error, not bytes.
+// return a typed degraded error, not bytes, and so must a write.
 func TestClusterAllOwnersDegraded(t *testing.T) {
 	tc := newTestCluster(t, 2, 2, nil)
 	for _, rc := range tc.caches {
@@ -167,6 +174,12 @@ func TestClusterAllOwnersDegraded(t *testing.T) {
 	}
 	if st := tc.cl.Stats(); st.DegradedErrors != 1 {
 		t.Fatalf("DegradedErrors = %d, want 1", st.DegradedErrors)
+	}
+	if err := tc.cl.Write("alpha", "amy", []byte("v2")); !errors.Is(err, remote.ErrClosed) {
+		t.Fatalf("write err = %v, want errors.Is remote.ErrClosed", err)
+	}
+	if st := tc.cl.Stats(); st.DegradedErrors != 2 || st.Failovers != 0 {
+		t.Fatalf("after the write: %+v, want 2 degraded errors and no failover", st)
 	}
 }
 

@@ -109,10 +109,6 @@ type Options struct {
 	// DisablePrefetch turns off related-document prefetching (the
 	// collection-property hint), for experiment E8's ablation.
 	DisablePrefetch bool
-	// CostSource selects what feeds the replacement policy's cost
-	// input, for experiment E9's ablation of the paper's design
-	// choice to accumulate property execution times.
-	CostSource CostSource
 	// DisableVerifiers skips verifier execution on hits (notifier-
 	// only consistency), for experiment E1.
 	DisableVerifiers bool
@@ -141,34 +137,6 @@ type Options struct {
 	// lifetime belongs to the caller: close it after Close (or Kill)
 	// returns. One Store serves one cache at a time.
 	Store *store.Store
-}
-
-// CostSource selects the replacement-cost signal handed to the policy.
-type CostSource int
-
-const (
-	// CostFull uses the read path's accumulated cost — retrieval plus
-	// property execution times (the paper's design).
-	CostFull CostSource = iota
-	// CostConstant feeds the policy a fixed cost, reducing GDS to a
-	// size/recency policy; the ablation baseline.
-	CostConstant
-)
-
-// String names the source.
-func (c CostSource) String() string {
-	if c == CostConstant {
-		return "constant"
-	}
-	return "full"
-}
-
-// constantCost is the CostConstant ablation: the policy it wraps is
-// handed a fixed cost, whatever the read path accumulated.
-type constantCost struct{ replace.Policy }
-
-func (p constantCost) Insert(k string, size int64, _ time.Duration) {
-	p.Policy.Insert(k, size, time.Millisecond)
 }
 
 // dirtyWrite is a buffered write-back entry.
@@ -334,9 +302,6 @@ func New(space *docspace.Space, opts Options) *Cache {
 	policy := opts.Policy
 	if policy == nil {
 		policy = replace.NewGDS()
-	}
-	if opts.CostSource == CostConstant {
-		policy = constantCost{policy}
 	}
 	c := &Cache{
 		space: space,

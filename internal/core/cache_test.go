@@ -306,7 +306,7 @@ func TestPersonalChangeInvalidatesOnlyThatUser(t *testing.T) {
 func TestUncacheableLiveFeed(t *testing.T) {
 	w := newWorld(t, Options{})
 	w.space.CreateDocument("cam", "u", &property.RepoBitProvider{
-		Repo: w.feed, Path: "/cam1", Vote: property.Uncacheable, DisableVerifier: true,
+		Repo: w.feed, Path: "/cam1", Vote: property.Uncacheable,
 	})
 	a := w.read(t, "cam", "u")
 	b := w.read(t, "cam", "u")

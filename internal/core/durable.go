@@ -14,8 +14,9 @@ import (
 //
 // The tier is write-behind and content-addressed. At install time a
 // miss whose result is eligible (unrestricted, fully memoizable) is
-// demoted: its bytes go into an append-only segment file and a meta
-// record binds them to the content key the staged read path computed —
+// demoted: its bytes go into the store's append-only segments, and a
+// metadata record appended after them binds them to the content key
+// the staged read path computed —
 // (source signature, universal-chain fingerprint, personal-chain
 // fingerprint). On a later miss — typically after a restart — the tier
 // is consulted first: the persisted key is recomputed against the live
@@ -27,7 +28,7 @@ import (
 // Two mechanisms close that window:
 //
 //   - Invalidation epochs. Every notifier-driven invalidation appends
-//     the document's new generation to the store's meta log; New seeds
+//     the document's new generation to the store's segments; New seeds
 //     the in-memory generation counters from the persisted epochs; and
 //     the store itself refuses entries recorded under an older
 //     generation. A signature invalidated while the process was down is
@@ -146,7 +147,7 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data []byte, res 
 		prev.UniversalFP == ck.UniversalFP &&
 		prev.PersonalFP == ck.PersonalFP {
 		// Identical record already durable; re-appending would only
-		// bloat the meta log.
+		// bloat the segment.
 		return
 	}
 	if err := st.PutSigned(s, data); err != nil {

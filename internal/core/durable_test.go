@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"placeless/internal/docspace"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/sig"
 	"placeless/internal/store"
@@ -320,7 +321,7 @@ func TestDurableIntermediatePromotion(t *testing.T) {
 func TestDurableDemotionSkipsUncacheable(t *testing.T) {
 	d := newDurableWorld(t, Options{})
 	d.space.CreateDocument("cam", "u", &property.RepoBitProvider{
-		Repo: d.feed, Path: "/cam1", Vote: property.Uncacheable, DisableVerifier: true,
+		Repo: d.feed, Path: "/cam1", Vote: property.Uncacheable,
 	})
 	d.read(t, "cam", "u")
 	if ss := d.st.Stats(); ss.Entries != 0 {
@@ -390,84 +391,63 @@ func TestDemoteRecordsTheKeyTheReadComputed(t *testing.T) {
 	}
 }
 
-// writeStoreByHand lays dir out as a store holding one segment record
-// of payload under signature s, and meta lines naming s for user's
-// entry and the universal intermediate under ck, plus an epoch for
-// ck's document at gen. It returns the segment's length.
-func writeStoreByHand(t *testing.T, dir string, s sig.Signature, payload []byte, user string, ck docspace.ContentKey, gen uint64) int {
+// handRecord encodes one segment record by hand: magic, length,
+// signature, CRC-32 (IEEE) of signature and payload, payload.
+func handRecord(magic string, s sig.Signature, payload []byte) []byte {
+	rec := append([]byte(magic), binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))...)
+	rec = append(rec, s[:]...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(append(s[:], payload...)))
+	return append(rec, payload...)
+}
+
+// writeStoreByHand lays dir out as a store holding one blob record of
+// payload under signature s, and metadata naming s for user's entry
+// and the universal intermediate under ck, plus an epoch for ck's
+// document at gen. The metadata follows the blob in the segment as
+// records of their own kind, or, with metaLog, goes to a JSON-lines
+// meta.log beside it, as stores were once laid out. It returns the
+// segment's length.
+func writeStoreByHand(t *testing.T, dir string, s sig.Signature, payload []byte, user string, ck docspace.ContentKey, gen uint64, metaLog bool) int {
 	t.Helper()
-	// Magic, length, signature, CRC-32 (IEEE) of signature and
-	// payload, payload.
-	seg := append([]byte("PLSG"), binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))...)
-	seg = append(seg, s[:]...)
-	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(append(s[:], payload...)))
-	seg = append(seg, payload...)
-	if err := os.WriteFile(filepath.Join(dir, "seg-000001.plseg"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var meta bytes.Buffer
-	enc := json.NewEncoder(&meta)
-	for _, line := range []map[string]any{
+	seg := handRecord("PLSG", s, payload)
+	var lines bytes.Buffer
+	for _, m := range []map[string]any{
 		{"t": "entry", "e": store.EntryMeta{Doc: "d", User: user, Sig: s, SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, Gen: gen}},
 		{"t": "inter", "i": store.IntermediateMeta{SourceSig: ck.SourceSig, Fingerprint: ck.UniversalFP, Sig: s}},
 		{"t": "epoch", "doc": "d", "gen": gen},
 	} {
-		if err := enc.Encode(line); err != nil {
+		js, err := json.Marshal(m)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if metaLog {
+			lines.Write(append(js, '\n'))
+		} else {
+			seg = append(seg, handRecord("PLMT", sig.Of(js), js)...)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "meta.log"), meta.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.plseg"), seg, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if metaLog {
+		if err := os.WriteFile(filepath.Join(dir, "meta.log"), lines.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return len(seg)
 }
 
-// TestDurableUpgradeFromMD5Store boots a cache over a store written
-// while content signatures were MD5. The store holds the user's entry
-// and the universal intermediate under the document's current content
-// key, so only the signature check stands between the old bytes and a
-// promotion — as the control shows, where the same store signed with
-// sig.Of serves them. The MD5 store must open without error and index
-// none of them, the document's epoch must survive into the cache's
-// generations, and the first read must recompute.
-func TestDurableUpgradeFromMD5Store(t *testing.T) {
-	w := newWorld(t, Options{})
-	setupMemoDoc(t, w, []string{"eyal"})
-	ck, err := w.space.ContentKey("d", "eyal")
-	if err != nil || !ck.Memoizable {
-		t.Fatalf("setup: content key %+v, %v", ck, err)
-	}
-	stale := []byte("bytes an MD5-era store held for eyal\n")
-
-	control := t.TempDir()
-	writeStoreByHand(t, control, sig.Of(stale), stale, "eyal", ck, 7)
-	cst, _, err := store.Open(control, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := New(w.space, Options{Name: "control", Store: cst})
-	if data, info, err := cc.ReadWithInfo("d", "eyal"); err != nil || !info.DiskPromoted || !bytes.Equal(data, stale) {
-		t.Fatalf("control: a store signed with sig.Of was not promoted: %q, %+v, %v", data, info, err)
-	}
-	cc.Close()
-	cst.Close()
-
-	dir := t.TempDir()
-	segLen := writeStoreByHand(t, dir, sig.Signature(md5.Sum(stale)), stale, "eyal", ck, 7)
-	st, rec, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatalf("an MD5-era store failed to open: %v", err)
-	}
-	defer st.Close()
-	if rec.Blobs != 0 || rec.Entries != 0 || rec.Intermediates != 0 || rec.EpochDocs != 1 || rec.LostBlobBytes != int64(segLen) {
-		t.Fatalf("recovery = %+v, want no blobs, entries or intermediates, the whole record lost and one epoch", rec)
-	}
-	c := New(w.space, Options{Name: "upgraded", Store: st})
+// checkUpgradeRecomputes boots a cache over st and fails unless d's
+// generation is 0 — no epoch came back — and the first read is a full
+// recompute with the miss verdict.
+func checkUpgradeRecomputes(t *testing.T, w *world, st *store.Store) {
+	t.Helper()
+	o := obs.NewObserver()
+	c := New(w.space, Options{Name: "upgraded", Store: st, Observer: o})
 	defer c.Close()
-	if g := c.tab.Gen("d"); g != 7 {
-		t.Fatalf("generation of d = %d, want the persisted epoch 7", g)
+	if g := c.tab.Gen("d"); g != 0 {
+		t.Fatalf("generation of d = %d, want 0: no epoch is read from an old layout", g)
 	}
-
 	data, info, err := c.ReadWithInfo("d", "eyal")
 	if err != nil {
 		t.Fatal(err)
@@ -479,4 +459,78 @@ func TestDurableUpgradeFromMD5Store(t *testing.T) {
 	if info.DiskPromoted || info.IntermediateHit || s.StorePromotions != 0 || s.StoreIntermediatePromotions != 0 || s.UniversalStageRuns != 1 {
 		t.Fatalf("the first read was not a full recompute: info %+v, stats %+v", info, s)
 	}
+	if tr := o.Ring().Snapshot(1); len(tr) != 1 || tr[0].Verdict != obs.VerdictMiss {
+		t.Fatalf("trace = %+v, want one read with the miss verdict", tr)
+	}
+}
+
+// TestDurableUpgradeFromMD5Store boots a cache over a store written
+// while content signatures were MD5 and metadata went to meta.log. The
+// store holds the user's entry and the universal intermediate under
+// the document's current content key, so only the layout stands
+// between the old bytes and a promotion — as the control shows, where
+// the same facts signed with sig.Of in today's layout are served. The
+// MD5 store must open without error and index nothing, its epoch
+// included, and the first read must recompute.
+func TestDurableUpgradeFromMD5Store(t *testing.T) {
+	w := newWorld(t, Options{})
+	setupMemoDoc(t, w, []string{"eyal"})
+	ck, err := w.space.ContentKey("d", "eyal")
+	if err != nil || !ck.Memoizable {
+		t.Fatalf("setup: content key %+v, %v", ck, err)
+	}
+	stale := []byte("bytes an MD5-era store held for eyal\n")
+
+	control := t.TempDir()
+	writeStoreByHand(t, control, sig.Of(stale), stale, "eyal", ck, 7, false)
+	cst, _, err := store.Open(control, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := New(w.space, Options{Name: "control", Store: cst})
+	if g := cc.tab.Gen("d"); g != 7 {
+		t.Fatalf("control: generation of d = %d, want the persisted epoch 7", g)
+	}
+	if data, info, err := cc.ReadWithInfo("d", "eyal"); err != nil || !info.DiskPromoted || !bytes.Equal(data, stale) {
+		t.Fatalf("control: a store signed with sig.Of was not promoted: %q, %+v, %v", data, info, err)
+	}
+	cc.Close()
+	cst.Close()
+
+	dir := t.TempDir()
+	segLen := writeStoreByHand(t, dir, sig.Signature(md5.Sum(stale)), stale, "eyal", ck, 7, true)
+	st, rec, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("an MD5-era store failed to open: %v", err)
+	}
+	defer st.Close()
+	if (rec != store.Recovery{LostBytes: int64(segLen)}) {
+		t.Fatalf("recovery = %+v, want nothing but the whole record lost", rec)
+	}
+	checkUpgradeRecomputes(t, w, st)
+}
+
+// TestDurableUpgradeFromMetaLogStore boots a cache over a store written
+// while metadata went to meta.log, signatures already sig.Of: the blob
+// is indexed, the entry, intermediate and epoch are not, and the first
+// read recomputes rather than promote the old bytes.
+func TestDurableUpgradeFromMetaLogStore(t *testing.T) {
+	w := newWorld(t, Options{})
+	setupMemoDoc(t, w, []string{"eyal"})
+	ck, err := w.space.ContentKey("d", "eyal")
+	if err != nil || !ck.Memoizable {
+		t.Fatalf("setup: content key %+v, %v", ck, err)
+	}
+	stale := []byte("bytes a meta.log-era store held for eyal\n")
+	dir := t.TempDir()
+	writeStoreByHand(t, dir, sig.Of(stale), stale, "eyal", ck, 7, true)
+	st, rec, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("a meta.log-era store failed to open: %v", err)
+	}
+	defer st.Close()
+	if (rec != store.Recovery{Blobs: 1}) {
+		t.Fatalf("recovery = %+v, want the blob and nothing else", rec)
+	}
+	checkUpgradeRecomputes(t, w, st)
 }

@@ -97,7 +97,7 @@ func RunCacheability(cfg CacheabilityConfig) (CacheabilityResult, error) {
 				// Live-feed-backed: the bit-provider votes
 				// uncacheable.
 				if _, err := w.Space.CreateDocument(id, "owner", &property.RepoBitProvider{
-					Repo: w.Feed, Path: "/" + id, Vote: property.Uncacheable, DisableVerifier: true,
+					Repo: w.Feed, Path: "/" + id, Vote: property.Uncacheable,
 				}); err != nil {
 					return res, err
 				}

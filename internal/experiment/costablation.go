@@ -3,7 +3,6 @@ package experiment
 import (
 	"time"
 
-	"placeless/internal/core"
 	"placeless/internal/obs"
 	"placeless/internal/replace"
 	"placeless/internal/trace"
@@ -35,6 +34,15 @@ func (r CostAblationResult) TableData() ([]string, [][]string) {
 	return []string{"cost signal", "hit ratio", "mean read (ms)"}, rows
 }
 
+// constantCost is the ablation baseline: the policy it wraps is handed
+// a fixed cost, whatever the read path accumulated, which reduces GDS
+// to a size/recency policy.
+type constantCost struct{ replace.Policy }
+
+func (p constantCost) Insert(k string, size int64, _ time.Duration) {
+	p.Policy.Insert(k, size, time.Millisecond)
+}
+
 // RunCostAblation isolates the paper's design decision to feed
 // property-supplied costs into Greedy-Dual-Size: the same workload as
 // E2 runs under GDS with the full accumulated cost (retrieval +
@@ -46,8 +54,14 @@ func RunCostAblation(cfg ReplacementConfig) (CostAblationResult, error) {
 	accesses := trace.Generate(trace.Config{
 		Docs: cfg.Docs, Users: 1, Length: cfg.Reads, Alpha: cfg.Alpha, Seed: cfg.Seed,
 	})
-	for _, src := range []core.CostSource{core.CostFull, core.CostConstant} {
-		w, _, err := buildReplacementWorldWithCost(cfg, replace.NewGDS(), src)
+	for _, run := range []struct {
+		config string
+		policy replace.Policy
+	}{
+		{"full", replace.NewGDS()},
+		{"constant", constantCost{replace.NewGDS()}},
+	} {
+		w, _, err := buildReplacementWorld(cfg, run.policy)
 		if err != nil {
 			return res, err
 		}
@@ -62,7 +76,7 @@ func RunCostAblation(cfg ReplacementConfig) (CostAblationResult, error) {
 		}
 		st := w.Cache.Stats()
 		res.Rows = append(res.Rows, CostAblationRow{
-			Config:   src.String(),
+			Config:   run.config,
 			HitRatio: st.HitRatio(),
 			MeanRead: readHist.Mean(),
 		})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"placeless/internal/core"
 	"placeless/internal/docspace"
 	"placeless/internal/obs"
 	"placeless/internal/property"
@@ -76,15 +75,8 @@ func (r ReplacementResult) TableData() ([]string, [][]string) {
 // sprinkling of transform properties so replacement costs vary the way
 // the paper intends (source latency + property execution time).
 func buildReplacementWorld(cfg ReplacementConfig, policy replace.Policy) (*World, map[string]int64, error) {
-	return buildReplacementWorldWithCost(cfg, policy, core.CostFull)
-}
-
-// buildReplacementWorldWithCost additionally selects the replacement-
-// cost signal (experiment E9).
-func buildReplacementWorldWithCost(cfg ReplacementConfig, policy replace.Policy, src core.CostSource) (*World, map[string]int64, error) {
 	opts := DefaultCacheOptions()
 	opts.Policy = policy
-	opts.CostSource = src
 	sizes := trace.Sizes(cfg.Docs, 1024, cfg.Seed)
 	var total int64
 	for _, s := range sizes {

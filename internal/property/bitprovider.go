@@ -20,9 +20,6 @@ type RepoBitProvider struct {
 	// content changes every access (live feeds) should set
 	// Uncacheable. Zero value is Unrestricted.
 	Vote Cacheability
-	// DisableVerifier suppresses verifier creation, for experiments
-	// isolating notifier-only consistency.
-	DisableVerifier bool
 }
 
 var _ BitProvider = (*RepoBitProvider)(nil)
@@ -40,17 +37,15 @@ func (p *RepoBitProvider) Open(ctx *ReadContext) ([]byte, error) {
 	if ctx != nil {
 		ctx.AddCost(fr.Cost)
 		ctx.Vote(p.Vote)
-		if !p.DisableVerifier {
-			if fr.Meta.TTL > 0 {
-				ctx.AddVerifier(NewTTLVerifier(ctx.Now, fr.Meta.TTL))
-			} else {
-				ctx.AddVerifier(MTimeVerifier{
-					Repo:    p.Repo,
-					Path:    p.Path,
-					ModTime: fr.Meta.ModTime,
-					Version: fr.Meta.Version,
-				})
-			}
+		if fr.Meta.TTL > 0 {
+			ctx.AddVerifier(NewTTLVerifier(ctx.Now, fr.Meta.TTL))
+		} else {
+			ctx.AddVerifier(MTimeVerifier{
+				Repo:    p.Repo,
+				Path:    p.Path,
+				ModTime: fr.Meta.ModTime,
+				Version: fr.Meta.Version,
+			})
 		}
 	}
 	return fr.Data, nil

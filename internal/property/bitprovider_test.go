@@ -62,7 +62,7 @@ func TestRepoBitProviderTTLSource(t *testing.T) {
 func TestRepoBitProviderUncacheableVote(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	feed := repo.NewLiveFeed("cam", clk, simnet.NewPath("p", 1), 64)
-	bp := &RepoBitProvider{Repo: feed, Path: "/cam1", Vote: Uncacheable, DisableVerifier: true}
+	bp := &RepoBitProvider{Repo: feed, Path: "/cam1", Vote: Uncacheable}
 	rc := &ReadContext{Now: clk.Now()}
 	if _, err := bp.Open(rc); err != nil {
 		t.Fatal(err)
@@ -70,9 +70,6 @@ func TestRepoBitProviderUncacheableVote(t *testing.T) {
 	res := rc.Result()
 	if res.Cacheability != Uncacheable {
 		t.Fatalf("vote = %v", res.Cacheability)
-	}
-	if len(res.Verifiers) != 0 {
-		t.Fatal("DisableVerifier ignored")
 	}
 }
 

@@ -166,7 +166,7 @@ func TestUncacheableNotStored(t *testing.T) {
 	r := newRig(t, Options{})
 	// Create a live-feed document server-side.
 	if _, err := r.space.CreateDocument("cam", "u", &property.RepoBitProvider{
-		Repo: r.feed, Path: "/c", Vote: property.Uncacheable, DisableVerifier: true,
+		Repo: r.feed, Path: "/c", Vote: property.Uncacheable,
 	}); err != nil {
 		t.Fatal(err)
 	}

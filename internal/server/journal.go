@@ -178,7 +178,7 @@ func (s *Server) journalRequest(req *Request) {
 //
 // A final line left unterminated by a crash mid-append (torn write) is
 // not an error: replay stops cleanly at the last complete entry, the
-// same recovery contract as the disk tier's meta log. A corrupt line
+// same recovery contract as the disk tier's segments. A corrupt line
 // that *is* newline-terminated still aborts — it cannot be explained
 // by a torn tail, so the journal is genuinely damaged.
 //

@@ -52,8 +52,9 @@ var Zero Signature
 func (s Signature) IsZero() bool { return s == Zero }
 
 // MarshalText implements encoding.TextMarshaler, rendering the
-// signature as lowercase hex — the representation used by the durable
-// store's JSON-lines meta log and any other textual persistence.
+// signature as lowercase hex — the representation used in the JSON of
+// the durable store's metadata records and any other textual
+// persistence.
 func (s Signature) MarshalText() ([]byte, error) {
 	out := make([]byte, hex.EncodedLen(len(s)))
 	hex.Encode(out, s[:])

@@ -107,14 +107,15 @@ func TestWindowAndSizeFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(5 * time.Second)
-		for fileSize(t, filepath.Join(dir, metaLogName)) == 0 {
+		for fileSize(t, filepath.Join(dir, segmentName(1))) == 0 {
 			if time.Now().After(deadline) {
 				t.Fatal("the window ended a thousand times over and nothing was written")
 			}
 			time.Sleep(flushWindow)
 		}
-		if size := fileSize(t, filepath.Join(dir, segmentName(1))); size == 0 {
-			t.Fatal("meta line written before the blob it names")
+		s.abandon()
+		if _, rec := openT(t, dir); rec.Blobs != 1 || rec.Entries != 1 || rec.LostBytes != 0 {
+			t.Fatalf("the timer's flush recovered as %+v, want the blob and its entry whole", rec)
 		}
 	})
 	t.Run("size", func(t *testing.T) {
@@ -133,8 +134,8 @@ func TestWindowAndSizeFlush(t *testing.T) {
 }
 
 // TestAbandonInsideWindow is the kill -9 contract: everything flushed
-// earlier is intact, only the queued tail is absent, and neither file
-// has a torn record for Open to cut away.
+// earlier is intact, only the queued tail is absent, and the segment
+// has no torn record for Open to cut away.
 func TestAbandonInsideWindow(t *testing.T) {
 	dir := t.TempDir()
 	s := openHeld(t, dir)
@@ -161,7 +162,7 @@ func TestAbandonInsideWindow(t *testing.T) {
 	s.abandon()
 
 	s2, rec := openT(t, dir)
-	if rec.LostBlobBytes != 0 || rec.LostMetaBytes != 0 {
+	if rec.LostBytes != 0 {
 		t.Fatalf("a kill inside the window left torn bytes: %+v", rec)
 	}
 	if rec.Blobs != 1 || rec.Entries != 1 || rec.Intermediates != 0 || rec.EpochDocs != 1 {
@@ -181,9 +182,9 @@ func TestAbandonInsideWindow(t *testing.T) {
 	}
 }
 
-// TestAppendEpochWritesThrough: when AppendEpoch returns, its line and
-// everything queued before it can be read from the files — here by a
-// second Open of a copy taken while the first store is still open.
+// TestAppendEpochWritesThrough: when AppendEpoch returns, its record
+// and everything queued before it can be read from the segment — here
+// by a second Open of a copy taken while the first store is still open.
 func TestAppendEpochWritesThrough(t *testing.T) {
 	dir := t.TempDir()
 	s := openHeld(t, dir)
@@ -199,14 +200,12 @@ func TestAppendEpochWritesThrough(t *testing.T) {
 	}
 
 	snap := t.TempDir()
-	for _, name := range []string{segmentName(1), metaLogName} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(snap, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	raw, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(snap, segmentName(1)), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	s2, rec := openT(t, snap)
 	if g := s2.Epochs()["gone"]; g != 9 {
@@ -218,100 +217,90 @@ func TestAppendEpochWritesThrough(t *testing.T) {
 	if _, ok := s2.GetBlob(sg); !ok {
 		t.Fatal("blob queued before the epoch not on disk")
 	}
-	if rec.LostBlobBytes != 0 || rec.LostMetaBytes != 0 {
+	if rec.LostBytes != 0 {
 		t.Fatalf("write-through left torn bytes: %+v", rec)
 	}
 }
 
-// TestFailedFlush breaks one of the two files under a queued batch. No
-// ref, entry or intermediate may be left pointing at bytes that were
-// not written, what was written earlier stays served, and every later
-// put fails — which is how the cache's store-error counter hears of a
-// flush nobody was waiting for.
+// TestFailedFlush breaks the segment under a queued batch. No ref,
+// entry or intermediate may be left pointing at bytes that were not
+// written, what was written earlier stays served, and every later put
+// fails — which is how the cache's store-error counter hears of a flush
+// nobody was waiting for.
 func TestFailedFlush(t *testing.T) {
-	for _, broken := range []string{"segment", "meta log"} {
-		t.Run(broken, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openHeld(t, dir)
-			early, err := s.PutBlob([]byte("written while the disk worked"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutEntry(EntryMeta{Doc: "early", User: "u", Sig: early}); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.AppendEpoch("x", 1); err != nil {
-				t.Fatal(err)
-			}
-			late, err := s.PutBlob([]byte("queued when it stopped"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutEntry(EntryMeta{Doc: "late", User: "u", Sig: late}); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutIntermediate(IntermediateMeta{SourceSig: early, Fingerprint: early, Sig: late}); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("segment", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openHeld(t, dir)
+		early, err := s.PutBlob([]byte("written while the disk worked"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutEntry(EntryMeta{Doc: "early", User: "u", Sig: early}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendEpoch("x", 1); err != nil {
+			t.Fatal(err)
+		}
+		late, err := s.PutBlob([]byte("queued when it stopped"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutEntry(EntryMeta{Doc: "late", User: "u", Sig: late}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutIntermediate(IntermediateMeta{SourceSig: early, Fingerprint: early, Sig: late}); err != nil {
+			t.Fatal(err)
+		}
 
-			// A read-only handle refuses the write and still serves reads.
-			s.mu.Lock()
-			name := segmentName(1)
-			if broken == "meta log" {
-				name = metaLogName
-			}
-			ro, err := os.Open(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if broken == "segment" {
-				s.files[1].Close()
-				s.files[1] = ro
-			} else {
-				s.metaF.Close()
-				s.metaF = ro
-			}
-			s.mu.Unlock()
+		// A read-only handle refuses the write and still serves reads.
+		s.mu.Lock()
+		ro, err := os.Open(filepath.Join(dir, segmentName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.files[1].Close()
+		s.files[1] = ro
+		s.mu.Unlock()
 
-			if err := s.AppendEpoch("y", 2); err == nil {
-				t.Fatal("flush onto a read-only file reported no error")
-			}
-			_, lateServed := s.GetBlob(late)
-			_, lateEntry := s.GetEntry("late", "u")
-			_, lateInter := s.GetIntermediate(early, early)
-			if wrote := broken == "meta log"; lateServed != wrote || lateEntry != wrote || lateInter != wrote {
-				// The records go first, so a broken log leaves them written
-				// and what names them good for this process.
-				t.Fatalf("after the failed flush: blob served=%v entry=%v intermediate=%v, want all %v", lateServed, lateEntry, lateInter, wrote)
-			}
-			if _, ok := s.GetBlob(early); !ok {
-				t.Fatal("blob written before the failure no longer served")
-			}
-			if _, ok := s.GetEntry("early", "u"); !ok {
-				t.Fatal("entry written before the failure dropped")
-			}
-			if _, err := s.PutBlob([]byte("after the failure")); err == nil {
-				t.Fatal("PutBlob after a failed flush reported no error")
-			}
-			if err := s.PutSigned(early, []byte("written while the disk worked")); err == nil {
-				t.Fatal("PutSigned of a held blob after a failed flush reported no error")
-			}
-			if err := s.PutEntry(EntryMeta{Doc: "again", User: "u", Sig: early}); err == nil {
-				t.Fatal("PutEntry after a failed flush reported no error")
-			}
-			if err := s.Close(); err == nil {
-				t.Fatal("Close after a failed flush reported no error")
-			}
+		if err := s.AppendEpoch("y", 2); err == nil {
+			t.Fatal("flush onto a read-only file reported no error")
+		}
+		_, lateServed := s.GetBlob(late)
+		_, lateEntry := s.GetEntry("late", "u")
+		_, lateInter := s.GetIntermediate(early, early)
+		if lateServed || lateEntry || lateInter {
+			t.Fatalf("after the failed flush: blob served=%v entry=%v intermediate=%v, want none", lateServed, lateEntry, lateInter)
+		}
+		if _, ok := s.GetBlob(early); !ok {
+			t.Fatal("blob written before the failure no longer served")
+		}
+		if _, ok := s.GetEntry("early", "u"); !ok {
+			t.Fatal("entry written before the failure dropped")
+		}
+		if _, err := s.PutBlob([]byte("after the failure")); err == nil {
+			t.Fatal("PutBlob after a failed flush reported no error")
+		}
+		if err := s.PutSigned(early, []byte("written while the disk worked")); err == nil {
+			t.Fatal("PutSigned of a held blob after a failed flush reported no error")
+		}
+		if err := s.PutEntry(EntryMeta{Doc: "again", User: "u", Sig: early}); err == nil {
+			t.Fatal("PutEntry after a failed flush reported no error")
+		}
+		if err := s.Close(); err == nil {
+			t.Fatal("Close after a failed flush reported no error")
+		}
 
-			s2, rec := openT(t, dir)
-			if _, ok := s2.GetEntry("early", "u"); !ok {
-				t.Fatalf("reopen lost what was written before the failure: %+v", rec)
-			}
-			if _, ok := s2.GetEntry("late", "u"); ok {
-				t.Fatal("reopen serves an entry whose flush failed")
-			}
-		})
-	}
+		s2, rec := openT(t, dir)
+		if _, ok := s2.GetEntry("early", "u"); !ok {
+			t.Fatalf("reopen lost what was written before the failure: %+v", rec)
+		}
+		if _, ok := s2.GetEntry("late", "u"); ok {
+			t.Fatal("reopen serves an entry whose flush failed")
+		}
+		if g := s2.Epochs()["y"]; g != 0 {
+			t.Fatalf("reopen replays the epoch whose flush failed: %d", g)
+		}
+	})
 }
 
 // TestPutSigned pins the three answers: a held blob costs an index
@@ -345,7 +334,7 @@ func TestPutSigned(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, rec := openT(t, dir); rec.Blobs != 1 || rec.LostBlobBytes != 0 {
+	if _, rec := openT(t, dir); rec.Blobs != 1 || rec.LostBytes != 0 {
 		t.Fatalf("recovery = %+v, want the one good record", rec)
 	}
 }
@@ -392,7 +381,7 @@ func TestConcurrentPutsReadsAndEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rec := openT(t, dir)
-	if rec.Blobs != workers*each || rec.Entries != workers*each || rec.LostBlobBytes != 0 || rec.LostMetaBytes != 0 {
+	if rec.Blobs != workers*each || rec.Entries != workers*each || rec.LostBytes != 0 {
 		t.Fatalf("recovery = %+v, want %d blobs and entries and no torn bytes", rec, workers*each)
 	}
 }
@@ -428,6 +417,46 @@ func BenchmarkStoreDemote4K(b *testing.B) {
 	b.StopTimer()
 	if after, _ := writeSyscalls(); counted {
 		b.ReportMetric(float64(after-before)/float64(b.N), "writes/op")
+	}
+}
+
+// BenchmarkStoreAppendEpoch is one invalidation's write-through as the
+// cache issues it inside a write's request: AppendEpoch landing on a
+// demotion still queued in its window, so it writes the batch out.
+// writes/op is write(2) calls by this process per invalidation.
+func BenchmarkStoreAppendEpoch(b *testing.B) {
+	s, _, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	s.armed = true // only the epoch writes the batch out, never the timer
+	s.mu.Unlock()
+	p := body4K(0)
+	b.ReportAllocs()
+	var writes int64
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		binary.BigEndian.PutUint64(p[5:13], uint64(i))
+		sg := sig.Of(p)
+		if err := s.PutSigned(sg, p); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.PutEntry(EntryMeta{Doc: "d", User: "u", Sig: sg, Gen: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+		before, _ := writeSyscalls()
+		b.StartTimer()
+		if err := s.AppendEpoch("d", uint64(i)+1); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		after, _ := writeSyscalls()
+		writes += after - before
+	}
+	if _, counted := writeSyscalls(); counted {
+		b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 	}
 }
 

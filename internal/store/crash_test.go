@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -36,67 +37,109 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// batchImage is what one flushed batch of n blobs and n entries left in
-// the two files, written by the store itself: put everything inside one
-// window, Close, read the files back.
+// batchImage is what one flushed batch left in the segment, written by
+// the store itself: queue everything inside one window, let the epoch's
+// write-through flush it, Close, read the file back.
 type batchImage struct {
-	payloads [][]byte
-	sigs     []sig.Signature
-	seg      []byte // the segment file
-	recEnd   []int  // recEnd[i] is the offset just past record i
-	meta     []byte // the meta log
-	lineEnd  []int  // lineEnd[i] is the offset just past entry d<i>'s line
+	stream []byte
+	ends   []int // ends[i] is the offset just past record i
+	blob   []bool
+	// replayed[i] reports whether a store serves what record i put.
+	replayed []func(*Store) bool
 }
 
-func makeBatchImage(t *testing.T, n int) batchImage {
+// batchPayload is blob i of a batch image; the three of them encode to
+// 255 bytes of records.
+func batchPayload(i int) []byte {
+	return []byte(fmt.Sprintf("batch record %d, each a little longer than the last%s", i, bytes.Repeat([]byte{'.'}, 7*i)))
+}
+
+// makeBatchImage writes three blobs, an entry naming each, an
+// intermediate naming the second and an epoch for another document in
+// one batch. interleaved puts each entry right after its blob, as the
+// cache's demotions do; otherwise the three blobs come first.
+func makeBatchImage(t *testing.T, interleaved bool) batchImage {
 	t.Helper()
 	dir := t.TempDir()
 	s := openHeld(t, dir)
 	var img batchImage
-	for i := 0; i < n; i++ {
-		p := []byte(fmt.Sprintf("batch record %d, each a little longer than the last%s", i, bytes.Repeat([]byte{'.'}, 7*i)))
+	var sigs []sig.Signature
+	add := func(blob bool, replayed func(*Store) bool) {
+		img.blob = append(img.blob, blob)
+		img.replayed = append(img.replayed, replayed)
+	}
+	putBlob := func(i int) {
+		p := batchPayload(i)
 		sg, err := s.PutBlob(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutEntry(EntryMeta{Doc: fmt.Sprintf("d%d", i), User: "u", Sig: sg, Gen: 1}); err != nil {
+		sigs = append(sigs, sg)
+		add(true, func(s *Store) bool {
+			got, ok := s.GetBlob(sg)
+			if ok && !bytes.Equal(got, p) {
+				t.Fatalf("blob %d corrupted: %q", i, got)
+			}
+			return ok
+		})
+	}
+	putMeta := func(i int) {
+		doc := fmt.Sprintf("d%d", i)
+		if err := s.PutEntry(EntryMeta{Doc: doc, User: "u", Sig: sigs[i], Gen: 1}); err != nil {
 			t.Fatal(err)
 		}
-		img.payloads = append(img.payloads, p)
-		img.sigs = append(img.sigs, sg)
-		img.recEnd = append(img.recEnd, recordHeaderSize+len(p))
-		if i > 0 {
-			img.recEnd[i] += img.recEnd[i-1]
+		add(false, func(s *Store) bool { _, ok := s.GetEntry(doc, "u"); return ok })
+		if i != 1 {
+			return
+		}
+		src, fp := sigs[0], sig.Of([]byte("chain"))
+		if err := s.PutIntermediate(IntermediateMeta{SourceSig: src, Fingerprint: fp, Sig: sigs[1]}); err != nil {
+			t.Fatal(err)
+		}
+		add(false, func(s *Store) bool { _, ok := s.GetIntermediate(src, fp); return ok })
+	}
+	for i := 0; i < 3; i++ {
+		putBlob(i)
+		if interleaved {
+			putMeta(i)
 		}
 	}
-	if size := fileSize(t, filepath.Join(dir, segmentName(1))); size != 0 {
+	for i := 0; !interleaved && i < 3; i++ {
+		putMeta(i)
+	}
+	seg := filepath.Join(dir, segmentName(1))
+	if size := fileSize(t, seg); size != 0 {
 		t.Fatalf("segment holds %d bytes before any flush; the image would not be one batch", size)
 	}
+	if err := s.AppendEpoch("gone", 9); err != nil {
+		t.Fatal(err)
+	}
+	add(false, func(s *Store) bool { return s.Epochs()["gone"] == 9 })
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var err error
-	if img.seg, err = os.ReadFile(filepath.Join(dir, segmentName(1))); err != nil {
+	if img.stream, err = os.ReadFile(seg); err != nil {
 		t.Fatal(err)
 	}
-	if img.meta, err = os.ReadFile(filepath.Join(dir, metaLogName)); err != nil {
-		t.Fatal(err)
+	for off := 0; off+recordHeaderSize <= len(img.stream); {
+		off += recordHeaderSize + int(binary.LittleEndian.Uint32(img.stream[off+4:]))
+		img.ends = append(img.ends, off)
 	}
-	if len(img.seg) != img.recEnd[n-1] {
-		t.Fatalf("segment is %d bytes, its %d records encode to %d", len(img.seg), n, img.recEnd[n-1])
-	}
-	for off := 0; ; {
-		nl := bytes.IndexByte(img.meta[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		off += nl + 1
-		img.lineEnd = append(img.lineEnd, off)
-	}
-	if len(img.lineEnd) != n || img.lineEnd[n-1] != len(img.meta) {
-		t.Fatalf("meta log has %d lines ending at %v of %d bytes, want %d lines", len(img.lineEnd), img.lineEnd, len(img.meta), n)
+	if n := len(img.ends); n != len(img.replayed) || img.ends[n-1] != len(img.stream) {
+		t.Fatalf("segment has %d records ending at %v of %d bytes, want %d", n, img.ends, len(img.stream), len(img.replayed))
 	}
 	return img
+}
+
+// checkReplayed fails unless exactly records [from, to) of img are served.
+func checkReplayed(t *testing.T, s *Store, img batchImage, from, to int) {
+	t.Helper()
+	for i, replayed := range img.replayed {
+		if want := from <= i && i < to; replayed(s) != want {
+			t.Fatalf("record %d (blob=%v) replayed=%v, want %v", i, img.blob[i], !want, want)
+		}
+	}
 }
 
 // writeCut writes stream into path through a failingWriter that cuts
@@ -126,17 +169,19 @@ func whole(ends []int, n int) int {
 }
 
 // TestCrashConsistencySweep is the power-cut-at-every-offset pattern:
-// the segment image of one flushed batch of three records is cut after
-// N bytes for every N, and for each truncation point the store must
-// open without error, recover exactly the records that were fully
-// durable, serve them byte-exact, and accept new appends.
+// the segment image of one flushed batch that mixes blobs, entries, an
+// intermediate and an epoch is cut after N bytes for every N, and for
+// each truncation point the store must open without error, replay
+// exactly the records that were fully durable — blobs served
+// byte-exact —, drop nothing for want of a blob, count the cut-off
+// tail as lost, and accept new appends.
 func TestCrashConsistencySweep(t *testing.T) {
-	img := makeBatchImage(t, 3)
-	for n := 0; n <= len(img.seg); n++ {
+	img := makeBatchImage(t, true)
+	for n := 0; n <= len(img.stream); n++ {
 		n := n
 		t.Run(fmt.Sprintf("cut=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			writeCut(t, filepath.Join(dir, segmentName(1)), img.seg, n)
+			writeCut(t, filepath.Join(dir, segmentName(1)), img.stream, n)
 
 			s, rec, err := Open(dir, Options{})
 			if err != nil {
@@ -144,25 +189,19 @@ func TestCrashConsistencySweep(t *testing.T) {
 			}
 			defer s.Close()
 
-			want := whole(img.recEnd, n)
-			for i, sg := range img.sigs {
-				got, ok := s.GetBlob(sg)
-				if ok != (i < want) {
-					t.Fatalf("record %d served=%v, want %v", i, ok, i < want)
-				}
-				if ok && !bytes.Equal(got, img.payloads[i]) {
-					t.Fatalf("record %d corrupted: %q", i, got)
-				}
-			}
-			if rec.Blobs != want {
-				t.Fatalf("recovery indexed %d blobs, want %d", rec.Blobs, want)
-			}
-			durable := 0
+			want := whole(img.ends, n)
+			checkReplayed(t, s, img, 0, want)
+			blobs, durable := 0, 0
 			if want > 0 {
-				durable = img.recEnd[want-1]
+				durable = img.ends[want-1]
 			}
-			if rec.LostBlobBytes != int64(n-durable) {
-				t.Fatalf("lost bytes = %d at cut %d, want %d", rec.LostBlobBytes, n, n-durable)
+			for _, b := range img.blob[:want] {
+				if b {
+					blobs++
+				}
+			}
+			if rec.Blobs != blobs || rec.DroppedNoBlob != 0 || rec.LostBytes != int64(n-durable) {
+				t.Fatalf("recovery = %+v at cut %d, want %d blobs, none dropped for want of a blob, %d bytes lost", rec, n, blobs, n-durable)
 			}
 
 			// The tier must keep working after any cut: append, read
@@ -170,6 +209,9 @@ func TestCrashConsistencySweep(t *testing.T) {
 			p3 := []byte("post-cut append")
 			sig3, err := s.PutBlob(p3)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutEntry(EntryMeta{Doc: "post", User: "u", Sig: sig3, Gen: 1}); err != nil {
 				t.Fatal(err)
 			}
 			if got, ok := s.GetBlob(sig3); !ok || !bytes.Equal(got, p3) {
@@ -183,76 +225,92 @@ func TestCrashConsistencySweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s2.Close()
-			if rec2nd.LostBlobBytes != 0 {
-				t.Fatalf("second open after repair still lost %d bytes", rec2nd.LostBlobBytes)
+			if rec2nd.LostBytes != 0 {
+				t.Fatalf("second open after repair still lost %d bytes", rec2nd.LostBytes)
 			}
 			if got, ok := s2.GetBlob(sig3); !ok || !bytes.Equal(got, p3) {
 				t.Fatal("post-cut append lost across reopen")
 			}
+			if _, ok := s2.GetEntry("post", "u"); !ok {
+				t.Fatal("post-cut entry lost across reopen")
+			}
+			checkReplayed(t, s2, img, 0, want)
 		})
 	}
 }
 
-// TestCrashConsistencyMetaSweep applies the same power-cut sweep to
-// both halves of a flushed batch of three blobs and the three entries
-// naming them. cut=N is "blobs whole, lines torn", the kill between a
-// flush's two writes or inside the second: an entry must survive iff
-// its newline was durable, and replay must never error or resurrect a
-// later one. blobs-cut=N is "lines whole, blobs torn", which cannot come
-// from one flush (the records are written first) but can from a disk
-// that lost the segment's tail: an entry must survive iff its record
-// did.
+// TestCrashConsistencyMetaSweep sweeps the metadata records against
+// blobs held in an earlier, sealed segment: the batch image with its
+// three blobs first is split at their end into segment 1 and segment 2.
+// cut=N tears the metadata in segment 2 after N bytes, the blobs whole:
+// a record must be replayed iff it was whole, and the replay must never
+// error or resurrect a later one. blobs-cut=N tears the sealed segment
+// under whole metadata, as a disk that lost its tail would: an entry or
+// intermediate must survive iff its blob did, and the others count as
+// dropped for want of a blob. This is the one way left to lose a blob
+// under its metadata, since a segment never holds a record before the
+// blob it names.
 func TestCrashConsistencyMetaSweep(t *testing.T) {
-	img := makeBatchImage(t, 3)
-	check := func(t *testing.T, s *Store, surviving int) {
-		t.Helper()
-		for i := range img.sigs {
-			_, ok := s.GetEntry(fmt.Sprintf("d%d", i), "u")
-			if ok != (i < surviving) {
-				t.Fatalf("entry d%d survived=%v, want %v", i, ok, i < surviving)
-			}
-		}
+	img := makeBatchImage(t, false)
+	blobEnd := img.ends[2]
+	blobs, meta := img.stream[:blobEnd], img.stream[blobEnd:]
+	metaEnds := make([]int, 0, len(img.ends)-3)
+	for _, end := range img.ends[3:] {
+		metaEnds = append(metaEnds, end-blobEnd)
 	}
-	for n := 0; n <= len(img.meta); n++ {
+	open := func(t *testing.T, nBlobs, nMeta int) (*Store, Recovery) {
+		t.Helper()
+		dir := t.TempDir()
+		writeCut(t, filepath.Join(dir, segmentName(1)), blobs, nBlobs)
+		writeCut(t, filepath.Join(dir, segmentName(2)), meta, nMeta)
+		s, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("open after cutting the segments at %d and %d: %v", nBlobs, nMeta, err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s, rec
+	}
+	for n := 0; n <= len(meta); n++ {
 		n := n
 		t.Run(fmt.Sprintf("cut=%d", n), func(t *testing.T) {
-			dir := t.TempDir()
-			writeCut(t, filepath.Join(dir, segmentName(1)), img.seg, len(img.seg))
-			writeCut(t, filepath.Join(dir, metaLogName), img.meta, n)
-			s, rec, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatalf("open after meta cut at %d: %v", n, err)
-			}
-			defer s.Close()
-			want := whole(img.lineEnd, n)
-			check(t, s, want)
+			s, rec := open(t, len(blobs), n)
+			want := whole(metaEnds, n)
+			checkReplayed(t, s, img, 0, 3+want)
 			durable := 0
 			if want > 0 {
-				durable = img.lineEnd[want-1]
+				durable = metaEnds[want-1]
 			}
-			if rec.LostMetaBytes != int64(n-durable) {
-				t.Fatalf("lost meta bytes = %d at cut %d, want %d", rec.LostMetaBytes, n, n-durable)
-			}
-			if rec.Blobs != len(img.sigs) || rec.LostBlobBytes != 0 {
-				t.Fatalf("whole segment recovered as %+v", rec)
+			if rec.Blobs != 3 || rec.DroppedNoBlob != 0 || rec.LostBytes != int64(n-durable) {
+				t.Fatalf("recovery = %+v at cut %d, want 3 blobs, none dropped, %d bytes lost", rec, n, n-durable)
 			}
 		})
 	}
-	for n := 0; n <= len(img.seg); n++ {
+	for n := 0; n <= len(blobs); n++ {
 		n := n
 		t.Run(fmt.Sprintf("blobs-cut=%d", n), func(t *testing.T) {
-			dir := t.TempDir()
-			writeCut(t, filepath.Join(dir, segmentName(1)), img.seg, n)
-			writeCut(t, filepath.Join(dir, metaLogName), img.meta, len(img.meta))
-			s, rec, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatalf("open after segment cut at %d: %v", n, err)
+			s, rec := open(t, n, len(meta))
+			want := whole(img.ends[:3], n)
+			// Records 3, 4, 5, 6 are d0's entry, d1's entry, the
+			// intermediate on blob 1 and d2's entry; 7 is the epoch.
+			names := []int{0, 1, 1, 2}
+			dropped := 0
+			for i, blob := range names {
+				if survived := img.replayed[3+i](s); survived != (blob < want) {
+					t.Fatalf("record %d naming blob %d survived=%v with %d blobs whole", 3+i, blob, survived, want)
+				}
+				if blob >= want {
+					dropped++
+				}
 			}
-			defer s.Close()
-			want := whole(img.recEnd, n)
-			check(t, s, want)
-			if rec.DroppedNoBlob != len(img.sigs)-want || rec.LostMetaBytes != 0 {
-				t.Fatalf("recovery = %+v, want %d entries dropped for want of a blob and a whole log", rec, len(img.sigs)-want)
+			if !img.replayed[7](s) {
+				t.Fatal("epoch lost with the sealed segment's tail")
+			}
+			durable := 0
+			if want > 0 {
+				durable = img.ends[want-1]
+			}
+			if rec.Blobs != want || rec.DroppedNoBlob != dropped || rec.LostBytes != int64(n-durable) {
+				t.Fatalf("recovery = %+v, want %d blobs, %d records dropped for want of a blob, %d bytes lost", rec, want, dropped, n-durable)
 			}
 		})
 	}

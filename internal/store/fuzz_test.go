@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,16 +11,36 @@ import (
 )
 
 // FuzzSegmentRoundTrip hands the segment scanner adversarial file
-// contents three ways — a valid record stream with a fuzzed tail
-// appended, a fuzzed prefix alone, and a valid stream with one fuzzed
-// byte position mutated — and holds it to the store's safety
-// contract: open never errors on corruption, never panics, and every
-// blob the rebuilt index serves is byte-exact under its signature.
+// contents three ways — a valid record stream mixing blobs, entries, an
+// intermediate and an epoch with a fuzzed tail appended, a fuzzed
+// prefix alone, and a valid stream with one fuzzed byte position
+// mutated — and holds it to the store's safety contract: open never
+// errors on corruption, never panics, every blob the rebuilt index
+// serves is byte-exact under its signature, every entry and
+// intermediate it returns names a blob it serves, and every metadata
+// record it replays is one of the stream's own, never a mutated one.
 func FuzzSegmentRoundTrip(f *testing.F) {
-	var valid []byte
-	for _, p := range []string{"fuzz seed record one", "fuzz seed record two"} {
-		valid = appendRecord(valid, sig.Of([]byte(p)), []byte(p))
+	one, two := []byte("fuzz seed record one"), []byte("fuzz seed record two")
+	entries := []EntryMeta{
+		{Doc: "a", User: "u", Sig: sig.Of(one), SourceSig: sig.Of(two), Gen: 2, Cost: 5},
+		{Doc: "b", User: "u", Sig: sig.Of(two), Gen: 3},
 	}
+	inter := IntermediateMeta{SourceSig: sig.Of(one), Fingerprint: sig.Of([]byte("chain")), Sig: sig.Of(two), Cost: 7}
+	epochs := map[string]uint64{"c": 4}
+	var valid []byte
+	meta := func(m metaRecord) {
+		payload, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid = appendRecord(valid, metaMagic, sig.Of(payload), payload)
+	}
+	valid = appendRecord(valid, segMagic, sig.Of(one), one)
+	meta(metaRecord{T: "entry", Entry: &entries[0]})
+	valid = appendRecord(valid, segMagic, sig.Of(two), two)
+	meta(metaRecord{T: "inter", Inter: &inter})
+	meta(metaRecord{T: "epoch", Doc: "c", Gen: 4})
+	meta(metaRecord{T: "entry", Entry: &entries[1]})
 
 	f.Add([]byte(nil), 0)
 	f.Add(valid, len(valid))
@@ -27,6 +48,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte("PLSG garbage that is not a record"), 2)
 	f.Add(bytes.Repeat([]byte{0x00}, 64), 10)
 	f.Add(append(append([]byte(nil), valid...), 'P', 'L', 'S', 'G', 0xFF, 0xFF, 0xFF, 0x7F), 7)
+	f.Add(valid, len(valid)-3) // inside the last entry's JSON
 
 	f.Fuzz(func(t *testing.T, tail []byte, mutate int) {
 		for name, contents := range map[string][]byte{
@@ -59,6 +81,38 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 				}
 				if sig.Of(payload) != sg {
 					t.Fatalf("%s: served bytes do not match signature %s", name, sg)
+				}
+			}
+			// Every replayed metadata record is one the stream holds,
+			// and names a blob that is served.
+			for _, e := range s.Entries() {
+				if e != entries[0] && e != entries[1] {
+					t.Fatalf("%s: replayed an entry the stream does not hold: %+v", name, e)
+				}
+				if got, ok := s.GetEntry(e.Doc, e.User); !ok || got != e {
+					t.Fatalf("%s: entry %s/%s listed but not returned", name, e.Doc, e.User)
+				}
+				if _, ok := s.GetBlob(e.Sig); !ok {
+					t.Fatalf("%s: entry %s/%s names a blob that is not served", name, e.Doc, e.User)
+				}
+			}
+			s.mu.Lock()
+			inters := make([]IntermediateMeta, 0, len(s.inters))
+			for _, im := range s.inters {
+				inters = append(inters, im)
+			}
+			s.mu.Unlock()
+			for _, im := range inters {
+				if im != inter {
+					t.Fatalf("%s: replayed an intermediate the stream does not hold: %+v", name, im)
+				}
+				if _, ok := s.GetBlob(im.Sig); !ok {
+					t.Fatalf("%s: intermediate names a blob that is not served", name)
+				}
+			}
+			for doc, gen := range s.Epochs() {
+				if epochs[doc] != gen {
+					t.Fatalf("%s: replayed an epoch the stream does not hold: %s=%d", name, doc, gen)
 				}
 			}
 			// The repaired segment must accept appends and round-trip.

@@ -37,8 +37,8 @@ func TestOpenLeavesCleanSegmentUntouched(t *testing.T) {
 	}
 
 	s2, rec := openT(t, dir)
-	if rec.LostBlobBytes != 0 {
-		t.Fatalf("a clean segment lost %d bytes", rec.LostBlobBytes)
+	if rec.LostBytes != 0 {
+		t.Fatalf("a clean segment lost %d bytes", rec.LostBytes)
 	}
 	info, err := os.Stat(path)
 	if err != nil {
@@ -63,8 +63,8 @@ func TestOpenLeavesCleanSegmentUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3, rec := openT(t, dir)
-	if rec.LostBlobBytes != int64(len(segMagic)) {
-		t.Fatalf("lost %d bytes, want the %d-byte torn tail", rec.LostBlobBytes, len(segMagic))
+	if rec.LostBytes != int64(len(segMagic)) {
+		t.Fatalf("lost %d bytes, want the %d-byte torn tail", rec.LostBytes, len(segMagic))
 	}
 	if info, err = os.Stat(path); err != nil {
 		t.Fatal(err)
@@ -77,17 +77,17 @@ func TestOpenLeavesCleanSegmentUntouched(t *testing.T) {
 	}
 }
 
-// writeMD5Store lays dir out as a store written while signatures were
-// MD5: one segment record of payload under its MD5 signature, and meta
-// lines for an entry and an intermediate naming that signature and an
-// epoch for the entry's document. It returns the MD5 signature.
-func writeMD5Store(t *testing.T, dir string, payload []byte, e EntryMeta, im IntermediateMeta, epoch uint64) sig.Signature {
+// writeParentLayout lays dir out as a store written while metadata
+// went to a JSON-lines meta.log beside the segments: one segment record
+// of payload under signature s, and meta lines for an entry and an
+// intermediate naming s and an epoch for the entry's document. It
+// returns the meta log's bytes.
+func writeParentLayout(t *testing.T, dir string, s sig.Signature, payload []byte, e EntryMeta, im IntermediateMeta, epoch uint64) []byte {
 	t.Helper()
-	old := sig.Signature(md5.Sum(payload))
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), appendRecord(nil, old, payload), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), appendRecord(nil, segMagic, s, payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e.Sig, im.Sig = old, old
+	e.Sig, im.Sig = s, s
 	var meta bytes.Buffer
 	enc := json.NewEncoder(&meta)
 	for _, m := range []metaRecord{
@@ -99,53 +99,122 @@ func writeMD5Store(t *testing.T, dir string, payload []byte, e EntryMeta, im Int
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, metaLogName), meta.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "meta.log"), meta.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return old
+	return meta.Bytes()
 }
 
-// TestOpenMD5StoreRecoversEmpty is the upgrade path: a store written
-// while signatures were MD5 opens without error and with no blob
-// indexed — its record fails the signature check and counts as lost —
-// so the entry and intermediate naming it are dropped, while the epoch
-// survives.
+// checkMetaLogInert fails unless dir's leftover meta.log still holds
+// exactly want, and the store replayed none of it.
+func checkMetaLogInert(t *testing.T, dir string, s *Store, want []byte, src, fp sig.Signature) {
+	t.Helper()
+	if got, err := os.ReadFile(filepath.Join(dir, "meta.log")); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the leftover meta.log changed: %v", err)
+	}
+	if _, ok := s.GetEntry("d", "u"); ok {
+		t.Fatal("replayed an entry from the leftover meta.log")
+	}
+	if _, ok := s.GetIntermediate(src, fp); ok {
+		t.Fatal("replayed an intermediate from the leftover meta.log")
+	}
+	if ep := s.Epochs(); len(ep) != 0 {
+		t.Fatalf("replayed epochs %v from the leftover meta.log", ep)
+	}
+}
+
+// TestOpenMD5StoreRecoversEmpty is the upgrade path from a store
+// written while signatures were MD5 and metadata went to meta.log: it
+// opens without error and with nothing indexed — its record fails the
+// signature check and counts as lost, and the meta log is not read —
+// and the store is writable where the old record was.
 func TestOpenMD5StoreRecoversEmpty(t *testing.T) {
 	dir := t.TempDir()
 	payload := []byte("bytes an MD5-era store holds")
 	src, fp := sig.Of([]byte("source")), sig.Of([]byte("chain"))
-	old := writeMD5Store(t, dir, payload,
+	old := sig.Signature(md5.Sum(payload))
+	meta := writeParentLayout(t, dir, old, payload,
 		EntryMeta{Doc: "d", User: "u", SourceSig: src, Gen: 7},
 		IntermediateMeta{SourceSig: src, Fingerprint: fp}, 7)
 
 	s, rec := openT(t, dir)
-	if rec.Blobs != 0 || rec.Entries != 0 || rec.Intermediates != 0 {
-		t.Fatalf("recovery = %+v, want no blobs, entries or intermediates", rec)
-	}
-	if want := int64(recordHeaderSize + len(payload)); rec.LostBlobBytes != want {
-		t.Fatalf("LostBlobBytes = %d, want the whole %d-byte record", rec.LostBlobBytes, want)
-	}
-	if rec.DroppedNoBlob != 2 || rec.EpochDocs != 1 {
-		t.Fatalf("recovery = %+v, want the entry and intermediate dropped for want of a blob and one epoch kept", rec)
+	if (rec != Recovery{LostBytes: int64(recordHeaderSize + len(payload))}) {
+		t.Fatalf("recovery = %+v, want nothing but the whole %d-byte record lost", rec, recordHeaderSize+len(payload))
 	}
 	if _, ok := s.GetBlob(old); ok {
 		t.Fatal("served an MD5-signed record")
 	}
-	if _, ok := s.GetEntry("d", "u"); ok {
-		t.Fatal("kept an entry naming an MD5-signed record")
-	}
-	if _, ok := s.GetIntermediate(src, fp); ok {
-		t.Fatal("kept an intermediate naming an MD5-signed record")
-	}
-	if g := s.Epochs()["d"]; g != 7 {
-		t.Fatalf("epoch = %d, want 7", g)
-	}
-	// The store is writable where the old record was.
+	checkMetaLogInert(t, dir, s, meta, src, fp)
 	sg, err := s.PutBlob(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.GetBlob(sg); !ok || !bytes.Equal(got, payload) {
 		t.Fatal("a put after the upgrade is not readable")
+	}
+}
+
+// TestOpenIgnoresMetaLog is the upgrade path from a store written
+// while metadata went to meta.log, signatures already sig.Of: its blobs
+// are indexed, and no entry, intermediate or epoch is, so no old
+// generation can be taken for a new one. The leftover log is left as it
+// was, and a close writes nothing beside the segments.
+func TestOpenIgnoresMetaLog(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte("bytes a meta.log-era store holds")
+	src, fp := sig.Of([]byte("source")), sig.Of([]byte("chain"))
+	meta := writeParentLayout(t, dir, sig.Of(payload), payload,
+		EntryMeta{Doc: "d", User: "u", SourceSig: src, Gen: 7},
+		IntermediateMeta{SourceSig: src, Fingerprint: fp}, 7)
+
+	s, rec := openT(t, dir)
+	if (rec != Recovery{Blobs: 1}) {
+		t.Fatalf("recovery = %+v, want the one blob and nothing else", rec)
+	}
+	if got, ok := s.GetBlob(sig.Of(payload)); !ok || !bytes.Equal(got, payload) {
+		t.Fatal("the blob of a meta.log-era store is not served")
+	}
+	checkMetaLogInert(t, dir, s, meta, src, fp)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "meta.log")); err != nil || !bytes.Equal(got, meta) {
+		t.Fatalf("Close touched the leftover meta.log: %v", err)
+	}
+}
+
+// TestStoreDirHoldsOnlySegments: after an open, puts of every kind, an
+// epoch and a close, the directory holds segment files and nothing
+// else, and they replay everything.
+func TestStoreDirHoldsOnlySegments(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	sg, err := s.PutBlob([]byte("the one blob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutEntry(EntryMeta{Doc: "d", User: "u", Sig: sg, Gen: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutIntermediate(IntermediateMeta{SourceSig: sg, Fingerprint: sg, Sig: sg}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendEpoch("other", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if ok, _ := filepath.Match("seg-*.plseg", e.Name()); !ok || e.IsDir() {
+			t.Fatalf("the store directory holds %q beside its segments", e.Name())
+		}
+	}
+	if _, rec := openT(t, dir); (rec != Recovery{Blobs: 1, Entries: 1, Intermediates: 1, EpochDocs: 1}) {
+		t.Fatalf("recovery = %+v, want everything back from the segments", rec)
 	}
 }

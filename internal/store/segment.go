@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -11,35 +12,41 @@ import (
 	"placeless/internal/sig"
 )
 
-// Binary blob segments: the durable half of the content-addressed
-// store that holds the bytes themselves. Each segment is an
+// Segments: the one durable log of the store. Each segment is an
 // append-only file of self-describing records,
 //
-//	magic  (4 bytes, "PLSG")
+//	magic  (4 bytes, "PLSG" for a blob, "PLMT" for a metadata record)
 //	length (4 bytes, little-endian payload size)
 //	sig    (16 bytes, content signature of the payload: sig.Of, SHA-256/128)
 //	crc    (4 bytes, little-endian CRC-32 (IEEE) of sig ‖ payload)
 //	payload
 //
-// and carries no other structure — the signature → (segment, offset)
-// index is rebuilt by a full scan on open, the same recovery-by-replay
-// shape as the server's configuration journal, in binary form. A
-// record is trusted only if its magic, bounds, CRC, and content
-// signature all check out; the first record that fails ends the scan
-// of its segment, because everything after an append-stream corruption
-// is unordered garbage. The active (highest-numbered) segment is
-// physically truncated back to its last valid record so the next
-// append lands on a clean boundary — a torn final write (power cut
+// A blob's payload is the bytes themselves; a metadata record's is the
+// JSON of one metaRecord (an entry, an intermediate or an epoch). The
+// segments carry no other structure: the blob index and the metadata
+// maps are rebuilt by one scan on open that walks every segment in
+// order and applies its records in append order, the same
+// recovery-by-replay shape as the server's configuration journal, in
+// binary form. A record is trusted only if its magic, bounds, CRC, and
+// content signature all check out; the first record that fails ends
+// the scan of its segment, because everything after an append-stream
+// corruption is unordered garbage. The active (highest-numbered)
+// segment is physically truncated back to its last valid record so the
+// next append lands on a clean boundary — a torn final write (power cut
 // mid-append) therefore costs exactly the record being written, never
 // an earlier one. The store appends records a batch at a time (see
 // store.go), so a power cut can tear a batch anywhere; the same scan
 // then keeps the batch's whole records and drops the torn one and
-// everything after it.
+// everything after it. A metadata record is always appended after the
+// blob it names, so no cut keeps an entry whose blob it lost.
 
-// segMagic brands every record. Four literal bytes rather than an
+// The two magics brand every record. Four literal bytes rather than an
 // integer so the on-disk format is byte-order-independent by
 // construction for the magic itself.
-var segMagic = [4]byte{'P', 'L', 'S', 'G'}
+var (
+	segMagic  = [4]byte{'P', 'L', 'S', 'G'}
+	metaMagic = [4]byte{'P', 'L', 'M', 'T'}
+)
 
 // recordHeaderSize is the fixed prefix before the payload.
 const recordHeaderSize = 4 + 4 + sig.Size + 4
@@ -59,8 +66,8 @@ type blobRef struct {
 // caller vouches that sg is the payload's content signature: Open ends
 // a segment's scan at the first record whose signature does not match
 // its bytes, so one wrong signature here would cost every later record.
-func appendRecord(dst []byte, sg sig.Signature, payload []byte) []byte {
-	dst = append(dst, segMagic[:]...)
+func appendRecord(dst []byte, magic [4]byte, sg sig.Signature, payload []byte) []byte {
+	dst = append(dst, magic[:]...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, sg[:]...)
 	dst = binary.LittleEndian.AppendUint32(dst, recordCRC(sg, payload))
@@ -87,119 +94,88 @@ func listSegments(dir string) ([]int, error) {
 	return nums, nil
 }
 
-// scanResult is what one segment scan recovered.
-type scanResult struct {
-	// refs are the valid records, in append order.
-	refs map[sig.Signature]blobRef
-	// validEnd is the offset just past the last valid record.
-	validEnd int64
-	// lostBytes counts bytes past validEnd (torn or corrupt tail).
-	lostBytes int64
-}
-
-// scanSegment rebuilds the index of one segment file. It never
-// returns an error for corruption — corruption is a recoverable state,
-// answered by stopping at the last valid record — only for I/O
-// failures reading the file at all.
-func scanSegment(path string, seg int) (scanResult, error) {
-	res := scanResult{refs: make(map[sig.Signature]blobRef)}
-	f, err := os.Open(path)
-	if err != nil {
-		return res, err
-	}
-	defer f.Close()
+// scanSegment replays segment seg, open as f, into s: blobs into the
+// index, metadata records into the maps, in append order. It reads the
+// file front to back once and returns the offset just past the last
+// valid record and the file's size. It never returns an error for
+// corruption — corruption is a recoverable state, answered by stopping
+// at the last valid record — only for I/O failures reading the file.
+func (s *Store) scanSegment(f *os.File, seg int) (validEnd, size int64, err error) {
 	info, err := f.Stat()
 	if err != nil {
-		return res, err
+		return 0, 0, err
 	}
-	size := info.Size()
-
-	var off int64
-	header := make([]byte, recordHeaderSize)
-	for {
-		if size-off < recordHeaderSize {
-			break // truncated header (or clean EOF at off == size)
+	size = info.Size()
+	r := bufio.NewReaderSize(f, 64<<10)
+	var header [recordHeaderSize]byte
+	var payload []byte
+	for size-validEnd >= recordHeaderSize { // else a torn header, or a clean EOF
+		if _, err := io.ReadFull(r, header[:]); err != nil {
+			return validEnd, size, err
 		}
-		if _, err := f.ReadAt(header, off); err != nil {
-			return res, err
-		}
-		if [4]byte(header[0:4]) != segMagic {
+		magic := [4]byte(header[0:4])
+		if magic != segMagic && magic != metaMagic {
 			break // corrupt magic: nothing after it is trustworthy
 		}
 		plen := int64(binary.LittleEndian.Uint32(header[4:8]))
-		if plen > size-off-recordHeaderSize {
+		if plen > size-validEnd-recordHeaderSize {
 			break // length runs past EOF: torn final write
 		}
-		var s sig.Signature
-		copy(s[:], header[8:8+sig.Size])
-		wantCRC := binary.LittleEndian.Uint32(header[8+sig.Size : recordHeaderSize])
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(io.NewSectionReader(f, off+recordHeaderSize, plen), payload); err != nil {
-			return res, err
+		if int64(cap(payload)) < plen {
+			payload = make([]byte, plen)
 		}
-		if recordCRC(s, payload) != wantCRC || sig.Of(payload) != s {
+		payload = payload[:plen]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return validEnd, size, err
+		}
+		sg := sig.Signature(header[8 : 8+sig.Size])
+		if recordCRC(sg, payload) != binary.LittleEndian.Uint32(header[8+sig.Size:]) || sig.Of(payload) != sg {
 			break // flipped bits in header or payload
 		}
-		res.refs[s] = blobRef{seg: seg, offset: off + recordHeaderSize, size: plen}
-		off += recordHeaderSize + plen
+		if magic == segMagic {
+			s.refs[sg] = blobRef{seg: seg, offset: validEnd + recordHeaderSize, size: plen}
+		} else {
+			s.replayMeta(payload)
+		}
+		validEnd += recordHeaderSize + plen
 	}
-	res.validEnd = off
-	res.lostBytes = size - off
-	return res, nil
+	return validEnd, size, nil
 }
 
-// openSegments scans every segment in dir, truncates the active
-// segment's invalid tail, and returns the merged index plus open
-// read handles. The returned active handle is positioned for appends
-// at validEnd.
-func openSegments(dir string) (refs map[sig.Signature]blobRef, files map[int]*os.File, active int, activeEnd int64, lost int64, err error) {
-	nums, err := listSegments(dir)
+// openSegments opens and scans every segment in dir, creating the
+// first when there is none, truncates the active segment's invalid
+// tail, and returns the bytes lost to torn or corrupt tails.
+func (s *Store) openSegments() (lost int64, err error) {
+	nums, err := listSegments(s.dir)
 	if err != nil {
-		return nil, nil, 0, 0, 0, err
-	}
-	refs = make(map[sig.Signature]blobRef)
-	files = make(map[int]*os.File)
-	cleanup := func() {
-		for _, f := range files {
-			f.Close()
-		}
+		return 0, err
 	}
 	if len(nums) == 0 {
 		nums = []int{1}
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), nil, 0o644); err != nil {
-			return nil, nil, 0, 0, 0, err
-		}
 	}
 	var activeTorn bool
 	for _, n := range nums {
-		path := filepath.Join(dir, segmentName(n))
-		res, err := scanSegment(path, n)
+		f, err := os.OpenFile(filepath.Join(s.dir, segmentName(n)), os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
-			cleanup()
-			return nil, nil, 0, 0, 0, err
+			return 0, err
 		}
-		lost += res.lostBytes
-		for s, ref := range res.refs {
-			refs[s] = ref
-		}
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		s.files[n] = f
+		validEnd, size, err := s.scanSegment(f, n)
 		if err != nil {
-			cleanup()
-			return nil, nil, 0, 0, 0, err
+			return 0, err
 		}
-		files[n] = f
-		active, activeEnd, activeTorn = n, res.validEnd, res.lostBytes > 0
+		lost += size - validEnd
+		s.active, s.activeEnd, activeTorn = n, validEnd, size > validEnd
 	}
 	// Only the active segment is repaired in place: sealed segments
-	// are never rewritten, their lost tails are simply not indexed. A
+	// are never rewritten, their lost tails are simply not replayed. A
 	// clean tail is not touched at all: the truncate would change
 	// nothing but the file's times, and an origin restarting under the
 	// live benchmark was once caught blocked in it for a minute.
-	if f := files[active]; f != nil && activeTorn {
-		if err := f.Truncate(activeEnd); err != nil {
-			cleanup()
-			return nil, nil, 0, 0, 0, err
+	if activeTorn {
+		if err := s.files[s.active].Truncate(s.activeEnd); err != nil {
+			return 0, err
 		}
 	}
-	return refs, files, active, activeEnd, lost, nil
+	return lost, nil
 }

@@ -1,10 +1,10 @@
 // Package store is the durable tier beneath the in-memory
-// signature-addressed blob store: append-only binary segments hold the
-// bytes (keyed by content signature, checksummed per record, indexed
-// by scan on open), and a JSON-lines meta log records which cache
-// entries and universal intermediates those bytes back, plus the
-// invalidation epochs needed to refuse entries invalidated while the
-// process was down.
+// signature-addressed blob store: one append-only stream of binary
+// segments holds the bytes (keyed by content signature) and, in
+// records of a second kind, which cache entries and universal
+// intermediates those bytes back, plus the invalidation epochs needed
+// to refuse entries invalidated while the process was down. Every
+// record is checksummed, and everything is rebuilt by one scan on open.
 //
 // The paper's cache pays for every miss with transform re-execution,
 // so a restart otherwise means an empty store and a thundering herd of
@@ -16,31 +16,25 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"placeless/internal/sig"
 )
 
-// metaLogName is the JSON-lines metadata log, replayed on open in the
-// same stop-at-last-complete-line discipline as the server journal.
-const metaLogName = "meta.log"
-
-// DefaultSegmentMaxBytes is the roll threshold for blob segments.
+// DefaultSegmentMaxBytes is the roll threshold for segments.
 const DefaultSegmentMaxBytes = 64 << 20
 
 // Puts are written a batch at a time (see flushLocked): a batch goes
-// to the files once it has waited flushWindow or grown to flushBytes.
-// A kill -9 therefore loses at most the puts of one window; measured
-// on the live benchmark's churn_mix (EXPERIMENTS.md, third
-// ledger-picked change) a window holds about seven demotions, twenty
-// write(2) calls before batching and two after.
+// to the active segment once it has waited flushWindow or grown to
+// flushBytes. A kill -9 therefore loses at most the puts of one
+// window; measured on the live benchmark's churn_mix (EXPERIMENTS.md,
+// third ledger-picked change) a window holds about seven demotions,
+// twenty write(2) calls before batching and one after.
 const (
 	flushWindow = 5 * time.Millisecond
 	flushBytes  = 256 << 10
@@ -77,8 +71,8 @@ type IntermediateMeta struct {
 	Cost        time.Duration `json:"cost"`
 }
 
-// metaRecord is one line of the meta log; T selects which of the
-// embedded shapes is meaningful.
+// metaRecord is the JSON payload of one metadata record; T selects
+// which of the embedded shapes is meaningful.
 type metaRecord struct {
 	T     string            `json:"t"` // "entry" | "inter" | "epoch"
 	Entry *EntryMeta        `json:"e,omitempty"`
@@ -96,8 +90,7 @@ type Recovery struct {
 	EpochDocs     int   // documents with a persisted invalidation epoch
 	DroppedStale  int   // entries dropped because an epoch superseded them
 	DroppedNoBlob int   // entries/intermediates dropped for want of their blob
-	LostBlobBytes int64 // torn/corrupt segment tails not indexed
-	LostMetaBytes int64 // torn/corrupt meta-log tail truncated away
+	LostBytes     int64 // torn/corrupt segment tails not replayed
 }
 
 // Stats is a point-in-time snapshot for observability.
@@ -112,7 +105,7 @@ type Stats struct {
 
 // Options tunes a Store; the zero value is ready to use.
 type Options struct {
-	// segmentMaxBytes rolls the active blob segment once it exceeds
+	// segmentMaxBytes rolls the active segment once it exceeds
 	// this size; 0 means DefaultSegmentMaxBytes. Only this package's
 	// tests set it, to roll segments without writing 64 MiB.
 	segmentMaxBytes int64
@@ -129,23 +122,20 @@ type Store struct {
 	refs      map[sig.Signature]blobRef
 	files     map[int]*os.File
 	active    int
-	activeEnd int64 // of the active segment, counting blobBuf
+	activeEnd int64 // of the active segment, counting buf
 	blobBytes int64
 
-	// The batch not yet written: encoded records that belong at the
-	// active segment's tail, and the meta lines that may name them.
-	// timer is armed while a batch waits out its window. failed is the
-	// first flush error; it is never cleared, because a failed write
-	// may have left a torn tail that nothing may be appended after
-	// until Open has truncated it.
-	blobBuf []byte
-	metaBuf bytes.Buffer
-	metaEnc *json.Encoder // onto metaBuf
-	timer   *time.Timer
-	armed   bool
-	failed  error
+	// The batch not yet written: encoded records, blobs and the
+	// metadata naming them in append order, that belong at the active
+	// segment's tail. timer is armed while a batch waits out its
+	// window. failed is the first flush error; it is never cleared,
+	// because a failed write may have left a torn tail that nothing may
+	// be appended after until Open has truncated it.
+	buf    []byte
+	timer  *time.Timer
+	armed  bool
+	failed error
 
-	metaF   *os.File
 	entries map[string]EntryMeta          // doc \x00 user → latest meta
 	inters  map[interKey]IntermediateMeta // (src, fp) → latest meta
 	epochs  map[string]uint64             // doc → highest persisted generation
@@ -161,10 +151,10 @@ type interKey struct {
 func entryKey(doc, user string) string { return doc + "\x00" + user }
 
 // Open opens (or creates) a store rooted at dir, rebuilding the blob
-// index by segment scan and the metadata maps by log replay. Corrupt
-// tails in either file family are truncated away and reported in
-// Recovery, never returned as errors: corruption is a recoverable
-// state here, by design.
+// index and the metadata maps by one scan of its segments. A corrupt
+// tail is cut away and reported in Recovery, never returned as an
+// error: corruption is a recoverable state here, by design. Other files
+// in dir are not read.
 func Open(dir string, opts Options) (*Store, Recovery, error) {
 	var rec Recovery
 	if opts.segmentMaxBytes <= 0 {
@@ -173,91 +163,22 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rec, err
 	}
-	refs, files, active, activeEnd, lost, err := openSegments(dir)
-	if err != nil {
-		return nil, rec, err
-	}
 	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		refs:      refs,
-		files:     files,
-		active:    active,
-		activeEnd: activeEnd,
-		entries:   make(map[string]EntryMeta),
-		inters:    make(map[interKey]IntermediateMeta),
-		epochs:    make(map[string]uint64),
+		dir:     dir,
+		opts:    opts,
+		refs:    make(map[sig.Signature]blobRef),
+		files:   make(map[int]*os.File),
+		entries: make(map[string]EntryMeta),
+		inters:  make(map[interKey]IntermediateMeta),
+		epochs:  make(map[string]uint64),
 	}
-	s.metaEnc = json.NewEncoder(&s.metaBuf)
-	for _, ref := range refs {
-		s.blobBytes += ref.size
-	}
-	rec.Blobs = len(refs)
-	rec.LostBlobBytes = lost
-	if err := s.replayMeta(&rec); err != nil {
+	lost, err := s.openSegments()
+	if err != nil {
 		s.closeFiles()
 		return nil, rec, err
 	}
-	rec.Entries = len(s.entries)
-	rec.Intermediates = len(s.inters)
-	rec.EpochDocs = len(s.epochs)
-	return s, rec, nil
-}
-
-// replayMeta rebuilds the metadata maps from the JSON-lines log,
-// stopping at the first line that is incomplete or unparseable and
-// truncating the file there so the next append starts on a clean
-// line boundary. Latest-wins per key; entries superseded by a
-// persisted epoch or missing their blob are dropped.
-func (s *Store) replayMeta(rec *Recovery) error {
-	path := filepath.Join(s.dir, metaLogName)
-	raw, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	var validEnd int64
-	for len(raw) > 0 {
-		nl := -1
-		for i, b := range raw {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			break // unterminated tail: torn final write
-		}
-		line := raw[:nl]
-		raw = raw[nl+1:]
-		if len(strings.TrimSpace(string(line))) == 0 {
-			validEnd += int64(nl + 1)
-			continue
-		}
-		var m metaRecord
-		if err := json.Unmarshal(line, &m); err != nil {
-			break // corrupt line: stop, everything after is untrusted
-		}
-		switch m.T {
-		case "entry":
-			if m.Entry != nil {
-				s.entries[entryKey(m.Entry.Doc, m.Entry.User)] = *m.Entry
-			}
-		case "inter":
-			if m.Inter != nil {
-				s.inters[interKey{m.Inter.SourceSig, m.Inter.Fingerprint}] = *m.Inter
-			}
-		case "epoch":
-			if m.Gen > s.epochs[m.Doc] {
-				s.epochs[m.Doc] = m.Gen
-			}
-		default:
-			// Unknown record types from a future version are skipped,
-			// not fatal: forward compatibility for the log format.
-		}
-		validEnd += int64(nl + 1)
-	}
-	// Filter what replay accumulated: epochs beat entries regardless
-	// of line order, and a meta record without its blob is useless.
+	// Epochs beat entries wherever they sit in the stream, and a
+	// metadata record whose blob was lost is useless.
 	for k, e := range s.entries {
 		if e.Gen < s.epochs[e.Doc] {
 			delete(s.entries, k)
@@ -275,28 +196,33 @@ func (s *Store) replayMeta(rec *Recovery) error {
 			rec.DroppedNoBlob++
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
+	for _, ref := range s.refs {
+		s.blobBytes += ref.size
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
+	rec.Blobs = len(s.refs)
+	rec.Entries = len(s.entries)
+	rec.Intermediates = len(s.inters)
+	rec.EpochDocs = len(s.epochs)
+	rec.LostBytes = lost
+	return s, rec, nil
+}
+
+// replayMeta applies one metadata record read back from a segment:
+// latest wins per key, and an epoch only ever rises. A record that
+// verified but does not parse, or has an unknown type, is skipped.
+func (s *Store) replayMeta(payload []byte) {
+	var m metaRecord
+	if json.Unmarshal(payload, &m) != nil {
+		return
 	}
-	if info.Size() > validEnd {
-		rec.LostMetaBytes = info.Size() - validEnd
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return err
-		}
+	switch {
+	case m.T == "entry" && m.Entry != nil:
+		s.entries[entryKey(m.Entry.Doc, m.Entry.User)] = *m.Entry
+	case m.T == "inter" && m.Inter != nil:
+		s.inters[interKey{m.Inter.SourceSig, m.Inter.Fingerprint}] = *m.Inter
+	case m.T == "epoch" && m.Gen > s.epochs[m.Doc]:
+		s.epochs[m.Doc] = m.Gen
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return err
-	}
-	s.metaF = f
-	return nil
 }
 
 // writableLocked is the error a put must return instead of queueing.
@@ -307,18 +233,39 @@ func (s *Store) writableLocked() error {
 	return s.failed
 }
 
-// appendMetaLocked queues one log line.
+// appendLocked queues one record at the active segment's tail, rolling
+// to a new segment first when the record would overflow this one, and
+// returns where its payload will be.
+func (s *Store) appendLocked(magic [4]byte, sg sig.Signature, payload []byte) (blobRef, error) {
+	n := int64(recordHeaderSize + len(payload))
+	if s.activeEnd > 0 && s.activeEnd+n > s.opts.segmentMaxBytes {
+		if err := s.rollLocked(); err != nil {
+			return blobRef{}, err
+		}
+	}
+	s.buf = appendRecord(s.buf, magic, sg, payload)
+	ref := blobRef{seg: s.active, offset: s.activeEnd + recordHeaderSize, size: int64(len(payload))}
+	s.activeEnd += n
+	return ref, nil
+}
+
+// appendMetaLocked queues one metadata record, signed like a blob.
 func (s *Store) appendMetaLocked(m metaRecord) error {
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	return s.metaEnc.Encode(m)
+	payload, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	_, err = s.appendLocked(metaMagic, sig.Of(payload), payload)
+	return err
 }
 
 // queuedLocked is called after the batch grew: it writes the batch out
 // if it is large, and otherwise makes sure the timer will.
 func (s *Store) queuedLocked() error {
-	if len(s.blobBuf)+s.metaBuf.Len() >= flushBytes {
+	if len(s.buf) >= flushBytes {
 		return s.flushLocked()
 	}
 	if !s.armed {
@@ -343,31 +290,24 @@ func (s *Store) flushDue() {
 	}
 }
 
-// flushLocked writes the batch: the records in one WriteAt, then the
-// lines in one Write, so no line reaches the log before the bytes it
-// names reached their segment. A failure un-indexes every blob that
+// flushLocked writes the batch in one WriteAt. Every metadata record
+// follows the blob it names, so a torn write keeps no entry or
+// intermediate without its blob. A failure un-indexes every blob that
 // was not written, with the entries and intermediates naming one, and
 // fails this and every later put.
 func (s *Store) flushLocked() error {
 	if s.failed != nil {
 		return s.failed
 	}
-	written := s.activeEnd - int64(len(s.blobBuf)) // the active segment's length on disk
+	written := s.activeEnd - int64(len(s.buf)) // the active segment's length on disk
 	var err error
-	if len(s.blobBuf) > 0 {
-		_, err = s.files[s.active].WriteAt(s.blobBuf, written)
+	if len(s.buf) > 0 {
+		_, err = s.files[s.active].WriteAt(s.buf, written)
 	}
-	if err == nil {
-		written = s.activeEnd
-		if s.metaBuf.Len() > 0 {
-			_, err = s.metaF.Write(s.metaBuf.Bytes())
-		}
+	if cap(s.buf) > 2*flushBytes {
+		s.buf = nil // one huge record must not pin its size forever
 	}
-	if cap(s.blobBuf) > 2*flushBytes {
-		s.blobBuf = nil // one huge record must not pin its size forever
-	}
-	s.blobBuf = s.blobBuf[:0]
-	s.metaBuf.Reset()
+	s.buf = s.buf[:0]
 	if err == nil {
 		return nil
 	}
@@ -430,16 +370,12 @@ func (s *Store) appendBlob(sg sig.Signature, payload []byte) error {
 	if _, ok := s.refs[sg]; ok {
 		return nil // content-addressed: same bytes, already held
 	}
-	n := int64(recordHeaderSize + len(payload))
-	if s.activeEnd > 0 && s.activeEnd+n > s.opts.segmentMaxBytes {
-		if err := s.rollLocked(); err != nil {
-			return err
-		}
+	ref, err := s.appendLocked(segMagic, sg, payload)
+	if err != nil {
+		return err
 	}
-	s.blobBuf = appendRecord(s.blobBuf, sg, payload)
-	s.refs[sg] = blobRef{seg: s.active, offset: s.activeEnd + recordHeaderSize, size: int64(len(payload))}
-	s.activeEnd += n
-	s.blobBytes += int64(len(payload))
+	s.refs[sg] = ref
+	s.blobBytes += ref.size
 	return s.queuedLocked()
 }
 
@@ -470,7 +406,7 @@ func (s *Store) locateLocked(sg sig.Signature) (blobRef, *os.File, error) {
 	if !ok {
 		return blobRef{}, nil, fmt.Errorf("store: no blob %s", sg)
 	}
-	if ref.seg == s.active && ref.offset >= s.activeEnd-int64(len(s.blobBuf)) {
+	if ref.seg == s.active && ref.offset >= s.activeEnd-int64(len(s.buf)) {
 		if err := s.flushLocked(); err != nil {
 			return blobRef{}, nil, err
 		}
@@ -570,7 +506,7 @@ func (s *Store) GetIntermediate(src, fp sig.Signature) (IntermediateMeta, bool) 
 // gen: after a restart, any durable entry for doc with an older
 // generation will be refused. Called on every invalidation so that
 // invalidations arriving while entries sit on disk survive a crash —
-// which is why, unlike a put, it returns only once its line and
+// which is why, unlike a put, it returns only once its record and
 // everything queued before it are written.
 func (s *Store) AppendEpoch(doc string, gen uint64) error {
 	s.mu.Lock()
@@ -629,9 +565,6 @@ func (s *Store) closeFiles() {
 	for _, f := range s.files {
 		f.Close()
 	}
-	if s.metaF != nil {
-		s.metaF.Close()
-	}
 }
 
 // Close writes out what is queued, then syncs and releases the store's
@@ -652,14 +585,6 @@ func (s *Store) Close() error {
 			first = err
 		}
 		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if s.metaF != nil {
-		if err := s.metaF.Sync(); err != nil && first == nil {
-			first = err
-		}
-		if err := s.metaF.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -86,7 +86,7 @@ func TestReopenRecoversEverything(t *testing.T) {
 	if rec.Blobs != 50 || rec.Entries != 1 || rec.Intermediates != 1 || rec.EpochDocs != 1 {
 		t.Fatalf("recovery = %+v, want 50 blobs / 1 entry / 1 intermediate / 1 epoch doc", rec)
 	}
-	if rec.LostBlobBytes != 0 || rec.LostMetaBytes != 0 {
+	if rec.LostBytes != 0 {
 		t.Fatalf("clean shutdown lost bytes: %+v", rec)
 	}
 	for i, sg := range sigs {
@@ -140,7 +140,7 @@ func TestTruncatedTailRecovery(t *testing.T) {
 			if rec.Blobs != 1 {
 				t.Fatalf("recovered %d blobs, want 1", rec.Blobs)
 			}
-			if rec.LostBlobBytes == 0 {
+			if rec.LostBytes == 0 {
 				t.Fatal("recovery did not report the lost tail")
 			}
 			if _, ok := s2.GetBlob(a); !ok {
@@ -309,64 +309,16 @@ func TestEpochFiltersEntries(t *testing.T) {
 	}
 }
 
-// TestMetaTornFinalLine truncates the meta log mid-JSON: replay must
-// stop at the last complete line, truncate the tail, and keep
-// appending cleanly.
-func TestMetaTornFinalLine(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openT(t, dir)
-	sg, err := s.PutBlob([]byte("survivor"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutEntry(EntryMeta{Doc: "keep", User: "u", Sig: sg, Gen: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutEntry(EntryMeta{Doc: "torn", User: "u", Sig: sg, Gen: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, metaLogName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut into the middle of the final line's JSON.
-	if err := os.WriteFile(path, raw[:len(raw)-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, rec := openT(t, dir)
-	if rec.LostMetaBytes == 0 {
-		t.Fatal("torn meta tail not reported")
-	}
-	if _, ok := s2.GetEntry("keep", "u"); !ok {
-		t.Fatal("complete meta line lost to the torn tail")
-	}
-	if _, ok := s2.GetEntry("torn", "u"); ok {
-		t.Fatal("half-written meta line replayed")
-	}
-	// Appends after the repair must round-trip.
-	if err := s2.PutEntry(EntryMeta{Doc: "after", User: "u", Sig: sg, Gen: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, _ := openT(t, dir)
-	if _, ok := s3.GetEntry("after", "u"); !ok {
-		t.Fatal("append after meta-tail repair lost")
-	}
-}
-
-// TestEntryWithoutBlobDropped covers the missing-blob filter: a meta
-// record whose payload was in the torn segment tail must not survive
-// replay.
+// TestEntryWithoutBlobDropped covers the missing-blob filter: a
+// metadata record whose blob was in a sealed segment's lost tail must
+// not survive replay. The segments are sized so the two blobs fill the
+// first and every metadata record rolls to a segment of its own.
 func TestEntryWithoutBlobDropped(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openT(t, dir)
+	s, _, err := Open(dir, Options{segmentMaxBytes: 2 * (recordHeaderSize + 9)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	keep, err := s.PutBlob([]byte("keep-blob"))
 	if err != nil {
 		t.Fatal(err)
@@ -385,10 +337,13 @@ func TestEntryWithoutBlobDropped(t *testing.T) {
 	if err := s.PutIntermediate(IntermediateMeta{SourceSig: keep, Fingerprint: fpF, Sig: lost}); err != nil {
 		t.Fatal(err)
 	}
+	if st := s.Stats(); st.Segments != 4 {
+		t.Fatalf("%d segments, want the blobs in one and each metadata record in its own", st.Segments)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the second blob record off the segment.
+	// Tear the second blob record off the sealed first segment.
 	path := filepath.Join(dir, segmentName(1))
 	info, err := os.Stat(path)
 	if err != nil {
