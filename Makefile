@@ -29,8 +29,10 @@ test-race:
 # and the cache at once, and its apply helper runs a miss's transforms
 # on the entry table's own bytes), the TCP server/remote-cache pair,
 # the file-system repository (Store and Fetch order themselves per
-# path) and the stream package (every body streamed from the store
-# shares its copy-chunk pool), twice, so scheduling-order-dependent
+# path), the stream package (every body streamed from the store
+# shares its copy-chunk pool) and plcached (a connection's held
+# response bytes are shared by the handler and net/http's background
+# read), twice, so scheduling-order-dependent
 # races get two chances to surface;
 # then the notifier pair's racing installs, closes and disconnects
 # twenty times (Ensure and Close subscribe and unsubscribe under the
@@ -40,7 +42,7 @@ test-race:
 # the client's read loop runs the invalidation handler itself, before
 # it decodes the next frame.
 race:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/stream/...
+	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/stream/... ./cmd/plcached/
 	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded

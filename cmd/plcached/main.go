@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -68,7 +69,8 @@ import (
 
 // docCache is the data-plane surface the HTTP handlers need; both
 // *remote.Cache (single-server mode) and *cluster.Cache (cluster mode)
-// implement it.
+// implement it. The bytes Read returns are the cache's own: the
+// handlers only send them.
 type docCache interface {
 	Read(doc, user string) ([]byte, error)
 	Write(doc, user string, data []byte) error
@@ -223,7 +225,33 @@ func main() {
 		})
 	}
 
-	mux.HandleFunc("/doc/", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/doc/", docHandler(dc))
+
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sigc
+		fmt.Fprintln(os.Stderr, "plcached: shutting down")
+		for _, c := range closers {
+			c()
+		}
+		os.Exit(0)
+	}()
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("plcached: http: %v", err)
+	}
+	fmt.Println(banner)
+	if err := http.Serve(holdListener{ln}, mux); err != nil {
+		log.Fatalf("plcached: http: %v", err)
+	}
+}
+
+// docHandler serves GET /doc/<id>?user=U from dc and passes PUT and
+// POST bodies to it as writes.
+func docHandler(dc docCache) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/doc/")
 		user := r.URL.Query().Get("user")
 		if id == "" {
@@ -238,10 +266,11 @@ func main() {
 				return
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
-			// Without a length net/http sends any body over 2 KiB chunked,
-			// in three write(2) calls. With it, a response up to its 4 KiB
-			// connection buffer leaves in one; a larger one in two (the
-			// header with the body's first ≈ 4 KiB, then the rest).
+			// Without a length net/http sends any body over 2 KiB
+			// chunked. With it, the header and the body reach the
+			// connection in at most two writes (its 4 KiB buffer, then
+			// the rest), which the held connection (holdListener) sends
+			// as one: the response leaves in one write(2).
 			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			_, _ = w.Write(data)
 		case http.MethodPut, http.MethodPost:
@@ -258,29 +287,14 @@ func main() {
 		default:
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
-	})
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "plcached: shutting down")
-		for _, c := range closers {
-			c()
-		}
-		os.Exit(0)
-	}()
-
-	fmt.Println(banner)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
-		log.Fatalf("plcached: http: %v", err)
 	}
 }
 
 // writeDocError maps cache errors to HTTP statuses: degraded mode (one
 // node's, or — in cluster mode — a whole owner set's) is the
-// load-shedding 503 (the client should retry after the reconnect),
-// everything else is a document-level failure.
+// load-shedding 503 (the client should retry after the reconnect); a
+// closed cache or wire client is a 503 without a retry hint (the daemon
+// is shutting down); everything else is a document-level failure.
 func writeDocError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, remote.ErrDegraded),
@@ -289,7 +303,8 @@ func writeDocError(w http.ResponseWriter, err error) {
 		errors.Is(err, cluster.ErrNoNodes):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, remote.ErrClosed):
+	case errors.Is(err, remote.ErrClosed),
+		errors.Is(err, server.ErrClientClosed):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	default:
 		http.Error(w, err.Error(), http.StatusNotFound)

@@ -15,7 +15,8 @@ var ErrNoNodes = errors.New("cluster: no nodes in the ring")
 
 // Peer is what the cluster routes to: one node's cache client.
 // *remote.Cache is the production implementation; tests substitute
-// fakes.
+// fakes. The bytes Read returns may be the peer's own cached copy,
+// shared with every other reader: callers must not modify them.
 type Peer interface {
 	Read(doc, user string) ([]byte, error)
 	Write(doc, user string, data []byte) error
@@ -32,6 +33,10 @@ type StatefulPeer interface {
 type sizedPeer interface {
 	Len() int
 }
+
+// defaultReplicas is the owner-set size when Options.Replicas is unset;
+// routing resolves that many owners without allocating.
+const defaultReplicas = 2
 
 // Options configures a Cache.
 type Options struct {
@@ -77,7 +82,7 @@ type Cache struct {
 // New builds an empty cluster cache; add nodes with AddNode.
 func New(opts Options) *Cache {
 	if opts.Replicas <= 0 {
-		opts.Replicas = 2
+		opts.Replicas = defaultReplicas
 	}
 	c := &Cache{
 		ring:  NewRing(opts.Replicas, opts.VNodes),
@@ -144,36 +149,38 @@ func (c *Cache) Owners(doc, user string) []string {
 	return c.ring.Owners(Key(doc, user))
 }
 
-// ownersSnapshot resolves the key's owners and their peers under one
-// lock acquisition, so a routing decision is made against a single
-// consistent ring state, and counts the routed operation in *routed
-// (stats.Reads or stats.Writes) under the same acquisition.
-func (c *Cache) ownersSnapshot(doc, user string, routed *int64) ([]string, []Peer) {
+// ownersSnapshot appends the key's owners and their peers to names and
+// peers under one lock acquisition, so a routing decision is made
+// against a single consistent ring state, and counts the routed
+// operation in *routed (stats.Reads or stats.Writes) under the same
+// acquisition.
+func (c *Cache) ownersSnapshot(doc, user string, routed *int64, names []string, peers []Peer) ([]string, []Peer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	*routed++
-	names := c.ring.Owners(Key(doc, user))
-	peers := make([]Peer, len(names))
-	for i, n := range names {
-		peers[i] = c.peers[n]
+	names = c.ring.appendOwners(names, hashDocUser(doc, user), c.ring.Replicas())
+	for _, n := range names {
+		peers = append(peers, c.peers[n])
 	}
 	return names, peers
 }
 
 // failoverable reports whether an error means "this peer cannot serve
-// right now" (dead wire, degraded mode, closed cache) rather than a
-// document-level failure — the former tries the next replica, the
-// latter is returned as-is.
+// right now" (dead wire, degraded mode, closed cache or client) rather
+// than a document-level failure — the former tries the next replica,
+// the latter is returned as-is.
 func failoverable(err error) bool {
 	return errors.Is(err, remote.ErrDegraded) ||
 		errors.Is(err, remote.ErrClosed) ||
+		errors.Is(err, server.ErrClientClosed) ||
 		errors.Is(err, server.ErrDisconnected) ||
 		errors.Is(err, server.ErrTimeout)
 }
 
 // Read routes the read to the key's owners in ring order, failing
 // over past degraded peers. With every owner degraded it returns the
-// last peer error (errors.Is-compatible with remote.ErrDegraded).
+// last peer error (errors.Is-compatible with remote.ErrDegraded). The
+// bytes are the serving peer's, shared and read-only (see Peer).
 func (c *Cache) Read(doc, user string) ([]byte, error) {
 	data, _, err := c.ReadVia(doc, user)
 	return data, err
@@ -209,7 +216,9 @@ func (c *Cache) Write(doc, user string, data []byte) error {
 // serve right now. It returns the name of the owner whose answer it
 // returns; with every owner degraded, none, and the last peer error.
 func (c *Cache) route(doc, user string, routed *int64, op func(Peer) error) (string, error) {
-	names, peers := c.ownersSnapshot(doc, user, routed)
+	var nameBuf [defaultReplicas]string
+	var peerBuf [defaultReplicas]Peer
+	names, peers := c.ownersSnapshot(doc, user, routed, nameBuf[:0], peerBuf[:0])
 	if len(names) == 0 {
 		c.countDegraded()
 		return "", ErrNoNodes

@@ -158,6 +158,31 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// TestClusterFailoverPastClosedClient closes the primary's wire
+// client, not its cache: every call on it then fails with
+// server.ErrClientClosed, which must fail over like a closed cache
+// rather than surface as a document-level error.
+func TestClusterFailoverPastClosedClient(t *testing.T) {
+	tc := newTestCluster(t, 3, 2, nil)
+	owners := tc.cl.Owners("alpha", "cam")
+	if err := tc.clients[owners[0]].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.cl.Write("alpha", "cam", []byte("v2")); err != nil {
+		t.Fatalf("write with the primary's client closed: %v", err)
+	}
+	data, via, err := tc.cl.ReadVia("alpha", "cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if via != owners[1] || !bytes.Equal(data, []byte("v2")) {
+		t.Fatalf("read %q via %s, want \"v2\" via replica %s", data, via, owners[1])
+	}
+	if st := tc.cl.Stats(); st.Failovers != 2 || st.DegradedErrors != 0 {
+		t.Fatalf("stats = %+v, want 2 failovers and no degraded error", st)
+	}
+}
+
 // TestClusterAllOwnersDegraded closes every owner: the read must
 // return a typed degraded error, not bytes, and so must a write.
 func TestClusterAllOwnersDegraded(t *testing.T) {

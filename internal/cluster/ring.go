@@ -19,7 +19,7 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -91,9 +91,27 @@ func (r *Ring) Contains(node string) bool {
 // diffusion, clumping a node's points into narrow arcs. The balance
 // properties are pinned by tests.
 func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return mix64(h.Sum64())
+	return mix64(fnv1a(fnvOffset, s))
+}
+
+// hashDocUser is hashKey(Key(doc, user)) without building the key.
+func hashDocUser(doc, user string) uint64 {
+	return mix64(fnv1a(fnv1a(fnv1a(fnvOffset, doc), "\x00"), user))
+}
+
+// FNV-1a 64 parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a folds s into the FNV-1a 64 state h.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // mix64 is a 64-bit avalanche finalizer (fmix64 from MurmurHash3):
@@ -160,22 +178,23 @@ func (r *Ring) OwnersN(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	h := hashKey(key)
+	return r.appendOwners(make([]string, 0, min(n, len(r.members))), hashKey(key), n)
+}
+
+// appendOwners appends to dst the owner set of the ring position h:
+// walking clockwise from h, the first min(n, Size) distinct nodes. It
+// allocates only when dst has too little room for them.
+func (r *Ring) appendOwners(dst []string, h uint64, n int) []string {
+	n = min(n, len(r.members))
+	base := len(dst)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if _, dup := seen[p.node]; dup {
-			continue
+		if !slices.Contains(dst[base:], p.node) {
+			dst = append(dst, p.node)
 		}
-		seen[p.node] = struct{}{}
-		out = append(out, p.node)
 	}
-	return out
+	return dst
 }
 
 // Primary returns the key's first owner (ok=false on an empty ring).

@@ -88,3 +88,35 @@ func BenchmarkRemoteFirstMiss4K(b *testing.B) {
 		b.Fatalf("%d hits, %d of %d keys cached: every read must be a first miss that installs", st.Hits, cache.Len(), b.N)
 	}
 }
+
+// BenchmarkRemoteHit8K is the sidecar's hit — the hot_small shape: an
+// 8 KiB document warm in the remote cache, read again and again, so no
+// iteration touches the wire. The bytes a hit returns are the table's
+// own, so B/op stays far below the body's size.
+func BenchmarkRemoteHit8K(b *testing.B) {
+	const size = 8 << 10
+	clk := clock.NewVirtual(epoch)
+	space := docspace.New(clk, nil)
+	srv := server.New(space, repo.NewMem("srv", clk, simnet.NewPath("loop", 1)))
+	client := serveAndDial(b, srv)
+	if err := client.CreateDocument("d", "u", make([]byte, size)); err != nil {
+		b.Fatal(err)
+	}
+	cache := New(client, Options{})
+	if _, err := cache.Read("d", "u"); err != nil { // the miss that installs
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := cache.Read("d", "u")
+		if err != nil || len(data) != size {
+			b.Fatalf("read = %d bytes, %v", len(data), err)
+		}
+	}
+	b.StopTimer()
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != int64(b.N) {
+		b.Fatalf("%d misses, %d hits: every timed read must be a hit", st.Misses, st.Hits)
+	}
+}

@@ -29,7 +29,6 @@
 package remote
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -344,10 +343,14 @@ func (c *Cache) Len() int { return c.tab.Len() }
 func (c *Cache) Contains(doc, user string) bool { return c.tab.Contains(core.Key(doc, user)) }
 
 // Read returns the user's view of the document, served locally when a
-// valid entry exists. While the server is unreachable the cache is in
-// degraded mode: under FailFast every read returns ErrDegraded; under
-// ServeStale cached hits are served within the StaleTTL bound and
-// everything else returns ErrDegraded.
+// valid entry exists. The bytes are shared and must not be modified: a
+// hit, a coalesced follower and the miss that installed all return the
+// table's own blob (the rule core.Table.Lookup and
+// core.Cache.ReadSharedHit state), so a write into them would reach
+// every later reader of the key. While the server is unreachable the
+// cache is in degraded mode: under FailFast every read returns
+// ErrDegraded; under ServeStale cached hits are served within the
+// StaleTTL bound and everything else returns ErrDegraded.
 func (c *Cache) Read(doc, user string) ([]byte, error) {
 	// A read that follows a quiet spell lets connection events that are
 	// already queued run before it decides anything. A process that was
@@ -396,7 +399,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 				c.mu.Unlock()
 				// No hit-time event forwarding while disconnected:
 				// the wire is down and the forward would only fail.
-				return bytes.Clone(data), nil
+				return data, nil
 			}
 		case suspect:
 			// The wire is back up but this entry predates the reconnect
@@ -410,7 +413,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 					c.count(&c.stats.EventsForwarded)
 				}
 			}
-			return bytes.Clone(data), nil
+			return data, nil
 		}
 	}
 	if degraded {
@@ -426,14 +429,10 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 		data, err := c.miss(doc, user)
 		return data, core.EntryInfo{}, err
 	})
-	if !shared {
-		return data, err
+	if shared {
+		c.count(&c.stats.CoalescedMisses)
 	}
-	c.count(&c.stats.CoalescedMisses)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.Clone(data), nil
+	return data, err
 }
 
 // count adds one to a counter of c.stats.
@@ -532,17 +531,14 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	if !meta.Expiry.IsZero() {
 		verifiers = []property.Verifier{property.TTLVerifier{Expiry: meta.Expiry}}
 	}
-	if _, kept := c.tab.Install(k, &core.Entry{
+	// The table keeps the body the wire decoded, and the reader shares it.
+	c.tab.Install(k, &core.Entry{
 		Doc: doc, User: user,
 		Signature:    meta.Signature,
 		Cost:         meta.Cost,
 		Cacheability: meta.Cacheability,
 		Verifiers:    verifiers,
-	}, data, gen); kept {
-		// The table stores the body the wire decoded; the reader gets
-		// the copy.
-		return bytes.Clone(data), nil
-	}
+	}, data, gen)
 	return data, nil
 }
 

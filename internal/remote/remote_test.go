@@ -3,12 +3,15 @@ package remote
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"placeless/internal/clock"
+	"placeless/internal/core"
 	"placeless/internal/docspace"
 	"placeless/internal/property"
 	"placeless/internal/repo"
@@ -350,10 +353,15 @@ func TestRemoteSingleFlight(t *testing.T) {
 		// sharing passes; K independent wire reads fails.)
 		t.Fatalf("no coalescing or caching across %d concurrent reads: %+v", K, st)
 	}
-	// The shared result must be privately owned per caller.
-	results[0][0] = 'X'
-	if data, _ := r.cache.Read("d", "u"); string(data) != "shared fetch" {
-		t.Fatalf("caller mutation leaked into cache: %q", data)
+	// Nobody got a private copy: every coalesced follower shares its
+	// leader's array and every hit the installed one, so there are no
+	// more distinct arrays than wire reads.
+	arrays := make(map[*byte]bool)
+	for _, res := range results {
+		arrays[unsafe.SliceData(res)] = true
+	}
+	if int64(len(arrays)) > st.Misses {
+		t.Fatalf("%d distinct arrays from %d wire reads: a reader was handed a copy (%+v)", len(arrays), st.Misses, st)
 	}
 }
 
@@ -435,10 +443,11 @@ func TestConcurrentReadsPushesAndFlushes(t *testing.T) {
 	}
 }
 
-// TestMissHandsTheCallerItsOwnBytes: the sidecar's table keeps the body
-// the wire decoded, so the miss that installed it must hand its caller
-// a copy — scribbling on a miss's result cannot reach the next hit.
-func TestMissHandsTheCallerItsOwnBytes(t *testing.T) {
+// TestHitServesTheInstalledBytes: the sidecar's table keeps the body
+// the wire decoded, and a read hands out the table's bytes read-only —
+// the miss that installed them and every hit after it return the
+// installed blob's own array, with no copy.
+func TestHitServesTheInstalledBytes(t *testing.T) {
 	r := newRig(t, Options{})
 	if err := r.client.CreateDocument("d", "u", []byte("wire body")); err != nil {
 		t.Fatal(err)
@@ -447,11 +456,49 @@ func TestMissHandsTheCallerItsOwnBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss[0] = 'X'
-	if hit, _ := r.cache.Read("d", "u"); string(hit) != "wire body" {
-		t.Fatalf("the miss's caller wrote into the cache: %q", hit)
+	hit, err := r.cache.Read("d", "u")
+	if err != nil || string(hit) != "wire body" {
+		t.Fatalf("hit = %q, %v", hit, err)
+	}
+	_, installed := r.cache.tab.Lookup(core.Key("d", "u"))
+	if unsafe.SliceData(hit) != unsafe.SliceData(installed) || unsafe.SliceData(miss) != unsafe.SliceData(installed) {
+		t.Fatal("a read returned a copy, not the installed blob's bytes")
 	}
 	if st := r.cache.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("want one miss then one hit: %+v", st)
+	}
+}
+
+// TestWarmHitCopiesNothing: a warm 8 KiB hit allocates nothing the
+// size of the body; the one allocation left is the table key.
+func TestWarmHitCopiesNothing(t *testing.T) {
+	const size = 8 << 10
+	r := newRig(t, Options{})
+	if err := r.client.CreateDocument("d", "u", make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.cache.Read("d", "u"); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if data, err := r.cache.Read("d", "u"); err != nil || len(data) != size {
+			t.Fatalf("read = %d bytes, %v", len(data), err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, read); n > 1 {
+		t.Fatalf("a warm hit allocates %v times, want at most 1 (the key)", n)
+	}
+	const reads = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= size/2 {
+		t.Fatalf("a warm hit allocates %d bytes of an %d-byte body", per, size)
+	}
+	if st := r.cache.Stats(); st.Misses != 1 {
+		t.Fatalf("%d misses: every measured read must be a hit", st.Misses)
 	}
 }
