@@ -109,9 +109,9 @@ bench-pairs:
 	sh scripts/bench_pairs.sh $(REV) $(WORKLOAD) $(PAIRS) $(SEED0)
 
 # Machine-readable result of one experiment by index (make bench-e4,
-# make bench-e12 … bench-e18): prints the table and writes the
-# BENCH_<artifact>.json cmd/plbench names for it (BENCH_wire.json for
-# e15, BENCH_cluster.json for e16, BENCH_prefix.json for e17,
+# make bench-e12, bench-e16 … bench-e18): prints the table and writes
+# the BENCH_<artifact>.json cmd/plbench names for it
+# (BENCH_cluster.json for e16, BENCH_prefix.json for e17,
 # BENCH_swarm.json for e18) in the working directory.
 bench-e%:
 	$(GO) run ./cmd/plbench -experiment e$*

@@ -19,21 +19,19 @@
 //	collection         related-document (collection) prefetching (E8)
 //	cost-ablation      property-cost signal ablation for GDS (E9)
 //	placement          app-side vs server-side cache placement (E10)
-//	parallel           parallel hit throughput + single-flight coalescing (E11)
 //	memo               universal-stage memoization fan-out (E12)
-//	obs                observability overhead + per-stage timings (E13)
-//	resilience         connection resilience: crash/restart + deadlines (E14)
-//	wire               pipelined binary wire protocol, per blob size (E15)
 //	cluster            consistent-hash cluster scaling (E16)
 //	prefix             longest-shared-prefix chain caching (E17)
 //	swarm              trace-driven swarm latency/staleness/cost frontier (E18)
 //	all                run everything
 //
-// Alternatively, -experiment <index> (t1, e1, e1b, e2 … e18) runs one
-// experiment by its DESIGN.md index and additionally writes its result
-// as BENCH_<index>.json (BENCH_wire.json for e15, BENCH_cluster.json
-// for e16, BENCH_prefix.json for e17, BENCH_swarm.json for e18) in the
-// working directory, for machine consumers (CI trend tracking).
+// Alternatively, -experiment <index> (t1, e1, e1b, e2 … e6, e8 … e10,
+// e12, e16, e17, e18) runs one experiment by its DESIGN.md index and
+// additionally writes its result as BENCH_<index>.json
+// (BENCH_cluster.json for e16, BENCH_prefix.json for e17,
+// BENCH_swarm.json for e18) in the working directory, for machine
+// consumers (CI trend tracking). E11 and E13–E15 are retired: DESIGN.md
+// §4 names the test or benchmark that carries each one's claim.
 package main
 
 import (
@@ -124,40 +122,12 @@ var experiments = []struct {
 		return fmt.Sprintf("E10 — cache placement (docs=%d reads=%d link=%v app-capacity=%.0f%%)",
 			cfg.Docs, cfg.Reads, cfg.LinkCost, cfg.AppCapacityFrac*100), res, err
 	}},
-	{"parallel", "e11", "e11", func(seed int64, _ int) (string, experiment.Result, error) {
-		cfg := experiment.DefaultParallelConfig()
-		cfg.Seed = seed
-		res, err := experiment.RunParallel(cfg)
-		return fmt.Sprintf("E11 — parallel hit throughput, sharded vs seed global mutex (docs=%d ops/goroutine=%d hit-cost=%v, real clock: rates are machine-dependent, compare the speedup column)",
-			cfg.Docs, cfg.OpsPerGoroutine, cfg.HitCost), res, err
-	}},
 	{"memo", "e12", "e12", func(seed int64, _ int) (string, experiment.Result, error) {
 		cfg := experiment.DefaultMemoConfig()
 		cfg.Seed = seed
 		res, err := experiment.RunMemo(cfg)
 		return fmt.Sprintf("E12 — universal-stage memoization (doc=%dB chain=3×%v personal=%v rounds=%d)",
 			cfg.DocSize, cfg.PropCost, cfg.PersonalCost, cfg.Rounds), res, err
-	}},
-	{"obs", "e13", "e13", func(seed int64, _ int) (string, experiment.Result, error) {
-		cfg := experiment.DefaultObsConfig()
-		cfg.Seed = seed
-		res, err := experiment.RunObs(cfg)
-		return fmt.Sprintf("E13 — observability overhead + stage timings (docs=%d goroutines=%d hit-cost=%v, real clock: rates are machine-dependent, compare the overhead rows)",
-			cfg.Docs, cfg.Goroutines, cfg.HitCost), res, err
-	}},
-	{"resilience", "e14", "e14", func(seed int64, _ int) (string, experiment.Result, error) {
-		cfg := experiment.DefaultResilienceConfig()
-		cfg.Seed = seed
-		res, err := experiment.RunResilience(cfg)
-		return fmt.Sprintf("E14 — connection resilience: crash/restart per degraded policy + wedged-server deadlines (docs=%d backoff=%v..%v wedged-deadline=%v, real TCP/clock: compare counters and the deadline ratio)",
-			cfg.Docs, cfg.BackoffBase, cfg.BackoffMax, cfg.WedgedTimeout), res, err
-	}},
-	{"wire", "e15", "wire", func(seed int64, _ int) (string, experiment.Result, error) {
-		cfg := experiment.DefaultWireConfig()
-		cfg.Seed = seed
-		res, err := experiment.RunWire(cfg)
-		return fmt.Sprintf("E15 — pipelined binary wire protocol (ops=%d concurrency=%d sizes=%v, loopback TCP/real clock: rates are machine-dependent, compare allocs/op and KB/op)",
-			cfg.Ops, cfg.Concurrency, cfg.BlobSizes), res, err
 	}},
 	{"cluster", "e16", "cluster", func(seed int64, _ int) (string, experiment.Result, error) {
 		cfg := experiment.DefaultClusterConfig()

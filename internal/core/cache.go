@@ -81,11 +81,6 @@ type Options struct {
 	// Policy supplies the replacement policy; nil defaults to
 	// Greedy-Dual-Size.
 	Policy replace.Policy
-	// Shards overrides the number of index stripes. Zero selects the
-	// GOMAXPROCS-scaled default; other values round up to a power of
-	// two. Shards = 1 degenerates to a single-lock index, which the
-	// parallel benchmarks use as the pre-sharding baseline.
-	Shards int
 	// HitCost is the simulated local access time charged on a cache
 	// hit (the cost of the cache lookup itself), before verifier
 	// execution.
@@ -307,7 +302,7 @@ func New(space *docspace.Space, opts Options) *Cache {
 		space: space,
 		clk:   space.Clock(),
 		opts:  opts,
-		tab:   NewTable(opts.Shards, policy),
+		tab:   NewTable(0, policy),
 		dirty: make(map[string]*dirtyWrite),
 	}
 	c.notifiers = docspace.NewNotifierPair(space, "notifier:"+opts.Name, c.onBaseEvent, c.onRefEvent)

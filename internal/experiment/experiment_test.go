@@ -449,148 +449,6 @@ func TestMemoFanOut(t *testing.T) {
 	}
 }
 
-func TestParallelShape(t *testing.T) {
-	// Tiny real-clock configuration: the full-size run is plbench's
-	// job; here we assert the shape and the single-flight invariant.
-	cfg := ParallelConfig{
-		Docs:            4,
-		Goroutines:      []int{1, 4},
-		OpsPerGoroutine: 5,
-		HitCost:         50 * time.Microsecond,
-		FillCost:        100 * time.Microsecond,
-		Seed:            1,
-	}
-	res, err := RunParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(cfg.Goroutines) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(cfg.Goroutines))
-	}
-	for i, row := range res.Rows {
-		if row.Goroutines != cfg.Goroutines[i] {
-			t.Fatalf("row %d goroutines = %d", i, row.Goroutines)
-		}
-		if row.SeedMutexRate <= 0 || row.ShardedRate <= 0 {
-			t.Fatalf("row %d has nonpositive rates: %+v", i, row)
-		}
-		// Single-flight: concurrent cold misses collapse to one fetch.
-		if row.ColdFetches != 1 {
-			t.Fatalf("row %d cold fetches = %d, want 1", i, row.ColdFetches)
-		}
-		if row.ColdFetches+row.Coalesced > int64(row.Goroutines) {
-			t.Fatalf("row %d fetches+coalesced exceed goroutines: %+v", i, row)
-		}
-	}
-}
-
-func TestObsShape(t *testing.T) {
-	// Tiny real-clock configuration of E13; plbench runs the full one.
-	// Asserted: rates are positive, the visibility workload produced
-	// every verdict class, and the stage histograms that must be
-	// populated (lookup on every read, the staged miss spans, and
-	// flight_wait from the coalesced storm) are.
-	cfg := ObsConfig{
-		Docs:               8,
-		Goroutines:         2,
-		OpsPerGoroutine:    20,
-		RawOpsPerGoroutine: 200,
-		HitCost:            50 * time.Microsecond,
-		Users:              3,
-		PropCost:           100 * time.Microsecond,
-		PersonalCost:       50 * time.Microsecond,
-		Seed:               1,
-	}
-	res, err := RunObs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rate := range map[string]float64{
-		"bare": res.BareRate, "observed": res.ObservedRate,
-		"raw bare": res.RawBareRate, "raw observed": res.RawObservedRate,
-	} {
-		if rate <= 0 {
-			t.Fatalf("%s rate = %f, want > 0", name, rate)
-		}
-	}
-	if res.Verdicts["hit"] == 0 || res.Verdicts["miss"] == 0 || res.Verdicts["memo"] == 0 {
-		t.Fatalf("verdicts = %v, want hit, miss and memo all > 0", res.Verdicts)
-	}
-	stages := make(map[string]ObsStageRow)
-	for _, s := range res.Stages {
-		stages[s.Stage] = s
-	}
-	for _, want := range []string{"shard_lookup", "verify", "bit_fetch", "universal", "personal"} {
-		if stages[want].Count == 0 {
-			t.Fatalf("stage %s not populated; stages = %v", want, stages)
-		}
-	}
-	if stages["universal"].Mean <= 0 {
-		t.Fatalf("universal stage mean = %v, want > 0", stages["universal"].Mean)
-	}
-	header, rows := res.TableData()
-	if len(header) != 2 || len(rows) < 8 {
-		t.Fatalf("table shape: header=%v rows=%d", header, len(rows))
-	}
-	if !strings.Contains(Table(res), "instrumentation overhead") {
-		t.Fatalf("table missing overhead row:\n%s", Table(res))
-	}
-}
-
-func TestResilienceShape(t *testing.T) {
-	// Tiny real-TCP configuration of E14; plbench runs the full one.
-	cfg := ResilienceConfig{
-		Docs:          3,
-		CallTimeout:   2 * time.Second,
-		BackoffBase:   2 * time.Millisecond,
-		BackoffMax:    20 * time.Millisecond,
-		StaleTTL:      time.Minute,
-		WedgedCalls:   5,
-		WedgedTimeout: 30 * time.Millisecond,
-		Seed:          1,
-	}
-	res, err := RunResilience(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Phases) != 2 {
-		t.Fatalf("phases = %d, want 2", len(res.Phases))
-	}
-	for _, p := range res.Phases {
-		if p.Reconnects != 1 {
-			t.Fatalf("%s reconnects = %d, want 1", p.Policy, p.Reconnects)
-		}
-		if p.EpochFlushes != int64(cfg.Docs) {
-			t.Fatalf("%s epoch flushes = %d, want %d", p.Policy, p.EpochFlushes, cfg.Docs)
-		}
-		if p.StaleAfterReconnect != 0 {
-			t.Fatalf("%s served %d stale reads after reconnect", p.Policy, p.StaleAfterReconnect)
-		}
-		if p.PostReconnectReads != int64(cfg.Docs) {
-			t.Fatalf("%s post-reconnect reads = %d", p.Policy, p.PostReconnectReads)
-		}
-	}
-	ff, ss := res.Phases[0], res.Phases[1]
-	if ff.Policy != "fail-fast" || ss.Policy != "serve-stale" {
-		t.Fatalf("phase order = %q, %q", ff.Policy, ss.Policy)
-	}
-	if ff.StaleServed != 0 || ff.DegradedErrors < int64(cfg.Docs) {
-		t.Fatalf("fail-fast phase = %+v", ff)
-	}
-	if ss.StaleServed != int64(cfg.Docs) {
-		t.Fatalf("serve-stale phase = %+v", ss)
-	}
-	if res.WedgedP50 < cfg.WedgedTimeout || res.WedgedP99 < res.WedgedP50 {
-		t.Fatalf("wedged p50=%v p99=%v vs deadline %v", res.WedgedP50, res.WedgedP99, cfg.WedgedTimeout)
-	}
-	if res.WedgedP99 > 10*cfg.WedgedTimeout {
-		t.Fatalf("wedged p99 = %v: deadline not enforced tightly", res.WedgedP99)
-	}
-	if !strings.Contains(Table(res), "stale after reconnect") {
-		t.Fatalf("table missing acceptance row:\n%s", Table(res))
-	}
-}
-
 func TestClusterScalingShape(t *testing.T) {
 	// Small configuration of E16; plbench runs the full one. The shape
 	// still carries the acceptance claim: aggregate warm-hit throughput

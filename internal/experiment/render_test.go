@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"placeless/internal/obs"
 	"placeless/internal/swarm"
 )
 
@@ -28,16 +27,7 @@ func sampleResults() []Result {
 		CollectionResult{Rows: []CollectionRow{{Config: "prefetch-on", FirstRead: ms(100), MeanSubsequent: ms(1), TotalWalk: ms(110), Prefetches: 7}}},
 		CostAblationResult{Rows: []CostAblationRow{{Config: "full", HitRatio: 0.5, MeanRead: ms(25)}}},
 		PlacementResult{Rows: []PlacementRow{{Placement: "app+server", MeanRead: ms(8), P99Read: ms(190)}}},
-		ParallelResult{Rows: []ParallelRow{{Goroutines: 8, SeedMutexRate: 870, ShardedRate: 7400, Speedup: 8.5, ColdFetches: 1, Coalesced: 7}}},
 		MemoResult{Rows: []MemoRow{{Users: 8, FullMiss: ms(9), MemoMiss: ms(3), Speedup: 3, UniversalRuns: 1, IntermediateHits: 39, SavedBytes: 638976}}},
-		ObsResult{BareRate: 19000, ObservedRate: 18900, OverheadPct: 0.5, RawBareRate: 2e6, RawObservedRate: 1e6, RawOverheadPct: 50,
-			Verdicts: map[string]int64{obs.VerdictHit: 56, obs.VerdictMemo: 7, obs.VerdictMiss: 1},
-			Stages:   []ObsStageRow{{Stage: obs.StageUniversal, Count: 8, P50: ms(1), P99: ms(2), Mean: ms(1)}}},
-		ResilienceResult{Phases: []ResiliencePhase{
-			{Policy: "fail-fast", Reconnects: 1, EpochFlushes: 1, DegradedErrors: 16, PostReconnectReads: 16},
-			{Policy: "serve-stale", Reconnects: 1, EpochFlushes: 1, StaleServed: 16, PostReconnectReads: 16},
-		}, WedgedP50: ms(251), WedgedP99: ms(253)},
-		WireResult{Phases: []WirePhase{{BlobSize: 64 << 10, Ops: 4000, Concurrency: 8, Seconds: 1, OpsPerSec: 4000, MBPerSec: 250, AllocsPerOp: 10, BytesPerOp: 921, FramesBatched: 12, StreamedReads: 0}}},
 		ClusterResult{Phases: []ClusterPhase{{Nodes: 8, Keys: 4096, Reads: 32768, Hits: 32768, MakespanMS: 1024, AggOpsPerSec: 32000, Imbalance: 1.25, Failovers: 0}},
 			SpeedupByNodes: map[string]float64{"8": 6.4}},
 		PrefixResult{Rows: []PrefixRow{{Users: 16, FullMiss: ms(12), MultiMiss: ms(3), SpeedupVsFull: 4, SharedRunsMulti: 1, UniversalRuns: 1, PrefixHits: 15}}},

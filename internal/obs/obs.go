@@ -21,9 +21,9 @@
 //
 // Overhead budget: with an Observer attached, a read pays a handful of
 // time.Now calls, two atomic adds per stage histogram, and one
-// uncontended mutex lock for the trace ring — measured under 5% on the
-// parallel hit benchmark (EXPERIMENTS.md E13). With a nil Observer the
-// instrumented paths skip all of it.
+// uncontended mutex lock for the trace ring — under 5% on the parallel
+// hit benchmark (BenchmarkParallelHitThroughput/observed against
+// /sharded). With a nil Observer the instrumented paths skip all of it.
 package obs
 
 import (
@@ -59,14 +59,14 @@ const (
 	StageRemoteRTT = "remote_rtt"
 )
 
-// StageNames returns every stage name, in read-path order.
-func StageNames() []string {
+// stageNames returns every stage name, in read-path order.
+func stageNames() []string {
 	return []string{StageShardLookup, StageFlightWait, StageVerify,
 		StageBitFetch, StageUniversal, StagePersonal, StageRemoteRTT}
 }
 
-// Verdicts returns every read verdict.
-func Verdicts() []string {
+// verdicts returns every read verdict.
+func verdicts() []string {
 	return []string{VerdictHit, VerdictMiss, VerdictMemo, VerdictDisk, VerdictCoalesced, VerdictError}
 }
 
@@ -107,9 +107,9 @@ func NewObserver() *Observer {
 	o.total = reg.Histogram("placeless_read_duration_seconds",
 		"End-to-end latency of cache reads.")
 	o.stages = reg.HistogramVec("placeless_read_stage_duration_seconds",
-		"Read-path latency by stage.", "stage", StageNames()...)
+		"Read-path latency by stage.", "stage", stageNames()...)
 	o.verdicts = reg.CounterVec("placeless_reads_total",
-		"Reads by outcome verdict.", "verdict", Verdicts()...)
+		"Reads by outcome verdict.", "verdict", verdicts()...)
 	o.causes = reg.CounterVec("placeless_invalidation_causes_total",
 		"Notifier-driven invalidations by paper cause.", "cause", Causes()...)
 	reg.Counter("placeless_traces_recorded_total",

@@ -114,9 +114,18 @@ func (r *chaosRig) restart() {
 // notifiers died with the connection), restart it, and verify the
 // client reconnects with backoff, the cache flushes the old epoch, and
 // no post-reconnect read ever returns the content that was invalidated
-// during the disconnect.
+// during the disconnect — under either degraded-mode policy, although
+// serve-stale answers the outage read from the old epoch.
 func TestChaosKillServerMidLoadReconnectFlush(t *testing.T) {
-	r := newChaosRig(t, Options{})
+	for _, policy := range []DegradedPolicy{FailFast, ServeStale} {
+		t.Run(policy.String(), func(t *testing.T) {
+			testKillServerMidLoadReconnectFlush(t, policy)
+		})
+	}
+}
+
+func testKillServerMidLoadReconnectFlush(t *testing.T, policy DegradedPolicy) {
+	r := newChaosRig(t, Options{DegradedPolicy: policy, StaleTTL: time.Minute})
 	docs := []string{"d0", "d1", "d2", "d3", "d4"}
 	for _, d := range docs {
 		if err := r.client.CreateDocument(d, "u", []byte(d+" v1")); err != nil {
@@ -140,10 +149,14 @@ func TestChaosKillServerMidLoadReconnectFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Degraded mode (default fail-fast): reads refuse rather than
-	// serve what can no longer be proven fresh.
-	if _, err := r.cache.Read(docs[0], "u"); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("read while down = %v, want ErrDegraded", err)
+	// Degraded mode: fail-fast refuses what can no longer be proven
+	// fresh; serve-stale answers from the old epoch, inside its bound.
+	got, err := r.cache.Read(docs[0], "u")
+	if policy == FailFast && !errors.Is(err, ErrDegraded) {
+		t.Fatalf("read while down = %q, %v; want ErrDegraded", got, err)
+	}
+	if policy == ServeStale && (err != nil || string(got) != docs[0]+" v1") {
+		t.Fatalf("read while down = %q, %v; want the stale v1", got, err)
 	}
 
 	r.restart()
@@ -163,6 +176,13 @@ func TestChaosKillServerMidLoadReconnectFlush(t *testing.T) {
 	st := r.cache.Stats()
 	if st.EpochFlushes != int64(len(docs)) {
 		t.Fatalf("EpochFlushes = %d, want %d", st.EpochFlushes, len(docs))
+	}
+	wantStale := int64(0)
+	if policy == ServeStale {
+		wantStale = 1 // the one outage read
+	}
+	if st.StaleServed != wantStale {
+		t.Fatalf("StaleServed = %d, want %d", st.StaleServed, wantStale)
 	}
 	if r.client.Epoch() != 2 {
 		t.Fatalf("client epoch = %d, want 2", r.client.Epoch())

@@ -649,9 +649,9 @@ func TestReadInto(t *testing.T) {
 }
 
 // TestReadIntoConcurrent hammers ReadInto from many goroutines with
-// per-goroutine buffers over one pipelined connection — the E15
-// workload shape — so the claim/deliver handoff runs under the race
-// detector.
+// per-goroutine buffers over one pipelined connection — the
+// BenchmarkWireReadInto64K workload shape — so the claim/deliver
+// handoff runs under the race detector.
 func TestReadIntoConcurrent(t *testing.T) {
 	body := make([]byte, 8<<10)
 	for i := range body {
