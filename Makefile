@@ -59,10 +59,12 @@ fuzz:
 	$(GO) test -run Fuzz ./...
 
 # Durable disk tier: unit tests + the crash-consistency sweep under
-# -race, the warm-restart integration tests, then a short open-ended
-# fuzz of the segment format beyond the checked-in seed corpus.
+# -race, the configuration journal's sweeps (the same record codec),
+# the warm-restart integration tests, then a short open-ended fuzz of
+# the segment format beyond the checked-in seed corpus.
 store:
 	$(GO) test -race -count=1 ./internal/store/
+	$(GO) test -race -count=1 -run 'Journal|Replay' ./internal/server/
 	$(GO) test -race -run TestDurable -count=1 ./internal/core/
 	$(GO) test -run NONE -fuzz FuzzSegmentRoundTrip -fuzztime 30s ./internal/store/
 

@@ -179,17 +179,11 @@ func main() {
 	// loses nothing: content lives in the file system, the property
 	// graph in the journal.
 	if *journalPath != "" {
-		applied, err := srv.ReplayJournal(*journalPath)
+		applied, torn, err := srv.OpenJournal(*journalPath)
 		if err != nil {
-			log.Fatalf("placelessd: journal replay: %v", err)
+			log.Fatalf("placelessd: %v", err)
 		}
-		j, err := server.OpenJournal(*journalPath)
-		if err != nil {
-			log.Fatalf("placelessd: journal: %v", err)
-		}
-		defer j.Close()
-		srv.SetJournal(j)
-		fmt.Printf("placelessd: replayed %d configuration entries from %s\n", applied, *journalPath)
+		fmt.Printf("placelessd: replayed %d configuration entries from %s, %d torn bytes dropped\n", applied, *journalPath, torn)
 	}
 
 	// Graceful shutdown on interrupt or SIGTERM (kill, systemd stop,

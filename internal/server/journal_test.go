@@ -1,17 +1,24 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"placeless/internal/clock"
 	"placeless/internal/docspace"
 	"placeless/internal/repo"
+	"placeless/internal/sig"
 	"placeless/internal/simnet"
+	"placeless/internal/store"
 )
 
 // journalRig boots a journaled server over a persistent FS backing.
@@ -24,14 +31,9 @@ func journalRig(t *testing.T, rootDir, journalPath string) (*Server, *Client, fu
 	}
 	space := docspace.New(clk, nil)
 	srv := New(space, fsRepo)
-	if _, err := srv.ReplayJournal(journalPath); err != nil {
-		t.Fatalf("replay: %v", err)
+	if _, _, err := srv.OpenJournal(journalPath); err != nil {
+		t.Fatalf("open journal: %v", err)
 	}
-	j, err := OpenJournal(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetJournal(j)
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
@@ -54,9 +56,114 @@ func journalRig(t *testing.T, rootDir, journalPath string) (*Server, *Client, fu
 		client.Close()
 		srv.Close()
 		<-done
-		j.Close()
 	}
 	return srv, client, shutdown
+}
+
+// memServer returns an unserved server over an in-memory repository.
+func memServer() *Server {
+	clk := clock.NewVirtual(epoch)
+	return New(docspace.New(clk, nil), repo.NewMem("m", clk, simnet.NewPath("p", 1)))
+}
+
+// reopen opens the journal at path on a fresh in-memory server, and
+// closes it again if it opened.
+func reopen(path string) (int, int64, error) {
+	srv := memServer()
+	applied, torn, err := srv.OpenJournal(path)
+	if err == nil {
+		err = srv.Close()
+	}
+	return applied, torn, err
+}
+
+// writeJournal writes each payload as one journal record, through the
+// store's record encoder.
+func writeJournal(t *testing.T, path string, payloads ...string) {
+	t.Helper()
+	l, _, err := store.OpenLog(path, func(int64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// journalEntries returns the entries a journal holds and the offset of
+// each one's record.
+func journalEntries(t *testing.T, path string) ([]journalEntry, []int64) {
+	t.Helper()
+	var entries []journalEntry
+	var offsets []int64
+	l, _, err := store.OpenLog(path, func(off int64, payload []byte) error {
+		var e journalEntry
+		err := json.Unmarshal(payload, &e)
+		entries, offsets = append(entries, e), append(offsets, off)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	return entries, offsets
+}
+
+// configScript is a configuration plane touching every journaled op.
+func configScript() []*Request {
+	return []*Request{
+		{Op: OpCreateDocument, Doc: "memo", User: "alice", Body: []byte("teh draft")},
+		{Op: OpAddReference, Doc: "memo", User: "bob"},
+		{Op: OpAttach, Doc: "memo", User: "alice", Personal: true, Property: "spell-correct"},
+		{Op: OpAttachStatic, Doc: "memo", Property: "status", Value: "draft"},
+		{Op: OpAttach, Doc: "memo", User: "bob", Personal: true, Property: "uppercase"},
+		{Op: OpDetach, Doc: "memo", User: "bob", Personal: true, Property: "uppercase"},
+	}
+}
+
+// journalImage journals script through a server and returns the
+// journal's bytes and the offset just past each request's record.
+func journalImage(t testing.TB, script []*Request) ([]byte, []int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "j")
+	srv := memServer()
+	if _, _, err := srv.OpenJournal(path); err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	for _, req := range script {
+		if resp := srv.applyJournaled(req); resp.Err != "" {
+			t.Fatalf("%v %s: %s", req.Op, req.Doc, resp.Err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, int(info.Size()))
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, ends
+}
+
+// readFile returns path's bytes.
+func readFile(t testing.TB, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestJournalRestartRebuildsConfiguration(t *testing.T) {
@@ -123,24 +230,29 @@ func TestJournalDetachReplays(t *testing.T) {
 }
 
 func TestReplayMissingJournalIsNoop(t *testing.T) {
-	clk := clock.NewVirtual(epoch)
-	srv := New(docspace.New(clk, nil), repo.NewMem("m", clk, simnet.NewPath("p", 1)))
-	n, err := srv.ReplayJournal(filepath.Join(t.TempDir(), "absent"))
-	if err != nil || n != 0 {
-		t.Fatalf("replay = %d, %v", n, err)
+	path := filepath.Join(t.TempDir(), "absent")
+	srv := memServer()
+	n, torn, err := srv.OpenJournal(path)
+	if err != nil || n != 0 || torn != 0 {
+		t.Fatalf("open = %d, %d, %v", n, torn, err)
+	}
+	srv.Close()
+	if b := readFile(t, path); len(b) != 0 {
+		t.Fatalf("a new journal holds %d bytes", len(b))
 	}
 }
 
+// TestReplayCorruptJournalFails: a record that verifies but holds no
+// entry this server can apply aborts the open, naming its offset.
 func TestReplayCorruptJournalFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad")
-	os.WriteFile(path, []byte("{not json\n"), 0o644)
-	clk := clock.NewVirtual(epoch)
-	srv := New(docspace.New(clk, nil), repo.NewMem("m", clk, simnet.NewPath("p", 1)))
-	if _, err := srv.ReplayJournal(path); err == nil || !strings.Contains(err.Error(), "line 1") {
+	writeJournal(t, path, "{not json")
+	if _, _, err := reopen(path); err == nil || !strings.Contains(err.Error(), "offset 0") {
 		t.Fatalf("err = %v", err)
 	}
-	os.WriteFile(path, []byte(`{"op":"martian","doc":"d"}`+"\n"), 0o644)
-	if _, err := srv.ReplayJournal(path); err == nil || !strings.Contains(err.Error(), "unknown op") {
+	path = filepath.Join(t.TempDir(), "martian")
+	writeJournal(t, path, `{"op":"martian","doc":"d"}`)
+	if _, _, err := reopen(path); err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -150,25 +262,24 @@ func TestReplayCorruptJournalFails(t *testing.T) {
 // whatever words the failure's text happens to contain — here a
 // document and a property spec that are named "duplicate…".
 func TestReplaySkipsOnlyDuplicateState(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j")
-	clk := clock.NewVirtual(epoch)
-	for _, entry := range []string{
-		`{"op":"addref","doc":"duplicate-notes","user":"bob"}`,
-		`{"op":"detach","doc":"duplicate-notes","user":"bob","spec":"x"}`,
-		`{"op":"create","doc":"d","user":"amy","content":"eA=="}` + "\n" +
-			`{"op":"attach","doc":"d","spec":"duplicate-finder"}`,
+	for _, entries := range [][]string{
+		{`{"op":"addref","doc":"duplicate-notes","user":"bob"}`},
+		{`{"op":"detach","doc":"duplicate-notes","user":"bob","spec":"x"}`},
+		{`{"op":"create","doc":"d","user":"amy","content":"eA=="}`, `{"op":"attach","doc":"d","spec":"duplicate-finder"}`},
 	} {
-		os.WriteFile(path, []byte(entry+"\n"), 0o644)
-		srv := New(docspace.New(clk, nil), repo.NewMem("m", clk, simnet.NewPath("p", 1)))
-		line := strings.Count(entry, "\n") + 1
-		if n, err := srv.ReplayJournal(path); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d", line)) {
-			t.Fatalf("replay of %s = %d, %v; want an error naming line %d", entry, n, err, line)
+		path := filepath.Join(t.TempDir(), "j")
+		writeJournal(t, path, entries...)
+		_, offsets := journalEntries(t, path)
+		at := fmt.Sprintf("offset %d", offsets[len(offsets)-1])
+		if n, _, err := reopen(path); err == nil || !strings.Contains(err.Error(), at) {
+			t.Fatalf("replay of %s = %d, %v; want an error naming %s", entries, n, err, at)
 		}
 	}
 	// The same create twice: the second is existing state, skipped.
-	os.WriteFile(path, []byte(strings.Repeat(`{"op":"create","doc":"d","user":"amy","content":"eA=="}`+"\n", 2)), 0o644)
-	srv := New(docspace.New(clk, nil), repo.NewMem("m", clk, simnet.NewPath("p", 1)))
-	if n, err := srv.ReplayJournal(path); err != nil || n != 1 {
+	path := filepath.Join(t.TempDir(), "j")
+	create := `{"op":"create","doc":"d","user":"amy","content":"eA=="}`
+	writeJournal(t, path, create, create)
+	if n, _, err := reopen(path); err != nil || n != 1 {
 		t.Fatalf("replay of a repeated create = %d, %v; want 1 applied", n, err)
 	}
 }
@@ -184,66 +295,9 @@ func TestJournalSkipsDataPlane(t *testing.T) {
 	c.Write("d", "u", []byte("y"))
 	shutdown()
 
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(strings.TrimSpace(string(data)), "\n") + 1
-	if lines != 1 {
-		t.Fatalf("journal has %d entries, want only the create:\n%s", lines, data)
-	}
-	if !strings.Contains(string(data), `"op":"create"`) {
-		t.Fatalf("journal = %s", data)
-	}
-}
-
-// TestReplayTornFinalLineStopsCleanly: a crash between writing part of
-// a journal line and its newline must not poison the journal — replay
-// applies every complete entry and drops the torn tail, at every
-// possible truncation point inside the final record.
-func TestReplayTornFinalLineStopsCleanly(t *testing.T) {
-	line1 := `{"op":"create","doc":"d","user":"u","content":"eA=="}` + "\n"
-	line2 := `{"op":"static","doc":"d","user":"u","spec":"k","value":"v"}` + "\n"
-	full := line1 + line2
-
-	replay := func(content string) (int, error, *Server) {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "j")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		clk := clock.NewVirtual(epoch)
-		srv := New(docspace.New(clk, nil), repo.NewMem("m", clk, simnet.NewPath("p", 1)))
-		n, err := srv.ReplayJournal(path)
-		return n, err, srv
-	}
-
-	// Cut the file everywhere inside the second record, newline
-	// excluded: all such tails are torn writes.
-	for cut := len(line1) + 1; cut < len(full)-1; cut++ {
-		n, err, _ := replay(full[:cut])
-		if err != nil {
-			t.Fatalf("cut %d: replay error on torn tail: %v", cut, err)
-		}
-		if n != 1 {
-			t.Fatalf("cut %d: applied %d entries, want 1", cut, n)
-		}
-	}
-
-	// A complete final record merely missing its newline is not torn —
-	// the JSON parses, so it applies.
-	n, err, srv := replay(full[:len(full)-1])
-	if err != nil || n != 2 {
-		t.Fatalf("newline-less complete tail: applied %d, err %v; want 2, nil", n, err)
-	}
-	if v, ok := staticValue(t, srv, "d", "u", "k"); !ok || v != "v" {
-		t.Fatalf("static from final line not applied: %q, %v", v, ok)
-	}
-
-	// An interior corrupt line is terminated, so it cannot be a torn
-	// tail: replay must still refuse the journal.
-	if _, err, _ := replay(line1[:len(line1)-10] + "\n" + line2); err == nil {
-		t.Fatal("terminated corrupt interior line replayed without error")
+	entries, _ := journalEntries(t, journal)
+	if len(entries) != 1 || entries[0].Op != "create" {
+		t.Fatalf("journal holds %+v, want only the create", entries)
 	}
 }
 
@@ -260,12 +314,16 @@ func TestJournalSurvivesCrashMidAppend(t *testing.T) {
 	}
 	shutdown1()
 
-	// Tear the tail: append half of a record with no newline.
+	// Tear the tail: append half of a record.
+	img, ends := journalImage(t, []*Request{
+		{Op: OpCreateDocument, Doc: "d", User: "u"},
+		{Op: OpAttachStatic, Doc: "d", User: "u", Property: "k", Value: "v"},
+	})
 	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"static","doc":"d","us`); err != nil {
+	if _, err := f.Write(img[ends[0] : ends[0]+(ends[1]-ends[0])/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -276,14 +334,297 @@ func TestJournalSurvivesCrashMidAppend(t *testing.T) {
 	}
 	shutdown2()
 
-	// Third boot: the torn fragment is mid-file now (the new append
-	// started after it). Replay must still recover the create and the
-	// static attach recorded by the second incarnation.
+	// Third boot: the second truncated the fragment before appending,
+	// so replay recovers the create and the static attach it recorded.
 	srv3, _, shutdown3 := journalRig(t, root, journal)
 	defer shutdown3()
 	if v, ok := staticValue(t, srv3, "d", "u", "author"); !ok || v != "eyal" {
 		t.Fatalf("static lost across torn-tail restart: %q, %v", v, ok)
 	}
+}
+
+// TestJournalCutAtEveryOffset is the power-cut-at-every-offset sweep
+// over a journal image: cut after N bytes for every N, the journal
+// opens without error, replays exactly the records that were whole,
+// truncates the rest, takes the next append, and reopens with nothing
+// torn.
+func TestJournalCutAtEveryOffset(t *testing.T) {
+	img, ends := journalImage(t, configScript())
+	for n := 0; n <= len(img); n++ {
+		t.Run(fmt.Sprintf("cut=%d", n), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j")
+			if err := os.WriteFile(path, img[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want, durable := 0, 0
+			for want < len(ends) && ends[want] <= n {
+				durable = ends[want]
+				want++
+			}
+			srv := memServer()
+			applied, torn, err := srv.OpenJournal(path)
+			if err != nil || applied != want || torn != int64(n-durable) {
+				t.Fatalf("open = %d applied, %d torn, %v; want %d, %d, nil", applied, torn, err, want, n-durable)
+			}
+			if got := readFile(t, path); !bytes.Equal(got, img[:durable]) {
+				t.Fatalf("journal is %d bytes after open, want its %d whole records", len(got), durable)
+			}
+			if resp := srv.applyJournaled(&Request{Op: OpCreateDocument, Doc: "post", User: "u", Body: []byte("p")}); resp.Err != "" {
+				t.Fatalf("append after the repair: %s", resp.Err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			applied, torn, err = reopen(path)
+			if err != nil || applied != want+1 || torn != 0 {
+				t.Fatalf("second open = %d applied, %d torn, %v; want %d, 0, nil", applied, torn, err, want+1)
+			}
+		})
+	}
+}
+
+// TestJournalFlipEveryByte flips one byte at every offset of every
+// record's magic, signature, CRC and payload — the last record's
+// included — and each time the open refuses with a *store.CorruptError
+// naming the journal and the flipped record's offset, and leaves the
+// file byte-identical. The length is left out: a length that grows
+// past the end of the file reads as a torn append, by the rule.
+func TestJournalFlipEveryByte(t *testing.T) {
+	img, ends := journalImage(t, configScript())
+	start := 0
+	for i, end := range ends {
+		for p := start; p < end; p++ {
+			if p-start >= 4 && p-start < 8 {
+				continue
+			}
+			t.Run(fmt.Sprintf("flip=%d", p), func(t *testing.T) {
+				bad := append([]byte(nil), img...)
+				bad[p] ^= 0x40
+				path := filepath.Join(t.TempDir(), "j")
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				applied, _, err := reopen(path)
+				var ce *store.CorruptError
+				if !errors.As(err, &ce) || ce.Path != path || ce.Offset != int64(start) || applied != i {
+					t.Fatalf("open = %d applied, %v; want %d and a CorruptError at offset %d", applied, err, i, start)
+				}
+				if !bytes.Equal(readFile(t, path), bad) {
+					t.Fatal("a refused journal was changed")
+				}
+			})
+		}
+		start = end
+	}
+}
+
+// TestJournalRefusesForeignFiles: bytes that are not journal records
+// from the first one on — a journal written as JSON lines, or a store
+// segment — are refused at offset 0 and left as they were.
+func TestJournalRefusesForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.PutBlob([]byte("a blob, not a journal entry")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.plseg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	for name, contents := range map[string][]byte{
+		"json-lines": []byte(`{"op":"create","doc":"d","user":"u","content":"eA=="}` + "\n" + `{"op":"addref","doc":"d","user":"v"}` + "\n"),
+		"segment":    readFile(t, segs[0]),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j")
+			if err := os.WriteFile(path, contents, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ce *store.CorruptError
+			if _, _, err := reopen(path); !errors.As(err, &ce) || ce.Offset != 0 {
+				t.Fatalf("open = %v, want a CorruptError at offset 0", err)
+			}
+			if !bytes.Equal(readFile(t, path), contents) {
+				t.Fatal("a refused journal was changed")
+			}
+		})
+	}
+}
+
+// TestJournalFailedAppendIsSticky cuts one append short at every byte
+// — the bytes before the cut reach the file and the write fails — and
+// sends more configuration after it: the request whose record failed
+// and every one after it answer store.ErrWriteFailed, nothing after the
+// failure is applied or written, the data plane still serves, and a
+// reopen replays exactly the records before the cut and drops the cut
+// one's bytes.
+func TestJournalFailedAppendIsSticky(t *testing.T) {
+	script := configScript()
+	img, ends := journalImage(t, script)
+	last := len(script) - 1
+	before, rec := img[:ends[last-1]], img[ends[last-1]:]
+	later := []*Request{
+		script[last],
+		{Op: OpCreateDocument, Doc: "later", User: "u", Body: []byte("l")},
+		{Op: OpAttach, Doc: "memo", User: "alice", Personal: true, Property: "uppercase"},
+	}
+	for k := 0; k < len(rec); k++ {
+		t.Run(fmt.Sprintf("cut=%d", k), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j")
+			srv := memServer()
+			if _, _, err := srv.OpenJournal(path); err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range script[:last] {
+				if resp := srv.applyJournaled(req); resp.Err != "" {
+					t.Fatal(resp.Err)
+				}
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(rec[:k]); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			srv.journal.log.Close() // the journal's next write fails
+
+			for _, req := range later {
+				if resp := srv.applyJournaled(req); !errors.Is(resp.err, store.ErrWriteFailed) {
+					t.Fatalf("%v %s after a failed append = %q, want store.ErrWriteFailed", req.Op, req.Doc, resp.Err)
+				}
+			}
+			if resp := srv.apply(&Request{Op: OpRead, Doc: "later", User: "u"}); resp.Err == "" {
+				t.Fatal("a create refused after the failure was applied")
+			}
+			if resp := srv.apply(&Request{Op: OpRead, Doc: "memo", User: "bob"}); resp.Err != "" {
+				t.Fatalf("read after a failed append: %s", resp.Err)
+			}
+			if got := readFile(t, path); !bytes.Equal(got, append(before[:len(before):len(before)], rec[:k]...)) {
+				t.Fatal("something was written after the failed append")
+			}
+
+			applied, torn, err := reopen(path)
+			if err != nil || applied != last || torn != int64(k) {
+				t.Fatalf("reopen = %d applied, %d torn, %v; want %d, %d, nil", applied, torn, err, last, k)
+			}
+		})
+	}
+}
+
+// TestJournalOrderMatchesApplyOrder races two clients, one attaching
+// and one detaching the same personal property, for many rounds. The
+// journal must hold their requests in the order the space applied
+// them, or replay meets a detach of a property not attached and the
+// origin does not boot; replayed, it must rebuild the live state.
+func TestJournalOrderMatchesApplyOrder(t *testing.T) {
+	root := t.TempDir()
+	journal := filepath.Join(t.TempDir(), "j")
+	srv, a, shutdown := journalRig(t, root, journal)
+	if err := a.CreateDocument("d", "u", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 1000
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			a.Attach("d", "u", true, "uppercase")
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			b.Detach("d", "u", true, "uppercase")
+		}
+	}()
+	wg.Wait()
+	live, err := a.ListActives("d", "u", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	shutdown()
+
+	_, c, shutdown2 := journalRig(t, root, journal)
+	defer shutdown2()
+	replayed, err := c.ListActives("d", "u", true)
+	if err != nil || fmt.Sprint(replayed) != fmt.Sprint(live) {
+		t.Fatalf("replayed actives %v, %v; live %v", replayed, err, live)
+	}
+}
+
+// tornPrefix reports whether rest is a strict prefix of a journal
+// record: part of its magic or header, or a header whose length runs
+// past rest.
+func tornPrefix(rest []byte) bool {
+	const header = 4 + 4 + sig.Size + 4
+	magic := []byte("PLJN")
+	if len(rest) < len(magic) {
+		return bytes.HasPrefix(magic, rest)
+	}
+	if !bytes.Equal(rest[:4], magic) {
+		return false
+	}
+	return len(rest) < header || int(binary.LittleEndian.Uint32(rest[4:8])) > len(rest)-header
+}
+
+// FuzzJournalOpen hands OpenJournal adversarial files — a valid image
+// with a fuzzed tail, a fuzzed prefix alone, and a valid image with one
+// byte mutated — and holds it to the torn-tail rule: it never panics;
+// it either opens, having cut the file only where the rest was a strict
+// prefix of a record, or returns an error and leaves the file as it
+// was — a *store.CorruptError only where the rest is no such prefix.
+func FuzzJournalOpen(f *testing.F) {
+	img, ends := journalImage(f, configScript())
+	f.Add([]byte(nil), 0)
+	f.Add(img, len(img))
+	f.Add(img[:len(img)-3], 5)
+	f.Add([]byte("PLJ"), 2)
+	f.Add([]byte("PLSG garbage that is not a record"), ends[len(ends)-2]+7) // the last length grown past the end
+	f.Add([]byte(`{"op":"create","doc":"d"}`+"\n"), len(img)-3)
+	f.Fuzz(func(t *testing.T, tail []byte, mutate int) {
+		mutated := append([]byte(nil), img...)
+		if mutate < 0 {
+			mutate = -mutate
+		}
+		mutated[mutate%len(mutated)] ^= 0x40
+		for name, contents := range map[string][]byte{
+			"raw":        tail,
+			"valid+tail": append(append([]byte(nil), img...), tail...),
+			"mutated":    mutated,
+		} {
+			path := filepath.Join(t.TempDir(), "j")
+			if err := os.WriteFile(path, contents, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, torn, err := reopen(path)
+			got := readFile(t, path)
+			var ce *store.CorruptError
+			switch {
+			case err != nil && !bytes.Equal(got, contents):
+				t.Fatalf("%s: open failed (%v) and changed the file", name, err)
+			case errors.As(err, &ce) && tornPrefix(contents[ce.Offset:]):
+				t.Fatalf("%s: open refused a torn tail as corrupt: %v", name, err)
+			case err == nil && (int64(len(got))+torn != int64(len(contents)) || !bytes.Equal(got, contents[:len(got)])):
+				t.Fatalf("%s: open left %d bytes of %d, reporting %d torn", name, len(got), len(contents), torn)
+			case err == nil && torn > 0 && !tornPrefix(contents[len(got):]):
+				t.Fatalf("%s: open cut %d bytes that are not a strict prefix of a record", name, torn)
+			}
+		}
+	})
 }
 
 // staticValue looks up a universal-level static label on srv's space.

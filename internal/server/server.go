@@ -33,11 +33,11 @@ type Server struct {
 	backing repo.Repository
 	cache   *core.Cache // optional server-side cache for reads; fixed by NewCached
 
-	// Set once before Serve (SetLinkCost, SetJournal, SetStore) and
+	// Set once before Serve (SetLinkCost, OpenJournal, SetStore) and
 	// read without a lock from then on: Serve's goroutines start after
 	// the setters return.
 	linkCost  time.Duration
-	journal   *Journal
+	journal   *journal
 	blobStore *store.Store // optional zero-copy blob source for reads
 	streamMin int64        // minimum body size streamed from blobStore
 
@@ -173,7 +173,8 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close stops accepting, tears down all connections and waits for
-// their handlers to return, the warms that follow writes included.
+// their handlers to return, the warms that follow writes included,
+// then closes the journal.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -194,6 +195,9 @@ func (s *Server) Close() error {
 		c.teardown()
 	}
 	s.served.Wait()
+	if s.journal != nil {
+		return s.journal.log.Close()
+	}
 	return nil
 }
 
@@ -443,9 +447,8 @@ func (c *serverConn) handle(req *Request) *Response {
 	if req.Op == OpRead && req.Subscribe {
 		subscribeFailed = c.notifiers.Ensure(req.Doc, req.User) != nil
 	}
-	resp := s.apply(req)
+	resp := s.applyJournaled(req)
 	if resp.Err == "" {
-		s.journalRequest(req)
 		resp.SubscribeFailed = subscribeFailed
 	}
 	return resp

@@ -122,19 +122,16 @@ type Store struct {
 	refs      map[sig.Signature]blobRef
 	files     map[int]*os.File
 	active    int
-	activeEnd int64 // of the active segment, counting buf
+	tail      tail // of the active segment, on disk; its failure stops every put
 	blobBytes int64
 
 	// The batch not yet written: encoded records, blobs and the
 	// metadata naming them in append order, that belong at the active
 	// segment's tail. timer is armed while a batch waits out its
-	// window. failed is the first flush error; it is never cleared,
-	// because a failed write may have left a torn tail that nothing may
-	// be appended after until Open has truncated it.
-	buf    []byte
-	timer  *time.Timer
-	armed  bool
-	failed error
+	// window.
+	buf   []byte
+	timer *time.Timer
+	armed bool
 
 	entries map[string]EntryMeta          // doc \x00 user → latest meta
 	inters  map[interKey]IntermediateMeta // (src, fp) → latest meta
@@ -230,23 +227,22 @@ func (s *Store) writableLocked() error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	return s.failed
+	return s.tail.failed
 }
 
 // appendLocked queues one record at the active segment's tail, rolling
 // to a new segment first when the record would overflow this one, and
 // returns where its payload will be.
 func (s *Store) appendLocked(magic [4]byte, sg sig.Signature, payload []byte) (blobRef, error) {
-	n := int64(recordHeaderSize + len(payload))
-	if s.activeEnd > 0 && s.activeEnd+n > s.opts.segmentMaxBytes {
+	end := s.tail.end + int64(len(s.buf))
+	if end > 0 && end+int64(recordHeaderSize+len(payload)) > s.opts.segmentMaxBytes {
 		if err := s.rollLocked(); err != nil {
 			return blobRef{}, err
 		}
+		end = 0
 	}
 	s.buf = appendRecord(s.buf, magic, sg, payload)
-	ref := blobRef{seg: s.active, offset: s.activeEnd + recordHeaderSize, size: int64(len(payload))}
-	s.activeEnd += n
-	return ref, nil
+	return blobRef{seg: s.active, offset: end + recordHeaderSize, size: int64(len(payload))}, nil
 }
 
 // appendMetaLocked queues one metadata record, signed like a blob.
@@ -280,7 +276,7 @@ func (s *Store) queuedLocked() error {
 }
 
 // flushDue is the timer's callback. A failure has no caller to go to;
-// it stays in s.failed and the next put returns it.
+// it stays in the tail and the next put returns it.
 func (s *Store) flushDue() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,14 +292,7 @@ func (s *Store) flushDue() {
 // was not written, with the entries and intermediates naming one, and
 // fails this and every later put.
 func (s *Store) flushLocked() error {
-	if s.failed != nil {
-		return s.failed
-	}
-	written := s.activeEnd - int64(len(s.buf)) // the active segment's length on disk
-	var err error
-	if len(s.buf) > 0 {
-		_, err = s.files[s.active].WriteAt(s.buf, written)
-	}
+	err := s.tail.write(s.files[s.active], s.buf)
 	if cap(s.buf) > 2*flushBytes {
 		s.buf = nil // one huge record must not pin its size forever
 	}
@@ -311,14 +300,12 @@ func (s *Store) flushLocked() error {
 	if err == nil {
 		return nil
 	}
-	s.failed = fmt.Errorf("store: flush: %w", err)
 	for sg, ref := range s.refs {
-		if ref.seg == s.active && ref.offset >= written {
+		if ref.seg == s.active && ref.offset >= s.tail.end {
 			delete(s.refs, sg)
 			s.blobBytes -= ref.size
 		}
 	}
-	s.activeEnd = written
 	for k, e := range s.entries {
 		if _, ok := s.refs[e.Sig]; !ok {
 			delete(s.entries, k)
@@ -329,7 +316,7 @@ func (s *Store) flushLocked() error {
 			delete(s.inters, k)
 		}
 	}
-	return s.failed
+	return err
 }
 
 // PutBlob stores payload under its content signature, deduplicating
@@ -392,7 +379,7 @@ func (s *Store) rollLocked() error {
 	}
 	s.files[next] = f
 	s.active = next
-	s.activeEnd = 0
+	s.tail = tail{}
 	return nil
 }
 
@@ -406,7 +393,7 @@ func (s *Store) locateLocked(sg sig.Signature) (blobRef, *os.File, error) {
 	if !ok {
 		return blobRef{}, nil, fmt.Errorf("store: no blob %s", sg)
 	}
-	if ref.seg == s.active && ref.offset >= s.activeEnd-int64(len(s.buf)) {
+	if ref.seg == s.active && ref.offset >= s.tail.end {
 		if err := s.flushLocked(); err != nil {
 			return blobRef{}, nil, err
 		}
