@@ -107,11 +107,6 @@ func main() {
 		})
 		defer cache.Close()
 		srv = server.NewCached(space, backing, cache)
-		if diskTier != nil {
-			// Same tier the cache demotes into: large read bodies stream
-			// from the segment files instead of the heap copy.
-			srv.SetStore(diskTier)
-		}
 	} else {
 		if *memoize {
 			log.Fatal("placelessd: -memoize requires -cache")

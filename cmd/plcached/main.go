@@ -294,17 +294,14 @@ func docHandler(dc docCache) http.HandlerFunc {
 // node's, or — in cluster mode — a whole owner set's) is the
 // load-shedding 503 (the client should retry after the reconnect); a
 // closed cache or wire client is a 503 without a retry hint (the daemon
-// is shutting down); everything else is a document-level failure.
+// is shutting down); everything else is a document-level failure. The
+// remote cache has already classified its wire's errors into these.
 func writeDocError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, remote.ErrDegraded),
-		errors.Is(err, server.ErrDisconnected),
-		errors.Is(err, server.ErrTimeout),
-		errors.Is(err, cluster.ErrNoNodes):
+	case errors.Is(err, remote.ErrDegraded), errors.Is(err, cluster.ErrNoNodes):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, remote.ErrClosed),
-		errors.Is(err, server.ErrClientClosed):
+	case errors.Is(err, remote.ErrClosed):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	default:
 		http.Error(w, err.Error(), http.StatusNotFound)

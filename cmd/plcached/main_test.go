@@ -9,7 +9,6 @@ import (
 
 	"placeless/internal/cluster"
 	"placeless/internal/remote"
-	"placeless/internal/server"
 )
 
 // TestWriteDocError pins the status each cache error answers with:
@@ -23,13 +22,10 @@ func TestWriteDocError(t *testing.T) {
 	}{
 		{remote.ErrDegraded, http.StatusServiceUnavailable, "1"},
 		{fmt.Errorf("%w (policy fail-fast)", remote.ErrDegraded), http.StatusServiceUnavailable, "1"},
-		{server.ErrDisconnected, http.StatusServiceUnavailable, "1"},
-		{server.ErrTimeout, http.StatusServiceUnavailable, "1"},
 		{cluster.ErrNoNodes, http.StatusServiceUnavailable, "1"},
 		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", remote.ErrDegraded), http.StatusServiceUnavailable, "1"},
 		{remote.ErrClosed, http.StatusServiceUnavailable, ""},
-		{server.ErrClientClosed, http.StatusServiceUnavailable, ""},
-		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", server.ErrClientClosed), http.StatusServiceUnavailable, ""},
+		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", remote.ErrClosed), http.StatusServiceUnavailable, ""},
 		{errors.New("docspace: no document \"d\""), http.StatusNotFound, ""},
 	} {
 		rec := httptest.NewRecorder()

@@ -166,15 +166,11 @@ func (c *Cache) ownersSnapshot(doc, user string, routed *int64, names []string, 
 }
 
 // failoverable reports whether an error means "this peer cannot serve
-// right now" (dead wire, degraded mode, closed cache or client) rather
-// than a document-level failure — the former tries the next replica,
-// the latter is returned as-is.
+// right now" rather than a document-level failure — the former tries
+// the next replica, the latter is returned as-is. The peer's
+// remote.Cache has already classified its wire's errors into these two.
 func failoverable(err error) bool {
-	return errors.Is(err, remote.ErrDegraded) ||
-		errors.Is(err, remote.ErrClosed) ||
-		errors.Is(err, server.ErrClientClosed) ||
-		errors.Is(err, server.ErrDisconnected) ||
-		errors.Is(err, server.ErrTimeout)
+	return errors.Is(err, remote.ErrDegraded) || errors.Is(err, remote.ErrClosed)
 }
 
 // Read routes the read to the key's owners in ring order, failing

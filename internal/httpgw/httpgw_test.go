@@ -403,7 +403,7 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 		`placeless_reads_total{verdict="miss"} 1`,
 		"placeless_read_duration_seconds_count 3",
 		`placeless_read_stage_duration_seconds_count{stage="bit_fetch"} 1`,
-		"placeless_stream_pool_gets_total",
+		"placeless_traces_recorded_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

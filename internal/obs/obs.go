@@ -32,8 +32,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"time"
-
-	"placeless/internal/stream"
 )
 
 // Stage names for placeless_read_stage_duration_seconds{stage=...}.
@@ -96,8 +94,7 @@ type Observer struct {
 // placeless_read_stage_duration_seconds{stage},
 // placeless_reads_total{verdict},
 // placeless_invalidation_causes_total{cause},
-// placeless_traces_recorded_total, and the process-wide
-// placeless_stream_pool_* counters.
+// and placeless_traces_recorded_total.
 func NewObserver() *Observer {
 	reg := NewRegistry()
 	o := &Observer{
@@ -115,12 +112,6 @@ func NewObserver() *Observer {
 	reg.Counter("placeless_traces_recorded_total",
 		"Read traces recorded into the ring buffer.",
 		func() int64 { return int64(o.ring.Total()) })
-	reg.Counter("placeless_stream_pool_gets_total",
-		"Disk-to-socket copy chunks fetched from the stream pool.",
-		func() int64 { gets, _ := stream.PoolStats(); return gets })
-	reg.Counter("placeless_stream_pool_news_total",
-		"Disk-to-socket copy chunks newly allocated (pool misses).",
-		func() int64 { _, news := stream.PoolStats(); return news })
 	return o
 }
 

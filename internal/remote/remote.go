@@ -492,17 +492,13 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		c.obs.ObserveStage(obs.StageRemoteRTT, time.Since(tWire))
 	}
 	if err != nil {
-		if errors.Is(err, server.ErrDisconnected) || errors.Is(err, server.ErrTimeout) {
-			// The wire died under this read: surface it as the typed
-			// degraded error so callers can distinguish an outage
-			// from a document-level failure.
+		err = c.wireErr(err)
+		if errors.Is(err, ErrDegraded) {
 			c.mu.Lock()
-			c.stats.DegradedErrors++
 			if c.degradedSince.IsZero() {
 				c.degradedSince = c.clk.Now()
 			}
 			c.mu.Unlock()
-			return nil, fmt.Errorf("%w: %v", ErrDegraded, err)
 		}
 		return nil, err
 	}
@@ -550,12 +546,25 @@ func (c *Cache) Write(doc, user string, data []byte) error {
 	if c.tab.Closed() {
 		return ErrClosed
 	}
-	err := c.client.Write(doc, user, data)
-	if err != nil && (errors.Is(err, server.ErrDisconnected) || errors.Is(err, server.ErrTimeout)) {
-		c.mu.Lock()
-		c.stats.DegradedErrors++
-		c.mu.Unlock()
+	if err := c.client.Write(doc, user, data); err != nil {
+		return c.wireErr(err)
+	}
+	return nil
+}
+
+// wireErr is the one place an outage is told from a document-level
+// failure: a wire that died or timed out under the call is ErrDegraded
+// (counted), a client closed underneath the cache is ErrClosed, and
+// anything else — the server's answer — is returned as it came. Callers
+// above the cache (the cluster router, plcached, the simulator) test
+// for those two and nothing of the wire's.
+func (c *Cache) wireErr(err error) error {
+	switch {
+	case errors.Is(err, server.ErrDisconnected), errors.Is(err, server.ErrTimeout):
+		c.count(&c.stats.DegradedErrors)
 		return fmt.Errorf("%w: %v", ErrDegraded, err)
+	case errors.Is(err, server.ErrClientClosed):
+		return fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	return err
 }

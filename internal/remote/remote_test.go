@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -501,4 +502,76 @@ func TestWarmHitCopiesNothing(t *testing.T) {
 	if st := r.cache.Stats(); st.Misses != 1 {
 		t.Fatalf("%d misses: every measured read must be a hit", st.Misses)
 	}
+}
+
+// TestWireErrorsComeOutTyped: the cache is the one place a wire error
+// is classified, so nothing above it (the cluster router, plcached, the
+// simulator) tests for a server.* error. A call that times out or finds
+// the wire down comes out as ErrDegraded, a call on a client closed
+// underneath the cache as ErrClosed, and the server's own answer as it
+// came.
+func TestWireErrorsComeOutTyped(t *testing.T) {
+	// Every request waits out a real-clock link cost far longer than the
+	// clients' call timeout: the server accepts and never answers in time.
+	clk := clock.Real{}
+	srv := server.New(docspace.New(clk, nil), repo.NewMem("srv", clk, simnet.NewPath("loop", 1)))
+	srv.SetLinkCost(300 * time.Millisecond)
+	done := make(chan error, 1)
+	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+	waitFor(t, func() bool { return srv.Addr() != nil })
+	dial := func(t *testing.T) (*server.Client, *Cache) {
+		t.Helper()
+		client, err := server.Dial(srv.Addr().String(), server.WithCallTimeout(30*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		return client, New(client, Options{})
+	}
+	typed := func(t *testing.T, what string, err, want error, raw error) {
+		t.Helper()
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: err = %v, want errors.Is %v", what, err, want)
+		}
+		if errors.Is(err, raw) {
+			t.Fatalf("%s: err = %v still matches the wire's %v", what, err, raw)
+		}
+	}
+
+	t.Run("timeout", func(t *testing.T) {
+		_, c := dial(t)
+		_, err := c.Read("d", "u")
+		typed(t, "read", err, ErrDegraded, server.ErrTimeout)
+		_, c = dial(t)
+		typed(t, "write", c.Write("d", "u", []byte("x")), ErrDegraded, server.ErrTimeout)
+	})
+	t.Run("disconnected", func(t *testing.T) {
+		client, c := dial(t)
+		if _, err := client.Stats(); !errors.Is(err, server.ErrTimeout) { // resets the wire
+			t.Fatalf("stats err = %v, want the wire's ErrTimeout", err)
+		}
+		typed(t, "write", c.Write("d", "u", []byte("x")), ErrDegraded, server.ErrDisconnected)
+		if st := c.Stats(); st.DegradedErrors != 1 {
+			t.Fatalf("DegradedErrors = %d, want 1", st.DegradedErrors)
+		}
+	})
+	t.Run("client closed", func(t *testing.T) {
+		client, c := dial(t)
+		client.Close()
+		typed(t, "write", c.Write("d", "u", []byte("x")), ErrClosed, server.ErrClientClosed)
+		if st := c.Stats(); st.DegradedErrors != 0 {
+			t.Fatalf("DegradedErrors = %d, want 0: a closed client is not an outage", st.DegradedErrors)
+		}
+	})
+	t.Run("server's answer", func(t *testing.T) {
+		r := newRig(t, Options{})
+		err := r.cache.Write("ghost", "u", []byte("x"))
+		if err == nil || errors.Is(err, ErrDegraded) || errors.Is(err, ErrClosed) {
+			t.Fatalf("write to a missing document: err = %v, want the server's answer", err)
+		}
+	})
 }

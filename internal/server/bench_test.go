@@ -91,12 +91,10 @@ func BenchmarkWireConfigOp(b *testing.B) {
 
 // benchCachedServer boots a cached loopback server holding one
 // document of the given size, warm, and dials it. With st non-nil the
-// document's home is the disk tier instead: st is seeded with its
-// bytes and the cache is too small to hold it, so every read misses
-// there and the server streams the body from st's segment file (it
-// streams only bodies of at least defaultStreamMin; a warm hit is
-// written from memory).
-func benchCachedServer(b *testing.B, size int, st *store.Store) (*Server, *Client) {
+// document's home is the disk tier instead: the cache demotes into st
+// and is too small to hold the body, so every read after the first is
+// a disk promote, served from the bytes GetBlob verified.
+func benchCachedServer(b *testing.B, size int, st *store.Store) (*core.Cache, *Client) {
 	b.Helper()
 	clk := clock.NewVirtual(time.Date(1999, 3, 28, 0, 0, 0, 0, time.UTC))
 	space := docspace.New(clk, nil)
@@ -104,12 +102,9 @@ func benchCachedServer(b *testing.B, size int, st *store.Store) (*Server, *Clien
 	if st != nil {
 		capacity = int64(size / 2)
 	}
-	cache := core.New(space, core.Options{Name: "bench", Capacity: capacity})
+	cache := core.New(space, core.Options{Name: "bench", Capacity: capacity, Store: st})
 	b.Cleanup(func() { cache.Close() })
 	srv := NewCached(space, repo.NewMem("srv", clk, simnet.NewPath("loop", 1)), cache)
-	if st != nil {
-		srv.SetStore(st)
-	}
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
 	var addr string
@@ -131,12 +126,7 @@ func benchCachedServer(b *testing.B, size int, st *store.Store) (*Server, *Clien
 	if err := c.CreateDocument("d", "u", body); err != nil {
 		b.Fatal(err)
 	}
-	if st != nil {
-		if _, err := st.PutBlob(body); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, _, err := c.Read("d", "u"); err != nil { // warm the cache and the connection
+	if _, _, err := c.Read("d", "u"); err != nil { // warm the cache (or demote) and the connection
 		b.Fatal(err)
 	}
 	b.Cleanup(func() {
@@ -144,43 +134,21 @@ func benchCachedServer(b *testing.B, size int, st *store.Store) (*Server, *Clien
 		srv.Close()
 		<-done
 	})
-	return srv, c
+	return cache, c
 }
 
-// A reader returns one goroutine's read call on c for a size-byte body.
-type reader func(c *Client, size int) func() ([]byte, error)
-
-// readCopy reads with Read: every body is a fresh allocation.
-func readCopy(c *Client, _ int) func() ([]byte, error) {
-	return func() ([]byte, error) {
-		data, _, err := c.Read("d", "u")
-		return data, err
-	}
-}
-
-// readInto reads with ReadInto into one buffer per goroutine: the read
-// loop decodes every body into it.
-func readInto(c *Client, size int) func() ([]byte, error) {
-	buf := make([]byte, size)
-	return func() ([]byte, error) {
-		data, _, err := c.ReadInto("d", "u", buf)
-		return data, err
-	}
-}
-
-// benchWireRead measures reads of one size-byte document with 8
-// callers pipelining on one connection, each reading with read: warm
-// hits, or with st non-nil streamed misses (see benchCachedServer).
-func benchWireRead(b *testing.B, size int, read reader, st *store.Store) *Server {
-	srv, c := benchCachedServer(b, size, st)
+// benchWireRead measures Reads of one size-byte document with 8
+// callers pipelining on one connection: warm hits, or with st non-nil
+// disk promotes (see benchCachedServer).
+func benchWireRead(b *testing.B, size int, st *store.Store) *core.Cache {
+	cache, c := benchCachedServer(b, size, st)
 	b.SetParallelism(8)
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		next := read(c, size)
 		for pb.Next() {
-			data, err := next()
+			data, _, err := c.Read("d", "u")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -189,33 +157,31 @@ func benchWireRead(b *testing.B, size int, read reader, st *store.Store) *Server
 			}
 		}
 	})
-	return srv
+	return cache
 }
 
 // BenchmarkWireRead64K is the acceptance workload for the binary
 // framing: payload handling dominates.
-func BenchmarkWireRead64K(b *testing.B) { benchWireRead(b, 64<<10, readCopy, nil) }
+func BenchmarkWireRead64K(b *testing.B) { benchWireRead(b, 64<<10, nil) }
 
 // BenchmarkWireRead4K is the small-frame size, where fixed per-op
 // costs dominate payload handling.
-func BenchmarkWireRead4K(b *testing.B) { benchWireRead(b, 4<<10, readCopy, nil) }
+func BenchmarkWireRead4K(b *testing.B) { benchWireRead(b, 4<<10, nil) }
 
-// BenchmarkWireReadInto64K is BenchmarkWireRead64K through ReadInto:
-// allocs/op is what the client's zero-copy body path leaves per read.
-func BenchmarkWireReadInto64K(b *testing.B) { benchWireRead(b, 64<<10, readInto, nil) }
-
-// BenchmarkWireReadStreamed1M reads a 1 MiB body, above
-// defaultStreamMin, whose home is the disk tier: every read is a miss
-// in the server's memory tier, and its response body is streamed from
-// the segment file.
-func BenchmarkWireReadStreamed1M(b *testing.B) {
+// BenchmarkWireReadPromoted1M reads a 1 MiB body whose home is the
+// disk tier: every read misses the server's memory tier and is
+// promoted from the store (or joins a promote in flight), and the
+// response carries the bytes the promotion verified.
+func BenchmarkWireReadPromoted1M(b *testing.B) {
 	st, _, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { st.Close() }) // after the server's cleanup
-	srv := benchWireRead(b, 1<<20, readInto, st)
-	if n := srv.StreamedReads(); n < int64(b.N) {
-		b.Fatalf("%d of %d reads were streamed from the store", n, b.N)
+	cache := benchWireRead(b, 1<<20, st)
+	// Concurrent misses share one promote; only the warm-up read ran
+	// the chain.
+	if cs := cache.Stats(); cs.StorePromotions == 0 || cs.Misses-cs.StorePromotions != 1 {
+		b.Fatalf("want every timed read promoted or joined to a promote: %+v", cs)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -162,6 +163,88 @@ func TestChaosWedgedServerCallTimeout(t *testing.T) {
 	}
 	if _, _, err := c.Read("d", "u"); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("call on downed client returned %v, want ErrDisconnected", err)
+	}
+}
+
+// TestChaosStallMidBodyEndsAtCallDeadline: a server that announces a
+// 64 KiB read body, sends 1 KiB of it and stalls with the socket open
+// holds the client's read loop inside the body. The call still ends at
+// its deadline with ErrTimeout, whichever read call asked for it: the
+// body lands in an allocation the read loop owns, so nothing waits for
+// the decoder to finish.
+func TestChaosStallMidBodyEndsAtCallDeadline(t *testing.T) {
+	const callTimeout = 200 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		read func(c *Client) error
+	}{
+		{"Read", func(c *Client) error { _, _, err := c.Read("d", "u"); return err }},
+		{"ReadInto", func(c *Client) error {
+			_, _, err := c.ReadInto("d", "u", make([]byte, 64<<10))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := make(chan net.Conn, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				held <- conn
+				br := bufio.NewReader(conn)
+				var magic [len(helloMagic)]byte
+				if _, err := io.ReadFull(br, magic[:]); err != nil {
+					return
+				}
+				if _, err := conn.Write(helloAck[:]); err != nil {
+					return
+				}
+				req, err := readRequestFrame(br)
+				if err != nil {
+					return
+				}
+				// A read header announcing a 64 KiB body, its metadata and
+				// the first 1 KiB of the body; then nothing.
+				f := make([]byte, frameHeaderSize+readMetaSize+1<<10)
+				putFrameHeader(f, OpRead, 0, req.ID, readMetaSize+64<<10)
+				_, _ = conn.Write(f)
+			}()
+			c, err := Dial(ln.Addr().String(), WithCallTimeout(callTimeout))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Cleanups run last-in first-out: the stalled socket closes
+			// first, which frees a read loop still inside the body.
+			t.Cleanup(func() { c.Close() })
+			t.Cleanup(func() { ln.Close() })
+			t.Cleanup(func() {
+				select {
+				case conn := <-held:
+					conn.Close()
+				default:
+				}
+			})
+
+			start := time.Now()
+			done := make(chan error, 1)
+			go func() { done <- tc.read(c) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrTimeout) {
+					t.Fatalf("stalled body returned %v, want ErrTimeout", err)
+				}
+				if elapsed := time.Since(start); elapsed > 2*callTimeout {
+					t.Fatalf("call took %v, want it ended by 2x the %v call timeout", elapsed, callTimeout)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatalf("call still blocked after 3s on a body stalled mid-frame (call timeout %v)", callTimeout)
+			}
+		})
 	}
 }
 

@@ -198,19 +198,6 @@ func readMeta(resp *Response) ReadMeta {
 type pendingCall struct {
 	ch  chan *Response
 	err error
-
-	// dst, when non-nil, is a caller-supplied buffer for the read body
-	// (ReadInto). The read loop claims it under the client lock
-	// before decoding the body off the socket, recording the claiming
-	// connection in claimed. Once claimed, only that connection's read
-	// loop may complete or fail the call (deliver the response, or
-	// flush it when the loop exits): any other goroutine waking the
-	// caller early would hand the buffer back while the decoder is
-	// still writing into it. The timeout path therefore waits for
-	// delivery instead of abandoning a claimed call, and the generic
-	// pending flushes skip claimed calls.
-	dst     []byte
-	claimed *wireConn
 }
 
 // wireConn is one established connection: encoded frames go through
@@ -220,10 +207,6 @@ type wireConn struct {
 	c  net.Conn
 	br *bufio.Reader
 	fw *frameWriter
-
-	// claim asks the call layer for a caller-registered read-body
-	// destination (ReadInto) before the body is decoded off the socket.
-	claim func(id uint64, n int) []byte
 
 	closeOnce sync.Once
 	closeErr  error
@@ -235,7 +218,7 @@ func (w *wireConn) sendRequest(req *Request) error {
 	return w.fw.enqueue(encodeRequestFrame(req))
 }
 
-func (w *wireConn) readResponse() (*Response, error) { return readResponseFrameInto(w.br, w.claim) }
+func (w *wireConn) readResponse() (*Response, error) { return readResponseFrame(w.br) }
 
 func (w *wireConn) close() error {
 	w.closeOnce.Do(func() {
@@ -345,7 +328,6 @@ func (c *Client) handshake(conn net.Conn) (*wireConn, error) {
 	// while blob bodies larger than the buffer take bufio's large-read
 	// bypass straight into the response allocation — no staging copy.
 	w := &wireConn{c: conn, br: bufio.NewReaderSize(conn, 8<<10)}
-	w.claim = func(id uint64, n int) []byte { return c.claimReadDst(w, id, n) }
 	w.fw = newFrameWriter(conn, c.cfg.writeTimeout, &c.framesBatched, nil,
 		func(error) { c.connFailed(w) })
 	return w, nil
@@ -425,11 +407,6 @@ func (c *Client) readLoop(wc *wireConn) {
 		resp, err := wc.readResponse()
 		if err != nil {
 			c.connFailed(wc)
-			// connFailed skips calls claimed by this connection's
-			// decoder (their buffers were being written until
-			// readResponse returned just above); fail them here, where
-			// the decoder is provably done.
-			c.flushClaimed(wc)
 			return
 		}
 		if resp.ID == 0 {
@@ -471,11 +448,6 @@ func (c *Client) connFailed(wc *wireConn) {
 		newState = StateClosed
 	}
 	for id, pc := range c.pending {
-		if pc.claimed != nil {
-			// A read-loop decoder owns this call's buffer; that loop
-			// fails it via flushClaimed once its decode returns.
-			continue
-		}
 		pc.err = failErr
 		close(pc.ch)
 		delete(c.pending, id)
@@ -548,53 +520,10 @@ func (c *Client) reconnectLoop() {
 	}
 }
 
-// claimReadDst is the read loop's destination hook: if the call id
-// has a registered ReadInto buffer with capacity for an n-byte body,
-// mark it claimed and hand it over sized to n. Claiming and the
-// timeout path are serialized on c.mu, so the buffer is never handed
-// to the decoder after its owner has abandoned the call and taken the
-// buffer back.
-func (c *Client) claimReadDst(wc *wireConn, id uint64, n int) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pc := c.pending[id]
-	if pc == nil || pc.dst == nil || cap(pc.dst) < n {
-		return nil
-	}
-	pc.claimed = wc
-	return pc.dst[:n]
-}
-
-// flushClaimed fails every pending call claimed by wc. It runs on
-// wc's read loop goroutine after the loop has exited, which is the
-// only point where a claimed destination buffer is provably no longer
-// being written by the decoder.
-func (c *Client) flushClaimed(wc *wireConn) {
-	c.mu.Lock()
-	failErr := error(ErrDisconnected)
-	if c.state == StateClosed {
-		failErr = ErrClientClosed
-	}
-	for id, pc := range c.pending {
-		if pc.claimed == wc {
-			pc.err = failErr
-			close(pc.ch)
-			delete(c.pending, id)
-		}
-	}
-	c.mu.Unlock()
-}
-
 // call performs one request/response round trip, honoring the
 // configured call deadline even when the connection is wedged (the
 // server accepted the request but will never answer).
 func (c *Client) call(req *Request) (*Response, error) {
-	return c.callDst(req, nil)
-}
-
-// callDst is call with an optional caller-owned destination buffer
-// for the read body (see ReadInto).
-func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 	c.mu.Lock()
 	if c.state == StateClosed {
 		c.mu.Unlock()
@@ -607,7 +536,7 @@ func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 	}
 	c.nextID++
 	req.ID = c.nextID
-	pc := &pendingCall{ch: make(chan *Response, 1), dst: dst}
+	pc := &pendingCall{ch: make(chan *Response, 1)}
 	c.pending[req.ID] = pc
 	c.mu.Unlock()
 
@@ -643,25 +572,6 @@ func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 		return resp, nil
 	case <-timeout:
 		c.mu.Lock()
-		if pc.claimed != nil {
-			// The read loop is already decoding the body into the
-			// caller's buffer; abandoning now would hand a buffer the
-			// decoder is writing back to the caller. Delivery (or a
-			// connection failure that flushes pending calls) is at most
-			// one body read away, so wait it out.
-			c.mu.Unlock()
-			resp, ok := <-pc.ch
-			if !ok {
-				if pc.err != nil {
-					return nil, pc.err
-				}
-				return nil, ErrClientClosed
-			}
-			if resp.Err != "" {
-				return resp, fmt.Errorf("server: %s", resp.Err)
-			}
-			return resp, nil
-		}
 		delete(c.pending, req.ID)
 		c.timeouts++
 		c.mu.Unlock()
@@ -685,11 +595,6 @@ func (c *Client) Close() error {
 	wc := c.wc
 	c.wc = nil
 	for id, pc := range c.pending {
-		if pc.claimed != nil {
-			// The connection teardown below errors the decoder out;
-			// its read loop then fails this call via flushClaimed.
-			continue
-		}
 		pc.err = ErrClientClosed
 		close(pc.ch)
 		delete(c.pending, id)
@@ -734,20 +639,20 @@ func (c *Client) ReadSubscribe(doc, user string) (data []byte, meta ReadMeta, su
 	return resp.Body, readMeta(resp), !resp.SubscribeFailed, nil
 }
 
-// ReadInto is Read with a caller-supplied body buffer, the client
-// half of the zero-copy blob path. When buf has capacity for the body,
-// the read loop decodes the body from the socket directly into buf —
-// no per-read body allocation — and the returned slice aliases buf.
-// When buf is too small the body lands in a fresh allocation and buf
-// is unused; callers must therefore use the returned slice, not buf. buf must not be read,
-// written, or handed to another ReadInto until the call returns; on
-// error its contents are undefined.
+// ReadInto is Read followed by a copy of the body into buf when buf has
+// capacity for it; the returned slice then aliases buf. When buf is too
+// small the body is returned in its own allocation and buf is unused;
+// callers must therefore use the returned slice, not buf. buf must not
+// be read, written, or handed to another ReadInto until the call
+// returns; on error its contents are undefined.
+//
+// Deprecated: kept only for its call in bench/rungs.go; use Read.
 func (c *Client) ReadInto(doc, user string, buf []byte) ([]byte, ReadMeta, error) {
-	resp, err := c.callDst(&Request{Op: OpRead, Doc: doc, User: user}, buf)
-	if err != nil {
-		return nil, ReadMeta{}, err
+	data, meta, err := c.Read(doc, user)
+	if err != nil || cap(buf) < len(data) {
+		return data, meta, err
 	}
-	return resp.Body, readMeta(resp), nil
+	return append(buf[:0], data...), meta, nil
 }
 
 // Write executes the remote write path.

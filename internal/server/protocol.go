@@ -18,7 +18,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 
 	"placeless/internal/sig"
 )
@@ -151,12 +150,6 @@ type Response struct {
 	// corrupted such values on split).
 	Matches []Match
 
-	// bodyStream, when non-nil, carries the read body as a stream of
-	// bodyLen bytes straight from the durable content-addressed tier,
-	// written to the socket without staging. Body stays populated
-	// either way, for the error paths.
-	bodyStream io.Reader
-	bodyLen    int64
 	// err is the error Err was rendered from, for callers in this
 	// process; it never crosses the wire.
 	err error

@@ -163,8 +163,7 @@ var helloAck = [8]byte{0x00, 'P', 'L', 'A', 'C', 'K', 'v', '0' + wireVersion}
 var errWireClosed = errors.New("server: wire connection closed")
 
 // smallBufPool recycles header + inline-payload staging buffers for
-// frames — the wire-level extension of the stream package's pooled
-// staging discipline. The pool traffics in *[]byte tokens: the token
+// frames. The pool traffics in *[]byte tokens: the token
 // acquired by getSmallBuf rides in the frame and is handed back to
 // putSmallBuf, so returning a buffer never re-boxes the slice header
 // (Put(&b) on a local would allocate on every release).
@@ -253,30 +252,14 @@ func readWireString(p []byte) (string, []byte, error) {
 	return string(p[sz : sz+int(n)]), p[sz+int(n):], nil
 }
 
-// crcWriter accumulates the payload CRC of a streamed frame while the
-// bytes flow to the socket.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, castagnoli, p)
-	return cw.w.Write(p)
-}
-
 // wireFrame is one encoded frame queued for write. hdr carries the
 // header plus any inline payload prefix (leased from smallBufPool when
 // hdrPool is non-nil); body carries a raw payload tail written as-is —
-// the blob bytes are never copied into a staging buffer. bodyReader,
-// when non-nil, carries the tail as a stream instead (the zero-copy
-// disk-tier path); it must produce exactly bodyLen bytes.
+// the blob bytes are never copied into a staging buffer.
 type wireFrame struct {
-	hdr        []byte
-	hdrPool    *[]byte
-	body       []byte
-	bodyReader io.Reader
-	bodyLen    int64
+	hdr     []byte
+	hdrPool *[]byte
+	body    []byte
 }
 
 // encodeRequestFrame renders one client→server frame in the one request
@@ -392,19 +375,12 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.CostNanos))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.ExpiryUnixNanos))
 		b = append(b, resp.Signature[:]...)
-		f := wireFrame{hdr: b, hdrPool: p}
 		var flags uint16
 		if resp.SubscribeFailed {
 			flags = flagSubscribe
 		}
-		if resp.bodyStream != nil {
-			putFrameHeader(b, op, flags, resp.ID, readMetaSize+int(resp.bodyLen))
-			f.bodyReader, f.bodyLen = resp.bodyStream, resp.bodyLen
-			return f, nil
-		}
 		putFrameHeader(b, op, flags, resp.ID, readMetaSize+len(resp.Body))
-		f.body = resp.Body
-		return f, nil
+		return wireFrame{hdr: b, hdrPool: p, body: resp.Body}, nil
 	case opInvalidate:
 		p, b := getSmallBuf()
 		b = appendWireString(b, resp.NotifyDoc)
@@ -428,21 +404,9 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 }
 
 // readResponseFrame decodes one server→client frame. Read bodies are
-// read straight into an exact-size caller-owned allocation — no
+// read straight into an exact-size allocation the caller keeps — no
 // staging, no oversized scratch.
 func readResponseFrame(br *bufio.Reader) (*Response, error) {
-	return readResponseFrameInto(br, nil)
-}
-
-// readResponseFrameInto is readResponseFrame with a destination hook
-// for read bodies: because the frame header carries the call ID ahead
-// of the payload, the decoder can ask the call layer for a
-// caller-registered buffer of at least n bytes before the body leaves
-// the socket, and read it there directly — zero allocations and zero
-// staging copies on the receive side. claim returns nil when no
-// suitable buffer is registered for the call, in which case the body
-// lands in a fresh exact-size allocation as before.
-func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte) (*Response, error) {
 	op, flags, id, plen, err := readFrameHeader(br)
 	if err != nil {
 		return nil, err
@@ -498,13 +462,7 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 		copy(resp.Signature[:], meta[17:readMetaSize])
 		crc := crc32.Update(0, castagnoli, meta)
 		_, _ = br.Discard(readMetaSize)
-		var body []byte
-		if claim != nil {
-			body = claim(id, plen-readMetaSize)
-		}
-		if body == nil {
-			body = make([]byte, plen-readMetaSize)
-		}
+		body := make([]byte, plen-readMetaSize)
 		if _, err := io.ReadFull(br, body); err != nil {
 			return nil, err
 		}
@@ -557,9 +515,7 @@ const (
 // order is exactly enqueue order. Contended senders enqueue instead,
 // and the writer goroutine drains the queue in net.Buffers writev
 // batches, so concurrent small frames coalesce into one syscall
-// instead of one write (and one lock hand-off) each. Streamed payload
-// tails (wireFrame.bodyReader) are copied with io.Copy after the
-// batched headers flush.
+// instead of one write (and one lock hand-off) each.
 type frameWriter struct {
 	c        net.Conn
 	timeout  time.Duration
@@ -581,15 +537,11 @@ type frameWriter struct {
 	// so steady-state batching allocates nothing: the vector and
 	// release slices keep their backing arrays, the trailer bytes live
 	// in a fixed array addressed per frame.
-	bufs          [][]byte
-	release       []leasedBuf
-	trailers      [maxBatchFrames][frameTrailerSize]byte
-	streamTrailer [frameTrailerSize]byte
-	total         int
-	stream        io.Reader
-	streamN       int64
-	streamCRC     uint32 // payload CRC so far for the streamed frame
-	frames        int
+	bufs     [][]byte
+	release  []leasedBuf
+	trailers [maxBatchFrames][frameTrailerSize]byte
+	total    int
+	frames   int
 }
 
 // leasedBuf pairs a pooled staging buffer with its pool token for
@@ -695,16 +647,10 @@ func (w *frameWriter) add(f wireFrame) {
 		w.total += len(f.body)
 		crc = crc32.Update(crc, castagnoli, f.body)
 	}
-	if f.bodyReader != nil {
-		// The stream's CRC accrues during the copy in flushLocked, and
-		// its trailer is written after the body bytes, not here.
-		w.stream, w.streamN, w.streamCRC = f.bodyReader, f.bodyLen, crc
-	} else {
-		t := &w.trailers[w.frames]
-		binary.BigEndian.PutUint32(t[:], crc)
-		w.bufs = append(w.bufs, t[:])
-		w.total += frameTrailerSize
-	}
+	t := &w.trailers[w.frames]
+	binary.BigEndian.PutUint32(t[:], crc)
+	w.bufs = append(w.bufs, t[:])
+	w.total += frameTrailerSize
 	w.frames++
 }
 
@@ -718,12 +664,8 @@ func (w *frameWriter) drainLocked(extra *wireFrame) error {
 		w.bufs = w.bufs[:0]
 		w.release = w.release[:0]
 		w.total, w.frames = 0, 0
-		w.stream, w.streamN, w.streamCRC = nil, 0, 0
-		// A streamed frame ends the batch: its tail is written by
-		// io.Copy in flushLocked, so nothing may follow it in the
-		// writev.
 	fill:
-		for w.stream == nil && w.frames < maxBatchFrames && w.total < maxBatchBytes {
+		for w.frames < maxBatchFrames && w.total < maxBatchBytes {
 			select {
 			case f := <-w.ch:
 				w.add(f)
@@ -751,8 +693,8 @@ func (w *frameWriter) drainLocked(extra *wireFrame) error {
 	}
 }
 
-// flushLocked writes the staged batch (and any streamed tail) to the
-// connection. The caller holds wmu.
+// flushLocked writes the staged batch to the connection. The caller
+// holds wmu.
 func (w *frameWriter) flushLocked() error {
 	if w.timeout > 0 {
 		_ = w.c.SetWriteDeadline(time.Now().Add(w.timeout))
@@ -761,24 +703,6 @@ func (w *frameWriter) flushLocked() error {
 	// writes); the batch's backing array is resliced fresh per batch.
 	view := net.Buffers(w.bufs)
 	n, err := view.WriteTo(w.c)
-	if err == nil && w.stream != nil {
-		cw := &crcWriter{w: w.c, crc: w.streamCRC}
-		var m int64
-		m, err = io.Copy(cw, w.stream)
-		w.streamCRC = cw.crc
-		n += m
-		if err == nil && m != w.streamN {
-			// A short stream would desync the peer's framing; kill
-			// the connection rather than let it misparse.
-			err = fmt.Errorf("server: short blob stream: wrote %d of %d bytes", m, w.streamN)
-		}
-		if err == nil {
-			binary.BigEndian.PutUint32(w.streamTrailer[:], w.streamCRC)
-			var tn int
-			tn, err = w.c.Write(w.streamTrailer[:])
-			n += int64(tn)
-		}
-	}
 	if w.bytesOut != nil {
 		w.bytesOut.Add(n)
 	}

@@ -22,11 +22,10 @@ import (
 	"placeless/internal/repo"
 	"placeless/internal/sig"
 	"placeless/internal/simnet"
-	"placeless/internal/store"
 )
 
 // frameBytes serializes an encoded frame the way the writer goroutine
-// would: header, inline body, streamed tail, CRC trailer.
+// would: header, inline body, CRC trailer.
 func frameBytes(t testing.TB, f wireFrame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -35,14 +34,6 @@ func frameBytes(t testing.TB, f wireFrame) []byte {
 	if len(f.body) > 0 {
 		buf.Write(f.body)
 		crc = crc32.Update(crc, castagnoli, f.body)
-	}
-	if f.bodyReader != nil {
-		b, err := io.ReadAll(f.bodyReader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(b)
-		crc = crc32.Update(crc, castagnoli, b)
 	}
 	var tr [frameTrailerSize]byte
 	binary.BigEndian.PutUint32(tr[:], crc)
@@ -178,30 +169,6 @@ func TestGobConfinedToStructuredResponses(t *testing.T) {
 		if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil {
 			t.Errorf("%v response with the gob flag flipped decoded", op)
 		}
-	}
-}
-
-// TestV2StreamedResponseBytes: a response armed with a bodyStream must
-// serialize to the identical byte stream as the same response carrying
-// the body inline — the client cannot tell the difference.
-func TestV2StreamedResponseBytes(t *testing.T) {
-	body := bytes.Repeat([]byte("segment"), 100)
-	inline := &Response{ID: 5, Body: body, Cacheability: 1, CostNanos: 10, Signature: sig.Of(body)}
-	streamed := &Response{ID: 5, Body: body, Cacheability: 1, CostNanos: 10, Signature: sig.Of(body),
-		bodyStream: bytes.NewReader(body), bodyLen: int64(len(body))}
-	fi, err := encodeResponseFrame(OpRead, inline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := encodeResponseFrame(OpRead, streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.bodyReader == nil {
-		t.Fatal("streamed response did not arm bodyReader")
-	}
-	if !bytes.Equal(frameBytes(t, fi), frameBytes(t, fs)) {
-		t.Fatal("inline and streamed encodings differ on the wire")
 	}
 }
 
@@ -613,74 +580,9 @@ func TestHandshakeRefusal(t *testing.T) {
 	}
 }
 
-// TestZeroCopyStreamedRead: when the durable tier holds the served
-// bytes, a read is streamed from the segment file instead of the
-// heap copy, byte-identically.
-func TestZeroCopyStreamedRead(t *testing.T) {
-	clk := clock.NewVirtual(epoch)
-	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
-	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
-	cache := core.New(space, core.Options{Name: "stream-test", Capacity: 1 << 20})
-	st, _, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewCached(space, backing, cache)
-	srv.SetStore(st)
-	srv.streamMin = 1
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; i < 200; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatal("server did not start")
-	}
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		c.Close()
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve returned %v", err)
-		}
-		cache.Close()
-		st.Close()
-	})
-	body := bytes.Repeat([]byte("zero-copy segment bytes "), 4096) // ~96 KiB
-	if err := c.CreateDocument("big", "eyal", body); err != nil {
-		t.Fatal(err)
-	}
-	// Seed the durable tier with the exact content; the read below
-	// installs the same bytes in the cache under the same signature,
-	// arming the streamed path.
-	if _, err := st.PutBlob(body); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		data, _, err := c.Read("big", "eyal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, body) {
-			t.Fatalf("read %d: body mismatch (%d bytes, want %d)", i, len(data), len(body))
-		}
-	}
-	if got := srv.StreamedReads(); got < 1 {
-		t.Fatalf("StreamedReads = %d, want >= 1", got)
-	}
-}
-
 // TestEveryFrameTrailerIsItsPayloadCRC: whichever path produces a
-// frame — the decode loop's fast hit, a handler, a streamed body, a
-// push — its trailer is the CRC-32C of the payload bytes on the wire.
+// frame — the decode loop's fast hit, a handler, a large body that
+// leaves in several writes, a push — its trailer is the CRC-32C of the payload bytes on the wire.
 // The frames are captured raw off a loopback socket and checked
 // against a checksum computed here, not by readTrailer.
 func TestEveryFrameTrailerIsItsPayloadCRC(t *testing.T) {
@@ -688,17 +590,8 @@ func TestEveryFrameTrailerIsItsPayloadCRC(t *testing.T) {
 	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
 	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
 	cache := core.New(space, core.Options{Name: "trailer-test", Capacity: 1 << 20})
-	st, _, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cache.Close()
-		st.Close()
-	})
+	t.Cleanup(func() { cache.Close() })
 	srv := NewCached(space, backing, cache)
-	srv.SetStore(st)
-	srv.streamMin = 1
 	serveAndDial(t, srv)
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -760,25 +653,18 @@ func TestEveryFrameTrailerIsItsPayloadCRC(t *testing.T) {
 	}
 
 	small := bytes.Repeat([]byte("trailer over a handler read "), 64)
-	big := bytes.Repeat([]byte("trailer over a streamed read "), 2048)
+	big := bytes.Repeat([]byte("trailer over a large handler read "), 2048)
 	frames := map[string]rawFrame{}
 	frames["zero-payload ack"] = call(&Request{Op: OpCreateDocument, Doc: "small", User: "eyal", Body: small})
 	if f := call(&Request{Op: OpCreateDocument, Doc: "big", User: "eyal", Body: big}); f.flags != 0 {
 		t.Fatalf("create big: flags %#x, payload %q", f.flags, f.payload)
-	}
-	// Only big's bytes are in the durable tier, so only its read streams.
-	if _, err := st.PutBlob(big); err != nil {
-		t.Fatal(err)
 	}
 	frames["handler read (subscribe flag)"] = call(&Request{Op: OpRead, Doc: "small", User: "eyal", Subscribe: true})
 	frames["decode-loop fast hit"] = call(&Request{Op: OpRead, Doc: "small", User: "eyal"})
 	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("cache stats = %+v, want one handler miss then one fast hit", st)
 	}
-	frames["streamed read"] = call(&Request{Op: OpRead, Doc: "big", User: "eyal"})
-	if n := srv.StreamedReads(); n != 1 {
-		t.Fatalf("StreamedReads = %d, want 1", n)
-	}
+	frames["large handler read"] = call(&Request{Op: OpRead, Doc: "big", User: "eyal"})
 	frames["error"] = call(&Request{Op: OpRead, Doc: "no-such-doc", User: "eyal"})
 	frames["gob Stats"] = call(&Request{Op: OpStats})
 	if f := call(&Request{Op: OpWrite, Doc: "small", User: "eyal", Body: []byte("rewritten")}); f.flags != 0 {
@@ -796,7 +682,7 @@ func TestEveryFrameTrailerIsItsPayloadCRC(t *testing.T) {
 	}{
 		"decode-loop fast hit":          {op: OpRead, body: small},
 		"handler read (subscribe flag)": {op: OpRead, body: small},
-		"streamed read":                 {op: OpRead, body: big},
+		"large handler read":            {op: OpRead, body: big},
 		"invalidation push":             {op: opInvalidate},
 		"error":                         {op: OpRead, flags: flagError},
 		"gob Stats":                     {op: OpStats, flags: flagGob},

@@ -33,13 +33,11 @@ type Server struct {
 	backing repo.Repository
 	cache   *core.Cache // optional server-side cache for reads; fixed by NewCached
 
-	// Set once before Serve (SetLinkCost, OpenJournal, SetStore) and
-	// read without a lock from then on: Serve's goroutines start after
-	// the setters return.
-	linkCost  time.Duration
-	journal   *journal
-	blobStore *store.Store // optional zero-copy blob source for reads
-	streamMin int64        // minimum body size streamed from blobStore
+	// Set once before Serve (SetLinkCost, OpenJournal) and read without
+	// a lock from then on: Serve's goroutines start after the setters
+	// return.
+	linkCost time.Duration
+	journal  *journal
 
 	mu     sync.Mutex
 	ln     net.Listener   // first listener (Addr); see lns for the full set
@@ -48,24 +46,18 @@ type Server struct {
 	served sync.WaitGroup // one per accepted connection, until its handlers and teardown are done
 	closed bool
 
-	requests      atomic.Int64 // requests handled
-	notifies      atomic.Int64 // invalidations pushed
-	bytesSent     atomic.Int64 // bytes written to client sockets
-	bytesRecv     atomic.Int64 // bytes read from client sockets
-	streamedReads atomic.Int64 // read responses streamed from the store
+	requests  atomic.Int64 // requests handled
+	notifies  atomic.Int64 // invalidations pushed
+	bytesSent atomic.Int64 // bytes written to client sockets
+	bytesRecv atomic.Int64 // bytes read from client sockets
 
 	writeHist atomic.Pointer[obs.Histogram] // optional OpWrite latency sink
 }
 
-// defaultStreamMin is the smallest read body the server streams from
-// the disk tier instead of writing the in-memory copy: below this the
-// extra pread costs more than the copy saves.
-const defaultStreamMin = 256 << 10
-
 // New returns a server for space. backing is the repository used to
 // store content of documents created via OpCreateDocument.
 func New(space *docspace.Space, backing repo.Repository) *Server {
-	return &Server{space: space, backing: backing, conns: make(map[*serverConn]bool), streamMin: defaultStreamMin}
+	return &Server{space: space, backing: backing, conns: make(map[*serverConn]bool)}
 }
 
 // NewCached returns a server whose reads are served through a
@@ -293,9 +285,6 @@ func (c *serverConn) serveFrames(br *bufio.Reader) {
 			defer func() { <-sem }()
 			resp := c.handle(req)
 			resp.ID = req.ID
-			if resp.bodyStream != nil {
-				c.srv.streamedReads.Add(1)
-			}
 			f, err := encodeResponseFrame(req.Op, resp)
 			if err != nil {
 				f, _ = encodeResponseFrame(req.Op, &Response{ID: req.ID, Err: err.Error()})
@@ -334,10 +323,6 @@ func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 	s.requests.Add(1)
 	resp := cachedReadResponse(data, info)
 	resp.ID = req.ID
-	// No disk-tier stream here: the bytes are memory-resident (they
-	// alias the cache's blob storage), so one writev straight from the
-	// blob beats re-reading the segment file per response. Streaming
-	// stays on the miss/promote path, where the body's home is disk.
 	return resp, true
 }
 
@@ -381,13 +366,12 @@ func fail(err error) *Response { return &Response{Err: err.Error(), err: err} }
 // network). Call before Serve: requests read it without a lock.
 func (s *Server) SetLinkCost(d time.Duration) { s.linkCost = d }
 
-// SetStore gives the server a durable content-addressed tier to stream
-// large read bodies from: a cached read whose bytes also live in st
-// is written to the socket straight from the segment file (pooled
-// chunks, no re-encode) instead of from the heap copy. Call before
-// Serve (requests read it without a lock); typically the same store
-// the cache was built with.
-func (s *Server) SetStore(st *store.Store) { s.blobStore = st }
+// SetStore does nothing: every read body leaves the server from the
+// bytes the cache returned, which a disk promote has already verified.
+//
+// Deprecated: kept only for its call in bench/rungs.go; it goes with
+// that call.
+func (s *Server) SetStore(*store.Store) {}
 
 // SetWriteHistogram makes the server record how long each OpWrite
 // takes inside the origin — write-path properties, the repository
@@ -399,30 +383,6 @@ func (s *Server) SetWriteHistogram(h *obs.Histogram) { s.writeHist.Store(h) }
 // sockets.
 func (s *Server) WireBytes() (sent, received int64) {
 	return s.bytesSent.Load(), s.bytesRecv.Load()
-}
-
-// StreamedReads returns how many read responses were streamed from
-// the disk tier instead of the heap copy (testing/observability hook).
-func (s *Server) StreamedReads() int64 { return s.streamedReads.Load() }
-
-// maybeAttachStream arms the zero-copy path on a read response: when
-// the disk tier holds the exact bytes just served and the body is
-// large enough to be worth a pread, the connection streams it from the
-// segment file. The in-memory Body stays set for any error path.
-// Streaming trusts the store's open-time CRC+signature scan rather
-// than re-verifying per read; GetBlob's per-read verification still
-// guards the cache-promotion path.
-func (s *Server) maybeAttachStream(resp *Response, sg sig.Signature, n int) {
-	st := s.blobStore
-	if st == nil || sg.IsZero() || int64(n) < s.streamMin {
-		return
-	}
-	br, err := st.OpenBlob(sg)
-	if err != nil || br.Size() != int64(n) {
-		return
-	}
-	resp.bodyStream = br
-	resp.bodyLen = br.Size()
 }
 
 // handle dispatches one request from a connection.
@@ -471,7 +431,6 @@ func (s *Server) apply(req *Request) *Response {
 				return fail(err)
 			}
 			resp = cachedReadResponse(data, info)
-			s.maybeAttachStream(resp, info.Signature, len(data))
 		} else {
 			data, res, err := s.space.ReadDocument(req.Doc, req.User)
 			if err != nil {

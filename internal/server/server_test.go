@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 	"placeless/internal/obs"
 	"placeless/internal/repo"
 	"placeless/internal/simnet"
+	"placeless/internal/store"
 )
 
 var epoch = time.Date(1999, time.March, 28, 0, 0, 0, 0, time.UTC)
@@ -720,4 +723,83 @@ func TestReadIntoCloseDuringFlight(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	c.Close()
 	wg.Wait()
+}
+
+// TestRottedSegmentByteNeverReachesClient: an origin built the way
+// placelessd -cache -store builds it holds a large document's bytes in
+// its disk tier, and one payload byte of the segment file rots. A read
+// returns the document's bytes: every body leaves the server from the
+// bytes the cache returned, and the only way disk bytes reach the
+// cache is a promote, which GetBlob verifies.
+func TestRottedSegmentByteNeverReachesClient(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
+	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
+	dir := t.TempDir()
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := core.New(space, core.Options{Name: "rot-test", Capacity: 8 << 20, Store: st})
+	t.Cleanup(func() {
+		cache.Close()
+		st.Close()
+	})
+	c := serveAndDial(t, NewCached(space, backing, cache))
+
+	body := make([]byte, 300<<10) // larger than one 256 KiB store batch
+	for i := range body {
+		body[i] = byte(i*7 + i>>9)
+	}
+	if err := c.CreateDocument("big", "eyal", body); err != nil {
+		t.Fatal(err)
+	}
+	sg, err := st.PutBlob(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.GetBlob(sg); !ok { // writes the queued batch out
+		t.Fatal("stored blob not served before the rot")
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("store files %v (%v), want one segment", segs, err)
+	}
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, body)
+	if at < 0 {
+		t.Fatal("segment does not hold the document's bytes")
+	}
+	f, err := os.OpenFile(segs[0], os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(at + len(body)/2)
+	if _, err := f.WriteAt([]byte{raw[off] ^ 0x20}, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, _, err := c.Read("big", "eyal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, body) {
+		for i := range got {
+			if i < len(body) && got[i] != body[i] {
+				t.Fatalf("read returned %d bytes with byte %d = %#x, want %#x: rotted disk bytes reached the client", len(got), i, got[i], body[i])
+			}
+		}
+		t.Fatalf("read returned %d bytes, want the %d-byte document", len(got), len(body))
+	}
+	// The rot is real: the store's own verified read refuses the blob.
+	if _, ok := st.GetBlob(sg); ok {
+		t.Fatal("GetBlob served the rotted blob; the test did not rot it")
+	}
 }

@@ -93,7 +93,7 @@ func TestReadSignatureOnEveryPath(t *testing.T) {
 				}
 			}
 		}},
-		{name: "disk promote, body streamed from the segment file", boot: func(t *testing.T, w world) (*Server, func(*testing.T)) {
+		{name: "disk promote", boot: func(t *testing.T, w world) (*Server, func(*testing.T)) {
 			st, _, err := store.Open(t.TempDir(), store.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -107,15 +107,9 @@ func TestReadSignatureOnEveryPath(t *testing.T) {
 			}
 			first.Kill()
 			cache := newCache(t, w, st)
-			srv := NewCached(w.space, w.backing, cache)
-			srv.SetStore(st)
-			srv.streamMin = 1
-			return srv, func(t *testing.T) {
+			return NewCached(w.space, w.backing, cache), func(t *testing.T) {
 				if st := cache.Stats(); st.StorePromotions != 1 {
 					t.Fatalf("StorePromotions = %d, want 1", st.StorePromotions)
-				}
-				if n := srv.StreamedReads(); n != 1 {
-					t.Fatalf("StreamedReads = %d, want 1", n)
 				}
 			}
 		}},

@@ -11,7 +11,6 @@ import (
 	"placeless/internal/docspace"
 	"placeless/internal/property"
 	"placeless/internal/remote"
-	"placeless/internal/server"
 	"placeless/internal/stream"
 )
 
@@ -136,9 +135,7 @@ func (w *World) doRemoteRead(doc, user string) error {
 	})
 	w.endOp()
 	if err != nil {
-		if errors.Is(err, remote.ErrDegraded) ||
-			errors.Is(err, server.ErrDisconnected) ||
-			errors.Is(err, server.ErrTimeout) {
+		if errors.Is(err, remote.ErrDegraded) {
 			w.tr.note("→ unavailable (%v)", err)
 			return nil
 		}
@@ -170,8 +167,6 @@ func (w *World) doClusterRead(doc, user string) error {
 	if err != nil {
 		if errors.Is(err, remote.ErrDegraded) ||
 			errors.Is(err, remote.ErrClosed) ||
-			errors.Is(err, server.ErrDisconnected) ||
-			errors.Is(err, server.ErrTimeout) ||
 			errors.Is(err, cluster.ErrNoNodes) {
 			w.tr.note("→ unavailable (%v)", err)
 			return nil

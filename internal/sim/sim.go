@@ -224,9 +224,6 @@ func NewWorld(cfg Config) (*World, error) {
 
 	if w.remoteOn {
 		w.srv = server.NewCached(w.space, w.src, w.cache)
-		if w.st != nil {
-			w.srv.SetStore(w.st)
-		}
 		ln := w.net.Listen("srv")
 		go func() { _ = w.srv.Serve(ln) }()
 		client, err := server.Dial("srv",

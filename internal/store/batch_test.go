@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -52,45 +51,32 @@ func body4K(i int) []byte {
 	return append([]byte(fmt.Sprintf("body %08d ", i)), bytes.Repeat([]byte{byte(i), byte(i >> 8), 'x'}, 1361)...)[:4096]
 }
 
-// TestQueuedBlobIsServed: a blob still in the batch is served by both
-// read paths, which write the batch out to do it.
+// TestQueuedBlobIsServed: a blob still in the batch is served by
+// GetBlob, which writes the batch out to do it.
 func TestQueuedBlobIsServed(t *testing.T) {
-	for _, via := range []string{"GetBlob", "OpenBlob"} {
-		t.Run(via, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openHeld(t, dir)
-			p := []byte("queued, not yet written")
-			sg, err := s.PutBlob(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seg := filepath.Join(dir, segmentName(1))
-			if size := fileSize(t, seg); size != 0 {
-				t.Fatalf("segment holds %d bytes right after the put; nothing was queued", size)
-			}
-			var got []byte
-			if via == "GetBlob" {
-				var ok bool
-				if got, ok = s.GetBlob(sg); !ok {
-					t.Fatal("queued blob not served")
-				}
-			} else {
-				br, err := s.OpenBlob(sg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, err = io.ReadAll(br); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !bytes.Equal(got, p) {
-				t.Fatalf("served %q, want %q", got, p)
-			}
-			if size := fileSize(t, seg); size != int64(recordHeaderSize+len(p)) {
-				t.Fatalf("segment holds %d bytes after the read, want the whole record", size)
-			}
-		})
-	}
+	t.Run("GetBlob", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openHeld(t, dir)
+		p := []byte("queued, not yet written")
+		sg, err := s.PutBlob(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(dir, segmentName(1))
+		if size := fileSize(t, seg); size != 0 {
+			t.Fatalf("segment holds %d bytes right after the put; nothing was queued", size)
+		}
+		got, ok := s.GetBlob(sg)
+		if !ok {
+			t.Fatal("queued blob not served")
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("served %q, want %q", got, p)
+		}
+		if size := fileSize(t, seg); size != int64(recordHeaderSize+len(p)) {
+			t.Fatalf("segment holds %d bytes after the read, want the whole record", size)
+		}
+	})
 }
 
 // TestWindowAndSizeFlush: with nobody reading, a batch reaches the

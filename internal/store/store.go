@@ -383,28 +383,6 @@ func (s *Store) rollLocked() error {
 	return nil
 }
 
-// locateLocked returns where sg's bytes are in the files, writing the
-// batch out first when they are still queued in it.
-func (s *Store) locateLocked(sg sig.Signature) (blobRef, *os.File, error) {
-	if s.closed {
-		return blobRef{}, nil, fmt.Errorf("store: closed")
-	}
-	ref, ok := s.refs[sg]
-	if !ok {
-		return blobRef{}, nil, fmt.Errorf("store: no blob %s", sg)
-	}
-	if ref.seg == s.active && ref.offset >= s.tail.end {
-		if err := s.flushLocked(); err != nil {
-			return blobRef{}, nil, err
-		}
-	}
-	f := s.files[ref.seg]
-	if f == nil {
-		return blobRef{}, nil, fmt.Errorf("store: segment %d not open", ref.seg)
-	}
-	return ref, f, nil
-}
-
 // GetBlob returns the payload stored under sg, verifying the content
 // signature end to end before serving it. A blob that fails
 // verification is dropped from the index and reported as absent —
@@ -413,9 +391,14 @@ func (s *Store) locateLocked(sg sig.Signature) (blobRef, *os.File, error) {
 // so the bytes behind a ref never change.
 func (s *Store) GetBlob(sg sig.Signature) ([]byte, bool) {
 	s.mu.Lock()
-	ref, f, err := s.locateLocked(sg)
+	ref, ok := s.refs[sg]
+	var f *os.File
+	// A blob still queued in the batch is written out first.
+	if !s.closed && ok && (ref.seg != s.active || ref.offset < s.tail.end || s.flushLocked() == nil) {
+		f = s.files[ref.seg]
+	}
 	s.mu.Unlock()
-	if err != nil {
+	if f == nil {
 		return nil, false
 	}
 	payload := make([]byte, ref.size)
