@@ -5,14 +5,12 @@
 // deadlines, automatic reconnection with backoff, and on every
 // reconnect an epoch flush (every miss carries its key's subscription,
 // so nothing is replayed) —
-// and serves reads from its cache, falling into an explicit degraded
-// mode (fail-fast or bounded serve-stale) while the server is
+// and serves reads from its cache, failing fast while the server is
 // unreachable.
 //
 // Usage:
 //
 //	plcached -server HOST:7999 [-addr :7998] [-capacity BYTES]
-//	         [-policy fail-fast|serve-stale] [-stale-ttl 5m]
 //	         [-call-timeout 10s] [-backoff-base 50ms] [-backoff-max 5s]
 //
 //	plcached -cluster HOST1:7999,HOST2:7999,... [-replicas 2] [-vnodes 128]
@@ -38,9 +36,9 @@
 //	GET /debug/pprof/        standard pprof handlers
 //
 // While the server is unreachable, reads answer 503 Service Unavailable
-// with a Retry-After hint (fail-fast), or keep serving cached content
-// inside the staleness bound (serve-stale). In cluster mode a read only
-// answers 503 when every owner in the key's replica set is degraded.
+// with a Retry-After hint: no cached byte is served without the push
+// stream that vouches for it. In cluster mode a read only answers 503
+// when every owner in the key's replica set is degraded.
 // See DESIGN.md §9/§13 and docs/OPERATIONS.md for the failure model and
 // the operator runbooks.
 package main
@@ -83,8 +81,6 @@ func main() {
 	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "cluster mode: virtual nodes per ring member")
 	addr := flag.String("addr", ":7998", "HTTP listen address for the data plane and observability")
 	capacity := flag.Int64("capacity", 0, "cache capacity in bytes, per node in cluster mode (0 = unlimited)")
-	policy := flag.String("policy", "fail-fast", "degraded-mode policy: fail-fast or serve-stale (single-node mode; cluster nodes fail fast and the router fails over)")
-	staleTTL := flag.Duration("stale-ttl", 5*time.Minute, "serve-stale staleness bound, measured from disconnect (0 = unbounded)")
 	callTimeout := flag.Duration("call-timeout", 10*time.Second, "per-call deadline on the wire (0 = none)")
 	backoffBase := flag.Duration("backoff-base", 50*time.Millisecond, "initial reconnect backoff")
 	backoffMax := flag.Duration("backoff-max", 5*time.Second, "reconnect backoff ceiling")
@@ -93,16 +89,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "plcached: exactly one of -server or -cluster is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	var degraded remote.DegradedPolicy
-	switch *policy {
-	case "fail-fast":
-		degraded = remote.FailFast
-	case "serve-stale":
-		degraded = remote.ServeStale
-	default:
-		log.Fatalf("plcached: unknown -policy %q (fail-fast or serve-stale)", *policy)
 	}
 
 	observer := obs.NewObserver()
@@ -147,10 +133,7 @@ func main() {
 			// Per-node caches do not register metrics: the families are
 			// process-global, and the cluster's own placeless_cluster_*
 			// set is the per-fleet view (docs/METRICS.md).
-			rc := remote.New(client, remote.Options{
-				Capacity:       *capacity,
-				DegradedPolicy: remote.FailFast,
-			})
+			rc := remote.New(client, remote.Options{Capacity: *capacity})
 			closers = append(closers, func() { rc.Close(); _ = client.Close() })
 			if err := cl.AddNode(name, rc); err != nil {
 				log.Fatalf("plcached: %v", err)
@@ -194,14 +177,12 @@ func main() {
 	} else {
 		client := dial(*serverAddr)
 		cache := remote.New(client, remote.Options{
-			Capacity:       *capacity,
-			Observer:       observer,
-			DegradedPolicy: degraded,
-			StaleTTL:       *staleTTL,
+			Capacity: *capacity,
+			Observer: observer,
 		})
 		closers = append(closers, func() { cache.Close(); _ = client.Close() })
 		dc = cache
-		banner = fmt.Sprintf("plcached: caching %s on http://%s (policy %s)", *serverAddr, *addr, degraded)
+		banner = fmt.Sprintf("plcached: caching %s on http://%s", *serverAddr, *addr)
 
 		mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 			st := cache.Stats()
@@ -216,9 +197,7 @@ func main() {
 				"epoch":           client.Epoch(),
 				"reconnects":      st.Reconnects,
 				"epoch_flushes":   st.EpochFlushes,
-				"stale_served":    st.StaleServed,
 				"degraded_errors": st.DegradedErrors,
-				"degraded_policy": degraded.String(),
 				"down_since":      down,
 				"entries":         cache.Len(),
 			})

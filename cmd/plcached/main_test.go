@@ -21,7 +21,7 @@ func TestWriteDocError(t *testing.T) {
 		retryAfter string
 	}{
 		{remote.ErrDegraded, http.StatusServiceUnavailable, "1"},
-		{fmt.Errorf("%w (policy fail-fast)", remote.ErrDegraded), http.StatusServiceUnavailable, "1"},
+		{fmt.Errorf("%w (down since 2026-01-02T03:04:05Z)", remote.ErrDegraded), http.StatusServiceUnavailable, "1"},
 		{cluster.ErrNoNodes, http.StatusServiceUnavailable, "1"},
 		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", remote.ErrDegraded), http.StatusServiceUnavailable, "1"},
 		{remote.ErrClosed, http.StatusServiceUnavailable, ""},

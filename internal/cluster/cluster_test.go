@@ -85,7 +85,7 @@ func (tc *testCluster) addNode(t *testing.T, name string) {
 	if err != nil {
 		t.Fatalf("dial %s: %v", name, err)
 	}
-	rc := remote.New(client, remote.Options{DegradedPolicy: remote.FailFast})
+	rc := remote.New(client, remote.Options{})
 	tc.clients[name] = client
 	tc.caches[name] = rc
 	if err := tc.cl.AddNode(name, rc); err != nil {

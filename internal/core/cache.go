@@ -386,8 +386,8 @@ type EntryInfo struct {
 	// Signature is the content signature of the returned bytes, set
 	// when the result is held in (or was just installed into / promoted
 	// from) the signature-addressed blob tier; zero otherwise. The wire
-	// server uses it to stream large bodies straight from the durable
-	// store instead of the heap copy.
+	// server ships it in the read metadata (hashing the body itself only
+	// when it is zero), and a remote cache keys its blob by it.
 	Signature sig.Signature
 }
 

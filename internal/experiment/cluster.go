@@ -137,7 +137,7 @@ func runClusterPhase(cfg ClusterConfig, n int) (ClusterPhase, error) {
 			return phase, err
 		}
 		defer client.Close()
-		rc := remote.New(client, remote.Options{DegradedPolicy: remote.FailFast})
+		rc := remote.New(client, remote.Options{})
 		defer rc.Close()
 		caches[name] = rc
 		if err := cl.AddNode(name, rc); err != nil {

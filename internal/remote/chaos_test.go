@@ -22,7 +22,6 @@ import (
 // against.
 type chaosRig struct {
 	t       *testing.T
-	clk     *clock.Virtual
 	space   *docspace.Space
 	backing repo.Repository
 	addr    string
@@ -39,7 +38,6 @@ func newChaosRig(t *testing.T, opts Options, dialOpts ...server.DialOption) *cha
 	clk := clock.NewVirtual(epoch)
 	r := &chaosRig{
 		t:       t,
-		clk:     clk,
 		space:   docspace.New(clk, nil),
 		backing: repo.NewMem("srv", clk, simnet.NewPath("loop", 1)),
 	}
@@ -113,97 +111,78 @@ func (r *chaosRig) restart() {
 // new content while it is down (those invalidations are lost — the
 // notifiers died with the connection), restart it, and verify the
 // client reconnects with backoff, the cache flushes the old epoch, and
-// no post-reconnect read ever returns the content that was invalidated
-// during the disconnect — under either degraded-mode policy, although
-// serve-stale answers the outage read from the old epoch.
+// no read, during the disconnect or after it, ever returns the content
+// that was invalidated while the server was down.
 func TestChaosKillServerMidLoadReconnectFlush(t *testing.T) {
-	for _, policy := range []DegradedPolicy{FailFast, ServeStale} {
-		t.Run(policy.String(), func(t *testing.T) {
-			testKillServerMidLoadReconnectFlush(t, policy)
-		})
-	}
-}
+	// Fail-fast is the only outage policy; the subtest keeps its name.
+	t.Run("fail-fast", func(t *testing.T) {
+		r := newChaosRig(t, Options{})
+		docs := []string{"d0", "d1", "d2", "d3", "d4"}
+		for _, d := range docs {
+			if err := r.client.CreateDocument(d, "u", []byte(d+" v1")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.cache.Read(d, "u"); err != nil || string(got) != d+" v1" {
+				t.Fatalf("warm read %s = %q, %v", d, got, err)
+			}
+		}
+		if r.cache.Len() != len(docs) {
+			t.Fatalf("cache holds %d entries, want %d", r.cache.Len(), len(docs))
+		}
 
-func testKillServerMidLoadReconnectFlush(t *testing.T, policy DegradedPolicy) {
-	r := newChaosRig(t, Options{DegradedPolicy: policy, StaleTTL: time.Minute})
-	docs := []string{"d0", "d1", "d2", "d3", "d4"}
-	for _, d := range docs {
-		if err := r.client.CreateDocument(d, "u", []byte(d+" v1")); err != nil {
+		r.kill()
+		waitFor(t, func() bool { return r.client.State() == server.StateDisconnected })
+
+		// While the server is down every doc changes. No server, no
+		// notifiers: the invalidations are lost for good.
+		for _, d := range docs {
+			if err := r.space.WriteDocument(d, "u", []byte(d+" v2")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The cache refuses what can no longer be proven fresh.
+		if got, err := r.cache.Read(docs[0], "u"); !errors.Is(err, ErrDegraded) {
+			t.Fatalf("read while down = %q, %v; want ErrDegraded", got, err)
+		}
+
+		r.restart()
+		waitFor(t, func() bool { return r.cache.Stats().Reconnects == 1 })
+
+		// Post-reconnect reads must never surface v1: the whole old epoch
+		// was flushed, so every doc comes back from the wire as v2.
+		for _, d := range docs {
+			got, err := r.cache.Read(d, "u")
+			if err != nil {
+				t.Fatalf("post-reconnect read %s: %v", d, err)
+			}
+			if string(got) != d+" v2" {
+				t.Fatalf("post-reconnect read %s = %q: stale content served past the epoch flush", d, got)
+			}
+		}
+		st := r.cache.Stats()
+		if st.EpochFlushes != int64(len(docs)) {
+			t.Fatalf("EpochFlushes = %d, want %d", st.EpochFlushes, len(docs))
+		}
+		if r.client.Epoch() != 2 {
+			t.Fatalf("client epoch = %d, want 2", r.client.Epoch())
+		}
+
+		// The post-reconnect miss carried the key's subscription again (the
+		// reconnect forgot the old set and replayed nothing): a write
+		// through the restarted server must push an invalidation for the
+		// re-cached entry.
+		if err := r.cache.Write(docs[0], "u", []byte("v3")); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := r.cache.Read(d, "u"); err != nil || string(got) != d+" v1" {
-			t.Fatalf("warm read %s = %q, %v", d, got, err)
+		waitFor(t, func() bool { return !r.cache.Contains(docs[0], "u") })
+		if got, _ := r.cache.Read(docs[0], "u"); string(got) != "v3" {
+			t.Fatalf("read after the re-subscribed key's invalidation = %q", got)
 		}
-	}
-	if r.cache.Len() != len(docs) {
-		t.Fatalf("cache holds %d entries, want %d", r.cache.Len(), len(docs))
-	}
-
-	r.kill()
-	waitFor(t, func() bool { return r.client.State() == server.StateDisconnected })
-
-	// While the server is down every doc changes. No server, no
-	// notifiers: the invalidations are lost for good.
-	for _, d := range docs {
-		if err := r.space.WriteDocument(d, "u", []byte(d+" v2")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Degraded mode: fail-fast refuses what can no longer be proven
-	// fresh; serve-stale answers from the old epoch, inside its bound.
-	got, err := r.cache.Read(docs[0], "u")
-	if policy == FailFast && !errors.Is(err, ErrDegraded) {
-		t.Fatalf("read while down = %q, %v; want ErrDegraded", got, err)
-	}
-	if policy == ServeStale && (err != nil || string(got) != docs[0]+" v1") {
-		t.Fatalf("read while down = %q, %v; want the stale v1", got, err)
-	}
-
-	r.restart()
-	waitFor(t, func() bool { return r.cache.Stats().Reconnects == 1 })
-
-	// Post-reconnect reads must never surface v1: the whole old epoch
-	// was flushed, so every doc comes back from the wire as v2.
-	for _, d := range docs {
-		got, err := r.cache.Read(d, "u")
-		if err != nil {
-			t.Fatalf("post-reconnect read %s: %v", d, err)
-		}
-		if string(got) != d+" v2" {
-			t.Fatalf("post-reconnect read %s = %q: stale content served past the epoch flush", d, got)
-		}
-	}
-	st := r.cache.Stats()
-	if st.EpochFlushes != int64(len(docs)) {
-		t.Fatalf("EpochFlushes = %d, want %d", st.EpochFlushes, len(docs))
-	}
-	wantStale := int64(0)
-	if policy == ServeStale {
-		wantStale = 1 // the one outage read
-	}
-	if st.StaleServed != wantStale {
-		t.Fatalf("StaleServed = %d, want %d", st.StaleServed, wantStale)
-	}
-	if r.client.Epoch() != 2 {
-		t.Fatalf("client epoch = %d, want 2", r.client.Epoch())
-	}
-
-	// The post-reconnect miss carried the key's subscription again (the
-	// reconnect forgot the old set and replayed nothing): a write
-	// through the restarted server must push an invalidation for the
-	// re-cached entry.
-	if err := r.cache.Write(docs[0], "u", []byte("v3")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return !r.cache.Contains(docs[0], "u") })
-	if got, _ := r.cache.Read(docs[0], "u"); string(got) != "v3" {
-		t.Fatalf("read after the re-subscribed key's invalidation = %q", got)
-	}
+	})
 }
 
-// Fail-fast degraded mode: while the server is unreachable, both hits
-// and misses refuse with the typed ErrDegraded and nothing stale is
-// ever served.
+// Fail-fast: while the server is unreachable, both hits and misses
+// refuse with the typed ErrDegraded and nothing stale is ever served.
 func TestChaosDegradedFailFast(t *testing.T) {
 	r := newChaosRig(t, Options{})
 	if err := r.client.CreateDocument("d", "u", []byte("v1")); err != nil {
@@ -226,55 +205,11 @@ func TestChaosDegradedFailFast(t *testing.T) {
 		t.Fatalf("write while down = %v, want ErrDegraded", err)
 	}
 	st := r.cache.Stats()
-	if st.StaleServed != 0 {
-		t.Fatalf("StaleServed = %d under fail-fast", st.StaleServed)
+	if st.Hits != 0 {
+		t.Fatalf("Hits = %d: a cached entry was served while down", st.Hits)
 	}
 	if st.DegradedErrors < 3 {
 		t.Fatalf("DegradedErrors = %d, want >= 3", st.DegradedErrors)
-	}
-}
-
-// Serve-stale degraded mode: cached hits keep serving through the
-// outage, but only inside the configured staleness bound measured from
-// the disconnect; past it the cache fails fast again. Misses always
-// refuse.
-func TestChaosDegradedServeStaleBounded(t *testing.T) {
-	var r *chaosRig
-	// The cache shares the rig's virtual clock so the staleness bound
-	// is checked deterministically.
-	r = newChaosRig(t, Options{})
-	r.cache.Close() // discard the default-policy cache; rebuild below
-	clk := r.clk
-	cache := New(r.client, Options{
-		DegradedPolicy: ServeStale,
-		StaleTTL:       30 * time.Second,
-		Clock:          clk,
-	})
-	if err := r.client.CreateDocument("d", "u", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.Read("d", "u"); err != nil {
-		t.Fatal(err)
-	}
-
-	r.kill()
-	waitFor(t, func() bool { return r.client.State() == server.StateDisconnected })
-
-	got, err := cache.Read("d", "u")
-	if err != nil || string(got) != "v1" {
-		t.Fatalf("stale hit within bound = %q, %v", got, err)
-	}
-	if _, err := cache.Read("never-seen", "u"); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("miss under serve-stale = %v, want ErrDegraded", err)
-	}
-
-	clk.Advance(31 * time.Second)
-	if _, err := cache.Read("d", "u"); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("stale hit past bound = %v, want ErrDegraded", err)
-	}
-	st := cache.Stats()
-	if st.StaleServed != 1 {
-		t.Fatalf("StaleServed = %d, want 1", st.StaleServed)
 	}
 }
 

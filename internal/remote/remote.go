@@ -14,10 +14,9 @@
 //
 // Because consistency leans entirely on the push stream, a broken
 // connection is a correctness event, not just an availability one:
-// while disconnected the cache is in an explicit degraded mode
-// (DegradedPolicy: fail-fast, or serve-stale within a bounded
-// staleness TTL), and on reconnect it flushes everything cached under
-// the old connection epoch, because invalidations may have been lost in
+// while disconnected the cache fails fast, refusing every read with
+// ErrDegraded, and on reconnect it flushes everything cached under the
+// old connection epoch, because invalidations may have been lost in
 // between. The subscriptions died with the connection; the cache keeps
 // no copy of them, so there is nothing to forget: each key subscribes
 // again with its next miss. See DESIGN.md §9 for the failure model.
@@ -48,37 +47,11 @@ import (
 // ErrClosed is returned by operations on a closed cache.
 var ErrClosed = errors.New("remote: cache is closed")
 
-// ErrDegraded is returned while the server is unreachable and the
-// degraded-mode policy refuses the read: always for misses, and for
-// hits under FailFast or past the ServeStale bound. Callers can
-// errors.Is against it to distinguish "the cache is degraded" from
-// document-level errors.
+// ErrDegraded is returned for every read and write while the server is
+// unreachable: without the invalidation stream no cached entry can be
+// proven fresh, so none is served. Callers can errors.Is against it to
+// distinguish "the cache is degraded" from document-level errors.
 var ErrDegraded = errors.New("remote: degraded: server unreachable")
-
-// DegradedPolicy selects what the cache does with reads while the
-// connection to the server is down — the consistency-vs-availability
-// choice the paper's disconnected-operation motivation leaves to the
-// deployment.
-type DegradedPolicy int
-
-const (
-	// FailFast (the default) refuses every read with ErrDegraded
-	// while disconnected: without the invalidation stream no cached
-	// entry can be proven fresh, so none is served.
-	FailFast DegradedPolicy = iota
-	// ServeStale serves cached hits while disconnected, accepting a
-	// staleness window bounded by Options.StaleTTL (measured from the
-	// moment of disconnect). Misses still fail with ErrDegraded.
-	ServeStale
-)
-
-// String names the policy ("fail-fast"/"serve-stale").
-func (p DegradedPolicy) String() string {
-	if p == ServeStale {
-		return "serve-stale"
-	}
-	return "fail-fast"
-}
 
 // Options configures a Cache.
 type Options struct {
@@ -93,15 +66,6 @@ type Options struct {
 	// every miss (stage remote_rtt) and the cache registers its
 	// counters under stable placeless_remote_* names.
 	Observer *obs.Observer
-	// DegradedPolicy selects fail-fast vs serve-stale behavior while
-	// the server is unreachable (default FailFast).
-	DegradedPolicy DegradedPolicy
-	// StaleTTL bounds the staleness window ServeStale accepts,
-	// measured from the disconnect: hits older than that fail with
-	// ErrDegraded. Zero means no bound — every cached entry is
-	// servable for the whole outage, which trades unbounded staleness
-	// for availability; set a bound in production.
-	StaleTTL time.Duration
 }
 
 // Stats counts remote-cache activity.
@@ -131,9 +95,6 @@ type Stats struct {
 	// were cached under a connection epoch whose invalidation stream
 	// was interrupted.
 	EpochFlushes int64
-	// StaleServed counts hits served while disconnected under the
-	// ServeStale policy (within the StaleTTL bound).
-	StaleServed int64
 	// DegradedErrors counts reads and writes refused or failed with
 	// ErrDegraded while the server was unreachable.
 	DegradedErrors int64
@@ -147,19 +108,16 @@ const quietBeforeYield = time.Millisecond
 // Cache is a client-side cache over a server.Client. Safe for
 // concurrent use. mu ranks above every lock of the table.
 type Cache struct {
-	client   *server.Client
-	tab      *core.Table // entries; its closed flag is the cache's
-	clk      clock.Clock
-	obs      *obs.Observer
-	degraded DegradedPolicy
-	staleTTL time.Duration
+	client *server.Client
+	tab    *core.Table // entries; its closed flag is the cache's
+	clk    clock.Clock
+	obs    *obs.Observer
 
 	lastRead atomic.Int64 // wall clock of the latest Read, UnixNano
 
-	mu            sync.Mutex
-	degradedSince time.Time // when the current outage began (zero = up)
-	flushed       uint64    // the client epoch whose reconnect flush has run
-	stats         Stats     // BytesStored and Evictions are the table's
+	mu      sync.Mutex
+	flushed uint64 // the client epoch whose reconnect flush has run
+	stats   Stats  // BytesStored and Evictions are the table's
 }
 
 // New wraps client with a cache and registers the invalidation and
@@ -169,13 +127,11 @@ type Cache struct {
 // server.WithReconnect (and ideally server.WithCallTimeout).
 func New(client *server.Client, opts Options) *Cache {
 	c := &Cache{
-		client:   client,
-		tab:      core.NewTable(0, replace.NewGDS()),
-		clk:      opts.Clock,
-		obs:      opts.Observer,
-		degraded: opts.DegradedPolicy,
-		staleTTL: opts.StaleTTL,
-		flushed:  client.Epoch(), // the table is empty: nothing to flush
+		client:  client,
+		tab:     core.NewTable(0, replace.NewGDS()),
+		clk:     opts.Clock,
+		obs:     opts.Observer,
+		flushed: client.Epoch(), // the table is empty: nothing to flush
 	}
 	if c.clk == nil {
 		c.clk = clock.Real{}
@@ -189,8 +145,7 @@ func New(client *server.Client, opts Options) *Cache {
 	return c
 }
 
-// onConnState is the client's connection hook. A disconnect starts the
-// outage clock that bounds serve-stale reads. A transition to
+// onConnState is the client's connection hook. A transition to
 // StateConnected is a reconnect, and carries the new epoch: the
 // invalidation stream was interrupted, so every entry cached under the
 // previous epoch is suspect. The cache flushes the table with
@@ -204,16 +159,11 @@ func New(client *server.Client, opts Options) *Cache {
 // order; a late one never moves flushed back, so a successor whose own
 // flush is still to come stays suspect.
 func (c *Cache) onConnState(s server.ConnState, epoch uint64) {
-	c.mu.Lock()
-	switch s {
-	case server.StateDisconnected:
-		if c.degradedSince.IsZero() {
-			c.degradedSince = c.clk.Now()
-		}
-	case server.StateConnected:
-		c.degradedSince = time.Time{}
+	if s != server.StateConnected {
+		return
 	}
-	if s != server.StateConnected || c.tab.Closed() {
+	c.mu.Lock()
+	if c.tab.Closed() {
 		c.mu.Unlock()
 		return
 	}
@@ -271,8 +221,6 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_remote_frames_batched_total",
 		"Wire frames that shared a multi-frame writev batch on this client's connection.",
 		func() int64 { return c.client.FramesBatched() })
-	reg.Counter("placeless_remote_stale_served_total",
-		"Hits served while disconnected under the serve-stale policy.", counter(func(s *Stats) int64 { return s.StaleServed }))
 	reg.Counter("placeless_remote_degraded_errors_total",
 		"Reads/writes refused or failed with ErrDegraded while the server was unreachable.", counter(func(s *Stats) int64 { return s.DegradedErrors }))
 	reg.Gauge("placeless_remote_connection_state",
@@ -347,10 +295,10 @@ func (c *Cache) Contains(doc, user string) bool { return c.tab.Contains(core.Key
 // hit, a coalesced follower and the miss that installed all return the
 // table's own blob (the rule core.Table.Lookup and
 // core.Cache.ReadSharedHit state), so a write into them would reach
-// every later reader of the key. While the server is unreachable the
-// cache is in degraded mode: under FailFast every read returns
-// ErrDegraded; under ServeStale cached hits are served within the
-// StaleTTL bound and everything else returns ErrDegraded.
+// every later reader of the key. While the server is unreachable every
+// read returns ErrDegraded. A CacheWithEvents hit is served only once
+// the origin has taken its getInputStream event; a forward that fails
+// fails the read.
 func (c *Cache) Read(doc, user string) ([]byte, error) {
 	// A read that follows a quiet spell lets connection events that are
 	// already queued run before it decides anything. A process that was
@@ -358,8 +306,8 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 	// the batch newest first: a dead server's EOF and the application's
 	// next request arrive together, and without the yield the request is
 	// answered as a hit while the connection's death notice sits one
-	// place behind it in the run queue — under FailFast the one answer
-	// the policy forbids. (It is also what made a restart probe read
+	// place behind it in the run queue — the one answer an outage
+	// forbids. (It is also what made a restart probe read
 	// "origin is back" milliseconds after the kill; see EXPERIMENTS.md,
 	// "Fourth ledger-picked change".) Reads in close succession skip
 	// it: the yield costs about a microsecond of a six-microsecond hit,
@@ -371,14 +319,8 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	c.mu.Lock()
-	degraded := c.client.State() != server.StateConnected
-	if degraded && c.degradedSince.IsZero() {
-		// The cache missed the transition (e.g. it was constructed
-		// over an already-down client); the outage starts now.
-		c.degradedSince = c.clk.Now()
-	}
-	stale := degraded && c.degraded == ServeStale && c.withinStaleBoundLocked()
-	suspect := degraded || c.client.Epoch() != c.flushed // suspectLocked, reusing the State read
+	down := c.client.State() != server.StateConnected
+	suspect := down || c.client.Epoch() != c.flushed // suspectLocked, reusing the State read
 	c.mu.Unlock()
 
 	k := core.Key(doc, user)
@@ -391,34 +333,28 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 			if c.tab.DropIf(k, e) {
 				c.count(&c.stats.TTLExpiries)
 			}
-		case degraded:
-			if stale && c.tab.Confirm(k, e) {
-				c.mu.Lock()
-				c.stats.Hits++
-				c.stats.StaleServed++
-				c.mu.Unlock()
-				// No hit-time event forwarding while disconnected:
-				// the wire is down and the forward would only fail.
-				return data, nil
-			}
 		case suspect:
-			// The wire is back up but this entry predates the reconnect
-			// epoch flush (or the flush is still running): treat it as
-			// a miss and re-fetch rather than risk serving content
+			// The wire is down, or back up but this entry predates the
+			// reconnect epoch flush (or the flush is still running):
+			// never served. Down, the read fails below; up, it is a miss
+			// and re-fetches rather than risk serving content
 			// invalidated during the outage.
 		case c.tab.Confirm(k, e):
-			c.count(&c.stats.Hits)
 			if e.Cacheability == property.CacheWithEvents {
-				if err := c.client.ForwardEvent(doc, user, event.GetInputStream.String()); err == nil {
-					c.count(&c.stats.EventsForwarded)
+				// The origin's event-only properties (an audit trail)
+				// must see every read: a hit whose event is lost is not
+				// served.
+				if err := c.client.ForwardEvent(doc, user, event.GetInputStream.String()); err != nil {
+					return nil, c.wireErr(err)
 				}
+				c.count(&c.stats.EventsForwarded)
 			}
+			c.count(&c.stats.Hits)
 			return data, nil
 		}
 	}
-	if degraded {
-		// A miss with the wire down, or a hit the policy will not
-		// serve: fail fast instead of paying a doomed call.
+	if down {
+		// Fail fast instead of paying a doomed call.
 		return nil, c.degradedErr()
 	}
 	// One wire fetch per key at a time: a remote read is the most
@@ -442,22 +378,10 @@ func (c *Cache) count(n *int64) {
 	c.mu.Unlock()
 }
 
-// degradedErr counts and builds the degraded-mode refusal.
+// degradedErr counts and builds the refusal of a read with the wire down.
 func (c *Cache) degradedErr() error {
-	c.mu.Lock()
-	c.stats.DegradedErrors++
-	since := c.degradedSince
-	c.mu.Unlock()
-	return fmt.Errorf("%w (policy %v, down since %v)", ErrDegraded, c.degraded, since)
-}
-
-// withinStaleBoundLocked reports whether a serve-stale hit is still
-// inside the bounded staleness window.
-func (c *Cache) withinStaleBoundLocked() bool {
-	if c.staleTTL <= 0 {
-		return true // unbounded by configuration
-	}
-	return !c.clk.Now().After(c.degradedSince.Add(c.staleTTL))
+	c.count(&c.stats.DegradedErrors)
+	return fmt.Errorf("%w (down since %s)", ErrDegraded, c.client.DownSince().Format(time.RFC3339))
 }
 
 // miss fetches through the wire, subscribing in the same frame, and
@@ -492,15 +416,7 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		c.obs.ObserveStage(obs.StageRemoteRTT, time.Since(tWire))
 	}
 	if err != nil {
-		err = c.wireErr(err)
-		if errors.Is(err, ErrDegraded) {
-			c.mu.Lock()
-			if c.degradedSince.IsZero() {
-				c.degradedSince = c.clk.Now()
-			}
-			c.mu.Unlock()
-		}
-		return nil, err
+		return nil, c.wireErr(err)
 	}
 
 	c.mu.Lock()

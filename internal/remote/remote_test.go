@@ -14,6 +14,7 @@ import (
 	"placeless/internal/clock"
 	"placeless/internal/core"
 	"placeless/internal/docspace"
+	"placeless/internal/event"
 	"placeless/internal/property"
 	"placeless/internal/repo"
 	"placeless/internal/server"
@@ -205,6 +206,43 @@ func TestCacheWithEventsForwards(t *testing.T) {
 	}
 	if st := r.cache.Stats(); st.EventsForwarded != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// heldTrail is an audit trail whose forwarded events wait for release:
+// an origin that takes a hit's event longer than the call timeout.
+type heldTrail struct {
+	*property.AuditTrail
+	release chan struct{}
+}
+
+func (h heldTrail) OnEvent(ctx *property.EventContext, e event.Event) {
+	if e.Detail == "forwarded" {
+		<-h.release
+	}
+	h.AuditTrail.OnEvent(ctx, e)
+}
+
+// A CacheWithEvents hit whose event forward fails is not served: the
+// read answers ErrDegraded, not the cached bytes, and counts no hit.
+func TestCacheWithEventsHitFailsWithItsForward(t *testing.T) {
+	r := newChaosRig(t, Options{}, server.WithCallTimeout(100*time.Millisecond))
+	held := heldTrail{property.NewAuditTrail(), make(chan struct{})}
+	t.Cleanup(func() { close(held.release) }) // before the rig's teardown
+	if err := r.client.CreateDocument("d", "u", []byte("audited")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.space.Attach("d", "", docspace.Universal, held); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.cache.Read("d", "u"); err != nil { // miss
+		t.Fatal(err)
+	}
+	if got, err := r.cache.Read("d", "u"); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("hit whose forward timed out = %q, %v; want ErrDegraded", got, err)
+	}
+	if st := r.cache.Stats(); st.Hits != 0 || st.EventsForwarded != 0 {
+		t.Fatalf("stats = %+v, want no hit and no forward counted", st)
 	}
 }
 

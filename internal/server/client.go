@@ -30,7 +30,7 @@ var ErrTimeout = errors.New("server: call deadline exceeded")
 // ErrDisconnected is returned by calls issued while the connection to
 // the server is down. With reconnection enabled the client is dialing
 // in the background; callers decide between failing fast and retrying
-// (the remote cache's degraded-mode policy).
+// (the remote cache fails fast).
 var ErrDisconnected = errors.New("server: connection down")
 
 // ErrHandshake is returned by Dial when the peer accepted the

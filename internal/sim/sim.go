@@ -145,13 +145,12 @@ func NewWorld(cfg Config) (*World, error) {
 		w.maxDirty = 2 + rng.Intn(4)
 	}
 	w.remoteOn = rng.Float64() < 0.7
-	degraded := remote.FailFast
+	// These draws once picked the remote cache's outage policy and its
+	// staleness bound; they stay so every seed still denotes the same
+	// world in every other dimension.
+	_ = rng.Intn(2)
 	if rng.Intn(2) == 1 {
-		degraded = remote.ServeStale
-	}
-	var staleTTL time.Duration
-	if rng.Intn(2) == 1 {
-		staleTTL = time.Duration(50+rng.Intn(300)) * time.Millisecond
+		_ = rng.Intn(300)
 	}
 	var remoteCap int64
 	if rng.Intn(2) == 1 {
@@ -244,10 +243,8 @@ func NewWorld(cfg Config) (*World, error) {
 			return nil, fmt.Errorf("sim: ping: %w", err)
 		}
 		w.rc = remote.New(client, remote.Options{
-			Capacity:       remoteCap,
-			Clock:          w.clk,
-			DegradedPolicy: degraded,
-			StaleTTL:       staleTTL,
+			Capacity: remoteCap,
+			Clock:    w.clk,
 		})
 		// The cluster dimension draws from its own generator (like the
 		// disk tier) so pre-cluster seeds keep denoting the same base
@@ -324,9 +321,8 @@ func (w *World) addClusterNode() error {
 		capacity = 512 + w.clRng.Int63n(4096)
 	}
 	rc := remote.New(client, remote.Options{
-		Capacity:       capacity,
-		Clock:          w.clk,
-		DegradedPolicy: remote.FailFast,
+		Capacity: capacity,
+		Clock:    w.clk,
 	})
 	n := &clusterNode{name: name, client: client, rc: rc}
 	w.clNodes = append(w.clNodes, n)
