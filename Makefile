@@ -39,10 +39,12 @@ test-race:
 # tests (its suspect window is the client's epoch against the one its
 # reconnect hook flushed, read across two locks), and the push tests:
 # the client's read loop runs the invalidation handler itself, before
-# it decodes the next frame.
+# it decodes the next frame; and the server's handler workers (the
+# decode loop hands requests to parked workers through a queue and an
+# idle count, and teardown closes the queue).
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./cmd/plcached/
-	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
+	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded
 # modes, reconnect/resubscribe/flush. The short timeout is part of the

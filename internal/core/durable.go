@@ -169,20 +169,13 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data []byte, res 
 	c.stats.storeDemotions.Add(1)
 }
 
-// demoteIntermediate writes a computed prefix cut, signed s, behind to
-// the disk tier. Cuts are pure content
-// addressing — the (src, fp) key can never serve wrong bytes — so no
-// epoch or probe is needed.
-func (c *Cache) demoteIntermediate(src, fp, s sig.Signature, data []byte, cost time.Duration) {
+// demoteIntermediate records a computed prefix cut, signed s, in the
+// disk tier, behind its bytes: signCut has already put them. Cuts are
+// pure content addressing — the (src, fp) key can never serve wrong
+// bytes — so no epoch or probe is needed.
+func (c *Cache) demoteIntermediate(src, fp, s sig.Signature, cost time.Duration) {
 	st := c.opts.Store
-	if st == nil {
-		return
-	}
 	if _, ok := st.GetIntermediate(src, fp); ok {
-		return
-	}
-	if err := st.PutSigned(s, data); err != nil {
-		c.stats.storeErrors.Add(1)
 		return
 	}
 	if err := st.PutIntermediate(store.IntermediateMeta{

@@ -151,27 +151,29 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			}
 			return c.cutServed(f.data), f.info.Signature, true, nil
 		}
-		var fromDisk bool
+		var fromDisk, stored bool
 		data, info, err := c.tab.lead(k, f, func() (data []byte, info EntryInfo, err error) {
-			data, info.Signature, fromDisk, err = c.leadCut(k, &Entry{Doc: doc, User: user, Cost: cost, cut: true}, src, fp, universal, compute)
+			data, info.Signature, fromDisk, stored, err = c.leadCut(k, &Entry{Doc: doc, User: user, Cost: cost, cut: true}, src, fp, universal, compute)
 			return data, info, err
 		})
-		if err == nil && !fromDisk {
-			c.demoteIntermediate(src, fp, info.Signature, data, cost)
+		if err == nil && stored {
+			c.demoteIntermediate(src, fp, info.Signature, cost)
 		}
 		return data, info.Signature, fromDisk, err
 	}
 }
 
 // leadCut is the leader's half of intermediate: produce the bytes of
-// (src, fp) and install them as e under k.
-func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal bool, compute func() ([]byte, error)) (data []byte, s sig.Signature, fromDisk bool, err error) {
+// (src, fp) and install them as e under k. stored reports that the
+// computed bytes went to the disk tier, where their cut record is
+// still to follow.
+func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal bool, compute func() ([]byte, error)) (data []byte, s sig.Signature, fromDisk, stored bool, err error) {
 	// The durable tier sits between the in-memory table and the
 	// compute closure: (src, fp) is content-addressed, so a disk
 	// record needs no validation beyond the store's own checksum
 	// and signature verification — equal keys imply equal bytes.
 	// Either way the bytes are signed here, once, before the stripe
-	// lock is taken again: by GetBlob's proof, or by hashing them.
+	// lock is taken again: by GetBlob's proof, or by signCut.
 	if st := c.opts.Store; st != nil {
 		if im, ok := st.GetIntermediate(src, fp); ok {
 			if d, ok := st.GetBlob(im.Sig); ok {
@@ -188,11 +190,11 @@ func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal boo
 		}
 		c.stats.prefixSegmentRuns.Add(1)
 		if data, err = compute(); err == nil {
-			s = sig.Of(data)
+			s, stored = c.signCut(data)
 		}
 	}
 	if err != nil {
-		return nil, sig.Zero, false, err
+		return nil, sig.Zero, false, false, err
 	}
 	e.Signature = s
 	// The table may keep data itself; the staged read it goes back to
@@ -200,5 +202,21 @@ func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal boo
 	if ok, _ := c.tab.Install(k, e, data, 0); ok { // a cut has no generation to check
 		c.stats.prefixInstalls.Add(1)
 	}
-	return data, s, fromDisk, nil
+	return data, s, fromDisk, stored, nil
+}
+
+// signCut returns the signature a computed cut is interned under. With
+// a disk tier attached the store computes it, as it queues the cut's
+// bytes — the one hash they get — and stored reports that the put
+// succeeded; without one the cut is hashed here.
+func (c *Cache) signCut(data []byte) (s sig.Signature, stored bool) {
+	st := c.opts.Store
+	if st == nil {
+		return sig.Of(data), false
+	}
+	s, err := st.PutBlob(data)
+	if err != nil {
+		c.stats.storeErrors.Add(1)
+	}
+	return s, err == nil
 }

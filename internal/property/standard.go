@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"placeless/internal/event"
 	"placeless/internal/sig"
@@ -116,40 +117,120 @@ func (t *Transformer) WrapOutput(ctx *WriteContext) stream.Transform {
 	}
 }
 
-// wordMap rewrites whole words according to a replacement table,
-// preserving non-word bytes. Capitalized forms are handled by
-// lowercasing the lookup and re-capitalizing the replacement.
+// wordMap rewrites whole words — maximal runs of ASCII letters —
+// according to a replacement table, preserving every other byte. A
+// word matches a table word with ASCII case folding; a capitalized
+// word gets its replacement with the first rune upper-cased.
+//
+// The table is read once, here: the transform keeps a snapshot, so it
+// goes on producing the bytes its memo key (tableDigest, taken at the
+// same construction) names, whatever later happens to the map.
 func wordMap(table map[string]string) stream.Transform {
-	return func(b []byte) []byte {
-		var out bytes.Buffer
-		word := make([]byte, 0, 32)
-		flush := func() {
-			if len(word) == 0 {
-				return
-			}
-			w := string(word)
-			repl, ok := table[strings.ToLower(w)]
-			if !ok {
-				out.Write(word)
-			} else {
-				if w[0] >= 'A' && w[0] <= 'Z' && len(repl) > 0 {
-					repl = strings.ToUpper(repl[:1]) + repl[1:]
-				}
-				out.WriteString(repl)
-			}
-			word = word[:0]
+	return newWordTable(table).apply
+}
+
+// wordTable is a replacement table snapshotted for wordMap: the
+// entries a word can match, grouped by word length, and the bound on
+// how much they lengthen a text.
+type wordTable struct {
+	byLen [][]wordEntry // byLen[n]: the entries whose word is n bytes long
+	// A word of n bytes and the separator after it lengthen the text by
+	// at most grow bytes in per (grow/per is the largest such ratio).
+	grow, per int
+}
+
+// wordEntry is one replacement: word is lower-case ASCII letters,
+// upper the replacement with its first rune upper-cased.
+type wordEntry struct {
+	word, repl, upper string
+}
+
+// newWordTable snapshots table.
+func newWordTable(table map[string]string) *wordTable {
+	t := &wordTable{per: 1}
+	for w, repl := range table {
+		if !lowerWord(w) {
+			continue // a letter run folds to lower case, so it never equals w
 		}
-		for _, c := range b {
-			if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-				word = append(word, c)
-			} else {
-				flush()
-				out.WriteByte(c)
-			}
+		if len(w) >= len(t.byLen) {
+			t.byLen = append(t.byLen, make([][]wordEntry, len(w)+1-len(t.byLen))...)
 		}
-		flush()
-		return out.Bytes()
+		e := wordEntry{word: w, repl: repl, upper: upperFirst(repl)}
+		t.byLen[len(w)] = append(t.byLen[len(w)], e)
+		if g := max(len(e.repl), len(e.upper)) - len(w); g*t.per > t.grow*(len(w)+1) {
+			t.grow, t.per = g, len(w)+1
+		}
 	}
+	return t
+}
+
+// lowerWord reports whether w is a non-empty run of lower-case ASCII
+// letters.
+func lowerWord(w string) bool {
+	for i := 0; i < len(w); i++ {
+		if w[i] < 'a' || w[i] > 'z' {
+			return false
+		}
+	}
+	return w != ""
+}
+
+// upperFirst upper-cases the first rune of s. A string that does not
+// start with a valid rune is left as it is.
+func upperFirst(s string) string {
+	r, n := utf8.DecodeRuneInString(s)
+	if r == utf8.RuneError && n <= 1 {
+		return s
+	}
+	return string(unicode.ToUpper(r)) + s[n:]
+}
+
+// isLetter reports whether c is an ASCII letter.
+func isLetter(c byte) bool { return (c|0x20)-'a' < 26 }
+
+// apply is the transform: one pass over b into one output sized for
+// the longest text the table can make of it.
+func (t *wordTable) apply(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	out := make([]byte, 0, len(b)+((len(b)+1)*t.grow+t.per-1)/t.per)
+	for i := 0; i < len(b); {
+		if !isLetter(b[i]) {
+			out = append(out, b[i])
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(b) && isLetter(b[j]) {
+			j++
+		}
+		out = t.appendWord(out, b[i:j])
+		i = j
+	}
+	return out
+}
+
+// appendWord appends w's replacement to out, or w itself when the
+// table has none.
+func (t *wordTable) appendWord(out, w []byte) []byte {
+	if len(w) < len(t.byLen) {
+		entries := t.byLen[len(w)]
+	next:
+		for x := range entries {
+			e := &entries[x]
+			for k, c := range w {
+				if c|0x20 != e.word[k] {
+					continue next
+				}
+			}
+			if w[0] <= 'Z' { // w is letters: an upper-case one
+				return append(out, e.upper...)
+			}
+			return append(out, e.repl...)
+		}
+	}
+	return append(out, w...)
 }
 
 // DefaultMisspellings is the demonstration dictionary used by

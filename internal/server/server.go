@@ -232,23 +232,40 @@ func (c *serverConn) serve() {
 	c.serveFrames(br)
 }
 
-// maxConcurrentHandlers bounds in-flight pipelined requests per
-// connection; excess decode stalls, which backpressures the client
-// through TCP.
+// maxConcurrentHandlers bounds the handler workers of one connection,
+// and with them its in-flight pipelined requests: with every worker
+// busy, decode stalls, which backpressures the client through TCP.
 const maxConcurrentHandlers = 32
 
 // serveFrames is the pipelined loop: requests decode on this goroutine
-// and execute concurrently, each response enqueued to the connection's
-// single frame writer as it finishes. Responses may therefore complete
-// out of order — call IDs, not arrival order, correlate them, exactly
-// what the client's pending-call table expects.
+// and execute concurrently on the connection's handler workers, each
+// response sent to the connection's single frame writer as it
+// finishes. Responses may therefore complete out of order — call IDs,
+// not arrival order, correlate them, exactly what the client's
+// pending-call table expects.
+//
+// A worker is a goroutine that parks on the work queue between
+// requests, so the stack the miss path grew is kept (a GC cycle may
+// halve it) rather than grown from the minimum for every request. A
+// request goes to a worker that is idle (or about to be); a new worker
+// starts only when every started one is busy, up to
+// maxConcurrentHandlers. A lockstep caller therefore keeps one worker
+// however many misses it sends.
 func (c *serverConn) serveFrames(br *bufio.Reader) {
 	var wg sync.WaitGroup
+	jobs := make(chan *Request)
+	// One token per worker that has finished its request (or is about
+	// to) and has not been handed another; a worker holds at most one,
+	// so a token send never blocks.
+	idle := make(chan struct{}, maxConcurrentHandlers)
+	workers := 0
 	// In-flight handlers, and the warms after their writes, finish
 	// before teardown, so Server.Close (which waits for serve) returns
-	// with none of them running.
-	defer wg.Wait()
-	sem := make(chan struct{}, maxConcurrentHandlers)
+	// with none of them running and no worker parked.
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
 	for {
 		req, err := readRequestFrame(br)
 		if err != nil {
@@ -256,10 +273,10 @@ func (c *serverConn) serveFrames(br *bufio.Reader) {
 		}
 		if req.Op == OpRead {
 			// Warm-hit fast path: a clean cache hit is answered inline
-			// on the decode loop — no handler goroutine, no semaphore
-			// hand-off. Anything that might block (a miss, a rejected
-			// verifier, simulated hit cost, a subscription that cannot
-			// be installed) falls through to the concurrent path below.
+			// on the decode loop — no hand-off to a handler worker.
+			// Anything that might block (a miss, a rejected verifier,
+			// simulated hit cost, a subscription that cannot be
+			// installed) falls through to the workers below.
 			// Burst detection picks the write route: with more
 			// pipelined requests already buffered the response is
 			// queued so the writer coalesces the run into one writev;
@@ -278,26 +295,53 @@ func (c *serverConn) serveFrames(br *bufio.Reader) {
 				continue
 			}
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(req *Request) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			resp := c.handle(req)
-			resp.ID = req.ID
-			f, err := encodeResponseFrame(req.Op, resp)
-			if err != nil {
-				f, _ = encodeResponseFrame(req.Op, &Response{ID: req.ID, Err: err.Error()})
+		select {
+		case <-idle:
+		default:
+			if workers < maxConcurrentHandlers {
+				workers++
+				wg.Add(1)
+				go c.work(req, jobs, idle, &wg)
+				continue
 			}
-			_ = c.fw.send(f)
-			// Ack, then warm: with the writer answered, re-derive the
-			// shared prefix the write stranded before a reader needs it.
-			// Here and not in apply, so journal replay never warms; the
-			// semaphore slot and wg bound warms and make teardown wait.
-			if req.Op == OpWrite && resp.Err == "" && c.srv.cache != nil {
-				c.srv.cache.Warm(req.Doc, req.User)
-			}
-		}(req)
+			<-idle
+		}
+		jobs <- req
+	}
+}
+
+// work is one handler worker: it runs req, then every request the
+// decode loop hands it, until the loop closes jobs at teardown.
+func (c *serverConn) work(req *Request, jobs <-chan *Request, idle chan<- struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for ok := true; ok; req, ok = <-jobs {
+		c.run(req, idle)
+	}
+}
+
+// run handles one request on a worker and sends its response. The
+// worker reports itself idle before the response leaves, so a lockstep
+// caller's next request finds it.
+func (c *serverConn) run(req *Request, idle chan<- struct{}) {
+	resp := c.handle(req)
+	resp.ID = req.ID
+	f, err := encodeResponseFrame(req.Op, resp)
+	if err != nil {
+		f, _ = encodeResponseFrame(req.Op, &Response{ID: req.ID, Err: err.Error()})
+	}
+	// Ack, then warm: with the writer answered, re-derive the shared
+	// prefix the write stranded before a reader needs it. Here and not
+	// in apply, so journal replay never warms; the worker stays busy
+	// until the warm is done, so the worker bound covers warms and
+	// teardown waits for them.
+	warm := req.Op == OpWrite && resp.Err == "" && c.srv.cache != nil
+	if !warm {
+		idle <- struct{}{}
+	}
+	_ = c.fw.send(f)
+	if warm {
+		c.srv.cache.Warm(req.Doc, req.User)
+		idle <- struct{}{}
 	}
 }
 

@@ -25,9 +25,10 @@ import (
 //   - the source is hashed once, by the staged read, which hands the
 //     signature on in its trace — demotion does not fetch and hash it
 //     again;
-//   - a body is hashed once by the cache, before any lock, and once by
-//     the store for the record it writes; the final body, which is the
-//     last cut's bytes over again, is hashed by neither;
+//   - a computed cut is hashed once, by the store, as it queues the
+//     cut's record: the cache interns the cut under the signature the
+//     put returns; the final body, which is the last cut's bytes over
+//     again, is not hashed at all — its entry names the cut's blob;
 //   - a disk promote hashes the source once (the live probe) and the
 //     body once (GetBlob's proof), and interns under that proof.
 func TestMissSignsEachBodyOnce(t *testing.T) {
@@ -103,11 +104,11 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 
 	// Three new cuts: after spell-correct, after translate (the
 	// universal boundary), after u0's watermark.
-	read(users[0], "full miss, 3 new cuts", 1, 2*3, func(i core.EntryInfo) bool {
+	read(users[0], "full miss, 3 new cuts", 1, 3, func(i core.EntryInfo) bool {
 		return !i.Hit && !i.IntermediateHit && !i.DiskPromoted
 	})
 	// Resumes from the boundary cut; u1's watermark is the one new cut.
-	read(users[1], "memo-resumed miss", 1, 2, func(i core.EntryInfo) bool { return i.IntermediateHit })
+	read(users[1], "memo-resumed miss", 1, 1, func(i core.EntryInfo) bool { return i.IntermediateHit })
 	if got := cache.Stats(); got.StoreDemotions != 2 || got.StoreIntermediateDemotions != 4 {
 		t.Fatalf("demotions = %d entries, %d cuts, want 2 and 4: the hashes above are not the whole path", got.StoreDemotions, got.StoreIntermediateDemotions)
 	}

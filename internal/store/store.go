@@ -320,13 +320,13 @@ func (s *Store) flushLocked() error {
 }
 
 // PutBlob stores payload under its content signature, deduplicating
-// against blobs already held, and returns that signature.
+// against blobs already held, and returns that signature — computed
+// here, outside the lock, so a caller that interns payload under it
+// hashes nothing itself. The signature is payload's even when the put
+// fails.
 func (s *Store) PutBlob(payload []byte) (sig.Signature, error) {
 	sg := sig.Of(payload)
-	if err := s.appendBlob(sg, payload); err != nil {
-		return sig.Zero, err
-	}
-	return sg, nil
+	return sg, s.appendBlob(sg, payload)
 }
 
 // PutSigned is PutBlob for a caller that has already signed payload. A
