@@ -31,7 +31,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"time"
@@ -395,6 +394,10 @@ type EntryInfo struct {
 // cache when possible. On a hit every verifier attached to the entry
 // runs; any failure discards the entry and re-executes the read path.
 //
+// The bytes are shared and must not be modified: a hit, a coalesced
+// follower, an installing miss and a disk promote all return the
+// table's own blob, the rule Table.Lookup states.
+//
 // Accesses are keyed by the reference they resolve to: a user reading
 // through a group-owned reference shares the group's cache entry,
 // since every member sees the identical property chain.
@@ -440,18 +443,15 @@ func (c *Cache) ReadWithInfo(doc, user string) ([]byte, EntryInfo, error) {
 	return data, info, err
 }
 
-// ReadSharedHit serves a clean cache hit without the defensive copy —
-// the returned bytes alias the cache's internal blob storage, which is
-// immutable after creation, so the caller MUST treat them as read-only
-// — and without ever blocking on the read path: ok reports
-// whether an entry was present and passed its verifiers. Every other
-// outcome — miss, verifier rejection, a configured HitCost to charge —
-// returns ok == false without touching counters or dropping entries;
-// the caller is expected to fall back to a full ReadWithInfo, which
-// owns those outcomes (so a rejection is still counted and dropped
-// exactly once, by the fallback). The wire server
-// probes this from its decode loop so warm hits skip the per-request
-// handler dispatch entirely.
+// ReadSharedHit serves a clean cache hit, read-only like every read,
+// without ever blocking on the read path: ok reports whether an entry
+// was present and passed its verifiers. Every other outcome — miss,
+// verifier rejection, a configured HitCost to charge — returns
+// ok == false without touching counters or dropping entries; the caller
+// is expected to fall back to a full ReadWithInfo, which owns those
+// outcomes (so a rejection is still counted and dropped exactly once,
+// by the fallback). The wire server probes this from its decode loop so
+// warm hits skip the per-request handler dispatch entirely.
 func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 	if c.tab.Closed() || c.opts.HitCost > 0 {
 		return nil, EntryInfo{}, false
@@ -561,9 +561,7 @@ func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, Entry
 
 	switch e, data, outcome := c.probe(k, doc, user, tr); outcome {
 	case probeHit:
-		out := make([]byte, len(data))
-		copy(out, data)
-		return out, e.hitInfo(), nil
+		return data, e.hitInfo(), nil
 	case probeRejected:
 		c.stats.verifierRejects.Add(1)
 		c.tab.DropIf(k, e)
@@ -603,9 +601,7 @@ func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) ([]byte, E
 		if err != nil {
 			return nil, EntryInfo{}, err
 		}
-		out := make([]byte, len(data))
-		copy(out, data)
-		return out, info, nil
+		return data, info, nil
 	}
 	if err == nil && !c.opts.DisablePrefetch {
 		c.prefetch(user, related)
@@ -699,28 +695,22 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	s := cuts.sign(data) // hashing stays outside the shard lock
 	// The definitive staleness check is Install's, atomic with the
 	// install under the stripe lock.
-	ok, kept := c.tab.Install(Key(doc, user), &Entry{
+	e := &Entry{
 		Doc: doc, User: user,
 		Signature:    s,
 		Cost:         res.Cost,
 		Cacheability: res.Cacheability,
 		Verifiers:    res.Verifiers,
-	}, data, gen)
-	if !ok {
+	}
+	if !c.tab.Install(Key(doc, user), e, data, gen) {
 		return data, info, nil, nil
 	}
 	info.Signature = s
+	data = e.blob.data // the installed bytes, which every later hit serves
 	// Write-behind demotion at install time, not at eviction: a warm
 	// restart must recover the cache as it was, including entries that
 	// were never evicted. All store calls run outside cache locks.
 	c.demoteEntry(doc, user, s, data, res, trace.Key, gen)
-	if kept {
-		// The table stores the staged read's bytes; the reader gets the
-		// copy. (A body that is the last cut's bytes over again shares
-		// that cut's blob, so it is not kept: the reader already has
-		// the staged read's own copy.)
-		data = bytes.Clone(data)
-	}
 	return data, info, res.Related, nil
 }
 

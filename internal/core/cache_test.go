@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -104,15 +105,33 @@ func TestReadUnknownDocument(t *testing.T) {
 	}
 }
 
-func TestReadReturnsPrivateCopy(t *testing.T) {
+// TestWarmHitCopiesNothing: a warm 8 KiB hit allocates nothing the
+// size of the body; the one allocation left is the table key.
+func TestWarmHitCopiesNothing(t *testing.T) {
+	const size = 8 << 10
 	w := newWorld(t, Options{})
-	w.addDoc(t, "d", "eyal", "/d", []byte("abc"))
+	w.addDoc(t, "d", "eyal", "/d", make([]byte, size))
 	w.read(t, "d", "eyal")
-	hit := w.read(t, "d", "eyal")
-	hit[0] = 'Z'
-	again := w.read(t, "d", "eyal")
-	if string(again) != "abc" {
-		t.Fatal("cache exposed its internal buffer")
+	read := func() {
+		if data := w.read(t, "d", "eyal"); len(data) != size {
+			t.Fatalf("read %d bytes", len(data))
+		}
+	}
+	if n := testing.AllocsPerRun(100, read); n > 1 {
+		t.Fatalf("a warm hit allocates %v times, want at most 1 (the key)", n)
+	}
+	const reads = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= size/2 {
+		t.Fatalf("a warm hit allocates %d bytes of an %d-byte body", per, size)
+	}
+	if st := w.cache.Stats(); st.Misses != 1 {
+		t.Fatalf("%d misses: every measured read must be a hit", st.Misses)
 	}
 }
 

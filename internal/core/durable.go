@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"time"
 
 	"placeless/internal/docspace"
@@ -103,14 +102,14 @@ func (c *Cache) promote(doc, user string, gen uint64) ([]byte, EntryInfo, bool) 
 		},
 	}
 
-	ok, kept := c.tab.Install(Key(doc, user), &Entry{
+	ent := &Entry{
 		Doc: doc, User: user,
 		Signature:    e.Sig, // GetBlob has just proved data hashes to it
 		Cost:         e.Cost,
 		Cacheability: property.Unrestricted,
 		Verifiers:    []property.Verifier{verifier},
-	}, data, gen)
-	if !ok {
+	}
+	if !c.tab.Install(Key(doc, user), ent, data, gen) {
 		// Closed, or invalidated since the caller's snapshot: the probe
 		// above may predate the change, so the disk bytes are suspect.
 		c.stats.storePromotionRejects.Add(1)
@@ -119,11 +118,7 @@ func (c *Cache) promote(doc, user string, gen uint64) ([]byte, EntryInfo, bool) 
 
 	c.stats.storePromotions.Add(1)
 	c.stats.misses.Add(1)
-	if kept {
-		// The table stores GetBlob's bytes; the reader gets the copy.
-		data = bytes.Clone(data)
-	}
-	return data, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
+	return ent.blob.data, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
 }
 
 // demoteEntry writes an installed result behind to the disk tier, under

@@ -199,7 +199,7 @@ func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal boo
 	e.Signature = s
 	// The table may keep data itself; the staged read it goes back to
 	// only reads it.
-	if ok, _ := c.tab.Install(k, e, data, 0); ok { // a cut has no generation to check
+	if c.tab.Install(k, e, data, 0) { // a cut has no generation to check
 		c.stats.prefixInstalls.Add(1)
 	}
 	return data, s, fromDisk, stored, nil

@@ -355,39 +355,6 @@ func TestSingleFlightCoalescesConcurrentMisses(t *testing.T) {
 	}
 }
 
-// TestSingleFlightResultIsPrivateCopy: followers must not share the
-// leader's backing array — mutating one caller's bytes cannot leak
-// into another's.
-func TestSingleFlightResultIsPrivateCopy(t *testing.T) {
-	w := newWorld(t, Options{})
-	provider := &countingProvider{
-		payload: []byte("abc"),
-		release: make(chan struct{}),
-	}
-	if _, err := w.space.CreateDocument("d", "u", provider); err != nil {
-		t.Fatal(err)
-	}
-	const K = 4
-	results := make([][]byte, K)
-	var done sync.WaitGroup
-	for i := 0; i < K; i++ {
-		done.Add(1)
-		go func(i int) {
-			defer done.Done()
-			results[i], _ = w.cache.Read("d", "u")
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(provider.release)
-	done.Wait()
-	for i := range results {
-		results[i][0] = byte('0' + i) // scribble on the returned slice
-	}
-	if data := w.read(t, "d", "u"); string(data) != "abc" {
-		t.Fatalf("a caller's mutation reached the cache: %q", data)
-	}
-}
-
 // TestSingleFlightPropagatesError: when the coalesced read path fails,
 // every waiter gets the error, the fetch still ran only once, and a
 // later read retries (a failed flight must not wedge the key).

@@ -73,9 +73,8 @@ func (t *Table) lead(k string, f *flight, fn func() ([]byte, EntryInfo, error)) 
 
 // Do runs fn for k unless a run for k is already in flight, in which
 // case it waits for that run and returns its result with shared set.
-// A shared result's bytes are the leader's: a caller hands them on
-// read-only, or copies them first. A key with a flight is pinned
-// against eviction.
+// A shared result's bytes are the leader's, read-only. A key with a
+// flight is pinned against eviction.
 func (t *Table) Do(k string, fn func() ([]byte, EntryInfo, error)) (data []byte, info EntryInfo, shared bool, err error) {
 	_, f, leader := t.join(k, false)
 	if !leader {

@@ -232,30 +232,22 @@ func (t *Table) drop(k string) {
 // so a drop that visits it before the install finds nothing and one
 // after drops it — a lost memo, never a wrong one. Install then evicts
 // down to capacity; the flight the caller leads for k does not pin k,
-// so a record larger than the budget evicts itself. ok reports whether
-// e went in. It is the one way a record of either kind enters the
+// so a record larger than the budget evicts itself. It reports whether
+// e went in, and is the one way a record of either kind enters the
 // table.
 //
-// Install takes data. When no blob holds e.Signature yet and data has
-// no spare capacity (cap == len), the table keeps data itself as the
-// blob and reports kept: from then on nobody may modify it, and a
-// caller that hands data on to someone who may must copy it first.
-// Otherwise data stays the caller's: the table copies it to an
-// exact-size blob, or shares the blob it already holds. So a blob never
-// pins spare capacity, and the bytes a cut computation or a disk read
-// produced are stored without a copy. Kept bytes handed on read-only
-// reach transforms, whose contract (stream.Transform) forbids
-// modifying their input.
-func (t *Table) Install(k string, e *Entry, data []byte, gen uint64) (ok, kept bool) {
+// Install may keep data itself as the blob (internBlob), so from the
+// call on nobody modifies it.
+func (t *Table) Install(k string, e *Entry, data []byte, gen uint64) bool {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	if t.closed.Load() || !e.cut && t.gen(e.Doc).Load() != gen {
 		sh.mu.Unlock()
-		return false, false
+		return false
 	}
 	t.dropLocked(sh, k)
 	e.size = int64(len(data))
-	e.blob, kept = t.internBlob(e.Signature, data, !e.cut)
+	e.blob = t.internBlob(e.Signature, data, !e.cut)
 	sh.entries[k] = e
 	keys := sh.docs[e.Doc]
 	if keys == nil {
@@ -273,7 +265,7 @@ func (t *Table) Install(k string, e *Entry, data []byte, gen uint64) (ok, kept b
 	t.policyInsert(k, e)
 	sh.mu.Unlock()
 	t.evict(k)
-	return true, kept
+	return true
 }
 
 // policyInsert hands k to the replacement policy at e's size and cost.
@@ -381,18 +373,19 @@ func (t *Table) Close() bool {
 
 // internBlob interns data under s, its signature, takes one reference
 // and returns the blob, maintaining the unique-byte and shared-entry
-// gauges incrementally; kept reports that a new blob holds data itself
-// (Install's ownership rule). The caller signs — once, before it takes
+// gauges incrementally. A new blob holds data itself, or an exact-size
+// copy when data has spare capacity, so a blob never pins more than
+// its bytes. The caller signs — once, before it takes
 // the stripe lock this runs under — or passes on the signature a lower
 // tier (the disk store, the origin across the wire) has proved. asEntry
 // distinguishes (doc, user) entries from cuts: both share storage and
 // lifetime, but only entry references drive the SharedEntries gauge.
-func (t *Table) internBlob(s sig.Signature, data []byte, asEntry bool) (b *blob, kept bool) {
+func (t *Table) internBlob(s sig.Signature, data []byte, asEntry bool) *blob {
 	t.blobMu.Lock()
 	defer t.blobMu.Unlock()
-	b = t.blobs[s]
+	b := t.blobs[s]
 	if b == nil {
-		if kept = cap(data) == len(data); !kept {
+		if cap(data) != len(data) {
 			data = append(make([]byte, 0, len(data)), data...)
 		}
 		b = &blob{data: data}
@@ -412,7 +405,7 @@ func (t *Table) internBlob(s sig.Signature, data []byte, asEntry bool) (b *blob,
 		b.entryRefs++
 	}
 	b.refs++
-	return b, kept
+	return b
 }
 
 // unrefBlob drops e's reference to its blob, freeing the blob when the

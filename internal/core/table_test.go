@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"placeless/internal/docspace"
 	"placeless/internal/property"
@@ -124,61 +126,103 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 	}
 }
 
-// TestInstallTakesExactBytes pins Install's ownership rule: the table
+// TestInstallTakesExactBytes pins Install's storage rule: the table
 // keeps an exact-size slice under a new signature as the blob itself,
 // copies a slice with spare capacity to an exact-size blob, and shares
 // the blob a held signature already has.
 func TestInstallTakesExactBytes(t *testing.T) {
 	tab := NewTable(1, replace.NewGDS())
-	install := func(k string, data []byte) (kept bool, stored []byte) {
+	install := func(k string, data []byte) (stored []byte) {
 		t.Helper()
-		ok, kept := tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, data, 0)
-		if !ok {
+		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, data, 0) {
 			t.Fatalf("%s: not installed", k)
 		}
 		_, stored = tab.Lookup(k)
-		return kept, stored
+		return stored
 	}
 
 	exact := []byte("exact-size body")
-	if kept, stored := install("a", exact); !kept || &stored[0] != &exact[0] {
-		t.Fatalf("an exact-size slice under a new signature: kept %v, stored its own bytes %v", kept, &stored[0] == &exact[0])
+	if stored := install("a", exact); &stored[0] != &exact[0] {
+		t.Fatal("an exact-size slice under a new signature was copied")
 	}
 	spare := append(make([]byte, 0, 64), "spare-capacity body"...)
-	if kept, stored := install("b", spare); kept || &stored[0] == &spare[0] || cap(stored) != len(stored) || !bytes.Equal(stored, spare) {
-		t.Fatalf("a slice with spare capacity: kept %v, stored %d of %d capacity", kept, len(stored), cap(stored))
+	if stored := install("b", spare); &stored[0] == &spare[0] || cap(stored) != len(stored) || !bytes.Equal(stored, spare) {
+		t.Fatalf("a slice with spare capacity: stored %d of %d capacity", len(stored), cap(stored))
 	}
 	again := []byte("exact-size body")
-	if kept, stored := install("c", again); kept || &stored[0] != &exact[0] {
+	if stored := install("c", again); &stored[0] != &exact[0] {
 		t.Fatal("a held signature did not share the held blob")
 	}
 }
 
-// TestEveryMissHandsTheCallerItsOwnBytes: whichever path produced a
-// miss's bytes — a plain miss whose body the table kept, a miss resumed
-// from a memoized cut, a promotion from disk — the caller may scribble
-// on them and the next hit still serves the original.
-func TestEveryMissHandsTheCallerItsOwnBytes(t *testing.T) {
-	scribbleThenHit := func(t *testing.T, w *world, user string, miss []byte) {
+// TestEveryReadServesTheInstalledBytes: a read hands out the table's
+// bytes read-only, whichever path produced them — a hit, a follower
+// coalesced onto another read's miss, a plain miss, a miss resumed from
+// a memoized cut whose body is its last cut, a promotion from disk.
+// Each returns the installed blob's own array, with no copy.
+func TestEveryReadServesTheInstalledBytes(t *testing.T) {
+	installed := func(t *testing.T, w *world, user string, got []byte) {
 		t.Helper()
-		want := bytes.Clone(miss)
-		for i := range miss {
-			miss[i] = '#'
+		_, blob := w.cache.tab.Lookup(Key("d", user))
+		if blob == nil {
+			t.Fatal("nothing installed")
 		}
-		if hit := w.read(t, "d", user); !bytes.Equal(hit, want) {
-			t.Fatalf("the miss's caller wrote into the cache: %q", hit)
-		}
-		if st := w.cache.Stats(); st.Hits == 0 {
-			t.Fatal("the second read was not a hit")
+		if unsafe.SliceData(got) != unsafe.SliceData(blob) || len(got) != len(blob) {
+			t.Fatalf("a read returned %d bytes of its own, not the installed blob's", len(got))
 		}
 	}
+	t.Run("hit", func(t *testing.T) {
+		w := newWorld(t, Options{})
+		w.addDoc(t, "d", "eyal", "/d", []byte("body the table keeps"))
+		w.read(t, "d", "eyal")
+		data, info, err := w.cache.ReadWithInfo("d", "eyal")
+		if err != nil || !info.Hit {
+			t.Fatalf("setup: %+v, %v", info, err)
+		}
+		installed(t, w, "eyal", data)
+	})
+	t.Run("coalesced follower", func(t *testing.T) {
+		w := newWorld(t, Options{})
+		provider := &countingProvider{payload: []byte("abc"), release: make(chan struct{})}
+		if _, err := w.space.CreateDocument("d", "u", provider); err != nil {
+			t.Fatal(err)
+		}
+		const K = 4
+		results := make([][]byte, K)
+		var done sync.WaitGroup
+		read := func(i int) {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				results[i], _ = w.cache.Read("d", "u")
+			}()
+		}
+		// The leader parks inside the provider; the others then find
+		// its flight.
+		read(0)
+		for provider.opens.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		for i := 1; i < K; i++ {
+			read(i)
+		}
+		time.Sleep(50 * time.Millisecond)
+		close(provider.release)
+		done.Wait()
+		if st := w.cache.Stats(); st.CoalescedMisses == 0 {
+			t.Fatalf("no read was coalesced: %+v", st)
+		}
+		for _, data := range results {
+			installed(t, w, "u", data)
+		}
+	})
 	t.Run("plain miss", func(t *testing.T) {
 		w := newWorld(t, Options{})
 		w.addDoc(t, "d", "eyal", "/d", []byte("body the table keeps"))
 		if err := w.space.Attach("d", "", docspace.Universal, property.NewUppercaser(0)); err != nil {
 			t.Fatal(err)
 		}
-		scribbleThenHit(t, w, "eyal", w.read(t, "d", "eyal"))
+		installed(t, w, "eyal", w.read(t, "d", "eyal"))
 	})
 	t.Run("memo-resumed miss", func(t *testing.T) {
 		users := memoUsers(2)
@@ -189,7 +233,7 @@ func TestEveryMissHandsTheCallerItsOwnBytes(t *testing.T) {
 		if err != nil || !info.IntermediateHit {
 			t.Fatalf("setup: %+v, %v", info, err)
 		}
-		scribbleThenHit(t, w, users[1], data)
+		installed(t, w, users[1], data)
 	})
 	t.Run("disk promote", func(t *testing.T) {
 		d := newDurableWorld(t, Options{})
@@ -200,6 +244,6 @@ func TestEveryMissHandsTheCallerItsOwnBytes(t *testing.T) {
 		if err != nil || !info.DiskPromoted {
 			t.Fatalf("setup: %+v, %v", info, err)
 		}
-		scribbleThenHit(t, d.world, "eyal", data)
+		installed(t, d.world, "eyal", data)
 	})
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"placeless/internal/property"
+	"placeless/internal/sig"
 	"placeless/internal/stream"
 )
 
@@ -188,5 +190,52 @@ func TestReadsHandTheProviderBytesToTheFirstTransform(t *testing.T) {
 		if string(got) != "provider bytes" || overlaps(got, src.data) {
 			t.Fatalf("read %q, aliasing the provider's bytes: %v", got, overlaps(got, src.data))
 		}
+	}
+}
+
+// handingMemo serves every cut from one slice, the way a cache hands
+// out a table blob.
+type handingMemo struct{ held []byte }
+
+func (m handingMemo) LongestPrefix(_ string, _ sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
+	return m.held, len(fps) - 1, true
+}
+
+func (m handingMemo) PrefixIntermediate(string, string, sig.Signature, Cut, func() ([]byte, error)) ([]byte, bool, error) {
+	return m.held, true, nil
+}
+
+// TestStagedReadReturnsTheLastCutAsHanded: when no transform follows
+// the last cut, the staged read's body is the store's slice itself; a
+// transform after the cut that returns its input unchanged gets the
+// body copied, so it never aliases the store's bytes.
+func TestStagedReadReturnsTheLastCutAsHanded(t *testing.T) {
+	f := newFixture(t)
+	f.addDoc(t, "d", "eyal", "/d", []byte("source"))
+	if err := f.space.Attach("d", "", Universal, property.NewUppercaser(0)); err != nil {
+		t.Fatal(err)
+	}
+	memo := handingMemo{held: []byte("SOURCE")}
+	got, _, _, err := f.space.ReadDocumentStaged("d", "eyal", memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.SliceData(got) != unsafe.SliceData(memo.held) {
+		t.Fatal("the last cut's bytes were copied")
+	}
+
+	identity := &property.Transformer{
+		Base:          property.Base{PropName: "identity"},
+		ReadTransform: func(b []byte) []byte { return b }, // no memo contract
+	}
+	if err := f.space.Attach("d", "eyal", Personal, identity); err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err = f.space.ReadDocumentStaged("d", "eyal", memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "SOURCE" || overlaps(got, memo.held) {
+		t.Fatalf("read %q, aliasing the cut's bytes: %v", got, overlaps(got, memo.held))
 	}
 }

@@ -67,8 +67,9 @@ type PrefixIntermediates interface {
 	// or computes it via compute — exactly once per key under
 	// concurrent misses. The returned slice is read-only, like
 	// LongestPrefix's, and compute's result may be kept by the store
-	// (the read never modifies either; it hands them only to transforms
-	// and to apply, which copies a result that would alias them). hit
+	// (the read never modifies either: it hands them to transforms, to
+	// apply, which copies a result that would alias them, and — when no
+	// transform follows the cut — to its own caller as the body). hit
 	// reports whether compute was skipped (served from the store or
 	// coalesced onto another caller's computation). cut carries the
 	// position metadata so the store can account and cost-gate installs
@@ -229,7 +230,8 @@ type stagedRun struct {
 	ts      []stream.Transform
 	uEnd    int // ts[:uEnd] is the universal stage
 	cur     []byte
-	at      int // ts[:at] already applied to cur
+	at      int  // ts[:at] already applied to cur
+	cut     bool // cur is a cut's bytes, as the store handed them
 	crossed bool
 	tUni    time.Time
 	tPers   time.Time
@@ -251,9 +253,10 @@ func (sr *stagedRun) cross(hit bool) {
 // final content. If the universal boundary has not been passed (no
 // cuts offered, a poisoned boundary cut, or a store failure early in
 // the walk), the remainder runs in two chunks split at the boundary so
-// the per-stage timings stay attributable.
+// the per-stage timings stay attributable. When no transform follows
+// the last cut, the body is that cut's bytes.
 func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
-	ro := sr.cur
+	ro, last := sr.cur, sr.cut && sr.at == len(sr.ts)
 	if !sr.crossed {
 		for _, t := range sr.ts[sr.at:sr.uEnd] {
 			sr.cur = t(sr.cur)
@@ -261,7 +264,10 @@ func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 		sr.at = sr.uEnd
 		sr.cross(false)
 	}
-	data := apply(ro, sr.cur, sr.ts[sr.at:])
+	data := sr.cur
+	if !last {
+		data = apply(ro, sr.cur, sr.ts[sr.at:])
+	}
 	sr.trace.PersonalDur = time.Since(sr.tPers)
 	return data, sr.rc.Result(), *sr.trace, nil
 }
@@ -294,6 +300,9 @@ func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 // chunk, personal chunk, each timed) and the trace reports no cuts. A
 // store error mid-walk degrades to direct execution of the remaining
 // transforms (slow, not broken) and sets trace.MemoErr.
+//
+// When no transform follows the last cut the body is that cut's bytes,
+// as read-only as memo's own; otherwise the caller owns it.
 func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) ([]byte, property.ReadResult, StageTrace, error) {
 	var trace StageTrace
 
@@ -403,7 +412,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 		probe[i] = c.FP
 	}
 	if data, idx, ok := memo.LongestPrefix(doc, srcSig, probe); ok {
-		sr.cur, sr.at, next = data, cutEnd[idx], idx+1
+		sr.cur, sr.at, sr.cut, next = data, cutEnd[idx], true, idx+1
 		trace.DeepestHit = idx
 		if boundaryIdx >= 0 && idx >= boundaryIdx {
 			sr.cross(true)
@@ -421,7 +430,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 			trace.MemoErr = true
 			return sr.finish()
 		}
-		sr.cur, sr.at = data, cutEnd[next]
+		sr.cur, sr.at, sr.cut = data, cutEnd[next], true
 		if next == boundaryIdx {
 			sr.cross(hit)
 		}

@@ -97,6 +97,8 @@ func (fs *FileSystem) writeAll(doc string, data []byte) error {
 }
 
 // ReadFile returns the complete content of doc as seen by the user.
+// Through a cache the bytes are the cache's own and read-only
+// (core.Cache.Read); File.Read copies into the caller's buffer instead.
 func (fs *FileSystem) ReadFile(doc string) ([]byte, error) {
 	return fs.readAll(doc)
 }

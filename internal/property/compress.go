@@ -25,13 +25,13 @@ func NewCompressor(level int, cost time.Duration) *Transformer {
 		var buf bytes.Buffer
 		w, err := flate.NewWriter(&buf, level)
 		if err != nil {
-			return append([]byte{}, b...)
+			return b
 		}
 		if _, err := w.Write(b); err != nil {
-			return append([]byte{}, b...)
+			return b
 		}
 		if err := w.Close(); err != nil {
-			return append([]byte{}, b...)
+			return b
 		}
 		return buf.Bytes()
 	}
@@ -41,7 +41,7 @@ func NewCompressor(level int, cost time.Duration) *Transformer {
 		r.Close()
 		if err != nil {
 			// Not deflate data: pass through (pre-attachment content).
-			return append([]byte{}, b...)
+			return b
 		}
 		return out
 	}

@@ -306,7 +306,7 @@ func NewSummarizer(n int, cost time.Duration) *Transformer {
 		ReadTransform: func(b []byte) []byte {
 			lines := bytes.SplitAfter(b, []byte("\n"))
 			if len(lines) <= n {
-				return append([]byte{}, b...)
+				return b
 			}
 			out := bytes.Join(lines[:n], nil)
 			return append(out, []byte("[...]\n")...)

@@ -12,5 +12,7 @@ package stream
 // Transform rewrites a complete document body. Implementations must
 // not retain or mutate the input slice: the input may be bytes a cache
 // stores and serves to other readers, or a request body a server still
-// holds.
+// holds. A transform may return its input unchanged: the read path
+// copies any result that aliases read-only bytes, and the write path
+// stores such a result as it would the body no transform touched.
 type Transform func([]byte) []byte

@@ -66,7 +66,8 @@ var NewSpace = docspace.New
 type (
 	// Cache is the document-content cache: (doc, user)-keyed entries,
 	// notifier/verifier consistency, cacheability indicators, and
-	// cost-aware replacement.
+	// cost-aware replacement. What its reads return is the cache's own
+	// bytes, shared by every reader of the content: never modify them.
 	Cache = core.Cache
 	// CacheOptions configures a Cache.
 	CacheOptions = core.Options
