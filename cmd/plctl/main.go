@@ -29,7 +29,7 @@
 // and trace renders the last n per-read traces from /debug/traces.
 //
 // ring inspects consistent-hash placement (docs/CLUSTER.md). With -http
-// set to a cluster-mode plcached it fetches /ring and prints live
+// set to a plcached it fetches /ring and prints live
 // per-node state, shares, and — given doc/user arguments — the key's
 // owner set. With `ring -nodes a,b,c [-replicas N] [-vnodes N]` it
 // computes the same placement offline, for planning joins and removals

@@ -27,7 +27,7 @@ type ringView struct {
 // ringCmd implements `plctl ring [-nodes a,b,c [-replicas N] [-vnodes
 // N]] [doc [user]]`. With -nodes it computes placement offline from
 // the same ring code the router runs; otherwise it fetches /ring from
-// the cluster-mode plcached at httpAddr and prints live per-node state.
+// the plcached at httpAddr and prints live per-node state.
 func ringCmd(httpAddr string, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ring", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -50,7 +50,7 @@ func ringCmd(httpAddr string, args []string, stdout io.Writer) error {
 		}
 	} else {
 		if httpAddr == "" {
-			return errors.New("ring requires -http (a cluster-mode plcached) or -nodes (offline planning)")
+			return errors.New("ring requires -http (a plcached) or -nodes (offline planning)")
 		}
 		path := "/ring"
 		if doc != "" {

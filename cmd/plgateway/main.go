@@ -8,13 +8,13 @@
 //
 // Example session:
 //
-//	plgateway -root /tmp/pl &
-//	curl -X PUT --data-binary @draft.txt 'localhost:8099/doc/draft?user=alice'   # (doc must exist)
-//	curl 'localhost:8099/doc/draft?user=alice'
+//	plgateway -root /tmp/pl -demo &
+//	curl 'localhost:8099/doc/memo?user=alice'
+//	curl -X PUT --data-binary @draft.txt 'localhost:8099/doc/memo?user=alice'
 //	curl 'localhost:8099/stats'
 //
-// Documents and properties are managed through plctl/placelessd or the
-// library API; the gateway is the read/write data plane.
+// It serves a private document space inside its own process, which
+// only -demo populates; plctl and placelessd cannot reach it.
 package main
 
 import (

@@ -29,7 +29,7 @@ func nopCluster(tb testing.TB, n int) *Cache {
 
 // BenchmarkClusterRoute is a cluster.Cache.Read over three no-op peers:
 // the key's ring position, its owners and their peers, and the call to
-// the primary — what cluster mode adds to every sidecar read.
+// the primary — what the ring adds to every sidecar read.
 func BenchmarkClusterRoute(b *testing.B) {
 	c := nopCluster(b, 3)
 	keys := make([]string, 64)

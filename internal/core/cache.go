@@ -301,7 +301,7 @@ func New(space *docspace.Space, opts Options) *Cache {
 		space: space,
 		clk:   space.Clock(),
 		opts:  opts,
-		tab:   NewTable(0, policy),
+		tab:   NewTable(policy),
 		dirty: make(map[string]*dirtyWrite),
 	}
 	c.notifiers = docspace.NewNotifierPair(space, "notifier:"+opts.Name, c.onBaseEvent, c.onRefEvent)

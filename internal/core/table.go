@@ -118,12 +118,12 @@ type blob struct {
 // and the user to whom the version of the document belongs."
 func Key(doc, user string) string { return doc + "\x00" + user }
 
-// NewTable returns an empty table with the given number of stripes (0
-// selects the GOMAXPROCS-scaled default; see newShardedIndex) and
-// replacement policy. Its capacity is unlimited until Resize.
-func NewTable(shards int, policy replace.Policy) *Table {
+// NewTable returns an empty table with the GOMAXPROCS-scaled stripe
+// count (see newShardedIndex) and the given replacement policy. Its
+// capacity is unlimited until Resize.
+func NewTable(policy replace.Policy) *Table {
 	return &Table{
-		shardedIndex: newShardedIndex(shards),
+		shardedIndex: newShardedIndex(0),
 		policy:       policy,
 		blobs:        make(map[sig.Signature]*blob),
 	}

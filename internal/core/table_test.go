@@ -131,7 +131,7 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 // copies a slice with spare capacity to an exact-size blob, and shares
 // the blob a held signature already has.
 func TestInstallTakesExactBytes(t *testing.T) {
-	tab := NewTable(1, replace.NewGDS())
+	tab := NewTable(replace.NewGDS())
 	install := func(k string, data []byte) (stored []byte) {
 		t.Helper()
 		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, data, 0) {
@@ -152,6 +152,43 @@ func TestInstallTakesExactBytes(t *testing.T) {
 	again := []byte("exact-size body")
 	if stored := install("c", again); &stored[0] != &exact[0] {
 		t.Fatal("a held signature did not share the held blob")
+	}
+}
+
+// TestComputedWordMapCutIsInternedAsHanded: a word-map transform's
+// output reaches the table in the one exact-size allocation the
+// transform made. The cut keeps that allocation as its blob, with no
+// second copy, and pins no byte beyond it.
+func TestComputedWordMapCutIsInternedAsHanded(t *testing.T) {
+	w := newWorld(t, Options{Memoize: true})
+	w.addDoc(t, "d", "eyal", "/d", []byte("the paper and the cache of the system, with caching"))
+	tr := property.NewTranslator(0)
+	kernel := tr.ReadTransform
+	var handed []byte
+	tr.ReadTransform = func(b []byte) []byte {
+		handed = kernel(b)
+		return handed
+	}
+	if err := w.space.Attach("d", "", docspace.Universal, tr); err != nil {
+		t.Fatal(err)
+	}
+	w.read(t, "d", "eyal")
+	var cuts int
+	for _, e := range records(w.cache.tab, "d") {
+		if !e.cut {
+			continue
+		}
+		cuts++
+		data := e.blob.data
+		if unsafe.SliceData(data) != unsafe.SliceData(handed) || len(data) != len(handed) {
+			t.Errorf("the table holds a copy of the transform's %d bytes", len(handed))
+		}
+		if cap(data) != len(data) {
+			t.Errorf("the cut's %d bytes pin %d of capacity", len(data), cap(data))
+		}
+	}
+	if cuts != 1 {
+		t.Fatalf("%d cuts installed, want 1", cuts)
 	}
 }
 

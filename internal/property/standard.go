@@ -3,6 +3,7 @@ package property
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"time"
@@ -188,13 +189,27 @@ func upperFirst(s string) string {
 // isLetter reports whether c is an ASCII letter.
 func isLetter(c byte) bool { return (c|0x20)-'a' < 26 }
 
-// apply is the transform: one pass over b into one output sized for
-// the longest text the table can make of it.
+// wordScratch keeps apply's buffers between calls, one per processor
+// (a transform is CPU-bound); one past scratchMax bytes is dropped.
+var wordScratch = make(chan []byte, runtime.GOMAXPROCS(0))
+
+const scratchMax = 1 << 20
+
+// apply is the transform: one pass over b into a scratch buffer sized
+// for the longest text the table can make of it, then one exact-size
+// copy, which a cache can keep as its blob without pinning spare bytes.
 func (t *wordTable) apply(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
-	out := make([]byte, 0, len(b)+((len(b)+1)*t.grow+t.per-1)/t.per)
+	var out []byte
+	select {
+	case out = <-wordScratch:
+	default:
+	}
+	if worst := len(b) + ((len(b)+1)*t.grow+t.per-1)/t.per; cap(out) < worst {
+		out = make([]byte, 0, worst)
+	}
 	for i := 0; i < len(b); {
 		if !isLetter(b[i]) {
 			out = append(out, b[i])
@@ -208,7 +223,15 @@ func (t *wordTable) apply(b []byte) []byte {
 		out = t.appendWord(out, b[i:j])
 		i = j
 	}
-	return out
+	res := make([]byte, len(out))
+	copy(res, out)
+	if cap(out) <= scratchMax {
+		select {
+		case wordScratch <- out[:0]:
+		default:
+		}
+	}
+	return res
 }
 
 // appendWord appends w's replacement to out, or w itself when the

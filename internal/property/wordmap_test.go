@@ -137,7 +137,7 @@ func TestWordMapUpperCasesFirstRune(t *testing.T) {
 }
 
 // TestWordMapSizesItsOutput: however the table lengthens a text, the
-// kernel writes into the one output it allocated.
+// kernel makes one allocation, its output, with no spare capacity.
 func TestWordMapSizesItsOutput(t *testing.T) {
 	table := map[string]string{"a": "ɐɐɐ", "caching": "mise-en-cache", "the": "le"}
 	tr := wordMap(table)
@@ -145,6 +145,9 @@ func TestWordMapSizesItsOutput(t *testing.T) {
 		b := []byte(in)
 		if n := testing.AllocsPerRun(10, func() { tr(b) }); n != 1 {
 			t.Errorf("%q: %v allocations, want 1", in, n)
+		}
+		if out := tr(b); cap(out) != len(out) {
+			t.Errorf("%q: %d bytes in %d of capacity", in, len(out), cap(out))
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,8 +64,8 @@ type Options struct {
 	// production).
 	Clock clock.Clock
 	// Observer, when non-nil, receives the wire round-trip latency of
-	// every miss (stage remote_rtt) and the cache registers its
-	// counters under stable placeless_remote_* names.
+	// every miss (stage remote_rtt). The counters reach it through
+	// RegisterMetrics, once for all the caches it serves.
 	Observer *obs.Observer
 }
 
@@ -128,7 +129,7 @@ type Cache struct {
 func New(client *server.Client, opts Options) *Cache {
 	c := &Cache{
 		client:  client,
-		tab:     core.NewTable(0, replace.NewGDS()),
+		tab:     core.NewTable(replace.NewGDS()),
 		clk:     opts.Clock,
 		obs:     opts.Observer,
 		flushed: client.Epoch(), // the table is empty: nothing to flush
@@ -137,9 +138,6 @@ func New(client *server.Client, opts Options) *Cache {
 		c.clk = clock.Real{}
 	}
 	c.tab.Resize(opts.Capacity)
-	if c.obs != nil {
-		c.registerMetrics(c.obs)
-	}
 	client.OnInvalidate(c.onInvalidate)
 	client.OnStateChange(c.onConnState)
 	return c
@@ -187,59 +185,66 @@ func (c *Cache) suspectLocked() bool {
 	return c.client.State() != server.StateConnected || c.client.Epoch() != c.flushed
 }
 
-// registerMetrics publishes the remote cache's counters on o's
-// registry under stable placeless_remote_* names. The closures take
-// a Stats snapshot at scrape time; the read path is untouched.
-func (c *Cache) registerMetrics(o *obs.Observer) {
-	reg := o.Registry()
-	counter := func(read func(*Stats) int64) func() int64 {
-		return func() int64 {
-			st := c.Stats()
-			return read(&st)
+// RegisterMetrics publishes the counters of a sidecar's remote caches
+// on o's registry under stable placeless_remote_* names, each the sum
+// over nodes; placeless_remote_connection_state is the worst node's.
+// The closures read the nodes at scrape time; the read path is
+// untouched. Call it once per Observer.
+func RegisterMetrics(o *obs.Observer, nodes ...*Cache) {
+	nodes = slices.Clone(nodes)
+	sum := func(read func(*Cache) int64) func() int64 {
+		return func() (n int64) {
+			for _, c := range nodes {
+				n += read(c)
+			}
+			return n
 		}
 	}
+	reg := o.Registry()
 	reg.Counter("placeless_remote_hits_total",
-		"Remote-cache reads served locally.", counter(func(s *Stats) int64 { return s.Hits }))
+		"Remote-cache reads served locally.", sum(func(c *Cache) int64 { return c.Stats().Hits }))
 	reg.Counter("placeless_remote_misses_total",
-		"Remote-cache reads that went over the wire.", counter(func(s *Stats) int64 { return s.Misses }))
+		"Remote-cache reads that went over the wire.", sum(func(c *Cache) int64 { return c.Stats().Misses }))
 	reg.Counter("placeless_remote_coalesced_misses_total",
-		"Reads that joined another goroutine's in-flight wire fetch.", counter(func(s *Stats) int64 { return s.CoalescedMisses }))
+		"Reads that joined another goroutine's in-flight wire fetch.", sum(func(c *Cache) int64 { return c.Stats().CoalescedMisses }))
 	reg.Counter("placeless_remote_uncacheable_total",
-		"Wire reads whose result was not storable.", counter(func(s *Stats) int64 { return s.Uncacheable }))
+		"Wire reads whose result was not storable.", sum(func(c *Cache) int64 { return c.Stats().Uncacheable }))
 	reg.Counter("placeless_remote_invalidations_total",
-		"Entries dropped by server invalidation pushes.", counter(func(s *Stats) int64 { return s.Invalidations }))
+		"Entries dropped by server invalidation pushes.", sum(func(c *Cache) int64 { return c.Stats().Invalidations }))
 	reg.Counter("placeless_remote_evictions_total",
-		"Capacity-driven removals.", counter(func(s *Stats) int64 { return s.Evictions }))
+		"Capacity-driven removals.", sum(func(c *Cache) int64 { return c.Stats().Evictions }))
 	reg.Counter("placeless_remote_events_forwarded_total",
-		"Hit-time operation events forwarded to the server.", counter(func(s *Stats) int64 { return s.EventsForwarded }))
+		"Hit-time operation events forwarded to the server.", sum(func(c *Cache) int64 { return c.Stats().EventsForwarded }))
 	reg.Counter("placeless_remote_ttl_expiries_total",
-		"Entries dropped because their server-issued TTL deadline passed.", counter(func(s *Stats) int64 { return s.TTLExpiries }))
+		"Entries dropped because their server-issued TTL deadline passed.", sum(func(c *Cache) int64 { return c.Stats().TTLExpiries }))
 	reg.Counter("placeless_remote_reconnects_total",
-		"Successful reconnects observed (one epoch flush each; no subscription is replayed).", counter(func(s *Stats) int64 { return s.Reconnects }))
+		"Successful reconnects observed (one epoch flush each; no subscription is replayed).", sum(func(c *Cache) int64 { return c.Stats().Reconnects }))
 	reg.Counter("placeless_remote_epoch_flushes_total",
-		"Entries flushed at reconnect because their epoch's invalidation stream was interrupted.", counter(func(s *Stats) int64 { return s.EpochFlushes }))
+		"Entries flushed at reconnect because their epoch's invalidation stream was interrupted.", sum(func(c *Cache) int64 { return c.Stats().EpochFlushes }))
 	reg.Counter("placeless_remote_frames_batched_total",
-		"Wire frames that shared a multi-frame writev batch on this client's connection.",
-		func() int64 { return c.client.FramesBatched() })
+		"Wire frames that shared a multi-frame writev batch on the remote caches' connections.",
+		sum(func(c *Cache) int64 { return c.client.FramesBatched() }))
 	reg.Counter("placeless_remote_degraded_errors_total",
-		"Reads/writes refused or failed with ErrDegraded while the server was unreachable.", counter(func(s *Stats) int64 { return s.DegradedErrors }))
+		"Reads/writes refused or failed with ErrDegraded while the server was unreachable.", sum(func(c *Cache) int64 { return c.Stats().DegradedErrors }))
 	reg.Gauge("placeless_remote_connection_state",
-		"State of the wire behind the remote cache: 1 connected, 0 disconnected, -1 closed.",
+		"State of the worst wire behind the remote caches: 1 connected, 0 disconnected, -1 closed.",
 		func() int64 {
-			switch c.client.State() {
-			case server.StateConnected:
-				return 1
-			case server.StateDisconnected:
-				return 0
-			default:
-				return -1
+			worst := int64(1)
+			for _, c := range nodes {
+				switch c.client.State() {
+				case server.StateDisconnected:
+					worst = min(worst, 0)
+				case server.StateClosed:
+					worst = -1
+				}
 			}
+			return worst
 		})
 	reg.Gauge("placeless_remote_bytes_stored",
-		"Current unique content footprint of the remote cache.", counter(func(s *Stats) int64 { return s.BytesStored }))
+		"Current unique content footprint of the remote caches.", sum(func(c *Cache) int64 { return c.Stats().BytesStored }))
 	reg.Gauge("placeless_remote_entries",
 		"Current number of remote-cache entries.",
-		func() int64 { return int64(c.Len()) })
+		sum(func(c *Cache) int64 { return int64(c.Len()) }))
 }
 
 // onInvalidate handles a server push: user == "" invalidates every
@@ -283,6 +288,10 @@ func (c *Cache) Suspect() bool {
 func (c *Cache) ConnState() server.ConnState {
 	return c.client.State()
 }
+
+// DownSince reports when the wire behind the cache's client went down,
+// or the zero time while it is up.
+func (c *Cache) DownSince() time.Time { return c.client.DownSince() }
 
 // Len reports cached entry count.
 func (c *Cache) Len() int { return c.tab.Len() }

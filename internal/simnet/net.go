@@ -17,16 +17,16 @@ import (
 // are perturbed — dropped, delayed on the virtual clock, reordered,
 // or black-holed during a partition — by a deterministic, seeded
 // schedule. The simulation harness (internal/sim) uses it to drive
-// the real gob protocol through adversarial interleavings without
-// touching the kernel's TCP stack or real time.
+// the real binary wire protocol through adversarial interleavings
+// without touching the kernel's TCP stack or real time.
 //
 // Fault semantics are chosen to match what a reliable byte stream can
 // actually exhibit:
 //
 //   - drop: a TCP segment loss the stack could not recover from is a
 //     broken connection, never a silently missing message. A "drop"
-//     therefore replaces the message with poison bytes that desync
-//     the peer's decoder, forcing the endpoints through their
+//     therefore replaces the message with poison bytes that fail the
+//     peer's frame check, forcing the endpoints through their
 //     teardown/reconnect paths.
 //   - delay: the message is delivered when the virtual clock reaches
 //     now+d, so delays only resolve when the simulation advances time.
@@ -50,9 +50,9 @@ func NewPathWithRand(name string, rng *rand.Rand, links ...Link) *Path {
 	return &Path{name: name, links: links, rng: rng}
 }
 
-// poison is what a dropped message turns into: bytes no gob stream can
-// contain (an absurd uvarint length prefix), so the receiving decoder
-// errors and the endpoint runs its connection-failure path.
+// poison is what a dropped message turns into: bytes no frame can carry
+// (0xff is no wire version, and inside a frame it fails the CRC-32C
+// trailer), so the receiver errors and runs its connection-failure path.
 var poison = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
 // NetStats counts fault decisions, for test assertions and run summaries.
@@ -319,7 +319,7 @@ func (l *netListener) Addr() net.Addr { return simAddr(l.name) }
 
 // Conn is one endpoint of an in-process connection. Each Write is one
 // message through the fault scheduler; Read drains delivered bytes as
-// a stream, so framing above it (gob) behaves exactly as over TCP.
+// a stream, so the wire's framing above it behaves exactly as over TCP.
 type Conn struct {
 	n    *Net
 	addr simAddr
