@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"placeless/internal/cluster"
 	"placeless/internal/remote"
 )
 
@@ -22,7 +21,6 @@ func TestWriteDocError(t *testing.T) {
 	}{
 		{remote.ErrDegraded, http.StatusServiceUnavailable, "1"},
 		{fmt.Errorf("%w (down since 2026-01-02T03:04:05Z)", remote.ErrDegraded), http.StatusServiceUnavailable, "1"},
-		{cluster.ErrNoNodes, http.StatusServiceUnavailable, "1"},
 		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", remote.ErrDegraded), http.StatusServiceUnavailable, "1"},
 		{remote.ErrClosed, http.StatusServiceUnavailable, ""},
 		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", remote.ErrClosed), http.StatusServiceUnavailable, ""},

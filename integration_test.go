@@ -107,6 +107,57 @@ func TestFullStackCollaboration(t *testing.T) {
 	}
 }
 
+// TestRemoteMetricsThroughFacade registers two remote caches on one
+// Observer through the public API: the scrape carries their summed
+// counters and the worst connection state.
+func TestRemoteMetricsThroughFacade(t *testing.T) {
+	addr, _, _ := startServer(t)
+	o := NewObserver()
+	var clients []*Client
+	var caches []*RemoteCache
+	for i := 0; i < 2; i++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clients = append(clients, c)
+		caches = append(caches, NewRemoteCache(c, RemoteCacheOptions{Observer: o}))
+	}
+	if err := clients[0].CreateDocument("memo", "ann", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	RegisterRemoteMetrics(o, caches...)
+	for _, c := range []*RemoteCache{caches[0], caches[0], caches[1]} {
+		if data, err := c.Read("memo", "ann"); err != nil || string(data) != "hello" {
+			t.Fatalf("read: %q, %v", data, err)
+		}
+	}
+	var text bytes.Buffer
+	if err := o.Registry().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"placeless_remote_hits_total 1\n",
+		"placeless_remote_misses_total 2\n",
+		"placeless_remote_entries 2\n",
+		"placeless_remote_connection_state 1\n",
+		`placeless_read_stage_duration_seconds_count{stage="remote_rtt"} 2` + "\n",
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("scrape lacks %q", want)
+		}
+	}
+	clients[1].Close()
+	text.Reset()
+	if err := o.Registry().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "placeless_remote_connection_state -1\n") {
+		t.Error("connection state does not report the closed wire")
+	}
+}
+
 func TestFullStackConcurrentMachines(t *testing.T) {
 	addr, _, _ := startServer(t)
 	setup, err := server.Dial(addr)

@@ -184,7 +184,8 @@ func TestClusterFailoverPastClosedClient(t *testing.T) {
 }
 
 // TestClusterAllOwnersDegraded closes every owner: the read must
-// return a typed degraded error, not bytes, and so must a write.
+// return a typed degraded error, not bytes, and so must a write. A
+// refused operation counts as a degraded error, not as routed.
 func TestClusterAllOwnersDegraded(t *testing.T) {
 	tc := newTestCluster(t, 2, 2, nil)
 	for _, rc := range tc.caches {
@@ -203,8 +204,8 @@ func TestClusterAllOwnersDegraded(t *testing.T) {
 	if err := tc.cl.Write("alpha", "amy", []byte("v2")); !errors.Is(err, remote.ErrClosed) {
 		t.Fatalf("write err = %v, want errors.Is remote.ErrClosed", err)
 	}
-	if st := tc.cl.Stats(); st.DegradedErrors != 2 || st.Failovers != 0 {
-		t.Fatalf("after the write: %+v, want 2 degraded errors and no failover", st)
+	if st := tc.cl.Stats(); st.DegradedErrors != 2 || st.Failovers != 0 || st.Reads != 0 || st.Writes != 0 {
+		t.Fatalf("after the write: %+v, want 2 degraded errors and nothing routed", st)
 	}
 }
 
