@@ -41,11 +41,13 @@ test-race:
 # the client's read loop runs the invalidation handler itself, before
 # it decodes the next frame; and the server's handler workers (the
 # decode loop hands requests to parked workers through a queue and an
-# idle count, and teardown closes the queue), and the tests that every
-# read, a coalesced follower's included, serves the table's own bytes.
+# idle count, and teardown closes the queue), the tests that every
+# read, a coalesced follower's included, serves the table's own bytes,
+# and the source stamp's race (writers against content-key probes:
+# only the write count retires a stamp the verifiers cannot fault).
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./cmd/plcached/
-	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
+	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes|SourceStamp' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded
 # modes, reconnect/resubscribe/flush. The short timeout is part of the

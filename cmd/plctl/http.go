@@ -79,6 +79,7 @@ func httpTrace(addr string, n int, stdout io.Writer) error {
 			{obs.StageShardLookup, t.Lookup},
 			{obs.StageFlightWait, t.FlightWait},
 			{obs.StageVerify, t.Verify},
+			{obs.StageDiskPromote, t.DiskPromote},
 			{obs.StageBitFetch, t.BitFetch},
 			{obs.StageUniversal, t.Universal},
 			{obs.StagePersonal, t.Personal},

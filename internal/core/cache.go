@@ -638,10 +638,10 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	// callback race between load and install).
 	gen := c.tab.Gen(doc)
 
-	// Durable tier first: a revalidated disk entry costs one source
-	// fetch instead of the whole transform chain.
+	// Durable tier first: a revalidated disk entry costs a source probe
+	// and a blob read instead of the whole transform chain.
 	if c.opts.Store != nil {
-		if data, info, ok := c.promote(doc, user, gen); ok {
+		if data, info, ok := c.promote(doc, user, gen, tr); ok {
 			return data, info, nil, nil
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"placeless/internal/docspace"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/sig"
 	"placeless/internal/store"
@@ -32,10 +33,14 @@ import (
 //     the store itself refuses entries recorded under an older
 //     generation. A signature invalidated while the process was down is
 //     structurally unservable even though its bytes are still on disk.
-//   - Re-probing. The content-key probe at promotion time reads the
-//     *current* source bytes and chain fingerprints, so a document
-//     rewritten out-of-band during the outage fails the SourceSig
-//     match and falls through to recompute.
+//   - Re-probing. The content-key probe at promotion time derives the
+//     *current* source signature and chain fingerprints. The source
+//     signature comes from the document's stamp while the verifiers
+//     its bit-provider's last fetch returned still hold (one stat for
+//     a file), and from a fetch and a hash otherwise. A fresh process
+//     starts with no stamps, so a document rewritten out-of-band
+//     during the outage is fetched, fails the SourceSig match and
+//     falls through to recompute.
 //
 // Promoted entries cannot carry their original verifiers (closures do
 // not persist), so each gets a fresh "store-recheck" verifier that
@@ -65,11 +70,20 @@ func (c *Cache) appendEpoch(doc string, gen uint64) {
 // caller's pre-read generation snapshot. Returns
 // ok=false (and counts a reject when a candidate existed) if the tier
 // has no usable entry, in which case the caller runs the transforms.
-func (c *Cache) promote(doc, user string, gen uint64) ([]byte, EntryInfo, bool) {
+// When tr is non-nil and a candidate existed, the attempt's time goes
+// into tr.DiskPromote.
+func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) ([]byte, EntryInfo, bool) {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
 	st := c.opts.Store
 	e, ok := st.GetEntry(doc, user)
 	if !ok {
 		return nil, EntryInfo{}, false
+	}
+	if tr != nil {
+		defer func() { tr.DiskPromote = time.Since(t0) }()
 	}
 	ck, err := c.space.ContentKey(doc, user)
 	if err != nil || !ck.Memoizable ||

@@ -8,12 +8,17 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"placeless/internal/clock"
 	"placeless/internal/docspace"
 	"placeless/internal/obs"
 	"placeless/internal/property"
+	"placeless/internal/repo"
 	"placeless/internal/sig"
+	"placeless/internal/simnet"
 	"placeless/internal/store"
 	"placeless/internal/stream"
 )
@@ -533,4 +538,141 @@ func TestDurableUpgradeFromMetaLogStore(t *testing.T) {
 		t.Fatalf("recovery = %+v, want the blob and nothing else", rec)
 	}
 	checkUpgradeRecomputes(t, w, st)
+}
+
+// countingRepo counts the fetches a repository serves.
+type countingRepo struct {
+	repo.Repository
+	fetches atomic.Int64
+}
+
+func (r *countingRepo) Fetch(path string) (*repo.FetchResult, error) {
+	r.fetches.Add(1)
+	return r.Repository.Fetch(path)
+}
+
+// TestPromoteFetchesTheSourceOncePerVersion: after a restart, K users'
+// promotes of one document fetch its source once — the first probe
+// stamps the signature and the others poll the mtime — and so do the
+// store-recheck verifiers of the K hits after them. An out-of-band
+// rewrite costs exactly one more fetch, and a rewrite to new bytes is
+// served.
+func TestPromoteFetchesTheSourceOncePerVersion(t *testing.T) {
+	const K = 6
+	users := memoUsers(K)
+	clk := clock.NewVirtual(epoch)
+	mem := repo.NewMem("nfs", clk, simnet.Local(1))
+	mem.Store("/d", memoContent)
+	src := &countingRepo{Repository: mem}
+	dir := t.TempDir()
+	var st *store.Store
+	var c *Cache
+	// boot starts the process again: a document space rebuilt over the
+	// same repository, the store reopened, a new cache.
+	boot := func() {
+		t.Helper()
+		if c != nil {
+			c.Kill()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		space := docspace.New(clk, nil)
+		if _, err := space.CreateDocument("d", users[0], &property.RepoBitProvider{Repo: src, Path: "/d"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []property.Active{property.NewSpellCorrector(time.Millisecond), property.NewLineNumberer(time.Millisecond)} {
+			if err := space.Attach("d", "", docspace.Universal, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, u := range users {
+			if i > 0 {
+				if _, err := space.AddReference("d", u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := space.Attach("d", u, docspace.Personal, property.NewWatermarker(u, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if st, _, err = store.Open(dir, store.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		c = New(space, Options{Store: st})
+	}
+	// readAll reads every user's view and returns the fetches it cost.
+	readAll := func(want func(EntryInfo) bool, what string) int64 {
+		t.Helper()
+		before := src.fetches.Load()
+		for _, u := range users {
+			_, info, err := c.ReadWithInfo("d", u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want(info) {
+				t.Fatalf("user %s: read not %s (info %+v)", u, what, info)
+			}
+		}
+		return src.fetches.Load() - before
+	}
+	promoted := func(i EntryInfo) bool { return i.DiskPromoted }
+	hit := func(i EntryInfo) bool { return i.Hit }
+
+	boot()
+	readAll(func(i EntryInfo) bool { return !i.Hit && !i.DiskPromoted }, "a miss")
+	boot()
+	defer func() { c.Kill(); st.Close() }()
+	if n := readAll(promoted, "disk-promoted"); n != 1 {
+		t.Fatalf("%d promotes after a restart fetched the source %d times, want 1", K, n)
+	}
+	if n := readAll(hit, "a hit"); n != 0 {
+		t.Fatalf("%d store-recheck hits fetched the source %d times, want 0", K, n)
+	}
+	clk.Advance(time.Second)
+	mem.UpdateDirect("/d", memoContent) // out-of-band, same bytes
+	if n := readAll(hit, "a hit"); n != 1 {
+		t.Fatalf("after an out-of-band rewrite, %d hits fetched the source %d times, want 1", K, n)
+	}
+	clk.Advance(time.Second)
+	mem.UpdateDirect("/d", []byte("rewritten out of band\n"))
+	data, info, err := c.ReadWithInfo("d", users[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Hit || !bytes.Contains(data, []byte("rewritten")) {
+		t.Fatalf("read after an out-of-band change = %q (info %+v), want the new bytes", data, info)
+	}
+}
+
+// TestDiskPromoteIsAStage: a promote attempt is timed as the
+// disk_promote stage, whether it serves the read (verdict disk, no
+// bit fetch) or is refused and falls through to the read path.
+func TestDiskPromoteIsAStage(t *testing.T) {
+	d := newDurableWorld(t, Options{})
+	setupMemoDoc(t, d.world, []string{"eyal"})
+	d.read(t, "d", "eyal")
+
+	o := obs.NewObserver()
+	d.opts.Observer = o
+	d.crashAndRestart()
+	d.read(t, "d", "eyal")
+	tr := o.Ring().Snapshot(1)
+	if len(tr) != 1 || tr[0].Verdict != obs.VerdictDisk || tr[0].DiskPromote <= 0 || tr[0].BitFetch != 0 {
+		t.Fatalf("trace = %+v, want a disk verdict timed as disk_promote alone", tr)
+	}
+
+	d.src.Store("/d", []byte("rewritten teh content while down\n"))
+	o = obs.NewObserver()
+	d.opts.Observer = o
+	d.crashAndRestart()
+	d.read(t, "d", "eyal")
+	tr = o.Ring().Snapshot(1)
+	if len(tr) != 1 || tr[0].Verdict != obs.VerdictMiss || tr[0].DiskPromote <= 0 || tr[0].BitFetch <= 0 {
+		t.Fatalf("trace = %+v, want a refused promote, timed, then a miss", tr)
+	}
+	if n := o.StageHistogram(obs.StageDiskPromote).Count(); n != 1 {
+		t.Fatalf("disk_promote stage count = %d, want 1", n)
+	}
 }

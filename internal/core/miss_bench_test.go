@@ -25,8 +25,15 @@ const churnUsers = 64
 // only sleep.
 func churnSpace(b *testing.B) (space *docspace.Space, names []string, body func(round int) []byte) {
 	b.Helper()
-	clk := clock.Real{}
-	fs, err := repo.NewFS("fs", clk, simnet.NewPath("local", 1), b.TempDir())
+	fs, body := churnSource(b)
+	space, names = churnDocSpace(b, fs)
+	return space, names, body
+}
+
+// churnSource is churnSpace's repository, holding body(0) at /d.
+func churnSource(b *testing.B) (fs *repo.FS, body func(round int) []byte) {
+	b.Helper()
+	fs, err := repo.NewFS("fs", clock.Real{}, simnet.NewPath("local", 1), b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,6 +44,14 @@ func churnSpace(b *testing.B) (space *docspace.Space, names []string, body func(
 	if err := fs.Store("/d", body(0)); err != nil {
 		b.Fatal(err)
 	}
+	return fs, body
+}
+
+// churnDocSpace builds churnSpace's document space over fs: what a
+// process starting over the same repository rebuilds.
+func churnDocSpace(b *testing.B, fs *repo.FS) (space *docspace.Space, names []string) {
+	b.Helper()
+	clk := clock.Real{}
 	space = docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("local", 2)))
 	if _, err := space.CreateDocument("d", "owner", &property.RepoBitProvider{Repo: fs, Path: "/d"}); err != nil {
 		b.Fatal(err)
@@ -56,7 +71,7 @@ func churnSpace(b *testing.B) (space *docspace.Space, names []string, body func(
 			b.Fatal(err)
 		}
 	}
-	return space, names, body
+	return space, names
 }
 
 // BenchmarkMissMemoResume4K is the origin's commonest miss on the live
@@ -114,12 +129,16 @@ func BenchmarkMissMemoResume4K(b *testing.B) {
 // BenchmarkPromote4K is the origin's read on the live benchmark's
 // restart_recover, alone: every timed read is a key's first read after
 // a restart, served by promoting its durable entry — one live
-// content-key probe (a source fetch and its hash), one verified blob
-// read, one install. Every user's entry is demoted once before the
-// timer starts; the restart (kill the cache, reopen the store, boot a
+// content-key probe, one verified blob read, one install. The probe's
+// source signature costs a source fetch and its hash for the first
+// user of a round and one stat for the other churnUsers−1, which
+// reuse the stamp the first left. Every user's entry is demoted once
+// before the timer starts; the restart (kill the cache, rebuild the
+// document space over the same repository, reopen the store, boot a
 // new cache) runs once per round of users with the timer stopped.
 func BenchmarkPromote4K(b *testing.B) {
-	space, names, _ := churnSpace(b)
+	fs, _ := churnSource(b)
+	space, names := churnDocSpace(b, fs)
 	dir := b.TempDir()
 	st, _, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -141,6 +160,7 @@ func BenchmarkPromote4K(b *testing.B) {
 			b.Fatal(err)
 		}
 		opts.Store = st
+		space, _ = churnDocSpace(b, fs)
 		c = New(space, opts)
 	}
 	defer func() { c.Kill(); st.Close() }()

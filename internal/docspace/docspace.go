@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"placeless/internal/clock"
@@ -98,6 +99,12 @@ type Base struct {
 	owner string
 	bits  property.BitProvider
 	node  *node
+
+	// stamp is the source signature ContentKey last computed, with the
+	// verifiers the bit-provider's fetch returned; writes counts stores
+	// through WriteDocument. See sourceSig.
+	stamp  atomic.Pointer[sourceStamp]
+	writes atomic.Uint64
 }
 
 // ID returns the document identifier.

@@ -146,6 +146,9 @@ func (s *Space) WriteDocument(doc, user string, data []byte) error {
 		data = t(data)
 	}
 	err = b.bits.Store(wc, data)
+	// After the store, failed or not: a stamp taken under the old
+	// count may hold bytes this store replaced within one mtime tick.
+	b.writes.Add(1)
 	b.node.registry.Dispatch(event.Event{
 		Kind: event.ContentWritten, Doc: doc, User: user, Time: s.clk.Now(),
 	})

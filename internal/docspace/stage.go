@@ -458,10 +458,10 @@ type ContentKey struct {
 }
 
 // ContentKey computes the current content key for user's reference to
-// doc. It fetches the raw source bytes (one repository read, the
-// price of proving the source half of the key) but executes no
-// transforms and dispatches no read events: this is a validation
-// probe, not a document access.
+// doc. It proves the source half of the key with sourceSig — the
+// verifiers of the document's last probe, or one source fetch and its
+// hash — and executes no transforms and dispatches no read events:
+// this is a validation probe, not a document access.
 func (s *Space) ContentKey(doc, user string) (ContentKey, error) {
 	s.mu.Lock()
 	r, err := s.resolveRefLocked(doc, user)
@@ -480,12 +480,50 @@ func (s *Space) ContentKey(doc, user string) (ContentKey, error) {
 	key.Memoizable = s.chainMemoizable(doc, user, uProps) &&
 		s.chainMemoizable(doc, user, pProps)
 
-	raw, err := b.bits.ReadCurrent()
-	if err != nil {
+	if key.SourceSig, err = s.sourceSig(b); err != nil {
 		return ContentKey{}, err
 	}
-	key.SourceSig = sig.Of(raw)
 	return key, nil
+}
+
+// sourceStamp is one source version's signature and the verifiers the
+// bit-provider's fetch of it returned — the provider's own: an mtime
+// poll, a TTL, a Composite over a composition's parts. writes is the
+// base's WriteDocument count read before that fetch.
+type sourceStamp struct {
+	sig    sig.Signature
+	valid  property.Composite
+	writes uint64
+}
+
+// sourceSig returns the signature of b's current source bytes. While
+// the stamp's verifiers hold and no store went through WriteDocument
+// since it was taken, that costs what the verifiers cost (one stat for
+// a file); otherwise it opens the bit-provider against a throwaway
+// context, hashes the bytes and stamps them. A store through the
+// space bumps b.writes after the bytes land, so a write inside one
+// mtime tick still retires the stamp; an out-of-band edit is caught by
+// the same verifiers a cache hit trusts. A provider that registers no
+// verifier is never stamped.
+func (s *Space) sourceSig(b *Base) (sig.Signature, error) {
+	now := s.clk.Now()
+	if st := b.stamp.Load(); st != nil && st.writes == b.writes.Load() {
+		// A verifier's error fails the check, as ok reports: fetch again.
+		if ok, _ := st.valid.Check(now); ok {
+			return st.sig, nil
+		}
+	}
+	writes := b.writes.Load()
+	rc := &property.ReadContext{Doc: b.id, Now: now, Sleep: func(time.Duration) {}}
+	raw, err := b.bits.Open(rc)
+	if err != nil {
+		return sig.Signature{}, err
+	}
+	st := &sourceStamp{sig: sig.Of(raw), valid: property.Composite{Parts: rc.Result().Verifiers}, writes: writes}
+	if len(st.valid.Parts) > 0 {
+		b.stamp.Store(st)
+	}
+	return st.sig, nil
 }
 
 // chainMemoizable reports whether every property in props that

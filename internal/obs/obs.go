@@ -45,6 +45,10 @@ const (
 	StageFlightWait = "flight_wait"
 	// StageVerify is hit-time verifier execution.
 	StageVerify = "verify"
+	// StageDiskPromote is a miss's attempt to promote its durable
+	// entry: the live content-key probe, the blob read and the
+	// install, whether or not it ends in a disk verdict.
+	StageDiskPromote = "disk_promote"
 	// StageBitFetch is raw source retrieval (bit-provider open plus
 	// drain) on a miss.
 	StageBitFetch = "bit_fetch"
@@ -60,7 +64,7 @@ const (
 // stageNames returns every stage name, in read-path order.
 func stageNames() []string {
 	return []string{StageShardLookup, StageFlightWait, StageVerify,
-		StageBitFetch, StageUniversal, StagePersonal, StageRemoteRTT}
+		StageDiskPromote, StageBitFetch, StageUniversal, StagePersonal, StageRemoteRTT}
 }
 
 // verdicts returns every read verdict.
@@ -167,6 +171,9 @@ func (o *Observer) ObserveRead(t ReadTrace) {
 	}
 	if t.Verify > 0 {
 		o.stages.Observe(StageVerify, int64(t.Verify))
+	}
+	if t.DiskPromote > 0 {
+		o.stages.Observe(StageDiskPromote, int64(t.DiskPromote))
 	}
 	if t.BitFetch > 0 {
 		o.stages.Observe(StageBitFetch, int64(t.BitFetch))

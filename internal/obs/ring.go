@@ -83,6 +83,9 @@ type ReadTrace struct {
 	FlightWait time.Duration `json:"flight_wait_ns,omitempty"`
 	// Verify is hit-time verifier execution (stage verify).
 	Verify time.Duration `json:"verify_ns,omitempty"`
+	// DiskPromote is a miss's attempt to promote its durable entry
+	// (stage disk_promote).
+	DiskPromote time.Duration `json:"disk_promote_ns,omitempty"`
 	// BitFetch is raw source retrieval on a miss (stage bit_fetch).
 	BitFetch time.Duration `json:"bit_fetch_ns,omitempty"`
 	// Universal is the universal property stage on a miss — memo

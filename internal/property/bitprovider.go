@@ -45,6 +45,7 @@ func (p *RepoBitProvider) Open(ctx *ReadContext) ([]byte, error) {
 				Path:    p.Path,
 				ModTime: fr.Meta.ModTime,
 				Version: fr.Meta.Version,
+				Size:    fr.Meta.Size,
 			})
 		}
 	}

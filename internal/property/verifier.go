@@ -59,10 +59,13 @@ type MTimeVerifier struct {
 	Repo repo.Repository
 	// Path is the document's path within Repo.
 	Path string
-	// ModTime and Version are the source metadata captured at fetch
-	// time; a change in either invalidates.
+	// ModTime, Version and Size are the source metadata captured at
+	// fetch time; a change in any of them invalidates. Size catches an
+	// out-of-band rewrite that restored the mtime (cp -p, rsync -t)
+	// but not the length.
 	ModTime time.Time
 	Version int64
+	Size    int64
 }
 
 // Name implements Verifier.
@@ -74,7 +77,7 @@ func (v MTimeVerifier) Check(time.Time) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return meta.ModTime.Equal(v.ModTime) && meta.Version == v.Version, nil
+	return meta.ModTime.Equal(v.ModTime) && meta.Version == v.Version && meta.Size == v.Size, nil
 }
 
 // FuncVerifier adapts an arbitrary predicate, for property-specific

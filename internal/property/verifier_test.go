@@ -34,7 +34,7 @@ func TestMTimeVerifierDetectsSourceChange(t *testing.T) {
 	m := repo.NewMem("src", clk, simnet.NewPath("p", 1))
 	m.Store("/f", []byte("v1"))
 	meta, _ := m.Stat("/f")
-	v := MTimeVerifier{Repo: m, Path: "/f", ModTime: meta.ModTime, Version: meta.Version}
+	v := MTimeVerifier{Repo: m, Path: "/f", ModTime: meta.ModTime, Version: meta.Version, Size: meta.Size}
 
 	if ok, err := v.Check(clk.Now()); !ok || err != nil {
 		t.Fatalf("unchanged source invalid: %v %v", ok, err)
@@ -54,7 +54,7 @@ func TestMTimeVerifierSourceGone(t *testing.T) {
 	m := repo.NewMem("src", clk, simnet.NewPath("p", 1))
 	m.Store("/f", []byte("v1"))
 	meta, _ := m.Stat("/f")
-	v := MTimeVerifier{Repo: m, Path: "/f", ModTime: meta.ModTime, Version: meta.Version}
+	v := MTimeVerifier{Repo: m, Path: "/f", ModTime: meta.ModTime, Version: meta.Version, Size: meta.Size}
 	m.Delete("/f")
 	ok, err := v.Check(clk.Now())
 	if ok || err == nil {
@@ -68,7 +68,7 @@ func TestMTimeVerifierChargesClock(t *testing.T) {
 	m := repo.NewMem("far", clk, p)
 	m.Store("/f", []byte("x"))
 	meta, _ := m.Stat("/f")
-	v := MTimeVerifier{Repo: m, Path: "/f", ModTime: meta.ModTime, Version: meta.Version}
+	v := MTimeVerifier{Repo: m, Path: "/f", ModTime: meta.ModTime, Version: meta.Version, Size: meta.Size}
 	before := clk.Now()
 	v.Check(before)
 	if got := clk.Now().Sub(before); got != 80*time.Millisecond {

@@ -41,7 +41,7 @@ func TestFSFetchStatsBeforeRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := property.MTimeVerifier{Repo: f, Path: "/f.txt", ModTime: fr.Meta.ModTime, Version: fr.Meta.Version}
+	v := property.MTimeVerifier{Repo: f, Path: "/f.txt", ModTime: fr.Meta.ModTime, Version: fr.Meta.Version, Size: fr.Meta.Size}
 	ok, err := v.Check(time.Now())
 	if err != nil {
 		t.Fatal(err)
@@ -52,5 +52,52 @@ func TestFSFetchStatsBeforeRead(t *testing.T) {
 	fr, err = f.Fetch("/f.txt")
 	if err != nil || string(fr.Data) != "new bytes" {
 		t.Fatalf("refetch = %q, %v", fr.Data, err)
+	}
+}
+
+// An out-of-band rewrite that changes a file's length and then puts
+// its mtime back (cp -p, rsync -t) must fail the verifier the
+// bit-provider registers: the restored mtime bumps no synthetic
+// version, so only the size shows the change.
+func TestFSVerifierCatchesResizeUnderRestoredMTime(t *testing.T) {
+	dir := t.TempDir()
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	f, err := repo.NewFS("fs", clk, simnet.NewPath("test", 1), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Store("/f.txt", []byte("old bytes")); err != nil {
+		t.Fatal(err)
+	}
+	full := filepath.Join(dir, "f.txt")
+	before, err := os.Stat(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := &property.ReadContext{Doc: "f", Now: clk.Now(), Sleep: func(time.Duration) {}}
+	bits := &property.RepoBitProvider{Repo: f, Path: "/f.txt"}
+	if _, err := bits.Open(rc); err != nil {
+		t.Fatal(err)
+	}
+	vs := rc.Result().Verifiers
+	if len(vs) != 1 {
+		t.Fatalf("Open registered %d verifiers, want 1", len(vs))
+	}
+	if ok, err := vs[0].Check(clk.Now()); !ok || err != nil {
+		t.Fatalf("unchanged file: verifier = %v, %v", ok, err)
+	}
+
+	if err := os.WriteFile(full, []byte("longer new bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(full, before.ModTime(), before.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := vs[0].Check(clk.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Fatal("verifier vouches for a file rewritten to a new length under its old mtime")
 	}
 }
