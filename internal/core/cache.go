@@ -48,27 +48,6 @@ import (
 // ErrClosed is returned by operations on a closed cache.
 var ErrClosed = errors.New("core: cache is closed")
 
-// WriteMode selects how writes interact with the cache.
-type WriteMode int
-
-const (
-	// WriteThrough forwards every write to the Placeless system
-	// immediately (the paper's default assumption).
-	WriteThrough WriteMode = iota
-	// WriteBack buffers writes in the cache and flushes on demand;
-	// write-path properties whose cacheability vote demands it still
-	// get getOutputStream events forwarded per write.
-	WriteBack
-)
-
-// String names the mode.
-func (m WriteMode) String() string {
-	if m == WriteBack {
-		return "write-back"
-	}
-	return "write-through"
-}
-
 // Options configures a Cache.
 type Options struct {
 	// Name identifies the cache in its notifiers' names
@@ -87,16 +66,6 @@ type Options struct {
 	// FillCost is the simulated overhead of installing notifiers and
 	// storing an entry on a miss.
 	FillCost time.Duration
-	// Mode selects write-through (default) or write-back.
-	Mode WriteMode
-	// FlushEvery, in write-back mode, flushes dirty content on this
-	// period (like the end-of-day replication property, via the
-	// space's timer clock). Zero disables automatic flushing.
-	FlushEvery time.Duration
-	// MaxDirty, in write-back mode, bounds the number of buffered
-	// writes: exceeding it triggers an immediate flush. Zero means
-	// unbounded (flush only on demand or on the timer).
-	MaxDirty int
 	// DisableNotifiers suppresses notifier installation (verifier-
 	// only consistency), for experiment E1.
 	DisableNotifiers bool
@@ -128,14 +97,9 @@ type Options struct {
 	// restart never serves a signature invalidated while the process
 	// was down (see durable.go). The tier is built on content
 	// addressing, so attaching a store forces Memoize on. The store's
-	// lifetime belongs to the caller: close it after Close (or Kill)
-	// returns. One Store serves one cache at a time.
+	// lifetime belongs to the caller: close it after Close returns. One
+	// Store serves one cache at a time.
 	Store *store.Store
-}
-
-// dirtyWrite is a buffered write-back entry.
-type dirtyWrite struct {
-	data []byte
 }
 
 // Stats counts cache activity. All counters are cumulative.
@@ -178,8 +142,6 @@ type Stats struct {
 	// SharedEntries counts current entries whose blob is shared with
 	// at least one other entry.
 	SharedEntries int64
-	// Flushes counts write-back flush operations.
-	Flushes int64
 	// IntermediateHits counts prefix cuts served memoized (resident,
 	// coalesced onto a concurrent computation, or promoted from disk)
 	// instead of being re-executed.
@@ -267,14 +229,6 @@ type Cache struct {
 	// attribute itself. Only populated when an Observer is attached.
 	lastCause sync.Map
 
-	// dirty buffers write-back content. flushMu serializes whole Flush
-	// runs (timer-driven and explicit) so an older snapshot can never
-	// land in the repository after a newer one; it is taken before
-	// writeMu and never held by Write itself.
-	writeMu sync.Mutex
-	flushMu sync.Mutex
-	dirty   map[string]*dirtyWrite
-
 	// notifiers is the cache's notifier pair on the space, registered
 	// per (document, user) at miss time and unsubscribed on Close.
 	notifiers *docspace.NotifierPair
@@ -302,7 +256,6 @@ func New(space *docspace.Space, opts Options) *Cache {
 		clk:   space.Clock(),
 		opts:  opts,
 		tab:   NewTable(policy),
-		dirty: make(map[string]*dirtyWrite),
 	}
 	c.notifiers = docspace.NewNotifierPair(space, "notifier:"+opts.Name, c.onBaseEvent, c.onRefEvent)
 	c.tab.Resize(opts.Capacity)
@@ -318,21 +271,7 @@ func New(space *docspace.Space, opts Options) *Cache {
 	if opts.Observer != nil {
 		c.registerMetrics(opts.Observer)
 	}
-	if opts.Mode == WriteBack && opts.FlushEvery > 0 {
-		c.armFlushTimer()
-	}
 	return c
-}
-
-// armFlushTimer schedules the next periodic write-back flush.
-func (c *Cache) armFlushTimer() {
-	c.space.Clock().AfterFunc(c.opts.FlushEvery, func(time.Time) {
-		if c.tab.Closed() {
-			return
-		}
-		_ = c.Flush() // flush errors leave entries dirty for the next cycle
-		c.armFlushTimer()
-	})
 }
 
 // Resize changes the capacity budget at runtime and evicts immediately
@@ -688,8 +627,8 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 
 	if c.opts.FillCost > 0 {
 		// Charged outside every lock: on a virtual clock, Sleep can
-		// synchronously fire timer-driven flushes whose notifier
-		// callbacks re-enter the entry table.
+		// synchronously fire timers whose writes' notifier callbacks
+		// re-enter the entry table.
 		c.clk.Sleep(c.opts.FillCost)
 	}
 	s := cuts.sign(data) // hashing stays outside the shard lock

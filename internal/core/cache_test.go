@@ -492,69 +492,26 @@ func TestWriteThroughInvalidatesAndStores(t *testing.T) {
 	}
 }
 
-func TestWriteBackBuffersUntilFlush(t *testing.T) {
-	w := newWorld(t, Options{Mode: WriteBack})
+// TestWriteRunsWritePathEvents pins that a write through the cache runs
+// the full write path: the rules registered on getOutputStream fire
+// from the write itself, so nothing has to be forwarded for them.
+func TestWriteRunsWritePathEvents(t *testing.T) {
+	w := newWorld(t, Options{})
 	w.addDoc(t, "d", "eyal", "/d", []byte("v1"))
-	if err := w.cache.Write("d", "eyal", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	fr, _ := w.src.Fetch("/d")
-	if string(fr.Data) != "v1" {
-		t.Fatalf("write-back leaked early: repo has %q", fr.Data)
-	}
-	if w.cache.Dirty() != 1 {
-		t.Fatalf("Dirty = %d", w.cache.Dirty())
-	}
-	if err := w.cache.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr, _ = w.src.Fetch("/d")
-	if string(fr.Data) != "v2" {
-		t.Fatalf("after flush repo has %q", fr.Data)
-	}
-	if w.cache.Dirty() != 0 {
-		t.Fatalf("Dirty = %d after flush", w.cache.Dirty())
-	}
-	if st := w.cache.Stats(); st.Flushes != 1 {
-		t.Fatalf("Flushes = %d", st.Flushes)
-	}
-}
-
-func TestWriteBackForwardsOutputEvents(t *testing.T) {
-	w := newWorld(t, Options{Mode: WriteBack})
-	w.addDoc(t, "d", "eyal", "/d", []byte("v1")) // trail sees writes
 	trail := property.NewAuditTrail()
 	w.space.Attach("d", "", docspace.Universal, trail)
-	w.cache.Write("d", "eyal", []byte("v2"))
-	recs := trail.Records()
-	if len(recs) != 1 || recs[0].Kind != event.GetOutputStream || !recs[0].Forwarded {
-		t.Fatalf("records = %+v, want one forwarded write event", recs)
-	}
-}
-
-func TestWriteBackNoForwardWithoutRegistration(t *testing.T) {
-	// Paper §3: "for most properties it is likely to be sufficient if
-	// they execute on the write-back operation and hence do not need
-	// write operations to be forwarded at all times". With no
-	// write-path property registering interest, buffered writes must
-	// not forward getOutputStream events.
-	w := newWorld(t, Options{Mode: WriteBack})
-	w.addDoc(t, "d", "eyal", "/d", []byte("v1"))
 	if err := w.cache.Write("d", "eyal", []byte("v2")); err != nil {
 		t.Fatal(err)
+	}
+	recs := trail.Records()
+	if len(recs) != 1 || recs[0].Kind != event.GetOutputStream || recs[0].Forwarded {
+		t.Fatalf("records = %+v, want one write event from the write path itself", recs)
 	}
 	if st := w.cache.Stats(); st.EventsForwarded != 0 {
-		t.Fatalf("EventsForwarded = %d, want 0 without registration", st.EventsForwarded)
+		t.Fatalf("EventsForwarded = %d, want 0: a write forwards nothing", st.EventsForwarded)
 	}
-	// Attach an audit trail: its write-path vote demands forwarding,
-	// and the property change must drop the cached vote.
-	trail := property.NewAuditTrail()
-	w.space.Attach("d", "", docspace.Universal, trail)
-	if err := w.cache.Write("d", "eyal", []byte("v3")); err != nil {
-		t.Fatal(err)
-	}
-	if st := w.cache.Stats(); st.EventsForwarded != 1 {
-		t.Fatalf("EventsForwarded = %d, want 1 after audit trail attach", st.EventsForwarded)
+	if fr, _ := w.src.Fetch("/d"); string(fr.Data) != "v2" {
+		t.Fatalf("repo has %q", fr.Data)
 	}
 }
 
@@ -625,55 +582,6 @@ func TestDisableVerifiersServesStaleUntilNotified(t *testing.T) {
 	}
 }
 
-func TestWriteBackPeriodicFlush(t *testing.T) {
-	w := newWorld(t, Options{Mode: WriteBack, FlushEvery: time.Hour})
-	w.addDoc(t, "d", "eyal", "/d", []byte("v1"))
-	w.cache.Write("d", "eyal", []byte("v2"))
-	if fr, _ := w.src.Fetch("/d"); string(fr.Data) != "v1" {
-		t.Fatalf("leaked before flush period: %q", fr.Data)
-	}
-	w.clk.Advance(time.Hour)
-	fr, _ := w.src.Fetch("/d")
-	if string(fr.Data) != "v2" {
-		t.Fatalf("periodic flush missed: %q", fr.Data)
-	}
-	// The timer re-arms: a later write flushes on the next period.
-	w.cache.Write("d", "eyal", []byte("v3"))
-	w.clk.Advance(time.Hour)
-	fr, _ = w.src.Fetch("/d")
-	if string(fr.Data) != "v3" {
-		t.Fatalf("second periodic flush missed: %q", fr.Data)
-	}
-	if w.cache.Dirty() != 0 {
-		t.Fatalf("Dirty = %d", w.cache.Dirty())
-	}
-}
-
-func TestWriteBackMaxDirtyFlushes(t *testing.T) {
-	w := newWorld(t, Options{Mode: WriteBack, MaxDirty: 2})
-	for _, id := range []string{"a", "b", "c"} {
-		w.addDoc(t, id, "u", "/"+id, []byte("v1"))
-	}
-	w.cache.Write("a", "u", []byte("va"))
-	w.cache.Write("b", "u", []byte("vb"))
-	if w.cache.Dirty() != 2 {
-		t.Fatalf("Dirty = %d before threshold", w.cache.Dirty())
-	}
-	// The third buffered write exceeds MaxDirty and flushes all.
-	if err := w.cache.Write("c", "u", []byte("vc")); err != nil {
-		t.Fatal(err)
-	}
-	if w.cache.Dirty() != 0 {
-		t.Fatalf("Dirty = %d after overflow flush", w.cache.Dirty())
-	}
-	for _, id := range []string{"a", "b", "c"} {
-		fr, _ := w.src.Fetch("/" + id)
-		if string(fr.Data) != "v"+id {
-			t.Fatalf("%s = %q", id, fr.Data)
-		}
-	}
-}
-
 func TestResize(t *testing.T) {
 	w := newWorld(t, Options{})
 	for i, id := range []string{"a", "b", "c"} {
@@ -708,12 +616,6 @@ func TestStatsHitRatio(t *testing.T) {
 	s.Hits, s.Misses = 3, 1
 	if s.HitRatio() != 0.75 {
 		t.Fatalf("HitRatio = %v", s.HitRatio())
-	}
-}
-
-func TestWriteModeString(t *testing.T) {
-	if WriteThrough.String() != "write-through" || WriteBack.String() != "write-back" {
-		t.Fatal("WriteMode.String broken")
 	}
 }
 

@@ -51,13 +51,13 @@ func newDurableWorld(t *testing.T, opts Options) *durableWorld {
 	return d
 }
 
-// crashAndRestart kills the cache (no flush, simulating process
-// death), closes the store file handles, then reopens the directory —
+// crashAndRestart closes the cache (which buffers nothing, so this is
+// what process death does to it), closes the store file handles, then reopens the directory —
 // running the full scan-and-replay recovery path — and boots a new
 // cache over the recovered store.
 func (d *durableWorld) crashAndRestart() {
 	d.t.Helper()
-	d.cache.Kill()
+	d.cache.Close()
 	if err := d.st.Close(); err != nil {
 		d.t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDurableRefusesContentChangedWhileDown(t *testing.T) {
 	setupMemoDoc(t, d.world, []string{"eyal"})
 	stale := d.read(t, "d", "eyal")
 
-	d.cache.Kill()
+	d.cache.Close()
 	d.src.Store("/d", []byte("rewritten teh content while down\n"))
 	if err := d.st.Close(); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestDurableRefusesChainChangedWhileDown(t *testing.T) {
 	setupMemoDoc(t, d.world, []string{"eyal"})
 	stale := d.read(t, "d", "eyal")
 
-	d.cache.Kill()
+	d.cache.Close()
 	if err := d.space.Attach("d", "", docspace.Universal, property.NewUppercaser(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDurableRefusesChainChangedWhileDown(t *testing.T) {
 }
 
 // crashRestartStoreOnly reopens the store and boots a new cache after
-// the caller already killed the old one (for tests that mutate the
+// the caller already closed the old one (for tests that mutate the
 // space "while down").
 func (d *durableWorld) crashRestartStoreOnly() {
 	d.t.Helper()
@@ -572,7 +572,7 @@ func TestPromoteFetchesTheSourceOncePerVersion(t *testing.T) {
 	boot := func() {
 		t.Helper()
 		if c != nil {
-			c.Kill()
+			c.Close()
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -623,7 +623,7 @@ func TestPromoteFetchesTheSourceOncePerVersion(t *testing.T) {
 	boot()
 	readAll(func(i EntryInfo) bool { return !i.Hit && !i.DiskPromoted }, "a miss")
 	boot()
-	defer func() { c.Kill(); st.Close() }()
+	defer func() { c.Close(); st.Close() }()
 	if n := readAll(promoted, "disk-promoted"); n != 1 {
 		t.Fatalf("%d promotes after a restart fetched the source %d times, want 1", K, n)
 	}

@@ -133,7 +133,7 @@ func BenchmarkMissMemoResume4K(b *testing.B) {
 // source signature costs a source fetch and its hash for the first
 // user of a round and one stat for the other churnUsers−1, which
 // reuse the stamp the first left. Every user's entry is demoted once
-// before the timer starts; the restart (kill the cache, rebuild the
+// before the timer starts; the restart (close the cache, rebuild the
 // document space over the same repository, reopen the store, boot a
 // new cache) runs once per round of users with the timer stopped.
 func BenchmarkPromote4K(b *testing.B) {
@@ -152,7 +152,7 @@ func BenchmarkPromote4K(b *testing.B) {
 		}
 	}
 	restart := func() {
-		c.Kill()
+		c.Close()
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func BenchmarkPromote4K(b *testing.B) {
 		space, _ = churnDocSpace(b, fs)
 		c = New(space, opts)
 	}
-	defer func() { c.Kill(); st.Close() }()
+	defer func() { c.Close(); st.Close() }()
 
 	var promotions int64
 	b.SetBytes(4096)

@@ -74,33 +74,16 @@ func (c *Cache) InvalidateDoc(doc string) {
 	c.invalidateDoc(doc)
 }
 
-// Close flushes write-back state, unsubscribes every notifier the
-// cache registered, and rejects further use. It does not close an
-// attached durable store — the store's lifetime belongs to whoever
-// opened it.
+// Close closes the table (which rejects in-flight installs and drops
+// everything), unsubscribes every notifier the cache registered, and
+// rejects further use. The cache buffers nothing, so closing it is also
+// what a process crash does to it: the attached durable store keeps
+// whatever reached it, and the caller closes (or just reopens) the
+// store to model the disk surviving. Close does not close the store —
+// its lifetime belongs to whoever opened it. The error is always nil.
 func (c *Cache) Close() error {
-	if err := c.Flush(); err != nil {
-		return err
-	}
-	c.shutdown()
-	return nil
-}
-
-// Kill simulates a process crash: it tears the cache down like Close
-// but without flushing, so buffered write-back content is lost exactly
-// as it would be when the process dies. Notifiers are still
-// unsubscribed — a dead process's notifier closures cannot keep firing
-// into the space. The attached durable store keeps whatever reached it
-// before the kill; the caller closes (or just reopens) it to model the
-// disk surviving the crash.
-func (c *Cache) Kill() {
-	c.shutdown()
-}
-
-// shutdown is the common teardown: close the table (which rejects
-// in-flight installs and drops everything), unsubscribe notifiers.
-func (c *Cache) shutdown() {
 	if c.tab.Close() {
 		c.notifiers.Close()
 	}
+	return nil
 }

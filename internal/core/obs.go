@@ -39,8 +39,6 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 		"Operation events forwarded for cache-with-events entries.", c.stats.eventsForwarded.Load)
 	reg.Counter("placeless_cache_prefetches_total",
 		"Views loaded ahead of a read: collection-property prefetch hints and warms after a write.", c.stats.prefetches.Load)
-	reg.Counter("placeless_cache_flushes_total",
-		"Write-back flush operations.", c.stats.flushes.Load)
 	reg.Gauge("placeless_cache_bytes_stored",
 		"Current unique content footprint after signature sharing.", c.tab.stats.bytesStored.Load)
 	reg.Gauge("placeless_cache_bytes_logical",

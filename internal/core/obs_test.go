@@ -214,7 +214,6 @@ func TestObserverRegistersCacheFamilies(t *testing.T) {
 		"placeless_cache_uncacheable_total",
 		"placeless_cache_events_forwarded_total",
 		"placeless_cache_prefetches_total",
-		"placeless_cache_flushes_total",
 		"placeless_cache_bytes_stored",
 		"placeless_cache_bytes_logical",
 		"placeless_cache_shared_entries",

@@ -112,9 +112,19 @@ func TestQuickShardAssignmentStable(t *testing.T) {
 	}
 }
 
-// TestQuickKeyRoundTrip: splitKey inverts key for any NUL-free doc and
-// user, so notifier callbacks and flush always reconstruct the exact
-// pair an entry was stored under.
+// splitKey is the inverse of Key.
+func splitKey(k string) (doc, user string) {
+	for i := 0; i < len(k); i++ {
+		if k[i] == 0 {
+			return k[:i], k[i+1:]
+		}
+	}
+	return k, ""
+}
+
+// TestQuickKeyRoundTrip: splitKey inverts Key for any NUL-free doc and
+// user, so Key is injective there: two (document, user) pairs never
+// share an entry.
 func TestQuickKeyRoundTrip(t *testing.T) {
 	f := func(doc, user string) bool {
 		if strings.ContainsRune(doc, 0) || strings.ContainsRune(user, 0) {

@@ -5,7 +5,7 @@ package core
 //   - the load/install callback race (a write landing mid-miss must
 //     not leave a stale entry installed),
 //   - a mixed-operation stress harness exercising concurrent
-//     Read/Write/Invalidate/Resize/Flush across overlapping
+//     Read/Write/Invalidate/Resize across overlapping
 //     (document, user) pairs, meant to run under -race,
 //   - single-flight correctness: K concurrent misses on one key
 //     execute the read path (and hence the bit-provider fetch)
@@ -153,7 +153,7 @@ func TestConcurrentStress(t *testing.T) {
 		goroutines = 8
 		opsEach    = 400
 	)
-	w := newWorld(t, Options{Mode: WriteBack, Capacity: 1 << 16})
+	w := newWorld(t, Options{Capacity: 1 << 16})
 	versions := make(map[string]bool) // every value ever written, per doc prefix
 	var versionsMu sync.Mutex
 	docID := func(i int) string { return fmt.Sprintf("sd%d", i) }
@@ -209,16 +209,11 @@ func TestConcurrentStress(t *testing.T) {
 						t.Errorf("Write(%s,%s): %v", doc, user, err)
 						return
 					}
-				case r < 80: // invalidate one entry or a whole doc
+				case r < 85: // invalidate one entry or a whole doc
 					if rng.Intn(2) == 0 {
 						w.cache.Invalidate(doc, user)
 					} else {
 						w.cache.InvalidateDoc(doc)
-					}
-				case r < 90: // flush write-back state
-					if err := w.cache.Flush(); err != nil {
-						t.Errorf("Flush: %v", err)
-						return
 					}
 				case r < 95: // resize provokes eviction churn
 					w.cache.Resize(int64(1<<12 + rng.Intn(1<<16)))
@@ -232,13 +227,7 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Quiesce: flush buffered writes and check convergent bookkeeping.
-	if err := w.cache.Flush(); err != nil {
-		t.Fatalf("final flush: %v", err)
-	}
-	if d := w.cache.Dirty(); d != 0 {
-		t.Fatalf("dirty entries after final flush: %d", d)
-	}
+	// Quiesce and check convergent bookkeeping.
 	st := w.cache.Stats()
 	if st.BytesStored < 0 || st.BytesLogical < 0 || st.SharedEntries < 0 {
 		t.Fatalf("negative gauges after stress: %+v", st)

@@ -27,7 +27,7 @@ import (
 // lock may be held across calls into the document space (attachment,
 // read/write paths, event forwarding), across a cut's compute closure,
 // or across clock sleeps — all can synchronously re-enter the cache
-// through notifier callbacks and timer-driven flushes.
+// through notifier callbacks, some of them fired by timers.
 
 // shard is one stripe of the index. docs maps each document to the keys
 // of its entries and cuts in this stripe, so a drop by document visits

@@ -18,7 +18,6 @@ type statsCounters struct {
 	uncacheable     atomic.Int64
 	eventsForwarded atomic.Int64
 	prefetches      atomic.Int64
-	flushes         atomic.Int64
 
 	// Intermediate-memoization gauges (Options.Memoize).
 	intermediateHits     atomic.Int64
@@ -59,7 +58,6 @@ func (s *statsCounters) snapshot(t *tableCounters) Stats {
 		BytesStored:     t.bytesStored.Load(),
 		BytesLogical:    t.bytesLogical.Load(),
 		SharedEntries:   t.sharedEntries.Load(),
-		Flushes:         s.flushes.Load(),
 
 		IntermediateHits:     s.intermediateHits.Load(),
 		UniversalStageRuns:   s.universalStageRuns.Load(),

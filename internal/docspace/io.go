@@ -171,26 +171,6 @@ func (s *Space) writeTransforms(r *Ref, wc *property.WriteContext) []stream.Tran
 	return ts
 }
 
-// WritePathVote returns the aggregated cacheability vote of the
-// write-path properties for (doc, user) without executing a write.
-// Write-back caches use it to decide whether getOutputStream
-// operations must be forwarded per buffered write (paper §3: "these
-// properties should set the cacheability indicator so that
-// getOutputStream operations get forwarded"). The properties'
-// WrapOutput hooks are invoked for their votes; the transforms they
-// return are discarded unused.
-func (s *Space) WritePathVote(doc, user string) (property.Cacheability, error) {
-	s.mu.Lock()
-	r, err := s.resolveRefLocked(doc, user)
-	s.mu.Unlock()
-	if err != nil {
-		return property.Unrestricted, err
-	}
-	wc := &property.WriteContext{Doc: doc, User: user, Now: s.clk.Now()}
-	s.writeTransforms(r, wc)
-	return wc.Cacheability(), nil
-}
-
 // ForwardEvent redelivers an operation event on behalf of a cache
 // serving a hit for content cached under the CacheWithEvents
 // indicator: "the cache will forward the operation, but the Placeless

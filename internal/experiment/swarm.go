@@ -3,18 +3,16 @@ package experiment
 import (
 	"fmt"
 
-	"placeless/internal/core"
 	"placeless/internal/swarm"
 )
 
 // SwarmConfig parameterizes the trace-driven swarm experiment (E18):
 // one generated op stream shape — Zipf document popularity, diurnal
 // intensity, personal-chain churn, a flash-crowd spike — executed
-// through three deployments whose rows form a latency/staleness/
-// recompute-cost frontier: a single write-through cache, the
-// consistent-hash cluster router, and a single write-back cache
-// (which trades staleness for write latency, putting a nonzero
-// number in the staleness column).
+// through two deployments whose rows form a latency/staleness/
+// recompute-cost frontier: a single cache and the consistent-hash
+// cluster router. Both write through, so the staleness column is the
+// oracle that reads 0.
 type SwarmConfig struct {
 	// Users is the virtualized user population (identities are
 	// multiplexed over Workers, so this scales to millions).
@@ -34,10 +32,6 @@ type SwarmConfig struct {
 	// Workers bounds the concurrent pool; Nodes and Replicas shape the
 	// cluster phase's ring.
 	Workers, Nodes, Replicas int
-	// FlushOps is the write-back phase's flush cadence; WritebackOps
-	// shortens its stream (that phase is single-worker by design, see
-	// swarm.RunConfig.Workers).
-	FlushOps, WritebackOps int
 	// Seed fixes the streams.
 	Seed int64
 }
@@ -52,7 +46,6 @@ func DefaultSwarmConfig() SwarmConfig {
 		WriteFrac: 0.02, ChurnFrac: 0.03,
 		FlashDoc: 2, FlashBoost: 100, FlashStart: 0.4, FlashEnd: 0.45,
 		Workers: 8, Nodes: 3, Replicas: 2,
-		FlushOps: 16, WritebackOps: 30000,
 		Seed: 1,
 	}
 }
@@ -86,7 +79,7 @@ func (r SwarmResult) TableData() ([]string, [][]string) {
 	return header, rows
 }
 
-// phases expands the configuration into the three frontier rows.
+// phases expands the configuration into the two frontier rows.
 func (cfg SwarmConfig) phases() []swarm.RunConfig {
 	gen := swarm.Config{
 		Users: cfg.Users, Docs: cfg.Docs, Ops: cfg.Ops,
@@ -96,20 +89,14 @@ func (cfg SwarmConfig) phases() []swarm.RunConfig {
 		FlashStart: cfg.FlashStart, FlashEnd: cfg.FlashEnd,
 		Seed: cfg.Seed,
 	}
-	wbGen := gen
-	if cfg.WritebackOps > 0 {
-		wbGen.Ops = cfg.WritebackOps
-	}
 	return []swarm.RunConfig{
 		{Gen: gen, Phase: "single/wt", Backend: swarm.Single, Workers: cfg.Workers},
 		{Gen: gen, Phase: "cluster/wt", Backend: swarm.Cluster,
 			Nodes: cfg.Nodes, Replicas: cfg.Replicas, Workers: cfg.Workers},
-		{Gen: wbGen, Phase: "single/wb", Backend: swarm.Single,
-			Mode: core.WriteBack, FlushOps: cfg.FlushOps},
 	}
 }
 
-// RunSwarm runs experiment E18: the trace-driven swarm over the three
+// RunSwarm runs experiment E18: the trace-driven swarm over the two
 // deployment phases.
 func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 	res := SwarmResult{Config: cfg}

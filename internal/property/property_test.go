@@ -109,17 +109,6 @@ func TestReadContextVerifierCollection(t *testing.T) {
 	}
 }
 
-func TestWriteContextVote(t *testing.T) {
-	wc := &WriteContext{}
-	if wc.Cacheability() != Unrestricted {
-		t.Fatal("zero write context should be unrestricted")
-	}
-	wc.Vote(CacheWithEvents)
-	if wc.Cacheability() != CacheWithEvents {
-		t.Fatalf("vote = %v", wc.Cacheability())
-	}
-}
-
 func TestStaticName(t *testing.T) {
 	s := Static{Key: "workshop", Value: "1999"}
 	if s.Name() != "workshop" {

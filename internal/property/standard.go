@@ -30,7 +30,7 @@ type Transformer struct {
 	WriteTransform stream.Transform
 	// ExecCost is the simulated execution time per invocation.
 	ExecCost time.Duration
-	// CacheVote is this property's cacheability vote (zero value
+	// CacheVote is this property's read-path cacheability vote (zero value
 	// Unrestricted).
 	CacheVote Cacheability
 	// Version models the property's release; upgrading it triggers
@@ -108,7 +108,6 @@ func (t *Transformer) WrapOutput(ctx *WriteContext) stream.Transform {
 	if t.WriteTransform == nil {
 		return nil
 	}
-	ctx.Vote(t.CacheVote)
 	f, cost, sleep := t.WriteTransform, t.ExecCost, ctx.Sleep
 	return func(b []byte) []byte {
 		if sleep != nil && cost > 0 {

@@ -202,12 +202,6 @@ func TestTransformerVotePropagates(t *testing.T) {
 	if rc.Result().Cacheability != Uncacheable {
 		t.Fatal("read vote not propagated")
 	}
-	tr2 := &Transformer{Base: Base{PropName: "v2"}, WriteTransform: bytes.ToUpper, CacheVote: CacheWithEvents}
-	wc := &WriteContext{}
-	tr2.WrapOutput(wc)
-	if wc.Cacheability() != CacheWithEvents {
-		t.Fatal("write vote not propagated")
-	}
 }
 
 func TestSortedWords(t *testing.T) {

@@ -105,7 +105,7 @@ func TestReadSignatureOnEveryPath(t *testing.T) {
 			if _, err := first.Read("d", "owner"); err != nil {
 				t.Fatal(err)
 			}
-			first.Kill()
+			first.Close()
 			cache := newCache(t, w, st)
 			return NewCached(w.space, w.backing, cache), func(t *testing.T) {
 				if st := cache.Stats(); st.StorePromotions != 1 {

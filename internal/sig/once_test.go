@@ -113,7 +113,7 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 		t.Fatalf("demotions = %d entries, %d cuts, want 2 and 4: the hashes above are not the whole path", got.StoreDemotions, got.StoreIntermediateDemotions)
 	}
 
-	cache.Kill()
+	cache.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 // Package sim is a deterministic whole-stack simulation harness for
 // the Placeless caching system. One seeded run builds the full stack —
-// document space, core cache (either write mode, memoization on or
-// off), TCP server, resilient client, and remote cache — on a virtual
+// document space, core cache (memoization on or off), TCP server, resilient client, and remote cache — on a virtual
 // clock and a fault-injecting in-process network, drives it with a
 // pseudo-random workload schedule, and checks every simulated read
 // against a sequential reference model of
@@ -25,11 +24,9 @@ import (
 var farFuture = time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // version is one (doc, user) view the model has seen. A zero `to`
-// means the version is still open (possibly current). Several versions
-// of one key may be open at once when the harness cannot know which
-// side of a race the real system landed on (e.g. a periodic write-back
-// flush racing a buffer overwrite): the legal-state set then contains
-// every open version until a definite transition closes them.
+// means the version is still open: the current one. Each key has at
+// most one open version, the last in its history, because every write
+// goes through and so the repository holds exactly one source.
 type version struct {
 	seq  uint64
 	data []byte
@@ -57,13 +54,8 @@ type modelDoc struct {
 	id    string
 	users []string // users[0] is the owner and the only writer
 
-	// sources is the set of byte strings that may currently be stored
-	// in the backing repository. Usually one; a write-back buffer
-	// overwrite racing a timer flush makes the outcome ambiguous and
-	// temporarily widens the set.
-	sources [][]byte
-	// buffered is write-back content not yet flushed (nil = clean).
-	buffered []byte
+	// source is the byte string the backing repository holds.
+	source []byte
 
 	universal []chainProp
 	personal  map[string][]chainProp
@@ -118,7 +110,7 @@ func (m *model) addDoc(id string, users []string, content []byte, at time.Time) 
 	d := &modelDoc{
 		id:       id,
 		users:    append([]string{}, users...),
-		sources:  [][]byte{append([]byte{}, content...)},
+		source:   append([]byte{}, content...),
 		personal: make(map[string][]chainProp),
 	}
 	m.docs[id] = d
@@ -127,7 +119,7 @@ func (m *model) addDoc(id string, users []string, content []byte, at time.Time) 
 }
 
 // render applies the user's transform chain (universal prefix, then
-// personal suffix — the read-path order) to one candidate source.
+// personal suffix — the read-path order) to a source.
 func (d *modelDoc) render(src []byte, user string) []byte {
 	out := append([]byte{}, src...)
 	for _, p := range d.universal {
@@ -139,109 +131,32 @@ func (d *modelDoc) render(src []byte, user string) []byte {
 	return out
 }
 
-// syncOpens recomputes the legal-state set for the given users of doc:
-// the renders of every possible source. Open versions whose bytes are
-// no longer renderable are closed at hi (they may have been legal up
-// to that instant); renders with no open version get a fresh one
-// starting at lo. lo ≤ hi bound when the transition really happened.
+// syncOpens recomputes the current view of the given users of doc: the
+// render of its source. An open version whose bytes differ is closed
+// at hi (it may have been legal up to that instant) and the new render
+// opens at lo. lo ≤ hi bound when the transition really happened.
 func (m *model) syncOpens(doc string, users []string, lo, hi time.Time) {
 	d := m.docs[doc]
 	for _, user := range users {
-		var datas [][]byte
-		for _, src := range d.sources {
-			r := d.render(src, user)
-			dup := false
-			for _, e := range datas {
-				if bytes.Equal(e, r) {
-					dup = true
-					break
-				}
+		k := mkey(doc, user)
+		data := d.render(d.source, user)
+		if v := m.open(k); v != nil {
+			if bytes.Equal(v.data, data) {
+				continue
 			}
-			if !dup {
-				datas = append(datas, r)
-			}
+			v.to = hi
 		}
-		m.setOpens(mkey(doc, user), datas, lo, hi)
+		m.seq++
+		m.history[k] = append(m.history[k], version{seq: m.seq, data: data, from: lo})
 	}
 }
 
-// setOpens reconciles the open-version set of one key with datas.
-func (m *model) setOpens(k string, datas [][]byte, lo, hi time.Time) {
-	h := m.history[k]
-	inDatas := func(b []byte) bool {
-		for _, d := range datas {
-			if bytes.Equal(d, b) {
-				return true
-			}
-		}
-		return false
-	}
-	for i := range h {
-		if h[i].open() && !inDatas(h[i].data) {
-			h[i].to = hi
-		}
-	}
-	for _, data := range datas {
-		found := false
-		for i := range h {
-			if h[i].open() && bytes.Equal(h[i].data, data) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			m.seq++
-			h = append(h, version{seq: m.seq, data: append([]byte{}, data...), from: lo})
-		}
-	}
-	m.history[k] = h
-}
-
-// applyWrite records a definite write-through store: the repository
-// now holds exactly data.
+// applyWrite records a store: the repository now holds exactly data.
 func (m *model) applyWrite(doc string, data []byte, lo, hi time.Time) {
 	d := m.docs[doc]
-	d.sources = [][]byte{append([]byte{}, data...)}
+	d.source = append([]byte{}, data...)
 	m.syncOpens(doc, d.users, lo, hi)
 }
-
-// bufferWrite records a write-back Write: content is buffered, the
-// repository is untouched. timerArmed tells the model whether a
-// periodic flush can race the buffer: overwriting a still-dirty buffer
-// then leaves the old data possibly-flushed, so it joins the source
-// set until the next definite flush resolves the ambiguity.
-func (m *model) bufferWrite(doc string, data []byte, timerArmed bool, lo, hi time.Time) {
-	d := m.docs[doc]
-	if d.buffered != nil && timerArmed {
-		dup := false
-		for _, s := range d.sources {
-			if bytes.Equal(s, d.buffered) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			d.sources = append(d.sources, d.buffered)
-			m.syncOpens(doc, d.users, lo, hi)
-		}
-	}
-	d.buffered = append([]byte{}, data...)
-}
-
-// applyFlush records that the buffered write-back content definitely
-// reached the repository somewhere in [lo, hi].
-func (m *model) applyFlush(doc string, lo, hi time.Time) {
-	d := m.docs[doc]
-	if d.buffered == nil {
-		return
-	}
-	d.sources = [][]byte{d.buffered}
-	d.buffered = nil
-	m.syncOpens(doc, d.users, lo, hi)
-}
-
-// dirty reports whether the model expects buffered write-back content.
-func (m *model) dirty(doc string) bool { return m.docs[doc].buffered != nil }
 
 // legalLocal reports whether a strongly-consistent (in-process) read
 // of (doc, user) spanning [t0, t1] of virtual time may legally have
@@ -292,41 +207,39 @@ func (m *model) legalRemoteAt(node, doc, user string, got []byte) (bool, string)
 	return false, m.describe(k, time.Time{}, time.Time{})
 }
 
+// open returns the key's open version, or nil before its first.
+func (m *model) open(k string) *version {
+	h := m.history[k]
+	if n := len(h); n > 0 && h[n-1].open() {
+		return &h[n-1]
+	}
+	return nil
+}
+
 // settleKey records that every registered remote node has provably
 // caught up on this key (pushes drained, connections up, suspect
-// windows closed): all versions older than the current legal-state set
-// become illegal on every node. With several versions still open
-// (unresolved flush race) the bound stops at the oldest open one.
+// windows closed): every version older than the current one becomes
+// illegal on every node.
 func (m *model) settleKey(doc, user string) {
 	k := mkey(doc, user)
-	min := uint64(0)
-	for i := range m.history[k] {
-		v := &m.history[k][i]
-		if v.open() && (min == 0 || v.seq < min) {
-			min = v.seq
-		}
+	v := m.open(k)
+	if v == nil {
+		return
 	}
 	for node := range m.remoteNodes {
 		nk := nkey(node, k)
-		if min > m.minLegal[nk] {
-			m.minLegal[nk] = min
+		if v.seq > m.minLegal[nk] {
+			m.minLegal[nk] = v.seq
 		}
 	}
 }
 
-// current returns the single open version's bytes, or ok=false while
-// the legal-state set is ambiguous.
-func (m *model) current(doc, user string) ([]byte, bool) {
-	k := mkey(doc, user)
-	var cur []byte
-	n := 0
-	for i := range m.history[k] {
-		if m.history[k][i].open() {
-			cur = m.history[k][i].data
-			n++
-		}
+// current returns the bytes of the key's open version.
+func (m *model) current(doc, user string) []byte {
+	if v := m.open(mkey(doc, user)); v != nil {
+		return v.data
 	}
-	return cur, n == 1
+	return nil
 }
 
 // describe summarizes a key's version history for failure reports.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"placeless/internal/cluster"
-	"placeless/internal/core"
 	"placeless/internal/docspace"
 	"placeless/internal/property"
 	"placeless/internal/remote"
@@ -37,10 +36,7 @@ func (w *World) step(i int) error {
 		return w.doLocalRead(doc, user)
 	case r < 0.50:
 		return w.doWrite(doc)
-	case r < 0.54:
-		if w.mode == core.WriteBack {
-			return w.doFlush()
-		}
+	case r < 0.54: // the retired flush op's share, kept so every seed's schedule stays put
 		return w.doLocalRead(doc, user)
 	case r < 0.58:
 		return w.doAttach(doc, user)
@@ -234,9 +230,7 @@ func (w *World) doClusterMembership() error {
 }
 
 // doWrite issues the document's designated writer (its owner) a new
-// content version through the core cache — stored immediately in
-// write-through mode, buffered (and possibly overflow-flushed) in
-// write-back mode.
+// content version through the core cache, which stores it at once.
 func (w *World) doWrite(doc string) error {
 	d := w.model.docs[doc]
 	user := d.users[0]
@@ -248,41 +242,16 @@ func (w *World) doWrite(doc string) error {
 	if err != nil {
 		return fmt.Errorf("write %s/%s failed: %w", doc, user, err)
 	}
-	if w.mode == core.WriteBack {
-		// Buffered; the repository is untouched until a flush, which
-		// endOp's reconciliation will detect (including the synchronous
-		// MaxDirty overflow flush inside Write itself).
-		w.model.bufferWrite(doc, data, w.flushEvery > 0, w.lastCheck, w.clk.Now())
-		w.endOp()
-		return nil
-	}
 	w.clk.Advance(opEpsilon)
 	w.model.applyWrite(doc, data, t0, w.clk.Now())
-	w.reconcile()
-	return nil
-}
-
-// doFlush pushes all buffered write-back content through the write
-// path; reconciliation maps the cleared dirty entries onto the model.
-func (w *World) doFlush() error {
-	t0 := w.clk.Now()
-	w.tr.add(w.opIdx, t0, "flush", "")
-	if err := w.guarded("flush", func() error { return w.cache.Flush() }); err != nil {
-		return fmt.Errorf("flush failed: %w", err)
-	}
-	w.endOp()
 	return nil
 }
 
 // doAdvance moves virtual time forward, firing any due timers
-// (periodic flushes, delayed message deliveries).
+// (delayed message deliveries among them).
 func (w *World) doAdvance(d time.Duration) error {
 	w.tr.add(w.opIdx, w.clk.Now(), "advance", d.String())
-	if err := w.guarded("advance", func() error { w.clk.Advance(d); return nil }); err != nil {
-		return err
-	}
-	w.reconcile()
-	return nil
+	return w.guarded("advance", func() error { w.clk.Advance(d); return nil })
 }
 
 // attachProp builds a fresh transformer from the catalog, attaches it
@@ -496,20 +465,18 @@ func (w *World) doUpdateDirect(doc string) error {
 	w.src.UpdateDirect("/"+doc, data)
 	w.clk.Advance(opEpsilon)
 	w.model.applyWrite(doc, data, t0, w.clk.Now())
-	w.reconcile()
 	return nil
 }
 
-// doRestart kills or gracefully closes the cache and boots a
-// successor over the recovered disk tier. A crash (Kill, no flush) is
-// only drawn in write-through mode: killing a write-back cache loses
-// buffered writes by design, which the lost-write oracle would rightly
-// report — graceful restarts flush first, so the model's
-// reconciliation folds them like any other flush.
+// doRestart closes the cache and boots a successor over the recovered
+// disk tier. The cache buffers nothing, so a crash and a graceful
+// shutdown are one teardown.
 func (w *World) doRestart() error {
-	crash := w.mode == core.WriteThrough && w.rng.Intn(2) == 1
-	w.tr.add(w.opIdx, w.clk.Now(), "restart", fmt.Sprintf("crash=%v", crash))
-	if err := w.guarded("restart", func() error { return w.restartDurable(crash) }); err != nil {
+	// This draw once chose between a crash and a graceful close; it
+	// stays, discarded, so a seed keeps its schedule past a restart.
+	_ = w.rng.Intn(2)
+	w.tr.add(w.opIdx, w.clk.Now(), "restart", "")
+	if err := w.guarded("restart", func() error { return w.restartDurable() }); err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
 	w.endOp()

@@ -7,7 +7,6 @@ package sim
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +14,6 @@ import (
 
 	"placeless/internal/core"
 	"placeless/internal/docspace"
-	"placeless/internal/event"
 	"placeless/internal/property"
 	"placeless/internal/remote"
 	"placeless/internal/server"
@@ -23,13 +21,11 @@ import (
 )
 
 // scheduleWorld builds a pinned world for a scripted schedule: remote
-// off unless asked, periodic/overflow flushing off unless asked.
+// off unless asked.
 func scheduleWorld(t *testing.T, seed int64, mut func(*Config)) *World {
 	t.Helper()
 	off := false
-	zero := 0
-	d0 := time.Duration(0)
-	cfg := Config{Seed: seed, Remote: &off, MaxDirty: &zero, FlushEvery: &d0}
+	cfg := Config{Seed: seed, Remote: &off}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -47,152 +43,6 @@ func expect(w *World, doc, user string, src []byte) []byte {
 	return w.model.docs[doc].render(src, user)
 }
 
-// raceWriter is a test property that fires a callback the first time
-// content is written through the Placeless system. The callback runs
-// inside WriteDocument's event dispatch — i.e. exactly between Flush's
-// dirty-table snapshot and its cleanup — which turns a nanosecond-wide
-// race window into a deterministic schedule.
-type raceWriter struct {
-	property.Base
-	fire func()
-}
-
-func (r *raceWriter) Events() []event.Kind { return []event.Kind{event.ContentWritten} }
-
-func (r *raceWriter) OnEvent(_ *property.EventContext, e event.Event) {
-	if e.Kind == event.ContentWritten && r.fire != nil {
-		f := r.fire
-		r.fire = nil
-		f()
-	}
-}
-
-// TestScheduleFlushRacingWrite pins the write-back lost-update race:
-// a Write landing while Flush is storing the previous buffer must
-// survive to the next flush cycle — Flush may only clear the dirty
-// entry it actually stored. The racing write is injected from a
-// contentWritten handler, so it always lands mid-flush. Catches
-// regressions of Flush's snapshot-identity guard.
-func TestScheduleFlushRacingWrite(t *testing.T) {
-	wb := core.WriteBack
-	w := scheduleWorld(t, 11, func(c *Config) { c.Mode = &wb })
-	doc := w.model.order[0]
-	owner := w.model.docs[doc].users[0]
-
-	hook := &raceWriter{Base: property.Base{PropName: "race-writer"}}
-	if err := w.space.Attach(doc, "", docspace.Universal, hook); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 5; i++ {
-		vA := []byte(fmt.Sprintf("a%04d", i))
-		vB := []byte(fmt.Sprintf("b%04d", i))
-		if err := w.cache.Write(doc, owner, vA); err != nil {
-			t.Fatal(err)
-		}
-		var hookErr error
-		hook.fire = func() { hookErr = w.cache.Write(doc, owner, vB) }
-		if err := w.cache.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if hookErr != nil {
-			t.Fatal(hookErr)
-		}
-		// vA was stored and vB landed mid-flush: vB must still be
-		// buffered, not silently discarded by the flush's cleanup.
-		if !w.cache.DirtyFor(doc, owner) {
-			t.Fatalf("iter %d: flush dropped the racing write from its dirty table", i)
-		}
-		if err := w.cache.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := w.cache.Read(doc, owner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := expect(w, doc, owner, vB); !bytes.Equal(got, want) {
-			t.Fatalf("iter %d: write racing flush was lost: read %q, want %q", i, got, want)
-		}
-	}
-}
-
-// TestScheduleMaxDirtyOverflowOrdering pins the overflow flush: the
-// write that pushes the dirty set past MaxDirty must synchronously
-// flush everything, and every buffered write must reach the
-// repository.
-func TestScheduleMaxDirtyOverflowOrdering(t *testing.T) {
-	wb := core.WriteBack
-	two := 2
-	var w *World
-	// Deterministically find a seed whose world has ≥ 3 documents.
-	for seed := int64(1); ; seed++ {
-		w = scheduleWorld(t, seed, func(c *Config) { c.Mode = &wb; c.MaxDirty = &two })
-		if len(w.model.order) >= 3 {
-			break
-		}
-	}
-	writes := map[string][]byte{}
-	for i, doc := range w.model.order[:3] {
-		data := []byte(fmt.Sprintf("ov%d", i))
-		writes[doc] = data
-		if err := w.cache.Write(doc, w.model.docs[doc].users[0], data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The third write exceeded MaxDirty=2 and must have flushed inline.
-	if n := w.cache.Dirty(); n != 0 {
-		t.Fatalf("after overflow, %d entries still dirty, want 0", n)
-	}
-	for doc, data := range writes {
-		owner := w.model.docs[doc].users[0]
-		got, err := w.cache.Read(doc, owner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := expect(w, doc, owner, data); !bytes.Equal(got, want) {
-			t.Fatalf("overflow flush lost %s: read %q, want %q", doc, got, want)
-		}
-	}
-}
-
-// TestScheduleReadYourWritesAfterDrop pins write-back visibility: a
-// buffered Write drops the writer's cached read entry, but the repo
-// still holds the old bits, so reads return the old content until the
-// flush — and must observe the write immediately after it.
-func TestScheduleReadYourWritesAfterDrop(t *testing.T) {
-	wb := core.WriteBack
-	w := scheduleWorld(t, 13, func(c *Config) { c.Mode = &wb })
-	doc := w.model.order[0]
-	owner := w.model.docs[doc].users[0]
-
-	before, err := w.cache.Read(doc, owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := []byte("ryw-next")
-	if err := w.cache.Write(doc, owner, next); err != nil {
-		t.Fatal(err)
-	}
-	// Deliberately pre-flush: the buffered write is not yet readable.
-	mid, err := w.cache.Read(doc, owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mid, before) {
-		t.Fatalf("pre-flush read changed: got %q, want the old content %q", mid, before)
-	}
-	if err := w.cache.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := w.cache.Read(doc, owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := expect(w, doc, owner, next); !bytes.Equal(after, want) {
-		t.Fatalf("read-your-writes after flush: got %q, want %q", after, want)
-	}
-}
-
 // warmRemoteKey builds a remote-cache world on a clean wire and returns
 // a key the remote cache holds after a read: it searches seeds for one
 // whose content the remote cache actually stores (cacheability is
@@ -201,12 +51,10 @@ func TestScheduleReadYourWritesAfterDrop(t *testing.T) {
 func warmRemoteKey(t *testing.T) (w *World, doc, owner string) {
 	t.Helper()
 	on := true
-	wt := core.WriteThrough
 	rcap := int64(1 << 20)
 	for seed := int64(1); ; seed++ {
 		w = scheduleWorld(t, seed, func(c *Config) {
 			c.Remote = &on
-			c.Mode = &wt
 			c.RemoteCapacity = &rcap
 		})
 		// Half the seeds boot with a lossy wire; these schedules need a
@@ -311,12 +159,10 @@ func TestScheduleChangeAfterReconnectBeforeReread(t *testing.T) {
 // post-settle read serves the pre-write bytes and the oracle flags it.
 func TestScheduleReadBeforeCreate(t *testing.T) {
 	on := true
-	wt := core.WriteThrough
 	rcap := int64(1 << 20)
 	single := 0
 	w := scheduleWorld(t, 23, func(c *Config) {
 		c.Remote = &on
-		c.Mode = &wt
 		c.RemoteCapacity = &rcap
 		c.Cluster = &single
 	})
@@ -424,8 +270,7 @@ func TestScheduleChangeDuringFirstMiss(t *testing.T) {
 // transform itself, so it always lands mid-compute.
 func TestScheduleWriteDuringCutFlight(t *testing.T) {
 	on := true
-	wt := core.WriteThrough
-	w := scheduleWorld(t, 31, func(c *Config) { c.Memoize = &on; c.Mode = &wt })
+	w := scheduleWorld(t, 31, func(c *Config) { c.Memoize = &on })
 	const doc, owner = "zeta", "amy"
 	content := []byte("doc:zeta:v1")
 	w.src.Store("/"+doc, content)
@@ -498,8 +343,7 @@ func TestScheduleWriteDuringCutFlight(t *testing.T) {
 // warm's v1 bytes if the warm skipped the generation guard.
 func TestScheduleWriteDuringWarm(t *testing.T) {
 	on := true
-	wt := core.WriteThrough
-	w := scheduleWorld(t, 37, func(c *Config) { c.Memoize = &on; c.Mode = &wt })
+	w := scheduleWorld(t, 37, func(c *Config) { c.Memoize = &on })
 	const doc, owner = "eta", "amy"
 	content := []byte("doc:eta:v0")
 	w.src.Store("/"+doc, content)
@@ -571,7 +415,6 @@ func TestScheduleWriteDuringWarm(t *testing.T) {
 // post-restart read must be byte-legal against the model.
 func TestScheduleKillRestartDiskTier(t *testing.T) {
 	on := true
-	wt := core.WriteThrough
 	// Only fully-memoizable chains demote to disk (the tier's content
 	// keys cannot capture a property that refused memoization), so the
 	// 100%-recovery schedule needs a world whose every chain opted in:
@@ -598,7 +441,7 @@ func TestScheduleKillRestartDiskTier(t *testing.T) {
 	// Deterministically find a seed whose world has ≥ 2 documents (one
 	// to mutate while down, the rest untouched) and demotes everything.
 	for seed := int64(1); ; seed++ {
-		w = scheduleWorld(t, seed, func(c *Config) { c.Durable = &on; c.Mode = &wt })
+		w = scheduleWorld(t, seed, func(c *Config) { c.Durable = &on })
 		if len(w.model.order) >= 2 && memoizableWorld(w) {
 			break
 		}
@@ -641,7 +484,7 @@ func TestScheduleKillRestartDiskTier(t *testing.T) {
 	}
 
 	// Crash. The successor recovers from the same store directory.
-	if err := w.guarded("restart", func() error { return w.restartDurable(true) }); err != nil {
+	if err := w.guarded("restart", func() error { return w.restartDurable() }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -659,10 +502,7 @@ func TestScheduleKillRestartDiskTier(t *testing.T) {
 	for _, id := range w.model.order {
 		for _, u := range w.model.docs[id].users {
 			data, info := read(id, u)
-			want, ok := w.model.current(id, u)
-			if !ok {
-				t.Fatalf("model state for %s/%s ambiguous in a settled write-through world", id, u)
-			}
+			want := w.model.current(id, u)
 			if !bytes.Equal(data, want) {
 				t.Fatalf("post-restart read %s/%s = %q, model says %q", id, u, truncate(data), truncate(want))
 			}
@@ -706,11 +546,9 @@ func TestScheduleKillRestartDiskTier(t *testing.T) {
 // final state must converge on every node.
 func TestScheduleKillDuringRebalance(t *testing.T) {
 	on := true
-	wt := core.WriteThrough
 	three := 3
 	w := scheduleWorld(t, 31, func(c *Config) {
 		c.Remote = &on
-		c.Mode = &wt
 		c.Cluster = &three
 		c.Ops = 200
 	})
@@ -787,7 +625,6 @@ func TestScheduleKillDuringRebalance(t *testing.T) {
 // once per non-coalesced miss, not once per reader.
 func TestScheduleFlashCrowdCluster(t *testing.T) {
 	on := true
-	wt := core.WriteThrough
 	three := 3
 	// Find a seed whose router-warmed key actually caches on a node
 	// (cacheability is seed-derived): the spike needs node copies for
@@ -810,7 +647,6 @@ seeds:
 	for seed := int64(1); ; seed++ {
 		w = scheduleWorld(t, seed, func(c *Config) {
 			c.Remote = &on
-			c.Mode = &wt
 			c.Cluster = &three
 			c.Ops = 150
 		})

@@ -41,10 +41,7 @@ type Config struct {
 
 	// Overrides for scripted schedules; nil derives from the seed.
 	Remote         *bool
-	Mode           *core.WriteMode
 	Memoize        *bool
-	MaxDirty       *int
-	FlushEvery     *time.Duration
 	Capacity       *int64
 	RemoteCapacity *int64
 	// Durable attaches the content-addressed disk tier; derived seeds
@@ -74,10 +71,11 @@ type World struct {
 	space *docspace.Space
 	cache *core.Cache
 
-	remoteOn bool
-	srv      *server.Server
-	client   *server.Client
-	rc       *remote.Cache
+	remoteOn  bool
+	remoteCap int64 // the base remote cache's capacity; 0 = unlimited
+	srv       *server.Server
+	client    *server.Client
+	rc        *remote.Cache
 
 	// Cluster dimension: extra cache nodes behind a consistent-hash
 	// router, all served by the same origin server over separate
@@ -91,21 +89,16 @@ type World struct {
 	clSeq      int
 	clRng      *rand.Rand
 
-	mode       core.WriteMode
-	flushEvery time.Duration
-	maxDirty   int
-
 	durable  bool
 	storeDir string
 	st       *store.Store
 	coreOpts core.Options
 
-	model     *model
-	tr        trace
-	lastCheck time.Time
-	opIdx     int
-	propSeq   int
-	writeSeq  int
+	model    *model
+	tr       trace
+	opIdx    int
+	propSeq  int
+	writeSeq int
 }
 
 // NewWorld builds the deployment for cfg. The derivation draws every
@@ -124,13 +117,12 @@ func NewWorld(cfg Config) (*World, error) {
 	w.net = simnet.NewNet(w.clk, rand.New(rand.NewSource(cfg.Seed^0x5DEECE66D)))
 	w.src = repo.NewMem("src", w.clk, simnet.NewPath("loop", cfg.Seed+1))
 	w.space = docspace.New(w.clk, repo.NewDMS("dms", w.clk, simnet.NewPath("loop", cfg.Seed+2)))
-	w.lastCheck = w.clk.Now()
 
-	// Core cache shape (drawn before overrides are applied).
-	w.mode = core.WriteThrough
-	if rng.Intn(2) == 1 {
-		w.mode = core.WriteBack
-	}
+	// Core cache shape (drawn before overrides are applied). The draws
+	// marked retired once picked the write-back mode, its flush period
+	// and its dirty bound; they stay, discarded, so every seed still
+	// denotes the same world in every other dimension.
+	_ = rng.Intn(2) // retired: write mode
 	memoize := rng.Intn(2) == 1
 	var capacity int64
 	if rng.Intn(2) == 1 {
@@ -139,10 +131,10 @@ func NewWorld(cfg Config) (*World, error) {
 	hitCost := time.Duration(rng.Intn(800)) * time.Microsecond
 	fillCost := time.Duration(rng.Intn(800)) * time.Microsecond
 	if rng.Intn(2) == 1 {
-		w.flushEvery = time.Duration(20+rng.Intn(200)) * time.Millisecond
+		_ = rng.Intn(200) // retired: flush period
 	}
 	if rng.Intn(2) == 1 {
-		w.maxDirty = 2 + rng.Intn(4)
+		_ = rng.Intn(4) // retired: dirty bound
 	}
 	w.remoteOn = rng.Float64() < 0.7
 	// These draws once picked the remote cache's outage policy and its
@@ -152,34 +144,21 @@ func NewWorld(cfg Config) (*World, error) {
 	if rng.Intn(2) == 1 {
 		_ = rng.Intn(300)
 	}
-	var remoteCap int64
 	if rng.Intn(2) == 1 {
-		remoteCap = 512 + rng.Int63n(4096)
+		w.remoteCap = 512 + rng.Int63n(4096)
 	}
 
-	if cfg.Mode != nil {
-		w.mode = *cfg.Mode
-	}
 	if cfg.Memoize != nil {
 		memoize = *cfg.Memoize
 	}
 	if cfg.Capacity != nil {
 		capacity = *cfg.Capacity
 	}
-	if cfg.FlushEvery != nil {
-		w.flushEvery = *cfg.FlushEvery
-	}
-	if cfg.MaxDirty != nil {
-		w.maxDirty = *cfg.MaxDirty
-	}
 	if cfg.Remote != nil {
 		w.remoteOn = *cfg.Remote
 	}
 	if cfg.RemoteCapacity != nil {
-		remoteCap = *cfg.RemoteCapacity
-	}
-	if w.mode != core.WriteBack {
-		w.flushEvery, w.maxDirty = 0, 0
+		w.remoteCap = *cfg.RemoteCapacity
 	}
 
 	// The disk tier draws from its own generator so attaching it never
@@ -192,14 +171,11 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 
 	w.coreOpts = core.Options{
-		Name:       "sim",
-		Capacity:   capacity,
-		HitCost:    hitCost,
-		FillCost:   fillCost,
-		Mode:       w.mode,
-		FlushEvery: w.flushEvery,
-		MaxDirty:   w.maxDirty,
-		Memoize:    memoize,
+		Name:     "sim",
+		Capacity: capacity,
+		HitCost:  hitCost,
+		FillCost: fillCost,
+		Memoize:  memoize,
 	}
 	if w.durable {
 		dir, err := os.MkdirTemp("", "placeless-sim-store-")
@@ -243,7 +219,7 @@ func NewWorld(cfg Config) (*World, error) {
 			return nil, fmt.Errorf("sim: ping: %w", err)
 		}
 		w.rc = remote.New(client, remote.Options{
-			Capacity: remoteCap,
+			Capacity: w.remoteCap,
 			Clock:    w.clk,
 		})
 		// The cluster dimension draws from its own generator (like the
@@ -354,18 +330,17 @@ func (w *World) Close() {
 }
 
 // restartDurable models a process restart over the durable tier: the
-// cache dies (Kill for a crash, Close for a graceful shutdown), the
-// store's file handles close, and a successor opens the same directory
-// — running the full scan-and-replay recovery — and boots a new cache
-// over it. The document space and repositories survive: they model the
-// Placeless middleware, which outlives any one cache process.
-func (w *World) restartDurable(crash bool) error {
+// cache dies (the cache buffers nothing, so a crash and a graceful
+// shutdown are the same Close), the store's file handles close, and a
+// successor opens the same directory — running the full
+// scan-and-replay recovery — and boots a new cache over it. The
+// document space and repositories survive: they model the Placeless
+// middleware, which outlives any one cache process.
+func (w *World) restartDurable() error {
 	if !w.durable {
 		return fmt.Errorf("sim: restartDurable on a world with no disk tier")
 	}
-	if crash {
-		w.cache.Kill()
-	} else if err := w.cache.Close(); err != nil {
+	if err := w.cache.Close(); err != nil {
 		return fmt.Errorf("sim: restart close: %w", err)
 	}
 	if err := w.st.Close(); err != nil {
@@ -421,9 +396,9 @@ func (w *World) setupDocs() error {
 }
 
 // guarded runs fn on its own goroutine while the watchdog advances the
-// virtual clock — delayed messages, flush timers, and notifier timers
-// only move when virtual time does. If fn stays blocked past the real
-// StallBudget the run is declared deadlocked.
+// virtual clock — delayed messages and timers only move when virtual
+// time does. If fn stays blocked past the real StallBudget the run is
+// declared deadlocked.
 func (w *World) guarded(op string, fn func() error) error {
 	done := make(chan error, 1)
 	go func() { done <- fn() }()
@@ -447,54 +422,19 @@ func (w *World) guarded(op string, fn func() error) error {
 	}
 }
 
-// reconcile detects write-back flushes the driver did not issue itself
-// (periodic timers, overflow flushes) by comparing the cache's dirty
-// table against the model's buffered writes. DirtyFor is ground truth:
-// once it reports clean, the buffered content reached the repository
-// somewhere between the last reconcile and now. It reports whether any
-// flush was folded into the model, so settle knows the quiescence it
-// just proved may predate that flush's invalidation pushes.
-func (w *World) reconcile() bool {
-	now := w.clk.Now()
-	lo := w.lastCheck
-	changed := false
-	for _, id := range w.model.order {
-		d := w.model.docs[id]
-		if d.buffered != nil && !w.cache.DirtyFor(id, d.users[0]) {
-			w.model.applyFlush(id, lo, now)
-			changed = true
-		}
-	}
-	w.lastCheck = now
-	return changed
-}
-
 // endOp closes out an operation: a small virtual-time step so the next
-// op starts at a distinct instant, then flush reconciliation.
+// op starts at a distinct instant.
 func (w *World) endOp() {
 	w.clk.Advance(opEpsilon)
-	w.reconcile()
 }
 
-// checkLocal verifies a strongly-consistent read against the model. A
-// flush whose repository store landed but whose dirty-table bookkeeping
-// has not (it runs on a timer goroutine) can make the model lag by one
-// step, so an apparent violation is re-checked after letting the flush
-// finish.
+// checkLocal verifies a strongly-consistent read against the model.
 func (w *World) checkLocal(doc, user string, got []byte, t0 time.Time) error {
-	for attempt := 0; ; attempt++ {
-		t1 := w.clk.Now()
-		ok, hist := w.model.legalLocal(doc, user, got, t0, t1)
-		if ok {
-			return nil
-		}
-		if attempt >= 2 {
-			return fmt.Errorf("STALE LOCAL READ %s/%s returned %q, legal in no model state during the read\n  %s",
-				doc, user, truncate(got), hist)
-		}
-		time.Sleep(2 * time.Millisecond)
-		w.reconcile()
+	if ok, hist := w.model.legalLocal(doc, user, got, t0, w.clk.Now()); !ok {
+		return fmt.Errorf("STALE LOCAL READ %s/%s returned %q, legal in no model state during the read\n  %s",
+			doc, user, truncate(got), hist)
 	}
+	return nil
 }
 
 // checkRemote verifies a push-invalidated remote read against the
@@ -506,18 +446,11 @@ func (w *World) checkRemote(doc, user string, got []byte) error {
 // checkRemoteAt verifies a push-invalidated remote read served by the
 // named node against that node's causal staleness bound.
 func (w *World) checkRemoteAt(node, doc, user string, got []byte) error {
-	for attempt := 0; ; attempt++ {
-		ok, hist := w.model.legalRemoteAt(node, doc, user, got)
-		if ok {
-			return nil
-		}
-		if attempt >= 2 {
-			return fmt.Errorf("STALE REMOTE READ %s/%s via %s returned %q, older than the proven staleness bound\n  %s",
-				doc, user, node, truncate(got), hist)
-		}
-		time.Sleep(2 * time.Millisecond)
-		w.reconcile()
+	if ok, hist := w.model.legalRemoteAt(node, doc, user, got); !ok {
+		return fmt.Errorf("STALE REMOTE READ %s/%s via %s returned %q, older than the proven staleness bound\n  %s",
+			doc, user, node, truncate(got), hist)
 	}
+	return nil
 }
 
 // settlePeer is one (client, cache) pair settle must prove quiescent:
@@ -551,53 +484,43 @@ func (w *World) settle() error {
 	w.net.SetFaults(0, 0, 0, 0)
 	w.net.Heal()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		stable := 0
-		for stable < 3 {
-			w.net.Flush()
-			w.clk.Advance(5 * time.Millisecond)
-			quiet := true
-			for _, p := range w.settlePeers() {
-				// Round-trip barrier: responses share the connection (and
-				// its FIFO framing) with invalidation pushes, and the read
-				// loop applies a push before it decodes the next frame, so
-				// once a Stats call answers, every push the server sent
-				// before that answer has been applied. Without the barrier
-				// a push sitting undecoded in the receive buffer is
-				// invisible to every counter and the loop declares
-				// quiescence early.
-				client, rc := p.client, p.rc
-				barrier := client.State() == server.StateConnected &&
-					w.guarded("settle-barrier", func() error {
-						_, err := client.Stats()
-						return err
-					}) == nil
-				if !(barrier &&
-					client.State() == server.StateConnected &&
-					!rc.Suspect()) {
-					quiet = false
-					break
-				}
+	stable := 0
+	for stable < 3 {
+		w.net.Flush()
+		w.clk.Advance(5 * time.Millisecond)
+		quiet := true
+		for _, p := range w.settlePeers() {
+			// Round-trip barrier: responses share the connection (and
+			// its FIFO framing) with invalidation pushes, and the read
+			// loop applies a push before it decodes the next frame, so
+			// once a Stats call answers, every push the server sent
+			// before that answer has been applied. Without the barrier
+			// a push sitting undecoded in the receive buffer is
+			// invisible to every counter and the loop declares
+			// quiescence early.
+			client, rc := p.client, p.rc
+			barrier := client.State() == server.StateConnected &&
+				w.guarded("settle-barrier", func() error {
+					_, err := client.Stats()
+					return err
+				}) == nil
+			if !(barrier &&
+				client.State() == server.StateConnected &&
+				!rc.Suspect()) {
+				quiet = false
+				break
 			}
-			if quiet && w.net.Inflight() == 0 {
-				stable++
-			} else {
-				stable = 0
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("settle did not converge: state=%v suspect=%v inflight=%d",
-					w.client.State(), w.rc.Suspect(), w.net.Inflight())
-			}
-			time.Sleep(time.Millisecond)
 		}
-		// The clock advances above may have fired a periodic write-back
-		// flush whose invalidation pushes postdate the quiescence just
-		// proved. Fold any such flush into the model and prove
-		// quiescence again; only a pass that changes nothing may
-		// tighten the staleness bounds below.
-		if !w.reconcile() {
-			break
+		if quiet && w.net.Inflight() == 0 {
+			stable++
+		} else {
+			stable = 0
 		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("settle did not converge: state=%v suspect=%v inflight=%d",
+				w.client.State(), w.rc.Suspect(), w.net.Inflight())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	for _, id := range w.model.order {
 		for _, u := range w.model.docs[id].users {
@@ -607,26 +530,17 @@ func (w *World) settle() error {
 	return nil
 }
 
-// finalCheck flushes, settles, and then requires every view to equal
-// the model's (now unambiguous) current state exactly — the lost-write
-// detector: a write that vanished leaves a reachable view that never
-// converges.
+// finalCheck settles, and then requires every view to equal the
+// model's current state exactly — the lost-write detector: a write that
+// vanished leaves a reachable view that never converges.
 func (w *World) finalCheck() error {
-	if w.mode == core.WriteBack {
-		if err := w.doFlush(); err != nil {
-			return err
-		}
-	}
 	if err := w.settle(); err != nil {
 		return err
 	}
 	for _, id := range w.model.order {
 		d := w.model.docs[id]
 		for _, u := range d.users {
-			want, ok := w.model.current(id, u)
-			if !ok {
-				return fmt.Errorf("final check: model state for %s/%s still ambiguous after flush+settle", id, u)
-			}
+			want := w.model.current(id, u)
 			if err := w.doLocalRead(id, u); err != nil {
 				return err
 			}

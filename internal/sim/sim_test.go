@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"placeless/internal/core"
 )
 
 var (
@@ -19,8 +17,8 @@ var (
 )
 
 // TestSimSweep runs a batch of seeded whole-stack schedules. Each seed
-// builds a different deployment (write mode, memoization, capacities,
-// remote on/off, fault mix) and checks every read against the oracle.
+// builds a different deployment (memoization, capacities, remote
+// on/off, fault mix) and checks every read against the oracle.
 // `make sim` raises -sim.seeds past 1000; short mode keeps the batch
 // small enough for every `go test ./...`.
 func TestSimSweep(t *testing.T) {
@@ -165,9 +163,8 @@ func TestOracleClusterPerNodeBounds(t *testing.T) {
 // oracle about deliberately stale bytes: a harness whose oracle cannot
 // fail is worthless, so this pins the failure path end to end.
 func TestOracleCatchesStaleEndToEnd(t *testing.T) {
-	mode := core.WriteThrough
 	off := false
-	w, err := NewWorld(Config{Seed: 42, Remote: &off, Mode: &mode})
+	w, err := NewWorld(Config{Seed: 42, Remote: &off})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,16 +49,8 @@ type RunConfig struct {
 	Backend Backend
 	// Nodes and Replicas shape the Cluster backend's ring.
 	Nodes, Replicas int
-	// Workers bounds the pool multiplexing user identities. Write-back
-	// runs force 1 (flush timing under concurrency would make the
-	// staleness counts nondeterministic).
+	// Workers bounds the pool multiplexing user identities (default 4).
 	Workers int
-	// Mode selects write-through (default) or write-back; write-back
-	// plus FlushOps yields a deterministic nonzero staleness column.
-	Mode core.WriteMode
-	// FlushOps, in write-back mode, flushes after every FlushOps
-	// writes. Zero flushes only at the end of the run.
-	FlushOps int
 	// MinDocSize floors the heavy-tailed document size draw.
 	MinDocSize int64
 }
@@ -74,7 +66,7 @@ type Frontier struct {
 	// Population and pool shape.
 	Users, Docs, Workers, Nodes int
 	// Op mix actually executed.
-	Ops, Reads, Writes, Attaches, Detaches, Reorders, ChurnNoops, Flushes int64
+	Ops, Reads, Writes, Attaches, Detaches, Reorders, ChurnNoops int64
 	// DistinctPairs is how many (doc, user) keys the stream touched —
 	// the working-set size the virtualized population produced.
 	DistinctPairs int64
@@ -94,9 +86,9 @@ type Frontier struct {
 	UniversalStageRuns, PrefixSegmentRuns, PrefixInstalls int64
 	SegmentRunsSaved, BytesRecomputedSaved                int64
 	// Staleness vs the write stream: a read is stale when the version
-	// it returned is older than the last version written (not
-	// necessarily flushed) at the moment the read started.
-	// MaxVersionLag is the worst such gap in versions.
+	// it returned is older than the last version written at the moment
+	// the read started. MaxVersionLag is the worst such gap in
+	// versions. Writes go through, so both read 0 on a correct cache.
 	StaleReads, MaxVersionLag int64
 	// Router counters (Cluster backend only).
 	RouterReads, RouterWrites, Failovers int64
@@ -231,7 +223,7 @@ func buildWorld(cfg RunConfig) (*world, error) {
 		}
 	}
 
-	opts := core.Options{Mode: cfg.Mode, Memoize: true}
+	opts := core.Options{Memoize: true}
 	switch cfg.Backend {
 	case Cluster:
 		nodes := cfg.Nodes
@@ -272,7 +264,6 @@ func (w *world) close() {
 // drains.
 type tally struct {
 	reads, writes, attaches, detaches, reorders, churnNoops int64
-	flushes                                                 int64
 	pairs                                                   int64
 	stale, maxLag                                           int64
 	latencies                                               []time.Duration
@@ -289,14 +280,10 @@ type pairState struct {
 // state never race across workers.
 type worker struct {
 	w       *world
-	cfg     RunConfig
 	ops     []Op
 	tally   tally
 	pairs   map[[2]int]*pairState
 	written []int64 // per-doc last written version (shared; doc-partitioned)
-	flushed []int64 // per-doc last flushed version (write-back, Workers=1)
-	dirty   map[int]bool
-	pending *int64 // shared write counter for FlushOps cadence (Workers=1 paths)
 }
 
 // touch ensures (doc, user) has a reference, returning its state.
@@ -365,31 +352,6 @@ func (wk *worker) doWrite(op Op) error {
 	}
 	wk.written[op.Doc] = next
 	wk.tally.writes++
-	if wk.cfg.Mode == core.WriteBack {
-		wk.dirty[op.Doc] = true
-		*wk.pending++
-		if wk.cfg.FlushOps > 0 && *wk.pending >= int64(wk.cfg.FlushOps) {
-			return wk.flush()
-		}
-	}
-	return nil
-}
-
-// flush pushes buffered write-back content through and marks every
-// dirty doc's written version as flushed (Workers=1 in this mode, so
-// the bookkeeping is race-free by construction).
-func (wk *worker) flush() error {
-	for _, c := range wk.w.caches {
-		if err := c.Flush(); err != nil {
-			return err
-		}
-	}
-	for d := range wk.dirty {
-		wk.flushed[d] = wk.written[d]
-		delete(wk.dirty, d)
-	}
-	*wk.pending = 0
-	wk.tally.flushes++
 	return nil
 }
 
@@ -465,12 +427,6 @@ func RunOps(cfg RunConfig, ops []Op) (Frontier, error) {
 	if workers <= 0 {
 		workers = 4
 	}
-	if cfg.Mode == core.WriteBack {
-		// Flush timing under a concurrent pool would make staleness
-		// counts scheduling-dependent; the write-back phase trades
-		// parallelism for a deterministic staleness column.
-		workers = 1
-	}
 
 	w, err := buildWorld(cfg)
 	if err != nil {
@@ -486,15 +442,12 @@ func RunOps(cfg RunConfig, ops []Op) (Frontier, error) {
 		parts[i] = append(parts[i], op)
 	}
 	written := make([]int64, gen.Docs)
-	flushed := make([]int64, gen.Docs)
-	var pending int64
 	wks := make([]*worker, workers)
 	for i := range wks {
 		wks[i] = &worker{
-			w: w, cfg: cfg, ops: parts[i],
+			w: w, ops: parts[i],
 			pairs:   make(map[[2]int]*pairState),
-			written: written, flushed: flushed,
-			dirty: make(map[int]bool), pending: &pending,
+			written: written,
 		}
 	}
 
@@ -509,13 +462,6 @@ func RunOps(cfg RunConfig, ops []Op) (Frontier, error) {
 	for _, e := range errs {
 		if e != nil {
 			return Frontier{}, e
-		}
-	}
-	// Final flush so write-back runs end converged (counted like any
-	// other flush).
-	if cfg.Mode == core.WriteBack && len(wks[0].dirty) > 0 {
-		if err := wks[0].flush(); err != nil {
-			return Frontier{}, err
 		}
 	}
 	elapsed := time.Since(start)
@@ -536,7 +482,6 @@ func RunOps(cfg RunConfig, ops []Op) (Frontier, error) {
 		f.Detaches += wk.tally.detaches
 		f.Reorders += wk.tally.reorders
 		f.ChurnNoops += wk.tally.churnNoops
-		f.Flushes += wk.tally.flushes
 		f.DistinctPairs += wk.tally.pairs
 		f.StaleReads += wk.tally.stale
 		if wk.tally.maxLag > f.MaxVersionLag {

@@ -117,40 +117,6 @@ func TestRunOpsAccounting(t *testing.T) {
 	}
 }
 
-// TestRunOpsWriteBackStaleness pins the staleness column: in
-// write-back mode a read between a buffered write and its flush
-// observes the old version, and the harness counts exactly those.
-func TestRunOpsWriteBackStaleness(t *testing.T) {
-	ops := []Op{
-		{Kind: trace.OpRead, Doc: 0, User: 0}, // v0, fresh
-		{Kind: trace.OpWrite, Doc: 0},         // v1 buffered
-		{Kind: trace.OpRead, Doc: 0, User: 0}, // sees v0: stale, lag 1
-		{Kind: trace.OpWrite, Doc: 0},         // v2 buffered
-		{Kind: trace.OpRead, Doc: 0, User: 1}, // sees v0: stale, lag 2
-	}
-	f, err := RunOps(RunConfig{
-		Gen:   Config{Users: 2, Docs: 1, Ops: len(ops), Seed: 9},
-		Phase: "writeback",
-		Mode:  core.WriteBack,
-	}, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstNodeStats(t, f)
-	if f.Workers != 1 {
-		t.Fatalf("write-back must force one worker, got %d", f.Workers)
-	}
-	if f.StaleReads != 2 {
-		t.Fatalf("StaleReads = %d, want 2", f.StaleReads)
-	}
-	if f.MaxVersionLag != 2 {
-		t.Fatalf("MaxVersionLag = %d, want 2", f.MaxVersionLag)
-	}
-	if f.Flushes != 1 {
-		t.Fatalf("Flushes = %d, want 1 (final flush only)", f.Flushes)
-	}
-}
-
 // stripWallClock zeroes the fields outside the determinism contract.
 func stripWallClock(f Frontier) Frontier {
 	f.P50Micros, f.P99Micros, f.ElapsedMS = 0, 0, 0

@@ -78,14 +78,6 @@ type (
 // NewCache returns a cache in front of a document space.
 var NewCache = core.New
 
-// Write modes.
-const (
-	// WriteThrough forwards writes to the middleware immediately.
-	WriteThrough = core.WriteThrough
-	// WriteBack buffers writes until Flush (or the periodic flush).
-	WriteBack = core.WriteBack
-)
-
 // Properties (internal/property).
 type (
 	// Active is an event-driven property.
