@@ -29,7 +29,8 @@ test-race:
 # and the cache at once, and its apply helper runs a miss's transforms
 # on the entry table's own bytes), the TCP server/remote-cache pair,
 # the file-system repository (Store and Fetch order themselves per
-# path) and plcached (a connection's held
+# path), the cluster router (plcached serves every request through it,
+# from concurrent handlers) and plcached (a connection's held
 # response bytes are shared by the handler and net/http's background
 # read), twice, so scheduling-order-dependent
 # races get two chances to surface;
@@ -46,7 +47,7 @@ test-race:
 # and the source stamp's race (writers against content-key probes:
 # only the write count retires a stamp the verifiers cannot fault).
 race:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/swarm/ ./cmd/plcached/
+	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/swarm/ ./internal/cluster/ ./cmd/plcached/
 	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes|SourceStamp' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded

@@ -204,7 +204,8 @@ func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...serve
 
 // docHandler serves GET /doc/<id>?user=U from dc and passes PUT and
 // POST bodies to it as writes. The bytes a read returns are the
-// cache's own: the handler only sends them.
+// cache's own: the handler only sends them. A body over the wire's
+// frame limit is refused with 413 before it is read in full.
 func docHandler(dc cluster.Peer) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/doc/")
@@ -229,9 +230,14 @@ func docHandler(dc cluster.Peer) http.HandlerFunc {
 			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			_, _ = w.Write(data)
 		case http.MethodPut, http.MethodPost:
-			body, err := io.ReadAll(r.Body)
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxFramePayload))
 			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+				status := http.StatusBadRequest
+				var tooLarge *http.MaxBytesError
+				if errors.As(err, &tooLarge) {
+					status = http.StatusRequestEntityTooLarge
+				}
+				http.Error(w, err.Error(), status)
 				return
 			}
 			if err := dc.Write(id, user, body); err != nil {
@@ -240,6 +246,7 @@ func docHandler(dc cluster.Peer) http.HandlerFunc {
 			}
 			w.WriteHeader(http.StatusNoContent)
 		default:
+			w.Header().Set("Allow", "GET, PUT, POST")
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	}
@@ -248,9 +255,9 @@ func docHandler(dc cluster.Peer) http.HandlerFunc {
 // writeDocError maps cache errors to HTTP statuses: degraded mode (a
 // whole owner set's) is the load-shedding 503 (the client should retry
 // after the reconnect); a closed cache or wire client is a 503 without
-// a retry hint (the daemon is shutting down); everything else is a
-// document-level failure. The remote cache has already classified its
-// wire's errors into these.
+// a retry hint (the daemon is shutting down); a write too large for one
+// wire frame is a 413; everything else is a document-level failure.
+// The remote cache has already classified its wire's errors into these.
 func writeDocError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, remote.ErrDegraded):
@@ -258,6 +265,8 @@ func writeDocError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, remote.ErrClosed):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case errors.Is(err, server.ErrTooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 	default:
 		http.Error(w, err.Error(), http.StatusNotFound)
 	}

@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"placeless/internal/remote"
+	"placeless/internal/server"
 )
 
 // TestWriteDocError pins the status each cache error answers with:
 // outages are a 503 with a retry hint, a closed cache or wire client a
-// 503 without one, and anything else is the document's own 404.
+// 503 without one, a write too large for a wire frame a 413, and
+// anything else is the document's own 404.
 func TestWriteDocError(t *testing.T) {
 	for _, tc := range []struct {
 		err        error
@@ -24,6 +26,7 @@ func TestWriteDocError(t *testing.T) {
 		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", remote.ErrDegraded), http.StatusServiceUnavailable, "1"},
 		{remote.ErrClosed, http.StatusServiceUnavailable, ""},
 		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", remote.ErrClosed), http.StatusServiceUnavailable, ""},
+		{fmt.Errorf("%w: 67108897-byte payload, limit 67108864", server.ErrTooLarge), http.StatusRequestEntityTooLarge, ""},
 		{errors.New("docspace: no document \"d\""), http.StatusNotFound, ""},
 	} {
 		rec := httptest.NewRecorder()

@@ -47,7 +47,7 @@ func startOrigin(t *testing.T) (string, *server.Server) {
 	t.Cleanup(func() {
 		_ = srv.Close()
 		<-done
-		_ = origin.Close()
+		origin.Close()
 	})
 	src.Store("/alpha", []byte("hello"))
 	if _, err := space.CreateDocument("alpha", users[0], &property.RepoBitProvider{Repo: src, Path: "/alpha"}); err != nil {
@@ -106,6 +106,18 @@ func sidecarFamilies(t *testing.T) []string {
 	return names
 }
 
+// allDisconnected reports whether /status shows every one of the n
+// nodes disconnected.
+func allDisconnected(t *testing.T, mux *http.ServeMux, n int) bool {
+	t.Helper()
+	for _, node := range statusNodes(t, mux, n) {
+		if node.State != "disconnected" {
+			return false
+		}
+	}
+	return true
+}
+
 // statusNodes reads the node rows of the sidecar's /status, which must
 // number n.
 func statusNodes(t *testing.T, mux *http.ServeMux, n int) []cluster.NodeInfo {
@@ -121,10 +133,11 @@ func statusNodes(t *testing.T, mux *http.ServeMux, n int) []cluster.NodeInfo {
 
 // TestSidecarIsARing builds plcached from flag values against an
 // in-process origin, as a ring of one (-server) and of three
-// (-cluster), and checks the one shape both have: /metrics carries
-// every remote and cluster family, the routed reads are the nodes'
-// hits + misses + coalesced reads, /status has the same keys, and with
-// the origin gone a read is a 503 with a retry hint.
+// (-cluster), and checks the one shape both have: a PUT through the
+// router reaches every user's next read, /metrics carries every remote
+// and cluster family, the routed reads are the nodes' hits + misses +
+// coalesced reads, /status has the same keys, and with the origin gone
+// a read is a 503 with a retry hint.
 func TestSidecarIsARing(t *testing.T) {
 	families := sidecarFamilies(t)
 	statusKeys := []string{"degraded_errors", "entries", "epoch_flushes", "failovers", "nodes", "reads", "rebalances", "reconnects", "replicas", "vnodes", "writes"}
@@ -138,16 +151,39 @@ func TestSidecarIsARing(t *testing.T) {
 			}
 			t.Cleanup(closeAll)
 
-			const rounds = 3
-			for i := 0; i < rounds; i++ {
+			var reads int64
+			get := func(u string) *httptest.ResponseRecorder {
+				reads++
+				return serve(mux, http.MethodGet, "/doc/alpha?user="+u, "")
+			}
+			for i := 0; i < 3; i++ {
 				for _, u := range users {
-					if rec := serve(mux, http.MethodGet, "/doc/alpha?user="+u, ""); rec.Code != http.StatusOK || rec.Body.String() != "hello" {
+					if rec := get(u); rec.Code != http.StatusOK || rec.Body.String() != "hello" {
 						t.Fatalf("read as %s: %d %q", u, rec.Code, rec.Body.String())
 					}
 				}
 			}
 			if rec := serve(mux, http.MethodPut, "/doc/alpha?user=amy", "bye"); rec.Code != http.StatusNoContent {
 				t.Fatalf("write: %d %q", rec.Code, rec.Body.String())
+			}
+			// A node hears the pushes on its connection before the
+			// write's answer there, so a ring of one must answer the new
+			// bytes at once; other nodes' pushes travel on their own
+			// connections and land a moment later.
+			patience := 5 * time.Second
+			if n == 1 {
+				patience = 0
+			}
+			for _, u := range users {
+				for deadline := time.Now().Add(patience); ; time.Sleep(time.Millisecond) {
+					rec := get(u)
+					if rec.Code == http.StatusOK && rec.Body.String() == "bye" {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("read as %s after the write: %d %q, want bye", u, rec.Code, rec.Body.String())
+					}
+				}
 			}
 
 			m := scrape(t, mux)
@@ -156,7 +192,6 @@ func TestSidecarIsARing(t *testing.T) {
 					t.Errorf("/metrics has no %s", f)
 				}
 			}
-			reads := int64(rounds * len(users))
 			if got := m["placeless_cluster_reads_total"]; got != reads {
 				t.Errorf("router counted %d reads, sent %d", got, reads)
 			}
@@ -200,12 +235,18 @@ func TestSidecarIsARing(t *testing.T) {
 				t.Errorf("/ring: %d %q", rec.Code, rec.Body.String())
 			}
 
+			// The gauge is the worst node's, so it leaves 1 as soon as one
+			// node hears the close; the read below must wait for all of
+			// them, or a node still connected answers it from its cache.
 			_ = srv.Close()
-			for deadline := time.Now().Add(5 * time.Second); scrape(t, mux)["placeless_remote_connection_state"] == 1; {
+			for deadline := time.Now().Add(5 * time.Second); !allDisconnected(t, mux, n); {
 				if time.Now().After(deadline) {
-					t.Fatal("connection state still 1 after the origin closed")
+					t.Fatal("a node still connected 5 s after the origin closed")
 				}
 				time.Sleep(time.Millisecond)
+			}
+			if got := scrape(t, mux)["placeless_remote_connection_state"]; got == 1 {
+				t.Errorf("connection state %d with every wire down", got)
 			}
 			rec := serve(mux, http.MethodGet, "/doc/alpha?user=amy", "")
 			if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {

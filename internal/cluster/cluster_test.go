@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,7 +60,7 @@ func newTestCluster(t *testing.T, nodes int, replicas int, o *obs.Observer) *tes
 			_ = c.Close()
 		}
 		_ = srv.Close()
-		_ = origin.Close()
+		origin.Close()
 	})
 	// One document, several users.
 	src.Store("/alpha", []byte("hello"))
@@ -253,6 +255,65 @@ func TestClusterInvalidationFanout(t *testing.T) {
 		if !bytes.Equal(got, []byte("v2")) {
 			t.Fatalf("%s served %q after the fanout, want v2", name, got)
 		}
+	}
+}
+
+// TestClusterConcurrentReadsAndWrites drives the router from several
+// goroutines at once, reads and writes interleaved on one document:
+// every operation is answered, every read returns bytes some write
+// left, and the router's read count is exactly the nodes' hits +
+// misses + coalesced reads. Run it under -race.
+func TestClusterConcurrentReadsAndWrites(t *testing.T) {
+	tc := newTestCluster(t, 3, 2, nil)
+	users := []string{"amy", "bob", "cam"}
+	const workers, ops = 6, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				u := users[(w+i)%len(users)]
+				if i%10 == 9 {
+					if err := tc.cl.Write("alpha", u, []byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+						errs <- fmt.Errorf("write as %s: %w", u, err)
+						return
+					}
+					continue
+				}
+				data, err := tc.cl.Read("alpha", u)
+				if err != nil {
+					errs <- fmt.Errorf("read as %s: %w", u, err)
+					return
+				}
+				if s := string(data); s != "hello" && !strings.HasPrefix(s, "w") {
+					errs <- fmt.Errorf("read as %s: %q, which no write left", u, s)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := tc.cl.Stats()
+	var served int64
+	for _, rc := range tc.caches {
+		ns := rc.Stats()
+		served += ns.Hits + ns.Misses + ns.CoalescedMisses
+	}
+	const writes = workers * (ops / 10)
+	if st.Reads != workers*ops-writes || st.Writes != writes {
+		t.Errorf("router counted %d reads, %d writes; sent %d, %d", st.Reads, st.Writes, workers*ops-writes, writes)
+	}
+	if served != st.Reads {
+		t.Errorf("nodes served %d reads, router routed %d", served, st.Reads)
+	}
+	if st.Failovers != 0 || st.DegradedErrors != 0 {
+		t.Errorf("%d failovers, %d degraded errors with every wire up", st.Failovers, st.DegradedErrors)
 	}
 }
 

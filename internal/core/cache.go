@@ -284,9 +284,6 @@ func (c *Cache) Capacity() int64 { return c.tab.capacity.Load() }
 // Policy returns the replacement policy's name.
 func (c *Cache) Policy() string { return c.tab.policy.Name() }
 
-// Memoizing reports whether universal-stage memoization is enabled.
-func (c *Cache) Memoizing() bool { return c.opts.Memoize }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats.snapshot(&c.tab.stats) }
 

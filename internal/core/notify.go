@@ -80,10 +80,9 @@ func (c *Cache) InvalidateDoc(doc string) {
 // what a process crash does to it: the attached durable store keeps
 // whatever reached it, and the caller closes (or just reopens) the
 // store to model the disk surviving. Close does not close the store —
-// its lifetime belongs to whoever opened it. The error is always nil.
-func (c *Cache) Close() error {
+// its lifetime belongs to whoever opened it.
+func (c *Cache) Close() {
 	if c.tab.Close() {
 		c.notifiers.Close()
 	}
-	return nil
 }

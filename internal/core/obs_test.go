@@ -2,6 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -252,5 +257,73 @@ func TestObserverOverheadGate(t *testing.T) {
 	observed := run(obs.NewObserver())
 	if observed > 10*bare {
 		t.Errorf("observed hits took %v vs bare %v — instrumentation too heavy", observed, bare)
+	}
+}
+
+// TestMetricsScrapeEndToEnd mounts an origin cache's Observer on an
+// HTTP server, reads through the cache, and then scrapes /metrics,
+// /debug/traces and /debug/pprof/ over HTTP: the path an operator's
+// Prometheus scrape takes.
+func TestMetricsScrapeEndToEnd(t *testing.T) {
+	o := obs.NewObserver()
+	w := newWorld(t, Options{Observer: o})
+	mux := http.NewServeMux()
+	o.Mount(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	w.addDoc(t, "d", "eyal", "/d", []byte("content"))
+	for i := 0; i < 3; i++ {
+		w.read(t, "d", "eyal")
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	body := string(raw)
+	for _, want := range []string{
+		"placeless_cache_hits_total 2",
+		"placeless_cache_misses_total 1",
+		`placeless_reads_total{verdict="hit"} 2`,
+		`placeless_reads_total{verdict="miss"} 1`,
+		"placeless_read_duration_seconds_count 3",
+		`placeless_read_stage_duration_seconds_count{stage="bit_fetch"} 1`,
+		"placeless_traces_recorded_total",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+
+	tresp, err := http.Get(ts.URL + "/debug/traces?n=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tresp.Body.Close()
+	var dump obs.TraceDump
+	if err := json.NewDecoder(tresp.Body).Decode(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if dump.Total != 3 || len(dump.Traces) != 3 {
+		t.Fatalf("trace dump total=%d len=%d, want 3/3", dump.Total, len(dump.Traces))
+	}
+	if dump.Traces[0].Verdict != "hit" || dump.Traces[2].Verdict != "miss" {
+		t.Errorf("trace verdicts newest-first = %s..%s, want hit..miss",
+			dump.Traces[0].Verdict, dump.Traces[2].Verdict)
+	}
+
+	presp, err := http.Get(ts.URL + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	presp.Body.Close()
+	if presp.StatusCode != http.StatusOK {
+		t.Errorf("pprof cmdline status = %d", presp.StatusCode)
 	}
 }

@@ -68,9 +68,7 @@ func TestHitProbeParity(t *testing.T) {
 		{
 			name: "closed",
 			arm: func(w *world, _ *probeHook) {
-				if err := w.cache.Close(); err != nil {
-					panic(err)
-				}
+				w.cache.Close()
 			},
 			wantErr: ErrClosed,
 		},

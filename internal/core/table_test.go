@@ -117,9 +117,7 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 		t.Fatal("halving the budget evicted nothing")
 	}
 
-	if err := w.cache.Close(); err != nil {
-		t.Fatal(err)
-	}
+	w.cache.Close()
 	consistent("after Close")
 	if st := w.cache.Stats(); w.cache.Len() != 0 || st.IntermediateEntries != 0 || st.BytesStored != 0 {
 		t.Fatalf("Close left %d entries, %d cuts, %d bytes", w.cache.Len(), st.IntermediateEntries, st.BytesStored)

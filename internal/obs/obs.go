@@ -16,7 +16,7 @@
 //   - notifier-driven invalidations count under
 //     placeless_invalidation_causes_total{cause=...}, labelled with the
 //     paper's four causes.
-//   - internal/httpgw and cmd/placelessd mount the /metrics,
+//   - cmd/placelessd and cmd/plcached mount the /metrics,
 //     /debug/traces and /debug/pprof endpoints via Observer.Mount.
 //
 // Overhead budget: with an Observer attached, a read pays a handful of

@@ -289,9 +289,8 @@ func TestReadTransformsLeaveInputUnchanged(t *testing.T) {
 }
 
 // TestWriteTransformsLeaveInputUnchanged: the write path hands a
-// server's request body or a gateway's body to the first write
-// transform as it is, so no standard write transform may modify its
-// input either.
+// server's request body to the first write transform as it is, so no
+// standard write transform may modify its input either.
 func TestWriteTransformsLeaveInputUnchanged(t *testing.T) {
 	for _, p := range []*Transformer{
 		NewSpellCorrector(0),

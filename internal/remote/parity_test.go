@@ -199,7 +199,8 @@ func TestOneTableParity(t *testing.T) {
 
 	step("the end of the table", nil, 0, func(p *tablePlacement) error {
 		if p == o {
-			return origin.Close()
+			origin.Close()
+			return nil
 		}
 		r.cache.onConnState(server.StateConnected, r.client.Epoch())
 		return nil

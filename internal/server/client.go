@@ -213,9 +213,14 @@ type wireConn struct {
 }
 
 // sendRequest queues one request frame; the write deadline is armed
-// by the writer goroutine per batch.
+// by the writer goroutine per batch. A frame the encoder refuses
+// (ErrTooLarge) is never queued.
 func (w *wireConn) sendRequest(req *Request) error {
-	return w.fw.enqueue(encodeRequestFrame(req))
+	f, err := encodeRequestFrame(req)
+	if err != nil {
+		return err
+	}
+	return w.fw.enqueue(f)
 }
 
 func (w *wireConn) readResponse() (*Response, error) { return readResponseFrame(w.br) }
@@ -545,6 +550,9 @@ func (c *Client) call(req *Request) (*Response, error) {
 		delete(c.pending, req.ID)
 		closed := c.state == StateClosed
 		c.mu.Unlock()
+		if errors.Is(err, ErrTooLarge) {
+			return nil, err // nothing was sent: the wire is fine
+		}
 		c.connFailed(wc)
 		if closed {
 			return nil, ErrClientClosed

@@ -117,7 +117,7 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 		req := &Request{ID: id, Op: op, Doc: doc, User: user,
 			Personal: op8%2 == 0, Property: value + "p", Value: value, Body: body,
 			Subscribe: flagged && op == OpRead}
-		got, err := readRequestFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, encodeRequestFrame(req)))))
+		got, err := readRequestFrame(bufio.NewReader(bytes.NewReader(requestBytes(t, req))))
 		if err != nil {
 			t.Fatalf("decode request %v: %v", op, err)
 		}
@@ -183,7 +183,7 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 // decoders: they must reject garbage with an error — never panic, hang,
 // or allocate per an attacker-controlled length prefix.
 func FuzzV2FrameDecode(f *testing.F) {
-	vb := frameBytes(f, encodeRequestFrame(&Request{ID: 3, Op: OpRead, Doc: "d", User: "u"}))
+	vb := requestBytes(f, &Request{ID: 3, Op: OpRead, Doc: "d", User: "u"})
 	f.Add(vb)
 	f.Add(vb[:len(vb)-1])
 	f.Add(append(append([]byte{}, vb...), 0xde, 0xad))
@@ -192,10 +192,10 @@ func FuzzV2FrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	// The version-4 shapes: a read carrying its subscription, a request
 	// using every field of the layout, and one claiming a gob payload.
-	f.Add(frameBytes(f, encodeRequestFrame(&Request{ID: 4, Op: OpRead, Doc: "d", User: "u", Subscribe: true})))
-	f.Add(frameBytes(f, encodeRequestFrame(&Request{ID: 5, Op: OpAttachStatic, Doc: "d", User: "u",
-		Personal: true, Property: "k", Value: "v", Body: []byte("tail")})))
-	gobbed := frameBytes(f, encodeRequestFrame(&Request{ID: 6, Op: OpStats}))
+	f.Add(requestBytes(f, &Request{ID: 4, Op: OpRead, Doc: "d", User: "u", Subscribe: true}))
+	f.Add(requestBytes(f, &Request{ID: 5, Op: OpAttachStatic, Doc: "d", User: "u",
+		Personal: true, Property: "k", Value: "v", Body: []byte("tail")}))
+	gobbed := requestBytes(f, &Request{ID: 6, Op: OpStats})
 	gobbed[3] |= byte(flagGob)
 	f.Add(gobbed)
 	f.Fuzz(func(t *testing.T, data []byte) {

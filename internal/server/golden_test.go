@@ -28,11 +28,11 @@ func wireGoldenLines(t *testing.T) string {
 
 	fmt.Fprintf(&out, "hello %s\nack %s\n", hex.EncodeToString(helloMagic[:]), hex.EncodeToString(helloAck[:]))
 	for op := OpRead; op <= OpFind; op++ {
-		line("request "+op.String(), frameBytes(t, encodeRequestFrame(&Request{ID: id, Op: op,
-			Doc: "doc", User: "user", Personal: true, Property: "prop", Value: "value", Body: []byte("body")})))
+		line("request "+op.String(), requestBytes(t, &Request{ID: id, Op: op,
+			Doc: "doc", User: "user", Personal: true, Property: "prop", Value: "value", Body: []byte("body")}))
 	}
-	line("request read+subscribe", frameBytes(t, encodeRequestFrame(&Request{ID: id, Op: OpRead,
-		Doc: "doc", User: "user", Subscribe: true})))
+	line("request read+subscribe", requestBytes(t, &Request{ID: id, Op: OpRead,
+		Doc: "doc", User: "user", Subscribe: true}))
 
 	// A literal signature, not sig.Of(body): the golden pins where the
 	// sixteen bytes go, not which hash produced them.

@@ -66,9 +66,7 @@ func corePlacement(t *testing.T) placement {
 		},
 		fired: func() int64 { return cache.Stats().Notifications },
 		close: func(t *testing.T) {
-			if err := cache.Close(); err != nil {
-				t.Fatal(err)
-			}
+			cache.Close()
 		},
 	}
 }

@@ -88,14 +88,28 @@ const (
 	// partially-lost frame could silently splice later frames into a
 	// blob body; a raw binary framing must fail loudly there.
 	frameTrailerSize = 4
-	// maxFramePayload bounds a single frame; anything larger is treated
-	// as a corrupt header, not an allocation request.
-	maxFramePayload = 64 << 20
+	// MaxFramePayload bounds a single frame's payload. The decoder
+	// treats a larger length as a corrupt header and drops the
+	// connection, so neither encoder builds such a frame.
+	MaxFramePayload = 64 << 20
 	// readMetaSize is the fixed metadata prefix of a Read response
 	// payload: cacheability (1) + cost nanos (8) + expiry nanos (8) +
 	// content signature (16).
 	readMetaSize = 17 + sig.Size
 )
+
+// ErrTooLarge refuses a frame whose payload would exceed
+// MaxFramePayload: a client call sends nothing, and the server answers
+// with an error frame instead. Either way the connection stays up.
+var ErrTooLarge = errors.New("server: frame too large")
+
+// checkPayload refuses a payload length the decoder would refuse.
+func checkPayload(plen int) error {
+	if plen > MaxFramePayload {
+		return fmt.Errorf("%w: %d-byte payload, limit %d", ErrTooLarge, plen, MaxFramePayload)
+	}
+	return nil
+}
 
 // castagnoli is the CRC32-C table for frame trailers (hardware
 // accelerated on amd64/arm64).
@@ -230,7 +244,7 @@ func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int
 	}
 	id = binary.BigEndian.Uint64(h[4:12])
 	n := binary.BigEndian.Uint32(h[12:16])
-	if n > maxFramePayload {
+	if n > MaxFramePayload {
 		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: payload length %d exceeds limit", n)
 	}
 	_, _ = br.Discard(frameHeaderSize)
@@ -264,7 +278,8 @@ type wireFrame struct {
 
 // encodeRequestFrame renders one client→server frame in the one request
 // layout. The body is never copied: it rides as the frame's raw tail.
-func encodeRequestFrame(req *Request) wireFrame {
+// A payload over MaxFramePayload is refused with ErrTooLarge.
+func encodeRequestFrame(req *Request) (wireFrame, error) {
 	p, b := getSmallBuf()
 	level := byte(0)
 	if req.Personal {
@@ -279,8 +294,13 @@ func encodeRequestFrame(req *Request) wireFrame {
 	if req.Subscribe && req.Op == OpRead {
 		flags = flagSubscribe
 	}
-	putFrameHeader(b, req.Op, flags, req.ID, len(b)-frameHeaderSize+len(req.Body))
-	return wireFrame{hdr: b, hdrPool: p, body: req.Body}
+	plen := len(b) - frameHeaderSize + len(req.Body)
+	if err := checkPayload(plen); err != nil {
+		putSmallBuf(p, b)
+		return wireFrame{}, err
+	}
+	putFrameHeader(b, req.Op, flags, req.ID, plen)
+	return wireFrame{hdr: b, hdrPool: p, body: req.Body}, nil
 }
 
 // decodeRequestPayload fills req from a payload in the request layout.
@@ -360,7 +380,8 @@ func structuredResponse(op Op) bool {
 
 // encodeResponseFrame renders one server→client frame for op (the
 // request's op, echoed so the client knows how to decode the payload;
-// opInvalidate for pushes).
+// opInvalidate for pushes). A read body or structured answer whose
+// payload would exceed MaxFramePayload is refused with ErrTooLarge.
 func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 	if resp.Err != "" {
 		p, b := getSmallBuf()
@@ -370,6 +391,9 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 	}
 	switch op {
 	case OpRead:
+		if err := checkPayload(readMetaSize + len(resp.Body)); err != nil {
+			return wireFrame{}, err
+		}
 		p, b := getSmallBuf()
 		b = append(b, byte(resp.Cacheability))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.CostNanos))
@@ -391,6 +415,9 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 	if structuredResponse(op) {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
+			return wireFrame{}, err
+		}
+		if err := checkPayload(buf.Len()); err != nil {
 			return wireFrame{}, err
 		}
 		p, b := getSmallBuf()

@@ -41,9 +41,19 @@ func frameBytes(t testing.TB, f wireFrame) []byte {
 	return buf.Bytes()
 }
 
+// requestBytes encodes req as it leaves a client, trailer included.
+func requestBytes(t testing.TB, req *Request) []byte {
+	t.Helper()
+	f, err := encodeRequestFrame(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameBytes(t, f)
+}
+
 func requestOverWire(t *testing.T, req *Request) *Request {
 	t.Helper()
-	out, err := readRequestFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, encodeRequestFrame(req)))))
+	out, err := readRequestFrame(bufio.NewReader(bytes.NewReader(requestBytes(t, req))))
 	if err != nil {
 		t.Fatalf("decode %v: %v", req.Op, err)
 	}
@@ -151,7 +161,7 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 // a bare one to an op that answers with structure.
 func TestGobConfinedToStructuredResponses(t *testing.T) {
 	for op := OpRead; op <= OpFind; op++ {
-		b := frameBytes(t, encodeRequestFrame(&Request{ID: 1, Op: op, Doc: "d", User: "u"}))
+		b := requestBytes(t, &Request{ID: 1, Op: op, Doc: "d", User: "u"})
 		b[3] |= byte(flagGob)
 		if _, err := readRequestFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
 			!strings.Contains(err.Error(), "bad request") {
@@ -174,7 +184,7 @@ func TestGobConfinedToStructuredResponses(t *testing.T) {
 
 func TestV2HeaderValidation(t *testing.T) {
 	valid := func() []byte {
-		return frameBytes(t, encodeRequestFrame(&Request{ID: 1, Op: OpRead, Doc: "d", User: "u"}))
+		return requestBytes(t, &Request{ID: 1, Op: OpRead, Doc: "d", User: "u"})
 	}
 	cases := []struct {
 		name    string
@@ -193,7 +203,7 @@ func TestV2HeaderValidation(t *testing.T) {
 			return b
 		}, "level byte"},
 		{"oversized payload", func(b []byte) []byte {
-			binary.BigEndian.PutUint32(b[12:16], maxFramePayload+1)
+			binary.BigEndian.PutUint32(b[12:16], MaxFramePayload+1)
 			return b
 		}, "exceeds limit"},
 		{"zero id", func(b []byte) []byte {
@@ -637,7 +647,7 @@ func TestEveryFrameTrailerIsItsPayloadCRC(t *testing.T) {
 		t.Helper()
 		nextID++
 		req.ID = nextID
-		if _, err := conn.Write(frameBytes(t, encodeRequestFrame(req))); err != nil {
+		if _, err := conn.Write(requestBytes(t, req)); err != nil {
 			t.Fatal(err)
 		}
 		for {

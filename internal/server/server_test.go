@@ -15,6 +15,7 @@ import (
 	"placeless/internal/core"
 	"placeless/internal/docspace"
 	"placeless/internal/obs"
+	"placeless/internal/property"
 	"placeless/internal/repo"
 	"placeless/internal/simnet"
 	"placeless/internal/store"
@@ -145,6 +146,53 @@ func TestReadErrorsPropagate(t *testing.T) {
 	_, c, _ := testServer(t)
 	if _, _, err := c.Read("ghost", "u"); err == nil || !strings.Contains(err.Error(), "no such document") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// sliceProvider serves one slice as a document's content, uncopied.
+type sliceProvider struct{ data []byte }
+
+func (p *sliceProvider) Name() string { return "bits:slice" }
+
+func (p *sliceProvider) Open(*property.ReadContext) ([]byte, error) { return p.data, nil }
+
+func (p *sliceProvider) Store(*property.WriteContext, []byte) error { return nil }
+
+func (p *sliceProvider) ReadCurrent() ([]byte, error) { return p.data, nil }
+
+// TestOversizedWriteRefusedBeforeTheWire: a write whose frame would
+// exceed MaxFramePayload is refused with ErrTooLarge and nothing is
+// sent, so the connection the server's decoder would drop stays up.
+func TestOversizedWriteRefusedBeforeTheWire(t *testing.T) {
+	_, c, _ := testServer(t)
+	if err := c.CreateDocument("d", "u", []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write("d", "u", make([]byte, MaxFramePayload)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized write: %v, want ErrTooLarge", err)
+	}
+	if data, _, err := c.Read("d", "u"); err != nil || string(data) != "small" {
+		t.Fatalf("read after the refused write: %q, %v", data, err)
+	}
+}
+
+// TestOversizedReadAnsweredWithAnError: a read whose body would make a
+// frame over MaxFramePayload is answered with an error frame, not a
+// frame the client's decoder refuses, so the connection stays up.
+func TestOversizedReadAnsweredWithAnError(t *testing.T) {
+	_, c, space := testServer(t)
+	big := &sliceProvider{make([]byte, MaxFramePayload-readMetaSize+1)}
+	if _, err := space.CreateDocument("big", "u", big); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateDocument("d", "u", []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Read("big", "u"); err == nil || !strings.Contains(err.Error(), ErrTooLarge.Error()) {
+		t.Fatalf("oversized read: %v, want the server's %v", err, ErrTooLarge)
+	}
+	if data, _, err := c.Read("d", "u"); err != nil || string(data) != "small" {
+		t.Fatalf("read after the refused read: %q, %v", data, err)
 	}
 }
 

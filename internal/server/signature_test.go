@@ -62,7 +62,7 @@ func TestReadSignatureOnEveryPath(t *testing.T) {
 	}
 	newCache := func(t *testing.T, w world, st *store.Store) *core.Cache {
 		cache := core.New(w.space, core.Options{Name: "sig-test", Capacity: 1 << 20, Store: st})
-		t.Cleanup(func() { _ = cache.Close() })
+		t.Cleanup(cache.Close)
 		return cache
 	}
 

@@ -53,7 +53,7 @@ func newWarmRig(t *testing.T, memoize bool) *warmRig {
 		o:     obs.NewObserver(),
 	}
 	r.cache = core.New(r.space, core.Options{Name: "warm-test", Capacity: 1 << 20, Memoize: memoize, Observer: r.o})
-	t.Cleanup(func() { _ = r.cache.Close() })
+	t.Cleanup(r.cache.Close)
 	r.srv = NewCached(r.space, repo.NewMem("srv", clk, simnet.NewPath("loop", 1)), r.cache)
 	r.c = serveAndDial(t, r.srv)
 	if err := r.c.CreateDocument("d", "owner", []byte("v0")); err != nil {

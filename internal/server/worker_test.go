@@ -77,7 +77,7 @@ func TestHandlerWorkerReusedAcrossSequentialMisses(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
 	cache := core.New(space, core.Options{Name: "worker-test", Capacity: 1 << 20})
-	t.Cleanup(func() { _ = cache.Close() })
+	t.Cleanup(cache.Close)
 	noWorkers(t)
 	srv := NewCached(space, repo.NewMem("srv", clk, simnet.NewPath("loop", 1)), cache)
 	c := serveAndDial(t, srv)

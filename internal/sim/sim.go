@@ -320,7 +320,7 @@ func (w *World) Close() {
 		_ = w.client.Close()
 		_ = w.srv.Close()
 	}
-	_ = w.cache.Close()
+	w.cache.Close()
 	if w.st != nil {
 		_ = w.st.Close()
 	}
@@ -340,9 +340,7 @@ func (w *World) restartDurable() error {
 	if !w.durable {
 		return fmt.Errorf("sim: restartDurable on a world with no disk tier")
 	}
-	if err := w.cache.Close(); err != nil {
-		return fmt.Errorf("sim: restart close: %w", err)
-	}
+	w.cache.Close()
 	if err := w.st.Close(); err != nil {
 		return fmt.Errorf("sim: restart store close: %w", err)
 	}

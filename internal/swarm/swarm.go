@@ -256,7 +256,7 @@ func buildWorld(cfg RunConfig) (*world, error) {
 
 func (w *world) close() {
 	for _, c := range w.caches {
-		_ = c.Close()
+		c.Close()
 	}
 }
 
