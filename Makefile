@@ -44,11 +44,13 @@ test-race:
 # decode loop hands requests to parked workers through a queue and an
 # idle count, and teardown closes the queue), the tests that every
 # read, a coalesced follower's included, serves the table's own bytes,
-# and the source stamp's race (writers against content-key probes:
-# only the write count retires a stamp the verifiers cannot fault).
+# the source stamp's race (writers against content-key probes:
+# only the write count retires a stamp the verifiers cannot fault),
+# and hits on tail-shared views while their base cut is dropped,
+# evicted and reinstalled (a body is read with no lock held).
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/swarm/ ./internal/cluster/ ./cmd/plcached/
-	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes|SourceStamp' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
+	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes|SourceStamp|TailShared' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/
 
 # Fault-injection suite: wedged servers, kill/restart cycles, degraded
 # modes, reconnect/resubscribe/flush. The short timeout is part of the

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -29,6 +28,16 @@ func oneNode(t *testing.T) (*http.ServeMux, *server.Client) {
 	return mux, origin
 }
 
+// zeros is an endless request body of zero bytes that counts what is
+// read of it.
+type zeros struct{ n int64 }
+
+func (z *zeros) Read(p []byte) (int, error) {
+	clear(p)
+	z.n += int64(len(p))
+	return len(p), nil
+}
+
 // TestDocRequestErrors pins /doc's answers to requests it cannot
 // serve, and that none of them costs the node its wire.
 func TestDocRequestErrors(t *testing.T) {
@@ -50,13 +59,27 @@ func TestDocRequestErrors(t *testing.T) {
 		}
 	}
 
-	// A body past the wire's frame limit is refused before it is read
-	// in full, and is never offered to the wire.
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/doc/alpha?user=amy",
-		bytes.NewReader(make([]byte, server.MaxFramePayload+1))))
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized PUT: %d %q, want 413", rec.Code, rec.Body.String())
+	// A body past the wire's frame limit is refused, and is never
+	// offered to the wire: before any of it is read when its length is
+	// declared, and before it is read in full when it is not.
+	for _, declared := range []bool{true, false} {
+		body := &zeros{}
+		req := httptest.NewRequest(http.MethodPut, "/doc/alpha?user=amy", body)
+		req.ContentLength = -1
+		if declared {
+			req.ContentLength = server.MaxFramePayload + 1
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized PUT, length declared %v: %d %q, want 413", declared, rec.Code, rec.Body.String())
+		}
+		if declared && body.n != 0 {
+			t.Errorf("oversized PUT with a declared length: %d body bytes read before the refusal, want none", body.n)
+		}
+		if body.n > server.MaxFramePayload+1 {
+			t.Errorf("oversized PUT, length declared %v: %d body bytes read, past the limit", declared, body.n)
+		}
 	}
 	if rec := serve(mux, http.MethodGet, "/doc/alpha?user=amy", ""); rec.Code != http.StatusOK || rec.Body.String() != "hello" {
 		t.Errorf("read after the refusals: %d %q", rec.Code, rec.Body.String())

@@ -205,7 +205,8 @@ func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...serve
 // docHandler serves GET /doc/<id>?user=U from dc and passes PUT and
 // POST bodies to it as writes. The bytes a read returns are the
 // cache's own: the handler only sends them. A body over the wire's
-// frame limit is refused with 413 before it is read in full.
+// frame limit is refused with 413 before it is read in full, and
+// before any of it is read when its Content-Length declares it.
 func docHandler(dc cluster.Peer) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/doc/")
@@ -230,6 +231,11 @@ func docHandler(dc cluster.Peer) http.HandlerFunc {
 			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			_, _ = w.Write(data)
 		case http.MethodPut, http.MethodPost:
+			if r.ContentLength > server.MaxFramePayload {
+				http.Error(w, fmt.Sprintf("%d-byte body over the %d-byte frame limit", r.ContentLength, server.MaxFramePayload),
+					http.StatusRequestEntityTooLarge)
+				return
+			}
 			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxFramePayload))
 			if err != nil {
 				status := http.StatusBadRequest
@@ -255,11 +261,14 @@ func docHandler(dc cluster.Peer) http.HandlerFunc {
 // writeDocError maps cache errors to HTTP statuses: degraded mode (a
 // whole owner set's) is the load-shedding 503 (the client should retry
 // after the reconnect); a closed cache or wire client is a 503 without
-// a retry hint (the daemon is shutting down); a write too large for one
-// wire frame is a 413; everything else is a document-level failure.
-// The remote cache has already classified its wire's errors into these.
+// a retry hint (the daemon is shutting down); a document the origin
+// could not answer in one wire frame is a 502; a write too large for
+// one is a 413; everything else is a document-level failure. The
+// remote cache has already classified its wire's errors into these.
 func writeDocError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, server.ErrAnswerTooLarge):
+		http.Error(w, err.Error(), http.StatusBadGateway)
 	case errors.Is(err, remote.ErrDegraded):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

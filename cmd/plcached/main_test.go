@@ -13,8 +13,9 @@ import (
 
 // TestWriteDocError pins the status each cache error answers with:
 // outages are a 503 with a retry hint, a closed cache or wire client a
-// 503 without one, a write too large for a wire frame a 413, and
-// anything else is the document's own 404.
+// 503 without one, a document the origin could not answer in one wire
+// frame a 502, a write too large for a frame a 413, and anything else
+// is the document's own 404. The body is the error's text, once.
 func TestWriteDocError(t *testing.T) {
 	for _, tc := range []struct {
 		err        error
@@ -27,6 +28,7 @@ func TestWriteDocError(t *testing.T) {
 		{remote.ErrClosed, http.StatusServiceUnavailable, ""},
 		{fmt.Errorf("cluster: all 2 owners of d/u degraded: %w", remote.ErrClosed), http.StatusServiceUnavailable, ""},
 		{fmt.Errorf("%w: 67108897-byte payload, limit 67108864", server.ErrTooLarge), http.StatusRequestEntityTooLarge, ""},
+		{fmt.Errorf("%w: 67108898-byte payload, limit 67108864", server.ErrAnswerTooLarge), http.StatusBadGateway, ""},
 		{errors.New("docspace: no document \"d\""), http.StatusNotFound, ""},
 	} {
 		rec := httptest.NewRecorder()

@@ -53,8 +53,9 @@ type Options struct {
 	// Name identifies the cache in its notifiers' names
 	// (docspace.NotifierPair.Installed).
 	Name string
-	// Capacity is the content budget in bytes (unique bytes stored,
-	// after signature sharing). Zero means unlimited.
+	// Capacity is the content budget in bytes (unique bytes after
+	// signature sharing, each blob charged its full length:
+	// Stats.BytesStored). Zero means unlimited.
 	Capacity int64
 	// Policy supplies the replacement policy; nil defaults to
 	// Greedy-Dual-Size.
@@ -134,8 +135,13 @@ type Stats struct {
 	// being read (collection prefetching), or by Warm after a write
 	// stranded the document's shared prefix.
 	Prefetches int64
-	// BytesStored is the current unique content footprint.
+	// BytesStored is the unique content capacity charges: every blob an
+	// entry or cut holds, at its full length, after signature sharing.
 	BytesStored int64
+	// BytesResident is the memory those blobs occupy. A personal view
+	// built by appending to a resident cut keeps only what was appended
+	// and shares the cut's bytes, so it is at most BytesStored.
+	BytesResident int64
 	// BytesLogical is the current sum of entry sizes before signature
 	// sharing.
 	BytesLogical int64
@@ -332,21 +338,25 @@ type EntryInfo struct {
 //
 // The bytes are shared and must not be modified: a hit, a coalesced
 // follower, an installing miss and a disk promote all return the
-// table's own blob, the rule Table.Lookup states.
+// table's own blob, the rule Table.Lookup states — except for a
+// tail-shared entry, whose two parts Read copies into one slice.
 //
 // Accesses are keyed by the reference they resolve to: a user reading
 // through a group-owned reference shares the group's cache entry,
 // since every member sees the identical property chain.
 func (c *Cache) Read(doc, user string) ([]byte, error) {
-	data, _, err := c.ReadWithInfo(doc, user)
-	return data, err
+	body, _, err := c.ReadWithInfo(doc, user)
+	return body.Bytes(), err
 }
 
-// ReadWithInfo is Read plus the entry metadata a layered cache needs.
-// With an Observer attached it also records the read: verdict and
-// miss-cause counters, per-stage latency histograms, and a ReadTrace
-// in the ring buffer.
-func (c *Cache) ReadWithInfo(doc, user string) ([]byte, EntryInfo, error) {
+// ReadWithInfo is Read plus the entry metadata a layered cache needs,
+// with the bytes as the table holds them: a tail-shared entry comes
+// back as its base's bytes and its own tail, for a caller that can
+// send two parts (the wire server) and so never copies them. With an
+// Observer attached it also records the read: verdict and miss-cause
+// counters, per-stage latency histograms, and a ReadTrace in the ring
+// buffer.
+func (c *Cache) ReadWithInfo(doc, user string) (Body, EntryInfo, error) {
 	o := c.opts.Observer
 	if o == nil {
 		return c.readWithInfo(doc, user, nil)
@@ -388,13 +398,13 @@ func (c *Cache) ReadWithInfo(doc, user string) ([]byte, EntryInfo, error) {
 // outcomes (so a rejection is still counted and dropped exactly once,
 // by the fallback). The wire server probes this from its decode loop so
 // warm hits skip the per-request handler dispatch entirely.
-func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
+func (c *Cache) ReadSharedHit(doc, user string) (Body, EntryInfo, bool) {
 	if c.tab.Closed() || c.opts.HitCost > 0 {
-		return nil, EntryInfo{}, false
+		return Body{}, EntryInfo{}, false
 	}
 	owner, err := c.space.ResolveOwner(doc, user)
 	if err != nil {
-		return nil, EntryInfo{}, false
+		return Body{}, EntryInfo{}, false
 	}
 	k := Key(doc, owner)
 
@@ -407,7 +417,7 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 	}
 	e, data, outcome := c.probe(k, doc, owner, tr)
 	if outcome != probeHit {
-		return nil, EntryInfo{}, false
+		return Body{}, EntryInfo{}, false
 	}
 	if tr != nil {
 		tr.Total = time.Since(t0)
@@ -431,10 +441,10 @@ const (
 // k up in the table, charge HitCost, run the entry's verifiers, then
 // confirm the entry is still installed and account the hit (counter,
 // replacement policy, CacheWithEvents forward). data aliases the
-// immutable blob and is set only on probeHit; e is set on every outcome
-// but probeAbsent. tr, when non-nil, receives the lookup and verify
-// spans.
-func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data []byte, outcome probeOutcome) {
+// immutable blobs and is set only on probeHit; e is set on every
+// outcome but probeAbsent. tr, when non-nil, receives the lookup and
+// verify spans.
+func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data Body, outcome probeOutcome) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -444,7 +454,7 @@ func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data [
 		tr.Lookup = time.Since(t0)
 	}
 	if e == nil {
-		return nil, nil, probeAbsent
+		return nil, Body{}, probeAbsent
 	}
 	if c.opts.HitCost > 0 {
 		c.clk.Sleep(c.opts.HitCost)
@@ -458,12 +468,12 @@ func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data [
 			tr.Verify = time.Since(t0)
 		}
 		if !valid {
-			return e, nil, probeRejected
+			return e, Body{}, probeRejected
 		}
 	}
 	// The entry may have been invalidated while verifying.
 	if !c.tab.Confirm(k, e) {
-		return e, nil, probeRaced
+		return e, Body{}, probeRaced
 	}
 	c.stats.hits.Add(1)
 	if e.Cacheability == property.CacheWithEvents {
@@ -480,18 +490,18 @@ func (e *Entry) hitInfo() EntryInfo {
 // readWithInfo is the read path proper. tr is the per-read trace
 // being assembled, or nil when no Observer is attached — every timing
 // site is gated on it so the uninstrumented path pays nothing.
-func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, EntryInfo, error) {
+func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) (Body, EntryInfo, error) {
 	if c.tab.Closed() {
-		return nil, EntryInfo{}, ErrClosed
+		return Body{}, EntryInfo{}, ErrClosed
 	}
 	owner, err := c.space.ResolveOwner(doc, user)
 	if err != nil {
-		return nil, EntryInfo{}, err
+		return Body{}, EntryInfo{}, err
 	}
 	user = owner
 
 	if c.tab.Closed() {
-		return nil, EntryInfo{}, ErrClosed
+		return Body{}, EntryInfo{}, ErrClosed
 	}
 	k := Key(doc, user)
 
@@ -521,7 +531,7 @@ func (c *Cache) forward(doc, user string, kind event.Kind) {
 // followers block and share it. Prefetching happens after the flight
 // resolves so a collection that (transitively) references the document
 // being read can never re-enter its own flight.
-func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) ([]byte, EntryInfo, error) {
+func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) (Body, EntryInfo, error) {
 	var related []string
 	var t0 time.Time
 	if tr != nil {
@@ -535,7 +545,7 @@ func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) ([]byte, E
 		}
 		c.stats.coalesced.Add(1)
 		if err != nil {
-			return nil, EntryInfo{}, err
+			return Body{}, EntryInfo{}, err
 		}
 		return data, info, nil
 	}
@@ -547,8 +557,8 @@ func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) ([]byte, E
 
 // missFunc is miss in the shape a flight leads, with the
 // related-document hints delivered to *related.
-func (c *Cache) missFunc(doc, user string, tr *obs.ReadTrace, related *[]string) func() ([]byte, EntryInfo, error) {
-	return func() (data []byte, info EntryInfo, err error) {
+func (c *Cache) missFunc(doc, user string, tr *obs.ReadTrace, related *[]string) func() (Body, EntryInfo, error) {
+	return func() (data Body, info EntryInfo, err error) {
 		data, info, *related, err = c.miss(doc, user, tr)
 		return data, info, err
 	}
@@ -556,8 +566,10 @@ func (c *Cache) missFunc(doc, user string, tr *obs.ReadTrace, related *[]string)
 
 // miss executes the full read path and caches the result according to
 // its cacheability indicator, returning the related-document hints for
-// the caller to prefetch (nil unless an entry was installed).
-func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info EntryInfo, related []string, err error) {
+// the caller to prefetch (nil unless an entry was installed). Installed
+// bytes come back as the table holds them; bytes it did not install,
+// as the read path produced them.
+func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info EntryInfo, related []string, err error) {
 	// Notifiers first, then the generation snapshot, then the read —
 	// the order remote.miss uses (subscribe, then fetch). Registered
 	// any later, a change landing before the registration on a key's
@@ -577,8 +589,8 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	// Durable tier first: a revalidated disk entry costs a source probe
 	// and a blob read instead of the whole transform chain.
 	if c.opts.Store != nil {
-		if data, info, ok := c.promote(doc, user, gen, tr); ok {
-			return data, info, nil, nil
+		if body, info, ok := c.promote(doc, user, gen, tr); ok {
+			return body, info, nil, nil
 		}
 	}
 
@@ -604,22 +616,22 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		}
 	}
 	if err != nil {
-		return nil, EntryInfo{}, nil, err
+		return Body{}, EntryInfo{}, nil, err
 	}
 	info = EntryInfo{Cacheability: res.Cacheability, Cost: res.Cost, Expiry: property.EarliestTTL(res.Verifiers), IntermediateHit: trace.Hit}
 	c.stats.misses.Add(1)
 	if c.tab.Closed() {
-		return data, info, nil, nil
+		return Body{Head: data}, info, nil, nil
 	}
 	if res.Cacheability == property.Uncacheable {
 		c.stats.uncacheable.Add(1)
-		return data, info, nil, nil
+		return Body{Head: data}, info, nil, nil
 	}
 	if c.tab.Gen(doc) != gen {
 		// Invalidated mid-read: serve the data but do not install a
 		// potentially stale entry (and charge no fill cost, since
 		// nothing is filled).
-		return data, info, nil, nil
+		return Body{Head: data}, info, nil, nil
 	}
 
 	if c.opts.FillCost > 0 {
@@ -638,16 +650,15 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		Cacheability: res.Cacheability,
 		Verifiers:    res.Verifiers,
 	}
-	if !c.tab.Install(Key(doc, user), e, data, gen) {
-		return data, info, nil, nil
+	if !c.tab.Install(Key(doc, user), e, data, gen, sig.Zero) {
+		return Body{Head: data}, info, nil, nil
 	}
 	info.Signature = s
-	data = e.blob.data // the installed bytes, which every later hit serves
 	// Write-behind demotion at install time, not at eviction: a warm
 	// restart must recover the cache as it was, including entries that
 	// were never evicted. All store calls run outside cache locks.
 	c.demoteEntry(doc, user, s, data, res, trace.Key, gen)
-	return data, info, res.Related, nil
+	return e.blob.body(), info, res.Related, nil // the installed bytes, which every later hit serves
 }
 
 // prefetch warms the cache with the user's views of related documents.

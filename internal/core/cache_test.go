@@ -52,6 +52,13 @@ func (w *world) addDoc(t *testing.T, id, owner, path string, content []byte) {
 	}
 }
 
+// readBytes is ReadWithInfo with the body in one slice (Body.Bytes:
+// the table's own array unless the entry is tail-shared).
+func readBytes(c *Cache, doc, user string) ([]byte, EntryInfo, error) {
+	body, info, err := c.ReadWithInfo(doc, user)
+	return body.Bytes(), info, err
+}
+
 func (w *world) read(t *testing.T, doc, user string) []byte {
 	t.Helper()
 	data, err := w.cache.Read(doc, user)

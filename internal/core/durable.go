@@ -72,7 +72,7 @@ func (c *Cache) appendEpoch(doc string, gen uint64) {
 // has no usable entry, in which case the caller runs the transforms.
 // When tr is non-nil and a candidate existed, the attempt's time goes
 // into tr.DiskPromote.
-func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) ([]byte, EntryInfo, bool) {
+func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, EntryInfo, bool) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -80,7 +80,7 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) ([]byte
 	st := c.opts.Store
 	e, ok := st.GetEntry(doc, user)
 	if !ok {
-		return nil, EntryInfo{}, false
+		return Body{}, EntryInfo{}, false
 	}
 	if tr != nil {
 		defer func() { tr.DiskPromote = time.Since(t0) }()
@@ -94,12 +94,12 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) ([]byte
 		// (possibly while the process was down), or the chain now embeds
 		// external information the key cannot capture.
 		c.stats.storePromotionRejects.Add(1)
-		return nil, EntryInfo{}, false
+		return Body{}, EntryInfo{}, false
 	}
 	data, ok := st.GetBlob(e.Sig)
 	if !ok {
 		c.stats.storePromotionRejects.Add(1)
-		return nil, EntryInfo{}, false
+		return Body{}, EntryInfo{}, false
 	}
 
 	verifier := property.FuncVerifier{
@@ -123,16 +123,16 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) ([]byte
 		Cacheability: property.Unrestricted,
 		Verifiers:    []property.Verifier{verifier},
 	}
-	if !c.tab.Install(Key(doc, user), ent, data, gen) {
+	if !c.tab.Install(Key(doc, user), ent, data, gen, sig.Zero) {
 		// Closed, or invalidated since the caller's snapshot: the probe
 		// above may predate the change, so the disk bytes are suspect.
 		c.stats.storePromotionRejects.Add(1)
-		return nil, EntryInfo{}, false
+		return Body{}, EntryInfo{}, false
 	}
 
 	c.stats.storePromotions.Add(1)
 	c.stats.misses.Add(1)
-	return ent.blob.data, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
+	return ent.blob.body(), EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
 }
 
 // demoteEntry writes an installed result behind to the disk tier, under

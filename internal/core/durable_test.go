@@ -92,7 +92,7 @@ func TestDurableWarmRestart(t *testing.T) {
 	}
 
 	for _, u := range users {
-		data, info, err := d.cache.ReadWithInfo("d", u)
+		data, info, err := readBytes(d.cache, "d", u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestDurableRefusesEpochInvalidatedEntry(t *testing.T) {
 		t.Fatal("recovery reported no stale-dropped entries")
 	}
 
-	data, info, err := d.cache.ReadWithInfo("d", "eyal")
+	data, info, err := readBytes(d.cache, "d", "eyal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDurableRefusesContentChangedWhileDown(t *testing.T) {
 	d.opts.Store = st
 	d.cache = New(d.space, d.opts)
 
-	data, info, err := d.cache.ReadWithInfo("d", "eyal")
+	data, info, err := readBytes(d.cache, "d", "eyal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDurableRefusesChainChangedWhileDown(t *testing.T) {
 	}
 	d.crashRestartStoreOnly()
 
-	data, info, err := d.cache.ReadWithInfo("d", "eyal")
+	data, info, err := readBytes(d.cache, "d", "eyal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStoreRecheckVerifierCatchesLaterChange(t *testing.T) {
 	}
 
 	d.src.Store("/d", []byte("changed after promotion\n"))
-	data, info, err := d.cache.ReadWithInfo("d", "eyal")
+	data, info, err := readBytes(d.cache, "d", "eyal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestDurableIntermediatePromotion(t *testing.T) {
 	// user01 never had an entry (memory or disk); the staged miss must
 	// promote the universal stage from the durable intermediate and run
 	// only the personal suffix.
-	data, info, err := d.cache.ReadWithInfo("d", users[1])
+	data, info, err := readBytes(d.cache, "d", users[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestDemoteRecordsTheKeyTheReadComputed(t *testing.T) {
 	}
 
 	d.crashAndRestart()
-	data, info, err := d.cache.ReadWithInfo("d", "eyal")
+	data, info, err := readBytes(d.cache, "d", "eyal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func checkUpgradeRecomputes(t *testing.T, w *world, st *store.Store) {
 	if g := c.tab.Gen("d"); g != 0 {
 		t.Fatalf("generation of d = %d, want 0: no epoch is read from an old layout", g)
 	}
-	data, info, err := c.ReadWithInfo("d", "eyal")
+	data, info, err := readBytes(c, "d", "eyal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestDurableUpgradeFromMD5Store(t *testing.T) {
 	if g := cc.tab.Gen("d"); g != 7 {
 		t.Fatalf("control: generation of d = %d, want the persisted epoch 7", g)
 	}
-	if data, info, err := cc.ReadWithInfo("d", "eyal"); err != nil || !info.DiskPromoted || !bytes.Equal(data, stale) {
+	if data, info, err := readBytes(cc, "d", "eyal"); err != nil || !info.DiskPromoted || !bytes.Equal(data, stale) {
 		t.Fatalf("control: a store signed with sig.Of was not promoted: %q, %+v, %v", data, info, err)
 	}
 	cc.Close()
@@ -637,7 +637,7 @@ func TestPromoteFetchesTheSourceOncePerVersion(t *testing.T) {
 	}
 	clk.Advance(time.Second)
 	mem.UpdateDirect("/d", []byte("rewritten out of band\n"))
-	data, info, err := c.ReadWithInfo("d", users[1])
+	data, info, err := readBytes(c, "d", users[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,12 @@ func interKey(src, fp sig.Signature) string {
 // interned under. When no transform follows that cut — the benchmark's
 // chains all end in a memoizable property — the read's result is the
 // same bytes, and sign answers without hashing them a second time.
+//
+// Each cut a read computes is installed with the read's previous cut
+// as its base: when a property only appended to those bytes (a
+// personal watermark on the universal output), the table keeps the
+// appended tail and shares the rest (Table.Install). The read's
+// (doc, user) entry then shares that cut's blob by signature.
 type readCuts struct {
 	c       *Cache
 	last    []byte
@@ -74,7 +80,7 @@ func (rc *readCuts) PrefixIntermediate(doc, user string, src sig.Signature, cut 
 	if cut.Personal {
 		owner = user
 	}
-	data, s, hit, err := rc.c.intermediate(doc, owner, src, cut.FP, cut.Cost, cut.Universal, compute)
+	data, s, hit, err := rc.c.intermediate(doc, owner, src, cut.FP, cut.Cost, cut.Universal, rc.lastSig, compute)
 	if err == nil {
 		rc.last, rc.lastSig = data, s
 	}
@@ -111,14 +117,16 @@ func (c *Cache) cutServed(data []byte) []byte {
 }
 
 // longestPrefix scans fps deepest-first and returns the first resident
-// (src, fp) output, read-only, with its signature.
+// (src, fp) output, read-only, with its signature. A tail-shared cut
+// is copied into one slice, since the transforms that follow read it
+// whole.
 func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, sig.Signature, int, bool) {
 	for i := len(fps) - 1; i >= 0; i-- {
 		k := interKey(src, fps[i])
 		if e, data := c.tab.Lookup(k); e != nil {
 			c.tab.Confirm(k, e) // marks the access; the bytes are right either way
 			c.stats.prefixHits.Add(1)
-			return c.cutServed(data), e.Signature, i, true
+			return c.cutServed(data.Bytes()), e.Signature, i, true
 		}
 	}
 	return nil, sig.Zero, -1, false
@@ -130,16 +138,17 @@ func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, s
 // stripe lock. cost is the accumulated simulated recompute cost
 // through the cut, the policy's cost input. universal marks the cut
 // that completes the universal chain (the accounting boundary for
-// UniversalStageRuns). The returned slice is read-only — it may be the
-// table's own bytes — and the signature is its own; hit reports whether
-// compute was skipped.
-func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, compute func() ([]byte, error)) ([]byte, sig.Signature, bool, error) {
+// UniversalStageRuns). base names the read's previous cut, which a
+// computed cut is installed on (leadCut). The returned slice is
+// read-only — it may be the table's own bytes — and the signature is
+// its own; hit reports whether compute was skipped.
+func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, base sig.Signature, compute func() ([]byte, error)) ([]byte, sig.Signature, bool, error) {
 	k := interKey(src, fp)
 	for {
 		e, f, leader := c.tab.join(k, true)
 		if e != nil {
 			c.tab.Confirm(k, e)
-			return c.cutServed(e.blob.data), e.Signature, true, nil
+			return c.cutServed(e.blob.body().Bytes()), e.Signature, true, nil
 		}
 		if !leader {
 			<-f.done
@@ -149,25 +158,25 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 				// rather than fanning one error out to every waiter.
 				continue
 			}
-			return c.cutServed(f.data), f.info.Signature, true, nil
+			return c.cutServed(f.data.Head), f.info.Signature, true, nil // the leader's own bytes, whole
 		}
 		var fromDisk, stored bool
-		data, info, err := c.tab.lead(k, f, func() (data []byte, info EntryInfo, err error) {
-			data, info.Signature, fromDisk, stored, err = c.leadCut(k, &Entry{Doc: doc, User: user, Cost: cost, cut: true}, src, fp, universal, compute)
+		data, info, err := c.tab.lead(k, f, func() (data Body, info EntryInfo, err error) {
+			data.Head, info.Signature, fromDisk, stored, err = c.leadCut(k, &Entry{Doc: doc, User: user, Cost: cost, cut: true}, src, fp, universal, base, compute)
 			return data, info, err
 		})
 		if err == nil && stored {
 			c.demoteIntermediate(src, fp, info.Signature, cost)
 		}
-		return data, info.Signature, fromDisk, err
+		return data.Head, info.Signature, fromDisk, err
 	}
 }
 
 // leadCut is the leader's half of intermediate: produce the bytes of
-// (src, fp) and install them as e under k. stored reports that the
-// computed bytes went to the disk tier, where their cut record is
-// still to follow.
-func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal bool, compute func() ([]byte, error)) (data []byte, s sig.Signature, fromDisk, stored bool, err error) {
+// (src, fp) and install them as e under k, on base when they begin
+// with its bytes. stored reports that the computed bytes went to the
+// disk tier, where their cut record is still to follow.
+func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal bool, base sig.Signature, compute func() ([]byte, error)) (data []byte, s sig.Signature, fromDisk, stored bool, err error) {
 	// The durable tier sits between the in-memory table and the
 	// compute closure: (src, fp) is content-addressed, so a disk
 	// record needs no validation beyond the store's own checksum
@@ -199,7 +208,7 @@ func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal boo
 	e.Signature = s
 	// The table may keep data itself; the staged read it goes back to
 	// only reads it.
-	if c.tab.Install(k, e, data, 0) { // a cut has no generation to check
+	if c.tab.Install(k, e, data, 0, base) { // a cut has no generation to check
 		c.stats.prefixInstalls.Add(1)
 	}
 	return data, s, fromDisk, stored, nil

@@ -88,7 +88,7 @@ func TestUniversalStageRunsOncePerFanOut(t *testing.T) {
 	setupMemoDoc(t, w, users)
 
 	for i, u := range users {
-		data, info, err := w.cache.ReadWithInfo("d", u)
+		data, info, err := readBytes(w.cache, "d", u)
 		if err != nil {
 			t.Fatal(err)
 		}

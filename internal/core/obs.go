@@ -40,7 +40,7 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 	reg.Counter("placeless_cache_prefetches_total",
 		"Views loaded ahead of a read: collection-property prefetch hints and warms after a write.", c.stats.prefetches.Load)
 	reg.Gauge("placeless_cache_bytes_stored",
-		"Current unique content footprint after signature sharing.", c.tab.stats.bytesStored.Load)
+		"Unique content bytes charged against capacity after signature sharing, each blob at its full length.", c.tab.stats.bytesStored.Load)
 	reg.Gauge("placeless_cache_bytes_logical",
 		"Current sum of entry sizes before signature sharing.", c.tab.stats.bytesLogical.Load)
 	reg.Gauge("placeless_cache_shared_entries",

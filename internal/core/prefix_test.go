@@ -53,7 +53,7 @@ func TestPrefixSharesPersonalSegmentAcrossUsers(t *testing.T) {
 	}
 
 	for _, u := range users[1:] {
-		data, info, err := w.cache.ReadWithInfo("d", u)
+		data, info, err := readBytes(w.cache, "d", u)
 		if err != nil {
 			t.Fatal(err)
 		}

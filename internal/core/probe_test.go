@@ -104,7 +104,9 @@ func TestHitProbeParity(t *testing.T) {
 				var o outcome
 				served := false
 				if viaShared {
-					o.data, o.info, served = w.cache.ReadSharedHit("d", "eyal")
+					var body Body
+					body, o.info, served = w.cache.ReadSharedHit("d", "eyal")
+					o.data = body.Bytes()
 					if served != tc.shared {
 						t.Fatalf("ReadSharedHit ok = %v, want %v", served, tc.shared)
 					}
@@ -113,7 +115,7 @@ func TestHitProbeParity(t *testing.T) {
 					}
 				}
 				if !served {
-					o.data, o.info, o.err = w.cache.ReadWithInfo("d", "eyal")
+					o.data, o.info, o.err = readBytes(w.cache, "d", "eyal")
 				}
 
 				after := w.cache.Stats()

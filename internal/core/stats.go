@@ -56,6 +56,7 @@ func (s *statsCounters) snapshot(t *tableCounters) Stats {
 		EventsForwarded: s.eventsForwarded.Load(),
 		Prefetches:      s.prefetches.Load(),
 		BytesStored:     t.bytesStored.Load(),
+		BytesResident:   t.bytesResident.Load(),
 		BytesLogical:    t.bytesLogical.Load(),
 		SharedEntries:   t.sharedEntries.Load(),
 

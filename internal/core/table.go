@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,8 @@ type Table struct {
 	policy   replace.Policy
 
 	// blobs is the signature-shared content store, with incremental
-	// byte/shared accounting (internBlob, unrefBlob).
+	// byte/shared accounting (internBlob, unrefBlob). A blob built on
+	// another's bytes holds only its tail (blob.base).
 	blobMu sync.Mutex
 	blobs  map[sig.Signature]*blob
 
@@ -58,7 +60,8 @@ type Table struct {
 // tableCounters is what the table counts itself; the placements read
 // it into their own Stats.
 type tableCounters struct {
-	bytesStored   atomic.Int64 // unique bytes after signature sharing
+	bytesStored   atomic.Int64 // unique bytes charged: every held blob at its full length
+	bytesResident atomic.Int64 // bytes the blobs occupy: a tail-shared blob only its tail
 	bytesLogical  atomic.Int64 // entry sizes before sharing (cuts excluded)
 	sharedEntries atomic.Int64 // entries whose blob another entry shares
 	cuts          atomic.Int64 // resident prefix cuts
@@ -107,10 +110,54 @@ func (e *Entry) Valid(now time.Time) bool {
 // (entries and cuts); entryRefs counts only (doc, user) entries,
 // because the SharedEntries gauge is defined over entries and a cut
 // aliasing an entry's bytes must not distort it.
+//
+// A tail-shared blob's bytes are its base's bytes followed by data:
+// a personal view that only appends to the cut it was built from (a
+// watermark banner) keeps the cut's bytes once and its own tail. Only
+// a whole blob is a base, so the chain is one level deep. tails counts
+// the blobs built on this one; a base outlives its last holder until
+// its last tail goes, but is charged (bytesStored) only while held.
 type blob struct {
-	data      []byte
+	s         sig.Signature
+	data      []byte // the whole bytes, or with base set the tail after base.data
+	base      *blob
 	refs      int
 	entryRefs int
+	tails     int
+}
+
+// size is the blob's logical length, what capacity charges it.
+func (b *blob) size() int64 {
+	if b.base != nil {
+		return int64(len(b.base.data) + len(b.data))
+	}
+	return int64(len(b.data))
+}
+
+// body returns the blob's bytes as the table holds them.
+func (b *blob) body() Body {
+	if b.base != nil {
+		return Body{Head: b.base.data, Tail: b.data}
+	}
+	return Body{Head: b.data}
+}
+
+// Body is a record's bytes as the table holds them: Head, then Tail.
+// A whole blob's body is all Head; a tail-shared blob's Head is its
+// base's bytes. Both parts alias immutable blobs and must not be
+// modified.
+type Body struct{ Head, Tail []byte }
+
+// Len is the body's length in bytes.
+func (b Body) Len() int { return len(b.Head) + len(b.Tail) }
+
+// Bytes returns the body as one slice: Head itself when there is no
+// tail, else a fresh copy of both parts.
+func (b Body) Bytes() []byte {
+	if len(b.Tail) == 0 {
+		return b.Head
+	}
+	return append(append(make([]byte, 0, b.Len()), b.Head...), b.Tail...)
 }
 
 // Key builds the (document, user) entry identifier. The paper: "Our
@@ -129,8 +176,9 @@ func NewTable(policy replace.Policy) *Table {
 	}
 }
 
-// Resize changes the byte budget (unique stored bytes; <= 0 means
-// unlimited) and evicts at once if the table is now over it.
+// Resize changes the byte budget (unique bytes charged, BytesStored;
+// <= 0 means unlimited) and evicts at once if the table is now over
+// it.
 func (t *Table) Resize(capacity int64) {
 	t.capacity.Store(capacity)
 	t.evict("")
@@ -139,7 +187,8 @@ func (t *Table) Resize(capacity int64) {
 // Closed reports whether Close has run.
 func (t *Table) Closed() bool { return t.closed.Load() }
 
-// BytesStored is the current unique content footprint.
+// BytesStored is the unique content capacity charges: every blob an
+// entry or cut holds, at its full length.
 func (t *Table) BytesStored() int64 { return t.stats.bytesStored.Load() }
 
 // Evictions counts entries and cuts dropped for capacity.
@@ -174,18 +223,18 @@ func (t *Table) Contains(k string) bool {
 }
 
 // Lookup returns the record under k and its bytes, which alias the
-// table's immutable blob and must not be modified; nil when k holds
+// table's immutable blobs and must not be modified; nil when k holds
 // none. It changes nothing: the caller verifies what it found, then
 // Confirm accounts the hit.
-func (t *Table) Lookup(k string) (*Entry, []byte) {
+func (t *Table) Lookup(k string) (*Entry, Body) {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	e := sh.entries[k]
 	sh.mu.Unlock()
 	if e == nil {
-		return nil, nil
+		return nil, Body{}
 	}
-	return e, e.blob.data
+	return e, e.blob.body()
 }
 
 // Confirm accounts a hit on e, which Lookup returned for k: it reports
@@ -236,9 +285,11 @@ func (t *Table) drop(k string) {
 // e went in, and is the one way a record of either kind enters the
 // table.
 //
-// Install may keep data itself as the blob (internBlob), so from the
+// base names the blob data was built from, or is zero: when data
+// begins with that blob's bytes, the new blob keeps only the rest
+// (internBlob). Install may keep data itself as the blob, so from the
 // call on nobody modifies it.
-func (t *Table) Install(k string, e *Entry, data []byte, gen uint64) bool {
+func (t *Table) Install(k string, e *Entry, data []byte, gen uint64, base sig.Signature) bool {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	if t.closed.Load() || !e.cut && t.gen(e.Doc).Load() != gen {
@@ -247,7 +298,7 @@ func (t *Table) Install(k string, e *Entry, data []byte, gen uint64) bool {
 	}
 	t.dropLocked(sh, k)
 	e.size = int64(len(data))
-	e.blob = t.internBlob(e.Signature, data, !e.cut)
+	e.blob = t.internBlob(e.Signature, data, !e.cut, base)
 	sh.entries[k] = e
 	keys := sh.docs[e.Doc]
 	if keys == nil {
@@ -372,25 +423,41 @@ func (t *Table) Close() bool {
 }
 
 // internBlob interns data under s, its signature, takes one reference
-// and returns the blob, maintaining the unique-byte and shared-entry
-// gauges incrementally. A new blob holds data itself, or an exact-size
-// copy when data has spare capacity, so a blob never pins more than
-// its bytes. The caller signs — once, before it takes
-// the stripe lock this runs under — or passes on the signature a lower
-// tier (the disk store, the origin across the wire) has proved. asEntry
-// distinguishes (doc, user) entries from cuts: both share storage and
-// lifetime, but only entry references drive the SharedEntries gauge.
-func (t *Table) internBlob(s sig.Signature, data []byte, asEntry bool) *blob {
+// and returns the blob, maintaining the byte and shared-entry gauges
+// incrementally. A new blob built on base — a resident blob whose
+// bytes data begins with — holds a copy of the rest; otherwise it holds
+// data itself, or an exact-size copy when data has spare capacity, so
+// a blob never pins more than its bytes. The caller signs — once,
+// before it takes the stripe lock this runs under — or passes on the
+// signature a lower tier (the disk store, the origin across the wire)
+// has proved. asEntry distinguishes (doc, user) entries from cuts: both
+// share storage and lifetime, but only entry references drive the
+// SharedEntries gauge.
+func (t *Table) internBlob(s sig.Signature, data []byte, asEntry bool, base sig.Signature) *blob {
 	t.blobMu.Lock()
 	defer t.blobMu.Unlock()
 	b := t.blobs[s]
 	if b == nil {
-		if cap(data) != len(data) {
+		b = &blob{s: s}
+		if h := t.blobs[base]; h != nil && !base.IsZero() {
+			if h.base != nil {
+				h = h.base // data begins with h's bytes, so with its base's too
+			}
+			if len(data) > len(h.data) && bytes.HasPrefix(data, h.data) {
+				b.base = h
+				h.tails++
+				data = data[len(h.data):]
+			}
+		}
+		if cap(data) != len(data) || b.base != nil {
 			data = append(make([]byte, 0, len(data)), data...)
 		}
-		b = &blob{data: data}
+		b.data = data
 		t.blobs[s] = b
-		t.stats.bytesStored.Add(int64(len(data)))
+		t.stats.bytesResident.Add(int64(len(data)))
+	}
+	if b.refs == 0 {
+		t.stats.bytesStored.Add(b.size())
 	}
 	if asEntry {
 		// SharedEntries counts entries whose blob has >1 entry
@@ -408,8 +475,9 @@ func (t *Table) internBlob(s sig.Signature, data []byte, asEntry bool) *blob {
 	return b
 }
 
-// unrefBlob drops e's reference to its blob, freeing the blob when the
-// last holder of either kind lets go.
+// unrefBlob drops e's reference to its blob. The blob stops being
+// charged when the last holder of either kind lets go, and is freed
+// then unless tails still build on it.
 func (t *Table) unrefBlob(e *Entry) {
 	t.blobMu.Lock()
 	defer t.blobMu.Unlock()
@@ -424,16 +492,30 @@ func (t *Table) unrefBlob(e *Entry) {
 		}
 	}
 	b.refs--
-	if b.refs <= 0 {
-		delete(t.blobs, e.Signature)
-		t.stats.bytesStored.Add(-int64(len(b.data)))
+	if b.refs == 0 {
+		t.stats.bytesStored.Add(-b.size())
+		t.freeBlob(b)
+	}
+}
+
+// freeBlob frees b if nothing holds or builds on it, and then its base
+// if b was the base's last tail. The caller holds blobMu.
+func (t *Table) freeBlob(b *blob) {
+	if b.refs > 0 || b.tails > 0 {
+		return
+	}
+	delete(t.blobs, b.s)
+	t.stats.bytesResident.Add(-int64(len(b.data)))
+	if h := b.base; h != nil {
+		h.tails--
+		t.freeBlob(h)
 	}
 }
 
 // evict enforces the capacity budget using the replacement policy.
 // Entries and cuts live in the same policy, so cost-aware replacement
 // weighs a memoized prefix against full entries on equal terms.
-// Capacity is measured in unique stored bytes, so evicting a key
+// Capacity is measured in unique bytes charged, so evicting a key
 // whose blob is shared may free nothing; the loop continues until
 // under budget or empty. Each round takes only the policy lock (to
 // pick the globally best victim) and then that victim's stripe lock —

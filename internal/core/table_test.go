@@ -132,11 +132,11 @@ func TestInstallTakesExactBytes(t *testing.T) {
 	tab := NewTable(replace.NewGDS())
 	install := func(k string, data []byte) (stored []byte) {
 		t.Helper()
-		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, data, 0) {
+		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, data, 0, sig.Zero) {
 			t.Fatalf("%s: not installed", k)
 		}
-		_, stored = tab.Lookup(k)
-		return stored
+		_, body := tab.Lookup(k)
+		return body.Bytes()
 	}
 
 	exact := []byte("exact-size body")
@@ -194,16 +194,19 @@ func TestComputedWordMapCutIsInternedAsHanded(t *testing.T) {
 // bytes read-only, whichever path produced them — a hit, a follower
 // coalesced onto another read's miss, a plain miss, a miss resumed from
 // a memoized cut whose body is its last cut, a promotion from disk.
-// Each returns the installed blob's own array, with no copy.
+// Each returns the installed blob's own arrays, with no copy: for the
+// memo-resumed miss, whose watermarked view is tail-shared, the cut's
+// bytes and the view's tail.
 func TestEveryReadServesTheInstalledBytes(t *testing.T) {
-	installed := func(t *testing.T, w *world, user string, got []byte) {
+	installed := func(t *testing.T, w *world, user string, got Body) {
 		t.Helper()
 		_, blob := w.cache.tab.Lookup(Key("d", user))
-		if blob == nil {
+		if blob.Head == nil {
 			t.Fatal("nothing installed")
 		}
-		if unsafe.SliceData(got) != unsafe.SliceData(blob) || len(got) != len(blob) {
-			t.Fatalf("a read returned %d bytes of its own, not the installed blob's", len(got))
+		same := func(a, b []byte) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) }
+		if !same(got.Head, blob.Head) || !same(got.Tail, blob.Tail) {
+			t.Fatalf("a read returned %d bytes of its own, not the installed blob's", got.Len())
 		}
 	}
 	t.Run("hit", func(t *testing.T) {
@@ -248,7 +251,7 @@ func TestEveryReadServesTheInstalledBytes(t *testing.T) {
 			t.Fatalf("no read was coalesced: %+v", st)
 		}
 		for _, data := range results {
-			installed(t, w, "u", data)
+			installed(t, w, "u", Body{Head: data})
 		}
 	})
 	t.Run("plain miss", func(t *testing.T) {
@@ -257,7 +260,7 @@ func TestEveryReadServesTheInstalledBytes(t *testing.T) {
 		if err := w.space.Attach("d", "", docspace.Universal, property.NewUppercaser(0)); err != nil {
 			t.Fatal(err)
 		}
-		installed(t, w, "eyal", w.read(t, "d", "eyal"))
+		installed(t, w, "eyal", Body{Head: w.read(t, "d", "eyal")})
 	})
 	t.Run("memo-resumed miss", func(t *testing.T) {
 		users := memoUsers(2)
@@ -265,8 +268,8 @@ func TestEveryReadServesTheInstalledBytes(t *testing.T) {
 		setupMemoDoc(t, w, users)
 		w.read(t, "d", users[0])
 		data, info, err := w.cache.ReadWithInfo("d", users[1])
-		if err != nil || !info.IntermediateHit {
-			t.Fatalf("setup: %+v, %v", info, err)
+		if err != nil || !info.IntermediateHit || len(data.Tail) == 0 {
+			t.Fatalf("setup: %+v, %d-byte tail, %v", info, len(data.Tail), err)
 		}
 		installed(t, w, users[1], data)
 	})

@@ -43,6 +43,7 @@ import (
 	"placeless/internal/property"
 	"placeless/internal/replace"
 	"placeless/internal/server"
+	"placeless/internal/sig"
 )
 
 // ErrClosed is returned by operations on a closed cache.
@@ -359,7 +360,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 				c.count(&c.stats.EventsForwarded)
 			}
 			c.count(&c.stats.Hits)
-			return data, nil
+			return data.Bytes(), nil // whole: the sidecar installs no base
 		}
 	}
 	if down {
@@ -370,14 +371,14 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 	// expensive operation in this deployment (a round trip to the
 	// Placeless servers), so K simultaneous first accesses to a popular
 	// document cost one round trip, not K.
-	data, _, shared, err := c.tab.Do(k, func() ([]byte, core.EntryInfo, error) {
+	data, _, shared, err := c.tab.Do(k, func() (core.Body, core.EntryInfo, error) {
 		data, err := c.miss(doc, user)
-		return data, core.EntryInfo{}, err
+		return core.Body{Head: data}, core.EntryInfo{}, err
 	})
 	if shared {
 		c.count(&c.stats.CoalescedMisses)
 	}
-	return data, err
+	return data.Head, err
 }
 
 // count adds one to a counter of c.stats.
@@ -452,14 +453,15 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	if !meta.Expiry.IsZero() {
 		verifiers = []property.Verifier{property.TTLVerifier{Expiry: meta.Expiry}}
 	}
-	// The table keeps the body the wire decoded, and the reader shares it.
+	// The table keeps the body the wire decoded, whole, and the reader
+	// shares it.
 	c.tab.Install(k, &core.Entry{
 		Doc: doc, User: user,
 		Signature:    meta.Signature,
 		Cost:         meta.Cost,
 		Cacheability: meta.Cacheability,
 		Verifiers:    verifiers,
-	}, data, gen)
+	}, data, gen, sig.Zero)
 	return data, nil
 }
 

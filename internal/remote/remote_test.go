@@ -499,7 +499,8 @@ func TestHitServesTheInstalledBytes(t *testing.T) {
 	if err != nil || string(hit) != "wire body" {
 		t.Fatalf("hit = %q, %v", hit, err)
 	}
-	_, installed := r.cache.tab.Lookup(core.Key("d", "u"))
+	_, body := r.cache.tab.Lookup(core.Key("d", "u"))
+	installed := body.Bytes()
 	if unsafe.SliceData(hit) != unsafe.SliceData(installed) || unsafe.SliceData(miss) != unsafe.SliceData(installed) {
 		t.Fatal("a read returned a copy, not the installed blob's bytes")
 	}

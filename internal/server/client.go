@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -575,7 +576,7 @@ func (c *Client) call(req *Request) (*Response, error) {
 			return nil, ErrClientClosed
 		}
 		if resp.Err != "" {
-			return resp, fmt.Errorf("server: %s", resp.Err)
+			return resp, answerErr(resp.Err)
 		}
 		return resp, nil
 	case <-timeout:
@@ -590,6 +591,17 @@ func (c *Client) call(req *Request) (*Response, error) {
 		c.connFailed(wc)
 		return nil, ErrTimeout
 	}
+}
+
+// answerErr is the call error for an error frame's text: the server's
+// own refusal of an answer too large to frame wraps ErrAnswerTooLarge
+// and keeps its text, which already names the package; any other text
+// is prefixed with it.
+func answerErr(text string) error {
+	if rest, ok := strings.CutPrefix(text, ErrTooLarge.Error()); ok {
+		return fmt.Errorf("%w%s", ErrAnswerTooLarge, rest)
+	}
+	return fmt.Errorf("server: %s", text)
 }
 
 // Close tears down the connection and stops the background machinery.

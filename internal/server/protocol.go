@@ -153,6 +153,10 @@ type Response struct {
 	// err is the error Err was rendered from, for callers in this
 	// process; it never crosses the wire.
 	err error
+	// bodyTail, on a read the server answers, is the rest of the body
+	// after Body: the tail of a cached view that shares its leading
+	// bytes (core.Body). The frame carries both parts as one body.
+	bodyTail []byte
 }
 
 // Match is one property-search hit (OpFind).

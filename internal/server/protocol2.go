@@ -103,6 +103,12 @@ const (
 // with an error frame instead. Either way the connection stays up.
 var ErrTooLarge = errors.New("server: frame too large")
 
+// ErrAnswerTooLarge is the call error for a request the server
+// executed but could not answer, because the answer's frame — a read
+// of a body near MaxFramePayload — would exceed the limit. It wraps
+// ErrTooLarge and reads the same; the connection stays up.
+var ErrAnswerTooLarge = fmt.Errorf("%w", ErrTooLarge)
+
 // checkPayload refuses a payload length the decoder would refuse.
 func checkPayload(plen int) error {
 	if plen > MaxFramePayload {
@@ -268,12 +274,15 @@ func readWireString(p []byte) (string, []byte, error) {
 
 // wireFrame is one encoded frame queued for write. hdr carries the
 // header plus any inline payload prefix (leased from smallBufPool when
-// hdrPool is non-nil); body carries a raw payload tail written as-is —
-// the blob bytes are never copied into a staging buffer.
+// hdrPool is non-nil); body and then tail carry the raw rest of the
+// payload, written as-is — the blob bytes are never copied into a
+// staging buffer, and a body the cache holds in two parts is not
+// joined.
 type wireFrame struct {
 	hdr     []byte
 	hdrPool *[]byte
 	body    []byte
+	tail    []byte
 }
 
 // encodeRequestFrame renders one client→server frame in the one request
@@ -391,7 +400,8 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 	}
 	switch op {
 	case OpRead:
-		if err := checkPayload(readMetaSize + len(resp.Body)); err != nil {
+		blen := len(resp.Body) + len(resp.bodyTail)
+		if err := checkPayload(readMetaSize + blen); err != nil {
 			return wireFrame{}, err
 		}
 		p, b := getSmallBuf()
@@ -403,8 +413,8 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		if resp.SubscribeFailed {
 			flags = flagSubscribe
 		}
-		putFrameHeader(b, op, flags, resp.ID, readMetaSize+len(resp.Body))
-		return wireFrame{hdr: b, hdrPool: p, body: resp.Body}, nil
+		putFrameHeader(b, op, flags, resp.ID, readMetaSize+blen)
+		return wireFrame{hdr: b, hdrPool: p, body: resp.Body, tail: resp.bodyTail}, nil
 	case opInvalidate:
 		p, b := getSmallBuf()
 		b = appendWireString(b, resp.NotifyDoc)
@@ -669,10 +679,12 @@ func (w *frameWriter) add(f wireFrame) {
 		w.release = append(w.release, leasedBuf{p: f.hdrPool, b: f.hdr})
 	}
 	crc := crc32.Update(0, castagnoli, f.hdr[frameHeaderSize:])
-	if len(f.body) > 0 {
-		w.bufs = append(w.bufs, f.body)
-		w.total += len(f.body)
-		crc = crc32.Update(crc, castagnoli, f.body)
+	for _, part := range [2][]byte{f.body, f.tail} {
+		if len(part) > 0 {
+			w.bufs = append(w.bufs, part)
+			w.total += len(part)
+			crc = crc32.Update(crc, castagnoli, part)
+		}
 	}
 	t := &w.trailers[w.frames]
 	binary.BigEndian.PutUint32(t[:], crc)

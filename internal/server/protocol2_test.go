@@ -25,15 +25,15 @@ import (
 )
 
 // frameBytes serializes an encoded frame the way the writer goroutine
-// would: header, inline body, CRC trailer.
+// would: header, inline body and tail, CRC trailer.
 func frameBytes(t testing.TB, f wireFrame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.Write(f.hdr)
 	crc := crc32.Update(0, castagnoli, f.hdr[frameHeaderSize:])
-	if len(f.body) > 0 {
-		buf.Write(f.body)
-		crc = crc32.Update(crc, castagnoli, f.body)
+	for _, part := range [][]byte{f.body, f.tail} {
+		buf.Write(part)
+		crc = crc32.Update(crc, castagnoli, part)
 	}
 	var tr [frameTrailerSize]byte
 	binary.BigEndian.PutUint32(tr[:], crc)

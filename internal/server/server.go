@@ -491,7 +491,8 @@ func (s *Server) apply(req *Request) *Response {
 		// hands back its intern-time signature whenever it holds the
 		// bytes, which leaves a storable body nobody interned — no cache
 		// behind this server, the cache closed, or the install aborted by
-		// a racing invalidation.
+		// a racing invalidation. Such a body is whole: only interned
+		// bytes come in two parts.
 		if resp.Signature.IsZero() && property.Cacheability(resp.Cacheability) != property.Uncacheable {
 			resp.Signature = sig.Of(resp.Body)
 		}
@@ -600,10 +601,12 @@ func (s *Server) apply(req *Request) *Response {
 }
 
 // cachedReadResponse is the read response for bytes the cache served,
-// on the decode loop's fast hit and the handler's read alike.
-func cachedReadResponse(data []byte, info core.EntryInfo) *Response {
+// on the decode loop's fast hit and the handler's read alike. A
+// tail-shared body keeps its two parts, which leave in one writev.
+func cachedReadResponse(data core.Body, info core.EntryInfo) *Response {
 	return &Response{
-		Body:            data,
+		Body:            data.Head,
+		bodyTail:        data.Tail,
 		Cacheability:    int(info.Cacheability),
 		CostNanos:       int64(info.Cost),
 		ExpiryUnixNanos: expiryNanos(info.Expiry),

@@ -178,7 +178,9 @@ func TestOversizedWriteRefusedBeforeTheWire(t *testing.T) {
 
 // TestOversizedReadAnsweredWithAnError: a read whose body would make a
 // frame over MaxFramePayload is answered with an error frame, not a
-// frame the client's decoder refuses, so the connection stays up.
+// frame the client's decoder refuses, so the connection stays up. The
+// client reports it as ErrAnswerTooLarge, which is ErrTooLarge, with
+// the server's text prefixed once.
 func TestOversizedReadAnsweredWithAnError(t *testing.T) {
 	_, c, space := testServer(t)
 	big := &sliceProvider{make([]byte, MaxFramePayload-readMetaSize+1)}
@@ -188,8 +190,9 @@ func TestOversizedReadAnsweredWithAnError(t *testing.T) {
 	if err := c.CreateDocument("d", "u", []byte("small")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Read("big", "u"); err == nil || !strings.Contains(err.Error(), ErrTooLarge.Error()) {
-		t.Fatalf("oversized read: %v, want the server's %v", err, ErrTooLarge)
+	_, _, err := c.Read("big", "u")
+	if !errors.Is(err, ErrAnswerTooLarge) || !errors.Is(err, ErrTooLarge) || !strings.HasPrefix(err.Error(), ErrTooLarge.Error()+": ") {
+		t.Fatalf("oversized read: %v, want the server's %v", err, ErrAnswerTooLarge)
 	}
 	if data, _, err := c.Read("d", "u"); err != nil || string(data) != "small" {
 		t.Fatalf("read after the refused read: %q, %v", data, err)

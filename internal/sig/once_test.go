@@ -86,7 +86,8 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 	read := func(user, shape string, wantSources, wantBodies int, check func(core.EntryInfo) bool) {
 		t.Helper()
 		sources, bodies, hashed = 0, 0, 0
-		data, info, err := cache.ReadWithInfo("d", user)
+		body, info, err := cache.ReadWithInfo("d", user)
+		data := body.Bytes()
 		if err != nil {
 			t.Fatal(err)
 		}

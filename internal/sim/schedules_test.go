@@ -453,8 +453,8 @@ func TestScheduleKillRestartDiskTier(t *testing.T) {
 		var data []byte
 		var info core.EntryInfo
 		if err := w.guarded("read", func() error {
-			var e error
-			data, info, e = w.cache.ReadWithInfo(doc, user)
+			body, i, e := w.cache.ReadWithInfo(doc, user)
+			data, info = body.Bytes(), i
 			return e
 		}); err != nil {
 			t.Fatalf("read %s/%s: %v", doc, user, err)
