@@ -68,12 +68,16 @@ fuzz:
 # Durable disk tier: unit tests + the crash-consistency sweep under
 # -race, the configuration journal's sweeps (the same record codec),
 # the warm-restart integration tests, then a short open-ended fuzz of
-# the segment format beyond the checked-in seed corpus.
+# the segment format, the wire's frame decoders and the journal's open
+# beyond the checked-in seed corpora (all three read bytes from outside
+# the process).
 store:
 	$(GO) test -race -count=1 ./internal/store/
 	$(GO) test -race -count=1 -run 'Journal|Replay' ./internal/server/
 	$(GO) test -race -run TestDurable -count=1 ./internal/core/
 	$(GO) test -run NONE -fuzz FuzzSegmentRoundTrip -fuzztime 30s ./internal/store/
+	$(GO) test -run NONE -fuzz FuzzV2FrameDecode -fuzztime 30s ./internal/server/
+	$(GO) test -run NONE -fuzz FuzzJournalOpen -fuzztime 30s ./internal/server/
 
 # Deterministic whole-stack simulation sweep: 1200 seeded schedules
 # through the full stack (docspace, core cache, server, remote cache)

@@ -30,7 +30,7 @@ func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) (client *server.Cli
 		mu    sync.Mutex
 		flags []uint16
 	)
-	const version = 4
+	const version = 5
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -45,11 +45,11 @@ func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) (client *server.Cli
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		magic := make([]byte, 8)
-		if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, []byte("\x00PLWREv4")) {
+		if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, []byte("\x00PLWREv5")) {
 			t.Errorf("fake origin: client opened with %q, %v", magic, err)
 			return
 		}
-		if _, err := conn.Write([]byte("\x00PLACKv4")); err != nil {
+		if _, err := conn.Write([]byte("\x00PLACKv5")); err != nil {
 			return
 		}
 		for {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -734,7 +735,7 @@ func (c *Client) ListActives(doc, user string, personal bool) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	return resp.Actives, nil
+	return resp.List, nil
 }
 
 // Describe returns a rendered configuration summary of a document.
@@ -743,26 +744,49 @@ func (c *Client) Describe(doc string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return resp.Text, nil
+	if len(resp.List) != 1 {
+		return "", fmt.Errorf("server: bad describe answer: %d strings", len(resp.List))
+	}
+	return resp.List[0], nil
 }
 
 // Find lists documents visible to user carrying the static property
 // key (and value, when non-empty) — Placeless's property-based
-// document organization over the wire. Matches travel as struct
-// fields, so values containing tabs or newlines round-trip intact.
+// document organization over the wire. Each field travels as its own
+// string, so values containing tabs or newlines round-trip intact.
 func (c *Client) Find(user, key, value string) ([]Match, error) {
-	resp, err := c.call(&Request{Op: OpFind, User: user, Property: key, Value: value})
-	if err != nil {
-		return nil, err
+	list, err := c.list(&Request{Op: OpFind, User: user, Property: key, Value: value}, 3)
+	var matches []Match
+	for i := 0; i < len(list); i += 3 {
+		matches = append(matches, Match{Doc: list[i], Value: list[i+1], Level: list[i+2]})
 	}
-	return resp.Matches, nil
+	return matches, err
 }
 
 // Stats returns server counters.
 func (c *Client) Stats() (map[string]int64, error) {
-	resp, err := c.call(&Request{Op: OpStats})
+	list, err := c.list(&Request{Op: OpStats}, 2)
+	stats := make(map[string]int64, len(list)/2)
+	for i := 0; i < len(list); i += 2 {
+		if stats[list[i]], err = strconv.ParseInt(list[i+1], 10, 64); err != nil {
+			return nil, fmt.Errorf("server: bad stats answer: %w", err)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	return resp.Stats, nil
+	return stats, nil
+}
+
+// list makes a structured call whose answer is records of per strings
+// each. A list that does not divide into them fails this call only.
+func (c *Client) list(req *Request, per int) ([]string, error) {
+	resp, err := c.call(req)
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.List)%per != 0 {
+		return nil, fmt.Errorf("server: bad %v answer: %d strings, not records of %d", req.Op, len(resp.List), per)
+	}
+	return resp.List, nil
 }

@@ -38,12 +38,12 @@ func FuzzParsePropertySpec(f *testing.F) {
 	})
 }
 
-// FuzzProtocolRoundTrip checks the Match struct framing introduced for
-// OpFind: static property values are arbitrary user strings, so tabs,
-// newlines, empty values, and multi-byte UTF-8 must survive the
-// gob payload an OpFind response rides in (the pre-struct
-// format packed matches into a tab-separated string and corrupted
-// exactly these inputs).
+// FuzzProtocolRoundTrip checks the string list an OpFind answer rides
+// in, doc, value and level for each match: static property values are
+// arbitrary user strings, so tabs, newlines, empty values, and
+// multi-byte UTF-8 must survive it (a format that packed matches into a
+// tab-separated string corrupted exactly these inputs), and only the
+// call ID and the list cross with it.
 func FuzzProtocolRoundTrip(f *testing.F) {
 	f.Add("doc", "value", "universal", uint8(1))
 	f.Add("d\tmid", "tab\tseparated", "personal", uint8(2))
@@ -52,23 +52,19 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 	f.Add("δοc", "значение → 値", "universal", uint8(5))
 	f.Add("d", "trailing\t\n", "personal", uint8(7))
 	f.Fuzz(func(t *testing.T, doc, value, level string, n uint8) {
-		matches := make([]Match, int(n)%5)
-		for i := range matches {
-			matches[i] = Match{
-				Doc:   doc + strings.Repeat("x", i),
-				Value: value,
-				Level: level,
-			}
+		var list []string
+		for i := 0; i < int(n)%5; i++ {
+			list = append(list, doc+strings.Repeat("x", i), value, level)
 		}
-		want := Response{
+		in := Response{
 			ID:         42,
 			Body:       []byte(value),
 			NotifyDoc:  doc,
 			NotifyUser: value,
-			Matches:    matches,
+			List:       list,
 		}
 
-		ef, err := encodeResponseFrame(OpFind, &want)
+		ef, err := encodeResponseFrame(OpFind, &in)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -76,20 +72,8 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-
-		if got.ID != want.ID || got.NotifyDoc != want.NotifyDoc || got.NotifyUser != want.NotifyUser {
-			t.Fatalf("header fields corrupted: got %+v want %+v", got, want)
-		}
-		if string(got.Body) != string(want.Body) {
-			t.Fatalf("body corrupted: %q != %q", got.Body, want.Body)
-		}
-		if len(got.Matches) != len(want.Matches) {
-			t.Fatalf("match count %d != %d", len(got.Matches), len(want.Matches))
-		}
-		for i, m := range got.Matches {
-			if m != want.Matches[i] {
-				t.Fatalf("match %d corrupted: %+v != %+v", i, m, want.Matches[i])
-			}
+		if want := (Response{ID: 42, List: list}); !reflect.DeepEqual(*got, want) {
+			t.Fatalf("find answer corrupted: got %+v want %+v", *got, want)
 		}
 	})
 }
@@ -190,14 +174,16 @@ func FuzzV2FrameDecode(f *testing.F) {
 	f.Add([]byte{wireVersion, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add([]byte{})
-	// The version-4 shapes: a read carrying its subscription, a request
-	// using every field of the layout, and one claiming a gob payload.
+	// The version-5 shapes: a read carrying its subscription, a request
+	// using every field of the layout, and a structured answer's list.
 	f.Add(requestBytes(f, &Request{ID: 4, Op: OpRead, Doc: "d", User: "u", Subscribe: true}))
 	f.Add(requestBytes(f, &Request{ID: 5, Op: OpAttachStatic, Doc: "d", User: "u",
 		Personal: true, Property: "k", Value: "v", Body: []byte("tail")}))
-	gobbed := requestBytes(f, &Request{ID: 6, Op: OpStats})
-	gobbed[3] |= byte(flagGob)
-	f.Add(gobbed)
+	listed, err := encodeResponseFrame(OpFind, &Response{ID: 6, List: []string{"d", "tab\tvalue", "universal"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frameBytes(f, listed))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = readRequestFrame(bufio.NewReader(bytes.NewReader(data)))
 		_, _ = readResponseFrame(bufio.NewReader(bytes.NewReader(data)))

@@ -16,10 +16,8 @@ var updateGolden = flag.Bool("update", false, "write the wire golden file of a n
 
 // wireGoldenLines renders one request and one response per op, plus the
 // shapes no op owns (the flagged read both ways, the error frame, the
-// push), as "name hex" lines. A gob payload is not pinned byte for byte
-// — gob numbers types by the order a process first encodes them — so a
-// structured response contributes its header up to the call ID and the
-// word "gob"; its content is pinned by the round-trip tests.
+// push), as "name hex" lines. Each of the four structured answers
+// carries a list of its own shape.
 func wireGoldenLines(t *testing.T) string {
 	t.Helper()
 	const id = 0x0102030405060708
@@ -38,17 +36,20 @@ func wireGoldenLines(t *testing.T) string {
 	// sixteen bytes go, not which hash produced them.
 	signature := sig.Signature{0x84, 0x1a, 0x2d, 0x68, 0x9a, 0xd8, 0x6b, 0xd1, 0x61, 0x14, 0x47, 0x45, 0x3c, 0x22, 0xc6, 0xfc}
 	read := &Response{ID: id, Body: []byte("body"), Cacheability: 1, CostNanos: 1 << 20, ExpiryUnixNanos: 1 << 40, Signature: signature}
+	lists := map[Op][]string{
+		OpStats:       {"requests", "7", "notifications", "0", "connections", "1"},
+		OpListActives: {"spell-correct", "uppercase"},
+		OpDescribe:    {"doc: 1 reference\n\tuniversal: spell-correct"},
+		OpFind:        {"doc", "tab\tvalue", "universal", "doc2", "", "personal"},
+	}
 	for op := OpRead; op <= OpFind; op++ {
-		f, err := encodeResponseFrame(op, read)
+		r := *read
+		r.List = lists[op]
+		f, err := encodeResponseFrame(op, &r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := frameBytes(t, f)
-		if structuredResponse(op) {
-			fmt.Fprintf(&out, "response %s %s gob\n", op, hex.EncodeToString(b[:12]))
-			continue
-		}
-		line("response "+op.String(), b)
+		line("response "+op.String(), frameBytes(t, f))
 	}
 	flagged := *read
 	flagged.SubscribeFailed = true
@@ -74,7 +75,7 @@ func wireGoldenLines(t *testing.T) string {
 // names them: peers of one version must agree on every layout, and the
 // payload checksum cannot tell a moved field from a valid frame. The
 // file is named after wireVersion, so a new version starts a new file
-// (go test -run TestWireGolden -update ./internal/server, then delete
+// (go test ./internal/server -run TestWireGolden -update, then delete
 // the old one); under an unchanged version the bytes may not move, and
 // -update will not overwrite them.
 func TestWireGolden(t *testing.T) {

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,41 +19,28 @@ import (
 // repository (use the file-system repository for durable content).
 //
 // Only operations expressible as standard property specs are
-// journaled, which is exactly the set a remote client can apply. mu is
-// held across applying a request and recording it, so the journal
+// journaled, which is exactly the set a remote client can apply. A
+// record's payload is the request as the wire carries it: the op byte,
+// then the request layout (appendRequestFields, then the raw body). mu
+// is held across applying a request and recording it, so the journal
 // holds requests in the order they were applied.
 type journal struct {
 	mu  sync.Mutex
 	log *store.Log
 }
 
-// journalEntry is the JSON payload of one journal record.
-type journalEntry struct {
-	// Op is the operation name: create, addref, attach, detach,
-	// static.
-	Op string `json:"op"`
-	// Doc and User identify the target.
-	Doc  string `json:"doc"`
-	User string `json:"user,omitempty"`
-	// Personal selects the reference level for property ops.
-	Personal bool `json:"personal,omitempty"`
-	// Spec is the property spec (attach), property name (detach), or
-	// static key (static).
-	Spec string `json:"spec,omitempty"`
-	// Value is the static property value.
-	Value string `json:"value,omitempty"`
-	// Content is the document's initial content (create only),
-	// base64-encoded by encoding/json.
-	Content []byte `json:"content,omitempty"`
+// journalOps is the set of journaled ops; every other op is data plane.
+var journalOps = map[Op]bool{
+	OpCreateDocument: true,
+	OpAddReference:   true,
+	OpAttach:         true,
+	OpDetach:         true,
+	OpAttachStatic:   true,
 }
 
-// journalOps names the journaled ops; every other op is data plane.
-var journalOps = map[Op]string{
-	OpCreateDocument: "create",
-	OpAddReference:   "addref",
-	OpAttach:         "attach",
-	OpDetach:         "detach",
-	OpAttachStatic:   "static",
+// journalRecord renders req as the payload of its journal record.
+func journalRecord(req *Request) []byte {
+	return append(appendRequestFields([]byte{byte(req.Op)}, req), req.Body...)
 }
 
 // OpenJournal replays the configuration journal at path onto the
@@ -65,11 +52,13 @@ var journalOps = map[Op]string{
 // away and its length returned as torn. Any other record that fails its
 // checks is a *store.CorruptError and the file is left as it was: it
 // cannot be explained by a torn tail, so the journal is damaged (a
-// JSON-lines journal from before records is refused the same way).
-// Entries that fail because their state already exists (documents
-// recreated over a persistent backing repository) are skipped; any
-// other failure aborts, naming the record's offset. Returns the number
-// of entries applied.
+// JSON-lines journal from before records is refused the same way). A
+// record that verifies but holds no journaled request — a JSON payload
+// from before records held the request layout — aborts the open at its
+// offset, the file left as it was. Entries that fail because their
+// state already exists (documents recreated over a persistent backing
+// repository) are skipped; any other failure aborts, naming the
+// record's offset. Returns the number of entries applied.
 func (s *Server) OpenJournal(path string) (applied int, torn int64, err error) {
 	log, torn, err := store.OpenLog(path, func(_ int64, payload []byte) error {
 		ok, err := s.replay(payload)
@@ -87,32 +76,28 @@ func (s *Server) OpenJournal(path string) (applied int, torn int64, err error) {
 
 // replay applies one journal entry, reporting whether it changed state.
 func (s *Server) replay(payload []byte) (bool, error) {
-	var e journalEntry
-	if err := json.Unmarshal(payload, &e); err != nil {
+	if len(payload) == 0 || !journalOps[Op(payload[0])] {
+		return false, fmt.Errorf("unknown op in entry %q", payload[:min(len(payload), 1)])
+	}
+	req := &Request{Op: Op(payload[0])}
+	if err := decodeRequestPayload(req, payload[1:]); err != nil {
 		return false, err
-	}
-	req := &Request{Doc: e.Doc, User: e.User, Personal: e.Personal, Property: e.Spec, Value: e.Value, Body: e.Content}
-	known := false
-	for op, name := range journalOps {
-		if name == e.Op {
-			req.Op, known = op, true
-		}
-	}
-	if !known {
-		return false, fmt.Errorf("unknown op %q", e.Op)
 	}
 	var err error
 	stored := false
 	if req.Op == OpCreateDocument {
-		_, statErr := s.backing.Stat("/" + e.Doc)
+		_, statErr := s.backing.Stat("/" + req.Doc)
 		stored = statErr == nil
 	}
 	if stored {
 		// A persistent backing repository may already hold newer
 		// content than the journaled initial bytes; register the
 		// document over them without rewriting them.
-		_, err = s.space.CreateDocument(e.Doc, e.User, &property.RepoBitProvider{Repo: s.backing, Path: "/" + e.Doc})
+		_, err = s.space.CreateDocument(req.Doc, req.User, &property.RepoBitProvider{Repo: s.backing, Path: "/" + req.Doc})
 	} else {
+		// The body aliases payload, which the scan reuses for the next
+		// record; the repository keeps the slice it is given.
+		req.Body = bytes.Clone(req.Body)
 		err = s.apply(req).err
 	}
 	if errors.Is(err, docspace.ErrDuplicate) {
@@ -128,9 +113,8 @@ func (s *Server) replay(payload []byte) (bool, error) {
 // failure — the one whose record failed included, though it was
 // applied — instead of being applied and then lost on restart.
 func (s *Server) applyJournaled(req *Request) *Response {
-	op, ok := journalOps[req.Op]
 	j := s.journal
-	if j == nil || !ok {
+	if j == nil || !journalOps[req.Op] {
 		return s.apply(req)
 	}
 	j.mu.Lock()
@@ -142,11 +126,7 @@ func (s *Server) applyJournaled(req *Request) *Response {
 	if resp.Err != "" {
 		return resp
 	}
-	payload, err := json.Marshal(journalEntry{Op: op, Doc: req.Doc, User: req.User, Personal: req.Personal, Spec: req.Property, Value: req.Value, Content: req.Body})
-	if err == nil {
-		err = j.log.Append(payload)
-	}
-	if err != nil {
+	if err := j.log.Append(journalRecord(req)); err != nil {
 		return fail(err)
 	}
 	return resp

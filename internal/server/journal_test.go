@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -95,16 +94,29 @@ func writeJournal(t *testing.T, path string, payloads ...string) {
 	}
 }
 
-// journalEntries returns the entries a journal holds and the offset of
-// each one's record.
-func journalEntries(t *testing.T, path string) ([]journalEntry, []int64) {
+// writeRequests writes each request as one journal record.
+func writeRequests(t *testing.T, path string, reqs ...*Request) {
 	t.Helper()
-	var entries []journalEntry
+	var payloads []string
+	for _, req := range reqs {
+		payloads = append(payloads, string(journalRecord(req)))
+	}
+	writeJournal(t, path, payloads...)
+}
+
+// journalEntries returns the requests a journal holds and the offset of
+// each one's record.
+func journalEntries(t *testing.T, path string) ([]*Request, []int64) {
+	t.Helper()
+	var entries []*Request
 	var offsets []int64
 	l, _, err := store.OpenLog(path, func(off int64, payload []byte) error {
-		var e journalEntry
-		err := json.Unmarshal(payload, &e)
-		entries, offsets = append(entries, e), append(offsets, off)
+		if len(payload) == 0 {
+			return errors.New("empty record")
+		}
+		req := &Request{Op: Op(payload[0])}
+		err := decodeRequestPayload(req, payload[1:])
+		entries, offsets = append(entries, req), append(offsets, off)
 		return err
 	})
 	if err != nil {
@@ -115,14 +127,18 @@ func journalEntries(t *testing.T, path string) ([]journalEntry, []int64) {
 }
 
 // configScript is a configuration plane touching every journaled op.
+// The sweeps below name their subtests by byte offset; the names and
+// values are sized so the six records end at offsets 96, 165, 275,
+// 363, 467 and 571, and those names stay one set of cuts.
 func configScript() []*Request {
+	const doc, owner = "notes/hotos-1999/caching.draft", "alice.liddell@parc.xerox.com"
 	return []*Request{
-		{Op: OpCreateDocument, Doc: "memo", User: "alice", Body: []byte("teh draft")},
-		{Op: OpAddReference, Doc: "memo", User: "bob"},
-		{Op: OpAttach, Doc: "memo", User: "alice", Personal: true, Property: "spell-correct"},
-		{Op: OpAttachStatic, Doc: "memo", Property: "status", Value: "draft"},
-		{Op: OpAttach, Doc: "memo", User: "bob", Personal: true, Property: "uppercase"},
-		{Op: OpDetach, Doc: "memo", User: "bob", Personal: true, Property: "uppercase"},
+		{Op: OpCreateDocument, Doc: doc, User: owner, Body: []byte("teh\n")},
+		{Op: OpAddReference, Doc: doc, User: "carol"},
+		{Op: OpAttach, Doc: doc, User: owner, Personal: true, Property: "spell-correct:1500"},
+		{Op: OpAttachStatic, Doc: doc, Property: "status", Value: "draft-for-comments"},
+		{Op: OpAttach, Doc: doc, User: owner, Personal: true, Property: "translate-fr"},
+		{Op: OpDetach, Doc: doc, User: owner, Personal: true, Property: "translate-fr"},
 	}
 }
 
@@ -243,17 +259,61 @@ func TestReplayMissingJournalIsNoop(t *testing.T) {
 }
 
 // TestReplayCorruptJournalFails: a record that verifies but holds no
-// entry this server can apply aborts the open, naming its offset.
+// request this server can apply aborts the open, naming its offset,
+// and leaves the file as it was. Such records are a JSON payload from
+// before records held the request layout, an op that is not journaled,
+// an empty payload and a request cut inside its fields.
 func TestReplayCorruptJournalFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad")
-	writeJournal(t, path, "{not json")
-	if _, _, err := reopen(path); err == nil || !strings.Contains(err.Error(), "offset 0") {
-		t.Fatalf("err = %v", err)
+	create := journalRecord(&Request{Op: OpCreateDocument, Doc: "d", User: "u", Body: []byte("x")})
+	for _, c := range []struct{ payload, want string }{
+		{`{"op":"create","doc":"d","user":"u","content":"eA=="}`, "unknown op"},
+		{string(journalRecord(&Request{Op: OpRead, Doc: "d", User: "u"})), "unknown op"},
+		{"", "unknown op"},
+		{string(create[:4]), "truncated string"},
+	} {
+		path := filepath.Join(t.TempDir(), "bad")
+		writeJournal(t, path, c.payload)
+		before := readFile(t, path)
+		if _, _, err := reopen(path); err == nil || !strings.Contains(err.Error(), "record at offset 0: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("replay of %q: err = %v, want %q at offset 0", c.payload, err, c.want)
+		}
+		if !bytes.Equal(readFile(t, path), before) {
+			t.Errorf("replay of %q changed the journal", c.payload)
+		}
 	}
-	path = filepath.Join(t.TempDir(), "martian")
-	writeJournal(t, path, `{"op":"martian","doc":"d"}`)
-	if _, _, err := reopen(path); err == nil || !strings.Contains(err.Error(), "unknown op") {
-		t.Fatalf("err = %v", err)
+}
+
+// keepingRepo is a repository whose Store keeps the slice it is given.
+type keepingRepo struct {
+	repo.Repository
+	kept map[string][]byte
+}
+
+func (r *keepingRepo) Store(path string, data []byte) error {
+	r.kept[path] = data
+	return r.Repository.Store(path, data)
+}
+
+// TestReplayOwnsCreateBodies: replay hands the repository a body of its
+// own for each create, not a window into the scan's buffer, which the
+// next record overwrites.
+func TestReplayOwnsCreateBodies(t *testing.T) {
+	bodies := map[string]string{"long": strings.Repeat("the longer body ", 8), "short": "short body"}
+	path := filepath.Join(t.TempDir(), "j")
+	writeRequests(t, path,
+		&Request{Op: OpCreateDocument, Doc: "long", User: "u", Body: []byte(bodies["long"])},
+		&Request{Op: OpCreateDocument, Doc: "short", User: "u", Body: []byte(bodies["short"])})
+	clk := clock.NewVirtual(epoch)
+	backing := &keepingRepo{Repository: repo.NewMem("m", clk, simnet.NewPath("p", 1)), kept: map[string][]byte{}}
+	srv := New(docspace.New(clk, nil), backing)
+	if n, _, err := srv.OpenJournal(path); err != nil || n != 2 {
+		t.Fatalf("open = %d, %v; want 2 applied", n, err)
+	}
+	defer srv.Close()
+	for doc, body := range bodies {
+		if got := string(backing.kept["/"+doc]); got != body {
+			t.Errorf("%s holds %q after replay, want %q", doc, got, body)
+		}
 	}
 }
 
@@ -262,23 +322,23 @@ func TestReplayCorruptJournalFails(t *testing.T) {
 // whatever words the failure's text happens to contain — here a
 // document and a property spec that are named "duplicate…".
 func TestReplaySkipsOnlyDuplicateState(t *testing.T) {
-	for _, entries := range [][]string{
-		{`{"op":"addref","doc":"duplicate-notes","user":"bob"}`},
-		{`{"op":"detach","doc":"duplicate-notes","user":"bob","spec":"x"}`},
-		{`{"op":"create","doc":"d","user":"amy","content":"eA=="}`, `{"op":"attach","doc":"d","spec":"duplicate-finder"}`},
+	create := &Request{Op: OpCreateDocument, Doc: "d", User: "amy", Body: []byte("x")}
+	for _, entries := range [][]*Request{
+		{{Op: OpAddReference, Doc: "duplicate-notes", User: "bob"}},
+		{{Op: OpDetach, Doc: "duplicate-notes", User: "bob", Property: "x"}},
+		{create, {Op: OpAttach, Doc: "d", Property: "duplicate-finder"}},
 	} {
 		path := filepath.Join(t.TempDir(), "j")
-		writeJournal(t, path, entries...)
+		writeRequests(t, path, entries...)
 		_, offsets := journalEntries(t, path)
 		at := fmt.Sprintf("offset %d", offsets[len(offsets)-1])
 		if n, _, err := reopen(path); err == nil || !strings.Contains(err.Error(), at) {
-			t.Fatalf("replay of %s = %d, %v; want an error naming %s", entries, n, err, at)
+			t.Fatalf("replay of %+v = %d, %v; want an error naming %s", entries, n, err, at)
 		}
 	}
 	// The same create twice: the second is existing state, skipped.
 	path := filepath.Join(t.TempDir(), "j")
-	create := `{"op":"create","doc":"d","user":"amy","content":"eA=="}`
-	writeJournal(t, path, create, create)
+	writeRequests(t, path, create, create)
 	if n, _, err := reopen(path); err != nil || n != 1 {
 		t.Fatalf("replay of a repeated create = %d, %v; want 1 applied", n, err)
 	}
@@ -296,7 +356,7 @@ func TestJournalSkipsDataPlane(t *testing.T) {
 	shutdown()
 
 	entries, _ := journalEntries(t, journal)
-	if len(entries) != 1 || entries[0].Op != "create" {
+	if len(entries) != 1 || entries[0].Op != OpCreateDocument {
 		t.Fatalf("journal holds %+v, want only the create", entries)
 	}
 }
@@ -469,10 +529,11 @@ func TestJournalFailedAppendIsSticky(t *testing.T) {
 	img, ends := journalImage(t, script)
 	last := len(script) - 1
 	before, rec := img[:ends[last-1]], img[ends[last-1]:]
+	doc, owner, reader := script[0].Doc, script[0].User, script[1].User
 	later := []*Request{
 		script[last],
 		{Op: OpCreateDocument, Doc: "later", User: "u", Body: []byte("l")},
-		{Op: OpAttach, Doc: "memo", User: "alice", Personal: true, Property: "uppercase"},
+		{Op: OpAttach, Doc: doc, User: owner, Personal: true, Property: "uppercase"},
 	}
 	for k := 0; k < len(rec); k++ {
 		t.Run(fmt.Sprintf("cut=%d", k), func(t *testing.T) {
@@ -504,7 +565,7 @@ func TestJournalFailedAppendIsSticky(t *testing.T) {
 			if resp := srv.apply(&Request{Op: OpRead, Doc: "later", User: "u"}); resp.Err == "" {
 				t.Fatal("a create refused after the failure was applied")
 			}
-			if resp := srv.apply(&Request{Op: OpRead, Doc: "memo", User: "bob"}); resp.Err != "" {
+			if resp := srv.apply(&Request{Op: OpRead, Doc: doc, User: reader}); resp.Err != "" {
 				t.Fatalf("read after a failed append: %s", resp.Err)
 			}
 			if got := readFile(t, path); !bytes.Equal(got, append(before[:len(before):len(before)], rec[:k]...)) {
@@ -595,6 +656,7 @@ func FuzzJournalOpen(f *testing.F) {
 	f.Add([]byte("PLJ"), 2)
 	f.Add([]byte("PLSG garbage that is not a record"), ends[len(ends)-2]+7) // the last length grown past the end
 	f.Add([]byte(`{"op":"create","doc":"d"}`+"\n"), len(img)-3)
+	f.Add(img[:ends[0]], ends[0]-1) // one record, its body's last byte mutated
 	f.Fuzz(func(t *testing.T, tail []byte, mutate int) {
 		mutated := append([]byte(nil), img...)
 		if mutate < 0 {

@@ -11,9 +11,9 @@
 // with an ack before either side sends a frame; a peer that opens with
 // anything else is closed. Every request carries a client-chosen call
 // ID, every response echoes it, and server-initiated invalidation
-// pushes use ID 0. Every request, the read response and the push are
-// hand-encoded; only the four responses that carry structure (Stats,
-// ListActives, Describe, Find) ride as a gob payload inside a frame.
+// pushes use ID 0. Every frame is hand-encoded: the four responses that
+// carry structure (Stats, ListActives, Describe, Find) are a list of
+// strings in the request layout's string encoding.
 package server
 
 import (
@@ -138,17 +138,13 @@ type Response struct {
 	// Notification payload (ID 0): the affected document and user
 	// ("" = all users of the document).
 	NotifyDoc, NotifyUser string
-	// Actives lists property names for OpListActives.
-	Actives []string
-	// Stats carries counter values for OpStats.
-	Stats map[string]int64
-	// Text carries a rendered description for OpDescribe.
-	Text string
-	// Matches carries the OpFind hits as structured fields, so static
-	// property values containing tabs or newlines survive the wire
-	// (the old format packed "doc\tvalue\tlevel" into one string and
-	// corrupted such values on split).
-	Matches []Match
+	// List is the answer of the four ops that answer with structure:
+	// the property names (OpListActives), the rendered description
+	// (OpDescribe, one string), doc, value and level of each hit
+	// (OpFind), and each counter's name and decimal value (OpStats).
+	// Each string crosses the wire length-prefixed, so values holding
+	// tabs or newlines survive it.
+	List []string
 
 	// err is the error Err was rendered from, for callers in this
 	// process; it never crosses the wire.

@@ -1,14 +1,15 @@
-// The binary wire protocol (version 4: one hand-written request layout
-// and a subscription that rides the read).
+// The binary wire protocol (version 5: one hand-written request layout,
+// a subscription that rides the read, and structured answers as string
+// lists).
 //
-// Requests, reads and pushes are hand-written codecs over a fixed
-// header, so blob payloads travel as raw byte ranges — never re-encoded
-// — and a single writer goroutine batches small frames into one writev
-// (net.Buffers) per wakeup.
+// Every frame is a hand-written codec over a fixed header, so blob
+// payloads travel as raw byte ranges — never re-encoded — and a single
+// writer goroutine batches small frames into one writev (net.Buffers)
+// per wakeup.
 //
 // Frame layout (16-byte header, big-endian multi-byte fields):
 //
-//	offset 0  version (1 byte, 0x04)
+//	offset 0  version (1 byte, 0x05)
 //	offset 1  op      (1 byte)
 //	offset 2  flags   (2 bytes)
 //	offset 4  call ID (8 bytes; 0 = server push)
@@ -23,7 +24,8 @@
 //	body     (the rest of the payload, raw)
 //
 // An op leaves the fields it has no use for empty. No request carries
-// flagGob or flagError; the decoder refuses both.
+// flagError; the decoder refuses it. The configuration journal records
+// requests in this layout too (journal.go).
 //
 // Responses come in five shapes. An error is flagError with the error
 // string as payload. A Read is a fixed 33-byte metadata prefix —
@@ -32,8 +34,10 @@
 // signature a remote cache keys its blob by is checked together with
 // the bytes it names. An invalidation push (call ID 0) is doc and user
 // as two strings. Stats, ListActives, Describe and Find, the four ops
-// that answer with structure, carry a gob-encoded Response under
-// flagGob. Every other op answers success with a zero-payload frame.
+// that answer with structure, carry a list of strings in the request
+// layout's encoding, back to back to the end of the payload
+// (Response.List). Every other op answers success with a zero-payload
+// frame.
 //
 // flagSubscribe is valid on OpRead frames only and means something
 // different in each direction. On the request it asks the server to
@@ -61,9 +65,7 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -77,7 +79,7 @@ import (
 )
 
 // wireVersion is the first byte of every frame header.
-const wireVersion = 4
+const wireVersion = 5
 
 const (
 	frameHeaderSize = 16
@@ -154,11 +156,8 @@ func readPayload(br *bufio.Reader, plen int) ([]byte, error) {
 	return payload, nil
 }
 
-// Frame flags.
+// Frame flags. Bit 0 is unused.
 const (
-	// flagGob marks a response payload that is a gob-encoded Response:
-	// Stats, ListActives, Describe and Find, and nothing else.
-	flagGob uint16 = 1 << 0
 	// flagError marks a response whose payload is the error string.
 	flagError uint16 = 1 << 1
 	// flagSubscribe, on an OpRead request, asks for the connection's
@@ -172,7 +171,7 @@ const (
 const opInvalidate Op = 0x7f
 
 // helloMagic opens every connection; its last byte names the version
-// ("…v4"), so it moves whenever wireVersion does.
+// ("…v5"), so it moves whenever wireVersion does.
 var helloMagic = [8]byte{0x00, 'P', 'L', 'W', 'R', 'E', 'v', '0' + wireVersion}
 
 // helloAck is the server's answer to helloMagic.
@@ -242,7 +241,7 @@ func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int
 		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: unknown op 0x%02x", h[1])
 	}
 	flags = binary.BigEndian.Uint16(h[2:4])
-	if flags&^(flagGob|flagError|flagSubscribe) != 0 {
+	if flags&^(flagError|flagSubscribe) != 0 {
 		return 0, 0, 0, 0, fmt.Errorf("server: bad frame: unknown flags 0x%04x", flags)
 	}
 	if flags&flagSubscribe != 0 && (op != OpRead || flags != flagSubscribe) {
@@ -285,11 +284,9 @@ type wireFrame struct {
 	tail    []byte
 }
 
-// encodeRequestFrame renders one client→server frame in the one request
-// layout. The body is never copied: it rides as the frame's raw tail.
-// A payload over MaxFramePayload is refused with ErrTooLarge.
-func encodeRequestFrame(req *Request) (wireFrame, error) {
-	p, b := getSmallBuf()
+// appendRequestFields appends req in the request layout up to its
+// body, which the layout carries raw after the fields.
+func appendRequestFields(b []byte, req *Request) []byte {
 	level := byte(0)
 	if req.Personal {
 		level = 1
@@ -298,7 +295,15 @@ func encodeRequestFrame(req *Request) (wireFrame, error) {
 	b = appendWireString(b, req.Doc)
 	b = appendWireString(b, req.User)
 	b = appendWireString(b, req.Property)
-	b = appendWireString(b, req.Value)
+	return appendWireString(b, req.Value)
+}
+
+// encodeRequestFrame renders one client→server frame in the one request
+// layout. The body is never copied: it rides as the frame's raw tail.
+// A payload over MaxFramePayload is refused with ErrTooLarge.
+func encodeRequestFrame(req *Request) (wireFrame, error) {
+	p, b := getSmallBuf()
+	b = appendRequestFields(b, req)
 	var flags uint16
 	if req.Subscribe && req.Op == OpRead {
 		flags = flagSubscribe
@@ -337,7 +342,7 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op == opInvalidate || flags&(flagError|flagGob) != 0 || id == 0 {
+	if op == opInvalidate || flags&flagError != 0 || id == 0 {
 		return nil, fmt.Errorf("server: bad request: op %v flags 0x%04x id %d", op, flags, id)
 	}
 	req := &Request{ID: id, Op: op, Subscribe: flags&flagSubscribe != 0}
@@ -376,9 +381,9 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 	return req, nil // Body is the remainder of the payload, no copy
 }
 
-// structuredResponse reports whether op answers success with a
-// gob-encoded Response; every other request op answers with either the
-// read layout or a zero-payload frame.
+// structuredResponse reports whether op answers success with a string
+// list; every other request op answers with either the read layout or
+// a zero-payload frame.
 func structuredResponse(op Op) bool {
 	switch op {
 	case OpStats, OpListActives, OpDescribe, OpFind:
@@ -422,21 +427,19 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		putFrameHeader(b, opInvalidate, 0, 0, len(b)-frameHeaderSize)
 		return wireFrame{hdr: b, hdrPool: p}, nil
 	}
-	if structuredResponse(op) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-			return wireFrame{}, err
-		}
-		if err := checkPayload(buf.Len()); err != nil {
-			return wireFrame{}, err
-		}
-		p, b := getSmallBuf()
-		putFrameHeader(b, op, flagGob, resp.ID, buf.Len())
-		return wireFrame{hdr: b, hdrPool: p, body: buf.Bytes()}, nil
-	}
-	// Every other op has nothing to say on success.
+	// A structured answer is its list; every other op has nothing to
+	// say on success.
 	p, b := getSmallBuf()
-	putFrameHeader(b, op, 0, resp.ID, 0)
+	if structuredResponse(op) {
+		for _, s := range resp.List {
+			b = appendWireString(b, s)
+		}
+		if err := checkPayload(len(b) - frameHeaderSize); err != nil {
+			putSmallBuf(p, b)
+			return wireFrame{}, err
+		}
+	}
+	putFrameHeader(b, op, 0, resp.ID, len(b)-frameHeaderSize)
 	return wireFrame{hdr: b, hdrPool: p}, nil
 }
 
@@ -448,8 +451,7 @@ func readResponseFrame(br *bufio.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case flags&flagError != 0:
+	if flags&flagError != 0 {
 		payload, err := readPayload(br, plen)
 		if err != nil {
 			return nil, err
@@ -459,20 +461,6 @@ func readResponseFrame(br *bufio.Reader) (*Response, error) {
 			e = "unknown server error"
 		}
 		return &Response{ID: id, Err: e}, nil
-	case flags&flagGob != 0:
-		if !structuredResponse(op) {
-			return nil, fmt.Errorf("server: bad response: op %v with the gob flag", op)
-		}
-		payload, err := readPayload(br, plen)
-		if err != nil {
-			return nil, err
-		}
-		var resp Response
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-			return nil, fmt.Errorf("server: bad gob response: %w", err)
-		}
-		resp.ID = id
-		return &resp, nil
 	}
 	switch op {
 	case OpRead:
@@ -526,16 +514,22 @@ func readResponseFrame(br *bufio.Reader) (*Response, error) {
 		}
 		return &Response{ID: 0, NotifyDoc: doc, NotifyUser: user}, nil
 	}
-	if structuredResponse(op) {
-		return nil, fmt.Errorf("server: bad response: op %v without the gob flag", op)
-	}
-	if plen != 0 {
+	if plen != 0 && !structuredResponse(op) {
 		return nil, fmt.Errorf("server: bad response: op %v with %d payload bytes", op, plen)
 	}
-	if err := readTrailer(br, 0); err != nil {
+	payload, err := readPayload(br, plen)
+	if err != nil {
 		return nil, err
 	}
-	return &Response{ID: id}, nil
+	resp := &Response{ID: id}
+	for len(payload) > 0 {
+		var s string
+		if s, payload, err = readWireString(payload); err != nil {
+			return nil, err
+		}
+		resp.List = append(resp.List, s)
+	}
+	return resp, nil
 }
 
 // Batching caps for the writer goroutine: one writev carries at most

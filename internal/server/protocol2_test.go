@@ -60,6 +60,14 @@ func requestOverWire(t *testing.T, req *Request) *Request {
 	return out
 }
 
+// frameOf builds a frame from its header fields and a payload, trailer
+// included, bypassing the encoders' checks.
+func frameOf(t testing.TB, op Op, flags uint16, id uint64, payload []byte) []byte {
+	f := wireFrame{hdr: make([]byte, frameHeaderSize), body: payload}
+	putFrameHeader(f.hdr, op, flags, id, len(payload))
+	return frameBytes(t, f)
+}
+
 func responseOverWire(t *testing.T, op Op, resp *Response) *Response {
 	t.Helper()
 	f, err := encodeResponseFrame(op, resp)
@@ -126,7 +134,7 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 	// Every op with nothing to say on success acks with a zero-payload
 	// frame, 20 bytes on the wire.
 	for _, op := range ackOps {
-		f, err := encodeResponseFrame(op, &Response{ID: 11, Text: "dropped"})
+		f, err := encodeResponseFrame(op, &Response{ID: 11, List: []string{"dropped"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,41 +152,133 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 		t.Errorf("push round trip = %+v", got)
 	}
 
-	// The four structured responses ride as gob.
-	in = &Response{ID: 12, Stats: map[string]int64{"requests": 7},
-		Actives: []string{"a", "b"}, Text: "desc",
-		Matches: []Match{{Doc: "d", Value: "v\t1", Level: "personal"}}}
+	// The four structured responses carry their list and nothing else.
+	in = &Response{ID: 12, Body: []byte("dropped"), List: []string{"a", "", "v\t1\nnl"}}
 	for _, op := range structuredOps {
-		if got = responseOverWire(t, op, in); !reflect.DeepEqual(got, in) {
-			t.Errorf("%v gob round trip = %+v", op, got)
+		if got = responseOverWire(t, op, in); !reflect.DeepEqual(got, &Response{ID: 12, List: in.List}) {
+			t.Errorf("%v list round trip = %+v", op, got)
 		}
 	}
 }
 
-// TestGobConfinedToStructuredResponses: gob crosses the wire in exactly
-// four response shapes. A request that claims a gob payload is refused
-// whatever its op, and so is a gob response to an op that acks empty or
-// a bare one to an op that answers with structure.
-func TestGobConfinedToStructuredResponses(t *testing.T) {
+// TestStructuredAnswerRefusals: a structured answer is a list of whole
+// strings, and only the four structured ops answer with a payload. A
+// list that ends inside a string is refused, so is a payload on an op
+// that acks empty, and so is flag bit 0, which no frame uses, in either
+// direction.
+func TestStructuredAnswerRefusals(t *testing.T) {
+	decode := func(b []byte) error {
+		_, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b)))
+		return err
+	}
+	for _, op := range structuredOps {
+		// "a" whole, then "bc" cut inside its length or its bytes.
+		for _, cut := range [][]byte{{0x01}, {0x01, 'a', 0x02}, {0x01, 'a', 0x02, 'b'}} {
+			if err := decode(frameOf(t, op, 0, 1, cut)); err == nil || !strings.Contains(err.Error(), "truncated string") {
+				t.Errorf("%v answer % x: err = %v, want a truncated string", op, cut, err)
+			}
+		}
+	}
+	for _, op := range ackOps {
+		if err := decode(frameOf(t, op, 0, 1, []byte{0x01, 'a'})); err == nil || !strings.Contains(err.Error(), "payload bytes") {
+			t.Errorf("%v ack with a list: err = %v", op, err)
+		}
+	}
 	for op := OpRead; op <= OpFind; op++ {
 		b := requestBytes(t, &Request{ID: 1, Op: op, Doc: "d", User: "u"})
-		b[3] |= byte(flagGob)
-		if _, err := readRequestFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
-			!strings.Contains(err.Error(), "bad request") {
-			t.Errorf("%v request carrying flagGob: err = %v", op, err)
+		b[3] |= 1
+		if _, err := readRequestFrame(bufio.NewReader(bytes.NewReader(b))); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+			t.Errorf("%v request with flag bit 0: err = %v", op, err)
 		}
-		f, err := encodeResponseFrame(op, &Response{ID: 1, Text: "t"})
+		f, err := encodeResponseFrame(op, &Response{ID: 1, List: []string{"t"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b = frameBytes(t, f)
-		if gobbed := binary.BigEndian.Uint16(b[2:4])&flagGob != 0; gobbed != structuredResponse(op) {
-			t.Errorf("%v response: gob flag = %v", op, gobbed)
+		if b = frameBytes(t, f); binary.BigEndian.Uint16(b[2:4]) != 0 {
+			t.Errorf("%v response flags %#x, want none", op, b[2:4])
 		}
-		b[3] ^= byte(flagGob)
-		if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil {
-			t.Errorf("%v response with the gob flag flipped decoded", op)
+		b[3] |= 1
+		if err := decode(b); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+			t.Errorf("%v response with flag bit 0: err = %v", op, err)
 		}
+	}
+}
+
+// fakeOrigin is a peer that speaks this wire version and answers each
+// request with answer(req), however malformed; it returns its address.
+func fakeOrigin(t *testing.T, answer func(*Request) *Response) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				var magic [len(helloMagic)]byte
+				if _, err := io.ReadFull(br, magic[:]); err != nil || magic != helloMagic {
+					return
+				}
+				if _, err := conn.Write(helloAck[:]); err != nil {
+					return
+				}
+				for {
+					req, err := readRequestFrame(br)
+					if err != nil {
+						return
+					}
+					resp := answer(req)
+					resp.ID = req.ID
+					f, err := encodeResponseFrame(req.Op, resp)
+					if err != nil {
+						return
+					}
+					if _, err := conn.Write(frameBytes(t, f)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientRefusesMalformedLists: a structured answer whose list does
+// not fit its op — a Find list that is not doc, value, level triples,
+// a Stats value that is not decimal — fails that call alone; the
+// connection stays up and the next call is answered.
+func TestClientRefusesMalformedLists(t *testing.T) {
+	c, err := Dial(fakeOrigin(t, func(req *Request) *Response {
+		switch req.Op {
+		case OpFind:
+			return &Response{List: []string{"doc", "value", "universal", "doc2"}}
+		case OpStats:
+			return &Response{List: []string{"requests", "7", "connections", "one"}}
+		}
+		return &Response{List: []string{"described"}}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if m, err := c.Find("u", "k", ""); err == nil || m != nil || !strings.Contains(err.Error(), "bad find answer") {
+		t.Errorf("Find of 4 strings = %v, %v; want a bad find answer", m, err)
+	}
+	if st, err := c.Stats(); err == nil || st != nil || !strings.Contains(err.Error(), "bad stats answer") {
+		t.Errorf("Stats with a non-decimal value = %v, %v; want a bad stats answer", st, err)
+	}
+	if text, err := c.Describe("d"); err != nil || text != "described" {
+		t.Fatalf("Describe after the refusals = %q, %v", text, err)
+	}
+	if st, ep := c.State(), c.Epoch(); st != StateConnected || ep != 1 {
+		t.Fatalf("state %v epoch %d after refused answers, want connected at epoch 1", st, ep)
 	}
 }
 
@@ -196,7 +296,7 @@ func TestV2HeaderValidation(t *testing.T) {
 		{"unknown flags", func(b []byte) []byte { b[2] = 0x80; return b }, "unknown flags"},
 		{"subscribe flag off a read", func(b []byte) []byte { b[1], b[3] = byte(OpWrite), byte(flagSubscribe); return b }, "subscribe flag"},
 		{"subscribe flag beside another", func(b []byte) []byte { b[3] = byte(flagSubscribe | flagError); return b }, "subscribe flag"},
-		{"gob request", func(b []byte) []byte { b[3] = byte(flagGob); return b }, "bad request"},
+		{"flag bit 0", func(b []byte) []byte { b[3] = 0x01; return b }, "unknown flags"},
 		{"bad level byte", func(b []byte) []byte {
 			b[frameHeaderSize] = 2
 			binary.BigEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[frameHeaderSize:len(b)-4], castagnoli))
@@ -676,7 +776,7 @@ func TestEveryFrameTrailerIsItsPayloadCRC(t *testing.T) {
 	}
 	frames["large handler read"] = call(&Request{Op: OpRead, Doc: "big", User: "eyal"})
 	frames["error"] = call(&Request{Op: OpRead, Doc: "no-such-doc", User: "eyal"})
-	frames["gob Stats"] = call(&Request{Op: OpStats})
+	frames["Stats list"] = call(&Request{Op: OpStats})
 	if f := call(&Request{Op: OpWrite, Doc: "small", User: "eyal", Body: []byte("rewritten")}); f.flags != 0 {
 		t.Fatalf("write: flags %#x, payload %q", f.flags, f.payload)
 	}
@@ -695,7 +795,7 @@ func TestEveryFrameTrailerIsItsPayloadCRC(t *testing.T) {
 		"large handler read":            {op: OpRead, body: big},
 		"invalidation push":             {op: opInvalidate},
 		"error":                         {op: OpRead, flags: flagError},
-		"gob Stats":                     {op: OpStats, flags: flagGob},
+		"Stats list":                    {op: OpStats},
 		"zero-payload ack":              {op: OpCreateDocument},
 	}
 	castagnoliTab := crc32.MakeTable(crc32.Castagnoli)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -568,10 +569,10 @@ func (s *Server) apply(req *Request) *Response {
 
 	case OpStats:
 		requests, notifications, connections := s.Counters()
-		return &Response{Stats: map[string]int64{
-			"requests":      requests,
-			"notifications": notifications,
-			"connections":   connections,
+		return &Response{List: []string{
+			"requests", strconv.FormatInt(requests, 10),
+			"notifications", strconv.FormatInt(notifications, 10),
+			"connections", strconv.FormatInt(connections, 10),
 		}}
 
 	case OpListActives:
@@ -579,21 +580,21 @@ func (s *Server) apply(req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{Actives: names}
+		return &Response{List: names}
 
 	case OpDescribe:
 		d, err := s.space.Describe(req.Doc)
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{Text: d.String()}
+		return &Response{List: []string{d.String()}}
 
 	case OpFind:
-		var matches []Match
+		var list []string
 		for _, m := range s.space.FindByStatic(req.User, req.Property, req.Value) {
-			matches = append(matches, Match{Doc: m.Doc, Value: m.Value, Level: fmt.Sprint(m.Level)})
+			list = append(list, m.Doc, m.Value, fmt.Sprint(m.Level))
 		}
-		return &Response{Matches: matches}
+		return &Response{List: list}
 
 	default:
 		return fail(fmt.Errorf("server: unknown op %v", req.Op))
