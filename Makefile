@@ -47,7 +47,9 @@ test-race:
 # the source stamp's race (writers against content-key probes:
 # only the write count retires a stamp the verifiers cannot fault),
 # and hits on tail-shared views while their base cut is dropped,
-# evicted and reinstalled (a body is read with no lock held).
+# evicted and reinstalled (a body is read with no lock held), at the
+# origin's table and at the sidecar's, where the first view's own bytes
+# hold the head the others share.
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/swarm/ ./internal/cluster/ ./cmd/plcached/
 	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes|SourceStamp|TailShared' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/

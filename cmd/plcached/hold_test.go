@@ -15,8 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"placeless/internal/core"
 	"placeless/internal/obs"
 	"placeless/internal/remote"
+	"placeless/internal/sig"
 )
 
 // fakeCache serves fixed bodies by document id; "down" answers as a
@@ -31,6 +33,16 @@ func (f fakeCache) Read(doc, user string) ([]byte, error) {
 		return b, nil
 	}
 	return nil, fmt.Errorf("no document %q", doc)
+}
+
+// ReadBody serves a body as a tail-shared view is held: all but its
+// last 30 bytes as the head, then those.
+func (f fakeCache) ReadBody(doc, user string) (core.Body, error) {
+	b, err := f.Read(doc, user)
+	if err != nil || len(b) <= 30 {
+		return core.Body{Head: b}, err
+	}
+	return core.Body{Head: b[:len(b)-30], Tail: b[len(b)-30:], HeadSig: sig.Signature{1}}, nil
 }
 
 func (f fakeCache) Write(doc, user string, data []byte) error { return nil }

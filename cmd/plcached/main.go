@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"placeless/internal/cluster"
+	"placeless/internal/core"
 	"placeless/internal/obs"
 	"placeless/internal/remote"
 	"placeless/internal/server"
@@ -159,15 +160,19 @@ func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...serve
 	o.Mount(mux)
 	mux.HandleFunc("/doc/", docHandler(cl))
 	// /status: the router's counters and the fleet's totals, then one
-	// row per node with its state.
+	// row per node with its state. bytes_stored is what capacity
+	// charges the views, bytes_resident what they occupy: a view that
+	// shares its document's head counts only its tail there.
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		st := cl.Stats()
-		var reconnects, flushes int64
+		var reconnects, flushes, stored, resident int64
 		var entries int
 		for _, rc := range nodes {
 			ns := rc.Stats()
 			reconnects += ns.Reconnects
 			flushes += ns.EpochFlushes
+			stored += ns.BytesStored
+			resident += ns.BytesResident
 			entries += rc.Len()
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -183,6 +188,8 @@ func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...serve
 			"reconnects":      reconnects,
 			"epoch_flushes":   flushes,
 			"entries":         entries,
+			"bytes_stored":    stored,
+			"bytes_resident":  resident,
 		})
 	})
 	mux.HandleFunc("/ring", func(w http.ResponseWriter, r *http.Request) {
@@ -204,7 +211,7 @@ func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...serve
 
 // docHandler serves GET /doc/<id>?user=U from dc and passes PUT and
 // POST bodies to it as writes. The bytes a read returns are the
-// cache's own: the handler only sends them. A body over the wire's
+// cache's own, in its parts: the handler only sends them. A body over the wire's
 // frame limit is refused with 413 before it is read in full, and
 // before any of it is read when its Content-Length declares it.
 func docHandler(dc cluster.Peer) http.HandlerFunc {
@@ -217,19 +224,25 @@ func docHandler(dc cluster.Peer) http.HandlerFunc {
 		}
 		switch r.Method {
 		case http.MethodGet:
-			data, err := dc.Read(id, user)
+			body, err := dc.ReadBody(id, user)
 			if err != nil {
 				writeDocError(w, err)
 				return
 			}
+			if body.Len() > holdCap {
+				// Past the hold, the head would leave at once and the
+				// tail in a write of its own.
+				body = core.Body{Head: body.Bytes()}
+			}
 			w.Header().Set("Content-Type", "application/octet-stream")
 			// Without a length net/http sends any body over 2 KiB
-			// chunked. With it, the header and the body reach the
-			// connection in at most two writes (its 4 KiB buffer, then
+			// chunked. With it, the header and the body's parts reach
+			// the connection in a few writes (its 4 KiB buffer, then
 			// the rest), which the held connection (holdListener) sends
 			// as one: the response leaves in one write(2).
-			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-			_, _ = w.Write(data)
+			w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+			_, _ = w.Write(body.Head)
+			_, _ = w.Write(body.Tail)
 		case http.MethodPut, http.MethodPost:
 			if r.ContentLength > server.MaxFramePayload {
 				http.Error(w, fmt.Sprintf("%d-byte body over the %d-byte frame limit", r.ContentLength, server.MaxFramePayload),

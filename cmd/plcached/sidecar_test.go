@@ -140,7 +140,7 @@ func statusNodes(t *testing.T, mux *http.ServeMux, n int) []cluster.NodeInfo {
 // a read is a 503 with a retry hint.
 func TestSidecarIsARing(t *testing.T) {
 	families := sidecarFamilies(t)
-	statusKeys := []string{"degraded_errors", "entries", "epoch_flushes", "failovers", "nodes", "reads", "rebalances", "reconnects", "replicas", "vnodes", "writes"}
+	statusKeys := []string{"bytes_resident", "bytes_stored", "degraded_errors", "entries", "epoch_flushes", "failovers", "nodes", "reads", "rebalances", "reconnects", "replicas", "vnodes", "writes"}
 	for _, n := range []int{1, 3} {
 		t.Run(fmt.Sprintf("%d nodes", n), func(t *testing.T) {
 			addr, srv := startOrigin(t)
@@ -226,6 +226,9 @@ func TestSidecarIsARing(t *testing.T) {
 			if got := string(st["entries"]); got != fmt.Sprint(m["placeless_remote_entries"]) {
 				t.Errorf("/status entries %s, /metrics %d", got, m["placeless_remote_entries"])
 			}
+			if got := string(st["bytes_stored"]); got != fmt.Sprint(m["placeless_remote_bytes_stored"]) {
+				t.Errorf("/status bytes_stored %s, /metrics %d", got, m["placeless_remote_bytes_stored"])
+			}
 			for _, node := range statusNodes(t, mux, n) {
 				if node.State != "connected" || node.DownSince != "" {
 					t.Errorf("node %+v: want connected, never down", node)
@@ -261,5 +264,129 @@ func TestSidecarIsARing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSidecarKeepsEachHeadOnce: eight users read three documents
+// through a ring of three nodes over a memoizing origin, where every
+// view is the document's universal output and the reader's watermark
+// banner. Every read, miss or hit, returns the origin's bytes; /status
+// reports every node's bytes_stored as its views' full lengths and its
+// bytes_resident as one head per document it holds a view of plus the
+// banners, and the totals as their sums.
+func TestSidecarKeepsEachHeadOnce(t *testing.T) {
+	const docs = 3
+	readers := []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"}
+	clk := clock.Real{}
+	src := repo.NewMem("src", clk, simnet.NewPath("free", 1))
+	space := docspace.New(clk, nil)
+	origin := core.New(space, core.Options{Name: "origin", Memoize: true})
+	srv := server.NewCached(space, src, origin)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		_ = srv.Close()
+		<-done
+		origin.Close()
+	})
+	addr := ln.Addr().String()
+	direct, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { direct.Close() })
+	for d := 0; d < docs; d++ {
+		doc := fmt.Sprint("doc", d)
+		body := strings.Repeat(fmt.Sprintf("teh memo %d recieve the hello world ", d), 100)
+		if err := direct.CreateDocument(doc, readers[0], []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []string{"spell-correct", "translate-fr"} {
+			if err := direct.Attach(doc, "", false, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, u := range readers {
+			if i > 0 {
+				if err := direct.AddReference(doc, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := direct.Attach(doc, u, true, "watermark:"+u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mux, closeAll, err := newSidecar(strings.Join([]string{addr, addr, addr}, ","), 2, cluster.DefaultVNodes, 0,
+		server.WithCallTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(closeAll)
+
+	type census struct{ stored, resident int64 }
+	want := map[string]*census{} // by node name
+	heads := map[string]bool{}   // node + doc
+	for d := 0; d < docs; d++ {
+		doc := fmt.Sprint("doc", d)
+		for _, u := range readers {
+			view, _, err := direct.Read(doc, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pass := range []string{"miss", "hit"} {
+				if rec := serve(mux, http.MethodGet, "/doc/"+doc+"?user="+u, ""); rec.Code != http.StatusOK || rec.Body.String() != string(view) {
+					t.Fatalf("%s as %s, %s: %d %q; the origin answers %q", doc, u, pass, rec.Code, rec.Body.String(), view)
+				}
+			}
+			// With every node up the key's primary owner serves it.
+			var ring struct{ Owners []string }
+			if err := json.Unmarshal(serve(mux, http.MethodGet, "/ring?doc="+doc+"&user="+u, "").Body.Bytes(), &ring); err != nil || len(ring.Owners) == 0 {
+				t.Fatalf("/ring for %s/%s: %v", doc, u, err)
+			}
+			node := ring.Owners[0]
+			if want[node] == nil {
+				want[node] = &census{}
+			}
+			tail := int64(len("\n-- retrieved for " + u + " --\n"))
+			want[node].stored += int64(len(view))
+			want[node].resident += tail
+			if !heads[node+doc] {
+				heads[node+doc] = true
+				want[node].resident += int64(len(view)) - tail
+			}
+		}
+	}
+	var total census
+	for _, node := range statusNodes(t, mux, 3) {
+		w := want[node.Name]
+		if w == nil {
+			w = &census{}
+		}
+		if node.BytesStored != w.stored || node.BytesResident != w.resident {
+			t.Errorf("node %s: bytes_stored %d, bytes_resident %d; want %d and %d", node.Name, node.BytesStored, node.BytesResident, w.stored, w.resident)
+		}
+		total.stored += w.stored
+		total.resident += w.resident
+	}
+	var st struct {
+		Stored   int64 `json:"bytes_stored"`
+		Resident int64 `json:"bytes_resident"`
+	}
+	if err := json.Unmarshal(serve(mux, http.MethodGet, "/status", "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stored != total.stored || st.Resident != total.resident {
+		t.Fatalf("/status totals: bytes_stored %d, bytes_resident %d; want %d and %d", st.Stored, st.Resident, total.stored, total.resident)
+	}
+	if m := scrape(t, mux); m["placeless_remote_bytes_stored"] != st.Stored {
+		t.Fatalf("/metrics bytes_stored %d, /status %d", m["placeless_remote_bytes_stored"], st.Stored)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"placeless/internal/core"
 )
 
 // nopPeer answers every read with the same bytes and every write with
@@ -11,7 +13,10 @@ import (
 // routing alone.
 type nopPeer struct{ data []byte }
 
-func (p nopPeer) Read(doc, user string) ([]byte, error)     { return p.data, nil }
+func (p nopPeer) Read(doc, user string) ([]byte, error) { return p.data, nil }
+func (p nopPeer) ReadBody(doc, user string) (core.Body, error) {
+	return core.Body{Head: p.data}, nil
+}
 func (p nopPeer) Write(doc, user string, data []byte) error { return nil }
 
 // nopCluster is a cluster of n no-op peers at the default replica

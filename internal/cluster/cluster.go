@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"placeless/internal/core"
 	"placeless/internal/obs"
 	"placeless/internal/remote"
 )
@@ -15,10 +16,13 @@ var ErrNoNodes = errors.New("cluster: no nodes in the ring")
 
 // Peer is what the cluster routes to: one node's cache client.
 // *remote.Cache is the production implementation; tests substitute
-// fakes. The bytes Read returns may be the peer's own cached copy,
-// shared with every other reader: callers must not modify them.
+// fakes. ReadBody is Read with the body in the parts the peer holds
+// it, for a caller that can send two parts. The bytes either returns
+// may be the peer's own cached copy, shared with every other reader:
+// callers must not modify them.
 type Peer interface {
 	Read(doc, user string) ([]byte, error)
+	ReadBody(doc, user string) (core.Body, error)
 	Write(doc, user string, data []byte) error
 }
 
@@ -169,6 +173,17 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 	return data, err
 }
 
+// ReadBody is Read through the peers' ReadBody: the body in the parts
+// the serving peer holds it.
+func (c *Cache) ReadBody(doc, user string) (core.Body, error) {
+	var body core.Body
+	_, err := c.route(doc, user, &c.stats.Reads, func(p Peer) (err error) {
+		body, err = p.ReadBody(doc, user)
+		return err
+	})
+	return body, err
+}
+
 // ReadVia is Read plus the name of the node that served it — the
 // accounting hook the simulation's per-node oracle and the scaling
 // experiment both need.
@@ -252,6 +267,11 @@ type NodeInfo struct {
 	Share float64 `json:"share"`
 	// Entries is a *remote.Cache peer's cached entry count.
 	Entries int `json:"entries"`
+	// BytesStored and BytesResident are a *remote.Cache peer's
+	// remote.Stats fields of those names: what capacity charges its
+	// views, and what they occupy.
+	BytesStored   int64 `json:"bytes_stored"`
+	BytesResident int64 `json:"bytes_resident"`
 }
 
 // Info returns a status row per member, sorted by name.
@@ -273,6 +293,8 @@ func (c *Cache) Info() []NodeInfo {
 				info.DownSince = t.Format(time.RFC3339)
 			}
 			info.Entries = rc.Len()
+			st := rc.Stats()
+			info.BytesStored, info.BytesResident = st.BytesStored, st.BytesResident
 		}
 		out[i] = info
 	}

@@ -345,8 +345,15 @@ type EntryInfo struct {
 // through a group-owned reference shares the group's cache entry,
 // since every member sees the identical property chain.
 func (c *Cache) Read(doc, user string) ([]byte, error) {
-	body, _, err := c.ReadWithInfo(doc, user)
+	body, err := c.ReadBody(doc, user)
 	return body.Bytes(), err
+}
+
+// ReadBody is Read with the bytes as the table holds them (see
+// ReadWithInfo), so a tail-shared entry is not copied.
+func (c *Cache) ReadBody(doc, user string) (Body, error) {
+	body, _, err := c.ReadWithInfo(doc, user)
+	return body, err
 }
 
 // ReadWithInfo is Read plus the entry metadata a layered cache needs,
@@ -618,20 +625,28 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info Entry
 	if err != nil {
 		return Body{}, EntryInfo{}, nil, err
 	}
+	body = Body{Head: data}
 	info = EntryInfo{Cacheability: res.Cacheability, Cost: res.Cost, Expiry: property.EarliestTTL(res.Verifiers), IntermediateHit: trace.Hit}
+	if len(trace.Tail) > 0 {
+		// The body is the last cut's blob, in its parts, held under
+		// that cut's signature whether or not the entry goes in: a
+		// caller never hashes half of it.
+		body = Body{Head: data, Tail: trace.Tail, HeadSig: cuts.last.HeadSig}
+		info.Signature = cuts.lastSig
+	}
 	c.stats.misses.Add(1)
 	if c.tab.Closed() {
-		return Body{Head: data}, info, nil, nil
+		return body, info, nil, nil
 	}
 	if res.Cacheability == property.Uncacheable {
 		c.stats.uncacheable.Add(1)
-		return Body{Head: data}, info, nil, nil
+		return body, info, nil, nil
 	}
 	if c.tab.Gen(doc) != gen {
 		// Invalidated mid-read: serve the data but do not install a
 		// potentially stale entry (and charge no fill cost, since
 		// nothing is filled).
-		return Body{Head: data}, info, nil, nil
+		return body, info, nil, nil
 	}
 
 	if c.opts.FillCost > 0 {
@@ -640,7 +655,10 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info Entry
 		// re-enter the entry table.
 		c.clk.Sleep(c.opts.FillCost)
 	}
-	s := cuts.sign(data) // hashing stays outside the shard lock
+	s := info.Signature
+	if s.IsZero() {
+		s = cuts.sign(data) // hashing stays outside the shard lock
+	}
 	// The definitive staleness check is Install's, atomic with the
 	// install under the stripe lock.
 	e := &Entry{
@@ -650,14 +668,14 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info Entry
 		Cacheability: res.Cacheability,
 		Verifiers:    res.Verifiers,
 	}
-	if !c.tab.Install(Key(doc, user), e, data, gen, sig.Zero) {
-		return Body{Head: data}, info, nil, nil
+	if !c.tab.Install(Key(doc, user), e, body, gen, Base{Sig: body.HeadSig}) {
+		return body, info, nil, nil
 	}
 	info.Signature = s
 	// Write-behind demotion at install time, not at eviction: a warm
 	// restart must recover the cache as it was, including entries that
 	// were never evicted. All store calls run outside cache locks.
-	c.demoteEntry(doc, user, s, data, res, trace.Key, gen)
+	c.demoteEntry(doc, user, s, body, res, trace.Key, gen)
 	return e.blob.body(), info, res.Related, nil // the installed bytes, which every later hit serves
 }
 

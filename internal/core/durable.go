@@ -123,7 +123,7 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 		Cacheability: property.Unrestricted,
 		Verifiers:    []property.Verifier{verifier},
 	}
-	if !c.tab.Install(Key(doc, user), ent, data, gen, sig.Zero) {
+	if !c.tab.Install(Key(doc, user), ent, Body{Head: data}, gen, Base{}) {
 		// Closed, or invalidated since the caller's snapshot: the probe
 		// above may predate the change, so the disk bytes are suspect.
 		c.stats.storePromotionRejects.Add(1)
@@ -142,7 +142,7 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 // rewritten since, and a later promote's live probe decides whether it
 // is still current. s is data's signature; gen is the install's
 // generation snapshot.
-func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data []byte, res property.ReadResult, ck docspace.ContentKey, gen uint64) {
+func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res property.ReadResult, ck docspace.ContentKey, gen uint64) {
 	st := c.opts.Store
 	if st == nil || res.Cacheability != property.Unrestricted || !ck.Memoizable {
 		return
@@ -159,7 +159,7 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data []byte, res 
 		// bloat the segment.
 		return
 	}
-	if err := st.PutSigned(s, data); err != nil {
+	if err := st.PutSigned(s, data.Head, data.Tail); err != nil {
 		c.stats.storeErrors.Add(1)
 		return
 	}

@@ -55,12 +55,14 @@ func interKey(src, fp sig.Signature) string {
 	return interPrefix + string(src[:]) + string(fp[:])
 }
 
-// readCuts is the docspace.PrefixIntermediates one miss hands its
-// staged read: the cache's cut entries, plus a note of the
-// deepest cut the read was handed and the signature those bytes are
-// interned under. When no transform follows that cut — the benchmark's
-// chains all end in a memoizable property — the read's result is the
-// same bytes, and sign answers without hashing them a second time.
+// readCuts is the docspace.SplitIntermediates one miss hands its
+// staged read: the cache's cut entries, handed on in the parts the
+// table holds them, plus a note of the deepest cut the read was handed
+// and the signature those bytes are interned under. When no transform
+// follows that cut — the benchmark's chains all end in a memoizable
+// property — the read's result is the same bytes, and sign answers
+// without hashing them a second time; a tail-shared cut comes back in
+// its parts, never joined (docspace.StageTrace.Tail).
 //
 // Each cut a read computes is installed with the read's previous cut
 // as its base: when a property only appended to those bytes (a
@@ -69,13 +71,13 @@ func interKey(src, fp sig.Signature) string {
 // (doc, user) entry then shares that cut's blob by signature.
 type readCuts struct {
 	c       *Cache
-	last    []byte
+	last    Body
 	lastSig sig.Signature
 }
 
-// PrefixIntermediate implements docspace.PrefixIntermediates for one
-// cut of the prefix pipeline.
-func (rc *readCuts) PrefixIntermediate(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
+// PrefixIntermediateParts implements docspace.SplitIntermediates for
+// one cut of the prefix pipeline.
+func (rc *readCuts) PrefixIntermediateParts(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, []byte, bool, error) {
 	owner := ""
 	if cut.Personal {
 		owner = user
@@ -84,24 +86,37 @@ func (rc *readCuts) PrefixIntermediate(doc, user string, src sig.Signature, cut 
 	if err == nil {
 		rc.last, rc.lastSig = data, s
 	}
-	return data, hit, err
+	return data.Head, data.Tail, hit, err
 }
 
-// LongestPrefix implements docspace.PrefixIntermediates: the probe is
-// memory-only — the durable tier is consulted per cut by
-// PrefixIntermediate, which also handles in-flight coalescing.
-func (rc *readCuts) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
+// LongestPrefixParts implements docspace.SplitIntermediates: the probe
+// is memory-only — the durable tier is consulted per cut by
+// PrefixIntermediateParts, which also handles in-flight coalescing.
+func (rc *readCuts) LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) ([]byte, []byte, int, bool) {
 	data, s, idx, ok := rc.c.longestPrefix(src, fps)
 	if ok {
 		rc.last, rc.lastSig = data, s
 	}
-	return data, idx, ok
+	return data.Head, data.Tail, idx, ok
+}
+
+// PrefixIntermediate is PrefixIntermediateParts with the cut joined.
+func (rc *readCuts) PrefixIntermediate(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
+	head, tail, hit, err := rc.PrefixIntermediateParts(doc, user, src, cut, compute)
+	return Body{Head: head, Tail: tail}.Bytes(), hit, err
+}
+
+// LongestPrefix is LongestPrefixParts with the cut joined.
+func (rc *readCuts) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
+	head, tail, idx, ok := rc.LongestPrefixParts(doc, src, fps)
+	return Body{Head: head, Tail: tail}.Bytes(), idx, ok
 }
 
 // sign returns data's signature, hashing only if data is not the last
-// cut's bytes over again. A nil receiver (memoization off) hashes.
+// cut's bytes over again (a cut held in two parts comes back in them,
+// and its signature with it). A nil receiver (memoization off) hashes.
 func (rc *readCuts) sign(data []byte) sig.Signature {
-	if rc != nil && !rc.lastSig.IsZero() && bytes.Equal(rc.last, data) {
+	if rc != nil && !rc.lastSig.IsZero() && len(rc.last.Tail) == 0 && bytes.Equal(rc.last.Head, data) {
 		return rc.lastSig
 	}
 	return sig.Of(data)
@@ -110,26 +125,25 @@ func (rc *readCuts) sign(data []byte) sig.Signature {
 // cutServed accounts data as a cut handed out without recomputation
 // and returns it. The staged read only reads a cut's bytes, so they
 // are handed on as they are, the table's own included.
-func (c *Cache) cutServed(data []byte) []byte {
+func (c *Cache) cutServed(data Body) Body {
 	c.stats.intermediateHits.Add(1)
-	c.stats.bytesRecomputedSaved.Add(int64(len(data)))
+	c.stats.bytesRecomputedSaved.Add(int64(data.Len()))
 	return data
 }
 
 // longestPrefix scans fps deepest-first and returns the first resident
-// (src, fp) output, read-only, with its signature. A tail-shared cut
-// is copied into one slice, since the transforms that follow read it
-// whole.
-func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, sig.Signature, int, bool) {
+// (src, fp) output, read-only and in the parts the table holds it,
+// with its signature.
+func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) (Body, sig.Signature, int, bool) {
 	for i := len(fps) - 1; i >= 0; i-- {
 		k := interKey(src, fps[i])
 		if e, data := c.tab.Lookup(k); e != nil {
 			c.tab.Confirm(k, e) // marks the access; the bytes are right either way
 			c.stats.prefixHits.Add(1)
-			return c.cutServed(data.Bytes()), e.Signature, i, true
+			return c.cutServed(data), e.Signature, i, true
 		}
 	}
-	return nil, sig.Zero, -1, false
+	return Body{}, sig.Zero, -1, false
 }
 
 // intermediate returns the memoized output for (src, fp), or computes
@@ -139,16 +153,16 @@ func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) ([]byte, s
 // through the cut, the policy's cost input. universal marks the cut
 // that completes the universal chain (the accounting boundary for
 // UniversalStageRuns). base names the read's previous cut, which a
-// computed cut is installed on (leadCut). The returned slice is
-// read-only — it may be the table's own bytes — and the signature is
-// its own; hit reports whether compute was skipped.
-func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, base sig.Signature, compute func() ([]byte, error)) ([]byte, sig.Signature, bool, error) {
+// computed cut is installed on (leadCut). The returned bytes are
+// read-only — they may be the table's own, in its parts — and the
+// signature is theirs; hit reports whether compute was skipped.
+func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, base sig.Signature, compute func() ([]byte, error)) (Body, sig.Signature, bool, error) {
 	k := interKey(src, fp)
 	for {
 		e, f, leader := c.tab.join(k, true)
 		if e != nil {
 			c.tab.Confirm(k, e)
-			return c.cutServed(e.blob.body().Bytes()), e.Signature, true, nil
+			return c.cutServed(e.blob.body()), e.Signature, true, nil
 		}
 		if !leader {
 			<-f.done
@@ -158,7 +172,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 				// rather than fanning one error out to every waiter.
 				continue
 			}
-			return c.cutServed(f.data.Head), f.info.Signature, true, nil // the leader's own bytes, whole
+			return c.cutServed(f.data), f.info.Signature, true, nil // the leader's own bytes, whole
 		}
 		var fromDisk, stored bool
 		data, info, err := c.tab.lead(k, f, func() (data Body, info EntryInfo, err error) {
@@ -168,7 +182,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 		if err == nil && stored {
 			c.demoteIntermediate(src, fp, info.Signature, cost)
 		}
-		return data.Head, info.Signature, fromDisk, err
+		return data, info.Signature, fromDisk, err
 	}
 }
 
@@ -208,7 +222,7 @@ func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal boo
 	e.Signature = s
 	// The table may keep data itself; the staged read it goes back to
 	// only reads it.
-	if c.tab.Install(k, e, data, 0, base) { // a cut has no generation to check
+	if c.tab.Install(k, e, Body{Head: data}, 0, Base{Sig: base}) { // a cut has no generation to check
 		c.stats.prefixInstalls.Add(1)
 	}
 	return data, s, fromDisk, stored, nil

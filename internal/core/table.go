@@ -137,16 +137,19 @@ func (b *blob) size() int64 {
 // body returns the blob's bytes as the table holds them.
 func (b *blob) body() Body {
 	if b.base != nil {
-		return Body{Head: b.base.data, Tail: b.data}
+		return Body{Head: b.base.data, Tail: b.data, HeadSig: b.base.s}
 	}
 	return Body{Head: b.data}
 }
 
 // Body is a record's bytes as the table holds them: Head, then Tail.
 // A whole blob's body is all Head; a tail-shared blob's Head is its
-// base's bytes. Both parts alias immutable blobs and must not be
-// modified.
-type Body struct{ Head, Tail []byte }
+// base's bytes, and HeadSig, set only then, the base's signature. Both
+// parts alias immutable blobs and must not be modified.
+type Body struct {
+	Head, Tail []byte
+	HeadSig    sig.Signature
+}
 
 // Len is the body's length in bytes.
 func (b Body) Len() int { return len(b.Head) + len(b.Tail) }
@@ -158,6 +161,16 @@ func (b Body) Bytes() []byte {
 		return b.Head
 	}
 	return append(append(make([]byte, 0, b.Len()), b.Head...), b.Tail...)
+}
+
+// Base names the blob a record's bytes were built from, for Install:
+// by its signature, and by its length when the caller has proof that
+// the bytes begin with that blob's but the table may not hold it (a
+// sidecar installing the head and tail an origin reported). The zero
+// Base names none.
+type Base struct {
+	Sig sig.Signature
+	Len int
 }
 
 // Key builds the (document, user) entry identifier. The paper: "Our
@@ -190,6 +203,10 @@ func (t *Table) Closed() bool { return t.closed.Load() }
 // BytesStored is the unique content capacity charges: every blob an
 // entry or cut holds, at its full length.
 func (t *Table) BytesStored() int64 { return t.stats.bytesStored.Load() }
+
+// BytesResident is what the blobs occupy: a tail-shared blob its tail,
+// and a base held only by its tails its bytes.
+func (t *Table) BytesResident() int64 { return t.stats.bytesResident.Load() }
 
 // Evictions counts entries and cuts dropped for capacity.
 func (t *Table) Evictions() int64 { return t.stats.evictions.Load() }
@@ -285,11 +302,14 @@ func (t *Table) drop(k string) {
 // e went in, and is the one way a record of either kind enters the
 // table.
 //
-// base names the blob data was built from, or is zero: when data
-// begins with that blob's bytes, the new blob keeps only the rest
-// (internBlob). Install may keep data itself as the blob, so from the
-// call on nobody modifies it.
-func (t *Table) Install(k string, e *Entry, data []byte, gen uint64, base sig.Signature) bool {
+// data may come in two parts, when it is a blob the table holds (a
+// read that ended on a tail-shared cut): they are joined only if that
+// blob is gone by the time the install runs. base names the blob data
+// was built from, or is zero: when data begins with that blob's bytes,
+// the new blob keeps only the rest (internBlob). Install may keep
+// data's bytes themselves as the blob, or their leading base.Len bytes
+// as the base, so from the call on nobody modifies them.
+func (t *Table) Install(k string, e *Entry, data Body, gen uint64, base Base) bool {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	if t.closed.Load() || !e.cut && t.gen(e.Doc).Load() != gen {
@@ -297,7 +317,7 @@ func (t *Table) Install(k string, e *Entry, data []byte, gen uint64, base sig.Si
 		return false
 	}
 	t.dropLocked(sh, k)
-	e.size = int64(len(data))
+	e.size = int64(data.Len())
 	e.blob = t.internBlob(e.Signature, data, !e.cut, base)
 	sh.entries[k] = e
 	keys := sh.docs[e.Doc]
@@ -422,32 +442,48 @@ func (t *Table) Close() bool {
 	return true
 }
 
-// internBlob interns data under s, its signature, takes one reference
-// and returns the blob, maintaining the byte and shared-entry gauges
-// incrementally. A new blob built on base — a resident blob whose
-// bytes data begins with — holds a copy of the rest; otherwise it holds
-// data itself, or an exact-size copy when data has spare capacity, so
-// a blob never pins more than its bytes. The caller signs — once,
-// before it takes the stripe lock this runs under — or passes on the
-// signature a lower tier (the disk store, the origin across the wire)
-// has proved. asEntry distinguishes (doc, user) entries from cuts: both
-// share storage and lifetime, but only entry references drive the
-// SharedEntries gauge.
-func (t *Table) internBlob(s sig.Signature, data []byte, asEntry bool, base sig.Signature) *blob {
+// internBlob interns body's bytes, data, under s, their signature,
+// takes one reference and returns the blob, maintaining the byte and
+// shared-entry gauges incrementally. body's parts are joined only when
+// no blob is resident under s. A new blob built on base — a resident
+// blob whose bytes data begins with — holds a copy of the rest. When
+// no blob is resident under base.Sig and base.Len is set, data's first
+// base.Len bytes become that blob, in place and charged to no one
+// until a record holds it (the base rule of freeBlob), and the new
+// blob holds a copy of the rest. Otherwise the new blob holds data
+// itself, or an exact-size copy when data has spare capacity, so a
+// blob never pins more than its bytes (an in-place base pins its
+// tail's few bytes too). The caller signs — once, before it takes the stripe lock this
+// runs under — or passes on the signatures a lower tier (the disk
+// store, the origin across the wire) has proved. asEntry distinguishes
+// (doc, user) entries from cuts: both share storage and lifetime, but
+// only entry references drive the SharedEntries gauge.
+func (t *Table) internBlob(s sig.Signature, body Body, asEntry bool, base Base) *blob {
 	t.blobMu.Lock()
 	defer t.blobMu.Unlock()
 	b := t.blobs[s]
 	if b == nil {
 		b = &blob{s: s}
-		if h := t.blobs[base]; h != nil && !base.IsZero() {
+		data := body.Bytes()
+		h := t.blobs[base.Sig]
+		switch {
+		case base.Sig.IsZero():
+		case h != nil:
 			if h.base != nil {
 				h = h.base // data begins with h's bytes, so with its base's too
 			}
 			if len(data) > len(h.data) && bytes.HasPrefix(data, h.data) {
 				b.base = h
-				h.tails++
-				data = data[len(h.data):]
 			}
+		case base.Len > 0 && base.Len < len(data):
+			h = &blob{s: base.Sig, data: data[:base.Len:base.Len]}
+			t.blobs[base.Sig] = h
+			t.stats.bytesResident.Add(int64(base.Len))
+			b.base = h
+		}
+		if b.base != nil {
+			b.base.tails++
+			data = data[len(b.base.data):]
 		}
 		if cap(data) != len(data) || b.base != nil {
 			data = append(make([]byte, 0, len(data)), data...)

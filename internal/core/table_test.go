@@ -132,7 +132,7 @@ func TestInstallTakesExactBytes(t *testing.T) {
 	tab := NewTable(replace.NewGDS())
 	install := func(k string, data []byte) (stored []byte) {
 		t.Helper()
-		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, data, 0, sig.Zero) {
+		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, Body{Head: data}, 0, Base{}) {
 			t.Fatalf("%s: not installed", k)
 		}
 		_, body := tab.Lookup(k)

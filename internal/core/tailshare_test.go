@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"placeless/internal/docspace"
+	"placeless/internal/property"
 	"placeless/internal/replace"
 	"placeless/internal/sig"
+	"placeless/internal/stream"
 )
 
 // Tail-shared blobs: a record installed on a base whose bytes its own
@@ -59,10 +63,10 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
 			return false
 		}
-		install := func(k string, e Entry, data []byte, base sig.Signature) {
+		install := func(k string, e Entry, data []byte, base Base) {
 			e2 := e
-			okS := shared.Install(k, &e, data, shared.Gen(e.Doc), base)
-			okW := whole.Install(k, &e2, data, whole.Gen(e.Doc), sig.Zero)
+			okS := shared.Install(k, &e, Body{Head: data}, shared.Gen(e.Doc), base)
+			okW := whole.Install(k, &e2, Body{Head: data}, whole.Gen(e.Doc), Base{})
 			if okS != okW {
 				t.Errorf("seed %d: install of %q: %v with a base, %v whole", seed, k, okS, okW)
 			}
@@ -105,14 +109,20 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 			cutKey := interKey(sig.Of([]byte(doc)), sig.Of(w.cuts[i]))
 			switch op := rng.Intn(10); {
 			case op < 3:
-				install(cutKey, Entry{Doc: doc, Signature: sig.Of(w.cuts[i]), Cost: time.Duration(1+i) * time.Millisecond, cut: true}, w.cuts[i], sig.Zero)
+				install(cutKey, Entry{Doc: doc, Signature: sig.Of(w.cuts[i]), Cost: time.Duration(1+i) * time.Millisecond, cut: true}, w.cuts[i], Base{})
 			case op < 5:
 				// A personal cut on its universal cut, as leadCut installs it.
 				k := interKey(sig.Of([]byte(doc)), sig.Of(w.views[i][u]))
-				install(k, Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(w.views[i][u]), Cost: time.Millisecond, cut: true}, w.views[i][u], sig.Of(w.cuts[i]))
-			case op < 7:
+				install(k, Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(w.views[i][u]), Cost: time.Millisecond, cut: true}, w.views[i][u], Base{Sig: sig.Of(w.cuts[i])})
+			case op < 6:
 				// The (doc, user) entry, as miss installs it.
-				install(Key(doc, fmt.Sprint(u)), Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(w.views[i][u]), Cost: 2 * time.Millisecond}, w.views[i][u], sig.Of(w.cuts[i]))
+				install(Key(doc, fmt.Sprint(u)), Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(w.views[i][u]), Cost: 2 * time.Millisecond}, w.views[i][u], Base{Sig: sig.Of(w.cuts[i])})
+			case op < 7:
+				// The entry as a sidecar installs it: the base named by
+				// the length an origin reported too, the bytes the
+				// wire's own allocation.
+				v := append([]byte(nil), w.views[i][u]...)
+				install(Key(doc, fmt.Sprint(u)), Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(v), Cost: 2 * time.Millisecond}, v, Base{Sig: sig.Of(w.cuts[i]), Len: len(w.cuts[i])})
 			case op < 8:
 				shared.DropDoc(doc)
 				whole.DropDoc(doc)
@@ -158,9 +168,9 @@ func TestTailSharingInstall(t *testing.T) {
 	view := []byte("the universal output\n-- retrieved for amy --\n")
 	deeper := []byte("the universal output\n-- retrieved for amy --\n-- and audited --\n")
 	other := []byte("another output entirely")
-	install := func(k string, data []byte, base sig.Signature) Body {
+	install := func(k string, data []byte, base Base) Body {
 		t.Helper()
-		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, data, 0, base) {
+		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, Body{Head: data}, 0, base) {
 			t.Fatalf("%s: not installed", k)
 		}
 		_, b := tab.Lookup(k)
@@ -169,14 +179,14 @@ func TestTailSharingInstall(t *testing.T) {
 		}
 		return b
 	}
-	install("cut", cut, sig.Zero)
-	if b := install("view", view, sig.Of(cut)); string(b.Tail) != "\n-- retrieved for amy --\n" {
+	install("cut", cut, Base{})
+	if b := install("view", view, Base{Sig: sig.Of(cut)}); string(b.Tail) != "\n-- retrieved for amy --\n" || b.HeadSig != sig.Of(cut) {
 		t.Fatalf("the view keeps %d bytes of its own, want its %d-byte tail", len(b.Tail), len(view)-len(cut))
 	}
-	if b := install("deeper", deeper, sig.Of(view)); len(b.Tail) != len(deeper)-len(cut) || &b.Head[0] != &tab.blobs[sig.Of(cut)].data[0] {
+	if b := install("deeper", deeper, Base{Sig: sig.Of(view)}); len(b.Tail) != len(deeper)-len(cut) || &b.Head[0] != &tab.blobs[sig.Of(cut)].data[0] {
 		t.Fatal("a view of a view is not built on the whole blob underneath")
 	}
-	if b := install("other", other, sig.Of(cut)); len(b.Tail) != 0 {
+	if b := install("other", other, Base{Sig: sig.Of(cut)}); len(b.Tail) != 0 || !b.HeadSig.IsZero() {
 		t.Fatal("bytes that do not begin with the base's were tail-shared")
 	}
 	resident := int64(len(cut) + (len(view) - len(cut)) + (len(deeper) - len(cut)) + len(other))
@@ -205,6 +215,159 @@ func TestTailSharingInstall(t *testing.T) {
 	}
 }
 
+// TestTailSharingOnALengthNamedBase pins the rule for a base the table
+// does not hold, named by its length as a sidecar names the head an
+// origin reported: the first view's leading bytes become the base in
+// place (no copy) and charged to no one, a later view's head is checked
+// against them and only its tail kept, a view whose head is not those
+// bytes is kept whole, and the base goes with its last tail.
+func TestTailSharingOnALengthNamedBase(t *testing.T) {
+	tab := NewTable(replace.NewGDS())
+	cut := []byte("the universal output")
+	cutSig := sig.Of(cut)
+	install := func(k, tail string) (Body, []byte) {
+		t.Helper()
+		data := append(append([]byte(nil), cut...), tail...)
+		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, Body{Head: data}, 0, Base{Sig: cutSig, Len: len(cut)}) {
+			t.Fatalf("%s: not installed", k)
+		}
+		_, b := tab.Lookup(k)
+		if !bytes.Equal(b.Bytes(), data) {
+			t.Fatalf("%s reads back %q, want %q", k, b.Bytes(), data)
+		}
+		return b, data
+	}
+	b, data := install("amy", "\n-- retrieved for amy --\n")
+	if &b.Head[0] != &data[0] || len(b.Head) != len(cut) || b.HeadSig != cutSig {
+		t.Fatal("the first view's head is not its own leading bytes, kept in place")
+	}
+	if got, want := tab.BytesStored(), int64(len(data)); got != want {
+		t.Fatalf("BytesStored = %d, want the view's %d: the base is charged to no one", got, want)
+	}
+	if got, want := tab.BytesResident(), int64(len(data)); got != want {
+		t.Fatalf("BytesResident = %d, want base and tail, %d", got, want)
+	}
+	b2, data2 := install("bob", "\n-- retrieved for bob --\n")
+	if &b2.Head[0] != &data[0] || &b2.Tail[0] == &data2[len(cut)] {
+		t.Fatal("a later view does not share the base, or keeps the wire's bytes instead of a copy of its tail")
+	}
+	// A view whose head is not the named base's bytes is kept whole.
+	forged := []byte("not the universal output, but as long")
+	if !tab.Install("eve", &Entry{Doc: "d", User: "eve", Signature: sig.Of(forged)}, Body{Head: forged}, 0, Base{Sig: cutSig, Len: len(cut)}) {
+		t.Fatal("eve: not installed")
+	}
+	if _, b := tab.Lookup("eve"); len(b.Tail) != 0 || !bytes.Equal(b.Head, forged) {
+		t.Fatal("a view whose head failed the check was tail-shared")
+	}
+	if got, want := tab.BytesResident(), int64(len(data)+len(data2)-len(cut)+len(forged)); got != want {
+		t.Fatalf("BytesResident = %d, want %d", got, want)
+	}
+	tab.drop("amy")
+	tab.drop("bob")
+	if _, ok := tab.blobs[cutSig]; ok {
+		t.Fatal("the base outlived its last tail")
+	}
+	if got := tab.BytesResident(); got != int64(len(forged)) {
+		t.Fatalf("with the views gone BytesResident = %d, want %d", got, len(forged))
+	}
+}
+
+// TestReadFromAResidentPersonalCutCopiesNothing: a read whose
+// (doc, user) entry was dropped while its personal cut stayed resident
+// resumes from that cut, which no transform follows. The cut is
+// tail-shared; its parts go through the staged read and the install
+// unjoined, the entry shares the cut's blob again, and the read
+// allocates nothing the size of the view.
+func TestReadFromAResidentPersonalCutCopiesNothing(t *testing.T) {
+	const size = 64 << 10
+	w := newWorld(t, Options{Memoize: true})
+	// The provider hands out its own bytes, so a read's only
+	// body-sized allocation would be a join.
+	bits := &countingProvider{payload: bytes.Repeat(memoContent, size/len(memoContent))}
+	if _, err := w.space.CreateDocument("d", "amy", bits); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []property.Active{property.NewSpellCorrector(time.Millisecond), property.NewLineNumberer(time.Millisecond)} {
+		if err := w.space.Attach("d", "", docspace.Universal, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.space.Attach("d", "amy", docspace.Personal, property.NewWatermarker("amy", 0)); err != nil {
+		t.Fatal(err)
+	}
+	view := w.read(t, "d", "amy")
+	k := Key("d", "amy")
+	read := func() {
+		w.cache.tab.drop(k)
+		body, _, err := w.cache.ReadWithInfo("d", "amy")
+		if err != nil || len(body.Tail) == 0 || body.Len() != len(view) || !bytes.HasPrefix(view, body.Head) || !bytes.HasSuffix(view, body.Tail) {
+			t.Fatalf("the re-read is not the tail-shared view: %d-byte tail, %v", len(body.Tail), err)
+		}
+		if e, installed := w.cache.tab.Lookup(k); e == nil || &installed.Tail[0] != &body.Tail[0] {
+			t.Fatal("the re-read's entry does not share the personal cut's blob")
+		}
+	}
+	read()
+	before := w.cache.Stats()
+	const reads = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&m1)
+	after := w.cache.Stats()
+	if after.PrefixHits-before.PrefixHits != reads || after.UniversalStageRuns != before.UniversalStageRuns {
+		t.Fatalf("the re-reads did not all resume from the personal cut: %+v, then %+v", before, after)
+	}
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / reads; per >= uint64(len(view))/2 {
+		t.Fatalf("a re-read from the resident cut allocates %d bytes of a %d-byte view", per, len(view))
+	}
+}
+
+// genBumper touches no bytes; once armed, the next read that wraps it
+// invalidates another user's view of the document, which moves the
+// document's generation under the read.
+type genBumper struct {
+	property.Base
+	tab   *Table
+	armed bool
+}
+
+func (g *genBumper) WrapInput(*property.ReadContext) stream.Transform {
+	if g.armed {
+		g.armed = false
+		g.tab.DropUser("d", "bob")
+	}
+	return nil
+}
+
+// TestUninstalledTwoPartMissCarriesItsSignature: a miss that ends on a
+// tail-shared cut but may not install its entry (the document's
+// generation moved under it) still answers with the cut's signature,
+// so nobody downstream hashes the head alone for the whole body.
+func TestUninstalledTwoPartMissCarriesItsSignature(t *testing.T) {
+	w := newWorld(t, Options{Memoize: true})
+	setupMemoDoc(t, w, []string{"amy"})
+	bump := &genBumper{Base: property.Base{PropName: "gen-bumper"}, tab: w.cache.tab}
+	if err := w.space.Attach("d", "amy", docspace.Personal, bump); err != nil {
+		t.Fatal(err)
+	}
+	view := w.read(t, "d", "amy")
+	w.cache.tab.drop(Key("d", "amy"))
+	bump.armed = true
+	body, info, err := w.cache.ReadWithInfo("d", "amy")
+	if err != nil || len(body.Tail) == 0 || !bytes.Equal(body.Bytes(), view) {
+		t.Fatalf("the re-read is not the tail-shared view: %d-byte tail, %v", len(body.Tail), err)
+	}
+	if w.cache.Contains("d", "amy") {
+		t.Fatal("the entry went in although the generation moved under the read")
+	}
+	if info.Signature != sig.Of(view) {
+		t.Fatalf("the answer's signature is %v, want the view's %v", info.Signature, sig.Of(view))
+	}
+}
+
 // TestRaceTailSharedHitsWhileBaseChurns: hits serve tail-shared views
 // while their base cut is dropped, evicted and reinstalled and the
 // views themselves come and go. Every hit must return the view's exact
@@ -216,11 +379,11 @@ func TestRaceTailSharedHitsWhileBaseChurns(t *testing.T) {
 	tab := NewTable(replace.NewGDS())
 	cutKey := interKey(sig.Of([]byte("d")), cutSig)
 	installCut := func() {
-		tab.Install(cutKey, &Entry{Doc: "d", Signature: cutSig, Cost: time.Millisecond, cut: true}, cut, 0, sig.Zero)
+		tab.Install(cutKey, &Entry{Doc: "d", Signature: cutSig, Cost: time.Millisecond, cut: true}, Body{Head: cut}, 0, Base{})
 	}
 	installView := func(u int) {
 		v := w.views[0][u]
-		tab.Install(Key("d", fmt.Sprint(u)), &Entry{Doc: "d", User: fmt.Sprint(u), Signature: sig.Of(v), Cost: time.Millisecond}, v, tab.Gen("d"), cutSig)
+		tab.Install(Key("d", fmt.Sprint(u)), &Entry{Doc: "d", User: fmt.Sprint(u), Signature: sig.Of(v), Cost: time.Millisecond}, Body{Head: v}, tab.Gen("d"), Base{Sig: cutSig})
 	}
 	installCut()
 	for u := 0; u < users; u++ {

@@ -239,3 +239,63 @@ func TestStagedReadReturnsTheLastCutAsHanded(t *testing.T) {
 		t.Fatalf("read %q, aliasing the cut's bytes: %v", got, overlaps(got, memo.held))
 	}
 }
+
+// splitMemo serves every cut as head, then tail: the way a cache hands
+// out a cut it holds tail-shared.
+type splitMemo struct{ head, tail []byte }
+
+func (m splitMemo) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
+	return append(append([]byte(nil), m.head...), m.tail...), len(fps) - 1, true
+}
+
+func (m splitMemo) PrefixIntermediate(string, string, sig.Signature, Cut, func() ([]byte, error)) ([]byte, bool, error) {
+	return append(append([]byte(nil), m.head...), m.tail...), true, nil
+}
+
+func (m splitMemo) LongestPrefixParts(_ string, _ sig.Signature, fps []sig.Signature) ([]byte, []byte, int, bool) {
+	return m.head, m.tail, len(fps) - 1, true
+}
+
+func (m splitMemo) PrefixIntermediateParts(string, string, sig.Signature, Cut, func() ([]byte, error)) ([]byte, []byte, bool, error) {
+	return m.head, m.tail, true, nil
+}
+
+// TestStagedReadJoinsASplitCutOnlyForATransform: a cut the store hands
+// in two parts is the body in those parts, unjoined, when no transform
+// follows it (the head returned, the tail in the trace); a transform
+// after it reads the parts joined, and the body is then whole.
+func TestStagedReadJoinsASplitCutOnlyForATransform(t *testing.T) {
+	f := newFixture(t)
+	f.addDoc(t, "d", "eyal", "/d", []byte("source"))
+	if err := f.space.Attach("d", "", Universal, property.NewUppercaser(0)); err != nil {
+		t.Fatal(err)
+	}
+	memo := splitMemo{head: []byte("SOU"), tail: []byte("RCE")}
+	got, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.SliceData(got) != unsafe.SliceData(memo.head) || unsafe.SliceData(trace.Tail) != unsafe.SliceData(memo.tail) {
+		t.Fatalf("body %q, tail %q: not the cut's parts as handed", got, trace.Tail)
+	}
+	reverse := &property.Transformer{
+		Base: property.Base{PropName: "reverse"},
+		ReadTransform: func(b []byte) []byte {
+			out := make([]byte, len(b))
+			for i, c := range b {
+				out[len(b)-1-i] = c
+			}
+			return out
+		}, // no memo contract
+	}
+	if err := f.space.Attach("d", "eyal", Personal, reverse); err != nil {
+		t.Fatal(err)
+	}
+	got, _, trace, err = f.space.ReadDocumentStaged("d", "eyal", memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "ECRUOS" || trace.Tail != nil {
+		t.Fatalf("read %q with tail %q, want the whole cut reversed", got, trace.Tail)
+	}
+}

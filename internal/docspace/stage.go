@@ -77,6 +77,33 @@ type PrefixIntermediates interface {
 	PrefixIntermediate(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) (data []byte, hit bool, err error)
 }
 
+// SplitIntermediates is a PrefixIntermediates that holds some cuts in
+// two parts: the bytes of a shallower cut (the head), then the bytes a
+// property appended to them (the tail). Its methods are LongestPrefix
+// and PrefixIntermediate with the cut in those parts, tail nil for a
+// cut held whole. A read takes its cuts through them when memo has
+// them, and joins a cut's parts only when a transform reads it; when
+// none does, the read's body is the cut's head, and StageTrace.Tail its
+// tail.
+type SplitIntermediates interface {
+	LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) (head, tail []byte, idx int, ok bool)
+	PrefixIntermediateParts(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) (head, tail []byte, hit bool, err error)
+}
+
+// wholeCuts is a PrefixIntermediates that holds every cut whole, seen
+// as a SplitIntermediates.
+type wholeCuts struct{ PrefixIntermediates }
+
+func (w wholeCuts) LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) ([]byte, []byte, int, bool) {
+	data, idx, ok := w.LongestPrefix(doc, src, fps)
+	return data, nil, idx, ok
+}
+
+func (w wholeCuts) PrefixIntermediateParts(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) ([]byte, []byte, bool, error) {
+	data, hit, err := w.PrefixIntermediate(doc, user, src, cut, compute)
+	return data, nil, hit, err
+}
+
 // StageTrace reports what the staged read path did, for cache
 // accounting and tests.
 type StageTrace struct {
@@ -99,6 +126,10 @@ type StageTrace struct {
 	// when the probe missed.
 	Cuts       int
 	DeepestHit int
+	// Tail, set only by a store that holds cuts in two parts
+	// (SplitIntermediates), is the rest of the body: the read's result
+	// is a cut no transform read, and the returned bytes are its head.
+	Tail []byte
 	// MemoErr reports that the intermediate store failed mid-read and
 	// the read degraded to direct execution of the remaining
 	// transforms — slow, not broken.
@@ -230,8 +261,9 @@ type stagedRun struct {
 	ts      []stream.Transform
 	uEnd    int // ts[:uEnd] is the universal stage
 	cur     []byte
-	at      int  // ts[:at] already applied to cur
-	cut     bool // cur is a cut's bytes, as the store handed them
+	tail    []byte // the rest of cur's bytes, for a cut the store holds in two parts
+	at      int    // ts[:at] already applied to cur
+	cut     bool   // cur is a cut's bytes, as the store handed them
 	crossed bool
 	tUni    time.Time
 	tPers   time.Time
@@ -254,9 +286,16 @@ func (sr *stagedRun) cross(hit bool) {
 // cuts offered, a poisoned boundary cut, or a store failure early in
 // the walk), the remainder runs in two chunks split at the boundary so
 // the per-stage timings stay attributable. When no transform follows
-// the last cut, the body is that cut's bytes.
+// the last cut, the body is that cut's bytes, in the parts the store
+// handed them.
 func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
-	ro, last := sr.cur, sr.cut && sr.at == len(sr.ts)
+	last := sr.cut && sr.at == len(sr.ts)
+	if last {
+		sr.trace.Tail = sr.tail
+	} else {
+		sr.cur, sr.tail = join(sr.cur, sr.tail), nil
+	}
+	ro := sr.cur
 	if !sr.crossed {
 		for _, t := range sr.ts[sr.at:sr.uEnd] {
 			sr.cur = t(sr.cur)
@@ -270,6 +309,15 @@ func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 	}
 	sr.trace.PersonalDur = time.Since(sr.tPers)
 	return data, sr.rc.Result(), *sr.trace, nil
+}
+
+// join returns a cut's two parts as one slice: head itself when there
+// is no tail, else a fresh copy of both.
+func join(head, tail []byte) []byte {
+	if len(tail) == 0 {
+		return head
+	}
+	return append(append(make([]byte, 0, len(head)+len(tail)), head...), tail...)
 }
 
 // ReadDocumentStaged executes the read path for user's reference to
@@ -302,7 +350,8 @@ func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 // transforms (slow, not broken) and sets trace.MemoErr.
 //
 // When no transform follows the last cut the body is that cut's bytes,
-// as read-only as memo's own; otherwise the caller owns it.
+// as read-only as memo's own (its head, with trace.Tail the rest, when
+// memo holds it in two parts); otherwise the caller owns it.
 func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) ([]byte, property.ReadResult, StageTrace, error) {
 	var trace StageTrace
 
@@ -411,8 +460,12 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	for i, c := range cuts {
 		probe[i] = c.FP
 	}
-	if data, idx, ok := memo.LongestPrefix(doc, srcSig, probe); ok {
-		sr.cur, sr.at, sr.cut, next = data, cutEnd[idx], true, idx+1
+	parts, ok := memo.(SplitIntermediates)
+	if !ok {
+		parts = wholeCuts{memo}
+	}
+	if head, tail, idx, ok := parts.LongestPrefixParts(doc, srcSig, probe); ok {
+		sr.cur, sr.tail, sr.at, sr.cut, next = head, tail, cutEnd[idx], true, idx+1
 		trace.DeepestHit = idx
 		if boundaryIdx >= 0 && idx >= boundaryIdx {
 			sr.cross(true)
@@ -420,9 +473,12 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	}
 
 	for ; next < len(cuts); next++ {
-		prev, seg := sr.cur, sr.ts[sr.at:cutEnd[next]]
-		compute := func() ([]byte, error) { return apply(prev, prev, seg), nil }
-		data, hit, err := memo.PrefixIntermediate(doc, user, srcSig, cuts[next], compute)
+		head, tail, seg := sr.cur, sr.tail, sr.ts[sr.at:cutEnd[next]]
+		compute := func() ([]byte, error) {
+			prev := join(head, tail)
+			return apply(prev, prev, seg), nil
+		}
+		data, dataTail, hit, err := parts.PrefixIntermediateParts(doc, user, srcSig, cuts[next], compute)
 		if err != nil {
 			// Transforms cannot fail, so the store is sick, not the
 			// chain: degrade to direct execution of the remaining
@@ -430,7 +486,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 			trace.MemoErr = true
 			return sr.finish()
 		}
-		sr.cur, sr.at, sr.cut = data, cutEnd[next], true
+		sr.cur, sr.tail, sr.at, sr.cut = data, dataTail, cutEnd[next], true
 		if next == boundaryIdx {
 			sr.cross(hit)
 		}

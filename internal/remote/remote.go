@@ -43,7 +43,6 @@ import (
 	"placeless/internal/property"
 	"placeless/internal/replace"
 	"placeless/internal/server"
-	"placeless/internal/sig"
 )
 
 // ErrClosed is returned by operations on a closed cache.
@@ -88,8 +87,12 @@ type Stats struct {
 	// TTLExpiries counts entries dropped because their server-issued
 	// TTL deadline passed.
 	TTLExpiries int64
-	// BytesStored is the current unique content footprint.
+	// BytesStored is the current unique content footprint, what
+	// capacity charges: every view at its full length.
 	BytesStored int64
+	// BytesResident is what the views occupy: a view that shares its
+	// head only its tail, and each head once.
+	BytesResident int64
 	// Reconnects counts connection epochs after the first: each is
 	// one successful reconnect the cache observed (one epoch flush).
 	Reconnects int64
@@ -269,6 +272,7 @@ func (c *Cache) Stats() Stats {
 	st := c.stats
 	c.mu.Unlock()
 	st.BytesStored = c.tab.BytesStored()
+	st.BytesResident = c.tab.BytesResident()
 	st.Evictions = c.tab.Evictions()
 	return st
 }
@@ -300,16 +304,26 @@ func (c *Cache) Len() int { return c.tab.Len() }
 // Contains reports whether (doc, user) is cached.
 func (c *Cache) Contains(doc, user string) bool { return c.tab.Contains(core.Key(doc, user)) }
 
-// Read returns the user's view of the document, served locally when a
-// valid entry exists. The bytes are shared and must not be modified: a
-// hit, a coalesced follower and the miss that installed all return the
-// table's own blob (the rule core.Table.Lookup and
-// core.Cache.ReadSharedHit state), so a write into them would reach
-// every later reader of the key. While the server is unreachable every
-// read returns ErrDegraded. A CacheWithEvents hit is served only once
-// the origin has taken its getInputStream event; a forward that fails
-// fails the read.
+// Read is ReadBody with the body as one slice: a hit on a view that
+// shares its head is copied into one, any other answer is the table's
+// or the wire's own bytes, which must not be modified.
 func (c *Cache) Read(doc, user string) ([]byte, error) {
+	body, err := c.ReadBody(doc, user)
+	return body.Bytes(), err
+}
+
+// ReadBody returns the user's view of the document, served locally when
+// a valid entry exists, in the parts the table holds it: a view that
+// shares its head with the document's other views is that head, then
+// its tail. The bytes are shared and must not be modified: a hit, a
+// coalesced follower and the miss that installed all return the
+// table's own blob or the wire's allocation the table keeps (the rule
+// core.Table.Lookup and core.Cache.ReadSharedHit state), so a write
+// into them would reach every later reader of the key. While the
+// server is unreachable every read returns ErrDegraded. A
+// CacheWithEvents hit is served only once the origin has taken its
+// getInputStream event; a forward that fails fails the read.
+func (c *Cache) ReadBody(doc, user string) (core.Body, error) {
 	// A read that follows a quiet spell lets connection events that are
 	// already queued run before it decides anything. A process that was
 	// parked wakes with a batch of poller events and the runtime runs
@@ -326,7 +340,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 		runtime.Gosched()
 	}
 	if c.tab.Closed() {
-		return nil, ErrClosed
+		return core.Body{}, ErrClosed
 	}
 	c.mu.Lock()
 	down := c.client.State() != server.StateConnected
@@ -355,17 +369,17 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 				// must see every read: a hit whose event is lost is not
 				// served.
 				if err := c.client.ForwardEvent(doc, user, event.GetInputStream.String()); err != nil {
-					return nil, c.wireErr(err)
+					return core.Body{}, c.wireErr(err)
 				}
 				c.count(&c.stats.EventsForwarded)
 			}
 			c.count(&c.stats.Hits)
-			return data.Bytes(), nil // whole: the sidecar installs no base
+			return data, nil
 		}
 	}
 	if down {
 		// Fail fast instead of paying a doomed call.
-		return nil, c.degradedErr()
+		return core.Body{}, c.degradedErr()
 	}
 	// One wire fetch per key at a time: a remote read is the most
 	// expensive operation in this deployment (a round trip to the
@@ -378,7 +392,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 	if shared {
 		c.count(&c.stats.CoalescedMisses)
 	}
-	return data.Head, err
+	return data, err
 }
 
 // count adds one to a counter of c.stats.
@@ -453,15 +467,17 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	if !meta.Expiry.IsZero() {
 		verifiers = []property.Verifier{property.TTLVerifier{Expiry: meta.Expiry}}
 	}
-	// The table keeps the body the wire decoded, whole, and the reader
-	// shares it.
+	// The table keeps the body the wire decoded, and the reader shares
+	// it. A view the origin reported as a head and a tail keeps only
+	// its tail when the table holds that head; the document's first
+	// such view keeps its own head as the head, where it lies.
 	c.tab.Install(k, &core.Entry{
 		Doc: doc, User: user,
 		Signature:    meta.Signature,
 		Cost:         meta.Cost,
 		Cacheability: meta.Cacheability,
 		Verifiers:    verifiers,
-	}, data, gen, sig.Zero)
+	}, core.Body{Head: data}, gen, core.Base{Sig: meta.HeadSig, Len: meta.HeadLen})
 	return data, nil
 }
 

@@ -1,0 +1,204 @@
+package remote
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"placeless/internal/clock"
+	"placeless/internal/core"
+	"placeless/internal/docspace"
+	"placeless/internal/repo"
+	"placeless/internal/server"
+	"placeless/internal/simnet"
+)
+
+// tailRig is a sidecar over a memoizing origin whose documents run
+// [spell-correct, translate-fr] for everyone and a personal watermark
+// for each user: every view is the document's universal output, which
+// the origin keeps once, and the reader's banner.
+type tailRig struct {
+	origin *core.Cache
+	client *server.Client
+	cache  *Cache
+	users  []string
+}
+
+func newTailRig(t *testing.T, docs, users int) *tailRig {
+	t.Helper()
+	clk := clock.NewVirtual(epoch)
+	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
+	r := &tailRig{origin: core.New(space, core.Options{Name: "origin", Memoize: true})}
+	t.Cleanup(r.origin.Close)
+	r.client = serveAndDial(t, server.NewCached(space, repo.NewMem("srv", clk, simnet.NewPath("loop", 1)), r.origin))
+	r.cache = New(r.client, Options{})
+	for u := 0; u < users; u++ {
+		r.users = append(r.users, fmt.Sprintf("user%02d", u))
+	}
+	for d := 0; d < docs; d++ {
+		doc := fmt.Sprint("d", d)
+		body := bytes.Repeat([]byte(fmt.Sprintf("teh document %d recieve the hello world ", d)), 64)
+		if err := r.client.CreateDocument(doc, r.users[0], body); err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []string{"spell-correct", "translate-fr"} {
+			if err := r.client.Attach(doc, "", false, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, u := range r.users {
+			if i > 0 {
+				if err := r.client.AddReference(doc, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.client.Attach(doc, u, true, "watermark:"+u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return r
+}
+
+// view is what the origin answers user for doc, read past the sidecar.
+func (r *tailRig) view(t testing.TB, doc, user string) []byte {
+	t.Helper()
+	data, _, err := r.client.Read(doc, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func banner(user string) string { return "\n-- retrieved for " + user + " --\n" }
+
+// TestTailSharedViewsKeepEachHeadOnce: N users read two documents
+// through the sidecar, a miss and then a hit each. Every read returns
+// the origin's bytes; the sidecar keeps each document's universal
+// output once, as the first view's own leading bytes, and per view only
+// its banner, while capacity still charges every view its full length.
+// A warm hit on a tail-shared view copies nothing.
+func TestTailSharedViewsKeepEachHeadOnce(t *testing.T) {
+	const docs, users = 2, 6
+	r := newTailRig(t, docs, users)
+	var stored, resident int64
+	for d := 0; d < docs; d++ {
+		doc := fmt.Sprint("d", d)
+		var firstMiss []byte
+		for _, u := range r.users {
+			want := r.view(t, doc, u)
+			for _, pass := range []string{"miss", "hit"} {
+				got, err := r.cache.Read(doc, u)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s as %s, %s: %q, %v; the origin answers %q", doc, u, pass, got, err, want)
+				}
+				if firstMiss == nil {
+					firstMiss = got
+				}
+			}
+			body, err := r.cache.ReadBody(doc, u)
+			if err != nil || string(body.Tail) != banner(u) || unsafe.SliceData(body.Head) != unsafe.SliceData(firstMiss) {
+				t.Fatalf("%s as %s: the hit is not the document's first view's head and the reader's banner (%d-byte tail, %v)", doc, u, len(body.Tail), err)
+			}
+			stored += int64(len(want))
+			resident += int64(len(body.Tail))
+		}
+		resident += int64(len(firstMiss) - len(banner(r.users[0])))
+	}
+	st := r.cache.Stats()
+	if st.Misses != docs*users || st.Hits != docs*users*2 {
+		t.Fatalf("%d misses, %d hits; want %d and %d", st.Misses, st.Hits, docs*users, docs*users*2)
+	}
+	if st.BytesStored != stored || st.BytesResident != resident {
+		t.Fatalf("BytesStored %d, BytesResident %d; want %d (every view) and %d (the heads once, the banners)", st.BytesStored, st.BytesResident, stored, resident)
+	}
+	// A warm hit allocates nothing the size of the view.
+	const reads = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if body, err := r.cache.ReadBody("d0", r.users[1]); err != nil || len(body.Tail) == 0 {
+			t.Fatalf("warm hit: %d-byte tail, %v", len(body.Tail), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= uint64(len(r.view(t, "d0", r.users[1])))/2 {
+		t.Fatalf("a warm hit on a tail-shared view allocates %d bytes", per)
+	}
+}
+
+// TestRaceTailSharedHitsWhileViewsChurn: readers hit tail-shared views
+// while the views of their document — the first one, whose bytes hold
+// the head, included — are invalidated, evicted and fetched again.
+// Every read must return the origin's bytes; the race detector checks
+// that a hit reads its head and tail with no lock held.
+func TestRaceTailSharedHitsWhileViewsChurn(t *testing.T) {
+	const users = 4
+	r := newTailRig(t, 1, users)
+	want := make([][]byte, users)
+	for u, user := range r.users {
+		want[u] = r.view(t, "d0", user)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads [users]atomic.Int64
+	for u := range r.users {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				body, err := r.cache.ReadBody("d0", r.users[u])
+				if err != nil {
+					t.Errorf("%s: %v", r.users[u], err)
+					return
+				}
+				if body.Len() != len(want[u]) || !bytes.HasPrefix(want[u], body.Head) || !bytes.HasSuffix(want[u], body.Tail) {
+					t.Errorf("%s: a read served bytes that are not the view", r.users[u])
+					return
+				}
+				reads[u].Add(1)
+			}
+		}(u)
+	}
+	done := func() bool {
+		for u := range reads {
+			if reads[u].Load() < 300 {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for round := 0; !done() || round < 300; round++ {
+		if time.Now().After(deadline) {
+			t.Error("the readers made no progress under the churn")
+			break
+		}
+		switch round % 4 {
+		case 0:
+			r.cache.onInvalidate("d0", r.users[round%users])
+		case 1:
+			r.cache.tab.Resize(int64(len(want[0]))) // evicts down to about one view
+			r.cache.tab.Resize(0)
+		case 2:
+			r.cache.onInvalidate("d0", "")
+		case 3:
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := r.cache.Stats(); st.Hits == 0 || st.Misses < 2 {
+		t.Fatalf("want hits and re-fetches under the churn: %+v", st)
+	}
+}

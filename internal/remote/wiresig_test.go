@@ -30,7 +30,7 @@ func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) (client *server.Cli
 		mu    sync.Mutex
 		flags []uint16
 	)
-	const version = 5
+	const version = 6
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -45,11 +45,11 @@ func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) (client *server.Cli
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		magic := make([]byte, 8)
-		if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, []byte("\x00PLWREv5")) {
+		if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, []byte("\x00PLWREv6")) {
 			t.Errorf("fake origin: client opened with %q, %v", magic, err)
 			return
 		}
-		if _, err := conn.Write([]byte("\x00PLACKv5")); err != nil {
+		if _, err := conn.Write([]byte("\x00PLACKv6")); err != nil {
 			return
 		}
 		for {
@@ -72,6 +72,8 @@ func fakeOrigin(t *testing.T, body []byte, sg sig.Signature) (client *server.Cli
 				payload = binary.BigEndian.AppendUint64(payload, 0) // cost
 				payload = binary.BigEndian.AppendUint64(payload, 0) // no expiry
 				payload = append(payload, sg[:]...)
+				payload = binary.BigEndian.AppendUint32(payload, 0) // a whole body:
+				payload = append(payload, sig.Zero[:]...)           // no head
 				payload = append(payload, body...)
 			default:
 				t.Errorf("fake origin: unexpected op %v", op)

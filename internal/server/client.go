@@ -179,6 +179,11 @@ type ReadMeta struct {
 	// Signature is the origin-computed content signature of the body;
 	// non-zero whenever Cacheability is not Uncacheable.
 	Signature sig.Signature
+	// HeadLen and HeadSig name the head a tail-shared body begins with:
+	// its first HeadLen bytes are the origin's blob under HeadSig. Zero
+	// for a whole body.
+	HeadLen int
+	HeadSig sig.Signature
 }
 
 // readMeta lifts a read response's wire metadata into ReadMeta.
@@ -187,6 +192,8 @@ func readMeta(resp *Response) ReadMeta {
 		Cacheability: property.Cacheability(resp.Cacheability),
 		Cost:         time.Duration(resp.CostNanos),
 		Signature:    resp.Signature,
+		HeadLen:      resp.HeadLen,
+		HeadSig:      resp.HeadSig,
 	}
 	if resp.ExpiryUnixNanos != 0 {
 		meta.Expiry = time.Unix(0, resp.ExpiryUnixNanos)

@@ -43,7 +43,9 @@ func FuzzParsePropertySpec(f *testing.F) {
 // arbitrary user strings, so tabs, newlines, empty values, and
 // multi-byte UTF-8 must survive it (a format that packed matches into a
 // tab-separated string corrupted exactly these inputs), and only the
-// call ID and the list cross with it.
+// call ID and the list cross with it. The same inputs make a read whose
+// body is value then doc, naming value as its head when both are set:
+// the body and the head's length and signature cross unchanged.
 func FuzzProtocolRoundTrip(f *testing.F) {
 	f.Add("doc", "value", "universal", uint8(1))
 	f.Add("d\tmid", "tab\tseparated", "personal", uint8(2))
@@ -51,7 +53,27 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 	f.Add("", "", "", uint8(0))
 	f.Add("δοc", "значение → 値", "universal", uint8(5))
 	f.Add("d", "trailing\t\n", "personal", uint8(7))
+	// Split reads: a watermark banner on a long universal output, and a
+	// one-byte tail.
+	f.Add("\n-- retrieved for amy --\n", strings.Repeat("the universal output. ", 400), "", uint8(0))
+	f.Add("!", "h", "", uint8(4))
 	f.Fuzz(func(t *testing.T, doc, value, level string, n uint8) {
+		read := Response{ID: 41, Body: []byte(value + doc), Cacheability: 1, Signature: sig.Of([]byte(value + doc))}
+		if value != "" && doc != "" {
+			read.HeadLen, read.HeadSig = len(value), sig.Of([]byte(value))
+		}
+		rf, err := encodeResponseFrame(OpRead, &read)
+		if err != nil {
+			t.Fatalf("encode read: %v", err)
+		}
+		rgot, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, rf))))
+		if err != nil {
+			t.Fatalf("decode read: %v", err)
+		}
+		if !reflect.DeepEqual(*rgot, read) {
+			t.Fatalf("read corrupted: got %+v want %+v", *rgot, read)
+		}
+
 		var list []string
 		for i := 0; i < int(n)%5; i++ {
 			list = append(list, doc+strings.Repeat("x", i), value, level)
@@ -175,7 +197,10 @@ func FuzzV2FrameDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add([]byte{})
 	// The version-5 shapes: a read carrying its subscription, a request
-	// using every field of the layout, and a structured answer's list.
+	// using every field of the layout, and a structured answer's list;
+	// then version 6's read that names its head, and that read with a
+	// head as long as its body, a length without a signature and a
+	// signature without a length.
 	f.Add(requestBytes(f, &Request{ID: 4, Op: OpRead, Doc: "d", User: "u", Subscribe: true}))
 	f.Add(requestBytes(f, &Request{ID: 5, Op: OpAttachStatic, Doc: "d", User: "u",
 		Personal: true, Property: "k", Value: "v", Body: []byte("tail")}))
@@ -184,6 +209,17 @@ func FuzzV2FrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(frameBytes(f, listed))
+	for _, head := range []struct {
+		n int
+		s sig.Signature
+	}{{4, sig.Of([]byte("head"))}, {9, sig.Of([]byte("head+tail"))}, {4, sig.Zero}, {0, sig.Of([]byte("head"))}} {
+		split, err := encodeResponseFrame(OpRead, &Response{ID: 7, Body: []byte("head+tail"), Cacheability: 1,
+			Signature: sig.Of([]byte("head+tail")), HeadLen: head.n, HeadSig: head.s})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frameBytes(f, split))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = readRequestFrame(bufio.NewReader(bytes.NewReader(data)))
 		_, _ = readResponseFrame(bufio.NewReader(bytes.NewReader(data)))

@@ -15,9 +15,9 @@ import (
 var updateGolden = flag.Bool("update", false, "write the wire golden file of a new wire version")
 
 // wireGoldenLines renders one request and one response per op, plus the
-// shapes no op owns (the flagged read both ways, the error frame, the
-// push), as "name hex" lines. Each of the four structured answers
-// carries a list of its own shape.
+// shapes no op owns (the flagged read both ways, the read that names
+// its body's head, the error frame, the push), as "name hex" lines.
+// Each of the four structured answers carries a list of its own shape.
 func wireGoldenLines(t *testing.T) string {
 	t.Helper()
 	const id = 0x0102030405060708
@@ -53,12 +53,16 @@ func wireGoldenLines(t *testing.T) string {
 	}
 	flagged := *read
 	flagged.SubscribeFailed = true
+	split := *read
+	split.Body, split.HeadLen = []byte("head, then tail"), len("head")
+	split.HeadSig = sig.Signature{0x0f, 0x0e, 0x0d, 0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x00}
 	for _, shape := range []struct {
 		name string
 		op   Op
 		r    *Response
 	}{
 		{"response read+unsubscribed", OpRead, &flagged},
+		{"response read+head", OpRead, &split},
 		{"response error", OpAttach, &Response{ID: id, Err: "no such document"}},
 		{"push", opInvalidate, &Response{NotifyDoc: "doc", NotifyUser: "user"}},
 	} {

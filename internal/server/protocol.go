@@ -135,6 +135,12 @@ type Response struct {
 	// key its shared storage by it without hashing the body again. Set
 	// on every read response whose Cacheability allows storing it.
 	Signature sig.Signature
+	// HeadLen and HeadSig, on a read, name the head a tail-shared body
+	// begins with: its first HeadLen bytes are the origin's blob under
+	// HeadSig, which every view built on it shares. Both are zero for a
+	// whole body.
+	HeadLen int
+	HeadSig sig.Signature
 	// Notification payload (ID 0): the affected document and user
 	// ("" = all users of the document).
 	NotifyDoc, NotifyUser string

@@ -1,6 +1,6 @@
-// The binary wire protocol (version 5: one hand-written request layout,
-// a subscription that rides the read, and structured answers as string
-// lists).
+// The binary wire protocol (version 6: one hand-written request layout,
+// a subscription that rides the read, structured answers as string
+// lists, and a read that names the head its body shares).
 //
 // Every frame is a hand-written codec over a fixed header, so blob
 // payloads travel as raw byte ranges — never re-encoded — and a single
@@ -9,7 +9,7 @@
 //
 // Frame layout (16-byte header, big-endian multi-byte fields):
 //
-//	offset 0  version (1 byte, 0x05)
+//	offset 0  version (1 byte, 0x06)
 //	offset 1  op      (1 byte)
 //	offset 2  flags   (2 bytes)
 //	offset 4  call ID (8 bytes; 0 = server push)
@@ -28,11 +28,17 @@
 // requests in this layout too (journal.go).
 //
 // Responses come in five shapes. An error is flagError with the error
-// string as payload. A Read is a fixed 33-byte metadata prefix —
+// string as payload. A Read is a fixed 53-byte metadata prefix —
 // cacheability (1), cost nanos (8), expiry nanos (8), content signature
-// (16) — followed by the raw body; the trailer covers all of it, so the
-// signature a remote cache keys its blob by is checked together with
-// the bytes it names. An invalidation push (call ID 0) is doc and user
+// (16), head length (4), head signature (16) — followed by the raw body;
+// the trailer covers all of it, so the signatures a remote cache keys
+// its blobs by are checked together with the bytes they name. A head
+// length n > 0 says the body's first n bytes are the blob the head
+// signature names, which the origin keeps once for every view built on
+// it (a tail-shared view: the body is that head, then the view's own
+// tail); 0, with a zero head signature, says the body is whole. The
+// decoder refuses a head that is not shorter than the body and a head
+// length and signature of which only one is set. An invalidation push (call ID 0) is doc and user
 // as two strings. Stats, ListActives, Describe and Find, the four ops
 // that answer with structure, carry a list of strings in the request
 // layout's encoding, back to back to the end of the payload
@@ -79,7 +85,7 @@ import (
 )
 
 // wireVersion is the first byte of every frame header.
-const wireVersion = 5
+const wireVersion = 6
 
 const (
 	frameHeaderSize = 16
@@ -96,8 +102,8 @@ const (
 	MaxFramePayload = 64 << 20
 	// readMetaSize is the fixed metadata prefix of a Read response
 	// payload: cacheability (1) + cost nanos (8) + expiry nanos (8) +
-	// content signature (16).
-	readMetaSize = 17 + sig.Size
+	// content signature (16) + head length (4) + head signature (16).
+	readMetaSize = 17 + sig.Size + 4 + sig.Size
 )
 
 // ErrTooLarge refuses a frame whose payload would exceed
@@ -171,7 +177,7 @@ const (
 const opInvalidate Op = 0x7f
 
 // helloMagic opens every connection; its last byte names the version
-// ("…v5"), so it moves whenever wireVersion does.
+// ("…v6"), so it moves whenever wireVersion does.
 var helloMagic = [8]byte{0x00, 'P', 'L', 'W', 'R', 'E', 'v', '0' + wireVersion}
 
 // helloAck is the server's answer to helloMagic.
@@ -414,6 +420,8 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.CostNanos))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.ExpiryUnixNanos))
 		b = append(b, resp.Signature[:]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(resp.HeadLen))
+		b = append(b, resp.HeadSig[:]...)
 		var flags uint16
 		if resp.SubscribeFailed {
 			flags = flagSubscribe
@@ -484,7 +492,12 @@ func readResponseFrame(br *bufio.Reader) (*Response, error) {
 			CostNanos:       int64(binary.BigEndian.Uint64(meta[1:9])),
 			ExpiryUnixNanos: int64(binary.BigEndian.Uint64(meta[9:17])),
 		}
-		copy(resp.Signature[:], meta[17:readMetaSize])
+		copy(resp.Signature[:], meta[17:17+sig.Size])
+		resp.HeadLen = int(binary.BigEndian.Uint32(meta[17+sig.Size:]))
+		copy(resp.HeadSig[:], meta[readMetaSize-sig.Size:readMetaSize])
+		if err := checkHead(resp.HeadLen, resp.HeadSig, plen-readMetaSize); err != nil {
+			return nil, err
+		}
 		crc := crc32.Update(0, castagnoli, meta)
 		_, _ = br.Discard(readMetaSize)
 		body := make([]byte, plen-readMetaSize)
@@ -530,6 +543,19 @@ func readResponseFrame(br *bufio.Reader) (*Response, error) {
 		resp.List = append(resp.List, s)
 	}
 	return resp, nil
+}
+
+// checkHead refuses a read's head metadata that names no head of a
+// blen-byte body: a head not shorter than the body, or a length and a
+// signature of which only one is set.
+func checkHead(n int, s sig.Signature, blen int) error {
+	switch {
+	case n != 0 && n >= blen:
+		return fmt.Errorf("server: bad read response: %d-byte head of a %d-byte body", n, blen)
+	case (n == 0) != s.IsZero():
+		return fmt.Errorf("server: bad read response: head length %d with signature %v", n, s)
+	}
+	return nil
 }
 
 // Batching caps for the writer goroutine: one writev carries at most

@@ -337,18 +337,21 @@ func TestV2HeaderValidation(t *testing.T) {
 
 func TestV2ResponseChecksumRejectsCorruption(t *testing.T) {
 	f, err := encodeResponseFrame(OpRead, &Response{ID: 3, Body: []byte("payload"), Cacheability: 1,
-		Signature: sig.Of([]byte("payload"))})
+		Signature: sig.Of([]byte("payload")), HeadLen: 3, HeadSig: sig.Of([]byte("pay"))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	valid := frameBytes(t, f)
 	// One flipped bit anywhere in the payload fails the frame: in the
-	// body (the first byte past the metadata prefix), and in the
-	// signature that ends the prefix — a remote cache keys shared
-	// storage by those 16 bytes without re-deriving them.
+	// body (the first byte past the metadata prefix), in the content
+	// signature and in the head's length and signature that end the
+	// prefix — a remote cache keys shared storage by those bytes
+	// without re-deriving them.
 	for name, off := range map[string]int{
-		"body":      frameHeaderSize + readMetaSize,
-		"signature": frameHeaderSize + readMetaSize - 1,
+		"body":           frameHeaderSize + readMetaSize,
+		"signature":      frameHeaderSize + 17 + sig.Size - 1,
+		"head length":    frameHeaderSize + 17 + sig.Size + 3,
+		"head signature": frameHeaderSize + readMetaSize - 1,
 	} {
 		b := append([]byte{}, valid...)
 		b[off] ^= 0x01
@@ -367,6 +370,39 @@ func TestV2ResponseChecksumRejectsCorruption(t *testing.T) {
 	if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
 		!strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("corrupted empty-frame trailer: err = %v", err)
+	}
+}
+
+// TestReadHeadRefusals: a read's head metadata must name a head of
+// its body, or none. Each malformed frame is checksummed as sent, so it
+// is the head check, not the trailer, that refuses it.
+func TestReadHeadRefusals(t *testing.T) {
+	body := []byte("head, then tail")
+	headSig := sig.Of(body[:4])
+	for _, tc := range []struct {
+		name string
+		n    int
+		s    sig.Signature
+		want string
+	}{
+		{"whole", 0, sig.Zero, ""},
+		{"head", 4, headSig, ""},
+		{"head longer than the body", len(body) + 1, headSig, "-byte head of a"},
+		{"head as long as the body", len(body), headSig, "-byte head of a"},
+		{"length without a signature", 4, sig.Zero, "head length 4 with signature"},
+		{"signature without a length", 0, headSig, "head length 0 with signature"},
+	} {
+		f, err := encodeResponseFrame(OpRead, &Response{ID: 9, Body: body, Cacheability: 1, Signature: sig.Of(body), HeadLen: tc.n, HeadSig: tc.s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, f))))
+		switch {
+		case tc.want == "" && (err != nil || resp.HeadLen != tc.n || resp.HeadSig != tc.s || !bytes.Equal(resp.Body, body)):
+			t.Errorf("%s: %+v, %v", tc.name, resp, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -493,7 +493,7 @@ func (s *Server) apply(req *Request) *Response {
 		// bytes, which leaves a storable body nobody interned — no cache
 		// behind this server, the cache closed, or the install aborted by
 		// a racing invalidation. Such a body is whole: only interned
-		// bytes come in two parts.
+		// bytes come in two parts, and they carry their signature.
 		if resp.Signature.IsZero() && property.Cacheability(resp.Cacheability) != property.Uncacheable {
 			resp.Signature = sig.Of(resp.Body)
 		}
@@ -603,9 +603,10 @@ func (s *Server) apply(req *Request) *Response {
 
 // cachedReadResponse is the read response for bytes the cache served,
 // on the decode loop's fast hit and the handler's read alike. A
-// tail-shared body keeps its two parts, which leave in one writev.
+// tail-shared body keeps its two parts, which leave in one writev, and
+// names its head, so a remote cache can keep that head once too.
 func cachedReadResponse(data core.Body, info core.EntryInfo) *Response {
-	return &Response{
+	resp := &Response{
 		Body:            data.Head,
 		bodyTail:        data.Tail,
 		Cacheability:    int(info.Cacheability),
@@ -613,6 +614,10 @@ func cachedReadResponse(data core.Body, info core.EntryInfo) *Response {
 		ExpiryUnixNanos: expiryNanos(info.Expiry),
 		Signature:       info.Signature,
 	}
+	if len(data.Tail) > 0 {
+		resp.HeadLen, resp.HeadSig = len(data.Head), data.HeadSig
+	}
+	return resp
 }
 
 // expiryNanos converts a TTL deadline to wire form (0 = none).

@@ -114,9 +114,9 @@ func TestPersonalViewsShareTheirCut(t *testing.T) {
 
 // TestTailSharingReadIsOneWholeFrame serves a tail-shared view over a
 // packet socket, where each write(2) or writev(2) arrives as one
-// record. The miss and the fast hit each leave in one writev, and each
-// frame is byte for byte, trailer included, the frame of the same
-// answer with the body whole.
+// record. The miss and the fast hit each leave in one writev, each
+// names the view's head, and each frame is byte for byte, trailer
+// included, the frame of the same answer with the body whole.
 func TestTailSharingReadIsOneWholeFrame(t *testing.T) {
 	r := newTailShareRig(t, 2)
 	if _, _, err := r.c.Read("d", r.users[0]); err != nil { // installs the cuts
@@ -162,8 +162,12 @@ func TestTailSharingReadIsOneWholeFrame(t *testing.T) {
 		if !strings.HasSuffix(string(resp.Body), banner(r.users[1])) {
 			t.Fatalf("%s: body %q", pass, resp.Body)
 		}
+		if resp.HeadLen != len(resp.Body)-len(banner(r.users[1])) || resp.HeadSig.IsZero() {
+			t.Fatalf("%s: the frame names a %d-byte head (%v), want the %d bytes before the banner", pass, resp.HeadLen, resp.HeadSig, len(resp.Body)-len(banner(r.users[1])))
+		}
 		f, err := encodeResponseFrame(OpRead, &Response{ID: resp.ID, Body: resp.Body, Cacheability: resp.Cacheability,
-			CostNanos: resp.CostNanos, ExpiryUnixNanos: resp.ExpiryUnixNanos, Signature: resp.Signature})
+			CostNanos: resp.CostNanos, ExpiryUnixNanos: resp.ExpiryUnixNanos, Signature: resp.Signature,
+			HeadLen: resp.HeadLen, HeadSig: resp.HeadSig})
 		if err != nil {
 			t.Fatal(err)
 		}

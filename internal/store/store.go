@@ -329,17 +329,22 @@ func (s *Store) PutBlob(payload []byte) (sig.Signature, error) {
 	return sg, s.appendBlob(sg, payload)
 }
 
-// PutSigned is PutBlob for a caller that has already signed payload. A
-// blob the store holds is answered from the index alone. For a new one
-// the store still hashes what it writes — outside its lock — and
-// refuses a signature the bytes do not produce (see appendRecord).
-func (s *Store) PutSigned(sg sig.Signature, payload []byte) error {
+// PutSigned is PutBlob for a caller that has already signed payload,
+// followed by tail when the caller holds it in parts. A blob the store
+// holds is answered from the index alone, and its parts are never
+// joined. For a new one the store still hashes what it writes — outside
+// its lock — and refuses a signature the bytes do not produce (see
+// appendRecord).
+func (s *Store) PutSigned(sg sig.Signature, payload []byte, tail ...[]byte) error {
 	s.mu.Lock()
 	_, held := s.refs[sg]
 	err := s.writableLocked()
 	s.mu.Unlock()
 	if err != nil || held {
 		return err
+	}
+	for _, p := range tail {
+		payload = append(payload[:len(payload):len(payload)], p...) // a copy: payload is the caller's
 	}
 	if sig.Of(payload) != sg {
 		return fmt.Errorf("store: payload does not hash to its signature %s", sg)
