@@ -49,7 +49,9 @@ test-race:
 # and hits on tail-shared views while their base cut is dropped,
 # evicted and reinstalled (a body is read with no lock held), at the
 # origin's table and at the sidecar's, where the first view's own bytes
-# hold the head the others share.
+# hold the head the others share, and disk promotes onto a document's
+# head while the document is dropped and its head evicted (a promote
+# finds the head resident, gone, or put back by another promote).
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/swarm/ ./internal/cluster/ ./cmd/plcached/
 	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes|SourceStamp|TailShared' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/

@@ -22,6 +22,7 @@ import (
 	"placeless/internal/repo"
 	"placeless/internal/server"
 	"placeless/internal/simnet"
+	"placeless/internal/store"
 )
 
 var users = []string{"amy", "bob", "cam"}
@@ -268,35 +269,67 @@ func TestSidecarIsARing(t *testing.T) {
 }
 
 // TestSidecarKeepsEachHeadOnce: eight users read three documents
-// through a ring of three nodes over a memoizing origin, where every
-// view is the document's universal output and the reader's watermark
-// banner. Every read, miss or hit, returns the origin's bytes; /status
-// reports every node's bytes_stored as its views' full lengths and its
-// bytes_resident as one head per document it holds a view of plus the
-// banners, and the totals as their sums.
+// through a ring of three nodes over a memoizing origin with a disk
+// tier, where every view is the document's universal output and the
+// reader's watermark banner. Every read, miss or hit, returns the
+// origin's bytes; /status reports every node's bytes_stored as its
+// views' full lengths and its bytes_resident as one head per document
+// it holds a view of plus the banners, and the totals as their sums.
+// Then the origin restarts on the same store directory: the sidecar's
+// reconnect flushes every node, each key's next read is a disk promote
+// at the origin, and the census must come out the same, heads still
+// kept once.
 func TestSidecarKeepsEachHeadOnce(t *testing.T) {
 	const docs = 3
 	readers := []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"}
 	clk := clock.Real{}
 	src := repo.NewMem("src", clk, simnet.NewPath("free", 1))
 	space := docspace.New(clk, nil)
-	origin := core.New(space, core.Options{Name: "origin", Memoize: true})
-	srv := server.NewCached(space, src, origin)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	var (
+		addr   = "127.0.0.1:0"
+		st     *store.Store
+		origin *core.Cache
+		srv    *server.Server
+		done   chan struct{}
+	)
+	// start boots the origin over the store directory on addr; stop
+	// takes it down, as a process exit would.
+	start := func() {
+		t.Helper()
+		var err error
+		if st, _, err = store.Open(dir, store.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		origin = core.New(space, core.Options{Name: "origin", Memoize: true, Store: st})
+		srv = server.NewCached(space, src, origin)
+		var ln net.Listener
+		for i := 0; i < 200; i++ {
+			if ln, err = net.Listen("tcp", addr); err == nil {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr = ln.Addr().String()
+		done = make(chan struct{})
+		go func(srv *server.Server, done chan struct{}) {
+			defer close(done)
+			_ = srv.Serve(ln)
+		}(srv, done)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln)
-	}()
-	t.Cleanup(func() {
+	stop := func() {
 		_ = srv.Close()
 		<-done
 		origin.Close()
-	})
-	addr := ln.Addr().String()
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+	start()
+	t.Cleanup(func() { stop() })
 	direct, err := server.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -325,15 +358,13 @@ func TestSidecarKeepsEachHeadOnce(t *testing.T) {
 		}
 	}
 	mux, closeAll, err := newSidecar(strings.Join([]string{addr, addr, addr}, ","), 2, cluster.DefaultVNodes, 0,
-		server.WithCallTimeout(5*time.Second))
+		server.WithCallTimeout(5*time.Second), server.WithReconnect(5*time.Millisecond, 50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(closeAll)
 
-	type census struct{ stored, resident int64 }
-	want := map[string]*census{} // by node name
-	heads := map[string]bool{}   // node + doc
+	views := map[string][]byte{} // doc + user → the origin's bytes
 	for d := 0; d < docs; d++ {
 		doc := fmt.Sprint("doc", d)
 		for _, u := range readers {
@@ -341,52 +372,91 @@ func TestSidecarKeepsEachHeadOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pass := range []string{"miss", "hit"} {
-				if rec := serve(mux, http.MethodGet, "/doc/"+doc+"?user="+u, ""); rec.Code != http.StatusOK || rec.Body.String() != string(view) {
-					t.Fatalf("%s as %s, %s: %d %q; the origin answers %q", doc, u, pass, rec.Code, rec.Body.String(), view)
+			views[doc+"/"+u] = view
+		}
+	}
+	// census reads every key through the sidecar, twice, and checks the
+	// bytes each node keeps.
+	census := func(leg string) {
+		t.Helper()
+		type bytesHeld struct{ stored, resident int64 }
+		want := map[string]*bytesHeld{} // by node name
+		heads := map[string]bool{}      // node + doc
+		for d := 0; d < docs; d++ {
+			doc := fmt.Sprint("doc", d)
+			for _, u := range readers {
+				view := views[doc+"/"+u]
+				for _, pass := range []string{"miss", "hit"} {
+					if rec := serve(mux, http.MethodGet, "/doc/"+doc+"?user="+u, ""); rec.Code != http.StatusOK || rec.Body.String() != string(view) {
+						t.Fatalf("%s: %s as %s, %s: %d %q; the origin answers %q", leg, doc, u, pass, rec.Code, rec.Body.String(), view)
+					}
+				}
+				// With every node up the key's primary owner serves it.
+				var ring struct{ Owners []string }
+				if err := json.Unmarshal(serve(mux, http.MethodGet, "/ring?doc="+doc+"&user="+u, "").Body.Bytes(), &ring); err != nil || len(ring.Owners) == 0 {
+					t.Fatalf("%s: /ring for %s/%s: %v", leg, doc, u, err)
+				}
+				node := ring.Owners[0]
+				if want[node] == nil {
+					want[node] = &bytesHeld{}
+				}
+				tail := int64(len("\n-- retrieved for " + u + " --\n"))
+				want[node].stored += int64(len(view))
+				want[node].resident += tail
+				if !heads[node+doc] {
+					heads[node+doc] = true
+					want[node].resident += int64(len(view)) - tail
 				}
 			}
-			// With every node up the key's primary owner serves it.
-			var ring struct{ Owners []string }
-			if err := json.Unmarshal(serve(mux, http.MethodGet, "/ring?doc="+doc+"&user="+u, "").Body.Bytes(), &ring); err != nil || len(ring.Owners) == 0 {
-				t.Fatalf("/ring for %s/%s: %v", doc, u, err)
+		}
+		var total bytesHeld
+		for _, node := range statusNodes(t, mux, 3) {
+			w := want[node.Name]
+			if w == nil {
+				w = &bytesHeld{}
 			}
-			node := ring.Owners[0]
-			if want[node] == nil {
-				want[node] = &census{}
+			if node.BytesStored != w.stored || node.BytesResident != w.resident {
+				t.Errorf("%s: node %s: bytes_stored %d, bytes_resident %d; want %d and %d", leg, node.Name, node.BytesStored, node.BytesResident, w.stored, w.resident)
 			}
-			tail := int64(len("\n-- retrieved for " + u + " --\n"))
-			want[node].stored += int64(len(view))
-			want[node].resident += tail
-			if !heads[node+doc] {
-				heads[node+doc] = true
-				want[node].resident += int64(len(view)) - tail
-			}
+			total.stored += w.stored
+			total.resident += w.resident
+		}
+		var st struct {
+			Stored   int64 `json:"bytes_stored"`
+			Resident int64 `json:"bytes_resident"`
+		}
+		if err := json.Unmarshal(serve(mux, http.MethodGet, "/status", "").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Stored != total.stored || st.Resident != total.resident {
+			t.Fatalf("%s: /status totals: bytes_stored %d, bytes_resident %d; want %d and %d", leg, st.Stored, st.Resident, total.stored, total.resident)
+		}
+		if m := scrape(t, mux); m["placeless_remote_bytes_stored"] != st.Stored {
+			t.Fatalf("%s: /metrics bytes_stored %d, /status %d", leg, m["placeless_remote_bytes_stored"], st.Stored)
 		}
 	}
-	var total census
-	for _, node := range statusNodes(t, mux, 3) {
-		w := want[node.Name]
-		if w == nil {
-			w = &census{}
+	census("first reads")
+
+	stop()
+	start()
+	// Every node reconnects and flushes what it cached under the old
+	// connection before the census reads again.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		up := 0
+		for _, node := range statusNodes(t, mux, 3) {
+			if node.State == "connected" && node.Entries == 0 {
+				up++
+			}
 		}
-		if node.BytesStored != w.stored || node.BytesResident != w.resident {
-			t.Errorf("node %s: bytes_stored %d, bytes_resident %d; want %d and %d", node.Name, node.BytesStored, node.BytesResident, w.stored, w.resident)
+		if up == 3 {
+			break
 		}
-		total.stored += w.stored
-		total.resident += w.resident
+		if time.Now().After(deadline) {
+			t.Fatal("the sidecar did not reconnect and flush within 10 s of the origin's restart")
+		}
 	}
-	var st struct {
-		Stored   int64 `json:"bytes_stored"`
-		Resident int64 `json:"bytes_resident"`
-	}
-	if err := json.Unmarshal(serve(mux, http.MethodGet, "/status", "").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Stored != total.stored || st.Resident != total.resident {
-		t.Fatalf("/status totals: bytes_stored %d, bytes_resident %d; want %d and %d", st.Stored, st.Resident, total.stored, total.resident)
-	}
-	if m := scrape(t, mux); m["placeless_remote_bytes_stored"] != st.Stored {
-		t.Fatalf("/metrics bytes_stored %d, /status %d", m["placeless_remote_bytes_stored"], st.Stored)
+	census("after the origin's restart")
+	if got, want := origin.Stats().StorePromotions, int64(len(views)); got != want {
+		t.Fatalf("the restarted origin promoted %d entries from disk, want every key's %d", got, want)
 	}
 }

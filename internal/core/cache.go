@@ -675,8 +675,13 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info Entry
 	// Write-behind demotion at install time, not at eviction: a warm
 	// restart must recover the cache as it was, including entries that
 	// were never evicted. All store calls run outside cache locks.
+	// The installed bytes are what every later hit serves and what the
+	// record names: the staged read may hand a computed view back whole
+	// although its entry shares the last cut's tail-shared blob, whose
+	// head the record must name for a promote to keep it once.
+	body = e.blob.body()
 	c.demoteEntry(doc, user, s, body, res, trace.Key, gen)
-	return e.blob.body(), info, res.Related, nil // the installed bytes, which every later hit serves
+	return body, info, res.Related, nil
 }
 
 // prefetch warms the cache with the user's views of related documents.

@@ -96,7 +96,7 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 		c.stats.storePromotionRejects.Add(1)
 		return Body{}, EntryInfo{}, false
 	}
-	data, ok := st.GetBlob(e.Sig)
+	body, ok := c.readPromoted(st, e)
 	if !ok {
 		c.stats.storePromotionRejects.Add(1)
 		return Body{}, EntryInfo{}, false
@@ -118,12 +118,12 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 
 	ent := &Entry{
 		Doc: doc, User: user,
-		Signature:    e.Sig, // GetBlob has just proved data hashes to it
+		Signature:    e.Sig, // readPromoted has just proved the body hashes to it
 		Cost:         e.Cost,
 		Cacheability: property.Unrestricted,
 		Verifiers:    []property.Verifier{verifier},
 	}
-	if !c.tab.Install(Key(doc, user), ent, Body{Head: data}, gen, Base{}) {
+	if !c.tab.Install(Key(doc, user), ent, body, gen, Base{Sig: body.HeadSig}) {
 		// Closed, or invalidated since the caller's snapshot: the probe
 		// above may predate the change, so the disk bytes are suspect.
 		c.stats.storePromotionRejects.Add(1)
@@ -135,13 +135,52 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 	return ent.blob.body(), EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
 }
 
+// readPromoted reads e's blob from the store, split at the head its
+// record claims when the bytes prove the claim, so the install keeps
+// that head once for every view built on it. The proof costs no second
+// hash: with the head resident in the table only the tail is read, and
+// the hash that proves head ‖ tail is the blob proves the head is its
+// start; otherwise the whole blob is read and the hash that proves it
+// also signs its first HeadLen bytes. A claim the bytes do not prove —
+// a length at or past the body's end, a length without a signature, a
+// signature of other bytes — leaves the body whole.
+func (c *Cache) readPromoted(st *store.Store, e store.EntryMeta) (Body, bool) {
+	claim := headOf(e)
+	if claim.Sig.IsZero() || claim.Len <= 0 {
+		data, ok := st.GetBlob(e.Sig)
+		return Body{Head: data}, ok
+	}
+	if head := c.tab.wholeBlob(claim.Sig); len(head) == claim.Len {
+		if tail, ok := st.GetBlobAfter(e.Sig, head); ok {
+			return Body{Head: head, Tail: tail, HeadSig: claim.Sig}, true
+		}
+	}
+	data, hs, ok := st.GetBlobHead(e.Sig, claim.Len)
+	if !ok || hs != claim.Sig {
+		return Body{Head: data}, ok
+	}
+	return Body{Head: data[:claim.Len:claim.Len], Tail: data[claim.Len:], HeadSig: claim.Sig}, true
+}
+
+// headOf is the head an entry record claims, as the base a promote
+// would install it on; zero for a whole entry's record.
+func headOf(e store.EntryMeta) Base {
+	b := Base{Len: e.HeadLen}
+	if e.HeadSig != nil {
+		b.Sig = *e.HeadSig
+	}
+	return b
+}
+
 // demoteEntry writes an installed result behind to the disk tier, under
 // ck, the content key the staged read computed it under (its
 // StageTrace.Key): key and bytes come from one source fetch and one
 // chain snapshot, so the pair is consistent whatever has been
 // rewritten since, and a later promote's live probe decides whether it
 // is still current. s is data's signature; gen is the install's
-// generation snapshot.
+// generation snapshot. data is the body as the table holds it: a
+// tail-shared body's record names its head, which a promote proves and
+// then keeps once (readPromoted).
 func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res property.ReadResult, ck docspace.ContentKey, gen uint64) {
 	st := c.opts.Store
 	if st == nil || res.Cacheability != property.Unrestricted || !ck.Memoizable {
@@ -150,11 +189,16 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res pr
 	if c.tab.Gen(doc) != gen {
 		return
 	}
+	var head Base
+	if len(data.Tail) > 0 {
+		head = Base{Sig: data.HeadSig, Len: len(data.Head)}
+	}
 	if prev, ok := st.GetEntry(doc, user); ok &&
 		prev.Sig == s && prev.Gen == gen &&
 		prev.SourceSig == ck.SourceSig &&
 		prev.UniversalFP == ck.UniversalFP &&
-		prev.PersonalFP == ck.PersonalFP {
+		prev.PersonalFP == ck.PersonalFP &&
+		headOf(prev) == head {
 		// Identical record already durable; re-appending would only
 		// bloat the segment.
 		return
@@ -163,7 +207,7 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res pr
 		c.stats.storeErrors.Add(1)
 		return
 	}
-	if err := st.PutEntry(store.EntryMeta{
+	rec := store.EntryMeta{
 		Doc: doc, User: user,
 		Sig:         s,
 		SourceSig:   ck.SourceSig,
@@ -171,7 +215,11 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res pr
 		PersonalFP:  ck.PersonalFP,
 		Gen:         gen,
 		Cost:        res.Cost,
-	}); err != nil {
+	}
+	if head.Len > 0 {
+		rec.HeadSig, rec.HeadLen = &head.Sig, head.Len
+	}
+	if err := st.PutEntry(rec); err != nil {
 		c.stats.storeErrors.Add(1)
 		return
 	}

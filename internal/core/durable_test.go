@@ -676,3 +676,214 @@ func TestDiskPromoteIsAStage(t *testing.T) {
 		t.Fatalf("disk_promote stage count = %d, want 1", n)
 	}
 }
+
+// memoViews reads every user's view of setupMemoDoc's document on a
+// memoizing cache with no disk tier: the bytes each view is, the
+// universal cut they all begin with, that cut's signature, and each
+// user's content key.
+func memoViews(t *testing.T, w *world, users []string) (views [][]byte, cut []byte, cutSig sig.Signature, keys []docspace.ContentKey) {
+	t.Helper()
+	c := New(w.space, Options{Name: "reference", Memoize: true})
+	defer c.Close()
+	for _, u := range users {
+		body, _, err := c.ReadWithInfo("d", u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body.Tail) == 0 || body.HeadSig.IsZero() {
+			t.Fatalf("setup: %s's view is not tail-shared", u)
+		}
+		cut, cutSig = body.Head, body.HeadSig
+		ck, err := w.space.ContentKey("d", u)
+		if err != nil || !ck.Memoizable {
+			t.Fatalf("setup: content key %+v, %v", ck, err)
+		}
+		views = append(views, body.Bytes())
+		keys = append(keys, ck)
+	}
+	return views, cut, cutSig, keys
+}
+
+// TestDurableUpgradeFromWholeEntryStore boots a memoizing cache over a
+// store whose entry records carry no head, as every record was written
+// before records named one: it opens with every entry, and each
+// promote installs its view whole, with the right bytes. A whole
+// entry's record is still written byte for byte in that shape.
+func TestDurableUpgradeFromWholeEntryStore(t *testing.T) {
+	users := memoUsers(3)
+	w := newWorld(t, Options{})
+	setupMemoDoc(t, w, users)
+	views, _, _, keys := memoViews(t, w, users)
+
+	// The record's shape before it named a head.
+	type headlessEntry struct {
+		Doc         string        `json:"doc"`
+		User        string        `json:"user"`
+		Sig         sig.Signature `json:"sig"`
+		SourceSig   sig.Signature `json:"src"`
+		UniversalFP sig.Signature `json:"ufp"`
+		PersonalFP  sig.Signature `json:"pfp"`
+		Gen         uint64        `json:"gen"`
+		Cost        time.Duration `json:"cost"`
+	}
+	var seg []byte
+	for i, u := range users {
+		ck := keys[i]
+		old, err := json.Marshal(map[string]any{"t": "entry", "e": headlessEntry{Doc: "d", User: u, Sig: sig.Of(views[i]), SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, Cost: time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		now, err := json.Marshal(map[string]any{"t": "entry", "e": store.EntryMeta{Doc: "d", User: u, Sig: sig.Of(views[i]), SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, Cost: time.Millisecond}})
+		if err != nil || !bytes.Equal(now, old) {
+			t.Fatalf("a whole entry's record is %s, want the headless shape %s (%v)", now, old, err)
+		}
+		seg = append(seg, handRecord("PLSG", sig.Of(views[i]), views[i])...)
+		seg = append(seg, handRecord("PLMT", sig.Of(old), old)...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.plseg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if (rec != store.Recovery{Blobs: len(users), Entries: len(users)}) {
+		t.Fatalf("recovery = %+v, want every blob and entry", rec)
+	}
+	c := New(w.space, Options{Name: "upgraded", Memoize: true, Store: st})
+	defer c.Close()
+	var whole int64
+	for i, u := range users {
+		body, info, err := c.ReadWithInfo("d", u)
+		if err != nil || !info.DiskPromoted {
+			t.Fatalf("%s: not promoted: %+v, %v", u, info, err)
+		}
+		if len(body.Tail) != 0 || !body.HeadSig.IsZero() || !bytes.Equal(body.Head, views[i]) {
+			t.Fatalf("%s: promoted %d + %d bytes (head %v), want the %d-byte view whole", u, len(body.Head), len(body.Tail), body.HeadSig, len(views[i]))
+		}
+		whole += int64(len(views[i]))
+	}
+	if got := c.Stats().BytesResident; got != whole {
+		t.Fatalf("BytesResident = %d, want the %d bytes of whole views", got, whole)
+	}
+}
+
+// TestDurablePromoteRefusesAnUnprovenHead: an entry record's head is a
+// claim the promote proves against the bytes. A length at or past the
+// body's end, a length with no signature, a signature with no length, a
+// signature of other bytes (resident in the table or not) and the
+// right signature with the wrong length each leave the view whole,
+// served with the right bytes, and cost the store no blob. The one
+// true claim, beside them, is kept split.
+func TestDurablePromoteRefusesAnUnprovenHead(t *testing.T) {
+	type claim struct {
+		name     string
+		sig      *sig.Signature
+		length   func(view []byte) int
+		resident bool // the claimed signature's bytes are in the table
+	}
+	cutLen := func(n int) func([]byte) int { return func([]byte) int { return n } }
+	users := memoUsers(8)
+	w := newWorld(t, Options{})
+	setupMemoDoc(t, w, users)
+	views, cut, cutSig, keys := memoViews(t, w, users)
+	other := bytes.Repeat([]byte{'x'}, len(cut))
+	otherSig := sig.Of(other)
+	claims := []claim{
+		{name: "the true head", sig: &cutSig, length: cutLen(len(cut))},
+		{name: "a length of the whole body", sig: &cutSig, length: func(v []byte) int { return len(v) }},
+		{name: "a length past the body", sig: &cutSig, length: func(v []byte) int { return len(v) + 9 }},
+		{name: "a length with no signature", length: cutLen(len(cut))},
+		{name: "a signature with no length", sig: &cutSig, length: cutLen(0)},
+		{name: "a signature of other bytes", sig: &otherSig, length: cutLen(len(cut))},
+		{name: "a signature of other bytes the table holds", sig: &otherSig, length: cutLen(len(cut)), resident: true},
+		{name: "the head's signature with another length", sig: &cutSig, length: cutLen(len(cut) - 1)},
+	}
+	dir := t.TempDir()
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cl := range claims {
+		s, err := st.PutBlob(views[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := keys[i]
+		if err := st.PutEntry(store.EntryMeta{Doc: "d", User: users[i], Sig: s, SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, HeadSig: cl.sig, HeadLen: cl.length(views[i])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, _, err = store.Open(dir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	blobs := st.Stats().Blobs
+	c := New(w.space, Options{Name: "refusing", Memoize: true, Store: st})
+	defer c.Close()
+	for i, cl := range claims {
+		if cl.resident && !c.tab.Install(Key("x", "holder"), &Entry{Doc: "x", User: "holder", Signature: otherSig}, Body{Head: other}, c.tab.Gen("x"), Base{}) {
+			t.Fatal("setup: the other bytes did not go in")
+		}
+		body, info, err := c.ReadWithInfo("d", users[i])
+		if err != nil || !info.DiskPromoted || !bytes.Equal(body.Bytes(), views[i]) {
+			t.Fatalf("%s: promoted %q (%+v, %v), want the view", cl.name, body.Bytes(), info, err)
+		}
+		if split := len(body.Tail) > 0; split != (i == 0) {
+			t.Errorf("%s: promoted as %d + %d bytes, head %v", cl.name, len(body.Head), len(body.Tail), body.HeadSig)
+		}
+		if _, ok := st.GetBlob(sig.Of(views[i])); !ok {
+			t.Errorf("%s: the store lost the view's blob", cl.name)
+		}
+	}
+	if got := st.Stats().Blobs; got != blobs {
+		t.Fatalf("the store holds %d blobs after the promotes, %d before", got, blobs)
+	}
+}
+
+// TestDurablePromoteKeepsTheCut: 64 users of one document read their
+// views on a memoizing cache with a disk tier, and after a restart each
+// promotes its own from disk. The promoted bodies come in two parts
+// named by their head, every head the same bytes, so BytesResident is
+// one head plus 64 tails, while BytesStored still charges every view
+// its full length.
+func TestDurablePromoteKeepsTheCut(t *testing.T) {
+	users := memoUsers(churnUsers)
+	d := newDurableWorld(t, Options{Memoize: true})
+	setupMemoDoc(t, d.world, users)
+	views := make([][]byte, len(users))
+	for i, u := range users {
+		views[i] = d.read(t, "d", u)
+	}
+	d.crashAndRestart()
+	var head []byte
+	var stored, tails int64
+	for i, u := range users {
+		body, info, err := d.cache.ReadWithInfo("d", u)
+		if err != nil || !info.DiskPromoted || !bytes.Equal(body.Bytes(), views[i]) {
+			t.Fatalf("%s: not the promoted view: %+v, %v", u, info, err)
+		}
+		if len(body.Tail) == 0 || body.HeadSig.IsZero() {
+			t.Fatalf("%s: promoted whole", u)
+		}
+		if head == nil {
+			head = body.Head
+		}
+		if &body.Head[0] != &head[0] {
+			t.Fatalf("%s: promoted on a head of its own", u)
+		}
+		stored += int64(len(views[i]))
+		tails += int64(len(body.Tail))
+	}
+	if got, want := d.cache.Stats().BytesResident, int64(len(head))+tails; got != want {
+		t.Fatalf("BytesResident = %d, want one %d-byte head plus %d tail bytes, %d", got, len(head), tails, want)
+	}
+	if got := d.cache.Stats().BytesStored; got != stored {
+		t.Fatalf("BytesStored = %d, want every view's full length, %d", got, stored)
+	}
+}

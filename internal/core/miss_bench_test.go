@@ -127,15 +127,21 @@ func BenchmarkMissMemoResume4K(b *testing.B) {
 }
 
 // BenchmarkPromote4K is the origin's read on the live benchmark's
-// restart_recover, alone: every timed read is a key's first read after
-// a restart, served by promoting its durable entry — one live
-// content-key probe, one verified blob read, one install. The probe's
-// source signature costs a source fetch and its hash for the first
-// user of a round and one stat for the other churnUsers−1, which
-// reuse the stamp the first left. Every user's entry is demoted once
-// before the timer starts; the restart (close the cache, rebuild the
-// document space over the same repository, reopen the store, boot a
-// new cache) runs once per round of users with the timer stopped.
+// restart_recover, alone, on a memoizing cache as `placelessd -memoize`
+// runs it (a store forces Memoize on; the option says so here): every
+// timed read is a key's first read after a restart, read as the wire
+// server reads it (ReadWithInfo, the bytes as the table holds them),
+// and served by promoting its durable entry — one live content-key
+// probe, one verified blob read, one install. The probe's source signature costs
+// a source fetch and its hash for the first user of a round and one
+// stat for the other churnUsers−1, which reuse the stamp the first
+// left. Each entry's record names the universal cut its view begins
+// with: the round's first promote reads its whole blob and keeps that
+// head, and the other churnUsers−1 read and allocate only their tails
+// on it. Every user's entry is demoted once before the timer starts;
+// the restart (close the cache, rebuild the document space over the
+// same repository, reopen the store, boot a new cache) runs once per
+// round of users with the timer stopped.
 func BenchmarkPromote4K(b *testing.B) {
 	fs, _ := churnSource(b)
 	space, names := churnDocSpace(b, fs)
@@ -144,7 +150,7 @@ func BenchmarkPromote4K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Name: "bench", Store: st}
+	opts := Options{Name: "bench", Memoize: true, Store: st}
 	c := New(space, opts)
 	for _, u := range names {
 		if _, err := c.Read("d", u); err != nil {
@@ -176,7 +182,7 @@ func BenchmarkPromote4K(b *testing.B) {
 			restart()
 			b.StartTimer()
 		}
-		if _, err := c.Read("d", names[i%churnUsers]); err != nil {
+		if _, _, err := c.ReadWithInfo("d", names[i%churnUsers]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -302,13 +302,14 @@ func (t *Table) drop(k string) {
 // e went in, and is the one way a record of either kind enters the
 // table.
 //
-// data may come in two parts, when it is a blob the table holds (a
-// read that ended on a tail-shared cut): they are joined only if that
-// blob is gone by the time the install runs. base names the blob data
-// was built from, or is zero: when data begins with that blob's bytes,
-// the new blob keeps only the rest (internBlob). Install may keep
-// data's bytes themselves as the blob, or their leading base.Len bytes
-// as the base, so from the call on nobody modifies them.
+// data may come in two parts, split at the blob its HeadSig names,
+// when the caller has proved its head is that blob's bytes: a blob the
+// table holds (a read that ended on a tail-shared cut), or a disk
+// promote's verified head. base names the blob data was built from, or
+// is zero: when data begins with that blob's bytes, the new blob keeps
+// only the rest (internBlob), and data split at base is never joined.
+// Install may keep data's bytes themselves as the blob, or their
+// leading bytes as the base, so from the call on nobody modifies them.
 func (t *Table) Install(k string, e *Entry, data Body, gen uint64, base Base) bool {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
@@ -444,48 +445,70 @@ func (t *Table) Close() bool {
 
 // internBlob interns body's bytes, data, under s, their signature,
 // takes one reference and returns the blob, maintaining the byte and
-// shared-entry gauges incrementally. body's parts are joined only when
-// no blob is resident under s. A new blob built on base — a resident
-// blob whose bytes data begins with — holds a copy of the rest. When
-// no blob is resident under base.Sig and base.Len is set, data's first
-// base.Len bytes become that blob, in place and charged to no one
-// until a record holds it (the base rule of freeBlob), and the new
-// blob holds a copy of the rest. Otherwise the new blob holds data
-// itself, or an exact-size copy when data has spare capacity, so a
-// blob never pins more than its bytes (an in-place base pins its
-// tail's few bytes too). The caller signs — once, before it takes the stripe lock this
-// runs under — or passes on the signatures a lower tier (the disk
-// store, the origin across the wire) has proved. asEntry distinguishes
-// (doc, user) entries from cuts: both share storage and lifetime, but
-// only entry references drive the SharedEntries gauge.
+// shared-entry gauges incrementally. A body that comes split at base —
+// two parts, HeadSig naming base.Sig — is never joined: its head is a
+// blob's bytes the caller has proved (a blob the table held, a disk
+// promote's verified head), so the new blob is built on the resident
+// base when that holds the same bytes, or on the head itself, kept in
+// place as the base, when there is none; it keeps the tail itself
+// unless the tail may lie in the buffer of another copy of the head.
+// Any other body's parts are joined only when no blob is resident
+// under s. A new blob built on
+// base — a resident blob whose bytes data begins with — holds a copy
+// of the rest. When no blob is resident under base.Sig and base.Len is
+// set, data's first base.Len bytes become that blob, in place and
+// charged to no one until a record holds it (the base rule of
+// freeBlob), and the new blob holds a copy of the rest. Otherwise the
+// new blob holds data itself, or an exact-size copy when data has
+// spare capacity, so a blob never pins more than its bytes (an in-place
+// base pins its tail's few bytes too). The caller signs — once, before
+// it takes the stripe lock this runs under — or passes on the
+// signatures a lower tier (the disk store, the origin across the wire)
+// has proved. asEntry distinguishes (doc, user) entries from cuts: both
+// share storage and lifetime, but only entry references drive the
+// SharedEntries gauge.
 func (t *Table) internBlob(s sig.Signature, body Body, asEntry bool, base Base) *blob {
 	t.blobMu.Lock()
 	defer t.blobMu.Unlock()
 	b := t.blobs[s]
 	if b == nil {
 		b = &blob{s: s}
-		data := body.Bytes()
+		data := body.Tail
+		keep := false // data may stay in place although b is built on a base
 		h := t.blobs[base.Sig]
 		switch {
 		case base.Sig.IsZero():
-		case h != nil:
-			if h.base != nil {
-				h = h.base // data begins with h's bytes, so with its base's too
+			data = body.Bytes()
+		case body.HeadSig == base.Sig && len(body.Head) > 0 && len(body.Tail) > 0 &&
+			(h == nil || h.base == nil && bytes.Equal(h.data, body.Head)):
+			if h == nil {
+				h = t.placeBase(base.Sig, body.Head)
 			}
-			if len(data) > len(h.data) && bytes.HasPrefix(data, h.data) {
-				b.base = h
-			}
-		case base.Len > 0 && base.Len < len(data):
-			h = &blob{s: base.Sig, data: data[:base.Len:base.Len]}
-			t.blobs[base.Sig] = h
-			t.stats.bytesResident.Add(int64(base.Len))
 			b.base = h
+			// A tail that follows some other copy of the head may lie in
+			// that copy's buffer, which must not outlive the read.
+			keep = &h.data[0] == &body.Head[0]
+		default:
+			data = body.Bytes()
+			switch {
+			case h != nil:
+				if h.base != nil {
+					h = h.base // data begins with h's bytes, so with its base's too
+				}
+				if len(data) > len(h.data) && bytes.HasPrefix(data, h.data) {
+					b.base = h
+				}
+			case base.Len > 0 && base.Len < len(data):
+				b.base = t.placeBase(base.Sig, data[:base.Len])
+			}
+			if b.base != nil {
+				data = data[len(b.base.data):]
+			}
 		}
 		if b.base != nil {
 			b.base.tails++
-			data = data[len(b.base.data):]
 		}
-		if cap(data) != len(data) || b.base != nil {
+		if cap(data) != len(data) || b.base != nil && !keep {
 			data = append(make([]byte, 0, len(data)), data...)
 		}
 		b.data = data
@@ -509,6 +532,28 @@ func (t *Table) internBlob(s sig.Signature, body Body, asEntry bool, base Base) 
 	}
 	b.refs++
 	return b
+}
+
+// placeBase makes head, in place, the blob under s, held by no record
+// yet: the base a new blob is about to be built on. The caller holds
+// blobMu.
+func (t *Table) placeBase(s sig.Signature, head []byte) *blob {
+	h := &blob{s: s, data: head[:len(head):len(head)]}
+	t.blobs[s] = h
+	t.stats.bytesResident.Add(int64(len(head)))
+	return h
+}
+
+// wholeBlob returns the bytes of the whole blob the table holds under
+// s, held by records or only by the tails built on it, or nil: bytes a
+// blob about to be interned may be built on.
+func (t *Table) wholeBlob(s sig.Signature) []byte {
+	t.blobMu.Lock()
+	defer t.blobMu.Unlock()
+	if b := t.blobs[s]; b != nil && b.base == nil {
+		return b.data
+	}
+	return nil
 }
 
 // unrefBlob drops e's reference to its blob. The blob stops being

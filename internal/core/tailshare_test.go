@@ -453,3 +453,75 @@ func TestRaceTailSharedHitsWhileBaseChurns(t *testing.T) {
 		t.Fatalf("closed table: %d bytes stored, %d resident", tab.BytesStored(), tab.stats.bytesResident.Load())
 	}
 }
+
+// TestRaceTailSharedPromotesWhileBaseChurns: after a restart, users'
+// reads promote their views from disk onto the document's head while
+// another goroutine drops the document and evicts everything, the head
+// with it, so a promote finds the head resident, gone, or put back by
+// another user's promote between its read and its install. Every read
+// must return the user's exact view, the document index must audit
+// clean, and the closed table must hold nothing.
+func TestRaceTailSharedPromotesWhileBaseChurns(t *testing.T) {
+	const users = 4
+	names := memoUsers(users)
+	d := newDurableWorld(t, Options{Memoize: true})
+	setupMemoDoc(t, d.world, names)
+	views := make([][]byte, users)
+	for i, u := range names {
+		views[i] = d.read(t, "d", u)
+	}
+	d.crashAndRestart()
+	c := d.cache
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads [users]atomic.Int64
+	for i, u := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				body, _, err := c.ReadWithInfo("d", u)
+				if err != nil || !bytes.Equal(body.Bytes(), views[i]) {
+					t.Errorf("%s: read %d + %d bytes that are not the view (%v)", u, len(body.Head), len(body.Tail), err)
+					return
+				}
+				reads[i].Add(1)
+			}
+		}()
+	}
+	done := func() bool {
+		for i := range reads {
+			if reads[i].Load() < 200 {
+				return false
+			}
+		}
+		return c.Stats().StorePromotions >= 100
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for round := 0; !done() || round < 300; round++ {
+		if time.Now().After(deadline) {
+			t.Error("the readers made no progress under the churn")
+			break
+		}
+		if round%2 == 0 {
+			c.tab.DropDoc("d") // no epoch goes to the store: the entries stay promotable
+		} else {
+			c.tab.Resize(1) // evicts what no flight pins, the head's last holders with the rest
+			c.tab.Resize(0)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := c.tab.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if c.tab.BytesStored() != 0 || c.tab.BytesResident() != 0 {
+		t.Fatalf("closed table: %d bytes stored, %d resident", c.tab.BytesStored(), c.tab.BytesResident())
+	}
+}

@@ -30,7 +30,11 @@ import (
 //     put returns; the final body, which is the last cut's bytes over
 //     again, is not hashed at all — its entry names the cut's blob;
 //   - a disk promote hashes the source once (the live probe) and the
-//     body once (GetBlob's proof), and interns under that proof.
+//     body once (GetBlobHead's proof, which also signs the head its
+//     record claims), and interns under that proof, split at the head;
+//   - a later user's promote, whose head is then resident, reads only
+//     its tail and hashes head ‖ tail once (GetBlobAfter); its probe
+//     reuses the source stamp the first left.
 func TestMissSignsEachBodyOnce(t *testing.T) {
 	// Each transform lengthens the text ("occured" gains a letter, "a"
 	// becomes "un", the watermark appends), so no body has the source's
@@ -83,7 +87,7 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 			hashed += n
 		}
 	})()
-	read := func(user, shape string, wantSources, wantBodies int, check func(core.EntryInfo) bool) {
+	read := func(user, shape string, wantSources, wantBodies int, check func(core.EntryInfo) bool) core.Body {
 		t.Helper()
 		sources, bodies, hashed = 0, 0, 0
 		body, info, err := cache.ReadWithInfo("d", user)
@@ -101,6 +105,7 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 		if sources != wantSources || bodies != wantBodies {
 			t.Errorf("%s: %d source + %d body hashes, want %d + %d", shape, sources, bodies, wantSources, wantBodies)
 		}
+		return body
 	}
 
 	// Three new cuts: after spell-correct, after translate (the
@@ -122,5 +127,16 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache = core.New(space, core.Options{Name: "once", Store: st})
-	read(users[0], "disk promote", 1, 1, func(i core.EntryInfo) bool { return i.DiskPromoted })
+	promoted := func(i core.EntryInfo) bool { return i.DiskPromoted }
+	twoParts := func(shape string, b core.Body) {
+		t.Helper()
+		if len(b.Tail) == 0 || b.HeadSig.IsZero() {
+			t.Errorf("%s: the promoted body came back whole (%d-byte head, no tail or no head signature)", shape, len(b.Head))
+		}
+	}
+	twoParts("disk promote", read(users[0], "disk promote", 1, 1, promoted))
+	// u1's view begins with the head u0's promote left resident: only
+	// its tail is read, and one hash over head ‖ tail proves the blob.
+	// The source is not fetched again: the probe reuses the stamp.
+	twoParts("disk promote on a resident head", read(users[1], "disk promote on a resident head", 0, 1, promoted))
 }

@@ -36,9 +36,26 @@ func Of(data []byte) Signature {
 	return Signature(sum[:Size])
 }
 
-// ofHook, when set, is told the length of every input Of hashes. Only
-// this package's tests can set it (export_test.go): they pin how many
-// times the miss path signs one body, which no other package can see.
+// OfParts returns the signature of head ‖ tail, without joining them,
+// and that of head alone, read off the same pass at the boundary: one
+// hash proves both what a blob is and what it begins with.
+func OfParts(head, tail []byte) (whole, prefix Signature) {
+	if ofHook != nil {
+		ofHook(len(head) + len(tail))
+	}
+	h := sha256.New()
+	h.Write(head)
+	var sum [sha256.Size]byte
+	prefix = Signature(h.Sum(sum[:0])[:Size])
+	h.Write(tail)
+	whole = Signature(h.Sum(sum[:0])[:Size])
+	return whole, prefix
+}
+
+// ofHook, when set, is told the length of every input Of and OfParts
+// hash. Only this package's tests can set it (export_test.go): they pin
+// how many times the miss path signs one body, which no other package
+// can see.
 var ofHook func(n int)
 
 // String renders the signature as lowercase hex.

@@ -5,25 +5,30 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"placeless/internal/sig"
 )
 
 // FuzzSegmentRoundTrip hands the segment scanner adversarial file
-// contents three ways — a valid record stream mixing blobs, entries, an
-// intermediate and an epoch with a fuzzed tail appended, a fuzzed
-// prefix alone, and a valid stream with one fuzzed byte position
-// mutated — and holds it to the store's safety contract: open never
-// errors on corruption, never panics, every blob the rebuilt index
-// serves is byte-exact under its signature, every entry and
-// intermediate it returns names a blob it serves, and every metadata
-// record it replays is one of the stream's own, never a mutated one.
+// contents three ways — a valid record stream mixing blobs, entries
+// (one naming its head), an intermediate and an epoch with a fuzzed
+// tail appended, a fuzzed prefix alone, and a valid stream with one
+// fuzzed byte position mutated — and holds it to the store's safety
+// contract: open never errors on corruption, never panics, every blob
+// the rebuilt index serves is byte-exact under its signature, every
+// entry and intermediate it returns names a blob it serves, and every
+// metadata record it replays is one of the stream's own, never a
+// mutated one.
 func FuzzSegmentRoundTrip(f *testing.F) {
 	one, two := []byte("fuzz seed record one"), []byte("fuzz seed record two")
+	head := sig.Of(two[:9])
 	entries := []EntryMeta{
 		{Doc: "a", User: "u", Sig: sig.Of(one), SourceSig: sig.Of(two), Gen: 2, Cost: 5},
 		{Doc: "b", User: "u", Sig: sig.Of(two), Gen: 3},
+		{Doc: "b", User: "v", Sig: sig.Of(two), Gen: 3, HeadSig: &head, HeadLen: 9}, // a tail-shared entry's record
 	}
 	inter := IntermediateMeta{SourceSig: sig.Of(one), Fingerprint: sig.Of([]byte("chain")), Sig: sig.Of(two), Cost: 7}
 	epochs := map[string]uint64{"c": 4}
@@ -41,6 +46,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 	meta(metaRecord{T: "inter", Inter: &inter})
 	meta(metaRecord{T: "epoch", Doc: "c", Gen: 4})
 	meta(metaRecord{T: "entry", Entry: &entries[1]})
+	meta(metaRecord{T: "entry", Entry: &entries[2]})
 
 	f.Add([]byte(nil), 0)
 	f.Add(valid, len(valid))
@@ -48,7 +54,8 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte("PLSG garbage that is not a record"), 2)
 	f.Add(bytes.Repeat([]byte{0x00}, 64), 10)
 	f.Add(append(append([]byte(nil), valid...), 'P', 'L', 'S', 'G', 0xFF, 0xFF, 0xFF, 0x7F), 7)
-	f.Add(valid, len(valid)-3) // inside the last entry's JSON
+	f.Add(valid, len(valid)-3)                                  // inside the last entry's JSON
+	f.Add(valid, bytes.LastIndex(valid, []byte(`"hsig":"`))+10) // inside its head's signature
 
 	f.Fuzz(func(t *testing.T, tail []byte, mutate int) {
 		for name, contents := range map[string][]byte{
@@ -86,10 +93,10 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			// Every replayed metadata record is one the stream holds,
 			// and names a blob that is served.
 			for _, e := range s.Entries() {
-				if e != entries[0] && e != entries[1] {
+				if !slices.ContainsFunc(entries, func(want EntryMeta) bool { return reflect.DeepEqual(e, want) }) {
 					t.Fatalf("%s: replayed an entry the stream does not hold: %+v", name, e)
 				}
-				if got, ok := s.GetEntry(e.Doc, e.User); !ok || got != e {
+				if got, ok := s.GetEntry(e.Doc, e.User); !ok || !reflect.DeepEqual(got, e) {
 					t.Fatalf("%s: entry %s/%s listed but not returned", name, e.Doc, e.User)
 				}
 				if _, ok := s.GetBlob(e.Sig); !ok {

@@ -59,6 +59,14 @@ type EntryMeta struct {
 	// Cost is the replacement cost at demotion time (nanoseconds on
 	// the wire), re-fed to the policy on promotion.
 	Cost time.Duration `json:"cost"`
+	// HeadSig and HeadLen, written only for a tail-shared entry, claim
+	// that the blob's first HeadLen bytes are the blob signed HeadSig
+	// (the cut every user's view of the document begins with), so a
+	// promote can keep that head once. A claim is a hint: the promote
+	// proves it against the bytes before it relies on it. A whole
+	// entry's record carries neither field.
+	HeadSig *sig.Signature `json:"hsig,omitempty"`
+	HeadLen int            `json:"hlen,omitempty"`
 }
 
 // IntermediateMeta describes a durable universal intermediate. These
@@ -392,30 +400,73 @@ func (s *Store) rollLocked() error {
 // signature end to end before serving it. A blob that fails
 // verification is dropped from the index and reported as absent —
 // the store never serves bytes it cannot prove are the ones asked for.
-// The read and the hash run outside the lock: segments are append-only,
-// so the bytes behind a ref never change.
 func (s *Store) GetBlob(sg sig.Signature) ([]byte, bool) {
-	s.mu.Lock()
-	ref, ok := s.refs[sg]
-	var f *os.File
-	// A blob still queued in the batch is written out first.
-	if !s.closed && ok && (ref.seg != s.active || ref.offset < s.tail.end || s.flushLocked() == nil) {
-		f = s.files[ref.seg]
-	}
-	s.mu.Unlock()
+	payload, _, ok := s.GetBlobHead(sg, 0)
+	return payload, ok
+}
+
+// GetBlobHead is GetBlob that also returns the signature of the
+// payload's first n bytes, taken in the same pass as the whole
+// payload's proof; it is zero unless 0 < n < the payload's length.
+func (s *Store) GetBlobHead(sg sig.Signature, n int) ([]byte, sig.Signature, bool) {
+	ref, f := s.locate(sg)
 	if f == nil {
-		return nil, false
+		return nil, sig.Zero, false
 	}
 	payload := make([]byte, ref.size)
-	if _, err := f.ReadAt(payload, ref.offset); err == nil && sig.Of(payload) == sg {
-		return payload, true
+	if _, err := f.ReadAt(payload, ref.offset); err == nil {
+		var whole, head sig.Signature
+		if n > 0 && n < len(payload) {
+			whole, head = sig.OfParts(payload[:n], payload[n:])
+		} else {
+			whole = sig.Of(payload)
+		}
+		if whole == sg {
+			return payload, head, true
+		}
 	}
 	s.mu.Lock()
 	if !s.closed && s.refs[sg] == ref {
 		delete(s.refs, sg)
 	}
 	s.mu.Unlock()
-	return nil, false
+	return nil, sig.Zero, false
+}
+
+// GetBlobAfter returns the bytes of the blob under sg that follow head,
+// a shorter run of bytes the caller holds, if head and those bytes
+// hash to sg: a caller that holds a blob's leading bytes reads and
+// allocates only the rest, and one hash proves the whole. A refusal
+// says nothing against the blob (head may simply not be its start), so
+// it stays indexed; GetBlob is the read that tells.
+func (s *Store) GetBlobAfter(sg sig.Signature, head []byte) ([]byte, bool) {
+	ref, f := s.locate(sg)
+	if f == nil || int64(len(head)) >= ref.size {
+		return nil, false
+	}
+	tail := make([]byte, ref.size-int64(len(head)))
+	if _, err := f.ReadAt(tail, ref.offset+int64(len(head))); err != nil {
+		return nil, false
+	}
+	if whole, _ := sig.OfParts(head, tail); whole != sg {
+		return nil, false
+	}
+	return tail, true
+}
+
+// locate returns where the blob under sg lies, or a nil file when the
+// store holds no such blob or is closed. A blob still queued in the
+// batch is written out first. The caller reads and hashes outside the
+// lock: segments are append-only, so the bytes behind a ref never
+// change.
+func (s *Store) locate(sg sig.Signature) (blobRef, *os.File) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ref, ok := s.refs[sg]
+	if s.closed || !ok || ref.seg == s.active && ref.offset >= s.tail.end && s.flushLocked() != nil {
+		return ref, nil
+	}
+	return ref, s.files[ref.seg]
 }
 
 // PutEntry records that a cache entry's bytes live in the store. The

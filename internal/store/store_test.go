@@ -57,6 +57,43 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlobReadsAroundAHead: GetBlobHead signs the payload's first n
+// bytes in the pass that proves the whole, and only for 0 < n < its
+// length; GetBlobAfter serves the bytes after a head the caller holds
+// when head and they are the blob, and refuses any other head, or one
+// as long as the blob, without dropping the blob.
+func TestBlobReadsAroundAHead(t *testing.T) {
+	s, _ := openT(t, t.TempDir())
+	head, tail := []byte("the universal output"), []byte("\n-- retrieved for amy --\n")
+	blob := append(append([]byte(nil), head...), tail...)
+	sg, err := s.PutBlob(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, hs, ok := s.GetBlobHead(sg, len(head)); !ok || !bytes.Equal(got, blob) || hs != sig.Of(head) {
+		t.Fatalf("GetBlobHead(%d) = %q, %v, %v; want the blob and its head's signature", len(head), got, hs, ok)
+	}
+	for _, n := range []int{0, -1, len(blob), len(blob) + 1} {
+		if got, hs, ok := s.GetBlobHead(sg, n); !ok || !bytes.Equal(got, blob) || !hs.IsZero() {
+			t.Fatalf("GetBlobHead(%d) = %q, %v, %v; want the blob and no head signature", n, got, hs, ok)
+		}
+	}
+	if got, ok := s.GetBlobAfter(sg, head); !ok || !bytes.Equal(got, tail) {
+		t.Fatalf("GetBlobAfter(its head) = %q, %v; want the tail", got, ok)
+	}
+	for _, h := range [][]byte{[]byte("not the universal output"), []byte("The universal output"), blob, append(blob, 'x')} {
+		if got, ok := s.GetBlobAfter(sg, h); ok {
+			t.Fatalf("GetBlobAfter(%q) = %q: served bytes after a head the blob does not begin with", h, got)
+		}
+	}
+	if got, ok := s.GetBlob(sg); !ok || !bytes.Equal(got, blob) {
+		t.Fatal("a refused GetBlobAfter cost the blob")
+	}
+	if _, ok := s.GetBlobAfter(sig.Of([]byte("never stored")), head); ok {
+		t.Fatal("GetBlobAfter served a blob that was never stored")
+	}
+}
+
 func TestReopenRecoversEverything(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
