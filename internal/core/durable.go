@@ -145,31 +145,20 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 // a length at or past the body's end, a length without a signature, a
 // signature of other bytes — leaves the body whole.
 func (c *Cache) readPromoted(st *store.Store, e store.EntryMeta) (Body, bool) {
-	claim := headOf(e)
-	if claim.Sig.IsZero() || claim.Len <= 0 {
+	if e.HeadSig.IsZero() || e.HeadLen <= 0 {
 		data, ok := st.GetBlob(e.Sig)
 		return Body{Head: data}, ok
 	}
-	if head := c.tab.wholeBlob(claim.Sig); len(head) == claim.Len {
+	if head := c.tab.wholeBlob(e.HeadSig); len(head) == e.HeadLen {
 		if tail, ok := st.GetBlobAfter(e.Sig, head); ok {
-			return Body{Head: head, Tail: tail, HeadSig: claim.Sig}, true
+			return Body{Head: head, Tail: tail, HeadSig: e.HeadSig}, true
 		}
 	}
-	data, hs, ok := st.GetBlobHead(e.Sig, claim.Len)
-	if !ok || hs != claim.Sig {
+	data, hs, ok := st.GetBlobHead(e.Sig, e.HeadLen)
+	if !ok || hs != e.HeadSig {
 		return Body{Head: data}, ok
 	}
-	return Body{Head: data[:claim.Len:claim.Len], Tail: data[claim.Len:], HeadSig: claim.Sig}, true
-}
-
-// headOf is the head an entry record claims, as the base a promote
-// would install it on; zero for a whole entry's record.
-func headOf(e store.EntryMeta) Base {
-	b := Base{Len: e.HeadLen}
-	if e.HeadSig != nil {
-		b.Sig = *e.HeadSig
-	}
-	return b
+	return Body{Head: data[:e.HeadLen:e.HeadLen], Tail: data[e.HeadLen:], HeadSig: e.HeadSig}, true
 }
 
 // demoteEntry writes an installed result behind to the disk tier, under
@@ -189,24 +178,6 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res pr
 	if c.tab.Gen(doc) != gen {
 		return
 	}
-	var head Base
-	if len(data.Tail) > 0 {
-		head = Base{Sig: data.HeadSig, Len: len(data.Head)}
-	}
-	if prev, ok := st.GetEntry(doc, user); ok &&
-		prev.Sig == s && prev.Gen == gen &&
-		prev.SourceSig == ck.SourceSig &&
-		prev.UniversalFP == ck.UniversalFP &&
-		prev.PersonalFP == ck.PersonalFP &&
-		headOf(prev) == head {
-		// Identical record already durable; re-appending would only
-		// bloat the segment.
-		return
-	}
-	if err := st.PutSigned(s, data.Head, data.Tail); err != nil {
-		c.stats.storeErrors.Add(1)
-		return
-	}
 	rec := store.EntryMeta{
 		Doc: doc, User: user,
 		Sig:         s,
@@ -216,8 +187,19 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res pr
 		Gen:         gen,
 		Cost:        res.Cost,
 	}
-	if head.Len > 0 {
-		rec.HeadSig, rec.HeadLen = &head.Sig, head.Len
+	if len(data.Tail) > 0 {
+		rec.HeadSig, rec.HeadLen = data.HeadSig, len(data.Head)
+	}
+	if prev, ok := st.GetEntry(doc, user); ok {
+		// An identical record, whatever its cost, is already durable;
+		// re-appending it would only bloat the segment.
+		if prev.Cost = rec.Cost; prev == rec {
+			return
+		}
+	}
+	if err := st.PutSigned(s, data.Head, data.Tail); err != nil {
+		c.stats.storeErrors.Add(1)
+		return
 	}
 	if err := st.PutEntry(rec); err != nil {
 		c.stats.storeErrors.Add(1)

@@ -406,40 +406,49 @@ func handRecord(magic string, s sig.Signature, payload []byte) []byte {
 }
 
 // writeStoreByHand lays dir out as a store holding one blob record of
-// payload under signature s, and metadata naming s for user's entry
-// and the universal intermediate under ck, plus an epoch for ck's
-// document at gen. The metadata follows the blob in the segment as
-// records of their own kind, or, with metaLog, goes to a JSON-lines
-// meta.log beside it, as stores were once laid out. It returns the
-// segment's length.
-func writeStoreByHand(t *testing.T, dir string, s sig.Signature, payload []byte, user string, ck docspace.ContentKey, gen uint64, metaLog bool) int {
+// payload under signature s, with its metadata in a JSON-lines
+// meta.log beside it, as stores were once laid out: user's entry and
+// the universal intermediate under ck, both naming s, and an epoch for
+// ck's document at gen. It returns the segment's length.
+func writeStoreByHand(t *testing.T, dir string, s sig.Signature, payload []byte, user string, ck docspace.ContentKey, gen uint64) int {
 	t.Helper()
 	seg := handRecord("PLSG", s, payload)
-	var lines bytes.Buffer
+	var lines []byte
 	for _, m := range []map[string]any{
-		{"t": "entry", "e": store.EntryMeta{Doc: "d", User: user, Sig: s, SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, Gen: gen}},
-		{"t": "inter", "i": store.IntermediateMeta{SourceSig: ck.SourceSig, Fingerprint: ck.UniversalFP, Sig: s}},
+		{"t": "entry", "e": jsonEraEntry(user, s, ck, gen)},
+		{"t": "inter", "i": map[string]any{"src": ck.SourceSig.String(), "fp": ck.UniversalFP.String(), "sig": s.String(), "cost": 0}},
 		{"t": "epoch", "doc": "d", "gen": gen},
 	} {
-		js, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if metaLog {
-			lines.Write(append(js, '\n'))
-		} else {
-			seg = append(seg, handRecord("PLMT", sig.Of(js), js)...)
-		}
+		lines = append(append(lines, jsonEra(t, m)...), '\n')
 	}
 	if err := os.WriteFile(filepath.Join(dir, "seg-000001.plseg"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if metaLog {
-		if err := os.WriteFile(filepath.Join(dir, "meta.log"), lines.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, "meta.log"), lines, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	return len(seg)
+}
+
+// jsonEra is m as a store wrote a metadata record while they were
+// JSON; the caller renders signatures in hex, as those stores did.
+func jsonEra(t *testing.T, m map[string]any) []byte {
+	t.Helper()
+	js, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// jsonEraEntry is the JSON object of user's entry of document "d"
+// under ck, its view signed s, as such a store wrote it.
+func jsonEraEntry(user string, s sig.Signature, ck docspace.ContentKey, gen uint64) map[string]any {
+	return map[string]any{
+		"doc": "d", "user": user, "sig": s.String(),
+		"src": ck.SourceSig.String(), "ufp": ck.UniversalFP.String(), "pfp": ck.PersonalFP.String(),
+		"gen": gen, "cost": int64(time.Millisecond),
+	}
 }
 
 // checkUpgradeRecomputes boots a cache over st and fails unless d's
@@ -487,9 +496,27 @@ func TestDurableUpgradeFromMD5Store(t *testing.T) {
 	stale := []byte("bytes an MD5-era store held for eyal\n")
 
 	control := t.TempDir()
-	writeStoreByHand(t, control, sig.Of(stale), stale, "eyal", ck, 7, false)
 	cst, _, err := store.Open(control, store.Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cst.PutBlob(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cst.PutEntry(store.EntryMeta{Doc: "d", User: "eyal", Sig: s, SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, Gen: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cst.PutIntermediate(store.IntermediateMeta{SourceSig: ck.SourceSig, Fingerprint: ck.UniversalFP, Sig: s}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cst.AppendEpoch("d", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := cst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cst, _, err = store.Open(control, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	cc := New(w.space, Options{Name: "control", Store: cst})
@@ -503,7 +530,7 @@ func TestDurableUpgradeFromMD5Store(t *testing.T) {
 	cst.Close()
 
 	dir := t.TempDir()
-	segLen := writeStoreByHand(t, dir, sig.Signature(md5.Sum(stale)), stale, "eyal", ck, 7, true)
+	segLen := writeStoreByHand(t, dir, sig.Signature(md5.Sum(stale)), stale, "eyal", ck, 7)
 	st, rec, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatalf("an MD5-era store failed to open: %v", err)
@@ -528,7 +555,7 @@ func TestDurableUpgradeFromMetaLogStore(t *testing.T) {
 	}
 	stale := []byte("bytes a meta.log-era store held for eyal\n")
 	dir := t.TempDir()
-	writeStoreByHand(t, dir, sig.Of(stale), stale, "eyal", ck, 7, true)
+	writeStoreByHand(t, dir, sig.Of(stale), stale, "eyal", ck, 7)
 	st, rec, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatalf("a meta.log-era store failed to open: %v", err)
@@ -704,69 +731,77 @@ func memoViews(t *testing.T, w *world, users []string) (views [][]byte, cut []by
 	return views, cut, cutSig, keys
 }
 
-// TestDurableUpgradeFromWholeEntryStore boots a memoizing cache over a
-// store whose entry records carry no head, as every record was written
-// before records named one: it opens with every entry, and each
-// promote installs its view whole, with the right bytes. A whole
-// entry's record is still written byte for byte in that shape.
-func TestDurableUpgradeFromWholeEntryStore(t *testing.T) {
+// TestDurableUpgradeFromJSONStore boots a cache over a store an older
+// binary wrote, its metadata records JSON: the universal cut and every
+// user's view as blobs, the intermediate, an entry per user (the first
+// naming its head) and an epoch. It opens with the blobs and nothing
+// else, so no epoch comes back and every read recomputes its view:
+// never verdict disk, and never from the old intermediate (the first
+// read is a miss, the others memo on the cut the first computed).
+// Those reads demote in today's layout, so after a reopen the same
+// reads promote.
+func TestDurableUpgradeFromJSONStore(t *testing.T) {
 	users := memoUsers(3)
 	w := newWorld(t, Options{})
 	setupMemoDoc(t, w, users)
-	views, _, _, keys := memoViews(t, w, users)
+	views, cut, cutSig, keys := memoViews(t, w, users)
 
-	// The record's shape before it named a head.
-	type headlessEntry struct {
-		Doc         string        `json:"doc"`
-		User        string        `json:"user"`
-		Sig         sig.Signature `json:"sig"`
-		SourceSig   sig.Signature `json:"src"`
-		UniversalFP sig.Signature `json:"ufp"`
-		PersonalFP  sig.Signature `json:"pfp"`
-		Gen         uint64        `json:"gen"`
-		Cost        time.Duration `json:"cost"`
+	seg := handRecord("PLSG", cutSig, cut)
+	meta := func(m map[string]any) {
+		js := jsonEra(t, m)
+		seg = append(seg, handRecord("PLMT", sig.Of(js), js)...)
 	}
-	var seg []byte
+	meta(map[string]any{"t": "inter", "i": map[string]any{"src": keys[0].SourceSig.String(), "fp": keys[0].UniversalFP.String(), "sig": cutSig.String(), "cost": 0}})
 	for i, u := range users {
-		ck := keys[i]
-		old, err := json.Marshal(map[string]any{"t": "entry", "e": headlessEntry{Doc: "d", User: u, Sig: sig.Of(views[i]), SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, Cost: time.Millisecond}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, err := json.Marshal(map[string]any{"t": "entry", "e": store.EntryMeta{Doc: "d", User: u, Sig: sig.Of(views[i]), SourceSig: ck.SourceSig, UniversalFP: ck.UniversalFP, PersonalFP: ck.PersonalFP, Cost: time.Millisecond}})
-		if err != nil || !bytes.Equal(now, old) {
-			t.Fatalf("a whole entry's record is %s, want the headless shape %s (%v)", now, old, err)
-		}
 		seg = append(seg, handRecord("PLSG", sig.Of(views[i]), views[i])...)
-		seg = append(seg, handRecord("PLMT", sig.Of(old), old)...)
+		e := jsonEraEntry(u, sig.Of(views[i]), keys[i], 7)
+		if i == 0 {
+			e["hsig"], e["hlen"] = cutSig.String(), len(cut)
+		}
+		meta(map[string]any{"t": "entry", "e": e})
 	}
+	meta(map[string]any{"t": "epoch", "doc": "d", "gen": 7})
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "seg-000001.plseg"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, rec, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if (rec != store.Recovery{Blobs: len(users), Entries: len(users)}) {
-		t.Fatalf("recovery = %+v, want every blob and entry", rec)
-	}
-	c := New(w.space, Options{Name: "upgraded", Memoize: true, Store: st})
-	defer c.Close()
-	var whole int64
-	for i, u := range users {
-		body, info, err := c.ReadWithInfo("d", u)
-		if err != nil || !info.DiskPromoted {
-			t.Fatalf("%s: not promoted: %+v, %v", u, info, err)
+
+	for _, reopened := range []bool{false, true} {
+		st, rec, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(body.Tail) != 0 || !body.HeadSig.IsZero() || !bytes.Equal(body.Head, views[i]) {
-			t.Fatalf("%s: promoted %d + %d bytes (head %v), want the %d-byte view whole", u, len(body.Head), len(body.Tail), body.HeadSig, len(views[i]))
+		if !reopened && (rec != store.Recovery{Blobs: len(users) + 1}) {
+			t.Fatalf("recovery = %+v, want the %d blobs and nothing else", rec, len(users)+1)
 		}
-		whole += int64(len(views[i]))
-	}
-	if got := c.Stats().BytesResident; got != whole {
-		t.Fatalf("BytesResident = %d, want the %d bytes of whole views", got, whole)
+		if reopened && rec.Entries != len(users) {
+			t.Fatalf("reopened: recovery = %+v, want the %d entries the reads demoted", rec, len(users))
+		}
+		o := obs.NewObserver()
+		c := New(w.space, Options{Name: "upgraded", Store: st, Observer: o})
+		if g := c.tab.Gen("d"); g != 0 {
+			t.Fatalf("reopened=%v: generation of d = %d, want 0: no JSON epoch is kept", reopened, g)
+		}
+		for i, u := range users {
+			data, _, err := readBytes(c, "d", u)
+			if err != nil || !bytes.Equal(data, views[i]) {
+				t.Fatalf("reopened=%v: %s read %q, %v; want the view", reopened, u, data, err)
+			}
+			verdict := obs.VerdictDisk
+			if !reopened {
+				verdict = map[bool]string{true: obs.VerdictMiss, false: obs.VerdictMemo}[i == 0]
+			}
+			if tr := o.Ring().Snapshot(1); len(tr) != 1 || tr[0].Verdict != verdict {
+				t.Fatalf("reopened=%v: %s's trace = %+v, want verdict %s", reopened, u, tr, verdict)
+			}
+		}
+		if s := c.Stats(); !reopened && (s.StorePromotions != 0 || s.StoreIntermediatePromotions != 0) {
+			t.Fatalf("promoted %d entries and %d intermediates from JSON records", s.StorePromotions, s.StoreIntermediatePromotions)
+		}
+		c.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -780,7 +815,7 @@ func TestDurableUpgradeFromWholeEntryStore(t *testing.T) {
 func TestDurablePromoteRefusesAnUnprovenHead(t *testing.T) {
 	type claim struct {
 		name     string
-		sig      *sig.Signature
+		sig      sig.Signature
 		length   func(view []byte) int
 		resident bool // the claimed signature's bytes are in the table
 	}
@@ -792,14 +827,14 @@ func TestDurablePromoteRefusesAnUnprovenHead(t *testing.T) {
 	other := bytes.Repeat([]byte{'x'}, len(cut))
 	otherSig := sig.Of(other)
 	claims := []claim{
-		{name: "the true head", sig: &cutSig, length: cutLen(len(cut))},
-		{name: "a length of the whole body", sig: &cutSig, length: func(v []byte) int { return len(v) }},
-		{name: "a length past the body", sig: &cutSig, length: func(v []byte) int { return len(v) + 9 }},
+		{name: "the true head", sig: cutSig, length: cutLen(len(cut))},
+		{name: "a length of the whole body", sig: cutSig, length: func(v []byte) int { return len(v) }},
+		{name: "a length past the body", sig: cutSig, length: func(v []byte) int { return len(v) + 9 }},
 		{name: "a length with no signature", length: cutLen(len(cut))},
-		{name: "a signature with no length", sig: &cutSig, length: cutLen(0)},
-		{name: "a signature of other bytes", sig: &otherSig, length: cutLen(len(cut))},
-		{name: "a signature of other bytes the table holds", sig: &otherSig, length: cutLen(len(cut)), resident: true},
-		{name: "the head's signature with another length", sig: &cutSig, length: cutLen(len(cut) - 1)},
+		{name: "a signature with no length", sig: cutSig, length: cutLen(0)},
+		{name: "a signature of other bytes", sig: otherSig, length: cutLen(len(cut))},
+		{name: "a signature of other bytes the table holds", sig: otherSig, length: cutLen(len(cut)), resident: true},
+		{name: "the head's signature with another length", sig: cutSig, length: cutLen(len(cut) - 1)},
 	}
 	dir := t.TempDir()
 	st, _, err := store.Open(dir, store.Options{})

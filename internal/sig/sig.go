@@ -13,7 +13,6 @@ package sig
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 )
 
 // Size is the byte length of a Signature, for fixed-width binary
@@ -67,39 +66,3 @@ var Zero Signature
 
 // IsZero reports whether the signature is the zero sentinel.
 func (s Signature) IsZero() bool { return s == Zero }
-
-// MarshalText implements encoding.TextMarshaler, rendering the
-// signature as lowercase hex — the representation used in the JSON of
-// the durable store's metadata records and any other textual
-// persistence.
-func (s Signature) MarshalText() ([]byte, error) {
-	out := make([]byte, hex.EncodedLen(len(s)))
-	hex.Encode(out, s[:])
-	return out, nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler, accepting exactly
-// the output of MarshalText.
-func (s *Signature) UnmarshalText(text []byte) error {
-	parsed, ok := Parse(string(text))
-	if !ok {
-		return fmt.Errorf("sig: malformed signature %q", text)
-	}
-	*s = parsed
-	return nil
-}
-
-// Parse decodes a hex string produced by String. It reports ok=false
-// for malformed input.
-func Parse(s string) (Signature, bool) {
-	var out Signature
-	if len(s) != hex.EncodedLen(Size) {
-		return out, false
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return out, false
-	}
-	copy(out[:], b)
-	return out, true
-}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"placeless/internal/sig"
@@ -54,6 +55,11 @@ func batchPayload(i int) []byte {
 	return []byte(fmt.Sprintf("batch record %d, each a little longer than the last%s", i, bytes.Repeat([]byte{'.'}, 7*i)))
 }
 
+// batchUser is the user of a batch image's entries. Its name is longer
+// than 127 bytes, so its length prefix is a two-byte uvarint and the
+// sweeps cut inside one.
+var batchUser = strings.Repeat("a user whose name needs a two-byte length; ", 5)
+
 // makeBatchImage writes three blobs, an entry naming each, an
 // intermediate naming the second and an epoch for another document in
 // one batch. interleaved puts each entry right after its blob, as the
@@ -85,10 +91,10 @@ func makeBatchImage(t *testing.T, interleaved bool) batchImage {
 	}
 	putMeta := func(i int) {
 		doc := fmt.Sprintf("d%d", i)
-		if err := s.PutEntry(EntryMeta{Doc: doc, User: "u", Sig: sigs[i], Gen: 1}); err != nil {
+		if err := s.PutEntry(EntryMeta{Doc: doc, User: batchUser, Sig: sigs[i], Gen: 1}); err != nil {
 			t.Fatal(err)
 		}
-		add(false, func(s *Store) bool { _, ok := s.GetEntry(doc, "u"); return ok })
+		add(false, func(s *Store) bool { _, ok := s.GetEntry(doc, batchUser); return ok })
 		if i != 1 {
 			return
 		}

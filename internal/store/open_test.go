@@ -88,21 +88,34 @@ func writeParentLayout(t *testing.T, dir string, s sig.Signature, payload []byte
 		t.Fatal(err)
 	}
 	e.Sig, im.Sig = s, s
-	var meta bytes.Buffer
-	enc := json.NewEncoder(&meta)
-	for _, m := range []metaRecord{
-		{T: "entry", Entry: &e},
-		{T: "inter", Inter: &im},
-		{T: "epoch", Doc: e.Doc, Gen: epoch},
-	} {
-		if err := enc.Encode(m); err != nil {
-			t.Fatal(err)
-		}
+	var meta []byte
+	for _, line := range jsonEraPayloads(t, e, im, epoch) {
+		meta = append(append(meta, line...), '\n')
 	}
-	if err := os.WriteFile(filepath.Join(dir, "meta.log"), meta.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "meta.log"), meta, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return meta.Bytes()
+	return meta
+}
+
+// jsonEraPayloads returns what a store wrote, while its metadata was
+// JSON, for e, im and an epoch of e's document: one object each, with
+// signatures in hex.
+func jsonEraPayloads(t *testing.T, e EntryMeta, im IntermediateMeta, epoch uint64) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, m := range []map[string]any{
+		{"t": "entry", "e": map[string]any{"doc": e.Doc, "user": e.User, "sig": e.Sig.String(), "src": e.SourceSig.String(), "ufp": e.UniversalFP.String(), "pfp": e.PersonalFP.String(), "gen": e.Gen, "cost": e.Cost}},
+		{"t": "inter", "i": map[string]any{"src": im.SourceSig.String(), "fp": im.Fingerprint.String(), "sig": im.Sig.String(), "cost": im.Cost}},
+		{"t": "epoch", "doc": e.Doc, "gen": epoch},
+	} {
+		js, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, js)
+	}
+	return out
 }
 
 // checkMetaLogInert fails unless dir's leftover meta.log still holds

@@ -12,9 +12,9 @@ import (
 // Segments: the one durable log of the store, append-only files of
 // records (record.go) of two kinds: a blob ("PLSG"), whose payload is
 // the bytes themselves, and a metadata record ("PLMT"), whose payload
-// is the JSON of one metaRecord (an entry, an intermediate or an
-// epoch). Open rebuilds the blob index and the metadata maps by one
-// scan of every segment in order. The first record that fails ends its
+// is one entry, intermediate or epoch in the binary layout of meta.go.
+// Open rebuilds the blob index and the metadata maps by one scan of
+// every segment in order. The first record that fails ends its
 // segment's scan, torn or corrupt alike (a journal record too), and the
 // active segment is truncated back to its last valid record, so a torn
 // write — of one record or anywhere in a batch (store.go) — costs the

@@ -16,7 +16,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,49 +43,38 @@ const (
 // the entry in memory and to re-derive its validity without trusting
 // anything but content addresses.
 type EntryMeta struct {
-	Doc  string        `json:"doc"`
-	User string        `json:"user"`
-	Sig  sig.Signature `json:"sig"`
+	Doc  string
+	User string
+	Sig  sig.Signature
 	// SourceSig and the two chain fingerprints are the entry's content
 	// key at demotion time; promotion recomputes the current key and
 	// refuses the entry on any mismatch.
-	SourceSig   sig.Signature `json:"src"`
-	UniversalFP sig.Signature `json:"ufp"`
-	PersonalFP  sig.Signature `json:"pfp"`
+	SourceSig   sig.Signature
+	UniversalFP sig.Signature
+	PersonalFP  sig.Signature
 	// Gen is the document's invalidation generation when the entry was
 	// demoted; entries older than the last persisted epoch are dropped.
-	Gen uint64 `json:"gen"`
-	// Cost is the replacement cost at demotion time (nanoseconds on
-	// the wire), re-fed to the policy on promotion.
-	Cost time.Duration `json:"cost"`
-	// HeadSig and HeadLen, written only for a tail-shared entry, claim
-	// that the blob's first HeadLen bytes are the blob signed HeadSig
-	// (the cut every user's view of the document begins with), so a
-	// promote can keep that head once. A claim is a hint: the promote
-	// proves it against the bytes before it relies on it. A whole
-	// entry's record carries neither field.
-	HeadSig *sig.Signature `json:"hsig,omitempty"`
-	HeadLen int            `json:"hlen,omitempty"`
+	Gen uint64
+	// Cost is the replacement cost at demotion time, re-fed to the
+	// policy on promotion.
+	Cost time.Duration
+	// HeadSig and HeadLen, zero for a whole entry, claim that the blob's
+	// first HeadLen bytes are the blob signed HeadSig (the cut every
+	// user's view of the document begins with), so a promote can keep
+	// that head once. A claim is a hint: the promote proves it against
+	// the bytes before it relies on it.
+	HeadSig sig.Signature
+	HeadLen int
 }
 
 // IntermediateMeta describes a durable universal intermediate. These
 // are structurally valid by construction — (source signature, chain
 // fingerprint) is the whole key — so no epoch applies.
 type IntermediateMeta struct {
-	SourceSig   sig.Signature `json:"src"`
-	Fingerprint sig.Signature `json:"fp"`
-	Sig         sig.Signature `json:"sig"`
-	Cost        time.Duration `json:"cost"`
-}
-
-// metaRecord is the JSON payload of one metadata record; T selects
-// which of the embedded shapes is meaningful.
-type metaRecord struct {
-	T     string            `json:"t"` // "entry" | "inter" | "epoch"
-	Entry *EntryMeta        `json:"e,omitempty"`
-	Inter *IntermediateMeta `json:"i,omitempty"`
-	Doc   string            `json:"doc,omitempty"`
-	Gen   uint64            `json:"gen,omitempty"`
+	SourceSig   sig.Signature
+	Fingerprint sig.Signature
+	Sig         sig.Signature
+	Cost        time.Duration
 }
 
 // Recovery reports what opening a store directory found, for logs and
@@ -212,24 +200,6 @@ func Open(dir string, opts Options) (*Store, Recovery, error) {
 	return s, rec, nil
 }
 
-// replayMeta applies one metadata record read back from a segment:
-// latest wins per key, and an epoch only ever rises. A record that
-// verified but does not parse, or has an unknown type, is skipped.
-func (s *Store) replayMeta(payload []byte) {
-	var m metaRecord
-	if json.Unmarshal(payload, &m) != nil {
-		return
-	}
-	switch {
-	case m.T == "entry" && m.Entry != nil:
-		s.entries[entryKey(m.Entry.Doc, m.Entry.User)] = *m.Entry
-	case m.T == "inter" && m.Inter != nil:
-		s.inters[interKey{m.Inter.SourceSig, m.Inter.Fingerprint}] = *m.Inter
-	case m.T == "epoch" && m.Gen > s.epochs[m.Doc]:
-		s.epochs[m.Doc] = m.Gen
-	}
-}
-
 // writableLocked is the error a put must return instead of queueing.
 func (s *Store) writableLocked() error {
 	if s.closed {
@@ -254,15 +224,11 @@ func (s *Store) appendLocked(magic [4]byte, sg sig.Signature, payload []byte) (b
 }
 
 // appendMetaLocked queues one metadata record, signed like a blob.
-func (s *Store) appendMetaLocked(m metaRecord) error {
+func (s *Store) appendMetaLocked(payload []byte) error {
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	_, err = s.appendLocked(metaMagic, sig.Of(payload), payload)
+	_, err := s.appendLocked(metaMagic, sig.Of(payload), payload)
 	return err
 }
 
@@ -477,7 +443,7 @@ func (s *Store) PutEntry(e EntryMeta) error {
 	if _, ok := s.refs[e.Sig]; !ok {
 		return fmt.Errorf("store: entry %s/%s references unknown blob %s", e.Doc, e.User, e.Sig)
 	}
-	if err := s.appendMetaLocked(metaRecord{T: "entry", Entry: &e}); err != nil {
+	if err := s.appendMetaLocked(appendMeta(nil, metaEntry, entryFields(&e))); err != nil {
 		return err
 	}
 	s.entries[entryKey(e.Doc, e.User)] = e
@@ -506,7 +472,7 @@ func (s *Store) PutIntermediate(im IntermediateMeta) error {
 	if _, ok := s.refs[im.Sig]; !ok {
 		return fmt.Errorf("store: intermediate %s references unknown blob %s", im.Fingerprint, im.Sig)
 	}
-	if err := s.appendMetaLocked(metaRecord{T: "inter", Inter: &im}); err != nil {
+	if err := s.appendMetaLocked(appendMeta(nil, metaInter, interFields(&im))); err != nil {
 		return err
 	}
 	s.inters[interKey{im.SourceSig, im.Fingerprint}] = im
@@ -537,7 +503,7 @@ func (s *Store) GetIntermediate(src, fp sig.Signature) (IntermediateMeta, bool) 
 func (s *Store) AppendEpoch(doc string, gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendMetaLocked(metaRecord{T: "epoch", Doc: doc, Gen: gen}); err != nil {
+	if err := s.appendMetaLocked(appendMeta(nil, metaEpoch, epochFields(&doc, &gen))); err != nil {
 		return err
 	}
 	if err := s.flushLocked(); err != nil {
@@ -557,18 +523,6 @@ func (s *Store) Epochs() map[string]uint64 {
 	out := make(map[string]uint64, len(s.epochs))
 	for d, g := range s.epochs {
 		out[d] = g
-	}
-	return out
-}
-
-// Entries returns a copy of the surviving durable entry metadata, in
-// no particular order.
-func (s *Store) Entries() []EntryMeta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]EntryMeta, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e)
 	}
 	return out
 }
