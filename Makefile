@@ -51,7 +51,9 @@ test-race:
 # origin's table and at the sidecar's, where the first view's own bytes
 # hold the head the others share, and disk promotes onto a document's
 # head while the document is dropped and its head evicted (a promote
-# finds the head resident, gone, or put back by another promote).
+# finds the head resident, gone, or put back by another promote), and
+# the head installs (TestTailSharedHeadInstall*: a body split at a head
+# keeps its parts in place, the sidecar's tail in the wire's buffer).
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/swarm/ ./internal/cluster/ ./cmd/plcached/
 	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes|SourceStamp|TailShared' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/

@@ -15,10 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"placeless/internal/core"
 	"placeless/internal/obs"
 	"placeless/internal/remote"
 	"placeless/internal/sig"
+	"placeless/internal/stream"
 )
 
 // fakeCache serves fixed bodies by document id; "down" answers as a
@@ -37,12 +37,12 @@ func (f fakeCache) Read(doc, user string) ([]byte, error) {
 
 // ReadBody serves a body as a tail-shared view is held: all but its
 // last 30 bytes as the head, then those.
-func (f fakeCache) ReadBody(doc, user string) (core.Body, error) {
+func (f fakeCache) ReadBody(doc, user string) (stream.Body, error) {
 	b, err := f.Read(doc, user)
 	if err != nil || len(b) <= 30 {
-		return core.Body{Head: b}, err
+		return stream.Body{Head: b}, err
 	}
-	return core.Body{Head: b[:len(b)-30], Tail: b[len(b)-30:], HeadSig: sig.Signature{1}}, nil
+	return stream.Body{Head: b[:len(b)-30], Tail: b[len(b)-30:], HeadSig: sig.Signature{1}}, nil
 }
 
 func (f fakeCache) Write(doc, user string, data []byte) error { return nil }

@@ -60,10 +60,10 @@ import (
 	"time"
 
 	"placeless/internal/cluster"
-	"placeless/internal/core"
 	"placeless/internal/obs"
 	"placeless/internal/remote"
 	"placeless/internal/server"
+	"placeless/internal/stream"
 )
 
 func main() {
@@ -232,7 +232,7 @@ func docHandler(dc cluster.Peer) http.HandlerFunc {
 			if body.Len() > holdCap {
 				// Past the hold, the head would leave at once and the
 				// tail in a write of its own.
-				body = core.Body{Head: body.Bytes()}
+				body = stream.Body{Head: body.Bytes()}
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
 			// Without a length net/http sends any body over 2 KiB

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"placeless/internal/core"
+	"placeless/internal/stream"
 )
 
 // nopPeer answers every read with the same bytes and every write with
@@ -14,8 +14,8 @@ import (
 type nopPeer struct{ data []byte }
 
 func (p nopPeer) Read(doc, user string) ([]byte, error) { return p.data, nil }
-func (p nopPeer) ReadBody(doc, user string) (core.Body, error) {
-	return core.Body{Head: p.data}, nil
+func (p nopPeer) ReadBody(doc, user string) (stream.Body, error) {
+	return stream.Body{Head: p.data}, nil
 }
 func (p nopPeer) Write(doc, user string, data []byte) error { return nil }
 

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"time"
 
-	"placeless/internal/core"
 	"placeless/internal/obs"
 	"placeless/internal/remote"
+	"placeless/internal/stream"
 )
 
 // ErrNoNodes is returned by reads and writes while the ring is empty.
@@ -22,7 +22,7 @@ var ErrNoNodes = errors.New("cluster: no nodes in the ring")
 // callers must not modify them.
 type Peer interface {
 	Read(doc, user string) ([]byte, error)
-	ReadBody(doc, user string) (core.Body, error)
+	ReadBody(doc, user string) (stream.Body, error)
 	Write(doc, user string, data []byte) error
 }
 
@@ -175,8 +175,8 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 
 // ReadBody is Read through the peers' ReadBody: the body in the parts
 // the serving peer holds it.
-func (c *Cache) ReadBody(doc, user string) (core.Body, error) {
-	var body core.Body
+func (c *Cache) ReadBody(doc, user string) (stream.Body, error) {
+	var body stream.Body
 	_, err := c.route(doc, user, &c.stats.Reads, func(p Peer) (err error) {
 		body, err = p.ReadBody(doc, user)
 		return err

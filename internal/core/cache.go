@@ -43,6 +43,7 @@ import (
 	"placeless/internal/replace"
 	"placeless/internal/sig"
 	"placeless/internal/store"
+	"placeless/internal/stream"
 )
 
 // ErrClosed is returned by operations on a closed cache.
@@ -313,17 +314,13 @@ type EntryInfo struct {
 	// deadline can cross the wire, so layered remote caches can honor
 	// web-style freshness.
 	Expiry time.Time
-	// Hit reports whether this read was served from the cache.
-	// Coalesced misses (reads that received another goroutine's
-	// read-path result) report false.
-	Hit bool
-	// IntermediateHit reports, for misses under Options.Memoize, that
-	// the universal stage was served memoized and only the personal
-	// suffix executed. Always false on hits and coalesced misses.
-	IntermediateHit bool
-	// DiskPromoted reports that this miss was served by promoting a
-	// revalidated entry from the durable disk tier — no transform ran.
-	DiskPromoted bool
+	// Verdict is how the read was served, one of obs.VerdictHit,
+	// VerdictMiss, VerdictMemo (a miss whose universal stage was
+	// served memoized), VerdictDisk (a miss served by promoting a
+	// revalidated entry from the durable tier: no transform ran) and
+	// VerdictCoalesced (a miss that received another goroutine's
+	// read-path result). It is the verdict an Observer counts.
+	Verdict string
 	// Signature is the content signature of the returned bytes, set
 	// when the result is held in (or was just installed into / promoted
 	// from) the signature-addressed blob tier; zero otherwise. The wire
@@ -351,7 +348,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 
 // ReadBody is Read with the bytes as the table holds them (see
 // ReadWithInfo), so a tail-shared entry is not copied.
-func (c *Cache) ReadBody(doc, user string) (Body, error) {
+func (c *Cache) ReadBody(doc, user string) (stream.Body, error) {
 	body, _, err := c.ReadWithInfo(doc, user)
 	return body, err
 }
@@ -363,7 +360,7 @@ func (c *Cache) ReadBody(doc, user string) (Body, error) {
 // Observer attached it also records the read: verdict and miss-cause
 // counters, per-stage latency histograms, and a ReadTrace in the ring
 // buffer.
-func (c *Cache) ReadWithInfo(doc, user string) (Body, EntryInfo, error) {
+func (c *Cache) ReadWithInfo(doc, user string) (stream.Body, EntryInfo, error) {
 	o := c.opts.Observer
 	if o == nil {
 		return c.readWithInfo(doc, user, nil)
@@ -373,20 +370,10 @@ func (c *Cache) ReadWithInfo(doc, user string) (Body, EntryInfo, error) {
 	data, info, err := c.readWithInfo(doc, user, tr)
 	tr.Total = time.Since(t0)
 	tr.Time = time.Now()
-	switch {
-	case err != nil:
+	tr.Verdict = info.Verdict
+	if err != nil {
 		tr.Verdict = obs.VerdictError
 		tr.Err = err.Error()
-	case info.Hit:
-		tr.Verdict = obs.VerdictHit
-	case tr.Coalesced:
-		tr.Verdict = obs.VerdictCoalesced
-	case info.DiskPromoted:
-		tr.Verdict = obs.VerdictDisk
-	case info.IntermediateHit:
-		tr.Verdict = obs.VerdictMemo
-	default:
-		tr.Verdict = obs.VerdictMiss
 	}
 	switch tr.Verdict {
 	case obs.VerdictMiss, obs.VerdictMemo:
@@ -405,13 +392,13 @@ func (c *Cache) ReadWithInfo(doc, user string) (Body, EntryInfo, error) {
 // outcomes (so a rejection is still counted and dropped exactly once,
 // by the fallback). The wire server probes this from its decode loop so
 // warm hits skip the per-request handler dispatch entirely.
-func (c *Cache) ReadSharedHit(doc, user string) (Body, EntryInfo, bool) {
+func (c *Cache) ReadSharedHit(doc, user string) (stream.Body, EntryInfo, bool) {
 	if c.tab.Closed() || c.opts.HitCost > 0 {
-		return Body{}, EntryInfo{}, false
+		return stream.Body{}, EntryInfo{}, false
 	}
 	owner, err := c.space.ResolveOwner(doc, user)
 	if err != nil {
-		return Body{}, EntryInfo{}, false
+		return stream.Body{}, EntryInfo{}, false
 	}
 	k := Key(doc, owner)
 
@@ -419,19 +406,21 @@ func (c *Cache) ReadSharedHit(doc, user string) (Body, EntryInfo, bool) {
 	var t0 time.Time
 	o := c.opts.Observer
 	if o != nil {
-		tr = &obs.ReadTrace{Doc: doc, User: user, Verdict: obs.VerdictHit}
+		tr = &obs.ReadTrace{Doc: doc, User: user}
 		t0 = time.Now()
 	}
 	e, data, outcome := c.probe(k, doc, owner, tr)
 	if outcome != probeHit {
-		return Body{}, EntryInfo{}, false
+		return stream.Body{}, EntryInfo{}, false
 	}
+	info := e.hitInfo()
 	if tr != nil {
+		tr.Verdict = info.Verdict
 		tr.Total = time.Since(t0)
 		tr.Time = time.Now()
 		o.ObserveRead(*tr)
 	}
-	return data, e.hitInfo(), true
+	return data, info, true
 }
 
 // probeOutcome is what probe found behind a key.
@@ -451,7 +440,7 @@ const (
 // immutable blobs and is set only on probeHit; e is set on every
 // outcome but probeAbsent. tr, when non-nil, receives the lookup and
 // verify spans.
-func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data Body, outcome probeOutcome) {
+func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data stream.Body, outcome probeOutcome) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -461,7 +450,7 @@ func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data B
 		tr.Lookup = time.Since(t0)
 	}
 	if e == nil {
-		return nil, Body{}, probeAbsent
+		return nil, stream.Body{}, probeAbsent
 	}
 	if c.opts.HitCost > 0 {
 		c.clk.Sleep(c.opts.HitCost)
@@ -475,12 +464,12 @@ func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data B
 			tr.Verify = time.Since(t0)
 		}
 		if !valid {
-			return e, Body{}, probeRejected
+			return e, stream.Body{}, probeRejected
 		}
 	}
 	// The entry may have been invalidated while verifying.
 	if !c.tab.Confirm(k, e) {
-		return e, Body{}, probeRaced
+		return e, stream.Body{}, probeRaced
 	}
 	c.stats.hits.Add(1)
 	if e.Cacheability == property.CacheWithEvents {
@@ -491,24 +480,24 @@ func (c *Cache) probe(k, doc, owner string, tr *obs.ReadTrace) (e *Entry, data B
 
 // hitInfo is the metadata a hit on e reports.
 func (e *Entry) hitInfo() EntryInfo {
-	return EntryInfo{Cacheability: e.Cacheability, Cost: e.Cost, Expiry: property.EarliestTTL(e.Verifiers), Hit: true, Signature: e.Signature}
+	return EntryInfo{Cacheability: e.Cacheability, Cost: e.Cost, Expiry: property.EarliestTTL(e.Verifiers), Verdict: obs.VerdictHit, Signature: e.Signature}
 }
 
 // readWithInfo is the read path proper. tr is the per-read trace
 // being assembled, or nil when no Observer is attached — every timing
 // site is gated on it so the uninstrumented path pays nothing.
-func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) (Body, EntryInfo, error) {
+func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) (stream.Body, EntryInfo, error) {
 	if c.tab.Closed() {
-		return Body{}, EntryInfo{}, ErrClosed
+		return stream.Body{}, EntryInfo{}, ErrClosed
 	}
 	owner, err := c.space.ResolveOwner(doc, user)
 	if err != nil {
-		return Body{}, EntryInfo{}, err
+		return stream.Body{}, EntryInfo{}, err
 	}
 	user = owner
 
 	if c.tab.Closed() {
-		return Body{}, EntryInfo{}, ErrClosed
+		return stream.Body{}, EntryInfo{}, ErrClosed
 	}
 	k := Key(doc, user)
 
@@ -538,7 +527,7 @@ func (c *Cache) forward(doc, user string, kind event.Kind) {
 // followers block and share it. Prefetching happens after the flight
 // resolves so a collection that (transitively) references the document
 // being read can never re-enter its own flight.
-func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) (Body, EntryInfo, error) {
+func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) (stream.Body, EntryInfo, error) {
 	var related []string
 	var t0 time.Time
 	if tr != nil {
@@ -552,8 +541,9 @@ func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) (Body, Ent
 		}
 		c.stats.coalesced.Add(1)
 		if err != nil {
-			return Body{}, EntryInfo{}, err
+			return stream.Body{}, EntryInfo{}, err
 		}
+		info.Verdict = obs.VerdictCoalesced
 		return data, info, nil
 	}
 	if err == nil && !c.opts.DisablePrefetch {
@@ -564,8 +554,8 @@ func (c *Cache) coalescedMiss(k, doc, user string, tr *obs.ReadTrace) (Body, Ent
 
 // missFunc is miss in the shape a flight leads, with the
 // related-document hints delivered to *related.
-func (c *Cache) missFunc(doc, user string, tr *obs.ReadTrace, related *[]string) func() (Body, EntryInfo, error) {
-	return func() (data Body, info EntryInfo, err error) {
+func (c *Cache) missFunc(doc, user string, tr *obs.ReadTrace, related *[]string) func() (stream.Body, EntryInfo, error) {
+	return func() (data stream.Body, info EntryInfo, err error) {
 		data, info, *related, err = c.miss(doc, user, tr)
 		return data, info, err
 	}
@@ -576,7 +566,7 @@ func (c *Cache) missFunc(doc, user string, tr *obs.ReadTrace, related *[]string)
 // the caller to prefetch (nil unless an entry was installed). Installed
 // bytes come back as the table holds them; bytes it did not install,
 // as the read path produced them.
-func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info EntryInfo, related []string, err error) {
+func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body stream.Body, info EntryInfo, related []string, err error) {
 	// Notifiers first, then the generation snapshot, then the read —
 	// the order remote.miss uses (subscribe, then fetch). Registered
 	// any later, a change landing before the registration on a key's
@@ -609,7 +599,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info Entry
 		cuts = &readCuts{c: c}
 		memo = cuts
 	}
-	data, res, trace, err := c.space.ReadDocumentStaged(doc, user, memo)
+	body, res, trace, err := c.space.ReadDocumentStaged(doc, user, memo)
 	if trace.MemoErr {
 		c.stats.prefixFallbackErrors.Add(1)
 	}
@@ -623,15 +613,16 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info Entry
 		}
 	}
 	if err != nil {
-		return Body{}, EntryInfo{}, nil, err
+		return stream.Body{}, EntryInfo{}, nil, err
 	}
-	body = Body{Head: data}
-	info = EntryInfo{Cacheability: res.Cacheability, Cost: res.Cost, Expiry: property.EarliestTTL(res.Verifiers), IntermediateHit: trace.Hit}
-	if len(trace.Tail) > 0 {
+	info = EntryInfo{Cacheability: res.Cacheability, Cost: res.Cost, Expiry: property.EarliestTTL(res.Verifiers), Verdict: obs.VerdictMiss}
+	if trace.Hit {
+		info.Verdict = obs.VerdictMemo
+	}
+	if len(body.Tail) > 0 {
 		// The body is the last cut's blob, in its parts, held under
 		// that cut's signature whether or not the entry goes in: a
 		// caller never hashes half of it.
-		body = Body{Head: data, Tail: trace.Tail, HeadSig: cuts.last.HeadSig}
 		info.Signature = cuts.lastSig
 	}
 	c.stats.misses.Add(1)
@@ -657,7 +648,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info Entry
 	}
 	s := info.Signature
 	if s.IsZero() {
-		s = cuts.sign(data) // hashing stays outside the shard lock
+		s = cuts.sign(body.Head) // a whole body; hashing stays outside the shard lock
 	}
 	// The definitive staleness check is Install's, atomic with the
 	// install under the stripe lock.
@@ -668,7 +659,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (body Body, info Entry
 		Cacheability: res.Cacheability,
 		Verifiers:    res.Verifiers,
 	}
-	if !c.tab.Install(Key(doc, user), e, body, gen, Base{Sig: body.HeadSig}) {
+	if !c.tab.Install(Key(doc, user), e, body, gen, body.HeadSig) {
 		return body, info, nil, nil
 	}
 	info.Signature = s

@@ -8,6 +8,7 @@ import (
 	"placeless/internal/property"
 	"placeless/internal/sig"
 	"placeless/internal/store"
+	"placeless/internal/stream"
 )
 
 // The durable disk tier (internal/store) under the in-memory cache.
@@ -72,7 +73,7 @@ func (c *Cache) appendEpoch(doc string, gen uint64) {
 // has no usable entry, in which case the caller runs the transforms.
 // When tr is non-nil and a candidate existed, the attempt's time goes
 // into tr.DiskPromote.
-func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, EntryInfo, bool) {
+func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (stream.Body, EntryInfo, bool) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -80,7 +81,7 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 	st := c.opts.Store
 	e, ok := st.GetEntry(doc, user)
 	if !ok {
-		return Body{}, EntryInfo{}, false
+		return stream.Body{}, EntryInfo{}, false
 	}
 	if tr != nil {
 		defer func() { tr.DiskPromote = time.Since(t0) }()
@@ -94,12 +95,12 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 		// (possibly while the process was down), or the chain now embeds
 		// external information the key cannot capture.
 		c.stats.storePromotionRejects.Add(1)
-		return Body{}, EntryInfo{}, false
+		return stream.Body{}, EntryInfo{}, false
 	}
 	body, ok := c.readPromoted(st, e)
 	if !ok {
 		c.stats.storePromotionRejects.Add(1)
-		return Body{}, EntryInfo{}, false
+		return stream.Body{}, EntryInfo{}, false
 	}
 
 	verifier := property.FuncVerifier{
@@ -123,16 +124,16 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 		Cacheability: property.Unrestricted,
 		Verifiers:    []property.Verifier{verifier},
 	}
-	if !c.tab.Install(Key(doc, user), ent, body, gen, Base{Sig: body.HeadSig}) {
+	if !c.tab.Install(Key(doc, user), ent, body, gen, body.HeadSig) {
 		// Closed, or invalidated since the caller's snapshot: the probe
 		// above may predate the change, so the disk bytes are suspect.
 		c.stats.storePromotionRejects.Add(1)
-		return Body{}, EntryInfo{}, false
+		return stream.Body{}, EntryInfo{}, false
 	}
 
 	c.stats.storePromotions.Add(1)
 	c.stats.misses.Add(1)
-	return ent.blob.body(), EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: e.Sig}, true
+	return ent.blob.body(), EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, Verdict: obs.VerdictDisk, Signature: e.Sig}, true
 }
 
 // readPromoted reads e's blob from the store, split at the head its
@@ -144,21 +145,21 @@ func (c *Cache) promote(doc, user string, gen uint64, tr *obs.ReadTrace) (Body, 
 // also signs its first HeadLen bytes. A claim the bytes do not prove —
 // a length at or past the body's end, a length without a signature, a
 // signature of other bytes — leaves the body whole.
-func (c *Cache) readPromoted(st *store.Store, e store.EntryMeta) (Body, bool) {
+func (c *Cache) readPromoted(st *store.Store, e store.EntryMeta) (stream.Body, bool) {
 	if e.HeadSig.IsZero() || e.HeadLen <= 0 {
 		data, ok := st.GetBlob(e.Sig)
-		return Body{Head: data}, ok
+		return stream.Body{Head: data}, ok
 	}
 	if head := c.tab.wholeBlob(e.HeadSig); len(head) == e.HeadLen {
 		if tail, ok := st.GetBlobAfter(e.Sig, head); ok {
-			return Body{Head: head, Tail: tail, HeadSig: e.HeadSig}, true
+			return stream.Body{Head: head, Tail: tail, HeadSig: e.HeadSig}, true
 		}
 	}
 	data, hs, ok := st.GetBlobHead(e.Sig, e.HeadLen)
 	if !ok || hs != e.HeadSig {
-		return Body{Head: data}, ok
+		return stream.Body{Head: data}, ok
 	}
-	return Body{Head: data[:e.HeadLen:e.HeadLen], Tail: data[e.HeadLen:], HeadSig: e.HeadSig}, true
+	return stream.Body{Head: data[:e.HeadLen:e.HeadLen], Tail: data[e.HeadLen:], HeadSig: e.HeadSig}, true
 }
 
 // demoteEntry writes an installed result behind to the disk tier, under
@@ -170,7 +171,7 @@ func (c *Cache) readPromoted(st *store.Store, e store.EntryMeta) (Body, bool) {
 // generation snapshot. data is the body as the table holds it: a
 // tail-shared body's record names its head, which a promote proves and
 // then keeps once (readPromoted).
-func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res property.ReadResult, ck docspace.ContentKey, gen uint64) {
+func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data stream.Body, res property.ReadResult, ck docspace.ContentKey, gen uint64) {
 	st := c.opts.Store
 	if st == nil || res.Cacheability != property.Unrestricted || !ck.Memoizable {
 		return
@@ -197,7 +198,7 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res pr
 			return
 		}
 	}
-	if err := st.PutSigned(s, data.Head, data.Tail); err != nil {
+	if err := st.PutSigned(s, data); err != nil {
 		c.stats.storeErrors.Add(1)
 		return
 	}
@@ -211,8 +212,9 @@ func (c *Cache) demoteEntry(doc, user string, s sig.Signature, data Body, res pr
 // demoteIntermediate records a computed prefix cut, signed s, in the
 // disk tier, behind its bytes: signCut has already put them. Cuts are
 // pure content addressing — the (src, fp) key can never serve wrong
-// bytes — so no epoch or probe is needed.
-func (c *Cache) demoteIntermediate(src, fp, s sig.Signature, cost time.Duration) {
+// bytes — so no epoch or probe is needed, and no cost: a promoted cut
+// is installed at the cost of the read that asks for it.
+func (c *Cache) demoteIntermediate(src, fp, s sig.Signature) {
 	st := c.opts.Store
 	if _, ok := st.GetIntermediate(src, fp); ok {
 		return
@@ -221,7 +223,6 @@ func (c *Cache) demoteIntermediate(src, fp, s sig.Signature, cost time.Duration)
 		SourceSig:   src,
 		Fingerprint: fp,
 		Sig:         s,
-		Cost:        cost,
 	}); err != nil {
 		c.stats.storeErrors.Add(1)
 		return

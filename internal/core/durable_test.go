@@ -96,7 +96,7 @@ func TestDurableWarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !info.DiskPromoted {
+		if info.Verdict != obs.VerdictDisk {
 			t.Fatalf("user %s: read after restart not disk-promoted (info %+v)", u, info)
 		}
 		if !bytes.Equal(data, before[u]) {
@@ -118,7 +118,7 @@ func TestDurableWarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !info.Hit {
+		if info.Verdict != obs.VerdictHit {
 			t.Fatalf("user %s: second post-restart read not a hit", u)
 		}
 	}
@@ -145,7 +145,7 @@ func TestDurableRefusesEpochInvalidatedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.DiskPromoted {
+	if info.Verdict == obs.VerdictDisk {
 		t.Fatal("epoch-invalidated entry was promoted from disk")
 	}
 	if !bytes.Contains(data, []byte("eyal")) {
@@ -182,7 +182,7 @@ func TestDurableRefusesContentChangedWhileDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.DiskPromoted {
+	if info.Verdict == obs.VerdictDisk {
 		t.Fatal("stale disk entry promoted after out-of-band rewrite")
 	}
 	if bytes.Equal(data, stale) {
@@ -218,7 +218,7 @@ func TestDurableRefusesChainChangedWhileDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.DiskPromoted {
+	if info.Verdict == obs.VerdictDisk {
 		t.Fatal("disk entry promoted despite a changed universal chain")
 	}
 	if bytes.Equal(data, stale) {
@@ -259,7 +259,7 @@ func TestStoreRecheckVerifierCatchesLaterChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.DiskPromoted {
+	if info.Verdict != obs.VerdictDisk {
 		t.Fatal("setup: expected a disk promotion")
 	}
 
@@ -268,7 +268,7 @@ func TestStoreRecheckVerifierCatchesLaterChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hit {
+	if info.Verdict == obs.VerdictHit {
 		t.Fatal("store-recheck verifier let a stale promoted entry hit")
 	}
 	if !bytes.Contains(data, []byte("changed after promotion")) {
@@ -299,10 +299,10 @@ func TestDurableIntermediatePromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.DiskPromoted {
+	if info.Verdict == obs.VerdictDisk {
 		t.Fatal("user01 has no durable entry; promotion should be intermediate-level only")
 	}
-	if !info.IntermediateHit {
+	if info.Verdict != obs.VerdictMemo {
 		t.Fatal("universal stage not served from the durable intermediate")
 	}
 	if !bytes.Contains(data, []byte(users[1])) {
@@ -385,8 +385,8 @@ func TestDemoteRecordsTheKeyTheReadComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.DiskPromoted || bytes.Equal(data, old) {
-		t.Fatalf("old bytes served under the new source (promoted=%v): %q", info.DiskPromoted, data)
+	if info.Verdict == obs.VerdictDisk || bytes.Equal(data, old) {
+		t.Fatalf("old bytes served under the new source (promoted=%v): %q", info.Verdict == obs.VerdictDisk, data)
 	}
 	if !bytes.Contains(data, []byte("rewritten")) {
 		t.Fatalf("read missed the rewrite: %q", data)
@@ -470,7 +470,7 @@ func checkUpgradeRecomputes(t *testing.T, w *world, st *store.Store) {
 		t.Fatalf("first read after the upgrade = %q, want the recomputed %q", data, want)
 	}
 	s := c.Stats()
-	if info.DiskPromoted || info.IntermediateHit || s.StorePromotions != 0 || s.StoreIntermediatePromotions != 0 || s.UniversalStageRuns != 1 {
+	if info.Verdict != obs.VerdictMiss || s.StorePromotions != 0 || s.StoreIntermediatePromotions != 0 || s.UniversalStageRuns != 1 {
 		t.Fatalf("the first read was not a full recompute: info %+v, stats %+v", info, s)
 	}
 	if tr := o.Ring().Snapshot(1); len(tr) != 1 || tr[0].Verdict != obs.VerdictMiss {
@@ -523,7 +523,7 @@ func TestDurableUpgradeFromMD5Store(t *testing.T) {
 	if g := cc.tab.Gen("d"); g != 7 {
 		t.Fatalf("control: generation of d = %d, want the persisted epoch 7", g)
 	}
-	if data, info, err := readBytes(cc, "d", "eyal"); err != nil || !info.DiskPromoted || !bytes.Equal(data, stale) {
+	if data, info, err := readBytes(cc, "d", "eyal"); err != nil || info.Verdict != obs.VerdictDisk || !bytes.Equal(data, stale) {
 		t.Fatalf("control: a store signed with sig.Of was not promoted: %q, %+v, %v", data, info, err)
 	}
 	cc.Close()
@@ -644,11 +644,11 @@ func TestPromoteFetchesTheSourceOncePerVersion(t *testing.T) {
 		}
 		return src.fetches.Load() - before
 	}
-	promoted := func(i EntryInfo) bool { return i.DiskPromoted }
-	hit := func(i EntryInfo) bool { return i.Hit }
+	promoted := func(i EntryInfo) bool { return i.Verdict == obs.VerdictDisk }
+	hit := func(i EntryInfo) bool { return i.Verdict == obs.VerdictHit }
 
 	boot()
-	readAll(func(i EntryInfo) bool { return !i.Hit && !i.DiskPromoted }, "a miss")
+	readAll(func(i EntryInfo) bool { return i.Verdict != obs.VerdictHit && i.Verdict != obs.VerdictDisk }, "a miss")
 	boot()
 	defer func() { c.Close(); st.Close() }()
 	if n := readAll(promoted, "disk-promoted"); n != 1 {
@@ -668,7 +668,7 @@ func TestPromoteFetchesTheSourceOncePerVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hit || !bytes.Contains(data, []byte("rewritten")) {
+	if info.Verdict == obs.VerdictHit || !bytes.Contains(data, []byte("rewritten")) {
 		t.Fatalf("read after an out-of-band change = %q (info %+v), want the new bytes", data, info)
 	}
 }
@@ -862,11 +862,11 @@ func TestDurablePromoteRefusesAnUnprovenHead(t *testing.T) {
 	c := New(w.space, Options{Name: "refusing", Memoize: true, Store: st})
 	defer c.Close()
 	for i, cl := range claims {
-		if cl.resident && !c.tab.Install(Key("x", "holder"), &Entry{Doc: "x", User: "holder", Signature: otherSig}, Body{Head: other}, c.tab.Gen("x"), Base{}) {
+		if cl.resident && !c.tab.Install(Key("x", "holder"), &Entry{Doc: "x", User: "holder", Signature: otherSig}, stream.Body{Head: other}, c.tab.Gen("x"), sig.Zero) {
 			t.Fatal("setup: the other bytes did not go in")
 		}
 		body, info, err := c.ReadWithInfo("d", users[i])
-		if err != nil || !info.DiskPromoted || !bytes.Equal(body.Bytes(), views[i]) {
+		if err != nil || info.Verdict != obs.VerdictDisk || !bytes.Equal(body.Bytes(), views[i]) {
 			t.Fatalf("%s: promoted %q (%+v, %v), want the view", cl.name, body.Bytes(), info, err)
 		}
 		if split := len(body.Tail) > 0; split != (i == 0) {
@@ -900,7 +900,7 @@ func TestDurablePromoteKeepsTheCut(t *testing.T) {
 	var stored, tails int64
 	for i, u := range users {
 		body, info, err := d.cache.ReadWithInfo("d", u)
-		if err != nil || !info.DiskPromoted || !bytes.Equal(body.Bytes(), views[i]) {
+		if err != nil || info.Verdict != obs.VerdictDisk || !bytes.Equal(body.Bytes(), views[i]) {
 			t.Fatalf("%s: not the promoted view: %+v, %v", u, info, err)
 		}
 		if len(body.Tail) == 0 || body.HeadSig.IsZero() {

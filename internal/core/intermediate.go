@@ -6,6 +6,7 @@ import (
 
 	"placeless/internal/docspace"
 	"placeless/internal/sig"
+	"placeless/internal/stream"
 )
 
 // Content-addressed memoization of read-path prefixes (enabled by
@@ -62,7 +63,7 @@ func interKey(src, fp sig.Signature) string {
 // follows that cut — the benchmark's chains all end in a memoizable
 // property — the read's result is the same bytes, and sign answers
 // without hashing them a second time; a tail-shared cut comes back in
-// its parts, never joined (docspace.StageTrace.Tail).
+// its parts, never joined, with its head's signature.
 //
 // Each cut a read computes is installed with the read's previous cut
 // as its base: when a property only appended to those bytes (a
@@ -71,13 +72,13 @@ func interKey(src, fp sig.Signature) string {
 // (doc, user) entry then shares that cut's blob by signature.
 type readCuts struct {
 	c       *Cache
-	last    Body
+	last    stream.Body
 	lastSig sig.Signature
 }
 
 // PrefixIntermediateParts implements docspace.SplitIntermediates for
 // one cut of the prefix pipeline.
-func (rc *readCuts) PrefixIntermediateParts(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, []byte, bool, error) {
+func (rc *readCuts) PrefixIntermediateParts(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) (stream.Body, bool, error) {
 	owner := ""
 	if cut.Personal {
 		owner = user
@@ -86,30 +87,30 @@ func (rc *readCuts) PrefixIntermediateParts(doc, user string, src sig.Signature,
 	if err == nil {
 		rc.last, rc.lastSig = data, s
 	}
-	return data.Head, data.Tail, hit, err
+	return data, hit, err
 }
 
 // LongestPrefixParts implements docspace.SplitIntermediates: the probe
 // is memory-only — the durable tier is consulted per cut by
 // PrefixIntermediateParts, which also handles in-flight coalescing.
-func (rc *readCuts) LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) ([]byte, []byte, int, bool) {
+func (rc *readCuts) LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) (stream.Body, int, bool) {
 	data, s, idx, ok := rc.c.longestPrefix(src, fps)
 	if ok {
 		rc.last, rc.lastSig = data, s
 	}
-	return data.Head, data.Tail, idx, ok
+	return data, idx, ok
 }
 
 // PrefixIntermediate is PrefixIntermediateParts with the cut joined.
 func (rc *readCuts) PrefixIntermediate(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
-	head, tail, hit, err := rc.PrefixIntermediateParts(doc, user, src, cut, compute)
-	return Body{Head: head, Tail: tail}.Bytes(), hit, err
+	data, hit, err := rc.PrefixIntermediateParts(doc, user, src, cut, compute)
+	return data.Bytes(), hit, err
 }
 
 // LongestPrefix is LongestPrefixParts with the cut joined.
 func (rc *readCuts) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
-	head, tail, idx, ok := rc.LongestPrefixParts(doc, src, fps)
-	return Body{Head: head, Tail: tail}.Bytes(), idx, ok
+	data, idx, ok := rc.LongestPrefixParts(doc, src, fps)
+	return data.Bytes(), idx, ok
 }
 
 // sign returns data's signature, hashing only if data is not the last
@@ -125,7 +126,7 @@ func (rc *readCuts) sign(data []byte) sig.Signature {
 // cutServed accounts data as a cut handed out without recomputation
 // and returns it. The staged read only reads a cut's bytes, so they
 // are handed on as they are, the table's own included.
-func (c *Cache) cutServed(data Body) Body {
+func (c *Cache) cutServed(data stream.Body) stream.Body {
 	c.stats.intermediateHits.Add(1)
 	c.stats.bytesRecomputedSaved.Add(int64(data.Len()))
 	return data
@@ -134,7 +135,7 @@ func (c *Cache) cutServed(data Body) Body {
 // longestPrefix scans fps deepest-first and returns the first resident
 // (src, fp) output, read-only and in the parts the table holds it,
 // with its signature.
-func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) (Body, sig.Signature, int, bool) {
+func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) (stream.Body, sig.Signature, int, bool) {
 	for i := len(fps) - 1; i >= 0; i-- {
 		k := interKey(src, fps[i])
 		if e, data := c.tab.Lookup(k); e != nil {
@@ -143,7 +144,7 @@ func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) (Body, sig
 			return c.cutServed(data), e.Signature, i, true
 		}
 	}
-	return Body{}, sig.Zero, -1, false
+	return stream.Body{}, sig.Zero, -1, false
 }
 
 // intermediate returns the memoized output for (src, fp), or computes
@@ -156,7 +157,7 @@ func (c *Cache) longestPrefix(src sig.Signature, fps []sig.Signature) (Body, sig
 // computed cut is installed on (leadCut). The returned bytes are
 // read-only — they may be the table's own, in its parts — and the
 // signature is theirs; hit reports whether compute was skipped.
-func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, base sig.Signature, compute func() ([]byte, error)) (Body, sig.Signature, bool, error) {
+func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal bool, base sig.Signature, compute func() ([]byte, error)) (stream.Body, sig.Signature, bool, error) {
 	k := interKey(src, fp)
 	for {
 		e, f, leader := c.tab.join(k, true)
@@ -175,12 +176,12 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			return c.cutServed(f.data), f.info.Signature, true, nil // the leader's own bytes, whole
 		}
 		var fromDisk, stored bool
-		data, info, err := c.tab.lead(k, f, func() (data Body, info EntryInfo, err error) {
+		data, info, err := c.tab.lead(k, f, func() (data stream.Body, info EntryInfo, err error) {
 			data.Head, info.Signature, fromDisk, stored, err = c.leadCut(k, &Entry{Doc: doc, User: user, Cost: cost, cut: true}, src, fp, universal, base, compute)
 			return data, info, err
 		})
 		if err == nil && stored {
-			c.demoteIntermediate(src, fp, info.Signature, cost)
+			c.demoteIntermediate(src, fp, info.Signature)
 		}
 		return data, info.Signature, fromDisk, err
 	}
@@ -222,7 +223,7 @@ func (c *Cache) leadCut(k string, e *Entry, src, fp sig.Signature, universal boo
 	e.Signature = s
 	// The table may keep data itself; the staged read it goes back to
 	// only reads it.
-	if c.tab.Install(k, e, Body{Head: data}, 0, Base{Sig: base}) { // a cut has no generation to check
+	if c.tab.Install(k, e, stream.Body{Head: data}, 0, base) { // a cut has no generation to check
 		c.stats.prefixInstalls.Add(1)
 	}
 	return data, s, fromDisk, stored, nil

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"placeless/internal/docspace"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 )
 
@@ -95,8 +96,8 @@ func TestUniversalStageRunsOncePerFanOut(t *testing.T) {
 		if !bytes.Contains(data, []byte(u)) {
 			t.Fatalf("user %s: personal suffix missing from %q", u, data)
 		}
-		if wantMemo := i > 0; info.IntermediateHit != wantMemo {
-			t.Fatalf("user %s: IntermediateHit = %v, want %v", u, info.IntermediateHit, wantMemo)
+		if want := map[bool]string{false: obs.VerdictMiss, true: obs.VerdictMemo}[i > 0]; info.Verdict != want {
+			t.Fatalf("user %s: verdict %q, want %q", u, info.Verdict, want)
 		}
 	}
 
@@ -218,7 +219,7 @@ func TestPersonalInvalidationKeepsIntermediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hit || !info.IntermediateHit {
+	if info.Verdict != obs.VerdictMemo {
 		t.Fatalf("info = %+v, want a miss served from the intermediate", info)
 	}
 	if st := w.cache.Stats(); st.UniversalStageRuns != 1 {

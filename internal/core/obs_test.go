@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -326,4 +327,117 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 	if presp.StatusCode != http.StatusOK {
 		t.Errorf("pprof cmdline status = %d", presp.StatusCode)
 	}
+}
+
+// TestEntryInfoVerdict: every read reports how it was served in
+// EntryInfo.Verdict, set where the outcome happens, with or without an
+// Observer; with one, the verdicts the reads report are exactly the
+// placeless_reads_total series they increment.
+func TestEntryInfoVerdict(t *testing.T) {
+	// Each row builds a cache over opts (which carry the Observer, or
+	// none), reads, and returns the infos of every read the cache it
+	// observes made; the last one's verdict is the row's.
+	rows := []struct {
+		want string
+		run  func(t *testing.T, opts Options) []EntryInfo
+	}{
+		{obs.VerdictMiss, func(t *testing.T, opts Options) []EntryInfo {
+			w := newWorld(t, opts)
+			w.addDoc(t, "d", "eyal", "/d", []byte("content"))
+			return []EntryInfo{readInfo(t, w.cache, "eyal")}
+		}},
+		{obs.VerdictHit, func(t *testing.T, opts Options) []EntryInfo {
+			w := newWorld(t, opts)
+			w.addDoc(t, "d", "eyal", "/d", []byte("content"))
+			return []EntryInfo{readInfo(t, w.cache, "eyal"), readInfo(t, w.cache, "eyal")}
+		}},
+		{obs.VerdictMemo, func(t *testing.T, opts Options) []EntryInfo {
+			opts.Memoize = true
+			w := newWorld(t, opts)
+			users := memoUsers(2)
+			setupMemoDoc(t, w, users)
+			return []EntryInfo{readInfo(t, w.cache, users[0]), readInfo(t, w.cache, users[1])}
+		}},
+		{obs.VerdictDisk, func(t *testing.T, opts Options) []EntryInfo {
+			d := newDurableWorld(t, Options{})
+			users := memoUsers(1)
+			setupMemoDoc(t, d.world, users)
+			readInfo(t, d.cache, users[0])
+			d.opts.Observer = opts.Observer // observe the successor only
+			d.crashAndRestart()
+			return []EntryInfo{readInfo(t, d.cache, users[0])}
+		}},
+		{obs.VerdictCoalesced, func(t *testing.T, opts Options) []EntryInfo {
+			w := newWorld(t, opts)
+			// A reader that arrives after the leader's install is a hit,
+			// not a follower: try again on a fresh document.
+			for attempt := 0; attempt < 20; attempt++ {
+				doc := fmt.Sprintf("d%d", attempt)
+				bits := &countingProvider{payload: []byte("content"), release: make(chan struct{})}
+				if _, err := w.space.CreateDocument(doc, "eyal", bits); err != nil {
+					t.Fatal(err)
+				}
+				infos := make([]EntryInfo, 2)
+				var wg sync.WaitGroup
+				read := func(i int) {
+					defer wg.Done()
+					_, info, err := w.cache.ReadWithInfo(doc, "eyal")
+					if err != nil {
+						t.Error(err)
+					}
+					infos[i] = info
+				}
+				wg.Add(2)
+				go read(0)
+				for bits.opens.Load() == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				go read(1)
+				time.Sleep(20 * time.Millisecond)
+				close(bits.release)
+				wg.Wait()
+				if infos[1].Verdict != obs.VerdictHit {
+					return infos
+				}
+			}
+			t.Fatal("no reader joined the leader's flight")
+			return nil
+		}},
+	}
+	for _, r := range rows {
+		for _, observed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/observer=%v", r.want, observed), func(t *testing.T) {
+				var opts Options
+				if observed {
+					opts.Observer = obs.NewObserver()
+				}
+				infos := r.run(t, opts)
+				if got := infos[len(infos)-1].Verdict; got != r.want {
+					t.Fatalf("verdict %q, want %q", got, r.want)
+				}
+				if !observed {
+					return
+				}
+				want := map[string]int64{}
+				for _, info := range infos {
+					want[info.Verdict]++
+				}
+				for v, n := range opts.Observer.VerdictCounts() {
+					if n != want[v] {
+						t.Errorf("placeless_reads_total{verdict=%q} = %d, the reads reported it %d times", v, n, want[v])
+					}
+				}
+			})
+		}
+	}
+}
+
+// readInfo reads ("d", user) through c and returns the read's info.
+func readInfo(t *testing.T, c *Cache, user string) EntryInfo {
+	t.Helper()
+	_, info, err := c.ReadWithInfo("d", user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
 }

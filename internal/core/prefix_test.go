@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"placeless/internal/docspace"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 )
 
@@ -60,7 +61,7 @@ func TestPrefixSharesPersonalSegmentAcrossUsers(t *testing.T) {
 		if !bytes.Contains(data, []byte(u)) {
 			t.Fatalf("user %s: personalization missing: %q", u, data)
 		}
-		if !info.IntermediateHit {
+		if info.Verdict != obs.VerdictMemo {
 			t.Fatalf("user %s: miss did not resume from a cached prefix", u)
 		}
 	}
@@ -98,7 +99,7 @@ func TestInvalidateUserSweepsOnlyTheirPersonalCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hit || !info.IntermediateHit {
+	if info.Verdict != obs.VerdictMemo {
 		t.Fatalf("info = %+v, want a miss resumed from the surviving prefix", info)
 	}
 	st := w.cache.Stats()

@@ -104,7 +104,7 @@ func TestHitProbeParity(t *testing.T) {
 				var o outcome
 				served := false
 				if viaShared {
-					var body Body
+					var body stream.Body
 					body, o.info, served = w.cache.ReadSharedHit("d", "eyal")
 					o.data = body.Bytes()
 					if served != tc.shared {

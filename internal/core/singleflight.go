@@ -1,6 +1,10 @@
 package core
 
-import "errors"
+import (
+	"errors"
+
+	"placeless/internal/stream"
+)
 
 // Single-flight coalescing, one protocol for every kind of key and both
 // placements. When K goroutines miss on the same (document, user) key
@@ -29,7 +33,7 @@ var ErrReadAborted = errors.New("core: the read this one was coalesced onto pani
 // that unwinds before publishing has published that.
 type flight struct {
 	done chan struct{}
-	data Body
+	data stream.Body
 	info EntryInfo
 	err  error
 }
@@ -59,7 +63,7 @@ func (t *Table) join(k string, ifAbsent bool) (e *Entry, f *flight, leader bool)
 // deregistered before done is closed, so a follower that wakes and
 // misses again starts a fresh flight rather than joining a completed
 // one.
-func (t *Table) lead(k string, f *flight, fn func() (Body, EntryInfo, error)) (Body, EntryInfo, error) {
+func (t *Table) lead(k string, f *flight, fn func() (stream.Body, EntryInfo, error)) (stream.Body, EntryInfo, error) {
 	defer func() {
 		sh := t.shardFor(k)
 		sh.mu.Lock()
@@ -75,7 +79,7 @@ func (t *Table) lead(k string, f *flight, fn func() (Body, EntryInfo, error)) (B
 // case it waits for that run and returns its result with shared set.
 // A shared result's bytes are the leader's, read-only. A key with a
 // flight is pinned against eviction.
-func (t *Table) Do(k string, fn func() (Body, EntryInfo, error)) (data Body, info EntryInfo, shared bool, err error) {
+func (t *Table) Do(k string, fn func() (stream.Body, EntryInfo, error)) (data stream.Body, info EntryInfo, shared bool, err error) {
 	_, f, leader := t.join(k, false)
 	if !leader {
 		<-f.done

@@ -10,6 +10,7 @@ import (
 	"placeless/internal/property"
 	"placeless/internal/replace"
 	"placeless/internal/sig"
+	"placeless/internal/stream"
 )
 
 // Table is the one entry table under both cache placements: Cache,
@@ -134,43 +135,14 @@ func (b *blob) size() int64 {
 	return int64(len(b.data))
 }
 
-// body returns the blob's bytes as the table holds them.
-func (b *blob) body() Body {
+// body returns the blob's bytes as the table holds them: a whole
+// blob's all Head, a tail-shared blob's its base's bytes and its own
+// tail. Both parts alias immutable blobs and must not be modified.
+func (b *blob) body() stream.Body {
 	if b.base != nil {
-		return Body{Head: b.base.data, Tail: b.data, HeadSig: b.base.s}
+		return stream.Body{Head: b.base.data, Tail: b.data, HeadSig: b.base.s}
 	}
-	return Body{Head: b.data}
-}
-
-// Body is a record's bytes as the table holds them: Head, then Tail.
-// A whole blob's body is all Head; a tail-shared blob's Head is its
-// base's bytes, and HeadSig, set only then, the base's signature. Both
-// parts alias immutable blobs and must not be modified.
-type Body struct {
-	Head, Tail []byte
-	HeadSig    sig.Signature
-}
-
-// Len is the body's length in bytes.
-func (b Body) Len() int { return len(b.Head) + len(b.Tail) }
-
-// Bytes returns the body as one slice: Head itself when there is no
-// tail, else a fresh copy of both parts.
-func (b Body) Bytes() []byte {
-	if len(b.Tail) == 0 {
-		return b.Head
-	}
-	return append(append(make([]byte, 0, b.Len()), b.Head...), b.Tail...)
-}
-
-// Base names the blob a record's bytes were built from, for Install:
-// by its signature, and by its length when the caller has proof that
-// the bytes begin with that blob's but the table may not hold it (a
-// sidecar installing the head and tail an origin reported). The zero
-// Base names none.
-type Base struct {
-	Sig sig.Signature
-	Len int
+	return stream.Body{Head: b.data}
 }
 
 // Key builds the (document, user) entry identifier. The paper: "Our
@@ -243,13 +215,13 @@ func (t *Table) Contains(k string) bool {
 // table's immutable blobs and must not be modified; nil when k holds
 // none. It changes nothing: the caller verifies what it found, then
 // Confirm accounts the hit.
-func (t *Table) Lookup(k string) (*Entry, Body) {
+func (t *Table) Lookup(k string) (*Entry, stream.Body) {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	e := sh.entries[k]
 	sh.mu.Unlock()
 	if e == nil {
-		return nil, Body{}
+		return nil, stream.Body{}
 	}
 	return e, e.blob.body()
 }
@@ -302,15 +274,16 @@ func (t *Table) drop(k string) {
 // e went in, and is the one way a record of either kind enters the
 // table.
 //
-// data may come in two parts, split at the blob its HeadSig names,
+// base names, by its signature, the blob data was built from, or is
+// zero. data may come in two parts split at base (HeadSig == base)
 // when the caller has proved its head is that blob's bytes: a blob the
-// table holds (a read that ended on a tail-shared cut), or a disk
-// promote's verified head. base names the blob data was built from, or
-// is zero: when data begins with that blob's bytes, the new blob keeps
-// only the rest (internBlob), and data split at base is never joined.
-// Install may keep data's bytes themselves as the blob, or their
-// leading bytes as the base, so from the call on nobody modifies them.
-func (t *Table) Install(k string, e *Entry, data Body, gen uint64, base Base) bool {
+// table holds (a read that ended on a tail-shared cut), a disk
+// promote's verified head, or the head an origin reported across the
+// wire. A split body is never joined; a whole one that begins with a
+// resident base's bytes keeps only the rest (internBlob). Install may
+// keep data's bytes themselves as the blob, or its head as the base,
+// so from the call on nobody modifies them.
+func (t *Table) Install(k string, e *Entry, data stream.Body, gen uint64, base sig.Signature) bool {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	if t.closed.Load() || !e.cut && t.gen(e.Doc).Load() != gen {
@@ -445,29 +418,27 @@ func (t *Table) Close() bool {
 
 // internBlob interns body's bytes, data, under s, their signature,
 // takes one reference and returns the blob, maintaining the byte and
-// shared-entry gauges incrementally. A body that comes split at base —
-// two parts, HeadSig naming base.Sig — is never joined: its head is a
-// blob's bytes the caller has proved (a blob the table held, a disk
-// promote's verified head), so the new blob is built on the resident
-// base when that holds the same bytes, or on the head itself, kept in
-// place as the base, when there is none; it keeps the tail itself
-// unless the tail may lie in the buffer of another copy of the head.
-// Any other body's parts are joined only when no blob is resident
-// under s. A new blob built on
-// base — a resident blob whose bytes data begins with — holds a copy
-// of the rest. When no blob is resident under base.Sig and base.Len is
-// set, data's first base.Len bytes become that blob, in place and
-// charged to no one until a record holds it (the base rule of
-// freeBlob), and the new blob holds a copy of the rest. Otherwise the
-// new blob holds data itself, or an exact-size copy when data has
-// spare capacity, so a blob never pins more than its bytes (an in-place
-// base pins its tail's few bytes too). The caller signs — once, before
-// it takes the stripe lock this runs under — or passes on the
-// signatures a lower tier (the disk store, the origin across the wire)
-// has proved. asEntry distinguishes (doc, user) entries from cuts: both
-// share storage and lifetime, but only entry references drive the
+// shared-entry gauges incrementally. Nothing is joined or copied when
+// a blob is already resident under s. A body split at base is never
+// joined: its head is bytes the caller has proved to be base's, so the
+// new blob is built on the resident base when that holds the same
+// bytes, or on the head itself, kept in place as the base and charged
+// to no one until a record holds it (the base rule of freeBlob), when
+// there is none. It keeps the tail itself unless the tail may lie in
+// the buffer of another copy of the head. A whole body is built on a
+// resident base whose bytes it begins with and keeps a copy of the
+// rest; an empty blob is no base, since the wire and the disk record
+// name a head by a non-zero length. Any other body, a split one whose
+// head is not the resident base's bytes included, is kept whole: data
+// itself, or an exact-size copy when data has spare capacity, so a
+// blob never pins more than its bytes (an in-place base pins its
+// tail's bytes too). The caller signs — once, before it takes the
+// stripe lock this runs under — or passes on the signatures a lower
+// tier (the disk store, the origin across the wire) has proved.
+// asEntry distinguishes (doc, user) entries from cuts: both share
+// storage and lifetime, but only entry references drive the
 // SharedEntries gauge.
-func (t *Table) internBlob(s sig.Signature, body Body, asEntry bool, base Base) *blob {
+func (t *Table) internBlob(s sig.Signature, body stream.Body, asEntry bool, base sig.Signature) *blob {
 	t.blobMu.Lock()
 	defer t.blobMu.Unlock()
 	b := t.blobs[s]
@@ -475,14 +446,14 @@ func (t *Table) internBlob(s sig.Signature, body Body, asEntry bool, base Base) 
 		b = &blob{s: s}
 		data := body.Tail
 		keep := false // data may stay in place although b is built on a base
-		h := t.blobs[base.Sig]
+		h := t.blobs[base]
 		switch {
-		case base.Sig.IsZero():
+		case base.IsZero():
 			data = body.Bytes()
-		case body.HeadSig == base.Sig && len(body.Head) > 0 && len(body.Tail) > 0 &&
+		case body.HeadSig == base && len(body.Head) > 0 && len(body.Tail) > 0 &&
 			(h == nil || h.base == nil && bytes.Equal(h.data, body.Head)):
 			if h == nil {
-				h = t.placeBase(base.Sig, body.Head)
+				h = t.placeBase(base, body.Head)
 			}
 			b.base = h
 			// A tail that follows some other copy of the head may lie in
@@ -490,19 +461,12 @@ func (t *Table) internBlob(s sig.Signature, body Body, asEntry bool, base Base) 
 			keep = &h.data[0] == &body.Head[0]
 		default:
 			data = body.Bytes()
-			switch {
-			case h != nil:
-				if h.base != nil {
-					h = h.base // data begins with h's bytes, so with its base's too
-				}
-				if len(data) > len(h.data) && bytes.HasPrefix(data, h.data) {
-					b.base = h
-				}
-			case base.Len > 0 && base.Len < len(data):
-				b.base = t.placeBase(base.Sig, data[:base.Len])
+			if h != nil && h.base != nil {
+				h = h.base // data begins with h's bytes, so with its base's too
 			}
-			if b.base != nil {
-				data = data[len(b.base.data):]
+			if h != nil && len(h.data) > 0 && len(data) > len(h.data) && bytes.HasPrefix(data, h.data) {
+				b.base = h
+				data = data[len(h.data):]
 			}
 		}
 		if b.base != nil {

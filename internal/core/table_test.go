@@ -9,9 +9,11 @@ import (
 	"unsafe"
 
 	"placeless/internal/docspace"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/replace"
 	"placeless/internal/sig"
+	"placeless/internal/stream"
 )
 
 // records returns every entry and cut of doc the table holds, by key,
@@ -132,7 +134,7 @@ func TestInstallTakesExactBytes(t *testing.T) {
 	tab := NewTable(replace.NewGDS())
 	install := func(k string, data []byte) (stored []byte) {
 		t.Helper()
-		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, Body{Head: data}, 0, Base{}) {
+		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, stream.Body{Head: data}, 0, sig.Zero) {
 			t.Fatalf("%s: not installed", k)
 		}
 		_, body := tab.Lookup(k)
@@ -198,7 +200,7 @@ func TestComputedWordMapCutIsInternedAsHanded(t *testing.T) {
 // memo-resumed miss, whose watermarked view is tail-shared, the cut's
 // bytes and the view's tail.
 func TestEveryReadServesTheInstalledBytes(t *testing.T) {
-	installed := func(t *testing.T, w *world, user string, got Body) {
+	installed := func(t *testing.T, w *world, user string, got stream.Body) {
 		t.Helper()
 		_, blob := w.cache.tab.Lookup(Key("d", user))
 		if blob.Head == nil {
@@ -214,7 +216,7 @@ func TestEveryReadServesTheInstalledBytes(t *testing.T) {
 		w.addDoc(t, "d", "eyal", "/d", []byte("body the table keeps"))
 		w.read(t, "d", "eyal")
 		data, info, err := w.cache.ReadWithInfo("d", "eyal")
-		if err != nil || !info.Hit {
+		if err != nil || info.Verdict != obs.VerdictHit {
 			t.Fatalf("setup: %+v, %v", info, err)
 		}
 		installed(t, w, "eyal", data)
@@ -251,7 +253,7 @@ func TestEveryReadServesTheInstalledBytes(t *testing.T) {
 			t.Fatalf("no read was coalesced: %+v", st)
 		}
 		for _, data := range results {
-			installed(t, w, "u", Body{Head: data})
+			installed(t, w, "u", stream.Body{Head: data})
 		}
 	})
 	t.Run("plain miss", func(t *testing.T) {
@@ -260,7 +262,7 @@ func TestEveryReadServesTheInstalledBytes(t *testing.T) {
 		if err := w.space.Attach("d", "", docspace.Universal, property.NewUppercaser(0)); err != nil {
 			t.Fatal(err)
 		}
-		installed(t, w, "eyal", Body{Head: w.read(t, "d", "eyal")})
+		installed(t, w, "eyal", stream.Body{Head: w.read(t, "d", "eyal")})
 	})
 	t.Run("memo-resumed miss", func(t *testing.T) {
 		users := memoUsers(2)
@@ -268,7 +270,7 @@ func TestEveryReadServesTheInstalledBytes(t *testing.T) {
 		setupMemoDoc(t, w, users)
 		w.read(t, "d", users[0])
 		data, info, err := w.cache.ReadWithInfo("d", users[1])
-		if err != nil || !info.IntermediateHit || len(data.Tail) == 0 {
+		if err != nil || info.Verdict != obs.VerdictMemo || len(data.Tail) == 0 {
 			t.Fatalf("setup: %+v, %d-byte tail, %v", info, len(data.Tail), err)
 		}
 		installed(t, w, users[1], data)
@@ -279,7 +281,7 @@ func TestEveryReadServesTheInstalledBytes(t *testing.T) {
 		d.read(t, "d", "eyal")
 		d.crashAndRestart()
 		data, info, err := d.cache.ReadWithInfo("d", "eyal")
-		if err != nil || !info.DiskPromoted {
+		if err != nil || info.Verdict != obs.VerdictDisk {
 			t.Fatalf("setup: %+v, %v", info, err)
 		}
 		installed(t, d.world, "eyal", data)

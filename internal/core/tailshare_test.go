@@ -63,10 +63,11 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
 			return false
 		}
-		install := func(k string, e Entry, data []byte, base Base) {
+		install := func(k string, e Entry, body stream.Body, base sig.Signature) {
 			e2 := e
-			okS := shared.Install(k, &e, Body{Head: data}, shared.Gen(e.Doc), base)
-			okW := whole.Install(k, &e2, Body{Head: data}, whole.Gen(e.Doc), Base{})
+			data := body.Bytes()
+			okS := shared.Install(k, &e, body, shared.Gen(e.Doc), base)
+			okW := whole.Install(k, &e2, stream.Body{Head: data}, whole.Gen(e.Doc), sig.Zero)
 			if okS != okW {
 				t.Errorf("seed %d: install of %q: %v with a base, %v whole", seed, k, okS, okW)
 			}
@@ -109,20 +110,21 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 			cutKey := interKey(sig.Of([]byte(doc)), sig.Of(w.cuts[i]))
 			switch op := rng.Intn(10); {
 			case op < 3:
-				install(cutKey, Entry{Doc: doc, Signature: sig.Of(w.cuts[i]), Cost: time.Duration(1+i) * time.Millisecond, cut: true}, w.cuts[i], Base{})
+				install(cutKey, Entry{Doc: doc, Signature: sig.Of(w.cuts[i]), Cost: time.Duration(1+i) * time.Millisecond, cut: true}, stream.Body{Head: w.cuts[i]}, sig.Zero)
 			case op < 5:
 				// A personal cut on its universal cut, as leadCut installs it.
 				k := interKey(sig.Of([]byte(doc)), sig.Of(w.views[i][u]))
-				install(k, Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(w.views[i][u]), Cost: time.Millisecond, cut: true}, w.views[i][u], Base{Sig: sig.Of(w.cuts[i])})
+				install(k, Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(w.views[i][u]), Cost: time.Millisecond, cut: true}, stream.Body{Head: w.views[i][u]}, sig.Of(w.cuts[i]))
 			case op < 6:
 				// The (doc, user) entry, as miss installs it.
-				install(Key(doc, fmt.Sprint(u)), Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(w.views[i][u]), Cost: 2 * time.Millisecond}, w.views[i][u], Base{Sig: sig.Of(w.cuts[i])})
+				install(Key(doc, fmt.Sprint(u)), Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(w.views[i][u]), Cost: 2 * time.Millisecond}, stream.Body{Head: w.views[i][u]}, sig.Of(w.cuts[i]))
 			case op < 7:
-				// The entry as a sidecar installs it: the base named by
-				// the length an origin reported too, the bytes the
-				// wire's own allocation.
-				v := append([]byte(nil), w.views[i][u]...)
-				install(Key(doc, fmt.Sprint(u)), Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(v), Cost: 2 * time.Millisecond}, v, Base{Sig: sig.Of(w.cuts[i]), Len: len(w.cuts[i])})
+				// The entry as a sidecar installs it: in the head and
+				// tail an origin reported, both in the wire's own
+				// allocation.
+				v, n := append([]byte(nil), w.views[i][u]...), len(w.cuts[i])
+				body := stream.Body{Head: v[:n:n], Tail: v[n:], HeadSig: sig.Of(w.cuts[i])}
+				install(Key(doc, fmt.Sprint(u)), Entry{Doc: doc, User: fmt.Sprint(u), Signature: sig.Of(v), Cost: 2 * time.Millisecond}, body, body.HeadSig)
 			case op < 8:
 				shared.DropDoc(doc)
 				whole.DropDoc(doc)
@@ -160,17 +162,18 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 
 // TestTailSharingInstall pins the storage rule: a view installed on its
 // cut keeps only its tail and reads back whole; one whose bytes do not
-// begin with the base's is kept whole; and a view of a view is built on
-// the whole blob underneath, so the chain stays one level deep.
+// begin with the base's is kept whole; a view of a view is built on
+// the whole blob underneath, so the chain stays one level deep; and an
+// empty blob is no base.
 func TestTailSharingInstall(t *testing.T) {
 	tab := NewTable(replace.NewGDS())
 	cut := []byte("the universal output")
 	view := []byte("the universal output\n-- retrieved for amy --\n")
 	deeper := []byte("the universal output\n-- retrieved for amy --\n-- and audited --\n")
 	other := []byte("another output entirely")
-	install := func(k string, data []byte, base Base) Body {
+	install := func(k string, data []byte, base sig.Signature) stream.Body {
 		t.Helper()
-		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, Body{Head: data}, 0, base) {
+		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, stream.Body{Head: data}, 0, base) {
 			t.Fatalf("%s: not installed", k)
 		}
 		_, b := tab.Lookup(k)
@@ -179,14 +182,14 @@ func TestTailSharingInstall(t *testing.T) {
 		}
 		return b
 	}
-	install("cut", cut, Base{})
-	if b := install("view", view, Base{Sig: sig.Of(cut)}); string(b.Tail) != "\n-- retrieved for amy --\n" || b.HeadSig != sig.Of(cut) {
+	install("cut", cut, sig.Zero)
+	if b := install("view", view, sig.Of(cut)); string(b.Tail) != "\n-- retrieved for amy --\n" || b.HeadSig != sig.Of(cut) {
 		t.Fatalf("the view keeps %d bytes of its own, want its %d-byte tail", len(b.Tail), len(view)-len(cut))
 	}
-	if b := install("deeper", deeper, Base{Sig: sig.Of(view)}); len(b.Tail) != len(deeper)-len(cut) || &b.Head[0] != &tab.blobs[sig.Of(cut)].data[0] {
+	if b := install("deeper", deeper, sig.Of(view)); len(b.Tail) != len(deeper)-len(cut) || &b.Head[0] != &tab.blobs[sig.Of(cut)].data[0] {
 		t.Fatal("a view of a view is not built on the whole blob underneath")
 	}
-	if b := install("other", other, Base{Sig: sig.Of(cut)}); len(b.Tail) != 0 || !b.HeadSig.IsZero() {
+	if b := install("other", other, sig.Of(cut)); len(b.Tail) != 0 || !b.HeadSig.IsZero() {
 		t.Fatal("bytes that do not begin with the base's were tail-shared")
 	}
 	resident := int64(len(cut) + (len(view) - len(cut)) + (len(deeper) - len(cut)) + len(other))
@@ -213,33 +216,45 @@ func TestTailSharingInstall(t *testing.T) {
 	if got := tab.stats.bytesResident.Load(); got != int64(len(other)) {
 		t.Fatalf("with the views gone BytesResident = %d, want the other blob's %d", got, len(other))
 	}
+	// An empty blob is no base: the wire and the disk record name a head
+	// by a non-zero length.
+	install("empty", nil, sig.Zero)
+	if b := install("banner", []byte("-- a banner --"), sig.Of(nil)); len(b.Tail) != 0 || !b.HeadSig.IsZero() {
+		t.Fatal("a view was built on an empty base")
+	}
 }
 
-// TestTailSharingOnALengthNamedBase pins the rule for a base the table
-// does not hold, named by its length as a sidecar names the head an
-// origin reported: the first view's leading bytes become the base in
-// place (no copy) and charged to no one, a later view's head is checked
-// against them and only its tail kept, a view whose head is not those
-// bytes is kept whole, and the base goes with its last tail.
-func TestTailSharingOnALengthNamedBase(t *testing.T) {
+// TestTailSharedHeadInstall pins the one base rule for a body split at
+// a head the table may not hold, as a sidecar installs the head and
+// tail an origin reported: the first view's parts stay where they lie
+// (its head becomes the base, charged to no one, and its tail is not
+// copied), a later view's head is checked against the base and only a
+// copy of its tail kept, a view whose head is not the base's bytes is
+// kept whole, and the base goes with its last tail.
+func TestTailSharedHeadInstall(t *testing.T) {
 	tab := NewTable(replace.NewGDS())
 	cut := []byte("the universal output")
-	cutSig := sig.Of(cut)
-	install := func(k, tail string) (Body, []byte) {
+	cutSig, n := sig.Of(cut), len(cut)
+	install := func(k string, data []byte) stream.Body {
 		t.Helper()
-		data := append(append([]byte(nil), cut...), tail...)
-		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, Body{Head: data}, 0, Base{Sig: cutSig, Len: len(cut)}) {
+		body := stream.Body{Head: data[:n:n], Tail: data[n:], HeadSig: cutSig}
+		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, body, 0, cutSig) {
 			t.Fatalf("%s: not installed", k)
 		}
 		_, b := tab.Lookup(k)
 		if !bytes.Equal(b.Bytes(), data) {
 			t.Fatalf("%s reads back %q, want %q", k, b.Bytes(), data)
 		}
-		return b, data
+		return b
 	}
-	b, data := install("amy", "\n-- retrieved for amy --\n")
-	if &b.Head[0] != &data[0] || len(b.Head) != len(cut) || b.HeadSig != cutSig {
-		t.Fatal("the first view's head is not its own leading bytes, kept in place")
+	view := func(tail string) []byte { // exact-size, as the wire decodes a body
+		v := make([]byte, n+len(tail))
+		copy(v[copy(v, cut):], tail)
+		return v
+	}
+	data := view("\n-- retrieved for amy --\n")
+	if b := install("amy", data); &b.Head[0] != &data[0] || &b.Tail[0] != &data[n] || b.HeadSig != cutSig {
+		t.Fatal("the first view's parts were not kept where they lie")
 	}
 	if got, want := tab.BytesStored(), int64(len(data)); got != want {
 		t.Fatalf("BytesStored = %d, want the view's %d: the base is charged to no one", got, want)
@@ -247,19 +262,15 @@ func TestTailSharingOnALengthNamedBase(t *testing.T) {
 	if got, want := tab.BytesResident(), int64(len(data)); got != want {
 		t.Fatalf("BytesResident = %d, want base and tail, %d", got, want)
 	}
-	b2, data2 := install("bob", "\n-- retrieved for bob --\n")
-	if &b2.Head[0] != &data[0] || &b2.Tail[0] == &data2[len(cut)] {
-		t.Fatal("a later view does not share the base, or keeps the wire's bytes instead of a copy of its tail")
+	data2 := view("\n-- retrieved for bob --\n")
+	if b := install("bob", data2); &b.Head[0] != &data[0] || &b.Tail[0] == &data2[n] {
+		t.Fatal("a later view does not share the base, or keeps its own buffer instead of a copy of its tail")
 	}
-	// A view whose head is not the named base's bytes is kept whole.
 	forged := []byte("not the universal output, but as long")
-	if !tab.Install("eve", &Entry{Doc: "d", User: "eve", Signature: sig.Of(forged)}, Body{Head: forged}, 0, Base{Sig: cutSig, Len: len(cut)}) {
-		t.Fatal("eve: not installed")
+	if b := install("eve", forged); len(b.Tail) != 0 || !b.HeadSig.IsZero() {
+		t.Fatal("a view whose head is not the base's bytes was tail-shared")
 	}
-	if _, b := tab.Lookup("eve"); len(b.Tail) != 0 || !bytes.Equal(b.Head, forged) {
-		t.Fatal("a view whose head failed the check was tail-shared")
-	}
-	if got, want := tab.BytesResident(), int64(len(data)+len(data2)-len(cut)+len(forged)); got != want {
+	if got, want := tab.BytesResident(), int64(len(data)+len(data2)-n+len(forged)); got != want {
 		t.Fatalf("BytesResident = %d, want %d", got, want)
 	}
 	tab.drop("amy")
@@ -379,11 +390,11 @@ func TestRaceTailSharedHitsWhileBaseChurns(t *testing.T) {
 	tab := NewTable(replace.NewGDS())
 	cutKey := interKey(sig.Of([]byte("d")), cutSig)
 	installCut := func() {
-		tab.Install(cutKey, &Entry{Doc: "d", Signature: cutSig, Cost: time.Millisecond, cut: true}, Body{Head: cut}, 0, Base{})
+		tab.Install(cutKey, &Entry{Doc: "d", Signature: cutSig, Cost: time.Millisecond, cut: true}, stream.Body{Head: cut}, 0, sig.Zero)
 	}
 	installView := func(u int) {
 		v := w.views[0][u]
-		tab.Install(Key("d", fmt.Sprint(u)), &Entry{Doc: "d", User: fmt.Sprint(u), Signature: sig.Of(v), Cost: time.Millisecond}, Body{Head: v}, tab.Gen("d"), Base{Sig: cutSig})
+		tab.Install(Key("d", fmt.Sprint(u)), &Entry{Doc: "d", User: fmt.Sprint(u), Signature: sig.Of(v), Cost: time.Millisecond}, stream.Body{Head: v}, tab.Gen("d"), cutSig)
 	}
 	installCut()
 	for u := 0; u < users; u++ {

@@ -122,8 +122,8 @@ func TestReadsRunBaseTransformsBeforeReferenceTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(plain) != "x-base-ref" || string(staged) != "x-base-ref" {
-		t.Fatalf("plain read %q, staged read %q; want the base transform applied before the reference transform", plain, staged)
+	if string(plain) != "x-base-ref" || string(staged.Head) != "x-base-ref" {
+		t.Fatalf("plain read %q, staged read %q; want the base transform applied before the reference transform", plain, staged.Bytes())
 	}
 }
 
@@ -176,7 +176,7 @@ func TestReadsHandTheProviderBytesToTheFirstTransform(t *testing.T) {
 		func() ([]byte, error) { data, _, err := f.space.ReadDocument("d", "eyal"); return data, err },
 		func() ([]byte, error) {
 			data, _, _, err := f.space.ReadDocumentStaged("d", "eyal", newFakePrefixMemo())
-			return data, err
+			return data.Head, err
 		},
 	} {
 		seen = nil
@@ -220,7 +220,7 @@ func TestStagedReadReturnsTheLastCutAsHanded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unsafe.SliceData(got) != unsafe.SliceData(memo.held) {
+	if unsafe.SliceData(got.Head) != unsafe.SliceData(memo.held) {
 		t.Fatal("the last cut's bytes were copied")
 	}
 
@@ -235,8 +235,8 @@ func TestStagedReadReturnsTheLastCutAsHanded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "SOURCE" || overlaps(got, memo.held) {
-		t.Fatalf("read %q, aliasing the cut's bytes: %v", got, overlaps(got, memo.held))
+	if string(got.Head) != "SOURCE" || got.Tail != nil || overlaps(got.Head, memo.held) {
+		t.Fatalf("read %q, aliasing the cut's bytes: %v", got.Bytes(), overlaps(got.Head, memo.held))
 	}
 }
 
@@ -252,18 +252,22 @@ func (m splitMemo) PrefixIntermediate(string, string, sig.Signature, Cut, func()
 	return append(append([]byte(nil), m.head...), m.tail...), true, nil
 }
 
-func (m splitMemo) LongestPrefixParts(_ string, _ sig.Signature, fps []sig.Signature) ([]byte, []byte, int, bool) {
-	return m.head, m.tail, len(fps) - 1, true
+func (m splitMemo) body() stream.Body {
+	return stream.Body{Head: m.head, Tail: m.tail, HeadSig: sig.Of(m.head)}
 }
 
-func (m splitMemo) PrefixIntermediateParts(string, string, sig.Signature, Cut, func() ([]byte, error)) ([]byte, []byte, bool, error) {
-	return m.head, m.tail, true, nil
+func (m splitMemo) LongestPrefixParts(_ string, _ sig.Signature, fps []sig.Signature) (stream.Body, int, bool) {
+	return m.body(), len(fps) - 1, true
+}
+
+func (m splitMemo) PrefixIntermediateParts(string, string, sig.Signature, Cut, func() ([]byte, error)) (stream.Body, bool, error) {
+	return m.body(), true, nil
 }
 
 // TestStagedReadJoinsASplitCutOnlyForATransform: a cut the store hands
-// in two parts is the body in those parts, unjoined, when no transform
-// follows it (the head returned, the tail in the trace); a transform
-// after it reads the parts joined, and the body is then whole.
+// in two parts is the body in those parts, unjoined and with the head's
+// signature, when no transform follows it; a transform after it reads
+// the parts joined, and the body is then whole.
 func TestStagedReadJoinsASplitCutOnlyForATransform(t *testing.T) {
 	f := newFixture(t)
 	f.addDoc(t, "d", "eyal", "/d", []byte("source"))
@@ -271,12 +275,12 @@ func TestStagedReadJoinsASplitCutOnlyForATransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	memo := splitMemo{head: []byte("SOU"), tail: []byte("RCE")}
-	got, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", memo)
+	got, _, _, err := f.space.ReadDocumentStaged("d", "eyal", memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unsafe.SliceData(got) != unsafe.SliceData(memo.head) || unsafe.SliceData(trace.Tail) != unsafe.SliceData(memo.tail) {
-		t.Fatalf("body %q, tail %q: not the cut's parts as handed", got, trace.Tail)
+	if unsafe.SliceData(got.Head) != unsafe.SliceData(memo.head) || unsafe.SliceData(got.Tail) != unsafe.SliceData(memo.tail) || got.HeadSig != sig.Of(memo.head) {
+		t.Fatalf("body %q, tail %q, head %v: not the cut's parts as handed", got.Head, got.Tail, got.HeadSig)
 	}
 	reverse := &property.Transformer{
 		Base: property.Base{PropName: "reverse"},
@@ -291,11 +295,11 @@ func TestStagedReadJoinsASplitCutOnlyForATransform(t *testing.T) {
 	if err := f.space.Attach("d", "eyal", Personal, reverse); err != nil {
 		t.Fatal(err)
 	}
-	got, _, trace, err = f.space.ReadDocumentStaged("d", "eyal", memo)
+	got, _, _, err = f.space.ReadDocumentStaged("d", "eyal", memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "ECRUOS" || trace.Tail != nil {
-		t.Fatalf("read %q with tail %q, want the whole cut reversed", got, trace.Tail)
+	if string(got.Head) != "ECRUOS" || got.Tail != nil || !got.HeadSig.IsZero() {
+		t.Fatalf("read %q with tail %q, want the whole cut reversed", got.Head, got.Tail)
 	}
 }

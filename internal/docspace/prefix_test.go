@@ -254,7 +254,7 @@ func everyCutSubset(t *testing.T, f *fixture, users []string, minCuts int, check
 			if err != nil {
 				t.Fatalf("mask %b user %s: %v", mask, u, err)
 			}
-			check(mask, u, staged, res, trace)
+			check(mask, u, staged.Bytes(), res, trace)
 		}
 	}
 }
@@ -431,8 +431,8 @@ func TestStoreErrorFallsBackToDirectExecution(t *testing.T) {
 		if trace.Hit {
 			t.Fatalf("failOn=%d: degraded read claimed a memo hit", fail)
 		}
-		if !bytes.Equal(staged, plain) {
-			t.Fatalf("failOn=%d: degraded read diverged:\nplain:  %q\nstaged: %q", fail, plain, staged)
+		if !bytes.Equal(staged.Bytes(), plain) {
+			t.Fatalf("failOn=%d: degraded read diverged:\nplain:  %q\nstaged: %q", fail, plain, staged.Bytes())
 		}
 	}
 }

@@ -78,30 +78,30 @@ type PrefixIntermediates interface {
 }
 
 // SplitIntermediates is a PrefixIntermediates that holds some cuts in
-// two parts: the bytes of a shallower cut (the head), then the bytes a
-// property appended to them (the tail). Its methods are LongestPrefix
-// and PrefixIntermediate with the cut in those parts, tail nil for a
-// cut held whole. A read takes its cuts through them when memo has
-// them, and joins a cut's parts only when a transform reads it; when
-// none does, the read's body is the cut's head, and StageTrace.Tail its
-// tail.
+// two parts: the bytes of a shallower cut (the head, signed HeadSig),
+// then the bytes a property appended to them (the tail). Its methods
+// are LongestPrefix and PrefixIntermediate with the cut as the
+// stream.Body the store holds, whole or in those parts. A read takes
+// its cuts through them when memo has them, and joins a cut's parts
+// only when a transform reads it; when none does, the read's body is
+// the cut's, parts and HeadSig included.
 type SplitIntermediates interface {
-	LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) (head, tail []byte, idx int, ok bool)
-	PrefixIntermediateParts(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) (head, tail []byte, hit bool, err error)
+	LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) (body stream.Body, idx int, ok bool)
+	PrefixIntermediateParts(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) (body stream.Body, hit bool, err error)
 }
 
 // wholeCuts is a PrefixIntermediates that holds every cut whole, seen
 // as a SplitIntermediates.
 type wholeCuts struct{ PrefixIntermediates }
 
-func (w wholeCuts) LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) ([]byte, []byte, int, bool) {
+func (w wholeCuts) LongestPrefixParts(doc string, src sig.Signature, fps []sig.Signature) (stream.Body, int, bool) {
 	data, idx, ok := w.LongestPrefix(doc, src, fps)
-	return data, nil, idx, ok
+	return stream.Body{Head: data}, idx, ok
 }
 
-func (w wholeCuts) PrefixIntermediateParts(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) ([]byte, []byte, bool, error) {
+func (w wholeCuts) PrefixIntermediateParts(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) (stream.Body, bool, error) {
 	data, hit, err := w.PrefixIntermediate(doc, user, src, cut, compute)
-	return data, nil, hit, err
+	return stream.Body{Head: data}, hit, err
 }
 
 // StageTrace reports what the staged read path did, for cache
@@ -126,10 +126,6 @@ type StageTrace struct {
 	// when the probe missed.
 	Cuts       int
 	DeepestHit int
-	// Tail, set only by a store that holds cuts in two parts
-	// (SplitIntermediates), is the rest of the body: the read's result
-	// is a cut no transform read, and the returned bytes are its head.
-	Tail []byte
 	// MemoErr reports that the intermediate store failed mid-read and
 	// the read degraded to direct execution of the remaining
 	// transforms — slow, not broken.
@@ -260,10 +256,9 @@ type stagedRun struct {
 	trace   *StageTrace
 	ts      []stream.Transform
 	uEnd    int // ts[:uEnd] is the universal stage
-	cur     []byte
-	tail    []byte // the rest of cur's bytes, for a cut the store holds in two parts
-	at      int    // ts[:at] already applied to cur
-	cut     bool   // cur is a cut's bytes, as the store handed them
+	cur     stream.Body
+	at      int  // ts[:at] already applied to cur
+	cut     bool // cur is a cut's bytes, as the store handed them
 	crossed bool
 	tUni    time.Time
 	tPers   time.Time
@@ -286,38 +281,25 @@ func (sr *stagedRun) cross(hit bool) {
 // cuts offered, a poisoned boundary cut, or a store failure early in
 // the walk), the remainder runs in two chunks split at the boundary so
 // the per-stage timings stay attributable. When no transform follows
-// the last cut, the body is that cut's bytes, in the parts the store
-// handed them.
-func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
-	last := sr.cut && sr.at == len(sr.ts)
-	if last {
-		sr.trace.Tail = sr.tail
-	} else {
-		sr.cur, sr.tail = join(sr.cur, sr.tail), nil
-	}
-	ro := sr.cur
-	if !sr.crossed {
-		for _, t := range sr.ts[sr.at:sr.uEnd] {
-			sr.cur = t(sr.cur)
+// the last cut, the body is that cut's, in the parts the store handed
+// it.
+func (sr *stagedRun) finish() (stream.Body, property.ReadResult, StageTrace, error) {
+	body := sr.cur
+	if !sr.cut || sr.at < len(sr.ts) {
+		ro := body.Bytes()
+		cur := ro
+		if !sr.crossed {
+			for _, t := range sr.ts[sr.at:sr.uEnd] {
+				cur = t(cur)
+			}
+			sr.at = sr.uEnd
+			sr.cross(false)
 		}
-		sr.at = sr.uEnd
-		sr.cross(false)
+		body = stream.Body{Head: apply(ro, cur, sr.ts[sr.at:])}
 	}
-	data := sr.cur
-	if !last {
-		data = apply(ro, sr.cur, sr.ts[sr.at:])
-	}
+	sr.cross(false)
 	sr.trace.PersonalDur = time.Since(sr.tPers)
-	return data, sr.rc.Result(), *sr.trace, nil
-}
-
-// join returns a cut's two parts as one slice: head itself when there
-// is no tail, else a fresh copy of both.
-func join(head, tail []byte) []byte {
-	if len(tail) == 0 {
-		return head
-	}
-	return append(append(make([]byte, 0, len(head)+len(tail)), head...), tail...)
+	return body, sr.rc.Result(), *sr.trace, nil
 }
 
 // ReadDocumentStaged executes the read path for user's reference to
@@ -349,17 +331,17 @@ func join(head, tail []byte) []byte {
 // store error mid-walk degrades to direct execution of the remaining
 // transforms (slow, not broken) and sets trace.MemoErr.
 //
-// When no transform follows the last cut the body is that cut's bytes,
-// as read-only as memo's own (its head, with trace.Tail the rest, when
-// memo holds it in two parts); otherwise the caller owns it.
-func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) ([]byte, property.ReadResult, StageTrace, error) {
+// When no transform follows the last cut the body is that cut's, as
+// read-only as memo's own and in the parts memo holds it; otherwise it
+// is whole and the caller owns it.
+func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (stream.Body, property.ReadResult, StageTrace, error) {
 	var trace StageTrace
 
 	s.mu.Lock()
 	r, err := s.resolveRefLocked(doc, user)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, property.ReadResult{}, trace, err
+		return stream.Body{}, property.ReadResult{}, trace, err
 	}
 	b := r.base
 	s.mu.Unlock()
@@ -378,7 +360,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	tOpen := time.Now()
 	raw, err := b.bits.Open(rc)
 	if err != nil {
-		return nil, property.ReadResult{}, trace, err
+		return stream.Body{}, property.ReadResult{}, trace, err
 	}
 	trace.BitFetchDur = time.Since(tOpen)
 
@@ -443,7 +425,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	b.node.registry.Dispatch(e)
 	r.node.registry.Dispatch(e)
 
-	sr := &stagedRun{rc: rc, trace: &trace, ts: ts, uEnd: uEnd, cur: raw, tUni: time.Now()}
+	sr := &stagedRun{rc: rc, trace: &trace, ts: ts, uEnd: uEnd, cur: stream.Body{Head: raw}, tUni: time.Now()}
 	if memo == nil || len(cuts) == 0 {
 		// No cut to offer a store, so no key to build: the source is
 		// not hashed and the walk is finish()'s two chunks.
@@ -464,8 +446,8 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	if !ok {
 		parts = wholeCuts{memo}
 	}
-	if head, tail, idx, ok := parts.LongestPrefixParts(doc, srcSig, probe); ok {
-		sr.cur, sr.tail, sr.at, sr.cut, next = head, tail, cutEnd[idx], true, idx+1
+	if body, idx, ok := parts.LongestPrefixParts(doc, srcSig, probe); ok {
+		sr.cur, sr.at, sr.cut, next = body, cutEnd[idx], true, idx+1
 		trace.DeepestHit = idx
 		if boundaryIdx >= 0 && idx >= boundaryIdx {
 			sr.cross(true)
@@ -473,12 +455,12 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 	}
 
 	for ; next < len(cuts); next++ {
-		head, tail, seg := sr.cur, sr.tail, sr.ts[sr.at:cutEnd[next]]
+		prev, seg := sr.cur, sr.ts[sr.at:cutEnd[next]]
 		compute := func() ([]byte, error) {
-			prev := join(head, tail)
-			return apply(prev, prev, seg), nil
+			in := prev.Bytes()
+			return apply(in, in, seg), nil
 		}
-		data, dataTail, hit, err := parts.PrefixIntermediateParts(doc, user, srcSig, cuts[next], compute)
+		body, hit, err := parts.PrefixIntermediateParts(doc, user, srcSig, cuts[next], compute)
 		if err != nil {
 			// Transforms cannot fail, so the store is sick, not the
 			// chain: degrade to direct execution of the remaining
@@ -486,7 +468,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo PrefixIntermediates) (
 			trace.MemoErr = true
 			return sr.finish()
 		}
-		sr.cur, sr.tail, sr.at, sr.cut = data, dataTail, cutEnd[next], true
+		sr.cur, sr.at, sr.cut = body, cutEnd[next], true
 		if next == boundaryIdx {
 			sr.cross(hit)
 		}

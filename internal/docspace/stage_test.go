@@ -231,8 +231,8 @@ func TestStagedReadMatchesPlainRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(plain, staged) {
-			t.Fatalf("user %s: staged read diverged:\nplain:  %q\nstaged: %q", user, plain, staged)
+		if !bytes.Equal(plain, staged.Bytes()) {
+			t.Fatalf("user %s: staged read diverged:\nplain:  %q\nstaged: %q", user, plain, staged.Bytes())
 		}
 		if trace.Cuts == 0 {
 			t.Fatalf("user %s: memoizable chain offered no cut", user)
@@ -285,7 +285,7 @@ func TestReadsSnapshotBothChainsAtOnce(t *testing.T) {
 		}},
 		{"staged", func(f *fixture) ([]byte, error) {
 			data, _, _, err := f.space.ReadDocumentStaged("d", "eyal", newFakePrefixMemo())
-			return data, err
+			return data.Bytes(), err
 		}},
 	} {
 		f := newFixture(t)
@@ -363,8 +363,8 @@ func poisonedReads(t *testing.T, p property.Active, head bool, between func()) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(plain, staged) {
-				t.Fatalf("round %d user %s: poisoned chain diverged: %q vs %q", round, user, plain, staged)
+			if !bytes.Equal(plain, staged.Bytes()) {
+				t.Fatalf("round %d user %s: poisoned chain diverged: %q vs %q", round, user, plain, staged.Bytes())
 			}
 			if trace.Hit || trace.Cuts != wantCuts {
 				t.Fatalf("round %d user %s: trace = %+v, want %d cuts and no universal hit", round, user, trace, wantCuts)
@@ -420,8 +420,8 @@ func TestStagedReadWithNilMemoFallsBack(t *testing.T) {
 	if trace.Cuts != 0 {
 		t.Fatal("nil store must disable staging")
 	}
-	if !bytes.Equal(plain, staged) {
-		t.Fatalf("nil-store fallback diverged: %q vs %q", plain, staged)
+	if !bytes.Equal(plain, staged.Bytes()) {
+		t.Fatalf("nil-store fallback diverged: %q vs %q", plain, staged.Bytes())
 	}
 }
 
@@ -492,8 +492,8 @@ func TestStagedWithoutCutsMatchesReference(t *testing.T) {
 			if took := f.clk.Now().Sub(t0); took != plainTook {
 				t.Errorf("staged read charged %v of simulated time, reference %v", took, plainTook)
 			}
-			if !bytes.Equal(plain, staged) {
-				t.Errorf("bytes diverged:\nreference: %q\nstaged:    %q", plain, staged)
+			if !bytes.Equal(plain, staged.Bytes()) {
+				t.Errorf("bytes diverged:\nreference: %q\nstaged:    %q", plain, staged.Bytes())
 			}
 			if got.Cacheability != want.Cacheability || got.Cost != want.Cost ||
 				len(got.Verifiers) != len(want.Verifiers) || !reflect.DeepEqual(got.Related, want.Related) {

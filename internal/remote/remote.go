@@ -43,6 +43,7 @@ import (
 	"placeless/internal/property"
 	"placeless/internal/replace"
 	"placeless/internal/server"
+	"placeless/internal/stream"
 )
 
 // ErrClosed is returned by operations on a closed cache.
@@ -323,7 +324,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 // server is unreachable every read returns ErrDegraded. A
 // CacheWithEvents hit is served only once the origin has taken its
 // getInputStream event; a forward that fails fails the read.
-func (c *Cache) ReadBody(doc, user string) (core.Body, error) {
+func (c *Cache) ReadBody(doc, user string) (stream.Body, error) {
 	// A read that follows a quiet spell lets connection events that are
 	// already queued run before it decides anything. A process that was
 	// parked wakes with a batch of poller events and the runtime runs
@@ -340,7 +341,7 @@ func (c *Cache) ReadBody(doc, user string) (core.Body, error) {
 		runtime.Gosched()
 	}
 	if c.tab.Closed() {
-		return core.Body{}, ErrClosed
+		return stream.Body{}, ErrClosed
 	}
 	c.mu.Lock()
 	down := c.client.State() != server.StateConnected
@@ -369,7 +370,7 @@ func (c *Cache) ReadBody(doc, user string) (core.Body, error) {
 				// must see every read: a hit whose event is lost is not
 				// served.
 				if err := c.client.ForwardEvent(doc, user, event.GetInputStream.String()); err != nil {
-					return core.Body{}, c.wireErr(err)
+					return stream.Body{}, c.wireErr(err)
 				}
 				c.count(&c.stats.EventsForwarded)
 			}
@@ -379,15 +380,15 @@ func (c *Cache) ReadBody(doc, user string) (core.Body, error) {
 	}
 	if down {
 		// Fail fast instead of paying a doomed call.
-		return core.Body{}, c.degradedErr()
+		return stream.Body{}, c.degradedErr()
 	}
 	// One wire fetch per key at a time: a remote read is the most
 	// expensive operation in this deployment (a round trip to the
 	// Placeless servers), so K simultaneous first accesses to a popular
 	// document cost one round trip, not K.
-	data, _, shared, err := c.tab.Do(k, func() (core.Body, core.EntryInfo, error) {
+	data, _, shared, err := c.tab.Do(k, func() (stream.Body, core.EntryInfo, error) {
 		data, err := c.miss(doc, user)
-		return core.Body{Head: data}, core.EntryInfo{}, err
+		return stream.Body{Head: data}, core.EntryInfo{}, err
 	})
 	if shared {
 		c.count(&c.stats.CoalescedMisses)
@@ -468,16 +469,21 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		verifiers = []property.Verifier{property.TTLVerifier{Expiry: meta.Expiry}}
 	}
 	// The table keeps the body the wire decoded, and the reader shares
-	// it. A view the origin reported as a head and a tail keeps only
-	// its tail when the table holds that head; the document's first
-	// such view keeps its own head as the head, where it lies.
+	// it. A view the origin reported as a head and a tail goes in as
+	// those parts: it keeps only a copy of its tail when the table
+	// holds that head, and the document's first such view keeps both
+	// parts where the wire decoded them, its head as the head.
+	body := stream.Body{Head: data}
+	if n := meta.HeadLen; n > 0 {
+		body = stream.Body{Head: data[:n:n], Tail: data[n:], HeadSig: meta.HeadSig}
+	}
 	c.tab.Install(k, &core.Entry{
 		Doc: doc, User: user,
 		Signature:    meta.Signature,
 		Cost:         meta.Cost,
 		Cacheability: meta.Cacheability,
 		Verifiers:    verifiers,
-	}, core.Body{Head: data}, gen, core.Base{Sig: meta.HeadSig, Len: meta.HeadLen})
+	}, body, gen, body.HeadSig)
 	return data, nil
 }
 

@@ -15,7 +15,9 @@ import (
 	"placeless/internal/docspace"
 	"placeless/internal/repo"
 	"placeless/internal/server"
+	"placeless/internal/sig"
 	"placeless/internal/simnet"
+	"placeless/internal/stream"
 )
 
 // tailRig is a sidecar over a memoizing origin whose documents run
@@ -129,6 +131,83 @@ func TestTailSharedViewsKeepEachHeadOnce(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= uint64(len(r.view(t, "d0", r.users[1])))/2 {
 		t.Fatalf("a warm hit on a tail-shared view allocates %d bytes", per)
+	}
+}
+
+// TestTailSharedHeadInstallKeepsTheWireBuffer: the sidecar installs a
+// view the origin reports as head + tail in those parts. The document's
+// first view keeps both where the wire decoded them (its head becomes
+// the base), a second view keeps only a copy of its tail, and a view
+// whose head is not the resident base's bytes is kept whole.
+func TestTailSharedHeadInstallKeepsTheWireBuffer(t *testing.T) {
+	r := newTailRig(t, 2, 2)
+	amy, bob := r.users[0], r.users[1]
+	first, err := r.cache.Read("d0", amy) // the miss: the wire's own allocation
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := r.cache.ReadBody("d0", amy)
+	n := len(first) - len(banner(amy))
+	if err != nil || len(body.Head) != n || &body.Head[0] != &first[0] || &body.Tail[0] != &first[n] {
+		t.Fatalf("the first view's parts are not the wire's buffer (%d + %d bytes, %v)", len(body.Head), len(body.Tail), err)
+	}
+	if got := r.cache.Stats().BytesResident; got != int64(len(first)) {
+		t.Fatalf("BytesResident = %d, want the first view's %d: nothing copied", got, len(first))
+	}
+	second, err := r.cache.Read("d0", bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = r.cache.ReadBody("d0", bob)
+	if err != nil || &body.Head[0] != &first[0] || &body.Tail[0] == &second[n] || string(body.Tail) != banner(bob) {
+		t.Fatalf("the second view does not share the head and keep a copy of its tail (%d-byte tail, %v)", len(body.Tail), err)
+	}
+	if got, want := r.cache.Stats().BytesResident, int64(len(first)+len(banner(bob))); got != want {
+		t.Fatalf("BytesResident = %d, want %d: the second view adds its banner only", got, want)
+	}
+
+	// Other bytes resident under d1's head signature: the head the
+	// origin reports for d1 does not match them, so its view is whole.
+	want, meta, err := r.client.Read("d1", amy)
+	if err != nil || meta.HeadLen == 0 {
+		t.Fatalf("the origin does not report d1's head: %+v, %v", meta, err)
+	}
+	forged := bytes.Repeat([]byte("x"), meta.HeadLen)
+	if !r.cache.tab.Install(core.Key("x", "holder"), &core.Entry{Doc: "x", User: "holder", Signature: meta.HeadSig}, stream.Body{Head: forged}, r.cache.tab.Gen("x"), sig.Zero) {
+		t.Fatal("setup: the other bytes did not go in")
+	}
+	before := r.cache.Stats().BytesResident
+	if _, err := r.cache.Read("d1", amy); err != nil {
+		t.Fatal(err)
+	}
+	body, err = r.cache.ReadBody("d1", amy)
+	if err != nil || len(body.Tail) != 0 || !bytes.Equal(body.Head, want) {
+		t.Fatalf("a view on a head that is not the resident base's bytes was split (%d-byte tail, %v)", len(body.Tail), err)
+	}
+	if got := r.cache.Stats().BytesResident - before; got != int64(len(want)) {
+		t.Fatalf("the whole view added %d resident bytes, want %d", got, len(want))
+	}
+}
+
+// TestTailSharedViewOfAnEmptyDocument: a watermark over an empty
+// document appends to an empty universal output, which is no head to
+// share; the origin sends the view whole, and the sidecar serves it
+// (a head of zero bytes with a signature is a malformed frame, which
+// once took the connection down).
+func TestTailSharedViewOfAnEmptyDocument(t *testing.T) {
+	r := newTailRig(t, 0, 1)
+	amy := r.users[0]
+	if err := r.client.CreateDocument("e", amy, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.client.Attach("e", amy, true, "watermark:"+amy); err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"miss", "hit"} {
+		body, err := r.cache.ReadBody("e", amy)
+		if err != nil || string(body.Bytes()) != banner(amy) || len(body.Tail) != 0 {
+			t.Fatalf("%s: %q + %q, %v; want the banner whole", pass, body.Head, body.Tail, err)
+		}
 	}
 }
 

@@ -157,7 +157,7 @@ type Response struct {
 	err error
 	// bodyTail, on a read the server answers, is the rest of the body
 	// after Body: the tail of a cached view that shares its leading
-	// bytes (core.Body). The frame carries both parts as one body.
+	// bytes (stream.Body). The frame carries both parts as one body.
 	bodyTail []byte
 }
 

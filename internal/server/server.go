@@ -20,6 +20,7 @@ import (
 	"placeless/internal/repo"
 	"placeless/internal/sig"
 	"placeless/internal/store"
+	"placeless/internal/stream"
 )
 
 // serverWriteTimeout bounds every server→client frame write, so one
@@ -605,7 +606,7 @@ func (s *Server) apply(req *Request) *Response {
 // on the decode loop's fast hit and the handler's read alike. A
 // tail-shared body keeps its two parts, which leave in one writev, and
 // names its head, so a remote cache can keep that head once too.
-func cachedReadResponse(data core.Body, info core.EntryInfo) *Response {
+func cachedReadResponse(data stream.Body, info core.EntryInfo) *Response {
 	resp := &Response{
 		Body:            data.Head,
 		bodyTail:        data.Tail,

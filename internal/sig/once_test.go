@@ -8,11 +8,13 @@ import (
 	"placeless/internal/clock"
 	"placeless/internal/core"
 	"placeless/internal/docspace"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/repo"
 	"placeless/internal/sig"
 	"placeless/internal/simnet"
 	"placeless/internal/store"
+	"placeless/internal/stream"
 )
 
 // TestMissSignsEachBodyOnce counts the sig.Of runs of the origin's three
@@ -87,7 +89,7 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 			hashed += n
 		}
 	})()
-	read := func(user, shape string, wantSources, wantBodies int, check func(core.EntryInfo) bool) core.Body {
+	read := func(user, shape string, wantSources, wantBodies int, check func(core.EntryInfo) bool) stream.Body {
 		t.Helper()
 		sources, bodies, hashed = 0, 0, 0
 		body, info, err := cache.ReadWithInfo("d", user)
@@ -111,10 +113,10 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 	// Three new cuts: after spell-correct, after translate (the
 	// universal boundary), after u0's watermark.
 	read(users[0], "full miss, 3 new cuts", 1, 3, func(i core.EntryInfo) bool {
-		return !i.Hit && !i.IntermediateHit && !i.DiskPromoted
+		return i.Verdict == obs.VerdictMiss
 	})
 	// Resumes from the boundary cut; u1's watermark is the one new cut.
-	read(users[1], "memo-resumed miss", 1, 1, func(i core.EntryInfo) bool { return i.IntermediateHit })
+	read(users[1], "memo-resumed miss", 1, 1, func(i core.EntryInfo) bool { return i.Verdict == obs.VerdictMemo })
 	if got := cache.Stats(); got.StoreDemotions != 2 || got.StoreIntermediateDemotions != 4 {
 		t.Fatalf("demotions = %d entries, %d cuts, want 2 and 4: the hashes above are not the whole path", got.StoreDemotions, got.StoreIntermediateDemotions)
 	}
@@ -127,8 +129,8 @@ func TestMissSignsEachBodyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache = core.New(space, core.Options{Name: "once", Store: st})
-	promoted := func(i core.EntryInfo) bool { return i.DiskPromoted }
-	twoParts := func(shape string, b core.Body) {
+	promoted := func(i core.EntryInfo) bool { return i.Verdict == obs.VerdictDisk }
+	twoParts := func(shape string, b stream.Body) {
 		t.Helper()
 		if len(b.Tail) == 0 || b.HeadSig.IsZero() {
 			t.Errorf("%s: the promoted body came back whole (%d-byte head, no tail or no head signature)", shape, len(b.Head))

@@ -14,6 +14,7 @@ import (
 
 	"placeless/internal/core"
 	"placeless/internal/docspace"
+	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/remote"
 	"placeless/internal/server"
@@ -507,13 +508,13 @@ func TestScheduleKillRestartDiskTier(t *testing.T) {
 				t.Fatalf("post-restart read %s/%s = %q, model says %q", id, u, truncate(data), truncate(want))
 			}
 			if id == mutated {
-				if info.DiskPromoted {
+				if info.Verdict == obs.VerdictDisk {
 					t.Fatalf("%s/%s: entry for the out-of-band-rewritten document promoted from disk", id, u)
 				}
 				continue
 			}
 			untouched++
-			if info.DiskPromoted {
+			if info.Verdict == obs.VerdictDisk {
 				promoted++
 			}
 		}
@@ -531,7 +532,7 @@ func TestScheduleKillRestartDiskTier(t *testing.T) {
 	// The recovered entries are real cache entries: the next pass hits.
 	for _, id := range w.model.order {
 		for _, u := range w.model.docs[id].users {
-			if _, info := read(id, u); !info.Hit {
+			if _, info := read(id, u); info.Verdict != obs.VerdictHit {
 				t.Fatalf("%s/%s: second post-restart read not a hit", id, u)
 			}
 		}

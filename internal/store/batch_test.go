@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"placeless/internal/sig"
+	"placeless/internal/stream"
 )
 
 // openHeld opens a store whose window timer never fires, so that what
@@ -266,7 +267,7 @@ func TestFailedFlush(t *testing.T) {
 		if _, err := s.PutBlob([]byte("after the failure")); err == nil {
 			t.Fatal("PutBlob after a failed flush reported no error")
 		}
-		if err := s.PutSigned(early, []byte("written while the disk worked")); err == nil {
+		if err := s.PutSigned(early, stream.Body{Head: []byte("written while the disk worked")}); err == nil {
 			t.Fatal("PutSigned of a held blob after a failed flush reported no error")
 		}
 		if err := s.PutEntry(EntryMeta{Doc: "again", User: "u", Sig: early}); err == nil {
@@ -292,36 +293,44 @@ func TestFailedFlush(t *testing.T) {
 // TestPutSigned pins the three answers: a held blob costs an index
 // look-up and nothing else (so the payload is not even looked at), a
 // new blob is hashed by the store before it is queued, and a signature
-// the bytes do not produce is refused with nothing indexed.
+// the bytes do not produce is refused with nothing indexed. A body in
+// two parts is stored as their concatenation.
 func TestPutSigned(t *testing.T) {
 	dir := t.TempDir()
 	s := openHeld(t, dir)
 	p := []byte("signed by the caller")
 	sg := sig.Of(p)
-	if err := s.PutSigned(sg, p); err != nil {
+	if err := s.PutSigned(sg, stream.Body{Head: p}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutSigned(sg, []byte("not looked at")); err != nil {
+	if err := s.PutSigned(sg, stream.Body{Head: []byte("not looked at")}); err != nil {
 		t.Fatalf("PutSigned of a held signature: %v", err)
 	}
 	if got, ok := s.GetBlob(sg); !ok || !bytes.Equal(got, p) {
 		t.Fatalf("held blob = %q ok=%v, want the first payload", got, ok)
 	}
 	wrong := sig.Of([]byte("some other bytes"))
-	if err := s.PutSigned(wrong, []byte("these bytes")); err == nil {
+	if err := s.PutSigned(wrong, stream.Body{Head: []byte("these bytes")}); err == nil {
 		t.Fatal("PutSigned accepted a signature its payload does not produce")
 	}
 	if _, ok := s.GetBlob(wrong); ok {
 		t.Fatal("a refused put was indexed")
 	}
-	if st := s.Stats(); st.Blobs != 1 {
-		t.Fatalf("%d blobs indexed, want 1", st.Blobs)
+	split := stream.Body{Head: []byte("a head, "), Tail: []byte("then its tail")}
+	if err := s.PutSigned(sig.Of(split.Bytes()), split); err != nil {
+		t.Fatalf("PutSigned of a body in two parts: %v", err)
+	}
+	if got, ok := s.GetBlob(sig.Of(split.Bytes())); !ok || !bytes.Equal(got, split.Bytes()) {
+		t.Fatalf("split blob = %q ok=%v, want both parts", got, ok)
+	}
+	if st := s.Stats(); st.Blobs != 2 {
+		t.Fatalf("%d blobs indexed, want 2", st.Blobs)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, rec := openT(t, dir); rec.Blobs != 1 || rec.LostBytes != 0 {
-		t.Fatalf("recovery = %+v, want the one good record", rec)
+	if _, rec := openT(t, dir); rec.Blobs != 2 || rec.LostBytes != 0 {
+		t.Fatalf("recovery = %+v, want the two good records", rec)
 	}
 }
 
@@ -340,7 +349,7 @@ func TestConcurrentPutsReadsAndEpochs(t *testing.T) {
 			for i := 0; i < each; i++ {
 				p := body4K(w*each + i)
 				sg := sig.Of(p)
-				if err := s.PutSigned(sg, p); err != nil {
+				if err := s.PutSigned(sg, stream.Body{Head: p}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -393,7 +402,7 @@ func BenchmarkStoreDemote4K(b *testing.B) {
 		p := bodies[i%len(bodies)]
 		binary.BigEndian.PutUint64(p[5:13], uint64(i)) // distinct bytes every iteration
 		sg := sig.Of(p)
-		if err := s.PutSigned(sg, p); err != nil {
+		if err := s.PutSigned(sg, stream.Body{Head: p}); err != nil {
 			b.Fatal(err)
 		}
 		if err := s.PutEntry(EntryMeta{Doc: "d", User: "u", Sig: sg, Gen: uint64(i)}); err != nil {
@@ -426,7 +435,7 @@ func BenchmarkStoreAppendEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		binary.BigEndian.PutUint64(p[5:13], uint64(i))
 		sg := sig.Of(p)
-		if err := s.PutSigned(sg, p); err != nil {
+		if err := s.PutSigned(sg, stream.Body{Head: p}); err != nil {
 			b.Fatal(err)
 		}
 		if err := s.PutEntry(EntryMeta{Doc: "d", User: "u", Sig: sg, Gen: uint64(i)}); err != nil {

@@ -27,7 +27,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		{Doc: "b", User: "u", Sig: sig.Of(two), Gen: 3},
 		{Doc: "b", User: "v", Sig: sig.Of(two), Gen: 3, HeadSig: sig.Of(two[:9]), HeadLen: 9}, // a tail-shared entry's record
 	}
-	inter := IntermediateMeta{SourceSig: sig.Of(one), Fingerprint: sig.Of([]byte("chain")), Sig: sig.Of(two), Cost: 7}
+	inter := IntermediateMeta{SourceSig: sig.Of(one), Fingerprint: sig.Of([]byte("chain")), Sig: sig.Of(two)}
 	epochDoc, epochGen := "c", uint64(4)
 	var valid []byte
 	meta := func(payload []byte) {

@@ -20,7 +20,7 @@ func entryFields(e *EntryMeta) []any {
 }
 
 func interFields(im *IntermediateMeta) []any {
-	return []any{&im.SourceSig, &im.Fingerprint, &im.Sig, &im.Cost}
+	return []any{&im.SourceSig, &im.Fingerprint, &im.Sig}
 }
 
 func epochFields(doc *string, gen *uint64) []any { return []any{gen, doc} }

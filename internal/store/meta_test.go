@@ -19,7 +19,8 @@ func TestMetaPayloadIsExactlyOneRecord(t *testing.T) {
 		SourceSig: sig.Of([]byte("source")), UniversalFP: sig.Of([]byte("u")), PersonalFP: sig.Of([]byte("p")),
 		Gen: 300, Cost: 5 * time.Millisecond, HeadSig: sig.Of([]byte("cut")), HeadLen: 200,
 	}
-	im := IntermediateMeta{SourceSig: e.SourceSig, Fingerprint: e.UniversalFP, Sig: e.HeadSig, Cost: time.Second}
+	im := IntermediateMeta{SourceSig: e.SourceSig, Fingerprint: e.UniversalFP, Sig: e.HeadSig}
+	oldCost := time.Second
 	fresh := func() *Store {
 		return &Store{entries: make(map[string]EntryMeta), inters: make(map[interKey]IntermediateMeta), epochs: make(map[string]uint64)}
 	}
@@ -38,6 +39,9 @@ func TestMetaPayloadIsExactlyOneRecord(t *testing.T) {
 		"unknown kind": append([]byte{metaEpoch + 1}, kinds[2].payload[1:]...),
 		"zero kind":    append([]byte{0}, kinds[2].payload[1:]...),
 		"JSON":         jsonEraPayloads(t, e, im, e.Gen)[0],
+		// A cut record as binaries that still wrote its cost laid it out:
+		// skipped, and the cut recomputed once.
+		"intermediate with a cost": appendMeta(nil, metaInter, append(interFields(&im), &oldCost)),
 	}
 	for _, k := range kinds {
 		s := fresh()

@@ -106,7 +106,7 @@ func jsonEraPayloads(t *testing.T, e EntryMeta, im IntermediateMeta, epoch uint6
 	var out [][]byte
 	for _, m := range []map[string]any{
 		{"t": "entry", "e": map[string]any{"doc": e.Doc, "user": e.User, "sig": e.Sig.String(), "src": e.SourceSig.String(), "ufp": e.UniversalFP.String(), "pfp": e.PersonalFP.String(), "gen": e.Gen, "cost": e.Cost}},
-		{"t": "inter", "i": map[string]any{"src": im.SourceSig.String(), "fp": im.Fingerprint.String(), "sig": im.Sig.String(), "cost": im.Cost}},
+		{"t": "inter", "i": map[string]any{"src": im.SourceSig.String(), "fp": im.Fingerprint.String(), "sig": im.Sig.String(), "cost": int64(time.Second)}},
 		{"t": "epoch", "doc": e.Doc, "gen": epoch},
 	} {
 		js, err := json.Marshal(m)

@@ -61,11 +61,16 @@ func appendRecord(dst []byte, magic [4]byte, sg sig.Signature, payload []byte) [
 // verification. Having both means a scan can reject a damaged record
 // without rehashing the payload for the (common) case of a mangled
 // header.
+//
+// The signature's sixteen bytes go through the table by hand: handed to
+// crc32.Update, which dispatches through a function value, they would
+// escape, and every record would allocate a copy of them.
 func recordCRC(s sig.Signature, payload []byte) uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(s[:])
-	crc.Write(payload)
-	return crc.Sum32()
+	crc := ^uint32(0)
+	for _, b := range s {
+		crc = crc32.IEEETable[byte(crc)^b] ^ crc>>8
+	}
+	return crc32.Update(^crc, crc32.IEEETable, payload)
 }
 
 // scan is what scanRecords found: the valid records end at end, the

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,5 +36,20 @@ func TestSegmentRefusesJournalRecord(t *testing.T) {
 	}
 	if info, err := os.Stat(path); err != nil || info.Size() != int64(kept) {
 		t.Fatalf("segment after open: %v, %v; want %d bytes", info, err, kept)
+	}
+}
+
+// TestRecordCRCIsTheChecksumOfSignatureAndPayload pins the record
+// checksum to CRC-32 (IEEE) of signature ‖ payload, the format every
+// segment and journal holds, computed without an allocation.
+func TestRecordCRCIsTheChecksumOfSignatureAndPayload(t *testing.T) {
+	for _, payload := range [][]byte{nil, []byte("x"), []byte("a record's payload, a few dozen bytes long")} {
+		s := sig.Of(payload)
+		if got, want := recordCRC(s, payload), crc32.ChecksumIEEE(append(s[:], payload...)); got != want {
+			t.Errorf("recordCRC(%q) = %08x, want %08x", payload, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { recordCRC(s, payload) }); n != 0 {
+			t.Errorf("recordCRC(%q) allocates %v times", payload, n)
+		}
 	}
 }

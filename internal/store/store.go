@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"placeless/internal/sig"
+	"placeless/internal/stream"
 )
 
 // DefaultSegmentMaxBytes is the roll threshold for segments.
@@ -69,12 +70,12 @@ type EntryMeta struct {
 
 // IntermediateMeta describes a durable universal intermediate. These
 // are structurally valid by construction — (source signature, chain
-// fingerprint) is the whole key — so no epoch applies.
+// fingerprint) is the whole key — so no epoch applies. A cut carries
+// no cost: a promote installs it at the cost of the read that asks.
 type IntermediateMeta struct {
 	SourceSig   sig.Signature
 	Fingerprint sig.Signature
 	Sig         sig.Signature
-	Cost        time.Duration
 }
 
 // Recovery reports what opening a store directory found, for logs and
@@ -303,13 +304,12 @@ func (s *Store) PutBlob(payload []byte) (sig.Signature, error) {
 	return sg, s.appendBlob(sg, payload)
 }
 
-// PutSigned is PutBlob for a caller that has already signed payload,
-// followed by tail when the caller holds it in parts. A blob the store
-// holds is answered from the index alone, and its parts are never
-// joined. For a new one the store still hashes what it writes — outside
-// its lock — and refuses a signature the bytes do not produce (see
-// appendRecord).
-func (s *Store) PutSigned(sg sig.Signature, payload []byte, tail ...[]byte) error {
+// PutSigned is PutBlob for a caller that has already signed body,
+// which it may hold in parts. A blob the store holds is answered from
+// the index alone, and its parts are never joined. For a new one the
+// store still hashes what it writes — outside its lock — and refuses a
+// signature the bytes do not produce (see appendRecord).
+func (s *Store) PutSigned(sg sig.Signature, body stream.Body) error {
 	s.mu.Lock()
 	_, held := s.refs[sg]
 	err := s.writableLocked()
@@ -317,9 +317,7 @@ func (s *Store) PutSigned(sg sig.Signature, payload []byte, tail ...[]byte) erro
 	if err != nil || held {
 		return err
 	}
-	for _, p := range tail {
-		payload = append(payload[:len(payload):len(payload)], p...) // a copy: payload is the caller's
-	}
+	payload := body.Bytes()
 	if sig.Of(payload) != sg {
 		return fmt.Errorf("store: payload does not hash to its signature %s", sg)
 	}

@@ -109,7 +109,7 @@ func TestReopenRecoversEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	fpA := sig.Of([]byte("chain-a"))
-	if err := s.PutIntermediate(IntermediateMeta{SourceSig: sigs[1], Fingerprint: fpA, Sig: sigs[2], Cost: 9}); err != nil {
+	if err := s.PutIntermediate(IntermediateMeta{SourceSig: sigs[1], Fingerprint: fpA, Sig: sigs[2]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendEpoch("d2", 11); err != nil {
