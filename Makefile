@@ -53,7 +53,11 @@ test-race:
 # head while the document is dropped and its head evicted (a promote
 # finds the head resident, gone, or put back by another promote), and
 # the head installs (TestTailSharedHeadInstall*: a body split at a head
-# keeps its parts in place, the sidecar's tail in the wire's buffer).
+# keeps its parts in place, the sidecar's tail in the wire's buffer),
+# and three sidecar nodes on one blob store reading every view while
+# one of them flushes, invalidates and evicts
+# (TestRaceTailSharedAcrossNodes: no head is freed while another
+# node's tail builds on it).
 race:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/docspace/... ./internal/server/... ./internal/remote/... ./internal/obs/... ./internal/store/... ./internal/repo/... ./internal/swarm/ ./internal/cluster/ ./cmd/plcached/
 	$(GO) test -race -count=20 -run 'NotifierPair|Parity|Disconnect|CloseDetaches|Reconnect|Subscri|FirstMiss|Push|BlockingInval|HandlerWorker|ServesTheInstalledBytes|SourceStamp|TailShared' ./internal/docspace/ ./internal/server/ ./internal/core/ ./internal/remote/

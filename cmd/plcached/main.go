@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"placeless/internal/cluster"
+	"placeless/internal/core"
 	"placeless/internal/obs"
 	"placeless/internal/remote"
 	"placeless/internal/server"
@@ -111,11 +112,14 @@ func main() {
 
 // newSidecar dials every address of the comma-separated list and
 // routes one consistent-hash ring over a remote cache per address, all
-// counted on one Observer. It returns plcached's endpoints and the
+// counted on one Observer and keeping their bytes in one blob store, so
+// a document's head is resident once however many nodes hold its
+// views. It returns plcached's endpoints and the
 // func that closes every cache and its wire. A dial that fails fails
 // the sidecar.
 func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...server.DialOption) (*http.ServeMux, func(), error) {
 	o := obs.NewObserver()
+	blobs := core.NewBlobStore()
 	cl := cluster.New(cluster.Options{Replicas: replicas, VNodes: vnodes, Observer: o})
 	var nodes []*remote.Cache
 	var clients []*server.Client
@@ -144,7 +148,7 @@ func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...serve
 			closeAll()
 			return nil, nil, fmt.Errorf("dial %s: %w", target, err)
 		}
-		rc := remote.New(client, remote.Options{Capacity: capacity, Observer: o})
+		rc := remote.New(client, remote.Options{Capacity: capacity, Observer: o, Blobs: blobs})
 		nodes, clients = append(nodes, rc), append(clients, client)
 		if err := cl.AddNode(name, rc); err != nil {
 			closeAll()
@@ -161,18 +165,18 @@ func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...serve
 	mux.HandleFunc("/doc/", docHandler(cl))
 	// /status: the router's counters and the fleet's totals, then one
 	// row per node with its state. bytes_stored is what capacity
-	// charges the views, bytes_resident what they occupy: a view that
-	// shares its document's head counts only its tail there.
+	// charges the views, summed over the nodes; bytes_resident is what
+	// the one blob store occupies: each head once, and a view that
+	// shares its document's head only its tail.
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		st := cl.Stats()
-		var reconnects, flushes, stored, resident int64
+		var reconnects, flushes, stored int64
 		var entries int
 		for _, rc := range nodes {
 			ns := rc.Stats()
 			reconnects += ns.Reconnects
 			flushes += ns.EpochFlushes
 			stored += ns.BytesStored
-			resident += ns.BytesResident
 			entries += rc.Len()
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -189,7 +193,7 @@ func newSidecar(list string, replicas, vnodes int, capacity int64, dial ...serve
 			"epoch_flushes":   flushes,
 			"entries":         entries,
 			"bytes_stored":    stored,
-			"bytes_resident":  resident,
+			"bytes_resident":  blobs.BytesResident(),
 		})
 	})
 	mux.HandleFunc("/ring", func(w http.ResponseWriter, r *http.Request) {

@@ -273,12 +273,13 @@ func TestSidecarIsARing(t *testing.T) {
 // tier, where every view is the document's universal output and the
 // reader's watermark banner. Every read, miss or hit, returns the
 // origin's bytes; /status reports every node's bytes_stored as its
-// views' full lengths and its bytes_resident as one head per document
-// it holds a view of plus the banners, and the totals as their sums.
-// Then the origin restarts on the same store directory: the sidecar's
-// reconnect flushes every node, each key's next read is a disk promote
-// at the origin, and the census must come out the same, heads still
-// kept once.
+// views' full lengths and the total as their sum, and bytes_resident,
+// the one blob store the nodes share, as one head per document plus
+// the banners, however many nodes hold views of the document. Then the
+// origin restarts on the same store directory: the sidecar's reconnect
+// flushes every node, each key's next read is a disk promote at the
+// origin, and the census must come out the same, heads still kept
+// once.
 func TestSidecarKeepsEachHeadOnce(t *testing.T) {
 	const docs = 3
 	readers := []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"}
@@ -376,12 +377,12 @@ func TestSidecarKeepsEachHeadOnce(t *testing.T) {
 		}
 	}
 	// census reads every key through the sidecar, twice, and checks the
-	// bytes each node keeps.
+	// bytes each node is charged and the bytes the sidecar keeps.
 	census := func(leg string) {
 		t.Helper()
-		type bytesHeld struct{ stored, resident int64 }
-		want := map[string]*bytesHeld{} // by node name
-		heads := map[string]bool{}      // node + doc
+		want := map[string]int64{} // bytes_stored by node name
+		var resident int64
+		spread := map[string]bool{} // node + doc: a node holds views of doc
 		for d := 0; d < docs; d++ {
 			doc := fmt.Sprint("doc", d)
 			for _, u := range readers {
@@ -396,30 +397,24 @@ func TestSidecarKeepsEachHeadOnce(t *testing.T) {
 				if err := json.Unmarshal(serve(mux, http.MethodGet, "/ring?doc="+doc+"&user="+u, "").Body.Bytes(), &ring); err != nil || len(ring.Owners) == 0 {
 					t.Fatalf("%s: /ring for %s/%s: %v", leg, doc, u, err)
 				}
-				node := ring.Owners[0]
-				if want[node] == nil {
-					want[node] = &bytesHeld{}
-				}
+				want[ring.Owners[0]] += int64(len(view))
+				spread[ring.Owners[0]+doc] = true
 				tail := int64(len("\n-- retrieved for " + u + " --\n"))
-				want[node].stored += int64(len(view))
-				want[node].resident += tail
-				if !heads[node+doc] {
-					heads[node+doc] = true
-					want[node].resident += int64(len(view)) - tail
+				resident += tail
+				if u == readers[0] {
+					resident += int64(len(view)) - tail // the document's head
 				}
 			}
 		}
-		var total bytesHeld
+		if len(spread) <= docs {
+			t.Fatalf("%s: no document has views on two nodes, so no head could be kept twice", leg)
+		}
+		var stored int64
 		for _, node := range statusNodes(t, mux, 3) {
-			w := want[node.Name]
-			if w == nil {
-				w = &bytesHeld{}
+			if node.BytesStored != want[node.Name] {
+				t.Errorf("%s: node %s: bytes_stored %d, want %d", leg, node.Name, node.BytesStored, want[node.Name])
 			}
-			if node.BytesStored != w.stored || node.BytesResident != w.resident {
-				t.Errorf("%s: node %s: bytes_stored %d, bytes_resident %d; want %d and %d", leg, node.Name, node.BytesStored, node.BytesResident, w.stored, w.resident)
-			}
-			total.stored += w.stored
-			total.resident += w.resident
+			stored += want[node.Name]
 		}
 		var st struct {
 			Stored   int64 `json:"bytes_stored"`
@@ -428,8 +423,8 @@ func TestSidecarKeepsEachHeadOnce(t *testing.T) {
 		if err := json.Unmarshal(serve(mux, http.MethodGet, "/status", "").Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.Stored != total.stored || st.Resident != total.resident {
-			t.Fatalf("%s: /status totals: bytes_stored %d, bytes_resident %d; want %d and %d", leg, st.Stored, st.Resident, total.stored, total.resident)
+		if st.Stored != stored || st.Resident != resident {
+			t.Fatalf("%s: /status: bytes_stored %d, bytes_resident %d; want %d and %d", leg, st.Stored, st.Resident, stored, resident)
 		}
 		if m := scrape(t, mux); m["placeless_remote_bytes_stored"] != st.Stored {
 			t.Fatalf("%s: /metrics bytes_stored %d, /status %d", leg, m["placeless_remote_bytes_stored"], st.Stored)

@@ -267,11 +267,10 @@ type NodeInfo struct {
 	Share float64 `json:"share"`
 	// Entries is a *remote.Cache peer's cached entry count.
 	Entries int `json:"entries"`
-	// BytesStored and BytesResident are a *remote.Cache peer's
-	// remote.Stats fields of those names: what capacity charges its
-	// views, and what they occupy.
-	BytesStored   int64 `json:"bytes_stored"`
-	BytesResident int64 `json:"bytes_resident"`
+	// BytesStored is a *remote.Cache peer's remote.Stats field of
+	// that name: what capacity charges its views. What they occupy is
+	// the blob store's, which a sidecar's nodes share.
+	BytesStored int64 `json:"bytes_stored"`
 }
 
 // Info returns a status row per member, sorted by name.
@@ -293,8 +292,7 @@ func (c *Cache) Info() []NodeInfo {
 				info.DownSince = t.Format(time.RFC3339)
 			}
 			info.Entries = rc.Len()
-			st := rc.Stats()
-			info.BytesStored, info.BytesResident = st.BytesStored, st.BytesResident
+			info.BytesStored = rc.Stats().BytesStored
 		}
 		out[i] = info
 	}

@@ -262,7 +262,7 @@ func New(space *docspace.Space, opts Options) *Cache {
 		space: space,
 		clk:   space.Clock(),
 		opts:  opts,
-		tab:   NewTable(policy),
+		tab:   NewTable(policy, nil),
 	}
 	c.notifiers = docspace.NewNotifierPair(space, "notifier:"+opts.Name, c.onBaseEvent, c.onRefEvent)
 	c.tab.Resize(opts.Capacity)
@@ -292,7 +292,7 @@ func (c *Cache) Capacity() int64 { return c.tab.capacity.Load() }
 func (c *Cache) Policy() string { return c.tab.policy.Name() }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats { return c.stats.snapshot(&c.tab.stats) }
+func (c *Cache) Stats() Stats { return c.stats.snapshot(c.tab) }
 
 // Len reports how many (document, user) entries are cached.
 func (c *Cache) Len() int { return c.tab.Len() }

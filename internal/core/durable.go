@@ -150,7 +150,7 @@ func (c *Cache) readPromoted(st *store.Store, e store.EntryMeta) (stream.Body, b
 		data, ok := st.GetBlob(e.Sig)
 		return stream.Body{Head: data}, ok
 	}
-	if head := c.tab.wholeBlob(e.HeadSig); len(head) == e.HeadLen {
+	if head := c.tab.blobs.whole(e.HeadSig); len(head) == e.HeadLen {
 		if tail, ok := st.GetBlobAfter(e.Sig, head); ok {
 			return stream.Body{Head: head, Tail: tail, HeadSig: e.HeadSig}, true
 		}

@@ -16,11 +16,13 @@ import (
 //
 // Lock ordering (see also DESIGN.md §6):
 //
-//	remote.Cache.mu  >  shard.mu  >  policyMu | blobMu     (leaf locks)
+//	remote.Cache.mu  >  shard.mu  >  policyMu | BlobStore.mu     (leaf locks)
 //
 // A goroutine may hold at most one shard lock at a time, may take any
 // single leaf lock while holding it, and must never acquire a shard
-// lock while holding a leaf lock. The sidecar's own lock, when a
+// lock while holding a leaf lock. A BlobStore shared by several tables
+// is one leaf under all their stripes, and no goroutine holds stripes
+// of two tables, so the order holds across them. The sidecar's own lock, when a
 // remote.Cache holds the table, ranks above every table lock and is
 // never taken under one. Per-document invalidation generations are
 // plain atomics (Table.gens) and sit outside the ordering entirely. No

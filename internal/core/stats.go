@@ -5,9 +5,10 @@ import "sync/atomic"
 // statsCounters is the cache's live bookkeeping: every field is a
 // lock-free atomic counter, so the hot hit path records activity
 // without serializing behind any cache lock and Stats() never blocks
-// readers. Byte, shared-entry, cut and eviction gauges are the table's
-// own (tableCounters), maintained incrementally under its locks in the
-// same atomic representation, so snapshots need no lock either.
+// readers. Charged-byte, shared-entry, cut and eviction gauges are the
+// table's own (tableCounters) and resident bytes its blob store's, all
+// maintained incrementally under their locks in the same atomic
+// representation, so snapshots need no lock either.
 type statsCounters struct {
 	hits            atomic.Int64
 	misses          atomic.Int64
@@ -43,7 +44,8 @@ type statsCounters struct {
 // a time, so a snapshot taken during concurrent activity is internally
 // consistent per counter but not across counters — same contract as
 // any monitoring scrape.
-func (s *statsCounters) snapshot(t *tableCounters) Stats {
+func (s *statsCounters) snapshot(tab *Table) Stats {
+	t := &tab.stats
 	return Stats{
 		Hits:            s.hits.Load(),
 		Misses:          s.misses.Load(),
@@ -56,7 +58,7 @@ func (s *statsCounters) snapshot(t *tableCounters) Stats {
 		EventsForwarded: s.eventsForwarded.Load(),
 		Prefetches:      s.prefetches.Load(),
 		BytesStored:     t.bytesStored.Load(),
-		BytesResident:   t.bytesResident.Load(),
+		BytesResident:   tab.blobs.BytesResident(),
 		BytesLogical:    t.bytesLogical.Load(),
 		SharedEntries:   t.sharedEntries.Load(),
 

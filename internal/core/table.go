@@ -17,10 +17,11 @@ import (
 // beside the Placeless server, and remote.Cache, on the machine where
 // applications run. It holds the lock-striped index of entries with
 // its single-flight tables (shard.go, singleflight.go), the
-// signature-shared blob store, the replacement policy with pinned
-// eviction, the per-document invalidation generations and, per stripe,
-// the keys of each document, so a document-wide or per-user drop visits
-// only that document's keys.
+// replacement policy with pinned eviction, the per-document
+// invalidation generations and, per stripe, the keys of each document,
+// so a document-wide or per-user drop visits only that document's keys.
+// Its bytes live in a BlobStore, its own or one it shares with the
+// other tables of a process (the nodes of a sidecar's ring).
 //
 // What is not here belongs to the placement: verification, simulated
 // hit cost and event forwarding on a hit (Lookup, then Confirm), the
@@ -39,11 +40,9 @@ type Table struct {
 	policyMu sync.Mutex
 	policy   replace.Policy
 
-	// blobs is the signature-shared content store, with incremental
-	// byte/shared accounting (internBlob, unrefBlob). A blob built on
-	// another's bytes holds only its tail (blob.base).
-	blobMu sync.Mutex
-	blobs  map[sig.Signature]*blob
+	// blobs keeps the records' bytes, shared by signature with every
+	// table built on the same store (BlobStore).
+	blobs *BlobStore
 
 	// gens carries per-document invalidation generations (doc →
 	// *atomic.Uint64) — the guard against installing a result that went
@@ -61,8 +60,7 @@ type Table struct {
 // tableCounters is what the table counts itself; the placements read
 // it into their own Stats.
 type tableCounters struct {
-	bytesStored   atomic.Int64 // unique bytes charged: every held blob at its full length
-	bytesResident atomic.Int64 // bytes the blobs occupy: a tail-shared blob only its tail
+	bytesStored   atomic.Int64 // unique bytes charged: every blob its records hold, at its full length
 	bytesLogical  atomic.Int64 // entry sizes before sharing (cuts excluded)
 	sharedEntries atomic.Int64 // entries whose blob another entry shares
 	cuts          atomic.Int64 // resident prefix cuts
@@ -107,24 +105,82 @@ func (e *Entry) Valid(now time.Time) bool {
 	return true
 }
 
-// blob is signature-shared content storage. refs counts every holder
-// (entries and cuts); entryRefs counts only (doc, user) entries,
-// because the SharedEntries gauge is defined over entries and a cut
-// aliasing an entry's bytes must not distort it.
+// BlobStore is the signature-shared content store tables keep their
+// bytes in: one blob per signature, whichever table's record installed
+// it, so identical bytes are kept once however many tables hold them.
+// A table built on its own store (NewTable with nil) is the origin's
+// case; a sidecar builds every node of its ring on one, so a
+// document's head is kept once per process, not once per node.
+//
+// What a table charges stays the table's own: each blob counts its
+// holders per table (hold), and a table charges a blob its full length
+// while one of its own records holds it, so capacity, eviction and
+// BytesStored are what the table alone would give. Only the bytes are
+// shared, and BytesResident is the store's. mu is a leaf lock under
+// every table's stripe locks (shard.go); a hit takes no lock of the
+// store, since a blob's bytes and base never change.
+type BlobStore struct {
+	mu       sync.Mutex
+	blobs    map[sig.Signature]*blob
+	resident atomic.Int64 // bytes the blobs occupy: a tail-shared blob only its tail
+}
+
+// NewBlobStore returns an empty store.
+func NewBlobStore() *BlobStore {
+	return &BlobStore{blobs: make(map[sig.Signature]*blob)}
+}
+
+// BytesResident is what the blobs occupy: a tail-shared blob its tail,
+// and a base held only by its tails its bytes.
+func (st *BlobStore) BytesResident() int64 { return st.resident.Load() }
+
+// blob is signature-shared content storage, with one hold per table
+// whose records hold it.
 //
 // A tail-shared blob's bytes are its base's bytes followed by data:
 // a personal view that only appends to the cut it was built from (a
 // watermark banner) keeps the cut's bytes once and its own tail. Only
 // a whole blob is a base, so the chain is one level deep. tails counts
-// the blobs built on this one; a base outlives its last holder until
-// its last tail goes, but is charged (bytesStored) only while held.
+// the blobs built on this one, in every table; a base outlives its
+// last holder until its last tail goes, but is charged (bytesStored)
+// only while held.
 type blob struct {
-	s         sig.Signature
-	data      []byte // the whole bytes, or with base set the tail after base.data
-	base      *blob
+	s     sig.Signature
+	data  []byte // the whole bytes, or with base set the tail after base.data
+	base  *blob
+	holds []hold
+	tails int
+}
+
+// hold is one table's references to a blob. refs counts its records of
+// either kind (entries and cuts); entryRefs counts only (doc, user)
+// entries, because the SharedEntries gauge is defined over entries and
+// a cut aliasing an entry's bytes must not distort it.
+type hold struct {
+	t         *Table
 	refs      int
 	entryRefs int
-	tails     int
+}
+
+// newBlob returns an empty blob under s with room for one table's hold
+// in the same allocation: most blobs are held by one table.
+func newBlob(s sig.Signature) *blob {
+	bh := &struct {
+		blob
+		first [1]hold
+	}{blob: blob{s: s}}
+	bh.holds = bh.first[:0]
+	return &bh.blob
+}
+
+// holdOf returns t's hold on b, or nil.
+func (b *blob) holdOf(t *Table) *hold {
+	for i := range b.holds {
+		if b.holds[i].t == t {
+			return &b.holds[i]
+		}
+	}
+	return nil
 }
 
 // size is the blob's logical length, what capacity charges it.
@@ -151,13 +207,17 @@ func (b *blob) body() stream.Body {
 func Key(doc, user string) string { return doc + "\x00" + user }
 
 // NewTable returns an empty table with the GOMAXPROCS-scaled stripe
-// count (see newShardedIndex) and the given replacement policy. Its
+// count (see newShardedIndex) and the given replacement policy, keeping
+// its bytes in blobs, or in a store of its own when blobs is nil. Its
 // capacity is unlimited until Resize.
-func NewTable(policy replace.Policy) *Table {
+func NewTable(policy replace.Policy, blobs *BlobStore) *Table {
+	if blobs == nil {
+		blobs = NewBlobStore()
+	}
 	return &Table{
 		shardedIndex: newShardedIndex(0),
 		policy:       policy,
-		blobs:        make(map[sig.Signature]*blob),
+		blobs:        blobs,
 	}
 }
 
@@ -175,10 +235,6 @@ func (t *Table) Closed() bool { return t.closed.Load() }
 // BytesStored is the unique content capacity charges: every blob an
 // entry or cut holds, at its full length.
 func (t *Table) BytesStored() int64 { return t.stats.bytesStored.Load() }
-
-// BytesResident is what the blobs occupy: a tail-shared blob its tail,
-// and a base held only by its tails its bytes.
-func (t *Table) BytesResident() int64 { return t.stats.bytesResident.Load() }
 
 // Evictions counts entries and cuts dropped for capacity.
 func (t *Table) Evictions() int64 { return t.stats.evictions.Load() }
@@ -280,9 +336,9 @@ func (t *Table) drop(k string) {
 // table holds (a read that ended on a tail-shared cut), a disk
 // promote's verified head, or the head an origin reported across the
 // wire. A split body is never joined; a whole one that begins with a
-// resident base's bytes keeps only the rest (internBlob). Install may
-// keep data's bytes themselves as the blob, or its head as the base,
-// so from the call on nobody modifies them.
+// resident base's bytes keeps only the rest (BlobStore.intern).
+// Install may keep data's bytes themselves as the blob, or its head as
+// the base, so from the call on nobody modifies them.
 func (t *Table) Install(k string, e *Entry, data stream.Body, gen uint64, base sig.Signature) bool {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
@@ -292,7 +348,7 @@ func (t *Table) Install(k string, e *Entry, data stream.Body, gen uint64, base s
 	}
 	t.dropLocked(sh, k)
 	e.size = int64(data.Len())
-	e.blob = t.internBlob(e.Signature, data, !e.cut, base)
+	e.blob = t.blobs.intern(t, e.Signature, data, !e.cut, base)
 	sh.entries[k] = e
 	keys := sh.docs[e.Doc]
 	if keys == nil {
@@ -321,8 +377,9 @@ func (t *Table) policyInsert(k string, e *Entry) {
 }
 
 // dropLocked removes the entry or cut under k and releases its blob
-// reference: the one drop. The caller holds sh.mu; policyMu and blobMu
-// are taken as nested leaf locks. Reports whether anything was present.
+// reference: the one drop. The caller holds sh.mu; policyMu and the
+// store's mu are taken as nested leaf locks. Reports whether anything
+// was present.
 func (t *Table) dropLocked(sh *shard, k string) bool {
 	e, ok := sh.entries[k]
 	if !ok {
@@ -344,7 +401,7 @@ func (t *Table) dropLocked(sh *shard, k string) bool {
 	} else {
 		t.stats.bytesLogical.Add(-e.size)
 	}
-	t.unrefBlob(e)
+	t.blobs.unref(t, e)
 	return true
 }
 
@@ -416,14 +473,15 @@ func (t *Table) Close() bool {
 	return true
 }
 
-// internBlob interns body's bytes, data, under s, their signature,
-// takes one reference and returns the blob, maintaining the byte and
-// shared-entry gauges incrementally. Nothing is joined or copied when
-// a blob is already resident under s. A body split at base is never
+// intern interns body's bytes, data, under s, their signature, takes
+// one reference for t and returns the blob, maintaining the store's
+// resident bytes and t's byte and shared-entry gauges incrementally.
+// Nothing is joined or copied when a blob is already resident under s,
+// whichever table's record put it there. A body split at base is never
 // joined: its head is bytes the caller has proved to be base's, so the
 // new blob is built on the resident base when that holds the same
 // bytes, or on the head itself, kept in place as the base and charged
-// to no one until a record holds it (the base rule of freeBlob), when
+// to no one until a record holds it (the base rule of free), when
 // there is none. It keeps the tail itself unless the tail may lie in
 // the buffer of another copy of the head. A whole body is built on a
 // resident base whose bytes it begins with and keeps a copy of the
@@ -438,22 +496,22 @@ func (t *Table) Close() bool {
 // asEntry distinguishes (doc, user) entries from cuts: both share
 // storage and lifetime, but only entry references drive the
 // SharedEntries gauge.
-func (t *Table) internBlob(s sig.Signature, body stream.Body, asEntry bool, base sig.Signature) *blob {
-	t.blobMu.Lock()
-	defer t.blobMu.Unlock()
-	b := t.blobs[s]
+func (st *BlobStore) intern(t *Table, s sig.Signature, body stream.Body, asEntry bool, base sig.Signature) *blob {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	b := st.blobs[s]
 	if b == nil {
-		b = &blob{s: s}
+		b = newBlob(s)
 		data := body.Tail
 		keep := false // data may stay in place although b is built on a base
-		h := t.blobs[base]
+		h := st.blobs[base]
 		switch {
 		case base.IsZero():
 			data = body.Bytes()
 		case body.HeadSig == base && len(body.Head) > 0 && len(body.Tail) > 0 &&
 			(h == nil || h.base == nil && bytes.Equal(h.data, body.Head)):
 			if h == nil {
-				h = t.placeBase(base, body.Head)
+				h = st.placeBase(base, body.Head)
 			}
 			b.base = h
 			// A tail that follows some other copy of the head may lie in
@@ -476,84 +534,92 @@ func (t *Table) internBlob(s sig.Signature, body stream.Body, asEntry bool, base
 			data = append(make([]byte, 0, len(data)), data...)
 		}
 		b.data = data
-		t.blobs[s] = b
-		t.stats.bytesResident.Add(int64(len(data)))
+		st.blobs[s] = b
+		st.resident.Add(int64(len(data)))
 	}
-	if b.refs == 0 {
+	h := b.holdOf(t)
+	if h == nil {
+		b.holds = append(b.holds, hold{t: t})
+		h = &b.holds[len(b.holds)-1]
 		t.stats.bytesStored.Add(b.size())
 	}
 	if asEntry {
-		// SharedEntries counts entries whose blob has >1 entry
-		// reference; going 1→2 makes both sharers shared, each later
-		// reference adds one.
+		// SharedEntries counts t's entries whose blob has >1 entry
+		// reference in t; going 1→2 makes both sharers shared, each
+		// later reference adds one.
 		switch {
-		case b.entryRefs == 1:
+		case h.entryRefs == 1:
 			t.stats.sharedEntries.Add(2)
-		case b.entryRefs >= 2:
+		case h.entryRefs >= 2:
 			t.stats.sharedEntries.Add(1)
 		}
-		b.entryRefs++
+		h.entryRefs++
 	}
-	b.refs++
+	h.refs++
 	return b
 }
 
 // placeBase makes head, in place, the blob under s, held by no record
 // yet: the base a new blob is about to be built on. The caller holds
-// blobMu.
-func (t *Table) placeBase(s sig.Signature, head []byte) *blob {
+// mu.
+func (st *BlobStore) placeBase(s sig.Signature, head []byte) *blob {
 	h := &blob{s: s, data: head[:len(head):len(head)]}
-	t.blobs[s] = h
-	t.stats.bytesResident.Add(int64(len(head)))
+	st.blobs[s] = h
+	st.resident.Add(int64(len(head)))
 	return h
 }
 
-// wholeBlob returns the bytes of the whole blob the table holds under
-// s, held by records or only by the tails built on it, or nil: bytes a
+// whole returns the bytes of the whole blob the store holds under s,
+// held by records or only by the tails built on it, or nil: bytes a
 // blob about to be interned may be built on.
-func (t *Table) wholeBlob(s sig.Signature) []byte {
-	t.blobMu.Lock()
-	defer t.blobMu.Unlock()
-	if b := t.blobs[s]; b != nil && b.base == nil {
+func (st *BlobStore) whole(s sig.Signature) []byte {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if b := st.blobs[s]; b != nil && b.base == nil {
 		return b.data
 	}
 	return nil
 }
 
-// unrefBlob drops e's reference to its blob. The blob stops being
-// charged when the last holder of either kind lets go, and is freed
-// then unless tails still build on it.
-func (t *Table) unrefBlob(e *Entry) {
-	t.blobMu.Lock()
-	defer t.blobMu.Unlock()
+// unref drops the reference e, a record of t, holds on its blob. t
+// stops being charged for the blob when its last record of either kind
+// lets go, and the blob is freed when no table holds it unless tails
+// still build on it.
+func (st *BlobStore) unref(t *Table, e *Entry) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	b := e.blob
+	h := b.holdOf(t)
 	if !e.cut {
-		b.entryRefs--
+		h.entryRefs--
 		switch {
-		case b.entryRefs == 1:
+		case h.entryRefs == 1:
 			t.stats.sharedEntries.Add(-2)
-		case b.entryRefs >= 2:
+		case h.entryRefs >= 2:
 			t.stats.sharedEntries.Add(-1)
 		}
 	}
-	b.refs--
-	if b.refs == 0 {
+	h.refs--
+	if h.refs == 0 {
 		t.stats.bytesStored.Add(-b.size())
-		t.freeBlob(b)
+		last := len(b.holds) - 1
+		*h = b.holds[last]
+		b.holds = b.holds[:last]
+		st.free(b)
 	}
 }
 
-// freeBlob frees b if nothing holds or builds on it, and then its base
-// if b was the base's last tail. The caller holds blobMu.
-func (t *Table) freeBlob(b *blob) {
-	if b.refs > 0 || b.tails > 0 {
+// free frees b if no table holds it and nothing builds on it, and then
+// its base if b was the base's last tail. The caller holds mu.
+func (st *BlobStore) free(b *blob) {
+	if len(b.holds) > 0 || b.tails > 0 {
 		return
 	}
-	delete(t.blobs, b.s)
-	t.stats.bytesResident.Add(-int64(len(b.data)))
+	delete(st.blobs, b.s)
+	st.resident.Add(-int64(len(b.data)))
 	if h := b.base; h != nil {
 		h.tails--
-		t.freeBlob(h)
+		st.free(h)
 	}
 }
 
@@ -629,11 +695,15 @@ func (t *Table) reinsertPinned(keys []string) {
 	}
 }
 
-// Audit checks the per-stripe document index against the entries: each
-// stripe's set for a document names exactly that stripe's records of
-// the document, and no set is kept empty. It returns a disagreement, or
-// nil.
+// Audit checks the per-stripe document index against the entries —
+// each stripe's set for a document names exactly that stripe's records
+// of the document, and no set is kept empty — and, on a quiescent
+// table, its holds in the blob store against its records: each blob
+// its records hold carries the table's hold with their counts, no
+// other blob does, and BytesStored is those blobs' full lengths. It
+// returns a disagreement, or nil.
 func (t *Table) Audit() (err error) {
+	refs := map[*blob]hold{}
 	t.each(func(sh *shard) {
 		n := 0
 		for doc, keys := range sh.docs {
@@ -650,6 +720,75 @@ func (t *Table) Audit() (err error) {
 		if n != len(sh.entries) {
 			err = fmt.Errorf("core: a stripe's key sets name %d records, the stripe holds %d", n, len(sh.entries))
 		}
+		for _, e := range sh.entries {
+			h := refs[e.blob]
+			h.refs++
+			if !e.cut {
+				h.entryRefs++
+			}
+			refs[e.blob] = h
+		}
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	st := t.blobs
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var stored int64
+	for b, want := range refs {
+		if h := b.holdOf(t); st.blobs[b.s] != b || h == nil || h.refs != want.refs || h.entryRefs != want.entryRefs {
+			return fmt.Errorf("core: blob %s: the table's records hold it %d times (%d entries), its hold reads %+v", b.s, want.refs, want.entryRefs, h)
+		}
+		stored += b.size()
+	}
+	for _, b := range st.blobs {
+		if _, held := refs[b]; !held && b.holdOf(t) != nil {
+			return fmt.Errorf("core: blob %s carries a hold of the table and no record of it", b.s)
+		}
+	}
+	if got := t.stats.bytesStored.Load(); got != stored {
+		return fmt.Errorf("core: BytesStored %d, the held blobs' full lengths %d", got, stored)
+	}
+	return nil
+}
+
+// Audit checks a quiescent store: every blob is held by a table or
+// built on, each base is a whole blob of the store and counts the
+// blobs built on it, and BytesResident is the bytes the blobs keep.
+// It returns a disagreement, or nil.
+func (st *BlobStore) Audit() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var resident int64
+	tails := map[*blob]int{}
+	for s, b := range st.blobs {
+		if b.s != s {
+			return fmt.Errorf("core: blob %s kept under %s", b.s, s)
+		}
+		for _, h := range b.holds {
+			if h.refs <= 0 {
+				return fmt.Errorf("core: blob %s: a hold of %d references", s, h.refs)
+			}
+		}
+		if len(b.holds) == 0 && b.tails == 0 {
+			return fmt.Errorf("core: blob %s is neither held nor built on", s)
+		}
+		if h := b.base; h != nil {
+			if st.blobs[h.s] != h || h.base != nil {
+				return fmt.Errorf("core: blob %s is built on %s, which is not a whole blob of the store", s, h.s)
+			}
+			tails[h]++
+		}
+		resident += int64(len(b.data))
+	}
+	for _, b := range st.blobs {
+		if b.tails != tails[b] {
+			return fmt.Errorf("core: blob %s counts %d tails, %d are built on it", b.s, b.tails, tails[b])
+		}
+	}
+	if got := st.resident.Load(); got != resident {
+		return fmt.Errorf("core: BytesResident %d, the blobs keep %d", got, resident)
+	}
+	return nil
 }

@@ -131,7 +131,7 @@ func TestDocumentWriteVisitsOnlyItsKeys(t *testing.T) {
 // copies a slice with spare capacity to an exact-size blob, and shares
 // the blob a held signature already has.
 func TestInstallTakesExactBytes(t *testing.T) {
-	tab := NewTable(replace.NewGDS())
+	tab := NewTable(replace.NewGDS(), nil)
 	install := func(k string, data []byte) (stored []byte) {
 		t.Helper()
 		if !tab.Install(k, &Entry{Doc: "d", User: k, Signature: sig.Of(data)}, stream.Body{Head: data}, 0, sig.Zero) {

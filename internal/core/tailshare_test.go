@@ -57,7 +57,7 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 	w := newTailUniverse(ncuts, nusers)
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		shared, whole := NewTable(replace.NewGDS()), NewTable(replace.NewGDS())
+		shared, whole := NewTable(replace.NewGDS(), nil), NewTable(replace.NewGDS(), nil)
 		want := map[string][]byte{} // what each key was last installed with
 		fail := func(format string, args ...any) bool {
 			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
@@ -83,10 +83,10 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 			if s, w := shared.Evictions(), whole.Evictions(); s != w {
 				return fail("step %d: Evictions %d with tails, %d whole", step, s, w)
 			}
-			if r, s := shared.stats.bytesResident.Load(), shared.BytesStored(); r > s || r < 0 {
+			if r, s := shared.blobs.BytesResident(), shared.BytesStored(); r > s || r < 0 {
 				return fail("step %d: BytesResident %d, BytesStored %d", step, r, s)
 			}
-			if r, s := whole.stats.bytesResident.Load(), whole.BytesStored(); r != s {
+			if r, s := whole.blobs.BytesResident(), whole.BytesStored(); r != s {
 				return fail("step %d: the whole-blob table holds %d bytes but charges %d", step, r, s)
 			}
 			for k, data := range want {
@@ -150,8 +150,8 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 		if !agree(-1) {
 			return false
 		}
-		if shared.BytesStored() != 0 || shared.stats.bytesResident.Load() != 0 || len(shared.blobs) != 0 {
-			return fail("emptied: %d bytes stored, %d resident, %d blobs", shared.BytesStored(), shared.stats.bytesResident.Load(), len(shared.blobs))
+		if shared.BytesStored() != 0 || shared.blobs.BytesResident() != 0 || len(shared.blobs.blobs) != 0 {
+			return fail("emptied: %d bytes stored, %d resident, %d blobs", shared.BytesStored(), shared.blobs.BytesResident(), len(shared.blobs.blobs))
 		}
 		return true
 	}
@@ -166,7 +166,7 @@ func TestQuickTailSharingMatchesWholeBlobs(t *testing.T) {
 // the whole blob underneath, so the chain stays one level deep; and an
 // empty blob is no base.
 func TestTailSharingInstall(t *testing.T) {
-	tab := NewTable(replace.NewGDS())
+	tab := NewTable(replace.NewGDS(), nil)
 	cut := []byte("the universal output")
 	view := []byte("the universal output\n-- retrieved for amy --\n")
 	deeper := []byte("the universal output\n-- retrieved for amy --\n-- and audited --\n")
@@ -186,14 +186,14 @@ func TestTailSharingInstall(t *testing.T) {
 	if b := install("view", view, sig.Of(cut)); string(b.Tail) != "\n-- retrieved for amy --\n" || b.HeadSig != sig.Of(cut) {
 		t.Fatalf("the view keeps %d bytes of its own, want its %d-byte tail", len(b.Tail), len(view)-len(cut))
 	}
-	if b := install("deeper", deeper, sig.Of(view)); len(b.Tail) != len(deeper)-len(cut) || &b.Head[0] != &tab.blobs[sig.Of(cut)].data[0] {
+	if b := install("deeper", deeper, sig.Of(view)); len(b.Tail) != len(deeper)-len(cut) || &b.Head[0] != &tab.blobs.blobs[sig.Of(cut)].data[0] {
 		t.Fatal("a view of a view is not built on the whole blob underneath")
 	}
 	if b := install("other", other, sig.Of(cut)); len(b.Tail) != 0 || !b.HeadSig.IsZero() {
 		t.Fatal("bytes that do not begin with the base's were tail-shared")
 	}
 	resident := int64(len(cut) + (len(view) - len(cut)) + (len(deeper) - len(cut)) + len(other))
-	if got := tab.stats.bytesResident.Load(); got != resident {
+	if got := tab.blobs.BytesResident(); got != resident {
 		t.Fatalf("BytesResident = %d, want %d", got, resident)
 	}
 	if got, want := tab.BytesStored(), int64(len(cut)+len(view)+len(deeper)+len(other)); got != want {
@@ -205,7 +205,7 @@ func TestTailSharingInstall(t *testing.T) {
 	if got, want := tab.BytesStored(), int64(len(view)+len(deeper)+len(other)); got != want {
 		t.Fatalf("after the cut's drop BytesStored = %d, want %d", got, want)
 	}
-	if got := tab.stats.bytesResident.Load(); got != resident {
+	if got := tab.blobs.BytesResident(); got != resident {
 		t.Fatalf("after the cut's drop BytesResident = %d, want %d", got, resident)
 	}
 	if _, b := tab.Lookup("view"); !bytes.Equal(b.Bytes(), view) {
@@ -213,7 +213,7 @@ func TestTailSharingInstall(t *testing.T) {
 	}
 	tab.drop("view")
 	tab.drop("deeper")
-	if got := tab.stats.bytesResident.Load(); got != int64(len(other)) {
+	if got := tab.blobs.BytesResident(); got != int64(len(other)) {
 		t.Fatalf("with the views gone BytesResident = %d, want the other blob's %d", got, len(other))
 	}
 	// An empty blob is no base: the wire and the disk record name a head
@@ -232,7 +232,7 @@ func TestTailSharingInstall(t *testing.T) {
 // copy of its tail kept, a view whose head is not the base's bytes is
 // kept whole, and the base goes with its last tail.
 func TestTailSharedHeadInstall(t *testing.T) {
-	tab := NewTable(replace.NewGDS())
+	tab := NewTable(replace.NewGDS(), nil)
 	cut := []byte("the universal output")
 	cutSig, n := sig.Of(cut), len(cut)
 	install := func(k string, data []byte) stream.Body {
@@ -259,7 +259,7 @@ func TestTailSharedHeadInstall(t *testing.T) {
 	if got, want := tab.BytesStored(), int64(len(data)); got != want {
 		t.Fatalf("BytesStored = %d, want the view's %d: the base is charged to no one", got, want)
 	}
-	if got, want := tab.BytesResident(), int64(len(data)); got != want {
+	if got, want := tab.blobs.BytesResident(), int64(len(data)); got != want {
 		t.Fatalf("BytesResident = %d, want base and tail, %d", got, want)
 	}
 	data2 := view("\n-- retrieved for bob --\n")
@@ -270,15 +270,15 @@ func TestTailSharedHeadInstall(t *testing.T) {
 	if b := install("eve", forged); len(b.Tail) != 0 || !b.HeadSig.IsZero() {
 		t.Fatal("a view whose head is not the base's bytes was tail-shared")
 	}
-	if got, want := tab.BytesResident(), int64(len(data)+len(data2)-n+len(forged)); got != want {
+	if got, want := tab.blobs.BytesResident(), int64(len(data)+len(data2)-n+len(forged)); got != want {
 		t.Fatalf("BytesResident = %d, want %d", got, want)
 	}
 	tab.drop("amy")
 	tab.drop("bob")
-	if _, ok := tab.blobs[cutSig]; ok {
+	if _, ok := tab.blobs.blobs[cutSig]; ok {
 		t.Fatal("the base outlived its last tail")
 	}
-	if got := tab.BytesResident(); got != int64(len(forged)) {
+	if got := tab.blobs.BytesResident(); got != int64(len(forged)) {
 		t.Fatalf("with the views gone BytesResident = %d, want %d", got, len(forged))
 	}
 }
@@ -387,7 +387,7 @@ func TestRaceTailSharedHitsWhileBaseChurns(t *testing.T) {
 	const users = 4
 	w := newTailUniverse(1, users)
 	cut, cutSig := w.cuts[0], sig.Of(w.cuts[0])
-	tab := NewTable(replace.NewGDS())
+	tab := NewTable(replace.NewGDS(), nil)
 	cutKey := interKey(sig.Of([]byte("d")), cutSig)
 	installCut := func() {
 		tab.Install(cutKey, &Entry{Doc: "d", Signature: cutSig, Cost: time.Millisecond, cut: true}, stream.Body{Head: cut}, 0, sig.Zero)
@@ -460,8 +460,8 @@ func TestRaceTailSharedHitsWhileBaseChurns(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	tab.Close()
-	if tab.BytesStored() != 0 || tab.stats.bytesResident.Load() != 0 {
-		t.Fatalf("closed table: %d bytes stored, %d resident", tab.BytesStored(), tab.stats.bytesResident.Load())
+	if tab.BytesStored() != 0 || tab.blobs.BytesResident() != 0 {
+		t.Fatalf("closed table: %d bytes stored, %d resident", tab.BytesStored(), tab.blobs.BytesResident())
 	}
 }
 
@@ -532,7 +532,7 @@ func TestRaceTailSharedPromotesWhileBaseChurns(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if c.tab.BytesStored() != 0 || c.tab.BytesResident() != 0 {
-		t.Fatalf("closed table: %d bytes stored, %d resident", c.tab.BytesStored(), c.tab.BytesResident())
+	if c.tab.BytesStored() != 0 || c.tab.blobs.BytesResident() != 0 {
+		t.Fatalf("closed table: %d bytes stored, %d resident", c.tab.BytesStored(), c.tab.blobs.BytesResident())
 	}
 }

@@ -74,9 +74,12 @@ type node struct {
 	registry *event.Registry
 	// fp caches the node's chain fingerprint (see stage.go): the
 	// universal-chain fingerprint on base-document nodes, the
-	// personal-chain fingerprint on reference nodes. fpValid is
-	// cleared, under s.mu, by every mutation of the active list.
+	// personal-chain fingerprint on reference nodes. memo caches
+	// whether every active has a memo contract, so the chain is
+	// memoizable without asking its transforms. fpValid covers both
+	// and is cleared, under s.mu, by every mutation of the active list.
 	fp      sig.Signature
+	memo    bool
 	fpValid bool
 }
 

@@ -165,13 +165,19 @@ func appendChainFrame(enc []byte, name, class, key string) []byte {
 // sufficient because their presence poisons every cut at or after
 // them.
 func appendPropFrame(enc []byte, p property.Active) []byte {
-	key := "!nonmemo"
+	key, _ := frameKey(p)
+	return appendChainFrame(enc, p.Name(), ClassActive, key)
+}
+
+// frameKey returns p's memo key and true, or the non-memoizable marker
+// and false.
+func frameKey(p property.Active) (string, bool) {
 	if m, ok := p.(property.Memoizable); ok {
 		if k, memoOK := m.MemoKey(); memoOK {
-			key = k
+			return k, true
 		}
 	}
-	return appendChainFrame(enc, p.Name(), ClassActive, key)
+	return "!nonmemo", false
 }
 
 // fingerprintLocked returns b's universal-chain fingerprint, computing
@@ -183,15 +189,19 @@ func (s *Space) fingerprintLocked(b *Base) sig.Signature {
 // fingerprintNodeLocked is fingerprintLocked generalized to any
 // attachment point: base-document nodes yield the universal-chain
 // fingerprint, reference nodes the personal-chain fingerprint. Both
-// cache on the node; every active-list mutation clears fpValid under
-// s.mu, regardless of level. Caller holds s.mu.
+// cache on the node, with whether every active has a memo contract
+// (node.memo); every active-list mutation clears fpValid under s.mu,
+// regardless of level. Caller holds s.mu.
 func (s *Space) fingerprintNodeLocked(n *node) sig.Signature {
 	if n.fpValid {
 		return n.fp
 	}
 	var enc []byte
+	n.memo = true
 	for _, e := range n.actives {
-		enc = appendPropFrame(enc, e.prop)
+		key, ok := frameKey(e.prop)
+		n.memo = n.memo && ok
+		enc = appendChainFrame(enc, e.prop.Name(), ClassActive, key)
 	}
 	n.fp = sig.Of(enc)
 	n.fpValid = true
@@ -242,11 +252,7 @@ func (s *Space) snapshotChains(b *Base, r *Ref) (uProps, pProps []property.Activ
 
 // memoOK reports whether p's read-path transform may be memoized.
 func memoOK(p property.Active) bool {
-	m, ok := p.(property.Memoizable)
-	if !ok {
-		return false
-	}
-	_, ok = m.MemoKey()
+	_, ok := frameKey(p)
 	return ok
 }
 
@@ -512,11 +518,21 @@ func (s *Space) ContentKey(doc, user string) (ContentKey, error) {
 		UniversalFP: s.fingerprintNodeLocked(b.node),
 		PersonalFP:  s.fingerprintNodeLocked(r.node),
 	}
-	uProps, pProps := activesLocked(b.node), activesLocked(r.node)
+	// A chain whose every active has a memo contract is memoizable
+	// whatever transforms they return; only a chain with an active
+	// that has none asks them (chainMemoizable).
+	uMemo, pMemo := b.node.memo, r.node.memo
+	var uProps, pProps []property.Active
+	if !uMemo {
+		uProps = activesLocked(b.node)
+	}
+	if !pMemo {
+		pProps = activesLocked(r.node)
+	}
 	s.mu.Unlock()
 
-	key.Memoizable = s.chainMemoizable(doc, user, uProps) &&
-		s.chainMemoizable(doc, user, pProps)
+	key.Memoizable = (uMemo || s.chainMemoizable(doc, user, uProps)) &&
+		(pMemo || s.chainMemoizable(doc, user, pProps))
 
 	if key.SourceSig, err = s.sourceSig(b); err != nil {
 		return ContentKey{}, err

@@ -627,3 +627,55 @@ func TestContentKeyNonMemoizablePersonal(t *testing.T) {
 		t.Fatal("unrelated user's key poisoned")
 	}
 }
+
+// TestContentKeyMemoizableFollowsTheChain: the key's Memoizable is
+// cached with the chain's fingerprint, so it must flip when a property
+// without a memo contract is attached and flip back when it is
+// detached, at either level. An event-only property without one
+// returns no transform and leaves the key memoizable.
+func TestContentKeyMemoizableFollowsTheChain(t *testing.T) {
+	opaque := func() property.Active {
+		return &property.Transformer{
+			Base:          property.Base{PropName: "opaque"},
+			ReadTransform: func(b []byte) []byte { return b },
+			Version:       1,
+		}
+	}
+	for _, row := range []struct {
+		name     string
+		user     string
+		level    Level
+		prop     property.Active
+		attached bool // Memoizable while prop is attached
+	}{
+		{"universal transform", "", Universal, opaque(), false},
+		{"personal transform", "eyal", Personal, opaque(), false},
+		{"universal event-only", "", Universal, property.NewAuditTrail(), true},
+		{"personal event-only", "eyal", Personal, property.NewAuditTrail(), true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			f := stageFixture(t)
+			memoizable := func(step string, want bool) {
+				t.Helper()
+				for pass := 0; pass < 2; pass++ { // computed, then cached
+					k, err := f.space.ContentKey("d", "eyal")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if k.Memoizable != want {
+						t.Fatalf("%s, pass %d: Memoizable %v, want %v", step, pass, k.Memoizable, want)
+					}
+				}
+			}
+			memoizable("before the attach", true)
+			if err := f.space.Attach("d", row.user, row.level, row.prop); err != nil {
+				t.Fatal(err)
+			}
+			memoizable("attached", row.attached)
+			if err := f.space.Detach("d", row.user, row.level, row.prop.Name()); err != nil {
+				t.Fatal(err)
+			}
+			memoizable("detached", true)
+		})
+	}
+}

@@ -68,6 +68,13 @@ type Options struct {
 	// every miss (stage remote_rtt). The counters reach it through
 	// RegisterMetrics, once for all the caches it serves.
 	Observer *obs.Observer
+	// Blobs, when non-nil, is the blob store the cache keeps its bytes
+	// in, shared with every other cache built on it: the nodes of one
+	// sidecar keep each document's head once. Each cache still charges
+	// its own views at their full length (Capacity, Stats.BytesStored);
+	// the bytes the store occupies are its BytesResident. Nil is a
+	// store of the cache's own.
+	Blobs *core.BlobStore
 }
 
 // Stats counts remote-cache activity.
@@ -89,11 +96,9 @@ type Stats struct {
 	// TTL deadline passed.
 	TTLExpiries int64
 	// BytesStored is the current unique content footprint, what
-	// capacity charges: every view at its full length.
+	// capacity charges: every view at its full length. What the views
+	// occupy is their blob store's (Options.Blobs).
 	BytesStored int64
-	// BytesResident is what the views occupy: a view that shares its
-	// head only its tail, and each head once.
-	BytesResident int64
 	// Reconnects counts connection epochs after the first: each is
 	// one successful reconnect the cache observed (one epoch flush).
 	Reconnects int64
@@ -134,7 +139,7 @@ type Cache struct {
 func New(client *server.Client, opts Options) *Cache {
 	c := &Cache{
 		client:  client,
-		tab:     core.NewTable(replace.NewGDS()),
+		tab:     core.NewTable(replace.NewGDS(), opts.Blobs),
 		clk:     opts.Clock,
 		obs:     opts.Observer,
 		flushed: client.Epoch(), // the table is empty: nothing to flush
@@ -273,7 +278,6 @@ func (c *Cache) Stats() Stats {
 	st := c.stats
 	c.mu.Unlock()
 	st.BytesStored = c.tab.BytesStored()
-	st.BytesResident = c.tab.BytesResident()
 	st.Evictions = c.tab.Evictions()
 	return st
 }
@@ -298,6 +302,10 @@ func (c *Cache) ConnState() server.ConnState {
 // DownSince reports when the wire behind the cache's client went down,
 // or the zero time while it is up.
 func (c *Cache) DownSince() time.Time { return c.client.DownSince() }
+
+// Audit checks the table's index and its holds in the blob store
+// (core.Table.Audit); only a quiescent cache reads clean.
+func (c *Cache) Audit() error { return c.tab.Audit() }
 
 // Len reports cached entry count.
 func (c *Cache) Len() int { return c.tab.Len() }

@@ -269,8 +269,12 @@ func (w *World) attachProp(doc, user string, level docspace.Level) error {
 	case r > 0.80:
 		vote = property.CacheWithEvents
 	}
+	// A personal tagger carries a memo contract, as a watermark does: it
+	// appends to the universal output, so the origin ships its views as
+	// head + tail and the sidecar's nodes build them on one shared head.
+	// It takes no draw, so every seed keeps its schedule.
 	memo := ""
-	if level == docspace.Universal && w.rng.Intn(10) < 7 {
+	if level == docspace.Universal && w.rng.Intn(10) < 7 || level == docspace.Personal && kind == 0 {
 		memo = fmt.Sprintf("%s-k%d", name, kind)
 	}
 	p := &property.Transformer{

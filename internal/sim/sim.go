@@ -76,6 +76,10 @@ type World struct {
 	srv       *server.Server
 	client    *server.Client
 	rc        *remote.Cache
+	// blobs is the one blob store of the sidecar side: the base remote
+	// cache and every cluster node, joiners included, keep their bytes
+	// in it, as plcached's ring does.
+	blobs *core.BlobStore
 
 	// Cluster dimension: extra cache nodes behind a consistent-hash
 	// router, all served by the same origin server over separate
@@ -218,9 +222,11 @@ func NewWorld(cfg Config) (*World, error) {
 		if _, err := client.Stats(); err != nil {
 			return nil, fmt.Errorf("sim: ping: %w", err)
 		}
+		w.blobs = core.NewBlobStore()
 		w.rc = remote.New(client, remote.Options{
 			Capacity: w.remoteCap,
 			Clock:    w.clk,
+			Blobs:    w.blobs,
 		})
 		// The cluster dimension draws from its own generator (like the
 		// disk tier) so pre-cluster seeds keep denoting the same base
@@ -255,7 +261,8 @@ func NewWorld(cfg Config) (*World, error) {
 // clusterNode is one simulated cache daemon in the ring: its own
 // listener endpoint on the shared origin server, its own resilient
 // client connection (carrying its own subscriptions — the invalidation
-// fanout), and its own remote cache.
+// fanout), and its own remote cache, whose bytes the world's blob store
+// keeps with every other node's.
 type clusterNode struct {
 	name   string
 	client *server.Client
@@ -299,6 +306,7 @@ func (w *World) addClusterNode() error {
 	rc := remote.New(client, remote.Options{
 		Capacity: capacity,
 		Clock:    w.clk,
+		Blobs:    w.blobs,
 	})
 	n := &clusterNode{name: name, client: client, rc: rc}
 	w.clNodes = append(w.clNodes, n)
@@ -530,7 +538,9 @@ func (w *World) settle() error {
 
 // finalCheck settles, and then requires every view to equal the
 // model's current state exactly — the lost-write detector: a write that
-// vanished leaves a reachable view that never converges.
+// vanished leaves a reachable view that never converges. Then, settled
+// again, every remote cache's charges and the blob store they share
+// must audit clean (auditBlobs).
 func (w *World) finalCheck() error {
 	if err := w.settle(); err != nil {
 		return err
@@ -608,6 +618,33 @@ func (w *World) finalCheck() error {
 				}
 			}
 		}
+	}
+	return w.auditBlobs()
+}
+
+// auditBlobs settles and checks the sidecar side's shared bytes: each
+// remote cache, the departed nodes' closed ones included, is charged
+// exactly the blobs its own records hold, so its capacity evicted by
+// what the node alone holds, and the store keeps exactly the bytes of
+// its blobs, no head freed while a tail builds on it.
+func (w *World) auditBlobs() error {
+	if !w.remoteOn {
+		return nil
+	}
+	if err := w.settle(); err != nil {
+		return err
+	}
+	caches := []*remote.Cache{w.rc}
+	for _, n := range w.clNodes {
+		caches = append(caches, n.rc)
+	}
+	for _, rc := range caches {
+		if err := rc.Audit(); err != nil {
+			return fmt.Errorf("blob audit: %w", err)
+		}
+	}
+	if err := w.blobs.Audit(); err != nil {
+		return fmt.Errorf("blob audit: %w", err)
 	}
 	return nil
 }

@@ -15,8 +15,12 @@ import (
 // binary wrote, is skipped on replay.
 const metaEntry, metaInter, metaEpoch byte = 1, 2, 3
 
-func entryFields(e *EntryMeta) []any {
-	return []any{&e.Sig, &e.SourceSig, &e.UniversalFP, &e.PersonalFP, &e.HeadSig, &e.Gen, &e.Cost, &e.HeadLen, &e.Doc, &e.User}
+func entryFields(e *EntryMeta) []any { return entryLayout(e, &e.Doc, &e.User) }
+
+// entryLayout is an entry record's fields, with doc and user (a
+// *string or a *[]byte each) in the places of Doc and User.
+func entryLayout(e *EntryMeta, doc, user any) []any {
+	return []any{&e.Sig, &e.SourceSig, &e.UniversalFP, &e.PersonalFP, &e.HeadSig, &e.Gen, &e.Cost, &e.HeadLen, doc, user}
 }
 
 func interFields(im *IntermediateMeta) []any {
@@ -46,7 +50,8 @@ func appendMeta(b []byte, kind byte, fields []any) []byte {
 }
 
 // decodeMeta fills fields from p and reports whether p held exactly
-// them. Strings are copied out: the scan reuses p's buffer.
+// them. Strings are copied out, since the scan reuses p's buffer; a
+// []byte is left aliasing p, for the caller to copy.
 func decodeMeta(p []byte, fields []any) bool {
 	for _, f := range fields {
 		if f, ok := f.(*sig.Signature); ok {
@@ -73,25 +78,34 @@ func decodeMeta(p []byte, fields []any) bool {
 				return false
 			}
 			*f, p = string(p[:v]), p[v:]
+		case *[]byte:
+			if v > uint64(len(p)) {
+				return false
+			}
+			*f, p = p[:v:v], p[v:]
 		}
 	}
 	return len(p) == 0
 }
 
 // replayMeta applies one metadata record read back from a segment:
-// latest wins per key, and an epoch only ever rises.
+// latest wins per key, and an epoch only ever rises. An entry's key is
+// built once, and its Doc and User are substrings of it.
 func (s *Store) replayMeta(payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
 	kind, p := payload[0], payload[1:]
 	var e EntryMeta
+	var eDoc, eUser []byte
 	var im IntermediateMeta
 	var doc string
 	var gen uint64
 	switch {
-	case kind == metaEntry && decodeMeta(p, entryFields(&e)):
-		s.entries[entryKey(e.Doc, e.User)] = e
+	case kind == metaEntry && decodeMeta(p, entryLayout(&e, &eDoc, &eUser)):
+		k := entryKey(string(eDoc), string(eUser))
+		e.Doc, e.User = k[:len(eDoc)], k[len(eDoc)+1:]
+		s.entries[k] = e
 	case kind == metaInter && decodeMeta(p, interFields(&im)):
 		s.inters[interKey{im.SourceSig, im.Fingerprint}] = im
 	case kind == metaEpoch && decodeMeta(p, epochFields(&doc, &gen)) && gen > s.epochs[doc]:
